@@ -1,6 +1,6 @@
-(** The scatter-gather router: one server speaking the ordinary wire
-    protocol on the front, pooled {!Blas_server.Client} connections to
-    N shard groups on the back.
+(** The scatter-gather router: the {!Blas_server.Front} end in the
+    ["router"] role on the front, pooled {!Blas_server.Client}
+    connections to N shard groups on the back.
 
     Placement follows {!Shard_map}: a whole document lives on the shard
     that announced it in the startup HELLO sweep; a range-partitioned
@@ -45,6 +45,7 @@ let log_src = Logs.Src.create "blas_router" ~doc:"BLAS cluster router"
 module Log = (val Logs.src_log log_src)
 module Client = Blas_server.Client
 module Proto = Blas_server.Proto
+module Front = Blas_server.Front
 module Metrics = Blas_obs.Metrics
 
 let now_ns = Blas_obs.Clock.now_ns
@@ -131,23 +132,14 @@ type ep = {
   e_latency : Metrics.histogram;  (** successful QUERY round trips, ns *)
 }
 
-type phase = Running | Draining | Stopped
-
 type route =
   | Single of int  (** the shard owning the whole document *)
   | Chunks of (string * int) list
       (** a range partition: (chunk doc, label offset) in chunk order *)
 
-type job = {
-  run : queue_ns:int64 -> deadline_ns:int64 option -> Proto.reply;
-  verb : string;
-  deadline_ns : int64 option;
-  enqueued_ns : int64;
-  mutable result : Proto.reply option;
-}
-
 type t = {
   config : config;
+  front : Front.t;
   registry : Metrics.t;
   groups : ep array array;  (** [groups.(k).(0)] is shard [k]'s primary *)
   table : (string, route) Hashtbl.t;
@@ -155,30 +147,6 @@ type t = {
       (** per-document update locks, created on demand (see
           {!doc_update_lock}) *)
   doc_locks_lock : Mutex.t;
-  listen_fd : Unix.file_descr;
-  port : int;
-  lock : Mutex.t;
-  nonempty : Condition.t;
-  job_done : Condition.t;
-  queue : job Queue.t;
-  mutable inflight : int;
-  mutable phase : phase;
-  shutdown_requested : bool Atomic.t;
-  mutable workers : Thread.t list;
-  mutable accepter : Thread.t option;
-  mutable conns : (Unix.file_descr * Thread.t) list;
-  started_ns : int64;
-  http_fd : Unix.file_descr option;
-  http_port : int option;
-  mutable http : Thread.t option;
-  traces : (string * string) option array;
-  traces_lock : Mutex.t;
-  mutable traces_next : int;
-  m_outcome : string -> Metrics.counter;
-  m_latency : string -> Metrics.histogram;
-  m_queue : Metrics.gauge;
-  m_inflight : Metrics.gauge;
-  m_conns : Metrics.counter;
   m_hedge_fired : Metrics.counter;
   m_hedge_won : Metrics.counter;
   m_repl_mismatch : Metrics.counter;
@@ -186,9 +154,9 @@ type t = {
   m_repl_lag : Metrics.gauge;
 }
 
-let port t = t.port
+let port t = Front.port t.front
 
-let metrics_port t = t.http_port
+let metrics_port t = Front.metrics_port t.front
 
 let registry t = t.registry
 
@@ -737,92 +705,6 @@ let inval_job t ~doc payload =
       replies
 
 (* ------------------------------------------------------------------ *)
-(* Admission (same discipline as the single server)                   *)
-
-let set_gauges_locked t =
-  Metrics.set t.m_queue (float_of_int (Queue.length t.queue));
-  Metrics.set t.m_inflight (float_of_int t.inflight)
-
-let outcome_of_reply = function
-  | Proto.Ok_payload _ | Proto.Bye -> "ok"
-  | Proto.Err _ -> "error"
-  | Proto.Busy -> "busy"
-  | Proto.Timeout -> "timeout"
-
-let record_outcome t reply = Metrics.incr (t.m_outcome (outcome_of_reply reply))
-
-let submit t job =
-  Mutex.lock t.lock;
-  let reject reply =
-    Mutex.unlock t.lock;
-    record_outcome t reply;
-    reply
-  in
-  if t.phase <> Running then reject (Proto.Err "router is shutting down")
-  else if
-    Queue.length t.queue + t.inflight
-    >= t.config.max_inflight + t.config.queue_depth
-  then reject Proto.Busy
-  else begin
-    Queue.push job t.queue;
-    set_gauges_locked t;
-    Condition.signal t.nonempty;
-    while job.result = None do
-      Condition.wait t.job_done t.lock
-    done;
-    let reply = Option.get job.result in
-    Mutex.unlock t.lock;
-    reply
-  end
-
-let execute t job =
-  let queue_ns = Int64.sub (now_ns ()) job.enqueued_ns in
-  let reply =
-    let expired =
-      match job.deadline_ns with
-      | Some d -> Int64.compare (now_ns ()) d >= 0
-      | None -> false
-    in
-    if expired then Proto.Timeout
-    else
-      match job.run ~queue_ns ~deadline_ns:job.deadline_ns with
-      | reply -> reply
-      | exception e ->
-        Log.warn (fun m ->
-            m "%s request failed: %s" job.verb (Printexc.to_string e));
-        Proto.Err (Printexc.to_string e)
-  in
-  record_outcome t reply;
-  Metrics.observe
-    (t.m_latency job.verb)
-    (Int64.to_float (Int64.sub (now_ns ()) job.enqueued_ns));
-  reply
-
-let worker_loop t =
-  let rec loop () =
-    Mutex.lock t.lock;
-    while t.phase = Running && Queue.is_empty t.queue do
-      Condition.wait t.nonempty t.lock
-    done;
-    if Queue.is_empty t.queue then Mutex.unlock t.lock
-    else begin
-      let job = Queue.pop t.queue in
-      t.inflight <- t.inflight + 1;
-      set_gauges_locked t;
-      Mutex.unlock t.lock;
-      let reply = execute t job in
-      Mutex.lock t.lock;
-      job.result <- Some reply;
-      t.inflight <- t.inflight - 1;
-      set_gauges_locked t;
-      Condition.broadcast t.job_done;
-      Mutex.unlock t.lock;
-      loop ()
-    end
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
 (* STATS / METRICS                                                    *)
 
 (* Scrape-time mirroring of breaker state into per-endpoint gauges
@@ -848,11 +730,7 @@ let refresh_gauges t =
            v))
     t.groups
 
-let metrics_payload t fmt =
-  refresh_gauges t;
-  match fmt with
-  | `Prom -> Blas_obs.Expo.render t.registry
-  | `Json -> Blas_obs.Json.to_string_pretty (Metrics.to_json t.registry)
+let metrics_payload t fmt = Front.metrics_payload t.front fmt
 
 let ep_json t ep =
   let pct p =
@@ -896,11 +774,7 @@ let docs_json t =
 
 let stats_payload t =
   refresh_gauges t;
-  Mutex.lock t.lock;
-  let queued = Queue.length t.queue
-  and inflight = t.inflight
-  and phase = t.phase in
-  Mutex.unlock t.lock;
+  let st = Front.status t.front in
   Blas_obs.Json.to_string_pretty
     (Blas_obs.Json.Obj
        [
@@ -908,18 +782,11 @@ let stats_payload t =
            Blas_obs.Json.Obj
              [
                ("name", Blas_obs.Json.Str t.config.name);
-               ( "phase",
-                 Blas_obs.Json.Str
-                   (match phase with
-                   | Running -> "running"
-                   | Draining -> "draining"
-                   | Stopped -> "stopped") );
-               ( "uptime_ns",
-                 Blas_obs.Json.Int
-                   (Int64.to_int (Int64.sub (now_ns ()) t.started_ns)) );
+               ("phase", Blas_obs.Json.Str st.Front.phase);
+               ("uptime_ns", Blas_obs.Json.Int st.Front.uptime_ns);
                ("shards", Blas_obs.Json.Int (shards t));
-               ("inflight", Blas_obs.Json.Int inflight);
-               ("queued", Blas_obs.Json.Int queued);
+               ("inflight", Blas_obs.Json.Int st.Front.inflight);
+               ("queued", Blas_obs.Json.Int st.Front.queued);
                ( "hedge_fired",
                  Blas_obs.Json.Int (Metrics.counter_value t.m_hedge_fired) );
                ( "hedge_won",
@@ -948,320 +815,65 @@ let stats_payload t =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Trace ring and the traced-request envelope                         *)
-
-let store_trace t id body =
-  Mutex.lock t.traces_lock;
-  t.traces.(t.traces_next) <- Some (id, body);
-  t.traces_next <- (t.traces_next + 1) mod Array.length t.traces;
-  Mutex.unlock t.traces_lock
-
-let find_trace t id =
-  Mutex.lock t.traces_lock;
-  let found =
-    Array.fold_left
-      (fun acc slot ->
-        match slot with Some (i, body) when i = id -> Some body | _ -> acc)
-      None t.traces
-  in
-  Mutex.unlock t.traces_lock;
-  found
-
-type trace_mode = [ `Off | `Inline | `Inline_id of string | `Bg of string ]
-
-(* The router's variant of the server's traced request: a fresh tracer
-   per traced request; the job body receives the tracer and the trace
-   id (its shard hops run under [TRACE BG <id>-s<k>] on the shards). *)
-let traced_request t ~(trace : trace_mode) ~verb ~queue_ns ~detail f =
-  let traced = trace <> `Off in
-  let tracer =
-    if traced then Blas_obs.Trace.create ~enabled:true ()
-    else Blas_obs.Trace.disabled
-  in
-  let trace_id =
-    match trace with
-    | `Off -> ""
-    | `Inline -> Blas_obs.Trace.fresh_id ()
-    | `Inline_id id | `Bg id -> id
-  in
-  let t0 = now_ns () in
-  let reply =
-    Blas_obs.Trace.with_span tracer "request"
-      ~attrs:(("verb", verb) :: ("trace_id", trace_id) :: detail)
-    @@ fun () ->
-    Blas_obs.Trace.record tracer ~name:"queue-wait"
-      ~start_ns:(Int64.sub t0 queue_ns) ~duration_ns:queue_ns ();
-    f ~tracer ~trace_id
-  in
-  if not traced then reply
-  else begin
-    let with_trace rest =
-      Blas_obs.Json.to_string
-        (Blas_obs.Json.Obj
-           (("trace_id", Blas_obs.Json.Str trace_id)
-           :: (rest @ [ ("trace", Blas_obs.Trace.to_json tracer) ])))
-    in
-    let body =
-      match reply with
-      | Proto.Ok_payload payload ->
-        with_trace [ ("payload", Blas_obs.Json.Str payload) ]
-      | other ->
-        with_trace [ ("outcome", Blas_obs.Json.Str (outcome_of_reply other)) ]
-    in
-    store_trace t trace_id body;
-    match trace with
-    | `Bg _ -> reply
-    | _ -> (
-      match reply with
-      | Proto.Ok_payload _ -> Proto.Ok_payload body
-      | other -> other)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Connection handling                                                *)
-
-let deadline_of t header_ms =
-  let ms =
-    match header_ms with
-    | Some ms -> Some ms
-    | None -> t.config.default_deadline_ms
-  in
-  Option.map
-    (fun ms -> Int64.add (now_ns ()) (Int64.of_int (ms * 1_000_000)))
-    ms
-
-let admitted t ~verb ~header_ms run =
-  submit t
-    {
-      run;
-      verb;
-      deadline_ns = deadline_of t header_ms;
-      enqueued_ns = now_ns ();
-      result = None;
-    }
+(* The router role                                                    *)
 
 let list_payload t =
   Hashtbl.fold (fun doc _ acc -> doc :: acc) t.table []
   |> List.sort compare |> String.concat "\n"
 
-let handle_connection t fd =
-  let io = Proto.Io.of_fd fd in
-  Metrics.incr t.m_conns;
-  let header = ref None in
-  let take_header () =
-    let h = !header in
-    header := None;
-    h
-  in
-  let trace_next = ref (`Off : trace_mode) in
-  let take_trace () =
-    let v = !trace_next in
-    trace_next := `Off;
-    v
-  in
-  let rec loop () =
-    match Proto.Io.read_line io ~max:Proto.max_frame with
-    | `Eof -> ()
-    | `Too_long -> Proto.write_reply io (Proto.Err "frame too large")
-    | `Line line -> (
-      match Proto.parse_command line with
-      | Error msg ->
-        Proto.write_reply io (Proto.Err msg);
-        loop ()
-      | Ok cmd -> (
-        match cmd with
-        | Proto.Ping ->
-          Proto.write_reply io (Proto.Ok_payload "pong");
-          loop ()
-        | Proto.List_docs ->
-          Proto.write_reply io (Proto.Ok_payload (list_payload t));
-          loop ()
-        | Proto.Stats ->
-          Proto.write_reply io (Proto.Ok_payload (stats_payload t));
-          loop ()
-        | Proto.Stats_timeseries ->
-          Proto.write_reply io
-            (Proto.Err "STATS TIMESERIES is not kept on the router");
-          loop ()
-        | Proto.Metrics fmt ->
-          Proto.write_reply io (Proto.Ok_payload (metrics_payload t fmt));
-          loop ()
-        | Proto.Deadline ms ->
-          header := Some ms;
-          loop ()
-        | Proto.Trace_hdr ->
-          trace_next := `Inline;
-          loop ()
-        | Proto.Trace_id id ->
-          trace_next := `Inline_id id;
-          loop ()
-        | Proto.Trace_bg id ->
-          trace_next := `Bg id;
-          loop ()
-        | Proto.Trace_get id ->
-          (match find_trace t id with
-          | Some body -> Proto.write_reply io (Proto.Ok_payload body)
-          | None ->
-            Proto.write_reply io
-              (Proto.Err (Printf.sprintf "unknown trace id %S" id)));
-          loop ()
-        | Proto.Hello peer ->
-          Log.debug (fun m -> m "HELLO from %s" peer);
-          Proto.write_reply io
-            (Proto.Ok_payload
-               (Printf.sprintf "shard %s\n%s" t.config.name (list_payload t)));
-          loop ()
-        | Proto.Sleep _ ->
-          Proto.write_reply io (Proto.Err "SLEEP is not routed");
-          loop ()
-        | Proto.Quit -> Proto.write_reply io Proto.Bye
-        | Proto.Shutdown ->
-          Proto.write_reply io Proto.Bye;
-          Atomic.set t.shutdown_requested true
-        | Proto.Inval { doc; payload } ->
-          Proto.write_reply io
-            (admitted t ~verb:"inval" ~header_ms:(take_header ())
-               (fun ~queue_ns:_ ~deadline_ns:_ -> inval_job t ~doc payload));
-          loop ()
-        | Proto.Query { doc; translator; engine; xpath } ->
-          (* Headers are consumed even when admission rejects the
-             command — a DEADLINE sent before a BUSY-rejected QUERY
-             must not leak onto the next unrelated command. *)
-          let trace = take_trace () in
-          let header_ms = take_header () in
-          let reply =
-            match admission_reject t ~write:false doc with
-            | Some busy ->
-              record_outcome t busy;
-              busy
-            | None ->
-              admitted t ~verb:"query" ~header_ms
-                (fun ~queue_ns ~deadline_ns ->
-                  traced_request t ~trace ~verb:"query" ~queue_ns
-                    ~detail:
-                      [
-                        ("doc", doc);
-                        ("query", xpath);
-                        ("translator", Proto.translator_to_string translator);
-                        ("engine", Proto.engine_to_string engine);
-                      ]
-                    (fun ~tracer ~trace_id ->
-                      query_job t ~tracer ~trace_id ~deadline_ns ~doc
-                        ~translator ~engine xpath))
-          in
-          Proto.write_reply io reply;
-          loop ()
-        | Proto.Update { doc; edit } | Proto.Updatex { doc; edit } ->
-          let want_invalidation =
-            match cmd with Proto.Updatex _ -> true | _ -> false
-          in
-          let trace = take_trace () in
-          let header_ms = take_header () in
-          let reply =
-            match admission_reject t ~write:true doc with
-            | Some busy ->
-              record_outcome t busy;
-              busy
-            | None ->
-              admitted t ~verb:"update" ~header_ms
-                (fun ~queue_ns ~deadline_ns ->
-                  traced_request t ~trace ~verb:"update" ~queue_ns
-                    ~detail:[ ("doc", doc) ]
-                    (fun ~tracer:_ ~trace_id:_ ->
-                      update_job t ~want_invalidation ~deadline_ns ~doc edit))
-          in
-          Proto.write_reply io reply;
-          loop ()))
-  in
-  (try loop () with
-  | Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> ()
-  | e -> Log.warn (fun m -> m "connection handler: %s" (Printexc.to_string e)));
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  Mutex.lock t.lock;
-  t.conns <- List.filter (fun (c, _) -> c != fd) t.conns;
-  Mutex.unlock t.lock;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  let rec loop () =
-    if t.phase <> Running then ()
-    else
-      match Unix.accept t.listen_fd with
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        Thread.delay 0.02;
-        loop ()
-      | exception Unix.Unix_error (ECONNABORTED, _, _) -> loop ()
-      | exception Unix.Unix_error ((EBADF | EINVAL), _, _) -> ()
-      | exception e ->
-        if t.phase = Running then
-          Log.err (fun m -> m "accept: %s" (Printexc.to_string e))
-      | fd, _ ->
-        Unix.clear_nonblock fd;
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true
-         with Unix.Unix_error _ -> ());
-        let thread = Thread.create (fun () -> handle_connection t fd) () in
-        Mutex.lock t.lock;
-        t.conns <- (fd, thread) :: t.conns;
-        Mutex.unlock t.lock;
-        loop ()
-  in
-  loop ()
-
-(* The same deliberately minimal GET-only responder as the single
-   server's metrics listener. *)
-let serve_http_request t cfd =
-  let io = Proto.Io.of_fd cfd in
-  match Proto.Io.read_line io ~max:Proto.max_frame with
-  | `Eof | `Too_long -> ()
-  | `Line request_line ->
-    let rec drain n =
-      if n > 0 then
-        match Proto.Io.read_line io ~max:Proto.max_frame with
-        | `Line "" | `Eof | `Too_long -> ()
-        | `Line _ -> drain (n - 1)
+(* The commands the front end hands over.  Shard-aware admission rejects
+   before queuing, so an open-breaker shard answers BUSY instantly
+   instead of eating a worker. *)
+let request t cmd =
+  match cmd with
+  | Proto.Query { doc; translator; engine; xpath } -> (
+    match admission_reject t ~write:false doc with
+    | Some busy -> Front.Reject busy
+    | None ->
+      Front.Admit
+        {
+          Front.verb = "query";
+          detail =
+            [
+              ("doc", doc);
+              ("query", xpath);
+              ("translator", Proto.translator_to_string translator);
+              ("engine", Proto.engine_to_string engine);
+            ];
+          run =
+            (fun ctx ->
+              query_job t ~tracer:ctx.Front.tracer ~trace_id:ctx.Front.trace_id
+                ~deadline_ns:ctx.Front.deadline_ns ~doc ~translator ~engine
+                xpath);
+        })
+  | Proto.Update { doc; edit } | Proto.Updatex { doc; edit } -> (
+    let want_invalidation =
+      match cmd with Proto.Updatex _ -> true | _ -> false
     in
-    drain 64;
-    let path =
-      match String.split_on_char ' ' request_line with
-      | _meth :: path :: _ -> path
-      | _ -> ""
-    in
-    let status, ctype, body =
-      match path with
-      | "/metrics" ->
-        ( "200 OK",
-          "text/plain; version=0.0.4; charset=utf-8",
-          metrics_payload t `Prom )
-      | "/metrics.json" ->
-        ("200 OK", "application/json", metrics_payload t `Json)
-      | _ -> ("404 Not Found", "text/plain; charset=utf-8", "not found\n")
-    in
-    Proto.Io.write io
-      (Printf.sprintf
-         "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\
-          Connection: close\r\n\r\n%s"
-         status ctype (String.length body) body)
-
-let http_loop t fd =
-  let rec loop () =
-    if t.phase <> Running then ()
-    else
-      match Unix.accept fd with
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        Thread.delay 0.02;
-        loop ()
-      | exception Unix.Unix_error (ECONNABORTED, _, _) -> loop ()
-      | exception Unix.Unix_error ((EBADF | EINVAL), _, _) -> ()
-      | exception e ->
-        if t.phase = Running then
-          Log.err (fun m -> m "metrics accept: %s" (Printexc.to_string e))
-      | cfd, _ ->
-        Unix.clear_nonblock cfd;
-        (try serve_http_request t cfd with Unix.Unix_error _ -> ());
-        (try Unix.close cfd with Unix.Unix_error _ -> ());
-        loop ()
-  in
-  loop ()
+    match admission_reject t ~write:true doc with
+    | Some busy -> Front.Reject busy
+    | None ->
+      Front.Admit
+        {
+          Front.verb = "update";
+          detail = [ ("doc", doc) ];
+          run =
+            (fun ctx ->
+              update_job t ~want_invalidation ~deadline_ns:ctx.Front.deadline_ns
+                ~doc edit);
+        })
+  | Proto.Inval { doc; payload } ->
+    Front.Admit
+      {
+        Front.verb = "inval";
+        detail = [ ("doc", doc) ];
+        run = (fun _ -> inval_job t ~doc payload);
+      }
+  | Proto.Stats -> Front.Answer (Proto.Ok_payload (stats_payload t))
+  | Proto.Stats_timeseries ->
+    Front.Answer (Proto.Err "STATS TIMESERIES is not kept on the router")
+  | Proto.Sleep _ -> Front.Answer (Proto.Err "SLEEP is not routed")
+  | cmd -> Front.Answer (Proto.Err ("not routed: " ^ Proto.command_to_line cmd))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                          *)
@@ -1270,7 +882,7 @@ let http_loop t fd =
    document to its announcing shard, and reassemble range partitions
    from chunk names.  Replicas are swept too — a replica missing one of
    its primary's documents is a deployment bug worth a warning. *)
-let discover ~name ~groups (eps : ep array array) =
+let discover ~name (eps : ep array array) =
   let table = Hashtbl.create 32 in
   let all_names = ref [] in
   Array.iteri
@@ -1312,7 +924,6 @@ let discover ~name ~groups (eps : ep array array) =
                     k (Printexc.to_string e)))
         group)
     eps;
-  ignore groups;
   let partitions, _plain = Shard_map.assemble !all_names in
   List.iter
     (fun (p : Shard_map.partition) ->
@@ -1332,13 +943,6 @@ let discover ~name ~groups (eps : ep array array) =
     cannot be bound. *)
 let start ?(registry = Metrics.create ()) (config : config) =
   if config.groups = [] then invalid_arg "Router.start: no shard groups";
-  let config =
-    {
-      config with
-      max_inflight = max 1 config.max_inflight;
-      queue_depth = max 0 config.queue_depth;
-    }
-  in
   let eps =
     Array.of_list
       (List.mapi
@@ -1367,90 +971,28 @@ let start ?(registry = Metrics.create ()) (config : config) =
                 (g.primary :: g.replicas)))
          config.groups)
   in
-  let table = discover ~name:config.name ~groups:config.groups eps in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  let addr =
-    Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port)
-  in
-  (try Unix.bind listen_fd addr
-   with e ->
-     Unix.close listen_fd;
-     raise e);
-  Unix.listen listen_fd 64;
-  Unix.set_nonblock listen_fd;
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  let port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
-  in
-  let outcome_counter o =
-    Metrics.counter registry ~labels:[ ("outcome", o) ] "router.requests"
-  in
-  let latency_hist v =
-    Metrics.histogram registry ~labels:[ ("verb", v) ]
-      "router.request.latency_ns"
-  in
-  List.iter
-    (fun o -> ignore (outcome_counter o))
-    [ "ok"; "error"; "busy"; "timeout" ];
-  let http_fd, http_port =
-    match config.metrics_port with
-    | None -> (None, None)
-    | Some p -> (
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      match
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, p))
-      with
-      | () ->
-        Unix.listen fd 16;
-        Unix.set_nonblock fd;
-        let bound =
-          match Unix.getsockname fd with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> p
-        in
-        (Some fd, Some bound)
-      | exception e ->
-        Unix.close fd;
-        Unix.close listen_fd;
-        raise e)
+  let table = discover ~name:config.name eps in
+  let front =
+    Front.create ~role:"router" ~registry
+      {
+        Front.host = config.host;
+        port = config.port;
+        max_inflight = config.max_inflight;
+        queue_depth = config.queue_depth;
+        default_deadline_ms = config.default_deadline_ms;
+        metrics_port = config.metrics_port;
+        trace_ring = config.trace_ring;
+      }
   in
   let t =
     {
       config;
+      front;
       registry;
       groups = eps;
       table;
       doc_locks = Hashtbl.create 32;
       doc_locks_lock = Mutex.create ();
-      listen_fd;
-      port;
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      job_done = Condition.create ();
-      queue = Queue.create ();
-      inflight = 0;
-      phase = Running;
-      shutdown_requested = Atomic.make false;
-      workers = [];
-      accepter = None;
-      conns = [];
-      started_ns = now_ns ();
-      http_fd;
-      http_port;
-      http = None;
-      traces = Array.make (max 1 config.trace_ring) None;
-      traces_lock = Mutex.create ();
-      traces_next = 0;
-      m_outcome = outcome_counter;
-      m_latency = latency_hist;
-      m_queue = Metrics.gauge registry "router.queue.depth";
-      m_inflight = Metrics.gauge registry "router.inflight";
-      m_conns = Metrics.counter registry "router.connections";
       m_hedge_fired = Metrics.counter registry "router.hedge.fired";
       m_hedge_won = Metrics.counter registry "router.hedge.won";
       m_repl_mismatch = Metrics.counter registry "router.replica.mismatch";
@@ -1459,65 +1001,25 @@ let start ?(registry = Metrics.create ()) (config : config) =
       m_repl_lag = Metrics.gauge registry "router.replica.lag_ns";
     }
   in
-  t.workers <-
-    List.init config.max_inflight (fun _ -> Thread.create worker_loop t);
-  t.accepter <- Some (Thread.create accept_loop t);
-  t.http <-
-    Option.map (fun fd -> Thread.create (fun () -> http_loop t fd) ()) http_fd;
+  Front.serve front
+    {
+      Front.name = config.name;
+      list = (fun () -> list_payload t);
+      refresh = (fun () -> refresh_gauges t);
+      request = request t;
+      drain = (fun () -> Array.iter (Array.iter drain_idle) t.groups);
+    };
   Log.info (fun m ->
       m "routing %d document(s) over %d shard(s) on %s:%d"
-        (Hashtbl.length t.table) (shards t) config.host port);
+        (Hashtbl.length t.table) (shards t) config.host (port t));
   t
 
-let request_shutdown t = Atomic.set t.shutdown_requested true
+let request_shutdown t = Front.request_shutdown t.front
 
-let wait t =
-  while t.phase <> Stopped && not (Atomic.get t.shutdown_requested) do
-    Thread.delay 0.05
-  done
+let wait t = Front.wait t.front
 
-let stop t =
-  Mutex.lock t.lock;
-  let already = t.phase <> Running in
-  if not already then t.phase <- Draining;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.lock;
-  if not already then begin
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Option.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      t.http_fd;
-    Option.iter Thread.join t.accepter;
-    t.accepter <- None;
-    Option.iter Thread.join t.http;
-    t.http <- None;
-    List.iter Thread.join t.workers;
-    t.workers <- [];
-    Mutex.lock t.lock;
-    let conns = t.conns in
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      conns;
-    Mutex.unlock t.lock;
-    List.iter (fun (_, thread) -> Thread.join thread) conns;
-    Array.iter (Array.iter drain_idle) t.groups;
-    Mutex.lock t.lock;
-    set_gauges_locked t;
-    t.phase <- Stopped;
-    Condition.broadcast t.job_done;
-    Mutex.unlock t.lock;
-    Log.info (fun m ->
-        m "router drained: %s"
-          (String.concat ", "
-             (List.map
-                (fun o ->
-                  Printf.sprintf "%s=%d" o
-                    (Metrics.counter_value (t.m_outcome o)))
-                [ "ok"; "error"; "busy"; "timeout" ])))
-  end
+let stop t = Front.stop t.front
 
 let with_router ?registry config f =
   let t = start ?registry config in
   Fun.protect ~finally:(fun () -> stop t) (fun () -> f t)
-

@@ -11,8 +11,8 @@
       STATS TIMESERIES                       (ring of periodic metric snapshots)
       METRICS                                (Prometheus text exposition)
       METRICS JSON
-      DEADLINE <ms>                          (header: applies to the next command)
-      TRACE                                  (header: trace the next QUERY / UPDATE)
+      DEADLINE <ms>                          (header: deadline for the next request)
+      TRACE                                  (header: trace the next request)
       TRACE ID <id>                          (header: trace under the given id)
       TRACE BG <id>                          (header: record-only trace — plain reply)
       TRACE GET <id>                         (a recent trace by id)
@@ -27,6 +27,11 @@
       QUIT
       SHUTDOWN
     v}
+
+    Headers carry no reply frame and are one-shot: the next non-header
+    frame consumes every pending header — a command, a rejected command
+    or an unparsable line alike — and only an admitted request (QUERY,
+    UPDATE, UPDATEX, INVAL, SLEEP) applies them.
 
     [TRACE BG] is the router's fan-out form: the shard stores the trace
     in its ring under the given id (retrievable with [TRACE GET]) but

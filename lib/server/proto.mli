@@ -16,6 +16,10 @@
       SLEEP <ms>
     v}
 
+    Headers ([DEADLINE], [TRACE], [TRACE ID], [TRACE BG]) carry no
+    reply and are one-shot: the next non-header frame consumes them,
+    whatever it is, and only an admitted request applies them.
+
     Replies: [OK <len>\n<payload>\n], [ERR <msg>], [BUSY], [TIMEOUT],
     [BYE]. *)
 
@@ -33,12 +37,16 @@ type command =
   | Stats
   | Stats_timeseries  (** the ring of periodic registry snapshots *)
   | Metrics of [ `Prom | `Json ]  (** registry exposition *)
-  | Deadline of int  (** header: deadline in ms for the next command *)
-  | Trace_hdr  (** header: trace the next QUERY / UPDATE *)
-  | Trace_id of string  (** header: trace the next command under this id *)
+  | Deadline of int
+      (** header: deadline in ms; the next non-header frame consumes it *)
+  | Trace_hdr  (** header: trace; the next non-header frame consumes it *)
+  | Trace_id of string
+      (** header: trace under this id; the next non-header frame
+          consumes it *)
   | Trace_bg of string
       (** header: record-only trace — stored under this id, plain reply
-          (the router's fan-out form: merging needs answer frames) *)
+          (the router's fan-out form: merging needs answer frames); the
+          next non-header frame consumes it *)
   | Trace_get of string  (** a recent trace by id *)
   | Hello of string  (** handshake: the caller identifies itself *)
   | Query of {

@@ -1,26 +1,13 @@
-(** The resident TCP query server.
+(** The resident TCP query server: the {!Front} end in the ["server"]
+    role, executing requests through {!Service} — under the
+    per-document reader–writer locks, on the shared domain pool.
 
-    One accept thread, one handler thread per connection, and a fixed
-    pool of [max_inflight] worker threads draining a bounded admission
-    queue.  Handler threads parse frames and answer the cheap verbs
-    (PING, LIST, STATS) inline; QUERY / UPDATE / SLEEP are {e admitted}:
-
-    - at most [max_inflight + queue_depth] requests are outstanding;
-      past that the reply is an immediate [BUSY] — overload never
-      blocks the socket;
-    - every admitted request carries an absolute deadline (the
-      connection's [DEADLINE] header, else [default_deadline_ms]); a
-      request that is already past it when a worker picks it up — or
-      whose cooperative cancellation token fires mid-run at an operator
-      boundary — answers [TIMEOUT];
-    - workers execute through {!Service}, i.e. under the per-document
-      reader–writer locks, on the shared domain pool.
-
-    Drain ({!stop}, or SIGTERM via {!request_shutdown} + {!wait}):
-    stop accepting, reject new admissions, finish the queued and
-    in-flight work (each still bounded by its own deadline), close the
-    remaining connections, join every thread, shut the pool down and
-    flush final gauges.  {!stop} is idempotent. *)
+    The role adds the QUERY / UPDATE / UPDATEX / SLEEP bodies (the
+    debug SLEEP verb only with [allow_sleep]), INVAL applied inline to
+    the query cache, the STATS and STATS TIMESERIES payloads, the
+    scrape-time mirroring of disk and buffer-pool totals, the
+    slow-query log as a per-request completion step, and — on drain —
+    the time-series sampler, the owned domain pool and the slow log. *)
 
 let log_src = Logs.Src.create "blas_server" ~doc:"BLAS network server"
 
@@ -68,163 +55,26 @@ let default_config =
     trace_ring = 64;
   }
 
-type phase = Running | Draining | Stopped
-
-type job = {
-  run : token:Blas.Par.Token.t -> queue_ns:int64 -> Proto.reply;
-      (** [queue_ns] is the admission-queue wait, measured at pick-up *)
-  verb : string;
-  deadline_ns : int64 option;  (** absolute, on {!Blas_obs.Clock} *)
-  enqueued_ns : int64;
-  mutable result : Proto.reply option;
-}
-
 type t = {
   config : config;
+  front : Front.t;
   service : Service.t;
   registry : Blas_obs.Metrics.t;
-  listen_fd : Unix.file_descr;
-  port : int;
-  lock : Mutex.t;
-  nonempty : Condition.t;  (* a job was queued, or drain began *)
-  job_done : Condition.t;  (* some job completed *)
-  queue : job Queue.t;
-  mutable inflight : int;
-  mutable phase : phase;
-  shutdown_requested : bool Atomic.t;
-  mutable workers : Thread.t list;
-  mutable accepter : Thread.t option;
-  mutable conns : (Unix.file_descr * Thread.t) list;
   owned_pool : Blas.Par.t option;
-  started_ns : int64;
   slowlog : Blas_obs.Slowlog.t option;
   timeseries : Blas_obs.Timeseries.t;
   mutable sampler : Thread.t option;
-  http_fd : Unix.file_descr option;  (** the [GET /metrics] listener *)
-  http_port : int option;
-  mutable http : Thread.t option;
-  (* recent traces, retrievable by id: (trace id, serialized body) *)
-  traces : (string * string) option array;
-  traces_lock : Mutex.t;
-  mutable traces_next : int;
-  (* resolved metric handles — one hash probe each at startup *)
-  m_outcome : string -> Blas_obs.Metrics.counter;
-  m_latency : string -> Blas_obs.Metrics.histogram;
-  m_queue : Blas_obs.Metrics.gauge;
-  m_inflight : Blas_obs.Metrics.gauge;
-  m_conns : Blas_obs.Metrics.counter;
 }
 
-let port t = t.port
+let port t = Front.port t.front
 
-let metrics_port t = t.http_port
+let metrics_port t = Front.metrics_port t.front
 
 let registry t = t.registry
 
 let service t = t.service
 
-(* ------------------------------------------------------------------ *)
-(* Admission                                                          *)
-
 let now_ns = Blas_obs.Clock.now_ns
-
-let set_gauges_locked t =
-  Blas_obs.Metrics.set t.m_queue (float_of_int (Queue.length t.queue));
-  Blas_obs.Metrics.set t.m_inflight (float_of_int t.inflight)
-
-let outcome_of_reply = function
-  | Proto.Ok_payload _ | Proto.Bye -> "ok"
-  | Proto.Err _ -> "error"
-  | Proto.Busy -> "busy"
-  | Proto.Timeout -> "timeout"
-
-let record_outcome t reply =
-  Blas_obs.Metrics.incr (t.m_outcome (outcome_of_reply reply))
-
-(** [submit t job] — admission control: reject with [BUSY] when
-    [max_inflight + queue_depth] requests are already outstanding,
-    with [ERR] when draining; otherwise block until a worker finishes
-    the job and return its reply. *)
-let submit t job =
-  Mutex.lock t.lock;
-  let reject reply =
-    Mutex.unlock t.lock;
-    record_outcome t reply;
-    reply
-  in
-  if t.phase <> Running then reject (Proto.Err "server is shutting down")
-  else if
-    Queue.length t.queue + t.inflight
-    >= t.config.max_inflight + t.config.queue_depth
-  then reject Proto.Busy
-  else begin
-    Queue.push job t.queue;
-    set_gauges_locked t;
-    Condition.signal t.nonempty;
-    while job.result = None do
-      Condition.wait t.job_done t.lock
-    done;
-    let reply = Option.get job.result in
-    Mutex.unlock t.lock;
-    reply
-  end
-
-(* Runs one admitted job: deadline pre-check, then the job body under a
-   token that expires at the deadline.  Outcome and latency are
-   recorded here, so the counters reconcile with what clients saw. *)
-let execute t job =
-  let queue_ns = Int64.sub (now_ns ()) job.enqueued_ns in
-  let reply =
-    let expired_now () =
-      match job.deadline_ns with
-      | Some d -> Int64.compare (now_ns ()) d >= 0
-      | None -> false
-    in
-    if expired_now () then Proto.Timeout
-    else
-      let token = Blas.Par.Token.create ~expired:expired_now () in
-      match job.run ~token ~queue_ns with
-      | reply -> reply
-      | exception Blas_par.Pool.Cancelled -> Proto.Timeout
-      | exception e ->
-        Log.warn (fun m ->
-            m "%s request failed: %s" job.verb (Printexc.to_string e));
-        Proto.Err (Printexc.to_string e)
-  in
-  record_outcome t reply;
-  Blas_obs.Metrics.observe
-    (t.m_latency job.verb)
-    (Int64.to_float (Int64.sub (now_ns ()) job.enqueued_ns));
-  reply
-
-let worker_loop t =
-  let rec loop () =
-    Mutex.lock t.lock;
-    while t.phase = Running && Queue.is_empty t.queue do
-      Condition.wait t.nonempty t.lock
-    done;
-    if Queue.is_empty t.queue then begin
-      (* Draining and nothing left: exit.  Workers only stop once the
-         queue is empty, so every admitted job gets a real reply. *)
-      Mutex.unlock t.lock;
-      ()
-    end
-    else begin
-      let job = Queue.pop t.queue in
-      t.inflight <- t.inflight + 1;
-      set_gauges_locked t;
-      Mutex.unlock t.lock;
-      let reply = execute t job in
-      Mutex.lock t.lock;
-      job.result <- Some reply;
-      t.inflight <- t.inflight - 1;
-      set_gauges_locked t;
-      Condition.broadcast t.job_done;
-      Mutex.unlock t.lock;
-      loop ()
-    end
-  in
-  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* STATS / METRICS                                                    *)
@@ -277,80 +127,40 @@ let refresh_gauges t =
           (float_of_int (dk.Blas.Storage.dk_wal_bytes ())))
     (Service.docs t.service)
 
-(** The METRICS reply body: the refreshed registry, as Prometheus text
-    exposition or as the registry's JSON. *)
-let metrics_payload t fmt =
-  refresh_gauges t;
-  match fmt with
-  | `Prom -> Blas_obs.Expo.render t.registry
-  | `Json -> Blas_obs.Json.to_string_pretty (Blas_obs.Metrics.to_json t.registry)
+let metrics_payload t fmt = Front.metrics_payload t.front fmt
 
 let timeseries_payload t =
   Blas_obs.Json.to_string_pretty (Blas_obs.Timeseries.to_json t.timeseries)
 
-let requests_json t =
-  Blas_obs.Json.Obj
-    (List.map
-       (fun outcome ->
-         ( outcome,
-           Blas_obs.Json.Int
-             (Blas_obs.Metrics.counter_value (t.m_outcome outcome)) ))
-       [ "ok"; "error"; "busy"; "timeout" ])
-
 let stats_payload t =
   refresh_gauges t;
-  Mutex.lock t.lock;
-  let queued = Queue.length t.queue
-  and inflight = t.inflight
-  and phase = t.phase in
-  Mutex.unlock t.lock;
+  let st = Front.status t.front in
   Blas_obs.Json.to_string_pretty
     (Blas_obs.Json.Obj
        [
          ( "server",
            Blas_obs.Json.Obj
              [
-               ( "phase",
-                 Blas_obs.Json.Str
-                   (match phase with
-                   | Running -> "running"
-                   | Draining -> "draining"
-                   | Stopped -> "stopped") );
-               ("uptime_ns", Blas_obs.Json.Int
-                  (Int64.to_int (Int64.sub (now_ns ()) t.started_ns)));
-               ("inflight", Blas_obs.Json.Int inflight);
-               ("queued", Blas_obs.Json.Int queued);
+               ("phase", Blas_obs.Json.Str st.Front.phase);
+               ("uptime_ns", Blas_obs.Json.Int st.Front.uptime_ns);
+               ("inflight", Blas_obs.Json.Int st.Front.inflight);
+               ("queued", Blas_obs.Json.Int st.Front.queued);
                ("max_inflight", Blas_obs.Json.Int t.config.max_inflight);
                ("queue_depth", Blas_obs.Json.Int t.config.queue_depth);
                ("jobs", Blas_obs.Json.Int t.config.jobs);
-               ( "connections",
-                 Blas_obs.Json.Int
-                   (Blas_obs.Metrics.counter_value t.m_conns) );
-               ("requests", requests_json t);
+               ("connections", Blas_obs.Json.Int st.Front.connections);
+               ( "requests",
+                 Blas_obs.Json.Obj
+                   (List.map
+                      (fun (o, n) -> (o, Blas_obs.Json.Int n))
+                      st.Front.requests) );
              ] );
          ("docs", Service.docs_json t.service);
          ("metrics", Blas_obs.Metrics.to_json t.registry);
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Request tracing, trace ring and the slow-query log                 *)
-
-let store_trace t id body =
-  Mutex.lock t.traces_lock;
-  t.traces.(t.traces_next) <- Some (id, body);
-  t.traces_next <- (t.traces_next + 1) mod Array.length t.traces;
-  Mutex.unlock t.traces_lock
-
-let find_trace t id =
-  Mutex.lock t.traces_lock;
-  let found =
-    Array.fold_left
-      (fun acc slot ->
-        match slot with Some (i, body) when i = id -> Some body | _ -> acc)
-      None t.traces
-  in
-  Mutex.unlock t.traces_lock;
-  found
+(* Request bodies and the slow-query log                              *)
 
 let slow_record ~verb ~detail ~elapsed_ns ~queue_ns ~(info : Service.info)
     ~trace_id () =
@@ -383,81 +193,26 @@ let slow_record ~verb ~detail ~elapsed_ns ~queue_ns ~(info : Service.info)
           else Blas_obs.Json.Str trace_id );
       ])
 
-(* How a request is traced, set by the one-shot TRACE headers:
-   [`Inline] (and [`Inline_id], which fixes the id — routers derive
-   per-shard ids from the client's) replace the reply payload with the
-   JSON trace envelope; [`Bg] stores the trace in the ring under the
-   given id but leaves the reply payload untouched, so a router
-   fanning out sub-queries still merges plain answer frames. *)
-type trace_mode =
-  [ `Off | `Inline | `Inline_id of string | `Bg of string ]
-
-(* Runs one admitted QUERY / UPDATE body with the request-scoped
-   observability around it: a fresh per-request tracer when a TRACE
-   header opted in (worker threads share one domain, so a shared tracer
-   would interleave concurrent requests into one tree), the queue wait
-   recorded from the admission stamp, the slow-log gate, and — when
-   traced — the span tree stored in the ring and (inline modes only)
-   returned as the JSON payload. *)
-let traced_request t ~(trace : trace_mode) ~verb ~queue_ns ~detail f =
-  let traced = trace <> `Off in
-  let tracer =
-    if traced then Blas_obs.Trace.create ~enabled:true ()
-    else Blas_obs.Trace.disabled
-  in
-  let trace_id =
-    match trace with
-    | `Off -> ""
-    | `Inline -> Blas_obs.Trace.fresh_id ()
-    | `Inline_id id | `Bg id -> id
-  in
-  let t0 = now_ns () in
-  let reply, info =
-    Blas_obs.Trace.with_span tracer "request"
-      ~attrs:(("verb", verb) :: ("trace_id", trace_id) :: detail)
-    @@ fun () ->
-    Blas_obs.Trace.record tracer ~name:"queue-wait"
-      ~start_ns:(Int64.sub t0 queue_ns) ~duration_ns:queue_ns ();
-    f ~tracer
-  in
-  let elapsed_ns = Blas_obs.Clock.elapsed_ns t0 in
-  Option.iter
-    (fun sl ->
+(* An admitted QUERY / UPDATE: the service call, then its completion
+   step — the slow-log gate over the call's {!Service.info}. *)
+let logged t ~verb ~detail f =
+  let run (ctx : Front.ctx) =
+    match t.slowlog with
+    | None -> fst (f ctx)
+    | Some sl ->
+      let t0 = now_ns () in
+      let reply, info = f ctx in
+      let elapsed_ns = Blas_obs.Clock.elapsed_ns t0 in
       Blas_obs.Slowlog.maybe sl ~elapsed_ns
-        (slow_record ~verb ~detail ~elapsed_ns ~queue_ns ~info ~trace_id))
-    t.slowlog;
-  if not traced then reply
-  else begin
-    (* In the inline modes the traced payload replaces the plain one;
-       untraced and background-traced requests keep byte-identical
-       replies (the soak tests and the router's merge compare them). *)
-    let with_trace rest =
-      Blas_obs.Json.to_string
-        (Blas_obs.Json.Obj
-           (("trace_id", Blas_obs.Json.Str trace_id)
-           :: (rest @ [ ("trace", Blas_obs.Trace.to_json tracer) ])))
-    in
-    let body =
-      match reply with
-      | Proto.Ok_payload payload ->
-        with_trace [ ("payload", Blas_obs.Json.Str payload) ]
-      | other ->
-        with_trace [ ("outcome", Blas_obs.Json.Str (outcome_of_reply other)) ]
-    in
-    store_trace t trace_id body;
-    match trace with
-    | `Bg _ -> reply
-    | _ -> (
-      match reply with Proto.Ok_payload _ -> Proto.Ok_payload body | other -> other)
-  end
+        (slow_record ~verb ~detail ~elapsed_ns ~queue_ns:ctx.queue_ns ~info
+           ~trace_id:ctx.trace_id);
+      reply
+  in
+  Front.Admit { Front.verb; detail; run }
 
-(* ------------------------------------------------------------------ *)
-(* Connection handling                                                *)
-
-let sleep_job t ms ~token =
-  ignore t;
-  (* 1 ms naps with a cancellation check between them: the debug verb
-     behaves like an adversarially slow query with perfect manners. *)
+(* 1 ms naps with a cancellation check between them: the debug verb
+   behaves like an adversarially slow query with perfect manners. *)
+let sleep_job ms ~token =
   let deadline = Int64.add (now_ns ()) (Int64.of_int (ms * 1_000_000)) in
   while Int64.compare (now_ns ()) deadline < 0 do
     Blas.Par.Token.check token;
@@ -465,306 +220,81 @@ let sleep_job t ms ~token =
   done;
   Proto.Ok_payload (Printf.sprintf "slept %d" ms)
 
-let deadline_of t header_ms =
-  let ms =
-    match header_ms with Some ms -> Some ms | None -> t.config.default_deadline_ms
-  in
-  Option.map
-    (fun ms -> Int64.add (now_ns ()) (Int64.of_int (ms * 1_000_000)))
-    ms
-
-let admitted t ~verb ~header_ms run =
-  submit t
-    {
-      run;
-      verb;
-      deadline_ns = deadline_of t header_ms;
-      enqueued_ns = now_ns ();
-      result = None;
-    }
-
-let handle_connection t fd =
-  let io = Proto.Io.of_fd fd in
-  Blas_obs.Metrics.incr t.m_conns;
-  (* The connection's one-shot DEADLINE header (ms): consumed by the
-     next QUERY / UPDATE / SLEEP. *)
-  let header = ref None in
-  let take_header () =
-    let h = !header in
-    header := None;
-    h
-  in
-  (* The one-shot TRACE header (possibly id-carrying or record-only):
-     consumed by the next QUERY / UPDATE. *)
-  let trace_next = ref (`Off : trace_mode) in
-  let take_trace () =
-    let v = !trace_next in
-    trace_next := `Off;
-    v
-  in
-  let rec loop () =
-    match Proto.Io.read_line io ~max:Proto.max_frame with
-    | `Eof -> ()
-    | `Too_long ->
-      (* The stream cannot be resynchronized past an oversized frame:
-         answer and hang up. *)
-      Proto.write_reply io (Proto.Err "frame too large")
-    | `Line line -> (
-      match Proto.parse_command line with
-      | Error msg ->
-        (* Garbage is survivable frame by frame — answer ERR, keep the
-           connection. *)
-        Proto.write_reply io (Proto.Err msg);
-        loop ()
-      | Ok cmd -> (
-        match cmd with
-        | Proto.Ping ->
-          Proto.write_reply io (Proto.Ok_payload "pong");
-          loop ()
-        | Proto.List_docs ->
-          Proto.write_reply io (Proto.Ok_payload (Service.list_payload t.service));
-          loop ()
-        | Proto.Stats ->
-          Proto.write_reply io (Proto.Ok_payload (stats_payload t));
-          loop ()
-        | Proto.Stats_timeseries ->
-          Proto.write_reply io (Proto.Ok_payload (timeseries_payload t));
-          loop ()
-        | Proto.Metrics fmt ->
-          Proto.write_reply io (Proto.Ok_payload (metrics_payload t fmt));
-          loop ()
-        | Proto.Deadline ms ->
-          (* A header, not a request: no reply frame. *)
-          header := Some ms;
-          loop ()
-        | Proto.Trace_hdr ->
-          (* A header, not a request: no reply frame. *)
-          trace_next := `Inline;
-          loop ()
-        | Proto.Trace_id id ->
-          trace_next := `Inline_id id;
-          loop ()
-        | Proto.Trace_bg id ->
-          trace_next := `Bg id;
-          loop ()
-        | Proto.Hello peer ->
-          Log.debug (fun m -> m "HELLO from %s" peer);
-          Proto.write_reply io
-            (Proto.Ok_payload
-               (Printf.sprintf "shard %s\n%s" t.config.name
-                  (Service.list_payload t.service)));
-          loop ()
-        | Proto.Inval { doc; payload } ->
-          Proto.write_reply io (Service.invalidate t.service ~doc payload);
-          loop ()
-        | Proto.Trace_get id ->
-          (match find_trace t id with
-          | Some body -> Proto.write_reply io (Proto.Ok_payload body)
-          | None ->
-            Proto.write_reply io
-              (Proto.Err (Printf.sprintf "unknown trace id %S" id)));
-          loop ()
-        | Proto.Quit -> Proto.write_reply io Proto.Bye
-        | Proto.Shutdown ->
-          Proto.write_reply io Proto.Bye;
-          Atomic.set t.shutdown_requested true
-        | Proto.Sleep ms when not t.config.allow_sleep ->
-          ignore ms;
-          Proto.write_reply io (Proto.Err "SLEEP is disabled on this server");
-          loop ()
-        | Proto.Sleep ms ->
-          Proto.write_reply io
-            (admitted t ~verb:"sleep" ~header_ms:(take_header ())
-               (fun ~token ~queue_ns:_ -> sleep_job t ms ~token));
-          loop ()
-        | Proto.Query { doc; translator; engine; xpath } ->
-          let trace = take_trace () in
-          Proto.write_reply io
-            (admitted t ~verb:"query" ~header_ms:(take_header ())
-               (fun ~token ~queue_ns ->
-                 traced_request t ~trace ~verb:"query" ~queue_ns
-                   ~detail:
-                     [
-                       ("doc", doc);
-                       ("query", xpath);
-                       ("translator", Proto.translator_to_string translator);
-                       ("engine", Proto.engine_to_string engine);
-                     ]
-                   (fun ~tracer ->
-                     Service.query_info t.service ~token ~tracer ~doc
-                       ~translator ~engine xpath)));
-          loop ()
-        | Proto.Update { doc; edit } ->
-          let trace = take_trace () in
-          Proto.write_reply io
-            (admitted t ~verb:"update" ~header_ms:(take_header ())
-               (fun ~token:_ ~queue_ns ->
-                 traced_request t ~trace ~verb:"update" ~queue_ns
-                   ~detail:[ ("doc", doc) ]
-                   (fun ~tracer ->
-                     Service.update_info t.service ~tracer ~doc edit)));
-          loop ()
-        | Proto.Updatex { doc; edit } ->
-          let trace = take_trace () in
-          Proto.write_reply io
-            (admitted t ~verb:"update" ~header_ms:(take_header ())
-               (fun ~token:_ ~queue_ns ->
-                 traced_request t ~trace ~verb:"update" ~queue_ns
-                   ~detail:[ ("doc", doc) ]
-                   (fun ~tracer ->
-                     let reply, info, inv =
-                       Service.update_full t.service ~tracer ~doc edit
-                     in
-                     (* The reply's first line is the invalidation the
-                        router pushes to read replicas. *)
-                     match (reply, inv) with
-                     | Proto.Ok_payload payload, Some inv ->
-                       ( Proto.Ok_payload
-                           (Proto.invalidation_to_string inv ^ "\n" ^ payload),
-                         info )
-                     | _ -> (reply, info))));
-          loop ()))
-  in
-  (try loop () with
-  | Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-    (* Peer vanished mid-reply; admitted work already ran to completion
-       under its own locks, nothing leaks. *)
-    ()
-  | e ->
-    Log.warn (fun m -> m "connection handler: %s" (Printexc.to_string e)));
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  (* Deregister before closing: {!stop} only shuts down fds still in
-     [conns] (under the lock), so it never touches a closed — possibly
-     reused — descriptor. *)
-  Mutex.lock t.lock;
-  t.conns <- List.filter (fun (c, _) -> c != fd) t.conns;
-  Mutex.unlock t.lock;
-  (try Unix.close fd with Unix.Unix_error _ -> ())
-
-(* The listen socket is non-blocking and polled: a thread parked inside
-   a blocking [Unix.accept] would not be woken by another thread closing
-   the descriptor, and the drain would hang on its join. *)
-let accept_loop t =
-  let rec loop () =
-    if t.phase <> Running then ()
-    else
-      match Unix.accept t.listen_fd with
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        Thread.delay 0.02;
-        loop ()
-      | exception Unix.Unix_error (ECONNABORTED, _, _) -> loop ()
-      | exception Unix.Unix_error ((EBADF | EINVAL), _, _) ->
-        (* The listen socket was closed: drain began. *)
-        ()
-      | exception e ->
-        if t.phase = Running then
-          Log.err (fun m -> m "accept: %s" (Printexc.to_string e))
-      | fd, _ ->
-        (* The connection socket itself stays blocking; {!stop} wakes
-           parked reads with [Unix.shutdown], which does interrupt. *)
-        Unix.clear_nonblock fd;
-        (* Replies are written as header + payload; without TCP_NODELAY
-           Nagle holds the second write for the peer's delayed ACK and
-           every round trip costs ~40 ms. *)
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true
-         with Unix.Unix_error _ -> ());
-        let thread = Thread.create (fun () -> handle_connection t fd) () in
-        Mutex.lock t.lock;
-        t.conns <- (fd, thread) :: t.conns;
-        Mutex.unlock t.lock;
-        loop ()
-  in
-  loop ()
+let request t = function
+  | Proto.Query { doc; translator; engine; xpath } ->
+    logged t ~verb:"query"
+      ~detail:
+        [
+          ("doc", doc);
+          ("query", xpath);
+          ("translator", Proto.translator_to_string translator);
+          ("engine", Proto.engine_to_string engine);
+        ]
+      (fun ctx ->
+        Service.query_info t.service ~token:ctx.Front.token
+          ~tracer:ctx.Front.tracer ~doc ~translator ~engine xpath)
+  | Proto.Update { doc; edit } ->
+    logged t ~verb:"update" ~detail:[ ("doc", doc) ] (fun ctx ->
+        Service.update_info t.service ~tracer:ctx.Front.tracer ~doc edit)
+  | Proto.Updatex { doc; edit } ->
+    logged t ~verb:"update" ~detail:[ ("doc", doc) ] (fun ctx ->
+        let reply, info, inv =
+          Service.update_full t.service ~tracer:ctx.Front.tracer ~doc edit
+        in
+        (* The reply's first line is the invalidation the router pushes
+           to read replicas. *)
+        match (reply, inv) with
+        | Proto.Ok_payload payload, Some inv ->
+          ( Proto.Ok_payload (Proto.invalidation_to_string inv ^ "\n" ^ payload),
+            info )
+        | _ -> (reply, info))
+  | Proto.Sleep _ when not t.config.allow_sleep ->
+    Front.Answer (Proto.Err "SLEEP is disabled on this server")
+  | Proto.Sleep ms ->
+    Front.Admit
+      {
+        Front.verb = "sleep";
+        detail = [];
+        run = (fun ctx -> sleep_job ms ~token:ctx.Front.token);
+      }
+  | Proto.Inval { doc; payload } ->
+    Front.Answer (Service.invalidate t.service ~doc payload)
+  | Proto.Stats -> Front.Answer (Proto.Ok_payload (stats_payload t))
+  | Proto.Stats_timeseries ->
+    Front.Answer (Proto.Ok_payload (timeseries_payload t))
+  | cmd ->
+    Front.Answer
+      (Proto.Err ("not served: " ^ Proto.command_to_line cmd))
 
 (* ------------------------------------------------------------------ *)
-(* The time-series sampler and the plain-HTTP metrics listener        *)
+(* The time-series sampler                                            *)
 
 (* One registry snapshot per interval into the fixed ring; naps in
    small slices so a drain never waits a full period. *)
 let sampler_loop t =
   let rec nap remaining =
-    if t.phase = Running && remaining > 0. then begin
+    if Front.running t.front && remaining > 0. then begin
       Thread.delay (Float.min 0.05 remaining);
       nap (remaining -. 0.05)
     end
   in
-  let rec loop () =
-    if t.phase = Running then begin
-      refresh_gauges t;
-      Blas_obs.Timeseries.push t.timeseries
-        ~at_ms:(Unix.gettimeofday () *. 1000.)
-        (Blas_obs.Metrics.to_json t.registry);
-      nap (float_of_int t.config.ts_interval_ms /. 1000.);
-      loop ()
-    end
-  in
-  loop ()
-
-(* A deliberately minimal HTTP/1.1 responder: one request per
-   connection, GET only, close after the reply — all a Prometheus
-   scraper needs. *)
-let serve_http_request t cfd =
-  let io = Proto.Io.of_fd cfd in
-  match Proto.Io.read_line io ~max:Proto.max_frame with
-  | `Eof | `Too_long -> ()
-  | `Line request_line ->
-    (* Drain the headers (bounded) so the peer's write never stalls. *)
-    let rec drain n =
-      if n > 0 then
-        match Proto.Io.read_line io ~max:Proto.max_frame with
-        | `Line "" | `Eof | `Too_long -> ()
-        | `Line _ -> drain (n - 1)
-    in
-    drain 64;
-    let path =
-      match String.split_on_char ' ' request_line with
-      | _meth :: path :: _ -> path
-      | _ -> ""
-    in
-    let status, ctype, body =
-      match path with
-      | "/metrics" ->
-        ( "200 OK",
-          "text/plain; version=0.0.4; charset=utf-8",
-          metrics_payload t `Prom )
-      | "/metrics.json" -> ("200 OK", "application/json", metrics_payload t `Json)
-      | _ -> ("404 Not Found", "text/plain; charset=utf-8", "not found\n")
-    in
-    Proto.Io.write io
-      (Printf.sprintf
-         "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\
-          Connection: close\r\n\r\n%s"
-         status ctype (String.length body) body)
-
-let http_loop t fd =
-  let rec loop () =
-    if t.phase <> Running then ()
-    else
-      match Unix.accept fd with
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        Thread.delay 0.02;
-        loop ()
-      | exception Unix.Unix_error (ECONNABORTED, _, _) -> loop ()
-      | exception Unix.Unix_error ((EBADF | EINVAL), _, _) -> ()
-      | exception e ->
-        if t.phase = Running then
-          Log.err (fun m -> m "metrics accept: %s" (Printexc.to_string e));
-        ()
-      | cfd, _ ->
-        Unix.clear_nonblock cfd;
-        (try serve_http_request t cfd
-         with Unix.Unix_error _ -> () (* scraper hung up mid-reply *));
-        (try Unix.close cfd with Unix.Unix_error _ -> ());
-        loop ()
-  in
-  loop ()
+  while Front.running t.front do
+    refresh_gauges t;
+    Blas_obs.Timeseries.push t.timeseries
+      ~at_ms:(Unix.gettimeofday () *. 1000.)
+      (Blas_obs.Metrics.to_json t.registry);
+    nap (float_of_int t.config.ts_interval_ms /. 1000.)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                          *)
 
-(** [start ?registry config ~docs] — bind, spawn workers and the accept
-    thread, and return immediately.  [registry] receives all server
-    metrics (fresh by default). *)
+let drain t () =
+  Option.iter Thread.join t.sampler;
+  t.sampler <- None;
+  Option.iter Blas.Par.shutdown t.owned_pool;
+  Option.iter Blas_obs.Slowlog.close t.slowlog
+
 let start ?(registry = Blas_obs.Metrics.create ()) config ~docs =
   let config =
     {
@@ -777,39 +307,33 @@ let start ?(registry = Blas_obs.Metrics.create ()) config ~docs =
     if config.jobs > 1 then Some (Blas.Par.create ~domains:config.jobs)
     else None
   in
+  let slowlog =
+    Option.map
+      (fun threshold_ms ->
+        Blas_obs.Slowlog.create ~path:config.slow_log ~threshold_ms ())
+      config.slow_ms
+  in
+  let front =
+    try
+      Front.create ~role:"server" ~registry
+        {
+          Front.host = config.host;
+          port = config.port;
+          max_inflight = config.max_inflight;
+          queue_depth = config.queue_depth;
+          default_deadline_ms = config.default_deadline_ms;
+          metrics_port = config.metrics_port;
+          trace_ring = config.trace_ring;
+        }
+    with e ->
+      Option.iter Blas.Par.shutdown owned_pool;
+      Option.iter Blas_obs.Slowlog.close slowlog;
+      raise e
+  in
   let service =
     Service.create ?pool:owned_pool ~cache:config.cache
       ~group_commit_ms:config.group_commit_ms docs
   in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port) in
-  (try Unix.bind listen_fd addr
-   with e ->
-     Unix.close listen_fd;
-     Option.iter Blas.Par.shutdown owned_pool;
-     raise e);
-  Unix.listen listen_fd 64;
-  Unix.set_nonblock listen_fd;
-  (* Writes to vanished peers are routine for a server; they must
-     surface as EPIPE, not kill the process. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  let port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
-  in
-  let outcome_counter o =
-    Blas_obs.Metrics.counter registry ~labels:[ ("outcome", o) ]
-      "server.requests"
-  in
-  let latency_hist v =
-    Blas_obs.Metrics.histogram registry ~labels:[ ("verb", v) ]
-      "server.request.latency_ns"
-  in
-  (* Touch every outcome so STATS always shows all four. *)
-  List.iter (fun o -> ignore (outcome_counter o)) [ "ok"; "error"; "busy"; "timeout" ];
   (* Event-time duration histograms of the disk layer (WAL fsync,
      checkpoint); the counts are mirrored from the I/O totals at scrape
      time by [refresh_gauges]. *)
@@ -821,150 +345,39 @@ let start ?(registry = Blas_obs.Metrics.create ()) config ~docs =
           ~labels:[ ("doc", d.Service.name) ]
       | None -> ())
     (Service.docs service);
-  let slowlog =
-    Option.map
-      (fun threshold_ms ->
-        Blas_obs.Slowlog.create ~path:config.slow_log ~threshold_ms ())
-      config.slow_ms
-  in
-  let http_fd, http_port =
-    match config.metrics_port with
-    | None -> (None, None)
-    | Some p -> (
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      match
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, p))
-      with
-      | () ->
-        Unix.listen fd 16;
-        Unix.set_nonblock fd;
-        let bound =
-          match Unix.getsockname fd with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> p
-        in
-        (Some fd, Some bound)
-      | exception e ->
-        Unix.close fd;
-        Unix.close listen_fd;
-        Option.iter Blas.Par.shutdown owned_pool;
-        Option.iter Blas_obs.Slowlog.close slowlog;
-        raise e)
-  in
   let t =
     {
       config;
+      front;
       service;
       registry;
-      listen_fd;
-      port;
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      job_done = Condition.create ();
-      queue = Queue.create ();
-      inflight = 0;
-      phase = Running;
-      shutdown_requested = Atomic.make false;
-      workers = [];
-      accepter = None;
-      conns = [];
       owned_pool;
-      started_ns = now_ns ();
       slowlog;
       timeseries = Blas_obs.Timeseries.create ~capacity:(max 1 config.ts_slots);
       sampler = None;
-      http_fd;
-      http_port;
-      http = None;
-      traces = Array.make (max 1 config.trace_ring) None;
-      traces_lock = Mutex.create ();
-      traces_next = 0;
-      m_outcome = outcome_counter;
-      m_latency = latency_hist;
-      m_queue = Blas_obs.Metrics.gauge registry "server.queue.depth";
-      m_inflight = Blas_obs.Metrics.gauge registry "server.inflight";
-      m_conns = Blas_obs.Metrics.counter registry "server.connections";
     }
   in
-  t.workers <-
-    List.init config.max_inflight (fun _ -> Thread.create worker_loop t);
-  t.accepter <- Some (Thread.create accept_loop t);
+  Front.serve front
+    {
+      Front.name = config.name;
+      list = (fun () -> Service.list_payload service);
+      refresh = (fun () -> refresh_gauges t);
+      request = request t;
+      drain = drain t;
+    };
   t.sampler <- Some (Thread.create sampler_loop t);
-  t.http <- Option.map (fun fd -> Thread.create (fun () -> http_loop t fd) ()) http_fd;
   Log.info (fun m ->
       m "serving %d document(s) on %s:%d (-j %d, %d workers, queue %d)"
-        (List.length docs) config.host port config.jobs config.max_inflight
-        config.queue_depth);
+        (List.length docs) config.host (port t) config.jobs
+        config.max_inflight config.queue_depth);
   t
 
-(** [request_shutdown t] — flag a graceful shutdown; async-signal-safe
-    (one atomic store), so a SIGTERM handler may call it directly.
-    {!wait} observes the flag; the owner then runs {!stop}. *)
-let request_shutdown t = Atomic.set t.shutdown_requested true
+let request_shutdown t = Front.request_shutdown t.front
 
-(** [wait t] — block until {!stop} completed or a shutdown was
-    requested (SHUTDOWN verb or {!request_shutdown}). *)
-let wait t =
-  while t.phase <> Stopped && not (Atomic.get t.shutdown_requested) do
-    Thread.delay 0.05
-  done
+let wait t = Front.wait t.front
 
-(** [stop t] — graceful drain; idempotent.  Stops accepting, rejects
-    new admissions, lets queued and in-flight requests finish (each
-    still bounded by its own deadline), closes connections, joins all
-    threads, shuts the owned pool down and flushes final gauges. *)
-let stop t =
-  Mutex.lock t.lock;
-  let already = t.phase <> Running in
-  if not already then t.phase <- Draining;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.lock;
-  if not already then begin
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      t.http_fd;
-    Option.iter Thread.join t.accepter;
-    t.accepter <- None;
-    Option.iter Thread.join t.http;
-    t.http <- None;
-    Option.iter Thread.join t.sampler;
-    t.sampler <- None;
-    List.iter Thread.join t.workers;
-    t.workers <- [];
-    (* Every admitted job has a reply now; unstick handlers blocked in
-       read (shutdown interrupts a parked read; close would not) and
-       let them run their cleanup.  Receive side only: a handler still
-       flushing its last reply must get to finish the write.  Shutting
-       down under the lock keeps us off descriptors a handler already
-       closed. *)
-    Mutex.lock t.lock;
-    let conns = t.conns in
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      conns;
-    Mutex.unlock t.lock;
-    List.iter (fun (_, thread) -> Thread.join thread) conns;
-    Option.iter Blas.Par.shutdown t.owned_pool;
-    Option.iter Blas_obs.Slowlog.close t.slowlog;
-    Mutex.lock t.lock;
-    set_gauges_locked t;
-    t.phase <- Stopped;
-    Condition.broadcast t.job_done;
-    Mutex.unlock t.lock;
-    Log.info (fun m ->
-        m "drained: %s"
-          (String.concat ", "
-             (List.map
-                (fun o ->
-                  Printf.sprintf "%s=%d" o
-                    (Blas_obs.Metrics.counter_value (t.m_outcome o)))
-                [ "ok"; "error"; "busy"; "timeout" ])))
-  end
+let stop t = Front.stop t.front
 
-(** [with_server ?registry config ~docs f] — {!start}, run [f],
-    {!stop} (tests and benches). *)
 let with_server ?registry config ~docs f =
   let t = start ?registry config ~docs in
   Fun.protect ~finally:(fun () -> stop t) (fun () -> f t)

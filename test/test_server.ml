@@ -3,7 +3,10 @@
     live in-process TCP server — protocol robustness (oversized frames,
     garbage, half-closed sockets, mid-query disconnects), admission
     control (BUSY), deadlines (TIMEOUT), a multi-client soak against
-    live edits, and the graceful drain.
+    live edits, and the graceful drain.  The cases that exercise the
+    shared serving front end (garbage lines, the HTTP listener, drain,
+    SHUTDOWN, the header rule, accepting after EMFILE) run against both
+    roles: a server and a {!Blas_cluster.Local} cluster's router.
 
     Every live test binds port 0 (ephemeral), so the suite runs in
     parallel with anything. *)
@@ -13,6 +16,8 @@ module Srv = Blas_server.Server
 module C = Blas_server.Client
 module Svc = Blas_server.Service
 module Rwlock = Blas_server.Rwlock
+module Local = Blas_cluster.Local
+module Router = Blas_cluster.Router
 
 let jobs =
   match Sys.getenv_opt "BLAS_TEST_JOBS" with
@@ -363,6 +368,92 @@ let expect_ok name = function
   | P.Ok_payload p -> p
   | reply -> Alcotest.failf "%s: expected OK, got %s" name (P.reply_to_string reply)
 
+(* The serving front end is shared by [blas serve] and [blas route]:
+   the front-end cases below run once per role.  The router role is a
+   one-shard {!Local} cluster whose shard allows SLEEP on one worker. *)
+type front = {
+  port : int;
+  metrics_port : int option;
+  slow : C.t -> int -> P.reply;
+      (** an admitted request answering OK after about [ms] *)
+  stop : unit -> unit;  (** the role's graceful drain *)
+  wait : unit -> unit;
+  teardown : unit -> unit;  (** stops everything the role started *)
+}
+
+type role = {
+  role : string;  (** the metric prefix *)
+  start : ?metrics:bool -> (string * (unit -> Blas.Storage.t)) list -> front;
+}
+
+let server_role =
+  let start ?(metrics = false) docs =
+    let srv =
+      Srv.start
+        {
+          live_config with
+          Srv.metrics_port = (if metrics then Some 0 else None);
+        }
+        ~docs:(List.map (fun (name, build) -> (name, build ())) docs)
+    in
+    {
+      port = Srv.port srv;
+      metrics_port = Srv.metrics_port srv;
+      slow = (fun c ms -> C.sleep c ms);
+      stop = (fun () -> Srv.stop srv);
+      wait = (fun () -> Srv.wait srv);
+      teardown = (fun () -> Srv.stop srv);
+    }
+  in
+  { role = "server"; start }
+
+let router_role =
+  let start ?(metrics = false) docs =
+    let cluster =
+      Local.start ~shards:1
+        ~server_config:{ live_config with Srv.max_inflight = 1 }
+        ~router_config:
+          {
+            Router.default_config with
+            Router.metrics_port = (if metrics then Some 0 else None);
+          }
+        ~docs ()
+    in
+    let router = Local.router cluster in
+    (* A routed QUERY queued on the shard behind a direct SLEEP. *)
+    let slow c ms =
+      let holder =
+        Thread.create
+          (fun () ->
+            C.with_client (Local.endpoint_port cluster 0 0) (fun s ->
+                ignore (C.sleep s ms)))
+          ()
+      in
+      Thread.delay 0.02;
+      let doc = List.hd (Local.shard_docs cluster 0) in
+      let reply =
+        C.query c ~doc ~translator:Blas.Pushup ~engine:Blas.Rdbms "//a"
+      in
+      Thread.join holder;
+      reply
+    in
+    {
+      port = Router.port router;
+      metrics_port = Router.metrics_port router;
+      slow;
+      stop = (fun () -> Router.stop router);
+      wait = (fun () -> Router.wait router);
+      teardown = (fun () -> Local.stop cluster);
+    }
+  in
+  { role = "router"; start }
+
+let with_front ?metrics role docs f =
+  let fe = role.start ?metrics docs in
+  Fun.protect ~finally:fe.teardown (fun () -> f fe)
+
+let plays_thunk = [ ("plays", fun () -> Blas.index_of_tree (small_plays ())) ]
+
 (* ------------------------------------------------------------------ *)
 (* Live: basics and byte-identical concurrent queries                  *)
 
@@ -531,10 +622,9 @@ let live_oversized_frame () =
       (* The server survived. *)
       C.with_client port (fun c -> C.ping c))
 
-let live_garbage_keeps_connection () =
-  let docs = [ ("plays", Blas.index_of_tree (small_plays ())) ] in
-  with_live docs (fun _srv port ->
-      let fd = raw_socket port in
+let live_garbage_keeps_connection role () =
+  with_front role plays_thunk (fun fe ->
+      let fd = raw_socket fe.port in
       let io = P.Io.of_fd fd in
       P.Io.write io "\x00\x01\xfe binary garbage\n";
       (match P.read_reply io with
@@ -818,13 +908,12 @@ let live_observability () =
   let config =
     {
       live_config with
-      Srv.metrics_port = Some 0;
-      slow_ms = Some 0.0;
+      Srv.slow_ms = Some 0.0;
       slow_log = slow_path;
       ts_interval_ms = 20;
     }
   in
-  with_live ~config [ ("plays", hosted) ] (fun srv port ->
+  with_live ~config [ ("plays", hosted) ] (fun _srv port ->
       C.with_client port (fun c ->
           (* A TRACE'd query carries its span tree, and the leaves
              reconcile with the METRICS deltas around the request. *)
@@ -895,17 +984,7 @@ let live_observability () =
           Thread.delay 0.06;
           let ts = C.timeseries c in
           Test_util.check_bool "timeseries shape" true
-            (String.length ts > 0 && ts.[0] = '[' && contains ts "at_ms");
-          (* The HTTP listener serves the same exposition. *)
-          match Srv.metrics_port srv with
-          | None -> Alcotest.fail "metrics port not bound"
-          | Some hp ->
-            let page = http_get hp "/metrics" in
-            Test_util.check_bool "http 200" true (contains page "200 OK");
-            Test_util.check_bool "http exposition" true
-              (contains page "server_requests_total");
-            let missing = http_get hp "/nosuch" in
-            Test_util.check_bool "http 404" true (contains missing "404")));
+            (String.length ts > 0 && ts.[0] = '[' && contains ts "at_ms")));
   (* The slow log (threshold 0: everything is slow) was written and
      closed by the drain; every line is a JSON record. *)
   let ic = open_in slow_path in
@@ -925,40 +1004,265 @@ let live_observability () =
 (* ------------------------------------------------------------------ *)
 (* Live: graceful drain                                                *)
 
-let live_drain () =
-  let docs = [ ("plays", Blas.index_of_tree (small_plays ())) ] in
-  let srv = Srv.start { live_config with Srv.port = 0 } ~docs in
-  let port = Srv.port srv in
+let live_drain role () =
+  let fe = role.start plays_thunk in
+  Fun.protect ~finally:fe.teardown @@ fun () ->
   (* An in-flight request across the drain still gets its reply. *)
-  let straggler = C.connect port in
+  let straggler = C.connect fe.port in
   let straggler_reply = ref P.Busy in
   let straggler_thread =
-    Thread.create (fun () -> straggler_reply := C.sleep straggler 150) ()
+    Thread.create (fun () -> straggler_reply := fe.slow straggler 150) ()
   in
   Thread.delay 0.05;
-  Srv.stop srv;
+  fe.stop ();
   Thread.join straggler_thread;
   C.close straggler;
   Test_util.check_bool "in-flight request completed across the drain" true
     (match !straggler_reply with P.Ok_payload _ -> true | _ -> false);
   (* The port is released and new connections are refused. *)
-  (match raw_socket port with
+  (match raw_socket fe.port with
   | fd ->
     (* A lingering listener backlog can accept once; it must at least
        not answer. *)
     Unix.close fd
   | exception Unix.Unix_error (ECONNREFUSED, _, _) -> ());
   (* stop is idempotent. *)
-  Srv.stop srv
+  fe.stop ()
 
-let live_shutdown_verb () =
-  let docs = [ ("plays", Blas.index_of_tree (small_plays ())) ] in
-  let srv = Srv.start { live_config with Srv.port = 0 } ~docs in
-  C.with_client (Srv.port srv) (fun c -> C.shutdown c);
+let live_shutdown_verb role () =
+  let fe = role.start plays_thunk in
+  Fun.protect ~finally:fe.teardown @@ fun () ->
+  C.with_client fe.port (fun c -> C.shutdown c);
   (* wait returns because the verb requested shutdown. *)
-  Srv.wait srv;
-  Srv.stop srv;
+  fe.wait ();
+  fe.stop ();
   Test_util.check_bool "drained after SHUTDOWN verb" true true
+
+(* The plain-HTTP listener serves the role's exposition and 404s the
+   rest. *)
+let live_http_metrics role () =
+  with_front ~metrics:true role plays_thunk (fun fe ->
+      C.with_client fe.port (fun c -> C.ping c);
+      match fe.metrics_port with
+      | None -> Alcotest.fail "metrics port not bound"
+      | Some hp ->
+        let page = http_get hp "/metrics" in
+        Test_util.check_bool "http 200" true (contains page "200 OK");
+        Test_util.check_bool "http exposition" true
+          (contains page (role.role ^ "_requests_total"));
+        let json = http_get hp "/metrics.json" in
+        Test_util.check_bool "http json" true
+          (contains json "200 OK" && contains json "application/json");
+        let missing = http_get hp "/nosuch" in
+        Test_util.check_bool "http 404" true (contains missing "404"))
+
+(* ------------------------------------------------------------------ *)
+(* Live: the header rule                                               *)
+
+(* DEADLINE and TRACE headers are taken by the next non-header frame,
+   whatever it is; only an admitted request applies them.  Each row
+   sends headers, then a frame that must not apply them, then a plain
+   QUERY that must answer its plain payload. *)
+
+let tiny_doc = "<r><a>x</a><b>y</b></r>"
+
+let tiny_docs =
+  List.init 12 (fun i ->
+      ( Printf.sprintf "d%d" i,
+        fun () -> Blas.index_of_tree (Blas_xml.Dom.parse tiny_doc) ))
+
+type leak_fixture = {
+  lport : int;
+  ok_doc : string;  (** the follow-up QUERY's document *)
+  busy : unit -> string * (unit -> unit);
+      (** a QUERY line answering BUSY until the returned thunk runs *)
+  close : unit -> unit;
+}
+
+(* One worker, no queue, SLEEP off: a QUERY parked behind a held write
+   lock fills the admission queue. *)
+let server_leak_fixture () =
+  let srv =
+    Srv.start
+      {
+        live_config with
+        Srv.allow_sleep = false;
+        max_inflight = 1;
+        queue_depth = 0;
+      }
+      ~docs:(List.map (fun (n, build) -> (n, build ())) tiny_docs)
+  in
+  let port = Srv.port srv in
+  let busy () =
+    let doc = Option.get (Svc.find (Srv.service srv) "d0") in
+    let release = Atomic.make false in
+    let writer =
+      Thread.create
+        (fun () ->
+          Rwlock.write doc.Svc.lock (fun () ->
+              while not (Atomic.get release) do
+                Thread.delay 0.005
+              done))
+        ()
+    in
+    Thread.delay 0.02;
+    let parked =
+      Thread.create
+        (fun () ->
+          C.with_client port (fun c ->
+              ignore
+                (C.query c ~doc:"d0" ~translator:Blas.Pushup
+                   ~engine:Blas.Rdbms "//a")))
+        ()
+    in
+    Thread.delay 0.05;
+    ( "QUERY d0 pushup rdbms //a",
+      fun () ->
+        Atomic.set release true;
+        Thread.join writer;
+        Thread.join parked )
+  in
+  { lport = port; ok_doc = "d0"; busy; close = (fun () -> Srv.stop srv) }
+
+(* Two shards: stopping one primary opens its breaker, and its
+   documents answer BUSY while the other shard's still answer. *)
+let router_leak_fixture () =
+  let cluster = Local.start ~shards:2 ~docs:tiny_docs () in
+  let port = Local.port cluster in
+  let doc_on k =
+    match Local.shard_docs cluster k with
+    | d :: _ -> d
+    | [] -> Alcotest.failf "shard %d hosts no document" k
+  in
+  let dead = doc_on 0 and alive = doc_on 1 in
+  let busy () =
+    Local.stop_primary cluster 0;
+    C.with_client port (fun c ->
+        let rec trip n =
+          if n = 0 then Alcotest.fail "breaker never opened"
+          else
+            match
+              C.query c ~doc:dead ~translator:Blas.Pushup ~engine:Blas.Rdbms
+                "//a"
+            with
+            | P.Busy -> ()
+            | _ -> trip (n - 1)
+        in
+        trip 10);
+    (Printf.sprintf "QUERY %s pushup rdbms //a" dead, ignore)
+  in
+  { lport = port; ok_doc = alive; busy; close = (fun () -> Local.stop cluster) }
+
+let leak_rows =
+  let is_err = function P.Err _ -> true | _ -> false in
+  [
+    ( "DEADLINE 0, rejected SLEEP",
+      fun _ -> ([ "DEADLINE 0" ], "SLEEP 5", is_err, ignore) );
+    ( "DEADLINE 0, PING",
+      fun _ -> ([ "DEADLINE 0" ], "PING", (( = ) (P.Ok_payload "pong")), ignore)
+    );
+    ( "TRACE, malformed INVAL",
+      fun fx ->
+        ([ "TRACE" ], Printf.sprintf "INVAL %s nonsense" fx.ok_doc, is_err, ignore)
+    );
+    ( "DEADLINE 0, BUSY-rejected QUERY",
+      fun fx ->
+        let line, lift = fx.busy () in
+        ([ "DEADLINE 0" ], line, (( = ) P.Busy), lift) );
+  ]
+
+let live_headers_one_shot fixture () =
+  let expected =
+    Svc.payload_of_report
+      (Blas.run_union
+         (Blas.index_of_tree (Blas_xml.Dom.parse tiny_doc))
+         ~engine:Blas.Rdbms ~translator:Blas.Pushup (Blas.query_union "//a"))
+  in
+  List.iter
+    (fun (row, setup) ->
+      let fx = fixture () in
+      Fun.protect ~finally:fx.close @@ fun () ->
+      C.with_client fx.lport (fun c ->
+          let headers, frame, expect, lift = setup fx in
+          List.iter (C.send_line c) headers;
+          let reply = C.raw c frame in
+          Test_util.check_bool
+            (Printf.sprintf "%s: %s answered %s" row frame
+               (P.reply_to_string reply))
+            true (expect reply);
+          lift ();
+          Test_util.check_bool (row ^ ": next QUERY is plain") true
+            (C.raw c (Printf.sprintf "QUERY %s pushup rdbms //a" fx.ok_doc)
+            = P.Ok_payload expected)))
+    leak_rows
+
+(* ------------------------------------------------------------------ *)
+(* Live: descriptor exhaustion                                         *)
+
+(* The soft RLIMIT_NOFILE, from /proc (Linux); [None] when unknown. *)
+let fd_limit () =
+  match open_in "/proc/self/limits" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | line when String.starts_with ~prefix:"Max open files" line -> (
+        match
+          List.filter (( <> ) "")
+            (String.split_on_char ' '
+               (String.sub line 14 (String.length line - 14)))
+        with
+        | soft :: _ -> int_of_string_opt soft
+        | [] -> None)
+      | _ -> scan ()
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) scan
+
+(* Run out of descriptors while a client connects: the accept fails
+   with EMFILE, and once descriptors are free again the listener must
+   still be accepting. *)
+let live_accept_survives_emfile role () =
+  match fd_limit () with
+  | Some n when n <= 65536 ->
+    with_front role plays_thunk (fun fe ->
+        let hog = ref [] in
+        let release () =
+          List.iter Unix.close !hog;
+          hog := []
+        in
+        Fun.protect ~finally:release (fun () ->
+            (try
+               while true do
+                 hog := Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 :: !hog
+               done
+             with Unix.Unix_error ((EMFILE | ENFILE), _, _) -> ());
+            (* Room for the client's socket only: the front end's accept
+               has none left. *)
+            (match !hog with
+            | fd :: rest ->
+              Unix.close fd;
+              hog := rest
+            | [] -> ());
+            let starved = raw_socket fe.port in
+            Thread.delay 0.2;
+            release ();
+            Unix.close starved);
+        let fd = raw_socket fe.port in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        let io = P.Io.of_fd fd in
+        P.Io.write io "PING\n";
+        match P.read_reply io with
+        | Ok (P.Ok_payload "pong") -> ()
+        | Ok r -> Alcotest.failf "expected pong, got %s" (P.reply_to_string r)
+        | Error e -> Alcotest.failf "no reply after EMFILE: %s" e
+        | exception Unix.Unix_error (e, _, _) ->
+          Alcotest.failf "no reply after EMFILE: %s" (Unix.error_message e))
+  | limit ->
+    Printf.printf "skipped: descriptor limit %s is too high to exhaust quickly\n"
+      (match limit with Some n -> string_of_int n | None -> "unknown");
+    Alcotest.skip ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -978,10 +1282,22 @@ let suite =
       ("live: BUSY when the admission queue is full", live_busy);
       ("live: deadlines answer TIMEOUT", live_timeout);
       ("live: oversized frame rejected", live_oversized_frame);
-      ("live: garbage keeps the connection", live_garbage_keeps_connection);
+      ("live: garbage keeps the connection", live_garbage_keeps_connection server_role);
       ("live: half-close and mid-query disconnect", live_half_close_and_disconnect);
       ("live: soak with live edits", live_soak);
       ("live: traces, metrics, time series, slow log", live_observability);
-      ("live: graceful drain", live_drain);
-      ("live: SHUTDOWN verb", live_shutdown_verb);
+      ("live: graceful drain", live_drain server_role);
+      ("live: SHUTDOWN verb", live_shutdown_verb server_role);
+      ("live: HTTP metrics listener", live_http_metrics server_role);
+      ("live: headers are one-shot", live_headers_one_shot server_leak_fixture);
+      ("live: accept survives EMFILE", live_accept_survives_emfile server_role);
+      ( "live (router): garbage keeps the connection",
+        live_garbage_keeps_connection router_role );
+      ("live (router): graceful drain", live_drain router_role);
+      ("live (router): SHUTDOWN verb", live_shutdown_verb router_role);
+      ("live (router): HTTP metrics listener", live_http_metrics router_role);
+      ( "live (router): headers are one-shot",
+        live_headers_one_shot router_leak_fixture );
+      ( "live (router): accept survives EMFILE",
+        live_accept_survives_emfile router_role );
     ]
