@@ -16,11 +16,13 @@ let fmt_ms s = Printf.sprintf "%.2f" (s *. 1000.)
 
 let misses storage = Pool.misses (Blas.Storage.pool storage)
 
+(* A fixed paper translator, so every file and codec runs the same
+   plans. *)
 let fig10 storage =
   List.iter
     (fun (_, qs) ->
       ignore
-        (Blas.run storage ~engine:Blas.Rdbms ~translator:Blas.Auto
+        (Blas.run storage ~engine:Blas.Rdbms ~translator:Blas.Pushup
            (Blas.query qs)))
     Bench_queries.shakespeare
 

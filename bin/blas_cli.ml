@@ -86,15 +86,13 @@ let query_arg =
   let doc = "XPath query (the paper's subset: /, //, [..], =, *)." in
   Arg.(required & opt (some string) None & info [ "q"; "query" ] ~docv:"XPATH" ~doc)
 
-let translator_options =
-  [
-    ("d-labeling", Blas.D_labeling);
-    ("split", Blas.Split);
-    ("pushup", Blas.Pushup);
-    ("unfold", Blas.Unfold);
-    ("auto", Blas.Auto);
-    ("auto2", Blas.Auto2);
-  ]
+(* Parses with [enum] over the shared name table (so unique prefixes
+   still work) but prints through [Proto], so [Auto2] shows as "auto2"
+   rather than its [auto] alias. *)
+let translator_conv =
+  Arg.conv
+    ( Arg.conv_parser (Arg.enum Blas_server.Proto.translator_names),
+      fun ppf t -> Format.pp_print_string ppf (Blas_server.Proto.translator_to_string t) )
 
 (* [default] varies by command: [run] and the network [query] use the
    adaptive optimizer (auto2); translation-inspection commands keep the
@@ -102,11 +100,11 @@ let translator_options =
 let translator_arg_with ~default =
   let doc =
     Printf.sprintf "Query translator: %s."
-      (String.concat ", " (List.map fst translator_options))
+      (String.concat ", " (List.map fst Blas_server.Proto.translator_names))
   in
   Arg.(
     value
-    & opt (enum translator_options) default
+    & opt translator_conv default
     & info [ "translator"; "t" ] ~doc)
 
 let translator_arg = translator_arg_with ~default:Blas.Pushup
@@ -127,7 +125,7 @@ let engine_arg =
   let doc = "Query engine: rdbms or twig." in
   Arg.(
     value
-    & opt (enum [ ("rdbms", Blas.Rdbms); ("twig", Blas.Twig) ]) Blas.Rdbms
+    & opt (enum Blas_server.Proto.engine_names) Blas.Rdbms
     & info [ "engine"; "e" ] ~doc)
 
 let jobs_arg =
@@ -160,8 +158,8 @@ let parse_query_union s =
   try Ok (Blas.query_union s) with
   | Blas_xpath.Parser.Error msg -> Error (Printf.sprintf "query error: %s" msg)
 
-(* XML files and saved index files (magic "BLAS1") both load — through
-   the same memoized sniff-and-parse helper the server's document
+(* XML files and databases (magic "BLASDB1") both load — through the
+   same memoized sniff-and-parse helper the server's document
    collection uses. *)
 let load_storage ?rw ?cache_pages path = Blas.Loader.load ?rw ?cache_pages path
 
@@ -461,11 +459,14 @@ let plan () query_string translator path =
         (Blas_rel.Algebra.count_djoins plan)
         profile.Blas_rel.Algebra.equality profile.range profile.scans
     | None -> print_endline "(provably empty)");
-    (if translator <> Blas.D_labeling then
-       let estimate =
-         Blas.Cost.of_decomposition storage (Blas.decompose storage translator query)
-       in
-       Format.printf "estimated cost: %a@." Blas.Cost.pp estimate);
+    (match Blas.Storage.ostats storage with
+    | Some stats when translator <> Blas.D_labeling ->
+      let estimate =
+        Blas.Cost.estimate_decomposition stats
+          (Blas.decompose storage translator query)
+      in
+      Format.printf "estimated cost: %a@." Blas.Cost.pp_estimate estimate
+    | _ -> ());
     `Ok ()
 
 let plan_cmd =
@@ -615,6 +616,16 @@ let run_cmd =
 (* ------------------------------------------------------------------ *)
 (* index                                                               *)
 
+(* The one saved format: [index -o] and [update -o] both write a
+   database file.  A database locked by another process (a running
+   server) is refused before its WAL is touched. *)
+let write_database ?codec ?page_size storage path =
+  match Blas.Database.create ?codec ?page_size ~path storage with
+  | () -> Ok ()
+  | exception (Invalid_argument msg | Blas.Database.Corrupt msg) -> Error msg
+  | exception Unix.Unix_error (err, fn, _) ->
+    Error (Printf.sprintf "%s: %s (%s)" path (Unix.error_message err) fn)
+
 let index_cmd =
   let output =
     Arg.(
@@ -622,15 +633,14 @@ let index_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:
-            "Output file.  A $(b,.blasdb) suffix writes a paged database \
-             file (the on-disk storage engine); anything else writes a \
-             flat saved index.")
+            "Output database file (the paged on-disk storage engine; \
+             conventionally $(b,.blasdb)).")
   in
   let page_size =
     Arg.(
       value & opt int 4096
       & info [ "page-size" ] ~docv:"BYTES"
-          ~doc:"Page size for $(b,.blasdb) output (power-of-two sizes work best).")
+          ~doc:"Page size of the output database (power-of-two sizes work best).")
   in
   let codec_arg =
     Arg.(
@@ -638,7 +648,7 @@ let index_cmd =
       & opt (some string) None
       & info [ "codec" ] ~docv:"CODEC"
           ~doc:
-            "Page codec for $(b,.blasdb) output: $(b,v1) (row-major, the \
+            "Page codec of the output database: $(b,v1) (row-major, the \
              historical layout readable by any version) or $(b,v2) \
              (compact columnar: delta-compressed D-labels, front-coded \
              P-labels — smaller files, fewer page reads).  The choice is \
@@ -657,26 +667,18 @@ let index_cmd =
     in
     match (load_storage input, codec) with
     | Error msg, _ | _, Error msg -> `Error (false, msg)
-    | Ok storage, Ok codec ->
-      if Filename.check_suffix output ".blasdb" then begin
-        match Blas.Database.create ?codec ~page_size ~path:output storage with
-        | () ->
-          let codec_name =
-            Blas_rel.Codec.format_name
-              (Option.value ~default:Blas_rel.Codec.default_format codec)
-          in
-          Printf.printf
-            "indexed %d nodes -> %s (database, %d-byte pages, %s codec)\n"
-            (Blas.Storage.node_count storage) output page_size codec_name;
-          `Ok ()
-        | exception Invalid_argument msg -> `Error (false, msg)
-      end
-      else begin
-        Blas.Persist.save storage output;
-        Printf.printf "indexed %d nodes -> %s\n"
-          (Blas.Storage.node_count storage) output;
-        `Ok ()
-      end
+    | Ok storage, Ok codec -> (
+      match write_database ?codec ~page_size storage output with
+      | Error msg -> `Error (false, msg)
+      | Ok () ->
+        let codec_name =
+          Blas_rel.Codec.format_name
+            (Option.value ~default:Blas_rel.Codec.default_format codec)
+        in
+        Printf.printf
+          "indexed %d nodes -> %s (database, %d-byte pages, %s codec)\n"
+          (Blas.Storage.node_count storage) output page_size codec_name;
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "index"
@@ -697,6 +699,16 @@ let update () insert_xml parent pos delete rtext data headroom output path =
   (match headroom with
   | Some h -> Blas.Update.set_headroom h
   | None -> ());
+  (* Refused before the edit commits: [Database.create] would refuse the
+     copy too, but only after the input had changed in place. *)
+  if Option.fold ~none:false ~some:(Blas.Database.same_file path) output then
+    `Error
+      ( false,
+        Printf.sprintf
+          "-o %s names the input file (a database commits edits in place: \
+           omit -o)"
+          path )
+  else
   match load_storage ~rw:true path with
   | Error msg -> `Error (false, msg)
   | Ok storage -> (
@@ -744,13 +756,17 @@ let update () insert_xml parent pos delete rtext data headroom output path =
         | Some d ->
           Printf.printf "committed to %s\n" d.Blas.Storage.dk_path
         | None -> ());
-        (match output with
-        | Some out ->
-          Blas.Persist.save storage out;
-          Printf.printf "wrote %s (%d nodes)\n" out
-            (Blas.Storage.node_count storage)
-        | None -> ());
-        `Ok ()))
+        match output with
+        | None -> `Ok ()
+        | Some out -> (
+          match
+            write_database ~codec:(Blas.Storage.codec storage) storage out
+          with
+          | Error msg -> `Error (false, msg)
+          | Ok () ->
+            Printf.printf "wrote %s (%d nodes)\n" out
+              (Blas.Storage.node_count storage);
+            `Ok ())))
 
 let update_cmd =
   let insert =
@@ -811,7 +827,7 @@ let update_cmd =
       value
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the updated index to this file.")
+          ~doc:"Write the updated document to this new database file.")
   in
   Cmd.v
     (Cmd.info "update"

@@ -1,10 +1,10 @@
 (** Multi-document federation with cost-based translation.
 
     Indexes the three evaluation corpora into one {!Blas.Collection},
-    runs queries across all of them, and shows the cost model choosing
-    between Push-up and Unfold per document (the Auto translator) —
-    every document carries its own tag inventory and schema, so the
-    right translation differs per partition.
+    runs queries across all of them, and shows the adaptive optimizer
+    (the Auto2 translator) picking a plan per document — every document
+    carries its own tag inventory, schema and statistics, so the right
+    translation differs per partition.
 
     Run with: [dune exec examples/federation.exe] *)
 
@@ -27,7 +27,7 @@ let () =
   List.iter
     (fun qs ->
       let q = Blas.query qs in
-      let answers = Blas.Collection.answers collection ~engine:Blas.Rdbms ~translator:Blas.Auto q in
+      let answers = Blas.Collection.answers collection ~engine:Blas.Rdbms ~translator:Blas.Auto2 q in
       let per_doc name =
         List.length
           (List.filter (fun (a : Blas.Collection.answer) -> a.doc = name) answers)
@@ -37,22 +37,21 @@ let () =
         (per_doc "auction"))
     [ "//author"; "//title"; "//name"; "//year" ];
 
-  (* The cost model at work: price Push-up vs Unfold per document. *)
-  print_endline "\nCost-based translator choice for //author, per document:";
+  (* The optimizer at work: the statistics-priced pick per document. *)
+  print_endline "\nAuto2 plan choice for //author, per document:";
   List.iter
     (fun name ->
       match Blas.Collection.storage collection name with
       | None -> ()
       | Some storage ->
-        let q = Blas.query "//author" in
-        let choice, _, unfold_cost, pushup_cost = Blas.Cost.choose storage q in
-        Format.printf "  %-12s %-7s  (unfold: %a | push-up: %a)@." name
-          (match choice with `Unfold -> "Unfold" | `Pushup -> "Push-up")
-          Blas.Cost.pp unfold_cost Blas.Cost.pp pushup_cost)
+        let c = Blas.Optimizer.choose storage (Blas.query "//author") in
+        Printf.printf "  %-12s %s (est %.0f of %d candidates)\n" name
+          (Blas.Optimizer.label c) c.Blas.Optimizer.ch_est_cost
+          (List.length c.Blas.Optimizer.ch_candidates))
     (Blas.Collection.names collection);
 
   (* Disk accounting per partition, cold cache. *)
-  print_endline "\nCold-cache disk accesses for //author (Auto translator):";
+  print_endline "\nCold-cache disk accesses for //author (Auto2 translator):";
   List.iter
     (fun name ->
       match Blas.Collection.storage collection name with
@@ -60,7 +59,7 @@ let () =
       | Some storage ->
         Blas.Storage.cold_cache storage;
         let report =
-          Blas.run storage ~engine:Blas.Rdbms ~translator:Blas.Auto
+          Blas.run storage ~engine:Blas.Rdbms ~translator:Blas.Auto2
             (Blas.query "//author")
         in
         Printf.printf "  %-12s %4d tuples, %3d page reads\n" name report.Blas.visited

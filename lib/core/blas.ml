@@ -19,7 +19,6 @@ module Engine_rdbms = Engine_rdbms
 module Engine_twig = Engine_twig
 module Collection = Collection
 module Cost = Cost
-module Persist = Persist
 module Nav = Nav
 module Sax_index = Sax_index
 module Update = Update
@@ -34,7 +33,6 @@ type translator = Exec.translator =
   | Split
   | Pushup
   | Unfold
-  | Auto
   | Auto2
 
 type engine = Exec.engine = Rdbms | Twig

@@ -19,7 +19,6 @@ module Engine_rdbms = Engine_rdbms
 module Engine_twig = Engine_twig
 module Collection = Collection
 module Cost = Cost
-module Persist = Persist
 module Nav = Nav
 module Sax_index = Sax_index
 
@@ -41,8 +40,8 @@ module Par = Blas_par.Pool
 module Cache = Qcache
 
 (** The one storage loader behind the CLI and the network server:
-    sniffs database / saved-index / XML files and memoizes unchanged
-    loads per process. *)
+    sniffs database / XML files and memoizes unchanged loads per
+    process. *)
 module Loader = Loader
 
 (** Disk-backed databases: bulk-load a storage into a `.blasdb` file,
@@ -62,9 +61,6 @@ type translator = Exec.translator =
   | Split  (** Section 4.1.1 *)
   | Pushup  (** Section 4.1.2 — the paper's default without schema *)
   | Unfold  (** Section 4.1.3 — the paper's default with schema *)
-  | Auto
-      (** the paper's policy: Unfold when the schema expansion is
-          usable (small enough), Push-up otherwise *)
   | Auto2
       (** the adaptive optimizer: picks translator {e and} engine {e
           and} degree of parallelism by estimated cost from collected

@@ -1,53 +1,15 @@
-(** Cost estimation for translated plans.
-
-    The paper's efficiency argument (Section 4.2) is stated in two
-    currencies — D-joins and disk accesses — and its translator policy
-    ("Unfold when schema information is available, Push-up otherwise",
-    Section 5) is a heuristic over them.  This module prices a
-    decomposition exactly in those currencies and lets the [Auto]
-    translator choose by comparison instead of by fiat.
-
-    Estimates are exact for the access work: each suffix-path item
-    fetches precisely the tuples in its P-label interval, so an
-    index-only probe of the P-label B+ tree gives the true visited
-    count, and the clustered layout makes the page count
-    [ceil(tuples / page_rows)].  Join output sizes are not modelled
-    (the paper does not model them either); ties in access cost break
-    toward fewer D-joins. *)
-
-type t = {
-  visited : int;  (** tuples every item will fetch *)
-  pages : int;  (** clustered pages behind those tuples (upper bound) *)
-  djoins : int;
-  branches : int;  (** union branches (Unfold's expansion width) *)
-}
-
-let zero = { visited = 0; pages = 0; djoins = 0; branches = 0 }
-
-let add a b =
-  {
-    visited = a.visited + b.visited;
-    pages = a.pages + b.pages;
-    djoins = a.djoins + b.djoins;
-    branches = a.branches + b.branches;
-  }
-
-(* Tuples one item will fetch: an index-only count of its interval. *)
-let item_tuples (storage : Storage.t) (item : Suffix_query.item) =
-  match Blas_label.Plabel.suffix_path_interval storage.table item.path with
-  | None -> 0
-  | Some interval ->
-    Blas_rel.Table.index_count storage.sp ~column:"plabel"
-      ~lo:(Some (Blas_rel.Value.Big (Blas_label.Interval.lo interval)))
-      ~hi:(Some (Blas_rel.Value.Big (Blas_label.Interval.hi interval)))
+(** Cost estimation for translated plans, in the paper's currencies
+    (Section 4.2: visited tuples / disk pages, and D-joins), priced
+    purely from collected statistics ({!Blas_optimizer.Stats}) for the
+    [Auto2] planner, plus the clustered page arithmetic the cache layer
+    scores memoized scans with.  Join output sizes are not modelled
+    (the paper does not model them either). *)
 
 (* Conservative page count for a clustered fetch of [tuples] rows: they
    are contiguous in the clustered order, spanning at most one extra
    page at each end. *)
 let pages_for tuples ~page_rows =
   if tuples = 0 then 0 else ((tuples + page_rows - 1) / page_rows) + 1
-
-let page_rows = 64  (* Table's v1 default; kept in one place for pricing *)
 
 (** [model_page_rows storage] — the clustered page density the model
     should price against: the SP table's measured (paged) or modelled
@@ -56,62 +18,9 @@ let page_rows = 64  (* Table's v1 default; kept in one place for pricing *)
 let model_page_rows (storage : Storage.t) =
   Blas_rel.Table.avg_page_rows storage.sp
 
-(** [of_branch storage branch] prices one decomposition branch. *)
-let of_branch storage (branch : Suffix_query.t) =
-  let page_rows = model_page_rows storage in
-  List.fold_left
-    (fun acc item ->
-      let tuples = item_tuples storage item in
-      add acc
-        {
-          visited = tuples;
-          pages = pages_for tuples ~page_rows;
-          djoins = 0;
-          branches = 0;
-        })
-    { zero with djoins = Suffix_query.djoin_count branch; branches = 1 }
-    branch.Suffix_query.items
-
-(** [of_decomposition storage branches] prices a whole translation. *)
-let of_decomposition storage branches =
-  List.fold_left (fun acc b -> add acc (of_branch storage b)) zero branches
-
-(** [compare_cost a b] orders by visited tuples, then D-joins, then
-    union width — the paper's priority order (disk accesses dominate;
-    §4.2). *)
-let compare_cost a b =
-  match Stdlib.compare a.visited b.visited with
-  | 0 -> (
-    match Stdlib.compare a.djoins b.djoins with
-    | 0 -> Stdlib.compare a.branches b.branches
-    | c -> c)
-  | c -> c
-
-(** [choose storage query] prices the Push-up and Unfold translations
-    and returns the cheaper one with both estimates (Unfold wins ties,
-    matching the paper's preference when schema information is
-    usable). *)
-let choose storage query =
-  let pushup =
-    Decompose.translate Decompose.Pushup ~guide:(Storage.guide storage) query
-  in
-  let unfolded = Decompose.unfold (Storage.guide storage) query in
-  let pushup_cost = of_decomposition storage pushup in
-  let unfold_cost = of_decomposition storage unfolded in
-  if compare_cost unfold_cost pushup_cost <= 0 then
-    (`Unfold, unfolded, unfold_cost, pushup_cost)
-  else (`Pushup, pushup, unfold_cost, pushup_cost)
-
-let pp ppf t =
-  Format.fprintf ppf "visited=%d pages<=%d djoins=%d branches=%d" t.visited
-    t.pages t.djoins t.branches
-
-(* --- statistics-only estimates (the adaptive optimizer's currency) --- *)
-
 (** Selectivity-scaled estimate of a translation, priced purely from
-    collected statistics — unlike the exact probes above, computing one
-    touches no tables, which is what lets [Auto2] enumerate the whole
-    plan space for free. *)
+    collected statistics — computing one touches no tables, which is
+    what lets [Auto2] enumerate the whole plan space for free. *)
 type estimate = {
   e_visited : float;  (** tuples the items will scan *)
   e_selected : float;  (** of those, survivors of value predicates *)

@@ -1,23 +1,7 @@
-(** Cost estimation for translated plans, in the paper's two currencies
-    (visited tuples / disk pages, and D-joins).  Item access estimates
-    are exact: an index-only probe of the P-label B+ tree counts the
-    tuples each suffix-path item will fetch.  Used by the [Auto]
-    translator to choose between Push-up and Unfold. *)
-
-type t = {
-  visited : int;  (** tuples every item will fetch *)
-  pages : int;  (** clustered pages behind those tuples (upper bound) *)
-  djoins : int;
-  branches : int;  (** union branches (Unfold's expansion width) *)
-}
-
-val zero : t
-
-val add : t -> t -> t
-
-(** The v1 clustered page size (the {!Blas_rel.Table} heap default, 64
-    tuples) — the fallback when no storage is at hand. *)
-val page_rows : int
+(** Cost estimation for translated plans, in the paper's currencies
+    (visited tuples / disk pages, and D-joins), priced from collected
+    statistics for the [Auto2] planner; plus the clustered page
+    arithmetic the cache layer scores memoized scans with. *)
 
 (** The clustered page density [storage]'s active layout actually
     achieves (SP's measured or modelled rows per page) — what the model
@@ -28,24 +12,6 @@ val model_page_rows : Storage.t -> int
     clustered fetch of [tuples] contiguous rows.  The cache layer uses
     this as the benefit score of a memoized scan. *)
 val pages_for : int -> page_rows:int -> int
-
-(** Prices one decomposition branch. *)
-val of_branch : Storage.t -> Suffix_query.t -> t
-
-(** Prices a whole translation (a union of branches). *)
-val of_decomposition : Storage.t -> Suffix_query.t list -> t
-
-(** Orders by visited tuples, then D-joins, then union width. *)
-val compare_cost : t -> t -> int
-
-(** Prices the Push-up and Unfold translations of [query] and returns
-    the cheaper, with (unfold cost, push-up cost) for reporting. *)
-val choose :
-  Storage.t ->
-  Blas_xpath.Ast.t ->
-  [ `Unfold | `Pushup ] * Suffix_query.t list * t * t
-
-val pp : Format.formatter -> t -> unit
 
 (** Selectivity-scaled estimate of a translation, priced purely from
     collected statistics ({!Blas_optimizer.Stats}) — computing one

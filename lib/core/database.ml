@@ -37,6 +37,8 @@ type mode = Store.mode = Ro | Rw
 
 exception Corrupt = Pager.Corrupt
 
+let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
+
 let sp_schema = Schema.of_list [ "plabel"; "start"; "end"; "level"; "data" ]
 let sd_schema = Schema.of_list [ "tag"; "start"; "end"; "level"; "data" ]
 let sp_cluster = [ "plabel"; "start" ]
@@ -157,7 +159,7 @@ let decode_catalog body =
   let r = Wire.reader body in
   let v = Wire.read_u8 r in
   if v < 1 || v > cat_version_codec then
-    raise (Corrupt (Printf.sprintf "unsupported catalog version %d" v));
+    corrupt "unsupported catalog version %d" v;
   let c_height = Wire.read_varint r in
   let c_tags = List.init (Wire.read_varint r) (fun _ -> Wire.read_string r) in
   let c_paths =
@@ -207,10 +209,8 @@ let read_catalog store =
     page := next
   done;
   if Buffer.length buf <> body_len then
-    raise
-      (Corrupt
-         (Printf.sprintf "catalog chain holds %d bytes, root promises %d"
-            (Buffer.length buf) body_len));
+    corrupt "catalog chain holds %d bytes, root promises %d"
+      (Buffer.length buf) body_len;
   (decode_catalog (Buffer.contents buf), List.rev !chain)
 
 (* Splits [body] into chain chunks and writes them through [alloc]/
@@ -545,13 +545,28 @@ let stats db () =
 (* ------------------------------------------------------------------ *)
 (* Bulk load                                                          *)
 
+(** [same_file a b] — whether [a] and [b] name one existing file (same
+    device and inode, so links and relative spellings match). *)
+let same_file a b =
+  match (Unix.stat a, Unix.stat b) with
+  | sa, sb -> sa.Unix.st_dev = sb.Unix.st_dev && sa.Unix.st_ino = sb.Unix.st_ino
+  | exception Unix.Unix_error _ -> false
+
 (** [create ?page_size ?fill ?codec ~path storage] bulk-loads [storage]
     into a fresh database file at [path]: data pages and index leaves in
     cluster order at [fill] occupancy (encoded by [codec], default
     {!Blas_rel.Codec.default_format}), catalog chain, superblock, one
-    fsync at the end.  Any existing file at [path] is replaced. *)
+    fsync at the end.  Any existing file at [path] is replaced, unless
+    it is [storage]'s own database file. *)
 let create ?(page_size = 4096) ?(fill = default_fill)
     ?(codec = Codec.default_format) ~path (storage : Storage.t) =
+  (* The source's own file lock does not stop this process from
+     truncating it (POSIX locks never conflict within one process). *)
+  (match Storage.disk storage with
+  | Some d when same_file d.Storage.dk_path path ->
+    invalid_arg
+      (Printf.sprintf "%s is the source database itself; choose a new file" path)
+  | _ -> ());
   let store = Store.create ~path ~page_size () in
   Fun.protect
     ~finally:(fun () -> Store.close store)
@@ -585,14 +600,85 @@ let create ?(page_size = 4096) ?(fill = default_fill)
           Store.set_root store (encode_root ~body ~first:(List.hd chain))))
 
 (* ------------------------------------------------------------------ *)
+(* Rebuilding the labeled document model from stored rows.  Rows come
+   in document order; the (start, end) intervals nest, so a stack of
+   open nodes recovers parenthood, source paths and children. *)
+
+type builder = {
+  btag : string;
+  bdata : string option;
+  bstart : int;
+  bfin : int;
+  blevel : int;
+  bpath : string list;  (* reversed source path *)
+  mutable bkids : Blas_xpath.Doc.node list;  (* reversed *)
+}
+
+let freeze b : Blas_xpath.Doc.node =
+  {
+    tag = b.btag;
+    data = b.bdata;
+    start = b.bstart;
+    fin = b.bfin;
+    level = b.blevel;
+    source_path = List.rev b.bpath;
+    children = List.rev b.bkids;
+  }
+
+(** [rebuild_doc rows] — the document model behind a disk-backed
+    storage, from its SD rows in start order.
+    @raise Corrupt on rows that do not nest into one document. *)
+let rebuild_doc rows : Blas_xpath.Doc.t =
+  let attach stack node =
+    match stack with
+    | parent :: _ -> parent.bkids <- node :: parent.bkids
+    | [] -> corrupt "multiple roots"
+  in
+  let rec close stack start =
+    match stack with
+    | top :: rest when top.bfin < start ->
+      attach rest (freeze top);
+      close rest start
+    | _ -> stack
+  in
+  let final =
+    List.fold_left
+      (fun stack (tag, start, fin, level, data) ->
+        let stack = close stack start in
+        let parent_path = match stack with top :: _ -> top.bpath | [] -> [] in
+        let expected_level = List.length parent_path + 1 in
+        if level <> expected_level then
+          corrupt "level %d does not match nesting depth %d" level
+            expected_level;
+        {
+          btag = tag;
+          bdata = data;
+          bstart = start;
+          bfin = fin;
+          blevel = level;
+          bpath = tag :: parent_path;
+          bkids = [];
+        }
+        :: stack)
+      [] rows
+  in
+  let rec collapse = function
+    | [ root ] -> freeze root
+    | top :: rest ->
+      attach rest (freeze top);
+      collapse rest
+    | [] -> corrupt "empty document"
+  in
+  Blas_xpath.Doc.of_root (collapse final)
+
+(* ------------------------------------------------------------------ *)
 (* Open                                                               *)
 
 let data_of_value = function
   | Value.Null -> None
   | Value.Str s -> Some s
   | v ->
-    raise
-      (Corrupt (Format.asprintf "unexpected data value %a" Value.pp v))
+    corrupt "unexpected data value %s" (Format.asprintf "%a" Value.pp v)
 
 let row_of_sd_tuple t =
   match
@@ -644,7 +730,7 @@ let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
       let rows =
         List.sort (fun (_, s1, _, _, _) (_, s2, _, _, _) -> compare s1 s2) rows
       in
-      Persist.rebuild_doc rows
+      rebuild_doc rows
     in
     (* Placeholder components; [install] swaps in the real ones. *)
     let storage =

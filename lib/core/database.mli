@@ -21,8 +21,11 @@ val looks_like_db : string -> bool
     fresh database file: data pages and index leaves in cluster order
     at [fill] occupancy (default 0.9, leaving per-page headroom for
     in-place edits), then the catalog and superblock, then one fsync.
-    Replaces any existing file at [path].
-    @raise Invalid_argument on a bad page size. *)
+    Replaces any existing file at [path]; the file lock is taken before
+    anything (the old file's WAL included) is touched.
+    @raise Invalid_argument on a bad page size, or when [path] is
+    [storage]'s own database file.
+    @raise Corrupt when another process holds [path] open. *)
 val create :
   ?page_size:int ->
   ?fill:float ->
@@ -30,6 +33,10 @@ val create :
   path:string ->
   Storage.t ->
   unit
+
+(** [same_file a b] — whether [a] and [b] name one existing file
+    (same device and inode). *)
+val same_file : string -> string -> bool
 
 (** [open_ ?cache_pages ?stripes ~mode ~path ()] opens a database file
     as a storage whose tables read through a bounded page cache of
@@ -45,3 +52,10 @@ val create :
 val open_ :
   ?cache_pages:int -> ?stripes:int -> mode:mode -> path:string -> unit ->
   Storage.t
+
+(** [rebuild_doc rows] reconstructs the labeled document model from
+    [(tag, start, end, level, data)] rows in start order — how a
+    disk-backed storage materializes its document lazily.
+    @raise Corrupt on rows that do not nest into one document. *)
+val rebuild_doc :
+  (string * int * int * int * string option) list -> Blas_xpath.Doc.t

@@ -13,7 +13,7 @@ let log_src = Logs.Src.create "blas" ~doc:"BLAS query processing"
 
 module Log = (val Logs.src_log log_src)
 
-type translator = D_labeling | Split | Pushup | Unfold | Auto | Auto2
+type translator = D_labeling | Split | Pushup | Unfold | Auto2
 
 type engine = Rdbms | Twig
 
@@ -22,7 +22,6 @@ let translator_name = function
   | Split -> "Split"
   | Pushup -> "Push-up"
   | Unfold -> "Unfold"
-  | Auto -> "Auto"
   | Auto2 -> "Auto2"
 
 (* [Auto2]'s picked plan, mapped back into this module's vocabulary. *)
@@ -38,11 +37,6 @@ let engine_of_kind = function
 let kind_of_engine = function
   | Rdbms -> Blas_optimizer.Planner.Rdbms
   | Twig -> Blas_optimizer.Planner.Twig
-
-(* Unfold pays one union branch per schema expansion; past this many
-   branches the Auto policy judges the union more expensive than
-   Push-up's D-joins. *)
-let auto_unfold_limit = 64
 
 let engine_name = function Rdbms -> "RDBMS" | Twig -> "TwigJoin"
 
@@ -111,29 +105,6 @@ let rec decompose (storage : Storage.t) translator q =
   | Split -> Decompose.translate Decompose.Split ~guide:(Storage.guide storage) q
   | Pushup -> Decompose.translate Decompose.Pushup ~guide:(Storage.guide storage) q
   | Unfold -> Decompose.unfold (Storage.guide storage) q
-  | Auto ->
-    (* The paper's policy (Section 5): Unfold when schema information is
-       usable, Push-up otherwise.  With an instance-derived DataGuide
-       the schema always exists, so the choice is made by cost: the
-       Cost module prices both translations in the paper's currencies
-       (visited tuples, then D-joins, then union width) and the cheaper
-       one runs.  A width cap guards against recursive schemas whose
-       expansion explodes before it can be priced. *)
-    let unfolded = decompose storage Unfold q in
-    if List.length unfolded > auto_unfold_limit then begin
-      Log.debug (fun m ->
-          m "auto: unfold expansion too wide (%d branches), using Push-up"
-            (List.length unfolded));
-      decompose storage Pushup q
-    end
-    else begin
-      let choice, branches, unfold_cost, pushup_cost = Cost.choose storage q in
-      Log.debug (fun m ->
-          m "auto: %s (unfold %a vs push-up %a)"
-            (match choice with `Unfold -> "unfold" | `Pushup -> "push-up")
-            Cost.pp unfold_cost Cost.pp pushup_cost);
-      branches
-    end
   | Auto2 ->
     (* The adaptive pick, statistics-only (see {!Optimizer}); callers
        that also execute resolve the engine and degree themselves. *)
@@ -145,7 +116,7 @@ let rec decompose (storage : Storage.t) translator q =
 let sql_for storage translator q =
   match translator with
   | D_labeling -> Some (Baseline.to_sql q)
-  | Split | Pushup | Unfold | Auto | Auto2 ->
+  | Split | Pushup | Unfold | Auto2 ->
     Translate.to_sql storage (decompose storage translator q)
 
 (** [plan_for storage translator q] — the compiled physical plan. *)
@@ -432,7 +403,7 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
        the key retires entries when a resample changes the pick. *)
     let memo =
       match (qc, translator) with
-      | Some qcv, (Split | Pushup | Unfold | Auto | Auto2) ->
+      | Some qcv, (Split | Pushup | Unfold | Auto2) ->
         Some
           ( qcv,
             Qcache.result_key qcv ~engine:(engine_name engine)

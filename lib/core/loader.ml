@@ -6,12 +6,11 @@
     now route through {!load}, so a format change (or a new on-disk
     representation) lands in exactly one place.
 
-    [load] accepts XML documents, saved index files (magic "BLAS1", see
-    {!Persist}) and database files (magic "BLASDB1", see {!Database} —
-    sniffed first, since opening one must NOT slurp the whole file);
-    {!load_dir} hosts a directory the way [blas serve --docs DIR] does —
-    every [*.xml], [*.blas] and [*.blasdb] file, named by basename
-    without extension.
+    [load] accepts two input kinds: database files (magic "BLASDB1",
+    see {!Database} — sniffed first, since opening one must NOT slurp
+    the whole file) and XML documents.  {!load_dir} hosts a directory
+    the way [blas serve --docs DIR] does — every [*.xml] and [*.blasdb]
+    file, named by basename without extension.
 
     Loads are memoized per process, keyed by absolute path + mtime +
     size (+ open mode): a resident process that loads the same
@@ -26,12 +25,6 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let magic = "BLAS1"
-
-let has_magic contents =
-  String.length contents >= String.length magic
-  && String.sub contents 0 (String.length magic) = magic
 
 (* (absolute path, mtime, size, rw) -> storage.  A mutex rather than a
    lock-free structure: loads are rare and heavy, contention is nil. *)
@@ -57,23 +50,19 @@ let load_uncached ~rw ~cache_pages path =
         (Database.open_ ?cache_pages
            ~mode:(if rw then Database.Rw else Database.Ro)
            ~path ())
-    else
-      let contents = read_file path in
-      if has_magic contents then Ok (Persist.of_string contents)
-      else Ok (Storage.of_string contents)
+    else Ok (Storage.of_string (read_file path))
   with
   | Blas_xml.Types.Parse_error (pos, msg) ->
     Error
       (Printf.sprintf "%s: %s at %s" path msg
          (Blas_xml.Types.position_to_string pos))
-  | Persist.Format_error msg -> Error (Printf.sprintf "%s: %s" path msg)
   | Database.Corrupt msg -> Error (Printf.sprintf "%s: %s" path msg)
   | Sys_error msg -> Error msg
   | Unix.Unix_error (err, fn, _) ->
     Error (Printf.sprintf "%s: %s (%s)" path (Unix.error_message err) fn)
 
-(** [load ?rw ?cache_pages path] — the storage for [path] (XML, saved
-    index, or database file), memoized while the file is unchanged on
+(** [load ?rw ?cache_pages path] — the storage for [path] (XML or
+    database file), memoized while the file is unchanged on
     disk.  [rw] (default false) opens database files read-write so
     updates reach the file; [cache_pages] bounds their page cache. *)
 let load ?(rw = false) ?cache_pages path =
@@ -104,8 +93,8 @@ let clear_memo () =
 
 let doc_name path = Filename.remove_extension (Filename.basename path)
 
-(** [load_dir ?rw ?cache_pages ?keep dir] — every [*.xml] / [*.blas] /
-    [*.blasdb] file of [dir] as a named document list, sorted by name;
+(** [load_dir ?rw ?cache_pages ?keep dir] — every [*.xml] / [*.blasdb]
+    file of [dir] as a named document list, sorted by name;
     errors name the failing file.  [keep] filters by document name
     BEFORE loading — a sharded server must not even open (and lock)
     files it does not host. *)
@@ -117,7 +106,6 @@ let load_dir ?rw ?cache_pages ?(keep = fun _ -> true) dir =
       Array.to_list entries
       |> List.filter (fun f ->
              Filename.check_suffix f ".xml"
-             || Filename.check_suffix f ".blas"
              || Filename.check_suffix f ".blasdb")
       |> List.filter (fun f -> keep (doc_name f))
       |> List.sort compare

@@ -5,13 +5,13 @@
 
 (** [load ?rw ?cache_pages path] — the storage for [path]: a database
     file when it starts with the "BLASDB1" magic (opened read-only
-    unless [rw]; [cache_pages] bounds its page cache), a saved index
-    when it starts with "BLAS1", parsed XML otherwise.  Memoized. *)
+    unless [rw]; [cache_pages] bounds its page cache), parsed XML
+    otherwise.  Memoized. *)
 val load :
   ?rw:bool -> ?cache_pages:int -> string -> (Storage.t, string) result
 
-(** [load_dir ?rw ?cache_pages ?keep dir] — every [*.xml] / [*.blas] /
-    [*.blasdb] file of [dir] as a named document list (basename without
+(** [load_dir ?rw ?cache_pages ?keep dir] — every [*.xml] / [*.blasdb]
+    file of [dir] as a named document list (basename without
     extension), sorted by name.  [keep] filters by document name before
     the file is opened (sharded servers must not lock files they do
     not host). *)

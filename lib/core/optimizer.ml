@@ -21,8 +21,8 @@ let label c =
       cd_cost = c.ch_est_cost;
     }
 
-(* Same width cap as the Auto policy: past this many union branches the
-   Unfold expansion of a recursive schema is not worth pricing. *)
+(* Past this many union branches the Unfold expansion of a recursive
+   schema is not worth pricing. *)
 let unfold_limit = 64
 
 let shape_of tk estimate =

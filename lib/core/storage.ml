@@ -213,17 +213,10 @@ let collect_ostats ?seed ?epoch (doc : Blas_xpath.Doc.t) =
 
 (** [of_doc doc] builds both relations; P-labels come from the node's
     source path (Definition 3.3), which the test suite checks against the
-    streaming Algorithm 2.  [table] overrides the tag inventory (it must
-    cover the document's tags and depth) — {!Persist} passes the stored
-    inventory so that an updated index, whose inventory may strictly
-    contain the instance's, round-trips. *)
+    streaming Algorithm 2. *)
 let of_doc ?(pool_capacity = default_pool_capacity) ?(collect_stats = true)
-    ?(codec = Blas_rel.Codec.default_format) ?table (doc : Blas_xpath.Doc.t) =
-  let table =
-    match table with
-    | Some table -> table
-    | None -> Blas_label.Tag_table.of_dataguide doc.guide
-  in
+    ?(codec = Blas_rel.Codec.default_format) (doc : Blas_xpath.Doc.t) =
+  let table = Blas_label.Tag_table.of_dataguide doc.guide in
   let sp_rows =
     List.map
       (fun (n : Blas_xpath.Doc.node) ->

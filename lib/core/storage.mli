@@ -113,16 +113,11 @@ val drop_doc : t -> unit
 
 (** [pool_capacity] is the buffer pool size in pages (default 1024
     pages of 64 tuples).  [collect_stats] (default true) also gathers
-    optimizer statistics in the same pass over the nodes.  [table]
-    overrides the tag inventory derived from the document (it must
-    cover the document's tags and depth) — {!Persist} passes the stored
-    inventory so updated indexes, whose inventory may strictly contain
-    the instance's, round-trip. *)
+    optimizer statistics in the same pass over the nodes. *)
 val of_doc :
   ?pool_capacity:int ->
   ?collect_stats:bool ->
   ?codec:Blas_rel.Codec.format ->
-  ?table:Blas_label.Tag_table.t ->
   Blas_xpath.Doc.t ->
   t
 

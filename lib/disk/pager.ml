@@ -255,7 +255,7 @@ let set_root t root =
   check_rw t;
   t.root <- root
 
-(** Persist the in-memory [count]/[root] into page 0 (unsynced). *)
+(** Write the in-memory [count]/[root] into page 0 (unsynced). *)
 let flush_superblock t =
   check_rw t;
   with_lock t (fun () ->

@@ -207,10 +207,11 @@ let open_path ?(checkpoint_bytes = default_checkpoint_bytes) ~path ~mode () =
       }
 
 let create ?(checkpoint_bytes = default_checkpoint_bytes) ~path ~page_size () =
-  (* A leftover WAL from a previous incarnation must not replay into
-     the fresh file. *)
-  Wal.remove_for ~db_path:path;
+  (* The pager takes the file lock first, so a database another
+     process holds keeps its WAL; once the lock is ours, a leftover WAL
+     from a previous incarnation must not replay into the fresh file. *)
   let pager = Pager.create ~path ~page_size in
+  Wal.remove_for ~db_path:path;
   let wal = Wal.open_rw ~db_path:path ~page_size in
   Wal.reset wal;
   {

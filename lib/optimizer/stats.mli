@@ -99,7 +99,7 @@ val stale_fraction : t -> float
 
 val is_stale : t -> bool
 
-(* Persistence and reporting *)
+(* Serialization and reporting *)
 
 val equal : t -> t -> bool
 

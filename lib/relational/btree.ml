@@ -162,12 +162,6 @@ module Make (Key : ORDERED) = struct
     in
     walk (find_leaf t.root lo) 0 init
 
-  (** [count_range t ~lo ~hi] — number of bindings with
-      [lo <= key <= hi], without touching the values (an index-only
-      scan, used by the cost estimator). *)
-  let count_range t ~lo ~hi =
-    fold_range t ~lo ~hi ~init:0 ~f:(fun acc _ _ -> acc + 1)
-
   (** All values bound to [k], in insertion order. *)
   let find t k =
     List.rev

@@ -38,10 +38,6 @@ module Make (Key : ORDERED) : sig
     f:('a -> Key.t -> 'v -> 'a) ->
     'a
 
-  (** Number of bindings with [lo <= key <= hi], without touching the
-      values (an index-only scan, used by cost estimation). *)
-  val count_range : 'v t -> lo:Key.t option -> hi:Key.t option -> int
-
   val iter : 'v t -> f:(Key.t -> 'v -> unit) -> unit
 
   val to_list : 'v t -> (Key.t * 'v) list

@@ -11,10 +11,7 @@
     value range intersects the probe (through the shared buffer pool,
     charging page traffic to the run's counters), and return candidate
     {e data} pages; the table layer then fetches those pages and
-    filters exactly.  [count_range] answers the optimizer's probe from
-    the directory sums for interior leaves and decodes only the two
-    boundary leaves — uncharged, like the statistics lookup it
-    models.
+    filters exactly.
 
     v1 leaf payload layout: [varint nentries] then per entry
     [value][varint data_page][varint nrows], sorted by (value, page).
@@ -157,17 +154,13 @@ let leaf_count t = Array.length t.x_leaves
 let total_rows t =
   Array.fold_left (fun acc m -> acc + m.m_rows) 0 t.x_leaves
 
-(* Reads one leaf through the pool.  [counters = None] is the
-   statistics-probe path: pool stats still move, the cost vector does
-   not. *)
+(* Reads one leaf through the pool, charging the request (and a miss)
+   to [counters]. *)
 let read_leaf t counters (m : meta) =
-  (match counters with
-  | Some c -> c.Counters.page_requests <- c.Counters.page_requests + 1
-  | None -> ());
+  counters.Counters.page_requests <- counters.Counters.page_requests + 1;
   let payload, result = Buffer_pool.get t.x_pool ~table:t.x_name ~page:m.m_page in
-  (match (result, counters) with
-  | `Miss, Some c -> c.Counters.page_reads <- c.Counters.page_reads + 1
-  | _ -> ());
+  if result = `Miss then
+    counters.Counters.page_reads <- counters.Counters.page_reads + 1;
   decode_leaf ~format:t.x_format payload
 
 (* First directory index whose first value is >= v; [Array.length] when
@@ -217,40 +210,9 @@ let lookup_pages t counters ~lo ~hi =
             Hashtbl.replace seen page ();
             pages := page :: !pages
           end)
-        (read_leaf t (Some counters) t.x_leaves.(i))
+        (read_leaf t counters t.x_leaves.(i))
   done;
   List.rev !pages
-
-(** Exact row count in [lo, hi] — the optimizer's statistics probe.
-    Interior leaves are answered from the resident directory; only the
-    boundary leaves are decoded, and nothing is charged to a cost
-    vector. *)
-let count_range t ~lo ~hi =
-  let n = Array.length t.x_leaves in
-  if n = 0 then 0
-  else begin
-    let s, e = leaf_range t ~lo ~hi in
-    let s = max s 0 in
-    let total = ref 0 in
-    for i = s to e do
-      let m = t.x_leaves.(i) in
-      let whole =
-        (match lo with
-         | None -> true
-         | Some l -> Value.compare l m.m_first <= 0 && i > s)
-        && match hi with
-           | None -> true
-           | Some h ->
-               i < n - 1 && Value.compare t.x_leaves.(i + 1).m_first h < 0
-      in
-      if whole then total := !total + m.m_rows
-      else
-        List.iter
-          (fun (v, _, nrows) -> if in_range ~lo ~hi v then total := !total + nrows)
-          (read_leaf t None m)
-    done;
-    !total
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance                                                         *)
@@ -325,7 +287,7 @@ let apply t counters deltas =
           let target = ref (max s e) in
           (try
              for i = s to e do
-               let entries = read_leaf t (Some counters) t.x_leaves.(i) in
+               let entries = read_leaf t counters t.x_leaves.(i) in
                if List.exists (fun (v', p', _) -> Value.compare v v' = 0 && p = p')
                     entries
                then begin
@@ -343,7 +305,7 @@ let apply t counters deltas =
         |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         |> List.map (fun (i, r) ->
                let m = t.x_leaves.(i) in
-               let entries = read_leaf t (Some counters) m in
+               let entries = read_leaf t counters m in
                let entries =
                  List.fold_left
                    (fun entries (v, p, d) ->

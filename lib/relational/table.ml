@@ -384,19 +384,6 @@ let index_range t ?par counters ~column ~lo ~hi =
         (match lo with None -> true | Some l -> Value.compare l v <= 0)
         && match hi with None -> true | Some h -> Value.compare v h <= 0)
 
-(** [index_count t ~column ~lo ~hi] — how many rows an index range
-    access would fetch, computed from the index alone.  This is an
-    optimizer probe: it charges no counters (a real system would
-    consult statistics here; our indexes are exact — the paged backing
-    decodes at most the two boundary leaves).
-    @raise Not_found if the column has no index. *)
-let index_count t ~column ~lo ~hi =
-  match t.backing with
-  | Heap h ->
-    let index = Hashtbl.find h.indexes column in
-    Value_btree.count_range index ~lo ~hi
-  | Paged p -> Paged_index.count_range (paged_index p column) ~lo ~hi
-
 (* ------------------------------------------------------------------ *)
 (* In-place edits (the update subsystem)                               *)
 

@@ -108,13 +108,6 @@ val scan : t -> Counters.t -> Tuple.t list
 val index_eq :
   t -> ?par:Blas_par.Pool.t -> Counters.t -> column:string -> Value.t -> Tuple.t list
 
-(** [index_count t ~column ~lo ~hi] — how many rows a range access
-    would fetch, from the index alone (an optimizer probe: no counters,
-    no page requests).
-    @raise Not_found if the column has no index. *)
-val index_count :
-  t -> column:string -> lo:Value.t option -> hi:Value.t option -> int
-
 (** In-place edits (the update subsystem): [apply_edits t counters
     ~deletes ~inserts] removes each tuple of [deletes] (matched by
     {!Tuple.equal}, one occurrence per listed tuple), inserts every

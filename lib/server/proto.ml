@@ -115,8 +115,8 @@ let translator_names =
     ("split", Blas.Split);
     ("pushup", Blas.Pushup);
     ("unfold", Blas.Unfold);
-    ("auto", Blas.Auto);
     ("auto2", Blas.Auto2);
+    ("auto", Blas.Auto2);
   ]
 
 let engine_names = [ ("rdbms", Blas.Rdbms); ("twig", Blas.Twig) ]

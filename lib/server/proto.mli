@@ -70,6 +70,13 @@ type reply = Ok_payload of string | Err of string | Busy | Timeout | Bye
 (** One-line rendering for logs and the REPL (payload shown verbatim). *)
 val reply_to_string : reply -> string
 
+(** The one translator name table (wire and CLI): [auto] is an alias
+    that parses to [Auto2], listed after [auto2] so that
+    {!translator_to_string} [Auto2] is ["auto2"]. *)
+val translator_names : (string * Blas.translator) list
+
+val engine_names : (string * Blas.engine) list
+
 val translator_of_string : string -> Blas.translator option
 
 val engine_of_string : string -> Blas.engine option

@@ -198,25 +198,6 @@ let guide_paths (doc : Doc.t) =
 
 let node_plabel table (n : Doc.node) = Plabel.node_label table n.source_path
 
-(* Reassembles a Doc.t around an edited root: recollect the nodes,
-   rebuild the DataGuide (paths can appear or disappear), re-sort by
-   start.  O(n), the same work Persist does on load. *)
-let doc_of_root (root : Doc.node) =
-  let rec collect acc (n : Doc.node) =
-    List.fold_left collect (n :: acc) n.children
-  in
-  let all =
-    List.sort
-      (fun (a : Doc.node) b -> Stdlib.compare a.start b.start)
-      (collect [] root)
-  in
-  let guide =
-    List.fold_left
-      (fun g (n : Doc.node) -> Blas_xml.Dataguide.add_path g n.source_path)
-      Blas_xml.Dataguide.empty all
-  in
-  Doc.make ~root ~all ~guide
-
 (* ------------------------------------------------------------------ *)
 (* Inserted-fragment skeletons                                         *)
 
@@ -459,7 +440,7 @@ let insert_subtree t ~parent ~pos tree =
     rebuild_tree ~relabel ~parent_start:parent_node.start ~pos ~new_sub
       doc.root
   in
-  let new_doc = doc_of_root new_root in
+  let new_doc = Doc.of_root new_root in
   let writes0 = Pool.writes t.pool in
   let counters = Blas_rel.Counters.create () in
   if table_rebuilt then begin
@@ -582,7 +563,7 @@ let delete_subtree t ~start =
           n.children;
     }
   in
-  let new_doc = doc_of_root (prune doc.root) in
+  let new_doc = Doc.of_root (prune doc.root) in
   t.doc <- new_doc;
   record ~op:"delete" t0
     {
@@ -622,7 +603,7 @@ let replace_text t ~start data =
     if n.start = start then { n with data }
     else { n with children = rev_map_children retext n }
   in
-  t.doc <- doc_of_root (retext doc.root);
+  t.doc <- Doc.of_root (retext doc.root);
   record ~op:"replace_text" t0
     {
       nodes_inserted = 0;

@@ -27,6 +27,19 @@ type t = {
 let make ~root ~all ~guide =
   { root; all; by_start = Array.of_list all; guide }
 
+(** [of_root root] — the document model around an already labeled
+    root: every node, re-sorted by start, and the DataGuide of their
+    source paths. *)
+let of_root root =
+  let rec collect acc n = List.fold_left collect (n :: acc) n.children in
+  let all = List.sort (fun a b -> Stdlib.compare a.start b.start) (collect [] root) in
+  let guide =
+    List.fold_left
+      (fun g n -> Blas_xml.Dataguide.add_path g n.source_path)
+      Blas_xml.Dataguide.empty all
+  in
+  make ~root ~all ~guide
+
 (** [of_tree tree] labels positions exactly like {!Blas_label.Dlabel}:
     every start tag, end tag and text unit occupies one position,
     1-based; the root is at level 1. *)

@@ -26,6 +26,11 @@ type t = private {
 val make :
   root:node -> all:node list -> guide:Blas_xml.Dataguide.t -> t
 
+(** [of_root root] assembles the model around an already labeled root:
+    every node in start order and the DataGuide of their source paths.
+    O(n log n). *)
+val of_root : node -> t
+
 (** [of_tree tree] labels positions exactly like
     {!Blas_label.Dlabel.label_tree}: every start tag, end tag and text
     unit occupies one position (1-based); the root is at level 1.

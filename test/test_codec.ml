@@ -261,7 +261,7 @@ let coherence_law (tree, edits) =
         List.for_all
           (fun q ->
             Blas.oracle shadow (Blas.query q)
-            = Blas.answers disk ~engine:Blas.Rdbms ~translator:Blas.Auto
+            = Blas.answers disk ~engine:Blas.Rdbms ~translator:Blas.Auto2
                 (Blas.query q))
           [ "//a"; "//b"; "/r//c"; "//a[//b]" ]
       in
@@ -274,7 +274,7 @@ let coherence_law (tree, edits) =
         List.for_all
           (fun q ->
             Blas.oracle shadow (Blas.query q)
-            = Blas.answers reopened ~engine:Blas.Twig ~translator:Blas.Auto
+            = Blas.answers reopened ~engine:Blas.Twig ~translator:Blas.Auto2
                 (Blas.query q))
           [ "//a"; "//b"; "/r//c" ]
       in

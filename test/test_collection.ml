@@ -53,7 +53,7 @@ let unit_tests =
                       true
                       (C.answers c ~engine ~translator q = expected))
                   [ Blas.Rdbms; Blas.Twig ])
-              [ Blas.D_labeling; Blas.Split; Blas.Pushup; Blas.Unfold; Blas.Auto ])
+              [ Blas.D_labeling; Blas.Split; Blas.Pushup; Blas.Unfold; Blas.Auto2 ])
           [ "//b"; "/r/a"; "//c[b]"; "/r/a/b = \"x\"" ] );
     ( "visited sums across documents",
       fun () ->

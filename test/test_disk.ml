@@ -291,7 +291,7 @@ let test_v1_codec_file_compat () =
         (Blas.Storage.codec disk = Blas_rel.Codec.V1);
       let q = Blas.query "//a" in
       check_int_list "v1 file answers" (Blas.oracle mem q)
-        (Blas.answers disk ~engine:Blas.Rdbms ~translator:Blas.Auto q);
+        (Blas.answers disk ~engine:Blas.Rdbms ~translator:Blas.Auto2 q);
       ignore
         (Blas.Update.insert_subtree disk ~parent:1 ~pos:0
            (Blas_xml.Dom.parse "<a>z</a>"));
@@ -303,7 +303,7 @@ let test_v1_codec_file_compat () =
         (Blas.Storage.codec reopened = Blas_rel.Codec.V1);
       check_int_list "edit visible through v1 pages"
         (Blas.oracle reopened (Blas.query "//a"))
-        (Blas.answers reopened ~engine:Blas.Twig ~translator:Blas.Auto
+        (Blas.answers reopened ~engine:Blas.Twig ~translator:Blas.Auto2
            (Blas.query "//a"));
       Blas.Storage.close reopened)
 
@@ -396,7 +396,7 @@ let test_failed_update_rolls_back () =
       check_bool "state rolled back in memory" true (before = doc_rows disk);
       check_int "still queryable" 1
         (List.length (Blas.answers disk ~engine:Blas.Rdbms
-             ~translator:Blas.Auto (Blas.query "//b")));
+             ~translator:Blas.Auto2 (Blas.query "//b")));
       Blas.Storage.close disk;
       let disk = Database.open_ ~cache_pages:32 ~mode:Database.Ro ~path () in
       check_bool "state rolled back on disk" true (before = doc_rows disk);
@@ -520,7 +520,7 @@ let crash_recovery_law (tree, edits, crash_at, budget) =
         List.for_all
           (fun q ->
             Blas.oracle shadow (Blas.query q)
-            = Blas.answers reopened ~engine:Blas.Rdbms ~translator:Blas.Auto
+            = Blas.answers reopened ~engine:Blas.Rdbms ~translator:Blas.Auto2
                 (Blas.query q))
           [ "//a"; "//b"; "/r//c" ]
       in
@@ -565,6 +565,71 @@ let test_stats () =
         (s.Blas.Storage.dstat_cache_resident <= 16);
       Blas.Storage.close disk)
 
+(* Saving a database over itself would truncate the file it reads from:
+   POSIX locks never conflict within one process, so [create] compares
+   device and inode instead — under any spelling of the path. *)
+let test_create_refuses_own_file () =
+  with_db (fun path ->
+      let mem = Blas.Storage.of_string "<r><a>x</a><b>y</b></r>" in
+      Database.create ~page_size:512 ~path mem;
+      let size = (Unix.stat path).st_size in
+      let disk = Database.open_ ~mode:Database.Rw ~path () in
+      let alias =
+        Filename.concat (Filename.dirname path)
+          (Filename.concat "." (Filename.basename path))
+      in
+      List.iter
+        (fun target ->
+          match Database.create ~path:target disk with
+          | exception Invalid_argument _ -> ()
+          | () -> Alcotest.failf "create over %s was accepted" target)
+        [ path; alias ];
+      Blas.Storage.close disk;
+      check_int "file untouched" size (Unix.stat path).st_size;
+      check_bool "wal kept" true (Sys.file_exists (path ^ ".wal"));
+      let disk = Database.open_ ~mode:Database.Ro ~path () in
+      check_int "still answers" 1
+        (List.length
+           (Blas.answers disk ~engine:Blas.Rdbms ~translator:Blas.Pushup
+              (Blas.query "//a")));
+      Blas.Storage.close disk)
+
+(* [create] over a database another process holds must fail on the lock
+   before it deletes anything — the holder's WAL included. *)
+let test_create_on_locked_file () =
+  with_db (fun path ->
+      Database.create ~page_size:512 ~path
+        (Blas.Storage.of_string "<r><a>x</a></r>");
+      let holder =
+        Filename.concat (Filename.dirname Sys.executable_name) "lock_holder.exe"
+      in
+      let from_holder, to_holder =
+        Unix.open_process_args holder [| holder; path |]
+      in
+      let outcome, wal_kept =
+        Fun.protect
+          ~finally:(fun () -> ignore (Unix.close_process (from_holder, to_holder)))
+          (fun () ->
+            check_string "holder ready" "ready" (input_line from_holder);
+            let outcome =
+              match
+                Database.create ~page_size:512 ~path
+                  (Blas.Storage.of_string "<r><b/></r>")
+              with
+              | () -> `Created
+              | exception Database.Corrupt _ -> `Refused
+            in
+            (outcome, Sys.file_exists (path ^ ".wal")))
+      in
+      check_bool "create refused" true (outcome = `Refused);
+      check_bool "holder's wal kept" true wal_kept;
+      let disk = Database.open_ ~mode:Database.Ro ~path () in
+      check_int "original answers" 1
+        (List.length
+           (Blas.answers disk ~engine:Blas.Rdbms ~translator:Blas.Pushup
+              (Blas.query "//a")));
+      Blas.Storage.close disk)
+
 let suite =
   [
     Alcotest.test_case "pager roundtrip" `Quick test_pager_roundtrip;
@@ -591,4 +656,8 @@ let suite =
       test_failed_update_rolls_back;
     test_crash_recovery;
     Alcotest.test_case "disk stats" `Quick test_stats;
+    Alcotest.test_case "create refuses its own source file" `Quick
+      test_create_refuses_own_file;
+    Alcotest.test_case "create on a locked file keeps its WAL" `Quick
+      test_create_on_locked_file;
   ]

@@ -4,7 +4,7 @@
     statement for the whole system. *)
 
 let translators =
-  [ Blas.D_labeling; Blas.Split; Blas.Pushup; Blas.Unfold; Blas.Auto ]
+  [ Blas.D_labeling; Blas.Split; Blas.Pushup; Blas.Unfold; Blas.Auto2 ]
 
 let engines = [ Blas.Rdbms; Blas.Twig ]
 
@@ -132,15 +132,6 @@ let storage_tests =
           (match trees with
           | Blas_xml.Types.Element ("year", [ Blas_xml.Types.Content _ ]) :: _ -> true
           | _ -> false) );
-    ( "Auto picks Unfold on small expansions and Push-up on blowups",
-      fun () ->
-        let s = Lazy.force protein in
-        let q = Blas.query "//author" in
-        (* Non-recursive schema: small expansion => equality plans. *)
-        let plan = Option.get (Blas.plan_for s Blas.Auto q) in
-        let profile = Blas_rel.Algebra.selection_profile plan in
-        Test_util.check_int "no ranges under Auto=Unfold" 0
-          profile.Blas_rel.Algebra.range );
   ]
 
 (* ------------------------------------------------------------------ *)

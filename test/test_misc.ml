@@ -76,7 +76,7 @@ let unit_tests =
         Test_util.check_bool "all distinct" true
           (let names =
              List.map Blas.translator_name
-               [ Blas.D_labeling; Blas.Split; Blas.Pushup; Blas.Unfold; Blas.Auto ]
+               [ Blas.D_labeling; Blas.Split; Blas.Pushup; Blas.Unfold; Blas.Auto2 ]
            in
            List.sort_uniq compare names = List.sort compare names);
         Test_util.check_string "rdbms" "RDBMS" (Blas.engine_name Blas.Rdbms);

@@ -82,7 +82,16 @@ let proto_roundtrip () =
   (* Case-insensitive verbs, tolerated \r, surrounding whitespace. *)
   Test_util.check_bool "lowercase verb" true
     (P.parse_command "ping" = Ok P.Ping);
-  Test_util.check_bool "trailing cr" true (P.parse_command "PING\r" = Ok P.Ping)
+  Test_util.check_bool "trailing cr" true (P.parse_command "PING\r" = Ok P.Ping);
+  (* [auto] is an alias: it parses to Auto2, which prints as auto2. *)
+  let auto2 =
+    P.Query
+      { doc = "d"; translator = Blas.Auto2; engine = Blas.Rdbms; xpath = "//a" }
+  in
+  Test_util.check_bool "auto alias" true
+    (P.parse_command "QUERY d auto rdbms //a" = Ok auto2);
+  Test_util.check_string "auto2 on the wire" "QUERY d auto2 rdbms //a"
+    (P.command_to_line auto2)
 
 let proto_rejects_garbage () =
   List.iter
@@ -199,7 +208,7 @@ let small_plays () = Blas_datagen.Shakespeare.generate ~plays:1 ()
 let small_auction () = Blas_datagen.Auction.generate ~scale:4 ()
 
 let translators =
-  [ Blas.D_labeling; Blas.Split; Blas.Pushup; Blas.Unfold; Blas.Auto ]
+  [ Blas.D_labeling; Blas.Split; Blas.Pushup; Blas.Unfold; Blas.Auto2 ]
 
 let engines = [ Blas.Rdbms; Blas.Twig ]
 
@@ -510,7 +519,7 @@ let live_concurrent_queries () =
                         (Blas.run_union local ~engine ~translator
                            (Blas.query_union q)) ))
                   engines)
-              [ Blas.Pushup; Blas.Auto ])
+              [ Blas.Pushup; Blas.Auto2 ])
           queries)
       locals
   in

@@ -106,3 +106,24 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 let check_int_list = Alcotest.(check (list int))
+
+(** [with_temp_db f] runs [f] on a fresh database path and deletes the
+    file and its WAL afterwards. *)
+let with_temp_db f =
+  let path = Filename.temp_file "blas_test_" ".blasdb" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".wal" ])
+    (fun () -> f path)
+
+(** [with_db_copy storage f] saves [storage] as a database file and runs
+    [f] on the file reopened read-only. *)
+let with_db_copy storage f =
+  with_temp_db (fun path ->
+      Blas.Database.create ~path storage;
+      let reopened = Blas.Database.open_ ~mode:Blas.Database.Ro ~path () in
+      Fun.protect
+        ~finally:(fun () -> Blas.Storage.close reopened)
+        (fun () -> f reopened))
