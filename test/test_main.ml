@@ -30,4 +30,5 @@ let () =
       ("cache", Test_cache.suite);
       ("codec", Test_codec.suite);
       ("disk", Test_disk.suite);
+      ("golden", Test_golden.suite);
     ]
