@@ -10,7 +10,7 @@ let storage_without_plabel_index (storage : Blas.Storage.t) =
   let sp = storage.Blas.Storage.sp in
   let rows = Array.to_list (Blas_rel.Relation.tuples (Blas_rel.Table.relation sp)) in
   let sp_noindex =
-    Blas_rel.Table.create ~name:"sp"
+    Blas_rel.Table.load (Blas_rel.Table.store sp) ~name:"sp"
       ~schema:(Blas_rel.Table.schema sp)
       ~cluster_key:[ "start" ]
       ~indexes:[ "start"; "data" ]

@@ -288,7 +288,7 @@ let space () =
 (* Cold-cache disk accesses: the paper's running cost argument is "the
    number of joins and disk accesses" (Section 1).  Each run flushes
    the buffer pool first, per the Section 5.1 cold-cache protocol, and
-   reports the modelled page reads. *)
+   reports the page reads (pool misses). *)
 let disk () =
   Bench_util.heading
     "Disk accesses: cold-cache page reads per query (RDBMS engine)";

@@ -78,9 +78,9 @@ type report = Exec.report = {
   starts : int list;  (** answer nodes (start positions), sorted, unique *)
   visited : int;  (** base-table tuples / stream elements read *)
   page_reads : int;
-      (** buffer-pool misses during this run — the modelled disk
-          accesses; flush first with {!Storage.cold_cache} for the
-          paper's cold-cache protocol *)
+      (** buffer-pool misses during this run — the disk accesses;
+          flush first with {!Storage.cold_cache} for the paper's
+          cold-cache protocol *)
   plan_djoins : int;  (** D-joins in the executed plan *)
   memo_hits : int;
       (** runs served whole from the query-result memo (0 or 1 per
@@ -105,8 +105,8 @@ val actual_cost : engine:engine -> report -> float
     the BLAS_TEST_DISK environment variable set (disk-backed test
     mode), the storage is round-tripped through a temporary database
     file so existing suites exercise the disk engine.  With
-    BLAS_TEST_COMPACT set, both the in-memory page modelling and any
-    database files use the v2 compact codec
+    BLAS_TEST_COMPACT set, both the in-memory pages and any database
+    files use the v2 compact codec
     ({!Blas_rel.Codec.default_format}), so the same suites exercise the
     compressed layout end to end.
     @raise Blas_xml.Types.Parse_error on malformed XML. *)

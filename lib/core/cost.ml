@@ -12,9 +12,9 @@ let pages_for tuples ~page_rows =
   if tuples = 0 then 0 else ((tuples + page_rows - 1) / page_rows) + 1
 
 (** [model_page_rows storage] — the clustered page density the model
-    should price against: the SP table's measured (paged) or modelled
-    (heap) rows per page.  Under a compressing codec this grows, so page
-    estimates shrink with the bytes — the planner sees compression. *)
+    should price against: the SP table's measured rows per page.  Under
+    a compressing codec this grows, so page estimates shrink with the
+    bytes — the planner sees compression. *)
 let model_page_rows (storage : Storage.t) =
   Blas_rel.Table.avg_page_rows storage.sp
 

@@ -4,7 +4,7 @@
     arithmetic the cache layer scores memoized scans with. *)
 
 (** The clustered page density [storage]'s active layout actually
-    achieves (SP's measured or modelled rows per page) — what the model
+    achieves (SP's measured rows per page) — what the model
     prices a page read at.  Grows under a compressing codec. *)
 val model_page_rows : Storage.t -> int
 

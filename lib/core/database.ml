@@ -29,9 +29,10 @@ module Pidx = Blas_rel.Paged_index
 module Codec = Blas_rel.Codec
 module Value = Blas_rel.Value
 module Tuple = Blas_rel.Tuple
-module Schema = Blas_rel.Schema
 module Tag_table = Blas_label.Tag_table
 module Dataguide = Blas_xml.Dataguide
+module Layout = Blas_update.Layout
+module Page_store = Blas_rel.Page_store
 
 type mode = Store.mode = Ro | Rw
 
@@ -39,11 +40,6 @@ exception Corrupt = Pager.Corrupt
 
 let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
 
-let sp_schema = Schema.of_list [ "plabel"; "start"; "end"; "level"; "data" ]
-let sd_schema = Schema.of_list [ "tag"; "start"; "end"; "level"; "data" ]
-let sp_cluster = [ "plabel"; "start" ]
-let sd_cluster = [ "tag"; "start" ]
-let default_fill = 0.9
 let default_cache_pages = 256
 
 (** [looks_like_db path] sniffs the superblock magic without taking
@@ -238,70 +234,16 @@ let encode_root ~body ~first =
   Wire.write_varint buf first;
   Buffer.contents buf
 
-(* ------------------------------------------------------------------ *)
-(* Bulk packing: a clustered tuple run into data pages + index leaves  *)
-
-(* Splits [tuples] page-by-page following the directory row counts. *)
-let rec split_rows tuples = function
-  | [] -> []
-  | (de : Table.dir_entry) :: rest ->
-    let rec take n acc = function
-      | tail when n = 0 -> (List.rev acc, tail)
-      | [] -> invalid_arg "Database: directory row count exceeds tuples"
-      | t :: tail -> take (n - 1) (t :: acc) tail
-    in
-    let page_rows, tail = take de.de_nrows [] tuples in
-    (de.de_page, page_rows) :: split_rows tail rest
-
-(* Aggregates [(value, page, 1)] occurrences into sorted index
-   entries. *)
-let index_entries pages_rows pos =
-  let raw =
-    List.concat_map
-      (fun (page, rows) -> List.map (fun t -> (Tuple.get t pos, page, 1)) rows)
-      pages_rows
-  in
-  let sorted = List.sort Pidx.entry_cmp raw in
-  let rec merge = function
-    | (v1, p1, n1) :: (v2, p2, n2) :: rest
-      when Pidx.entry_cmp (v1, p1, 0) (v2, p2, 0) = 0 ->
-      merge ((v1, p1, n1 + n2) :: rest)
-    | e :: rest -> e :: merge rest
-    | [] -> []
-  in
-  merge sorted
-
-(* Packs one clustered tuple run: writes data pages and index leaves
-   through [alloc]/[write], returns the resident layout. *)
-let pack_table ~codec ~capacity ~fill ~alloc ~write ~schema ~index_columns
-    tuples =
-  let chunks = Codec.pack_pages ~format:codec ~capacity ~fill tuples in
-  let l_dir =
-    Array.of_list
-      (List.map
-         (fun (payload, first, nrows) ->
-           let page = alloc () in
-           write page payload;
-           { Table.de_page = page; de_nrows = nrows; de_first = first })
-         chunks)
-  in
-  let pages_rows = split_rows tuples (Array.to_list l_dir) in
-  let l_indexes =
-    List.map
-      (fun col ->
-        let entries = index_entries pages_rows (Schema.index_of schema col) in
-        let metas =
-          List.map
-            (fun (payload, es) ->
-              let page = alloc () in
-              write page payload;
-              Pidx.meta_of ~page es)
-            (Pidx.pack ~format:codec ~capacity ~fill entries)
-        in
-        (col, Array.of_list metas))
-      index_columns
-  in
-  { l_dir; l_indexes }
+(* The file under a buffer pool: pages cross it encoded. *)
+let file_backing store =
+  {
+    Pool.back_read = (fun ~table:_ ~page -> Pool.Bytes (Store.read_page store page));
+    back_write =
+      (fun ~table:_ ~page -> function
+        | Pool.Bytes data -> Store.write_page store page data
+        | Pool.Rows _ -> invalid_arg "Database: file pages are written encoded");
+    back_rows = false;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The open database handle                                           *)
@@ -325,21 +267,19 @@ let db_alloc db () =
 
 let db_free db page = db.free <- page :: db.free
 
-let mk_table db name schema cluster_key layout =
-  let capacity = Store.capacity db.store in
-  let alloc () = db_alloc db () in
-  let free page = db_free db page in
-  let indexes =
-    List.map
-      (fun (col, metas) ->
-        ( col,
-          Pidx.create ~format:db.codec ~pool:db.pool ~alloc ~free
-            ~name:(name ^ "." ^ col)
-            ~capacity ~leaves:metas () ))
-      layout.l_indexes
-  in
-  Table.create_paged ~codec:db.codec ~pool:db.pool ~alloc ~free ~capacity ~name
-    ~schema ~cluster_key ~dir:layout.l_dir ~indexes ()
+(* The page store the tables live in. *)
+let page_store db =
+  {
+    Page_store.pool = db.pool;
+    codec = db.codec;
+    capacity = Store.capacity db.store;
+    alloc = db_alloc db;
+    free = db_free db;
+  }
+
+let mk_table db spec layout =
+  Layout.of_layout (page_store db) spec ~dir:layout.l_dir
+    ~indexes:layout.l_indexes
 
 (* Installs the components described by the (committed) catalog into
    [db] and its storage: the abort/reload path and the tail of open. *)
@@ -352,8 +292,8 @@ let install db (storage : Storage.t) (cat, chain) =
     Tag_table.create ~tags:cat.c_tags ~height:cat.c_height;
   storage.Storage.guide <-
     List.fold_left Dataguide.add_path Dataguide.empty cat.c_paths;
-  storage.Storage.sp <- mk_table db "sp" sp_schema sp_cluster cat.c_sp;
-  storage.Storage.sd <- mk_table db "sd" sd_schema sd_cluster cat.c_sd;
+  storage.Storage.sp <- mk_table db Layout.sp cat.c_sp;
+  storage.Storage.sd <- mk_table db Layout.sd cat.c_sd;
   (* A blob that fails to decode costs only the optimizer its
      statistics — never the open. *)
   Storage.set_ostats storage
@@ -365,17 +305,12 @@ let install db (storage : Storage.t) (cat, chain) =
 (* ------------------------------------------------------------------ *)
 (* Catalog writer (inside a transaction)                              *)
 
+let tlayout table =
+  let l_dir, l_indexes = Table.layout table in
+  { l_dir; l_indexes }
+
 let write_catalog db (storage : Storage.t) =
-  let sp =
-    match Table.paged_layout storage.Storage.sp with
-    | Some (l_dir, l_indexes) -> { l_dir; l_indexes }
-    | None -> invalid_arg "Database.write_catalog: sp is not paged"
-  in
-  let sd =
-    match Table.paged_layout storage.Storage.sd with
-    | Some (l_dir, l_indexes) -> { l_dir; l_indexes }
-    | None -> invalid_arg "Database.write_catalog: sd is not paged"
-  in
+  let sp = tlayout storage.Storage.sp and sd = tlayout storage.Storage.sd in
   (* The old chain is reusable; the recorded free list is taken BEFORE
      chain placement (open subtracts the walked chain), avoiding a
      free-list/chain fixpoint. *)
@@ -395,33 +330,6 @@ let write_catalog db (storage : Storage.t) =
   in
   db.chain <- chain;
   Store.set_root db.store (encode_root ~body ~first:(List.hd chain))
-
-(* ------------------------------------------------------------------ *)
-(* Escalation: the update engine rebuilt the tables as heap relations
-   (tag-inventory change); repack the whole file inside the same
-   transaction, reusing every page the old layout owned. *)
-
-let repack db (storage : Storage.t) ~owned_before =
-  db.free <- List.sort_uniq compare (owned_before @ db.free);
-  let capacity = Store.capacity db.store in
-  let alloc () = db_alloc db () in
-  let write page payload = Store.write_page db.store page payload in
-  let pack (table : Table.t) schema =
-    let tuples =
-      Array.to_list (Blas_rel.Relation.tuples (Table.relation table))
-    in
-    pack_table ~codec:db.codec ~capacity ~fill:default_fill ~alloc ~write
-      ~schema
-      ~index_columns:(Table.indexed_columns table)
-      tuples
-  in
-  let sp_layout = pack storage.Storage.sp sp_schema in
-  let sd_layout = pack storage.Storage.sd sd_schema in
-  storage.Storage.sp <- mk_table db "sp" sp_schema sp_cluster sp_layout;
-  storage.Storage.sd <- mk_table db "sd" sd_schema sd_cluster sd_layout;
-  (* The repack bypassed the pool; drop every cached payload (clean
-     entries may alias reused page ids). *)
-  Pool.flush db.pool
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                       *)
@@ -446,17 +354,9 @@ let with_tx db f =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock db.tx_lock)
     (fun () ->
-      let owned_before =
-        Table.owned_pages storage.Storage.sp
-        @ Table.owned_pages storage.Storage.sd
-      in
       Store.begin_tx db.store;
       match f () with
       | result ->
-        if
-          (not (Table.is_paged storage.Storage.sp))
-          || not (Table.is_paged storage.Storage.sd)
-        then repack db storage ~owned_before;
         write_catalog db storage;
         Pool.flush_dirty db.pool;
         Store.commit db.store;
@@ -481,35 +381,31 @@ let with_tx db f =
    codec (the compression-ratio baseline).  Decodes every data page —
    [stats] already reads every live page, so this stays O(file). *)
 let table_stats db (table : Table.t) =
-  match Table.paged_layout table with
-  | None -> None
-  | Some (dir, indexes) ->
-    let payload = ref 0 and v1 = ref 0 in
-    Array.iter
-      (fun (de : Table.dir_entry) ->
-        let stored = Store.read_page db.store de.de_page in
-        payload := !payload + String.length stored;
-        v1 :=
-          !v1
-          +
-          match db.codec with
-          | Codec.V1 -> String.length stored
-          | format ->
-            String.length
-              (Codec.encode_page (Codec.decode_page ~format stored)))
-      dir;
-    let index_pages =
-      List.fold_left (fun acc (_, metas) -> acc + Array.length metas) 0 indexes
-    in
-    Some
-      {
-        Storage.ts_name = Table.name table;
-        ts_entries = Table.cardinality table;
-        ts_data_pages = Array.length dir;
-        ts_index_pages = index_pages;
-        ts_payload_bytes = !payload;
-        ts_v1_bytes = !v1;
-      }
+  let dir, indexes = Table.layout table in
+  let payload = ref 0 and v1 = ref 0 in
+  Array.iter
+    (fun (de : Table.dir_entry) ->
+      let stored = Store.read_page db.store de.de_page in
+      payload := !payload + String.length stored;
+      v1 :=
+        !v1
+        +
+        match Table.codec table with
+        | Codec.V1 -> String.length stored
+        | format ->
+          Codec.page_bytes (Codec.decode_page ~format stored))
+    dir;
+  let index_pages =
+    List.fold_left (fun acc (_, metas) -> acc + Array.length metas) 0 indexes
+  in
+  {
+    Storage.ts_name = Table.name table;
+    ts_entries = Table.cardinality table;
+    ts_data_pages = Array.length dir;
+    ts_index_pages = index_pages;
+    ts_payload_bytes = !payload;
+    ts_v1_bytes = !v1;
+  }
 
 let stats db () =
   let storage =
@@ -534,12 +430,10 @@ let stats db () =
     dstat_live_bytes = live_bytes;
     dstat_wal_bytes = Store.wal_size db.store;
     dstat_cache_pages = Pool.capacity db.pool;
-    dstat_cache_resident = Pool.resident_data db.pool;
+    dstat_cache_resident = Pool.resident db.pool;
     dstat_codec = Codec.format_name db.codec;
     dstat_tables =
-      List.filter_map
-        (table_stats db)
-        [ storage.Storage.sp; storage.Storage.sd ];
+      List.map (table_stats db) [ storage.Storage.sp; storage.Storage.sd ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -553,12 +447,13 @@ let same_file a b =
   | exception Unix.Unix_error _ -> false
 
 (** [create ?page_size ?fill ?codec ~path storage] bulk-loads [storage]
-    into a fresh database file at [path]: data pages and index leaves in
-    cluster order at [fill] occupancy (encoded by [codec], default
+    into a fresh database file at [path] with the one bulk loader
+    ({!Blas_rel.Table.load}): data pages and index leaves in cluster
+    order at [fill] occupancy (encoded by [codec], default
     {!Blas_rel.Codec.default_format}), catalog chain, superblock, one
     fsync at the end.  Any existing file at [path] is replaced, unless
     it is [storage]'s own database file. *)
-let create ?(page_size = 4096) ?(fill = default_fill)
+let create ?(page_size = 4096) ?(fill = Table.default_fill)
     ?(codec = Codec.default_format) ~path (storage : Storage.t) =
   (* The source's own file lock does not stop this process from
      truncating it (POSIX locks never conflict within one process). *)
@@ -572,19 +467,24 @@ let create ?(page_size = 4096) ?(fill = default_fill)
     ~finally:(fun () -> Store.close store)
     (fun () ->
       Store.bulk_load store (fun () ->
-          let capacity = Store.capacity store in
           let alloc () = Store.alloc_page store in
-          let write page payload = Store.write_page store page payload in
-          let pack (table : Table.t) schema =
-            let tuples =
+          let pages =
+            {
+              Page_store.pool = Pool.create ~capacity:1 (file_backing store);
+              codec;
+              capacity = Store.capacity store;
+              alloc;
+              free = ignore;
+            }
+          in
+          let load spec (table : Table.t) =
+            let rows =
               Array.to_list (Blas_rel.Relation.tuples (Table.relation table))
             in
-            pack_table ~codec ~capacity ~fill ~alloc ~write ~schema
-              ~index_columns:(Table.indexed_columns table)
-              tuples
+            tlayout (Layout.load ~fill pages spec rows)
           in
-          let sp = pack storage.Storage.sp sp_schema in
-          let sd = pack storage.Storage.sd sd_schema in
+          let sp = load Layout.sp storage.Storage.sp in
+          let sd = load Layout.sd storage.Storage.sd in
           let body =
             encode_catalog ~table:storage.Storage.table
               ~guide:(Storage.guide storage) ~free:[] ~sp ~sd ~codec
@@ -595,7 +495,9 @@ let create ?(page_size = 4096) ?(fill = default_fill)
           let chain =
             write_chain
               ~chunk_cap:(chain_chunk_capacity store)
-              ~alloc ~write body
+              ~alloc
+              ~write:(fun page payload -> Store.write_page store page payload)
+              body
           in
           Store.set_root store (encode_root ~body ~first:(List.hd chain))))
 
@@ -701,12 +603,9 @@ let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
     Store.close store;
     raise e
   | cat_chain ->
-    let pool = Pool.create_striped ~stripes ~capacity:cache_pages in
-    Pool.set_backing pool
-      {
-        Pool.back_read = (fun ~table:_ ~page -> Store.read_page store page);
-        back_write = (fun ~table:_ ~page data -> Store.write_page store page data);
-      };
+    let pool =
+      Pool.create_striped ~stripes ~capacity:cache_pages (file_backing store)
+    in
     let db =
       {
         store;
@@ -737,12 +636,8 @@ let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
       Storage.assemble ~build_doc
         ~guide:Dataguide.empty
         ~table:(Tag_table.create ~tags:[ "?" ] ~height:1)
-        ~sp:
-          (Table.create ~name:"sp" ~schema:sp_schema ~cluster_key:sp_cluster
-             ~indexes:[] [])
-        ~sd:
-          (Table.create ~name:"sd" ~schema:sd_schema ~cluster_key:sd_cluster
-             ~indexes:[] [])
+        ~sp:(Layout.of_layout (page_store db) Layout.sp ~dir:[||] ~indexes:[])
+        ~sd:(Layout.of_layout (page_store db) Layout.sd ~dir:[||] ~indexes:[])
         ~pool ()
     in
     storage_cell := Some storage;

@@ -43,7 +43,7 @@ let engine_name = function Rdbms -> "RDBMS" | Twig -> "TwigJoin"
 type report = {
   starts : int list;  (** answer nodes (start positions), sorted, unique *)
   visited : int;  (** base-table tuples / stream elements read *)
-  page_reads : int;  (** buffer-pool misses — modelled disk accesses *)
+  page_reads : int;  (** buffer-pool misses — disk accesses *)
   plan_djoins : int;  (** D-joins in the executed plan *)
   memo_hits : int;
       (** runs served whole from the query-result memo (0 or 1 per

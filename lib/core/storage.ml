@@ -9,16 +9,19 @@
       with B+ tree indexes on tag, start and data — the D-labeling
       baseline relation.
 
+    ({!Blas_update.Layout} defines both.)
+
     Both relations describe the same element nodes with the same D-labels,
     so results are comparable across approaches.
 
-    A storage is either memory-resident (built from a document) or
-    disk-backed (opened from a database file by {!Database}).  For a
-    disk-backed storage the labeled document model is {e lazy}: queries
-    run entirely from the paged tables and the resident catalog, and
-    the [Doc.t] is only materialized — by scanning SD — when something
-    genuinely needs the tree (naive-oracle verification, XML output,
-    navigation).  Use {!doc} to read it; never assume it is resident. *)
+    A storage is either memory-resident (built from a document, its
+    pages in an in-memory page store) or disk-backed (opened from a
+    database file by {!Database}); the tables are the same pages in
+    both.  For a disk-backed storage the labeled document model is
+    {e lazy}: queries run entirely from the paged tables and the
+    resident catalog, and the [Doc.t] is only materialized — by
+    scanning SD — when something genuinely needs the tree
+    (naive-oracle verification, XML output, navigation).  Use {!doc} to read it; never assume it is resident. *)
 
 (* The document slot: either a resident model or a thunk that rebuilds
    it on demand (disk-backed storages scan SD).  Guarded by a global
@@ -109,9 +112,8 @@ type t = {
       (* optimizer statistics; collected at index time, [None] until the
          disk-open path installs the persisted copy *)
   mutable codec : Blas_rel.Codec.format;
-      (* the active page codec: drives heap page modelling and plan
-         pricing; for disk-backed storages the database sets it from
-         the catalog *)
+      (* the active page codec; for disk-backed storages the database
+         sets it from the catalog *)
 }
 
 let doc_lock = Mutex.create ()
@@ -150,52 +152,9 @@ let doc_resident t = t.doc_slot.dv <> None
 let drop_doc t =
   if t.doc_slot.dbuild <> None then t.doc_slot.dv <- None
 
-let data_value = function None -> Blas_rel.Value.Null | Some d -> Blas_rel.Value.Str d
-
-let sp_schema = Blas_rel.Schema.of_list [ "plabel"; "start"; "end"; "level"; "data" ]
-
-let sd_schema = Blas_rel.Schema.of_list [ "tag"; "start"; "end"; "level"; "data" ]
-
-(* Default buffer pool: 1024 pages of 64 tuples — small enough that the
-   evaluation data sets do not fit entirely, as on the paper's machine. *)
+(* Default buffer pool: 1024 pages — small enough that the evaluation
+   data sets do not fit entirely, as on the paper's machine. *)
 let default_pool_capacity = 1024
-
-(* The v1 modelled page: 64 tuples, the constant the cost model and all
-   the paper-figure expectations were calibrated against. *)
-let v1_page_rows = 64
-
-(** Modelled tuples per page for a heap table under [codec]: v1 keeps
-    the historical 64-row page; v2 measures how much denser the real
-    columnar encoding packs these rows and scales the modelled page by
-    that ratio, so in-memory `page_requests`/`page_reads` shrink exactly
-    as the bytes would on disk. *)
-let modelled_page_rows ~codec rows =
-  match (codec, rows) with
-  | Blas_rel.Codec.V1, _ | _, [] -> v1_page_rows
-  | Blas_rel.Codec.V2, rows ->
-    let v1_bytes =
-      List.fold_left (fun acc t -> acc + Blas_rel.Codec.tuple_bytes t) 0 rows
-    in
-    (* Encode in v1-page-sized runs: density measured at the same
-       granularity the model charges. *)
-    let v2_bytes = ref 0 in
-    let rec go = function
-      | [] -> ()
-      | rows ->
-        let rec take n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | r :: rest -> take (n - 1) (r :: acc) rest
-        in
-        let chunk, rest = take v1_page_rows [] rows in
-        v2_bytes :=
-          !v2_bytes
-          + String.length
-              (Blas_rel.Codec.encode_page ~format:Blas_rel.Codec.V2 chunk);
-        go rest
-    in
-    go rows;
-    max v1_page_rows (v1_page_rows * v1_bytes / max 1 !v2_bytes)
 
 (** One-pass optimizer statistics over the labeled nodes (exact tag and
     path cardinalities, histograms, value reservoirs). *)
@@ -211,55 +170,19 @@ let collect_ostats ?seed ?epoch (doc : Blas_xpath.Doc.t) =
          })
        doc.all)
 
-(** [of_doc doc] builds both relations; P-labels come from the node's
-    source path (Definition 3.3), which the test suite checks against the
-    streaming Algorithm 2. *)
+(** [of_doc doc] builds both relations on an in-memory page store —
+    the same 4 KiB pages at 0.9 fill, directory and paged indexes that
+    a database file of [doc] holds.  P-labels come from the node's
+    source path (Definition 3.3), which the test suite checks against
+    the streaming Algorithm 2. *)
 let of_doc ?(pool_capacity = default_pool_capacity) ?(collect_stats = true)
     ?(codec = Blas_rel.Codec.default_format) (doc : Blas_xpath.Doc.t) =
   let table = Blas_label.Tag_table.of_dataguide doc.guide in
-  let sp_rows =
-    List.map
-      (fun (n : Blas_xpath.Doc.node) ->
-        Blas_rel.Tuple.of_list
-          [
-            Blas_rel.Value.Big (Blas_label.Plabel.node_label table n.source_path);
-            Blas_rel.Value.Int n.start;
-            Blas_rel.Value.Int n.fin;
-            Blas_rel.Value.Int n.level;
-            data_value n.data;
-          ])
-      doc.all
-  in
-  let sd_rows =
-    List.map
-      (fun (n : Blas_xpath.Doc.node) ->
-        Blas_rel.Tuple.of_list
-          [
-            Blas_rel.Value.Str n.tag;
-            Blas_rel.Value.Int n.start;
-            Blas_rel.Value.Int n.fin;
-            Blas_rel.Value.Int n.level;
-            data_value n.data;
-          ])
-      doc.all
-  in
-  let pool = Blas_rel.Buffer_pool.create ~capacity:pool_capacity in
-  let sp =
-    Blas_rel.Table.create ~pool
-      ~page_rows:(modelled_page_rows ~codec sp_rows)
-      ~name:"sp" ~schema:sp_schema
-      ~cluster_key:[ "plabel"; "start" ]
-      ~indexes:[ "plabel"; "start"; "data" ]
-      sp_rows
-  in
-  let sd =
-    Blas_rel.Table.create ~pool
-      ~page_rows:(modelled_page_rows ~codec sd_rows)
-      ~name:"sd" ~schema:sd_schema
-      ~cluster_key:[ "tag"; "start" ]
-      ~indexes:[ "tag"; "start"; "data" ]
-      sd_rows
-  in
+  let store = Blas_rel.Page_store.memory ~pool_capacity ~codec () in
+  let sp, sd = Blas_update.Layout.tables store table doc in
+  let pool = store.Blas_rel.Page_store.pool in
+  (* the bulk load's writes are not this storage's traffic *)
+  Blas_rel.Buffer_pool.reset_stats pool;
   {
     doc_slot = { dv = Some doc; dbuild = None };
     guide = doc.guide;
@@ -336,7 +259,7 @@ let ostats t = t.ostats
 let set_ostats t s = t.ostats <- s
 
 (** The active page codec (v1 row-major or v2 compact columnar).  It
-    shapes heap page modelling, disk page payloads, and plan pricing. *)
+    shapes the page cuts, hence page counts and plan pricing. *)
 let codec t = t.codec
 
 let set_codec t c = t.codec <- c

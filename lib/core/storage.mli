@@ -6,8 +6,9 @@
     D-labeling baseline.  Both describe the same nodes with the same
     D-labels, so results are comparable across approaches.
 
-    A storage is either memory-resident or disk-backed (opened from a
-    database file by [Blas.Database]).  For disk-backed storages the
+    A storage is either memory-resident (its pages in an in-memory page
+    store) or disk-backed (opened from a database file by
+    [Blas.Database]); both hold the same paged tables.  For disk-backed storages the
     labeled document model is lazy — read it through {!doc}, never
     assume it is materialized.
 
@@ -111,8 +112,11 @@ val doc_resident : t -> bool
     memory-resident storages). *)
 val drop_doc : t -> unit
 
-(** [pool_capacity] is the buffer pool size in pages (default 1024
-    pages of 64 tuples).  [collect_stats] (default true) also gathers
+(** [of_doc doc] builds SP and SD on an in-memory page store: the same
+    4 KiB pages at 0.9 fill under [codec] (default
+    {!Blas_rel.Codec.default_format}), directory and paged indexes as a
+    database file of [doc] with that codec.  [pool_capacity] is the buffer pool size in
+    pages (default 1024).  [collect_stats] (default true) also gathers
     optimizer statistics in the same pass over the nodes. *)
 val of_doc :
   ?pool_capacity:int ->
@@ -120,12 +124,6 @@ val of_doc :
   ?codec:Blas_rel.Codec.format ->
   Blas_xpath.Doc.t ->
   t
-
-(** Modelled tuples per page for a heap table under [codec]: v1 keeps
-    the historical 64-row page; v2 measures the real columnar density of
-    [rows] and scales the modelled page accordingly. *)
-val modelled_page_rows :
-  codec:Blas_rel.Codec.format -> Blas_rel.Tuple.t list -> int
 
 val of_tree : ?pool_capacity:int -> Blas_xml.Types.tree -> t
 
@@ -188,7 +186,7 @@ val ostats : t -> Blas_optimizer.Stats.t option
 val set_ostats : t -> Blas_optimizer.Stats.t option -> unit
 
 (** The active page codec (v1 row-major or v2 compact columnar).  It
-    shapes heap page modelling, disk page payloads, and plan pricing. *)
+    shapes the page cuts, hence page counts and plan pricing. *)
 val codec : t -> Blas_rel.Codec.format
 
 val set_codec : t -> Blas_rel.Codec.format -> unit

@@ -16,7 +16,7 @@ type stats = {
   read : int;  (** base-table tuples / stream elements fetched *)
   seeks : int;  (** B+ tree descents *)
   page_requests : int;  (** buffer-pool page requests *)
-  page_reads : int;  (** buffer-pool misses — modelled disk reads *)
+  page_reads : int;  (** buffer-pool misses — pages read from the store *)
 }
 
 let zero_stats = { read = 0; seeks = 0; page_requests = 0; page_reads = 0 }

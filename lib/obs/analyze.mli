@@ -6,7 +6,7 @@ type stats = {
   read : int;  (** base-table tuples / stream elements fetched *)
   seeks : int;  (** B+ tree descents *)
   page_requests : int;  (** buffer-pool page requests *)
-  page_reads : int;  (** buffer-pool misses — modelled disk reads *)
+  page_reads : int;  (** buffer-pool misses — pages read from the store *)
 }
 
 val zero_stats : stats

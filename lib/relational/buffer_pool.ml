@@ -3,22 +3,18 @@
 
     The paper's evaluation machine read data from a 7200 rpm disk on a
     cold cache, and its argument for BLAS repeatedly appeals to "disk
-    accesses".  Tables map their clustered tuple arrays onto pages;
-    every tuple fetch requests its page here, and a request that misses
-    counts as one disk access.  {!flush} empties the pool, modelling the
+    accesses".  Every page a table touches is requested here; a request
+    that misses reads the page from the backing page store and counts
+    as one disk access.  {!flush} empties the pool, modelling the
     paper's cold-cache protocol.
 
-    The pool runs in one of two regimes, per entry:
-
-    - {b Accounting} (heap-backed tables): {!access}/{!write} track hit
-      ratios only; the "pages" carry no bytes and a miss costs nothing
-      but a counter bump.
-    - {b Caching} (disk-backed tables): the pool is wired to a backing
-      store with {!set_backing}; {!get} returns the page payload,
-      reading from the backing file on a miss, and {!store} installs a
-      dirty payload.  Eviction is real: when a stripe is full the least
-      recently used page is dropped, and if it is dirty its payload is
-      first written back through the backing store.
+    The pool caches whatever payload its backing store hands out: a
+    database file's store hands out encoded bytes (tables decode them
+    on every touch, so the pool stays as small as the file's pages),
+    the in-memory page store hands out decoded rows.  {!store} installs
+    a dirty payload; eviction is real: when a stripe is full the least
+    recently used page is dropped, and if it is dirty its payload is
+    first written back through the backing store.
 
     Domain safety: the pool is lock-striped.  Each stripe owns a
     disjoint hash partition of the page keys with its own LRU list,
@@ -32,17 +28,20 @@
 
 type key = string * int  (** table name, page number *)
 
+type payload = Bytes of string | Rows of Tuple.t list
+
 type node = {
   key : key;
-  mutable data : string option;  (** page payload; [None] = accounting *)
+  mutable data : payload;
   mutable dirty : bool;
   mutable prev : node option;
   mutable next : node option;
 }
 
 type backing = {
-  back_read : table:string -> page:int -> string;
-  back_write : table:string -> page:int -> string -> unit;
+  back_read : table:string -> page:int -> payload;
+  back_write : table:string -> page:int -> payload -> unit;
+  back_rows : bool;  (** payloads are decoded rows, not encoded bytes *)
 }
 
 type stripe = {
@@ -57,7 +56,7 @@ type stripe = {
   mutable dirty_evictions : int;
 }
 
-type t = { stripes : stripe array; mutable backing : backing option }
+type t = { stripes : stripe array; backing : backing }
 
 let make_stripe capacity =
   {
@@ -72,10 +71,10 @@ let make_stripe capacity =
     dirty_evictions = 0;
   }
 
-(** [create_striped ~stripes ~capacity] — a pool of [capacity] pages
-    split over [stripes] independently locked LRU partitions.  With one
-    stripe the pool is a single global LRU. *)
-let create_striped ~stripes ~capacity =
+(** [create_striped ~stripes ~capacity backing] — a pool of [capacity]
+    pages over [backing], split over [stripes] independently locked LRU
+    partitions.  With one stripe the pool is a single global LRU. *)
+let create_striped ~stripes ~capacity backing =
   if capacity < 1 then invalid_arg "Buffer_pool.create: capacity must be >= 1";
   if stripes < 1 then invalid_arg "Buffer_pool.create: stripes must be >= 1";
   let stripes = min stripes capacity in
@@ -84,18 +83,15 @@ let create_striped ~stripes ~capacity =
     stripes =
       Array.init stripes (fun i ->
           make_stripe (base + if i < extra then 1 else 0));
-    backing = None;
+    backing;
   }
 
-(** [create ~capacity] — a single-stripe pool: one global LRU. *)
-let create ~capacity = create_striped ~stripes:1 ~capacity
+(** [create ~capacity backing] — a single-stripe pool: one global LRU. *)
+let create ~capacity backing = create_striped ~stripes:1 ~capacity backing
 
-(** Wire the pool to a backing store; required before {!get}/{!store}.
-    Misses read through [back_read]; dirty evictions write back through
-    [back_write]. *)
-let set_backing t backing = t.backing <- Some backing
-
-let has_backing t = t.backing <> None
+(** Whether the backing store hands out decoded rows (writers then hand
+    it rows too) rather than encoded bytes. *)
+let holds_rows t = t.backing.back_rows
 
 let stripe_count t = Array.length t.stripes
 
@@ -141,16 +137,11 @@ let push_front s node =
    with the stripe lock held; the backing store must not re-enter the
    pool (it never does — it writes into the transaction buffer). *)
 let write_back t node =
-  match (node.dirty, node.data, t.backing) with
-  | false, _, _ -> ()
-  | true, Some data, Some b ->
+  if node.dirty then begin
     let table, page = node.key in
-    b.back_write ~table ~page data;
+    t.backing.back_write ~table ~page node.data;
     node.dirty <- false
-  | true, _, _ ->
-    (* A dirty node always carries data and a backing (only [store]
-       sets dirty, and [store] requires a backing). *)
-    assert false
+  end
 
 let evict_lru t s =
   match s.tail with
@@ -161,66 +152,41 @@ let evict_lru t s =
     unlink s node;
     Hashtbl.remove s.table node.key
 
-let access_stripe t s key =
-  s.requests <- s.requests + 1;
-  match Hashtbl.find_opt s.table key with
-  | Some node ->
-    unlink s node;
-    push_front s node;
-    `Hit
-  | None ->
-    s.misses <- s.misses + 1;
-    if Hashtbl.length s.table >= s.s_capacity then evict_lru t s;
-    let node = { key; data = None; dirty = false; prev = None; next = None } in
-    Hashtbl.replace s.table key node;
-    push_front s node;
-    `Miss
-
-(** [access t ~table ~page] requests one page; returns whether it was
-    already resident.  A miss loads the page (evicting the stripe's
-    least recently used page if the stripe is full). *)
-let access t ~table ~page =
-  let key = (table, page) in
-  let stripe = stripe_of t key in
-  locked stripe (fun s -> access_stripe t s key)
-
 (** [get t ~table ~page] returns the page payload, reading it through
     the backing store on a miss (and evicting — with write-back for
-    dirty pages — when the stripe is full).  Requires {!set_backing}. *)
+    dirty pages — when the stripe is full). *)
 let get t ~table ~page =
-  let b =
-    match t.backing with
-    | Some b -> b
-    | None -> invalid_arg "Buffer_pool.get: no backing store wired"
-  in
   let key = (table, page) in
   let stripe = stripe_of t key in
   locked stripe (fun s ->
       s.requests <- s.requests + 1;
       match Hashtbl.find_opt s.table key with
-      | Some ({ data = Some data; _ } as node) ->
-        unlink s node;
-        push_front s node;
-        (data, `Hit)
       | Some node ->
-        (* Resident as an accounting entry only: the bytes still have
-           to come from disk. *)
-        s.misses <- s.misses + 1;
-        let data = b.back_read ~table ~page in
-        node.data <- Some data;
         unlink s node;
         push_front s node;
-        (data, `Miss)
+        (node.data, `Hit)
       | None ->
         s.misses <- s.misses + 1;
         if Hashtbl.length s.table >= s.s_capacity then evict_lru t s;
-        let data = b.back_read ~table ~page in
-        let node =
-          { key; data = Some data; dirty = false; prev = None; next = None }
-        in
+        let data = t.backing.back_read ~table ~page in
+        let node = { key; data; dirty = false; prev = None; next = None } in
         Hashtbl.replace s.table key node;
         push_front s node;
         (data, `Miss))
+
+(** [peek t ~table ~page] — the current payload without touching the
+    LRU order or the statistics: the resident copy (dirty or not) if
+    there is one, else a read of the backing store that is not cached.
+    The export path ([Table.relation]) reads through this. *)
+let peek t ~table ~page =
+  let key = (table, page) in
+  let stripe = stripe_of t key in
+  match
+    locked stripe (fun s ->
+        Option.map (fun node -> node.data) (Hashtbl.find_opt s.table key))
+  with
+  | Some data -> data
+  | None -> t.backing.back_read ~table ~page
 
 (** [store t ~table ~page data] installs a freshly written page payload
     as dirty (counted as one page written).  The payload reaches the
@@ -228,8 +194,6 @@ let get t ~table ~page =
     no-steal within a transaction is the caller's concern (the backing
     store buffers writes until commit). *)
 let store t ~table ~page data =
-  if t.backing = None then
-    invalid_arg "Buffer_pool.store: no backing store wired";
   let key = (table, page) in
   let stripe = stripe_of t key in
   locked stripe (fun s ->
@@ -237,15 +201,13 @@ let store t ~table ~page data =
       s.writes <- s.writes + 1;
       match Hashtbl.find_opt s.table key with
       | Some node ->
-        node.data <- Some data;
+        node.data <- data;
         node.dirty <- true;
         unlink s node;
         push_front s node
       | None ->
         if Hashtbl.length s.table >= s.s_capacity then evict_lru t s;
-        let node =
-          { key; data = Some data; dirty = true; prev = None; next = None }
-        in
+        let node = { key; data; dirty = true; prev = None; next = None } in
         Hashtbl.replace s.table key node;
         push_front s node)
 
@@ -306,24 +268,20 @@ let dirty_count t =
       Hashtbl.fold (fun _ node acc -> if node.dirty then acc + 1 else acc)
         s.table 0)
 
-(** Resident pages that carry actual payload bytes (cache residency for
-    disk-backed storage; accounting entries excluded). *)
-let resident_data t =
-  sum_over t (fun s ->
-      Hashtbl.fold
-        (fun _ node acc -> if node.data <> None then acc + 1 else acc)
-        s.table 0)
-
-(** [write t ~table ~page] requests one page for writing: the page is
-    brought in like a read (a miss is a disk access) and the write is
-    counted as one page written — the dirty-page flush a clustered
-    B+-tree update would eventually pay. *)
-let write t ~table ~page =
+(** [write_through t ~table ~page data] writes a page straight to the
+    backing store (the bulk loader's path), dropping any resident copy;
+    counted as one page written. *)
+let write_through t ~table ~page data =
   let key = (table, page) in
   let stripe = stripe_of t key in
   locked stripe (fun s ->
       s.writes <- s.writes + 1;
-      access_stripe t s key)
+      match Hashtbl.find_opt s.table key with
+      | None -> ()
+      | Some node ->
+        unlink s node;
+        Hashtbl.remove s.table key);
+  t.backing.back_write ~table ~page data
 
 let requests t = sum_over t (fun s -> s.requests)
 

@@ -1,15 +1,13 @@
 (** A buffer pool: an LRU cache of fixed-size pages shared by the base
-    tables of one storage instance.  Tables request a tuple's page on
-    every fetch; misses count as disk accesses — the cost the paper's
-    evaluation appeals to.  {!flush} models the cold-cache protocol of
-    Section 5.1.
+    tables of one storage instance, over a backing page store.  Tables
+    request every page they touch; misses read the backing store and
+    count as disk accesses — the cost the paper's evaluation appeals
+    to.  {!flush} models the cold-cache protocol of Section 5.1.
 
-    The pool runs in one of two regimes, per entry: {e accounting}
-    (heap tables — {!access}/{!write} track hit ratios, no bytes move)
-    and {e caching} (disk-backed tables — wire a backing store with
-    {!set_backing}; {!get} returns payloads, reading from the file on a
-    miss, {!store} installs dirty payloads, and a full stripe really
-    evicts, writing dirty pages back first).
+    The pool caches whatever payload the backing hands out: encoded
+    bytes from a database file, decoded rows from the in-memory page
+    store ({!Page_store.memory}).  {!store} installs dirty payloads,
+    and a full stripe really evicts, writing dirty pages back first.
 
     The pool is lock-striped and safe to share across query domains:
     each stripe owns a disjoint hash partition of the page keys with
@@ -18,21 +16,30 @@
 
 type t
 
+(** A page payload: encoded bytes (a database file's pages) or the
+    decoded rows themselves (the in-memory page store). *)
+type payload = Bytes of string | Rows of Tuple.t list
+
+(** The page store under the pool: misses read through [back_read],
+    dirty evictions and {!write_through} write through [back_write].
+    [back_rows] says which payload the store holds — writers hand it
+    the same kind. *)
 type backing = {
-  back_read : table:string -> page:int -> string;
-  back_write : table:string -> page:int -> string -> unit;
+  back_read : table:string -> page:int -> payload;
+  back_write : table:string -> page:int -> payload -> unit;
+  back_rows : bool;
 }
 
-(** [create ~capacity] — a single-stripe pool: one global LRU,
+(** [create ~capacity backing] — a single-stripe pool: one global LRU,
     observationally identical to the sequential pool.
     @raise Invalid_argument if [capacity < 1]. *)
-val create : capacity:int -> t
+val create : capacity:int -> backing -> t
 
 (** [create_striped ~stripes ~capacity] — [capacity] pages split over
     [stripes] independently locked LRU partitions ([stripes] is clamped
     to [capacity]).
     @raise Invalid_argument if [capacity < 1] or [stripes < 1]. *)
-val create_striped : stripes:int -> capacity:int -> t
+val create_striped : stripes:int -> capacity:int -> backing -> t
 
 val capacity : t -> int
 
@@ -42,33 +49,28 @@ val stripe_count : t -> int
 (** Pages currently resident. *)
 val resident : t -> int
 
-(** [access t ~table ~page] requests one page, loading it on a miss
-    (evicting the LRU page when full). *)
-val access : t -> table:string -> page:int -> [ `Hit | `Miss ]
-
-(** [write t ~table ~page] requests one page for writing: like
-    {!access}, plus the write is counted as one page written (the dirty
-    page a clustered B+-tree update flushes). *)
-val write : t -> table:string -> page:int -> [ `Hit | `Miss ]
-
-(** Wire the pool to a backing store; required before {!get}/{!store}.
-    Misses read through [back_read]; dirty evictions write back
-    through [back_write]. *)
-val set_backing : t -> backing -> unit
-
-val has_backing : t -> bool
+(** Whether the backing store holds decoded rows rather than bytes. *)
+val holds_rows : t -> bool
 
 (** [get t ~table ~page] returns the page payload, reading it through
     the backing store on a miss (evicting, with write-back for dirty
-    pages, when the stripe is full).
-    @raise Invalid_argument without a backing store. *)
-val get : t -> table:string -> page:int -> string * [ `Hit | `Miss ]
+    pages, when the stripe is full). *)
+val get : t -> table:string -> page:int -> payload * [ `Hit | `Miss ]
+
+(** [peek t ~table ~page] — the current payload without touching the
+    LRU order or the statistics: the resident copy if any, else an
+    uncached read of the backing store. *)
+val peek : t -> table:string -> page:int -> payload
 
 (** [store t ~table ~page data] installs a freshly written page payload
     as dirty; counted as one page written.  The payload reaches the
-    backing store on eviction or {!flush_dirty}.
-    @raise Invalid_argument without a backing store. *)
-val store : t -> table:string -> page:int -> string -> unit
+    backing store on eviction or {!flush_dirty}. *)
+val store : t -> table:string -> page:int -> payload -> unit
+
+(** [write_through t ~table ~page data] writes a page straight to the
+    backing store, dropping any resident copy (the bulk loader's path);
+    counted as one page written. *)
+val write_through : t -> table:string -> page:int -> payload -> unit
 
 (** Drop one page without write-back (it was freed or rewritten behind
     the pool's back). *)
@@ -83,10 +85,6 @@ val drop_dirty : t -> unit
 
 (** Dirty pages currently resident. *)
 val dirty_count : t -> int
-
-(** Resident pages carrying actual payload bytes (cache residency of
-    disk-backed storage; accounting-only entries excluded). *)
-val resident_data : t -> int
 
 (** Empties the pool; statistics are kept.  Dirty pages are written
     back through the backing store first. *)

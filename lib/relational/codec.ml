@@ -117,9 +117,33 @@ let encode_tuple t =
   add_tuple buf t;
   Buffer.contents buf
 
+(* Bytes of a LEB128 varint. *)
+let varint_bytes n =
+  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
+  go n 1
+
+let string_bytes s = varint_bytes (String.length s) + String.length s
+
+(** Encoded v1 size of one value in bytes, without encoding it. *)
+let value_bytes (v : Value.t) =
+  1
+  +
+  match v with
+  | Null -> 0
+  | Int n when n >= 0 -> varint_bytes n
+  | Int n -> varint_bytes (-n - 1)
+  | Big b -> string_bytes (Blas_label.Bignum.to_string b)
+  | Str s -> string_bytes s
+
 (** Encoded v1 size of one tuple in bytes (the greedy packer's
     currency; v2 pages seed from the same chunking and coalesce). *)
-let tuple_bytes t = String.length (encode_tuple t)
+let tuple_bytes t =
+  let n = Tuple.arity t in
+  let acc = ref (varint_bytes n) in
+  for i = 0 to n - 1 do
+    acc := !acc + value_bytes (Tuple.get t i)
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* v1 pages: row-major                                                 *)
@@ -374,6 +398,18 @@ let encode_page ?(format = V1) tuples =
 let decode_page ?(format = V1) payload =
   match format with V1 -> decode_page_v1 payload | V2 -> decode_page_v2 payload
 
+(** [page_bytes ~format tuples] — the size of [encode_page ~format
+    tuples].  Under v1 it adds up {!tuple_bytes}, so sizing a v1 page
+    never encodes it. *)
+let page_bytes ?(format = V1) tuples =
+  match format with
+  | V1 ->
+      List.fold_left
+        (fun acc t -> acc + tuple_bytes t)
+        (varint_bytes (List.length tuples))
+        tuples
+  | V2 -> String.length (encode_page_v2 tuples)
+
 (** Row count of a page payload without decoding it (both layouts lead
     with it). *)
 let page_nrows payload = Wire.read_varint (Wire.reader payload)
@@ -473,29 +509,26 @@ let pack_rows_v2 ~capacity ~fill tuples =
         !lo
       end
     in
-    let payload = enc take in
-    if take = 1 && String.length payload > capacity then
+    if take = 1 && String.length (enc 1) > capacity then
       invalid_arg
         (Printf.sprintf
            "Codec.pack_pages: tuple run of %d bytes exceeds page capacity %d (v2)"
-           (String.length payload) capacity);
-    pages := (payload, arr.(!pos), take) :: !pages;
+           (String.length (enc 1)) capacity);
+    pages := Array.to_list (Array.sub arr !pos take) :: !pages;
     pos := !pos + take
   done;
   List.rev !pages
 
-(** [pack_pages ~format ~capacity ~fill tuples] packs the (already
-    clustered) tuples into page payloads of at most [capacity * fill]
-    bytes — at least one tuple per page regardless, so an oversized
-    fill target cannot stall.  Returns [(payload, first, nrows)] per
-    page in order.  v1 packs greedily by row size; v2 packs greedily by
-    the real compressed page size (gallop + bisect per page), so pages
-    fill to the target no matter how small the rows compress.
+(** [pack_pages ~format ~capacity ~fill tuples] cuts the (already
+    clustered) tuples into pages whose payloads take at most [capacity
+    * fill] bytes — at least one tuple per page regardless, so an
+    oversized fill target cannot stall.  Returns each page's rows in
+    order.  v1 cuts greedily by {!tuple_bytes} (no encoding); v2 cuts
+    greedily by the real compressed page size (gallop + bisect per
+    page), so pages fill to the target no matter how small the rows
+    compress.
     @raise Invalid_argument if a single tuple exceeds [capacity]. *)
 let pack_pages ?(format = V1) ~capacity ~fill tuples =
   match format with
-  | V1 ->
-      List.map
-        (fun rows -> (encode_page_v1 rows, List.hd rows, List.length rows))
-        (chunk_rows ~capacity ~fill tuples)
+  | V1 -> chunk_rows ~capacity ~fill tuples
   | V2 -> pack_rows_v2 ~capacity ~fill tuples

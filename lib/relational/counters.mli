@@ -14,7 +14,7 @@ type t = {
   mutable theta_joins : int;  (** generic joins executed *)
   mutable intermediate : int;  (** tuples materialized between operators *)
   mutable page_requests : int;  (** buffer-pool page requests *)
-  mutable page_reads : int;  (** pool misses — modelled disk reads *)
+  mutable page_reads : int;  (** pool misses — pages read from the store *)
   mutable page_writes : int;  (** pages written through the pool *)
 }
 

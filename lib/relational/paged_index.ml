@@ -36,11 +36,7 @@ type entry = Value.t * int * int  (** value, data page, nrows *)
 
 type t = {
   x_name : string;  (** buffer-pool namespace, e.g. "sp.plabel" *)
-  x_pool : Buffer_pool.t;
-  x_alloc : unit -> int;
-  x_free : int -> unit;
-  x_capacity : int;  (** page payload capacity in bytes *)
-  x_format : Codec.format;  (** leaf payload codec *)
+  x_store : Page_store.t;
   mutable x_leaves : meta array;  (** sorted by [m_first] *)
 }
 
@@ -82,6 +78,20 @@ let decode_leaf ?(format = Codec.V1) payload =
           let nrows = Wire.read_varint r in
           (v, page, nrows))
 
+(* Encoded v1 size of one leaf entry. *)
+let entry_bytes (v, page, nrows) =
+  Codec.value_bytes v + Codec.varint_bytes page + Codec.varint_bytes nrows
+
+(* The size of [encode_leaf ~format entries]; v1 adds it up. *)
+let leaf_bytes ~format entries =
+  match format with
+  | Codec.V2 -> String.length (encode_leaf ~format entries)
+  | Codec.V1 ->
+      List.fold_left
+        (fun acc e -> acc + entry_bytes e)
+        (Codec.varint_bytes (List.length entries))
+        entries
+
 let meta_of ~page entries =
   match entries with
   | [] -> invalid_arg "Paged_index: empty leaf"
@@ -93,22 +103,16 @@ let meta_of ~page entries =
         m_first = first;
       }
 
-(* Greedy packer: splits a sorted entry list into leaf payload chunks of
-   at most [capacity *. fill] bytes (at least one entry per leaf).  v2
-   delegates to the columnar page packer, which coalesces the v1
+(* Greedy packer: splits a sorted entry list into leaves whose payloads
+   take at most [capacity *. fill] bytes (at least one entry per leaf).
+   v2 delegates to the columnar page packer, which coalesces the v1
    chunking while the compressed leaf fits. *)
-let pack ?(format = Codec.V1) ~capacity ~fill entries =
+let pack ~format ~capacity ~fill entries =
   match format with
   | Codec.V2 ->
-      let arr = Array.of_list entries in
-      let pos = ref 0 in
       Codec.pack_pages ~format ~capacity ~fill (List.map row_of_entry entries)
-      |> List.map (fun (payload, _first, n) ->
-             let es = Array.to_list (Array.sub arr !pos n) in
-             pos := !pos + n;
-             (payload, es))
+      |> List.map (List.map entry_of_row)
   | Codec.V1 ->
-  let entry_bytes e = String.length (encode_leaf [ e ]) in
   let target =
     max 1 (int_of_float (float_of_int capacity *. fill) - 5)
   in
@@ -123,7 +127,8 @@ let pack ?(format = Codec.V1) ~capacity ~fill entries =
   in
   List.iter
     (fun e ->
-      let sz = entry_bytes e in
+      (* an entry alone in a leaf: one count byte plus the entry *)
+      let sz = 1 + entry_bytes e in
       if sz + 5 > capacity then
         invalid_arg "Paged_index.pack: entry exceeds page capacity";
       if !cur <> [] && !cur_bytes + sz > target then flush ();
@@ -131,21 +136,9 @@ let pack ?(format = Codec.V1) ~capacity ~fill entries =
       cur_bytes := !cur_bytes + sz)
     entries;
   flush ();
-  (* [!chunks] is newest-first; rev_map restores entry order. *)
-  List.rev_map (fun es -> (encode_leaf es, es)) !chunks
+  List.rev !chunks
 
-let create ?(format = Codec.V1) ~pool ~alloc ~free ~name ~capacity ~leaves () =
-  {
-    x_name = name;
-    x_pool = pool;
-    x_alloc = alloc;
-    x_free = free;
-    x_capacity = capacity;
-    x_format = format;
-    x_leaves = leaves;
-  }
-
-let format t = t.x_format
+let create ~store ~name ~leaves = { x_name = name; x_store = store; x_leaves = leaves }
 
 let layout t = t.x_leaves
 let leaf_count t = Array.length t.x_leaves
@@ -154,14 +147,34 @@ let leaf_count t = Array.length t.x_leaves
 let total_rows t =
   Array.fold_left (fun acc m -> acc + m.m_rows) 0 t.x_leaves
 
+(* Writes one leaf as dirty through the pool (charged); its meta. *)
+let write_leaf t counters ~page entries =
+  let format = t.x_store.Page_store.codec in
+  Page_store.write t.x_store counters ~table:t.x_name ~page
+    (List.map row_of_entry entries)
+    ~encode:(fun _ -> encode_leaf ~format entries);
+  meta_of ~page entries
+
+(* Bulk load: packs the sorted [entries] into fresh leaves written
+   straight to the page store; the leaf directory. *)
+let load ~store ~name ~fill entries =
+  let format = store.Page_store.codec in
+  pack ~format ~capacity:store.Page_store.capacity ~fill entries
+  |> List.map (fun es ->
+         let page = store.Page_store.alloc () in
+         Buffer_pool.write_through store.Page_store.pool ~table:name ~page
+           (Page_store.payload store (List.map row_of_entry es)
+              ~encode:(fun _ -> encode_leaf ~format es));
+         meta_of ~page es)
+  |> Array.of_list
+
 (* Reads one leaf through the pool, charging the request (and a miss)
    to [counters]. *)
 let read_leaf t counters (m : meta) =
-  counters.Counters.page_requests <- counters.Counters.page_requests + 1;
-  let payload, result = Buffer_pool.get t.x_pool ~table:t.x_name ~page:m.m_page in
-  if result = `Miss then
-    counters.Counters.page_reads <- counters.Counters.page_reads + 1;
-  decode_leaf ~format:t.x_format payload
+  match Page_store.read t.x_store counters ~table:t.x_name ~page:m.m_page with
+  | Buffer_pool.Rows rows -> List.map entry_of_row rows
+  | Buffer_pool.Bytes payload ->
+      decode_leaf ~format:t.x_store.Page_store.codec payload
 
 (* First directory index whose first value is >= v; [Array.length] when
    none. *)
@@ -250,19 +263,12 @@ let apply t counters deltas =
         (fun (_, _, d) ->
           if d < 0 then invalid_arg "Paged_index.apply: delete from empty index")
         deltas;
-      let chunks = pack ~format:t.x_format ~capacity:t.x_capacity ~fill:1.0 deltas in
-      let leaves =
-        List.map
-          (fun (payload, entries) ->
-            let page = t.x_alloc () in
-            counters.Counters.page_writes <- counters.Counters.page_writes + 1;
-            counters.Counters.page_requests <-
-              counters.Counters.page_requests + 1;
-            Buffer_pool.store t.x_pool ~table:t.x_name ~page payload;
-            meta_of ~page entries)
-          chunks
-      in
-      t.x_leaves <- Array.of_list leaves
+      let store = t.x_store in
+      t.x_leaves <-
+        pack ~format:store.codec ~capacity:store.capacity ~fill:1.0 deltas
+        |> List.map (fun entries ->
+               write_leaf t counters ~page:(store.alloc ()) entries)
+        |> Array.of_list
     end
     else begin
       (* Assign each delta to a leaf: the last leaf whose first value is
@@ -332,45 +338,25 @@ let apply t counters deltas =
                      else List.sort entry_cmp ((v, p, d) :: entries))
                    entries !r
                in
-               let charge () =
-                 counters.Counters.page_writes <-
-                   counters.Counters.page_writes + 1;
-                 counters.Counters.page_requests <-
-                   counters.Counters.page_requests + 1
-               in
+               let store = t.x_store in
                match entries with
                | [] ->
-                   Buffer_pool.invalidate t.x_pool ~table:t.x_name
-                     ~page:m.m_page;
-                   t.x_free m.m_page;
+                   Page_store.drop store ~table:t.x_name ~page:m.m_page;
                    (i, [])
                | entries ->
-                   let payload = encode_leaf ~format:t.x_format entries in
-                   if String.length payload <= t.x_capacity then begin
-                     charge ();
-                     Buffer_pool.store t.x_pool ~table:t.x_name ~page:m.m_page
-                       payload;
-                     (i, [ meta_of ~page:m.m_page entries ])
-                   end
-                   else begin
+                   if leaf_bytes ~format:store.codec entries <= store.capacity
+                   then (i, [ write_leaf t counters ~page:m.m_page entries ])
+                   else
                      (* Split: first chunk keeps the page, the rest get
                         fresh pages. *)
-                     let chunks =
-                       pack ~format:t.x_format ~capacity:t.x_capacity ~fill:1.0
-                         entries
-                     in
-                     let metas =
-                       List.mapi
-                         (fun k (payload, es) ->
-                           let page = if k = 0 then m.m_page else t.x_alloc () in
-                           charge ();
-                           Buffer_pool.store t.x_pool ~table:t.x_name ~page
-                             payload;
-                           meta_of ~page es)
-                         chunks
-                     in
-                     (i, metas)
-                   end)
+                     ( i,
+                       pack ~format:store.codec ~capacity:store.capacity
+                         ~fill:1.0 entries
+                       |> List.mapi (fun k es ->
+                              let page =
+                                if k = 0 then m.m_page else store.alloc ()
+                              in
+                              write_leaf t counters ~page es) ))
       in
       let repl = Hashtbl.create 8 in
       List.iter (fun (i, ms) -> Hashtbl.replace repl i ms) replacements;
@@ -384,3 +370,9 @@ let apply t counters deltas =
       t.x_leaves <- Array.of_list (List.rev !out)
     end
   end
+
+(** [drop t] frees every leaf (the index must not be used afterwards). *)
+let drop t =
+  Array.iter
+    (fun m -> Page_store.drop t.x_store ~table:t.x_name ~page:m.m_page)
+    t.x_leaves

@@ -4,55 +4,36 @@
     {plabel, start} and SD(tag, start, end, level, data) clustered by
     {tag, start}, with indexes on every queried attribute.
 
-    A table has one of two backings:
-
-    - {b Heap}: the clustered tuples live in an in-memory array and the
-      buffer pool does page {e accounting} only (every fetch requests
-      the row's modelled page; a miss counts as one disk access).
-    - {b Paged}: the tuples live on disk pages addressed by page id; a
-      resident directory maps each page to its first cluster key and
-      row count, secondary indexes are {!Paged_index} two-level trees,
-      and every fetch really decodes page payloads read through the
-      buffer pool — `Counters.page_reads` is measured I/O.
+    The tuples live on pages of a {!Page_store} — a database file or the
+    in-memory page store — addressed by page id.  A resident directory
+    maps each page to its first cluster key and row count, secondary
+    indexes are {!Paged_index} two-level trees, and every fetch reads
+    its pages through the store's buffer pool, so `Counters.page_reads`
+    counts real pool misses for every storage alike.
 
     Every access method charges {!Counters} with the tuples it fetches —
     this is the "visited elements" / disk-access proxy of the paper's
     figures (rows are fetched in clustered order, so fetched tuples and
     page reads are proportional). *)
 
-module Value_btree = Btree.Make (Value)
-
-type heap = {
-  mutable relation : Relation.t;  (* tuples in clustered order *)
-  indexes : (string, int Value_btree.t) Hashtbl.t;  (* column -> row ids *)
-  page_rows : int;  (* tuples per modelled page *)
-}
-
 type dir_entry = {
-  de_page : int;  (** file page id *)
+  de_page : int;  (** page id *)
   de_nrows : int;
   de_first : Tuple.t;  (** first tuple on the page (cluster order) *)
 }
-
-type paged = {
-  p_alloc : unit -> int;
-  p_free : int -> unit;
-  p_capacity : int;  (** page payload capacity in bytes *)
-  p_codec : Codec.format;  (** page payload encoding *)
-  mutable p_dir : dir_entry array;  (** pages in cluster order *)
-  mutable p_seq : (int, int) Hashtbl.t;  (** page id -> directory slot *)
-  mutable p_indexes : (string * Paged_index.t) list;
-}
-
-type backing = Heap of heap | Paged of paged
 
 type t = {
   name : string;
   schema : Schema.t;
   cluster_key : string list;
-  pool : Buffer_pool.t option;  (* shared page cache *)
-  backing : backing;
+  store : Page_store.t;
+  mutable dir : dir_entry array;  (** pages in cluster order *)
+  mutable seq : (int, int) Hashtbl.t;  (** page id -> directory slot *)
+  mutable indexes : (string * Paged_index.t) list;
 }
+
+(** Default page occupancy of a bulk load: headroom for in-place edits. *)
+let default_fill = 0.9
 
 let name t = t.name
 
@@ -60,205 +41,141 @@ let schema t = t.schema
 
 let cluster_key t = t.cluster_key
 
-let is_paged t = match t.backing with Paged _ -> true | Heap _ -> false
+let store t = t.store
 
-let has_index t column =
-  match t.backing with
-  | Heap h -> Hashtbl.mem h.indexes column
-  | Paged p -> List.mem_assoc column p.p_indexes
+let codec t = t.store.Page_store.codec
 
-let indexed_columns t =
-  match t.backing with
-  | Heap h ->
-    List.sort String.compare
-      (Hashtbl.fold (fun c _ acc -> c :: acc) h.indexes [])
-  | Paged p -> List.sort String.compare (List.map fst p.p_indexes)
+let has_index t column = List.mem_assoc column t.indexes
 
-(** [create ?pool ?page_rows ~name ~schema ~cluster_key ~indexes tuples]
-    builds a heap table: sorts [tuples] by [cluster_key] and builds a B+
-    tree for each column in [indexes] (the cluster key's leading column
-    always gets one).  With a [pool], every tuple fetch requests its
-    page, charging page misses as disk accesses; [page_rows] (default
-    64) is the page size in tuples. *)
-let create ?pool ?(page_rows = 64) ~name ~schema ~cluster_key ~indexes tuples =
-  if page_rows < 1 then invalid_arg "Table.create: page_rows must be >= 1";
-  let relation =
-    Relation.sort_by (Relation.make schema (Array.of_list tuples)) cluster_key
-  in
-  let heap = { relation; indexes = Hashtbl.create 8; page_rows } in
-  let table = { name; schema; cluster_key; pool; backing = Heap heap } in
-  let wanted =
-    match cluster_key with
-    | leading :: _ when not (List.mem leading indexes) -> leading :: indexes
-    | _ -> indexes
-  in
-  List.iter
-    (fun column ->
-      let i = Schema.index_of schema column in
-      let index = Value_btree.create () in
-      Array.iteri
-        (fun row tuple -> Value_btree.insert index (Tuple.get tuple i) row)
-        (Relation.tuples relation);
-      Hashtbl.replace heap.indexes column index)
-    wanted;
-  table
+let indexed_columns t = List.sort String.compare (List.map fst t.indexes)
 
-let rebuild_seq p =
-  let seq = Hashtbl.create (Array.length p.p_dir * 2) in
-  Array.iteri (fun i e -> Hashtbl.replace seq e.de_page i) p.p_dir;
-  p.p_seq <- seq
+let rebuild_seq t =
+  let seq = Hashtbl.create (Array.length t.dir * 2) in
+  Array.iteri (fun i e -> Hashtbl.replace seq e.de_page i) t.dir;
+  t.seq <- seq
 
-(** [create_paged ~pool ~alloc ~free ~capacity ~name ~schema
-    ~cluster_key ~dir ~indexes] assembles a disk-backed table from an
-    already materialized layout (the database open path): [dir] is the
-    clustered page directory and [indexes] the per-column paged
-    indexes.  Page payloads are read through [pool] on demand. *)
-let create_paged ?(codec = Codec.V1) ~pool ~alloc ~free ~capacity ~name ~schema
-    ~cluster_key ~dir ~indexes () =
-  let p =
+let encode t rows = Codec.encode_page ~format:(codec t) rows
+
+(** [of_layout store ~name ~schema ~cluster_key ~dir ~indexes]
+    assembles a table from an already materialized layout (the database
+    open path): [dir] is the clustered page directory and [indexes] the
+    leaf directory of each column's index.  Pages are read through the
+    store's pool on demand. *)
+let of_layout store ~name ~schema ~cluster_key ~dir ~indexes =
+  let t =
     {
-      p_alloc = alloc;
-      p_free = free;
-      p_capacity = capacity;
-      p_codec = codec;
-      p_dir = dir;
-      p_seq = Hashtbl.create 16;
-      p_indexes = indexes;
+      name;
+      schema;
+      cluster_key;
+      store;
+      dir;
+      seq = Hashtbl.create 16;
+      indexes =
+        List.map
+          (fun (col, leaves) ->
+            (col, Paged_index.create ~store ~name:(name ^ "." ^ col) ~leaves))
+          indexes;
     }
   in
-  rebuild_seq p;
-  { name; schema; cluster_key; pool = Some pool; backing = Paged p }
+  rebuild_seq t;
+  t
 
-(** The active page codec: the paged backing's format; heap tables are
-    modelled, not encoded, so they report {!Codec.V1}. *)
-let codec t =
-  match t.backing with Paged p -> p.p_codec | Heap _ -> Codec.V1
-
-let the_pool t =
-  match t.pool with
-  | Some pool -> pool
-  | None -> assert false (* paged tables always carry a pool *)
-
-(* Reads and decodes one data page through the pool, charging the cost
-   vector. *)
-let read_page_paged t counters page =
-  counters.Counters.page_requests <- counters.Counters.page_requests + 1;
-  let payload, result = Buffer_pool.get (the_pool t) ~table:t.name ~page in
-  (match result with
-  | `Hit -> ()
-  | `Miss -> counters.Counters.page_reads <- counters.Counters.page_reads + 1);
-  Codec.decode_page ~format:(codec t) payload
-
-let cardinality t =
-  match t.backing with
-  | Heap h -> Relation.cardinality h.relation
-  | Paged p -> Array.fold_left (fun acc e -> acc + e.de_nrows) 0 p.p_dir
-
-(** The clustered tuples as a relation.  Heap: the live array.  Paged:
-    materialized by decoding every page (through the pool, uncharged —
-    this is an export/debug path, not an access method). *)
-let relation t =
-  match t.backing with
-  | Heap h -> h.relation
-  | Paged p ->
-    let c = Counters.create () in
-    let rows =
-      Array.to_list p.p_dir
-      |> List.concat_map (fun e -> read_page_paged t c e.de_page)
+(* Lexicographic comparison on the cluster-key columns. *)
+let cluster_cmp schema cluster_key =
+  let idx = List.map (Schema.index_of schema) cluster_key in
+  fun a b ->
+    let rec go = function
+      | [] -> 0
+      | i :: rest ->
+        let c = Value.compare (Tuple.get a i) (Tuple.get b i) in
+        if c <> 0 then c else go rest
     in
-    Relation.make t.schema (Array.of_list rows)
+    go idx
+
+(* Aggregates the [(value, page, 1)] occurrences of column [pos] over
+   the loaded pages into sorted index entries. *)
+let index_entries pages pos =
+  let raw =
+    List.concat_map
+      (fun (page, rows) -> List.map (fun t -> (Tuple.get t pos, page, 1)) rows)
+      pages
+  in
+  let rec merge = function
+    | (v1, p1, n1) :: (v2, p2, n2) :: rest
+      when Paged_index.entry_cmp (v1, p1, 0) (v2, p2, 0) = 0 ->
+      merge ((v1, p1, n1 + n2) :: rest)
+    | e :: rest -> e :: merge rest
+    | [] -> []
+  in
+  merge (List.sort Paged_index.entry_cmp raw)
+
+(** [load ?fill store ~name ~schema ~cluster_key ~indexes tuples] — the
+    bulk loader: sorts [tuples] by [cluster_key] (stably), cuts them
+    into pages of at most [fill] (default 0.9) of the store's capacity
+    under its codec, writes the pages and then every index's leaves
+    straight to the page store, in that order.  Every column of
+    [indexes] gets an index, and so does the cluster key's leading
+    column. *)
+let load ?(fill = default_fill) store ~name ~schema ~cluster_key ~indexes
+    tuples =
+  let format = store.Page_store.codec in
+  let rows = List.stable_sort (cluster_cmp schema cluster_key) tuples in
+  let pages =
+    Codec.pack_pages ~format ~capacity:store.Page_store.capacity ~fill rows
+    |> List.map (fun rows ->
+           let page = store.Page_store.alloc () in
+           Buffer_pool.write_through store.Page_store.pool ~table:name ~page
+             (Page_store.payload store rows ~encode:(Codec.encode_page ~format));
+           (page, rows))
+  in
+  let columns =
+    List.sort_uniq String.compare
+      (match cluster_key with
+      | leading :: _ -> leading :: indexes
+      | [] -> indexes)
+  in
+  of_layout store ~name ~schema ~cluster_key
+    ~dir:
+      (Array.of_list
+         (List.map
+            (fun (page, rows) ->
+              { de_page = page; de_nrows = List.length rows; de_first = List.hd rows })
+            pages))
+    ~indexes:
+      (List.map
+         (fun col ->
+           ( col,
+             Paged_index.load ~store ~name:(name ^ "." ^ col) ~fill
+               (index_entries pages (Schema.index_of schema col)) ))
+         columns)
+
+(* A page's rows: the payload itself from a store of rows, decoded from
+   a store of bytes. *)
+let rows_of t = function
+  | Buffer_pool.Rows rows -> rows
+  | Buffer_pool.Bytes payload -> Codec.decode_page ~format:(codec t) payload
+
+(* Reads one data page through the pool, charging the cost vector. *)
+let read_page t counters page =
+  rows_of t (Page_store.read t.store counters ~table:t.name ~page)
+
+let cardinality t = Array.fold_left (fun acc e -> acc + e.de_nrows) 0 t.dir
+
+(** The clustered tuples as a relation, read page by page without
+    charging anyone or disturbing the pool — an export/debug path, not
+    an access method. *)
+let relation t =
+  let rows =
+    Array.to_list t.dir
+    |> List.concat_map (fun e ->
+           rows_of t
+             (Buffer_pool.peek t.store.Page_store.pool ~table:t.name
+                ~page:e.de_page))
+  in
+  Relation.make t.schema (Array.of_list rows)
 
 (* ------------------------------------------------------------------ *)
-(* Heap access paths                                                   *)
-
-(* Charges one page request (and, on a miss, one page read) to the
-   run's counters — the unified cost vector of {!Counters}. *)
-let request_page t (h : heap) counters page =
-  ignore h;
-  match t.pool with
-  | None -> ()
-  | Some pool ->
-    counters.Counters.page_requests <- counters.Counters.page_requests + 1;
-    (match Buffer_pool.access pool ~table:t.name ~page with
-    | `Hit -> ()
-    | `Miss -> counters.Counters.page_reads <- counters.Counters.page_reads + 1)
-
-(* Requests the pages behind a list of row ids (already sorted, so
-   consecutive clustered rows coalesce into one request per page). *)
-let touch_pages t h counters rows =
-  match t.pool with
-  | None -> ()
-  | Some _ ->
-    let last = ref (-1) in
-    List.iter
-      (fun row ->
-        let page = row / h.page_rows in
-        if page <> !last then begin
-          last := page;
-          request_page t h counters page
-        end)
-      rows
-
-let fetch_rows t h counters rows =
-  counters.Counters.tuples_read <- counters.Counters.tuples_read + List.length rows;
-  touch_pages t h counters rows;
-  let tuples = Relation.tuples h.relation in
-  List.map (fun row -> tuples.(row)) rows
-
-(* Splits sorted row ids into at most [lanes] contiguous chunks whose
-   boundaries fall on page boundaries, so no page's rows straddle two
-   chunks: per-chunk page coalescing then charges exactly the requests
-   the sequential fetch would, and concurrent chunks never contend for
-   the same page. *)
-let page_aligned_chunks h ~lanes rows =
-  let arr = Array.of_list rows in
-  let n = Array.length arr in
-  let lanes = max 1 (min lanes n) in
-  let chunks = ref [] in
-  let start = ref 0 in
-  for lane = 0 to lanes - 1 do
-    let target = (lane + 1) * n / lanes in
-    let stop = ref (max target !start) in
-    (* Extend to the next page boundary. *)
-    while
-      !stop > !start && !stop < n
-      && arr.(!stop) / h.page_rows = arr.(!stop - 1) / h.page_rows
-    do
-      incr stop
-    done;
-    if !stop > !start then begin
-      chunks := Array.to_list (Array.sub arr !start (!stop - !start)) :: !chunks;
-      start := !stop
-    end
-  done;
-  List.rev !chunks
-
-(* Fetches [rows] through [par] when it buys parallelism, charging each
-   chunk to a fresh counter vector merged back in chunk order — totals
-   equal the sequential fetch (page reads aside, which depend on what
-   other domains race into the buffer pool meanwhile). *)
-let fetch_rows_par t h par counters rows =
-  match par with
-  | Some pool when Blas_par.Pool.size pool > 1 && List.length rows > 1 -> (
-    match page_aligned_chunks h ~lanes:(Blas_par.Pool.size pool) rows with
-    | [] | [ _ ] -> fetch_rows t h counters rows
-    | chunks ->
-      let tasks =
-        Array.of_list
-          (List.map
-             (fun chunk () ->
-               let c = Counters.create () in
-               let tuples = fetch_rows t h c chunk in
-               (c, tuples))
-             chunks)
-      in
-      let results = Blas_par.Pool.run pool tasks in
-      Array.iter (fun (c, _) -> Counters.add ~into:counters c) results;
-      List.concat_map snd (Array.to_list results))
-  | _ -> fetch_rows t h counters rows
-
-(* ------------------------------------------------------------------ *)
-(* Paged access paths                                                  *)
+(* Access paths                                                        *)
 
 (* Fetches the given data pages (dir order) and keeps rows matching
    [pred]; matching rows are the "visited elements" charged to the
@@ -266,7 +183,7 @@ let fetch_rows_par t h par counters rows =
 let fetch_pages_seq t counters pages pred =
   List.concat_map
     (fun page ->
-      let rows = List.filter pred (read_page_paged t counters page) in
+      let rows = List.filter pred (read_page t counters page) in
       counters.Counters.tuples_read <-
         counters.Counters.tuples_read + List.length rows;
       rows)
@@ -304,16 +221,16 @@ let fetch_pages t ?par counters pages pred =
   | _ -> fetch_pages_seq t counters pages pred
 
 (* Candidate pages in directory (cluster) order. *)
-let order_pages p pages =
+let order_pages t pages =
   List.sort
     (fun a b ->
-      let sa = Option.value ~default:max_int (Hashtbl.find_opt p.p_seq a)
-      and sb = Option.value ~default:max_int (Hashtbl.find_opt p.p_seq b) in
+      let sa = Option.value ~default:max_int (Hashtbl.find_opt t.seq a)
+      and sb = Option.value ~default:max_int (Hashtbl.find_opt t.seq b) in
       Int.compare sa sb)
     pages
 
-let paged_index p column =
-  match List.assoc_opt column p.p_indexes with
+let paged_index t column =
+  match List.assoc_opt column t.indexes with
   | Some idx -> idx
   | None -> raise Not_found
 
@@ -322,234 +239,85 @@ let paged_index p column =
 
 (** Full scan: reads every tuple (and every page). *)
 let scan t counters =
-  match t.backing with
-  | Heap h ->
-    let tuples = Relation.tuples h.relation in
-    counters.Counters.tuples_read <-
-      counters.Counters.tuples_read + Array.length tuples;
-    (match t.pool with
-    | None -> ()
-    | Some _ ->
-      for page = 0 to (Array.length tuples - 1) / h.page_rows do
-        request_page t h counters page
-      done);
-    Array.to_list tuples
-  | Paged p ->
-    fetch_pages_seq t counters
-      (Array.to_list p.p_dir |> List.map (fun e -> e.de_page))
-      (fun _ -> true)
+  fetch_pages_seq t counters
+    (Array.to_list t.dir |> List.map (fun e -> e.de_page))
+    (fun _ -> true)
 
 (** Equality lookup through the index on [column].  With a multi-domain
-    [par] pool, the fetch is partitioned over page-aligned chunks.
+    [par] pool, the page fetch is split into contiguous chunks.
     @raise Not_found if the column has no index. *)
 let index_eq t ?par counters ~column value =
-  match t.backing with
-  | Heap h ->
-    let index = Hashtbl.find h.indexes column in
-    counters.Counters.index_seeks <- counters.Counters.index_seeks + 1;
-    let rows = Value_btree.find index value in
-    fetch_rows_par t h par counters (List.sort Stdlib.compare rows)
-  | Paged p ->
-    let idx = paged_index p column in
-    counters.Counters.index_seeks <- counters.Counters.index_seeks + 1;
-    let pages =
-      Paged_index.lookup_pages idx counters ~lo:(Some value) ~hi:(Some value)
-      |> order_pages p
-    in
-    let col = Schema.index_of t.schema column in
-    fetch_pages t ?par counters pages (fun row ->
-        Value.compare (Tuple.get row col) value = 0)
+  let idx = paged_index t column in
+  counters.Counters.index_seeks <- counters.Counters.index_seeks + 1;
+  let pages =
+    Paged_index.lookup_pages idx counters ~lo:(Some value) ~hi:(Some value)
+    |> order_pages t
+  in
+  let col = Schema.index_of t.schema column in
+  fetch_pages t ?par counters pages (fun row ->
+      Value.compare (Tuple.get row col) value = 0)
 
 (** Range lookup [lo <= column <= hi] through the index ([None] bounds are
-    open).  Row ids are returned in clustered order.  With a
-    multi-domain [par] pool, the fetch is partitioned over page-aligned
-    chunks.
+    open); rows come back in clustered order.  With a multi-domain [par]
+    pool, the page fetch is split into contiguous chunks.
     @raise Not_found if the column has no index. *)
 let index_range t ?par counters ~column ~lo ~hi =
-  match t.backing with
-  | Heap h ->
-    let index = Hashtbl.find h.indexes column in
-    counters.Counters.index_seeks <- counters.Counters.index_seeks + 1;
-    let rows =
-      Value_btree.fold_range index ~lo ~hi ~init:[] ~f:(fun acc _ row -> row :: acc)
-    in
-    fetch_rows_par t h par counters (List.sort Stdlib.compare rows)
-  | Paged p ->
-    let idx = paged_index p column in
-    counters.Counters.index_seeks <- counters.Counters.index_seeks + 1;
-    let pages = Paged_index.lookup_pages idx counters ~lo ~hi |> order_pages p in
-    let col = Schema.index_of t.schema column in
-    fetch_pages t ?par counters pages (fun row ->
-        let v = Tuple.get row col in
-        (match lo with None -> true | Some l -> Value.compare l v <= 0)
-        && match hi with None -> true | Some h -> Value.compare v h <= 0)
+  let idx = paged_index t column in
+  counters.Counters.index_seeks <- counters.Counters.index_seeks + 1;
+  let pages = Paged_index.lookup_pages idx counters ~lo ~hi |> order_pages t in
+  let col = Schema.index_of t.schema column in
+  fetch_pages t ?par counters pages (fun row ->
+      let v = Tuple.get row col in
+      (match lo with None -> true | Some l -> Value.compare l v <= 0)
+      && match hi with None -> true | Some h -> Value.compare v h <= 0)
 
 (* ------------------------------------------------------------------ *)
 (* In-place edits (the update subsystem)                               *)
 
-(* Lexicographic comparison on the cluster-key columns — the same order
-   Relation.sort_by establishes at build time. *)
-let cluster_cmp t =
-  let idx = List.map (Schema.index_of t.schema) t.cluster_key in
-  fun a b ->
-    let rec go = function
-      | [] -> 0
-      | i :: rest ->
-        let c = Value.compare (Tuple.get a i) (Tuple.get b i) in
-        if c <> 0 then c else go rest
-    in
-    go idx
-
-let rebuild_indexes t h =
-  let sch = t.schema in
-  let columns =
-    List.sort String.compare
-      (Hashtbl.fold (fun c _ acc -> c :: acc) h.indexes [])
-  in
-  Hashtbl.reset h.indexes;
-  List.iter
-    (fun column ->
-      let i = Schema.index_of sch column in
-      let index = Value_btree.create () in
-      Array.iteri
-        (fun row tuple -> Value_btree.insert index (Tuple.get tuple i) row)
-        (Relation.tuples h.relation);
-      Hashtbl.replace h.indexes column index)
-    columns
-
-(* Writes the distinct pages behind a list of row ids through the pool;
-   returns how many pages that is. *)
-let write_pages t h counters rows =
-  let pages =
-    List.sort_uniq Stdlib.compare (List.map (fun row -> row / h.page_rows) rows)
-  in
-  (match t.pool with
-  | None -> ()
-  | Some pool ->
-    List.iter
-      (fun page ->
-        counters.Counters.page_writes <- counters.Counters.page_writes + 1;
-        counters.Counters.page_requests <- counters.Counters.page_requests + 1;
-        match Buffer_pool.write pool ~table:t.name ~page with
-        | `Hit -> ()
-        | `Miss -> counters.Counters.page_reads <- counters.Counters.page_reads + 1)
-      pages);
-  List.length pages
-
-let apply_edits_heap t h counters ~deletes ~inserts =
-  let cmp = cluster_cmp t in
-  let old = Relation.tuples h.relation in
-  let n = Array.length old in
-  let del =
-    Array.of_list
-      (List.sort
-         (fun a b ->
-           let c = cmp a b in
-           if c <> 0 then c else Tuple.compare a b)
-         deletes)
-  in
-  let nd = Array.length del in
-  let matched = Array.make (max nd 1) false in
-  let kept = ref [] (* reversed *) in
-  let deleted_rows = ref [] (* old row ids *) in
-  let i = ref 0 and j = ref 0 in
-  let missing () = invalid_arg "Table.apply_edits: delete not present" in
-  while !i < n do
-    while !j < nd && cmp del.(!j) old.(!i) < 0 do
-      if not matched.(!j) then missing ();
-      incr j
-    done;
-    if !j < nd && cmp del.(!j) old.(!i) = 0 then begin
-      (* Runs of rows and deletes sharing this cluster key; match the
-         multisets pairwise by full-tuple equality. *)
-      let run_key = old.(!i) in
-      let run_start = !i in
-      while !i < n && cmp old.(!i) run_key = 0 do
-        incr i
-      done;
-      let dstart = !j in
-      while !j < nd && cmp del.(!j) run_key = 0 do
-        incr j
-      done;
-      for r = run_start to !i - 1 do
-        let row = old.(r) in
-        let hit = ref false in
-        for d = dstart to !j - 1 do
-          if (not !hit) && (not matched.(d)) && Tuple.equal del.(d) row then begin
-            matched.(d) <- true;
-            hit := true;
-            deleted_rows := r :: !deleted_rows
-          end
-        done;
-        if not !hit then kept := row :: !kept
-      done
-    end
-    else begin
-      kept := old.(!i) :: !kept;
-      incr i
-    end
-  done;
-  Array.iteri (fun d m -> if d < nd && not m then missing ()) matched;
-  let kept = Array.of_list (List.rev !kept) in
-  let ins = Array.of_list (List.stable_sort cmp inserts) in
-  (* Merge the surviving rows with the sorted inserts, tracking where
-     each insert lands in the new clustered layout. *)
-  let merged = ref [] and inserted_rows = ref [] in
-  let ai = ref 0 and bi = ref 0 and pos = ref 0 in
-  let ka = Array.length kept and kb = Array.length ins in
-  while !ai < ka || !bi < kb do
-    if !bi < kb && (!ai >= ka || cmp ins.(!bi) kept.(!ai) <= 0) then begin
-      merged := ins.(!bi) :: !merged;
-      inserted_rows := !pos :: !inserted_rows;
-      incr bi
-    end
-    else begin
-      merged := kept.(!ai) :: !merged;
-      incr ai
-    end;
-    incr pos
-  done;
-  h.relation <- Relation.make t.schema (Array.of_list (List.rev !merged));
-  rebuild_indexes t h;
-  counters.Counters.index_seeks <-
-    counters.Counters.index_seeks
-    + ((nd + kb) * List.length (indexed_columns t));
-  write_pages t h counters (List.rev !deleted_rows)
-  + write_pages t h counters (List.rev !inserted_rows)
-
 (* First directory slot whose first tuple is >= key (cluster order);
    [Array.length] when none. *)
-let dir_lower_bound cmp p key =
-  let lo = ref 0 and hi = ref (Array.length p.p_dir) in
+let dir_lower_bound cmp t key =
+  let lo = ref 0 and hi = ref (Array.length t.dir) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if cmp p.p_dir.(mid).de_first key < 0 then lo := mid + 1 else hi := mid
+    if cmp t.dir.(mid).de_first key < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
 (* Directory slots that can hold tuples with [key]'s cluster key: from
    one before the first slot whose first tuple is >= key, through the
    last slot whose first tuple compares <= key. *)
-let dir_range cmp p key =
-  let n = Array.length p.p_dir in
-  let lb = dir_lower_bound cmp p key in
+let dir_range cmp t key =
+  let n = Array.length t.dir in
+  let lb = dir_lower_bound cmp t key in
   let s = max 0 (lb - 1) in
   let e = ref (lb - 1) in
-  while !e + 1 < n && cmp p.p_dir.(!e + 1).de_first key = 0 do
+  while !e + 1 < n && cmp t.dir.(!e + 1).de_first key = 0 do
     incr e
   done;
   (s, min (max !e s) (n - 1))
 
-let apply_edits_paged t p counters ~deletes ~inserts =
-  let cmp = cluster_cmp t in
-  let pool = the_pool t in
+(** [apply_edits t counters ~deletes ~inserts] removes each tuple of
+    [deletes] (matched by {!Tuple.equal}, one occurrence per listed
+    tuple), inserts every tuple of [inserts] at its clustered position,
+    and maintains the secondary indexes.
+
+    The edits are page-local, as in a clustered B+-tree: only the
+    pages holding a deleted row or receiving an inserted one are read
+    and rewritten through the buffer pool (splitting on overflow,
+    freeing on empty), and every secondary index charges one descent
+    per affected row.  Returns the number of page writes.
+    @raise Invalid_argument if some delete is not present. *)
+let apply_edits t counters ~deletes ~inserts =
+  let cmp = cluster_cmp t.schema t.cluster_key in
+  let store = t.store in
   (* Decoded page cache: page id -> rows (charged once). *)
   let cache : (int, Tuple.t list) Hashtbl.t = Hashtbl.create 16 in
   let load page =
     match Hashtbl.find_opt cache page with
     | Some rows -> rows
     | None ->
-      let rows = read_page_paged t counters page in
+      let rows = read_page t counters page in
       Hashtbl.replace cache page rows;
       rows
   in
@@ -565,13 +333,13 @@ let apply_edits_paged t p counters ~deletes ~inserts =
   in
   List.iter
     (fun d ->
-      if Array.length p.p_dir = 0 then
+      if Array.length t.dir = 0 then
         invalid_arg "Table.apply_edits: delete not present";
-      let s, e = dir_range cmp p d in
+      let s, e = dir_range cmp t d in
       let placed = ref false in
       let i = ref s in
       while (not !placed) && !i <= e do
-        let page = p.p_dir.(!i).de_page in
+        let page = t.dir.(!i).de_page in
         let have =
           List.length (List.filter (Tuple.equal d) (load page))
         in
@@ -592,11 +360,11 @@ let apply_edits_paged t p counters ~deletes ~inserts =
   let fresh_inserts = ref [] in
   List.iter
     (fun ins ->
-      if Array.length p.p_dir = 0 then fresh_inserts := ins :: !fresh_inserts
+      if Array.length t.dir = 0 then fresh_inserts := ins :: !fresh_inserts
       else begin
-        let _, e = dir_range cmp p ins in
+        let _, e = dir_range cmp t ins in
         let slot = max 0 e in
-        let page = p.p_dir.(slot).de_page in
+        let page = t.dir.(slot).de_page in
         let r =
           match Hashtbl.find_opt ins_by_page page with
           | Some r -> r
@@ -625,7 +393,7 @@ let apply_edits_paged t p counters ~deletes ~inserts =
     r := e :: !r
   in
   let col_positions =
-    List.map (fun (c, _) -> (c, Schema.index_of t.schema c)) p.p_indexes
+    List.map (fun (c, _) -> (c, Schema.index_of t.schema c)) t.indexes
   in
   let account rows page sign =
     List.iter
@@ -635,23 +403,36 @@ let apply_edits_paged t p counters ~deletes ~inserts =
           col_positions)
       rows
   in
-  let store_page page payload =
+  (* Writes one page of [rows]; its directory entry. *)
+  let write_page page rows =
     incr writes;
-    counters.Counters.page_writes <- counters.Counters.page_writes + 1;
-    counters.Counters.page_requests <- counters.Counters.page_requests + 1;
-    Buffer_pool.store pool ~table:t.name ~page payload
+    Page_store.write store counters ~table:t.name ~page rows ~encode:(encode t);
+    account rows page 1;
+    { de_page = page; de_nrows = List.length rows; de_first = List.hd rows }
+  in
+  (* Cuts [rows] into full pages, the first on [first] if given. *)
+  let write_pages ?first rows =
+    Codec.pack_pages ~format:store.codec ~capacity:store.capacity ~fill:1.0
+      rows
+    |> List.mapi (fun k rows ->
+           let page =
+             match first with
+             | Some page when k = 0 -> page
+             | _ -> store.alloc ()
+           in
+           write_page page rows)
   in
   let affected =
     let keys = Hashtbl.create 16 in
     Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) del_by_page;
     Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) ins_by_page;
-    Hashtbl.fold (fun k () acc -> k :: acc) keys [] |> order_pages p
+    Hashtbl.fold (fun k () acc -> k :: acc) keys [] |> order_pages t
   in
   (* Replacement directory entries per slot. *)
   let repl : (int, dir_entry list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun page ->
-      let slot = Hashtbl.find p.p_seq page in
+      let slot = Hashtbl.find t.seq page in
       let old_rows = load page in
       let dels =
         match Hashtbl.find_opt del_by_page page with
@@ -677,8 +458,7 @@ let apply_edits_paged t p counters ~deletes ~inserts =
         | Some r -> List.stable_sort cmp (List.rev !r)
         | None -> []
       in
-      (* Merge with inserts placed before equal kept rows, matching the
-         heap layout. *)
+      (* Merge with inserts placed before equal kept rows. *)
       let rec merge kept ins =
         match (kept, ins) with
         | rows, [] -> rows
@@ -688,51 +468,24 @@ let apply_edits_paged t p counters ~deletes ~inserts =
       in
       let new_rows = merge kept ins in
       account old_rows page (-1);
-      match new_rows with
-      | [] ->
-        Buffer_pool.invalidate pool ~table:t.name ~page;
-        p.p_free page;
-        Hashtbl.replace repl slot []
-      | rows ->
-        let payload = Codec.encode_page ~format:p.p_codec rows in
-        if String.length payload <= p.p_capacity then begin
-          store_page page payload;
-          account rows page 1;
-          Hashtbl.replace repl slot
-            [ { de_page = page; de_nrows = List.length rows; de_first = List.hd rows } ]
-        end
-        else begin
+      Hashtbl.replace repl slot
+        (match new_rows with
+        | [] ->
+          Page_store.drop store ~table:t.name ~page;
+          []
+        | rows when Codec.page_bytes ~format:store.codec rows <= store.capacity
+          ->
+          [ write_page page rows ]
+        | rows ->
           (* Page split: the first chunk keeps the page id, the rest go
              to fresh pages. *)
-          let chunks =
-            Codec.pack_pages ~format:p.p_codec ~capacity:p.p_capacity ~fill:1.0
-              rows
-          in
-          let entries =
-            List.mapi
-              (fun k (payload, first, nrows) ->
-                let pg = if k = 0 then page else p.p_alloc () in
-                store_page pg payload;
-                account (Codec.decode_page ~format:p.p_codec payload) pg 1;
-                ignore first;
-                { de_page = pg; de_nrows = nrows; de_first = first })
-              chunks
-          in
-          Hashtbl.replace repl slot entries
-        end)
+          write_pages ~first:page rows))
     affected;
   (* Fresh pages when the table was empty. *)
   let tail_entries =
-    match List.rev !fresh_inserts with
+    match !fresh_inserts with
     | [] -> []
-    | rows ->
-      let rows = List.stable_sort cmp rows in
-      Codec.pack_pages ~format:p.p_codec ~capacity:p.p_capacity ~fill:1.0 rows
-      |> List.map (fun (payload, first, nrows) ->
-             let pg = p.p_alloc () in
-             store_page pg payload;
-             account (Codec.decode_page ~format:p.p_codec payload) pg 1;
-             { de_page = pg; de_nrows = nrows; de_first = first })
+    | rows -> write_pages (List.stable_sort cmp (List.rev rows))
   in
   (* Splice the directory. *)
   let out = ref [] in
@@ -741,81 +494,53 @@ let apply_edits_paged t p counters ~deletes ~inserts =
       match Hashtbl.find_opt repl slot with
       | None -> out := e :: !out
       | Some es -> List.iter (fun e -> out := e :: !out) es)
-    p.p_dir;
+    t.dir;
   List.iter (fun e -> out := e :: !out) tail_entries;
-  p.p_dir <- Array.of_list (List.rev !out);
-  rebuild_seq p;
+  t.dir <- Array.of_list (List.rev !out);
+  rebuild_seq t;
   (* Index maintenance. *)
   counters.Counters.index_seeks <-
     counters.Counters.index_seeks
-    + ((List.length deletes + List.length inserts) * List.length p.p_indexes);
+    + ((List.length deletes + List.length inserts) * List.length t.indexes);
   List.iter
     (fun (column, idx) ->
       match Hashtbl.find_opt index_deltas column with
       | None -> ()
       | Some r -> Paged_index.apply idx counters (List.rev !r))
-    p.p_indexes;
+    t.indexes;
   !writes
 
-(** [apply_edits t counters ~deletes ~inserts] removes each tuple of
-    [deletes] (matched by {!Tuple.equal}, one occurrence per listed
-    tuple), inserts every tuple of [inserts] at its clustered position,
-    and maintains the secondary indexes over the new row numbering.
-
-    Costing mirrors a clustered B+-tree: every page holding a deleted
-    row (old layout) or an inserted row (new layout) is written through
-    the buffer pool, and every secondary index charges one descent per
-    affected row.  Returns the number of page writes.  On the paged
-    backing the edits are page-local: only the touched pages are
-    decoded and rewritten (splitting on overflow, freeing on empty).
-    @raise Invalid_argument if some delete is not present. *)
-let apply_edits t counters ~deletes ~inserts =
-  match t.backing with
-  | Heap h -> apply_edits_heap t h counters ~deletes ~inserts
-  | Paged p -> apply_edits_paged t p counters ~deletes ~inserts
-
-(** The table's buffer pool, when disk modelling is on. *)
-let pool t = t.pool
-
 (** Pages occupied by the clustered tuples. *)
-let page_count t =
-  match t.backing with
-  | Heap h -> (Relation.cardinality h.relation + h.page_rows - 1) / h.page_rows
-  | Paged p -> Array.length p.p_dir
+let page_count t = Array.length t.dir
 
-(** The disk layout of a paged table — directory plus per-index leaf
-    metadata — for the catalog writer; [None] for heap tables. *)
-let paged_layout t =
-  match t.backing with
-  | Heap _ -> None
-  | Paged p ->
-    Some
-      ( p.p_dir,
-        List.map (fun (c, idx) -> (c, Paged_index.layout idx)) p.p_indexes )
+(** The page layout — directory plus per-index leaf metadata — for the
+    catalog writer. *)
+let layout t =
+  (t.dir, List.map (fun (c, idx) -> (c, Paged_index.layout idx)) t.indexes)
 
-(** Average clustered rows per page under the active layout: the heap's
-    modelled density, or the paged directory's measured one.  This is
-    what the cost model should price a page read at — under a
+(** Average clustered rows per page: the directory's measured density.
+    This is what the cost model prices a page read at — under a
     compressing codec it grows, and scans get cheaper. *)
 let avg_page_rows t =
-  match t.backing with
-  | Heap h -> h.page_rows
-  | Paged p ->
-    let pages = Array.length p.p_dir in
-    if pages = 0 then 64 else max 1 ((cardinality t + pages - 1) / pages)
+  let pages = Array.length t.dir in
+  if pages = 0 then 64 else max 1 ((cardinality t + pages - 1) / pages)
 
-(** Every file page owned by a paged table (data pages and index
-    leaves); [[]] for heap tables. *)
+(** Every page the table owns (data pages and index leaves). *)
 let owned_pages t =
-  match t.backing with
-  | Heap _ -> []
-  | Paged p ->
-    let data = Array.to_list p.p_dir |> List.map (fun e -> e.de_page) in
-    let leaves =
-      List.concat_map
-        (fun (_, idx) ->
-          Array.to_list (Paged_index.layout idx)
-          |> List.map (fun m -> m.Paged_index.m_page))
-        p.p_indexes
-    in
-    data @ leaves
+  let data = Array.to_list t.dir |> List.map (fun e -> e.de_page) in
+  let leaves =
+    List.concat_map
+      (fun (_, idx) ->
+        Array.to_list (Paged_index.layout idx)
+        |> List.map (fun m -> m.Paged_index.m_page))
+      t.indexes
+  in
+  data @ leaves
+
+(** [drop t] frees every page the table owns (the table must not be
+    used afterwards). *)
+let drop t =
+  List.iter (fun (_, idx) -> Paged_index.drop idx) t.indexes;
+  Array.iter
+    (fun e -> Page_store.drop t.store ~table:t.name ~page:e.de_page)
+    t.dir

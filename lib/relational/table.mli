@@ -1,31 +1,37 @@
-(** Base tables: a relation stored in clustered order with secondary B+
-    tree indexes, mirroring the paper's storage setup (Section 5.2.1):
+(** Base tables: a relation stored in clustered order on the pages of a
+    {!Page_store} with secondary B+-tree indexes ({!Paged_index}),
+    mirroring the paper's storage setup (Section 5.2.1):
     SP(plabel, start, end, level, data) clustered by {plabel, start} and
     SD(tag, start, end, level, data) clustered by {tag, start}, indexed
-    on every queried attribute.
+    on every queried attribute.  In-memory storages and database files
+    build the same pages; only the store under the pool differs.
 
     Every access method charges {!Counters} with the tuples it fetches —
     the paper's "visited elements" / disk-access proxy. *)
 
 type t
 
-(** One resident directory entry of a disk-backed table: a data page in
-    cluster order. *)
+(** One resident directory entry: a data page in cluster order. *)
 type dir_entry = {
-  de_page : int;  (** file page id *)
+  de_page : int;  (** page id *)
   de_nrows : int;
   de_first : Tuple.t;  (** first tuple on the page (cluster order) *)
 }
 
-(** [create ?pool ?page_rows ~name ~schema ~cluster_key ~indexes tuples]
-    builds a heap table: sorts the tuples by [cluster_key] and builds a
-    B+ tree for every column in [indexes]; the cluster key's leading
-    column always gets one.  With a [pool], every tuple fetch requests
-    its page, charging misses as disk accesses; [page_rows] (default
-    64) is the page size in tuples. *)
-val create :
-  ?pool:Buffer_pool.t ->
-  ?page_rows:int ->
+(** Default page occupancy of a bulk load (0.9): headroom for in-place
+    edits. *)
+val default_fill : float
+
+(** [load ?fill store ~name ~schema ~cluster_key ~indexes tuples] — the
+    one bulk loader: sorts the tuples by [cluster_key] (stably), cuts
+    them into pages filled to [fill] of the store's capacity under its
+    codec, and writes the data pages and then each index's leaves
+    straight to [store].  Every column in [indexes] gets an index, and
+    so does the cluster key's leading column.  Page writes are counted
+    in the store's pool. *)
+val load :
+  ?fill:float ->
+  Page_store.t ->
   name:string ->
   schema:Schema.t ->
   cluster_key:string list ->
@@ -33,51 +39,41 @@ val create :
   Tuple.t list ->
   t
 
-(** [create_paged ~pool ~alloc ~free ~capacity ~name ~schema
-    ~cluster_key ~dir ~indexes] assembles a disk-backed table from an
-    already materialized layout (the database open path): [dir] is the
-    clustered page directory, [indexes] the per-column paged indexes,
-    [capacity] the page payload capacity in bytes.  Payloads are read
-    through [pool] on demand and `Counters.page_reads` becomes measured
-    I/O. *)
-val create_paged :
-  ?codec:Codec.format ->
-  pool:Buffer_pool.t ->
-  alloc:(unit -> int) ->
-  free:(int -> unit) ->
-  capacity:int ->
+(** [of_layout store ~name ~schema ~cluster_key ~dir ~indexes]
+    assembles a table from an already materialized layout (the database
+    open path): [dir] is the clustered page directory, [indexes] each
+    indexed column's leaf directory.  Pages are read through the store's
+    pool on demand. *)
+val of_layout :
+  Page_store.t ->
   name:string ->
   schema:Schema.t ->
   cluster_key:string list ->
   dir:dir_entry array ->
-  indexes:(string * Paged_index.t) list ->
-  unit ->
+  indexes:(string * Paged_index.meta array) list ->
   t
 
-(** The active page codec: the paged backing's format; heap tables are
-    modelled, not encoded, so they report {!Codec.V1}. *)
+(** The page store the table lives in. *)
+val store : t -> Page_store.t
+
+(** The page codec (the store's). *)
 val codec : t -> Codec.format
 
-(** Average clustered rows per page under the active layout: the heap's
-    modelled density, or the paged directory's measured one.  This is
-    what the cost model prices a page read at — under a compressing
-    codec it grows, and scans get cheaper. *)
+(** Average clustered rows per page: the directory's measured density.
+    This is what the cost model prices a page read at — under a
+    compressing codec it grows, and scans get cheaper. *)
 val avg_page_rows : t -> int
 
-(** Whether the table is disk-backed. *)
-val is_paged : t -> bool
+(** The page layout — directory plus per-index leaf metadata — for the
+    catalog writer. *)
+val layout : t -> dir_entry array * (string * Paged_index.meta array) list
 
-(** The disk layout of a paged table — directory plus per-index leaf
-    metadata — for the catalog writer; [None] for heap tables. *)
-val paged_layout :
-  t -> (dir_entry array * (string * Paged_index.meta array) list) option
-
-(** Every file page owned by a paged table (data pages and index
-    leaves); [[]] for heap tables. *)
+(** Every page the table owns (data pages and index leaves). *)
 val owned_pages : t -> int list
 
-(** The shared buffer pool, when disk modelling is on. *)
-val pool : t -> Buffer_pool.t option
+(** [drop t] frees every page the table owns; [t] must not be used
+    afterwards. *)
+val drop : t -> unit
 
 (** Pages occupied by the clustered tuples. *)
 val page_count : t -> int
@@ -100,10 +96,10 @@ val indexed_columns : t -> string list
 val scan : t -> Counters.t -> Tuple.t list
 
 (** Equality lookup through the index on [column]; rows come back in
-    clustered order.  With a multi-domain [par] pool, the fetch is
-    partitioned over page-aligned chunks (results and counter totals
-    match the sequential fetch; page {e reads} can differ only through
-    buffer-pool races with other domains).
+    clustered order.  With a multi-domain [par] pool, the page fetch is
+    split into contiguous chunks (results and counter totals match the
+    sequential fetch; page {e reads} can differ only through buffer-pool
+    races with other domains).
     @raise Not_found if the column has no index. *)
 val index_eq :
   t -> ?par:Blas_par.Pool.t -> Counters.t -> column:string -> Value.t -> Tuple.t list
@@ -112,16 +108,17 @@ val index_eq :
     ~deletes ~inserts] removes each tuple of [deletes] (matched by
     {!Tuple.equal}, one occurrence per listed tuple), inserts every
     tuple of [inserts] at its clustered position, and maintains the
-    secondary indexes.  Every page holding an affected row is written
-    through the buffer pool and every secondary index charges one
-    descent per affected row, so updates are paged and counted like
-    reads.  Returns the number of page writes.
+    secondary indexes.  Only the pages holding an affected row are read
+    and rewritten through the buffer pool (splitting on overflow,
+    freeing on empty), and every secondary index charges one descent
+    per affected row, so updates are paged and counted like reads.
+    Returns the number of page writes.
     @raise Invalid_argument if some delete is not present. *)
 val apply_edits :
   t -> Counters.t -> deletes:Tuple.t list -> inserts:Tuple.t list -> int
 
 (** Range lookup [lo <= column <= hi] ([None] bounds are open).  With a
-    multi-domain [par] pool, the fetch is partitioned over page-aligned
+    multi-domain [par] pool, the page fetch is split into contiguous
     chunks.
     @raise Not_found if the column has no index. *)
 val index_range :

@@ -22,7 +22,8 @@
     and inserted at their clustered positions in SP and SD, secondary
     B+-tree indexes are maintained, and every touched page goes through
     the buffer pool, so updates are paged and counted like reads
-    ({!Blas_rel.Table.apply_edits}). *)
+    ({!Blas_rel.Table.apply_edits}).  A tag-inventory change reloads
+    both relations into the same page store ({!Layout.tables}). *)
 
 module Doc = Blas_xpath.Doc
 module Types = Blas_xml.Types
@@ -112,43 +113,10 @@ let record ~op ?escalation t0 (report : report) =
       incr (counter registry "blas.update.table_rebuilds"));
   report
 
-(* ------------------------------------------------------------------ *)
-(* Row builders — the same layouts Storage.of_doc produces (SP
-   clustered by {plabel, start}, SD by {tag, start}, indexed on the
-   queried attributes; page size 64 tuples).                           *)
-
-let data_value = function
-  | None -> Blas_rel.Value.Null
-  | Some d -> Blas_rel.Value.Str d
-
-let sp_schema = Blas_rel.Schema.of_list [ "plabel"; "start"; "end"; "level"; "data" ]
-
-let sd_schema = Blas_rel.Schema.of_list [ "tag"; "start"; "end"; "level"; "data" ]
-
-let sp_row_at table (n : Doc.node) ~start ~fin ~data =
-  Blas_rel.Tuple.of_list
-    [
-      Blas_rel.Value.Big (Plabel.node_label table n.source_path);
-      Blas_rel.Value.Int start;
-      Blas_rel.Value.Int fin;
-      Blas_rel.Value.Int n.level;
-      data_value data;
-    ]
-
-let sd_row_at (n : Doc.node) ~start ~fin ~data =
-  Blas_rel.Tuple.of_list
-    [
-      Blas_rel.Value.Str n.tag;
-      Blas_rel.Value.Int start;
-      Blas_rel.Value.Int fin;
-      Blas_rel.Value.Int n.level;
-      data_value data;
-    ]
-
 let sp_row table (n : Doc.node) =
-  sp_row_at table n ~start:n.start ~fin:n.fin ~data:n.data
+  Layout.sp_row table n ~start:n.start ~fin:n.fin ~data:n.data
 
-let sd_row (n : Doc.node) = sd_row_at n ~start:n.start ~fin:n.fin ~data:n.data
+let sd_row (n : Doc.node) = Layout.sd_row n ~start:n.start ~fin:n.fin ~data:n.data
 
 (* ------------------------------------------------------------------ *)
 (* Document-model helpers                                              *)
@@ -345,26 +313,16 @@ let rebuild_tree ~relabel ~parent_start ~pos ~new_sub (root : Doc.node) =
 (* ------------------------------------------------------------------ *)
 (* Full rebuild of the relational layer (tag inventory changed)        *)
 
+(* Every P-label moved: the relations are bulk-loaded afresh into the
+   same page store, in place of the old pages (each page written counts
+   in the pool). *)
 let rebuild_tables t (doc : Doc.t) =
-  let sp_rows = List.map (sp_row t.table) doc.all in
-  let sd_rows = List.map sd_row doc.all in
-  t.sp <-
-    Rel_table.create ~pool:t.pool ~name:"sp" ~schema:sp_schema
-      ~cluster_key:[ "plabel"; "start" ]
-      ~indexes:[ "plabel"; "start"; "data" ]
-      sp_rows;
-  t.sd <-
-    Rel_table.create ~pool:t.pool ~name:"sd" ~schema:sd_schema
-      ~cluster_key:[ "tag"; "start" ]
-      ~indexes:[ "tag"; "start"; "data" ]
-      sd_rows;
-  (* Every page of both relations is rewritten. *)
-  List.iter
-    (fun table ->
-      for page = 0 to Rel_table.page_count table - 1 do
-        ignore (Pool.write t.pool ~table:(Rel_table.name table) ~page)
-      done)
-    [ t.sp; t.sd ]
+  let store = Rel_table.store t.sp in
+  Rel_table.drop t.sp;
+  Rel_table.drop t.sd;
+  let sp, sd = Layout.tables store t.table doc in
+  t.sp <- sp;
+  t.sd <- sd
 
 (* ------------------------------------------------------------------ *)
 (* insert_subtree                                                      *)
@@ -461,14 +419,14 @@ let insert_subtree t ~parent ~pos tree =
       List.map
         (fun (n : Doc.node) ->
           let start, fin = Hashtbl.find relabel n.start in
-          sp_row_at t.table n ~start ~fin ~data:n.data)
+          Layout.sp_row t.table n ~start ~fin ~data:n.data)
         moved
     in
     let moved_sd_ins =
       List.map
         (fun (n : Doc.node) ->
           let start, fin = Hashtbl.find relabel n.start in
-          sd_row_at n ~start ~fin ~data:n.data)
+          Layout.sd_row n ~start ~fin ~data:n.data)
         moved
     in
     let fresh_nodes = new_sub :: Doc.descendants new_sub in
@@ -594,11 +552,11 @@ let replace_text t ~start data =
   ignore
     (Rel_table.apply_edits t.sp counters
        ~deletes:[ sp_row t.table node ]
-       ~inserts:[ sp_row_at t.table node ~start:node.start ~fin:node.fin ~data ]);
+       ~inserts:[ Layout.sp_row t.table node ~start:node.start ~fin:node.fin ~data ]);
   ignore
     (Rel_table.apply_edits t.sd counters
        ~deletes:[ sd_row node ]
-       ~inserts:[ sd_row_at node ~start:node.start ~fin:node.fin ~data ]);
+       ~inserts:[ Layout.sd_row node ~start:node.start ~fin:node.fin ~data ]);
   let rec retext (n : Doc.node) : Doc.node =
     if n.start = start then { n with data }
     else { n with children = rev_map_children retext n }

@@ -143,18 +143,21 @@ let pack_law format (tuples, capacity) =
       (fun cap t -> max cap (Codec.tuple_bytes t + 16))
       capacity tuples
   in
-  let pages = Codec.pack_pages ~format ~capacity ~fill:0.9 tuples in
-  let decoded =
-    List.concat_map (fun (enc, _, _) -> Codec.decode_page ~format enc) pages
+  let pages =
+    List.map
+      (fun rows -> (rows, Codec.encode_page ~format rows))
+      (Codec.pack_pages ~format ~capacity ~fill:0.9 tuples)
   in
-  List.for_all (fun (enc, _, _) -> String.length enc <= capacity) pages
-  && List.for_all
-       (fun (enc, first, n) ->
-         Codec.page_nrows enc = n
-         && match Codec.decode_page ~format enc with
-           | [] -> false
-           | hd :: _ -> Tuple.compare hd first = 0)
-       (List.filter (fun (_, _, n) -> n > 0) pages)
+  let decoded =
+    List.concat_map (fun (_, enc) -> Codec.decode_page ~format enc) pages
+  in
+  List.for_all
+    (fun (rows, enc) ->
+      String.length enc <= capacity
+      && Codec.page_bytes ~format rows = String.length enc
+      && Codec.page_nrows enc = List.length rows
+      && rows <> [])
+    pages
   && List.length decoded = List.length tuples
   && List.for_all2 (fun a b -> Tuple.compare a b = 0) decoded tuples
 

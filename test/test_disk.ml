@@ -364,8 +364,8 @@ let test_escalation_persists () =
       Database.create ~page_size:512 ~path mem;
       let disk = Database.open_ ~cache_pages:32 ~mode:Database.Rw ~path () in
       (* A brand-new tag forces a tag-inventory rebuild: the engine
-         rebuilds the tables as heap relations and the database layer
-         repacks the whole file inside the same transaction. *)
+         reloads both tables into the file's free and fresh pages inside
+         the same transaction. *)
       let report =
         Blas.Update.insert_subtree disk ~parent:1 ~pos:2
           (Blas_xml.Dom.parse "<zz>fresh</zz>")
@@ -374,7 +374,7 @@ let test_escalation_persists () =
       let rows = doc_rows disk in
       Blas.Storage.close disk;
       let disk = Database.open_ ~cache_pages:32 ~mode:Database.Rw ~path () in
-      check_bool "repacked file reopens equal" true (rows = doc_rows disk);
+      check_bool "reloaded file reopens equal" true (rows = doc_rows disk);
       check_int "new tag queryable" 1
         (List.length (Blas.answers disk ~engine:Blas.Twig
              ~translator:Blas.D_labeling (Blas.query "//zz")));
@@ -650,7 +650,7 @@ let suite =
     Alcotest.test_case "page reads are measured io" `Quick
       test_page_reads_are_measured_io;
     Alcotest.test_case "update persists" `Quick test_update_persists;
-    Alcotest.test_case "escalation repacks and persists" `Quick
+    Alcotest.test_case "escalation reloads and persists" `Quick
       test_escalation_persists;
     Alcotest.test_case "failed update rolls back" `Quick
       test_failed_update_rolls_back;

@@ -4,7 +4,6 @@ let () =
   Alcotest.run "blas"
     [
       ("bignum", Test_bignum.suite);
-      ("btree", Test_btree.suite);
       ("xml", Test_xml.suite);
       ("labeling", Test_label.suite);
       ("xpath", Test_xpath.suite);

@@ -30,7 +30,7 @@ let unit_tests =
     ( "algebra pretty-printer covers every operator",
       fun () ->
         let t =
-          Table.create ~name:"t"
+          Table.load (Page_store.memory ()) ~name:"t"
             ~schema:(Schema.of_list [ "start"; "end"; "level" ])
             ~cluster_key:[ "start" ] ~indexes:[ "start" ] []
         in

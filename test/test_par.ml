@@ -390,7 +390,10 @@ let stress_tests =
     ( "striped buffer pool is domain-safe",
       fun () ->
         let open Blas_rel in
-        let bp = Buffer_pool.create_striped ~stripes:4 ~capacity:16 in
+        let bp =
+          Buffer_pool.create_striped ~stripes:4 ~capacity:16
+            Test_util.empty_backing
+        in
         Test_util.check_int "stripes" 4 (Buffer_pool.stripe_count bp);
         Test_util.check_int "capacity" 16 (Buffer_pool.capacity bp);
         let per = 2_000 in
@@ -401,7 +404,7 @@ let stress_tests =
                   fun () ->
                     for i = 0 to per - 1 do
                       ignore
-                        (Buffer_pool.access bp ~table:"t"
+                        (Buffer_pool.get bp ~table:"t"
                            ~page:(i * (k + 1) mod 64))
                     done)));
         Test_util.check_int "every request counted" (4 * per)

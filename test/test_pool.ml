@@ -2,68 +2,79 @@
 
 open Blas_rel
 
+let backing = Test_util.empty_backing
+
+let get pool ~table ~page = snd (Buffer_pool.get pool ~table ~page)
+
 let unit_tests =
   [
     ( "hits and misses",
       fun () ->
-        let pool = Buffer_pool.create ~capacity:2 in
+        let pool = Buffer_pool.create ~capacity:2 backing in
         Test_util.check_bool "first is a miss" true
-          (Buffer_pool.access pool ~table:"t" ~page:0 = `Miss);
+          (get pool ~table:"t" ~page:0 = `Miss);
         Test_util.check_bool "repeat is a hit" true
-          (Buffer_pool.access pool ~table:"t" ~page:0 = `Hit);
+          (get pool ~table:"t" ~page:0 = `Hit);
         Test_util.check_int "requests" 2 (Buffer_pool.requests pool);
         Test_util.check_int "misses" 1 (Buffer_pool.misses pool) );
     ( "pages are distinct per table",
       fun () ->
-        let pool = Buffer_pool.create ~capacity:4 in
-        ignore (Buffer_pool.access pool ~table:"a" ~page:0);
+        let pool = Buffer_pool.create ~capacity:4 backing in
+        ignore (get pool ~table:"a" ~page:0);
         Test_util.check_bool "same page other table misses" true
-          (Buffer_pool.access pool ~table:"b" ~page:0 = `Miss) );
+          (get pool ~table:"b" ~page:0 = `Miss) );
     ( "LRU eviction",
       fun () ->
-        let pool = Buffer_pool.create ~capacity:2 in
-        ignore (Buffer_pool.access pool ~table:"t" ~page:0);
-        ignore (Buffer_pool.access pool ~table:"t" ~page:1);
+        let pool = Buffer_pool.create ~capacity:2 backing in
+        ignore (get pool ~table:"t" ~page:0);
+        ignore (get pool ~table:"t" ~page:1);
         (* Touch 0 so 1 becomes the LRU victim. *)
-        ignore (Buffer_pool.access pool ~table:"t" ~page:0);
-        ignore (Buffer_pool.access pool ~table:"t" ~page:2);
+        ignore (get pool ~table:"t" ~page:0);
+        ignore (get pool ~table:"t" ~page:2);
         Test_util.check_bool "0 still resident" true
-          (Buffer_pool.access pool ~table:"t" ~page:0 = `Hit);
+          (get pool ~table:"t" ~page:0 = `Hit);
         Test_util.check_bool "1 was evicted" true
-          (Buffer_pool.access pool ~table:"t" ~page:1 = `Miss);
+          (get pool ~table:"t" ~page:1 = `Miss);
         Test_util.check_int "resident bounded" 2 (Buffer_pool.resident pool) );
     ( "flush empties but keeps statistics",
       fun () ->
-        let pool = Buffer_pool.create ~capacity:4 in
-        ignore (Buffer_pool.access pool ~table:"t" ~page:0);
+        let pool = Buffer_pool.create ~capacity:4 backing in
+        ignore (get pool ~table:"t" ~page:0);
         Buffer_pool.flush pool;
         Test_util.check_int "nothing resident" 0 (Buffer_pool.resident pool);
         Test_util.check_int "stats kept" 1 (Buffer_pool.misses pool);
         Test_util.check_bool "cold again" true
-          (Buffer_pool.access pool ~table:"t" ~page:0 = `Miss) );
+          (get pool ~table:"t" ~page:0 = `Miss) );
     ( "capacity validation",
       fun () ->
         Alcotest.check_raises "zero"
           (Invalid_argument "Buffer_pool.create: capacity must be >= 1") (fun () ->
-            ignore (Buffer_pool.create ~capacity:0)) );
+            ignore (Buffer_pool.create ~capacity:0 backing)) );
     ( "table charges one request per clustered page",
       fun () ->
-        let pool = Buffer_pool.create ~capacity:64 in
+        (* 7-byte rows on 96-byte pages at 0.9 fill: 10 rows a page. *)
+        let store = Page_store.memory ~page_size:96 ~codec:Codec.V1 () in
+        let pool = store.Page_store.pool in
         let rows =
-          List.init 100 (fun i -> Tuple.of_list [ Value.Int i; Value.Int (i * 2) ])
+          List.init 100 (fun i ->
+              Tuple.of_list [ Value.Int (1000 + i); Value.Int (2000 + (2 * i)) ])
         in
         let t =
-          Table.create ~pool ~page_rows:10 ~name:"t"
+          Table.load store ~name:"t"
             ~schema:(Schema.of_list [ "k"; "v" ])
             ~cluster_key:[ "k" ] ~indexes:[ "k" ] rows
         in
         Test_util.check_int "page count" 10 (Table.page_count t);
+        Buffer_pool.reset_stats pool;
         let c = Counters.create () in
-        (* Rows 10-34 with 10 rows per page live on pages 1, 2 and 3. *)
+        (* Keys 1010-1034 live on data pages 1, 2 and 3; their index
+           entries (6 bytes each, 12 a leaf) on leaves 0 to 2, the
+           probe starting one leaf early for spilled duplicates. *)
         ignore
-          (Table.index_range t c ~column:"k" ~lo:(Some (Value.Int 10))
-             ~hi:(Some (Value.Int 34)));
-        Test_util.check_int "pages requested" 3 (Buffer_pool.requests pool);
+          (Table.index_range t c ~column:"k" ~lo:(Some (Value.Int 1010))
+             ~hi:(Some (Value.Int 1034)));
+        Test_util.check_int "pages requested" 6 (Buffer_pool.requests pool);
+        Test_util.check_int "charged" 6 c.Counters.page_requests;
         Buffer_pool.reset_stats pool;
         ignore (Table.scan t c);
         Test_util.check_int "scan touches all pages" 10 (Buffer_pool.requests pool) );
@@ -103,7 +114,7 @@ let lru_model_prop =
     Gen.pair (Gen.int_range 1 8) (Gen.list_size (Gen.int_range 0 200) (Gen.int_range 0 12))
   in
   Test_util.qtest "pool behaves like a model LRU" gen (fun (capacity, accesses) ->
-      let pool = Buffer_pool.create ~capacity in
+      let pool = Buffer_pool.create ~capacity backing in
       let model = ref [] in
       List.for_all
         (fun page ->
@@ -111,7 +122,7 @@ let lru_model_prop =
           model := page :: List.filter (fun p -> p <> page) !model;
           if List.length !model > capacity then
             model := List.filteri (fun i _ -> i < capacity) !model;
-          let got = Buffer_pool.access pool ~table:"t" ~page in
+          let got = get pool ~table:"t" ~page in
           got = (if expected_hit then `Hit else `Miss))
         accesses)
 

@@ -9,7 +9,7 @@ let v_int i = Value.Int i
 let v_str s = Value.Str s
 
 let mk_table ?(name = "t") ?(cluster = [ "k" ]) ?(indexes = [ "k" ]) columns rows =
-  Table.create ~name
+  Table.load (Page_store.memory ()) ~name
     ~schema:(Schema.of_list columns)
     ~cluster_key:cluster ~indexes
     (List.map (fun r -> Tuple.of_list r) rows)

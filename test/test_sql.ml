@@ -94,7 +94,7 @@ let parser_unit_tests =
 let v_int i = Value.Int i
 
 let node_table rows =
-  Table.create ~name:"sp"
+  Table.load (Page_store.memory ()) ~name:"sp"
     ~schema:(Schema.of_list [ "plabel"; "start"; "end"; "level"; "data" ])
     ~cluster_key:[ "plabel"; "start" ]
     ~indexes:[ "plabel"; "start"; "data" ]

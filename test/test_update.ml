@@ -299,6 +299,94 @@ let prop_persist_survives_edits =
                  Blas.oracle reloaded query = Blas.oracle storage query)
                queries))
 
+(* One representation: an in-memory storage and a database file of the
+   same document, page size and codec cut the same pages, so the same
+   edit script leaves them with the same page counts (escalations
+   included: new tags in [tree_gen] rebuild the inventory). *)
+let page_counts (s : Blas.Storage.t) =
+  List.concat_map
+    (fun t -> [ Blas_rel.Table.page_count t; List.length (Blas_rel.Table.owned_pages t) ])
+    [ s.Blas.Storage.sp; s.Blas.Storage.sd ]
+
+let prop_memory_matches_database =
+  qtest ~count:40 "memory storage and database file stay page-identical"
+    QCheck2.Gen.(pair (oneofl Blas_rel.Codec.[ V1; V2 ]) script_gen)
+    (fun (codec, (tree, edits, queries)) ->
+      let doc () = Blas_xpath.Doc.of_tree tree in
+      (* [Storage.of_doc] over 512-byte pages, so edits split pages *)
+      let mem =
+        let doc = doc () in
+        let store = Blas_rel.Page_store.memory ~page_size:512 ~codec () in
+        let table = Blas_label.Tag_table.of_dataguide doc.guide in
+        let sp, sd = Blas_update.Layout.tables store table doc in
+        Blas.Storage.assemble ~codec ~build_doc:(fun () -> doc) ~guide:doc.guide
+          ~table ~sp ~sd ~pool:store.Blas_rel.Page_store.pool ()
+      in
+      let path = Filename.temp_file "blas_twin_" ".blasdb" in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun p -> try Sys.remove p with Sys_error _ -> ())
+            [ path; path ^ ".wal" ])
+        (fun () ->
+          Blas.Database.create ~page_size:512 ~codec ~path
+            (Blas.Storage.of_doc ~codec (doc ()));
+          let disk =
+            Blas.Database.open_ ~cache_pages:16 ~mode:Blas.Database.Rw ~path ()
+          in
+          Fun.protect
+            ~finally:(fun () -> Blas.Storage.close disk)
+            (fun () ->
+              List.iter
+                (fun edit ->
+                  apply_edit mem edit;
+                  apply_edit disk edit)
+                edits;
+              page_counts mem = page_counts disk
+              && List.for_all
+                   (fun query ->
+                     let expected = Blas.oracle mem query in
+                     List.for_all
+                       (fun storage ->
+                         List.for_all
+                           (fun translator ->
+                             List.for_all
+                               (fun engine ->
+                                 Blas.answers storage ~engine ~translator query
+                                 = expected)
+                               engines)
+                           translators)
+                       [ mem; disk ])
+                   queries)))
+
+(* A tag-inventory rebuild reloads SP and SD with the bulk loader, so
+   the edited tables are cut exactly like a fresh index of the edited
+   document. *)
+let test_rebuild_page_counts () =
+  List.iter
+    (fun codec ->
+      let storage =
+        Blas.Storage.of_doc ~codec
+          (Blas_xpath.Doc.of_tree (Blas_datagen.Protein.generate ~entries:40 ()))
+      in
+      let report =
+        Blas.Update.insert_subtree storage ~parent:1 ~pos:0
+          (Blas_xml.Types.Element ("brand-new", [ Blas_xml.Types.Content "x" ]))
+      in
+      check_bool "inventory rebuilt" true report.table_rebuilt;
+      let fresh = Blas.Storage.of_doc ~codec (Blas.Storage.doc storage) in
+      List.iter
+        (fun (name, edited, fresh) ->
+          check_int
+            (Printf.sprintf "%s %s pages" (Blas_rel.Codec.format_name codec) name)
+            (Blas_rel.Table.page_count fresh)
+            (Blas_rel.Table.page_count edited))
+        [
+          ("sp", storage.Blas.Storage.sp, fresh.Blas.Storage.sp);
+          ("sd", storage.Blas.Storage.sd, fresh.Blas.Storage.sd);
+        ])
+    Blas_rel.Codec.[ V1; V2 ]
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -317,6 +405,9 @@ let suite =
     Alcotest.test_case "invalid arguments" `Quick test_errors;
     Alcotest.test_case "persist round-trip after edits" `Quick
       test_persist_round_trip;
+    Alcotest.test_case "rebuild pages match a fresh index" `Quick
+      test_rebuild_page_counts;
     prop_edits_consistent;
     prop_persist_survives_edits;
+    prop_memory_matches_database;
   ]

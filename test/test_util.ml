@@ -5,6 +5,15 @@
     non-empty answers, which is what makes the engine-vs-oracle
     integration property informative. *)
 
+(** A buffer-pool backing whose every page is an empty row list: pool
+    tests exercise the LRU without a real page store. *)
+let empty_backing =
+  {
+    Blas_rel.Buffer_pool.back_read = (fun ~table:_ ~page:_ -> Blas_rel.Buffer_pool.Rows []);
+    back_write = (fun ~table:_ ~page:_ _ -> ());
+    back_rows = true;
+  }
+
 let qtest ?(count = 200) name gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen law)
 
