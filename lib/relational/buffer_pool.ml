@@ -268,10 +268,10 @@ let dirty_count t =
       Hashtbl.fold (fun _ node acc -> if node.dirty then acc + 1 else acc)
         s.table 0)
 
-(** [write_through t ~table ~page data] writes a page straight to the
+(** [store_through t ~table ~page data] writes a page straight to the
     backing store (the bulk loader's path), dropping any resident copy;
     counted as one page written. *)
-let write_through t ~table ~page data =
+let store_through t ~table ~page data =
   let key = (table, page) in
   let stripe = stripe_of t key in
   locked stripe (fun s ->

@@ -21,7 +21,7 @@ type t
 type payload = Bytes of string | Rows of Tuple.t list
 
 (** The page store under the pool: misses read through [back_read],
-    dirty evictions and {!write_through} write through [back_write].
+    dirty evictions and {!store_through} write through [back_write].
     [back_rows] says which payload the store holds — writers hand it
     the same kind. *)
 type backing = {
@@ -67,10 +67,10 @@ val peek : t -> table:string -> page:int -> payload
     backing store on eviction or {!flush_dirty}. *)
 val store : t -> table:string -> page:int -> payload -> unit
 
-(** [write_through t ~table ~page data] writes a page straight to the
+(** [store_through t ~table ~page data] writes a page straight to the
     backing store, dropping any resident copy (the bulk loader's path);
     counted as one page written. *)
-val write_through : t -> table:string -> page:int -> payload -> unit
+val store_through : t -> table:string -> page:int -> payload -> unit
 
 (** Drop one page without write-back (it was freed or rewritten behind
     the pool's back). *)

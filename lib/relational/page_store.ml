@@ -69,6 +69,14 @@ let write t counters ~table ~page rows ~encode =
   counters.Counters.page_requests <- counters.Counters.page_requests + 1;
   Buffer_pool.store t.pool ~table ~page (payload t rows ~encode)
 
+(** [fresh t ~table rows ~encode] writes [rows] to a newly allocated
+    page straight to the backing store (the bulk loader's path, counted
+    as a page written); the page id. *)
+let fresh t ~table rows ~encode =
+  let page = t.alloc () in
+  Buffer_pool.store_through t.pool ~table ~page (payload t rows ~encode);
+  page
+
 (** [drop t ~table ~page] frees a page, dropping any cached copy. *)
 let drop t ~table ~page =
   Buffer_pool.invalidate t.pool ~table ~page;

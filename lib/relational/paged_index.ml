@@ -161,10 +161,10 @@ let load ~store ~name ~fill entries =
   let format = store.Page_store.codec in
   pack ~format ~capacity:store.Page_store.capacity ~fill entries
   |> List.map (fun es ->
-         let page = store.Page_store.alloc () in
-         Buffer_pool.write_through store.Page_store.pool ~table:name ~page
-           (Page_store.payload store (List.map row_of_entry es)
-              ~encode:(fun _ -> encode_leaf ~format es));
+         let page =
+           Page_store.fresh store ~table:name (List.map row_of_entry es)
+             ~encode:(fun _ -> encode_leaf ~format es)
+         in
          meta_of ~page es)
   |> Array.of_list
 

@@ -123,10 +123,9 @@ let load ?(fill = default_fill) store ~name ~schema ~cluster_key ~indexes
   let pages =
     Codec.pack_pages ~format ~capacity:store.Page_store.capacity ~fill rows
     |> List.map (fun rows ->
-           let page = store.Page_store.alloc () in
-           Buffer_pool.write_through store.Page_store.pool ~table:name ~page
-             (Page_store.payload store rows ~encode:(Codec.encode_page ~format));
-           (page, rows))
+           ( Page_store.fresh store ~table:name rows
+               ~encode:(Codec.encode_page ~format),
+             rows ))
   in
   let columns =
     List.sort_uniq String.compare
@@ -229,10 +228,8 @@ let order_pages t pages =
       Int.compare sa sb)
     pages
 
-let paged_index t column =
-  match List.assoc_opt column t.indexes with
-  | Some idx -> idx
-  | None -> raise Not_found
+(* @raise Not_found if [column] has no index. *)
+let index t column = List.assoc column t.indexes
 
 (* ------------------------------------------------------------------ *)
 (* Access methods                                                      *)
@@ -247,7 +244,7 @@ let scan t counters =
     [par] pool, the page fetch is split into contiguous chunks.
     @raise Not_found if the column has no index. *)
 let index_eq t ?par counters ~column value =
-  let idx = paged_index t column in
+  let idx = index t column in
   counters.Counters.index_seeks <- counters.Counters.index_seeks + 1;
   let pages =
     Paged_index.lookup_pages idx counters ~lo:(Some value) ~hi:(Some value)
@@ -262,7 +259,7 @@ let index_eq t ?par counters ~column value =
     pool, the page fetch is split into contiguous chunks.
     @raise Not_found if the column has no index. *)
 let index_range t ?par counters ~column ~lo ~hi =
-  let idx = paged_index t column in
+  let idx = index t column in
   counters.Counters.index_seeks <- counters.Counters.index_seeks + 1;
   let pages = Paged_index.lookup_pages idx counters ~lo ~hi |> order_pages t in
   let col = Schema.index_of t.schema column in

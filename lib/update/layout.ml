@@ -16,17 +16,17 @@ type spec = {
   indexes : string list;
 }
 
-let spec lead =
+let spec name lead =
   {
-    name = (if lead = "plabel" then "sp" else "sd");
+    name;
     schema = Rel.Schema.of_list [ lead; "start"; "end"; "level"; "data" ];
     cluster_key = [ lead; "start" ];
     indexes = [ lead; "start"; "data" ];
   }
 
-let sp = spec "plabel"
+let sp = spec "sp" "plabel"
 
-let sd = spec "tag"
+let sd = spec "sd" "tag"
 
 let data_value = function None -> Rel.Value.Null | Some d -> Rel.Value.Str d
 

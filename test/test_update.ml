@@ -300,17 +300,29 @@ let prop_persist_survives_edits =
                queries))
 
 (* One representation: an in-memory storage and a database file of the
-   same document, page size and codec cut the same pages, so the same
-   edit script leaves them with the same page counts (escalations
-   included: new tags in [tree_gen] rebuild the inventory). *)
+   same document, page size and codec cut the same data pages, so the
+   same edit script leaves them with the same page counts (escalations
+   included: deeper paths in [tree_gen] rebuild the inventory).  Index
+   leaves are not compared: their entries carry page ids, which the
+   file numbers differently (it reuses its free list and catalog
+   pages), and v2 leaves compress those ids. *)
 let page_counts (s : Blas.Storage.t) =
-  List.concat_map
-    (fun t -> [ Blas_rel.Table.page_count t; List.length (Blas_rel.Table.owned_pages t) ])
-    [ s.Blas.Storage.sp; s.Blas.Storage.sd ]
+  List.map Blas_rel.Table.page_count [ s.Blas.Storage.sp; s.Blas.Storage.sd ]
+
+let twin_gen =
+  let open QCheck2.Gen in
+  let* codec = oneofl Blas_rel.Codec.[ V1; V2 ] in
+  let* doc = doc_gen in
+  let* edits = list_size (int_range 1 6) edit_gen in
+  (* no wildcards: Unfold's expansion of [*] steps over a recursive
+     schema can reach thousands of branches, which a 16-page pool of
+     512-byte pages turns into seconds per query *)
+  let* queries = list_size (return 3) (query_gen ()) in
+  return (codec, (doc, edits, queries))
 
 let prop_memory_matches_database =
   qtest ~count:40 "memory storage and database file stay page-identical"
-    QCheck2.Gen.(pair (oneofl Blas_rel.Codec.[ V1; V2 ]) script_gen)
+    twin_gen
     (fun (codec, (tree, edits, queries)) ->
       let doc () = Blas_xpath.Doc.of_tree tree in
       (* [Storage.of_doc] over 512-byte pages, so edits split pages *)
