@@ -92,7 +92,8 @@ let level_gaps () =
         let query = Blas.query qs in
         let branches = Blas.decompose storage Blas.Split query in
         let run branches =
-          (Blas.Engine_twig.run storage branches).Blas.Engine_twig.starts
+          Blas.Engine_twig.run (Blas_rel.Counters.create ())
+            (Blas.Engine_twig.branch_joins storage branches)
         in
         let exact = run branches in
         let stripped = run (List.map strip_gaps branches) in
@@ -235,22 +236,35 @@ let twig_algorithms () =
     List.map
       (fun (id, qs) ->
         let query = Blas.query qs in
-        let branches = Blas.decompose storage Blas.Pushup query in
-        let run algorithm =
-          Bench_util.measure ~repetitions:5 (fun () ->
-              Blas.Engine_twig.run ~algorithm storage branches)
+        let patterns =
+          List.map
+            (Blas.Engine_twig.pattern_of_branch storage
+               (Blas_rel.Counters.create ()))
+            (Blas.decompose storage Blas.Pushup query)
         in
-        let classic, t_classic = run `Classic in
-        let merge, t_merge = run `Merge in
+        (* One join per union branch over the prebuilt streams: the
+           timing covers the join algorithm alone. *)
+        let run join =
+          Bench_util.measure ~repetitions:5 (fun () ->
+              List.fold_left
+                (fun (starts, candidates) pattern ->
+                  let s, (stats : Blas_twig.Twig_stack.stats) = join pattern in
+                  (List.rev_append s starts, candidates + stats.candidates))
+                ([], 0) patterns
+              |> fun (starts, candidates) ->
+              (List.sort_uniq Stdlib.compare starts, candidates))
+        in
+        let (classic, classic_candidates), t_classic =
+          run Blas_twig.Twig_stack_classic.run
+        in
+        let (merge, merge_candidates), t_merge = run Blas_twig.Twig_stack.run in
         [
           id;
           Bench_util.seconds t_classic;
-          Bench_util.thousands classic.Blas.Engine_twig.candidates;
+          Bench_util.thousands classic_candidates;
           Bench_util.seconds t_merge;
-          Bench_util.thousands merge.Blas.Engine_twig.candidates;
-          (if classic.Blas.Engine_twig.starts = merge.Blas.Engine_twig.starts
-           then "yes"
-           else "NO");
+          Bench_util.thousands merge_candidates;
+          (if classic = merge then "yes" else "NO");
         ])
       (Bench_queries.auction_novalue @ Bench_queries.benchmark)
   in

@@ -67,7 +67,11 @@ let instrumentation_check () =
   let bare =
     Test.make ~name:"bare"
       (Staged.stage (fun () ->
-           Blas.Engine_rdbms.run_opt storage
+           Option.map
+             (fun sql ->
+               Blas_rel.Executor.run
+                 (Blas_rel.Sql_compile.compile
+                    ~catalog:(Blas.Storage.catalog storage) sql))
              (Blas.sql_for storage translator query)))
   in
   (* The instrumented path with everything off (the library default). *)

@@ -477,28 +477,6 @@ let plan_cmd =
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
 
-(* Merge per-query reports the way {!Blas.run_union} does — used when
-   --analyze already ran each query and a second execution would skew
-   the buffer pool. *)
-let merge_reports (reports : Blas.report list) =
-  let counters = Blas_rel.Counters.create () in
-  List.iter (fun (r : Blas.report) -> Blas_rel.Counters.add ~into:counters r.counters) reports;
-  {
-    Blas.starts =
-      List.sort_uniq Stdlib.compare
-        (List.concat_map (fun (r : Blas.report) -> r.starts) reports);
-    visited = List.fold_left (fun acc (r : Blas.report) -> acc + r.visited) 0 reports;
-    page_reads =
-      List.fold_left (fun acc (r : Blas.report) -> acc + r.page_reads) 0 reports;
-    plan_djoins =
-      List.fold_left (fun acc (r : Blas.report) -> acc + r.plan_djoins) 0 reports;
-    memo_hits =
-      List.fold_left (fun acc (r : Blas.report) -> acc + r.memo_hits) 0 reports;
-    sql = None;
-    counters;
-    choice = List.find_map (fun (r : Blas.report) -> r.choice) reports;
-  }
-
 let run () query_string translator engine verify show_limit as_xml explain
     analyze show_stats jobs no_cache pages stats_seed path =
   apply_stats_seed stats_seed;
@@ -518,7 +496,7 @@ let run () query_string translator engine verify show_limit as_xml explain
         List.iter
           (fun (_, tree) -> Format.printf "%a@." Blas_obs.Analyze.pp tree)
           analyzed;
-        merge_reports (List.map fst analyzed)
+        Blas.union_report (List.map fst analyzed)
       end
       else
         with_jobs jobs (fun pool ->
@@ -866,7 +844,7 @@ let profile () query_string translator engine repeat json jobs no_cache path =
         List.map (Blas.run_analyze ~tracer storage ~engine ~translator) queries
       in
       Blas.set_metrics None;
-      let report = merge_reports (List.map fst analyzed) in
+      let report = Blas.union_report (List.map fst analyzed) in
       if json then
         print_endline
           (Blas_obs.Json.to_string_pretty

@@ -78,15 +78,14 @@ let () =
   let tree = Blas_datagen.Shakespeare.generate ~plays:2 () in
   let storage = Blas.index_of_tree tree in
   let counters = Blas_rel.Counters.create () in
-  let branches =
-    Blas.decompose storage Blas.Split (Blas.query "//ACT//SCENE//SPEECH//LINE")
-  in
-  match branches with
+  let query = Blas.query "//ACT//SCENE//SPEECH//LINE" in
+  match Blas.decompose storage Blas.Split query with
   | [ branch ] ->
     let pattern = Blas.Engine_twig.pattern_of_branch storage counters branch in
     let embeddings = Blas_twig.Path_stack.solution_count pattern in
     let bindings =
-      List.length (Blas.Engine_twig.run storage branches).Blas.Engine_twig.starts
+      List.length
+        (Blas.run storage ~engine:Blas.Twig ~translator:Blas.Split query).starts
     in
     Printf.printf
       "\nPathStack on //ACT//SCENE//SPEECH//LINE: %d embeddings for %d LINE bindings\n"

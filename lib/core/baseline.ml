@@ -70,18 +70,14 @@ let to_sql (query : Blas_xpath.Ast.t) =
       where = List.rev !conds;
     }
 
-(** [to_pattern storage query] — the same plan as a twig pattern over
-    per-tag D-label streams, for the holistic twig join engine.  The
-    level-1 constraint of an absolute root and value predicates are
-    applied while the stream is materialized; the visited-element count
-    still charges every element of the tag (the engine must read them,
-    as the paper's Figures 14-18 count). *)
-let to_pattern (storage : Storage.t) ?counters
-    ?(wrap : Engine_twig.wrap = fun ~label:_ f -> f ())
+(** [to_pattern ~wrap storage counters query] — the same plan as a twig
+    pattern over per-tag D-label streams, for the holistic twig join
+    engine.  The level-1 constraint of an absolute root and value
+    predicates are applied while the stream is materialized; the
+    visited-element count still charges every element of the tag (the
+    engine must read them, as the paper's Figures 14-18 count). *)
+let to_pattern ~(wrap : Engine_twig.wrap) (storage : Storage.t) counters
     (query : Blas_xpath.Ast.t) =
-  let counters =
-    match counters with Some c -> c | None -> Blas_rel.Counters.create ()
-  in
   let schema = Blas_rel.Table.schema storage.sd in
   let start_i = Blas_rel.Schema.index_of schema "start" in
   let end_i = Blas_rel.Schema.index_of schema "end" in
@@ -135,4 +131,4 @@ let to_pattern (storage : Storage.t) ?counters
       ~children:(List.map (build ~root:false) q.children)
       ~is_output:q.is_output
   in
-  (build ~root:true query, counters)
+  build ~root:true query

@@ -9,13 +9,12 @@
 val to_sql : Blas_xpath.Ast.t -> Blas_rel.Sql_ast.t
 
 (** The same plan as a twig pattern over per-tag D-label streams, for
-    the holistic twig join engine.  Returns the counters charged while
-    materializing the streams (pass [?counters] to accumulate);
-    [?wrap] is the EXPLAIN ANALYZE hook installed around each pattern
-    node's construction. *)
+    the holistic twig join engine.  Materializing the streams charges
+    [counters]; [wrap] is the EXPLAIN ANALYZE hook installed around
+    each pattern node's construction. *)
 val to_pattern :
+  wrap:Engine_twig.wrap ->
   Storage.t ->
-  ?counters:Blas_rel.Counters.t ->
-  ?wrap:Engine_twig.wrap ->
+  Blas_rel.Counters.t ->
   Blas_xpath.Ast.t ->
-  Blas_twig.Pattern.node * Blas_rel.Counters.t
+  Blas_twig.Pattern.node

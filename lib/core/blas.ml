@@ -15,7 +15,6 @@ module Suffix_query = Suffix_query
 module Decompose = Decompose
 module Translate = Translate
 module Baseline = Baseline
-module Engine_rdbms = Engine_rdbms
 module Engine_twig = Engine_twig
 module Collection = Collection
 module Cost = Cost
@@ -105,9 +104,12 @@ let sql_for = Exec.sql_for
 
 let plan_for = Exec.plan_for
 
-let run = Exec.run
+let run ?tracer ?cancel ?pool ?cache storage ~engine ~translator q =
+  Exec.run ?tracer ?cancel ?pool ?cache storage ~engine ~translator q
 
 let run_analyze = Exec.run_analyze
+
+let union_report = Exec.union
 
 let set_metrics = Exec.set_metrics
 
@@ -123,45 +125,18 @@ let oracle = Exec.oracle
 let query_union s = Blas_xpath.Parser.parse_union s
 
 (** [run_union ?pool storage ~engine ~translator queries] executes a
-    union of tree queries and merges results and costs; the SQL of the
-    combined plan is the UNION of the per-query SQL.  With a
-    multi-domain [pool], the queries of the batch run concurrently
-    (each run may fan out further when the batch is narrower than the
-    pool); reports merge in query order, so the merged report matches
-    the sequential one. *)
+    union of tree queries and merges the reports ({!union_report}).
+    With a multi-domain [pool], the queries of the batch run
+    concurrently (each run may fan out further when the batch is
+    narrower than the pool); reports merge in query order, so the
+    merged report matches the sequential one. *)
 let run_union ?tracer ?cancel ?pool ?cache storage ~engine ~translator queries =
   let run_one q = run ?tracer ?cancel ?pool ?cache storage ~engine ~translator q in
-  let reports =
-    match pool with
+  union_report
+    (match pool with
     | Some p when Blas_par.Pool.size p > 1 && List.length queries > 1 ->
       Blas_par.Pool.map_list p run_one queries
-    | _ -> List.map run_one queries
-  in
-  let sqls = List.filter_map (fun r -> r.sql) reports in
-  let counters = Blas_rel.Counters.create () in
-  List.iter (fun r -> Blas_rel.Counters.add ~into:counters r.counters) reports;
-  {
-    starts =
-      List.sort_uniq Stdlib.compare (List.concat_map (fun r -> r.starts) reports);
-    visited = List.fold_left (fun acc r -> acc + r.visited) 0 reports;
-    page_reads = List.fold_left (fun acc r -> acc + r.page_reads) 0 reports;
-    plan_djoins = List.fold_left (fun acc r -> acc + r.plan_djoins) 0 reports;
-    memo_hits = List.fold_left (fun acc r -> acc + r.memo_hits) 0 reports;
-    (* the first branch's pick represents the union in reports (all
-       branches consult the same statistics) *)
-    choice = List.find_map (fun r -> r.choice) reports;
-    counters;
-    sql =
-      (match sqls with
-      | [] -> None
-      | [ sql ] -> Some sql
-      | sqls ->
-        Some
-          (Blas_rel.Sql_ast.Union
-             (List.concat_map
-                (function Blas_rel.Sql_ast.Union qs -> qs | q -> [ q ])
-                sqls)));
-  }
+    | _ -> List.map run_one queries)
 
 let oracle_union storage queries =
   List.sort_uniq Stdlib.compare (List.concat_map (oracle storage) queries)

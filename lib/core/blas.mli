@@ -15,7 +15,6 @@ module Suffix_query = Suffix_query
 module Decompose = Decompose
 module Translate = Translate
 module Baseline = Baseline
-module Engine_rdbms = Engine_rdbms
 module Engine_twig = Engine_twig
 module Collection = Collection
 module Cost = Cost
@@ -33,7 +32,7 @@ module Update = Update
     buffer-pool interleaving). *)
 module Par = Blas_par.Pool
 
-(** The semantic query cache (plan memo, whole-query result memo,
+(** The semantic query cache (whole-query result memo and
     containment-aware scan cache) attached to every {!Storage.t}.
     Disabled by default; switch it on per storage with
     {!Storage.set_cache_enabled} or per run with {!run}'s [?cache]. *)
@@ -60,7 +59,10 @@ type translator = Exec.translator =
   | D_labeling  (** the baseline: one D-join per query edge over SD *)
   | Split  (** Section 4.1.1 *)
   | Pushup  (** Section 4.1.2 — the paper's default without schema *)
-  | Unfold  (** Section 4.1.3 — the paper's default with schema *)
+  | Unfold
+      (** Section 4.1.3 — the paper's default with schema; past
+          {!Decompose.expansion_bound} union branches it keeps the [//]
+          edges, as Push-up does *)
   | Auto2
       (** the adaptive optimizer: picks translator {e and} engine {e
           and} degree of parallelism by estimated cost from collected
@@ -133,8 +135,10 @@ val sql_for :
 val plan_for :
   Storage.t -> translator -> Blas_xpath.Ast.t -> Blas_rel.Algebra.plan option
 
-(** Translate and execute.  With an enabled [tracer] the run is recorded
-    as a [query] span over its lifecycle phases.  With a multi-domain
+(** Translate and execute — the one query pipeline: every other entry
+    point ({!run_analyze}, {!run_union}, {!answers}, {!Collection.run})
+    goes through it.  With an enabled [tracer] the run is recorded as a
+    [query] span over its lifecycle phases.  With a multi-domain
     [pool] the execute phase fans out (union branches, join sides,
     partitioned D-joins, chunked index fetches); answers and counter
     totals match the sequential run.
@@ -142,11 +146,10 @@ val plan_for :
     [?cache] overrides the storage's cache switch for this run only
     ([Some false] forces a cold reference run without flushing the
     cache; the default follows {!Storage.cache_enabled}, which starts
-    off).  With caching active, translation stages are memoized per
-    schema epoch, P-label scans are served from the semantic result
-    cache (exact or containment hits), and suffix-path queries replay
-    memoized answers with zero I/O until an update touches their
-    footprint.
+    off).  With caching active, P-label scans are served from the
+    semantic result cache (exact or containment hits), and suffix-path
+    queries replay memoized answers with zero I/O until an update
+    touches their footprint.
 
     [?cancel] is the cooperative cancellation hook: called at every
     phase and operator boundary of the run (across concurrent regions
@@ -163,13 +166,14 @@ val run :
   Blas_xpath.Ast.t ->
   report
 
-(** [run_analyze storage ~engine ~translator q] — EXPLAIN ANALYZE: like
-    {!run}, also returning the annotated operator tree (actual rows,
-    elapsed time and I/O per executed operator).  Summing the tree's
-    [self] stats reconciles exactly with [report.counters].  With
-    caching active the root label reports this run's cache delta; the
-    whole-query memo is bypassed so the tree is always a real
-    execution. *)
+(** [run_analyze storage ~engine ~translator q] — EXPLAIN ANALYZE: the
+    same {!run} with a collector attached, also returning the annotated
+    operator tree of the plan that ran (actual rows, elapsed time and
+    I/O per executed operator).  Summing the tree's [self] stats
+    reconciles exactly with [report.counters].  The run is sequential
+    (collector frames diff one shared counter vector) and bypasses the
+    whole-query memo, so the tree is always a real execution; with
+    caching active the root label reports this run's cache delta. *)
 val run_analyze :
   ?tracer:Blas_obs.Trace.t ->
   ?cache:bool ->
@@ -197,9 +201,10 @@ val oracle : Storage.t -> Blas_xpath.Ast.t -> int list
     @raise Blas_xpath.Parser.Error on malformed input. *)
 val query_union : string -> Blas_xpath.Ast.t list
 
-(** Executes a union of tree queries, merging results and costs; the
-    combined SQL is the UNION of the per-query plans.  With a
-    multi-domain [pool], the batch runs concurrently. *)
+(** Executes a union of tree queries and merges the reports with
+    {!union_report}.  With a multi-domain [pool], the batch runs
+    concurrently; reports merge in query order, so the merged report
+    matches the sequential one. *)
 val run_union :
   ?tracer:Blas_obs.Trace.t ->
   ?cancel:(unit -> unit) ->
@@ -210,6 +215,11 @@ val run_union :
   translator:translator ->
   Blas_xpath.Ast.t list ->
   report
+
+(** The report of a union of tree queries from the per-query reports:
+    answers united, costs summed, the SQL the UNION of the per-query
+    SQL, the first [Auto2] pick. *)
+val union_report : report list -> report
 
 val oracle_union : Storage.t -> Blas_xpath.Ast.t list -> int list
 

@@ -50,13 +50,11 @@ let cache_stats t =
     (fun acc (_, s) ->
       let st = Qcache.stats (Storage.cache s) in
       {
-        Qcache.plans = Blas_cache.Stats.sum acc.Qcache.plans st.Qcache.plans;
-        results = Blas_cache.Stats.sum acc.Qcache.results st.Qcache.results;
+        Qcache.results = Blas_cache.Stats.sum acc.Qcache.results st.Qcache.results;
         streams = Blas_cache.Stats.sum acc.Qcache.streams st.Qcache.streams;
       })
     {
-      Qcache.plans = Blas_cache.Stats.zero;
-      results = Blas_cache.Stats.zero;
+      Qcache.results = Blas_cache.Stats.zero;
       streams = Blas_cache.Stats.zero;
     }
     t.docs

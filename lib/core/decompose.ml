@@ -133,35 +133,34 @@ let decompose mode (query : Blas_xpath.Ast.t) =
 
 module Guide = Blas_xml.Dataguide
 
-(* All (reversed chain of tags, guide position) pairs reachable from
-   [pos] by one query edge. *)
-let edge_targets ~axis ~test pos =
+(* Folds [f] over every (reversed chain of tags, guide position) pair
+   reachable from [pos] by one query edge, in schema order. *)
+let fold_edge_targets ~axis ~test f pos acc =
   let matches tag =
     match test with
     | Blas_xpath.Ast.Tag t -> String.equal t tag
     | Blas_xpath.Ast.Any -> true
   in
-  match axis with
-  | Blas_xpath.Ast.Child ->
-    List.filter_map
-      (fun tag ->
-        if matches tag then
-          Option.map (fun child -> ([ tag ], child)) (Guide.find_child pos tag)
-        else None)
-      (Guide.child_tags pos)
-  | Blas_xpath.Ast.Descendant ->
+  match (axis, test) with
+  | Blas_xpath.Ast.Child, Blas_xpath.Ast.Tag t -> (
+    match Guide.find_child pos t with
+    | Some child -> f ([ t ], child) acc
+    | None -> acc)
+  | Blas_xpath.Ast.Child, Blas_xpath.Ast.Any ->
+    Guide.fold_children (fun tag child acc -> f ([ tag ], child) acc) pos acc
+  | Blas_xpath.Ast.Descendant, _ ->
     let rec below rev_chain pos acc =
-      List.fold_left
-        (fun acc tag ->
-          match Guide.find_child pos tag with
-          | None -> acc
-          | Some child ->
-            let chain = tag :: rev_chain in
-            let acc = if matches tag then (chain, child) :: acc else acc in
-            below chain child acc)
-        acc (Guide.child_tags pos)
+      Guide.fold_children
+        (fun tag child acc ->
+          let chain = tag :: rev_chain in
+          let acc = if matches tag then f (chain, child) acc else acc in
+          below chain child acc)
+        pos acc
     in
-    List.rev (below [] pos [])
+    below [] pos acc
+
+let edge_targets ~axis ~test pos =
+  List.rev (fold_edge_targets ~axis ~test List.cons pos [])
 
 let cross_product lists =
   List.fold_right
@@ -254,13 +253,6 @@ let expand ~all guide (query : Blas_xpath.Ast.t) =
     query contains [*]). *)
 let expand_wildcards guide query = expand ~all:false guide query
 
-(** [unfold guide query] is the full expansion used by the Unfold
-    translator: the result queries contain only child axes and concrete
-    tags, so their Push-up decomposition yields only equality selections
-    and exact-gap D-joins (b of them, per Section 4.2). *)
-let unfold guide query =
-  List.map (decompose Pushup) (expand ~all:true guide query)
-
 (** [translate mode guide query] is the full pipeline for one translator:
     a union of decompositions (singleton for Split/Push-up on
     wildcard-free queries). *)
@@ -273,3 +265,50 @@ let translate mode ?guide (query : Blas_xpath.Ast.t) =
     | None -> unsupported "wildcards require schema information"
     | Some g -> List.map (decompose mode) (expand_wildcards g query)
   else [ decompose mode query ]
+
+(* ------------------------------------------------------------------ *)
+(* Unfold, within the expansion bound                                 *)
+
+(** Past this many union branches a full expansion is not built: over a
+    recursive schema the count grows multiplicatively with every [//]
+    and [*] step (221,052 branches for one 7-step query over an
+    82-node document). *)
+let expansion_bound = 64
+
+(* The length of [expand ~all:true guide query], saturated at [cap]:
+   the same sum over edge targets of products over children, counted
+   without building a query.  A full expansion never deduplicates, so
+   below [cap] the count is exact. *)
+let count_unfoldings ~cap guide (query : Blas_xpath.Ast.t) =
+  let rec count pos (q : Blas_xpath.Ast.node) =
+    fold_edge_targets ~axis:q.axis ~test:q.test
+      (fun (_, target) acc ->
+        if acc >= cap then acc
+        else
+          let product =
+            List.fold_left
+              (fun p c -> if p = 0 then 0 else min cap (p * count target c))
+              1 q.children
+          in
+          min cap (acc + product))
+      pos 0
+  in
+  count guide query
+
+(** [unfold_opt guide query] is the Unfold translation: full expansion,
+    then Push-up decomposition of each expanded query, so only equality
+    selections and exact-gap D-joins remain (b of them, per Section
+    4.2).  [None] when the expansion has more than {!expansion_bound}
+    branches; counting stops at bound + 1. *)
+let unfold_opt guide query =
+  if count_unfoldings ~cap:(expansion_bound + 1) guide query > expansion_bound
+  then None
+  else Some (List.map (decompose Pushup) (expand ~all:true guide query))
+
+(** [unfold guide query] — {!unfold_opt}, or past the bound the Push-up
+    translation: the [//] edges stay unexpanded, so the answers are
+    the same. *)
+let unfold guide query =
+  match unfold_opt guide query with
+  | Some branches -> branches
+  | None -> translate Pushup ~guide query

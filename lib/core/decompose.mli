@@ -33,13 +33,24 @@ val expand :
 val expand_wildcards :
   Blas_xml.Dataguide.t -> Blas_xpath.Ast.t -> Blas_xpath.Ast.t list
 
-(** The Unfold translator: full expansion followed by Push-up
-    decomposition of each branch — only equality selections and
-    exact-gap D-joins remain (Section 4.2). *)
-val unfold : Blas_xml.Dataguide.t -> Blas_xpath.Ast.t -> Suffix_query.t list
-
 (** [translate mode ?guide query] — the full pipeline for Split or
     Push-up: wildcards are expanded when a guide is available.
     @raise Unsupported on wildcards without a guide. *)
 val translate :
   mode -> ?guide:Blas_xml.Dataguide.t -> Blas_xpath.Ast.t -> Suffix_query.t list
+
+(** The one expansion bound: past this many union branches a full
+    (Unfold) expansion is not built. *)
+val expansion_bound : int
+
+(** The Unfold translator: full expansion followed by Push-up
+    decomposition of each branch — only equality selections and
+    exact-gap D-joins remain (Section 4.2).  [None] past
+    {!expansion_bound} branches; the count stops at bound + 1, so an
+    explosive expansion is never enumerated. *)
+val unfold_opt :
+  Blas_xml.Dataguide.t -> Blas_xpath.Ast.t -> Suffix_query.t list option
+
+(** {!unfold_opt}, falling back past the bound to the Push-up
+    translation (the [//] edges stay unexpanded; same answers). *)
+val unfold : Blas_xml.Dataguide.t -> Blas_xpath.Ast.t -> Suffix_query.t list

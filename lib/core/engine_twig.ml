@@ -1,6 +1,7 @@
 (** The file-system / holistic-twig-join engine (Figure 6's second
     engine alternative): suffix-path subqueries become P-label range
-    scans that feed D-label streams into {!Blas_twig.Twig_stack}.
+    scans that feed D-label streams into the getNext holistic twig join
+    ({!Blas_twig.Twig_stack_classic}).
 
     A decomposition with several union branches (Unfold) runs one twig
     join per branch and unites the answers; the paper's prototype did
@@ -9,13 +10,6 @@
     engine itself is complete. *)
 
 open Blas_rel
-
-type result = {
-  starts : int list;
-  visited : int;  (** stream elements read, the metric of Figures 14-18 *)
-  candidates : int;  (** elements surviving the stack filter *)
-  counters : Counters.t;
-}
 
 let entry_of_tuple schema =
   let start_i = Schema.index_of schema "start" in
@@ -133,73 +127,30 @@ let pattern_of_branch ?(wrap = no_wrap) ?(cancel = ignore) ?par ?cache
   in
   build ~gap:(Blas_twig.Pattern.At_least 1) (Suffix_query.root_item branch)
 
-(* The paper's engine runs the original getNext algorithm; the merge
-   variant (`Merge) is kept for the ablation benches. *)
-let execute algorithm pattern =
-  match algorithm with
-  | `Classic -> Blas_twig.Twig_stack_classic.run pattern
-  | `Merge -> Blas_twig.Twig_stack.run pattern
+(** One holistic twig join: [label] names it in EXPLAIN ANALYZE;
+    [build ~wrap counters] materializes its pattern's streams, charging
+    [counters] and installing [wrap] around every pattern node. *)
+type join = {
+  label : string;
+  build : wrap:wrap -> Counters.t -> Blas_twig.Pattern.node;
+}
 
-(** [run ?algorithm ?pool storage branches] executes a decomposed query
-    (union of branches) on the twig engine.  With a multi-domain [pool],
-    branches run concurrently, each charging a fresh counter vector
-    merged back in branch order — the answer set and counter totals
-    match the sequential run. *)
-let run ?(algorithm = `Classic) ?(cancel = ignore) ?pool ?cache
-    (storage : Storage.t) (branches : Suffix_query.t list) =
-  let counters = Counters.create () in
-  let run_branch branch =
-    (* Cancellation points: before each branch's streams build (the
-       build itself checks per pattern node) and before its join runs. *)
-    let c = Counters.create () in
-    let pattern = pattern_of_branch ~cancel ?par:pool ?cache storage c branch in
-    cancel ();
-    let s, stats = execute algorithm pattern in
-    (c, s, stats.Blas_twig.Twig_stack.candidates)
-  in
-  let branch_results =
-    match pool with
-    | Some p when Blas_par.Pool.size p > 1 && List.length branches > 1 ->
-      Blas_par.Pool.map_list p run_branch branches
-    | _ -> List.map run_branch branches
-  in
-  let starts, candidates =
-    List.fold_left
-      (fun (starts, candidates) (c, s, cand) ->
-        Counters.add ~into:counters c;
-        (List.rev_append s starts, candidates + cand))
-      ([], 0) branch_results
-  in
-  (* "Visited elements" counts what the engine read from storage, before
-     any value filtering — the cost the paper's figures report. *)
-  {
-    starts = List.sort_uniq Stdlib.compare starts;
-    visited = counters.Counters.tuples_read;
-    candidates;
-    counters;
-  }
+let branch_label (branch : Suffix_query.t) =
+  Format.asprintf "twig join %a" Blas_label.Plabel.pp_suffix_path
+    (Suffix_query.find_item branch branch.output).path
 
-(** [run_pattern ?algorithm pattern counters] executes a prebuilt
-    pattern (used for the D-labeling baseline). *)
-let run_pattern ?(algorithm = `Classic) pattern counters =
-  let starts, stats = execute algorithm pattern in
-  {
-    starts = List.sort_uniq Stdlib.compare starts;
-    visited = counters.Counters.tuples_read;
-    candidates = stats.Blas_twig.Twig_stack.candidates;
-    counters;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* EXPLAIN ANALYZE                                                     *)
-
-let snapshot_of counters () =
-  {
-    Blas_obs.Analyze.read = counters.Counters.tuples_read;
-    seeks = counters.Counters.index_seeks;
-    page_requests = counters.Counters.page_requests;
-    page_reads = counters.Counters.page_reads;
-  }
+(** [branch_joins storage branches] — one join per union branch of a
+    decomposed query. *)
+let branch_joins ?cancel ?par ?cache (storage : Storage.t) branches =
+  List.map
+    (fun branch ->
+      {
+        label = branch_label branch;
+        build =
+          (fun ~wrap counters ->
+            pattern_of_branch ~wrap ?cancel ?par ?cache storage counters branch);
+      })
+    branches
 
 (* Wraps pattern-node construction in a collector frame: rows = stream
    length, self = the counter delta of materializing this stream. *)
@@ -208,71 +159,42 @@ let stream_wrap collector ~label f =
     ~rows:(fun (node : Blas_twig.Pattern.node) -> Array.length node.entries)
     f
 
-let branch_label (branch : Suffix_query.t) =
-  Format.asprintf "twig join %a" Blas_label.Plabel.pp_suffix_path
-    (Suffix_query.find_item branch branch.output).path
-
-(** [run_analyze ?algorithm storage branches] — like {!run}, also
-    returning one annotated tree per union branch: a [twig-join] root
-    (rows = branch answers) over one [stream] node per suffix-path item
-    (rows = stream entries, I/O = that stream's scan). *)
-let run_analyze ?(algorithm = `Classic) ?cache (storage : Storage.t)
-    (branches : Suffix_query.t list) =
-  let counters = Counters.create () in
-  let collector =
-    Blas_obs.Analyze.Collector.create ~snapshot:(snapshot_of counters)
+(** [run ?pool ?collector counters joins] runs each join with the
+    paper's getNext algorithm ({!Blas_twig.Twig_stack_classic}) and
+    unites the answers (sorted start positions).  "Visited elements",
+    the cost the paper's figures report, is what the streams read from
+    storage before any value filtering: [counters.tuples_read]. *)
+let run ?(cancel = ignore) ?pool ?collector counters joins =
+  let run_join counters j =
+    (* Cancellation points: before each join's streams build (a branch
+       build also checks per pattern node) and before the join runs. *)
+    cancel ();
+    let join () =
+      let wrap = match collector with None -> no_wrap | Some c -> stream_wrap c in
+      let pattern = j.build ~wrap counters in
+      cancel ();
+      fst (Blas_twig.Twig_stack_classic.run pattern)
+    in
+    match collector with
+    | None -> join ()
+    | Some c ->
+      Blas_obs.Analyze.Collector.wrap c ~kind:"twig-join" ~label:j.label
+        ~rows:List.length join
   in
-  let starts, candidates =
-    List.fold_left
-      (fun (starts, candidates) branch ->
-        let s, stats =
-          Blas_obs.Analyze.Collector.wrap collector ~kind:"twig-join"
-            ~label:(branch_label branch)
-            ~rows:(fun (s, _) -> List.length s)
-            (fun () ->
-              let pattern =
-                pattern_of_branch ~wrap:(stream_wrap collector) ?cache storage
-                  counters branch
-              in
-              execute algorithm pattern)
-        in
-        (List.rev_append s starts, candidates + stats.Blas_twig.Twig_stack.candidates))
-      ([], 0) branches
+  let results =
+    match pool with
+    | Some p
+      when Option.is_none collector
+           && Blas_par.Pool.size p > 1
+           && List.length joins > 1 ->
+      Blas_par.Pool.map_list p
+        (fun j ->
+          let c = Counters.create () in
+          (c, run_join c j))
+        joins
+      |> List.map (fun (c, r) ->
+             Counters.add ~into:counters c;
+             r)
+    | _ -> List.map (run_join counters) joins
   in
-  let result =
-    {
-      starts = List.sort_uniq Stdlib.compare starts;
-      visited = counters.Counters.tuples_read;
-      candidates;
-      counters;
-    }
-  in
-  (result, Blas_obs.Analyze.Collector.roots collector)
-
-(** [run_build_analyze ?algorithm ~label counters build] — analyze a
-    pattern built by [build] (the D-labeling baseline path): [build]
-    receives the wrap hook to install around each pattern node it
-    constructs, and must charge its reads to [counters]. *)
-let run_build_analyze ?(algorithm = `Classic) ~label counters build =
-  let collector =
-    Blas_obs.Analyze.Collector.create ~snapshot:(snapshot_of counters)
-  in
-  let starts, stats =
-    Blas_obs.Analyze.Collector.wrap collector ~kind:"twig-join" ~label
-      ~rows:(fun (s, _) -> List.length s)
-      (fun () -> execute algorithm (build ~wrap:(stream_wrap collector)))
-  in
-  let result =
-    {
-      starts = List.sort_uniq Stdlib.compare starts;
-      visited = counters.Counters.tuples_read;
-      candidates = stats.Blas_twig.Twig_stack.candidates;
-      counters;
-    }
-  in
-  let root =
-    match Blas_obs.Analyze.Collector.roots collector with
-    | [ root ] -> root
-    | _ -> assert false
-  in
-  (result, root)
+  List.sort_uniq Stdlib.compare (List.concat results)

@@ -1,18 +1,12 @@
 (** The file-system / holistic-twig-join engine (the paper's second
     engine alternative): suffix-path subqueries become P-label range
-    scans feeding D-label streams into {!Blas_twig.Twig_stack}.
+    scans feeding D-label streams into the getNext holistic twig join
+    ({!Blas_twig.Twig_stack_classic}).
 
     A decomposition with several union branches (Unfold) runs one twig
     join per branch and unites the answers; the paper's prototype did
     not support unions, so its experiments compare only D-labeling,
     Split and Push-up — the engine itself is complete. *)
-
-type result = {
-  starts : int list;
-  visited : int;  (** stream elements read — the Figures 14-18 metric *)
-  candidates : int;  (** elements surviving the stack filter *)
-  counters : Blas_rel.Counters.t;
-}
 
 (** EXPLAIN ANALYZE hook installed around each pattern node's
     construction (children nest inside the parent's call). *)
@@ -32,49 +26,45 @@ val pattern_of_branch :
   Suffix_query.t ->
   Blas_twig.Pattern.node
 
-(** [run ?algorithm ?pool storage branches] executes a decomposed query
-    (a union of branches).  [`Classic] (default) is the original
-    getNext-driven TwigStack; [`Merge] the global-merge variant.  With a
-    multi-domain [pool], branches run concurrently; the answer set and
-    counter totals match the sequential run.  [cancel] is the
-    cooperative cancellation hook, called before every branch and every
-    stream materialization; it aborts the run by raising. *)
+(** One holistic twig join: [label] names it in EXPLAIN ANALYZE;
+    [build ~wrap counters] materializes its pattern's streams, charging
+    [counters] and installing [wrap] around every pattern node. *)
+type join = {
+  label : string;
+  build : wrap:wrap -> Blas_rel.Counters.t -> Blas_twig.Pattern.node;
+}
+
+(** [branch_joins storage branches] — one join per union branch of a
+    decomposed query; [cancel], [par] and [cache] as for
+    {!pattern_of_branch}. *)
+val branch_joins :
+  ?cancel:(unit -> unit) ->
+  ?par:Blas_par.Pool.t ->
+  ?cache:Blas_cache.Semantic.t ->
+  Storage.t ->
+  Suffix_query.t list ->
+  join list
+
+(** [run ?pool ?collector counters joins] runs each join with the
+    paper's getNext algorithm ({!Blas_twig.Twig_stack_classic}),
+    charging [counters], and returns the united answers (start
+    positions, sorted, unique).  [counters.tuples_read] is then the
+    visited-element count of Figures 14-18: stream elements read
+    before any value filtering.
+
+    With a [collector] (EXPLAIN ANALYZE; it must snapshot [counters])
+    the joins run sequentially, each recorded as a [twig-join] node
+    (rows = its answers) over one [stream] node per pattern node (rows
+    = stream entries; I/O = that stream's scan).  Otherwise, with a multi-domain [pool], the joins
+    run concurrently, each charging a fresh counter vector merged back
+    in join order, so the answers and counter totals match the
+    sequential run.  [cancel] is the cooperative cancellation hook,
+    called before every join and every stream materialization; it
+    aborts the run by raising. *)
 val run :
-  ?algorithm:[ `Classic | `Merge ] ->
   ?cancel:(unit -> unit) ->
   ?pool:Blas_par.Pool.t ->
-  ?cache:Blas_cache.Semantic.t ->
-  Storage.t ->
-  Suffix_query.t list ->
-  result
-
-(** [run_pattern ?algorithm pattern counters] executes a prebuilt
-    pattern (the D-labeling baseline path). *)
-val run_pattern :
-  ?algorithm:[ `Classic | `Merge ] ->
-  Blas_twig.Pattern.node ->
+  ?collector:Blas_obs.Analyze.Collector.t ->
   Blas_rel.Counters.t ->
-  result
-
-(** [run_analyze ?algorithm storage branches] — like {!run}, also
-    returning one annotated tree per union branch: a [twig-join] root
-    (rows = branch answers) over one [stream] node per suffix-path item
-    (rows = stream entries; I/O = that stream's scan).  Summing [self]
-    over all trees reconciles with [result.counters]. *)
-val run_analyze :
-  ?algorithm:[ `Classic | `Merge ] ->
-  ?cache:Blas_cache.Semantic.t ->
-  Storage.t ->
-  Suffix_query.t list ->
-  result * Blas_obs.Analyze.node list
-
-(** [run_build_analyze ?algorithm ~label counters build] — analyze a
-    pattern built by [build] (the D-labeling baseline path): [build]
-    receives the wrap hook to install around each pattern node it
-    constructs and must charge its stream reads to [counters]. *)
-val run_build_analyze :
-  ?algorithm:[ `Classic | `Merge ] ->
-  label:string ->
-  Blas_rel.Counters.t ->
-  (wrap:wrap -> Blas_twig.Pattern.node) ->
-  result * Blas_obs.Analyze.node
+  join list ->
+  int list

@@ -1,13 +1,15 @@
-(** Translator and engine dispatch — the execution machinery shared by
-    the {!Blas} facade and {!Collection}.  See {!Blas} for the
-    user-facing documentation of these types and functions.
+(** The one query pipeline (the paper's Figure 6: translator, then
+    engine), shared by the {!Blas} facade and {!Collection}.  See
+    {!Blas} for the user-facing documentation of these types and
+    functions.
 
     Observability: every run can be traced ({!run}'s [?tracer] wraps the
     translate / compile / execute phases in {!Blas_obs.Trace} spans),
     recorded ({!set_metrics} installs a registry that receives query
     counts, latency histograms and I/O totals), or analyzed
-    ({!run_analyze} returns the annotated operator tree).  All three are
-    off by default and cost nothing when off. *)
+    ({!run_analyze} is {!run} with an EXPLAIN ANALYZE collector
+    attached).  All three are off by default and cost nothing when
+    off. *)
 
 let log_src = Logs.Src.create "blas" ~doc:"BLAS query processing"
 
@@ -61,6 +63,12 @@ type report = {
 let actual_cost ~engine (report : report) =
   Optimizer.actual_cost ~engine:(kind_of_engine engine) report.counters
 
+(* The engine that ran: the [Auto2] pick when there is one. *)
+let executed_engine ~engine (report : report) =
+  match report.choice with
+  | Some c -> engine_of_kind c.Optimizer.ch_engine
+  | None -> engine
+
 (* ------------------------------------------------------------------ *)
 (* Metrics sink                                                       *)
 
@@ -99,17 +107,15 @@ let record_metrics ~engine ~translator ~elapsed_ns
 (** [decompose storage translator q] — the suffix-path decomposition
     (union branches) a BLAS translator produces.
     @raise Invalid_argument for [D_labeling], which does not decompose. *)
-let rec decompose (storage : Storage.t) translator q =
+let decompose (storage : Storage.t) translator q =
   match translator with
   | D_labeling -> invalid_arg "Blas.decompose: D-labeling does not decompose"
   | Split -> Decompose.translate Decompose.Split ~guide:(Storage.guide storage) q
   | Pushup -> Decompose.translate Decompose.Pushup ~guide:(Storage.guide storage) q
   | Unfold -> Decompose.unfold (Storage.guide storage) q
   | Auto2 ->
-    (* The adaptive pick, statistics-only (see {!Optimizer}); callers
-       that also execute resolve the engine and degree themselves. *)
-    let c = Optimizer.choose storage q in
-    decompose storage (translator_of_kind c.Optimizer.ch_translator) q
+    (* The adaptive pick, statistics-only (see {!Optimizer}). *)
+    (Optimizer.choose storage q).Optimizer.ch_branches
 
 (** [sql_for storage translator q] — the SQL query plan each translator
     generates (Figure 11 shows these for QS3). *)
@@ -128,30 +134,29 @@ let plan_for storage translator q =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)
 
-let empty_report sql =
-  {
-    starts = [];
-    visited = 0;
-    page_reads = 0;
-    plan_djoins = 0;
-    memo_hits = 0;
-    sql;
-    counters = Blas_rel.Counters.create ();
-    choice = None;
-  }
-
-let report_of_counters ~starts ~plan_djoins ~sql (counters : Blas_rel.Counters.t)
-    =
-  {
-    starts;
-    visited = counters.Blas_rel.Counters.tuples_read;
-    page_reads = counters.Blas_rel.Counters.page_reads;
-    plan_djoins;
-    memo_hits = 0;
-    sql;
-    counters;
-    choice = None;
-  }
+(* The answer column of an executed plan: the only projected column, or
+   the first one named "<alias>.start" when the SQL projects more (a
+   user-written star projection). *)
+let starts_of_relation relation =
+  let open Blas_rel in
+  let columns = Schema.columns (Relation.schema relation) in
+  let answer_column =
+    match columns with
+    | [ only ] -> Some only
+    | _ ->
+      List.find_opt
+        (fun c ->
+          String.equal c "start"
+          || (String.length c > 6
+             && String.equal (String.sub c (String.length c - 6) 6) ".start"))
+        columns
+  in
+  match answer_column with
+  | Some column ->
+    Relation.column relation column
+    |> List.map Value.to_int
+    |> List.sort_uniq Stdlib.compare
+  | None -> invalid_arg "Blas.run: no answer column (project a start column)"
 
 let twig_plan_djoins branches =
   List.fold_left (fun acc b -> acc + Suffix_query.djoin_count b) 0 branches
@@ -166,62 +171,6 @@ let qcache_for ?cache storage =
   let qc = Storage.cache storage in
   let on = match cache with Some b -> b | None -> Qcache.enabled qc in
   if on then Some qc else None
-
-(* Translation-pipeline memos.  Each stage is keyed by
-   (schema epoch, stage, translator, query); a [None] qcache falls
-   through to the uncached pipeline unchanged. *)
-let decompose_cached qc storage translator q qstr =
-  match qc with
-  | None -> decompose storage translator q
-  | Some qcv -> (
-    let key =
-      Qcache.plan_key qcv ~stage:"branches"
-        ~translator:(translator_name translator) ~query:qstr
-    in
-    match Qcache.find_plan qcv key with
-    | Some (Qcache.Branches b) -> b
-    | _ ->
-      let b = decompose storage translator q in
-      Qcache.put_plan qcv key (Qcache.Branches b);
-      b)
-
-let sql_cached qc storage translator q qstr =
-  let translate () =
-    match translator with
-    | D_labeling -> Some (Baseline.to_sql q)
-    | _ -> Translate.to_sql storage (decompose_cached qc storage translator q qstr)
-  in
-  match qc with
-  | None -> translate ()
-  | Some qcv -> (
-    let key =
-      Qcache.plan_key qcv ~stage:"sql" ~translator:(translator_name translator)
-        ~query:qstr
-    in
-    match Qcache.find_plan qcv key with
-    | Some (Qcache.Sql s) -> s
-    | _ ->
-      let s = translate () in
-      Qcache.put_plan qcv key (Qcache.Sql s);
-      s)
-
-let plan_cached qc storage translator qstr sql =
-  let compile () =
-    Blas_rel.Sql_compile.compile ~catalog:(Storage.catalog storage) sql
-  in
-  match qc with
-  | None -> compile ()
-  | Some qcv -> (
-    let key =
-      Qcache.plan_key qcv ~stage:"plan" ~translator:(translator_name translator)
-        ~query:qstr
-    in
-    match Qcache.find_plan qcv key with
-    | Some (Qcache.Plan (Some p)) -> p
-    | _ ->
-      let p = compile () in
-      Qcache.put_plan qcv key (Qcache.Plan (Some p));
-      p)
 
 (* The P-label signature of an indexed SP access, shared by the scan
    memo and the footprint: a point interval for equality probes
@@ -331,40 +280,56 @@ let record_cache_metrics qc =
     set_counter (counter registry "blas.cache.evictions") tot.evictions;
     set_counter (counter registry "blas.cache.invalidations") tot.invalidations
 
+(** EXPLAIN ANALYZE state attached to a run: the counter vector the run
+    charges and the collector diffing it around every operator. *)
+type analysis = {
+  a_counters : Blas_rel.Counters.t;
+  a_collector : Blas_obs.Analyze.Collector.t;
+}
+
 (** [run ?tracer ?pool ?cache storage ~engine ~translator q] —
     translate and execute.  With an enabled [tracer], the run is
     recorded as a [query] span over [translate] / [compile] / [execute]
-    (RDBMS) or [decompose] / [execute] ([build-streams] / [execute] for
-    the D-labeling baseline) child spans.  With a multi-domain [pool],
+    / [materialize] (RDBMS) or [decompose] / [execute] (twig engine;
+    the D-labeling baseline builds its streams in a [build-streams]
+    span inside [execute]) child spans.  With a multi-domain [pool],
     the execute phase fans out (union branches, join sides, partitioned
     D-joins and chunked index fetches); answers and counter totals match
     the sequential run.
 
     [?cache] overrides the storage's cache switch for this run only
     ([Some false] is a guaranteed-cold reference run; the default
-    follows {!Storage.cache_enabled}).  When caching is active, the
-    translation stages are memoized per schema epoch, P-label scans go
-    through the semantic result cache, and — for the suffix-path
-    translators — the whole answer is memoized and replayed with zero
-    I/O until an update touches the query's footprint. *)
+    follows {!Storage.cache_enabled}).  When caching is active, P-label
+    scans go through the semantic result cache, and — for the
+    suffix-path translators — the whole answer is memoized and replayed
+    with zero I/O until an update touches the query's footprint.
+
+    [?analysis] attaches an EXPLAIN ANALYZE collector (see
+    {!run_analyze}): the run charges its counters, executes
+    sequentially and bypasses the whole-query memo, so the tree always
+    reflects a real execution. *)
 let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
-    storage ~engine ~translator q =
+    ?analysis storage ~engine ~translator q =
   Log.debug (fun m ->
       m "run %s on %s: %s" (translator_name translator) (engine_name engine)
         (Blas_xpath.Pretty.to_string q));
   let qc = qcache_for ?cache storage in
   let qstr = Blas_xpath.Pretty.to_string q in
   let span name f = Blas_obs.Trace.with_span tracer name f in
+  (* Collector frames diff one shared counter snapshot, which concurrent
+     operators would tear. *)
+  let pool = if Option.is_some analysis then None else pool in
   let t0 = Blas_obs.Clock.now_ns () in
   let report =
     Blas_obs.Trace.with_span tracer "query"
       ~attrs:
-        [
-          ("engine", engine_name engine);
-          ("translator", translator_name translator);
-          ("query", qstr);
-          ("cache", match qc with Some _ -> "on" | None -> "off");
-        ]
+        ([
+           ("engine", engine_name engine);
+           ("translator", translator_name translator);
+           ("query", qstr);
+         ]
+        @ (if Option.is_some analysis then [ ("mode", "analyze") ] else [])
+        @ [ ("cache", match qc with Some _ -> "on" | None -> "off") ])
     @@ fun () ->
     (* Auto2 prices the plan space first (statistics-only; recorded as
        a [plan-choice] span) and rebinds the effective translator,
@@ -382,28 +347,21 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
         Some c
       | _ -> None
     in
-    let exec_translator =
+    let exec_translator, engine, pool =
       match choice with
-      | Some c -> translator_of_kind c.Optimizer.ch_translator
-      | None -> translator
-    in
-    let engine =
-      match choice with
-      | Some c -> engine_of_kind c.Optimizer.ch_engine
-      | None -> engine
-    in
-    let pool =
-      match choice with
-      | Some c when c.Optimizer.ch_degree <= 1 -> None
-      | _ -> pool
+      | Some c ->
+        ( translator_of_kind c.Optimizer.ch_translator,
+          engine_of_kind c.Optimizer.ch_engine,
+          if c.Optimizer.ch_degree <= 1 then None else pool )
+      | None -> (translator, engine, pool)
     in
     (* The whole-query memo applies to the suffix-path translators only:
        D-labeling answers carry no P-interval footprint to invalidate
        against.  Auto2 memoizes under its own name — the stats epoch in
        the key retires entries when a resample changes the pick. *)
     let memo =
-      match (qc, translator) with
-      | Some qcv, (Split | Pushup | Unfold | Auto2) ->
+      match (qc, translator, analysis) with
+      | Some qcv, (Split | Pushup | Unfold | Auto2), None ->
         Some
           ( qcv,
             Qcache.result_key qcv ~engine:(engine_name engine)
@@ -434,76 +392,88 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
     match memo_hit with
     | Some entry -> { (report_of_result_entry entry) with choice }
     | None ->
-      let execute () =
-        (* Phase-boundary cancellation checks; the engines add one per
-           operator / stream below. *)
-        cancel ();
+      (* Phase-boundary cancellation checks; the engines add one per
+         operator / stream below. *)
+      cancel ();
+      let counters, collector =
+        match analysis with
+        | Some a -> (a.a_counters, Some a.a_collector)
+        | None -> (Blas_rel.Counters.create (), None)
+      in
+      (* Auto2 executes the decomposition it priced. *)
+      let branches () =
+        match choice with
+        | Some c -> c.Optimizer.ch_branches
+        | None -> decompose storage exec_translator q
+      in
+      let starts, plan_djoins, sql, branches =
         match engine with
         | Rdbms -> (
-          let sql =
+          let branches, sql =
             span "translate" (fun () ->
-                sql_cached qc storage exec_translator q qstr)
+                match exec_translator with
+                | D_labeling -> (None, Some (Baseline.to_sql q))
+                | _ ->
+                  let b = branches () in
+                  (Some b, Translate.to_sql storage b))
           in
           match sql with
-          | None -> (empty_report None, Some [])
+          | None -> ([], 0, None, branches)
           | Some s ->
             let plan =
               span "compile" (fun () ->
-                  plan_cached qc storage exec_translator qstr s)
+                  Blas_rel.Sql_compile.compile ~catalog:(Storage.catalog storage) s)
             in
             cancel ();
-            let counters = Blas_rel.Counters.create () in
+            let cache = Option.map (fun qc -> scan_cache_of qc storage) qc in
             let relation =
               span "execute" (fun () ->
-                  Blas_rel.Executor.run ~counters ~cancel ?pool
-                    ?cache:(Option.map (fun qc -> scan_cache_of qc storage) qc)
+                  Blas_rel.Executor.run ~counters ~cancel ?pool ?cache ?collector
                     plan)
             in
-            let starts =
-              span "materialize" (fun () ->
-                  Engine_rdbms.starts_of_relation relation)
-            in
-            let branches =
-              match exec_translator with
-              | D_labeling -> None
-              | _ -> Some (decompose_cached qc storage exec_translator q qstr)
-            in
-            ( report_of_counters ~starts
-                ~plan_djoins:(Blas_rel.Algebra.count_djoins plan)
-                ~sql counters,
-              branches ))
-        | Twig -> (
-          match exec_translator with
-          | D_labeling ->
-            let counters = Blas_rel.Counters.create () in
-            let pattern =
-              span "build-streams" (fun () ->
-                  fst (Baseline.to_pattern storage ~counters q))
-            in
-            let result =
-              span "execute" (fun () -> Engine_twig.run_pattern pattern counters)
-            in
-            ( report_of_counters ~starts:result.Engine_twig.starts
-                ~plan_djoins:(Blas_xpath.Ast.step_count q - 1)
-                ~sql:None counters,
-              None )
-          | _ ->
-            let branches =
-              span "decompose" (fun () ->
-                  decompose_cached qc storage exec_translator q qstr)
-            in
-            let result =
-              span "execute" (fun () ->
-                  Engine_twig.run ~cancel ?pool
-                    ?cache:(Option.map Qcache.semantic qc)
-                    storage branches)
-            in
-            ( report_of_counters ~starts:result.Engine_twig.starts
-                ~plan_djoins:(twig_plan_djoins branches)
-                ~sql:None result.Engine_twig.counters,
-              Some branches ))
+            let starts = span "materialize" (fun () -> starts_of_relation relation) in
+            (starts, Blas_rel.Algebra.count_djoins plan, sql, branches))
+        | Twig ->
+          let joins, plan_djoins, branches =
+            match exec_translator with
+            | D_labeling ->
+              ( [
+                  {
+                    Engine_twig.label = "twig join (D-labeling)";
+                    build =
+                      (fun ~wrap counters ->
+                        span "build-streams" (fun () ->
+                            Baseline.to_pattern ~wrap storage counters q));
+                  };
+                ],
+                Blas_xpath.Ast.step_count q - 1,
+                None )
+            | _ ->
+              let b = span "decompose" branches in
+              ( Engine_twig.branch_joins ~cancel ?par:pool
+                  ?cache:(Option.map Qcache.semantic qc)
+                  storage b,
+                twig_plan_djoins b,
+                Some b )
+          in
+          let starts =
+            span "execute" (fun () ->
+                Engine_twig.run ~cancel ?pool ?collector counters joins)
+          in
+          (starts, plan_djoins, None, branches)
       in
-      let report, branches = execute () in
+      let report =
+        {
+          starts;
+          visited = counters.Blas_rel.Counters.tuples_read;
+          page_reads = counters.Blas_rel.Counters.page_reads;
+          plan_djoins;
+          memo_hits = 0;
+          sql;
+          counters;
+          choice;
+        }
+      in
       (match (memo, branches) with
       | Some (qcv, key), Some branches ->
         Qcache.put_result qcv key
@@ -518,170 +488,104 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
             r_footprint = footprint storage branches;
           }
       | _ -> ());
-      { report with choice }
+      report
   in
   (* Metrics label by the engine that actually ran (the Auto2 pick when
      there is one) under the requested translator name. *)
-  let metrics_engine =
-    match report.choice with
-    | Some c -> engine_of_kind c.Optimizer.ch_engine
-    | None -> engine
-  in
-  record_metrics ~engine:metrics_engine ~translator
+  record_metrics ~engine:(executed_engine ~engine report) ~translator
     ~elapsed_ns:(Blas_obs.Clock.elapsed_ns t0)
     report.counters;
   Option.iter record_cache_metrics qc;
   report
 
-(* ------------------------------------------------------------------ *)
-(* EXPLAIN ANALYZE                                                    *)
-
-(** [run_analyze ?tracer ?cache storage ~engine ~translator q] — like
-    {!run}, also returning the annotated operator tree: a [query] root
-    (rows = answers) over the executed physical plan (RDBMS) or the
-    per-branch twig joins (twig engine).  Summing [self] over the tree
-    reconciles exactly with [report.counters].
-
-    With caching active, the translation memos and the semantic scan
-    cache participate (served scans show zero I/O in their nodes) and
-    the root label reports this run's cache delta; the whole-query memo
-    is deliberately bypassed so the tree always reflects a real
-    execution. *)
-let run_analyze ?(tracer = Blas_obs.Trace.disabled) ?cache storage ~engine
-    ~translator q =
+(** [run_analyze ?tracer ?cache storage ~engine ~translator q] — EXPLAIN
+    ANALYZE: {!run} with a collector attached, also returning the
+    annotated operator tree: a [query] root (rows = answers) over the
+    executed physical plan (RDBMS) or the per-join twig trees (twig
+    engine).  Summing [self] over the tree reconciles exactly with
+    [report.counters].  The root label names the Auto2 pick, estimated
+    vs. measured, and — with caching active — this run's cache delta;
+    the semantic scan cache participates (served scans show zero I/O in
+    their nodes). *)
+let run_analyze ?tracer ?cache storage ~engine ~translator q =
+  let counters = Blas_rel.Counters.create () in
+  let analysis =
+    {
+      a_counters = counters;
+      a_collector =
+        Blas_obs.Analyze.Collector.create ~snapshot:(fun () ->
+            Blas_rel.Counters.analyze_stats counters);
+    }
+  in
   let qc = qcache_for ?cache storage in
-  let qstr = Blas_xpath.Pretty.to_string q in
-  let stats_before = Option.map (fun qcv -> Qcache.stats qcv) qc in
-  let span name f = Blas_obs.Trace.with_span tracer name f in
+  let before = Option.map Qcache.stats qc in
   let t0 = Blas_obs.Clock.now_ns () in
-  (* The Auto2 pick (analysis runs sequentially, so only degree 1 is
-     enumerated here); recorded as a [plan-choice] span like {!run}. *)
-  let choice =
-    match translator with
-    | Auto2 ->
-      let t0c = Blas_obs.Clock.now_ns () in
-      let c = Optimizer.choose storage q in
-      if Blas_obs.Trace.enabled tracer then
-        Blas_obs.Trace.record tracer ~attrs:(choice_attrs c)
-          ~name:"plan-choice" ~start_ns:t0c
-          ~duration_ns:(Blas_obs.Clock.elapsed_ns t0c) ();
-      Some c
-    | _ -> None
+  let report = run ?tracer ?cache ~analysis storage ~engine ~translator q in
+  let elapsed_ns = Blas_obs.Clock.elapsed_ns t0 in
+  let engine = executed_engine ~engine report in
+  let cache_note =
+    match (qc, before) with
+    | Some qcv, Some before ->
+      let d = Qcache.diff_stats ~before ~after:(Qcache.stats qcv) in
+      let tot : Blas_cache.Stats.snapshot = Qcache.totals d in
+      Format.sprintf " (cache: %d hits, %d containment, %d misses)" tot.hits
+        tot.containment_hits tot.misses
+    | _ -> ""
   in
-  let exec_translator =
-    match choice with
-    | Some c -> translator_of_kind c.Optimizer.ch_translator
-    | None -> translator
+  (* The pick, estimated vs. measured, on the root — as a label note
+     rather than a child node, preserving the invariant that the
+     children's [self] stats sum to the counters. *)
+  let plan_note =
+    match report.choice with
+    | None -> ""
+    | Some c ->
+      Format.sprintf " plan=%s est=%.0f actual=%.0f" (Optimizer.label c)
+        c.Optimizer.ch_est_cost
+        (actual_cost ~engine report)
   in
-  let engine =
-    match choice with
-    | Some c -> engine_of_kind c.Optimizer.ch_engine
-    | None -> engine
+  let root =
+    Blas_obs.Analyze.make
+      ~label:
+        (Format.sprintf "query %s [%s on %s]%s%s"
+           (Blas_xpath.Pretty.to_string q)
+           (translator_name translator)
+           (engine_name engine) plan_note cache_note)
+      ~kind:"query"
+      ~rows:(List.length report.starts)
+      ~elapsed_ns
+      (Blas_obs.Analyze.Collector.roots analysis.a_collector)
   in
-  let finish report children =
-    let report = { report with choice } in
-    let cache_note =
-      match (qc, stats_before) with
-      | Some qcv, Some before ->
-        let d = Qcache.diff_stats ~before ~after:(Qcache.stats qcv) in
-        let tot : Blas_cache.Stats.snapshot = Qcache.totals d in
-        Format.sprintf " (cache: %d hits, %d containment, %d misses)" tot.hits
-          tot.containment_hits tot.misses
-      | _ -> ""
-    in
-    (* The pick, estimated vs. measured, on the root — as a label note
-       rather than a child node, preserving the invariant that the
-       children's [self] stats sum to the counters. *)
-    let plan_note =
-      match choice with
-      | None -> ""
-      | Some c ->
-        Format.sprintf " plan=%s est=%.0f actual=%.0f" (Optimizer.label c)
-          c.Optimizer.ch_est_cost
-          (actual_cost ~engine report)
-    in
-    let root =
-      Blas_obs.Analyze.make
-        ~label:
-          (Format.sprintf "query %s [%s on %s]%s%s" qstr
-             (translator_name translator)
-             (engine_name engine) plan_note cache_note)
-        ~kind:"query"
-        ~rows:(List.length report.starts)
-        ~elapsed_ns:(Blas_obs.Clock.elapsed_ns t0)
-        children
-    in
-    record_metrics ~engine ~translator ~elapsed_ns:root.Blas_obs.Analyze.elapsed_ns
-      report.counters;
-    Option.iter record_cache_metrics qc;
-    (report, root)
-  in
-  Blas_obs.Trace.with_span tracer "query"
-    ~attrs:
-      [
-        ("engine", engine_name engine);
-        ("translator", translator_name translator);
-        ("query", qstr);
-        ("mode", "analyze");
-        ("cache", (match qc with Some _ -> "on" | None -> "off"));
-      ]
-  @@ fun () ->
-  match engine with
-  | Rdbms -> (
-    let sql =
-      span "translate" (fun () -> sql_cached qc storage exec_translator q qstr)
-    in
-    match sql with
-    | None -> finish (empty_report None) []
-    | Some s ->
-      let plan =
-        span "compile" (fun () ->
-            plan_cached qc storage exec_translator qstr s)
-      in
-      let counters = Blas_rel.Counters.create () in
-      let relation, tree =
-        span "execute" (fun () ->
-            Blas_rel.Executor.run_analyze ~counters
-              ?cache:(Option.map (fun qc -> scan_cache_of qc storage) qc)
-              plan)
-      in
-      let starts = Engine_rdbms.starts_of_relation relation in
-      finish
-        (report_of_counters ~starts
-           ~plan_djoins:(Blas_rel.Algebra.count_djoins plan)
-           ~sql counters)
-        [ tree ])
-  | Twig -> (
-    match exec_translator with
-    | D_labeling ->
-      let counters = Blas_rel.Counters.create () in
-      let result, tree =
-        span "execute" (fun () ->
-            Engine_twig.run_build_analyze ~label:"twig join (D-labeling)"
-              counters (fun ~wrap ->
-                fst (Baseline.to_pattern storage ~counters ~wrap q)))
-      in
-      finish
-        (report_of_counters ~starts:result.Engine_twig.starts
-           ~plan_djoins:(Blas_xpath.Ast.step_count q - 1)
-           ~sql:None counters)
-        [ tree ]
-    | _ ->
-      let branches =
-        span "decompose" (fun () ->
-            decompose_cached qc storage exec_translator q qstr)
-      in
-      let result, trees =
-        span "execute" (fun () ->
-            Engine_twig.run_analyze
-              ?cache:(Option.map Qcache.semantic qc)
-              storage branches)
-      in
-      finish
-        (report_of_counters ~starts:result.Engine_twig.starts
-           ~plan_djoins:(twig_plan_djoins branches)
-           ~sql:None result.Engine_twig.counters)
-        trees)
+  (report, root)
+
+(** [union reports] — the report of a union of tree queries: answers
+    united, costs summed, the SQL the UNION of the per-query SQL. *)
+let union reports =
+  let sqls = List.filter_map (fun r -> r.sql) reports in
+  let counters = Blas_rel.Counters.create () in
+  List.iter (fun r -> Blas_rel.Counters.add ~into:counters r.counters) reports;
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
+  {
+    starts =
+      List.sort_uniq Stdlib.compare (List.concat_map (fun r -> r.starts) reports);
+    visited = sum (fun r -> r.visited);
+    page_reads = sum (fun r -> r.page_reads);
+    plan_djoins = sum (fun r -> r.plan_djoins);
+    memo_hits = sum (fun r -> r.memo_hits);
+    (* the first branch's pick represents the union in reports (all
+       branches consult the same statistics) *)
+    choice = List.find_map (fun r -> r.choice) reports;
+    counters;
+    sql =
+      (match sqls with
+      | [] -> None
+      | [ sql ] -> Some sql
+      | sqls ->
+        Some
+          (Blas_rel.Sql_ast.Union
+             (List.concat_map
+                (function Blas_rel.Sql_ast.Union qs -> qs | q -> [ q ])
+                sqls)));
+  }
 
 (** [answers storage ~engine ~translator q] — just the result set. *)
 let answers storage ~engine ~translator q = (run storage ~engine ~translator q).starts

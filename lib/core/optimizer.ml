@@ -10,6 +10,7 @@ type choice = {
   ch_est_cost : float;
   ch_candidates : Planner.candidate list;
   ch_from_stats : bool;
+  ch_branches : Suffix_query.t list;
 }
 
 let label c =
@@ -21,10 +22,6 @@ let label c =
       cd_cost = c.ch_est_cost;
     }
 
-(* Past this many union branches the Unfold expansion of a recursive
-   schema is not worth pricing. *)
-let unfold_limit = 64
-
 let shape_of tk estimate =
   {
     Planner.sh_translator = tk;
@@ -34,25 +31,19 @@ let shape_of tk estimate =
     sh_branches = estimate.Cost.e_branches;
   }
 
-(* The candidate translations, shaped from statistics.  Decomposition
-   reads only the resident DataGuide (never the tables), so this is
-   probe-free by construction. *)
-let shapes storage stats q =
+(* The candidate translations.  Decomposition reads only the resident
+   DataGuide (never the tables), so pricing them is probe-free by
+   construction; Unfold drops out past {!Decompose.expansion_bound}. *)
+let decompositions storage q =
   let guide = Storage.guide storage in
-  let split = Decompose.translate Decompose.Split ~guide q in
-  let pushup = Decompose.translate Decompose.Pushup ~guide q in
-  let unfolded = Decompose.unfold guide q in
-  let with_unfold =
-    if List.length unfolded > unfold_limit then []
-    else [ (Planner.Unfold, unfolded) ]
-  in
-  List.map
-    (fun (tk, branches) -> shape_of tk (Cost.estimate_decomposition stats branches))
-    ((Planner.Split, split) :: (Planner.Pushup, pushup) :: with_unfold)
+  (Planner.Split, Decompose.translate Decompose.Split ~guide q)
+  :: (Planner.Pushup, Decompose.translate Decompose.Pushup ~guide q)
+  :: Option.to_list
+       (Option.map (fun b -> (Planner.Unfold, b)) (Decompose.unfold_opt guide q))
 
 (* Without statistics the pick degrades to the library's historical
    default rather than guessing from nothing. *)
-let default_choice =
+let default_choice storage q =
   {
     ch_translator = Planner.Pushup;
     ch_engine = Planner.Rdbms;
@@ -60,19 +51,26 @@ let default_choice =
     ch_est_cost = 0.;
     ch_candidates = [];
     ch_from_stats = false;
+    ch_branches =
+      Decompose.translate Decompose.Pushup ~guide:(Storage.guide storage) q;
   }
 
 let choose ?pool storage q =
   match Storage.ostats storage with
-  | None -> default_choice
+  | None -> default_choice storage q
   | Some stats -> (
     let max_degree = match pool with None -> 1 | Some p -> Blas_par.Pool.size p in
+    let decomps = decompositions storage q in
     match
       Planner.enumerate
         ~page_rows:(Cost.model_page_rows storage)
-        ~max_degree (shapes storage stats q)
+        ~max_degree
+        (List.map
+           (fun (tk, branches) ->
+             shape_of tk (Cost.estimate_decomposition stats branches))
+           decomps)
     with
-    | [] -> default_choice
+    | [] -> default_choice storage q
     | best :: _ as candidates ->
       {
         ch_translator = best.Planner.cd_translator;
@@ -81,6 +79,7 @@ let choose ?pool storage q =
         ch_est_cost = best.Planner.cd_cost;
         ch_candidates = candidates;
         ch_from_stats = true;
+        ch_branches = List.assoc best.Planner.cd_translator decomps;
       })
 
 let actual_cost ~engine (c : Blas_rel.Counters.t) =

@@ -29,6 +29,9 @@ type choice = {
   ch_est_cost : float;
   ch_candidates : Planner.candidate list;
   ch_from_stats : bool;
+  ch_branches : Suffix_query.t list;
+      (** the picked translator's decomposition, which the run executes
+          as is — no query is decomposed twice in one run *)
 }
 
 (** ["Unfold/twig/j4"] — the spelling used by EXPLAIN, the slow-query

@@ -5,11 +5,6 @@ module Lru = Blas_cache.Lru
 module Semantic = Blas_cache.Semantic
 module Stats = Blas_cache.Stats
 
-type plan_entry =
-  | Branches of Suffix_query.t list
-  | Sql of Blas_rel.Sql_ast.t option
-  | Plan of Blas_rel.Algebra.plan option
-
 type result_entry = {
   r_starts : int list;
   r_plan_djoins : int;
@@ -19,28 +14,21 @@ type result_entry = {
 
 type t = {
   sem : Semantic.t;
-  plans : (string, plan_entry) Lru.t;
   results : (string, result_entry) Lru.t;
   enabled : bool Atomic.t;
   (* Epoch bumps happen only inside update application, which is
      single-writer; queries read it racily, which at worst misses a
      concurrent edit the caller was racing anyway. *)
   mutable epoch : int;
-  (* Advanced when the optimizer's statistics are resampled: Auto2 plan
-     picks depend on the stats, so memoized picks must not outlive
-     them.  Keyed separately from the schema epoch because a resample
-     invalidates no translations — only choices. *)
+  (* Advanced when the optimizer's statistics are resampled: Auto2
+     picks depend on the stats, so answers memoized under a pick must
+     not outlive them.  Kept apart from the schema epoch because a
+     resample changes no translation — only choices. *)
   mutable stats_epoch : int;
 }
 
-(* Weight models: plan entries are structure-only (no tuples), so a flat
-   estimate per branch/node is enough for the size bound; result
-   entries carry the answer list and the footprint. *)
-let plan_weight = function
-  | Branches bs -> 256 + (192 * List.length bs)
-  | Sql _ -> 512
-  | Plan _ -> 1024
-
+(* Weight model: a result entry carries the answer list and the
+   footprint. *)
 let result_weight e =
   128 + (16 * List.length e.r_starts) + (48 * List.length e.r_footprint)
 
@@ -50,7 +38,6 @@ let create ?stripes ?capacity_bytes () =
     sem =
       Semantic.create ?stripes ?capacity_bytes ~plabel_index:0 ~start_index:1
         ~end_index:2 ~data_index:4 ();
-    plans = Lru.create ?stripes ?capacity_bytes ~weight:plan_weight ();
     results = Lru.create ?stripes ?capacity_bytes ~weight:result_weight ();
     enabled = Atomic.make false;
     epoch = 0;
@@ -63,7 +50,6 @@ let set_enabled t on = Atomic.set t.enabled on
 
 let clear t =
   Semantic.clear t.sem;
-  Lru.clear t.plans;
   Lru.clear t.results;
   t.epoch <- t.epoch + 1
 
@@ -72,13 +58,6 @@ let schema_epoch t = t.epoch
 let stats_epoch t = t.stats_epoch
 
 let bump_stats_epoch t = t.stats_epoch <- t.stats_epoch + 1
-
-let plan_key t ~stage ~translator ~query =
-  Printf.sprintf "%d.%d|%s|%s|%s" t.epoch t.stats_epoch stage translator query
-
-let find_plan t key = Lru.find t.plans key
-
-let put_plan t key entry = Lru.put t.plans key entry
 
 let result_key t ~engine ~translator ~query =
   Printf.sprintf "%d.%d|%s|%s|%s" t.epoch t.stats_epoch engine translator query
@@ -98,7 +77,6 @@ let invalidate t ~full ~schema_changed ~plabels ~drange =
   if full then clear t
   else begin
     if schema_changed then begin
-      Lru.clear t.plans;
       Lru.clear t.results;
       t.epoch <- t.epoch + 1
     end
@@ -111,34 +89,30 @@ let invalidate t ~full ~schema_changed ~plabels ~drange =
   end
 
 type stats = {
-  plans : Stats.snapshot;
   results : Stats.snapshot;
   streams : Stats.snapshot;
 }
 
 let stats (t : t) =
   {
-    plans = Stats.snapshot (Lru.stats t.plans);
     results = Stats.snapshot (Lru.stats t.results);
     streams = Stats.snapshot (Semantic.stats t.sem);
   }
 
-let totals s = Stats.sum s.plans (Stats.sum s.results s.streams)
+let totals s = Stats.sum s.results s.streams
 
-let hit_rate s = Stats.hit_rate (Stats.sum s.results s.streams)
+let hit_rate s = Stats.hit_rate (totals s)
 
 let diff_stats ~before ~after =
   {
-    plans = Stats.diff ~before:before.plans ~after:after.plans;
     results = Stats.diff ~before:before.results ~after:after.results;
     streams = Stats.diff ~before:before.streams ~after:after.streams;
   }
 
 let pp_stats ppf s =
-  Format.fprintf ppf "@[<v>plans:   %a@,results: %a@,streams: %a@]" Stats.pp
-    s.plans Stats.pp s.results Stats.pp s.streams
+  Format.fprintf ppf "@[<v>results: %a@,streams: %a@]" Stats.pp s.results
+    Stats.pp s.streams
 
 let validate t =
   Semantic.validate t.sem;
-  Lru.validate t.plans;
   Lru.validate t.results

@@ -1,10 +1,7 @@
 (** The per-storage query cache — [Blas.Cache].
 
-    Three layers, all built on {!Blas_cache}:
+    Two layers, both built on {!Blas_cache}:
 
-    - a {b plan cache} memoizing the translation pipeline (decomposed
-      branches, generated SQL, compiled physical plan) per
-      [(stage, translator, query)] under the current {e schema epoch};
     - a {b whole-query result memo} keyed by
       [(engine, translator, query)], remembering the answer set plus the
       P-label {e footprint} of the decomposition's items — the update
@@ -19,20 +16,18 @@
     parallel determinism suite depends on that).  The CLI and the
     repeated-workload bench opt in per storage with {!set_enabled}.
 
+    Translations are not memoized: translating and compiling a query
+    costs about 0.01 ms, against 0.5–1.4 ms to execute it on the
+    perfbench workloads.
+
     Epochs: the schema epoch advances whenever the translation inputs
     change — a tag-inventory rebuild or any edit that changes the
-    DataGuide's path set — which orphans (and flushes) plan and result
-    entries wholesale; semantic entries survive schema changes (their
+    DataGuide's path set — which orphans (and flushes) result entries
+    wholesale; semantic entries survive schema changes (their
     signatures depend only on the tag inventory) and die individually
     through {!invalidate}. *)
 
 type t
-
-(** One memoized stage of the translation pipeline. *)
-type plan_entry =
-  | Branches of Suffix_query.t list
-  | Sql of Blas_rel.Sql_ast.t option
-  | Plan of Blas_rel.Algebra.plan option
 
 (** A memoized whole-query answer. *)
 type result_entry = {
@@ -55,21 +50,13 @@ val clear : t -> unit
 
 val schema_epoch : t -> int
 
-(** The statistics epoch, part of every plan/result key: Auto2's
-    memoized picks depend on the optimizer statistics, so a resample
-    must orphan them without flushing translations keyed under other
-    translators.  Bumped by [Blas.Optimizer.refresh]. *)
+(** The statistics epoch, part of every result key: Auto2's picks
+    depend on the optimizer statistics, so a resample must orphan the
+    answers memoized under them.  Bumped by
+    [Blas.Optimizer.refresh]. *)
 val stats_epoch : t -> int
 
 val bump_stats_epoch : t -> unit
-
-(* Plan cache *)
-
-val plan_key : t -> stage:string -> translator:string -> query:string -> string
-
-val find_plan : t -> string -> plan_entry option
-
-val put_plan : t -> string -> plan_entry -> unit
 
 (* Whole-query result memo *)
 
@@ -85,7 +72,7 @@ val semantic : t -> Blas_cache.Semantic.t
 
 (** [invalidate t ~full ~schema_changed ~plabels ~drange] — the update
     protocol.  [full] flushes everything (labels were recomputed);
-    [schema_changed] flushes plans and results and advances the epoch
+    [schema_changed] flushes results and advances the epoch
     (the DataGuide changed, so decompositions may differ); [plabels]
     and [drange] kill the semantic and result entries the edit can
     reach, leaving the rest warm. *)
@@ -100,19 +87,17 @@ val invalidate :
 (* Reporting *)
 
 type stats = {
-  plans : Blas_cache.Stats.snapshot;
   results : Blas_cache.Stats.snapshot;
   streams : Blas_cache.Stats.snapshot;
 }
 
 val stats : t -> stats
 
-(** Fieldwise sum of the three layers. *)
+(** Fieldwise sum of the two layers. *)
 val totals : stats -> Blas_cache.Stats.snapshot
 
 (** Result + stream hits over result + stream lookups — the headline
-    rate (plan hits excluded: they are near-free and would inflate
-    it). *)
+    rate. *)
 val hit_rate : stats -> float
 
 val diff_stats : before:stats -> after:stats -> stats

@@ -56,6 +56,14 @@ let add ~into t =
 
 let joins t = t.djoins + t.theta_joins
 
+let analyze_stats t =
+  {
+    Blas_obs.Analyze.read = t.tuples_read;
+    seeks = t.index_seeks;
+    page_requests = t.page_requests;
+    page_reads = t.page_reads;
+  }
+
 let pp ppf t =
   Format.fprintf ppf
     "read=%d seeks=%d djoins=%d joins=%d intermediate=%d pages=%d req/%d \

@@ -27,4 +27,7 @@ val add : into:t -> t -> unit
 
 val joins : t -> int
 
+(** The current values EXPLAIN ANALYZE diffs around each operator. *)
+val analyze_stats : t -> Blas_obs.Analyze.stats
+
 val pp : Format.formatter -> t -> unit

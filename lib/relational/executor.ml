@@ -2,11 +2,11 @@
     {!Algebra.plan}, charging {!Counters} for base-table reads, joins and
     intermediate results.
 
-    {!run_analyze} evaluates the same way but wraps every operator in an
+    With a collector attached, {!run} wraps every operator in an
     {!Blas_obs.Analyze.Collector} frame, producing an annotated plan
-    tree with actual row counts, elapsed time, index seeks and
-    buffer-pool traffic per node.  The plain {!run} path pays only one
-    no-op closure call per plan node for this hook. *)
+    tree (EXPLAIN ANALYZE) with actual row counts, elapsed time, index
+    seeks and buffer-pool traffic per node.  Without one it pays only
+    one no-op closure call per plan node for this hook. *)
 
 exception Error of string
 
@@ -196,49 +196,27 @@ and eval_sides ?(cancel = ignore) wrap par cache counters left right =
 
 let no_wrap _plan f = f ()
 
-let eval ?cancel ?pool ?cache counters plan =
-  eval_wrapped ?cancel no_wrap pool cache counters plan
-
-(** [run ?counters ?pool plan] executes [plan] and materializes the
-    result.  With a multi-domain [pool], independent plan regions
-    evaluate concurrently; the result relation (tuples and order) and
-    the counter totals are identical to the sequential run, except that
-    page {e reads} can differ when concurrent regions race into the
-    shared buffer pool. *)
-let run ?(counters = Counters.create ()) ?cancel ?pool ?cache plan =
-  let schema, tuples = eval ?cancel ?pool ?cache counters plan in
+(** [run ?counters ?pool ?collector plan] executes [plan] and
+    materializes the result.  With a multi-domain [pool], independent
+    plan regions evaluate concurrently; the result relation (tuples and
+    order) and the counter totals are identical to the sequential run,
+    except that page {e reads} can differ when concurrent regions race
+    into the shared buffer pool.  A [collector] records every operator
+    and forces a sequential run: its frames diff one shared counter
+    snapshot, which concurrent operators would tear. *)
+let run ?(counters = Counters.create ()) ?cancel ?pool ?cache ?collector plan =
+  let schema, tuples =
+    match collector with
+    | None -> eval_wrapped ?cancel no_wrap pool cache counters plan
+    | Some c ->
+      let wrap node f =
+        Blas_obs.Analyze.Collector.wrap c ~kind:(Algebra.node_kind node)
+          ~label:(Algebra.describe node)
+          ~rows:(fun (_, tuples) -> List.length tuples)
+          f
+      in
+      eval_wrapped ?cancel wrap None cache counters plan
+  in
   Rel_log.Log.debug (fun m ->
       m "executed plan: %d rows, %a" (List.length tuples) Counters.pp counters);
   Relation.make schema (Array.of_list tuples)
-
-(** The stats snapshot EXPLAIN ANALYZE diffs around each operator. *)
-let snapshot_of counters () =
-  {
-    Blas_obs.Analyze.read = counters.Counters.tuples_read;
-    seeks = counters.Counters.index_seeks;
-    page_requests = counters.Counters.page_requests;
-    page_reads = counters.Counters.page_reads;
-  }
-
-(** [run_analyze ?counters plan] — like {!run}, also returning the
-    annotated plan tree: per node, actual output rows, elapsed time,
-    and the tuples/seeks/pages charged by that node itself. *)
-let run_analyze ?(counters = Counters.create ()) ?cache plan =
-  let collector =
-    Blas_obs.Analyze.Collector.create ~snapshot:(snapshot_of counters)
-  in
-  let wrap node f =
-    Blas_obs.Analyze.Collector.wrap collector ~kind:(Algebra.node_kind node)
-      ~label:(Algebra.describe node)
-      ~rows:(fun (_, tuples) -> List.length tuples)
-      f
-  in
-  (* Always sequential ([par = None]): collector frames diff one shared
-     counter snapshot, which concurrent operators would tear. *)
-  let schema, tuples = eval_wrapped wrap None cache counters plan in
-  let root =
-    match Blas_obs.Analyze.Collector.roots collector with
-    | [ root ] -> root
-    | _ -> assert false (* eval wraps exactly one top-level operator *)
-  in
-  (Relation.make schema (Array.of_list tuples), root)

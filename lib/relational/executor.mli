@@ -15,12 +15,21 @@ type scan_cache = {
   store : Table.t -> Algebra.access_path -> Tuple.t list -> unit;
 }
 
-(** [run ?counters ?pool plan] executes [plan] and materializes the
-    result.  With a multi-domain [pool], union branches, join sides,
-    index fetches and the structural-join sweep evaluate concurrently;
-    the result relation (tuples and order) and the counter totals are
-    identical to the sequential run, except that page {e reads} can
-    differ when concurrent regions race into the shared buffer pool.
+(** [run ?counters ?pool ?collector plan] executes [plan] and
+    materializes the result.  With a multi-domain [pool], union
+    branches, join sides, index fetches and the structural-join sweep
+    evaluate concurrently; the result relation (tuples and order) and
+    the counter totals are identical to the sequential run, except that
+    page {e reads} can differ when concurrent regions race into the
+    shared buffer pool.
+
+    With a [collector] (EXPLAIN ANALYZE), every executed operator
+    becomes one {!Blas_obs.Analyze.node} with actual rows, elapsed
+    time, seeks and page traffic; the collector must snapshot
+    [counters] ({!Counters.analyze_stats}), and the per-node [self]
+    charges then sum exactly to this run's totals.  A collector forces
+    a sequential run ([pool] is ignored): its frames diff one shared
+    counter snapshot, which concurrent evaluation would tear.
 
     [cancel] is the cooperative cancellation hook: it is called before
     every operator evaluation (including operators of concurrent plan
@@ -33,18 +42,6 @@ val run :
   ?cancel:(unit -> unit) ->
   ?pool:Blas_par.Pool.t ->
   ?cache:scan_cache ->
+  ?collector:Blas_obs.Analyze.Collector.t ->
   Algebra.plan ->
   Relation.t
-
-(** [run_analyze ?counters plan] — like {!run}, also returning the
-    EXPLAIN ANALYZE tree: one {!Blas_obs.Analyze.node} per executed
-    operator with actual rows, elapsed time, seeks and page traffic.
-    The per-node [self] charges sum exactly to the totals charged to
-    [counters] by this run.  Always sequential — the collector diffs a
-    shared counter snapshot around each operator, which concurrent
-    evaluation would tear. *)
-val run_analyze :
-  ?counters:Counters.t ->
-  ?cache:scan_cache ->
-  Algebra.plan ->
-  Relation.t * Blas_obs.Analyze.node

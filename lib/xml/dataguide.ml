@@ -31,6 +31,8 @@ let find_child guide tag = String_map.find_opt tag guide.children
 
 let child_tags guide = List.map fst (String_map.bindings guide.children)
 
+let fold_children f guide acc = String_map.fold f guide.children acc
+
 (** [all_paths guide] enumerates every source path in the guide, shortest
     first, each as a list of tags from the root. *)
 let all_paths guide =

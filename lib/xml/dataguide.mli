@@ -22,6 +22,10 @@ val find_child : t -> string -> t option
 (** Tags of the immediate children, sorted. *)
 val child_tags : t -> string list
 
+(** [fold_children f guide acc] folds [f tag child] over the immediate
+    children, in sorted tag order. *)
+val fold_children : (string -> t -> 'a -> 'a) -> t -> 'a -> 'a
+
 (** Every source path, shortest first, each as tags from the root. *)
 val all_paths : t -> string list list
 

@@ -12,7 +12,8 @@
     [eq]/[range]/[scans] is the selection profile of the SQL plan that
     ran ([-] on the twig engine, which runs no SQL); [pages] is the
     cold page reads; [plan] is the [auto2] pick ([-] for fixed
-    translators).  [pages] is the only column that depends on the page
+    translators).  A cell run through EXPLAIN ANALYZE prints the same
+    line: it is the same pipeline with a collector attached.  [pages] is the only column that depends on the page
     layout and pool size, so it is the one {!strip_pages} drops. *)
 
 let docs () =
@@ -46,9 +47,13 @@ let translators = [ Blas.D_labeling; Blas.Split; Blas.Pushup; Blas.Unfold; Blas.
 
 let engines = [ Blas.Rdbms; Blas.Twig ]
 
-let cell storage id query translator engine =
+let cell ~analyze storage id query translator engine =
   Blas.Storage.cold_cache storage;
-  let r = Blas.run ~cache:false storage ~engine ~translator query in
+  let r =
+    if analyze then
+      fst (Blas.run_analyze ~cache:false storage ~engine ~translator query)
+    else Blas.run ~cache:false storage ~engine ~translator query
+  in
   let c = r.Blas.counters in
   let profile =
     match
@@ -69,8 +74,10 @@ let cell storage id query translator engine =
     (match r.Blas.choice with Some ch -> Blas.Optimizer.label ch | None -> "-")
 
 (** Every cell's line, in a fixed order.  Storages come from
-    {!Blas.index_of_tree}, so the disk and compact test modes apply. *)
-let lines () =
+    {!Blas.index_of_tree}, so the disk and compact test modes apply.
+    With [~analyze:true] each cell runs as EXPLAIN ANALYZE, which must
+    print the same line. *)
+let lines ?(analyze = false) () =
   List.concat_map
     (fun (tree, queries) ->
       let storage = Blas.index_of_tree tree in
@@ -80,7 +87,7 @@ let lines () =
             let query = Blas.query q in
             List.concat_map
               (fun translator ->
-                List.map (cell storage id query translator) engines)
+                List.map (cell ~analyze storage id query translator) engines)
               translators)
           queries
       in

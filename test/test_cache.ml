@@ -304,8 +304,8 @@ let test_full_flush_on_new_tag () =
 let test_unfold_survives_guide_change () =
   (* Unfold decompositions depend on the DataGuide: an insert that
      materializes a previously-absent path (existing tags only — no
-     inventory rebuild) must flush the plan memo, or the stale
-     decomposition misses the new branch. *)
+     inventory rebuild) must flush the result memo, whose footprint
+     covers only the old decomposition's branches. *)
   let storage = storage_of "<r><a><b>x</b></a><c>w</c></r>" in
   let q = Blas.query "//b" in
   ignore

@@ -160,6 +160,39 @@ let expansion_tests =
               d.SQ.joins)
           branches;
         Test_util.check_int "branches" 2 (List.length branches) );
+    ( "unfold stops at the expansion bound",
+      fun () ->
+        (* Under k distinct parent tags, [//x] has k expansions and
+           [/r[//x]//x] has k * k. *)
+        let guide k =
+          guide_of
+            ("<r>"
+            ^ String.concat ""
+                (List.init k (fun i -> Printf.sprintf "<t%d><x/></t%d>" i i))
+            ^ "</r>")
+        in
+        let bound = Blas.Decompose.expansion_bound in
+        let branches g q =
+          Option.map List.length (Blas.Decompose.unfold_opt g (parse q))
+        in
+        let check_branches what expected got =
+          Alcotest.(check (option int)) what expected got
+        in
+        check_branches "sum at the bound" (Some bound)
+          (branches (guide bound) "/r//x");
+        check_branches "sum past the bound" None
+          (branches (guide (bound + 1)) "/r//x");
+        check_branches "product 8 x 8" (Some 64)
+          (branches (guide 8) "/r[//x]//x");
+        check_branches "product 9 x 9" None (branches (guide 9) "/r[//x]//x");
+        check_branches "product with an empty factor" (Some 0)
+          (branches (guide (bound + 1)) "/r[//zzz]//x");
+        (* Past the bound, Unfold is the Push-up translation. *)
+        let g = guide (bound + 1) in
+        Test_util.check_bool "falls back to Push-up" true
+          (Blas.Decompose.unfold g (parse "/r//x")
+          = Blas.Decompose.translate Blas.Decompose.Pushup ~guide:g (parse "/r//x"))
+      );
   ]
 
 (* ------------------------------------------------------------------ *)

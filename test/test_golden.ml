@@ -37,13 +37,24 @@ let read_lines path =
   |> String.split_on_char '\n'
   |> List.filter (fun l -> l <> "")
 
-let matches () =
+let check_against_golden got =
   let expected = read_lines (golden_path ()) in
-  let got = Golden.Currencies.lines () in
   let key = if disk_mode then Golden.Currencies.strip_pages else Fun.id in
   Test_util.check_int "cells" (List.length expected) (List.length got);
   List.iter2
     (fun e g -> Alcotest.(check string) "currency line" (key e) (key g))
     expected got
 
-let suite = [ Alcotest.test_case "currencies match the golden file" `Quick matches ]
+let matches () = check_against_golden (Golden.Currencies.lines ())
+
+(* EXPLAIN ANALYZE is the same run with a collector attached, so every
+   currency — the Auto2 pick included — must come out the same. *)
+let analyze_matches () =
+  check_against_golden (Golden.Currencies.lines ~analyze:true ())
+
+let suite =
+  [
+    Alcotest.test_case "currencies match the golden file" `Quick matches;
+    Alcotest.test_case "EXPLAIN ANALYZE reproduces the golden currencies"
+      `Quick analyze_matches;
+  ]

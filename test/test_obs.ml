@@ -486,7 +486,8 @@ let fig10 =
       ] );
   ]
 
-let translators = [ Blas.D_labeling; Blas.Split; Blas.Pushup; Blas.Unfold ]
+let translators =
+  [ Blas.D_labeling; Blas.Split; Blas.Pushup; Blas.Unfold; Blas.Auto2 ]
 
 let engines = [ Blas.Rdbms; Blas.Twig ]
 

@@ -401,8 +401,65 @@ let test_rebuild_page_counts () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* The expansion bound                                                 *)
+
+(* An edited document (82 nodes, 5 tags) found by the edit property.
+   Over its recursive schema the full (Unfold) expansion of
+   [explosive_query] has 221,052 branches: enumerating them took
+   seconds and their SQL did not finish executing within a minute. *)
+let explosive_doc =
+  String.concat ""
+    [
+      "<r><c>y<d>x<a><b>y<d>y<a>y<d><a/><c>y</c></d></a></d><b><c>y<a>y";
+      "</a></c><c>x<c>x</c><c>y</c><b>x</b></c><a>x<c>y</c></a></b><d>y";
+      "<b>y<a>y</a></b><a>y<d>x</d></a><d>x<d>y</d><b>x</b><d>x</d></d>";
+      "</d></b><c>x</c></a><a>x<b><b>x<b>y<a>y<b>y</b><a>x</a><b>x</b>";
+      "</a></b><d>y<d>y</d><a>y</a><d/></d></b></b><a>x</a><d>y<b>y<b>x";
+      "<c>y</c><c>x</c></b><c>x<d>x</d></c></b><d>y<b><c>y</c></b><b>x";
+      "<d>y</d><b>y</b><b>x</b></b></d></d><c>x</c></a></d><d>x<c>y<d>x";
+      "</d></c></d><d>y<d>x<d>x<c/><a>x</a></d></d><c><c>y<a>x</a><c>x";
+      "</c><b>y</b></c></c><b>y<c>y</c><b/></b></d><b>x<d>y<d>x</d><b>y";
+      "</b></d></b></c><c>x<c>x<d/></c><c>y<c>y</c></c></c></r>";
+    ]
+
+let explosive_query = {|//c/*[//*][//d]/*[//a][//a]/* != "x"|}
+
+(* Past [Decompose.expansion_bound], Auto2 prices no Unfold candidate
+   and an explicit Unfold keeps the [//] edges, as Push-up does: every
+   translator x engine still answers like the oracle. *)
+let test_expansion_bound () =
+  let storage = storage_of explosive_doc in
+  let query = Blas.query explosive_query in
+  check_bool "Unfold past the bound" true
+    (Option.is_none
+       (Blas.Decompose.unfold_opt (Blas.Storage.guide storage) query));
+  let choice = Blas.Optimizer.choose storage query in
+  check_bool "Auto2 prices no Unfold" true
+    (List.for_all
+       (fun cd ->
+         cd.Blas.Optimizer.Planner.cd_translator
+         <> Blas.Optimizer.Planner.Unfold)
+       choice.Blas.Optimizer.ch_candidates);
+  let expected = Blas.oracle storage query in
+  check_bool "the oracle finds answers" true (expected <> []);
+  List.iter
+    (fun translator ->
+      List.iter
+        (fun engine ->
+          check_int_list
+            (Printf.sprintf "%s/%s"
+               (Blas.translator_name translator)
+               (Blas.engine_name engine))
+            expected
+            (Blas.answers storage ~engine ~translator query))
+        engines)
+    translators
+
 let suite =
   [
+    Alcotest.test_case "explosive Unfold expansion stays bounded" `Quick
+      test_expansion_bound;
     Alcotest.test_case "insert into freed gap" `Quick test_insert_into_gap;
     Alcotest.test_case "gap exhaustion: localized relabel" `Quick
       test_localized_relabel;
