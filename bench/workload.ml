@@ -68,7 +68,7 @@ let run () =
                   Bench_util.seconds t_cold;
                   Bench_util.seconds t_warm;
                   Printf.sprintf "%.1fx" (t_cold /. Float.max t_warm 1e-9);
-                  string_of_int (tot.hits + tot.containment_hits);
+                  string_of_int tot.hits;
                   Printf.sprintf "%.0f%%" (100. *. Blas.Cache.hit_rate delta);
                 ])
               queries)

@@ -671,12 +671,9 @@ let index_cmd =
 (* ------------------------------------------------------------------ *)
 (* update                                                              *)
 
-let update () insert_xml parent pos delete rtext data headroom output path =
+let update () insert_xml parent pos delete rtext data output path =
   (* Database files are edited in place (each edit is one committed
      transaction), so they need a writable open. *)
-  (match headroom with
-  | Some h -> Blas.Update.set_headroom h
-  | None -> ());
   (* Refused before the edit commits: [Database.create] would refuse the
      copy too, but only after the input had changed in place. *)
   if Option.fold ~none:false ~some:(Blas.Database.same_file path) output then
@@ -789,17 +786,6 @@ let update_cmd =
       & info [ "data" ] ~docv:"TEXT"
           ~doc:"New text value for --replace-text (omit to clear).")
   in
-  let headroom =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "headroom" ] ~docv:"N"
-          ~doc:
-            "D-label positions reserved per slot when a range is renumbered \
-             (default 4).  Compact codecs absorb larger spacings almost for \
-             free, so write-heavy workloads can raise this to postpone the \
-             next renumbering escalation.")
-  in
   let output =
     Arg.(
       value
@@ -815,7 +801,7 @@ let update_cmd =
     Term.(
       ret
         (const update $ logs_term $ insert $ parent $ pos $ delete $ rtext
-       $ data $ headroom $ output $ input_arg))
+       $ data $ output $ input_arg))
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)

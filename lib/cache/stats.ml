@@ -4,7 +4,6 @@
 
 type t = {
   a_hits : int Atomic.t;
-  a_containment : int Atomic.t;
   a_misses : int Atomic.t;
   a_inserts : int Atomic.t;
   a_evictions : int Atomic.t;
@@ -27,7 +26,6 @@ type snapshot = {
 let create () =
   {
     a_hits = Atomic.make 0;
-    a_containment = Atomic.make 0;
     a_misses = Atomic.make 0;
     a_inserts = Atomic.make 0;
     a_evictions = Atomic.make 0;
@@ -39,8 +37,6 @@ let create () =
 let bump a n = ignore (Atomic.fetch_and_add a n)
 
 let hit t = bump t.a_hits 1
-
-let containment_hit t = bump t.a_containment 1
 
 let miss t = bump t.a_misses 1
 
@@ -66,7 +62,7 @@ let replace t ~old_bytes ~bytes =
 let snapshot t =
   {
     hits = Atomic.get t.a_hits;
-    containment_hits = Atomic.get t.a_containment;
+    containment_hits = 0;
     misses = Atomic.get t.a_misses;
     inserts = Atomic.get t.a_inserts;
     evictions = Atomic.get t.a_evictions;
@@ -90,7 +86,7 @@ let zero =
 let diff ~before ~after =
   {
     hits = after.hits - before.hits;
-    containment_hits = after.containment_hits - before.containment_hits;
+    containment_hits = 0;
     misses = after.misses - before.misses;
     inserts = after.inserts - before.inserts;
     evictions = after.evictions - before.evictions;
@@ -102,7 +98,7 @@ let diff ~before ~after =
 let sum a b =
   {
     hits = a.hits + b.hits;
-    containment_hits = a.containment_hits + b.containment_hits;
+    containment_hits = 0;
     misses = a.misses + b.misses;
     inserts = a.inserts + b.inserts;
     evictions = a.evictions + b.evictions;
@@ -128,14 +124,12 @@ let fields s =
   ]
 
 let hit_rate s =
-  let lookups = s.hits + s.containment_hits + s.misses in
-  if lookups = 0 then 0.
-  else float_of_int (s.hits + s.containment_hits) /. float_of_int lookups
+  let lookups = s.hits + s.misses in
+  if lookups = 0 then 0. else float_of_int s.hits /. float_of_int lookups
 
 let pp ppf s =
   Format.fprintf ppf
-    "%d hits (%d containment), %d misses, rate %.1f%%; %d entries, %d bytes, \
-     %d evicted, %d invalidated"
-    (s.hits + s.containment_hits)
-    s.containment_hits s.misses (100. *. hit_rate s) s.entries s.bytes
+    "%d hits, %d misses, rate %.1f%%; %d entries, %d bytes, %d evicted, %d \
+     invalidated"
+    s.hits s.misses (100. *. hit_rate s) s.entries s.bytes
     s.evictions s.invalidations

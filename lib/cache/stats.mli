@@ -1,7 +1,7 @@
 (** Shared hit/miss/size accounting for the cache structures.
 
-    One {!t} is attached to each cache ({!Lru}, {!Semantic}); all fields
-    are atomics, so concurrent query domains can record without a lock.
+    One {!t} is attached to each {!Lru}; all fields are atomics, so
+    concurrent query domains can record without a lock.
     {!snapshot} reads a consistent-enough point-in-time copy (each field
     individually atomic — exactness across fields is not needed for
     reporting), and {!diff} turns two snapshots into a per-run delta. *)
@@ -10,8 +10,10 @@ type t
 
 (** A plain-record copy of the counters. *)
 type snapshot = {
-  hits : int;  (** exact hits *)
-  containment_hits : int;  (** served by filtering a covering entry *)
+  hits : int;
+  containment_hits : int;
+      (** always 0: lookups are exact.  Kept so readers and exports of
+          the snapshot keep their shape. *)
   misses : int;
   inserts : int;
   evictions : int;  (** removed by the size bound *)
@@ -23,8 +25,6 @@ type snapshot = {
 val create : unit -> t
 
 val hit : t -> unit
-
-val containment_hit : t -> unit
 
 val miss : t -> unit
 
@@ -56,7 +56,7 @@ val sum : snapshot -> snapshot -> snapshot
     field. *)
 val fields : snapshot -> (string * int) list
 
-(** Hits (exact + containment) over lookups; 0 when no lookups. *)
+(** Hits over lookups; 0 when no lookups. *)
 val hit_rate : snapshot -> float
 
 val pp : Format.formatter -> snapshot -> unit

@@ -32,8 +32,8 @@ module Update = Update
     buffer-pool interleaving). *)
 module Par = Blas_par.Pool
 
-(** The semantic query cache (whole-query result memo and
-    containment-aware scan cache) attached to every {!Storage.t}.
+(** The query cache (whole-query result memo and P-interval scan
+    cache) attached to every {!Storage.t}.
     Disabled by default; switch it on per storage with
     {!Storage.set_cache_enabled} or per run with {!run}'s [?cache]. *)
 module Cache = Qcache
@@ -147,7 +147,7 @@ val plan_for :
     ([Some false] forces a cold reference run without flushing the
     cache; the default follows {!Storage.cache_enabled}, which starts
     off).  With caching active, P-label scans are served from the
-    semantic result cache (exact or containment hits), and suffix-path
+    scan cache (exact hits on the scanned P-interval), and suffix-path
     queries replay memoized answers with zero I/O until an update
     touches their footprint.
 

@@ -342,7 +342,7 @@ let reload db =
     install db storage (read_catalog db.store);
     Storage.drop_doc storage;
     Qcache.invalidate (Storage.cache storage) ~full:true ~schema_changed:true
-      ~plabels:[] ~drange:None
+      ~plabels:[]
 
 let with_tx db f =
   if Store.mode db.store = Ro then

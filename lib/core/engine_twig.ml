@@ -22,14 +22,12 @@ let entry_of_tuple schema =
       level = Value.to_int (Tuple.get tuple level_i);
     }
 
-(* The stream of one suffix-path item: a clustered P-label range (or
-   equality) scan, with the value predicate applied on the fly.  [par]
-   chunks the fetch over a domain pool.  [cache] is the storage's
-   semantic scan cache: the post-predicate stream is looked up (exact
-   or by interval containment) before touching the index, and stored
-   after a real scan.  The cache signature is the interval actually
-   fetched — a point for absolute paths, whose matches carry exactly
-   the interval's left endpoint as their P-label. *)
+(* The stream of one suffix-path item: a clustered P-label range (or,
+   for an absolute path, equality) access on SP, with the value
+   predicate applied after it.  [par] chunks the fetch over a domain
+   pool.  [cache] is the query cache's scan hook, the same one the RDBMS
+   engine uses: it holds the rows of the access before any predicate,
+   so the two engines share entries. *)
 let item_stream ?par ?cache (storage : Storage.t) counters
     (item : Suffix_query.item) =
   match Blas_label.Plabel.suffix_path_interval storage.table item.path with
@@ -38,58 +36,35 @@ let item_stream ?par ?cache (storage : Storage.t) counters
     let schema = Table.schema storage.sp in
     let data_i = Schema.index_of schema "data" in
     let to_entry = entry_of_tuple schema in
-    let signature =
+    let lo = Value.Big (Blas_label.Interval.lo interval) in
+    let path =
       if item.path.absolute then
-        Blas_label.Interval.make
-          (Blas_label.Interval.lo interval)
-          (Blas_label.Interval.lo interval)
-      else interval
+        Algebra.Index_eq { column = "plabel"; value = lo }
+      else
+        Algebra.Index_range
+          {
+            column = "plabel";
+            lo = Some lo;
+            hi = Some (Value.Big (Blas_label.Interval.hi interval));
+          }
     in
-    let cached =
-      match cache with
-      | None -> None
-      | Some sem ->
-        Blas_cache.Semantic.find sem ~interval:signature ~pred:item.value
+    let keep =
+      match item.value with
+      | None -> fun _ -> true
+      | Some (Blas_xpath.Ast.Equals v) -> (
+        fun tuple ->
+          match Tuple.get tuple data_i with
+          | Value.Str d -> String.equal d v
+          | _ -> false)
+      | Some (Blas_xpath.Ast.Differs v) -> (
+        fun tuple ->
+          match Tuple.get tuple data_i with
+          | Value.Str d -> not (String.equal d v)
+          | _ -> false)
     in
-    let kept =
-      match cached with
-      | Some rows -> rows
-      | None ->
-        let rows =
-          if item.path.absolute then
-            Table.index_eq storage.sp ?par counters ~column:"plabel"
-              (Value.Big (Blas_label.Interval.lo interval))
-          else
-            Table.index_range storage.sp ?par counters ~column:"plabel"
-              ~lo:(Some (Value.Big (Blas_label.Interval.lo interval)))
-              ~hi:(Some (Value.Big (Blas_label.Interval.hi interval)))
-        in
-        let kept =
-          List.filter
-            (fun tuple ->
-              match item.value with
-              | None -> true
-              | Some (Blas_xpath.Ast.Equals v) -> (
-                match Tuple.get tuple data_i with
-                | Value.Str d -> String.equal d v
-                | _ -> false)
-              | Some (Blas_xpath.Ast.Differs v) -> (
-                match Tuple.get tuple data_i with
-                | Value.Str d -> not (String.equal d v)
-                | _ -> false))
-            rows
-        in
-        Option.iter
-          (fun sem ->
-            Blas_cache.Semantic.store sem ~interval:signature ~pred:item.value
-              ~benefit:
-                (Cost.pages_for (List.length rows)
-                   ~page_rows:(Cost.model_page_rows storage))
-              kept)
-          cache;
-        kept
-    in
-    List.map to_entry kept
+    Executor.access ?par ?cache counters storage.sp path
+    |> List.filter_map (fun tuple ->
+           if keep tuple then Some (to_entry tuple) else None)
 
 let gap_of = function
   | Suffix_query.Exact k -> Blas_twig.Pattern.Exact k

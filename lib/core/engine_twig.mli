@@ -15,12 +15,14 @@ type wrap =
 
 (** [pattern_of_branch storage counters branch] roots the join tree and
     materializes every item's stream.  [par] chunks each stream's fetch
-    over a domain pool. *)
+    over a domain pool; [cache] is the query cache's scan hook, shared
+    with the RDBMS engine, which holds each access's rows before the
+    item's value predicate. *)
 val pattern_of_branch :
   ?wrap:wrap ->
   ?cancel:(unit -> unit) ->
   ?par:Blas_par.Pool.t ->
-  ?cache:Blas_cache.Semantic.t ->
+  ?cache:Blas_rel.Executor.scan_cache ->
   Storage.t ->
   Blas_rel.Counters.t ->
   Suffix_query.t ->
@@ -40,7 +42,7 @@ type join = {
 val branch_joins :
   ?cancel:(unit -> unit) ->
   ?par:Blas_par.Pool.t ->
-  ?cache:Blas_cache.Semantic.t ->
+  ?cache:Blas_rel.Executor.scan_cache ->
   Storage.t ->
   Suffix_query.t list ->
   join list

@@ -173,7 +173,7 @@ let qcache_for ?cache storage =
   if on then Some qc else None
 
 (* The P-label signature of an indexed SP access, shared by the scan
-   memo and the footprint: a point interval for equality probes
+   cache and the footprint: a point interval for equality probes
    (absolute paths match exactly the interval's left endpoint), the
    fetched range otherwise. *)
 let point v = Blas_label.Interval.make v v
@@ -194,23 +194,21 @@ let scan_signature table path =
     | _ -> None
   else None
 
-(* The RDBMS engine's hook into the semantic cache: indexed SP accesses
-   on the P-label column look up their pre-residual tuple list (exact
-   or containment) before the B+ tree, and feed it after a real fetch.
+(* Both engines' hook into the scan cache: an indexed SP access on the
+   P-label column looks up its pre-predicate tuple list by exact
+   interval before the B+ tree, and feeds it after a real fetch.
    Accesses on other columns or tables pass through untouched. *)
 let scan_cache_of qc storage =
-  let sem = Qcache.semantic qc in
   let page_rows = Cost.model_page_rows storage in
   {
     Blas_rel.Executor.probe =
       (fun table path ->
-        Option.bind (scan_signature table path) (fun interval ->
-            Blas_cache.Semantic.find sem ~interval ~pred:None));
+        Option.bind (scan_signature table path) (Qcache.find_scan qc));
     store =
       (fun table path rows ->
         match scan_signature table path with
         | Some interval ->
-          Blas_cache.Semantic.store sem ~interval ~pred:None
+          Qcache.put_scan qc interval
             ~benefit:(Cost.pages_for (List.length rows) ~page_rows)
             rows
         | None -> ());
@@ -272,10 +270,7 @@ let record_cache_metrics qc =
     set (gauge registry "blas.cache.entries") (float_of_int tot.entries);
     set (gauge registry "blas.cache.bytes") (float_of_int tot.bytes);
     set (gauge registry "blas.cache.hit_rate") (Qcache.hit_rate s);
-    set_counter (counter registry "blas.cache.hits")
-      (tot.hits + tot.containment_hits);
-    set_counter (counter registry "blas.cache.containment_hits")
-      tot.containment_hits;
+    set_counter (counter registry "blas.cache.hits") tot.hits;
     set_counter (counter registry "blas.cache.misses") tot.misses;
     set_counter (counter registry "blas.cache.evictions") tot.evictions;
     set_counter (counter registry "blas.cache.invalidations") tot.invalidations
@@ -300,7 +295,7 @@ type analysis = {
     [?cache] overrides the storage's cache switch for this run only
     ([Some false] is a guaranteed-cold reference run; the default
     follows {!Storage.cache_enabled}).  When caching is active, P-label
-    scans go through the semantic result cache, and — for the
+    scans go through the scan cache, and — for the
     suffix-path translators — the whole answer is memoized and replayed
     with zero I/O until an update touches the query's footprint.
 
@@ -400,6 +395,7 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
         | Some a -> (a.a_counters, Some a.a_collector)
         | None -> (Blas_rel.Counters.create (), None)
       in
+      let scan_cache = Option.map (fun qc -> scan_cache_of qc storage) qc in
       (* Auto2 executes the decomposition it priced. *)
       let branches () =
         match choice with
@@ -425,11 +421,10 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
                   Blas_rel.Sql_compile.compile ~catalog:(Storage.catalog storage) s)
             in
             cancel ();
-            let cache = Option.map (fun qc -> scan_cache_of qc storage) qc in
             let relation =
               span "execute" (fun () ->
-                  Blas_rel.Executor.run ~counters ~cancel ?pool ?cache ?collector
-                    plan)
+                  Blas_rel.Executor.run ~counters ~cancel ?pool ?cache:scan_cache
+                    ?collector plan)
             in
             let starts = span "materialize" (fun () -> starts_of_relation relation) in
             (starts, Blas_rel.Algebra.count_djoins plan, sql, branches))
@@ -450,8 +445,7 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
                 None )
             | _ ->
               let b = span "decompose" branches in
-              ( Engine_twig.branch_joins ~cancel ?par:pool
-                  ?cache:(Option.map Qcache.semantic qc)
+              ( Engine_twig.branch_joins ~cancel ?par:pool ?cache:scan_cache
                   storage b,
                 twig_plan_djoins b,
                 Some b )
@@ -505,8 +499,8 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
     engine).  Summing [self] over the tree reconciles exactly with
     [report.counters].  The root label names the Auto2 pick, estimated
     vs. measured, and — with caching active — this run's cache delta;
-    the semantic scan cache participates (served scans show zero I/O in
-    their nodes). *)
+    the scan cache participates (served scans show zero I/O in their
+    nodes). *)
 let run_analyze ?tracer ?cache storage ~engine ~translator q =
   let counters = Blas_rel.Counters.create () in
   let analysis =
@@ -528,8 +522,7 @@ let run_analyze ?tracer ?cache storage ~engine ~translator q =
     | Some qcv, Some before ->
       let d = Qcache.diff_stats ~before ~after:(Qcache.stats qcv) in
       let tot : Blas_cache.Stats.snapshot = Qcache.totals d in
-      Format.sprintf " (cache: %d hits, %d containment, %d misses)" tot.hits
-        tot.containment_hits tot.misses
+      Format.sprintf " (cache: %d hits, %d misses)" tot.hits tot.misses
     | _ -> ""
   in
   (* The pick, estimated vs. measured, on the root — as a label note

@@ -2,8 +2,8 @@
     epoch design. *)
 
 module Lru = Blas_cache.Lru
-module Semantic = Blas_cache.Semantic
 module Stats = Blas_cache.Stats
+module Interval = Blas_label.Interval
 
 type result_entry = {
   r_starts : int list;
@@ -13,8 +13,8 @@ type result_entry = {
 }
 
 type t = {
-  sem : Semantic.t;
   results : (string, result_entry) Lru.t;
+  scans : (Interval.t, Blas_rel.Tuple.t list) Lru.t;
   enabled : bool Atomic.t;
   (* Epoch bumps happen only inside update application, which is
      single-writer; queries read it racily, which at worst misses a
@@ -32,13 +32,14 @@ type t = {
 let result_weight e =
   128 + (16 * List.length e.r_starts) + (48 * List.length e.r_footprint)
 
+(* A scan entry: a fixed overhead plus a flat per-tuple estimate (five
+   boxed values and the list cell). *)
+let scan_weight rows = 128 + (120 * List.length rows)
+
 let create ?stripes ?capacity_bytes () =
   {
-    (* SP column layout: plabel, start, end, level, data. *)
-    sem =
-      Semantic.create ?stripes ?capacity_bytes ~plabel_index:0 ~start_index:1
-        ~end_index:2 ~data_index:4 ();
     results = Lru.create ?stripes ?capacity_bytes ~weight:result_weight ();
+    scans = Lru.create ?stripes ?capacity_bytes ~weight:scan_weight ();
     enabled = Atomic.make false;
     epoch = 0;
     stats_epoch = 0;
@@ -49,8 +50,8 @@ let enabled t = Atomic.get t.enabled
 let set_enabled t on = Atomic.set t.enabled on
 
 let clear t =
-  Semantic.clear t.sem;
   Lru.clear t.results;
+  Lru.clear t.scans;
   t.epoch <- t.epoch + 1
 
 let schema_epoch t = t.epoch
@@ -66,26 +67,28 @@ let find_result t key = Lru.find t.results key
 
 let put_result t key ~benefit entry = Lru.put t.results ~benefit key entry
 
-let semantic t = t.sem
+let find_scan t interval = Lru.find t.scans interval
 
-let result_touched ~plabels (e : result_entry) =
-  List.exists
-    (fun p -> List.exists (Blas_label.Interval.mem p) e.r_footprint)
-    plabels
+let put_scan t interval ~benefit rows = Lru.put t.scans ~benefit interval rows
 
-let invalidate t ~full ~schema_changed ~plabels ~drange =
+let touched ~plabels interval =
+  List.exists (fun p -> Interval.mem p interval) plabels
+
+let invalidate t ~full ~schema_changed ~plabels =
   if full then clear t
   else begin
     if schema_changed then begin
       Lru.clear t.results;
       t.epoch <- t.epoch + 1
-    end
-    else if plabels <> [] then
+    end;
+    if plabels <> [] then begin
       ignore
         (Lru.filter_in_place t.results (fun _ e ->
-             not (result_touched ~plabels e)));
-    if plabels <> [] || drange <> None then
-      ignore (Semantic.invalidate t.sem ~plabels ~drange)
+             not (List.exists (touched ~plabels) e.r_footprint)));
+      ignore
+        (Lru.filter_in_place t.scans (fun interval _ ->
+             not (touched ~plabels interval)))
+    end
   end
 
 type stats = {
@@ -96,7 +99,7 @@ type stats = {
 let stats (t : t) =
   {
     results = Stats.snapshot (Lru.stats t.results);
-    streams = Stats.snapshot (Semantic.stats t.sem);
+    streams = Stats.snapshot (Lru.stats t.scans);
   }
 
 let totals s = Stats.sum s.results s.streams
@@ -113,6 +116,6 @@ let pp_stats ppf s =
   Format.fprintf ppf "@[<v>results: %a@,streams: %a@]" Stats.pp s.results
     Stats.pp s.streams
 
-let validate t =
-  Semantic.validate t.sem;
-  Lru.validate t.results
+let validate (t : t) =
+  Lru.validate t.results;
+  Lru.validate t.scans

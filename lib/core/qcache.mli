@@ -1,15 +1,20 @@
 (** The per-storage query cache — [Blas.Cache].
 
-    Two layers, both built on {!Blas_cache}:
+    Two layers, each one {!Blas_cache.Lru}:
 
     - a {b whole-query result memo} keyed by
       [(engine, translator, query)], remembering the answer set plus the
-      P-label {e footprint} of the decomposition's items — the update
-      protocol kills an entry only when a touched P-label lands in its
-      footprint;
-    - the {b semantic scan cache} ({!Blas_cache.Semantic}) shared by
-      both engines' suffix-path scans, serving exact and containment
-      hits.
+      P-label {e footprint} of the decomposition's items;
+    - a {b scan cache} keyed by the P-interval of an SP access (a point
+      for an absolute path), holding the rows the access fetched before
+      any value predicate.  Both engines share it, so one suffix path is
+      one entry; hits are exact.
+
+    One invalidation rule serves both layers: an entry dies when an
+    edit touches a P-label inside its footprint (result) or its
+    interval (scan).  Every row an edit changes carries such a P-label
+    — inserted, removed, relabeled and re-valued nodes all do — so
+    nothing else can make an entry stale.
 
     The cache starts {e disabled}: the library-level default keeps every
     existing entry point bit-identical in cost and counters (the
@@ -23,9 +28,9 @@
     Epochs: the schema epoch advances whenever the translation inputs
     change — a tag-inventory rebuild or any edit that changes the
     DataGuide's path set — which orphans (and flushes) result entries
-    wholesale; semantic entries survive schema changes (their
-    signatures depend only on the tag inventory) and die individually
-    through {!invalidate}. *)
+    wholesale; scan entries survive schema changes (their keys depend
+    only on the tag inventory) and die individually through
+    {!invalidate}. *)
 
 type t
 
@@ -66,29 +71,35 @@ val find_result : t -> string -> result_entry option
 
 val put_result : t -> string -> benefit:int -> result_entry -> unit
 
-(* Semantic scan cache *)
+(* Scan cache *)
 
-val semantic : t -> Blas_cache.Semantic.t
+(** [find_scan t interval] — the rows an earlier SP access on exactly
+    [interval] fetched, before any value predicate. *)
+val find_scan : t -> Blas_label.Interval.t -> Blas_rel.Tuple.t list option
 
-(** [invalidate t ~full ~schema_changed ~plabels ~drange] — the update
+(** [put_scan t interval ~benefit rows] admits a completed access;
+    [benefit] is the pages a hit saves. *)
+val put_scan :
+  t -> Blas_label.Interval.t -> benefit:int -> Blas_rel.Tuple.t list -> unit
+
+(** [invalidate t ~full ~schema_changed ~plabels] — the update
     protocol.  [full] flushes everything (labels were recomputed);
-    [schema_changed] flushes results and advances the epoch
-    (the DataGuide changed, so decompositions may differ); [plabels]
-    and [drange] kill the semantic and result entries the edit can
-    reach, leaving the rest warm. *)
+    [schema_changed] flushes results and advances the epoch (the
+    DataGuide changed, so decompositions may differ); [plabels] kill
+    the result and scan entries whose intervals contain one of them,
+    leaving the rest warm. *)
 val invalidate :
   t ->
   full:bool ->
   schema_changed:bool ->
   plabels:Blas_label.Bignum.t list ->
-  drange:(int * int) option ->
   unit
 
 (* Reporting *)
 
 type stats = {
   results : Blas_cache.Stats.snapshot;
-  streams : Blas_cache.Stats.snapshot;
+  streams : Blas_cache.Stats.snapshot;  (** the scan cache *)
 }
 
 val stats : t -> stats

@@ -20,7 +20,6 @@ type invalidation = Engine.invalidation = {
   inv_full : bool;
   inv_schema_changed : bool;
   inv_plabels : Blas_label.Bignum.t list;
-  inv_drange : (int * int) option;
 }
 
 type report = Engine.report = {
@@ -53,15 +52,14 @@ let apply storage op =
     storage.Storage.table <- target.Engine.table;
     storage.Storage.sp <- target.Engine.sp;
     storage.Storage.sd <- target.Engine.sd;
-    (* Fine-grained cache invalidation: drop exactly what the edit can
-       have made stale (entries whose P-interval contains a touched
-       P-label or whose D-range overlaps the edited window), keeping the
-       rest warm.  Runs even with the cache switched off — entries stored
-       while it was on must not survive an edit made while it is off. *)
+    (* Fine-grained cache invalidation: drop exactly the entries whose
+       P-interval contains a touched P-label, keeping the rest warm.
+       Every row the edit changed carries one of those P-labels.  Runs
+       even with the cache switched off — entries stored while it was
+       on must not survive an edit made while it is off. *)
     let inv = report.invalidation in
     Qcache.invalidate (Storage.cache storage) ~full:inv.inv_full
-      ~schema_changed:inv.inv_schema_changed ~plabels:inv.inv_plabels
-      ~drange:inv.inv_drange;
+      ~schema_changed:inv.inv_schema_changed ~plabels:inv.inv_plabels;
     (* Optimizer staleness accounting (and, past the threshold, a
        resample).  Inside the WAL transaction of a disk-backed storage,
        so the refreshed statistics commit with the edit's catalog. *)
@@ -98,11 +96,3 @@ let replace_text storage ~start data =
     the root's interval vs. the interval size — the insert headroom
     before any renumbering. *)
 let gap_budget (storage : Storage.t) = Engine.gap_budget (Storage.doc storage)
-
-(** The renumbering headroom policy (see {!Blas_update.Gap_alloc}):
-    positions reserved per slot when a range is renumbered.  Compact
-    codecs absorb larger spacings almost for free, so write-heavy
-    deployments raise it to postpone the next escalation. *)
-let headroom = Blas_update.Gap_alloc.headroom
-
-let set_headroom = Blas_update.Gap_alloc.set_headroom

@@ -11,7 +11,6 @@ type invalidation = Blas_update.Update_engine.invalidation = {
   inv_full : bool;
   inv_schema_changed : bool;
   inv_plabels : Blas_label.Bignum.t list;
-  inv_drange : (int * int) option;
 }
 
 type report = Blas_update.Update_engine.report = {
@@ -48,12 +47,3 @@ val replace_text : Storage.t -> start:int -> string option -> report
     the root's interval vs. the interval's size — the insert headroom
     before any renumbering. *)
 val gap_budget : Storage.t -> int * int
-
-(** The renumbering headroom policy: positions reserved per slot when a
-    range is renumbered (see {!Blas_update.Gap_alloc}).  Compact codecs
-    absorb larger spacings almost for free, so write-heavy deployments
-    raise it to postpone the next escalation.
-    @raise Invalid_argument when setting a value < 1. *)
-val headroom : unit -> int
-
-val set_headroom : int -> unit

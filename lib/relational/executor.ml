@@ -28,6 +28,30 @@ type scan_cache = {
   store : Table.t -> Algebra.access_path -> Tuple.t list -> unit;
 }
 
+(* One base-table access, through [cache] when the path is indexed. *)
+let access ?par ?cache counters table path =
+  let fetch () =
+    match path with
+    | Algebra.Full_scan -> Table.scan table counters
+    | Algebra.Index_eq { column; value } -> (
+      match Table.index_eq table ?par counters ~column value with
+      | rows -> rows
+      | exception Not_found -> error "no index on %s.%s" (Table.name table) column)
+    | Algebra.Index_range { column; lo; hi } -> (
+      match Table.index_range table ?par counters ~column ~lo ~hi with
+      | rows -> rows
+      | exception Not_found -> error "no index on %s.%s" (Table.name table) column)
+  in
+  match (cache, path) with
+  | Some c, (Algebra.Index_eq _ | Algebra.Index_range _) -> (
+    match c.probe table path with
+    | Some rows -> rows
+    | None ->
+      let rows = fetch () in
+      c.store table path rows;
+      rows)
+  | _ -> fetch ()
+
 (* Evaluates to (schema, tuple list).  [wrap] intercepts every operator
    evaluation — the identity for plain runs, a collector frame for
    EXPLAIN ANALYZE.  [par] is the domain pool of a parallel run ([None]
@@ -46,31 +70,8 @@ let rec eval_wrapped ?(cancel = ignore) wrap par cache counters plan =
   wrap plan @@ fun () ->
   match plan with
   | Algebra.Access { table; alias; path; residual } ->
-    let base_schema = Table.schema table in
-    let qualified = Schema.qualify alias base_schema in
-    let fetch () =
-      match path with
-      | Algebra.Full_scan -> Table.scan table counters
-      | Algebra.Index_eq { column; value } -> (
-        match Table.index_eq table ?par counters ~column value with
-        | rows -> rows
-        | exception Not_found -> error "no index on %s.%s" (Table.name table) column)
-      | Algebra.Index_range { column; lo; hi } -> (
-        match Table.index_range table ?par counters ~column ~lo ~hi with
-        | rows -> rows
-        | exception Not_found -> error "no index on %s.%s" (Table.name table) column)
-    in
-    let tuples =
-      match (cache, path) with
-      | Some c, (Algebra.Index_eq _ | Algebra.Index_range _) -> (
-        match c.probe table path with
-        | Some rows -> rows
-        | None ->
-          let rows = fetch () in
-          c.store table path rows;
-          rows)
-      | _ -> fetch ()
-    in
+    let qualified = Schema.qualify alias (Table.schema table) in
+    let tuples = access ?par ?cache counters table path in
     let tuples =
       match residual with
       | Algebra.True -> tuples

@@ -8,12 +8,26 @@ exception Error of string
     ([Index_eq] / [Index_range]; full scans are never offered).
     [probe] may return the pre-residual tuple list of an identical
     earlier access — the executor then charges no read counters for
-    it; [store] is offered what an actual access fetched.  The
-    semantic query cache installs its containment-aware probe here. *)
+    it; [store] is offered what an actual access fetched.  The query
+    cache's scan layer installs its exact-interval probe here, for both
+    engines. *)
 type scan_cache = {
   probe : Table.t -> Algebra.access_path -> Tuple.t list option;
   store : Table.t -> Algebra.access_path -> Tuple.t list -> unit;
 }
+
+(** [access ?par ?cache counters table path] — the tuples [path]
+    selects from [table], before any residual: served by [cache] when
+    it holds them, fetched (and offered to [cache]) otherwise.  [par]
+    chunks an index fetch over a domain pool.
+    @raise Error when [path] names a column without an index. *)
+val access :
+  ?par:Blas_par.Pool.t ->
+  ?cache:scan_cache ->
+  Counters.t ->
+  Table.t ->
+  Algebra.access_path ->
+  Tuple.t list
 
 (** [run ?counters ?pool ?collector plan] executes [plan] and
     materializes the result.  With a multi-domain [pool], union

@@ -299,15 +299,12 @@ let command_to_line = function
 (* Invalidation records on the wire                                    *)
 
 (** [invalidation_to_string inv] — one space-free-field line:
-    [full=<0|1> schema=<0|1> drange=<lo:hi|-> plabels=<p,p,...|->].
-    P-labels are decimal bignums, so the encoding is exact. *)
+    [full=<0|1> schema=<0|1> plabels=<p,p,...|->].  P-labels are
+    decimal bignums, so the encoding is exact. *)
 let invalidation_to_string (inv : Blas.Update.invalidation) =
-  Printf.sprintf "full=%d schema=%d drange=%s plabels=%s"
+  Printf.sprintf "full=%d schema=%d plabels=%s"
     (if inv.Blas.Update.inv_full then 1 else 0)
     (if inv.Blas.Update.inv_schema_changed then 1 else 0)
-    (match inv.Blas.Update.inv_drange with
-    | None -> "-"
-    | Some (lo, hi) -> Printf.sprintf "%d:%d" lo hi)
     (match inv.Blas.Update.inv_plabels with
     | [] -> "-"
     | ps -> String.concat "," (List.map Blas_label.Bignum.to_string ps))
@@ -322,29 +319,13 @@ let invalidation_of_string s =
     else None
   in
   match String.split_on_char ' ' (String.trim s) with
-  | [ f; sc; dr; pl ] -> (
-    match (field "full" f, field "schema" sc, field "drange" dr,
-           field "plabels" pl)
-    with
-    | Some f, Some sc, Some dr, Some pl -> (
+  | [ f; sc; pl ] -> (
+    match (field "full" f, field "schema" sc, field "plabels" pl) with
+    | Some f, Some sc, Some pl -> (
       let bool_of = function
         | "0" -> Some false
         | "1" -> Some true
         | _ -> None
-      in
-      let drange_of = function
-        | "-" -> Some None
-        | s -> (
-          match String.index_opt s ':' with
-          | None -> None
-          | Some i -> (
-            match
-              ( int_of_string_opt (String.sub s 0 i),
-                int_of_string_opt
-                  (String.sub s (i + 1) (String.length s - i - 1)) )
-            with
-            | Some lo, Some hi -> Some (Some (lo, hi))
-            | _ -> None))
       in
       let plabels_of = function
         | "-" -> Some []
@@ -355,16 +336,9 @@ let invalidation_of_string s =
                  (String.split_on_char ',' s))
           with Invalid_argument _ -> None)
       in
-      match (bool_of f, bool_of sc, drange_of dr, plabels_of pl) with
-      | Some inv_full, Some inv_schema_changed, Some inv_drange,
-        Some inv_plabels ->
-        Some
-          {
-            Blas.Update.inv_full;
-            inv_schema_changed;
-            inv_plabels;
-            inv_drange;
-          }
+      match (bool_of f, bool_of sc, plabels_of pl) with
+      | Some inv_full, Some inv_schema_changed, Some inv_plabels ->
+        Some { Blas.Update.inv_full; inv_schema_changed; inv_plabels }
       | _ -> None)
     | _ -> None)
   | _ -> None

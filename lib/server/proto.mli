@@ -94,7 +94,7 @@ val command_to_line : command -> string
 
 (** [invalidation_to_string inv] — one-line exact encoding of a §11
     precise invalidation record
-    ([full=<0|1> schema=<0|1> drange=<lo:hi|-> plabels=<p,p,...|->]);
+    ([full=<0|1> schema=<0|1> plabels=<p,p,...|->]);
     what [UPDATEX] replies lead with and [INVAL] carries. *)
 val invalidation_to_string : Blas.Update.invalidation -> string
 

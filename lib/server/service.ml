@@ -292,8 +292,7 @@ let invalidate t ~doc payload =
             (Blas.Storage.cache d.storage)
             ~full:inv.Blas.Update.inv_full
             ~schema_changed:inv.Blas.Update.inv_schema_changed
-            ~plabels:inv.Blas.Update.inv_plabels
-            ~drange:inv.Blas.Update.inv_drange);
+            ~plabels:inv.Blas.Update.inv_plabels);
       Proto.Ok_payload "invalidated")
 
 (* ------------------------------------------------------------------ *)

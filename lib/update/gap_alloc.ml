@@ -15,24 +15,10 @@
     scaling product below goes through {!Blas_label.Bignum} so that a
     huge gap times a slot index cannot overflow. *)
 
-(** Spacing used when a full renumbering is unavoidable: each slot gets
-    [headroom ()] positions of room, so the next insert at the same spot
-    finds a gap instead of cascading into another renumbering.
-
-    This is a policy knob (set from the CLI's [--headroom]): compact
-    codecs make sparse labels nearly free on disk — zigzag varint
-    deltas grow by at most one byte per doubling of the spacing — so
-    write-heavy workloads can raise it to push renumbering escalations
-    further out, and archival ones can lower it toward dense labels. *)
-let default_headroom = 4
-
-let headroom_ref = ref default_headroom
-
-let headroom () = !headroom_ref
-
-let set_headroom h =
-  if h < 1 then invalid_arg "Gap_alloc.set_headroom: headroom must be >= 1";
-  headroom_ref := h
+(* Spacing used when a full renumbering is unavoidable: each slot gets
+   four positions of room, so the next insert at the same spot finds a
+   gap instead of cascading into another renumbering. *)
+let headroom = 4
 
 (** [spread ~lo ~hi ~slots] — [slots] distinct positions strictly
     between [lo] and [hi], evenly spaced over the gap so that later
@@ -55,9 +41,8 @@ let spread ~lo ~hi ~slots =
         | None -> assert false (* scaled < gap <= max_int *))
 
 (** [fresh ~slots] — positions for a full renumbering: slot [i] sits at
-    [1 + headroom () * i], leaving [headroom () - 1] free positions
-    after every label. *)
+    [1 + headroom * i], leaving [headroom - 1] free positions after
+    every label. *)
 let fresh ~slots =
   if slots < 0 then invalid_arg "Gap_alloc.fresh: negative slot count";
-  let h = headroom () in
-  Array.init slots (fun i -> 1 + (h * i))
+  Array.init slots (fun i -> 1 + (headroom * i))

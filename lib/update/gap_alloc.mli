@@ -4,24 +4,12 @@
     Definition 3.1 only compares positions, so sparse labels are as
     good as dense ones. *)
 
-(** Spacing per slot when a range is renumbered from scratch (default
-    {!default_headroom}).  A policy knob: compact codecs make sparse
-    labels nearly free on disk, so write-heavy workloads can raise it
-    (fewer renumbering escalations) and archival ones lower it. *)
-val headroom : unit -> int
-
-val default_headroom : int
-
-(** Install a new headroom policy.
-    @raise Invalid_argument when [h < 1]. *)
-val set_headroom : int -> unit
-
 (** [spread ~lo ~hi ~slots] — [slots] distinct, strictly increasing
     positions strictly between [lo] and [hi], evenly spaced.
     @raise Invalid_argument when the gap holds fewer than [slots]
     positions. *)
 val spread : lo:int -> hi:int -> slots:int -> int array
 
-(** [fresh ~slots] — positions for a full renumbering, [headroom ()]
-    apart, starting at 1. *)
+(** [fresh ~slots] — positions for a full renumbering, four apart,
+    starting at 1, so the next insert at any slot finds a gap. *)
 val fresh : slots:int -> int array

@@ -47,14 +47,12 @@ type target = {
     layer feeds it to [Qcache.invalidate]; cache entries outside the
     reach described here are provably still correct).  [inv_plabels]
     are the P-labels of every node the edit created, removed, moved or
-    re-valued; [inv_drange] is the D-label window the edit wrote into,
-    in pre-edit coordinates (what cached entries carry). *)
+    re-valued — every SP/SD row the edit changed carries one of them. *)
 type invalidation = {
   inv_full : bool;  (** labels were recomputed wholesale — flush everything *)
   inv_schema_changed : bool;
       (** the DataGuide's path set changed, so decompositions may differ *)
   inv_plabels : Blas_label.Bignum.t list;
-  inv_drange : (int * int) option;
 }
 
 type report = {
@@ -450,15 +448,13 @@ let insert_subtree t ~parent ~pos tree =
     (* A tag-inventory rebuild moves every P-label and a whole-document
        renumbering moves every D-label: both leave nothing for a cache
        to stand on.  Otherwise only the spliced subtree and the nodes
-       the renumbering moved are touched; the D-window is the gap the
-       labels came from (resp. the renumbered ancestor interval, whose
-       endpoints the renumbering preserves). *)
+       the renumbering moved are touched: a localized renumbering keeps
+       its ancestor's endpoints, so no other row changes. *)
     if table_rebuilt || (match alloc with Whole -> true | _ -> false) then
       {
         inv_full = true;
         inv_schema_changed = true;
         inv_plabels = [];
-        inv_drange = None;
       }
     else
       let touched =
@@ -469,11 +465,6 @@ let insert_subtree t ~parent ~pos tree =
         inv_full = false;
         inv_schema_changed = guide_paths new_doc <> guide_paths doc;
         inv_plabels = List.map (node_plabel t.table) touched;
-        inv_drange =
-          (match alloc with
-          | From_gap -> Some (lo, hi)
-          | Inside anchor -> Some (anchor.start, anchor.fin)
-          | Whole -> None);
       }
   in
   record ~op:"insert" ?escalation t0
@@ -536,7 +527,6 @@ let delete_subtree t ~start =
           inv_full = false;
           inv_schema_changed = guide_paths new_doc <> guide_paths doc;
           inv_plabels = List.map (node_plabel t.table) removed;
-          inv_drange = Some (node.start, node.fin);
         };
     }
 
@@ -575,7 +565,6 @@ let replace_text t ~start data =
           inv_full = false;
           inv_schema_changed = false;
           inv_plabels = [ node_plabel t.table node ];
-          inv_drange = Some (node.start, node.fin);
         };
     }
 

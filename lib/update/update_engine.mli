@@ -19,15 +19,13 @@ type target = {
 (** What this edit can have made stale, for the query cache: entries
     outside the reach described here are provably still correct.
     [inv_plabels] are the P-labels of every node the edit created,
-    removed, moved or re-valued; [inv_drange] is the D-label window the
-    edit wrote into, in pre-edit coordinates (what cached entries
-    carry). *)
+    removed, moved or re-valued — every SP/SD row the edit changed
+    carries one of them. *)
 type invalidation = {
   inv_full : bool;  (** labels were recomputed wholesale — flush everything *)
   inv_schema_changed : bool;
       (** the DataGuide's path set changed, so decompositions may differ *)
   inv_plabels : Blas_label.Bignum.t list;
-  inv_drange : (int * int) option;
 }
 
 type report = {
@@ -56,7 +54,7 @@ val set_metrics : Blas_obs.Metrics.t option -> unit
     D-labels come from the gap between the new subtree's neighbours
     when it is wide enough; otherwise the smallest enclosing ancestor
     interval with enough capacity is renumbered (worst case: the whole
-    document, with {!Gap_alloc.headroom} spacing).
+    document, four positions per slot; see {!Gap_alloc.fresh}).
     @raise Invalid_argument on an unknown parent, an out-of-range
     [pos], or a text-node root. *)
 val insert_subtree :

@@ -1,10 +1,10 @@
-(** Tests for the semantic query cache ({!Blas.Cache} /
-    {!Blas_cache}).
+(** Tests for the query cache ({!Blas.Cache} / {!Blas_cache}).
 
-    Three layers are covered: the lock-striped LRU and the semantic
-    (containment-aware) scan cache as units, the cached execution
-    pipeline end to end (warm answers bit-identical to cold, memo hits
-    with zero I/O), and the update-aware invalidation protocol —
+    Three layers are covered: the lock-striped LRU and the P-interval
+    scan layer as units, the cached execution pipeline end to end (warm
+    answers bit-identical to cold, memo hits with zero I/O, one scan
+    entry shared by both engines), and the update-aware invalidation
+    protocol — one rule, a touched P-label inside an entry's interval —
     including the coherence property that interleaves random edit
     scripts with repeated queries across every suffix-path translator
     and both engines, and a [-j N] stress run that hammers one cache
@@ -14,7 +14,6 @@ open Test_util
 module Cache = Blas.Cache
 module Stats = Blas_cache.Stats
 module Lru = Blas_cache.Lru
-module Semantic = Blas_cache.Semantic
 module Interval = Blas_label.Interval
 module Bignum = Blas_label.Bignum
 
@@ -74,97 +73,58 @@ let test_lru_filter_in_place () =
   Lru.validate t
 
 (* ------------------------------------------------------------------ *)
-(* Semantic cache unit tests                                           *)
+(* Scan layer unit tests                                               *)
 
-(* Tuples in the SP layout used by the executor (plabel, start, end,
-   level, data). *)
-let sp_tuple ~plabel ~start ~fin ?data () =
+(* Tuples in the SP layout (plabel, start, end, level, data). *)
+let sp_tuple ~plabel ~start ~fin =
   Blas_rel.Tuple.of_list
     [
       Blas_rel.Value.Big (Bignum.of_int plabel);
       Blas_rel.Value.Int start;
       Blas_rel.Value.Int fin;
       Blas_rel.Value.Int 1;
-      (match data with
-      | Some d -> Blas_rel.Value.Str d
-      | None -> Blas_rel.Value.Null);
+      Blas_rel.Value.Null;
     ]
-
-let semantic () =
-  Semantic.create ~plabel_index:0 ~start_index:1 ~end_index:2 ~data_index:4 ()
 
 let iv lo hi = Interval.make (Bignum.of_int lo) (Bignum.of_int hi)
 
+let scan_stats qc = (Cache.stats qc).Cache.streams
+
 let test_semantic_exact_hit () =
-  let t = semantic () in
-  let rows = [ sp_tuple ~plabel:5 ~start:1 ~fin:2 () ] in
-  Semantic.store t ~interval:(iv 0 10) ~pred:None ~benefit:3 rows;
-  (match Semantic.find t ~interval:(iv 0 10) ~pred:None with
+  let qc = Cache.create () in
+  Cache.put_scan qc (iv 0 10) ~benefit:3 [ sp_tuple ~plabel:5 ~start:1 ~fin:2 ];
+  (match Cache.find_scan qc (iv 0 10) with
   | Some r -> check_int "exact rows returned" 1 (List.length r)
   | None -> Alcotest.fail "expected exact hit");
-  check_bool "different interval misses" true
-    (Semantic.find t ~interval:(iv 0 11) ~pred:None = None);
-  let s = Stats.snapshot (Semantic.stats t) in
-  check_int "one exact hit" 1 s.Stats.hits;
-  check_int "one miss" 1 s.Stats.misses
-
-let test_semantic_containment_hit () =
-  let t = semantic () in
-  let rows =
-    [
-      sp_tuple ~plabel:2 ~start:1 ~fin:2 ();
-      sp_tuple ~plabel:5 ~start:3 ~fin:4 ();
-      sp_tuple ~plabel:9 ~start:5 ~fin:6 ();
-    ]
-  in
-  Semantic.store t ~interval:(iv 0 10) ~pred:None ~benefit:3 rows;
-  (match Semantic.find t ~interval:(iv 4 9) ~pred:None with
-  | Some r -> check_int "filtered to the probe interval" 2 (List.length r)
-  | None -> Alcotest.fail "expected containment hit");
-  let s = Stats.snapshot (Semantic.stats t) in
-  check_int "containment hit counted" 1 s.Stats.containment_hits
-
-let test_semantic_pred_handling () =
-  let t = semantic () in
-  let rows =
-    [
-      sp_tuple ~plabel:1 ~start:1 ~fin:2 ~data:"x" ();
-      sp_tuple ~plabel:2 ~start:3 ~fin:4 ~data:"y" ();
-    ]
-  in
-  Semantic.store t ~interval:(iv 0 10) ~pred:None ~benefit:3 rows;
-  (* A predicate-free covering entry serves a predicated probe by
-     filtering. *)
-  (match
-     Semantic.find t ~interval:(iv 0 5) ~pred:(Some (Blas_xpath.Ast.Equals "x"))
-   with
-  | Some r -> check_int "predicate applied" 1 (List.length r)
-  | None -> Alcotest.fail "expected pred-filtered containment hit");
-  (* A predicated entry never serves a predicate-free probe (it already
-     dropped rows). *)
-  let t2 = semantic () in
-  Semantic.store t2 ~interval:(iv 0 10)
-    ~pred:(Some (Blas_xpath.Ast.Equals "x"))
-    ~benefit:3
-    [ sp_tuple ~plabel:1 ~start:1 ~fin:2 ~data:"x" () ];
-  check_bool "predicated entry cannot serve unpredicated probe" true
-    (Semantic.find t2 ~interval:(iv 0 5) ~pred:None = None)
+  check_bool "a contained interval misses" true
+    (Cache.find_scan qc (iv 4 9) = None);
+  check_bool "a covering interval misses" true
+    (Cache.find_scan qc (iv 0 11) = None);
+  let s = scan_stats qc in
+  check_int "one hit" 1 s.Stats.hits;
+  check_int "two misses" 2 s.Stats.misses
 
 let test_semantic_invalidate () =
-  let t = semantic () in
-  Semantic.store t ~interval:(iv 0 10) ~pred:None ~benefit:3
-    [ sp_tuple ~plabel:5 ~start:10 ~fin:20 () ];
-  Semantic.store t ~interval:(iv 20 30) ~pred:None ~benefit:3
-    [ sp_tuple ~plabel:25 ~start:50 ~fin:60 () ];
+  let qc = Cache.create () in
+  Cache.put_scan qc (iv 0 10) ~benefit:3 [ sp_tuple ~plabel:5 ~start:10 ~fin:20 ];
+  Cache.put_scan qc (iv 20 30) ~benefit:3
+    [ sp_tuple ~plabel:25 ~start:50 ~fin:60 ];
+  let edit plabels =
+    Cache.invalidate qc ~full:false ~schema_changed:false
+      ~plabels:(List.map Bignum.of_int plabels)
+  in
   (* A P-label inside the first interval kills only the first entry. *)
-  let died = Semantic.invalidate t ~plabels:[ Bignum.of_int 7 ] ~drange:None in
-  check_int "one entry died by plabel" 1 died;
-  check_int "one survives" 1 (Semantic.entry_count t);
-  (* A D-range overlapping the survivor's rows kills it too. *)
-  let died = Semantic.invalidate t ~plabels:[] ~drange:(Some (55, 58)) in
-  check_int "one entry died by drange" 1 died;
-  check_int "none left" 0 (Semantic.entry_count t);
-  Semantic.validate t
+  edit [ 7 ];
+  check_int "one entry died by plabel" 1 (scan_stats qc).Stats.invalidations;
+  check_int "one survives" 1 (scan_stats qc).Stats.entries;
+  check_bool "the other interval's entry survives" true
+    (Cache.find_scan qc (iv 20 30) <> None);
+  (* An edit inside the survivor's D-window (say 55..58) whose P-label
+     lies outside its interval kills nothing. *)
+  edit [ 40 ];
+  check_int "a D-window kills nothing" 1 (scan_stats qc).Stats.invalidations;
+  check_int "still one entry" 1 (scan_stats qc).Stats.entries;
+  Cache.validate qc
 
 (* ------------------------------------------------------------------ *)
 (* Cached pipeline end to end                                          *)
@@ -216,6 +176,26 @@ let test_memo_hit_zero_io () =
   check_int "memo hit pages nothing" 0 warm.Blas.page_reads;
   let s = Blas.Storage.cache_stats storage in
   check_bool "a result hit was recorded" true (s.Cache.results.Stats.hits >= 1)
+
+(* The two engines share one scan entry per P-interval: an RDBMS run of
+   a value-predicate query leaves pre-predicate rows that a twig run of
+   the same query hits exactly. *)
+let test_rdbms_scans_serve_twig () =
+  let storage = storage_of doc_xml in
+  let q = Blas.query "//a[b = \"x\"]" in
+  ignore
+    (Blas.run ~cache:true storage ~engine:Blas.Rdbms ~translator:Blas.Pushup q);
+  let before = scan_stats (Blas.Storage.cache storage) in
+  let twig =
+    Blas.run ~cache:true storage ~engine:Blas.Twig ~translator:Blas.Pushup q
+  in
+  let d =
+    Stats.diff ~before ~after:(scan_stats (Blas.Storage.cache storage))
+  in
+  check_int "both streams hit exactly" 2 d.Stats.hits;
+  check_int "no misses" 0 d.Stats.misses;
+  check_int "nothing read" 0 twig.Blas.visited;
+  check_int_list "answers" (Blas.oracle storage q) twig.Blas.starts
 
 let test_cache_disabled_by_default () =
   let storage = storage_of doc_xml in
@@ -331,6 +311,33 @@ let test_delete_invalidates () =
   ignore (Blas.Update.delete_subtree storage ~start:b_start);
   oracle_check storage q
 
+(* The one invalidation rule: an edit whose D-window lies inside a
+   cached scan's rows, but whose P-label lies outside the scan's
+   interval, leaves the entry warm. *)
+let test_scan_survives_edit_outside_interval () =
+  let storage = storage_of "<r><a><c>t</c></a><a><b>u</b></a></r>" in
+  let qa = Blas.query "//a" in
+  ignore
+    (Blas.run ~cache:true storage ~engine:Blas.Rdbms ~translator:Blas.Pushup qa);
+  let streams () = scan_stats (Blas.Storage.cache storage) in
+  let before = streams () in
+  ignore
+    (Blas.Update.replace_text storage
+       ~start:(first_start_of_tag storage "c")
+       (Some "v"));
+  check_int "no scan entry invalidated" 0
+    (Stats.diff ~before ~after:(streams ())).Stats.invalidations;
+  let before = streams () in
+  let twig =
+    Blas.run ~cache:true storage ~engine:Blas.Twig ~translator:Blas.Pushup qa
+  in
+  let d = Stats.diff ~before ~after:(streams ()) in
+  check_int "the next run hits" 1 d.Stats.hits;
+  check_int "and does not miss" 0 d.Stats.misses;
+  check_int_list "served answers" (Blas.oracle storage qa) twig.Blas.starts;
+  oracle_check storage qa;
+  oracle_check storage (Blas.query "//a[c = \"v\"]")
+
 (* ------------------------------------------------------------------ *)
 (* Coherence property: edits interleaved with repeated queries         *)
 
@@ -423,12 +430,10 @@ let suite =
       test_lru_oversized_rejected;
     Alcotest.test_case "lru filter_in_place" `Quick test_lru_filter_in_place;
     Alcotest.test_case "semantic exact hit" `Quick test_semantic_exact_hit;
-    Alcotest.test_case "semantic containment hit" `Quick
-      test_semantic_containment_hit;
-    Alcotest.test_case "semantic predicate handling" `Quick
-      test_semantic_pred_handling;
     Alcotest.test_case "semantic invalidation" `Quick test_semantic_invalidate;
     Alcotest.test_case "warm answers equal cold" `Quick test_warm_equals_cold;
+    Alcotest.test_case "rdbms scans serve twig exactly" `Quick
+      test_rdbms_scans_serve_twig;
     Alcotest.test_case "memo hit has zero I/O" `Quick test_memo_hit_zero_io;
     Alcotest.test_case "cache disabled by default" `Quick
       test_cache_disabled_by_default;
@@ -439,6 +444,8 @@ let suite =
     Alcotest.test_case "unfold survives guide change" `Quick
       test_unfold_survives_guide_change;
     Alcotest.test_case "delete invalidates" `Quick test_delete_invalidates;
+    Alcotest.test_case "scan survives edit outside its interval" `Quick
+      test_scan_survives_edit_outside_interval;
     prop_coherence;
     Alcotest.test_case "parallel stress" `Quick test_parallel_stress;
   ]
