@@ -423,8 +423,8 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
             cancel ();
             let relation =
               span "execute" (fun () ->
-                  Blas_rel.Executor.run ~counters ~cancel ?pool ?cache:scan_cache
-                    ?collector plan)
+                  Blas_rel.Executor.run ~counters ~cancel ?pool
+                    ?cache:scan_cache ?collector plan)
             in
             let starts = span "materialize" (fun () -> starts_of_relation relation) in
             (starts, Blas_rel.Algebra.count_djoins plan, sql, branches))

@@ -106,7 +106,8 @@ let test_semantic_exact_hit () =
 
 let test_semantic_invalidate () =
   let qc = Cache.create () in
-  Cache.put_scan qc (iv 0 10) ~benefit:3 [ sp_tuple ~plabel:5 ~start:10 ~fin:20 ];
+  Cache.put_scan qc (iv 0 10) ~benefit:3
+    [ sp_tuple ~plabel:5 ~start:10 ~fin:20 ];
   Cache.put_scan qc (iv 20 30) ~benefit:3
     [ sp_tuple ~plabel:25 ~start:50 ~fin:60 ];
   let edit plabels =
@@ -318,7 +319,8 @@ let test_scan_survives_edit_outside_interval () =
   let storage = storage_of "<r><a><c>t</c></a><a><b>u</b></a></r>" in
   let qa = Blas.query "//a" in
   ignore
-    (Blas.run ~cache:true storage ~engine:Blas.Rdbms ~translator:Blas.Pushup qa);
+    (Blas.run ~cache:true storage ~engine:Blas.Rdbms ~translator:Blas.Pushup
+       qa);
   let streams () = scan_stats (Blas.Storage.cache storage) in
   let before = streams () in
   ignore
