@@ -11,7 +11,9 @@
     - v2 packs at least 1.5x more SP entries per data page than v1;
     - v2 answers the cold fig10 queries with no more page misses;
     - answers are byte-identical between the codecs across all three
-      translators, both engines, and degrees 1 and 4. *)
+      translators, both engines, and degrees 1 and 4;
+    - [Database.create] under v2, summed over the corpora, takes at
+      most 4x as long as under v1 (the bulk load stays linear). *)
 
 module Codec = Blas_rel.Codec
 module Pool = Blas_rel.Buffer_pool
@@ -81,6 +83,7 @@ let answer_matrix storage queries =
     queries
 
 type side = {
+  sd_create_s : float;  (** [Database.create] wall-clock *)
   sd_entries_per_page : float;
   sd_bytes_per_entry : float;
   sd_ratio : float;  (** payload bytes / v1-equivalent bytes *)
@@ -98,8 +101,11 @@ let measure_side ~codec tree queries =
         (fun p -> try Sys.remove p with Sys_error _ -> ())
         [ path; path ^ ".wal" ])
     (fun () ->
-      Blas.Database.create ~page_size:2048 ~codec ~path
-        (Blas.Storage.of_tree tree);
+      let storage = Blas.Storage.of_tree tree in
+      let (), create_s =
+        Bench_util.time_once (fun () ->
+            Blas.Database.create ~page_size:2048 ~codec ~path storage)
+      in
       let storage =
         Blas.Database.open_ ~cache_pages:64 ~mode:Blas.Database.Ro ~path ()
       in
@@ -123,6 +129,7 @@ let measure_side ~codec tree queries =
           let fdiv num den = float_of_int num /. float_of_int (max 1 den) in
           let cold_misses, cold_s = cold_pass storage queries in
           {
+            sd_create_s = create_s;
             sd_entries_per_page =
               fdiv sp.Blas.Storage.ts_entries sp.ts_data_pages;
             sd_bytes_per_entry = fdiv sp.ts_payload_bytes sp.ts_entries;
@@ -141,12 +148,15 @@ let gate name ok =
 
 let run () =
   Bench_util.heading "Page codecs: v1 row-major vs v2 compact columnar";
+  let create_s = ref (0., 0.) in
   let rows =
     List.concat_map
       (fun (name, tree, queries) ->
         let tree = tree () in
         let v1 = measure_side ~codec:Codec.V1 tree queries in
         let v2 = measure_side ~codec:Codec.V2 tree queries in
+        let s1, s2 = !create_s in
+        create_s := (s1 +. v1.sd_create_s, s2 +. v2.sd_create_s);
         gate
           (Printf.sprintf "%s: v2 entries/page >= 1.5x v1 (%.1f vs %.1f)" name
              v2.sd_entries_per_page v1.sd_entries_per_page)
@@ -171,16 +181,22 @@ let run () =
               string_of_int side.sd_file_pages;
               string_of_int side.sd_cold_misses;
               fmt_ms side.sd_cold_s;
+              Printf.sprintf "%.3f" side.sd_create_s;
             ])
           [ ("v1", v1); ("v2", v2) ])
       corpora
   in
+  let s1, s2 = !create_s in
+  gate
+    (Printf.sprintf "summed v2 create <= 4x v1 (%.3f s vs %.3f s)" s2 s1)
+    (s2 <= 4. *. s1);
   Bench_util.print_table ~title:"codec matrix (fig10 corpora, 2048-byte pages)"
     {
       Bench_util.header =
         [
           "corpus"; "codec"; "sp entries/page"; "sp bytes/entry";
           "vs v1 bytes"; "file pages"; "cold fig10 misses"; "cold ms";
+          "create_s";
         ];
       rows;
     }

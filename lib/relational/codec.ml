@@ -135,8 +135,8 @@ let value_bytes (v : Value.t) =
   | Big b -> string_bytes (Blas_label.Bignum.to_string b)
   | Str s -> string_bytes s
 
-(** Encoded v1 size of one tuple in bytes (the greedy packer's
-    currency; v2 pages seed from the same chunking and coalesce). *)
+(** Encoded v1 size of one tuple in bytes (the v1 packer's
+    currency). *)
 let tuple_bytes t =
   let n = Tuple.arity t in
   let acc = ref (varint_bytes n) in
@@ -175,13 +175,6 @@ let zz_bound = 1 lsl 59
 let zigzag n = if n >= 0 then n lsl 1 else (((-n) - 1) lsl 1) lor 1
 
 let unzigzag z = if z land 1 = 0 then z lsr 1 else -(z lsr 1) - 1
-
-let int_delta_ok values =
-  Array.for_all
-    (function
-      | Value.Int n -> n > -zz_bound && n < zz_bound
-      | _ -> false)
-    values
 
 let encode_int_delta values =
   let buf = Buffer.create 128 in
@@ -330,16 +323,91 @@ let encode_raw values =
 
 let decode_raw r n = Array.init n (fun _ -> read_value r)
 
-(* Prices every applicable strategy and keeps the smallest; ties break
-   toward the earlier candidate, so the choice is deterministic. *)
-let encode_column values =
-  let candidates =
-    (if int_delta_ok values then [ encode_int_delta values ] else [])
-    @ [ encode_dict values; encode_raw values ]
+(* One column block's running size under each strategy, without the
+   strategy byte: the bytes [encode_int_delta], [encode_dict] and
+   [encode_raw] would write for the values added so far. *)
+type col_size = {
+  mutable delta : int;  (** int-delta bytes; [-1] once it cannot apply *)
+  mutable prev : int;
+  seen : (int * int) VH.t;  (** value -> dictionary index, v1 bytes *)
+  mutable entries : int;  (** front-coded dictionary entry bytes *)
+  mutable last : string;  (** the last entry's payload *)
+  mutable nruns : int;
+  mutable runs : int;  (** (index, run-length) pair bytes *)
+  mutable run_value : Value.t;
+  mutable run_len : int;
+  mutable run_raw : int;  (** v1 bytes of [run_value] *)
+  mutable raw : int;
+}
+
+let col_size () =
+  {
+    delta = 0;
+    prev = 0;
+    seen = VH.create 16;
+    entries = 0;
+    last = "";
+    nruns = 0;
+    runs = 0;
+    run_value = Value.Null;
+    run_len = 0;
+    run_raw = 0;
+    raw = 0;
+  }
+
+let col_add c v =
+  (if c.delta >= 0 then
+     match (v : Value.t) with
+     | Int n when n > -zz_bound && n < zz_bound ->
+         c.delta <- c.delta + varint_bytes (zigzag (n - c.prev));
+         c.prev <- n
+     | _ -> c.delta <- -1);
+  if c.nruns > 0 && Value.equal v c.run_value then begin
+    c.runs <- c.runs + varint_bytes (c.run_len + 1) - varint_bytes c.run_len;
+    c.run_len <- c.run_len + 1
+  end
+  else begin
+    let idx, bytes =
+      match VH.find_opt c.seen v with
+      | Some e -> e
+      | None ->
+          let e = (VH.length c.seen, value_bytes v) in
+          VH.replace c.seen v e;
+          let payload = value_payload v in
+          let shared = shared_prefix c.last payload in
+          let suffix = String.length payload - shared in
+          c.entries <-
+            c.entries + 1 + varint_bytes shared + varint_bytes suffix + suffix;
+          c.last <- payload;
+          e
+    in
+    c.runs <- c.runs + varint_bytes idx + 1;
+    c.nruns <- c.nruns + 1;
+    c.run_value <- v;
+    c.run_len <- 1;
+    c.run_raw <- bytes
+  end;
+  c.raw <- c.raw + c.run_raw
+
+(* The smallest applicable strategy and its size; ties break toward
+   int-delta, then dict, so the choice is deterministic. *)
+let col_pick c =
+  let dict =
+    varint_bytes (VH.length c.seen) + c.entries + varint_bytes c.nruns + c.runs
   in
-  List.fold_left
-    (fun best c -> if String.length c < String.length best then c else best)
-    (List.hd candidates) (List.tl candidates)
+  if c.delta >= 0 && c.delta <= dict && c.delta <= c.raw then
+    (st_int_delta, c.delta)
+  else if dict <= c.raw then (st_dict, dict)
+  else (st_raw, c.raw)
+
+(* Writes only the strategy {!col_pick} prices smallest. *)
+let encode_column values =
+  let c = col_size () in
+  Array.iter (col_add c) values;
+  match fst (col_pick c) with
+  | s when s = st_int_delta -> encode_int_delta values
+  | s when s = st_dict -> encode_dict values
+  | _ -> encode_raw values
 
 let decode_column_block r n =
   match Wire.read_u8 r with
@@ -389,6 +457,35 @@ let decode_page_v2 payload =
   end
 
 (* ------------------------------------------------------------------ *)
+(* v2 page sizing                                                      *)
+
+(** The exact size of a v2 page as rows append ({!v2_add}), read by
+    {!v2_bytes}.  Every strategy's size grows with each row and
+    int-delta can only drop out, so the page size is monotone in the
+    row count. *)
+type v2_size = { mutable nrows : int; cols : col_size array }
+
+let v2_size ncols = { nrows = 0; cols = Array.init ncols (fun _ -> col_size ()) }
+
+(** Appends one row.
+    @raise Invalid_argument on an arity other than the page's. *)
+let v2_add s t =
+  if Tuple.arity t <> Array.length s.cols then
+    invalid_arg "Codec.encode_page: ragged tuple arities";
+  Array.iteri (fun i c -> col_add c (Tuple.get t i)) s.cols;
+  s.nrows <- s.nrows + 1
+
+(** [String.length (encode_page_v2 rows)] for the rows added so far
+    (at least one). *)
+let v2_bytes s =
+  Array.fold_left
+    (fun acc c ->
+      let b = 1 + snd (col_pick c) in
+      acc + varint_bytes b + b)
+    (varint_bytes s.nrows + varint_bytes (Array.length s.cols))
+    s.cols
+
+(* ------------------------------------------------------------------ *)
 (* Format dispatch                                                     *)
 
 (** A data page payload for [tuples] under [format] (default v1). *)
@@ -399,8 +496,8 @@ let decode_page ?(format = V1) payload =
   match format with V1 -> decode_page_v1 payload | V2 -> decode_page_v2 payload
 
 (** [page_bytes ~format tuples] — the size of [encode_page ~format
-    tuples].  Under v1 it adds up {!tuple_bytes}, so sizing a v1 page
-    never encodes it. *)
+    tuples], without encoding it: v1 adds up {!tuple_bytes}, v2 runs
+    {!v2_size} over the rows. *)
 let page_bytes ?(format = V1) tuples =
   match format with
   | V1 ->
@@ -408,7 +505,13 @@ let page_bytes ?(format = V1) tuples =
         (fun acc t -> acc + tuple_bytes t)
         (varint_bytes (List.length tuples))
         tuples
-  | V2 -> String.length (encode_page_v2 tuples)
+  | V2 -> (
+      match tuples with
+      | [] -> String.length (encode_page_v2 [])
+      | first :: _ ->
+          let size = v2_size (Tuple.arity first) in
+          List.iter (v2_add size) tuples;
+          v2_bytes size)
 
 (** Row count of a page payload without decoding it (both layouts lead
     with it). *)
@@ -440,9 +543,7 @@ let decode_column ?(format = V1) payload col =
 (* Row-count prefix cost, conservatively. *)
 let page_overhead = 5
 
-(* Greedy chunking by v1 tuple size — the historical packer, kept
-   byte-for-byte for v1 pages and used as the seed chunking that v2
-   coalesces. *)
+(* Greedy chunking by v1 tuple size: the v1 packer. *)
 let chunk_rows ~capacity ~fill tuples =
   let target =
     max 1 (min (capacity - page_overhead)
@@ -473,61 +574,57 @@ let chunk_rows ~capacity ~fill tuples =
   flush ();
   List.rev !chunks
 
-(* v2 packing: greedy over the {e encoded} size.  Columnar page bytes
-   are not additive per row, so each page is sized by galloping up to
-   an overflowing row count and bisecting for the largest prefix whose
-   real encoding fits the fill target (encoded size is monotone in the
-   row count: every added row appends to each column block).  Exact
-   sizes, no modelling; at least one row per page regardless, matching
-   the v1 greedy. *)
+(* v2 packing: one pass over the rows with a running {!v2_size}.  A
+   page closes at the first row that would push its encoding past the
+   fill target, so each page is the largest prefix whose real encoding
+   fits (the size is monotone in the row count), and it is encoded
+   once, by the caller.  At least one row per page regardless,
+   matching the v1 greedy. *)
 let pack_rows_v2 ~capacity ~fill tuples =
   let lim =
     max 1 (min capacity (int_of_float (float_of_int capacity *. fill)))
   in
-  let arr = Array.of_list tuples in
-  let n = Array.length arr in
-  let pages = ref [] in
-  let pos = ref 0 in
-  while !pos < n do
-    let remaining = n - !pos in
-    let enc k = encode_page_v2 (Array.to_list (Array.sub arr !pos k)) in
-    let fits k = String.length (enc k) <= lim in
-    let take =
-      if not (fits 1) then 1
-      else if fits remaining then remaining
-      else begin
-        (* Gallop to bracket, then bisect: fits lo, not fits hi. *)
-        let lo = ref 1 in
-        while 2 * !lo < remaining && fits (2 * !lo) do
-          lo := 2 * !lo
-        done;
-        let hi = ref (min remaining (2 * !lo)) in
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if fits mid then lo := mid else hi := mid
-        done;
-        !lo
-      end
-    in
-    if take = 1 && String.length (enc 1) > capacity then
-      invalid_arg
-        (Printf.sprintf
-           "Codec.pack_pages: tuple run of %d bytes exceeds page capacity %d (v2)"
-           (String.length (enc 1)) capacity);
-    pages := Array.to_list (Array.sub arr !pos take) :: !pages;
-    pos := !pos + take
-  done;
-  List.rev !pages
+  match tuples with
+  | [] -> []
+  | first :: _ ->
+      let ncols = Tuple.arity first in
+      let size = ref (v2_size ncols) in
+      let pages = ref [] and cur = ref [] in
+      let open_page t =
+        size := v2_size ncols;
+        v2_add !size t;
+        let b = v2_bytes !size in
+        if b > capacity then
+          invalid_arg
+            (Printf.sprintf
+               "Codec.pack_pages: tuple run of %d bytes exceeds page capacity %d (v2)"
+               b capacity);
+        cur := [ t ]
+      in
+      List.iter
+        (fun t ->
+          match !cur with
+          | [] -> open_page t
+          | rows ->
+              v2_add !size t;
+              if v2_bytes !size <= lim then cur := t :: rows
+              else begin
+                pages := List.rev rows :: !pages;
+                open_page t
+              end)
+        tuples;
+      List.rev (List.rev !cur :: !pages)
 
 (** [pack_pages ~format ~capacity ~fill tuples] cuts the (already
     clustered) tuples into pages whose payloads take at most [capacity
     * fill] bytes — at least one tuple per page regardless, so an
     oversized fill target cannot stall.  Returns each page's rows in
-    order.  v1 cuts greedily by {!tuple_bytes} (no encoding); v2 cuts
-    greedily by the real compressed page size (gallop + bisect per
-    page), so pages fill to the target no matter how small the rows
-    compress.
-    @raise Invalid_argument if a single tuple exceeds [capacity]. *)
+    order.  v1 cuts greedily by {!tuple_bytes}; v2 cuts greedily by the
+    exact compressed page size, kept as rows append, so pages fill to
+    the target no matter how small the rows compress.  Neither encodes
+    a page.
+    @raise Invalid_argument if a single tuple exceeds [capacity], or
+    (v2) if the tuples' arities differ. *)
 let pack_pages ?(format = V1) ~capacity ~fill tuples =
   match format with
   | V1 -> chunk_rows ~capacity ~fill tuples

@@ -85,7 +85,7 @@ let entry_bytes (v, page, nrows) =
 (* The size of [encode_leaf ~format entries]; v1 adds it up. *)
 let leaf_bytes ~format entries =
   match format with
-  | Codec.V2 -> String.length (encode_leaf ~format entries)
+  | Codec.V2 -> Codec.page_bytes ~format (List.map row_of_entry entries)
   | Codec.V1 ->
       List.fold_left
         (fun acc e -> acc + entry_bytes e)
@@ -105,8 +105,7 @@ let meta_of ~page entries =
 
 (* Greedy packer: splits a sorted entry list into leaves whose payloads
    take at most [capacity *. fill] bytes (at least one entry per leaf).
-   v2 delegates to the columnar page packer, which coalesces the v1
-   chunking while the compressed leaf fits. *)
+   v2 delegates to the columnar page packer. *)
 let pack ~format ~capacity ~fill entries =
   match format with
   | Codec.V2 ->

@@ -3,7 +3,8 @@
     The load-bearing properties: both formats decode to exactly the
     tuples that were encoded (on adversarial random pages — mixed
     types, negative ints, big integers, NULLs, empty pages); the
-    packers partition their input losslessly under every capacity; and
+    packers partition their input losslessly under every capacity, v2
+    cutting each page at the largest prefix that fits; and
     a v2-codec database stays coherent with an in-memory shadow oracle
     under random edit scripts — the update subsystem re-encodes pages
     through the codec on every WAL'd edit, so this is where a packing
@@ -151,6 +152,17 @@ let pack_law format (tuples, capacity) =
   let decoded =
     List.concat_map (fun (_, enc) -> Codec.decode_page ~format enc) pages
   in
+  (* v2 pages are the largest prefixes whose encodings fit the fill
+     target: within it unless alone, and one row more overflows. *)
+  let target = int_of_float (float_of_int capacity *. 0.9) in
+  let rec largest = function
+    | (rows, enc) :: ((next :: _, _) :: _ as rest) ->
+        (String.length enc <= target || List.length rows = 1)
+        && String.length (Codec.encode_page ~format (rows @ [ next ])) > target
+        && largest rest
+    | [ (rows, enc) ] -> String.length enc <= target || List.length rows = 1
+    | _ -> true
+  in
   List.for_all
     (fun (rows, enc) ->
       String.length enc <= capacity
@@ -158,11 +170,85 @@ let pack_law format (tuples, capacity) =
       && Codec.page_nrows enc = List.length rows
       && rows <> [])
     pages
+  && (format = Codec.V1 || largest pages)
   && List.length decoded = List.length tuples
   && List.for_all2 (fun a b -> Tuple.compare a b = 0) decoded tuples
 
+(* Cluster-shaped pages: a sorted label column, runs of a few P-label
+   bignums and tags, repeated text, a level column in runs long enough
+   to widen their length varints — the inputs where int-delta and
+   dict+RLE win and a packer's cut points matter most. *)
+let clustered_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 0 600 in
+  let* steps = list_repeat n (int_range 0 40) in
+  let* runs = list_repeat n (int_range 0 5) in
+  let+ texts = list_repeat n (oneofa [| "to be"; "to be or"; "not"; "" |]) in
+  let start = ref 0 and plabel = ref 0 in
+  List.mapi
+    (fun i ((step, run), text) ->
+      start := !start + step;
+      if run = 0 then plabel := !plabel + 1 + step;
+      Tuple.of_list
+        [
+          Value.Big (Blas_label.Bignum.of_int (1_000_000 * !plabel));
+          Value.Int !start;
+          Value.Int (!start + run);
+          Value.Str (if run < 2 then text else "speech");
+          Value.Int (i / 300);
+        ])
+    (List.combine (List.combine steps runs) texts)
+
 let pack_gen =
-  QCheck2.Gen.pair page_gen (QCheck2.Gen.int_range 64 2048)
+  QCheck2.Gen.(pair (oneof [ page_gen; clustered_gen ]) (int_range 64 2048))
+
+(* The v2 encoder writes the smallest of its applicable strategies,
+   ties toward int-delta, then dict; a wrong running size would pick
+   another and change the bytes. *)
+let column_law tuples =
+  match tuples with
+  | [] -> true
+  | first :: _ ->
+      List.for_all
+        (fun c ->
+          let col = Array.of_list (List.map (fun t -> Tuple.get t c) tuples) in
+          let ints =
+            Array.for_all
+              (function
+                | Value.Int n -> n > -Codec.zz_bound && n < Codec.zz_bound
+                | _ -> false)
+              col
+          in
+          let candidates =
+            (if ints then [ Codec.encode_int_delta col ] else [])
+            @ [ Codec.encode_dict col; Codec.encode_raw col ]
+          in
+          let best =
+            List.fold_left
+              (fun b x -> if String.length x < String.length b then x else b)
+              (List.hd candidates) (List.tl candidates)
+          in
+          Codec.encode_column col = best)
+        (List.init (Tuple.arity first) Fun.id)
+
+(* The v2 packer refuses what it cannot page: a row larger than a page
+   and rows of different arities. *)
+let test_v2_pack_rejects () =
+  let raises name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  let row s = Tuple.of_list [ Value.Int 1; Value.Str s ] in
+  raises "oversized row" (fun () ->
+      Codec.pack_pages ~format:Codec.V2 ~capacity:64 ~fill:0.9
+        [ row "a"; row (String.make 100 'x'); row "b" ]);
+  raises "ragged arities" (fun () ->
+      Codec.pack_pages ~format:Codec.V2 ~capacity:4096 ~fill:0.9
+        [ row "a"; Tuple.of_list [ Value.Int 2 ]; row "b" ]);
+  raises "ragged arities across pages" (fun () ->
+      Codec.pack_pages ~format:Codec.V2 ~capacity:64 ~fill:0.9
+        (List.init 40 (fun i -> row (string_of_int i))
+        @ [ Tuple.of_list [ Value.Int 2 ] ]))
 
 (* Index leaves carry (key, page, nrows) entries through the same
    formats; a v2 leaf must reproduce its entries exactly. *)
@@ -173,10 +259,10 @@ let leaf_law format tuples =
         ((if Tuple.arity t > 0 then Tuple.get t 0 else Value.Null), i, i * 3))
       tuples
   in
-  let dec =
-    Pidx.decode_leaf ~format (Pidx.encode_leaf ~format entries)
-  in
-  List.length dec = List.length entries
+  let enc = Pidx.encode_leaf ~format entries in
+  let dec = Pidx.decode_leaf ~format enc in
+  Pidx.leaf_bytes ~format entries = String.length enc
+  && List.length dec = List.length entries
   && List.for_all2
        (fun (v, p, n) (v', p', n') ->
          Value.compare v v' = 0 && p = p' && n = n')
@@ -291,8 +377,13 @@ let suite =
       test_decode_column;
     Alcotest.test_case "v2 compresses clustered labels" `Quick
       test_v2_compresses_labels;
+    Alcotest.test_case "v2 pack_pages rejects oversized and ragged rows"
+      `Quick test_v2_pack_rejects;
     qtest ~count:300 "v1 pages round-trip" page_gen (roundtrip_law Codec.V1);
     qtest ~count:300 "v2 pages round-trip" page_gen (roundtrip_law Codec.V2);
+    qtest ~count:300 "v2 columns take the smallest strategy"
+      QCheck2.Gen.(oneof [ page_gen; clustered_gen ])
+      column_law;
     qtest ~count:150 "v1 pack_pages partitions losslessly" pack_gen
       (pack_law Codec.V1);
     qtest ~count:150 "v2 pack_pages partitions losslessly" pack_gen
