@@ -54,16 +54,17 @@ let read_u32 r =
   n
 
 let read_varint r =
-  let rec go shift acc =
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
     if remaining r < 1 then raise Truncated;
     let b = Char.code r.src.[r.pos] in
     r.pos <- r.pos + 1;
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc
-    else if shift > 56 then raise Truncated
-    else go (shift + 7) acc
-  in
-  go 0 0
+    acc := !acc lor ((b land 0x7F) lsl !shift);
+    if b land 0x80 = 0 then more := false
+    else if !shift > 56 then raise Truncated
+    else shift := !shift + 7
+  done;
+  !acc
 
 let read_bytes r n =
   if n < 0 || remaining r < n then raise Truncated;

@@ -177,14 +177,39 @@ let to_string (a : t) =
       Buffer.contents buf
   end
 
+(* [a * k + c] for [0 <= k, c < base]: one limb multiply-add. *)
+let mul_add_limb (a : t) k c : t =
+  let la = Array.length a in
+  let r = Array.make (la + 1) 0 in
+  let carry = ref c in
+  for i = 0 to la - 1 do
+    let p = (a.(i) * k) + !carry in
+    r.(i) <- p land mask;
+    carry := p lsr base_bits
+  done;
+  r.(la) <- !carry;
+  normalize r
+
+(* Nine decimal digits per step: [10^9 < base], so each chunk is one
+   limb multiply-add. *)
 let of_string s =
-  if s = "" then invalid_arg "Bignum.of_string: empty";
-  String.fold_left
-    (fun acc c ->
-      match c with
-      | '0' .. '9' -> add (mul_int acc 10) (of_int (Char.code c - Char.code '0'))
-      | _ -> invalid_arg "Bignum.of_string: not a digit")
-    zero s
+  let n = String.length s in
+  if n = 0 then invalid_arg "Bignum.of_string: empty";
+  let acc = ref zero and i = ref 0 in
+  let stop = ref (match n mod 9 with 0 -> 9 | r -> r) in
+  while !i < n do
+    let chunk = ref 0 and scale = ref 1 in
+    while !i < !stop do
+      (match s.[!i] with
+      | '0' .. '9' as c -> chunk := (!chunk * 10) + Char.code c - Char.code '0'
+      | _ -> invalid_arg "Bignum.of_string: not a digit");
+      scale := !scale * 10;
+      incr i
+    done;
+    acc := mul_add_limb !acc !scale !chunk;
+    stop := !stop + 9
+  done;
+  !acc
 
 let pp ppf a = Format.pp_print_string ppf (to_string a)
 

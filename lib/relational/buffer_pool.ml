@@ -9,9 +9,11 @@
     paper's cold-cache protocol.
 
     The pool caches whatever payload its backing store hands out: a
-    database file's store hands out encoded bytes (tables decode them
-    on every touch, so the pool stays as small as the file's pages),
-    the in-memory page store hands out decoded rows.  {!store} installs
+    database file's store hands out encoded bytes (so the pool stays as
+    small as the file's pages; on every touch a table selects on the
+    encoded key column and builds tuples only for the rows that pass,
+    see {!Codec.select}), the in-memory page store hands out decoded
+    rows.  {!store} installs
     a dirty payload; eviction is real: when a stripe is full the least
     recently used page is dropped, and if it is dirty its payload is
     first written back through the backing store.

@@ -5,7 +5,8 @@
     to.  {!flush} models the cold-cache protocol of Section 5.1.
 
     The pool caches whatever payload the backing hands out: encoded
-    bytes from a database file, decoded rows from the in-memory page
+    bytes from a database file, which readers select on without
+    decoding ({!Codec.select}), or decoded rows from the in-memory page
     store ({!Page_store.memory}).  {!store} installs dirty payloads,
     and a full stripe really evicts, writing dirty pages back first.
 

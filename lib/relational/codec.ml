@@ -34,6 +34,20 @@
     The encoder prices every applicable strategy and keeps the
     smallest, so the choice is deterministic and self-describing.
 
+    {b Reads.}  {!select} returns the rows of a page whose key column
+    lies in an inclusive range.  Under v2 it decides on the encoded key
+    block without building a value: each bound is compared against the
+    encoded form [(tag, payload)] in {!Value.compare}'s order — Null <
+    Int < Big < Str; ints by value, Bigs by length and then bytes
+    (numeric, since the payload is the canonical decimal), strings by
+    bytes.  A dict+RLE block tests each dictionary entry once and walks
+    the runs, int-delta keeps an unboxed running sum, raw reads values
+    in place.  The other columns are then read only at the passing
+    rows: int-delta boxes only the hits, a dictionary converts only the
+    entries the hits reference, raw skips the failing values without
+    allocating.  {!decode_page} is {!select} without bounds; v1 decodes
+    and then filters.
+
     Both formats decode to exactly the tuples that were encoded —
     queries cannot tell the codecs apart except through the page
     counters.  Pages are CRC-framed by the pager below us, so decode
@@ -188,12 +202,6 @@ let encode_int_delta values =
     values;
   Buffer.contents buf
 
-let decode_int_delta r n =
-  let prev = ref 0 in
-  Array.init n (fun _ ->
-      prev := !prev + unzigzag (Wire.read_varint r);
-      Value.Int !prev)
-
 (* The canonical byte string a value front-codes through: dictionary
    entries are (tag, shared-prefix length, suffix) against the previous
    entry's payload. *)
@@ -288,40 +296,11 @@ let encode_dict values =
     runs;
   Buffer.contents buf
 
-let decode_dict r n =
-  let ndict = Wire.read_varint r in
-  let prev = ref "" in
-  let dict =
-    Array.init ndict (fun _ ->
-        let tag = Wire.read_u8 r in
-        let shared = Wire.read_varint r in
-        let suffix = Wire.read_string r in
-        let payload = String.sub !prev 0 shared ^ suffix in
-        prev := payload;
-        value_of_tag_payload tag payload)
-  in
-  let out = Array.make n Value.Null in
-  let nruns = Wire.read_varint r in
-  let pos = ref 0 in
-  for _ = 1 to nruns do
-    let idx = Wire.read_varint r in
-    let len = Wire.read_varint r in
-    for _ = 1 to len do
-      if !pos >= n then failwith "Codec: dictionary runs exceed row count";
-      out.(!pos) <- dict.(idx);
-      incr pos
-    done
-  done;
-  if !pos <> n then failwith "Codec: dictionary runs short of row count";
-  out
-
 let encode_raw values =
   let buf = Buffer.create 128 in
   Wire.write_u8 buf st_raw;
   Array.iter (add_value buf) values;
   Buffer.contents buf
-
-let decode_raw r n = Array.init n (fun _ -> read_value r)
 
 (* One column block's running size under each strategy, without the
    strategy byte: the bytes [encode_int_delta], [encode_dict] and
@@ -409,13 +388,6 @@ let encode_column values =
   | s when s = st_dict -> encode_dict values
   | _ -> encode_raw values
 
-let decode_column_block r n =
-  match Wire.read_u8 r with
-  | s when s = st_int_delta -> decode_int_delta r n
-  | s when s = st_dict -> decode_dict r n
-  | s when s = st_raw -> decode_raw r n
-  | s -> failwith (Printf.sprintf "Codec: unknown column strategy %d" s)
-
 let encode_page_v2 tuples =
   let nrows = List.length tuples in
   let buf = Buffer.create 512 in
@@ -444,17 +416,310 @@ let encode_page_v2 tuples =
     Buffer.contents buf
   end
 
-let decode_page_v2 payload =
+(* ------------------------------------------------------------------ *)
+(* The encoded order                                                   *)
+
+(* A select bound as the encoded values see it: its rank in
+   {!Value.compare}'s cross-type order (Null < Int < Big < Str) and the
+   key it is ordered by within that rank — the int, or the bytes of the
+   canonical decimal (Big) or of the string (Str). *)
+type key = { rank : int; k_int : int; k_str : string }
+
+let key_of_value (v : Value.t) =
+  match v with
+  | Null -> { rank = 0; k_int = 0; k_str = "" }
+  | Int n -> { rank = 1; k_int = n; k_str = "" }
+  | Big b -> { rank = 2; k_int = 0; k_str = Blas_label.Bignum.to_string b }
+  | Str s -> { rank = 3; k_int = 0; k_str = s }
+
+(* [k] against an encoded value of rank [rank]: the int [n] (rank 1) or
+   the bytes [src.[pos .. pos + len - 1]] (ranks 2 and 3).  Within a
+   rank, ints compare as ints, Bigs by length and then bytes — numeric
+   order, since the payload is the canonical {!Blas_label.Bignum.to_string}
+   — and strings by bytes, as [String.compare] does. *)
+let cmp_key k rank n src pos len =
+  if k.rank <> rank then Int.compare k.rank rank
+  else if rank = 0 then 0
+  else if rank = 1 then Int.compare k.k_int n
+  else begin
+    let s = k.k_str in
+    let ls = String.length s in
+    if rank = 2 && ls <> len then Int.compare ls len
+    else begin
+      let m = min ls len in
+      let i = ref 0 in
+      while !i < m && s.[!i] = src.[pos + !i] do
+        incr i
+      done;
+      if !i < m then Char.compare s.[!i] src.[pos + !i]
+      else Int.compare ls len
+    end
+  end
+
+(* Whether an encoded value (as for {!cmp_key}) lies in [lo, hi]. *)
+let within lo hi rank n src pos len =
+  (match lo with None -> true | Some k -> cmp_key k rank n src pos len <= 0)
+  && match hi with None -> true | Some k -> cmp_key k rank n src pos len >= 0
+
+let tag_rank = function
+  | 0 -> 0
+  | 1 | 2 -> 1
+  | 3 -> 2
+  | 4 -> 3
+  | tag -> failwith (Printf.sprintf "Codec: unknown value tag %d" tag)
+
+(* The int a tag-1 or tag-2 payload (a varint) stands for. *)
+let int_of_tag_payload tag payload =
+  match tag with
+  | 1 -> Wire.read_varint (Wire.reader payload)
+  | 2 -> -Wire.read_varint (Wire.reader payload) - 1
+  | _ -> failwith "Codec: not an int column"
+
+(* [within] for the value a dictionary entry [(tag, payload)] holds. *)
+let entry_within lo hi tag payload =
+  match tag with
+  | 1 | 2 -> within lo hi 1 (int_of_tag_payload tag payload) "" 0 0
+  | _ -> within lo hi (tag_rank tag) 0 payload 0 (String.length payload)
+
+(** [cmp_enc v tag payload] orders [v] against the value encoded as
+    [(tag, payload)] (a dictionary entry: {!value_tag}, {!value_payload})
+    without decoding it; its sign is that of [Value.compare v]. *)
+let cmp_enc v tag payload =
+  let k = key_of_value v in
+  match tag with
+  | 1 | 2 -> cmp_key k 1 (int_of_tag_payload tag payload) "" 0 0
+  | _ -> cmp_key k (tag_rank tag) 0 payload 0 (String.length payload)
+
+(* Past one raw (v1) value without allocating. *)
+let skip_value (r : Wire.reader) =
+  match Wire.read_u8 r with
+  | 0 -> ()
+  | 1 | 2 -> ignore (Wire.read_varint r)
+  | 3 | 4 ->
+      let len = Wire.read_varint r in
+      if len > Wire.remaining r then raise Wire.Truncated;
+      r.pos <- r.pos + len
+  | tag -> failwith (Printf.sprintf "Codec.read_value: unknown tag %d" tag)
+
+(* Reads one raw (v1) value and tells whether it lies in [lo, hi],
+   without allocating. *)
+let raw_within lo hi (r : Wire.reader) =
+  match Wire.read_u8 r with
+  | 0 -> within lo hi 0 0 "" 0 0
+  | 1 -> within lo hi 1 (Wire.read_varint r) "" 0 0
+  | 2 -> within lo hi 1 (-Wire.read_varint r - 1) "" 0 0
+  | (3 | 4) as tag ->
+      let len = Wire.read_varint r in
+      if len > Wire.remaining r then raise Wire.Truncated;
+      let pos = r.pos in
+      r.pos <- pos + len;
+      within lo hi (tag_rank tag) 0 r.src pos len
+  | tag -> failwith (Printf.sprintf "Codec.read_value: unknown tag %d" tag)
+
+(* ------------------------------------------------------------------ *)
+(* v2 reads: select on the encoded columns                             *)
+
+(* A v2 page's row count and the byte offset of each column block,
+   from the per-page directory. *)
+type view = { src : string; nrows : int; blocks : int array }
+
+let view payload =
   let r = Wire.reader payload in
   let nrows = Wire.read_varint r in
-  if nrows = 0 then []
+  if nrows = 0 then { src = payload; nrows; blocks = [||] }
   else begin
     let ncols = Wire.read_varint r in
-    let _lens = Array.init ncols (fun _ -> Wire.read_varint r) in
-    let cols = Array.init ncols (fun _ -> decode_column_block r nrows) in
-    List.init nrows (fun i ->
-        Tuple.of_list (List.init ncols (fun c -> cols.(c).(i))))
+    let lens = Array.init ncols (fun _ -> Wire.read_varint r) in
+    let blocks = Array.make ncols 0 in
+    let pos = ref r.pos in
+    Array.iteri
+      (fun c len ->
+        blocks.(c) <- !pos;
+        pos := !pos + len)
+      lens;
+    if !pos > String.length payload then raise Wire.Truncated;
+    { src = payload; nrows; blocks }
   end
+
+(* Column [c]'s strategy byte and a reader just past it. *)
+let block v c =
+  let r = { Wire.src = v.src; pos = v.blocks.(c) } in
+  let st = Wire.read_u8 r in
+  if st <> st_int_delta && st <> st_dict && st <> st_raw then
+    failwith (Printf.sprintf "Codec: unknown column strategy %d" st);
+  (st, r)
+
+(* A dictionary's entries as (tag, payload), front coding undone. *)
+let read_dict r =
+  let ndict = Wire.read_varint r in
+  let tags = Array.make ndict 0 and payloads = Array.make ndict "" in
+  let prev = ref "" in
+  for i = 0 to ndict - 1 do
+    tags.(i) <- Wire.read_u8 r;
+    let shared = Wire.read_varint r in
+    let suffix = Wire.read_varint r in
+    if shared > String.length !prev || suffix > Wire.remaining r then
+      raise Wire.Truncated;
+    let b = Bytes.create (shared + suffix) in
+    Bytes.blit_string !prev 0 b 0 shared;
+    Bytes.blit_string r.src r.pos b shared suffix;
+    r.pos <- r.pos + suffix;
+    prev := Bytes.unsafe_to_string b;
+    payloads.(i) <- !prev
+  done;
+  (tags, payloads)
+
+(* Walks a dictionary block's (index, run-length) pairs, calling
+   [f idx first len] per run until [f] returns [false]; checks that the
+   runs cover exactly [n] rows when walked to the end. *)
+let iter_runs r n f =
+  let nruns = Wire.read_varint r in
+  let pos = ref 0 and go = ref true and i = ref 0 in
+  while !go && !i < nruns do
+    let idx = Wire.read_varint r in
+    let len = Wire.read_varint r in
+    if !pos + len > n then failwith "Codec: dictionary runs exceed row count";
+    go := f idx !pos len;
+    pos := !pos + len;
+    incr i
+  done;
+  if !go && !pos <> n then failwith "Codec: dictionary runs short of row count"
+
+(* The rows (ascending) whose column [c] lies in [lo, hi], decided on
+   the encoded block: dict+RLE tests each entry once and walks the
+   runs, int-delta keeps an unboxed running sum, raw reads values in
+   place. *)
+let select_rows v c ~lo ~hi =
+  let n = v.nrows in
+  let hits = Array.make n 0 and nh = ref 0 in
+  let st, r = block v c in
+  if st = st_int_delta then begin
+    let prev = ref 0 in
+    for i = 0 to n - 1 do
+      prev := !prev + unzigzag (Wire.read_varint r);
+      if within lo hi 1 !prev "" 0 0 then begin
+        hits.(!nh) <- i;
+        incr nh
+      end
+    done
+  end
+  else if st = st_dict then begin
+    let tags, payloads = read_dict r in
+    let pass = Array.map2 (entry_within lo hi) tags payloads in
+    iter_runs r n (fun idx first len ->
+        if pass.(idx) then
+          for i = first to first + len - 1 do
+            hits.(!nh) <- i;
+            incr nh
+          done;
+        true)
+  end
+  else
+    for i = 0 to n - 1 do
+      if raw_within lo hi r then begin
+        hits.(!nh) <- i;
+        incr nh
+      end
+    done;
+  Array.sub hits 0 !nh
+
+(* Column [c] at the rows [hits] (ascending, non-empty): int-delta
+   values and raw ints through [of_int], dictionary entries and other
+   raw values through [of_enc tag payload].  Int-delta boxes only the
+   hits, a dictionary converts only the entries the hits reference
+   (each once), raw skips the other values without allocating. *)
+let column_at v c hits ~of_int ~of_enc =
+  let nh = Array.length hits in
+  let out = ref [||] in
+  let put k x = if k = 0 then out := Array.make nh x else !out.(k) <- x in
+  let st, r = block v c in
+  (if st = st_int_delta then begin
+     let prev = ref 0 and i = ref 0 and k = ref 0 in
+     while !k < nh do
+       prev := !prev + unzigzag (Wire.read_varint r);
+       if hits.(!k) = !i then begin
+         put !k (of_int !prev);
+         incr k
+       end;
+       incr i
+     done
+   end
+   else if st = st_dict then begin
+     let tags, payloads = read_dict r in
+     let made = Array.make (Array.length tags) None in
+     let k = ref 0 in
+     iter_runs r v.nrows (fun idx first len ->
+         while !k < nh && hits.(!k) < first + len do
+           let x =
+             match made.(idx) with
+             | Some x -> x
+             | None ->
+                 let x = of_enc tags.(idx) payloads.(idx) in
+                 made.(idx) <- Some x;
+                 x
+           in
+           put !k x;
+           incr k
+         done;
+         !k < nh)
+   end
+   else begin
+     let i = ref 0 and k = ref 0 in
+     while !k < nh do
+       if hits.(!k) <> !i then skip_value r
+       else begin
+         (match Wire.read_u8 r with
+         | 1 -> put !k (of_int (Wire.read_varint r))
+         | 2 -> put !k (of_int (-Wire.read_varint r - 1))
+         | tag ->
+             put !k
+               (of_enc tag (if tag = 0 then "" else Wire.read_string r)));
+         incr k
+       end;
+       incr i
+     done
+   end);
+  !out
+
+(* The rows selected on column [col] ([None, None]: every row). *)
+let hits_of v ~col ~lo ~hi =
+  match (lo, hi) with
+  | None, None -> Array.init v.nrows Fun.id
+  | _ ->
+      if col < 0 || col >= Array.length v.blocks then
+        invalid_arg "Codec.select: no such column";
+      select_rows v col
+        ~lo:(Option.map key_of_value lo)
+        ~hi:(Option.map key_of_value hi)
+
+let select_v2 payload ~col ~lo ~hi =
+  let v = view payload in
+  if v.nrows = 0 then []
+  else
+    match hits_of v ~col ~lo ~hi with
+    | [||] -> []
+    | hits ->
+        let cols =
+          Array.init (Array.length v.blocks) (fun c ->
+              column_at v c hits
+                ~of_int:(fun n -> Value.Int n)
+                ~of_enc:value_of_tag_payload)
+        in
+        List.init (Array.length hits) (fun k ->
+            Tuple.init (Array.length cols) (fun c -> cols.(c).(k)))
+
+(** [select_ints payload ~col ~lo ~hi ~out] — on a v2 page, the int
+    column [out] at the rows whose column [col] lies in [lo, hi]
+    (inclusive, [None] open), in row order.  No {!Value.t} is built:
+    this is how an index probe reads a leaf's data-page column.
+    @raise Failure if a selected [out] value is not an int. *)
+let select_ints payload ~col ~lo ~hi ~out =
+  let v = view payload in
+  if v.nrows = 0 then [||]
+  else
+    match hits_of v ~col ~lo ~hi with
+    | [||] -> [||]
+    | hits -> column_at v out hits ~of_int:Fun.id ~of_enc:int_of_tag_payload
 
 (* ------------------------------------------------------------------ *)
 (* v2 page sizing                                                      *)
@@ -492,8 +757,32 @@ let v2_bytes s =
 let encode_page ?(format = V1) tuples =
   match format with V1 -> encode_page_v1 tuples | V2 -> encode_page_v2 tuples
 
-let decode_page ?(format = V1) payload =
-  match format with V1 -> decode_page_v1 payload | V2 -> decode_page_v2 payload
+(** [in_range ~lo ~hi v] — [lo <= v <= hi] under {!Value.compare};
+    [None] bounds are open. *)
+let in_range ~lo ~hi v =
+  (match lo with None -> true | Some l -> Value.compare l v <= 0)
+  && match hi with None -> true | Some h -> Value.compare v h <= 0
+
+(** [filter_rows ~col ~lo ~hi rows] — {!select} over rows already
+    decoded (the in-memory store's pages). *)
+let filter_rows ~col ~lo ~hi rows =
+  match (lo, hi) with
+  | None, None -> rows
+  | _ -> List.filter (fun t -> in_range ~lo ~hi (Tuple.get t col)) rows
+
+(** [select ~format payload ~col ~lo ~hi] — the rows of a page whose
+    column [col] lies in [lo, hi] ([None] bounds are open), in page
+    order.  v2 decides on the encoded key column and then reads the
+    other columns only at the passing rows, so it builds values and
+    tuples only for the rows it returns; v1 decodes, then filters. *)
+let select ?(format = V1) payload ~col ~lo ~hi =
+  match format with
+  | V1 -> filter_rows ~col ~lo ~hi (decode_page_v1 payload)
+  | V2 -> select_v2 payload ~col ~lo ~hi
+
+(** Every row of a page: {!select} with no bounds. *)
+let decode_page ?format payload =
+  select ?format payload ~col:0 ~lo:None ~hi:None
 
 (** [page_bytes ~format tuples] — the size of [encode_page ~format
     tuples], without encoding it: v1 adds up {!tuple_bytes}, v2 runs
@@ -516,29 +805,6 @@ let page_bytes ?(format = V1) tuples =
 (** Row count of a page payload without decoding it (both layouts lead
     with it). *)
 let page_nrows payload = Wire.read_varint (Wire.reader payload)
-
-(** [decode_column ~format payload col] decodes a single column; under
-    v2 the per-page directory skips the other blocks entirely. *)
-let decode_column ?(format = V1) payload col =
-  match format with
-  | V1 ->
-      Array.of_list
-        (List.map (fun t -> Tuple.get t col) (decode_page_v1 payload))
-  | V2 ->
-      let r = Wire.reader payload in
-      let nrows = Wire.read_varint r in
-      if nrows = 0 then [||]
-      else begin
-        let ncols = Wire.read_varint r in
-        if col < 0 || col >= ncols then invalid_arg "Codec.decode_column";
-        let lens = Array.init ncols (fun _ -> Wire.read_varint r) in
-        let skip = ref 0 in
-        for c = 0 to col - 1 do
-          skip := !skip + lens.(c)
-        done;
-        ignore (Wire.read_bytes r !skip);
-        decode_column_block r nrows
-      end
 
 (* Row-count prefix cost, conservatively. *)
 let page_overhead = 5

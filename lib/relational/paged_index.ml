@@ -11,7 +11,8 @@
     value range intersects the probe (through the shared buffer pool,
     charging page traffic to the run's counters), and return candidate
     {e data} pages; the table layer then fetches those pages and
-    filters exactly.
+    selects exactly.  A v2 leaf is probed on its encoded value column
+    ({!Codec.select_ints}), so a probe builds no index value.
 
     v1 leaf payload layout: [varint nentries] then per entry
     [value][varint data_page][varint nrows], sorted by (value, page).
@@ -167,13 +168,31 @@ let load ~store ~name ~fill entries =
          meta_of ~page es)
   |> Array.of_list
 
-(* Reads one leaf through the pool, charging the request (and a miss)
-   to [counters]. *)
-let read_leaf t counters (m : meta) =
-  match Page_store.read t.x_store counters ~table:t.x_name ~page:m.m_page with
+(* A leaf's entries from its pool payload. *)
+let entries_of t = function
   | Buffer_pool.Rows rows -> List.map entry_of_row rows
   | Buffer_pool.Bytes payload ->
       decode_leaf ~format:t.x_store.Page_store.codec payload
+
+(* Reads one leaf through the pool, charging the request (and a miss)
+   to [counters]. *)
+let read_leaf t counters (m : meta) =
+  entries_of t
+    (Page_store.read t.x_store counters ~table:t.x_name ~page:m.m_page)
+
+(* The data pages of one leaf's entries with a value in [lo, hi], in
+   entry order, read like {!read_leaf}.  A v2 leaf selects on its
+   encoded value column and reads only the page column of the hits, so
+   the probe builds no {!Value.t}. *)
+let leaf_pages t counters (m : meta) ~lo ~hi =
+  match Page_store.read t.x_store counters ~table:t.x_name ~page:m.m_page with
+  | Buffer_pool.Bytes payload when t.x_store.Page_store.codec = Codec.V2 ->
+      Array.to_list (Codec.select_ints payload ~col:0 ~lo ~hi ~out:1)
+  | payload ->
+      List.filter_map
+        (fun (v, page, _) ->
+          if Codec.in_range ~lo ~hi v then Some page else None)
+        (entries_of t payload)
 
 (* First directory index whose first value is >= v; [Array.length] when
    none. *)
@@ -202,10 +221,6 @@ let leaf_range t ~lo ~hi =
   in
   (s, min e (n - 1))
 
-let in_range ~lo ~hi v =
-  (match lo with None -> true | Some l -> Value.compare l v <= 0)
-  && match hi with None -> true | Some h -> Value.compare v h <= 0
-
 (** Candidate data pages for [lo <= column <= hi], deduped, in leaf
     (value) order; charges one page request (and read on miss) per leaf
     touched.  One directory descent = one index seek, charged by the
@@ -217,12 +232,12 @@ let lookup_pages t counters ~lo ~hi =
   for i = s to e do
     if i >= 0 then
       List.iter
-        (fun (v, page, _) ->
-          if in_range ~lo ~hi v && not (Hashtbl.mem seen page) then begin
+        (fun page ->
+          if not (Hashtbl.mem seen page) then begin
             Hashtbl.replace seen page ();
             pages := page :: !pages
           end)
-        (read_leaf t counters t.x_leaves.(i))
+        (leaf_pages t counters t.x_leaves.(i) ~lo ~hi)
   done;
   List.rev !pages
 

@@ -148,11 +148,16 @@ let load ?(fill = default_fill) store ~name ~schema ~cluster_key ~indexes
                (index_entries pages (Schema.index_of schema col)) ))
          columns)
 
-(* A page's rows: the payload itself from a store of rows, decoded from
-   a store of bytes. *)
-let rows_of t = function
-  | Buffer_pool.Rows rows -> rows
-  | Buffer_pool.Bytes payload -> Codec.decode_page ~format:(codec t) payload
+(* A page's rows whose column [col] lies in [lo, hi]: filtered from a
+   store of rows, selected on the encoded columns from a store of
+   bytes, so only the rows that pass are built. *)
+let select_page t ~col ~lo ~hi = function
+  | Buffer_pool.Rows rows -> Codec.filter_rows ~col ~lo ~hi rows
+  | Buffer_pool.Bytes payload ->
+      Codec.select ~format:(codec t) payload ~col ~lo ~hi
+
+(* All of a page's rows. *)
+let rows_of t = select_page t ~col:0 ~lo:None ~hi:None
 
 (* Reads one data page through the pool, charging the cost vector. *)
 let read_page t counters page =
@@ -176,13 +181,16 @@ let relation t =
 (* ------------------------------------------------------------------ *)
 (* Access paths                                                        *)
 
-(* Fetches the given data pages (dir order) and keeps rows matching
-   [pred]; matching rows are the "visited elements" charged to the
-   cost vector. *)
-let fetch_pages_seq t counters pages pred =
+(* Fetches the given data pages (dir order) and keeps the rows whose
+   column [col] lies in [lo, hi]; matching rows are the "visited
+   elements" charged to the cost vector. *)
+let fetch_pages_seq t counters pages ~col ~lo ~hi =
   List.concat_map
     (fun page ->
-      let rows = List.filter pred (read_page t counters page) in
+      let rows =
+        select_page t ~col ~lo ~hi
+          (Page_store.read t.store counters ~table:t.name ~page)
+      in
       counters.Counters.tuples_read <-
         counters.Counters.tuples_read + List.length rows;
       rows)
@@ -199,25 +207,25 @@ let chunk_pages ~lanes pages =
       Array.to_list (Array.sub arr lo (hi - lo)))
   |> List.filter (fun c -> c <> [])
 
-let fetch_pages t ?par counters pages pred =
+let fetch_pages t ?par counters pages ~col ~lo ~hi =
   match par with
   | Some pool when Blas_par.Pool.size pool > 1 && List.length pages > 1 -> (
     match chunk_pages ~lanes:(Blas_par.Pool.size pool) pages with
-    | [] | [ _ ] -> fetch_pages_seq t counters pages pred
+    | [] | [ _ ] -> fetch_pages_seq t counters pages ~col ~lo ~hi
     | chunks ->
       let tasks =
         Array.of_list
           (List.map
              (fun chunk () ->
                let c = Counters.create () in
-               let tuples = fetch_pages_seq t c chunk pred in
+               let tuples = fetch_pages_seq t c chunk ~col ~lo ~hi in
                (c, tuples))
              chunks)
       in
       let results = Blas_par.Pool.run pool tasks in
       Array.iter (fun (c, _) -> Counters.add ~into:counters c) results;
       List.concat_map snd (Array.to_list results))
-  | _ -> fetch_pages_seq t counters pages pred
+  | _ -> fetch_pages_seq t counters pages ~col ~lo ~hi
 
 (* Candidate pages in directory (cluster) order. *)
 let order_pages t pages =
@@ -238,7 +246,7 @@ let index t column = List.assoc column t.indexes
 let scan t counters =
   fetch_pages_seq t counters
     (Array.to_list t.dir |> List.map (fun e -> e.de_page))
-    (fun _ -> true)
+    ~col:0 ~lo:None ~hi:None
 
 (** Equality lookup through the index on [column].  With a multi-domain
     [par] pool, the page fetch is split into contiguous chunks.
@@ -250,9 +258,9 @@ let index_eq t ?par counters ~column value =
     Paged_index.lookup_pages idx counters ~lo:(Some value) ~hi:(Some value)
     |> order_pages t
   in
-  let col = Schema.index_of t.schema column in
-  fetch_pages t ?par counters pages (fun row ->
-      Value.compare (Tuple.get row col) value = 0)
+  fetch_pages t ?par counters pages
+    ~col:(Schema.index_of t.schema column)
+    ~lo:(Some value) ~hi:(Some value)
 
 (** Range lookup [lo <= column <= hi] through the index ([None] bounds are
     open); rows come back in clustered order.  With a multi-domain [par]
@@ -262,11 +270,8 @@ let index_range t ?par counters ~column ~lo ~hi =
   let idx = index t column in
   counters.Counters.index_seeks <- counters.Counters.index_seeks + 1;
   let pages = Paged_index.lookup_pages idx counters ~lo ~hi |> order_pages t in
-  let col = Schema.index_of t.schema column in
-  fetch_pages t ?par counters pages (fun row ->
-      let v = Tuple.get row col in
-      (match lo with None -> true | Some l -> Value.compare l v <= 0)
-      && match hi with None -> true | Some h -> Value.compare v h <= 0)
+  fetch_pages t ?par counters pages ~col:(Schema.index_of t.schema column)
+    ~lo ~hi
 
 (* ------------------------------------------------------------------ *)
 (* In-place edits (the update subsystem)                               *)

@@ -4,6 +4,8 @@ type t = Value.t array
 
 let of_list = Array.of_list
 
+let init = Array.init
+
 let get (t : t) i = t.(i)
 
 let arity (t : t) = Array.length t

@@ -4,6 +4,9 @@ type t
 
 val of_list : Value.t list -> t
 
+(** [init n f] is the tuple [f 0, ..., f (n - 1)]. *)
+val init : int -> (int -> Value.t) -> t
+
 val get : t -> int -> Value.t
 
 val arity : t -> int

@@ -29,6 +29,23 @@ let unit_tests =
       fun () ->
         let big = "123456789012345678901234567890" in
         Test_util.check_string "huge" big (s (B.of_string big)) );
+    ( "of_string rejects and pads",
+      fun () ->
+        Alcotest.check_raises "empty"
+          (Invalid_argument "Bignum.of_string: empty") (fun () ->
+            ignore (B.of_string ""));
+        List.iter
+          (fun bad ->
+            Alcotest.check_raises bad
+              (Invalid_argument "Bignum.of_string: not a digit") (fun () ->
+                ignore (B.of_string bad)))
+          [ "-1"; "12a"; "1234567890x"; " 7" ];
+        Test_util.check_string "007" "7" (s (B.of_string "007"));
+        Test_util.check_string "zeros" "0" (s (B.of_string "0000000000"));
+        Test_util.check_string "9 digits" "999999999"
+          (s (B.of_string "999999999"));
+        Test_util.check_string "10 digits" "1000000000"
+          (s (B.of_string "1000000000")) );
     ( "pow_int",
       fun () ->
         Test_util.check_string "2^10" "1024" (s (B.pow_int 2 10));
@@ -82,6 +99,14 @@ let suite =
           B.compare (b x) (b y) = Stdlib.compare x y);
       q "to_string/of_string round trip" (Gen.pair medium medium) (fun (x, y) ->
           let v = B.mul (b x) (b y) in
+          B.equal v (B.of_string (B.to_string v)));
+      q "of_string inverts to_string (multi-limb)"
+        (Gen.list_size (Gen.int_range 0 6) medium) (fun xs ->
+          let v =
+            List.fold_left
+              (fun acc x -> B.add (B.mul acc (b (1 lsl 40))) (b x))
+              B.zero xs
+          in
           B.equal v (B.of_string (B.to_string v)));
       q "add is commutative (big)" (Gen.pair medium medium) (fun (x, y) ->
           let vx = B.mul (b x) (b max_int) and vy = B.mul (b y) (b max_int) in

@@ -65,7 +65,8 @@ let test_corner_pages () =
         [ Value.Str "ab"; Value.Int (-9); Value.Int 7; Value.Null ];
     ]
 
-(* Column extraction must agree with decoding the whole page. *)
+(* A select on one column must agree with filtering the whole page:
+   point bounds at every value of the column, then open bounds. *)
 let test_decode_column () =
   let rows =
     List.init 100 (fun i ->
@@ -76,14 +77,16 @@ let test_decode_column () =
     (fun (format, fname) ->
       let enc = Codec.encode_page ~format rows in
       for col = 0 to 1 do
-        let expect = List.map (fun t -> Tuple.get t col) rows in
-        Alcotest.(check bool)
-          (Printf.sprintf "column %d (%s)" col fname)
-          true
-          (List.for_all2
-             (fun a b -> Value.compare a b = 0)
-             expect
-             (Array.to_list (Codec.decode_column ~format enc col)))
+        List.iter
+          (fun (lo, hi) ->
+            Alcotest.check tuples_testable
+              (Printf.sprintf "column %d (%s)" col fname)
+              (Codec.filter_rows ~col ~lo ~hi rows)
+              (Codec.select ~format enc ~col ~lo ~hi))
+          ((None, None)
+          :: List.map
+               (fun t -> (Some (Tuple.get t col), Some (Tuple.get t col)))
+               rows)
       done)
     formats
 
@@ -269,6 +272,151 @@ let leaf_law format tuples =
        dec entries
 
 (* ------------------------------------------------------------------ *)
+(* Selecting on encoded columns                                        *)
+
+(* Values at the edges of the encoded order: negative ints, ints near
+   the int-delta bound, multi-limb Bigs, strings sharing prefixes. *)
+let edge_value_gen =
+  let open QCheck2.Gen in
+  let big =
+    let* limbs = list_size (int_range 1 4) (int_range 0 (1 lsl 30)) in
+    return
+      (Value.Big
+         (List.fold_left
+            (fun acc l ->
+              Blas_label.Bignum.(add (mul_int acc (1 lsl 30)) (of_int l)))
+            Blas_label.Bignum.zero limbs))
+  in
+  frequency
+    [
+      (1, return Value.Null);
+      (3, map (fun n -> Value.Int n) (int_range (-300) 300));
+      ( 2,
+        map
+          (fun (neg, d) ->
+            Value.Int ((if neg then -Codec.zz_bound else Codec.zz_bound) + d))
+          (pair bool (int_range (-3) 3)) );
+      (1, map (fun n -> Value.Int n) int);
+      (3, big);
+      ( 3,
+        map
+          (fun s -> Value.Str s)
+          (string_size ~gen:(oneofa [| 'a'; 'b'; '\xff' |]) (int_range 0 4)) );
+    ]
+
+let sign n = compare n 0
+
+let cmp_enc_law (a, b) =
+  sign (Codec.cmp_enc a (Codec.value_tag b) (Codec.value_payload b))
+  = sign (Value.compare a b)
+
+(* Pages where every strategy shows up: random (mostly raw), clustered
+   (int-delta, dict+RLE), and narrow-alphabet edge values (dict). *)
+let select_page_gen =
+  let open QCheck2.Gen in
+  oneof
+    [
+      page_gen;
+      clustered_gen;
+      (let* arity = int_range 1 3 in
+       list_size (int_range 0 60)
+         (map Tuple.of_list (list_repeat arity edge_value_gen)));
+    ]
+
+(* A bound: open, a value of the page's column, or an edge value. *)
+let bound_gen rows col =
+  let open QCheck2.Gen in
+  let column = List.map (fun t -> Tuple.get t col) rows in
+  frequency
+    ((1, return None)
+    :: (2, map Option.some edge_value_gen)
+    :: (if column = [] then [] else [ (3, map Option.some (oneofl column)) ]))
+
+let select_gen =
+  let open QCheck2.Gen in
+  let* rows = select_page_gen in
+  let arity = match rows with [] -> 1 | t :: _ -> Tuple.arity t in
+  let* col = int_range 0 (arity - 1) in
+  let* lo = bound_gen rows col in
+  let+ hi = bound_gen rows col in
+  (rows, col, lo, hi)
+
+let select_law format (rows, col, lo, hi) =
+  let enc = Codec.encode_page ~format rows in
+  let expect =
+    List.filter
+      (fun t -> Codec.in_range ~lo ~hi (Tuple.get t col))
+      (Codec.decode_page ~format enc)
+  in
+  let got = Codec.select ~format enc ~col ~lo ~hi in
+  List.length got = List.length expect
+  && List.for_all2 (fun a b -> Tuple.compare a b = 0) got expect
+
+(* A page store of encoded bytes (as a database file's) in memory. *)
+let bytes_store format =
+  let pages = Hashtbl.create 16 and next = ref 0 in
+  {
+    Blas_rel.Page_store.pool =
+      Blas_rel.Buffer_pool.create ~capacity:4
+        {
+          Blas_rel.Buffer_pool.back_read =
+            (fun ~table:_ ~page -> Hashtbl.find pages page);
+          back_write = (fun ~table:_ ~page p -> Hashtbl.replace pages page p);
+          back_rows = false;
+        };
+    codec = format;
+    capacity = 256;
+    alloc =
+      (fun () ->
+        incr next;
+        !next);
+    free = Hashtbl.remove pages;
+  }
+
+(* An index probe finds the same data pages whichever codec wrote the
+   leaves, and whether the store holds bytes or rows. *)
+let lookup_law (keys, lo, hi) =
+  let entries =
+    List.sort_uniq Pidx.entry_cmp
+      (List.mapi (fun i v -> (v, i mod 7, 1 + (i mod 3))) keys)
+  in
+  let probe store =
+    let idx = Pidx.load ~store ~name:"x.k" ~fill:0.9 entries in
+    Pidx.lookup_pages
+      (Pidx.create ~store ~name:"x.k" ~leaves:idx)
+      (Blas_rel.Counters.create ()) ~lo ~hi
+  in
+  let v1 = probe (bytes_store Codec.V1) in
+  v1 = probe (bytes_store Codec.V2)
+  && v1
+     = probe
+         (Blas_rel.Page_store.memory
+            ~page_size:(256 + Blas_disk.Pager.header_bytes)
+            ~codec:Codec.V2 ())
+
+let lookup_gen =
+  let open QCheck2.Gen in
+  let* keys =
+    list_size (int_range 0 120)
+      (frequency
+         [
+           (2, map (fun n -> Value.Int n) (int_range (-50) 50));
+           (1, edge_value_gen);
+         ])
+  in
+  let bound =
+    frequency
+      [
+        (1, return None);
+        (2, map Option.some edge_value_gen);
+        ( (if keys = [] then 0 else 3),
+          map Option.some
+            (oneofl (if keys = [] then [ Value.Null ] else keys)) );
+      ]
+  in
+  triple (return keys) bound bound
+
+(* ------------------------------------------------------------------ *)
 (* v2 database coherence vs the in-memory shadow under random edits    *)
 
 type edit =
@@ -390,6 +538,14 @@ let suite =
       (pack_law Codec.V2);
     qtest ~count:200 "v2 index leaves round-trip" page_gen
       (leaf_law Codec.V2);
+    qtest ~count:500 "cmp_enc agrees with Value.compare"
+      QCheck2.Gen.(pair edge_value_gen edge_value_gen)
+      cmp_enc_law;
+    qtest ~count:300 "v1 select equals filtered decode" select_gen
+      (select_law Codec.V1);
+    qtest ~count:300 "v2 select equals filtered decode" select_gen
+      (select_law Codec.V2);
+    qtest ~count:200 "lookup_pages agrees across codecs" lookup_gen lookup_law;
     qtest ~count:40 "v2 database coherent with shadow under edits"
       script_gen coherence_law;
   ]
