@@ -4,8 +4,8 @@
     section is regenerated in order, followed by the join-count table,
     the ablations, the micro-benchmarks and the instrumentation
     overhead check; section arguments (fig10 ... fig18, joins, disk,
-    space, build, cache, ablate, bechamel, overhead, optimizer, scaling,
-    serve, shards) select a subset.
+    space, build, cache, ablate, bechamel, overhead, optimizer, codec,
+    update, scaling, serve, shards) select a subset.
 
     Flags: [--json] also writes every printed table to
     BENCH_results.json; [--check] makes the overhead section enforce its
@@ -33,6 +33,7 @@ let sections =
     ("overhead", Overhead.run);
     ("optimizer", Optimizer_bench.run);
     ("codec", Codec_bench.run);
+    ("update", Update_bench.run);
     ("scaling", Scaling.run);
     ("serve", Serve.run);
     ("shards", Serve.shards);

@@ -158,24 +158,41 @@ let pow_int b e =
   let rec go acc n = if n = 0 then acc else go (mul_int acc b) (n - 1) in
   go one e
 
+(* The base-10^9 digits of [a], most significant first ([] for 0). *)
+let chunks a =
+  let rec go acc cur =
+    if is_zero cur then acc
+    else
+      let q, r = divmod_int cur 1_000_000_000 in
+      go (r :: acc) q
+  in
+  go [] a
+
+let int_digits n =
+  let rec go n d = if n < 10 then d else go (n / 10) (d + 1) in
+  go n 1
+
 let to_string (a : t) =
-  if is_zero a then "0"
-  else begin
-    let chunks = ref [] in
-    let cur = ref a in
-    while not (is_zero !cur) do
-      let q, r = divmod_int !cur 1_000_000_000 in
-      chunks := r :: !chunks;
-      cur := q
-    done;
-    match !chunks with
-    | [] -> "0"
-    | first :: rest ->
-      let buf = Buffer.create 32 in
-      Buffer.add_string buf (string_of_int first);
-      List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest;
-      Buffer.contents buf
-  end
+  match chunks a with
+  | [] -> "0"
+  | first :: rest ->
+    let buf = Buffer.create 32 in
+    Buffer.add_string buf (string_of_int first);
+    List.iter
+      (fun c ->
+        for _ = int_digits c to 8 do
+          Buffer.add_char buf '0'
+        done;
+        Buffer.add_string buf (string_of_int c))
+      rest;
+    Buffer.contents buf
+
+(** [decimal_length a] — [String.length (to_string a)], without
+    building the string. *)
+let decimal_length (a : t) =
+  match chunks a with
+  | [] -> 1
+  | first :: rest -> int_digits first + (9 * List.length rest)
 
 (* [a * k + c] for [0 <= k, c < base]: one limb multiply-add. *)
 let mul_add_limb (a : t) k c : t =

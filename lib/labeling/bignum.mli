@@ -60,6 +60,10 @@ val pow_int : int -> int -> t
 
 val to_string : t -> string
 
+(** [decimal_length a] is [String.length (to_string a)], computed
+    without building the string. *)
+val decimal_length : t -> int
+
 (** @raise Invalid_argument on a non-digit. *)
 val of_string : string -> t
 

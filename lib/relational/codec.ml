@@ -85,7 +85,34 @@ let default_format =
   | None | Some "" | Some "0" -> V1
   | Some _ -> V2
 
-let add_value buf v =
+(* The decimal text of the last big value a page codec converted: a
+   page clusters its rows by P-label, so runs of rows share one label
+   and each run is converted once. *)
+type big_memo = { mutable mb : Blas_label.Bignum.t; mutable ms : string }
+
+let big_memo () = { mb = Blas_label.Bignum.zero; ms = "0" }
+
+let big_text memo b =
+  match memo with
+  | None -> Blas_label.Bignum.to_string b
+  | Some m ->
+      if not (b == m.mb || Blas_label.Bignum.equal b m.mb) then begin
+        m.mb <- b;
+        m.ms <- Blas_label.Bignum.to_string b
+      end;
+      m.ms
+
+let big_of_text memo s =
+  match memo with
+  | None -> Blas_label.Bignum.of_string s
+  | Some m ->
+      if not (String.equal s m.ms) then begin
+        m.ms <- s;
+        m.mb <- Blas_label.Bignum.of_string s
+      end;
+      m.mb
+
+let add_value ?memo buf v =
   match (v : Value.t) with
   | Null -> Wire.write_u8 buf 0
   | Int n when n >= 0 ->
@@ -96,30 +123,30 @@ let add_value buf v =
       Wire.write_varint buf (-n - 1)
   | Big b ->
       Wire.write_u8 buf 3;
-      Wire.write_string buf (Blas_label.Bignum.to_string b)
+      Wire.write_string buf (big_text memo b)
   | Str s ->
       Wire.write_u8 buf 4;
       Wire.write_string buf s
 
-let read_value r : Value.t =
+let read_value ?memo r : Value.t =
   match Wire.read_u8 r with
   | 0 -> Null
   | 1 -> Int (Wire.read_varint r)
   | 2 -> Int (-Wire.read_varint r - 1)
-  | 3 -> Big (Blas_label.Bignum.of_string (Wire.read_string r))
+  | 3 -> Big (big_of_text memo (Wire.read_string r))
   | 4 -> Str (Wire.read_string r)
   | tag -> failwith (Printf.sprintf "Codec.read_value: unknown tag %d" tag)
 
-let add_tuple buf t =
+let add_tuple ?memo buf t =
   let n = Tuple.arity t in
   Wire.write_varint buf n;
   for i = 0 to n - 1 do
-    add_value buf (Tuple.get t i)
+    add_value ?memo buf (Tuple.get t i)
   done
 
-let read_tuple r =
+let read_tuple ?memo r =
   let n = Wire.read_varint r in
-  Tuple.of_list (List.init n (fun _ -> read_value r))
+  Tuple.of_list (List.init n (fun _ -> read_value ?memo r))
 
 let encode_value v =
   let buf = Buffer.create 16 in
@@ -146,7 +173,9 @@ let value_bytes (v : Value.t) =
   | Null -> 0
   | Int n when n >= 0 -> varint_bytes n
   | Int n -> varint_bytes (-n - 1)
-  | Big b -> string_bytes (Blas_label.Bignum.to_string b)
+  | Big b ->
+      let n = Blas_label.Bignum.decimal_length b in
+      varint_bytes n + n
   | Str s -> string_bytes s
 
 (** Encoded v1 size of one tuple in bytes (the v1 packer's
@@ -165,13 +194,15 @@ let tuple_bytes t =
 let encode_page_v1 tuples =
   let buf = Buffer.create 512 in
   Wire.write_varint buf (List.length tuples);
-  List.iter (add_tuple buf) tuples;
+  let memo = big_memo () in
+  List.iter (add_tuple ~memo buf) tuples;
   Buffer.contents buf
 
 let decode_page_v1 payload =
   let r = Wire.reader payload in
   let n = Wire.read_varint r in
-  List.init n (fun _ -> read_tuple r)
+  let memo = big_memo () in
+  List.init n (fun _ -> read_tuple ~memo r)
 
 (* ------------------------------------------------------------------ *)
 (* v2 pages: columnar                                                  *)

@@ -147,11 +147,16 @@ let leaf_count t = Array.length t.x_leaves
 let total_rows t =
   Array.fold_left (fun acc m -> acc + m.m_rows) 0 t.x_leaves
 
-(* Writes one leaf as dirty through the pool (charged); its meta. *)
+(* Writes one leaf as dirty through the pool (charged); its meta.  Only
+   a store of rows gets the entries as rows; a store of bytes gets
+   them encoded straight from the entries. *)
 let write_leaf t counters ~page entries =
   let format = t.x_store.Page_store.codec in
-  Page_store.write t.x_store counters ~table:t.x_name ~page
-    (List.map row_of_entry entries)
+  let rows =
+    if Buffer_pool.holds_rows t.x_store.Page_store.pool then List.map row_of_entry entries
+    else []
+  in
+  Page_store.write t.x_store counters ~table:t.x_name ~page rows
     ~encode:(fun _ -> encode_leaf ~format entries);
   meta_of ~page entries
 
@@ -194,32 +199,26 @@ let leaf_pages t counters (m : meta) ~lo ~hi =
           if Codec.in_range ~lo ~hi v then Some page else None)
         (entries_of t payload)
 
-(* First directory index whose first value is >= v; [Array.length] when
-   none. *)
-let lower_bound t v =
+(* First directory index whose first value is >= v ([> v] when
+   [strict]); [Array.length] when none. *)
+let search t v ~strict =
   let lo = ref 0 and hi = ref (Array.length t.x_leaves) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Value.compare t.x_leaves.(mid).m_first v < 0 then lo := mid + 1
-    else hi := mid
+    let c = Value.compare t.x_leaves.(mid).m_first v in
+    if c < 0 || (strict && c = 0) then lo := mid + 1 else hi := mid
   done;
   !lo
 
 (* Directory range [s, e] of leaves that can hold values in [lo, hi]
    ([None] bounds are open); empty when s > e.  Duplicates can spill
-   across a leaf boundary, so the start backs up one leaf. *)
+   across a leaf boundary, so the start backs up one leaf; the end is
+   the last leaf whose first value is <= hi. *)
 let leaf_range t ~lo ~hi =
   let n = Array.length t.x_leaves in
-  let s = match lo with None -> 0 | Some v -> max 0 (lower_bound t v - 1) in
-  let e =
-    match hi with
-    | None -> n - 1
-    | Some v ->
-        (* last leaf with m_first <= hi *)
-        let i = lower_bound t v in
-        if i < n && Value.compare t.x_leaves.(i).m_first v = 0 then i else i - 1
-  in
-  (s, min e (n - 1))
+  let s = match lo with None -> 0 | Some v -> max 0 (search t v ~strict:false - 1) in
+  let e = match hi with None -> n - 1 | Some v -> search t v ~strict:true - 1 in
+  (s, e)
 
 (** Candidate data pages for [lo <= column <= hi], deduped, in leaf
     (value) order; charges one page request (and read on miss) per leaf
@@ -244,146 +243,137 @@ let lookup_pages t counters ~lo ~hi =
 (* ------------------------------------------------------------------ *)
 (* Maintenance                                                         *)
 
+(* [deltas] sorted by (value, page), duplicates summed, zeros dropped. *)
+let net deltas =
+  let rec merge = function
+    | (v, p, d1) :: (v', p', d2) :: rest when entry_cmp (v, p, 0) (v', p', 0) = 0 ->
+      merge ((v, p, d1 + d2) :: rest)
+    | (_, _, 0) :: rest -> merge rest
+    | e :: rest -> e :: merge rest
+    | [] -> []
+  in
+  merge (List.stable_sort entry_cmp deltas)
+
+(* Whether the sorted leaf [entries] holds (v, p). *)
+let holds entries v p =
+  let key = (v, p, 0) in
+  let lo = ref 0 and hi = ref (Array.length entries) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if entry_cmp entries.(mid) key < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length entries && entry_cmp entries.(!lo) key = 0
+
+(* One linear merge of a leaf's sorted [entries] with its sorted net
+   [deltas]: counts add, entries reaching zero go, new pairs come in. *)
+let merge_leaf entries deltas =
+  let n = Array.length entries in
+  let out = ref [] and k = ref 0 in
+  List.iter
+    (fun ((_, _, d) as delta) ->
+      while !k < n && entry_cmp entries.(!k) delta < 0 do
+        out := entries.(!k) :: !out;
+        incr k
+      done;
+      if !k < n && entry_cmp entries.(!k) delta = 0 then begin
+        let v, p, c = entries.(!k) in
+        incr k;
+        if c + d < 0 then invalid_arg "Paged_index.apply: negative row count"
+        else if c + d > 0 then out := (v, p, c + d) :: !out
+      end
+      else if d < 0 then invalid_arg "Paged_index.apply: delete of missing entry"
+      else out := delta :: !out)
+    deltas;
+  let rest = ref [] in
+  for i = n - 1 downto !k do
+    rest := entries.(i) :: !rest
+  done;
+  List.rev_append !out !rest
+
 (** [apply t counters deltas] adjusts entry row counts by [(value,
     data_page, delta)]: positive deltas add rows (creating entries),
-    negative remove (dropping entries that reach zero).  Touched leaves
-    are rewritten through the pool; overflowing leaves split, empty
-    leaves are freed.  Charges page traffic like any writer.
-    @raise Invalid_argument on a negative delta for a missing entry. *)
+    negative remove (dropping entries that reach zero).  Deltas on the
+    same pair are summed first.  Each delta goes to the leaf already
+    holding its pair, else to the last leaf that can hold its value;
+    every leaf involved is decoded once and each touched leaf merged
+    with its deltas in one pass, then rewritten through the pool
+    (splitting on overflow, freed when empty).  Charges page traffic
+    like any writer.
+    @raise Invalid_argument on a negative count or a delete of a
+    missing entry, before anything is written. *)
 let apply t counters deltas =
-  if deltas = [] then ()
-  else begin
-    (* Aggregate duplicate (value, page) deltas. *)
-    let agg = Hashtbl.create 16 in
-    let order = ref [] in
+  match net deltas with
+  | [] -> ()
+  | deltas when Array.length t.x_leaves = 0 ->
+    (* Fresh index: everything is an insert. *)
     List.iter
-      (fun ((v, p, d) : entry) ->
-        let key = (v, p) in
-        match Hashtbl.find_opt agg key with
-        | Some r -> r := !r + d
-        | None ->
-            Hashtbl.replace agg key (ref d);
-            order := key :: !order)
+      (fun (_, _, d) ->
+        if d < 0 then invalid_arg "Paged_index.apply: delete from empty index")
       deltas;
-    let deltas =
-      List.rev_map (fun (v, p) -> (v, p, !(Hashtbl.find agg (v, p)))) !order
-      |> List.filter (fun (_, _, d) -> d <> 0)
-      |> List.sort entry_cmp
+    let store = t.x_store in
+    t.x_leaves <-
+      pack ~format:store.codec ~capacity:store.capacity ~fill:1.0 deltas
+      |> List.map (fun entries -> write_leaf t counters ~page:(store.alloc ()) entries)
+      |> Array.of_list
+  | deltas ->
+    let n = Array.length t.x_leaves in
+    let decoded = Array.make n None in
+    let leaf i =
+      match decoded.(i) with
+      | Some entries -> entries
+      | None ->
+        let entries = Array.of_list (read_leaf t counters t.x_leaves.(i)) in
+        decoded.(i) <- Some entries;
+        entries
     in
-    if deltas = [] then ()
-    else if Array.length t.x_leaves = 0 then begin
-      (* Fresh index: everything is an insert. *)
-      List.iter
-        (fun (_, _, d) ->
-          if d < 0 then invalid_arg "Paged_index.apply: delete from empty index")
-        deltas;
-      let store = t.x_store in
-      t.x_leaves <-
-        pack ~format:store.codec ~capacity:store.capacity ~fill:1.0 deltas
-        |> List.map (fun entries ->
-               write_leaf t counters ~page:(store.alloc ()) entries)
-        |> Array.of_list
-    end
-    else begin
-      (* Assign each delta to a leaf: the last leaf whose first value is
-         <= v (clamped to leaf 0); for existing (v, p) entries that may
-         sit one leaf earlier (duplicate spill), we search the backed-up
-         range. *)
-      let n = Array.length t.x_leaves in
-      let touched : (int, entry list ref) Hashtbl.t = Hashtbl.create 8 in
-      let touch i =
-        match Hashtbl.find_opt touched i with
-        | Some r -> r
-        | None ->
-            let r = ref [] in
-            Hashtbl.replace touched i r;
-            r
-      in
-      List.iter
-        (fun ((v, p, _) as delta) ->
-          let s, e = leaf_range t ~lo:(Some v) ~hi:(Some v) in
-          let s = max 0 s and e = max 0 (min e (n - 1)) in
-          (* Prefer the leaf already holding the entry. *)
-          let target = ref (max s e) in
-          (try
-             for i = s to e do
-               let entries = read_leaf t counters t.x_leaves.(i) in
-               if List.exists (fun (v', p', _) -> Value.compare v v' = 0 && p = p')
-                    entries
-               then begin
-                 target := i;
-                 raise Exit
-               end
-             done
-           with Exit -> ());
-          let r = touch !target in
-          r := delta :: !r)
-        deltas;
-      (* Rewrite each touched leaf, collecting replacement metas. *)
-      let replacements : (int * meta list) list =
-        Hashtbl.fold (fun i r acc -> (i, r) :: acc) touched []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        |> List.map (fun (i, r) ->
-               let m = t.x_leaves.(i) in
-               let entries = read_leaf t counters m in
-               let entries =
-                 List.fold_left
-                   (fun entries (v, p, d) ->
-                     let found = ref false in
-                     let entries =
-                       List.filter_map
-                         (fun ((v', p', n') as e) ->
-                           if (not !found) && Value.compare v v' = 0 && p = p'
-                           then begin
-                             found := true;
-                             let n' = n' + d in
-                             if n' < 0 then
-                               invalid_arg
-                                 "Paged_index.apply: negative row count"
-                             else if n' = 0 then None
-                             else Some (v', p', n')
-                           end
-                           else Some e)
-                         entries
-                     in
-                     if !found then entries
-                     else if d < 0 then
-                       invalid_arg "Paged_index.apply: delete of missing entry"
-                     else List.sort entry_cmp ((v, p, d) :: entries))
-                   entries !r
-               in
-               let store = t.x_store in
-               match entries with
-               | [] ->
-                   Page_store.drop store ~table:t.x_name ~page:m.m_page;
-                   (i, [])
-               | entries ->
-                   if leaf_bytes ~format:store.codec entries <= store.capacity
-                   then (i, [ write_leaf t counters ~page:m.m_page entries ])
-                   else
-                     (* Split: first chunk keeps the page, the rest get
-                        fresh pages. *)
-                     ( i,
-                       pack ~format:store.codec ~capacity:store.capacity
-                         ~fill:1.0 entries
-                       |> List.mapi (fun k es ->
-                              let page =
-                                if k = 0 then m.m_page else store.alloc ()
-                              in
-                              write_leaf t counters ~page es) ))
-      in
-      let repl = Hashtbl.create 8 in
-      List.iter (fun (i, ms) -> Hashtbl.replace repl i ms) replacements;
-      let out = ref [] in
-      Array.iteri
-        (fun i m ->
-          match Hashtbl.find_opt repl i with
-          | None -> out := m :: !out
-          | Some ms -> List.iter (fun m -> out := m :: !out) ms)
-        t.x_leaves;
-      t.x_leaves <- Array.of_list (List.rev !out)
-    end
-  end
+    (* Route: deltas arrive sorted, so each leaf's list ends up sorted
+       once reversed. *)
+    let routed = Array.make n [] in
+    List.iter
+      (fun ((v, p, _) as delta) ->
+        let s, e = leaf_range t ~lo:(Some v) ~hi:(Some v) in
+        let e = max 0 e in
+        let rec holder i =
+          if i > e then e else if holds (leaf i) v p then i else holder (i + 1)
+        in
+        let i = holder s in
+        routed.(i) <- delta :: routed.(i))
+      deltas;
+    (* Every merge (and so every check) before the first write. *)
+    let merged = ref [] in
+    for i = n - 1 downto 0 do
+      match routed.(i) with
+      | [] -> ()
+      | ds -> merged := (i, merge_leaf (leaf i) (List.rev ds)) :: !merged
+    done;
+    let store = t.x_store in
+    let repl = Hashtbl.create 8 in
+    List.iter
+      (fun (i, entries) ->
+        let m = t.x_leaves.(i) in
+        Hashtbl.replace repl i
+          (match entries with
+          | [] ->
+            Page_store.drop store ~table:t.x_name ~page:m.m_page;
+            []
+          | entries when leaf_bytes ~format:store.codec entries <= store.capacity ->
+            [ write_leaf t counters ~page:m.m_page entries ]
+          | entries ->
+            (* Split: the first chunk keeps the page, the rest get
+               fresh pages. *)
+            pack ~format:store.codec ~capacity:store.capacity ~fill:1.0 entries
+            |> List.mapi (fun k es ->
+                   let page = if k = 0 then m.m_page else store.alloc () in
+                   write_leaf t counters ~page es)))
+      !merged;
+    let out = ref [] in
+    Array.iteri
+      (fun i m ->
+        match Hashtbl.find_opt repl i with
+        | None -> out := m :: !out
+        | Some ms -> List.iter (fun m -> out := m :: !out) ms)
+      t.x_leaves;
+    t.x_leaves <- Array.of_list (List.rev !out)
 
 (** [drop t] frees every leaf (the index must not be used afterwards). *)
 let drop t =

@@ -409,10 +409,10 @@ let apply_edits t counters ~deletes ~inserts =
   let write_page page rows =
     incr writes;
     Page_store.write store counters ~table:t.name ~page rows ~encode:(encode t);
-    account rows page 1;
     { de_page = page; de_nrows = List.length rows; de_first = List.hd rows }
   in
-  (* Cuts [rows] into full pages, the first on [first] if given. *)
+  (* Cuts [rows] into full pages, the first on [first] if given, and
+     indexes every row at its page. *)
   let write_pages ?first rows =
     Codec.pack_pages ~format:store.codec ~capacity:store.capacity ~fill:1.0
       rows
@@ -422,6 +422,7 @@ let apply_edits t counters ~deletes ~inserts =
              | Some page when k = 0 -> page
              | _ -> store.alloc ()
            in
+           account rows page 1;
            write_page page rows)
   in
   let affected =
@@ -469,18 +470,23 @@ let apply_edits t counters ~deletes ~inserts =
           if cmp i k <= 0 then i :: merge kept itl else k :: merge ktl ins
       in
       let new_rows = merge kept ins in
-      account old_rows page (-1);
+      (* Index deltas only for rows that changed (value, page): the
+         deleted and inserted ones, or every row when the page splits. *)
       Hashtbl.replace repl slot
         (match new_rows with
         | [] ->
+          account dels page (-1);
           Page_store.drop store ~table:t.name ~page;
           []
         | rows when Codec.page_bytes ~format:store.codec rows <= store.capacity
           ->
+          account dels page (-1);
+          account ins page 1;
           [ write_page page rows ]
         | rows ->
           (* Page split: the first chunk keeps the page id, the rest go
              to fresh pages. *)
+          account old_rows page (-1);
           write_pages ~first:page rows))
     affected;
   (* Fresh pages when the table was empty. *)
@@ -489,17 +495,33 @@ let apply_edits t counters ~deletes ~inserts =
     | [] -> []
     | rows -> write_pages (List.stable_sort cmp (List.rev rows))
   in
-  (* Splice the directory. *)
-  let out = ref [] in
-  Array.iteri
-    (fun slot e ->
-      match Hashtbl.find_opt repl slot with
-      | None -> out := e :: !out
-      | Some es -> List.iter (fun e -> out := e :: !out) es)
-    t.dir;
-  List.iter (fun e -> out := e :: !out) tail_entries;
-  t.dir <- Array.of_list (List.rev !out);
-  rebuild_seq t;
+  (* Splice the directory.  When every affected page kept its slot
+     (no split, no emptied page, no fresh tail), the page -> slot map
+     still holds. *)
+  let same_pages =
+    tail_entries = []
+    && Hashtbl.fold
+         (fun slot es ok ->
+           ok && match es with [ e ] -> e.de_page = t.dir.(slot).de_page | _ -> false)
+         repl true
+  in
+  if same_pages then begin
+    let dir = Array.copy t.dir in
+    Hashtbl.iter (fun slot es -> dir.(slot) <- List.hd es) repl;
+    t.dir <- dir
+  end
+  else begin
+    let out = ref [] in
+    Array.iteri
+      (fun slot e ->
+        match Hashtbl.find_opt repl slot with
+        | None -> out := e :: !out
+        | Some es -> List.iter (fun e -> out := e :: !out) es)
+      t.dir;
+    List.iter (fun e -> out := e :: !out) tail_entries;
+    t.dir <- Array.of_list (List.rev !out);
+    rebuild_seq t
+  end;
   (* Index maintenance. *)
   counters.Counters.index_seeks <-
     counters.Counters.index_seeks

@@ -155,12 +155,15 @@ let splice lst pos x =
 let rev_map_children f (n : Doc.node) =
   List.rev (List.fold_left (fun acc c -> f c :: acc) [] n.children)
 
-(* The DataGuide's path-set size: inserts only ever add paths and
-   deletes only remove them, so comparing sizes before and after an
-   edit detects any change to the guide — the signal that memoized
-   decompositions (which consult the guide) may have gone stale. *)
-let guide_paths (doc : Doc.t) =
-  List.length (Blas_xml.Dataguide.all_paths doc.guide)
+(* Whether some node of [nodes] has a source path on which [guide]
+   counts no node — asked of the guide before an insert (the path is
+   new) or after a delete (its last node went).  The guide's path set
+   changed exactly when a count crossed zero: the signal that memoized
+   decompositions, which consult the guide, may have gone stale. *)
+let crosses_zero (guide : Blas_xml.Dataguide.t) nodes =
+  List.exists
+    (fun (n : Doc.node) -> Blas_xml.Dataguide.count guide n.source_path = 0)
+    nodes
 
 let node_plabel table (n : Doc.node) = Plabel.node_label table n.source_path
 
@@ -289,10 +292,10 @@ let assign_whole ~positions ~(parent : Doc.node) ~pos ~sk (root : Doc.node) =
   in
   assign ~positions ~parent ~pos ~sk (Inside super)
 
-(* Rewrites the old tree: apply new labels from [relabel] and splice
-   [new_sub] into [parent_start]'s children at [pos].  Untouched nodes
-   keep their records' labels (the rebuild still copies the spine —
-   children lists change along the path to the edit). *)
+(* Rewrites the tree under [root] (the renumbered ancestor, or the
+   document root for a whole renumbering): apply new labels from
+   [relabel] and splice [new_sub] into [parent_start]'s children at
+   [pos]. *)
 let rebuild_tree ~relabel ~parent_start ~pos ~new_sub (root : Doc.node) =
   let rec go (n : Doc.node) : Doc.node =
     let start, fin =
@@ -375,9 +378,7 @@ let insert_subtree t ~parent ~pos tree =
       in
       assign ~positions ~parent:parent_node ~pos ~sk (Inside anchor)
     | Whole ->
-      let positions =
-        Gap_alloc.fresh ~slots:(2 * (List.length doc.all + k))
-      in
+      let positions = Gap_alloc.fresh ~slots:(2 * (Doc.node_count doc + k)) in
       assign_whole ~positions ~parent:parent_node ~pos ~sk doc.root
   in
   (* P-labels: a new source path is labeled by interval subdivision and
@@ -392,11 +393,27 @@ let insert_subtree t ~parent ~pos tree =
   let table_rebuilt =
     new_tags <> [] || depth_needed > Tag_table.height t.table
   in
-  let new_root =
-    rebuild_tree ~relabel ~parent_start:parent_node.start ~pos ~new_sub
-      doc.root
+  (* Only a whole renumbering rebuilds the model; otherwise the parent
+     (gap) or the renumbered ancestor gets a new record over a changed
+     range of starts, and only its ancestors are copied. *)
+  let rebuild = rebuild_tree ~relabel ~parent_start:parent_node.start ~pos ~new_sub in
+  let new_doc =
+    match alloc with
+    | Whole -> Doc.of_root (rebuild doc.root)
+    | From_gap ->
+      Doc.replace doc ~at:parent_node
+        ~by:{ parent_node with children = splice parent_node.children pos new_sub }
+        ~changed:(new_sub.start, new_sub.fin) ()
+    | Inside anchor ->
+      Doc.replace doc ~at:anchor ~by:(rebuild anchor)
+        ~changed:(anchor.start + 1, anchor.fin - 1) ()
   in
-  let new_doc = Doc.of_root new_root in
+  (* The nodes the renumbering moved, in document order. *)
+  let moved =
+    Hashtbl.fold (fun start _ acc -> start :: acc) relabel []
+    |> List.sort Int.compare |> List.map (find_node doc)
+  in
+  let fresh_nodes = new_sub :: Doc.descendants new_sub in
   let writes0 = Pool.writes t.pool in
   let counters = Blas_rel.Counters.create () in
   if table_rebuilt then begin
@@ -410,9 +427,6 @@ let insert_subtree t ~parent ~pos tree =
     rebuild_tables t new_doc
   end
   else begin
-    let moved =
-      List.filter (fun (n : Doc.node) -> Hashtbl.mem relabel n.start) doc.all
-    in
     let moved_sp_ins =
       List.map
         (fun (n : Doc.node) ->
@@ -427,7 +441,6 @@ let insert_subtree t ~parent ~pos tree =
           Layout.sd_row n ~start ~fin ~data:n.data)
         moved
     in
-    let fresh_nodes = new_sub :: Doc.descendants new_sub in
     ignore
       (Rel_table.apply_edits t.sp counters
          ~deletes:(List.map (sp_row t.table) moved)
@@ -457,14 +470,10 @@ let insert_subtree t ~parent ~pos tree =
         inv_plabels = [];
       }
     else
-      let touched =
-        (new_sub :: Doc.descendants new_sub)
-        @ List.filter (fun (n : Doc.node) -> Hashtbl.mem relabel n.start) doc.all
-      in
       {
         inv_full = false;
-        inv_schema_changed = guide_paths new_doc <> guide_paths doc;
-        inv_plabels = List.map (node_plabel t.table) touched;
+        inv_schema_changed = crosses_zero doc.guide fresh_nodes;
+        inv_plabels = List.map (node_plabel t.table) (fresh_nodes @ moved);
       }
   in
   record ~op:"insert" ?escalation t0
@@ -472,7 +481,7 @@ let insert_subtree t ~parent ~pos tree =
       nodes_inserted = k;
       nodes_deleted = 0;
       nodes_relabeled = Hashtbl.length relabel;
-      plabels_allocated = (if table_rebuilt then List.length new_doc.all else k);
+      plabels_allocated = (if table_rebuilt then Doc.node_count new_doc else k);
       pages_written = Pool.writes t.pool - writes0;
       table_rebuilt;
       invalidation;
@@ -502,17 +511,16 @@ let delete_subtree t ~start =
      gap for future inserts.  The tag inventory is kept even if the
      last node of some tag disappears — shrinking it would move every
      P-label for no benefit. *)
-  let rec prune (n : Doc.node) : Doc.node =
-    {
-      n with
-      children =
-        List.filter_map
-          (fun (c : Doc.node) ->
-            if c.start = start then None else Some (prune c))
-          n.children;
-    }
+  let parent = List.hd (ancestors doc node) in
+  let new_doc =
+    Doc.replace doc ~at:parent
+      ~by:
+        {
+          parent with
+          children = List.filter (fun (c : Doc.node) -> c.start <> start) parent.children;
+        }
+      ~changed:(node.start, node.fin) ()
   in
-  let new_doc = Doc.of_root (prune doc.root) in
   t.doc <- new_doc;
   record ~op:"delete" t0
     {
@@ -525,7 +533,7 @@ let delete_subtree t ~start =
       invalidation =
         {
           inv_full = false;
-          inv_schema_changed = guide_paths new_doc <> guide_paths doc;
+          inv_schema_changed = crosses_zero new_doc.guide removed;
           inv_plabels = List.map (node_plabel t.table) removed;
         };
     }
@@ -547,11 +555,7 @@ let replace_text t ~start data =
     (Rel_table.apply_edits t.sd counters
        ~deletes:[ sd_row node ]
        ~inserts:[ Layout.sd_row node ~start:node.start ~fin:node.fin ~data ]);
-  let rec retext (n : Doc.node) : Doc.node =
-    if n.start = start then { n with data }
-    else { n with children = rev_map_children retext n }
-  in
-  t.doc <- Doc.of_root (retext doc.root);
+  t.doc <- Doc.replace doc ~at:node ~by:{ node with data } ();
   record ~op:"replace_text" t0
     {
       nodes_inserted = 0;
@@ -577,4 +581,4 @@ let replace_text t ~start data =
     renumbering. *)
 let gap_budget (doc : Doc.t) =
   let span = doc.root.fin - doc.root.start + 1 in
-  (span - (2 * List.length doc.all), span)
+  (span - (2 * Doc.node_count doc), span)

@@ -9,19 +9,39 @@
 
 module String_map = Map.Make (String)
 
-type t = { children : t String_map.t }
+(* [count]: the nodes whose source path ends here (0 at the virtual root
+   above the document root). *)
+type t = { count : int; children : t String_map.t }
 
-let empty = { children = String_map.empty }
+let empty = { count = 0; children = String_map.empty }
 
 let rec add_path guide = function
-  | [] -> guide
+  | [] -> { guide with count = guide.count + 1 }
   | tag :: rest ->
     let child =
       match String_map.find_opt tag guide.children with
       | Some c -> c
       | None -> empty
     in
-    { children = String_map.add tag (add_path child rest) guide.children }
+    { guide with children = String_map.add tag (add_path child rest) guide.children }
+
+(* A path ends where its last node goes: with no node left on it, no
+   longer path can have one either, so its subtrie is empty too. *)
+let rec remove_path guide = function
+  | [] ->
+    if guide.count <= 0 then invalid_arg "Dataguide.remove_path: path not present";
+    { guide with count = guide.count - 1 }
+  | tag :: rest -> (
+    match String_map.find_opt tag guide.children with
+    | None -> invalid_arg "Dataguide.remove_path: path not present"
+    | Some c ->
+      let c = remove_path c rest in
+      let children =
+        if c.count = 0 && String_map.is_empty c.children then
+          String_map.remove tag guide.children
+        else String_map.add tag c guide.children
+      in
+      { guide with children })
 
 (** [of_tree tree] builds the DataGuide of all source paths in [tree]. *)
 let of_tree tree =
@@ -51,6 +71,15 @@ let mem_path guide path =
     | [] -> true
     | tag :: rest -> (
       match find_child guide tag with None -> false | Some c -> go c rest)
+  in
+  go guide path
+
+(** [count guide path] — how many nodes have source path [path]. *)
+let count guide path =
+  let rec go guide = function
+    | [] -> guide.count
+    | tag :: rest -> (
+      match find_child guide tag with None -> 0 | Some c -> go c rest)
   in
   go guide path
 

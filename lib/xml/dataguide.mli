@@ -9,11 +9,17 @@ type t
 
 val empty : t
 
-(** [add_path guide path] inserts one source path (root tag first). *)
+(** [add_path guide path] counts one more node with source path [path]
+    (root tag first), adding the path if it is new. *)
 val add_path : t -> string list -> t
 
+(** [remove_path guide path] counts one node fewer on [path]; the path
+    leaves the guide with its last node.
+    @raise Invalid_argument if no node has that path. *)
+val remove_path : t -> string list -> t
+
 (** [of_tree tree] builds the DataGuide of all source paths in
-    [tree]. *)
+    [tree], counting the elements on each. *)
 val of_tree : Types.tree -> t
 
 (** [find_child guide tag] descends one level. *)
@@ -31,6 +37,9 @@ val all_paths : t -> string list list
 
 (** [mem_path guide path] — does [path] (root tag first) occur? *)
 val mem_path : t -> string list -> bool
+
+(** [count guide path] — the nodes counted on [path] (0 if absent). *)
+val count : t -> string list -> int
 
 (** Length of the longest source path. *)
 val max_depth : t -> int

@@ -108,6 +108,15 @@ let suite =
               B.zero xs
           in
           B.equal v (B.of_string (B.to_string v)));
+      q "decimal_length is the length of to_string"
+        (Gen.list_size (Gen.int_range 0 6) (Gen.oneof [ medium; Gen.return 0 ]))
+        (fun xs ->
+          let v =
+            List.fold_left
+              (fun acc x -> B.add (B.mul acc (b 1_000_000_000)) (b x))
+              B.zero xs
+          in
+          B.decimal_length v = String.length (B.to_string v));
       q "add is commutative (big)" (Gen.pair medium medium) (fun (x, y) ->
           let vx = B.mul (b x) (b max_int) and vy = B.mul (b y) (b max_int) in
           B.equal (B.add vx vy) (B.add vy vx));

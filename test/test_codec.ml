@@ -417,6 +417,158 @@ let lookup_gen =
   triple (return keys) bound bound
 
 (* ------------------------------------------------------------------ *)
+(* Index maintenance against a sorted association-list model           *)
+
+module Entry_map = Map.Make (struct
+  type t = Value.t * int
+
+  let compare (v1, p1) (v2, p2) = Pidx.entry_cmp (v1, p1, 0) (v2, p2, 0)
+end)
+
+(* One batch op, resolved against the model when it runs: add rows,
+   remove some of an existing entry's rows, or add and take back the
+   same rows in one batch. *)
+type index_op =
+  | Add of Value.t * int * int
+  | Remove of int * int
+  | Cancel of Value.t * int * int
+
+let model_apply model deltas =
+  List.fold_left
+    (fun m (v, p, d) ->
+      let n = d + Option.value ~default:0 (Entry_map.find_opt (v, p) m) in
+      if n = 0 then Entry_map.remove (v, p) m else Entry_map.add (v, p) n m)
+    model deltas
+
+(* The deltas of [ops] on [model]: removals pick an entry by index and
+   never take more rows than the batch has left it. *)
+let resolve model ops =
+  let m = ref model in
+  List.concat_map
+    (fun op ->
+      let ds =
+        match op with
+        | Add (v, p, n) -> [ (v, p, n) ]
+        | Cancel (v, p, n) -> [ (v, p, n); (v, p, -n) ]
+        | Remove (i, k) -> (
+          match Entry_map.bindings !m with
+          | [] -> []
+          | bs ->
+            let (v, p), n = List.nth bs (i mod List.length bs) in
+            [ (v, p, -(1 + (k mod n))) ])
+      in
+      m := model_apply !m ds;
+      ds)
+    ops
+
+let leaves_of idx =
+  let counters = Blas_rel.Counters.create () in
+  Array.to_list (Pidx.layout idx)
+  |> List.map (fun m -> (m, Pidx.read_leaf idx counters m))
+
+(* Every leaf non-empty, sorted, within its page and described by its
+   directory entry; values never fall from one leaf to the next; the
+   entries are exactly the model's; and a point probe of every value
+   finds exactly its pages. *)
+let index_matches ~format ~capacity idx model =
+  let leaves = leaves_of idx in
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> Pidx.entry_cmp a b < 0 && sorted rest
+    | _ -> true
+  in
+  let value (v, _, _) = v in
+  let rec rising = function
+    | (_, a) :: ((_, b) :: _ as rest) ->
+      Value.compare (value (List.nth a (List.length a - 1))) (value (List.hd b)) <= 0
+      && rising rest
+    | _ -> true
+  in
+  let model_entries = List.map (fun ((v, p), n) -> (v, p, n)) (Entry_map.bindings model) in
+  let pages_of v =
+    List.filter_map
+      (fun (v', p, _) -> if Value.compare v v' = 0 then Some p else None)
+      model_entries
+  in
+  List.for_all
+    (fun ((m : Pidx.meta), es) ->
+      es <> [] && sorted es
+      && Pidx.leaf_bytes ~format es <= capacity
+      && Value.compare m.m_first (value (List.hd es)) = 0
+      && m.m_entries = List.length es
+      && m.m_rows = List.fold_left (fun a (_, _, n) -> a + n) 0 es)
+    leaves
+  && rising leaves
+  && List.sort Pidx.entry_cmp (List.concat_map snd leaves) = model_entries
+  && List.for_all
+       (fun (v, _, _) ->
+         List.sort_uniq compare
+           (Pidx.lookup_pages idx (Blas_rel.Counters.create ()) ~lo:(Some v) ~hi:(Some v))
+         = List.sort_uniq compare (pages_of v))
+       model_entries
+
+let raises_invalid f = match f () with exception Invalid_argument _ -> true | _ -> false
+
+(* [Pidx.apply] keeps the index equal to the model through random
+   batches; a count driven negative and a delete of a missing entry
+   raise before anything changes. *)
+let maintenance_law ((format, rows), batches) =
+  let capacity = 256 in
+  let store =
+    if rows then
+      Blas_rel.Page_store.memory ~pool_capacity:4
+        ~page_size:(capacity + Blas_disk.Pager.header_bytes) ~codec:format ()
+    else bytes_store format
+  in
+  let idx = Pidx.create ~store ~name:"x.k" ~leaves:[||] in
+  let counters = Blas_rel.Counters.create () in
+  let model =
+    List.fold_left
+      (fun model ops ->
+        match model with
+        | None -> None
+        | Some model ->
+          let deltas = resolve model ops in
+          Pidx.apply idx counters deltas;
+          let model = model_apply model deltas in
+          if index_matches ~format ~capacity idx model then Some model else None)
+      (Some Entry_map.empty) batches
+  in
+  match model with
+  | None -> false
+  | Some model -> (
+    let before = leaves_of idx in
+    let missing = (Value.Str "not-a-key", 0, -1) in
+    raises_invalid (fun () -> Pidx.apply idx counters [ missing ])
+    && (match Entry_map.min_binding_opt model with
+       | None -> true
+       | Some ((v, p), n) ->
+         raises_invalid (fun () -> Pidx.apply idx counters [ (v, p, -(n + 1)) ]))
+    && leaves_of idx = before)
+
+let maintenance_gen =
+  let open QCheck2.Gen in
+  let value =
+    frequency
+      [
+        (3, map (fun i -> Value.Int i) (int_range 0 9));
+        (2, map (fun s -> Value.Str s) (oneofl [ "a"; "b"; "mid"; String.make 40 'z' ]));
+        (1, return Value.Null);
+      ]
+  in
+  let page = int_range 0 150 in
+  let op =
+    frequency
+      [
+        (4, map3 (fun v p n -> Add (v, p, n)) value page (int_range 1 3));
+        (3, map2 (fun i k -> Remove (i, k)) nat nat);
+        (1, map3 (fun v p n -> Cancel (v, p, n)) value page (int_range 1 3));
+      ]
+  in
+  pair
+    (pair (oneofl [ Codec.V1; Codec.V2 ]) bool)
+    (list_size (int_range 1 6) (list_size (int_range 0 120) op))
+
+(* ------------------------------------------------------------------ *)
 (* v2 database coherence vs the in-memory shadow under random edits    *)
 
 type edit =
@@ -546,6 +698,8 @@ let suite =
     qtest ~count:300 "v2 select equals filtered decode" select_gen
       (select_law Codec.V2);
     qtest ~count:200 "lookup_pages agrees across codecs" lookup_gen lookup_law;
+    qtest ~count:150 "index maintenance matches a sorted model" maintenance_gen
+      maintenance_law;
     qtest ~count:40 "v2 database coherent with shadow under edits"
       script_gen coherence_law;
   ]
