@@ -208,8 +208,9 @@ let replace t ~at ~by ?changed () =
       end;
       runs.(r).(i) <- n)
     (by :: !spine);
-  (* The first [cut] nodes are new up to the end of [fresh]; after them
-     the old list goes on unchanged. *)
+  (* In start order, the nodes up to the end of [fresh] ([cut] of them)
+     are read from the new runs; after them the old list goes on
+     unchanged and is shared. *)
   let before = ref 0 in
   for r = 0 to ra - 1 do
     before := !before + Array.length old.(r)

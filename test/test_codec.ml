@@ -469,7 +469,9 @@ let leaves_of idx =
 (* Every leaf non-empty, sorted, within its page and described by its
    directory entry; values never fall from one leaf to the next; the
    entries are exactly the model's; and a point probe of every value
-   finds exactly its pages. *)
+   finds exactly its pages.  The entries are compared sorted: a new
+   page of a value that spans leaves joins the last leaf that can hold
+   the value, so across leaves only values are in order, not pages. *)
 let index_matches ~format ~capacity idx model =
   let leaves = leaves_of idx in
   let rec sorted = function
