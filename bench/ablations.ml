@@ -222,63 +222,8 @@ let selection_kinds () =
       rows;
     }
 
-(* ------------------------------------------------------------------ *)
-(* 5. getNext (classic TwigStack) vs global-merge stack filter: both
-   read every stream element, but getNext skips elements that provably
-   join nothing, shrinking the candidate sets the semijoin passes
-   process. *)
-
-let twig_algorithms () =
-  Bench_util.heading
-    "Ablation: classic getNext TwigStack vs global-merge stack filter";
-  let storage = Datasets.auction_x20 () in
-  let rows =
-    List.map
-      (fun (id, qs) ->
-        let query = Blas.query qs in
-        let patterns =
-          List.map
-            (Blas.Engine_twig.pattern_of_branch storage
-               (Blas_rel.Counters.create ()))
-            (Blas.decompose storage Blas.Pushup query)
-        in
-        (* One join per union branch over the prebuilt streams: the
-           timing covers the join algorithm alone. *)
-        let run join =
-          Bench_util.measure ~repetitions:5 (fun () ->
-              List.fold_left
-                (fun (starts, candidates) pattern ->
-                  let s, (stats : Blas_twig.Twig_stack.stats) = join pattern in
-                  (List.rev_append s starts, candidates + stats.candidates))
-                ([], 0) patterns
-              |> fun (starts, candidates) ->
-              (List.sort_uniq Stdlib.compare starts, candidates))
-        in
-        let (classic, classic_candidates), t_classic =
-          run Blas_twig.Twig_stack_classic.run
-        in
-        let (merge, merge_candidates), t_merge = run Blas_twig.Twig_stack.run in
-        [
-          id;
-          Bench_util.seconds t_classic;
-          Bench_util.thousands classic_candidates;
-          Bench_util.seconds t_merge;
-          Bench_util.thousands merge_candidates;
-          (if classic = merge then "yes" else "NO");
-        ])
-      (Bench_queries.auction_novalue @ Bench_queries.benchmark)
-  in
-  Bench_util.print_table
-    {
-      Bench_util.header =
-        [ "query"; "classic (s)"; "candidates"; "merge (s)"; "candidates";
-          "same answer" ];
-      rows;
-    }
-
 let all () =
   clustering ();
   level_gaps ();
   join_algorithm ();
-  selection_kinds ();
-  twig_algorithms ()
+  selection_kinds ()

@@ -523,25 +523,21 @@ let run () query_string translator engine verify show_limit as_xml explain
       dt plan_desc report.visited report.plan_djoins;
     if show_stats then
       Format.printf "counters: %a@." Blas_rel.Counters.pp report.counters;
-    let by_start =
-      List.map
-        (fun (n : Blas_xpath.Doc.node) -> (n.start, n))
-        (Blas.Storage.doc storage).Blas_xpath.Doc.all
-    in
-    let nav = if explain then Some (Blas.Nav.of_storage storage) else None in
+    (* Only the shown answers are looked up: on a database the first
+       lookup builds the document model (a full SD scan), so a run that
+       shows nothing never builds it. *)
     List.iteri
       (fun i start ->
         if i < show_limit then
-          match List.assoc_opt start by_start with
+          match Blas.node_at storage start with
           | Some node ->
             if as_xml then
               print_endline (Blas_xml.Printer.compact (Blas_xpath.Doc.subtree node))
             else begin
               Printf.printf "  %d: <%s> %s\n" start node.Blas_xpath.Doc.tag
                 (match node.data with Some d -> Printf.sprintf "%S" d | None -> "");
-              match nav with
-              | Some nav -> Printf.printf "      at %s\n" (Blas.Nav.context nav start)
-              | None -> ()
+              if explain then
+                Printf.printf "      at /%s\n" (String.concat "/" node.source_path)
             end
           | None -> Printf.printf "  %d\n" start
         else if i = show_limit then print_endline "  ...")

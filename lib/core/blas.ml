@@ -16,10 +16,7 @@ module Decompose = Decompose
 module Translate = Translate
 module Baseline = Baseline
 module Engine_twig = Engine_twig
-module Collection = Collection
 module Cost = Cost
-module Nav = Nav
-module Sax_index = Sax_index
 module Update = Update
 module Par = Blas_par.Pool
 module Cache = Qcache

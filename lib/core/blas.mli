@@ -16,20 +16,17 @@ module Decompose = Decompose
 module Translate = Translate
 module Baseline = Baseline
 module Engine_twig = Engine_twig
-module Collection = Collection
 module Cost = Cost
-module Nav = Nav
-module Sax_index = Sax_index
 
 (** Incremental updates: insert/delete subtrees, replace text values —
     in place, with label maintenance (see {!Update}). *)
 module Update = Update
 
 (** The domain pool behind parallel execution ([-j N]): create one with
-    [Par.create ~domains:n] and pass it to {!run} / {!run_union} /
-    {!Collection.run}.  Parallel runs return exactly the sequential
-    answer set and counter totals (page reads aside, which depend on
-    buffer-pool interleaving). *)
+    [Par.create ~domains:n] and pass it to {!run} / {!run_union}.
+    Parallel runs return exactly the sequential answer set and counter
+    totals (page reads aside, which depend on buffer-pool
+    interleaving). *)
 module Par = Blas_par.Pool
 
 (** The query cache (whole-query result memo and P-interval scan
@@ -136,12 +133,12 @@ val plan_for :
   Storage.t -> translator -> Blas_xpath.Ast.t -> Blas_rel.Algebra.plan option
 
 (** Translate and execute — the one query pipeline: every other entry
-    point ({!run_analyze}, {!run_union}, {!answers}, {!Collection.run})
-    goes through it.  With an enabled [tracer] the run is recorded as a
-    [query] span over its lifecycle phases.  With a multi-domain
-    [pool] the execute phase fans out (union branches, join sides,
-    partitioned D-joins, chunked index fetches); answers and counter
-    totals match the sequential run.
+    point ({!run_analyze}, {!run_union}, {!answers}) goes through it.
+    With an enabled [tracer] the run is recorded as a [query] span over
+    its lifecycle phases.  With a multi-domain [pool] the execute phase
+    fans out (union branches, join sides, partitioned D-joins, chunked
+    index fetches); answers and counter totals match the sequential
+    run.
 
     [?cache] overrides the storage's cache switch for this run only
     ([Some false] forces a cold reference run without flushing the
@@ -223,7 +220,8 @@ val union_report : report list -> report
 
 val oracle_union : Storage.t -> Blas_xpath.Ast.t list -> int list
 
-(** The document node behind an answer position. *)
+(** The document node behind an answer position.  On a disk-backed
+    storage the first call builds the document model (a full SD scan). *)
 val node_at : Storage.t -> int -> Blas_xpath.Doc.node option
 
 (** [materialize storage starts] rebuilds the answer subtrees in

@@ -1,7 +1,7 @@
 (** The file-system / holistic-twig-join engine (Figure 6's second
     engine alternative): suffix-path subqueries become P-label range
     scans that feed D-label streams into the getNext holistic twig join
-    ({!Blas_twig.Twig_stack_classic}).
+    ({!Blas_twig.Twig_stack}).
 
     A decomposition with several union branches (Unfold) runs one twig
     join per branch and unites the answers; the paper's prototype did
@@ -135,7 +135,7 @@ let stream_wrap collector ~label f =
     f
 
 (** [run ?pool ?collector counters joins] runs each join with the
-    paper's getNext algorithm ({!Blas_twig.Twig_stack_classic}) and
+    paper's getNext algorithm ({!Blas_twig.Twig_stack}) and
     unites the answers (sorted start positions).  "Visited elements",
     the cost the paper's figures report, is what the streams read from
     storage before any value filtering: [counters.tuples_read]. *)
@@ -148,7 +148,7 @@ let run ?(cancel = ignore) ?pool ?collector counters joins =
       let wrap = match collector with None -> no_wrap | Some c -> stream_wrap c in
       let pattern = j.build ~wrap counters in
       cancel ();
-      fst (Blas_twig.Twig_stack_classic.run pattern)
+      fst (Blas_twig.Twig_stack.run pattern)
     in
     match collector with
     | None -> join ()

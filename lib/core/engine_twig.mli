@@ -1,7 +1,7 @@
 (** The file-system / holistic-twig-join engine (the paper's second
     engine alternative): suffix-path subqueries become P-label range
     scans feeding D-label streams into the getNext holistic twig join
-    ({!Blas_twig.Twig_stack_classic}).
+    ({!Blas_twig.Twig_stack}).
 
     A decomposition with several union branches (Unfold) runs one twig
     join per branch and unites the answers; the paper's prototype did
@@ -48,7 +48,7 @@ val branch_joins :
   join list
 
 (** [run ?pool ?collector counters joins] runs each join with the
-    paper's getNext algorithm ({!Blas_twig.Twig_stack_classic}),
+    paper's getNext algorithm ({!Blas_twig.Twig_stack}),
     charging [counters], and returns the united answers (start
     positions, sorted, unique).  [counters.tuples_read] is then the
     visited-element count of Figures 14-18: stream elements read

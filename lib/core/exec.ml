@@ -1,7 +1,6 @@
 (** The one query pipeline (the paper's Figure 6: translator, then
-    engine), shared by the {!Blas} facade and {!Collection}.  See
-    {!Blas} for the user-facing documentation of these types and
-    functions.
+    engine) behind the {!Blas} facade.  See {!Blas} for the
+    user-facing documentation of these types and functions.
 
     Observability: every run can be traced ({!run}'s [?tracer] wraps the
     translate / compile / execute phases in {!Blas_obs.Trace} spans),

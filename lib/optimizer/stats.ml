@@ -48,7 +48,7 @@ let bucket_of n =
   let rec bits b n = if n = 0 then b else bits (b + 1) (n lsr 1) in
   if n <= 0 then 0 else bits 0 n
 
-(* Collection runs inside the bulk-load budget, so histograms
+(* Statistics collection runs inside the bulk-load budget, so histograms
    accumulate into a flat bucket array (one per possible bit width)
    instead of hashing per node. *)
 let hist_buckets = 64

@@ -38,7 +38,7 @@ val collect : ?seed:int -> ?epoch:int -> ?sample_size:int -> node_view list -> t
 
 val seed : t -> int
 
-(** Collection epoch: bumped by the owner on every resample, so cached
+(** Statistics epoch: bumped by the owner on every resample, so cached
     plans keyed by it die when the statistics change. *)
 val epoch : t -> int
 

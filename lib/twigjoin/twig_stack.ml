@@ -1,20 +1,23 @@
-(** A holistic twig join over {!Pattern} trees, reconstructing the
-    engine of Bruno, Koudas & Srivastava (SIGMOD 2002) that the paper
-    uses as its second query engine.
+(** A holistic twig join over {!Pattern} trees: TwigStack as Bruno,
+    Koudas & Srivastava (SIGMOD 2002, Algorithm 2) formulate it, driven
+    by [getNext] — the engine the paper uses as its second query
+    engine.
 
-    The algorithm runs in two linear phases:
+    The algorithm runs in two phases:
 
-    {b Phase 1 — stack filter.}  All streams are merged in global
-    [start] order.  Each pattern node keeps a stack of its currently
-    open intervals; an element is pushed (and recorded as a candidate)
-    only when its parent's stack is non-empty after popping closed
-    intervals — the push discipline of PathStack/TwigStack.  Elements
-    with no open potential ancestor are discarded on the spot.  Unlike
-    the original getNext formulation we do not skip ahead within
-    streams, so every stream element is read exactly once; the "visited
-    elements" metric of the paper's figures is the total stream length
-    either way, and the candidate sets differ only by TwigStack's
-    look-ahead pruning (DESIGN.md discusses the substitution).
+    {b Phase 1 — getNext.}  Instead of merging all streams in global
+    start order, [getNext] chooses the next stream to advance and
+    {e skips} head elements that provably participate in no solution —
+    an element of an internal node is advanced over while its interval
+    ends before the latest child head begins ([nextR(q) < nextL(qmax)]),
+    since sorted streams guarantee no entry of that child can fall
+    inside it.  An element is pushed (and recorded as a candidate) only
+    when its parent's stack is non-empty after popping closed intervals.
+    For ancestor-descendant-only patterns every pushed element
+    participates in a solution (the paper's optimality theorem); with
+    child (exact-gap) edges the push set is a superset, exactly as in
+    the original.  Skipping still reads each element, so the "visited
+    elements" metric of the paper's figures is the total stream length.
 
     {b Phase 2 — semijoin passes.}  A bottom-up sweep keeps a candidate
     alive iff every pattern child has an alive candidate below it
@@ -27,79 +30,142 @@
 
 type stats = {
   visited : int;  (** total stream elements read *)
-  candidates : int;  (** elements surviving the phase-1 stack filter *)
+  candidates : int;  (** elements pushed in phase 1 *)
   results : int;
 }
 
+(* A pushed element; the semijoin passes toggle [alive] and use [mark]
+   as scratch space. *)
 type cand = { entry : Entry.t; mutable alive : bool; mutable mark : bool }
 
 type node_state = {
   pattern : Pattern.node;
-  children : node_state list;
-  mutable cands : cand array;  (** phase-1 survivors, sorted by start *)
+  mutable children : node_state list;
+  mutable parent : node_state option;
+  mutable cursor : int;
+  mutable stack : Entry.t list;
+  mutable pushed : cand list;  (* reverse start order *)
+  mutable cands : cand array;  (* phase-1 survivors, sorted by start *)
 }
 
-let rec build_state (p : Pattern.node) =
-  { pattern = p; children = List.map build_state p.children; cands = [||] }
+let rec build (p : Pattern.node) =
+  let st =
+    {
+      pattern = p;
+      children = [];
+      parent = None;
+      cursor = 0;
+      stack = [];
+      pushed = [];
+      cands = [||];
+    }
+  in
+  st.children <-
+    List.map
+      (fun c ->
+        let child = build c in
+        child.parent <- Some st;
+        child)
+      p.children;
+  st
 
 (* ------------------------------------------------------------------ *)
 (* Phase 1                                                            *)
 
-let phase1 (root_state : node_state) =
-  (* Collect nodes with their parent; the root has none. *)
-  let rec collect parent acc st =
-    let acc = (st, parent) :: acc in
-    List.fold_left (collect (Some st)) acc st.children
-  in
-  let nodes = Array.of_list (List.rev (collect None [] root_state)) in
-  let n = Array.length nodes in
-  let cursors = Array.make n 0 in
-  let stacks : Entry.t list array = Array.make n [] in
-  let out : cand list array = Array.make n [] in
-  let index_of st =
-    let rec go i = if fst nodes.(i) == st then i else go (i + 1) in
-    go 0
-  in
-  let parent_index = Array.map (function _, Some p -> index_of p | _, None -> -1) nodes in
-  let rec step () =
-    (* Pick the non-exhausted stream whose head starts first. *)
-    let best = ref (-1) in
-    for i = 0 to n - 1 do
-      let stream = (fst nodes.(i)).pattern.entries in
-      if cursors.(i) < Array.length stream then
-        let s = stream.(cursors.(i)).start in
-        if !best < 0 || s < (fst nodes.(!best)).pattern.entries.(cursors.(!best)).start
-        then best := i
-    done;
-    if !best >= 0 then begin
-      let i = !best in
-      let entry = (fst nodes.(i)).pattern.entries.(cursors.(i)) in
-      cursors.(i) <- cursors.(i) + 1;
-      let clean j =
-        stacks.(j) <-
-          List.filter (fun (e : Entry.t) -> e.fin > entry.start) stacks.(j)
+let eof st = st.cursor >= Array.length st.pattern.Pattern.entries
+
+let head st = st.pattern.Pattern.entries.(st.cursor)
+
+let next_l st = if eof st then max_int else (head st).Entry.start
+
+let next_r st = if eof st then max_int else (head st).Entry.fin
+
+let advance st = st.cursor <- st.cursor + 1
+
+let is_leaf st = st.children = []
+
+(* Algorithm 2's getNext: returns the node whose head element should be
+   processed next, or an exhausted node when a required subtree has run
+   dry. *)
+let rec get_next st =
+  if is_leaf st then st
+  else begin
+    let rec check = function
+      | [] -> None
+      | c :: rest ->
+        let n = get_next c in
+        if n != c then Some n else check rest
+    in
+    match check st.children with
+    | Some deeper -> deeper
+    | None ->
+      let qmin =
+        List.fold_left
+          (fun acc c -> if next_l c < next_l acc then c else acc)
+          (List.hd st.children) (List.tl st.children)
       in
-      let pushable =
-        if parent_index.(i) < 0 then true
-        else begin
-          clean parent_index.(i);
-          stacks.(parent_index.(i)) <> []
-        end
+      let qmax =
+        List.fold_left
+          (fun acc c -> if next_l c > next_l acc then c else acc)
+          (List.hd st.children) (List.tl st.children)
       in
-      if pushable then begin
-        clean i;
-        stacks.(i) <- entry :: stacks.(i);
-        out.(i) <- { entry; alive = true; mark = false } :: out.(i)
-      end;
-      step ()
-    end
+      (* Skip head elements of st that end before qmax's head begins:
+         no element of qmax's stream can fall inside them. *)
+      while (not (eof st)) && next_r st < next_l qmax do
+        advance st
+      done;
+      if (not (eof st)) && next_l st < next_l qmin then st else qmin
+  end
+
+let clean st upto =
+  st.stack <- List.filter (fun (e : Entry.t) -> e.fin > upto) st.stack
+
+let push st =
+  let entry = head st in
+  st.stack <- entry :: st.stack;
+  st.pushed <- { entry; alive = true; mark = false } :: st.pushed;
+  advance st
+
+let rec nodes st = st :: List.concat_map nodes st.children
+
+(* The main loop runs until every stream is exhausted: even after one
+   node's stream ends, other nodes' later elements can still combine
+   with its recorded candidates, and the semijoin passes need them. *)
+let phase1 root =
+  let all = nodes root in
+  let exists_live () = List.exists (fun st -> not (eof st)) all in
+  let earliest_live () =
+    List.fold_left
+      (fun acc st ->
+        if eof st then acc
+        else
+          match acc with
+          | Some best when next_l best <= next_l st -> acc
+          | _ -> Some st)
+      None all
   in
-  step ();
-  Array.iteri
-    (fun i (st, _) ->
-      (* Candidates were consed in start order, so reverse restores it. *)
-      st.cands <- Array.of_list (List.rev out.(i)))
-    nodes
+  let continue = ref true in
+  while !continue && exists_live () do
+    let q = get_next root in
+    (* getNext's skipping may exhaust streams, including the one it
+       returns; when a required subtree has run dry, fall back to the
+       earliest live stream so its elements still reach the candidate
+       sets (later elements can combine with already-recorded ones). *)
+    let q = if eof q then earliest_live () else Some q in
+    match q with
+    | None -> continue := false
+    | Some q -> (
+      match q.parent with
+      | None ->
+        clean q (next_l q);
+        push q
+      | Some parent ->
+        clean parent (next_l q);
+        clean q (next_l q);
+        if parent.stack <> [] then push q else advance q)
+  done;
+  (* Candidates were consed in start order, so reverse restores it. *)
+  List.iter (fun st -> st.cands <- Array.of_list (List.rev st.pushed)) all
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2                                                            *)
@@ -179,20 +245,12 @@ let rec top_down (st : node_state) =
     of the output node's bindings (sorted, duplicate-free) plus
     statistics. *)
 let run (pattern : Pattern.node) =
-  let root = build_state pattern in
+  let root = build pattern in
   phase1 root;
   bottom_up root;
   top_down root;
-  let rec count st =
-    Array.length st.cands + List.fold_left (fun acc c -> acc + count c) 0 st.children
-  in
-  let candidates = count root in
-  let rec find_output st =
-    if st.pattern.Pattern.is_output then Some st
-    else List.find_map find_output st.children
-  in
   let output =
-    match find_output root with
+    match List.find_opt (fun st -> st.pattern.Pattern.is_output) (nodes root) with
     | Some st -> st
     | None -> invalid_arg "Twig_stack.run: pattern has no output node"
   in
@@ -200,9 +258,15 @@ let run (pattern : Pattern.node) =
     Array.to_list output.cands
     |> List.filter_map (fun c -> if c.alive then Some c.entry.Entry.start else None)
   in
-  ( results,
+  let stats =
     {
       visited = Pattern.visited_elements pattern;
-      candidates;
+      candidates =
+        List.fold_left (fun acc st -> acc + Array.length st.cands) 0 (nodes root);
       results = List.length results;
-    } )
+    }
+  in
+  Twig_log.Log.debug (fun m ->
+      m "twig join %s: visited=%d candidates=%d results=%d"
+        pattern.Pattern.label stats.visited stats.candidates stats.results);
+  (results, stats)

@@ -1,40 +1,20 @@
-(** A holistic twig join over {!Pattern} trees, reconstructing the
-    engine of Bruno, Koudas & Srivastava (SIGMOD 2002) that the paper
-    uses as its second query engine.
+(** A holistic twig join over {!Pattern} trees: TwigStack as Bruno,
+    Koudas & Srivastava (SIGMOD 2002, Algorithm 2) formulate it — the
+    engine the paper uses as its second query engine.
 
-    Two linear phases: a stack filter that merges all streams in global
-    start order and keeps only elements with an open potential ancestor
-    (the PathStack/TwigStack push discipline), then bottom-up and
-    top-down semijoin sweeps over the candidates that leave exactly the
-    elements participating in at least one full embedding.  DESIGN.md
-    discusses the differences from the original getNext formulation. *)
+    Two phases: [getNext] advances the streams selectively, skipping
+    head elements that provably participate in no solution, and pushes
+    an element only while its parent's stack holds an open interval;
+    then bottom-up and top-down semijoin sweeps over the pushed
+    candidates leave exactly the elements participating in at least one
+    full embedding.  The test suite checks the answers against brute
+    force. *)
 
 type stats = {
   visited : int;  (** total stream elements read *)
-  candidates : int;  (** elements surviving the stack filter *)
+  candidates : int;  (** elements pushed in phase 1 *)
   results : int;
 }
-
-(** A phase-1 survivor; the semijoin passes toggle [alive] and use
-    [mark] as scratch space. *)
-type cand = { entry : Entry.t; mutable alive : bool; mutable mark : bool }
-
-(** Pattern tree annotated with candidate sets (sorted by start) —
-    shared with {!Twig_stack_classic}, whose phase 1 fills it
-    differently. *)
-type node_state = {
-  pattern : Pattern.node;
-  children : node_state list;
-  mutable cands : cand array;
-}
-
-(** Bottom-up semijoin: a candidate stays alive iff every pattern child
-    has an alive candidate below it satisfying the edge gap. *)
-val bottom_up : node_state -> unit
-
-(** Top-down semijoin: a candidate stays alive iff an alive parent
-    candidate spans it with the right gap. *)
-val top_down : node_state -> unit
 
 (** [run pattern] executes the twig join; returns the start positions of
     the output node's bindings (sorted, duplicate-free) and statistics.

@@ -13,11 +13,9 @@ let () =
       ("twigjoin", Test_twig.suite);
       ("decompose", Test_decompose.suite);
       ("engines", Test_engines.suite);
-      ("collection", Test_collection.suite);
       ("cost", Test_cost.suite);
       ("optimizer", Test_optimizer.suite);
       ("persist", Test_persist.suite);
-      ("navigation", Test_nav.suite);
       ("update", Test_update.suite);
       ("robustness", Test_robustness.suite);
       ("observability", Test_obs.suite);

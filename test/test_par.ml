@@ -263,39 +263,6 @@ let determinism_tests =
             par_jobs ) )
     fig10
 
-let collection_test =
-  ( "collection fans documents out across domains",
-    fun () ->
-      let open Blas_xml.Types in
-      let doc i =
-        Element
-          ( "r",
-            List.init (i + 2) (fun j ->
-                Element
-                  ( (if j mod 2 = 0 then "a" else "b"),
-                    [ Element ("c", [ Content "x" ]) ] )) )
-      in
-      let coll =
-        Blas.Collection.of_documents
-          (List.init 5 (fun i -> (Printf.sprintf "d%d" i, doc i)))
-      in
-      let q = Blas.query "//a/c" in
-      let seq =
-        Blas.Collection.run coll ~engine:Blas.Rdbms ~translator:Blas.Pushup q
-      in
-      Pool.with_pool ~domains:4 @@ fun pool ->
-      let par =
-        Blas.Collection.run ~pool coll ~engine:Blas.Rdbms ~translator:Blas.Pushup
-          q
-      in
-      Test_util.check_bool "documents in insertion order" true
-        (List.map fst seq = List.map fst par);
-      List.iter2
-        (fun (name, (a : Blas.report)) (_, (b : Blas.report)) ->
-          Test_util.check_int_list (name ^ ": starts") a.Blas.starts
-            b.Blas.starts)
-        seq par )
-
 (* One pool shared by every generated case: spawning domains per qcheck
    case would dominate the test's runtime. *)
 let shared_pool =
@@ -420,5 +387,5 @@ let stress_tests =
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
-    (pool_tests @ determinism_tests @ [ collection_test ] @ stress_tests)
+    (pool_tests @ determinism_tests @ stress_tests)
   @ [ parallel_equals_sequential_prop ]

@@ -129,54 +129,3 @@ let property =
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f) unit_tests @ [ property ]
-
-(* The streaming index generator must emit exactly the rows the tree
-   pipeline stores; registered here since both concern alternate paths
-   into the same storage. *)
-let sax_index_tests =
-  [
-    ( "streaming rows equal the tree pipeline's",
-      fun () ->
-        let tree = Blas_datagen.Protein.generate ~entries:15 () in
-        let xml = Blas_xml.Printer.compact tree in
-        let events = Blas_xml.Sax.events xml in
-        let _table, sp_rows, sd_rows = Blas.Sax_index.relations_of_events events in
-        let storage = Blas.index xml in
-        let sorted rows = List.sort Blas_rel.Tuple.compare rows in
-        let stored table =
-          List.sort Blas_rel.Tuple.compare
-            (Array.to_list (Blas_rel.Relation.tuples (Blas_rel.Table.relation table)))
-        in
-        Test_util.check_bool "sp" true
-          (sorted sp_rows = stored storage.Blas.Storage.sp);
-        Test_util.check_bool "sd" true
-          (sorted sd_rows = stored storage.Blas.Storage.sd) );
-    ( "streaming generator validates its input",
-      fun () ->
-        (match Blas.Sax_index.scan_parameters [] with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected Invalid_argument");
-        let table = Blas_label.Tag_table.create ~tags:[ "a" ] ~height:1 in
-        match
-          Blas.Sax_index.label_events table
-            [ Blas_xml.Types.Start_element ("zzz", []) ]
-        with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected Invalid_argument" );
-  ]
-
-let sax_property =
-  Test_util.qtest ~count:150 "streaming rows equal tree rows on random docs"
-    Test_util.doc_gen (fun tree ->
-      let events = Blas_xml.Sax.events (Blas_xml.Printer.compact tree) in
-      let _, sp_rows, _ = Blas.Sax_index.relations_of_events events in
-      let storage = Blas.index_of_tree tree in
-      List.sort Blas_rel.Tuple.compare sp_rows
-      = List.sort Blas_rel.Tuple.compare
-          (Array.to_list
-             (Blas_rel.Relation.tuples (Blas_rel.Table.relation storage.Blas.Storage.sp))))
-
-let suite =
-  suite
-  @ List.map (fun (n, f) -> Alcotest.test_case n `Quick f) sax_index_tests
-  @ [ sax_property ]

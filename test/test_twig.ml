@@ -167,54 +167,13 @@ let pattern_gen =
   in
   node 0 ~output:true
 
-let classic_unit_tests =
-  List.map
-    (fun (name, f) ->
-      (* Re-run every handcrafted case through the classic getNext
-         implementation by temporarily shadowing the entry point. *)
-      (name ^ " (classic)", f))
-    []
-
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f) unit_tests
-  @ List.map (fun (n, f) -> Alcotest.test_case n `Quick f) classic_unit_tests
   @ [
-      Alcotest.test_case "classic: handcrafted cases agree" `Quick (fun () ->
-          let cases =
-            [
-              mk "a" all_a [ mk ~output:true "b" all_b [] ];
-              mk "a" all_a [ mk ~gap:(Pattern.Exact 1) ~output:true "b" all_b [] ];
-              mk ~output:true "a" all_a [ mk ~gap:(Pattern.Exact 2) "b" all_b [] ];
-              mk ~output:true "a" all_a
-                [
-                  mk ~gap:(Pattern.Exact 1) "b" all_b [];
-                  mk ~gap:(Pattern.Exact 1) "c" [ c1 ] [];
-                ];
-              mk "a" all_a [ mk ~output:true "z" [] [] ];
-              mk "r" [ r_ ] [ mk ~gap:(Pattern.At_least 3) ~output:true "b" all_b [] ];
-            ]
-          in
-          List.iteri
-            (fun i p ->
-              let expected, _ = Twig_stack.run p in
-              let got, _ = Twig_stack_classic.run p in
-              Alcotest.(check (list int)) (Printf.sprintf "case %d" i) expected got)
-            cases);
       Test_util.qtest ~count:300 "twig join matches brute force" pattern_gen
         (fun p ->
           let fast, _ = Twig_stack.run p in
           fast = naive_run p);
-      Test_util.qtest ~count:300 "classic TwigStack matches brute force"
-        pattern_gen (fun p ->
-          let fast, _ = Twig_stack_classic.run p in
-          fast = naive_run p);
-      Test_util.qtest ~count:300
-        "classic candidates never exceed the merge filter's" pattern_gen
-        (fun p ->
-          let _, merge_stats = Twig_stack.run p in
-          let _, classic_stats = Twig_stack_classic.run p in
-          classic_stats.Twig_stack.candidates <= merge_stats.Twig_stack.candidates
-          && classic_stats.visited = merge_stats.visited);
       (* PathStack: full embedding enumeration on linear patterns. *)
       Alcotest.test_case "PathStack enumerates embeddings" `Quick (fun () ->
           (* a(2,9) holds b1(3,4) and b2(6,7 via c); a3(15,18) holds b4. *)

@@ -238,6 +238,20 @@ let suite =
           Pretty.to_string (parse s) = s);
       Test_util.qtest "Doc positions agree with Dlabel.label_tree"
         Test_util.doc_gen doc_positions_agree_with_dlabel;
+      (* [run --explain] prints [source_path] as the answer's context. *)
+      Test_util.qtest "source path is the containing nodes' tags"
+        Test_util.doc_gen (fun tree ->
+          let doc = Doc.of_tree tree in
+          List.for_all
+            (fun (n : Doc.node) ->
+              let chain =
+                List.filter_map
+                  (fun (a : Doc.node) ->
+                    if a.start <= n.start && n.fin <= a.fin then Some a.tag else None)
+                  doc.Doc.all
+              in
+              chain = n.source_path)
+            doc.Doc.all);
       Test_util.qtest "naive eval output is sorted and unique"
         (QCheck2.Gen.pair Test_util.doc_gen (Test_util.query_gen ()))
         (fun (tree, q) ->
