@@ -174,6 +174,16 @@ let suite =
         (fun p ->
           let fast, _ = Twig_stack.run p in
           fast = naive_run p);
+      (* Twig_stack is the classic getNext TwigStack: besides its answers,
+         its statistics must be consistent — phase 1 pushes no more
+         elements than the streams hold, and [results] counts the answers. *)
+      Test_util.qtest ~count:300 "classic TwigStack matches brute force"
+        pattern_gen (fun p ->
+          let fast, stats = Twig_stack.run p in
+          fast = naive_run p
+          && stats.Twig_stack.results = List.length fast
+          && stats.candidates <= stats.visited
+          && stats.visited = Pattern.visited_elements p);
       (* PathStack: full embedding enumeration on linear patterns. *)
       Alcotest.test_case "PathStack enumerates embeddings" `Quick (fun () ->
           (* a(2,9) holds b1(3,4) and b2(6,7 via c); a3(15,18) holds b4. *)
