@@ -533,12 +533,11 @@ let run () query_string translator engine verify show_limit as_xml explain
           | Some node ->
             if as_xml then
               print_endline (Blas_xml.Printer.compact (Blas_xpath.Doc.subtree node))
-            else begin
+            else
               Printf.printf "  %d: <%s> %s\n" start node.Blas_xpath.Doc.tag
                 (match node.data with Some d -> Printf.sprintf "%S" d | None -> "");
-              if explain then
-                Printf.printf "      at /%s\n" (String.concat "/" node.source_path)
-            end
+            if explain then
+              Printf.printf "      at /%s\n" (String.concat "/" node.source_path)
           | None -> Printf.printf "  %d\n" start
         else if i = show_limit then print_endline "  ...")
       report.starts;

@@ -47,11 +47,13 @@ let item_leaf_tag (item : Suffix_query.item) =
   | [] -> ""
 
 (* (scanned, selected) for one item: the P-interval population from the
-   path cardinalities, scaled by the predicate's sampled selectivity. *)
+   statistics' counted DataGuide, scaled by the predicate's sampled
+   selectivity. *)
 let estimate_item stats (item : Suffix_query.item) =
   let card =
     float_of_int
-      (Blas_optimizer.Stats.suffix_card stats
+      (Blas_xml.Dataguide.suffix_count
+         (Blas_optimizer.Stats.guide stats)
          ~absolute:item.path.Blas_label.Plabel.absolute
          ~tags:item.path.Blas_label.Plabel.tags)
   in

@@ -6,10 +6,11 @@
     superblock whose root blob points at the catalog chain; every other
     page is either an SP/SD data page (a {!Blas_rel.Codec} tuple run), a
     {!Blas_rel.Paged_index} leaf, a catalog chain page, or free.  The
-    catalog — tag inventory, dataguide paths, free list, clustered page
-    directories and index leaf directories — is small and fully
-    resident, so opening a database reads only the superblock and the
-    chain; everything else is paged in on demand through the
+    catalog — tag inventory, dataguide paths with their node counts,
+    free list, clustered page directories, index leaf directories and
+    the optimizer's statistics blob — is small and fully resident, so
+    opening a database reads only the superblock and the chain;
+    everything else is paged in on demand through the
     {!Blas_rel.Buffer_pool}.
 
     Transactions are no-steal/force-to-WAL: table edits accumulate as
@@ -51,14 +52,15 @@ let looks_like_db = Pager.looks_like_db
 (* Catalog codec                                                      *)
 
 (* v1 had no statistics blob; v2 appends one; v3 appends the page-codec
-   id after the statistics blob.  Decode accepts all three, so every
-   older database file still opens (reading the v1 codec and, pre-v2,
-   no statistics).  Encode emits the OLDEST version that can represent
-   the file: a v1-codec database still writes a version-2 catalog, byte
-   identical to what previous builds produced, so files made with the
-   default codec remain readable by older binaries. *)
+   id after it; v4 stores each dataguide path's node count beside the
+   path, always writes the codec id, and carries the slimmer statistics
+   blob (reservoirs only — the counts are the guide's).  Every file
+   writes v4.  Decode accepts all four: an older catalog has no counts,
+   so its guide and statistics are rebuilt from the document model at
+   open (see [install]), and its statistics blob is skipped unread. *)
 let cat_version_stats = 2
 let cat_version_codec = 3
+let cat_version_counts = 4
 
 type tlayout = {
   l_dir : Table.dir_entry array;
@@ -68,11 +70,13 @@ type tlayout = {
 type cat = {
   c_height : int;
   c_tags : string list;
-  c_paths : string list list;
+  c_guide : Dataguide.t option;
+      (** the counted dataguide (v4+); [None] for an older catalog, whose
+          paths carry no counts *)
   c_free : int list;  (** recorded before chain placement; see below *)
   c_sp : tlayout;
   c_sd : tlayout;
-  c_stats : string option;  (** optimizer statistics blob (v2+) *)
+  c_stats : string option;  (** optimizer statistics blob (v4+) *)
   c_codec : Codec.format;  (** page codec for data pages and leaves (v3+) *)
 }
 
@@ -126,48 +130,51 @@ let read_layout r =
 
 let encode_catalog ~table ~guide ~free ~sp ~sd ~stats ~codec =
   let buf = Buffer.create 4096 in
-  Wire.write_u8 buf
-    (match codec with
-    | Codec.V1 -> cat_version_stats
-    | Codec.V2 -> cat_version_codec);
+  Wire.write_u8 buf cat_version_counts;
   Wire.write_varint buf (Tag_table.height table);
   let tags = Tag_table.tags table in
   Wire.write_varint buf (List.length tags);
   List.iter (Wire.write_string buf) tags;
-  let paths = Dataguide.all_paths guide in
+  let paths = Dataguide.path_counts guide in
   Wire.write_varint buf (List.length paths);
   List.iter
-    (fun path ->
+    (fun (path, n) ->
       Wire.write_varint buf (List.length path);
-      List.iter (Wire.write_string buf) path)
+      List.iter (Wire.write_string buf) path;
+      Wire.write_varint buf n)
     paths;
   Wire.write_varint buf (List.length free);
   List.iter (Wire.write_varint buf) free;
   encode_layout buf sp;
   encode_layout buf sd;
   Wire.write_string buf (Option.value ~default:"" stats);
-  (match codec with
-  | Codec.V1 -> ()
-  | Codec.V2 -> Wire.write_u8 buf (Codec.format_id codec));
+  Wire.write_u8 buf (Codec.format_id codec);
   Buffer.contents buf
 
 let decode_catalog body =
   let r = Wire.reader body in
   let v = Wire.read_u8 r in
-  if v < 1 || v > cat_version_codec then
+  if v < 1 || v > cat_version_counts then
     corrupt "unsupported catalog version %d" v;
   let c_height = Wire.read_varint r in
   let c_tags = List.init (Wire.read_varint r) (fun _ -> Wire.read_string r) in
-  let c_paths =
+  let counted = v >= cat_version_counts in
+  let paths =
     List.init (Wire.read_varint r) (fun _ ->
-        List.init (Wire.read_varint r) (fun _ -> Wire.read_string r))
+        let path = List.init (Wire.read_varint r) (fun _ -> Wire.read_string r) in
+        (path, if counted then Wire.read_varint r else 0))
   in
+  let c_guide = if counted then Some (Dataguide.of_path_counts paths) else None in
   let c_free = List.init (Wire.read_varint r) (fun _ -> Wire.read_varint r) in
   let c_sp = read_layout r in
   let c_sd = read_layout r in
   let c_stats =
     if v < cat_version_stats then None
-    else match Wire.read_string r with "" -> None | s -> Some s
+    else
+      match Wire.read_string r with
+      | "" -> None
+      | _ when not counted -> None
+      | s -> Some s
   in
   let c_codec =
     if v < cat_version_codec then Codec.V1
@@ -176,7 +183,7 @@ let decode_catalog body =
       | f -> f
       | exception Failure msg -> raise (Corrupt msg)
   in
-  { c_height; c_tags; c_paths; c_free; c_sp; c_sd; c_stats; c_codec }
+  { c_height; c_tags; c_guide; c_free; c_sp; c_sd; c_stats; c_codec }
 
 (* ------------------------------------------------------------------ *)
 (* Catalog chain: the body split over linked pages.  Each chain page
@@ -290,17 +297,25 @@ let install db (storage : Storage.t) (cat, chain) =
   db.free <- List.filter (fun p -> not (List.mem p chain)) cat.c_free;
   storage.Storage.table <-
     Tag_table.create ~tags:cat.c_tags ~height:cat.c_height;
-  storage.Storage.guide <-
-    List.fold_left Dataguide.add_path Dataguide.empty cat.c_paths;
   storage.Storage.sp <- mk_table db Layout.sp cat.c_sp;
   storage.Storage.sd <- mk_table db Layout.sd cat.c_sd;
-  (* A blob that fails to decode costs only the optimizer its
-     statistics — never the open. *)
-  Storage.set_ostats storage
-    (Option.bind cat.c_stats (fun s ->
-         match Blas_optimizer.Stats.of_string s with
-         | stats -> Some stats
-         | exception Invalid_argument _ -> None))
+  match cat.c_guide with
+  | Some guide ->
+    storage.Storage.guide <- guide;
+    (* A blob that fails to decode costs only the optimizer its
+       statistics — never the open. *)
+    Storage.set_ostats storage
+      (Option.bind cat.c_stats (fun s ->
+           match Blas_optimizer.Stats.of_string ~guide s with
+           | stats -> Some stats
+           | exception Invalid_argument _ -> None))
+  | None ->
+    (* A catalog older than v4 keeps no counts: build the document model
+       once (an SD scan), which counts every path, and collect fresh
+       statistics from it.  The next commit writes both down. *)
+    let doc = Storage.doc storage in
+    Storage.set_doc storage doc;
+    Storage.set_ostats storage (Some (Storage.collect_ostats doc))
 
 (* ------------------------------------------------------------------ *)
 (* Catalog writer (inside a transaction)                              *)
@@ -339,8 +354,8 @@ let reload db =
   | None -> ()
   | Some storage ->
     Pool.flush db.pool;
-    install db storage (read_catalog db.store);
     Storage.drop_doc storage;
+    install db storage (read_catalog db.store);
     Qcache.invalidate (Storage.cache storage) ~full:true ~schema_changed:true
       ~plabels:[]
 

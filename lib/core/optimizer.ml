@@ -109,9 +109,9 @@ let note_update storage (r : Blas_update.Update_engine.report) =
   | Some stats ->
     if r.table_rebuilt || r.invalidation.inv_full then refresh storage
     else begin
-      (* Relabelings move D-labels but change no tag, path, fan-out or
-         value population, so only structural/text churn ages the
-         sample; every edit touches at least one node. *)
+      (* Relabelings move D-labels but change no path or value
+         population, so only structural/text churn ages the statistics'
+         guide and sample; every edit touches at least one node. *)
       Stats.note_edits stats (max 1 (r.nodes_inserted + r.nodes_deleted));
       if Stats.is_stale stats then refresh storage
     end

@@ -54,8 +54,6 @@ let clear t =
   Lru.clear t.scans;
   t.epoch <- t.epoch + 1
 
-let schema_epoch t = t.epoch
-
 let stats_epoch t = t.stats_epoch
 
 let bump_stats_epoch t = t.stats_epoch <- t.stats_epoch + 1

@@ -50,10 +50,8 @@ val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 (** Flushes every layer (counts as invalidations) and advances the
-    schema epoch. *)
+    schema epoch, part of every result key. *)
 val clear : t -> unit
-
-val schema_epoch : t -> int
 
 (** The statistics epoch, part of every result key: Auto2's picks
     depend on the optimizer statistics, so a resample must orphan the

@@ -156,18 +156,13 @@ let drop_doc t =
    data sets do not fit entirely, as on the paper's machine. *)
 let default_pool_capacity = 1024
 
-(** One-pass optimizer statistics over the labeled nodes (exact tag and
-    path cardinalities, histograms, value reservoirs). *)
+(** One-pass optimizer statistics over the labeled nodes: value
+    reservoirs beside the document's counted DataGuide. *)
 let collect_ostats ?seed ?epoch (doc : Blas_xpath.Doc.t) =
-  Blas_optimizer.Stats.collect ?seed ?epoch
+  Blas_optimizer.Stats.collect ?seed ?epoch ~guide:doc.guide
     (List.map
        (fun (n : Blas_xpath.Doc.node) ->
-         {
-           Blas_optimizer.Stats.nv_tag = n.tag;
-           nv_path = n.source_path;
-           nv_data = n.data;
-           nv_children = List.length n.children;
-         })
+         { Blas_optimizer.Stats.nv_tag = n.tag; nv_data = n.data })
        doc.all)
 
 (** [of_doc doc] builds both relations on an in-memory page store —

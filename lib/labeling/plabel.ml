@@ -130,9 +130,3 @@ let label_tree table tree =
   go (Bignum.zero, Bignum.pred m) [] tree;
   List.rev !acc
 
-(** Proposition 3.2: a node belongs to the answer of suffix path query
-    [q] iff its P-label lies in [q]'s interval. *)
-let node_matches table ~query ~source_path =
-  match suffix_path_interval table query with
-  | None -> false
-  | Some interval -> Interval.mem (node_label table source_path) interval

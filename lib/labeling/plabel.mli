@@ -52,8 +52,3 @@ val label_tree :
   Tag_table.t ->
   Blas_xml.Types.tree ->
   (Bignum.t * string list * Blas_xml.Types.tree) list
-
-(** Proposition 3.2 as a predicate: does the node with [source_path]
-    belong to the answer of [query]? *)
-val node_matches :
-  Tag_table.t -> query:suffix_path -> source_path:string list -> bool

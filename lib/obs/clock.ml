@@ -24,10 +24,6 @@ let now_ns () =
 (** [elapsed_ns since] — nanoseconds from [since] to now (>= 0). *)
 let elapsed_ns since = Int64.sub (now_ns ()) since
 
-let ns_to_ms ns = Int64.to_float ns /. 1e6
-
-let ns_to_s ns = Int64.to_float ns /. 1e9
-
 (** Human-readable duration: picks ns/us/ms/s by magnitude. *)
 let pp_duration ppf ns =
   let f = Int64.to_float ns in

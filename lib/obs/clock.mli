@@ -12,9 +12,5 @@ val elapsed_ns : int64 -> int64
     Monotonicity is still enforced by clamping. *)
 val set_source : (unit -> int64) -> unit
 
-val ns_to_ms : int64 -> float
-
-val ns_to_s : int64 -> float
-
 (** Human-readable duration: picks ns/us/ms/s by magnitude. *)
 val pp_duration : Format.formatter -> int64 -> unit

@@ -1,9 +1,6 @@
-type node_view = {
-  nv_tag : string;
-  nv_path : string list;
-  nv_data : string option;
-  nv_children : int;
-}
+module Dataguide = Blas_xml.Dataguide
+
+type node_view = { nv_tag : string; nv_data : string option }
 
 type reservoir = {
   mutable values : string array;  (* at most capacity entries *)
@@ -14,12 +11,9 @@ type reservoir = {
 type t = {
   st_seed : int;
   st_epoch : int;
-  st_nodes : int;
+  st_guide : Dataguide.t;  (* the counted guide collected against *)
+  st_nodes : int;  (* its total count *)
   st_sample_size : int;
-  st_tags : (string, int) Hashtbl.t;
-  st_paths : (string list * int) list;  (* sorted, exact P-interval widths *)
-  st_fanout : (int * int) list;  (* log2 buckets, sorted by floor *)
-  st_width : (int * int) list;
   st_samples : (string, reservoir) Hashtbl.t;
   st_edits : int Atomic.t;  (* nodes touched by edits since collection *)
 }
@@ -43,56 +37,18 @@ let draw state bound =
   Int64.to_int (Int64.rem (Int64.logand (splitmix state) Int64.max_int)
                   (Int64.of_int bound))
 
-(* 0 for 0, else 1 + floor(log2 n) = the value's bit width. *)
-let bucket_of n =
-  let rec bits b n = if n = 0 then b else bits (b + 1) (n lsr 1) in
-  if n <= 0 then 0 else bits 0 n
-
-(* Statistics collection runs inside the bulk-load budget, so histograms
-   accumulate into a flat bucket array (one per possible bit width)
-   instead of hashing per node. *)
-let hist_buckets = 64
-
-let hist_of_buckets buckets =
-  let acc = ref [] in
-  for b = hist_buckets - 1 downto 0 do
-    if buckets.(b) > 0 then acc := (b, buckets.(b)) :: !acc
-  done;
-  !acc
-
-let hist_of_counts counts =
-  let buckets = Array.make hist_buckets 0 in
-  List.iter
-    (fun c ->
-      let b = bucket_of c in
-      buckets.(b) <- buckets.(b) + 1)
-    counts;
-  hist_of_buckets buckets
-
 let default_sample_size = 64
 
-(* Counters live behind refs so the hot loop hashes each key once per
-   node (find, then increment in place) instead of find + replace. *)
-let bump table key =
-  match Hashtbl.find_opt table key with
-  | Some r -> incr r
-  | None -> Hashtbl.add table key (ref 1)
+(* [tags = []]: the suffix every source path ends in. *)
+let total guide = Dataguide.suffix_count guide ~absolute:false ~tags:[]
 
-let collect ?seed ?(epoch = 0) ?(sample_size = default_sample_size) nodes =
+let collect ?seed ?(epoch = 0) ?(sample_size = default_sample_size) ~guide
+    nodes =
   let seed = match seed with Some s -> s | None -> default_seed () in
   let rng = ref (Int64.of_int seed) in
-  let tags = Hashtbl.create 64 in
-  let paths = Hashtbl.create 64 in
   let samples = Hashtbl.create 64 in
-  let fanouts = Array.make hist_buckets 0 in
-  let count = ref 0 in
   List.iter
     (fun nv ->
-      incr count;
-      bump tags nv.nv_tag;
-      bump paths nv.nv_path;
-      let fb = bucket_of nv.nv_children in
-      fanouts.(fb) <- fanouts.(fb) + 1;
       match nv.nv_data with
       | None -> ()
       | Some v ->
@@ -114,21 +70,12 @@ let collect ?seed ?(epoch = 0) ?(sample_size = default_sample_size) nodes =
             let j = draw rng r.seen in
             if j < sample_size then r.values.(j) <- v)
     nodes;
-  let tag_cards = Hashtbl.create (Hashtbl.length tags) in
-  Hashtbl.iter (fun tag r -> Hashtbl.add tag_cards tag !r) tags;
-  let path_cards =
-    Hashtbl.fold (fun p r acc -> (p, !r) :: acc) paths []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   {
     st_seed = seed;
     st_epoch = epoch;
-    st_nodes = !count;
+    st_guide = guide;
+    st_nodes = total guide;
     st_sample_size = sample_size;
-    st_tags = tag_cards;
-    st_paths = path_cards;
-    st_fanout = hist_of_buckets fanouts;
-    st_width = hist_of_counts (List.map snd path_cards);
     st_samples = samples;
     st_edits = Atomic.make 0;
   }
@@ -138,29 +85,7 @@ let epoch t = t.st_epoch
 let node_count t = t.st_nodes
 let sample_size t = t.st_sample_size
 
-let tag_cards t =
-  Hashtbl.fold (fun tag c acc -> (tag, c) :: acc) t.st_tags []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let tag_card t tag = Option.value ~default:0 (Hashtbl.find_opt t.st_tags tag)
-let path_cards t = t.st_paths
-
-let rec suffix_matches ~suffix path =
-  (* does [path] end in [suffix]? *)
-  let lp = List.length path and ls = List.length suffix in
-  if lp < ls then false
-  else if lp = ls then path = suffix
-  else match path with [] -> false | _ :: rest -> suffix_matches ~suffix rest
-
-let suffix_card t ~absolute ~tags =
-  List.fold_left
-    (fun acc (path, c) ->
-      let hit = if absolute then path = tags else suffix_matches ~suffix:tags path in
-      if hit then acc + c else acc)
-    0 t.st_paths
-
-let width_hist t = t.st_width
-let fanout_hist t = t.st_fanout
+let guide t = t.st_guide
 
 let equals_floor = 0.005
 
@@ -240,40 +165,17 @@ let get_string cur =
   cur.pos <- cur.pos + n;
   s
 
-let magic = "BSTAT1"
+(* BSTAT2: the blob keeps what the catalog's guide does not — seed,
+   epoch, sample size, staleness and the reservoirs. *)
+let magic = "BSTAT2"
 
 let to_string t =
   let b = Buffer.create 1024 in
   Buffer.add_string b magic;
   put_varint b t.st_seed;
   put_varint b t.st_epoch;
-  put_varint b t.st_nodes;
   put_varint b t.st_sample_size;
   put_varint b (edits t);
-  let tags = tag_cards t in
-  put_varint b (List.length tags);
-  List.iter
-    (fun (tag, c) ->
-      put_string b tag;
-      put_varint b c)
-    tags;
-  put_varint b (List.length t.st_paths);
-  List.iter
-    (fun (path, c) ->
-      put_varint b (List.length path);
-      List.iter (put_string b) path;
-      put_varint b c)
-    t.st_paths;
-  let put_hist h =
-    put_varint b (List.length h);
-    List.iter
-      (fun (bk, c) ->
-        put_varint b bk;
-        put_varint b c)
-      h
-  in
-  put_hist t.st_fanout;
-  put_hist t.st_width;
   let samples =
     Hashtbl.fold (fun tag r acc -> (tag, r) :: acc) t.st_samples []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -290,43 +192,15 @@ let to_string t =
     samples;
   Buffer.contents b
 
-let of_string s =
+let of_string ~guide s =
   if String.length s < String.length magic
      || String.sub s 0 (String.length magic) <> magic
   then invalid_arg "Stats.of_string: bad magic";
   let cur = { src = s; pos = String.length magic } in
   let st_seed = get_varint cur in
   let st_epoch = get_varint cur in
-  let st_nodes = get_varint cur in
   let st_sample_size = get_varint cur in
   let edits = get_varint cur in
-  let ntags = get_varint cur in
-  let tags = Hashtbl.create (max 16 ntags) in
-  for _ = 1 to ntags do
-    let tag = get_string cur in
-    let c = get_varint cur in
-    Hashtbl.replace tags tag c
-  done;
-  let npaths = get_varint cur in
-  let paths = ref [] in
-  for _ = 1 to npaths do
-    let len = get_varint cur in
-    let path = List.init len (fun _ -> get_string cur) in
-    let c = get_varint cur in
-    paths := (path, c) :: !paths
-  done;
-  let get_hist () =
-    let n = get_varint cur in
-    let h = ref [] in
-    for _ = 1 to n do
-      let bk = get_varint cur in
-      let c = get_varint cur in
-      h := (bk, c) :: !h
-    done;
-    List.rev !h
-  in
-  let fanout = get_hist () in
-  let width = get_hist () in
   let nsamples = get_varint cur in
   let samples = Hashtbl.create (max 16 nsamples) in
   for _ = 1 to nsamples do
@@ -342,37 +216,25 @@ let of_string s =
   {
     st_seed;
     st_epoch;
-    st_nodes;
+    st_guide = guide;
+    st_nodes = total guide;
     st_sample_size;
-    st_tags = tags;
-    st_paths = List.rev !paths;
-    st_fanout = fanout;
-    st_width = width;
     st_samples = samples;
     st_edits = Atomic.make edits;
   }
 
-let equal a b = String.equal (to_string a) (to_string b)
+let equal a b =
+  String.equal (to_string a) (to_string b)
+  && Dataguide.path_counts a.st_guide = Dataguide.path_counts b.st_guide
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>stats: %d nodes, %d tags, %d paths (seed %#x, epoch %d)@,"
-    t.st_nodes (Hashtbl.length t.st_tags) (List.length t.st_paths) t.st_seed
-    t.st_epoch;
+    t.st_nodes
+    (List.length (Dataguide.distinct_tags t.st_guide))
+    (List.length (Dataguide.all_paths t.st_guide))
+    t.st_seed t.st_epoch;
   Fmt.pf ppf "staleness: %d edits (%.1f%% of nodes, threshold %.0f%%)@,"
     (edits t) (100. *. stale_fraction t) (100. *. stale_threshold);
-  Fmt.pf ppf "tags:@,";
-  List.iter (fun (tag, c) -> Fmt.pf ppf "  %-20s %d@," tag c) (tag_cards t);
-  let pp_hist name h =
-    Fmt.pf ppf "%s:@," name;
-    List.iter
-      (fun (bk, c) ->
-        let lo = if bk = 0 then 0 else 1 lsl (bk - 1) in
-        let hi = if bk = 0 then 0 else (1 lsl bk) - 1 in
-        Fmt.pf ppf "  [%d..%d] %d@," lo hi c)
-      h
-  in
-  pp_hist "P-interval widths" t.st_width;
-  pp_hist "D-range fan-outs" t.st_fanout;
   Fmt.pf ppf "sampled tags:@,";
   List.iter
     (fun tag ->
@@ -384,9 +246,6 @@ let pp ppf t =
 
 let to_json t =
   let open Blas_obs.Json in
-  let hist h =
-    List (List.map (fun (bk, c) -> Obj [ ("bucket", Int bk); ("count", Int c) ]) h)
-  in
   Obj
     [
       ("seed", Int t.st_seed);
@@ -396,7 +255,6 @@ let to_json t =
       ("edits", Int (edits t));
       ("stale_fraction", Float (stale_fraction t));
       ("stale", Bool (is_stale t));
-      ("tags", Obj (List.map (fun (tag, c) -> (tag, Int c)) (tag_cards t)));
       ( "paths",
         List
           (List.map
@@ -405,9 +263,7 @@ let to_json t =
                  [
                    ("path", Str ("/" ^ String.concat "/" path)); ("card", Int c);
                  ])
-             t.st_paths) );
-      ("width_hist", hist t.st_width);
-      ("fanout_hist", hist t.st_fanout);
+             (Dataguide.path_counts t.st_guide)) );
       ( "samples",
         Obj
           (List.map

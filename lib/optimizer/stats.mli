@@ -1,13 +1,13 @@
 (** Sampled document statistics for the cost-based optimizer.
 
-    One pass over the labeled nodes at index time produces everything
-    the planner prices plans with, so the pick itself never probes the
-    data: exact per-tag and per-source-path cardinalities (the P-interval
-    populations — DataGuide path sets are small, so exact counts are
-    cheaper than estimating them), log-scale histograms of P-interval
-    widths and D-range fan-outs (data-shape fingerprints), and a
-    deterministic per-tag reservoir sample of SD text values from which
-    value-predicate selectivities are estimated.
+    Cardinalities have one home: the counted DataGuide
+    ({!Blas_xml.Dataguide}), which holds the exact node count of every
+    source path — each P-interval's population — and stays exact under
+    every edit.  Statistics keep the guide they were collected against
+    (the guide is persistent, so this snapshot costs nothing) and add
+    what the guide does not know: a deterministic per-tag reservoir
+    sample of SD text values, from which value-predicate selectivities
+    are estimated.  The pick itself therefore never probes the data.
 
     Statistics are immutable after collection except for the staleness
     counter: the update subsystem reports how many nodes each edit
@@ -16,14 +16,8 @@
 
 type t
 
-(** What {!collect} reads per element node.  [nv_children] is the
-    element-child count (the D-range fan-out). *)
-type node_view = {
-  nv_tag : string;
-  nv_path : string list;  (** source path, root tag first *)
-  nv_data : string option;
-  nv_children : int;
-}
+(** What {!collect} reads per element node. *)
+type node_view = { nv_tag : string; nv_data : string option }
 
 (** The process-wide default reservoir seed ([--stats-seed]); fixed so
     stats-dependent tests and benches are reproducible by default. *)
@@ -31,10 +25,16 @@ val default_seed : unit -> int
 
 val set_default_seed : int -> unit
 
-(** [collect ?seed ?epoch ?sample_size nodes] — one-pass collection.
-    [seed] defaults to {!default_seed}; [sample_size] is the per-tag
-    reservoir capacity (default 64). *)
-val collect : ?seed:int -> ?epoch:int -> ?sample_size:int -> node_view list -> t
+(** [collect ?seed ?epoch ?sample_size ~guide nodes] — one pass over
+    the nodes counted in [guide].  [seed] defaults to {!default_seed};
+    [sample_size] is the per-tag reservoir capacity (default 64). *)
+val collect :
+  ?seed:int ->
+  ?epoch:int ->
+  ?sample_size:int ->
+  guide:Blas_xml.Dataguide.t ->
+  node_view list ->
+  t
 
 val seed : t -> int
 
@@ -42,31 +42,15 @@ val seed : t -> int
     plans keyed by it die when the statistics change. *)
 val epoch : t -> int
 
+(** The guide's total count: every element node. *)
 val node_count : t -> int
 
 val sample_size : t -> int
 
-(* Cardinalities *)
-
-val tag_cards : t -> (string * int) list
-
-val tag_card : t -> string -> int
-
-(** Per source path (root tag first), sorted; the width of each
-    populated P-interval. *)
-val path_cards : t -> (string list * int) list
-
-(** [suffix_card t ~absolute ~tags] — nodes matched by a suffix path:
-    the sum over source paths that end in [tags] ([absolute] requires
-    equality) of their cardinalities.  Zero for unknown paths. *)
-val suffix_card : t -> absolute:bool -> tags:string list -> int
-
-(* Histograms: [(bucket_floor, count)] with power-of-two buckets,
-   empty buckets omitted.  Bucket floor 0 counts the zero values. *)
-
-val width_hist : t -> (int * int) list
-
-val fanout_hist : t -> (int * int) list
+(** The counted guide the statistics were collected against (or
+    installed with); the planner prices suffix paths with
+    {!Blas_xml.Dataguide.suffix_count} on it. *)
+val guide : t -> Blas_xml.Dataguide.t
 
 (* Value-predicate selectivity *)
 
@@ -101,12 +85,16 @@ val is_stale : t -> bool
 
 (* Serialization and reporting *)
 
+(** Same blob and same guide paths and counts. *)
 val equal : t -> t -> bool
 
+(** The blob: seed, epoch, sample size, staleness and reservoirs.  The
+    guide is not in it — a database catalog stores it beside. *)
 val to_string : t -> string
 
-(** @raise Invalid_argument on a malformed or unsupported blob. *)
-val of_string : string -> t
+(** [of_string ~guide blob] — the statistics of [blob] over [guide].
+    @raise Invalid_argument on a malformed or unsupported blob. *)
+val of_string : guide:Blas_xml.Dataguide.t -> string -> t
 
 val pp : Format.formatter -> t -> unit
 

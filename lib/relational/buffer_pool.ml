@@ -265,11 +265,6 @@ let drop_dirty t =
             doomed))
     t.stripes
 
-let dirty_count t =
-  sum_over t (fun s ->
-      Hashtbl.fold (fun _ node acc -> if node.dirty then acc + 1 else acc)
-        s.table 0)
-
 (** [store_through t ~table ~page data] writes a page straight to the
     backing store (the bulk loader's path), dropping any resident copy;
     counted as one page written. *)

@@ -84,9 +84,6 @@ val flush_dirty : t -> unit
 (** Drop every dirty page without write-back (transaction abort). *)
 val drop_dirty : t -> unit
 
-(** Dirty pages currently resident. *)
-val dirty_count : t -> int
-
 (** Empties the pool; statistics are kept.  Dirty pages are written
     back through the backing store first. *)
 val flush : t -> unit

@@ -47,8 +47,6 @@ let codec t = t.store.Page_store.codec
 
 let has_index t column = List.mem_assoc column t.indexes
 
-let indexed_columns t = List.sort String.compare (List.map fst t.indexes)
-
 let rebuild_seq t =
   let seq = Hashtbl.create (Array.length t.dir * 2) in
   Array.iteri (fun i e -> Hashtbl.replace seq e.de_page i) t.dir;

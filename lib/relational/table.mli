@@ -90,8 +90,6 @@ val cluster_key : t -> string list
 
 val has_index : t -> string -> bool
 
-val indexed_columns : t -> string list
-
 (** Full scan: reads every tuple, in clustered order. *)
 val scan : t -> Counters.t -> Tuple.t list
 

@@ -25,8 +25,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let of_bignum b = Big b
-
 let to_int = function
   | Int i -> i
   | v ->

@@ -13,8 +13,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val of_bignum : Blas_label.Bignum.t -> t
-
 (** @raise Invalid_argument on non-integers. *)
 val to_int : t -> int
 

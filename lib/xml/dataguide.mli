@@ -25,21 +25,32 @@ val of_tree : Types.tree -> t
 (** [find_child guide tag] descends one level. *)
 val find_child : t -> string -> t option
 
-(** Tags of the immediate children, sorted. *)
-val child_tags : t -> string list
-
 (** [fold_children f guide acc] folds [f tag child] over the immediate
     children, in sorted tag order. *)
 val fold_children : (string -> t -> 'a -> 'a) -> t -> 'a -> 'a
 
-(** Every source path, shortest first, each as tags from the root. *)
+(** Every source path, each as tags from the root, in sorted order (a
+    path before its extensions). *)
 val all_paths : t -> string list list
+
+(** Every source path with its count, in {!all_paths} order. *)
+val path_counts : t -> (string list * int) list
+
+(** The inverse of {!path_counts}: the guide with exactly these
+    counts. *)
+val of_path_counts : (string list * int) list -> t
 
 (** [mem_path guide path] — does [path] (root tag first) occur? *)
 val mem_path : t -> string list -> bool
 
 (** [count guide path] — the nodes counted on [path] (0 if absent). *)
 val count : t -> string list -> int
+
+(** [suffix_count guide ~absolute ~tags] — the nodes matched by a
+    suffix path: [count guide tags] if [absolute], else the sum over
+    every source path that ends in [tags] (one walk over the guide;
+    [tags = []] counts every node). *)
+val suffix_count : t -> absolute:bool -> tags:string list -> int
 
 (** Length of the longest source path. *)
 val max_depth : t -> int

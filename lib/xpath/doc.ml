@@ -103,9 +103,6 @@ let descendants node =
   let rec go acc n = List.fold_left (fun acc c -> go (c :: acc) c) acc n.children in
   List.rev (go [] node)
 
-let dlabel node =
-  Blas_label.Dlabel.make ~start:node.start ~fin:node.fin ~level:node.level
-
 (** [data_or_empty n] is the node's text value, with [None] read as "". *)
 let data_or_empty node = Option.value node.data ~default:""
 

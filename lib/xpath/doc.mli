@@ -41,8 +41,6 @@ val node_count : t -> int
 (** Strict descendants, in document order. *)
 val descendants : node -> node list
 
-val dlabel : node -> Blas_label.Dlabel.t
-
 (** The node's text value, with [None] read as [""]. *)
 val data_or_empty : node -> string
 

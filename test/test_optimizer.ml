@@ -2,7 +2,8 @@
     the [Auto2] translator).
 
     Three layers: the statistics themselves (deterministic sampling,
-    exact cardinalities, codec round-trip, catalog persistence), the
+    exact cardinalities from the counted DataGuide, codec round-trip,
+    catalog persistence, older catalogs), the
     pick (statistics-only — no data probes — and internally consistent
     with its own candidate table), and the system behavior (Auto2
     always agrees with the oracle, picks stay sane against measured
@@ -12,6 +13,7 @@
 open Test_util
 module Stats = Blas.Optimizer.Stats
 module Planner = Blas.Optimizer.Planner
+module Dataguide = Blas_xml.Dataguide
 
 let protein = lazy (Blas.index_of_tree (Blas_datagen.Protein.generate ~entries:60 ()))
 
@@ -43,16 +45,20 @@ let test_deterministic_sampling () =
 let test_exact_cardinalities () =
   let storage = Blas.index "<r><a>x</a><b><a>y</a><a/></b><c/></r>" in
   let s = stats_exn storage in
+  let card ~absolute tags = Dataguide.suffix_count (Stats.guide s) ~absolute ~tags in
   check_int "nodes" 6 (Stats.node_count s);
-  check_int "a tag card" 3 (Stats.tag_card s "a");
-  check_int "b tag card" 1 (Stats.tag_card s "b");
-  check_int "missing tag card" 0 (Stats.tag_card s "zzz");
-  check_int "absolute path card" 2
-    (Stats.suffix_card s ~absolute:true ~tags:[ "r"; "b"; "a" ]);
-  check_int "suffix matches both paths" 3
-    (Stats.suffix_card s ~absolute:false ~tags:[ "a" ]);
-  check_int "unknown suffix" 0
-    (Stats.suffix_card s ~absolute:false ~tags:[ "q"; "a" ])
+  check_int "every node" 6 (card ~absolute:false []);
+  check_int "a tag card" 3 (card ~absolute:false [ "a" ]);
+  check_int "b tag card" 1 (card ~absolute:false [ "b" ]);
+  check_int "missing tag card" 0 (card ~absolute:false [ "zzz" ]);
+  check_int "absolute path card" 2 (card ~absolute:true [ "r"; "b"; "a" ]);
+  check_int "absolute prefix only" 0 (card ~absolute:true [ "b"; "a" ]);
+  check_int "suffix matches both paths" 3 (card ~absolute:false [ "a" ]);
+  check_int "two-step suffix" 2 (card ~absolute:false [ "b"; "a" ]);
+  check_int "unknown suffix" 0 (card ~absolute:false [ "q"; "a" ]);
+  check_bool "the storage's own guide" true
+    (Dataguide.path_counts (Stats.guide s)
+    = Dataguide.path_counts (Blas.Storage.guide storage))
 
 let test_selectivity () =
   let storage =
@@ -74,9 +80,10 @@ let test_selectivity () =
 let test_codec_roundtrip () =
   let s = stats_exn (Lazy.force protein) in
   let blob = Stats.to_string s in
-  check_bool "round-trip" true (Stats.equal s (Stats.of_string blob));
+  let guide = Stats.guide s in
+  check_bool "round-trip" true (Stats.equal s (Stats.of_string ~guide blob));
   let raises b =
-    match Stats.of_string b with
+    match Stats.of_string ~guide b with
     | exception Invalid_argument _ -> true
     | _ -> false
   in
@@ -99,6 +106,107 @@ let test_catalog_persistence () =
       let disk = Blas.Database.open_ ~mode:Blas.Database.Ro ~path () in
       let loaded = stats_exn disk in
       check_bool "stats survive the catalog" true (Stats.equal expected loaded))
+
+let path_counts g = Dataguide.path_counts g
+
+(* The resident guide, read before anything forces the document model,
+   against the model's own counted guide. *)
+let check_guide_exact msg storage =
+  let resident = path_counts (Blas.Storage.guide storage) in
+  check_bool (msg ^ ": guide counts equal the model's") true
+    (resident = path_counts (Blas.Storage.doc storage).Blas_xpath.Doc.guide)
+
+let test_opened_guide_is_exact () =
+  with_temp_db (fun path ->
+      let mem = Blas.index "<r><a>x</a><b><a>y</a><a/></b><a>z</a></r>" in
+      Blas.Database.create ~page_size:512 ~path mem;
+      let disk = Blas.Database.open_ ~mode:Blas.Database.Rw ~path () in
+      Fun.protect
+        ~finally:(fun () -> Blas.Storage.close disk)
+        (fun () ->
+          check_int "a path counted past one" 2
+            (Dataguide.count (Blas.Storage.guide disk) [ "r"; "a" ]);
+          check_bool "open builds no document model" false
+            (Blas.Storage.doc_resident disk);
+          check_guide_exact "after open" disk;
+          ignore
+            (Blas.Update.insert_subtree disk ~parent:1 ~pos:0
+               (Blas_xml.Dom.parse "<b><a>new</a></b>"));
+          let victim =
+            List.find
+              (fun (n : Blas_xpath.Doc.node) -> n.tag = "a")
+              (Blas.Storage.doc disk).Blas_xpath.Doc.all
+          in
+          ignore (Blas.Update.delete_subtree disk ~start:victim.start);
+          check_guide_exact "after edits" disk;
+          (* An aborted transaction that had already installed a new
+             model: the reload must bring back the committed counts. *)
+          let d = Option.get (Blas.Storage.disk disk) in
+          (match
+             d.Blas.Storage.dk_with_tx (fun () ->
+                 Blas.Storage.set_doc disk
+                   (Blas_xpath.Doc.of_tree (Blas_xml.Dom.parse "<z><z/></z>"));
+                 failwith "abort")
+           with
+          | _ -> Alcotest.fail "the transaction should have aborted"
+          | exception Failure _ -> ());
+          check_bool "the abort dropped the model" false
+            (Blas.Storage.doc_resident disk);
+          check_guide_exact "after an aborted transaction" disk);
+      let reopened = Blas.Database.open_ ~mode:Blas.Database.Ro ~path () in
+      Fun.protect
+        ~finally:(fun () -> Blas.Storage.close reopened)
+        (fun () -> check_guide_exact "after reopening the edited file" reopened))
+
+(* Databases written before the catalog kept per-path counts (catalog
+   versions 2 and 3, by the v1 and v2 codecs): the open builds the
+   document model once, counts from it and collects fresh statistics;
+   the first commit writes the counts down. *)
+let fixture name =
+  let candidates =
+    [
+      Filename.concat (Filename.dirname Sys.executable_name) ("fixtures/" ^ name);
+      "test/fixtures/" ^ name;
+      "fixtures/" ^ name;
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.failf "fixture %s not found" name
+
+let test_older_catalogs_open () =
+  List.iter
+    (fun name ->
+      with_temp_db (fun path ->
+          In_channel.with_open_bin (fixture name) (fun ic ->
+              Out_channel.with_open_bin path (fun oc ->
+                  Out_channel.output_string oc (In_channel.input_all ic)));
+          let query = Blas.query "//b/a" in
+          let disk = Blas.Database.open_ ~mode:Blas.Database.Rw ~path () in
+          Fun.protect
+            ~finally:(fun () -> Blas.Storage.close disk)
+            (fun () ->
+              check_int (name ^ ": exact count") 2
+                (Dataguide.count (Blas.Storage.guide disk) [ "r"; "a" ]);
+              check_guide_exact name disk;
+              check_bool (name ^ ": statistics collected") true
+                (Blas.Optimizer.stats_of disk <> None);
+              check_int_list (name ^ ": Auto2 answers")
+                (Blas.oracle disk query)
+                (Blas.answers disk ~engine:Blas.Rdbms ~translator:Blas.Auto2
+                   query);
+              ignore (Blas.Update.replace_text disk ~start:1 (Some "t")));
+          let reopened = Blas.Database.open_ ~mode:Blas.Database.Ro ~path () in
+          Fun.protect
+            ~finally:(fun () -> Blas.Storage.close reopened)
+            (fun () ->
+              check_bool (name ^ ": rewritten catalog opens without the model")
+                false
+                (Blas.Storage.doc_resident reopened);
+              check_bool (name ^ ": rewritten catalog keeps statistics") true
+                (Blas.Optimizer.stats_of reopened <> None);
+              check_guide_exact (name ^ " rewritten") reopened)))
+    [ "catalog_v2.blasdb"; "catalog_v3.blasdb" ]
 
 (* ------------------------------------------------------------------ *)
 (* The pick                                                            *)
@@ -240,12 +348,14 @@ let test_update_triggers_resample () =
        (Blas_xml.Types.Element ("zzz", [ Blas_xml.Types.Content "v" ])));
   let s = stats_exn storage in
   check_bool "epoch advanced" true (Stats.epoch s > epoch_before);
-  check_int "new tag counted" 1 (Stats.tag_card s "zzz");
+  check_int "new tag counted" 1
+    (Dataguide.suffix_count (Stats.guide s) ~absolute:false ~tags:[ "zzz" ]);
   check_int "node count tracks the edit" 4 (Stats.node_count s)
 
-(* Random edit scripts: statistics stay coherent — after any script,
-   a refresh equals a from-scratch collection over the live document,
-   and the refreshed cardinalities are exact. *)
+(* Random edit scripts: cardinalities stay coherent — after any
+   script the storage's guide counts exactly what a DataGuide built
+   from the live tree counts, and a refresh equals a from-scratch
+   collection over the live document. *)
 type edit =
   | Insert of int * int * Blas_xml.Types.tree
   | Delete of int
@@ -293,27 +403,26 @@ let prop_stats_coherent_under_edits =
     (fun (doc, edits) ->
       let storage = Blas.index_of_tree doc in
       List.iter (apply_edit storage) edits;
+      let live = Blas.Storage.doc storage in
+      let oracle =
+        path_counts
+          (Dataguide.of_tree (Blas_xpath.Doc.subtree live.Blas_xpath.Doc.root))
+      in
+      let guide_exact = path_counts (Blas.Storage.guide storage) = oracle in
       Blas.Optimizer.refresh storage;
       let s =
         match Blas.Optimizer.stats_of storage with
         | Some s -> s
         | None -> QCheck2.Test.fail_report "stats lost across edits"
       in
-      let live = Blas.Storage.doc storage in
       let scratch =
         Blas.Storage.collect_ostats ~seed:(Stats.seed s) ~epoch:(Stats.epoch s)
           live
       in
-      Stats.equal s scratch
-      && Stats.node_count s = Blas_xpath.Doc.node_count live
-      && List.for_all
-           (fun tag ->
-             Stats.tag_card s tag
-             = List.length
-                 (List.filter
-                    (fun (n : Blas_xpath.Doc.node) -> n.tag = tag)
-                    live.Blas_xpath.Doc.all))
-           (Array.to_list tags))
+      guide_exact
+      && path_counts (Stats.guide s) = oracle
+      && Stats.equal s scratch
+      && Stats.node_count s = Blas_xpath.Doc.node_count live)
 
 let prop_auto2_matches_oracle_under_edits =
   qtest ~count:80 "Auto2 agrees with the oracle after random edits" script_gen
@@ -334,6 +443,10 @@ let suite =
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
     Alcotest.test_case "stats persist in the catalog" `Quick
       test_catalog_persistence;
+    Alcotest.test_case "an opened database counts paths exactly" `Quick
+      test_opened_guide_is_exact;
+    Alcotest.test_case "older catalogs open with exact counts" `Quick
+      test_older_catalogs_open;
     Alcotest.test_case "choose never probes data" `Quick
       test_choose_probes_no_data;
     Alcotest.test_case "choice is the cheapest candidate" `Quick

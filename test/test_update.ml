@@ -309,11 +309,7 @@ let model_matches_rebuild (d : Blas_xpath.Doc.t) =
   let module Doc = Blas_xpath.Doc in
   let r = Doc.of_root d.root in
   let flat (m : Doc.t) = Array.concat (Array.to_list m.by_start) in
-  let guide_counts (m : Doc.t) =
-    List.map
-      (fun p -> (p, Blas_xml.Dataguide.count m.guide p))
-      (Blas_xml.Dataguide.all_paths m.guide)
-  in
+  let guide_counts (m : Doc.t) = Blas_xml.Dataguide.path_counts m.guide in
   Array.for_all (fun run -> Array.length run > 0) d.by_start
   && flat d = flat r && d.all = r.all
   && List.for_all (fun (n : Doc.node) -> Doc.find_by_start d n.start = Some n) r.all

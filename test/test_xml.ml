@@ -164,4 +164,35 @@ let suite =
           Dom.fold_elements
             (fun acc path _ -> acc && Dataguide.mem_path guide path)
             true t);
+      Test_util.qtest "dataguide suffix counts match an element scan"
+        Test_util.doc_gen (fun t ->
+          let guide = Dataguide.of_tree t in
+          let paths = Dom.fold_elements (fun acc path _ -> path :: acc) [] t in
+          let rec ends_in suffix path =
+            path = suffix
+            || match path with [] -> false | _ :: rest -> ends_in suffix rest
+          in
+          let scan ~absolute tags =
+            List.length
+              (List.filter
+                 (fun p -> if absolute then p = tags else ends_in tags p)
+                 paths)
+          in
+          let rec suffixes = function
+            | [] -> [ [] ]
+            | _ :: rest as p -> p :: suffixes rest
+          in
+          List.for_all
+            (fun p ->
+              List.for_all
+                (fun tags ->
+                  Dataguide.suffix_count guide ~absolute:true ~tags
+                  = scan ~absolute:true tags
+                  && Dataguide.suffix_count guide ~absolute:false ~tags
+                     = scan ~absolute:false tags)
+                (suffixes p))
+            paths
+          && Dataguide.path_counts
+               (Dataguide.of_path_counts (Dataguide.path_counts guide))
+             = Dataguide.path_counts guide);
     ]
