@@ -3,19 +3,24 @@
     The observability layer claims to be zero-cost when disabled: a run
     with the default no-op tracer and no metrics sink should time the
     same as the bare engine path with no instrumentation entry points.
-    This section measures both with bechamel (OLS over the monotonic
-    clock) on the Figure 13a headline query (QS3, Push-up, RDBMS) and
-    reports the relative overhead; with {!check_mode} (the CI gate,
-    [overhead --check]) an overhead above {!threshold_percent} marks the
-    run failed.  An enabled tracer + registry is measured too, for
-    scale.
+    This section times both on the Figure 13a headline query (QS3,
+    Push-up, RDBMS) and reports the relative overhead; with
+    {!check_mode} (the CI gate, [overhead --check]) an overhead above
+    {!threshold_percent} marks the run failed.  An enabled tracer +
+    registry is measured too, for scale.
 
     The parallel layer makes the same claim for [-j 1]: a run routed
     through a single-lane pool must cost within {!threshold_percent} of
     the direct sequential run (the pool dispatches inline with no
-    synchronization), and [--check] gates that too. *)
+    synchronization), and [--check] gates that too.
 
-open Bechamel
+    One short measurement per variant flaps on a small shared machine:
+    drift between two measurements taken seconds apart is as large as
+    the bound (on a 2-vCPU VM the same query's time wandered by up to 2x
+    within a minute).  So each comparison
+    is measured in {!rounds} rounds of paired runs of the variant and
+    its baseline, back to back in random order, and the gate reads the
+    median over the rounds of each round's median overhead. *)
 
 (* Set by main's --check flag; failures are deferred to [failed] so the
    harness can still write BENCH_results.json before exiting non-zero. *)
@@ -25,96 +30,98 @@ let failed = ref false
 
 let threshold_percent = 5.0
 
-let estimates tests =
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw =
-    Benchmark.all cfg
-      [ Toolkit.Instance.monotonic_clock ]
-      (Test.make_grouped ~name:"overhead" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let out = ref [] in
-  Hashtbl.iter
-    (fun test_name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ e ] -> out := (test_name, e) :: !out
-      | _ -> ())
-    results;
-  !out
+let rounds = 7
 
-let find name results =
-  List.find_map
-    (fun (n, e) ->
-      (* Bechamel names tests "overhead/<name>". *)
-      let suffix = "/" ^ name in
-      let nl = String.length n and sl = String.length suffix in
-      if nl >= sl && String.equal (String.sub n (nl - sl) sl) suffix then Some e
-      else None)
-    results
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* Nanoseconds one run of [f] takes. *)
+let time_ns f =
+  let t0 = Bench_util.now_ns () in
+  f ();
+  Int64.to_float (Int64.sub (Bench_util.now_ns ()) t0)
+
+(* [(variant_ns, base_ns, overhead_pct)] over {!rounds} rounds.  A
+   round is a run of pairs — one run of each, back to back, in random
+   order (a fixed alternation can beat in step with the collector's
+   periodic slices and charge them all to one side) — filling about
+   0.4 s; its overhead is the median of its pairs' overheads.  The
+   reported overhead is the median over the rounds; the two times are
+   medians over all pairs, for scale. *)
+let paired variant base =
+  let pairs_per_round =
+    ignore (time_ns variant);
+    max 1 (int_of_float (4e8 /. Float.max 1. (time_ns variant +. time_ns base)))
+  in
+  let rng = Random.State.make [| pairs_per_round |] in
+  let round () =
+    List.init pairs_per_round (fun _ ->
+        if Random.State.bool rng then
+          let b = time_ns base in
+          (time_ns variant, b)
+        else
+          let v = time_ns variant in
+          (v, time_ns base))
+  in
+  let per_round = List.init rounds (fun _ -> round ()) in
+  let overhead (v, b) = (v -. b) /. b *. 100.0 in
+  let all = List.concat per_round in
+  ( median (List.map fst all),
+    median (List.map snd all),
+    median
+      (List.map (fun pairs -> median (List.map overhead pairs)) per_round) )
 
 let instrumentation_check () =
   Bench_util.heading
-    "Instrumentation overhead (QS3, Push-up, RDBMS; bechamel OLS)";
+    (Printf.sprintf
+       "Instrumentation overhead (QS3, Push-up, RDBMS; median of %d \
+        alternating rounds)"
+       rounds);
   let storage = Datasets.shakespeare_full () in
   let query = Blas.query Bench_queries.qs3 in
   let translator = Blas.Pushup in
   (* The bare path: translate, compile and execute with no tracer, no
      metrics dereference, no phase spans — the pre-instrumentation
      pipeline. *)
-  let bare =
-    Test.make ~name:"bare"
-      (Staged.stage (fun () ->
-           Option.map
-             (fun sql ->
-               Blas_rel.Executor.run
-                 (Blas_rel.Sql_compile.compile
-                    ~catalog:(Blas.Storage.catalog storage) sql))
-             (Blas.sql_for storage translator query)))
+  let bare () =
+    Option.map
+      (fun sql ->
+        Blas_rel.Executor.run
+          (Blas_rel.Sql_compile.compile ~catalog:(Blas.Storage.catalog storage)
+             sql))
+      (Blas.sql_for storage translator query)
   in
   (* The instrumented path with everything off (the library default). *)
-  let disabled =
-    Test.make ~name:"disabled"
-      (Staged.stage (fun () ->
-           Blas.run storage ~engine:Blas.Rdbms ~translator query))
-  in
+  let disabled () = Blas.run storage ~engine:Blas.Rdbms ~translator query in
   (* Fully on: enabled tracer and a live metrics registry — for scale,
      not gated. *)
   let tracer = Blas_obs.Trace.create () in
   let registry = Blas_obs.Metrics.create () in
-  let enabled =
-    Test.make ~name:"enabled"
-      (Staged.stage (fun () ->
-           Blas.set_metrics (Some registry);
-           let r = Blas.run ~tracer storage ~engine:Blas.Rdbms ~translator query in
-           Blas.set_metrics None;
-           Blas_obs.Trace.clear tracer;
-           r))
+  let enabled () =
+    Blas.set_metrics (Some registry);
+    let r = Blas.run ~tracer storage ~engine:Blas.Rdbms ~translator query in
+    Blas.set_metrics None;
+    Blas_obs.Trace.clear tracer;
+    r
   in
   (* The -j 1 path: same run, routed through a single-lane pool.  The
      pool must dispatch inline, so this prices the option plumbing and
      the lane checks, not synchronization. *)
   let pool = Blas.Par.create ~domains:1 in
-  let pool_j1 =
-    Test.make ~name:"pool-j1"
-      (Staged.stage (fun () ->
-           Blas.run ~pool storage ~engine:Blas.Rdbms ~translator query))
+  let pool_j1 () =
+    Blas.run ~pool storage ~engine:Blas.Rdbms ~translator query
   in
   (* The query cache makes the same claim when bypassed: [~cache:false]
      must price like the uncached pipeline (one option match per run).
      The warm-cache variant is measured for scale, not gated — it
      prices the memo hit path. *)
-  let cache_off =
-    Test.make ~name:"cache-off"
-      (Staged.stage (fun () ->
-           Blas.run ~cache:false storage ~engine:Blas.Rdbms ~translator query))
+  let cache_off () =
+    Blas.run ~cache:false storage ~engine:Blas.Rdbms ~translator query
   in
-  let cache_warm =
-    Test.make ~name:"cache-warm"
-      (Staged.stage (fun () ->
-           Blas.run ~cache:true storage ~engine:Blas.Rdbms ~translator query))
+  let cache_warm () =
+    Blas.run ~cache:true storage ~engine:Blas.Rdbms ~translator query
   in
   (* The serving tier makes the same claim for request tracing: a
      TRACE'd request — fresh per-request tracer, lock-wait / cache-probe
@@ -123,194 +130,108 @@ let instrumentation_check () =
      real execution, not a memo probe. *)
   let service = Blas_server.Service.create ~cache:false [ ("doc", storage) ] in
   let token = Blas.Par.Token.create ~expired:(fun () -> false) () in
-  let serve_plain =
-    Test.make ~name:"serve-plain"
-      (Staged.stage (fun () ->
-           Blas_server.Service.query service ~token ~doc:"doc" ~translator
-             ~engine:Blas.Rdbms Bench_queries.qs3))
+  let serve_plain () =
+    Blas_server.Service.query service ~token ~doc:"doc" ~translator
+      ~engine:Blas.Rdbms Bench_queries.qs3
   in
-  let serve_traced =
-    Test.make ~name:"serve-traced"
-      (Staged.stage (fun () ->
-           let tracer = Blas_obs.Trace.create ~enabled:true () in
-           Blas_server.Service.query_info service ~token ~tracer ~doc:"doc"
-             ~translator ~engine:Blas.Rdbms Bench_queries.qs3))
+  let serve_traced () =
+    let tracer = Blas_obs.Trace.create ~enabled:true () in
+    Blas_server.Service.query_info service ~token ~tracer ~doc:"doc"
+      ~translator ~engine:Blas.Rdbms Bench_queries.qs3
+  in
+  (* (label, gated, variant, baseline label, baseline) *)
+  let run f () = ignore (f ()) in
+  let comparisons =
+    [
+      ("disabled instrumentation", true, run disabled, "bare", run bare);
+      ("enabled (tracer+metrics)", false, run enabled, "bare", run bare);
+      ("-j 1 pool", true, run pool_j1, "disabled", run disabled);
+      ("cache-disabled path", true, run cache_off, "bare", run bare);
+      ("cache warm (memo hit)", false, run cache_warm, "bare", run bare);
+      ( "traced server path",
+        true,
+        run serve_traced,
+        "untraced serve",
+        run serve_plain );
+    ]
   in
   let results =
-    estimates
-      [
-        bare;
-        disabled;
-        enabled;
-        pool_j1;
-        cache_off;
-        cache_warm;
-        serve_plain;
-        serve_traced;
-      ]
+    List.map
+      (fun (label, gated, variant, base_label, base) ->
+        (label, gated, base_label, paired variant base))
+      comparisons
   in
   Blas.Par.shutdown pool;
   Blas.Cache.clear (Blas.Storage.cache storage);
-  match (find "bare" results, find "disabled" results, find "enabled" results) with
-  | Some bare_ns, Some disabled_ns, enabled_ns ->
-    let pool_ns = find "pool-j1" results in
-    let overhead = (disabled_ns -. bare_ns) /. bare_ns *. 100.0 in
-    let pool_overhead =
-      Option.map (fun p -> (p -. disabled_ns) /. disabled_ns *. 100.0) pool_ns
-    in
-    let cache_off_ns = find "cache-off" results in
-    let cache_warm_ns = find "cache-warm" results in
-    let cache_overhead =
-      Option.map (fun c -> (c -. bare_ns) /. bare_ns *. 100.0) cache_off_ns
-    in
-    let serve_plain_ns = find "serve-plain" results in
-    let serve_traced_ns = find "serve-traced" results in
-    let traced_overhead =
-      match (serve_plain_ns, serve_traced_ns) with
-      | Some p, Some tr -> Some ((tr -. p) /. p *. 100.0)
-      | _ -> None
-    in
-    Bench_util.print_table
-      ~title:"disabled instrumentation and the -j 1 pool must be free"
-      {
-        Bench_util.header = [ "variant"; "ns/query"; "overhead" ];
-        rows =
-          [
-            [ "bare (no instrumentation)"; Printf.sprintf "%.0f" bare_ns; "-" ];
+  Bench_util.print_table
+    ~title:"disabled instrumentation, the -j 1 pool and tracing must be free"
+    {
+      Bench_util.header =
+        [ "variant"; "ns/query"; "baseline"; "ns/query"; "overhead" ];
+      rows =
+        List.map
+          (fun (label, gated, base_label, (v, b, o)) ->
             [
-              "disabled (default)";
-              Printf.sprintf "%.0f" disabled_ns;
-              Printf.sprintf "%+.1f%%" overhead;
-            ];
-            [
-              "enabled (tracer+metrics)";
-              (match enabled_ns with
-              | Some e -> Printf.sprintf "%.0f" e
-              | None -> "-");
-              (match enabled_ns with
-              | Some e -> Printf.sprintf "%+.1f%%" ((e -. bare_ns) /. bare_ns *. 100.0)
-              | None -> "-");
-            ];
-            [
-              "pool -j 1 (vs disabled)";
-              (match pool_ns with
-              | Some p -> Printf.sprintf "%.0f" p
-              | None -> "-");
-              (match pool_overhead with
-              | Some po -> Printf.sprintf "%+.1f%%" po
-              | None -> "-");
-            ];
-            [
-              "cache off (forced)";
-              (match cache_off_ns with
-              | Some c -> Printf.sprintf "%.0f" c
-              | None -> "-");
-              (match cache_overhead with
-              | Some co -> Printf.sprintf "%+.1f%%" co
-              | None -> "-");
-            ];
-            [
-              "cache warm (memo hit)";
-              (match cache_warm_ns with
-              | Some c -> Printf.sprintf "%.0f" c
-              | None -> "-");
-              (match cache_warm_ns with
-              | Some c -> Printf.sprintf "%.2fx bare" (c /. bare_ns)
-              | None -> "-");
-            ];
-            [
-              "serve (untraced)";
-              (match serve_plain_ns with
-              | Some p -> Printf.sprintf "%.0f" p
-              | None -> "-");
-              "-";
-            ];
-            [
-              "serve traced (vs untraced)";
-              (match serve_traced_ns with
-              | Some tr -> Printf.sprintf "%.0f" tr
-              | None -> "-");
-              (match traced_overhead with
-              | Some o -> Printf.sprintf "%+.1f%%" o
-              | None -> "-");
-            ];
-          ];
-      };
-    if !check_mode then begin
-      if overhead > threshold_percent then begin
-        Printf.eprintf
-          "FAIL: disabled instrumentation costs %+.1f%% (threshold %.1f%%)\n%!"
-          overhead threshold_percent;
-        failed := true
-      end
-      else
-        Printf.printf "OK: disabled overhead %+.1f%% <= %.1f%%\n" overhead
-          threshold_percent;
-      (match pool_overhead with
-      | Some po when po > threshold_percent ->
-        Printf.eprintf
-          "FAIL: -j 1 pool costs %+.1f%% over sequential (threshold %.1f%%)\n%!"
-          po threshold_percent;
-        failed := true
-      | Some po ->
-        Printf.printf "OK: -j 1 pool overhead %+.1f%% <= %.1f%%\n" po
-          threshold_percent
-      | None ->
-        Printf.eprintf "overhead: no pool-j1 estimate\n%!";
-        failed := true);
-      (match cache_overhead with
-      | Some co when co > threshold_percent ->
-        Printf.eprintf
-          "FAIL: cache-disabled path costs %+.1f%% over bare (threshold \
-           %.1f%%)\n\
-           %!"
-          co threshold_percent;
-        failed := true
-      | Some co ->
-        Printf.printf "OK: cache-disabled overhead %+.1f%% <= %.1f%%\n" co
-          threshold_percent
-      | None ->
-        Printf.eprintf "overhead: no cache-off estimate\n%!";
-        failed := true);
-      match traced_overhead with
-      | Some o when o > threshold_percent ->
-        Printf.eprintf
-          "FAIL: traced server path costs %+.1f%% over untraced (threshold \
-           %.1f%%)\n\
-           %!"
-          o threshold_percent;
-        failed := true
-      | Some o ->
-        Printf.printf "OK: traced server path overhead %+.1f%% <= %.1f%%\n" o
-          threshold_percent
-      | None ->
-        Printf.eprintf "overhead: no serve-plain/serve-traced estimate\n%!";
-        failed := true
-    end
-  | _ ->
-    Printf.eprintf "overhead: bechamel produced no estimates\n%!";
-    if !check_mode then failed := true
+              label;
+              Printf.sprintf "%.0f" v;
+              base_label;
+              Printf.sprintf "%.0f" b;
+              Printf.sprintf "%+.1f%%%s" o
+                (if gated then "" else " (not gated)");
+            ])
+          results;
+    };
+  if !check_mode then
+    List.iter
+      (fun (label, gated, base_label, (_, _, o)) ->
+        if gated then
+          if o > threshold_percent then begin
+            Printf.eprintf
+              "FAIL: %s costs %+.1f%% over %s (threshold %.1f%%)\n%!" label o
+              base_label threshold_percent;
+            failed := true
+          end
+          else
+            Printf.printf "OK: %s overhead %+.1f%% over %s <= %.1f%%\n" label o
+              base_label threshold_percent)
+      results
 
 (* The optimizer's statistics pass makes the same kind of claim: it
    rides the bulk load's existing pass over the nodes, so collecting it
    must add at most {!stats_threshold_percent} to index-build wall
-   time.  Measured on the Shakespeare full-scale document, mean of a
-   few whole builds (a build is far too long for bechamel's quota). *)
+   time.  Measured on the Shakespeare full-scale document, a few whole
+   builds a round (a build is far too long for bechamel's quota). *)
 let stats_threshold_percent = 10.0
 
 let stats_collection_check () =
   Bench_util.heading "Statistics collection overhead (bulk load, Shakespeare)";
   let doc = Blas_xpath.Doc.of_tree (Datasets.shakespeare_tree ()) in
-  let time_build ~collect_stats =
+  let time_build collect_stats =
     snd
-      (Bench_util.measure ~repetitions:5 (fun () ->
+      (Bench_util.measure ~repetitions:3 (fun () ->
            Blas.Storage.of_doc ~collect_stats doc))
   in
-  let bare_s = time_build ~collect_stats:false in
-  let stats_s = time_build ~collect_stats:true in
-  let overhead = (stats_s -. bare_s) /. bare_s *. 100.0 in
+  (* (without, with) seconds per round, the order alternating. *)
+  let per_round =
+    List.init rounds (fun r ->
+        if r mod 2 = 0 then
+          let bare = time_build false in
+          (bare, time_build true)
+        else
+          let stats = time_build true in
+          (time_build false, stats))
+  in
+  let bare_s = median (List.map fst per_round) in
+  let stats_s = median (List.map snd per_round) in
+  let overhead =
+    median (List.map (fun (b, s) -> (s -. b) /. b *. 100.0) per_round)
+  in
   Bench_util.print_table
-    ~title:"index build with and without statistics collection"
+    ~title:
+      (Printf.sprintf
+         "index build with and without statistics collection (median of %d \
+          rounds)"
+         rounds)
     {
       Bench_util.header = [ "variant"; "build s"; "overhead" ];
       rows =

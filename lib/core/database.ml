@@ -15,8 +15,9 @@
 
     Transactions are no-steal/force-to-WAL: table edits accumulate as
     dirty pages in the pool, commit pushes them into the store's
-    transaction buffer ({!Blas_rel.Buffer_pool.flush_dirty}), rewrites
-    the catalog chain, and hands the whole write set to
+    transaction buffer ({!Blas_rel.Buffer_pool.flush_dirty}), re-encodes
+    the catalog onto the same chain pages — writing only the pages
+    whose bytes changed — and hands the whole write set to
     {!Blas_disk.Store.commit} (WAL append + fsync, then in-place
     apply).  A crash at any byte boundary recovers to the last
     committed state on the next open. *)
@@ -194,7 +195,27 @@ let chain_chunk_capacity store =
   (* a varint page id never exceeds 5 bytes *)
   Store.capacity store - 5
 
-let read_catalog store =
+(* A chain as the file holds it: page ids in order and each page's
+   payload (next pointer plus chunk). *)
+type chain = { pages : int array; payloads : string array }
+
+(* Pages needed for [body]: at least one, even for an empty body. *)
+let chain_length ~chunk_cap body =
+  max 1 ((String.length body + chunk_cap - 1) / chunk_cap)
+
+(* The payloads that lay [body] over [pages], one chunk per page. *)
+let chain_payloads ~chunk_cap pages body =
+  let len = String.length body and n = Array.length pages in
+  Array.init n (fun i ->
+      let off = min len (i * chunk_cap) in
+      let chunk = String.sub body off (min chunk_cap (len - off)) in
+      let buf = Buffer.create (String.length chunk + 5) in
+      Wire.write_varint buf (if i + 1 < n then pages.(i + 1) else 0);
+      Buffer.add_string buf chunk;
+      Buffer.contents buf)
+
+(* The committed catalog body and the chain it was read from. *)
+let read_chain store =
   let root = Store.root store in
   if String.length root = 0 then raise (Corrupt "missing catalog root");
   let r = Wire.reader root in
@@ -204,8 +225,8 @@ let read_catalog store =
   let chain = ref [] in
   let page = ref first in
   while !page <> 0 do
-    chain := !page :: !chain;
     let payload = Store.read_page store !page in
+    chain := (!page, payload) :: !chain;
     let pr = Wire.reader payload in
     let next = Wire.read_varint pr in
     Buffer.add_string buf (Wire.read_bytes pr (Wire.remaining pr));
@@ -214,26 +235,12 @@ let read_catalog store =
   if Buffer.length buf <> body_len then
     corrupt "catalog chain holds %d bytes, root promises %d"
       (Buffer.length buf) body_len;
-  (decode_catalog (Buffer.contents buf), List.rev !chain)
+  let chain = Array.of_list (List.rev !chain) in
+  (Buffer.contents buf, { pages = Array.map fst chain; payloads = Array.map snd chain })
 
-(* Splits [body] into chain chunks and writes them through [alloc]/
-   [write]; returns the chain pages in order.  Pages are allocated
-   up-front so each chunk can point at its successor. *)
-let write_chain ~chunk_cap ~alloc ~write body =
-  let len = String.length body in
-  let npages = max 1 ((len + chunk_cap - 1) / chunk_cap) in
-  let pages = Array.init npages (fun _ -> alloc ()) in
-  Array.iteri
-    (fun i page ->
-      let off = i * chunk_cap in
-      let chunk = String.sub body off (min chunk_cap (len - off)) in
-      let next = if i + 1 < npages then pages.(i + 1) else 0 in
-      let buf = Buffer.create (String.length chunk + 5) in
-      Wire.write_varint buf next;
-      Buffer.add_string buf chunk;
-      write page (Buffer.contents buf))
-    pages;
-  Array.to_list pages
+let read_catalog store =
+  let body, chain = read_chain store in
+  (decode_catalog body, chain)
 
 let encode_root ~body ~first =
   let buf = Buffer.create 10 in
@@ -260,7 +267,10 @@ type db = {
   pool : Pool.t;
   mutable codec : Codec.format;  (** page codec, from the catalog *)
   mutable free : int list;  (** allocatable page ids *)
-  mutable chain : int list;  (** current catalog chain *)
+  mutable chain : int array;  (** committed catalog chain pages *)
+  mutable committed : string array;
+      (** the committed payload of each chain page, which a commit diffs
+          against; read-write handles only ([[||]] on read-only ones) *)
   mutable storage : Storage.t option;  (** back-reference, set at open *)
   tx_lock : Mutex.t;
 }
@@ -291,10 +301,11 @@ let mk_table db spec layout =
 (* Installs the components described by the (committed) catalog into
    [db] and its storage: the abort/reload path and the tail of open. *)
 let install db (storage : Storage.t) (cat, chain) =
-  db.chain <- chain;
+  db.chain <- chain.pages;
+  db.committed <- (if Store.mode db.store = Rw then chain.payloads else [||]);
   db.codec <- cat.c_codec;
   Storage.set_codec storage cat.c_codec;
-  db.free <- List.filter (fun p -> not (List.mem p chain)) cat.c_free;
+  db.free <- List.filter (fun p -> not (Array.mem p chain.pages)) cat.c_free;
   storage.Storage.table <-
     Tag_table.create ~tags:cat.c_tags ~height:cat.c_height;
   storage.Storage.sp <- mk_table db Layout.sp cat.c_sp;
@@ -324,27 +335,61 @@ let tlayout table =
   let l_dir, l_indexes = Table.layout table in
   { l_dir; l_indexes }
 
-let write_catalog db (storage : Storage.t) =
-  let sp = tlayout storage.Storage.sp and sd = tlayout storage.Storage.sd in
-  (* The old chain is reusable; the recorded free list is taken BEFORE
-     chain placement (open subtracts the walked chain), avoiding a
-     free-list/chain fixpoint. *)
-  db.free <- List.sort_uniq compare (db.chain @ db.free);
-  let body =
-    encode_catalog ~table:storage.Storage.table ~guide:storage.Storage.guide
-      ~free:db.free ~sp ~sd ~codec:db.codec
-      ~stats:
-        (Option.map Blas_optimizer.Stats.to_string (Storage.ostats storage))
+let catalog_body db (storage : Storage.t) ~free =
+  encode_catalog ~table:storage.Storage.table ~guide:storage.Storage.guide
+    ~free ~sp:(tlayout storage.Storage.sp) ~sd:(tlayout storage.Storage.sd)
+    ~codec:db.codec
+    ~stats:(Option.map Blas_optimizer.Stats.to_string (Storage.ostats storage))
+
+(* Writes the catalog into the open transaction and returns the new
+   chain with the free list that goes with it; the caller adopts both
+   once [Store.commit] has taken the transaction, so a transaction that
+   fails never becomes the baseline.  The recorded free list is taken
+   BEFORE chain placement (open subtracts the walked chain), avoiding a
+   free-list/chain fixpoint.  Chunk i stays on the committed chain's
+   page i: a longer chain takes its extra pages from the free list, a
+   shorter one leaves its tail pages there, and only the pages whose
+   bytes differ from the committed ones are logged. *)
+let write_catalog db storage =
+  let recorded = List.sort_uniq compare (Array.to_list db.chain @ db.free) in
+  let body = catalog_body db storage ~free:recorded in
+  let chunk_cap = chain_chunk_capacity db.store in
+  let spare = ref (List.sort_uniq compare db.free) in
+  let pages =
+    Array.init (chain_length ~chunk_cap body) (fun i ->
+        if i < Array.length db.chain then db.chain.(i)
+        else
+          match !spare with
+          | p :: rest ->
+            spare := rest;
+            p
+          | [] -> Store.alloc_page db.store)
   in
-  let chain =
-    write_chain
-      ~chunk_cap:(chain_chunk_capacity db.store)
-      ~alloc:(db_alloc db)
-      ~write:(fun page payload -> Store.write_page db.store page payload)
-      body
-  in
-  db.chain <- chain;
-  Store.set_root db.store (encode_root ~body ~first:(List.hd chain))
+  let payloads = chain_payloads ~chunk_cap pages body in
+  Array.iteri
+    (fun i page ->
+      if i >= Array.length db.committed || payloads.(i) <> db.committed.(i)
+      then Store.write_page db.store page payloads.(i))
+    pages;
+  Store.set_root db.store (encode_root ~body ~first:pages.(0));
+  ( { pages; payloads },
+    List.filter (fun p -> not (Array.mem p pages)) recorded )
+
+(* Re-reads the committed catalog and checks it against the resident
+   components: the body byte for byte against a fresh encoding (free
+   list as recorded), and the chain and free list against the handle's.
+   Returns the chain's page ids. *)
+let check_catalog db storage =
+  let body, chain = read_chain db.store in
+  let cat = decode_catalog body in
+  if catalog_body db storage ~free:cat.c_free <> body then
+    corrupt "catalog on file differs from the resident components";
+  if chain.pages <> db.chain then corrupt "catalog chain moved";
+  if Store.mode db.store = Rw && chain.payloads <> db.committed then
+    corrupt "catalog chain differs from the committed payloads";
+  if List.filter (fun p -> not (Array.mem p chain.pages)) cat.c_free <> db.free
+  then corrupt "catalog free list differs from the resident one";
+  Array.to_list chain.pages
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                       *)
@@ -372,9 +417,12 @@ let with_tx db f =
       Store.begin_tx db.store;
       match f () with
       | result ->
-        write_catalog db storage;
+        let chain, free = write_catalog db storage in
         Pool.flush_dirty db.pool;
         Store.commit db.store;
+        db.chain <- chain.pages;
+        db.committed <- chain.payloads;
+        db.free <- free;
         result
       | exception e ->
         (* Roll back: dirty pages vanish, the store forgets the
@@ -429,7 +477,7 @@ let stats db () =
   let owned =
     Table.owned_pages storage.Storage.sp
     @ Table.owned_pages storage.Storage.sd
-    @ db.chain
+    @ Array.to_list db.chain
   in
   let live_bytes =
     List.fold_left
@@ -507,14 +555,13 @@ let create ?(page_size = 4096) ?(fill = Table.default_fill)
                 (Option.map Blas_optimizer.Stats.to_string
                    (Storage.ostats storage))
           in
+          let chunk_cap = chain_chunk_capacity store in
           let chain =
-            write_chain
-              ~chunk_cap:(chain_chunk_capacity store)
-              ~alloc
-              ~write:(fun page payload -> Store.write_page store page payload)
-              body
+            Array.init (chain_length ~chunk_cap body) (fun _ -> alloc ())
           in
-          Store.set_root store (encode_root ~body ~first:(List.hd chain))))
+          Array.iter2 (Store.write_page store) chain
+            (chain_payloads ~chunk_cap chain body);
+          Store.set_root store (encode_root ~body ~first:chain.(0))))
 
 (* ------------------------------------------------------------------ *)
 (* Rebuilding the labeled document model from stored rows.  Rows come
@@ -627,7 +674,8 @@ let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
         pool;
         codec = Codec.V1;  (* provisional; [install] reads the catalog's *)
         free = [];
-        chain = [];
+        chain = [||];
+        committed = [||];
         storage = None;
         tx_lock = Mutex.create ();
       }
@@ -674,5 +722,6 @@ let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
         dk_checkpoint = (fun () -> Store.checkpoint db.store);
         dk_close = (fun () -> Store.close db.store);
         dk_crash = (fun () -> Store.crash db.store);
+        dk_check_catalog = (fun () -> check_catalog db storage);
       };
     storage

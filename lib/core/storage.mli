@@ -78,6 +78,11 @@ type disk = {
   dk_crash : unit -> unit;
       (** drop descriptors without syncing — simulated kill for the
           crash-recovery tests *)
+  dk_check_catalog : unit -> int list;
+      (** re-read the committed catalog chain and check it against the
+          resident components (byte for byte, after a commit); returns
+          the chain's page ids.  Raises [Blas_disk.Pager.Corrupt] on a
+          mismatch *)
 }
 
 (** The index components are mutable so that {!Update} can edit a built

@@ -70,6 +70,47 @@ let test_pager_detects_corruption () =
       Pager.close p)
 
 (* ------------------------------------------------------------------ *)
+(* Checksum                                                            *)
+
+(* The byte-at-a-time table walk the sliced CRC must agree with. *)
+let crc_oracle s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 1 to 8 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      crc := table.((!crc lxor Char.code ch) land 0xFF) lxor (!crc lsr 8))
+    s;
+  !crc lxor 0xFFFFFFFF
+
+let test_crc_known_answers () =
+  check_int "empty" 0 (Blas_disk.Checksum.digest "");
+  check_int "check value" 0xCBF43926 (Blas_disk.Checksum.digest "123456789")
+
+(* Every length 0-70 (short tails, one and several 8-byte steps), each
+   split at a random point: the sliced CRC equals the oracle and
+   resumes across the split. *)
+let test_crc_matches_oracle =
+  let open QCheck2.Gen in
+  qtest ~count:100 "crc matches the byte-at-a-time walk"
+    (pair (string_size ~gen:char (return 70)) (list_size (return 71) nat))
+    (fun (base, splits) ->
+      List.for_all
+        (fun (len, split) ->
+          let s = String.sub base 0 len in
+          let k = split mod (len + 1) in
+          let a = String.sub s 0 k and b = String.sub s k (len - k) in
+          let module C = Blas_disk.Checksum in
+          C.digest s = crc_oracle s && C.update (C.digest a) b = C.digest s)
+        (List.mapi (fun len split -> (len, split)) splits))
+
+(* ------------------------------------------------------------------ *)
 (* WAL                                                                 *)
 
 let test_wal_replay_and_torn_tail () =
@@ -407,7 +448,9 @@ let test_failed_update_rolls_back () =
 
 type edit =
   | Insert of int * int * string  (* parent rank, pos seed, tag *)
+  | Graft of int * int * Blas_xml.Types.tree  (* parent rank, pos seed *)
   | Delete of int  (* victim rank *)
+  | Prune of int  (* rank among the root's children *)
   | Retext of int * string  (* victim rank, new text *)
 
 let edit_gen =
@@ -419,7 +462,16 @@ let edit_gen =
         let* pos = int_range 0 5 in
         let* t = oneofa [| "a"; "b"; "c"; "zz" |] in
         return (Insert (rank, pos, t)) );
+      (* A whole random subtree adds data pages, directory entries and
+         paths: enough catalog bytes to grow the chain by a page, which
+         deleting it again gives back. *)
+      ( 2,
+        let* rank = int_range 0 50 in
+        let* pos = int_range 0 5 in
+        let* tree = Test_util.tree_gen in
+        return (Graft (rank, pos, tree)) );
       (2, map (fun r -> Delete r) (int_range 0 50));
+      (2, map (fun r -> Prune r) (int_range 0 5));
       ( 1,
         let* r = int_range 0 50 in
         let* v = oneofa [| "x"; "y"; "new" |] in
@@ -429,7 +481,7 @@ let edit_gen =
 let script_gen =
   let open QCheck2.Gen in
   let* doc = Test_util.doc_gen in
-  let* edits = list_size (int_range 1 6) edit_gen in
+  let* edits = list_size (int_range 1 8) edit_gen in
   let* crash_at = int_range 0 (List.length edits - 1) in
   let* budget = int_range 0 4000 in
   return (doc, edits, crash_at, budget)
@@ -449,11 +501,20 @@ let resolve_edit storage edit =
       ( parent.Blas_xpath.Doc.start,
         pos mod (kids + 1),
         Blas_xml.Types.Element (tag, [ Blas_xml.Types.Content "t" ]) )
+  | Graft (rank, pos, tree) ->
+    let parent = node rank in
+    let kids = List.length parent.Blas_xpath.Doc.children in
+    `Insert (parent.Blas_xpath.Doc.start, pos mod (kids + 1), tree)
   | Delete rank ->
     let victim = node rank in
     if victim.Blas_xpath.Doc.start = doc.Blas_xpath.Doc.root.Blas_xpath.Doc.start
     then `Skip
     else `Delete victim.Blas_xpath.Doc.start
+  | Prune rank -> (
+    match doc.Blas_xpath.Doc.root.Blas_xpath.Doc.children with
+    | [] -> `Skip
+    | kids ->
+      `Delete (List.nth kids (rank mod List.length kids)).Blas_xpath.Doc.start)
   | Retext (rank, v) -> `Retext ((node rank).Blas_xpath.Doc.start, v)
 
 let apply_edit storage = function
@@ -463,6 +524,29 @@ let apply_edit storage = function
   | `Delete start -> ignore (Blas.Update.delete_subtree storage ~start)
   | `Retext (start, v) ->
     ignore (Blas.Update.replace_text storage ~start (Some v))
+
+(* ------------------------------------------------------------------ *)
+(* Stable catalog chain                                                 *)
+
+let catalog_chain storage =
+  match Blas.Storage.disk storage with
+  | Some d -> d.Blas.Storage.dk_check_catalog ()
+  | None -> Alcotest.fail "expected disk storage"
+
+(* Commits whose chain grew or shrank, across the properties that track
+   it (the crash property asserts it drew both). *)
+let chain_grew = ref 0
+let chain_shrank = ref 0
+
+(* Whether [now] keeps [before]'s pages in place, counting a change of
+   length. *)
+let chain_stable before now =
+  let nb = List.length before and nn = List.length now in
+  if nn > nb then incr chain_grew;
+  if nn < nb then incr chain_shrank;
+  let common = min nb nn in
+  List.filteri (fun i _ -> i < common) before
+  = List.filteri (fun i _ -> i < common) now
 
 let crash_recovery_law (tree, edits, crash_at, budget) =
   let path = temp_db () in
@@ -474,6 +558,7 @@ let crash_recovery_law (tree, edits, crash_at, budget) =
       let shadow = Blas.Storage.of_tree tree in
       Database.create ~page_size:512 ~path shadow;
       let disk = Database.open_ ~cache_pages:16 ~mode:Database.Rw ~path () in
+      let chain = ref (catalog_chain disk) in
       let crashed = ref false in
       let pending = ref None in
       List.iteri
@@ -486,6 +571,10 @@ let crash_recovery_law (tree, edits, crash_at, budget) =
             (match apply_edit disk resolved with
             | () ->
               Io.set_fault None;
+              let now = catalog_chain disk in
+              if not (chain_stable !chain now) then
+                Alcotest.fail "catalog chain moved";
+              chain := now;
               apply_edit shadow resolved
             | exception Io.Crash ->
               Io.set_fault None;
@@ -530,6 +619,179 @@ let crash_recovery_law (tree, edits, crash_at, budget) =
 let test_crash_recovery =
   qtest ~count:60 "crash mid-update recovers to committed state" script_gen
     crash_recovery_law
+
+(* The property draws commits that grow or shrink the catalog chain
+   too (Graft and Prune edits), but not in every run: this script grows
+   the chain by grafting a wide subtree and shrinks it by pruning it
+   again, and a crash at each of a range of byte budgets in either
+   commit recovers. *)
+let test_crash_while_chain_resizes () =
+  let tree = Blas_xml.Dom.parse "<r><a>x</a></r>" in
+  let wide =
+    Blas_xml.Types.Element
+      ( "b",
+        List.init 200 (fun i ->
+            Blas_xml.Types.Element
+              ("c", [ Blas_xml.Types.Content (string_of_int i) ])) )
+  in
+  let edits = [ Graft (0, 1, wide); Prune 1 ] in
+  chain_grew := 0;
+  chain_shrank := 0;
+  check_bool "runs clean" true (crash_recovery_law (tree, edits, 2, 0));
+  check_bool "the graft grows the chain" true (!chain_grew > 0);
+  check_bool "the prune shrinks it" true (!chain_shrank > 0);
+  List.iter
+    (fun crash_at ->
+      for step = 0 to 40 do
+        (* Dense over the first records (the chain pages are logged
+           first), then out past the main-file apply. *)
+        let budget = step * step * 30 in
+        check_bool
+          (Printf.sprintf "crash in edit %d at byte %d" crash_at budget)
+          true
+          (crash_recovery_law (tree, edits, crash_at, budget))
+      done)
+    [ 0; 1 ]
+
+exception Injected_abort
+
+(* Runs [edit] to the end of its transaction, then fails it. *)
+let apply_aborted (storage : Blas.Storage.t) edit =
+  match storage.disk with
+  | None -> Alcotest.fail "expected disk storage"
+  | Some d ->
+    let failing run =
+      d.dk_with_tx (fun () ->
+          ignore (run ());
+          raise Injected_abort)
+    in
+    storage.disk <- Some { d with dk_with_tx = failing };
+    Fun.protect
+      ~finally:(fun () -> storage.disk <- Some d)
+      (fun () -> try apply_edit storage edit with Injected_abort -> ())
+
+type step = Commit of edit | Abort of edit | Reopen
+
+let chain_script_gen =
+  let open QCheck2.Gen in
+  let step =
+    frequency
+      [
+        (6, map (fun e -> Commit e) edit_gen);
+        (2, map (fun e -> Abort e) edit_gen);
+        (1, return Reopen);
+      ]
+  in
+  pair Test_util.doc_gen (list_size (int_range 1 12) step)
+
+(* After every commit, abort and reopen, the chain read back from the
+   file decodes to what a fresh encoding of the resident components
+   gives ([dk_check_catalog]), and its pages stay where they were. *)
+let stable_chain_law (tree, steps) =
+  let path = temp_db () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      let shadow = Blas.Storage.of_tree tree in
+      Database.create ~page_size:512 ~path shadow;
+      let open_rw () =
+        Database.open_ ~cache_pages:16 ~mode:Database.Rw ~path ()
+      in
+      let disk = ref (open_rw ()) in
+      let chain = ref (catalog_chain !disk) in
+      let stable =
+        List.for_all
+          (fun step ->
+            (match step with
+            | Commit e ->
+              let r = resolve_edit shadow e in
+              apply_edit !disk r;
+              apply_edit shadow r
+            | Abort e -> apply_aborted !disk (resolve_edit shadow e)
+            | Reopen ->
+              Blas.Storage.close !disk;
+              disk := open_rw ());
+            let now = catalog_chain !disk in
+            let ok = chain_stable !chain now in
+            chain := now;
+            ok)
+          steps
+      in
+      let same = doc_rows !disk = doc_rows shadow in
+      Blas.Storage.close !disk;
+      stable && same)
+
+let test_stable_chain =
+  qtest ~count:60 "catalog chain stays put and matches the components"
+    chain_script_gen stable_chain_law
+
+(* The page ids of the last transaction in [path]'s WAL. *)
+let last_logged_pages path =
+  match Wal.open_ro_opt ~db_path:path with
+  | None -> []
+  | Some wal ->
+    Fun.protect
+      ~finally:(fun () -> Wal.close wal)
+      (fun () ->
+        let last = ref [] in
+        ignore
+          (Wal.replay wal ~apply:(fun ~pages ~root:_ ~count:_ ->
+               last := List.map fst pages));
+        !last)
+
+(* A same-length RETEXT changes a few catalog bytes: the chain keeps
+   its pages and the commit logs only the one or two chain pages that
+   changed, not the whole chain — also right after a reopen, whose
+   baseline is the chain as read from the file.  The first commit
+   after [create] is the exception: it records the chain pages in the
+   free list ([create] writes an empty one), which shifts every later
+   byte. *)
+let test_retext_logs_changed_chain_pages () =
+  with_db (fun path ->
+      Database.create ~path
+        (Blas.Storage.of_tree
+           (Blas_datagen.Auction.generate ~seed:1 ~scale:16 ()));
+      let retext disk k =
+        let texts =
+          Array.of_list
+            (List.filter
+               (fun (n : Blas_xpath.Doc.node) -> n.data <> None)
+               (Blas.Storage.doc disk).all)
+        in
+        let n = texts.(k * Array.length texts / 5) in
+        (* Same length, so the page keeps its rows: no split moves the
+           page directory. *)
+        let text =
+          String.map (fun c -> if c = 'x' then 'y' else 'x')
+            (Option.get n.data)
+        in
+        ignore (Blas.Update.replace_text disk ~start:n.start (Some text))
+      in
+      let disk = Database.open_ ~mode:Database.Rw ~path () in
+      let chain = catalog_chain disk in
+      check_bool "chain spans several pages" true (List.length chain > 2);
+      retext disk 0;
+      check_int_list "first commit keeps the chain's pages" chain
+        (catalog_chain disk);
+      let disk = ref disk in
+      List.iter
+        (fun k ->
+          if k = 3 then begin
+            Blas.Storage.close !disk;
+            disk := Database.open_ ~mode:Database.Rw ~path ()
+          end;
+          retext !disk k;
+          check_int_list "chain keeps its pages" chain (catalog_chain !disk);
+          let logged =
+            List.filter (fun p -> List.mem p chain) (last_logged_pages path)
+          in
+          check_bool
+            (Printf.sprintf "retext %d logs %d catalog pages" k
+               (List.length logged))
+            true
+            (List.length logged <= 2))
+        [ 1; 2; 3; 4 ];
+      Blas.Storage.close !disk)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -632,6 +894,8 @@ let test_create_on_locked_file () =
 
 let suite =
   [
+    Alcotest.test_case "crc known answers" `Quick test_crc_known_answers;
+    test_crc_matches_oracle;
     Alcotest.test_case "pager roundtrip" `Quick test_pager_roundtrip;
     Alcotest.test_case "pager detects corruption" `Quick
       test_pager_detects_corruption;
@@ -655,6 +919,11 @@ let suite =
     Alcotest.test_case "failed update rolls back" `Quick
       test_failed_update_rolls_back;
     test_crash_recovery;
+    Alcotest.test_case "crash while the catalog chain resizes" `Quick
+      test_crash_while_chain_resizes;
+    test_stable_chain;
+    Alcotest.test_case "retext logs only changed chain pages" `Quick
+      test_retext_logs_changed_chain_pages;
     Alcotest.test_case "disk stats" `Quick test_stats;
     Alcotest.test_case "create refuses its own source file" `Quick
       test_create_refuses_own_file;
