@@ -217,10 +217,10 @@ let fig18 = scalability ~fig:18 ~query_id:"QA3 (twig)" ~query_string:Bench_queri
 
 (* ------------------------------------------------------------------ *)
 
-(* Index construction: parse -> label -> cluster -> build B+ trees.
+(* Index construction: parse -> label -> cluster -> write the pages.
    Not a paper figure, but a system-level sanity number a user wants. *)
 let build () =
-  Bench_util.heading "Index construction (parse + label + cluster + B+ trees)";
+  Bench_util.heading "Index construction (parse + label + cluster + pages)";
   let rows =
     List.map
       (fun (label, tree) ->

@@ -84,13 +84,20 @@ let instrumentation_check () =
   let translator = Blas.Pushup in
   (* The bare path: translate, compile and execute with no tracer, no
      metrics dereference, no phase spans — the pre-instrumentation
-     pipeline. *)
+     pipeline — ending, like [Blas.run], in the sorted, unique answer
+     starts of the relation's one projected column. *)
   let bare () =
     Option.map
       (fun sql ->
-        Blas_rel.Executor.run
-          (Blas_rel.Sql_compile.compile ~catalog:(Blas.Storage.catalog storage)
-             sql))
+        let relation =
+          Blas_rel.Executor.run
+            (Blas_rel.Sql_compile.compile
+               ~catalog:(Blas.Storage.catalog storage) sql)
+        in
+        Blas_rel.Relation.column relation
+          (List.hd (Blas_rel.Schema.columns (Blas_rel.Relation.schema relation)))
+        |> List.map Blas_rel.Value.to_int
+        |> List.sort_uniq Stdlib.compare)
       (Blas.sql_for storage translator query)
   in
   (* The instrumented path with everything off (the library default). *)

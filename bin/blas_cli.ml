@@ -278,6 +278,7 @@ let stats_json storage =
               ("page_size", Int s.Blas.Storage.dstat_page_size);
               ("pages", Int s.Blas.Storage.dstat_page_count);
               ("live_pages", Int s.Blas.Storage.dstat_live_pages);
+              ("free_pages", Int s.Blas.Storage.dstat_free_pages);
               ("live_bytes", Int s.Blas.Storage.dstat_live_bytes);
               ("wal_bytes", Int s.Blas.Storage.dstat_wal_bytes);
               ("cache_pages", Int s.Blas.Storage.dstat_cache_pages);
@@ -295,7 +296,6 @@ let stats_json storage =
                            ("name", Str ts.Blas.Storage.ts_name);
                            ("entries", Int ts.ts_entries);
                            ("data_pages", Int ts.ts_data_pages);
-                           ("index_pages", Int ts.ts_index_pages);
                            ("payload_bytes", Int ts.ts_payload_bytes);
                            ("v1_bytes", Int ts.ts_v1_bytes);
                            ( "bytes_per_entry",
@@ -366,19 +366,18 @@ let stats () ?cache_pages ?stats_seed ~json path =
           in
           Printf.printf
             "  %s: %d entries, %d data pages (%.1f entries/page, %.1f \
-             bytes/entry), %d index pages, %.2fx vs v1, %.1f%% page \
-             utilization\n"
+             bytes/entry), %.2fx vs v1, %.1f%% page utilization\n"
             ts.Blas.Storage.ts_name ts.ts_entries ts.ts_data_pages
             (fpe ts.ts_data_pages ts.ts_entries)
             (fpe ts.ts_entries ts.ts_payload_bytes)
-            ts.ts_index_pages
             (fpe ts.ts_payload_bytes ts.ts_v1_bytes)
             (100.0
             *. fpe (ts.ts_data_pages * s.dstat_page_size) ts.ts_payload_bytes))
         s.dstat_tables;
-      Printf.printf "  page utilization: %d/%d pages live (%.1f%%), %d payload bytes (%.1f%% of file)\n"
+      Printf.printf "  page utilization: %d/%d pages live (%.1f%%), %d free, %d payload bytes (%.1f%% of file)\n"
         s.dstat_live_pages s.dstat_page_count
         (pct s.dstat_live_pages s.dstat_page_count)
+        s.dstat_free_pages
         s.dstat_live_bytes
         (pct s.dstat_live_bytes s.dstat_file_bytes);
       Printf.printf "  wal: %d bytes pending checkpoint\n" s.dstat_wal_bytes;

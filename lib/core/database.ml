@@ -5,10 +5,9 @@
     File layout (see DESIGN.md §13): page zero is the {!Blas_disk.Pager}
     superblock whose root blob points at the catalog chain; every other
     page is either an SP/SD data page (a {!Blas_rel.Codec} tuple run), a
-    {!Blas_rel.Paged_index} leaf, a catalog chain page, or free.  The
-    catalog — tag inventory, dataguide paths with their node counts,
-    free list, clustered page directories, index leaf directories and
-    the optimizer's statistics blob — is small and fully resident, so
+    catalog chain page, or free.  The catalog — tag inventory, dataguide
+    paths with their node counts, free list, clustered page directories
+    and the optimizer's statistics blob — is small and fully resident, so
     opening a database reads only the superblock and the chain;
     everything else is paged in on demand through the
     {!Blas_rel.Buffer_pool}.
@@ -27,7 +26,6 @@ module Pager = Blas_disk.Pager
 module Wire = Blas_disk.Wire
 module Pool = Blas_rel.Buffer_pool
 module Table = Blas_rel.Table
-module Pidx = Blas_rel.Paged_index
 module Codec = Blas_rel.Codec
 module Value = Blas_rel.Value
 module Tuple = Blas_rel.Tuple
@@ -55,18 +53,17 @@ let looks_like_db = Pager.looks_like_db
 (* v1 had no statistics blob; v2 appends one; v3 appends the page-codec
    id after it; v4 stores each dataguide path's node count beside the
    path, always writes the codec id, and carries the slimmer statistics
-   blob (reservoirs only — the counts are the guide's).  Every file
-   writes v4.  Decode accepts all four: an older catalog has no counts,
-   so its guide and statistics are rebuilt from the document model at
-   open (see [install]), and its statistics blob is skipped unread. *)
+   blob (reservoirs only — the counts are the guide's); v5 drops the
+   secondary-index leaf directories after each page directory.  Every
+   file writes v5.  Decode accepts all five: a catalog older than v4
+   has no counts, so its guide and statistics are rebuilt from the
+   document model at open (see [install]), and its statistics blob is
+   skipped unread; the index leaves of a catalog older than v5 are
+   read only to hand their pages to the free list. *)
 let cat_version_stats = 2
 let cat_version_codec = 3
 let cat_version_counts = 4
-
-type tlayout = {
-  l_dir : Table.dir_entry array;
-  l_indexes : (string * Pidx.meta array) list;
-}
+let cat_version_no_indexes = 5
 
 type cat = {
   c_height : int;
@@ -75,63 +72,48 @@ type cat = {
       (** the counted dataguide (v4+); [None] for an older catalog, whose
           paths carry no counts *)
   c_free : int list;  (** recorded before chain placement; see below *)
-  c_sp : tlayout;
-  c_sd : tlayout;
+  c_sp : Table.dir_entry array;
+  c_sd : Table.dir_entry array;
+  c_old_leaves : int list;
+      (** the secondary-index leaf pages of a catalog older than v5;
+          nothing references them any more *)
   c_stats : string option;  (** optimizer statistics blob (v4+) *)
-  c_codec : Codec.format;  (** page codec for data pages and leaves (v3+) *)
+  c_codec : Codec.format;  (** page codec for data pages (v3+) *)
 }
 
-let encode_layout buf { l_dir; l_indexes } =
-  Wire.write_varint buf (Array.length l_dir);
+let encode_dir buf dir =
+  Wire.write_varint buf (Array.length dir);
   Array.iter
     (fun (de : Table.dir_entry) ->
       Wire.write_varint buf de.de_page;
       Wire.write_varint buf de.de_nrows;
       Codec.add_tuple buf de.de_first)
-    l_dir;
-  Wire.write_varint buf (List.length l_indexes);
-  List.iter
-    (fun (col, metas) ->
-      Wire.write_string buf col;
-      Wire.write_varint buf (Array.length metas);
-      Array.iter
-        (fun (m : Pidx.meta) ->
-          Wire.write_varint buf m.m_page;
-          Wire.write_varint buf m.m_entries;
-          Wire.write_varint buf m.m_rows;
-          Codec.add_value buf m.m_first)
-        metas)
-    l_indexes
+    dir
 
-let read_layout r =
-  let ndir = Wire.read_varint r in
-  let l_dir =
-    Array.init ndir (fun _ ->
-        let de_page = Wire.read_varint r in
-        let de_nrows = Wire.read_varint r in
-        let de_first = Codec.read_tuple r in
-        { Table.de_page; de_nrows; de_first })
-  in
-  let nidx = Wire.read_varint r in
-  let l_indexes =
-    List.init nidx (fun _ ->
-        let col = Wire.read_string r in
-        let nleaves = Wire.read_varint r in
-        let metas =
-          Array.init nleaves (fun _ ->
-              let m_page = Wire.read_varint r in
-              let m_entries = Wire.read_varint r in
-              let m_rows = Wire.read_varint r in
-              let m_first = Codec.read_value r in
-              { Pidx.m_page; m_entries; m_rows; m_first })
-        in
-        (col, metas))
-  in
-  { l_dir; l_indexes }
+let read_dir r =
+  Array.init (Wire.read_varint r) (fun _ ->
+      let de_page = Wire.read_varint r in
+      let de_nrows = Wire.read_varint r in
+      let de_first = Codec.read_tuple r in
+      { Table.de_page; de_nrows; de_first })
+
+(* The leaf pages of the index directories a catalog older than v5
+   keeps after each page directory: per index a column name and its
+   leaves, each (page, entries, rows, first value). *)
+let read_old_leaves r =
+  List.concat
+    (List.init (Wire.read_varint r) (fun _ ->
+         ignore (Wire.read_string r);
+         List.init (Wire.read_varint r) (fun _ ->
+             let page = Wire.read_varint r in
+             ignore (Wire.read_varint r);
+             ignore (Wire.read_varint r);
+             ignore (Codec.read_value r);
+             page)))
 
 let encode_catalog ~table ~guide ~free ~sp ~sd ~stats ~codec =
   let buf = Buffer.create 4096 in
-  Wire.write_u8 buf cat_version_counts;
+  Wire.write_u8 buf cat_version_no_indexes;
   Wire.write_varint buf (Tag_table.height table);
   let tags = Tag_table.tags table in
   Wire.write_varint buf (List.length tags);
@@ -146,8 +128,8 @@ let encode_catalog ~table ~guide ~free ~sp ~sd ~stats ~codec =
     paths;
   Wire.write_varint buf (List.length free);
   List.iter (Wire.write_varint buf) free;
-  encode_layout buf sp;
-  encode_layout buf sd;
+  encode_dir buf sp;
+  encode_dir buf sd;
   Wire.write_string buf (Option.value ~default:"" stats);
   Wire.write_u8 buf (Codec.format_id codec);
   Buffer.contents buf
@@ -155,7 +137,7 @@ let encode_catalog ~table ~guide ~free ~sp ~sd ~stats ~codec =
 let decode_catalog body =
   let r = Wire.reader body in
   let v = Wire.read_u8 r in
-  if v < 1 || v > cat_version_counts then
+  if v < 1 || v > cat_version_no_indexes then
     corrupt "unsupported catalog version %d" v;
   let c_height = Wire.read_varint r in
   let c_tags = List.init (Wire.read_varint r) (fun _ -> Wire.read_string r) in
@@ -167,8 +149,13 @@ let decode_catalog body =
   in
   let c_guide = if counted then Some (Dataguide.of_path_counts paths) else None in
   let c_free = List.init (Wire.read_varint r) (fun _ -> Wire.read_varint r) in
-  let c_sp = read_layout r in
-  let c_sd = read_layout r in
+  let old_leaves () =
+    if v < cat_version_no_indexes then read_old_leaves r else []
+  in
+  let c_sp = read_dir r in
+  let sp_leaves = old_leaves () in
+  let c_sd = read_dir r in
+  let c_old_leaves = sp_leaves @ old_leaves () in
   let c_stats =
     if v < cat_version_stats then None
     else
@@ -184,7 +171,17 @@ let decode_catalog body =
       | f -> f
       | exception Failure msg -> raise (Corrupt msg)
   in
-  { c_height; c_tags; c_guide; c_free; c_sp; c_sd; c_stats; c_codec }
+  {
+    c_height;
+    c_tags;
+    c_guide;
+    c_free;
+    c_sp;
+    c_sd;
+    c_old_leaves;
+    c_stats;
+    c_codec;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Catalog chain: the body split over linked pages.  Each chain page
@@ -294,10 +291,6 @@ let page_store db =
     free = db_free db;
   }
 
-let mk_table db spec layout =
-  Layout.of_layout (page_store db) spec ~dir:layout.l_dir
-    ~indexes:layout.l_indexes
-
 (* Installs the components described by the (committed) catalog into
    [db] and its storage: the abort/reload path and the tail of open. *)
 let install db (storage : Storage.t) (cat, chain) =
@@ -305,11 +298,14 @@ let install db (storage : Storage.t) (cat, chain) =
   db.committed <- (if Store.mode db.store = Rw then chain.payloads else [||]);
   db.codec <- cat.c_codec;
   Storage.set_codec storage cat.c_codec;
-  db.free <- List.filter (fun p -> not (Array.mem p chain.pages)) cat.c_free;
+  db.free <-
+    List.filter
+      (fun p -> not (Array.mem p chain.pages))
+      (cat.c_free @ cat.c_old_leaves);
   storage.Storage.table <-
     Tag_table.create ~tags:cat.c_tags ~height:cat.c_height;
-  storage.Storage.sp <- mk_table db Layout.sp cat.c_sp;
-  storage.Storage.sd <- mk_table db Layout.sd cat.c_sd;
+  storage.Storage.sp <- Layout.of_layout (page_store db) Layout.sp ~dir:cat.c_sp;
+  storage.Storage.sd <- Layout.of_layout (page_store db) Layout.sd ~dir:cat.c_sd;
   match cat.c_guide with
   | Some guide ->
     storage.Storage.guide <- guide;
@@ -331,13 +327,10 @@ let install db (storage : Storage.t) (cat, chain) =
 (* ------------------------------------------------------------------ *)
 (* Catalog writer (inside a transaction)                              *)
 
-let tlayout table =
-  let l_dir, l_indexes = Table.layout table in
-  { l_dir; l_indexes }
-
 let catalog_body db (storage : Storage.t) ~free =
   encode_catalog ~table:storage.Storage.table ~guide:storage.Storage.guide
-    ~free ~sp:(tlayout storage.Storage.sp) ~sd:(tlayout storage.Storage.sd)
+    ~free ~sp:(Table.directory storage.Storage.sp)
+    ~sd:(Table.directory storage.Storage.sd)
     ~codec:db.codec
     ~stats:(Option.map Blas_optimizer.Stats.to_string (Storage.ostats storage))
 
@@ -444,7 +437,7 @@ let with_tx db f =
    codec (the compression-ratio baseline).  Decodes every data page —
    [stats] already reads every live page, so this stays O(file). *)
 let table_stats db (table : Table.t) =
-  let dir, indexes = Table.layout table in
+  let dir = Table.directory table in
   let payload = ref 0 and v1 = ref 0 in
   Array.iter
     (fun (de : Table.dir_entry) ->
@@ -458,14 +451,10 @@ let table_stats db (table : Table.t) =
         | format ->
           Codec.page_bytes (Codec.decode_page ~format stored))
     dir;
-  let index_pages =
-    List.fold_left (fun acc (_, metas) -> acc + Array.length metas) 0 indexes
-  in
   {
     Storage.ts_name = Table.name table;
     ts_entries = Table.cardinality table;
     ts_data_pages = Array.length dir;
-    ts_index_pages = index_pages;
     ts_payload_bytes = !payload;
     ts_v1_bytes = !v1;
   }
@@ -474,10 +463,12 @@ let stats db () =
   let storage =
     match db.storage with Some s -> s | None -> assert false
   in
+  let data table =
+    Array.to_list (Array.map (fun (de : Table.dir_entry) -> de.de_page)
+      (Table.directory table))
+  in
   let owned =
-    Table.owned_pages storage.Storage.sp
-    @ Table.owned_pages storage.Storage.sd
-    @ Array.to_list db.chain
+    data storage.Storage.sp @ data storage.Storage.sd @ Array.to_list db.chain
   in
   let live_bytes =
     List.fold_left
@@ -490,6 +481,7 @@ let stats db () =
     dstat_page_size = Store.page_size db.store;
     dstat_page_count = Store.page_count db.store;
     dstat_live_pages = List.length owned;
+    dstat_free_pages = List.length db.free;
     dstat_live_bytes = live_bytes;
     dstat_wal_bytes = Store.wal_size db.store;
     dstat_cache_pages = Pool.capacity db.pool;
@@ -511,8 +503,8 @@ let same_file a b =
 
 (** [create ?page_size ?fill ?codec ~path storage] bulk-loads [storage]
     into a fresh database file at [path] with the one bulk loader
-    ({!Blas_rel.Table.load}): data pages and index leaves in cluster
-    order at [fill] occupancy (encoded by [codec], default
+    ({!Blas_rel.Table.load}): data pages in cluster order at [fill]
+    occupancy (encoded by [codec], default
     {!Blas_rel.Codec.default_format}), catalog chain, superblock, one
     fsync at the end.  Any existing file at [path] is replaced, unless
     it is [storage]'s own database file. *)
@@ -544,7 +536,7 @@ let create ?(page_size = 4096) ?(fill = Table.default_fill)
             let rows =
               Array.to_list (Blas_rel.Relation.tuples (Table.relation table))
             in
-            tlayout (Layout.load ~fill pages spec rows)
+            Table.directory (Layout.load ~fill pages spec rows)
           in
           let sp = load Layout.sp storage.Storage.sp in
           let sd = load Layout.sd storage.Storage.sd in
@@ -699,8 +691,8 @@ let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
       Storage.assemble ~build_doc
         ~guide:Dataguide.empty
         ~table:(Tag_table.create ~tags:[ "?" ] ~height:1)
-        ~sp:(Layout.of_layout (page_store db) Layout.sp ~dir:[||] ~indexes:[])
-        ~sd:(Layout.of_layout (page_store db) Layout.sd ~dir:[||] ~indexes:[])
+        ~sp:(Layout.of_layout (page_store db) Layout.sp ~dir:[||])
+        ~sd:(Layout.of_layout (page_store db) Layout.sd ~dir:[||])
         ~pool ()
     in
     storage_cell := Some storage;

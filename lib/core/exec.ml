@@ -195,7 +195,7 @@ let scan_signature table path =
 
 (* Both engines' hook into the scan cache: an indexed SP access on the
    P-label column looks up its pre-predicate tuple list by exact
-   interval before the B+ tree, and feeds it after a real fetch.
+   interval before the page directory, and feeds it after a real fetch.
    Accesses on other columns or tables pass through untouched. *)
 let scan_cache_of qc storage =
   let page_rows = Cost.model_page_rows storage in

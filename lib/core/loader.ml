@@ -12,13 +12,10 @@
     the way [blas serve --docs DIR] does — every [*.xml] and [*.blasdb]
     file, named by basename without extension.
 
-    Loads are memoized per process, keyed by absolute path + mtime +
-    size (+ open mode): a resident process that loads the same
-    unchanged file twice (a server re-reading its docs directory, a
-    REPL re-opening an index) reuses the built storage instead of
-    re-parsing.  The memo holds storages alive, which is exactly what a
-    resident server wants; one-shot CLI invocations load each file once
-    anyway. *)
+    Every call builds or opens a fresh storage: each CLI command loads
+    its file once, [serve] loads its directory once, and the cluster
+    layer takes storage thunks, so nothing loads one unchanged file
+    twice in a process.  The caller owns the storage and closes it. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -26,24 +23,11 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* (absolute path, mtime, size, rw) -> storage.  A mutex rather than a
-   lock-free structure: loads are rare and heavy, contention is nil. *)
-let memo : (string * float * int * bool, Storage.t) Hashtbl.t =
-  Hashtbl.create 8
-
-let memo_lock = Mutex.create ()
-
-let memo_key ~rw path =
-  try
-    let st = Unix.stat path in
-    let abs =
-      if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path
-      else path
-    in
-    Some (abs, st.Unix.st_mtime, st.Unix.st_size, rw)
-  with Unix.Unix_error _ | Sys_error _ -> None
-
-let load_uncached ~rw ~cache_pages path =
+(** [load ?rw ?cache_pages path] — the storage for [path] (XML or
+    database file).  [rw] (default false) opens database files
+    read-write so updates reach the file; [cache_pages] bounds their
+    page cache. *)
+let load ?(rw = false) ?cache_pages path =
   try
     if Database.looks_like_db path then
       Ok
@@ -60,36 +44,6 @@ let load_uncached ~rw ~cache_pages path =
   | Sys_error msg -> Error msg
   | Unix.Unix_error (err, fn, _) ->
     Error (Printf.sprintf "%s: %s (%s)" path (Unix.error_message err) fn)
-
-(** [load ?rw ?cache_pages path] — the storage for [path] (XML or
-    database file), memoized while the file is unchanged on
-    disk.  [rw] (default false) opens database files read-write so
-    updates reach the file; [cache_pages] bounds their page cache. *)
-let load ?(rw = false) ?cache_pages path =
-  match memo_key ~rw path with
-  | None -> load_uncached ~rw ~cache_pages path
-  | Some key -> (
-    Mutex.lock memo_lock;
-    let cached = Hashtbl.find_opt memo key in
-    Mutex.unlock memo_lock;
-    match cached with
-    | Some storage -> Ok storage
-    | None -> (
-      match load_uncached ~rw ~cache_pages path with
-      | Error _ as e -> e
-      | Ok storage ->
-        Mutex.lock memo_lock;
-        Hashtbl.replace memo key storage;
-        Mutex.unlock memo_lock;
-        Ok storage))
-
-(** Drops the process-level memo (tests; also frees the storages —
-    disk-backed ones are closed). *)
-let clear_memo () =
-  Mutex.lock memo_lock;
-  Hashtbl.iter (fun _ storage -> try Storage.close storage with _ -> ()) memo;
-  Hashtbl.reset memo;
-  Mutex.unlock memo_lock
 
 let doc_name path = Filename.remove_extension (Filename.basename path)
 

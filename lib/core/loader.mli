@@ -1,12 +1,12 @@
 (** The one storage loader behind every entry point ([Blas.Loader]):
     CLI subcommands and the network server's document collection load
-    through the same sniff-and-parse helper, memoized per process while
-    the file is unchanged on disk (path + mtime + size + open mode). *)
+    through the same sniff-and-parse helper.  Every call builds or
+    opens a fresh storage, which the caller owns. *)
 
 (** [load ?rw ?cache_pages path] — the storage for [path]: a database
     file when it starts with the "BLASDB1" magic (opened read-only
     unless [rw]; [cache_pages] bounds its page cache), parsed XML
-    otherwise.  Memoized. *)
+    otherwise. *)
 val load :
   ?rw:bool -> ?cache_pages:int -> string -> (Storage.t, string) result
 
@@ -21,6 +21,3 @@ val load_dir :
   ?keep:(string -> bool) ->
   string ->
   ((string * Storage.t) list, string) result
-
-(** Drops the process-level memo, closing disk-backed storages. *)
-val clear_memo : unit -> unit

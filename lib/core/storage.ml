@@ -3,11 +3,13 @@
     the experimental setup (Section 5.2.1):
 
     - [SP(plabel, start, end, level, data)], clustered by
-      {plabel, start}, with B+ tree indexes on plabel, start and data —
-      the BLAS relation;
-    - [SD(tag, start, end, level, data)], clustered by {tag, start},
-      with B+ tree indexes on tag, start and data — the D-labeling
-      baseline relation.
+      {plabel, start} — the BLAS relation;
+    - [SD(tag, start, end, level, data)], clustered by {tag, start} —
+      the D-labeling baseline relation.
+
+    Each table's clustered page directory is its only index: every
+    generated plan selects on the leading cluster-key column, and
+    D-joins are merge joins that never probe [start] or [data].
 
     ({!Blas_update.Layout} defines both.)
 
@@ -37,7 +39,6 @@ type table_stats = {
   ts_name : string;
   ts_entries : int;  (** clustered rows *)
   ts_data_pages : int;
-  ts_index_pages : int;  (** secondary index leaves *)
   ts_payload_bytes : int;  (** stored data-page payload bytes *)
   ts_v1_bytes : int;
       (** the same rows re-encoded with the v1 codec — the
@@ -52,6 +53,7 @@ type disk_stats = {
   dstat_page_size : int;
   dstat_page_count : int;  (** pages in the file (excluding superblock) *)
   dstat_live_pages : int;  (** pages referenced by tables + catalog *)
+  dstat_free_pages : int;  (** pages on the free list *)
   dstat_live_bytes : int;  (** payload bytes across live pages *)
   dstat_wal_bytes : int;
   dstat_cache_pages : int;  (** buffer pool capacity *)
@@ -171,8 +173,8 @@ let collect_ostats ?seed ?epoch (doc : Blas_xpath.Doc.t) =
        doc.all)
 
 (** [of_doc doc] builds both relations on an in-memory page store —
-    the same 4 KiB pages at 0.9 fill, directory and paged indexes that
-    a database file of [doc] holds.  P-labels come from the node's
+    the same 4 KiB pages at 0.9 fill and page directories that a
+    database file of [doc] holds.  P-labels come from the node's
     source path (Definition 3.3), which the test suite checks against
     the streaming Algorithm 2. *)
 let of_doc ?(pool_capacity = default_pool_capacity) ?(collect_stats = true)

@@ -23,7 +23,6 @@ type table_stats = {
   ts_name : string;
   ts_entries : int;  (** clustered rows *)
   ts_data_pages : int;
-  ts_index_pages : int;  (** secondary index leaves *)
   ts_payload_bytes : int;  (** stored data-page payload bytes *)
   ts_v1_bytes : int;
       (** the same rows re-encoded with the v1 codec — the
@@ -38,6 +37,7 @@ type disk_stats = {
   dstat_page_size : int;
   dstat_page_count : int;  (** pages in the file (excluding superblock) *)
   dstat_live_pages : int;  (** pages referenced by tables + catalog *)
+  dstat_free_pages : int;  (** pages on the free list *)
   dstat_live_bytes : int;  (** payload bytes across live pages *)
   dstat_wal_bytes : int;
   dstat_cache_pages : int;  (** buffer pool capacity *)
@@ -119,7 +119,7 @@ val drop_doc : t -> unit
 
 (** [of_doc doc] builds SP and SD on an in-memory page store: the same
     4 KiB pages at 0.9 fill under [codec] (default
-    {!Blas_rel.Codec.default_format}), directory and paged indexes as a
+    {!Blas_rel.Codec.default_format}) and page directories as a
     database file of [doc] with that codec.  [pool_capacity] is the buffer pool size in
     pages (default 1024).  [collect_stats] (default true) also gathers
     optimizer statistics in the same pass over the nodes. *)

@@ -2,8 +2,8 @@
     replace text values in place, maintaining both labelings (D-labels
     by gap allocation with localized renumbering as fallback, P-labels
     by interval subdivision), the document model and DataGuide, and the
-    clustered SP/SD relations with their indexes through the buffer
-    pool.  See {!Blas_update.Update_engine} for the mechanics. *)
+    clustered SP/SD relations and their page directories through the
+    buffer pool.  See {!Blas_update.Update_engine} for the mechanics. *)
 
 (** What the edit invalidated in the storage's query cache (see
     {!Blas_update.Update_engine.invalidation}). *)

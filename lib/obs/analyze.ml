@@ -14,7 +14,7 @@
 
 type stats = {
   read : int;  (** base-table tuples / stream elements fetched *)
-  seeks : int;  (** B+ tree descents *)
+  seeks : int;  (** page-directory descents *)
   page_requests : int;  (** buffer-pool page requests *)
   page_reads : int;  (** buffer-pool misses — pages read from the store *)
 }

@@ -128,9 +128,9 @@ let enumerate ?(page_rows = default_page_rows) ~max_degree shapes =
       | c -> c)
     cands
 
-(* Measured runs report B+ tree seeks instead of union branches (the
-   counters don't attribute work to branches); one seek prices like a
-   fraction of a branch restart. *)
+(* Measured runs report index seeks (page-directory descents) instead
+   of union branches (the counters don't attribute work to branches);
+   one seek prices like a fraction of a branch restart. *)
 let w_seek = 16.0
 
 let actual_cost ~engine ~tuples ~pages ~join_tuples ~djoins ~seeks =

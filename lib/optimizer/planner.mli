@@ -50,7 +50,7 @@ val enumerate :
 
 (** Measured cost of an executed plan in the same unit as {!price},
     computed from executor counters — comparable against [cd_cost] in
-    EXPLAIN ANALYZE and the slow-query log.  [seeks] (B+ tree descents)
+    EXPLAIN ANALYZE and the slow-query log.  [seeks] (page-directory descents)
     replaces the estimate's branch term: counters don't attribute work
     to union branches, but every branch restart seeks. *)
 val actual_cost :

@@ -21,12 +21,16 @@ type pred =
   | Or of pred * pred
   | Not of pred
 
+(** How an [Access] reads its table.  Both selections are on the
+    table's leading cluster-key column (plabel for SP, tag for SD) and
+    are served by its clustered page directory: one directory descent,
+    then the pages of the selected run. *)
 type access_path =
   | Full_scan
   | Index_eq of { column : string; value : Value.t }
-      (** Equality selection served by a B+ tree — Unfold's access path. *)
+      (** Equality selection — Unfold's access path. *)
   | Index_range of { column : string; lo : Value.t option; hi : Value.t option }
-      (** Range selection served by a B+ tree — Split/Push-up's path. *)
+      (** Range selection — Split/Push-up's path. *)
 
 (** Level constraint carried by a D-join: [Exact_gap] requires
     [desc_level = anc_level + k] (Section 4.1.1 uses this to keep

@@ -654,12 +654,11 @@ let select_rows v c ~lo ~hi =
     done;
   Array.sub hits 0 !nh
 
-(* Column [c] at the rows [hits] (ascending, non-empty): int-delta
-   values and raw ints through [of_int], dictionary entries and other
-   raw values through [of_enc tag payload].  Int-delta boxes only the
-   hits, a dictionary converts only the entries the hits reference
-   (each once), raw skips the other values without allocating. *)
-let column_at v c hits ~of_int ~of_enc =
+(* Column [c]'s values at the rows [hits] (ascending, non-empty).
+   Int-delta boxes only the hits, a dictionary converts only the
+   entries the hits reference (each once), raw skips the other values
+   without allocating. *)
+let column_at v c hits =
   let nh = Array.length hits in
   let out = ref [||] in
   let put k x = if k = 0 then out := Array.make nh x else !out.(k) <- x in
@@ -669,7 +668,7 @@ let column_at v c hits ~of_int ~of_enc =
      while !k < nh do
        prev := !prev + unzigzag (Wire.read_varint r);
        if hits.(!k) = !i then begin
-         put !k (of_int !prev);
+         put !k (Value.Int !prev);
          incr k
        end;
        incr i
@@ -685,7 +684,7 @@ let column_at v c hits ~of_int ~of_enc =
              match made.(idx) with
              | Some x -> x
              | None ->
-                 let x = of_enc tags.(idx) payloads.(idx) in
+                 let x = value_of_tag_payload tags.(idx) payloads.(idx) in
                  made.(idx) <- Some x;
                  x
            in
@@ -700,11 +699,12 @@ let column_at v c hits ~of_int ~of_enc =
        if hits.(!k) <> !i then skip_value r
        else begin
          (match Wire.read_u8 r with
-         | 1 -> put !k (of_int (Wire.read_varint r))
-         | 2 -> put !k (of_int (-Wire.read_varint r - 1))
+         | 1 -> put !k (Value.Int (Wire.read_varint r))
+         | 2 -> put !k (Value.Int (-Wire.read_varint r - 1))
          | tag ->
              put !k
-               (of_enc tag (if tag = 0 then "" else Wire.read_string r)));
+               (value_of_tag_payload tag
+                  (if tag = 0 then "" else Wire.read_string r)));
          incr k
        end;
        incr i
@@ -731,26 +731,10 @@ let select_v2 payload ~col ~lo ~hi =
     | [||] -> []
     | hits ->
         let cols =
-          Array.init (Array.length v.blocks) (fun c ->
-              column_at v c hits
-                ~of_int:(fun n -> Value.Int n)
-                ~of_enc:value_of_tag_payload)
+          Array.init (Array.length v.blocks) (fun c -> column_at v c hits)
         in
         List.init (Array.length hits) (fun k ->
             Tuple.init (Array.length cols) (fun c -> cols.(c).(k)))
-
-(** [select_ints payload ~col ~lo ~hi ~out] — on a v2 page, the int
-    column [out] at the rows whose column [col] lies in [lo, hi]
-    (inclusive, [None] open), in row order.  No {!Value.t} is built:
-    this is how an index probe reads a leaf's data-page column.
-    @raise Failure if a selected [out] value is not an int. *)
-let select_ints payload ~col ~lo ~hi ~out =
-  let v = view payload in
-  if v.nrows = 0 then [||]
-  else
-    match hits_of v ~col ~lo ~hi with
-    | [||] -> [||]
-    | hits -> column_at v out hits ~of_int:Fun.id ~of_enc:int_of_tag_payload
 
 (* ------------------------------------------------------------------ *)
 (* v2 page sizing                                                      *)

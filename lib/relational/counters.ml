@@ -13,7 +13,7 @@
 
 type t = {
   mutable tuples_read : int;  (** tuples fetched from base tables *)
-  mutable index_seeks : int;  (** B+ tree descents *)
+  mutable index_seeks : int;  (** page-directory descents *)
   mutable djoins : int;  (** structural (D-) joins executed *)
   mutable theta_joins : int;  (** generic joins executed *)
   mutable intermediate : int;  (** tuples materialized between operators *)

@@ -36,11 +36,13 @@ let access ?par ?cache counters table path =
     | Algebra.Index_eq { column; value } -> (
       match Table.index_eq table ?par counters ~column value with
       | rows -> rows
-      | exception Not_found -> error "no index on %s.%s" (Table.name table) column)
+      | exception Not_found ->
+        error "%s is not clustered on %s" (Table.name table) column)
     | Algebra.Index_range { column; lo; hi } -> (
       match Table.index_range table ?par counters ~column ~lo ~hi with
       | rows -> rows
-      | exception Not_found -> error "no index on %s.%s" (Table.name table) column)
+      | exception Not_found ->
+        error "%s is not clustered on %s" (Table.name table) column)
   in
   match (cache, path) with
   | Some c, (Algebra.Index_eq _ | Algebra.Index_range _) -> (

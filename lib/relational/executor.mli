@@ -20,7 +20,8 @@ type scan_cache = {
     selects from [table], before any residual: served by [cache] when
     it holds them, fetched (and offered to [cache]) otherwise.  [par]
     chunks an index fetch over a domain pool.
-    @raise Error when [path] names a column without an index. *)
+    @raise Error when [path] selects on a column that does not lead the
+    table's cluster key. *)
 val access :
   ?par:Blas_par.Pool.t ->
   ?cache:scan_cache ->

@@ -1,7 +1,7 @@
 (** Where a table's pages live: the buffer pool every page access goes
     through, the backing store under it (a database file or the
     in-memory page store), the page allocator, the payload capacity and
-    the page codec.  SP, SD and their indexes share one store. *)
+    the page codec.  SP and SD share one store. *)
 
 type t = {
   pool : Buffer_pool.t;

@@ -1,6 +1,6 @@
 (** Materialized relations: a schema plus a tuple array.  Intermediate
-    results of the executor are relations; base tables add clustering
-    and indexes on top (see {!Table}). *)
+    results of the executor are relations; base tables add clustered pages
+    and a page directory on top (see {!Table}). *)
 
 type t
 

@@ -5,9 +5,9 @@
     on:
 
     - {b access-path selection}: single-table equality and range
-      predicates over indexed columns become B+ tree lookups pushed into
-      the table access (clustered-index selections are the whole point of
-      P-labeling);
+      predicates on the clustering column become page-directory lookups
+      pushed into the table access (clustered selections are the whole
+      point of P-labeling);
     - {b D-join recognition}: a pair of cross-table comparisons
       [A.s < B.s and A.e > B.e] (optionally with a level-gap equality)
       becomes a structural-join operator executed by the stack-tree merge
@@ -98,81 +98,54 @@ let classify ~default_alias { Sql_ast.lhs; cmp; rhs } =
     | _ -> error "unsupported condition shape")
 
 (* ------------------------------------------------------------------ *)
-(* Access-path selection for one alias                                *)
+(* Access-path selection                                              *)
 
 let local_to_pred ~alias { column; cmp; value; _ } =
   Algebra.Cmp (cmp, Algebra.Col (alias ^ "." ^ column), Algebra.Const value)
 
+(* Access-path selection for one alias: equality on the clustering
+   column (plabel/tag), then a range on it, then a scan — the paper's
+   plans (Figure 11) select only on that column, and the page directory
+   serves exactly those selections.  Every other predicate stays
+   residual. *)
 let choose_access table alias locals =
-  let indexed column = Table.has_index table column in
-  let clustered column =
+  let clustered l =
     match Table.cluster_key table with
-    | leading :: _ -> String.equal leading column
+    | leading :: _ -> String.equal leading l.column
     | [] -> false
   in
-  (* Preference order mirrors the paper's plans (Figure 11): equality on
-     the clustering column (plabel/tag), then a range on it, then an
-     equality or range on another indexed column, then a scan.  Value
-     predicates stay residual unless nothing better exists, since rows
-     are fetched in clustered order. *)
-  let equality_on pred_col =
+  let residual served =
+    List.map (local_to_pred ~alias) (List.filter (fun l -> not (served l)) locals)
+  in
+  match
     List.find_opt
-      (fun l ->
-        (match l.cmp with Algebra.Eq -> true | _ -> false)
-        && indexed l.column && pred_col l.column)
+      (fun l -> clustered l && match l.cmp with Algebra.Eq -> true | _ -> false)
       locals
-  in
-  let bounds_on pred_col =
-    let bounds = Hashtbl.create 4 in
-    List.iter
-      (fun l ->
-        if indexed l.column && pred_col l.column then begin
-          let lo, hi = try Hashtbl.find bounds l.column with Not_found -> (None, None) in
-          match l.cmp with
-          | Algebra.Ge -> Hashtbl.replace bounds l.column (Some l.value, hi)
-          | Algebra.Le -> Hashtbl.replace bounds l.column (lo, Some l.value)
-          | _ -> ()
-        end)
-      locals;
-    Hashtbl.fold
-      (fun column (lo, hi) acc ->
-        let score = (if lo <> None then 1 else 0) + if hi <> None then 1 else 0 in
-        match acc with
-        | Some (_, _, _, best_score) when best_score >= score -> acc
-        | _ when score = 0 -> acc
-        | _ -> Some (column, lo, hi, score))
-      bounds None
-  in
-  let use_equality l =
-    let residual = List.filter (fun l' -> l' != l) locals in
-    ( Algebra.Index_eq { column = l.column; value = l.value },
-      List.map (fun l -> local_to_pred ~alias l) residual )
-  in
-  let use_range (column, lo, hi, _) =
-    let served l =
-      String.equal l.column column
-      && match l.cmp, lo, hi with
-         | Algebra.Ge, Some v, _ -> Value.equal v l.value
-         | Algebra.Le, _, Some v -> Value.equal v l.value
-         | _ -> false
-    in
-    let residual = List.filter (fun l -> not (served l)) locals in
-    ( Algebra.Index_range { column; lo; hi },
-      List.map (fun l -> local_to_pred ~alias l) residual )
-  in
-  let other col = not (clustered col) in
-  match equality_on clustered with
-  | Some l -> use_equality l
+  with
+  | Some l ->
+    (Algebra.Index_eq { column = l.column; value = l.value }, residual (( == ) l))
   | None -> (
-    match bounds_on clustered with
-    | Some best -> use_range best
-    | None -> (
-      match equality_on other with
-      | Some l -> use_equality l
-      | None -> (
-        match bounds_on other with
-        | Some best -> use_range best
-        | None -> (Algebra.Full_scan, List.map (fun l -> local_to_pred ~alias l) locals))))
+    (* The last lower and upper bound on the clustering column win. *)
+    let bound cmp =
+      List.fold_left
+        (fun acc l -> if clustered l && l.cmp = cmp then Some l else acc)
+        None locals
+    in
+    match (bound Algebra.Ge, bound Algebra.Le) with
+    | None, None -> (Algebra.Full_scan, residual (fun _ -> false))
+    | lo, hi ->
+      let column = (List.hd (Option.to_list lo @ Option.to_list hi)).column in
+      let value = Option.map (fun l -> l.value) in
+      let lo = value lo and hi = value hi in
+      (* Every bound equal to the one applied is served by the range. *)
+      let served l =
+        clustered l
+        &&
+        match (l.cmp, lo, hi) with
+        | Algebra.Ge, Some v, _ | Algebra.Le, _, Some v -> Value.equal v l.value
+        | _ -> false
+      in
+      (Algebra.Index_range { column; lo; hi }, residual served))
 
 (* ------------------------------------------------------------------ *)
 (* Join-tree construction                                             *)

@@ -2,9 +2,9 @@
     the planning half of the RDBMS query engine.
 
     The planner performs the two optimizations the paper's figures
-    depend on: access-path selection (indexed equality and range
-    predicates become B+ tree lookups, preferring the clustering
-    column), and D-join recognition (the cross-table pattern
+    depend on: access-path selection (equality and range predicates on
+    the clustering column become page-directory lookups; every other
+    predicate stays residual), and D-join recognition (the cross-table pattern
     [A.start < B.start and A.end > B.end], optionally with a level-gap
     equality or lower bound, becomes a structural-join operator).
     Unrecognized join shapes fall back to theta joins, which are slower

@@ -1,10 +1,11 @@
 (** The two relations of the experimental setup (Section 5.2.1), defined
     once: SP(plabel, start, end, level, data) clustered by {plabel,
     start} for BLAS and SD(tag, start, end, level, data) clustered by
-    {tag, start} for the D-labeling baseline, each indexed on its
-    leading column, [start] and [data].  The index build, the database
-    bulk load and the update engine's rebuild all load tables through
-    {!load}. *)
+    {tag, start} for the D-labeling baseline.  The clustering is the
+    index: each table's page directory serves the selections on its
+    leading column, and there are no secondary indexes.  The index
+    build, the database bulk load and the update engine's rebuild all
+    load tables through {!load}. *)
 
 module Doc = Blas_xpath.Doc
 module Rel = Blas_rel
@@ -13,7 +14,6 @@ type spec = {
   name : string;
   schema : Rel.Schema.t;
   cluster_key : string list;
-  indexes : string list;
 }
 
 let spec name lead =
@@ -21,7 +21,6 @@ let spec name lead =
     name;
     schema = Rel.Schema.of_list [ lead; "start"; "end"; "level"; "data" ];
     cluster_key = [ lead; "start" ];
-    indexes = [ lead; "start"; "data" ];
   }
 
 let sp = spec "sp" "plabel"
@@ -45,13 +44,13 @@ let sd_row (n : Doc.node) = row (Rel.Value.Str n.tag) n
 (** [load ?fill store spec rows] bulk-loads one relation into [store]. *)
 let load ?fill store spec rows =
   Rel.Table.load ?fill store ~name:spec.name ~schema:spec.schema
-    ~cluster_key:spec.cluster_key ~indexes:spec.indexes rows
+    ~cluster_key:spec.cluster_key rows
 
-(** [of_layout store spec ~dir ~indexes] reopens one relation from its
-    page layout. *)
-let of_layout store spec ~dir ~indexes =
+(** [of_layout store spec ~dir] reopens one relation from its page
+    directory. *)
+let of_layout store spec ~dir =
   Rel.Table.of_layout store ~name:spec.name ~schema:spec.schema
-    ~cluster_key:spec.cluster_key ~dir ~indexes
+    ~cluster_key:spec.cluster_key ~dir
 
 (** [tables store table doc] bulk-loads [doc]'s SP and SD into [store],
     P-labels from [table]. *)

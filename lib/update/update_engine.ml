@@ -19,9 +19,9 @@
       to be rebuilt.
 
     The relational layer is updated in place: affected rows are deleted
-    and inserted at their clustered positions in SP and SD, secondary
-    B+-tree indexes are maintained, and every touched page goes through
-    the buffer pool, so updates are paged and counted like reads
+    and inserted at their clustered positions in SP and SD, the page
+    directories are spliced to match, and every touched page goes
+    through the buffer pool, so updates are paged and counted like reads
     ({!Blas_rel.Table.apply_edits}).  A tag-inventory change reloads
     both relations into the same page store ({!Layout.tables}). *)
 

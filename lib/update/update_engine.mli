@@ -3,7 +3,7 @@
     allocation with localized renumbering as the fallback), P-labels
     (interval subdivision; inventory rebuild only for new tags or
     excess depth), the labeled document model with its DataGuide, and
-    the clustered SP/SD relations with their B+-tree indexes through
+    the clustered SP/SD relations and their page directories through
     the buffer pool. *)
 
 (** The mutable components of one storage instance ({!Blas.Update}

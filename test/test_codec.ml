@@ -4,7 +4,10 @@
     tuples that were encoded (on adversarial random pages — mixed
     types, negative ints, big integers, NULLs, empty pages); the
     packers partition their input losslessly under every capacity, v2
-    cutting each page at the largest prefix that fits; and
+    cutting each page at the largest prefix that fits; the page
+    directory, the tables' only index, answers every lookup on the
+    leading cluster-key column from exactly the pages of its run and
+    stays equal to a sorted model of its rows under random edits; and
     a v2-codec database stays coherent with an in-memory shadow oracle
     under random edit scripts — the update subsystem re-encodes pages
     through the codec on every WAL'd edit, so this is where a packing
@@ -14,7 +17,8 @@ open Test_util
 module Codec = Blas_rel.Codec
 module Tuple = Blas_rel.Tuple
 module Value = Blas_rel.Value
-module Pidx = Blas_rel.Paged_index
+module Table = Blas_rel.Table
+module Pool = Blas_rel.Buffer_pool
 module Database = Blas.Database
 
 let formats = [ (Codec.V1, "v1"); (Codec.V2, "v2") ]
@@ -253,24 +257,6 @@ let test_v2_pack_rejects () =
         (List.init 40 (fun i -> row (string_of_int i))
         @ [ Tuple.of_list [ Value.Int 2 ] ]))
 
-(* Index leaves carry (key, page, nrows) entries through the same
-   formats; a v2 leaf must reproduce its entries exactly. *)
-let leaf_law format tuples =
-  let entries =
-    List.mapi
-      (fun i t ->
-        ((if Tuple.arity t > 0 then Tuple.get t 0 else Value.Null), i, i * 3))
-      tuples
-  in
-  let enc = Pidx.encode_leaf ~format entries in
-  let dec = Pidx.decode_leaf ~format enc in
-  Pidx.leaf_bytes ~format entries = String.length enc
-  && List.length dec = List.length entries
-  && List.for_all2
-       (fun (v, p, n) (v', p', n') ->
-         Value.compare v v' = 0 && p = p' && n = n')
-       dec entries
-
 (* ------------------------------------------------------------------ *)
 (* Selecting on encoded columns                                        *)
 
@@ -352,223 +338,280 @@ let select_law format (rows, col, lo, hi) =
   List.length got = List.length expect
   && List.for_all2 (fun a b -> Tuple.compare a b = 0) got expect
 
-(* A page store of encoded bytes (as a database file's) in memory. *)
-let bytes_store format =
-  let pages = Hashtbl.create 16 and next = ref 0 in
-  {
-    Blas_rel.Page_store.pool =
-      Blas_rel.Buffer_pool.create ~capacity:4
-        {
-          Blas_rel.Buffer_pool.back_read =
-            (fun ~table:_ ~page -> Hashtbl.find pages page);
-          back_write = (fun ~table:_ ~page p -> Hashtbl.replace pages page p);
-          back_rows = false;
-        };
-    codec = format;
-    capacity = 256;
-    alloc =
-      (fun () ->
-        incr next;
-        !next);
-    free = Hashtbl.remove pages;
-  }
+(* ------------------------------------------------------------------ *)
+(* The page directory as the index: lookups after random edits         *)
 
-(* An index probe finds the same data pages whichever codec wrote the
-   leaves, and whether the store holds bytes or rows. *)
-let lookup_law (keys, lo, hi) =
-  let entries =
-    List.sort_uniq Pidx.entry_cmp
-      (List.mapi (fun i v -> (v, i mod 7, 1 + (i mod 3))) keys)
+(* A page store of [format] pages that logs every page it hands the
+   pool while [log] is [Some _]: decoded rows in memory (the in-memory
+   store's payloads) or, when [file], encoded bytes in a database file
+   written in bulk mode.  Freed pages stay in the file unreferenced. *)
+let with_logged_store ~format ~file f =
+  let log = ref None in
+  let logged page payload =
+    Option.iter (fun l -> l := page :: !l) !log;
+    payload
   in
-  let probe store =
-    let idx = Pidx.load ~store ~name:"x.k" ~fill:0.9 entries in
-    Pidx.lookup_pages
-      (Pidx.create ~store ~name:"x.k" ~leaves:idx)
-      (Blas_rel.Counters.create ()) ~lo ~hi
+  let store ~capacity ~back_read ~back_write ~back_rows ~alloc ~free =
+    {
+      Blas_rel.Page_store.pool =
+        Pool.create ~capacity:4
+          {
+            Pool.back_read =
+              (fun ~table:_ ~page -> logged page (back_read page));
+            back_write = (fun ~table:_ ~page p -> back_write page p);
+            back_rows;
+          };
+      codec = format;
+      capacity;
+      alloc;
+      free;
+    }
   in
-  let v1 = probe (bytes_store Codec.V1) in
-  v1 = probe (bytes_store Codec.V2)
-  && v1
-     = probe
-         (Blas_rel.Page_store.memory
-            ~page_size:(256 + Blas_disk.Pager.header_bytes)
-            ~codec:Codec.V2 ())
+  if file then
+    Test_util.with_temp_db (fun path ->
+        let disk = Blas_disk.Store.create ~path ~page_size:256 () in
+        Fun.protect
+          ~finally:(fun () -> Blas_disk.Store.close disk)
+          (fun () ->
+            Blas_disk.Store.bulk_load disk (fun () ->
+                f
+                  (store ~capacity:(Blas_disk.Store.capacity disk)
+                     ~back_read:(fun page ->
+                       Pool.Bytes (Blas_disk.Store.read_page disk page))
+                     ~back_write:(fun page -> function
+                       | Pool.Bytes b -> Blas_disk.Store.write_page disk page b
+                       | Pool.Rows _ -> invalid_arg "file pages are bytes")
+                     ~back_rows:false
+                     ~alloc:(fun () -> Blas_disk.Store.alloc_page disk)
+                     ~free:ignore)
+                  log)))
+  else
+    let pages = Hashtbl.create 16 and next = ref 0 in
+    f
+      (store ~capacity:(256 - Blas_disk.Pager.header_bytes)
+         ~back_read:(Hashtbl.find pages) ~back_write:(Hashtbl.replace pages)
+         ~back_rows:true
+         ~alloc:(fun () ->
+           incr next;
+           !next)
+         ~free:(Hashtbl.remove pages))
+      log
 
-let lookup_gen =
+let dir_schema = Blas_rel.Schema.of_list [ "k"; "s"; "pad" ]
+
+let dir_key_gen =
   let open QCheck2.Gen in
-  let* keys =
-    list_size (int_range 0 120)
-      (frequency
-         [
-           (2, map (fun n -> Value.Int n) (int_range (-50) 50));
-           (1, edge_value_gen);
-         ])
-  in
-  let bound =
-    frequency
+  frequency
+    [
+      (4, map (fun n -> Value.Int n) (int_range 0 12));
+      (2, map (fun s -> Value.Str s) (oneofl [ "a"; "b"; "mid" ]));
+      (1, return Value.Null);
+    ]
+
+(* A row: key, sequence number, padding that varies the page fill. *)
+let dir_row_gen =
+  let open QCheck2.Gen in
+  map3
+    (fun k s n -> Tuple.of_list [ k; Value.Int s; Value.Str (String.make n 'p') ])
+    dir_key_gen nat (int_range 0 24)
+
+(* (codec, file store, initial rows, edit batches, probes).  A batch
+   deletes a run of consecutive rows (emptying and freeing pages) and
+   rows picked by position among the current ones, and inserts fresh
+   rows (splitting pages); a probe is an equality (lo = hi) or a range
+   with open or closed ends. *)
+let directory_gen =
+  let open QCheck2.Gen in
+  let bound = option dir_key_gen in
+  let probe =
+    oneof
       [
-        (1, return None);
-        (2, map Option.some edge_value_gen);
-        ( (if keys = [] then 0 else 3),
-          map Option.some
-            (oneofl (if keys = [] then [ Value.Null ] else keys)) );
+        map (fun k -> (Some k, Some k)) dir_key_gen; pair bound bound;
       ]
   in
-  triple (return keys) bound bound
+  let batch =
+    triple
+      (pair nat (int_range 0 40))
+      (list_size (int_range 0 10) nat)
+      (list_size (int_range 0 40) dir_row_gen)
+  in
+  tup5
+    (oneofl [ Codec.V1; Codec.V2 ])
+    bool
+    (list_size (int_range 0 120) dir_row_gen)
+    (list_size (int_range 1 5) batch)
+    (list_size (int_range 1 8) probe)
 
-(* ------------------------------------------------------------------ *)
-(* Index maintenance against a sorted association-list model           *)
+(* One probe on [t]: the rows equal the full scan filtered on the key,
+   in clustered order; one index seek; and the pages read are exactly
+   the directory run holding those rows, optionally preceded by the
+   page just before it (at most that one page when no row matches). *)
+let probe_ok store log t (lo, hi) =
+  let pool = store.Blas_rel.Page_store.pool in
+  let matches row = Codec.in_range ~lo ~hi (Tuple.get row 0) in
+  let rows_of = function
+    | Pool.Rows rows -> rows
+    | Pool.Bytes b -> Codec.decode_page ~format:store.codec b
+  in
+  Pool.flush_dirty pool;
+  Pool.flush pool;
+  let holding =
+    Array.to_list (Table.directory t)
+    |> List.filter_map (fun (de : Table.dir_entry) ->
+           if List.exists matches (rows_of (Pool.peek pool ~table:"x" ~page:de.de_page))
+           then Some de.de_page
+           else None)
+  in
+  let expect = List.filter matches (Table.scan t (Blas_rel.Counters.create ())) in
+  Pool.flush pool;
+  let read = ref [] in
+  log := Some read;
+  let c = Blas_rel.Counters.create () in
+  let got =
+    if lo = hi && lo <> None then Table.index_eq t c ~column:"k" (Option.get lo)
+    else Table.index_range t c ~column:"k" ~lo ~hi
+  in
+  log := None;
+  let read = List.rev !read in
+  let before_run =
+    let dir = Table.directory t in
+    let slot page =
+      let rec go i = if dir.(i).Table.de_page = page then i else go (i + 1) in
+      go 0
+    in
+    match (read, holding) with
+    | [], [] -> true
+    | [ _ ], [] -> true
+    | p :: rest, h :: _ when rest = holding -> slot p + 1 = slot h
+    | _ -> read = holding
+  in
+  List.length got = List.length expect
+  && List.for_all2 (fun a b -> Tuple.compare a b = 0) got expect
+  && c.Blas_rel.Counters.index_seeks = 1
+  && before_run
 
-module Entry_map = Map.Make (struct
-  type t = Value.t * int
-
-  let compare (v1, p1) (v2, p2) = Pidx.entry_cmp (v1, p1, 0) (v2, p2, 0)
-end)
-
-(* One batch op, resolved against the model when it runs: add rows,
-   remove some of an existing entry's rows, or add and take back the
-   same rows in one batch. *)
-type index_op =
-  | Add of Value.t * int * int
-  | Remove of int * int
-  | Cancel of Value.t * int * int
-
-let model_apply model deltas =
-  List.fold_left
-    (fun m (v, p, d) ->
-      let n = d + Option.value ~default:0 (Entry_map.find_opt (v, p) m) in
-      if n = 0 then Entry_map.remove (v, p) m else Entry_map.add (v, p) n m)
-    model deltas
-
-(* The deltas of [ops] on [model]: removals pick an entry by index and
-   never take more rows than the batch has left it. *)
-let resolve model ops =
-  let m = ref model in
-  List.concat_map
-    (fun op ->
-      let ds =
-        match op with
-        | Add (v, p, n) -> [ (v, p, n) ]
-        | Cancel (v, p, n) -> [ (v, p, n); (v, p, -n) ]
-        | Remove (i, k) -> (
-          match Entry_map.bindings !m with
-          | [] -> []
-          | bs ->
-            let (v, p), n = List.nth bs (i mod List.length bs) in
-            [ (v, p, -(1 + (k mod n))) ])
+let directory_law (format, file, init, batches, probes) =
+  with_logged_store ~format ~file (fun store log ->
+      let t =
+        Table.load store ~name:"x" ~schema:dir_schema ~cluster_key:[ "k"; "s" ]
+          init
       in
-      m := model_apply !m ds;
-      ds)
-    ops
+      let c = Blas_rel.Counters.create () in
+      List.for_all (probe_ok store log t) probes
+      && List.for_all
+           (fun ((first, len), picks, inserts) ->
+             let rows = Array.of_list (Table.scan t c) in
+             let n = Array.length rows in
+             let deletes =
+               if n = 0 then []
+               else
+                 List.sort_uniq compare
+                   (List.init (min len n) (fun i -> (first + i) mod n)
+                   @ List.map (fun i -> i mod n) picks)
+                 |> List.map (fun i -> rows.(i))
+             in
+             ignore (Table.apply_edits t c ~deletes ~inserts);
+             List.for_all (probe_ok store log t) probes)
+           batches)
 
-let leaves_of idx =
-  let counters = Blas_rel.Counters.create () in
-  Array.to_list (Pidx.layout idx)
-  |> List.map (fun m -> (m, Pidx.read_leaf idx counters m))
+(* The directory with each entry's decoded page rows. *)
+let directory_pages store t =
+  let pool = store.Blas_rel.Page_store.pool in
+  Pool.flush_dirty pool;
+  Array.to_list (Table.directory t)
+  |> List.map (fun (de : Table.dir_entry) ->
+         ( de,
+           match Pool.peek pool ~table:"x" ~page:de.de_page with
+           | Pool.Rows rows -> rows
+           | Pool.Bytes b -> Codec.decode_page ~format:store.codec b ))
 
-(* Every leaf non-empty, sorted, within its page and described by its
-   directory entry; values never fall from one leaf to the next; the
-   entries are exactly the model's; and a point probe of every value
-   finds exactly its pages.  The entries are compared sorted: a new
-   page of a value that spans leaves joins the last leaf that can hold
-   the value, so across leaves only values are in order, not pages. *)
-let index_matches ~format ~capacity idx model =
-  let leaves = leaves_of idx in
+(* The clustered directory equals a sorted model of the rows: every
+   page non-empty, within the store's capacity under its codec and
+   described by its entry (row count, first row); the pages in
+   directory order are the full scan, sorted on the cluster key; and
+   the rows are the model's, compared sorted (equal cluster keys keep
+   no promised order). *)
+let directory_matches store t model =
+  let pages = directory_pages store t in
+  let key row = (Tuple.get row 0, Tuple.get row 1) in
+  let key_cmp a b =
+    let (k1, s1), (k2, s2) = (key a, key b) in
+    match Value.compare k1 k2 with 0 -> Value.compare s1 s2 | c -> c
+  in
   let rec sorted = function
-    | a :: (b :: _ as rest) -> Pidx.entry_cmp a b < 0 && sorted rest
+    | a :: (b :: _ as rest) -> key_cmp a b <= 0 && sorted rest
     | _ -> true
   in
-  let value (v, _, _) = v in
-  let rec rising = function
-    | (_, a) :: ((_, b) :: _ as rest) ->
-      Value.compare (value (List.nth a (List.length a - 1))) (value (List.hd b)) <= 0
-      && rising rest
-    | _ -> true
-  in
-  let model_entries = List.map (fun ((v, p), n) -> (v, p, n)) (Entry_map.bindings model) in
-  let pages_of v =
-    List.filter_map
-      (fun (v', p, _) -> if Value.compare v v' = 0 then Some p else None)
-      model_entries
+  let scan = Table.scan t (Blas_rel.Counters.create ()) in
+  let same a b =
+    List.length a = List.length b
+    && List.for_all2 (fun x y -> Tuple.compare x y = 0) a b
   in
   List.for_all
-    (fun ((m : Pidx.meta), es) ->
-      es <> [] && sorted es
-      && Pidx.leaf_bytes ~format es <= capacity
-      && Value.compare m.m_first (value (List.hd es)) = 0
-      && m.m_entries = List.length es
-      && m.m_rows = List.fold_left (fun a (_, _, n) -> a + n) 0 es)
-    leaves
-  && rising leaves
-  && List.sort Pidx.entry_cmp (List.concat_map snd leaves) = model_entries
-  && List.for_all
-       (fun (v, _, _) ->
-         List.sort_uniq compare
-           (Pidx.lookup_pages idx (Blas_rel.Counters.create ()) ~lo:(Some v) ~hi:(Some v))
-         = List.sort_uniq compare (pages_of v))
-       model_entries
+    (fun ((de : Table.dir_entry), rows) ->
+      rows <> []
+      && de.de_nrows = List.length rows
+      && Tuple.compare de.de_first (List.hd rows) = 0
+      && String.length (Codec.encode_page ~format:store.codec rows)
+         <= store.capacity)
+    pages
+  && same (List.concat_map snd pages) scan
+  && sorted scan
+  && Table.cardinality t = List.length model
+  && same (List.sort Tuple.compare scan) (List.sort Tuple.compare model)
 
-let raises_invalid f = match f () with exception Invalid_argument _ -> true | _ -> false
+let raises_invalid f =
+  match f () with exception Invalid_argument _ -> true | _ -> false
 
-(* [Pidx.apply] keeps the index equal to the model through random
-   batches; a count driven negative and a delete of a missing entry
-   raise before anything changes. *)
-let maintenance_law ((format, rows), batches) =
-  let capacity = 256 in
-  let store =
-    if rows then
-      Blas_rel.Page_store.memory ~pool_capacity:4
-        ~page_size:(capacity + Blas_disk.Pager.header_bytes) ~codec:format ()
-    else bytes_store format
-  in
-  let idx = Pidx.create ~store ~name:"x.k" ~leaves:[||] in
-  let counters = Blas_rel.Counters.create () in
-  let model =
-    List.fold_left
-      (fun model ops ->
-        match model with
-        | None -> None
-        | Some model ->
-          let deltas = resolve model ops in
-          Pidx.apply idx counters deltas;
-          let model = model_apply model deltas in
-          if index_matches ~format ~capacity idx model then Some model else None)
-      (Some Entry_map.empty) batches
-  in
-  match model with
-  | None -> false
-  | Some model -> (
-    let before = leaves_of idx in
-    let missing = (Value.Str "not-a-key", 0, -1) in
-    raises_invalid (fun () -> Pidx.apply idx counters [ missing ])
-    && (match Entry_map.min_binding_opt model with
-       | None -> true
-       | Some ((v, p), n) ->
-         raises_invalid (fun () -> Pidx.apply idx counters [ (v, p, -(n + 1)) ]))
-    && leaves_of idx = before)
-
-let maintenance_gen =
-  let open QCheck2.Gen in
-  let value =
-    frequency
-      [
-        (3, map (fun i -> Value.Int i) (int_range 0 9));
-        (2, map (fun s -> Value.Str s) (oneofl [ "a"; "b"; "mid"; String.make 40 'z' ]));
-        (1, return Value.Null);
-      ]
-  in
-  let page = int_range 0 150 in
-  let op =
-    frequency
-      [
-        (4, map3 (fun v p n -> Add (v, p, n)) value page (int_range 1 3));
-        (3, map2 (fun i k -> Remove (i, k)) nat nat);
-        (1, map3 (fun v p n -> Cancel (v, p, n)) value page (int_range 1 3));
-      ]
-  in
-  pair
-    (pair (oneofl [ Codec.V1; Codec.V2 ]) bool)
-    (list_size (int_range 1 6) (list_size (int_range 0 120) op))
+(* [Table.apply_edits] keeps the directory equal to the model through
+   random batches; a batch deleting a missing row raises before
+   anything changes, even when its other deletes are present. *)
+let maintenance_law (format, file, init, batches, _) =
+  with_logged_store ~format ~file (fun store _ ->
+      let t =
+        Table.load store ~name:"x" ~schema:dir_schema ~cluster_key:[ "k"; "s" ]
+          init
+      in
+      let c = Blas_rel.Counters.create () in
+      let model =
+        List.fold_left
+          (fun model ((first, len), picks, inserts) ->
+            match model with
+            | None -> None
+            | Some model ->
+              let rows = Array.of_list model in
+              let n = Array.length rows in
+              let picked =
+                if n = 0 then []
+                else
+                  List.sort_uniq compare
+                    (List.init (min len n) (fun i -> (first + i) mod n)
+                    @ List.map (fun i -> i mod n) picks)
+              in
+              let deletes = List.map (fun i -> rows.(i)) picked in
+              ignore (Table.apply_edits t c ~deletes ~inserts);
+              let model =
+                List.filteri (fun i _ -> not (List.mem i picked)) model
+                @ inserts
+              in
+              if directory_matches store t model then Some model else None)
+          (Some init) batches
+      in
+      match model with
+      | None -> false
+      | Some model ->
+        let before = directory_pages store t in
+        let missing =
+          Tuple.of_list [ Value.Str "not-a-key"; Value.Int (-1); Value.Str "" ]
+        in
+        raises_invalid (fun () ->
+            Table.apply_edits t c ~deletes:[ missing ] ~inserts:[])
+        && raises_invalid (fun () ->
+               Table.apply_edits t c
+                 ~deletes:(List.filteri (fun i _ -> i < 1) model @ [ missing ])
+                 ~inserts:[ missing ])
+        && directory_pages store t = before
+        && directory_matches store t model)
 
 (* ------------------------------------------------------------------ *)
 (* v2 database coherence vs the in-memory shadow under random edits    *)
@@ -690,8 +733,6 @@ let suite =
       (pack_law Codec.V1);
     qtest ~count:150 "v2 pack_pages partitions losslessly" pack_gen
       (pack_law Codec.V2);
-    qtest ~count:200 "v2 index leaves round-trip" page_gen
-      (leaf_law Codec.V2);
     qtest ~count:500 "cmp_enc agrees with Value.compare"
       QCheck2.Gen.(pair edge_value_gen edge_value_gen)
       cmp_enc_law;
@@ -699,8 +740,9 @@ let suite =
       (select_law Codec.V1);
     qtest ~count:300 "v2 select equals filtered decode" select_gen
       (select_law Codec.V2);
-    qtest ~count:200 "lookup_pages agrees across codecs" lookup_gen lookup_law;
-    qtest ~count:150 "index maintenance matches a sorted model" maintenance_gen
+    qtest ~count:150 "directory lookups read only their run" directory_gen
+      directory_law;
+    qtest ~count:150 "index maintenance matches a sorted model" directory_gen
       maintenance_law;
     qtest ~count:40 "v2 database coherent with shadow under edits"
       script_gen coherence_law;

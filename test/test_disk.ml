@@ -624,7 +624,9 @@ let test_crash_recovery =
    too (Graft and Prune edits), but not in every run: this script grows
    the chain by grafting a wide subtree and shrinks it by pruning it
    again, and a crash at each of a range of byte budgets in either
-   commit recovers. *)
+   commit recovers.  The chain holds one directory entry per data page,
+   so the graft's distinct 40-byte texts fill enough pages to grow it
+   under either codec. *)
 let test_crash_while_chain_resizes () =
   let tree = Blas_xml.Dom.parse "<r><a>x</a></r>" in
   let wide =
@@ -632,7 +634,9 @@ let test_crash_while_chain_resizes () =
       ( "b",
         List.init 200 (fun i ->
             Blas_xml.Types.Element
-              ("c", [ Blas_xml.Types.Content (string_of_int i) ])) )
+              ( "c",
+                [ Blas_xml.Types.Content (Printf.sprintf "%040d" (i * 7919)) ]
+              )) )
   in
   let edits = [ Graft (0, 1, wide); Prune 1 ] in
   chain_grew := 0;
@@ -815,8 +819,9 @@ let test_stats () =
          <= (s.Blas.Storage.dstat_page_count + 1) * 512
         && s.Blas.Storage.dstat_file_bytes
            > s.Blas.Storage.dstat_page_count * 8);
-      check_bool "live pages bounded by file pages" true
-        (s.Blas.Storage.dstat_live_pages <= s.Blas.Storage.dstat_page_count);
+      check_int "a fresh file has every page live"
+        s.Blas.Storage.dstat_page_count s.Blas.Storage.dstat_live_pages;
+      check_int "and none free" 0 s.Blas.Storage.dstat_free_pages;
       check_bool "live pages exist" true (s.Blas.Storage.dstat_live_pages > 0);
       check_bool "live bytes fit live pages" true
         (s.Blas.Storage.dstat_live_bytes
@@ -826,6 +831,62 @@ let test_stats () =
       check_bool "cache residency bounded" true
         (s.Blas.Storage.dstat_cache_resident <= 16);
       Blas.Storage.close disk)
+
+(* Catalogs written before v5 carry a leaf directory per secondary index
+   (catalog_v2: v1 codec; v3: v2 codec; v4: v1 codec, the last version
+   with indexes; each 9 pages of 512 bytes, 6 of them leaves).  A
+   read-write open hands the leaves to the free list, the first commit
+   writes a v5 catalog without them, and the reopened file answers as
+   the oracle does with every page either live or free. *)
+let test_older_catalogs_give_leaves_back () =
+  List.iter
+    (fun name ->
+      with_db (fun path ->
+          copy_fixture name path;
+          let disk = Database.open_ ~mode:Database.Rw ~path () in
+          ignore (Blas.Update.replace_text disk ~start:1 (Some "t"));
+          Blas.Storage.close disk;
+          let reopened = Database.open_ ~mode:Database.Rw ~path () in
+          Fun.protect
+            ~finally:(fun () -> Blas.Storage.close reopened)
+            (fun () ->
+              let d = Option.get (Blas.Storage.disk reopened) in
+              ignore (d.Blas.Storage.dk_check_catalog ());
+              let s = d.Blas.Storage.dk_stats () in
+              check_int (name ^ ": file pages") 9 s.Blas.Storage.dstat_page_count;
+              check_int (name ^ ": live pages") 3 s.Blas.Storage.dstat_live_pages;
+              check_int (name ^ ": every page live or free")
+                s.Blas.Storage.dstat_page_count
+                (s.Blas.Storage.dstat_live_pages + s.Blas.Storage.dstat_free_pages);
+              List.iter
+                (fun qs ->
+                  let q = Blas.query qs in
+                  List.iter
+                    (fun (engine, translator) ->
+                      check_int_list (name ^ ": " ^ qs) (Blas.oracle reopened q)
+                        (Blas.answers reopened ~engine ~translator q))
+                    [
+                      (Blas.Rdbms, Blas.Auto2);
+                      (Blas.Rdbms, Blas.D_labeling);
+                      (Blas.Rdbms, Blas.Unfold);
+                      (Blas.Twig, Blas.Split);
+                    ])
+                [ "//b/a"; "/r/a"; "//a[. = \"x\"]"; "//*[. = \"y\"]"; "/r/*" ];
+              (* The freed leaves take the pages the split data pages
+                 need. *)
+              ignore
+                (Blas.Update.insert_subtree reopened ~parent:1 ~pos:0
+                   (Blas_xml.Types.Element
+                      ("a", [ Blas_xml.Types.Content (String.make 400 'z') ])));
+              let s = d.Blas.Storage.dk_stats () in
+              check_int (name ^ ": no page added") 9 s.Blas.Storage.dstat_page_count;
+              check_bool (name ^ ": split pages came from the free list") true
+                (s.Blas.Storage.dstat_live_pages > 3);
+              check_int (name ^ ": every page still live or free")
+                s.Blas.Storage.dstat_page_count
+                (s.Blas.Storage.dstat_live_pages + s.Blas.Storage.dstat_free_pages);
+              ignore (d.Blas.Storage.dk_check_catalog ()))))
+    [ "catalog_v2.blasdb"; "catalog_v3.blasdb"; "catalog_v4.blasdb" ]
 
 (* Saving a database over itself would truncate the file it reads from:
    POSIX locks never conflict within one process, so [create] compares
@@ -925,6 +986,8 @@ let suite =
     Alcotest.test_case "retext logs only changed chain pages" `Quick
       test_retext_logs_changed_chain_pages;
     Alcotest.test_case "disk stats" `Quick test_stats;
+    Alcotest.test_case "older catalogs open and give their leaves back"
+      `Quick test_older_catalogs_give_leaves_back;
     Alcotest.test_case "create refuses its own source file" `Quick
       test_create_refuses_own_file;
     Alcotest.test_case "create on a locked file keeps its WAL" `Quick

@@ -32,7 +32,7 @@ let unit_tests =
         let t =
           Table.load (Page_store.memory ()) ~name:"t"
             ~schema:(Schema.of_list [ "start"; "end"; "level" ])
-            ~cluster_key:[ "start" ] ~indexes:[ "start" ] []
+            ~cluster_key:[ "start" ] []
         in
         let access path = Algebra.Access { table = t; alias = "T"; path; residual = Algebra.True } in
         let spec =

@@ -162,25 +162,11 @@ let test_opened_guide_is_exact () =
    versions 2 and 3, by the v1 and v2 codecs): the open builds the
    document model once, counts from it and collects fresh statistics;
    the first commit writes the counts down. *)
-let fixture name =
-  let candidates =
-    [
-      Filename.concat (Filename.dirname Sys.executable_name) ("fixtures/" ^ name);
-      "test/fixtures/" ^ name;
-      "fixtures/" ^ name;
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "fixture %s not found" name
-
 let test_older_catalogs_open () =
   List.iter
     (fun name ->
       with_temp_db (fun path ->
-          In_channel.with_open_bin (fixture name) (fun ic ->
-              Out_channel.with_open_bin path (fun oc ->
-                  Out_channel.output_string oc (In_channel.input_all ic)));
+          copy_fixture name path;
           let query = Blas.query "//b/a" in
           let disk = Blas.Database.open_ ~mode:Blas.Database.Rw ~path () in
           Fun.protect

@@ -74,14 +74,16 @@ let unit_tests =
         let storage = Blas.index "<r><a>x</a><b/></r>" in
         Test_util.with_temp_db (fun path ->
             Database.create ~path storage;
-            Fun.protect ~finally:Blas.Loader.clear_memo (fun () ->
-                match Blas.Loader.load path with
-                | Ok loaded ->
+            match Blas.Loader.load path with
+            | Ok loaded ->
+              Fun.protect
+                ~finally:(fun () -> Blas.Storage.close loaded)
+                (fun () ->
                   Test_util.check_bool "disk-backed" true
                     (Blas.Storage.disk loaded <> None);
                   Test_util.check_bool "identical" true
-                    (same_storage storage loaded)
-                | Error msg -> Alcotest.fail msg)) );
+                    (same_storage storage loaded))
+            | Error msg -> Alcotest.fail msg) );
     ( "malformed inputs are rejected",
       fun () ->
         Test_util.with_temp_db (fun path ->

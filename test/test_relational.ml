@@ -1,5 +1,5 @@
 (** Tests for the relational substrate: schemas, tuples, relations,
-    tables with indexes and counters, the executor, and the structural
+    clustered tables and counters, the executor, and the structural
     join. *)
 
 open Blas_rel
@@ -8,10 +8,10 @@ let v_int i = Value.Int i
 
 let v_str s = Value.Str s
 
-let mk_table ?(name = "t") ?(cluster = [ "k" ]) ?(indexes = [ "k" ]) columns rows =
+let mk_table ?(name = "t") ?(cluster = [ "k" ]) columns rows =
   Table.load (Page_store.memory ()) ~name
     ~schema:(Schema.of_list columns)
-    ~cluster_key:cluster ~indexes
+    ~cluster_key:cluster
     (List.map (fun r -> Tuple.of_list r) rows)
 
 let unit_tests =

@@ -116,6 +116,22 @@ let check_string = Alcotest.(check string)
 
 let check_int_list = Alcotest.(check (list int))
 
+(** [copy_fixture name path] copies [test/fixtures/name] to [path]. *)
+let copy_fixture name path =
+  let candidates =
+    [
+      Filename.concat (Filename.dirname Sys.executable_name) ("fixtures/" ^ name);
+      "test/fixtures/" ^ name;
+      "fixtures/" ^ name;
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | None -> Alcotest.failf "fixture %s not found" name
+  | Some src ->
+    In_channel.with_open_bin src (fun ic ->
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc (In_channel.input_all ic)))
+
 (** [with_temp_db f] runs [f] on a fresh database path and deletes the
     file and its WAL afterwards. *)
 let with_temp_db f =
