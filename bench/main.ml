@@ -5,12 +5,11 @@
     the ablations, the micro-benchmarks and the instrumentation
     overhead check; section arguments (fig10 ... fig18, joins, disk,
     space, build, cache, ablate, bechamel, overhead, optimizer, codec,
-    update, scaling, serve, shards) select a subset.
+    update, serve, shards) select a subset.
 
     Flags: [--json] also writes every printed table to
     BENCH_results.json; [--check] makes the overhead section enforce its
-    regression thresholds (non-zero exit on failure); [-j N] caps the
-    domain levels the scaling section sweeps. *)
+    regression thresholds (non-zero exit on failure). *)
 
 let sections =
   [
@@ -34,7 +33,6 @@ let sections =
     ("optimizer", Optimizer_bench.run);
     ("codec", Codec_bench.run);
     ("update", Update_bench.run);
-    ("scaling", Scaling.run);
     ("serve", Serve.run);
     ("shards", Serve.shards);
   ]
@@ -43,7 +41,7 @@ let results_file = "BENCH_results.json"
 
 let usage () =
   Printf.eprintf
-    "usage: %s [--json] [--check] [-j N] [section...]\navailable: %s\n"
+    "usage: %s [--json] [--check] [section...]\navailable: %s\n"
     Sys.argv.(0)
     (String.concat " " (List.map fst sections));
   exit 1
@@ -63,15 +61,6 @@ let () =
       | "--check" ->
         Overhead.check_mode := true;
         parse (i + 1)
-      | "-j" | "--jobs" ->
-        (match
-           if i + 1 < Array.length Sys.argv then
-             int_of_string_opt Sys.argv.(i + 1)
-           else None
-         with
-        | Some n when n >= 1 -> Scaling.set_max_domains n
-        | _ -> usage ());
-        parse (i + 2)
       | name when List.mem_assoc name sections ->
         chosen := (name, List.assoc name sections) :: !chosen;
         parse (i + 1)

@@ -54,8 +54,7 @@ let time_candidate storage (translator, engine) query =
     infinity
     (List.init 5 (fun _ -> ()))
 
-(* The pick's (translator, engine) as measured-candidate coordinates;
-   the bench sweep is sequential, so degree collapses to 1. *)
+(* The pick's (translator, engine) as measured-candidate coordinates. *)
 let pick_of_choice (c : Blas.Optimizer.choice) =
   let translator =
     match c.Blas.Optimizer.ch_translator with

@@ -9,11 +9,6 @@
     {!threshold_percent} marks the run failed.  An enabled tracer +
     registry is measured too, for scale.
 
-    The parallel layer makes the same claim for [-j 1]: a run routed
-    through a single-lane pool must cost within {!threshold_percent} of
-    the direct sequential run (the pool dispatches inline with no
-    synchronization), and [--check] gates that too.
-
     One short measurement per variant flaps on a small shared machine:
     drift between two measurements taken seconds apart is as large as
     the bound (on a 2-vCPU VM the same query's time wandered by up to 2x
@@ -113,13 +108,6 @@ let instrumentation_check () =
     Blas_obs.Trace.clear tracer;
     r
   in
-  (* The -j 1 path: same run, routed through a single-lane pool.  The
-     pool must dispatch inline, so this prices the option plumbing and
-     the lane checks, not synchronization. *)
-  let pool = Blas.Par.create ~domains:1 in
-  let pool_j1 () =
-    Blas.run ~pool storage ~engine:Blas.Rdbms ~translator query
-  in
   (* The query cache makes the same claim when bypassed: [~cache:false]
      must price like the uncached pipeline (one option match per run).
      The warm-cache variant is measured for scale, not gated — it
@@ -152,7 +140,6 @@ let instrumentation_check () =
     [
       ("disabled instrumentation", true, run disabled, "bare", run bare);
       ("enabled (tracer+metrics)", false, run enabled, "bare", run bare);
-      ("-j 1 pool", true, run pool_j1, "disabled", run disabled);
       ("cache-disabled path", true, run cache_off, "bare", run bare);
       ("cache warm (memo hit)", false, run cache_warm, "bare", run bare);
       ( "traced server path",
@@ -168,10 +155,9 @@ let instrumentation_check () =
         (label, gated, base_label, paired variant base))
       comparisons
   in
-  Blas.Par.shutdown pool;
   Blas.Cache.clear (Blas.Storage.cache storage);
   Bench_util.print_table
-    ~title:"disabled instrumentation, the -j 1 pool and tracing must be free"
+    ~title:"disabled instrumentation, the bypassed cache and tracing must be free"
     {
       Bench_util.header =
         [ "variant"; "ns/query"; "baseline"; "ns/query"; "overhead" ];

@@ -1,19 +1,25 @@
 (** bench serve: closed-loop multi-client workload against a live
-    in-process server.
+    in-process server, at 1 and 2 worker domains.
 
     Four client threads run the Figure 10 Shakespeare and auction
-    queries (warm cache) with one live update mixed in every eighth
-    operation, each over its own TCP connection against an
-    ephemeral-port server.  The table reports client-observed
-    throughput and p50/p95/p99 latency per verb; with [--json] it lands
-    in BENCH_results.json, and with [--check] any non-OK reply fails
-    the run (the CI smoke). *)
+    queries with one live update mixed in every eighth operation, each
+    over its own TCP connection against an ephemeral-port server.  The
+    cache is off, so every query executes.  The loop runs once per
+    domain level ([jobs] = the domains the server's four workers are
+    spread over), each against a fresh server over fresh database
+    copies.  The table reports client-observed throughput and
+    p50/p95/p99 latency per verb and level; with [--json] it lands in
+    BENCH_results.json, and with [--check] any non-OK reply fails the
+    run (the CI smoke).  No level is expected to beat the other: the
+    table only records what [-j] buys on the machine at hand. *)
 
 module Srv = Blas_server.Server
 module C = Blas_server.Client
 module P = Blas_server.Proto
 
 let n_clients = 4
+
+let domain_levels = [ 1; 2 ]
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -35,9 +41,22 @@ let root_start (storage : Blas.Storage.t) =
    UPDATE verbs commit without touching the shared template. *)
 let db_storage template = Datasets.db_copy (template ())
 
-let run () =
-  Bench_util.heading "Serving: multi-client closed loop against a live server";
-  let check = !Overhead.check_mode in
+let workload =
+  Array.of_list
+    (List.map (fun (_, q) -> ("shakespeare", q)) Bench_queries.shakespeare
+    @ List.map (fun (_, q) -> ("auction", q)) Bench_queries.auction)
+
+type loop_result = {
+  wall_s : float;
+  queries : float array;  (** sorted client-observed latencies, ns *)
+  updates : float array;
+  non_ok : int;
+}
+
+(* One closed loop against a fresh server with [jobs] worker domains
+   over fresh database copies; [after port] runs against the same
+   server once the load is done. *)
+let closed_loop ~per_client ~jobs ~after =
   let shakespeare, shakespeare_path = db_storage Datasets.shakespeare_db in
   let auction, auction_path = db_storage Datasets.auction_db in
   let cleanup () =
@@ -49,12 +68,6 @@ let run () =
   Fun.protect ~finally:cleanup @@ fun () ->
   let docs = [ ("shakespeare", shakespeare); ("auction", auction) ] in
   let roots = List.map (fun (name, s) -> (name, root_start s)) docs in
-  let workload =
-    Array.of_list
-      (List.map (fun (_, q) -> ("shakespeare", q)) Bench_queries.shakespeare
-      @ List.map (fun (_, q) -> ("auction", q)) Bench_queries.auction)
-  in
-  let jobs = min 4 (List.fold_left max 1 !Scaling.levels) in
   let config =
     {
       Srv.default_config with
@@ -62,13 +75,13 @@ let run () =
       jobs;
       max_inflight = n_clients;
       queue_depth = 64;
+      cache = false;
     }
   in
-  let per_client = if check then 24 else 160 in
   Srv.with_server config ~docs @@ fun srv ->
   let port = Srv.port srv in
   (* Warm: every query once per engine, so the steady state measures
-     the resident server, not first-touch indexing and cache misses. *)
+     the resident server, not first-touch page reads. *)
   C.with_client port (fun c ->
       Array.iter
         (fun (doc, q) ->
@@ -88,8 +101,8 @@ let run () =
           let t0 = Bench_util.now_ns () in
           let reply, is_update =
             if i mod 8 = 7 then begin
-              (* A live edit: retext the root — invalidates the cache,
-                 exercising the exclusive-writer path under load. *)
+              (* A live edit: retext the root, exercising the
+                 exclusive-writer path under load. *)
               let doc, start = List.nth roots ((i + k) mod List.length roots) in
               ( C.update c ~doc
                   (P.Retext
@@ -114,44 +127,24 @@ let run () =
     Int64.to_float (Int64.sub (Bench_util.now_ns ()) t0) /. 1e9
   in
   let finite a =
-    let l = Array.to_list a |> List.filter (fun x -> not (Float.is_nan x)) in
-    let s = Array.of_list l in
+    let s =
+      Array.of_list (List.filter (fun x -> not (Float.is_nan x)) (Array.to_list a))
+    in
     Array.sort compare s;
     s
   in
-  let queries = finite query_ns and updates = finite update_ns in
-  let total_ops = Array.length queries + Array.length updates in
-  let row verb (sorted : float array) =
-    [
-      verb;
-      string_of_int (Array.length sorted);
-      Printf.sprintf "%.3f" (percentile sorted 50. /. 1e6);
-      Printf.sprintf "%.3f" (percentile sorted 95. /. 1e6);
-      Printf.sprintf "%.3f" (percentile sorted 99. /. 1e6);
-    ]
-  in
-  Bench_util.print_table
-    ~title:
-      (Printf.sprintf
-         "%d clients x %d ops (1 update per 8 ops), -j %d, wall %.3fs, %.0f \
-          ops/s"
-         n_clients per_client jobs wall_s
-         (float_of_int total_ops /. wall_s))
-    {
-      Bench_util.header = [ "verb"; "ops"; "p50 ms"; "p95 ms"; "p99 ms" ];
-      rows = [ row "query" queries; row "update" updates ];
-    };
-  if Atomic.get non_ok > 0 then begin
-    Printf.eprintf "serve: %d non-OK replies under closed-loop load\n%!"
-      (Atomic.get non_ok);
-    if check then Overhead.failed := true
-  end
-  else if check then
-    Printf.printf "OK: %d requests over %d clients, all replies OK\n" total_ops
-      n_clients;
-  (* Observability scrape: after the load, the same server must expose a
-     well-formed Prometheus page, registry JSON and the live time series,
-     and a TRACE'd query must come back with a span tree. *)
+  after port;
+  {
+    wall_s;
+    queries = finite query_ns;
+    updates = finite update_ns;
+    non_ok = Atomic.get non_ok;
+  }
+
+(* Observability scrape: after the load, the same server must expose a
+   well-formed Prometheus page, registry JSON and the live time series,
+   and a TRACE'd query must come back with a span tree. *)
+let scrape ~check port =
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -188,6 +181,60 @@ let run () =
     Printf.eprintf "serve: malformed observability payloads: %s\n%!"
       (String.concat ", " (List.rev bad));
     if check then Overhead.failed := true
+
+let run () =
+  Bench_util.heading "Serving: multi-client closed loop against a live server";
+  let check = !Overhead.check_mode in
+  let per_client = if check then 24 else 160 in
+  let last = List.hd (List.rev domain_levels) in
+  let results =
+    List.map
+      (fun jobs ->
+        (* The scrape checks run once, against the last level's server. *)
+        let after = if jobs = last then scrape ~check else ignore in
+        (jobs, closed_loop ~per_client ~jobs ~after))
+      domain_levels
+  in
+  let row jobs wall_s verb (sorted : float array) =
+    [
+      string_of_int jobs;
+      verb;
+      string_of_int (Array.length sorted);
+      Printf.sprintf "%.0f" (float_of_int (Array.length sorted) /. wall_s);
+      Printf.sprintf "%.3f" (percentile sorted 50. /. 1e6);
+      Printf.sprintf "%.3f" (percentile sorted 95. /. 1e6);
+      Printf.sprintf "%.3f" (percentile sorted 99. /. 1e6);
+    ]
+  in
+  Bench_util.print_table
+    ~title:
+      (Printf.sprintf
+         "%d clients x %d ops (1 update per 8 ops), cache off, by worker \
+          domains (-j)"
+         n_clients per_client)
+    {
+      Bench_util.header =
+        [ "domains"; "verb"; "ops"; "ops/s"; "p50 ms"; "p95 ms"; "p99 ms" ];
+      rows =
+        List.concat_map
+          (fun (jobs, r) ->
+            let all = Array.append r.queries r.updates in
+            Array.sort compare all;
+            [
+              row jobs r.wall_s "query" r.queries;
+              row jobs r.wall_s "update" r.updates;
+              row jobs r.wall_s "all" all;
+            ])
+          results;
+    };
+  let non_ok = List.fold_left (fun acc (_, r) -> acc + r.non_ok) 0 results in
+  if non_ok > 0 then begin
+    Printf.eprintf "serve: %d non-OK replies under closed-loop load\n%!" non_ok;
+    if check then Overhead.failed := true
+  end
+  else if check then
+    Printf.printf "OK: %d domain levels x %d clients, all replies OK\n"
+      (List.length results) n_clients
 
 (* ------------------------------------------------------------------ *)
 (* bench serve shards: the scatter-gather router over 1/2/4 shards.

@@ -133,8 +133,8 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Execution domains for parallel query evaluation (default 1 = \
-           sequential).  Results are identical to a sequential run.")
+          "Domains the server's request workers are spread over (default \
+           1).  Requests run in parallel; each query runs sequentially.")
 
 let no_cache_arg =
   Arg.(
@@ -143,12 +143,6 @@ let no_cache_arg =
         ~doc:
           "Disable the semantic query cache for this invocation (the CLI \
            enables it by default; the library default is off).")
-
-(* Runs [f] with the domain pool -j asked for ([None] when sequential),
-   shutting the workers down on the way out. *)
-let with_jobs jobs f =
-  if jobs <= 1 then f None
-  else Blas.Par.with_pool ~domains:jobs (fun pool -> f (Some pool))
 
 let parse_query s =
   try Ok (Blas.query s) with
@@ -477,7 +471,7 @@ let plan_cmd =
 (* run                                                                 *)
 
 let run () query_string translator engine verify show_limit as_xml explain
-    analyze show_stats jobs no_cache pages stats_seed path =
+    analyze show_stats no_cache pages stats_seed path =
   apply_stats_seed stats_seed;
   match load_storage ?cache_pages:pages path, parse_query_union query_string with
   | Error msg, _ | _, Error msg -> `Error (false, msg)
@@ -486,9 +480,6 @@ let run () query_string translator engine verify show_limit as_xml explain
     let t0 = Blas_obs.Clock.now_ns () in
     let report =
       if analyze then begin
-        (* EXPLAIN ANALYZE is always sequential — its per-operator
-           snapshot diffs would tear under concurrency — so -j is
-           ignored here. *)
         let analyzed =
           List.map (Blas.run_analyze storage ~engine ~translator) queries
         in
@@ -497,12 +488,8 @@ let run () query_string translator engine verify show_limit as_xml explain
           analyzed;
         Blas.union_report (List.map fst analyzed)
       end
-      else
-        with_jobs jobs (fun pool ->
-            Blas.run_union ?pool storage ~engine ~translator queries)
+      else Blas.run_union storage ~engine ~translator queries
     in
-    (* Wall clock, not CPU time — otherwise -j N would report the summed
-       domain time and parallel runs would look slower, not faster. *)
     let dt = Int64.to_float (Blas_obs.Clock.elapsed_ns t0) /. 1e9 in
     let plan_desc =
       (* Under [Auto2] the executed plan is the optimizer's pick, not
@@ -583,7 +570,7 @@ let run_cmd =
         (const run $ logs_term $ query_arg
        $ translator_arg_with ~default:Blas.Auto2
        $ engine_arg $ verify $ show $ as_xml $ explain $ analyze $ show_stats
-       $ jobs_arg $ no_cache_arg $ pages_arg $ stats_seed_arg $ input_arg))
+       $ no_cache_arg $ pages_arg $ stats_seed_arg $ input_arg))
 
 (* ------------------------------------------------------------------ *)
 (* index                                                               *)
@@ -800,7 +787,7 @@ let update_cmd =
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
 
-let profile () query_string translator engine repeat json jobs no_cache path =
+let profile () query_string translator engine repeat json no_cache path =
   match load_storage path, parse_query_union query_string with
   | Error msg, _ | _, Error msg -> `Error (false, msg)
   | Ok storage, Ok queries ->
@@ -810,16 +797,13 @@ let profile () query_string translator engine repeat json jobs no_cache path =
       let registry = Blas_obs.Metrics.create () in
       let tracer = Blas_obs.Trace.create () in
       Blas.set_metrics (Some registry);
-      (* Warm-up repetitions populate the latency histograms (with -j,
-         in parallel — the registry and tracer are domain-safe); the
-         final repetition runs in EXPLAIN ANALYZE mode for the operator
-         tree, always sequentially. *)
-      with_jobs jobs (fun pool ->
-          for _ = 2 to repeat do
-            List.iter
-              (fun q -> ignore (Blas.run ~tracer ?pool storage ~engine ~translator q))
-              queries
-          done);
+      (* Warm-up repetitions populate the latency histograms; the final
+         repetition runs in EXPLAIN ANALYZE mode for the operator tree. *)
+      for _ = 2 to repeat do
+        List.iter
+          (fun q -> ignore (Blas.run ~tracer storage ~engine ~translator q))
+          queries
+      done;
       let analyzed =
         List.map (Blas.run_analyze ~tracer storage ~engine ~translator) queries
       in
@@ -880,53 +864,51 @@ let profile_cmd =
     Term.(
       ret
         (const profile $ logs_term $ query_arg $ translator_arg $ engine_arg
-       $ repeat $ json $ jobs_arg $ no_cache_arg $ input_arg))
+       $ repeat $ json $ no_cache_arg $ input_arg))
 
 (* ------------------------------------------------------------------ *)
 (* cache                                                               *)
 
-let cache_view () query_string translator engine repeat jobs path =
+let cache_view () query_string translator engine repeat path =
   match load_storage path, parse_query_union query_string with
   | Error msg, _ | _, Error msg -> `Error (false, msg)
   | Ok storage, Ok queries ->
     if repeat < 1 then `Error (false, "--repeat must be >= 1")
     else begin
-      with_jobs jobs (fun pool ->
-          let time f =
-            let t0 = Blas_obs.Clock.now_ns () in
-            f ();
-            Int64.to_float (Blas_obs.Clock.elapsed_ns t0) /. 1e6
-          in
-          let run_all ~cache =
-            List.iter
-              (fun q ->
-                ignore (Blas.run ?pool ~cache storage ~engine ~translator q))
-              queries
-          in
-          let cold_ms =
-            time (fun () ->
-                for _ = 1 to repeat do
-                  run_all ~cache:false
-                done)
-          in
-          let warm_ms =
-            time (fun () ->
-                for _ = 1 to repeat do
-                  run_all ~cache:true
-                done)
-          in
-          let stats = Blas.Storage.cache_stats storage in
-          Printf.printf
-            "%d queries x %d repetitions (%s on %s)\n\
-             cold (cache bypassed): %8.3f ms\n\
-             warm (cache enabled):  %8.3f ms   speedup %.2fx\n\n"
-            (List.length queries) repeat
-            (Blas.translator_name translator)
-            (Blas.engine_name engine) cold_ms warm_ms
-            (cold_ms /. Float.max warm_ms 1e-6);
-          Format.printf "%a@." Blas.Cache.pp_stats stats;
-          Printf.printf "hit rate: %.1f%%\n"
-            (100. *. Blas.Cache.hit_rate stats));
+      let time f =
+        let t0 = Blas_obs.Clock.now_ns () in
+        f ();
+        Int64.to_float (Blas_obs.Clock.elapsed_ns t0) /. 1e6
+      in
+      let run_all ~cache =
+        List.iter
+          (fun q -> ignore (Blas.run ~cache storage ~engine ~translator q))
+          queries
+      in
+      let cold_ms =
+        time (fun () ->
+            for _ = 1 to repeat do
+              run_all ~cache:false
+            done)
+      in
+      let warm_ms =
+        time (fun () ->
+            for _ = 1 to repeat do
+              run_all ~cache:true
+            done)
+      in
+      let stats = Blas.Storage.cache_stats storage in
+      Printf.printf
+        "%d queries x %d repetitions (%s on %s)\n\
+         cold (cache bypassed): %8.3f ms\n\
+         warm (cache enabled):  %8.3f ms   speedup %.2fx\n\n"
+        (List.length queries) repeat
+        (Blas.translator_name translator)
+        (Blas.engine_name engine) cold_ms warm_ms
+        (cold_ms /. Float.max warm_ms 1e-6);
+      Format.printf "%a@." Blas.Cache.pp_stats stats;
+      Printf.printf "hit rate: %.1f%%\n"
+        (100. *. Blas.Cache.hit_rate stats);
       `Ok ()
     end
 
@@ -946,7 +928,7 @@ let cache_cmd =
     Term.(
       ret
         (const cache_view $ logs_term $ query_arg $ translator_arg
-       $ engine_arg $ repeat $ jobs_arg $ input_arg))
+       $ engine_arg $ repeat $ input_arg))
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)

@@ -55,7 +55,7 @@ val bytes_used : ('k, 'v) t -> int
 val stats : ('k, 'v) t -> Stats.t
 
 (** [validate t] checks the internal accounting of every stripe (bytes
-    = sum of entry weights, no negative budgets) — the [-j N] stress
-    tests call this after hammering the cache concurrently.
+    = sum of entry weights, no negative budgets) — the multi-domain
+    stress tests call this after hammering the cache concurrently.
     @raise Invalid_argument on a torn stripe. *)
 val validate : ('k, 'v) t -> unit

@@ -18,7 +18,7 @@ module Baseline = Baseline
 module Engine_twig = Engine_twig
 module Cost = Cost
 module Update = Update
-module Par = Blas_par.Pool
+module Par = Blas_par
 module Cache = Qcache
 module Loader = Loader
 module Database = Database
@@ -101,8 +101,8 @@ let sql_for = Exec.sql_for
 
 let plan_for = Exec.plan_for
 
-let run ?tracer ?cancel ?pool ?cache storage ~engine ~translator q =
-  Exec.run ?tracer ?cancel ?pool ?cache storage ~engine ~translator q
+let run ?tracer ?cancel ?cache storage ~engine ~translator q =
+  Exec.run ?tracer ?cancel ?cache storage ~engine ~translator q
 
 let run_analyze = Exec.run_analyze
 
@@ -121,19 +121,12 @@ let oracle = Exec.oracle
     into the equivalent union of tree queries. *)
 let query_union s = Blas_xpath.Parser.parse_union s
 
-(** [run_union ?pool storage ~engine ~translator queries] executes a
-    union of tree queries and merges the reports ({!union_report}).
-    With a multi-domain [pool], the queries of the batch run
-    concurrently (each run may fan out further when the batch is
-    narrower than the pool); reports merge in query order, so the
-    merged report matches the sequential one. *)
-let run_union ?tracer ?cancel ?pool ?cache storage ~engine ~translator queries =
-  let run_one q = run ?tracer ?cancel ?pool ?cache storage ~engine ~translator q in
+(** [run_union storage ~engine ~translator queries] executes a union of
+    tree queries, one after another, and merges the reports
+    ({!union_report}). *)
+let run_union ?tracer ?cancel ?cache storage ~engine ~translator queries =
   union_report
-    (match pool with
-    | Some p when Blas_par.Pool.size p > 1 && List.length queries > 1 ->
-      Blas_par.Pool.map_list p run_one queries
-    | _ -> List.map run_one queries)
+    (List.map (run ?tracer ?cancel ?cache storage ~engine ~translator) queries)
 
 let oracle_union storage queries =
   List.sort_uniq Stdlib.compare (List.concat_map (oracle storage) queries)

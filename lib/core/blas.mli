@@ -8,7 +8,14 @@
       let query = Blas.query "/a/b" in
       let report = Blas.run storage ~engine:Blas.Rdbms ~translator:Blas.Pushup query in
       report.starts (* start positions of the answer nodes *)
-    ]} *)
+    ]}
+
+    Every query runs as one sequential plan on the domain that calls
+    {!run}, as in the paper's evaluation.  Parallelism lives between
+    requests: one storage may be queried from several domains at once
+    (the server spreads its request workers over [-j N] domains), and
+    the shared state a query reaches — buffer pool, pager, caches,
+    statistics, metrics — is domain-safe. *)
 
 module Storage = Storage
 module Suffix_query = Suffix_query
@@ -22,12 +29,9 @@ module Cost = Cost
     in place, with label maintenance (see {!Update}). *)
 module Update = Update
 
-(** The domain pool behind parallel execution ([-j N]): create one with
-    [Par.create ~domains:n] and pass it to {!run} / {!run_union}.
-    Parallel runs return exactly the sequential answer set and counter
-    totals (page reads aside, which depend on buffer-pool
-    interleaving). *)
-module Par = Blas_par.Pool
+(** Deadline tokens: {!run}'s [?cancel] hook is usually
+    [fun () -> Par.Token.check token], which raises {!Par.Cancelled}. *)
+module Par = Blas_par
 
 (** The query cache (whole-query result memo and P-interval scan
     cache) attached to every {!Storage.t}.
@@ -48,7 +52,7 @@ module Database = Database
 
 (** The cost-based adaptive optimizer behind [Auto2]: statistics
     collected at index time, a planner pricing {Split, Push-up, Unfold}
-    × {RDBMS, twig} × degree of parallelism, and the update-protocol
+    × {RDBMS, twig}, and the update-protocol
     staleness hook (see {!Optimizer}). *)
 module Optimizer = Optimizer
 
@@ -61,11 +65,9 @@ type translator = Exec.translator =
           {!Decompose.expansion_bound} union branches it keeps the [//]
           edges, as Push-up does *)
   | Auto2
-      (** the adaptive optimizer: picks translator {e and} engine {e
-          and} degree of parallelism by estimated cost from collected
-          statistics — no data probes; the pick overrides {!run}'s
-          [~engine] and drops its [?pool] when a serial plan prices
-          cheaper *)
+      (** the adaptive optimizer: picks translator {e and} engine by
+          estimated cost from collected statistics — no data probes;
+          the pick overrides {!run}'s [~engine] *)
 
 type engine = Exec.engine = Rdbms | Twig
 
@@ -135,10 +137,7 @@ val plan_for :
 (** Translate and execute — the one query pipeline: every other entry
     point ({!run_analyze}, {!run_union}, {!answers}) goes through it.
     With an enabled [tracer] the run is recorded as a [query] span over
-    its lifecycle phases.  With a multi-domain [pool] the execute phase
-    fans out (union branches, join sides, partitioned D-joins, chunked
-    index fetches); answers and counter totals match the sequential
-    run.
+    its lifecycle phases.
 
     [?cache] overrides the storage's cache switch for this run only
     ([Some false] forces a cold reference run without flushing the
@@ -149,13 +148,12 @@ val plan_for :
     touches their footprint.
 
     [?cancel] is the cooperative cancellation hook: called at every
-    phase and operator boundary of the run (across concurrent regions
-    too), it aborts by raising — deadline enforcement passes
-    [fun () -> Par.Token.check token] and catches {!Par.Cancelled}. *)
+    phase and operator boundary of the run, it aborts by raising —
+    deadline enforcement passes [fun () -> Par.Token.check token] and
+    catches {!Par.Cancelled}. *)
 val run :
   ?tracer:Blas_obs.Trace.t ->
   ?cancel:(unit -> unit) ->
-  ?pool:Par.t ->
   ?cache:bool ->
   Storage.t ->
   engine:engine ->
@@ -167,8 +165,7 @@ val run :
     same {!run} with a collector attached, also returning the annotated
     operator tree of the plan that ran (actual rows, elapsed time and
     I/O per executed operator).  Summing the tree's [self] stats
-    reconciles exactly with [report.counters].  The run is sequential
-    (collector frames diff one shared counter vector) and bypasses the
+    reconciles exactly with [report.counters].  The run bypasses the
     whole-query memo, so the tree is always a real execution; with
     caching active the root label reports this run's cache delta. *)
 val run_analyze :
@@ -198,14 +195,11 @@ val oracle : Storage.t -> Blas_xpath.Ast.t -> int list
     @raise Blas_xpath.Parser.Error on malformed input. *)
 val query_union : string -> Blas_xpath.Ast.t list
 
-(** Executes a union of tree queries and merges the reports with
-    {!union_report}.  With a multi-domain [pool], the batch runs
-    concurrently; reports merge in query order, so the merged report
-    matches the sequential one. *)
+(** Executes a union of tree queries, in order, and merges the reports
+    with {!union_report}. *)
 val run_union :
   ?tracer:Blas_obs.Trace.t ->
   ?cancel:(unit -> unit) ->
-  ?pool:Par.t ->
   ?cache:bool ->
   Storage.t ->
   engine:engine ->

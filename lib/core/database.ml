@@ -24,7 +24,7 @@
 module Store = Blas_disk.Store
 module Pager = Blas_disk.Pager
 module Wire = Blas_disk.Wire
-module Pool = Blas_rel.Buffer_pool
+module Buffer_pool = Blas_rel.Buffer_pool
 module Table = Blas_rel.Table
 module Codec = Blas_rel.Codec
 module Value = Blas_rel.Value
@@ -248,11 +248,12 @@ let encode_root ~body ~first =
 (* The file under a buffer pool: pages cross it encoded. *)
 let file_backing store =
   {
-    Pool.back_read = (fun ~table:_ ~page -> Pool.Bytes (Store.read_page store page));
+    Buffer_pool.back_read =
+      (fun ~table:_ ~page -> Buffer_pool.Bytes (Store.read_page store page));
     back_write =
       (fun ~table:_ ~page -> function
-        | Pool.Bytes data -> Store.write_page store page data
-        | Pool.Rows _ -> invalid_arg "Database: file pages are written encoded");
+        | Buffer_pool.Bytes data -> Store.write_page store page data
+        | Buffer_pool.Rows _ -> invalid_arg "Database: file pages are written encoded");
     back_rows = false;
   }
 
@@ -261,7 +262,7 @@ let file_backing store =
 
 type db = {
   store : Store.t;
-  pool : Pool.t;
+  pool : Buffer_pool.t;
   mutable codec : Codec.format;  (** page codec, from the catalog *)
   mutable free : int list;  (** allocatable page ids *)
   mutable chain : int array;  (** committed catalog chain pages *)
@@ -391,7 +392,7 @@ let reload db =
   match db.storage with
   | None -> ()
   | Some storage ->
-    Pool.flush db.pool;
+    Buffer_pool.flush db.pool;
     Storage.drop_doc storage;
     install db storage (read_catalog db.store);
     Qcache.invalidate (Storage.cache storage) ~full:true ~schema_changed:true
@@ -411,7 +412,7 @@ let with_tx db f =
       match f () with
       | result ->
         let chain, free = write_catalog db storage in
-        Pool.flush_dirty db.pool;
+        Buffer_pool.flush_dirty db.pool;
         Store.commit db.store;
         db.chain <- chain.pages;
         db.committed <- chain.payloads;
@@ -424,7 +425,7 @@ let with_tx db f =
            been read through the transaction buffer, so the whole pool
            goes.  Each step is best-effort — under fault injection the
            file descriptors themselves may refuse writes. *)
-        (try Pool.drop_dirty db.pool with _ -> ());
+        (try Buffer_pool.drop_dirty db.pool with _ -> ());
         (try Store.abort db.store with _ -> ());
         (try reload db with _ -> ());
         raise e)
@@ -484,8 +485,8 @@ let stats db () =
     dstat_free_pages = List.length db.free;
     dstat_live_bytes = live_bytes;
     dstat_wal_bytes = Store.wal_size db.store;
-    dstat_cache_pages = Pool.capacity db.pool;
-    dstat_cache_resident = Pool.resident db.pool;
+    dstat_cache_pages = Buffer_pool.capacity db.pool;
+    dstat_cache_resident = Buffer_pool.resident db.pool;
     dstat_codec = Codec.format_name db.codec;
     dstat_tables =
       List.map (table_stats db) [ storage.Storage.sp; storage.Storage.sd ];
@@ -525,7 +526,7 @@ let create ?(page_size = 4096) ?(fill = Table.default_fill)
           let alloc () = Store.alloc_page store in
           let pages =
             {
-              Page_store.pool = Pool.create ~capacity:1 (file_backing store);
+              Page_store.pool = Buffer_pool.create ~capacity:1 (file_backing store);
               codec;
               capacity = Store.capacity store;
               alloc;
@@ -658,7 +659,7 @@ let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
     raise e
   | cat_chain ->
     let pool =
-      Pool.create_striped ~stripes ~capacity:cache_pages (file_backing store)
+      Buffer_pool.create_striped ~stripes ~capacity:cache_pages (file_backing store)
     in
     let db =
       {

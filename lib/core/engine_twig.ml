@@ -24,11 +24,10 @@ let entry_of_tuple schema =
 
 (* The stream of one suffix-path item: a clustered P-label range (or,
    for an absolute path, equality) access on SP, with the value
-   predicate applied after it.  [par] chunks the fetch over a domain
-   pool.  [cache] is the query cache's scan hook, the same one the RDBMS
-   engine uses: it holds the rows of the access before any predicate,
-   so the two engines share entries. *)
-let item_stream ?par ?cache (storage : Storage.t) counters
+   predicate applied after it.  [cache] is the query cache's scan
+   hook, the same one the RDBMS engine uses: it holds the rows of the
+   access before any predicate, so the two engines share entries. *)
+let item_stream ?cache (storage : Storage.t) counters
     (item : Suffix_query.item) =
   match Blas_label.Plabel.suffix_path_interval storage.table item.path with
   | None -> []
@@ -62,7 +61,7 @@ let item_stream ?par ?cache (storage : Storage.t) counters
           | Value.Str d -> not (String.equal d v)
           | _ -> false)
     in
-    Executor.access ?par ?cache counters storage.sp path
+    Executor.access ?cache counters storage.sp path
     |> List.filter_map (fun tuple ->
            if keep tuple then Some (to_entry tuple) else None)
 
@@ -79,9 +78,8 @@ type wrap =
 let no_wrap ~label:_ f = f ()
 
 (** [pattern_of_branch storage counters branch] roots the join tree and
-    materializes every item's stream.  [par] chunks each stream's fetch
-    over a domain pool. *)
-let pattern_of_branch ?(wrap = no_wrap) ?(cancel = ignore) ?par ?cache
+    materializes every item's stream. *)
+let pattern_of_branch ?(wrap = no_wrap) ?(cancel = ignore) ?cache
     (storage : Storage.t) counters (branch : Suffix_query.t) =
   let rec build ~gap (item : Suffix_query.item) =
     (* Cooperative cancellation point: one check per pattern node, i.e.
@@ -96,7 +94,7 @@ let pattern_of_branch ?(wrap = no_wrap) ?(cancel = ignore) ?par ?cache
         (Suffix_query.children_of branch item.id)
     in
     Blas_twig.Pattern.make ~label
-      ~entries:(item_stream ?par ?cache storage counters item)
+      ~entries:(item_stream ?cache storage counters item)
       ~gap ~children
       ~is_output:(item.id = branch.output)
   in
@@ -116,14 +114,14 @@ let branch_label (branch : Suffix_query.t) =
 
 (** [branch_joins storage branches] — one join per union branch of a
     decomposed query. *)
-let branch_joins ?cancel ?par ?cache (storage : Storage.t) branches =
+let branch_joins ?cancel ?cache (storage : Storage.t) branches =
   List.map
     (fun branch ->
       {
         label = branch_label branch;
         build =
           (fun ~wrap counters ->
-            pattern_of_branch ~wrap ?cancel ?par ?cache storage counters branch);
+            pattern_of_branch ~wrap ?cancel ?cache storage counters branch);
       })
     branches
 
@@ -134,12 +132,12 @@ let stream_wrap collector ~label f =
     ~rows:(fun (node : Blas_twig.Pattern.node) -> Array.length node.entries)
     f
 
-(** [run ?pool ?collector counters joins] runs each join with the
+(** [run ?collector counters joins] runs each join with the
     paper's getNext algorithm ({!Blas_twig.Twig_stack}) and
     unites the answers (sorted start positions).  "Visited elements",
     the cost the paper's figures report, is what the streams read from
     storage before any value filtering: [counters.tuples_read]. *)
-let run ?(cancel = ignore) ?pool ?collector counters joins =
+let run ?(cancel = ignore) ?collector counters joins =
   let run_join counters j =
     (* Cancellation points: before each join's streams build (a branch
        build also checks per pattern node) and before the join runs. *)
@@ -156,20 +154,4 @@ let run ?(cancel = ignore) ?pool ?collector counters joins =
       Blas_obs.Analyze.Collector.wrap c ~kind:"twig-join" ~label:j.label
         ~rows:List.length join
   in
-  let results =
-    match pool with
-    | Some p
-      when Option.is_none collector
-           && Blas_par.Pool.size p > 1
-           && List.length joins > 1 ->
-      Blas_par.Pool.map_list p
-        (fun j ->
-          let c = Counters.create () in
-          (c, run_join c j))
-        joins
-      |> List.map (fun (c, r) ->
-             Counters.add ~into:counters c;
-             r)
-    | _ -> List.map (run_join counters) joins
-  in
-  List.sort_uniq Stdlib.compare (List.concat results)
+  List.sort_uniq Stdlib.compare (List.concat_map (run_join counters) joins)

@@ -14,14 +14,12 @@ type wrap =
   label:string -> (unit -> Blas_twig.Pattern.node) -> Blas_twig.Pattern.node
 
 (** [pattern_of_branch storage counters branch] roots the join tree and
-    materializes every item's stream.  [par] chunks each stream's fetch
-    over a domain pool; [cache] is the query cache's scan hook, shared
+    materializes every item's stream.  [cache] is the query cache's scan hook, shared
     with the RDBMS engine, which holds each access's rows before the
     item's value predicate. *)
 val pattern_of_branch :
   ?wrap:wrap ->
   ?cancel:(unit -> unit) ->
-  ?par:Blas_par.Pool.t ->
   ?cache:Blas_rel.Executor.scan_cache ->
   Storage.t ->
   Blas_rel.Counters.t ->
@@ -37,35 +35,31 @@ type join = {
 }
 
 (** [branch_joins storage branches] — one join per union branch of a
-    decomposed query; [cancel], [par] and [cache] as for
+    decomposed query; [cancel] and [cache] as for
     {!pattern_of_branch}. *)
 val branch_joins :
   ?cancel:(unit -> unit) ->
-  ?par:Blas_par.Pool.t ->
   ?cache:Blas_rel.Executor.scan_cache ->
   Storage.t ->
   Suffix_query.t list ->
   join list
 
-(** [run ?pool ?collector counters joins] runs each join with the
+(** [run ?collector counters joins] runs each join with the
     paper's getNext algorithm ({!Blas_twig.Twig_stack}),
     charging [counters], and returns the united answers (start
     positions, sorted, unique).  [counters.tuples_read] is then the
     visited-element count of Figures 14-18: stream elements read
     before any value filtering.
 
-    With a [collector] (EXPLAIN ANALYZE; it must snapshot [counters])
-    the joins run sequentially, each recorded as a [twig-join] node
-    (rows = its answers) over one [stream] node per pattern node (rows
-    = stream entries; I/O = that stream's scan).  Otherwise, with a multi-domain [pool], the joins
-    run concurrently, each charging a fresh counter vector merged back
-    in join order, so the answers and counter totals match the
-    sequential run.  [cancel] is the cooperative cancellation hook,
+    The joins run one after another, in list order.  With a
+    [collector] (EXPLAIN ANALYZE; it must snapshot [counters]) each is
+    recorded as a [twig-join] node (rows = its answers) over one
+    [stream] node per pattern node (rows = stream entries; I/O = that
+    stream's scan).  [cancel] is the cooperative cancellation hook,
     called before every join and every stream materialization; it
     aborts the run by raising. *)
 val run :
   ?cancel:(unit -> unit) ->
-  ?pool:Blas_par.Pool.t ->
   ?collector:Blas_obs.Analyze.Collector.t ->
   Blas_rel.Counters.t ->
   join list ->

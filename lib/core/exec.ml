@@ -281,15 +281,12 @@ type analysis = {
   a_collector : Blas_obs.Analyze.Collector.t;
 }
 
-(** [run ?tracer ?pool ?cache storage ~engine ~translator q] —
+(** [run ?tracer ?cache storage ~engine ~translator q] —
     translate and execute.  With an enabled [tracer], the run is
     recorded as a [query] span over [translate] / [compile] / [execute]
     / [materialize] (RDBMS) or [decompose] / [execute] (twig engine;
     the D-labeling baseline builds its streams in a [build-streams]
-    span inside [execute]) child spans.  With a multi-domain [pool],
-    the execute phase fans out (union branches, join sides, partitioned
-    D-joins and chunked index fetches); answers and counter totals match
-    the sequential run.
+    span inside [execute]) child spans.
 
     [?cache] overrides the storage's cache switch for this run only
     ([Some false] is a guaranteed-cold reference run; the default
@@ -299,20 +296,16 @@ type analysis = {
     with zero I/O until an update touches the query's footprint.
 
     [?analysis] attaches an EXPLAIN ANALYZE collector (see
-    {!run_analyze}): the run charges its counters, executes
-    sequentially and bypasses the whole-query memo, so the tree always
-    reflects a real execution. *)
-let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
-    ?analysis storage ~engine ~translator q =
+    {!run_analyze}): the run charges its counters and bypasses the
+    whole-query memo, so the tree always reflects a real execution. *)
+let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?cache ?analysis
+    storage ~engine ~translator q =
   Log.debug (fun m ->
       m "run %s on %s: %s" (translator_name translator) (engine_name engine)
         (Blas_xpath.Pretty.to_string q));
   let qc = qcache_for ?cache storage in
   let qstr = Blas_xpath.Pretty.to_string q in
   let span name f = Blas_obs.Trace.with_span tracer name f in
-  (* Collector frames diff one shared counter snapshot, which concurrent
-     operators would tear. *)
-  let pool = if Option.is_some analysis then None else pool in
   let t0 = Blas_obs.Clock.now_ns () in
   let report =
     Blas_obs.Trace.with_span tracer "query"
@@ -326,14 +319,13 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
         @ [ ("cache", match qc with Some _ -> "on" | None -> "off") ])
     @@ fun () ->
     (* Auto2 prices the plan space first (statistics-only; recorded as
-       a [plan-choice] span) and rebinds the effective translator,
-       engine and pool before anything executes.  A picked degree of 1
-       drops the pool: the estimate said fan-out won't pay. *)
+       a [plan-choice] span) and rebinds the effective translator and
+       engine before anything executes. *)
     let choice =
       match translator with
       | Auto2 ->
         let t0c = Blas_obs.Clock.now_ns () in
-        let c = Optimizer.choose ?pool storage q in
+        let c = Optimizer.choose storage q in
         if Blas_obs.Trace.enabled tracer then
           Blas_obs.Trace.record tracer ~attrs:(choice_attrs c)
             ~name:"plan-choice" ~start_ns:t0c
@@ -341,13 +333,12 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
         Some c
       | _ -> None
     in
-    let exec_translator, engine, pool =
+    let exec_translator, engine =
       match choice with
       | Some c ->
         ( translator_of_kind c.Optimizer.ch_translator,
-          engine_of_kind c.Optimizer.ch_engine,
-          if c.Optimizer.ch_degree <= 1 then None else pool )
-      | None -> (translator, engine, pool)
+          engine_of_kind c.Optimizer.ch_engine )
+      | None -> (translator, engine)
     in
     (* The whole-query memo applies to the suffix-path translators only:
        D-labeling answers carry no P-interval footprint to invalidate
@@ -422,8 +413,8 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
             cancel ();
             let relation =
               span "execute" (fun () ->
-                  Blas_rel.Executor.run ~counters ~cancel ?pool
-                    ?cache:scan_cache ?collector plan)
+                  Blas_rel.Executor.run ~counters ~cancel ?cache:scan_cache
+                    ?collector plan)
             in
             let starts = span "materialize" (fun () -> starts_of_relation relation) in
             (starts, Blas_rel.Algebra.count_djoins plan, sql, branches))
@@ -444,14 +435,14 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?pool ?cache
                 None )
             | _ ->
               let b = span "decompose" branches in
-              ( Engine_twig.branch_joins ~cancel ?par:pool ?cache:scan_cache
+              ( Engine_twig.branch_joins ~cancel ?cache:scan_cache
                   storage b,
                 twig_plan_djoins b,
                 Some b )
           in
           let starts =
             span "execute" (fun () ->
-                Engine_twig.run ~cancel ?pool ?collector counters joins)
+                Engine_twig.run ~cancel ?collector counters joins)
           in
           (starts, plan_djoins, None, branches)
       in

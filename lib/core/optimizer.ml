@@ -6,7 +6,6 @@ module Planner = Blas_optimizer.Planner
 type choice = {
   ch_translator : Planner.translator_kind;
   ch_engine : Planner.engine_kind;
-  ch_degree : int;
   ch_est_cost : float;
   ch_candidates : Planner.candidate list;
   ch_from_stats : bool;
@@ -18,7 +17,6 @@ let label c =
     {
       Planner.cd_translator = c.ch_translator;
       cd_engine = c.ch_engine;
-      cd_degree = c.ch_degree;
       cd_cost = c.ch_est_cost;
     }
 
@@ -47,7 +45,6 @@ let default_choice storage q =
   {
     ch_translator = Planner.Pushup;
     ch_engine = Planner.Rdbms;
-    ch_degree = 1;
     ch_est_cost = 0.;
     ch_candidates = [];
     ch_from_stats = false;
@@ -55,16 +52,14 @@ let default_choice storage q =
       Decompose.translate Decompose.Pushup ~guide:(Storage.guide storage) q;
   }
 
-let choose ?pool storage q =
+let choose storage q =
   match Storage.ostats storage with
   | None -> default_choice storage q
   | Some stats -> (
-    let max_degree = match pool with None -> 1 | Some p -> Blas_par.Pool.size p in
     let decomps = decompositions storage q in
     match
       Planner.enumerate
         ~page_rows:(Cost.model_page_rows storage)
-        ~max_degree
         (List.map
            (fun (tk, branches) ->
              shape_of tk (Cost.estimate_decomposition stats branches))
@@ -75,7 +70,6 @@ let choose ?pool storage q =
       {
         ch_translator = best.Planner.cd_translator;
         ch_engine = best.Planner.cd_engine;
-        ch_degree = best.Planner.cd_degree;
         ch_est_cost = best.Planner.cd_cost;
         ch_candidates = candidates;
         ch_from_stats = true;

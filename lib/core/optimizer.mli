@@ -2,10 +2,10 @@
 
     Glue between the statistics/planner library ({!Blas_optimizer}) and
     the storage: {!choose} prices the whole plan space — {Split,
-    Push-up, Unfold} × {RDBMS, twig} × degree of parallelism — from the
-    storage's collected statistics alone (no data probes; translations
-    read only the resident DataGuide) and returns the cheapest
-    candidate, which the [Auto2] translator then executes.
+    Push-up, Unfold} × {RDBMS, twig} — from the storage's collected
+    statistics alone (no data probes; translations read only the
+    resident DataGuide) and returns the cheapest candidate, which the
+    [Auto2] translator then executes as one sequential plan.
 
     Statistics are collected at index time ({!Storage.of_doc}),
     persisted in the [.blasdb] catalog, and kept coherent by the update
@@ -20,12 +20,11 @@ module Planner = Blas_optimizer.Planner
 (** The pick: the cheapest candidate plus the full priced table (sorted
     cheapest-first) for EXPLAIN ANALYZE, the slow-query log and trace
     spans.  [ch_from_stats] is false when the storage has no statistics
-    and the choice fell back to the static default (Push-up × RDBMS ×
-    1). *)
+    and the choice fell back to the static default (Push-up ×
+    RDBMS). *)
 type choice = {
   ch_translator : Planner.translator_kind;
   ch_engine : Planner.engine_kind;
-  ch_degree : int;
   ch_est_cost : float;
   ch_candidates : Planner.candidate list;
   ch_from_stats : bool;
@@ -34,15 +33,14 @@ type choice = {
           as is — no query is decomposed twice in one run *)
 }
 
-(** ["Unfold/twig/j4"] — the spelling used by EXPLAIN, the slow-query
+(** ["Unfold/twig"] — the spelling used by EXPLAIN, the slow-query
     log and bench output. *)
 val label : choice -> string
 
-(** [choose ?pool storage q] — price every candidate from statistics
-    and return the cheapest.  [pool] bounds the degrees enumerated
-    (absent: degree 1 only).  Statistics-only: no table or document
+(** [choose storage q] — price every candidate from statistics and
+    return the cheapest.  Statistics-only: no table or document
     access. *)
-val choose : ?pool:Blas_par.Pool.t -> Storage.t -> Blas_xpath.Ast.t -> choice
+val choose : Storage.t -> Blas_xpath.Ast.t -> choice
 
 (** Measured cost of an executed plan in the planner's unit, from the
     run's counters — comparable against [ch_est_cost]. *)

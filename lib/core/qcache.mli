@@ -113,6 +113,6 @@ val diff_stats : before:stats -> after:stats -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** Accounting check for the [-j N] stress suite.
+(** Accounting check for the multi-domain stress suite.
     @raise Invalid_argument on a torn stripe. *)
 val validate : t -> unit

@@ -6,7 +6,9 @@
     clock — the benchmark suite links bechamel's — install it with
     {!set_source} so every observability timestamp shares one clock. *)
 
-let last = ref 0L
+(* The latest time handed out, shared by every domain: an atomic
+   maximum, so concurrent callers never see the clock step back. *)
+let last = Atomic.make 0L
 
 let default_source () =
   Int64.of_float (Unix.gettimeofday () *. 1e9)
@@ -16,10 +18,12 @@ let source = ref default_source
 let set_source f = source := f
 
 (** [now_ns ()] — current time in nanoseconds, monotone non-decreasing. *)
-let now_ns () =
+let rec now_ns () =
   let t = !source () in
-  if Int64.compare t !last > 0 then last := t;
-  !last
+  let l = Atomic.get last in
+  if Int64.compare t l <= 0 then l
+  else if Atomic.compare_and_set last l t then t
+  else now_ns ()
 
 (** [elapsed_ns since] — nanoseconds from [since] to now (>= 0). *)
 let elapsed_ns since = Int64.sub (now_ns ()) since

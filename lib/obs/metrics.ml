@@ -10,9 +10,9 @@
 
     Domain safety: registration and the exporters serialize on a
     per-registry mutex, counters and gauges are atomics, and each
-    histogram carries its own mutex, so concurrent query domains can
-    register and record without tearing the registry (the parallel
-    execution layer's [profile -j N] depends on this). *)
+    histogram carries its own mutex, so requests running on several
+    domains can register and record without tearing the registry (the
+    server's [-j N] worker domains depend on this). *)
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                         *)

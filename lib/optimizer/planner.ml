@@ -12,7 +12,6 @@ type shape = {
 type candidate = {
   cd_translator : translator_kind;
   cd_engine : engine_kind;
-  cd_degree : int;
   cd_cost : float;
 }
 
@@ -24,13 +23,7 @@ let translator_label = function
 let engine_label = function Rdbms -> "rdbms" | Twig -> "twig"
 
 let label c =
-  Printf.sprintf "%s/%s/j%d"
-    (translator_label c.cd_translator)
-    (engine_label c.cd_engine) c.cd_degree
-
-let degrees_upto n =
-  let rec go d acc = if d > n then List.rev acc else go (d * 2) (d :: acc) in
-  go 1 []
+  Printf.sprintf "%s/%s" (translator_label c.cd_translator) (engine_label c.cd_engine)
 
 (* Cost model weights, in rdbms "tuple visits" as the base unit.
    Calibrated against the fig10 bench matrix: the rdbms engine streams
@@ -48,12 +41,6 @@ let twig_scan_tuple = 1.6
 let twig_join_tuple = 3.2
 let twig_djoin = 12.0
 let twig_branch = 24.0
-
-(* Parallel execution: only the scan side splits across lanes
-   (Amdahl fraction), and every extra lane pays a spawn+merge fee so
-   small queries keep degree 1. *)
-let par_fraction = 0.7
-let spawn_cost = 2500.0
 
 let default_page_rows = 64
 
@@ -75,39 +62,26 @@ let engine_cost ~engine ~visited ~pages ~join_input ~djoins ~branches =
       +. (twig_djoin *. float_of_int djoins)
       +. (twig_branch *. float_of_int branches)
 
-let price ?(page_rows = default_page_rows) ~engine ~degree shape =
-  let serial =
-    engine_cost ~engine ~visited:shape.sh_visited
-      ~pages:(pages_of ~page_rows shape.sh_visited)
-      ~join_input:shape.sh_join_input ~djoins:shape.sh_djoins
-      ~branches:shape.sh_branches
-  in
-  if degree <= 1 then serial
-  else
-    let d = float_of_int degree in
-    (serial *. (1. -. par_fraction))
-    +. (serial *. par_fraction /. d)
-    +. (spawn_cost *. (d -. 1.))
+let price ?(page_rows = default_page_rows) ~engine shape =
+  engine_cost ~engine ~visited:shape.sh_visited
+    ~pages:(pages_of ~page_rows shape.sh_visited)
+    ~join_input:shape.sh_join_input ~djoins:shape.sh_djoins
+    ~branches:shape.sh_branches
 
 let translator_rank = function Split -> 2 | Pushup -> 0 | Unfold -> 1
 let engine_rank = function Rdbms -> 0 | Twig -> 1
 
-let enumerate ?(page_rows = default_page_rows) ~max_degree shapes =
-  let degrees = degrees_upto (max 1 max_degree) in
+let enumerate ?(page_rows = default_page_rows) shapes =
   let cands =
     List.concat_map
       (fun sh ->
-        List.concat_map
+        List.map
           (fun engine ->
-            List.map
-              (fun degree ->
-                {
-                  cd_translator = sh.sh_translator;
-                  cd_engine = engine;
-                  cd_degree = degree;
-                  cd_cost = price ~page_rows ~engine ~degree sh;
-                })
-              degrees)
+            {
+              cd_translator = sh.sh_translator;
+              cd_engine = engine;
+              cd_cost = price ~page_rows ~engine sh;
+            })
           [ Rdbms; Twig ])
       shapes
   in
@@ -115,15 +89,11 @@ let enumerate ?(page_rows = default_page_rows) ~max_degree shapes =
     (fun a b ->
       match compare a.cd_cost b.cd_cost with
       | 0 -> (
-          match compare a.cd_degree b.cd_degree with
-          | 0 -> (
-              match compare (engine_rank a.cd_engine) (engine_rank b.cd_engine)
-              with
-              | 0 ->
-                  compare
-                    (translator_rank a.cd_translator)
-                    (translator_rank b.cd_translator)
-              | c -> c)
+          match compare (engine_rank a.cd_engine) (engine_rank b.cd_engine) with
+          | 0 ->
+              compare
+                (translator_rank a.cd_translator)
+                (translator_rank b.cd_translator)
           | c -> c)
       | c -> c)
     cands

@@ -3,7 +3,7 @@
     The planner is deliberately ignorant of queries and storages: the
     caller (lib/core's [Optimizer]) reduces each candidate translation
     to a {!shape} — statistics-derived cardinalities, no data probes —
-    and this module prices every (shape × engine × degree) combination
+    and this module prices every (shape × engine) combination
     in one abstract cost unit and returns the candidates sorted
     cheapest-first with a deterministic tie-break. *)
 
@@ -22,31 +22,25 @@ type shape = {
 type candidate = {
   cd_translator : translator_kind;
   cd_engine : engine_kind;
-  cd_degree : int;
   cd_cost : float;
 }
 
 val translator_label : translator_kind -> string
 val engine_label : engine_kind -> string
 
-(** ["Unfold/twig/j4"] — also the slow-log / EXPLAIN spelling. *)
+(** ["Unfold/twig"] — also the slow-log / EXPLAIN spelling. *)
 val label : candidate -> string
 
-(** Powers of two up to [n] inclusive: 1, 2, 4, ... *)
-val degrees_upto : int -> int list
+(** Price one combination, as one sequential plan.  [page_rows]
+    (default 64) is the clustered page density the page term divides
+    by — callers pass the active codec's measured density so
+    compressed layouts price their cheaper scans. *)
+val price : ?page_rows:int -> engine:engine_kind -> shape -> float
 
-(** Price one combination. [degree] > 1 adds a startup+merge term and
-    discounts only the parallelizable fraction of the scan cost.
-    [page_rows] (default 64) is the clustered page density the page
-    term divides by — callers pass the active codec's measured density
-    so compressed layouts price their cheaper scans. *)
-val price : ?page_rows:int -> engine:engine_kind -> degree:int -> shape -> float
-
-(** All (shape × engine × degrees_upto max_degree) candidates, sorted
-    by cost then (degree, engine, translator) so ties resolve to the
-    simplest plan.  Never empty when [shapes] is non-empty. *)
-val enumerate :
-  ?page_rows:int -> max_degree:int -> shape list -> candidate list
+(** All (shape × engine) candidates, sorted by cost then (engine,
+    translator) so ties resolve to the simplest plan.  Never empty when
+    [shapes] is non-empty. *)
+val enumerate : ?page_rows:int -> shape list -> candidate list
 
 (** Measured cost of an executed plan in the same unit as {!price},
     computed from executor counters — comparable against [cd_cost] in

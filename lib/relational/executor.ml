@@ -29,17 +29,17 @@ type scan_cache = {
 }
 
 (* One base-table access, through [cache] when the path is indexed. *)
-let access ?par ?cache counters table path =
+let access ?cache counters table path =
   let fetch () =
     match path with
     | Algebra.Full_scan -> Table.scan table counters
     | Algebra.Index_eq { column; value } -> (
-      match Table.index_eq table ?par counters ~column value with
+      match Table.index_eq table counters ~column value with
       | rows -> rows
       | exception Not_found ->
         error "%s is not clustered on %s" (Table.name table) column)
     | Algebra.Index_range { column; lo; hi } -> (
-      match Table.index_range table ?par counters ~column ~lo ~hi with
+      match Table.index_range table counters ~column ~lo ~hi with
       | rows -> rows
       | exception Not_found ->
         error "%s is not clustered on %s" (Table.name table) column)
@@ -56,24 +56,17 @@ let access ?par ?cache counters table path =
 
 (* Evaluates to (schema, tuple list).  [wrap] intercepts every operator
    evaluation — the identity for plain runs, a collector frame for
-   EXPLAIN ANALYZE.  [par] is the domain pool of a parallel run ([None]
-   on the sequential and EXPLAIN ANALYZE paths): with a multi-domain
-   pool, the two sides of a join evaluate concurrently, union branches
-   fan out, index fetches chunk by page, and the structural-join sweep
-   partitions its descendant side.  Every concurrent subtask charges a
-   fresh counter vector merged back in plan order, so totals equal the
-   sequential run's. *)
-let rec eval_wrapped ?(cancel = ignore) wrap par cache counters plan =
+   EXPLAIN ANALYZE. *)
+let rec eval_wrapped ~cancel wrap cache counters plan =
   (* Cooperative cancellation point: one check per operator boundary,
      so a deadline or client disconnect stops the plan between
-     operators (and, through the pool's error slot, across concurrent
-     regions). *)
+     operators. *)
   cancel ();
   wrap plan @@ fun () ->
   match plan with
   | Algebra.Access { table; alias; path; residual } ->
     let qualified = Schema.qualify alias (Table.schema table) in
-    let tuples = access ?par ?cache counters table path in
+    let tuples = access ?cache counters table path in
     let tuples =
       match residual with
       | Algebra.True -> tuples
@@ -81,14 +74,14 @@ let rec eval_wrapped ?(cancel = ignore) wrap par cache counters plan =
     in
     (qualified, tuples)
   | Algebra.Select (pred, sub) ->
-    let schema, tuples = eval_wrapped ~cancel wrap par cache counters sub in
+    let schema, tuples = eval_wrapped ~cancel wrap cache counters sub in
     (schema, List.filter (Algebra.eval_pred schema pred) tuples)
   | Algebra.Project (columns, sub) ->
-    let schema, tuples = eval_wrapped ~cancel wrap par cache counters sub in
+    let schema, tuples = eval_wrapped ~cancel wrap cache counters sub in
     let indices = Array.of_list (List.map (find_col schema) columns) in
     (Schema.of_list columns, List.map (Tuple.project indices) tuples)
   | Algebra.Theta_join (pred, left, right) ->
-    let (ls, lt), (rs, rt) = eval_sides ~cancel wrap par cache counters left right in
+    let (ls, lt), (rs, rt) = eval_sides ~cancel wrap cache counters left right in
     counters.Counters.theta_joins <- counters.Counters.theta_joins + 1;
     let schema = Schema.concat ls rs in
     let out =
@@ -104,7 +97,7 @@ let rec eval_wrapped ?(cancel = ignore) wrap par cache counters plan =
     counters.Counters.intermediate <- counters.Counters.intermediate + List.length out;
     (schema, out)
   | Algebra.Djoin (spec, left, right) ->
-    let (ls, lt), (rs, rt) = eval_sides ~cancel wrap par cache counters left right in
+    let (ls, lt), (rs, rt) = eval_sides ~cancel wrap cache counters left right in
     counters.Counters.djoins <- counters.Counters.djoins + 1;
     let side schema start_col end_col =
       {
@@ -125,7 +118,7 @@ let rec eval_wrapped ?(cancel = ignore) wrap par cache counters plan =
           Value.to_int (Tuple.get d dl) >= Value.to_int (Tuple.get a al) + k
     in
     let out =
-      Structural_join.pairs ?pool:par ~anc:lt ~desc:rt
+      Structural_join.pairs ~anc:lt ~desc:rt
         ~anc_side:(side ls spec.Algebra.anc_start spec.anc_end)
         ~desc_side:(side rs spec.desc_start spec.desc_end)
         keep
@@ -133,84 +126,38 @@ let rec eval_wrapped ?(cancel = ignore) wrap par cache counters plan =
     counters.Counters.intermediate <- counters.Counters.intermediate + List.length out;
     (Schema.concat ls rs, out)
   | Algebra.Union [] -> error "empty union"
-  | Algebra.Union (first :: rest) -> (
-    let check_schema schema s =
-      if not (Schema.equal s schema) then
-        error "union schema mismatch: %a vs %a" Schema.pp schema Schema.pp s
+  | Algebra.Union (first :: rest) ->
+    let schema, tuples = eval_wrapped ~cancel wrap cache counters first in
+    let rest =
+      List.map
+        (fun sub ->
+          let s, t = eval_wrapped ~cancel wrap cache counters sub in
+          if not (Schema.equal s schema) then
+            error "union schema mismatch: %a vs %a" Schema.pp schema Schema.pp s;
+          t)
+        rest
     in
-    match par with
-    | Some pool when Blas_par.Pool.size pool > 1 ->
-      (* Branches evaluate concurrently into fresh counter vectors;
-         results and counters merge in branch order, so output order and
-         totals match the sequential fold. *)
-      let evaluated =
-        Blas_par.Pool.map_list pool
-          (fun sub ->
-            let c = Counters.create () in
-            let res = eval_wrapped ~cancel wrap par cache c sub in
-            (c, res))
-          (first :: rest)
-      in
-      List.iter (fun (c, _) -> Counters.add ~into:counters c) evaluated;
-      let schema = fst (snd (List.hd evaluated)) in
-      let tuples =
-        List.concat_map
-          (fun (_, (s, t)) ->
-            check_schema schema s;
-            t)
-          evaluated
-      in
-      (schema, tuples)
-    | _ ->
-      let schema, tuples = eval_wrapped ~cancel wrap par cache counters first in
-      let tuples =
-        List.fold_left
-          (fun acc sub ->
-            let s, t = eval_wrapped ~cancel wrap par cache counters sub in
-            check_schema schema s;
-            acc @ t)
-          tuples rest
-      in
-      (schema, tuples))
+    (schema, List.concat (tuples :: rest))
   | Algebra.Distinct sub ->
-    let schema, tuples = eval_wrapped ~cancel wrap par cache counters sub in
+    let schema, tuples = eval_wrapped ~cancel wrap cache counters sub in
     let relation = Relation.distinct (Relation.make schema (Array.of_list tuples)) in
     (schema, Array.to_list (Relation.tuples relation))
 
-(* Evaluates the two sides of a join — concurrently when a multi-domain
-   pool is available, each side charging a fresh counter vector merged
-   back left-then-right (the sequential order). *)
-and eval_sides ?(cancel = ignore) wrap par cache counters left right =
-  match par with
-  | Some pool when Blas_par.Pool.size pool > 1 ->
-    let cl = Counters.create () and cr = Counters.create () in
-    let l, r =
-      Blas_par.Pool.both pool
-        (fun () -> eval_wrapped ~cancel wrap par cache cl left)
-        (fun () -> eval_wrapped ~cancel wrap par cache cr right)
-    in
-    Counters.add ~into:counters cl;
-    Counters.add ~into:counters cr;
-    (l, r)
-  | _ ->
-    let l = eval_wrapped ~cancel wrap par cache counters left in
-    let r = eval_wrapped ~cancel wrap par cache counters right in
-    (l, r)
+(* Evaluates the two sides of a join, left then right. *)
+and eval_sides ~cancel wrap cache counters left right =
+  let l = eval_wrapped ~cancel wrap cache counters left in
+  let r = eval_wrapped ~cancel wrap cache counters right in
+  (l, r)
 
 let no_wrap _plan f = f ()
 
-(** [run ?counters ?pool ?collector plan] executes [plan] and
-    materializes the result.  With a multi-domain [pool], independent
-    plan regions evaluate concurrently; the result relation (tuples and
-    order) and the counter totals are identical to the sequential run,
-    except that page {e reads} can differ when concurrent regions race
-    into the shared buffer pool.  A [collector] records every operator
-    and forces a sequential run: its frames diff one shared counter
-    snapshot, which concurrent operators would tear. *)
-let run ?(counters = Counters.create ()) ?cancel ?pool ?cache ?collector plan =
+(** [run ?counters ?collector plan] executes [plan] and materializes
+    the result.  A [collector] records every operator (EXPLAIN
+    ANALYZE). *)
+let run ?(counters = Counters.create ()) ?(cancel = ignore) ?cache ?collector plan =
   let schema, tuples =
     match collector with
-    | None -> eval_wrapped ?cancel no_wrap pool cache counters plan
+    | None -> eval_wrapped ~cancel no_wrap cache counters plan
     | Some c ->
       let wrap node f =
         Blas_obs.Analyze.Collector.wrap c ~kind:(Algebra.node_kind node)
@@ -218,7 +165,7 @@ let run ?(counters = Counters.create ()) ?cancel ?pool ?cache ?collector plan =
           ~rows:(fun (_, tuples) -> List.length tuples)
           f
       in
-      eval_wrapped ?cancel wrap None cache counters plan
+      eval_wrapped ~cancel wrap cache counters plan
   in
   Rel_log.Log.debug (fun m ->
       m "executed plan: %d rows, %a" (List.length tuples) Counters.pp counters);

@@ -15,14 +15,7 @@
     index — open intervals are nested, so their [end]s strictly decrease
     bottom-to-top and closing an interval is a pop from the top, not a
     list rebuild — and output tuples accumulate in a preallocated,
-    doubling buffer instead of a consed list.
-
-    With a domain {!Blas_par.Pool}, the descendant side is partitioned
-    into contiguous chunks swept concurrently.  Chunking descendants is
-    safe at any boundary: each chunk replays the ancestor prefix whose
-    starts precede its own descendants (ancestors are nested or
-    disjoint, so no match straddles a chunk), and concatenating chunk
-    outputs in chunk order reproduces the sequential output exactly. *)
+    doubling buffer instead of a consed list. *)
 
 type side = { start_col : int; end_col : int }
 
@@ -57,19 +50,18 @@ let to_sorted_array side tuples =
       arr;
   arr
 
-(* Sweeps descendants [off, off + len) of [desc] against [anc] (both
-   sorted by start), emitting matches for those descendants only.  The
-   stack holds ancestors whose interval contains the sweep point; with
+(* Sweeps [desc] against [anc] (both sorted by start).  The stack
+   holds ancestors whose interval contains the sweep point; with
    nested-or-disjoint intervals every stack survivor at a descendant's
    start strictly contains that descendant, and closed intervals sit on
    top (ends decrease bottom-to-top), so expiring them is a pop. *)
-let sweep ~anc ~desc ~anc_side ~desc_side ~keep off len =
-  let na = Array.length anc in
-  if na = 0 || len = 0 then []
+let sweep ~anc ~desc ~anc_side ~desc_side ~keep =
+  let na = Array.length anc and nd = Array.length desc in
+  if na = 0 || nd = 0 then []
   else begin
     let stack = Array.make na anc.(0) in
     let top = ref 0 in
-    let out = ref (Array.make (max 16 len) anc.(0)) in
+    let out = ref (Array.make (max 16 nd) anc.(0)) in
     let out_len = ref 0 in
     let push v =
       if !out_len = Array.length !out then begin
@@ -80,9 +72,8 @@ let sweep ~anc ~desc ~anc_side ~desc_side ~keep off len =
       !out.(!out_len) <- v;
       incr out_len
     in
-    let ai = ref 0 and di = ref off in
-    let last = off + len in
-    while !di < last do
+    let ai = ref 0 and di = ref 0 in
+    while !di < nd do
       let d = desc.(!di) in
       let dstart = int_at d desc_side.start_col in
       if !ai < na && int_at anc.(!ai) anc_side.start_col < dstart then begin
@@ -99,7 +90,7 @@ let sweep ~anc ~desc ~anc_side ~desc_side ~keep off len =
         while !top > 0 && int_at stack.(!top - 1) anc_side.end_col <= dstart do
           decr top
         done;
-        (* Innermost ancestor first, matching the sequential order. *)
+        (* Innermost ancestor first. *)
         for i = !top - 1 downto 0 do
           let a = stack.(i) in
           if keep a d then push (Tuple.concat a d)
@@ -110,30 +101,12 @@ let sweep ~anc ~desc ~anc_side ~desc_side ~keep off len =
     List.init !out_len (fun i -> !out.(i))
   end
 
-(* Below this many descendants a partitioned sweep costs more in fan-out
-   than it saves. *)
-let parallel_threshold = 128
-
-(** [pairs ?pool ~anc ~desc ~anc_side ~desc_side keep] returns all
+(** [pairs ~anc ~desc ~anc_side ~desc_side keep] returns all
     concatenated tuples [a @ d] where the interval of [a] strictly
     contains the interval of [d] and [keep a d] holds (the level-gap
-    filter).  Inputs need not be sorted.  With a [pool] of more than one
-    domain, large descendant sides are partitioned and swept
-    concurrently; the result is identical to the sequential sweep. *)
-let pairs ?pool ~anc ~desc ~anc_side ~desc_side keep =
-  let anc = to_sorted_array anc_side anc in
-  let desc = to_sorted_array desc_side desc in
-  let nd = Array.length desc in
-  let lanes = match pool with Some p -> Blas_par.Pool.size p | None -> 1 in
-  if lanes <= 1 || nd < parallel_threshold then
-    sweep ~anc ~desc ~anc_side ~desc_side ~keep 0 nd
-  else begin
-    let pool = Option.get pool in
-    let tasks =
-      Blas_par.Pool.chunks ~lanes nd
-      |> List.map (fun (off, len) () ->
-             sweep ~anc ~desc ~anc_side ~desc_side ~keep off len)
-      |> Array.of_list
-    in
-    List.concat (Array.to_list (Blas_par.Pool.run pool tasks))
-  end
+    filter).  Inputs need not be sorted. *)
+let pairs ~anc ~desc ~anc_side ~desc_side keep =
+  sweep
+    ~anc:(to_sorted_array anc_side anc)
+    ~desc:(to_sorted_array desc_side desc)
+    ~anc_side ~desc_side ~keep

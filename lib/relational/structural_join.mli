@@ -11,14 +11,11 @@
     tuples. *)
 type side = { start_col : int; end_col : int }
 
-(** [pairs ?pool ~anc ~desc ~anc_side ~desc_side keep] returns all
+(** [pairs ~anc ~desc ~anc_side ~desc_side keep] returns all
     concatenated tuples [a @ d] where [a]'s interval strictly contains
     [d]'s and [keep a d] holds (the level-gap filter).  Inputs need not
-    be sorted.  With a multi-domain [pool], the descendant side is
-    partitioned and swept concurrently — the output (tuples and order)
-    is identical to the sequential sweep. *)
+    be sorted. *)
 val pairs :
-  ?pool:Blas_par.Pool.t ->
   anc:Tuple.t list ->
   desc:Tuple.t list ->
   anc_side:side ->

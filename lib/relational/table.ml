@@ -121,7 +121,7 @@ let relation t =
 (* Fetches the given data pages (dir order) and keeps the rows whose
    column [col] lies in [lo, hi]; matching rows are the "visited
    elements" charged to the cost vector. *)
-let fetch_pages_seq t counters pages ~col ~lo ~hi =
+let fetch_pages t counters pages ~col ~lo ~hi =
   List.concat_map
     (fun page ->
       let rows =
@@ -132,37 +132,6 @@ let fetch_pages_seq t counters pages ~col ~lo ~hi =
         counters.Counters.tuples_read + List.length rows;
       rows)
     pages
-
-(* Contiguous page chunks for parallel fetch: each page is whole within
-   one chunk, so counter totals match the sequential fetch. *)
-let chunk_pages ~lanes pages =
-  let arr = Array.of_list pages in
-  let n = Array.length arr in
-  let lanes = max 1 (min lanes n) in
-  List.init lanes (fun lane ->
-      let lo = lane * n / lanes and hi = (lane + 1) * n / lanes in
-      Array.to_list (Array.sub arr lo (hi - lo)))
-  |> List.filter (fun c -> c <> [])
-
-let fetch_pages t ?par counters pages ~col ~lo ~hi =
-  match par with
-  | Some pool when Blas_par.Pool.size pool > 1 && List.length pages > 1 -> (
-    match chunk_pages ~lanes:(Blas_par.Pool.size pool) pages with
-    | [] | [ _ ] -> fetch_pages_seq t counters pages ~col ~lo ~hi
-    | chunks ->
-      let tasks =
-        Array.of_list
-          (List.map
-             (fun chunk () ->
-               let c = Counters.create () in
-               let tuples = fetch_pages_seq t c chunk ~col ~lo ~hi in
-               (c, tuples))
-             chunks)
-      in
-      let results = Blas_par.Pool.run pool tasks in
-      Array.iter (fun (c, _) -> Counters.add ~into:counters c) results;
-      List.concat_map snd (Array.to_list results))
-  | _ -> fetch_pages_seq t counters pages ~col ~lo ~hi
 
 (* First directory slot whose first tuple fails [before] (a predicate
    that holds on a prefix of the directory); [Array.length] when none. *)
@@ -179,7 +148,7 @@ let first_slot t before =
 
 (** Full scan: reads every tuple (and every page). *)
 let scan t counters =
-  fetch_pages_seq t counters
+  fetch_pages t counters
     (Array.to_list t.dir |> List.map (fun e -> e.de_page))
     ~col:0 ~lo:None ~hi:None
 
@@ -188,10 +157,8 @@ let scan t counters =
     one before the first whose first row is [>= lo] (it may end with
     such rows) through the last whose first row is [<= hi].  Rows come
     back in clustered order; one directory descent is one index seek.
-    With a multi-domain [par] pool, the page fetch is split into
-    contiguous chunks.
     @raise Not_found if [column] does not lead the cluster key. *)
-let index_range t ?par counters ~column ~lo ~hi =
+let index_range t counters ~column ~lo ~hi =
   let col =
     match t.cluster_key with
     | lead :: _ when String.equal lead column -> Schema.index_of t.schema lead
@@ -209,12 +176,12 @@ let index_range t ?par counters ~column ~lo ~hi =
     | Some v -> first_slot t (fun first -> cmp_lead v first <= 0) - 1
   in
   let pages = List.init (max 0 (e - s + 1)) (fun i -> t.dir.(s + i).de_page) in
-  fetch_pages t ?par counters pages ~col ~lo ~hi
+  fetch_pages t counters pages ~col ~lo ~hi
 
 (** Equality lookup: {!index_range} with [lo = hi = value].
     @raise Not_found if [column] does not lead the cluster key. *)
-let index_eq t ?par counters ~column value =
-  index_range t ?par counters ~column ~lo:(Some value) ~hi:(Some value)
+let index_eq t counters ~column value =
+  index_range t counters ~column ~lo:(Some value) ~hi:(Some value)
 
 (* ------------------------------------------------------------------ *)
 (* In-place edits (the update subsystem)                               *)
@@ -279,10 +246,15 @@ let apply_edits t counters ~deletes ~inserts =
       let placed = ref false in
       let slot = ref s in
       while (not !placed) && !slot <= e do
-        let have = List.length (List.filter (Tuple.equal d) (load !slot)) in
-        let pending = bucket dels !slot in
-        if have > List.length (List.filter (Tuple.equal d) !pending) then begin
-          pending := d :: !pending;
+        let count rows = List.length (List.filter (Tuple.equal d) rows) in
+        let pending =
+          match Hashtbl.find_opt dels !slot with Some r -> !r | None -> []
+        in
+        (* A bucket opens only when a delete lands in it: a slot merely
+           searched must not count as affected and be rewritten. *)
+        if count (load !slot) > count pending then begin
+          let r = bucket dels !slot in
+          r := d :: !r;
           placed := true
         end;
         incr slot

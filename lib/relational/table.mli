@@ -85,14 +85,9 @@ val scan : t -> Counters.t -> Tuple.t list
 (** Equality lookup on the leading cluster-key [column], through the
     page directory: one index seek, then only the pages of the selected
     run (and at most one page before it, whose tail may hold the first
-    matching rows).  Rows come back in clustered order.  With a
-    multi-domain [par] pool, the page fetch is split into contiguous
-    chunks (results and counter totals match the sequential fetch; page
-    {e reads} can differ only through buffer-pool races with other
-    domains).
+    matching rows).  Rows come back in clustered order.
     @raise Not_found if [column] does not lead the cluster key. *)
-val index_eq :
-  t -> ?par:Blas_par.Pool.t -> Counters.t -> column:string -> Value.t -> Tuple.t list
+val index_eq : t -> Counters.t -> column:string -> Value.t -> Tuple.t list
 
 (** In-place edits (the update subsystem): [apply_edits t counters
     ~deletes ~inserts] removes each tuple of [deletes] (matched by
@@ -110,7 +105,6 @@ val apply_edits :
     @raise Not_found if [column] does not lead the cluster key. *)
 val index_range :
   t ->
-  ?par:Blas_par.Pool.t ->
   Counters.t ->
   column:string ->
   lo:Value.t option ->

@@ -3,11 +3,16 @@
     and a role's request bodies.
 
     One accept thread, one handler thread per connection, and a fixed
-    pool of [max_inflight] worker threads draining a bounded admission
-    queue.  Handler threads parse frames and answer the cheap verbs
-    (PING, LIST, HELLO, METRICS, TRACE GET) inline and hand the rest to
-    the role's {!handler}, which either answers inline or returns a
-    {!request} to {e admit}:
+    set of [max_inflight] worker threads draining a bounded admission
+    queue.  The workers are dealt round-robin over [domains] domains,
+    the serving domain included, so up to [domains] admitted requests
+    execute at once; each request runs as one sequential plan on the
+    worker that picked it up.  Accept and connection threads stay on
+    the serving domain: they only parse frames and wait.  Handler
+    threads parse frames and answer the cheap verbs (PING, LIST, HELLO,
+    METRICS, TRACE GET) inline and hand the rest to the role's
+    {!handler}, which either answers inline or returns a {!request} to
+    {e admit}:
 
     - at most [max_inflight + queue_depth] requests are outstanding;
       past that the reply is an immediate [BUSY] — overload never
@@ -110,7 +115,10 @@ type t = {
   mutable phase : phase;
   shutdown_requested : bool Atomic.t;
   mutable handler : handler option;  (** set by {!serve} *)
-  mutable threads : Thread.t list;  (** accept, HTTP and worker threads *)
+  mutable threads : Thread.t list;
+      (** accept, HTTP and the serving domain's worker threads *)
+  mutable domains : unit Domain.t list;
+      (** further worker domains, each joining its own worker threads *)
   mutable conns : (Unix.file_descr * Thread.t) list;
   started_ns : int64;
   (* recent traces, retrievable by id: (trace id, serialized body) *)
@@ -198,10 +206,10 @@ let find_trace t id =
   found
 
 (* Runs one admitted body with the request-scoped observability around
-   it: a fresh per-request tracer when a TRACE header opted in (worker
-   threads share one domain, so a shared tracer would interleave
-   concurrent requests into one tree) and the queue wait recorded from
-   the admission stamp; when traced, the span tree is stored in the
+   it: a fresh per-request tracer when a TRACE header opted in (a
+   tracer nests spans per domain, and the worker threads of one domain
+   would interleave concurrent requests into one tree) and the queue
+   wait recorded from the admission stamp; when traced, the span tree is stored in the
    ring and (inline modes only) returned as the JSON payload. *)
 let traced t job ~token ~queue_ns =
   let traced = job.trace <> `Off in
@@ -266,7 +274,7 @@ let execute t job =
       let token = Blas.Par.Token.create ~expired:expired_now () in
       match traced t job ~token ~queue_ns with
       | reply -> reply
-      | exception Blas_par.Pool.Cancelled -> Proto.Timeout
+      | exception Blas.Par.Cancelled -> Proto.Timeout
       | exception e ->
         Log.warn (fun m ->
             m "%s %s request failed: %s" t.role job.req.verb
@@ -596,6 +604,7 @@ let create ~role ~registry config =
     shutdown_requested = Atomic.make false;
     handler = None;
     threads = [];
+    domains = [];
     conns = [];
     started_ns = now_ns ();
     traces = Array.make (max 1 config.trace_ring) None;
@@ -608,7 +617,7 @@ let create ~role ~registry config =
     m_conns = Metrics.counter registry (role ^ ".connections");
   }
 
-let serve t handler =
+let serve ?(domains = 1) t handler =
   t.handler <- Some handler;
   let accepter =
     Thread.create
@@ -621,10 +630,17 @@ let serve t handler =
         Thread.create (fun () -> accept_loop t ~what:"metrics" fd (serve_http t)) ())
       t.http_fd
   in
-  let workers =
-    List.init t.config.max_inflight (fun _ -> Thread.create worker_loop t)
+  (* Worker [k] runs on domain [k mod domains]; domain 0 is this one. *)
+  let domains = max 1 (min domains t.config.max_inflight) in
+  let workers_on d =
+    List.init
+      ((t.config.max_inflight - d + domains - 1) / domains)
+      (fun _ -> Thread.create worker_loop t)
   in
-  t.threads <- (accepter :: Option.to_list http) @ workers
+  t.domains <-
+    List.init (domains - 1) (fun i ->
+        Domain.spawn (fun () -> List.iter Thread.join (workers_on (i + 1))));
+  t.threads <- (accepter :: Option.to_list http) @ workers_on 0
 
 let wait (t : t) =
   while t.phase <> Stopped && not (Atomic.get t.shutdown_requested) do
@@ -643,6 +659,8 @@ let stop (t : t) =
       t.http_fd;
     List.iter Thread.join t.threads;
     t.threads <- [];
+    List.iter Domain.join t.domains;
+    t.domains <- [];
     (* Every admitted job has a reply now; unstick handlers blocked in
        read (shutdown interrupts a parked read; close would not) and
        let them run their cleanup.  Receive side only: a handler still

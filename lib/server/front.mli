@@ -29,7 +29,7 @@ type request = {
   verb : string;  (** latency-histogram label and span attribute *)
   detail : (string * string) list;  (** request-span attributes *)
   run : ctx -> Proto.reply;
-      (** [Blas_par.Pool.Cancelled] answers [TIMEOUT]; any other
+      (** [Blas.Par.Cancelled] answers [TIMEOUT]; any other
           exception answers [ERR] *)
 }
 
@@ -59,9 +59,12 @@ type t
     @raise Unix.Unix_error when an address cannot be bound. *)
 val create : role:string -> registry:Blas_obs.Metrics.t -> config -> t
 
-(** [serve t handler] — install the role and spawn the accept, HTTP
-    and worker threads. *)
-val serve : t -> handler -> unit
+(** [serve ?domains t handler] — install the role and spawn the
+    accept, HTTP and worker threads.  The [max_inflight] workers are
+    dealt round-robin over [domains] domains (default 1, clamped to
+    [1 .. max_inflight]), this one included: [domains - 1] further
+    domains are spawned, and {!stop} joins them. *)
+val serve : ?domains:int -> t -> handler -> unit
 
 (** The actual bound port (useful with [port = 0]). *)
 val port : t -> int

@@ -1,13 +1,14 @@
 (** The resident TCP query server: the {!Front} end in the ["server"]
-    role, executing requests through {!Service} — under the
-    per-document reader–writer locks, on the shared domain pool.
+    role, executing requests through {!Service} under the per-document
+    reader–writer locks, on worker threads spread over [jobs]
+    domains.
 
     The role adds the QUERY / UPDATE / UPDATEX / SLEEP bodies (the
     debug SLEEP verb only with [allow_sleep]), INVAL applied inline to
     the query cache, the STATS and STATS TIMESERIES payloads, the
     scrape-time mirroring of disk and buffer-pool totals, the
     slow-query log as a per-request completion step, and — on drain —
-    the time-series sampler, the owned domain pool and the slow log. *)
+    the time-series sampler and the slow log. *)
 
 let log_src = Logs.Src.create "blas_server" ~doc:"BLAS network server"
 
@@ -20,7 +21,7 @@ type config = {
   max_inflight : int;  (** worker threads executing requests *)
   queue_depth : int;  (** admission slots beyond the workers *)
   default_deadline_ms : int option;  (** per-request budget; [None] = none *)
-  jobs : int;  (** domain-pool lanes for query execution *)
+  jobs : int;  (** domains the worker threads are spread over *)
   cache : bool;  (** per-document semantic query cache *)
   group_commit_ms : float;
       (** batch WAL fsyncs for UPDATEs within this window; 0 = off *)
@@ -60,7 +61,6 @@ type t = {
   front : Front.t;
   service : Service.t;
   registry : Blas_obs.Metrics.t;
-  owned_pool : Blas.Par.t option;
   slowlog : Blas_obs.Slowlog.t option;
   timeseries : Blas_obs.Timeseries.t;
   mutable sampler : Thread.t option;
@@ -292,7 +292,6 @@ let sampler_loop t =
 let drain t () =
   Option.iter Thread.join t.sampler;
   t.sampler <- None;
-  Option.iter Blas.Par.shutdown t.owned_pool;
   Option.iter Blas_obs.Slowlog.close t.slowlog
 
 let start ?(registry = Blas_obs.Metrics.create ()) config ~docs =
@@ -302,10 +301,6 @@ let start ?(registry = Blas_obs.Metrics.create ()) config ~docs =
       max_inflight = max 1 config.max_inflight;
       queue_depth = max 0 config.queue_depth;
     }
-  in
-  let owned_pool =
-    if config.jobs > 1 then Some (Blas.Par.create ~domains:config.jobs)
-    else None
   in
   let slowlog =
     Option.map
@@ -326,12 +321,11 @@ let start ?(registry = Blas_obs.Metrics.create ()) config ~docs =
           trace_ring = config.trace_ring;
         }
     with e ->
-      Option.iter Blas.Par.shutdown owned_pool;
       Option.iter Blas_obs.Slowlog.close slowlog;
       raise e
   in
   let service =
-    Service.create ?pool:owned_pool ~cache:config.cache
+    Service.create ~cache:config.cache
       ~group_commit_ms:config.group_commit_ms docs
   in
   (* Event-time duration histograms of the disk layer (WAL fsync,
@@ -351,13 +345,12 @@ let start ?(registry = Blas_obs.Metrics.create ()) config ~docs =
       front;
       service;
       registry;
-      owned_pool;
       slowlog;
       timeseries = Blas_obs.Timeseries.create ~capacity:(max 1 config.ts_slots);
       sampler = None;
     }
   in
-  Front.serve front
+  Front.serve ~domains:config.jobs front
     {
       Front.name = config.name;
       list = (fun () -> Service.list_payload service);

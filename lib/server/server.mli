@@ -10,7 +10,9 @@ type config = {
   max_inflight : int;  (** worker threads executing requests *)
   queue_depth : int;  (** admission slots beyond the workers *)
   default_deadline_ms : int option;  (** per-request budget; [None] = none *)
-  jobs : int;  (** domain-pool lanes for query execution *)
+  jobs : int;
+      (** domains the [max_inflight] worker threads are spread over:
+          requests run in parallel, each one sequentially *)
   cache : bool;  (** per-document semantic query cache *)
   group_commit_ms : float;
       (** batch WAL fsyncs for UPDATEs arriving within this window on
@@ -77,7 +79,7 @@ val wait : t -> unit
 (** Graceful drain; idempotent.  Stops accepting, rejects new
     admissions, finishes queued and in-flight requests (each still
     bounded by its own deadline), closes connections, joins every
-    thread, shuts the owned pool down and flushes final gauges. *)
+    thread and worker domain and flushes final gauges. *)
 val stop : t -> unit
 
 (** [with_server ?registry config ~docs f] — {!start}, run [f],

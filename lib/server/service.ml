@@ -17,16 +17,15 @@ type doc = { name : string; storage : Blas.Storage.t; lock : Rwlock.t }
 
 type t = {
   docs : (string * doc) list;  (** in load order; names unique *)
-  pool : Blas.Par.t option;  (** shared execution pool ([-j N]) *)
 }
 
-(** [create ?pool ?cache ?group_commit_ms docs] — host [docs] (caching
+(** [create ?cache ?group_commit_ms docs] — host [docs] (caching
     on by default: a resident server is exactly the repeated-workload
     case the semantic cache exists for).  A positive [group_commit_ms]
     puts every disk-backed document's store into deferred-durability
     mode: concurrent UPDATE verbs inside the window share one WAL
     fsync (each reply still waits for its commit to be durable). *)
-let create ?pool ?(cache = true) ?(group_commit_ms = 0.) docs =
+let create ?(cache = true) ?(group_commit_ms = 0.) docs =
   List.iter (fun (_, s) -> Blas.Storage.set_cache_enabled s cache) docs;
   if group_commit_ms > 0. then
     List.iter
@@ -42,7 +41,6 @@ let create ?pool ?(cache = true) ?(group_commit_ms = 0.) docs =
         (fun (name, storage) ->
           (name, { name; storage; lock = Rwlock.create () }))
         docs;
-    pool;
   }
 
 let names t = List.map fst t.docs
@@ -50,8 +48,6 @@ let names t = List.map fst t.docs
 let find t name = List.assoc_opt name t.docs
 
 let docs t = List.map snd t.docs
-
-let pool t = t.pool
 
 (* ------------------------------------------------------------------ *)
 (* Payload rendering                                                  *)
@@ -89,7 +85,7 @@ type info = {
   i_pages_read : int;  (** buffer-pool misses during the run *)
   i_cache : string;  (** whole-query memo outcome: hit / miss / off / n-a *)
   i_plan : string option;
-      (** the [Auto2] pick ("Unfold/twig/j2"); [None] under explicit
+      (** the [Auto2] pick ("Unfold/twig"); [None] under explicit
           translators *)
   i_est_cost : float option;  (** the pick's estimated cost *)
   i_actual_cost : float option;  (** measured cost of the executed plan *)
@@ -164,7 +160,7 @@ let query_info t ~token ?(tracer = Blas_obs.Trace.disabled) ~doc ~translator
       let io0 = if Blas_obs.Trace.enabled tracer then disk_io d else None in
       let t_run = Blas_obs.Clock.now_ns () in
       match
-        Blas.run_union ~tracer ~cancel ?pool:t.pool d.storage ~engine
+        Blas.run_union ~tracer ~cancel d.storage ~engine
           ~translator queries
       with
       | report ->

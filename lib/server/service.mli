@@ -1,13 +1,14 @@
 (** The hosted document collection behind the server: per-document
-    reader–writer discipline (concurrent queries, exclusive updates),
-    shared execution pool and shared per-document query cache.  The
+    reader–writer discipline (concurrent queries, exclusive updates)
+    and shared per-document query cache.  Every entry point is safe to
+    call from several domains at once.  The
     wire protocol minus the sockets — directly unit-testable. *)
 
 type doc = { name : string; storage : Blas.Storage.t; lock : Rwlock.t }
 
 type t
 
-(** [create ?pool ?cache ?group_commit_ms docs] — host [docs]; the
+(** [create ?cache ?group_commit_ms docs] — host [docs]; the
     per-storage semantic query cache is enabled by default (a resident
     server is the repeated-workload case it exists for).  A positive
     [group_commit_ms] puts every writable disk-backed document into
@@ -15,7 +16,6 @@ type t
     one WAL fsync (each reply still waits for its commit to be
     durable). *)
 val create :
-  ?pool:Blas.Par.t ->
   ?cache:bool ->
   ?group_commit_ms:float ->
   (string * Blas.Storage.t) list ->
@@ -28,8 +28,6 @@ val find : t -> string -> doc option
 (** Hosted documents, in load order. *)
 val docs : t -> doc list
 
-val pool : t -> Blas.Par.t option
-
 (** The QUERY reply body for a report — deterministic, so a server
     reply is byte-identical to a sequential in-process run. *)
 val payload_of_report : Blas.report -> string
@@ -41,7 +39,7 @@ type info = {
   i_pages_read : int;  (** buffer-pool misses during the run *)
   i_cache : string;  (** whole-query memo outcome: hit / miss / off / n-a *)
   i_plan : string option;
-      (** the [Auto2] pick ("Unfold/twig/j2"); [None] under explicit
+      (** the [Auto2] pick ("Unfold/twig"); [None] under explicit
           translators *)
   i_est_cost : float option;  (** the pick's estimated cost *)
   i_actual_cost : float option;  (** measured cost of the executed plan *)

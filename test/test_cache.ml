@@ -7,8 +7,8 @@
     protocol — one rule, a touched P-label inside an entry's interval —
     including the coherence property that interleaves random edit
     scripts with repeated queries across every suffix-path translator
-    and both engines, and a [-j N] stress run that hammers one cache
-    from several domains and then checks its internal accounting. *)
+    and both engines, and a stress run that hammers one cache from
+    several domains and then checks its internal accounting. *)
 
 open Test_util
 module Cache = Blas.Cache
@@ -376,7 +376,7 @@ let prop_coherence =
         edits)
 
 (* ------------------------------------------------------------------ *)
-(* -j N stress: one cache hammered from several domains                *)
+(* Stress: one cache hammered from several domains at once            *)
 
 let test_parallel_stress () =
   let storage = storage_of doc_xml in
@@ -391,33 +391,29 @@ let test_parallel_stress () =
           .Blas.starts)
       queries
   in
+  (* Four rounds of the whole workload on both engines, dealt over the
+     domains round-robin. *)
+  let tasks = List.concat_map (fun _ -> engines) [ 1; 2; 3; 4 ] in
   List.iter
     (fun domains ->
       Cache.clear (Blas.Storage.cache storage);
-      Blas.Par.with_pool ~domains (fun pool ->
-          (* Hammer the shared cache: every lane runs the whole workload
-             on both engines several times concurrently. *)
-          let tasks =
-            List.concat_map
-              (fun _ ->
-                List.map
-                  (fun engine () ->
-                    List.map
-                      (fun q ->
-                        (Blas.run ~cache:true storage ~engine
-                           ~translator:Blas.Pushup q)
-                          .Blas.starts)
-                      queries)
-                  engines)
-              [ 1; 2; 3; 4 ]
-          in
-          let results = Blas.Par.map_list pool (fun f -> f ()) tasks in
-          List.iteri
-            (fun i answers ->
-              check_bool
-                (Printf.sprintf "-j %d run %d: answers correct" domains i)
-                true (answers = expected))
-            results);
+      let results =
+        Test_util.on_domains domains (fun d ->
+            List.filteri (fun i _ -> i mod domains = d) tasks
+            |> List.map (fun engine ->
+                   List.map
+                     (fun q ->
+                       (Blas.run ~cache:true storage ~engine
+                          ~translator:Blas.Pushup q)
+                         .Blas.starts)
+                     queries))
+      in
+      List.iteri
+        (fun i answers ->
+          check_bool
+            (Printf.sprintf "%d domains, run %d: answers correct" domains i)
+            true (answers = expected))
+        (List.concat results);
       Cache.validate (Blas.Storage.cache storage))
     par_jobs
 

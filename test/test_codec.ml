@@ -18,7 +18,7 @@ module Codec = Blas_rel.Codec
 module Tuple = Blas_rel.Tuple
 module Value = Blas_rel.Value
 module Table = Blas_rel.Table
-module Pool = Blas_rel.Buffer_pool
+module Buffer_pool = Blas_rel.Buffer_pool
 module Database = Blas.Database
 
 let formats = [ (Codec.V1, "v1"); (Codec.V2, "v2") ]
@@ -354,9 +354,9 @@ let with_logged_store ~format ~file f =
   let store ~capacity ~back_read ~back_write ~back_rows ~alloc ~free =
     {
       Blas_rel.Page_store.pool =
-        Pool.create ~capacity:4
+        Buffer_pool.create ~capacity:4
           {
-            Pool.back_read =
+            Buffer_pool.back_read =
               (fun ~table:_ ~page -> logged page (back_read page));
             back_write = (fun ~table:_ ~page p -> back_write page p);
             back_rows;
@@ -377,10 +377,10 @@ let with_logged_store ~format ~file f =
                 f
                   (store ~capacity:(Blas_disk.Store.capacity disk)
                      ~back_read:(fun page ->
-                       Pool.Bytes (Blas_disk.Store.read_page disk page))
+                       Buffer_pool.Bytes (Blas_disk.Store.read_page disk page))
                      ~back_write:(fun page -> function
-                       | Pool.Bytes b -> Blas_disk.Store.write_page disk page b
-                       | Pool.Rows _ -> invalid_arg "file pages are bytes")
+                       | Buffer_pool.Bytes b -> Blas_disk.Store.write_page disk page b
+                       | Buffer_pool.Rows _ -> invalid_arg "file pages are bytes")
                      ~back_rows:false
                      ~alloc:(fun () -> Blas_disk.Store.alloc_page disk)
                      ~free:ignore)
@@ -450,20 +450,22 @@ let probe_ok store log t (lo, hi) =
   let pool = store.Blas_rel.Page_store.pool in
   let matches row = Codec.in_range ~lo ~hi (Tuple.get row 0) in
   let rows_of = function
-    | Pool.Rows rows -> rows
-    | Pool.Bytes b -> Codec.decode_page ~format:store.codec b
+    | Buffer_pool.Rows rows -> rows
+    | Buffer_pool.Bytes b -> Codec.decode_page ~format:store.codec b
   in
-  Pool.flush_dirty pool;
-  Pool.flush pool;
+  Buffer_pool.flush_dirty pool;
+  Buffer_pool.flush pool;
   let holding =
     Array.to_list (Table.directory t)
     |> List.filter_map (fun (de : Table.dir_entry) ->
-           if List.exists matches (rows_of (Pool.peek pool ~table:"x" ~page:de.de_page))
+           if
+             List.exists matches
+               (rows_of (Buffer_pool.peek pool ~table:"x" ~page:de.de_page))
            then Some de.de_page
            else None)
   in
   let expect = List.filter matches (Table.scan t (Blas_rel.Counters.create ())) in
-  Pool.flush pool;
+  Buffer_pool.flush pool;
   let read = ref [] in
   log := Some read;
   let c = Blas_rel.Counters.create () in
@@ -517,13 +519,13 @@ let directory_law (format, file, init, batches, probes) =
 (* The directory with each entry's decoded page rows. *)
 let directory_pages store t =
   let pool = store.Blas_rel.Page_store.pool in
-  Pool.flush_dirty pool;
+  Buffer_pool.flush_dirty pool;
   Array.to_list (Table.directory t)
   |> List.map (fun (de : Table.dir_entry) ->
          ( de,
-           match Pool.peek pool ~table:"x" ~page:de.de_page with
-           | Pool.Rows rows -> rows
-           | Pool.Bytes b -> Codec.decode_page ~format:store.codec b ))
+           match Buffer_pool.peek pool ~table:"x" ~page:de.de_page with
+           | Buffer_pool.Rows rows -> rows
+           | Buffer_pool.Bytes b -> Codec.decode_page ~format:store.codec b ))
 
 (* The clustered directory equals a sorted model of the rows: every
    page non-empty, within the store's capacity under its codec and

@@ -1,13 +1,12 @@
-(** Tests for the parallel execution layer: the domain pool itself, the
-    determinism guarantee (parallel runs return exactly the sequential
-    answers and counter totals), and domain-safety of the shared
-    observability and buffer-pool state.
+(** Tests for parallelism between requests: several domains querying
+    one shared storage at once get exactly the answers and counter
+    totals of a sequential run, the shared observability and
+    buffer-pool state is domain-safe, and the deadline tokens that
+    carry cancellation fire.
 
-    The jobs levels exercised by the determinism tests default to 2 and
-    4 and can be overridden with BLAS_TEST_JOBS=1,2,8 (CI runs the
+    The domain counts exercised by the concurrent-run tests default to
+    2 and 4 and can be overridden with BLAS_TEST_JOBS=1,2,8 (CI runs the
     suite at several levels). *)
-
-module Pool = Blas_par.Pool
 
 let par_jobs =
   match Sys.getenv_opt "BLAS_TEST_JOBS" with
@@ -15,134 +14,37 @@ let par_jobs =
   | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
 
 (* ------------------------------------------------------------------ *)
-(* The pool itself                                                    *)
+(* Cancellation tokens                                                *)
 
-let pool_tests =
+let token_tests =
   [
-    ( "chunks cover the range in order",
+    ( "cancellation tokens fire explicitly and on expiry",
       fun () ->
-        List.iter
-          (fun (lanes, n) ->
-            let chunks = Pool.chunks ~lanes n in
-            let where = Printf.sprintf "lanes=%d n=%d" lanes n in
-            Test_util.check_bool (where ^ ": at most lanes chunks") true
-              (List.length chunks <= max lanes 1);
-            let covered =
-              List.concat_map
-                (fun (off, len) -> List.init len (fun i -> off + i))
-                chunks
-            in
-            Test_util.check_int_list (where ^ ": exact cover")
-              (List.init n Fun.id) covered;
-            let lens = List.map snd chunks in
-            List.iter
-              (fun l -> Test_util.check_bool (where ^ ": nonempty") true (l > 0))
-              lens;
-            match lens with
-            | [] -> ()
-            | _ ->
-              let lo = List.fold_left min max_int lens in
-              let hi = List.fold_left max 0 lens in
-              Test_util.check_bool (where ^ ": near-equal sizes") true
-                (hi - lo <= 1))
-          [ (1, 10); (4, 10); (8, 3); (3, 0); (5, 5); (2, 101) ] );
-    ( "run preserves task order",
-      fun () ->
-        Pool.with_pool ~domains:4 @@ fun pool ->
-        Test_util.check_int "size" 4 (Pool.size pool);
-        let results = Pool.run pool (Array.init 100 (fun i -> fun () -> i * i)) in
-        Test_util.check_int_list "squares in order"
-          (List.init 100 (fun i -> i * i))
-          (Array.to_list results) );
-    ( "run re-raises task exceptions",
-      fun () ->
-        Pool.with_pool ~domains:4 @@ fun pool ->
-        Alcotest.check_raises "boom" (Failure "boom") (fun () ->
+        let module Token = Blas.Par.Token in
+        let token = Token.create () in
+        Test_util.check_bool "fresh token" false (Token.cancelled token);
+        Token.check token;
+        Token.cancel token;
+        Test_util.check_bool "cancelled" true (Token.cancelled token);
+        Alcotest.check_raises "check raises" Blas.Par.Cancelled (fun () ->
+            Token.check token);
+        let expired = Token.create ~expired:(fun () -> true) () in
+        Alcotest.check_raises "expiry raises" Blas.Par.Cancelled (fun () ->
+            Token.check expired);
+        (* A cancelled run stops at an operator boundary and raises. *)
+        let storage = Blas.index "<r><a><b/></a><a><b/></a></r>" in
+        Alcotest.check_raises "run stops" Blas.Par.Cancelled (fun () ->
             ignore
-              (Pool.run pool
-                 (Array.init 50 (fun i ->
-                      fun () -> if i = 37 then failwith "boom" else i))));
-        (* The pool survives a failed batch. *)
-        let r = Pool.run pool (Array.init 8 (fun i -> fun () -> i + 1)) in
-        Test_util.check_int_list "usable after failure"
-          (List.init 8 (fun i -> i + 1))
-          (Array.to_list r) );
-    ( "nested run degrades to inline execution",
-      fun () ->
-        Pool.with_pool ~domains:4 @@ fun pool ->
-        let results =
-          Pool.run pool
-            (Array.init 4 (fun i ->
-                 fun () ->
-                   Array.fold_left ( + ) 0
-                     (Pool.run pool (Array.init 8 (fun j -> fun () -> i + j)))))
-        in
-        Test_util.check_int_list "nested sums"
-          (List.init 4 (fun i -> (8 * i) + 28))
-          (Array.to_list results) );
-    ( "map and map_list preserve order; both returns both",
-      fun () ->
-        Pool.with_pool ~domains:3 @@ fun pool ->
-        let doubled = Pool.map pool (fun x -> 2 * x) (Array.init 20 Fun.id) in
-        Test_util.check_int_list "map"
-          (List.init 20 (fun i -> 2 * i))
-          (Array.to_list doubled);
-        Test_util.check_int_list "map_list"
-          [ 1; 4; 9 ]
-          (Pool.map_list pool (fun x -> x * x) [ 1; 2; 3 ]);
-        let a, b = Pool.both pool (fun () -> "left") (fun () -> 42) in
-        Test_util.check_string "both left" "left" a;
-        Test_util.check_int "both right" 42 b );
-    ( "degenerate pools run inline",
-      fun () ->
-        Pool.with_pool ~domains:0 @@ fun pool ->
-        Test_util.check_int "clamped to one lane" 1 (Pool.size pool);
-        Test_util.check_int_list "still correct"
-          [ 0; 1; 2 ]
-          (Array.to_list (Pool.run pool (Array.init 3 (fun i -> fun () -> i))));
-        Pool.shutdown pool;
-        (* shutdown is idempotent, and a stopped pool still evaluates. *)
-        Pool.shutdown pool;
-        Test_util.check_int_list "after shutdown"
-          [ 7 ]
-          (Array.to_list (Pool.run pool [| (fun () -> 7) |])) );
-    ( "cancellation stops a fan-out at the next task boundary",
-      fun () ->
-        Pool.with_pool ~domains:4 @@ fun pool ->
-        let token = Pool.Token.create () in
-        let executed = Atomic.make 0 in
-        let total = 2_000 in
-        (* Cancel once a few tasks have run: the batch must stop at a
-           task boundary — far short of the full fan-out — and re-raise
-           Cancelled on the caller. *)
-        (try
-           ignore
-             (Pool.run_cancellable pool ~token
-                (Array.init total (fun _ ->
-                     fun () ->
-                       if Atomic.fetch_and_add executed 1 = 10 then
-                         Pool.Token.cancel token;
-                       Thread.delay 0.0002)));
-           Alcotest.fail "expected Cancelled"
-         with Pool.Cancelled -> ());
-        Test_util.check_bool "stopped well short of the fan-out" true
-          (Atomic.get executed < total / 2);
-        (* An expired-predicate token (the deadline path) behaves the
-           same, and the pool survives a cancelled batch. *)
-        let expired = Pool.Token.create ~expired:(fun () -> true) () in
-        (try
-           ignore (Pool.run_cancellable pool ~token:expired [| (fun () -> ()) |]);
-           Alcotest.fail "expected Cancelled from expiry"
-         with Pool.Cancelled -> ());
-        Test_util.check_int_list "pool usable after cancellation"
-          [ 1; 2 ]
-          (Array.to_list
-             (Pool.run_cancellable pool ~token:(Pool.Token.create ())
-                [| (fun () -> 1); (fun () -> 2) |])) );
+              (Blas.run
+                 ~cancel:(fun () -> Token.check token)
+                 storage ~engine:Blas.Rdbms ~translator:Blas.Pushup
+                 (Blas.query "//a/b")));
+        Test_util.check_bool "none never fires" false
+          (Token.cancelled Token.none) );
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: parallel == sequential on the Figure 10 queries       *)
+(* Concurrent requests == sequential runs on the Figure 10 queries    *)
 
 (* The nine hand-written queries of the paper's Figure 10, over small
    instances of the matching generated datasets (same table as the
@@ -177,116 +79,106 @@ let fig10 =
       ] );
   ]
 
-let translators = [ Blas.Split; Blas.Pushup; Blas.Unfold ]
+let translators = [ Blas.Split; Blas.Pushup; Blas.Unfold; Blas.Auto2 ]
 
 let engines = [ Blas.Rdbms; Blas.Twig ]
 
-(* Every counter except page_reads, which depends on how the chunks
-   interleave their buffer-pool requests (a hit for the sequential run
-   can be a concurrent miss and vice versa). *)
-let check_counters where (sc : Blas_rel.Counters.t) (pc : Blas_rel.Counters.t) =
-  Test_util.check_int (where ^ ": tuples_read") sc.Blas_rel.Counters.tuples_read
-    pc.Blas_rel.Counters.tuples_read;
-  Test_util.check_int (where ^ ": index_seeks") sc.Blas_rel.Counters.index_seeks
-    pc.Blas_rel.Counters.index_seeks;
-  Test_util.check_int (where ^ ": djoins") sc.Blas_rel.Counters.djoins
-    pc.Blas_rel.Counters.djoins;
-  Test_util.check_int (where ^ ": theta_joins") sc.Blas_rel.Counters.theta_joins
-    pc.Blas_rel.Counters.theta_joins;
-  Test_util.check_int (where ^ ": intermediate") sc.Blas_rel.Counters.intermediate
-    pc.Blas_rel.Counters.intermediate;
-  Test_util.check_int (where ^ ": page_requests")
-    sc.Blas_rel.Counters.page_requests pc.Blas_rel.Counters.page_requests;
-  Test_util.check_int (where ^ ": page_writes") sc.Blas_rel.Counters.page_writes
-    pc.Blas_rel.Counters.page_writes
+(* Every counter except page_reads, which depends on how the concurrent
+   runs interleave their buffer-pool requests (a hit for the sequential
+   run can be a concurrent miss and vice versa). *)
+let same_counters (a : Blas_rel.Counters.t) (b : Blas_rel.Counters.t) =
+  let open Blas_rel.Counters in
+  a.tuples_read = b.tuples_read
+  && a.index_seeks = b.index_seeks
+  && a.djoins = b.djoins
+  && a.theta_joins = b.theta_joins
+  && a.intermediate = b.intermediate
+  && a.page_requests = b.page_requests
+  && a.page_writes = b.page_writes
 
-let determinism_tests =
+(* [concurrent_mismatches ~domains storage cases] runs every [(name,
+   run)] case sequentially, then all of them again on [domains] domains
+   at once, each domain taking the cases in a different rotation so
+   different queries overlap; returns the names whose concurrent report
+   differs from the sequential one in answers, visited count, plan
+   D-joins or counters. *)
+let concurrent_mismatches ~domains cases =
+  let expected = List.map (fun (name, run) -> (name, run ())) cases in
+  let n = List.length cases in
+  Test_util.on_domains domains (fun d ->
+      List.init n (fun i ->
+          let name, run = List.nth cases ((i + (d * n / domains)) mod n) in
+          (name, run ())))
+  |> List.concat
+  |> List.filter_map (fun (name, (r : Blas.report)) ->
+         let (e : Blas.report) = List.assoc name expected in
+         if
+           e.Blas.starts = r.Blas.starts
+           && e.Blas.visited = r.Blas.visited
+           && e.Blas.plan_djoins = r.Blas.plan_djoins
+           && same_counters e.Blas.counters r.Blas.counters
+         then None
+         else Some name)
+
+let concurrent_tests =
   List.map
     (fun (dataset, storage, queries) ->
       ( Printf.sprintf "%s: parallel runs match sequential" dataset,
         fun () ->
           let storage = Lazy.force storage in
-          List.iter
-            (fun jobs ->
-              Pool.with_pool ~domains:jobs @@ fun pool ->
-              List.iter
-                (fun (qname, qs) ->
-                  let query = Blas.query qs in
-                  List.iter
-                    (fun translator ->
-                      List.iter
-                        (fun engine ->
-                          let where =
-                            Printf.sprintf "%s %s/%s -j %d" qname
-                              (Blas.translator_name translator)
-                              (Blas.engine_name engine)
-                              jobs
-                          in
-                          let seq =
-                            Blas.run storage ~engine ~translator query
-                          in
-                          let par =
-                            Blas.run ~pool storage ~engine ~translator query
-                          in
-                          Test_util.check_int_list (where ^ ": starts")
-                            seq.Blas.starts par.Blas.starts;
-                          Test_util.check_int (where ^ ": visited")
-                            seq.Blas.visited par.Blas.visited;
-                          Test_util.check_int (where ^ ": plan djoins")
-                            seq.Blas.plan_djoins par.Blas.plan_djoins;
-                          check_counters where seq.Blas.counters
-                            par.Blas.counters)
-                        engines)
-                    translators)
-                queries;
-              (* Batched multi-query workloads fan out too. *)
-              let batch = List.map (fun (_, qs) -> Blas.query qs) queries in
-              List.iter
+          let cases =
+            List.concat_map
+              (fun (qname, qs) ->
+                let query = Blas.query qs in
+                List.concat_map
+                  (fun translator ->
+                    List.map
+                      (fun engine ->
+                        ( Printf.sprintf "%s %s/%s" qname
+                            (Blas.translator_name translator)
+                            (Blas.engine_name engine),
+                          fun () ->
+                            Blas.run ~cache:false storage ~engine ~translator
+                              query ))
+                      engines)
+                  translators)
+              queries
+            (* A union batch per engine rides along. *)
+            @ List.map
                 (fun engine ->
-                  let where =
-                    Printf.sprintf "union batch %s -j %d"
-                      (Blas.engine_name engine) jobs
-                  in
-                  let seq =
-                    Blas.run_union storage ~engine ~translator:Blas.Pushup batch
-                  in
-                  let par =
-                    Blas.run_union ~pool storage ~engine ~translator:Blas.Pushup
-                      batch
-                  in
-                  Test_util.check_int_list (where ^ ": starts") seq.Blas.starts
-                    par.Blas.starts;
-                  Test_util.check_int (where ^ ": visited") seq.Blas.visited
-                    par.Blas.visited;
-                  check_counters where seq.Blas.counters par.Blas.counters)
-                engines)
+                  ( "union batch " ^ Blas.engine_name engine,
+                    fun () ->
+                      Blas.run_union ~cache:false storage ~engine
+                        ~translator:Blas.Pushup
+                        (List.map (fun (_, qs) -> Blas.query qs) queries) ))
+                engines
+          in
+          List.iter
+            (fun domains ->
+              match concurrent_mismatches ~domains cases with
+              | [] -> ()
+              | bad ->
+                Alcotest.failf "%d domains: %s differ from sequential" domains
+                  (String.concat ", " bad))
             par_jobs ) )
     fig10
-
-(* One pool shared by every generated case: spawning domains per qcheck
-   case would dominate the test's runtime. *)
-let shared_pool =
-  lazy
-    (let pool = Pool.create ~domains:3 in
-     at_exit (fun () -> Pool.shutdown pool);
-     pool)
 
 let parallel_equals_sequential_prop =
   let gen = QCheck2.Gen.pair Test_util.doc_gen (Test_util.query_gen ()) in
   Test_util.qtest ~count:60 "parallel run equals sequential run" gen
     (fun (tree, q) ->
       let storage = Blas.index_of_tree tree in
-      let pool = Lazy.force shared_pool in
-      List.for_all
-        (fun engine ->
-          List.for_all
-            (fun translator ->
-              let seq = Blas.run storage ~engine ~translator q in
-              let par = Blas.run ~pool storage ~engine ~translator q in
-              seq.Blas.starts = par.Blas.starts
-              && seq.Blas.visited = par.Blas.visited)
-            [ Blas.Split; Blas.Pushup ])
-        [ Blas.Rdbms; Blas.Twig ])
+      let cases =
+        List.concat_map
+          (fun engine ->
+            List.map
+              (fun translator ->
+                ( Blas.translator_name translator ^ "/" ^ Blas.engine_name engine,
+                  fun () -> Blas.run ~cache:false storage ~engine ~translator q ))
+              [ Blas.Split; Blas.Pushup ])
+          engines
+      in
+      concurrent_mismatches ~domains:2 cases = [])
 
 (* ------------------------------------------------------------------ *)
 (* Domain-safety of shared state                                      *)
@@ -300,25 +192,22 @@ let stress_tests =
         let c = Metrics.counter reg "stress.count" in
         let h = Metrics.histogram reg "stress.latency" in
         let iters = 5_000 in
-        Pool.with_pool ~domains:4 @@ fun pool ->
         ignore
-          (Pool.run pool
-             (Array.init 8 (fun k ->
-                  fun () ->
-                    for i = 1 to iters do
-                      Metrics.incr c;
-                      Metrics.observe h (float_of_int ((i mod 100) + k + 1))
-                    done)));
+          (Test_util.on_domains 4 (fun k ->
+               for i = 1 to 2 * iters do
+                 Metrics.incr c;
+                 Metrics.observe h (float_of_int ((i mod 100) + k + 1))
+               done));
         Test_util.check_int "counter total" (8 * iters)
           (Metrics.counter_value c);
         Test_util.check_int "histogram count" (8 * iters) (Metrics.hist_count h);
         (* Concurrent registration of colliding names yields one cell. *)
         ignore
-          (Pool.map pool
-             (fun i ->
-               let c = Metrics.counter reg (Printf.sprintf "c%d" (i mod 4)) in
-               Metrics.incr c)
-             (Array.init 32 Fun.id));
+          (Test_util.on_domains 4 (fun d ->
+               for i = 0 to 7 do
+                 let name = Printf.sprintf "c%d" ((d + i) mod 4) in
+                 Metrics.incr (Metrics.counter reg name)
+               done));
         List.iter
           (fun i ->
             Test_util.check_int
@@ -334,16 +223,16 @@ let stress_tests =
       fun () ->
         let open Blas_obs in
         let tracer = Trace.create () in
-        let tasks = 64 in
-        Pool.with_pool ~domains:4 @@ fun pool ->
+        let per_domain = 16 in
         ignore
-          (Pool.run pool
-             (Array.init tasks (fun i ->
-                  fun () ->
-                    Trace.with_span tracer "outer" (fun () ->
-                        Trace.with_span tracer "inner" (fun () -> i)))));
+          (Test_util.on_domains 4 (fun d ->
+               for i = 1 to per_domain do
+                 Trace.with_span tracer "outer" (fun () ->
+                     Trace.with_span tracer "inner" (fun () -> ignore (d + i)))
+               done));
         let roots = Trace.roots tracer in
-        Test_util.check_int "one root per task" tasks (List.length roots);
+        Test_util.check_int "one root per span" (4 * per_domain)
+          (List.length roots);
         List.iter
           (fun (r : Trace.span) ->
             Test_util.check_string "root name" "outer" r.Trace.name;
@@ -364,16 +253,12 @@ let stress_tests =
         Test_util.check_int "stripes" 4 (Buffer_pool.stripe_count bp);
         Test_util.check_int "capacity" 16 (Buffer_pool.capacity bp);
         let per = 2_000 in
-        Pool.with_pool ~domains:4 @@ fun pool ->
         ignore
-          (Pool.run pool
-             (Array.init 4 (fun k ->
-                  fun () ->
-                    for i = 0 to per - 1 do
-                      ignore
-                        (Buffer_pool.get bp ~table:"t"
-                           ~page:(i * (k + 1) mod 64))
-                    done)));
+          (Test_util.on_domains 4 (fun k ->
+               for i = 0 to per - 1 do
+                 ignore
+                   (Buffer_pool.get bp ~table:"t" ~page:(i * (k + 1) mod 64))
+               done));
         Test_util.check_int "every request counted" (4 * per)
           (Buffer_pool.requests bp);
         Test_util.check_bool "resident bounded by capacity" true
@@ -387,5 +272,5 @@ let stress_tests =
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
-    (pool_tests @ determinism_tests @ stress_tests)
+    (token_tests @ concurrent_tests @ stress_tests)
   @ [ parallel_equals_sequential_prop ]

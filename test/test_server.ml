@@ -724,6 +724,11 @@ let outcome_count srv outcome =
        ~labels:[ ("outcome", outcome) ]
        "server.requests")
 
+let starts_of_payload payload =
+  match Blas_cluster.Merge.parse_answers payload with
+  | Some starts -> starts
+  | None -> Alcotest.failf "not an answer payload: %S" payload
+
 let live_soak () =
   let tree = small_auction () in
   let hosted = Blas.index_of_tree tree in
@@ -791,27 +796,36 @@ let live_soak () =
       | [] -> ()
       | msgs ->
         Alcotest.failf "soak: %d failures: %s" (List.length msgs) (List.hd msgs));
-      (* Quiesced: every reply must be byte-identical to a fresh
-         sequential run against the shadow. *)
+      (* Quiesced: every translator x engine must answer what the naive
+         evaluator finds on the shadow, and a Push-up reply must be
+         byte-identical to a fresh sequential run against the shadow. *)
       let compared = ref 0 in
       C.with_client port (fun c ->
           List.iter
             (fun q ->
+              let oracle = Blas.oracle_union shadow (Blas.query_union q) in
               List.iter
                 (fun engine ->
-                  let want =
-                    Svc.payload_of_report
-                      (Blas.run_union shadow ~engine ~translator:Blas.Pushup
-                         (Blas.query_union q))
-                  in
-                  let got =
-                    expect_ok q
-                      (C.query c ~doc:"auction" ~translator:Blas.Pushup ~engine q)
-                  in
-                  Test_util.check_string
-                    (Printf.sprintf "quiesced %s (%s)" q (Blas.engine_name engine))
-                    want got;
-                  incr compared)
+                  List.iter
+                    (fun translator ->
+                      let where =
+                        Printf.sprintf "quiesced %s (%s/%s)" q
+                          (Blas.translator_name translator)
+                          (Blas.engine_name engine)
+                      in
+                      let got =
+                        expect_ok q (C.query c ~doc:"auction" ~translator ~engine q)
+                      in
+                      incr compared;
+                      Test_util.check_int_list (where ^ ": oracle") oracle
+                        (starts_of_payload got);
+                      if translator = Blas.Pushup then
+                        Test_util.check_string where
+                          (Svc.payload_of_report
+                             (Blas.run_union shadow ~engine ~translator
+                                (Blas.query_union q)))
+                          got)
+                    translators)
                 engines)
             queries);
       (* STATS reconciliation: the server counted exactly what the

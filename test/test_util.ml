@@ -14,6 +14,11 @@ let empty_backing =
     back_rows = true;
   }
 
+(** [on_domains n f] runs [f 0] ... [f (n - 1)] at once, each on a
+    freshly spawned domain, and returns the results in index order. *)
+let on_domains n f =
+  List.map Domain.join (List.init n (fun i -> Domain.spawn (fun () -> f i)))
+
 let qtest ?(count = 200) name gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen law)
 
