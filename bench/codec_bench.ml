@@ -13,7 +13,12 @@
     - answers are byte-identical between the codecs across all three
       translators and both engines;
     - [Database.create] under v2, summed over the corpora, takes at
-      most 4x as long as under v1 (the bulk load stays linear). *)
+      most 4x as long as under v1 (the bulk load stays linear);
+    - a warm [Blas.run] (Auto2) of QS1 and of QS3 on the base-scale
+      Shakespeare v2 file allocates at most {!max_words_per_row} minor
+      words per visited row (late materialization: accesses decode only
+      the columns their plan reads).  Minor-word counts are
+      deterministic for a given build, so this gate cannot flap. *)
 
 module Codec = Blas_rel.Codec
 module Pool = Blas_rel.Buffer_pool
@@ -128,8 +133,63 @@ let gate name ok =
     if !Overhead.check_mode then Overhead.failed := true
   end
 
+(* The allocation gate's bound: minor words per visited row. *)
+let max_words_per_row = 25.
+
+(* Minor words a warm Auto2 run of [qs] allocates, and the rows it
+   visits.  The first run warms the pool; the second is counted. *)
+let run_words storage qs =
+  let q = Blas.query qs in
+  let run () = Blas.run storage ~engine:Blas.Rdbms ~translator:Blas.Auto2 q in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let r = run () in
+  (Gc.minor_words () -. w0, r.Blas.visited)
+
+let alloc_gate () =
+  let path = Filename.temp_file "blas_bench_alloc" ".blasdb" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".wal" ])
+    (fun () ->
+      Blas.Database.create ~codec:Codec.V2 ~path
+        (Blas.Storage.of_tree (Datasets.shakespeare_base ()));
+      let storage =
+        Blas.Database.open_ ~cache_pages:512 ~mode:Blas.Database.Ro ~path ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Blas.Storage.close storage)
+        (fun () ->
+          let rows =
+            List.map
+              (fun (name, qs) ->
+                let words, visited = run_words storage qs in
+                let per_row = words /. float_of_int (max 1 visited) in
+                gate
+                  (Printf.sprintf "%s: %.1f minor words per visited row <= %.0f"
+                     name per_row max_words_per_row)
+                  (per_row <= max_words_per_row);
+                [
+                  name;
+                  string_of_int visited;
+                  Printf.sprintf "%.0f" words;
+                  Printf.sprintf "%.1f" per_row;
+                ])
+              [ ("QS1", Bench_queries.qs1); ("QS3", Bench_queries.qs3) ]
+          in
+          Bench_util.print_table
+            ~title:"allocation (warm Auto2 run, base-scale Shakespeare, v2)"
+            {
+              Bench_util.header =
+                [ "query"; "visited"; "minor words"; "words/row" ];
+              rows;
+            }))
+
 let run () =
   Bench_util.heading "Page codecs: v1 row-major vs v2 compact columnar";
+  alloc_gate ();
   let create_s = ref (0., 0.) in
   let rows =
     List.concat_map

@@ -59,7 +59,10 @@ let db_template tag base =
   Bench_util.memo (fun () ->
       let path = Filename.temp_file ("blas_bench_tpl_" ^ tag) ".blasdb" in
       Blas.Database.create ~page_size:4096 ~path (storage_of (base ()));
-      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+      at_exit (fun () ->
+          List.iter
+            (fun p -> try Sys.remove p with Sys_error _ -> ())
+            [ path; path ^ ".wal" ]);
       path)
 
 let shakespeare_db = db_template "shakespeare" shakespeare_base
@@ -96,13 +99,15 @@ let copy_file src dst =
           in
           go ()))
 
-(** A private read-write copy of a prebuilt template: the storage and
-    the database path (caller removes [path] and [path ^ ".wal"]). *)
-let db_copy template_path =
+(** A private read-write copy of a prebuilt template, its buffer pool
+    in [stripes] stripes (default 1): the storage and the database path
+    (caller removes [path] and [path ^ ".wal"]). *)
+let db_copy ?stripes template_path =
   let path = Filename.temp_file "blas_bench_db" ".blasdb" in
   copy_file template_path path;
   let storage =
-    Blas.Database.open_ ~cache_pages:512 ~mode:Blas.Database.Rw ~path ()
+    Blas.Database.open_ ~cache_pages:512 ?stripes ~mode:Blas.Database.Rw
+      ~path ()
   in
   (storage, path)
 

@@ -38,8 +38,10 @@ let root_start (storage : Blas.Storage.t) =
    deployment runs on.  Each data set is indexed into a read-only
    template once per bench process ({!Datasets.db_template}); every use
    here takes a cheap private file copy and opens it read-write so live
-   UPDATE verbs commit without touching the shared template. *)
-let db_storage template = Datasets.db_copy (template ())
+   UPDATE verbs commit without touching the shared template.  Like
+   [blas serve -j N], a server with [jobs] domains opens its databases
+   with one buffer-pool stripe per domain. *)
+let db_storage ~jobs template = Datasets.db_copy ~stripes:jobs (template ())
 
 let workload =
   Array.of_list
@@ -57,8 +59,8 @@ type loop_result = {
    over fresh database copies; [after port] runs against the same
    server once the load is done. *)
 let closed_loop ~per_client ~jobs ~after =
-  let shakespeare, shakespeare_path = db_storage Datasets.shakespeare_db in
-  let auction, auction_path = db_storage Datasets.auction_db in
+  let shakespeare, shakespeare_path = db_storage ~jobs Datasets.shakespeare_db in
+  let auction, auction_path = db_storage ~jobs Datasets.auction_db in
   let cleanup () =
     List.iter (fun s -> try Blas.Storage.close s with _ -> ()) [ shakespeare; auction ];
     List.iter

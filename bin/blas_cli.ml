@@ -955,8 +955,13 @@ let serve () name host port docs_dir jobs max_inflight queue_depth timeout_ms
         fun name -> Blas_cluster.Shard_map.shard_of_doc map name = k
     in
     (* Writable: live UPDATE verbs against database files commit to the
-       file; XML-backed documents are unaffected. *)
-    match Blas.Loader.load_dir ~rw:true ?cache_pages:pages ~keep docs_dir with
+       file; XML-backed documents are unaffected.  One buffer-pool stripe
+       per worker domain, so the domains of [-j N] do not all take one
+       pool lock. *)
+    match
+      Blas.Loader.load_dir ~rw:true ?cache_pages:pages ~stripes:(max 1 jobs) ~keep
+        docs_dir
+    with
     | Error msg -> `Error (false, msg)
     | Ok [] when shard_of = None ->
       `Error

@@ -54,15 +54,15 @@ let locked stripe f =
 
 let tick t = Atomic.fetch_and_add t.clock 1
 
-let find t k =
+let find ?(accept = fun _ -> true) t k =
   let stripe = stripe_of t k in
   let found =
     locked stripe @@ fun () ->
     match Hashtbl.find_opt stripe.tbl k with
-    | Some e ->
+    | Some e when accept e.value ->
       e.tick <- tick t;
       Some e.value
-    | None -> None
+    | Some _ | None -> None
   in
   (match found with Some _ -> Stats.hit t.stats | None -> Stats.miss t.stats);
   found

@@ -24,9 +24,10 @@ val create :
   unit ->
   ('k, 'v) t
 
-(** [find t k] — the cached value, refreshing its recency.  Records a
-    hit or miss. *)
-val find : ('k, 'v) t -> 'k -> 'v option
+(** [find ?accept t k] — the cached value, refreshing its recency.
+    Records a hit or miss; an entry [accept] (default: any) refuses is
+    a miss and keeps its recency. *)
+val find : ?accept:('v -> bool) -> ('k, 'v) t -> 'k -> 'v option
 
 (** [mem t k] — like {!find} without touching recency or stats. *)
 val mem : ('k, 'v) t -> 'k -> bool

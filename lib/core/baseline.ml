@@ -78,44 +78,19 @@ let to_sql (query : Blas_xpath.Ast.t) =
     engine must read them, as the paper's Figures 14-18 count). *)
 let to_pattern ~(wrap : Engine_twig.wrap) (storage : Storage.t) counters
     (query : Blas_xpath.Ast.t) =
-  let schema = Blas_rel.Table.schema storage.sd in
-  let start_i = Blas_rel.Schema.index_of schema "start" in
-  let end_i = Blas_rel.Schema.index_of schema "end" in
-  let level_i = Blas_rel.Schema.index_of schema "level" in
-  let data_i = Blas_rel.Schema.index_of schema "data" in
   let stream (q : Blas_xpath.Ast.node) ~root =
+    let cols = Engine_twig.stream_cols q.value in
     let rows =
       match q.test with
       | Blas_xpath.Ast.Tag t ->
-        Blas_rel.Table.index_eq storage.sd counters ~column:"tag"
+        Blas_rel.Table.index_eq ~cols storage.sd counters ~column:"tag"
           (Blas_rel.Value.Str t)
-      | Blas_xpath.Ast.Any -> Blas_rel.Table.scan storage.sd counters
+      | Blas_xpath.Ast.Any -> Blas_rel.Table.scan ~cols storage.sd counters
     in
-    List.filter_map
-      (fun tuple ->
-        let level = Blas_rel.Value.to_int (Blas_rel.Tuple.get tuple level_i) in
-        let keep_level = (not root) || q.axis <> Blas_xpath.Ast.Child || level = 1 in
-        let keep_value =
-          match q.value with
-          | None -> true
-          | Some (Blas_xpath.Ast.Equals v) -> (
-            match Blas_rel.Tuple.get tuple data_i with
-            | Blas_rel.Value.Str d -> String.equal d v
-            | _ -> false)
-          | Some (Blas_xpath.Ast.Differs v) -> (
-            match Blas_rel.Tuple.get tuple data_i with
-            | Blas_rel.Value.Str d -> not (String.equal d v)
-            | _ -> false)
-        in
-        if keep_level && keep_value then
-          Some
-            {
-              Blas_twig.Entry.start = Blas_rel.Value.to_int (Blas_rel.Tuple.get tuple start_i);
-              fin = Blas_rel.Value.to_int (Blas_rel.Tuple.get tuple end_i);
-              level;
-            }
-        else None)
-      rows
+    let keep_level level =
+      (not root) || q.axis <> Blas_xpath.Ast.Child || level = 1
+    in
+    Engine_twig.entries ~keep_level q.value (cols, rows)
   in
   let rec build ~root (q : Blas_xpath.Ast.node) =
     let label =

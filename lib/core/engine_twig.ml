@@ -11,30 +11,51 @@
 
 open Blas_rel
 
-let entry_of_tuple schema =
-  let start_i = Schema.index_of schema "start" in
-  let end_i = Schema.index_of schema "end" in
-  let level_i = Schema.index_of schema "level" in
-  fun tuple ->
-    {
-      Blas_twig.Entry.start = Value.to_int (Tuple.get tuple start_i);
-      fin = Value.to_int (Tuple.get tuple end_i);
-      level = Value.to_int (Tuple.get tuple level_i);
-    }
+(** The columns a stream reads, in SP/SD table order: the D-label,
+    plus [data] under a value predicate. *)
+let stream_cols value =
+  [ "start"; "end"; "level" ] @ match value with None -> [] | Some _ -> [ "data" ]
+
+(** [entries ?keep_level value (cols, rows)] — the stream entries of
+    [rows], which hold the columns [cols] (at least {!stream_cols}
+    [value]), whose [data] satisfies [value] and whose level passes
+    [keep_level]. *)
+let entries ?(keep_level = fun _ -> true) value (cols, rows) =
+  let schema = Schema.of_list cols in
+  let start_i = Schema.index_of schema "start"
+  and end_i = Schema.index_of schema "end"
+  and level_i = Schema.index_of schema "level" in
+  let int_at row i = Value.to_int (Tuple.get row i) in
+  let keep_value =
+    match value with
+    | None -> fun _ -> true
+    | Some value -> (
+      let data_i = Schema.index_of schema "data" in
+      fun row ->
+        match (Tuple.get row data_i, value) with
+        | Value.Str d, Blas_xpath.Ast.Equals v -> String.equal d v
+        | Value.Str d, Blas_xpath.Ast.Differs v -> not (String.equal d v)
+        | _ -> false)
+  in
+  List.filter_map
+    (fun row ->
+      let level = int_at row level_i in
+      if keep_level level && keep_value row then
+        Some { Blas_twig.Entry.start = int_at row start_i; fin = int_at row end_i; level }
+      else None)
+    rows
 
 (* The stream of one suffix-path item: a clustered P-label range (or,
-   for an absolute path, equality) access on SP, with the value
-   predicate applied after it.  [cache] is the query cache's scan
-   hook, the same one the RDBMS engine uses: it holds the rows of the
-   access before any predicate, so the two engines share entries. *)
+   for an absolute path, equality) access on SP reading only the
+   stream's columns, with the value predicate applied after it.
+   [cache] is the query cache's scan hook, the same one the RDBMS
+   engine uses: it holds the rows of the access before any predicate,
+   so the two engines share entries. *)
 let item_stream ?cache (storage : Storage.t) counters
     (item : Suffix_query.item) =
   match Blas_label.Plabel.suffix_path_interval storage.table item.path with
   | None -> []
   | Some interval ->
-    let schema = Table.schema storage.sp in
-    let data_i = Schema.index_of schema "data" in
-    let to_entry = entry_of_tuple schema in
     let lo = Value.Big (Blas_label.Interval.lo interval) in
     let path =
       if item.path.absolute then
@@ -47,23 +68,9 @@ let item_stream ?cache (storage : Storage.t) counters
             hi = Some (Value.Big (Blas_label.Interval.hi interval));
           }
     in
-    let keep =
-      match item.value with
-      | None -> fun _ -> true
-      | Some (Blas_xpath.Ast.Equals v) -> (
-        fun tuple ->
-          match Tuple.get tuple data_i with
-          | Value.Str d -> String.equal d v
-          | _ -> false)
-      | Some (Blas_xpath.Ast.Differs v) -> (
-        fun tuple ->
-          match Tuple.get tuple data_i with
-          | Value.Str d -> not (String.equal d v)
-          | _ -> false)
-    in
-    Executor.access ?cache counters storage.sp path
-    |> List.filter_map (fun tuple ->
-           if keep tuple then Some (to_entry tuple) else None)
+    entries item.value
+      (Executor.access ?cache ~cols:(stream_cols item.value) counters storage.sp
+         path)
 
 let gap_of = function
   | Suffix_query.Exact k -> Blas_twig.Pattern.Exact k
@@ -154,4 +161,4 @@ let run ?(cancel = ignore) ?collector counters joins =
       Blas_obs.Analyze.Collector.wrap c ~kind:"twig-join" ~label:j.label
         ~rows:List.length join
   in
-  List.sort_uniq Stdlib.compare (List.concat_map (run_join counters) joins)
+  List.sort_uniq Int.compare (List.concat_map (run_join counters) joins)

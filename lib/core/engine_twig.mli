@@ -8,6 +8,20 @@
     not support unions, so its experiments compare only D-labeling,
     Split and Push-up — the engine itself is complete. *)
 
+(** The columns a D-label stream reads, in SP/SD table order:
+    [start], [end], [level], plus [data] under a value predicate. *)
+val stream_cols : Blas_xpath.Ast.value_constraint option -> string list
+
+(** [entries ?keep_level value (cols, rows)] — the stream entries of
+    [rows], which hold the columns [cols] (at least {!stream_cols}
+    [value]), whose [data] satisfies [value] and whose level passes
+    [keep_level] (default: any). *)
+val entries :
+  ?keep_level:(int -> bool) ->
+  Blas_xpath.Ast.value_constraint option ->
+  string list * Blas_rel.Tuple.t list ->
+  Blas_twig.Entry.t list
+
 (** EXPLAIN ANALYZE hook installed around each pattern node's
     construction (children nest inside the parent's call). *)
 type wrap =

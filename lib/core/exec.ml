@@ -133,12 +133,32 @@ let plan_for storage translator q =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)
 
-(* The answer column of an executed plan: the only projected column, or
-   the first one named "<alias>.start" when the SQL projects more (a
-   user-written star projection). *)
+(* [ints] sorted ascending without duplicates, as a list.  Sorting is
+   skipped when an O(n) check finds them strictly ascending already:
+   single-access plans return their rows in clustered [start] order. *)
+let sorted_unique ints =
+  let n = Array.length ints in
+  let rec ascending i = i >= n || (ints.(i - 1) < ints.(i) && ascending (i + 1)) in
+  if n > 1 && not (ascending 1) then begin
+    Array.sort Int.compare ints;
+    let m = ref 1 in
+    for i = 1 to n - 1 do
+      if ints.(i) <> ints.(!m - 1) then begin
+        ints.(!m) <- ints.(i);
+        incr m
+      end
+    done;
+    Array.to_list (Array.sub ints 0 !m)
+  end
+  else Array.to_list ints
+
+(* The answer column of an executed plan, as ints: the only projected
+   column, or the first one named "<alias>.start" when the SQL projects
+   more (a user-written star projection). *)
 let starts_of_relation relation =
   let open Blas_rel in
-  let columns = Schema.columns (Relation.schema relation) in
+  let schema = Relation.schema relation in
+  let columns = Schema.columns schema in
   let answer_column =
     match columns with
     | [ only ] -> Some only
@@ -152,9 +172,9 @@ let starts_of_relation relation =
   in
   match answer_column with
   | Some column ->
-    Relation.column relation column
-    |> List.map Value.to_int
-    |> List.sort_uniq Stdlib.compare
+    let i = Schema.index_of schema column in
+    sorted_unique
+      (Array.map (fun t -> Value.to_int (Tuple.get t i)) (Relation.tuples relation))
   | None -> invalid_arg "Blas.run: no answer column (project a start column)"
 
 let twig_plan_djoins branches =
@@ -194,23 +214,23 @@ let scan_signature table path =
   else None
 
 (* Both engines' hook into the scan cache: an indexed SP access on the
-   P-label column looks up its pre-predicate tuple list by exact
-   interval before the page directory, and feeds it after a real fetch.
-   Accesses on other columns or tables pass through untouched. *)
+   P-label column looks up its pre-predicate rows by exact interval
+   before the page directory, and on a miss reads every column but the
+   P-label and feeds the entry ({!Qcache.scan}).  Accesses on
+   other columns or tables pass through untouched. *)
 let scan_cache_of qc storage =
   let page_rows = Cost.model_page_rows storage in
   {
-    Blas_rel.Executor.probe =
-      (fun table path ->
-        Option.bind (scan_signature table path) (Qcache.find_scan qc));
-    store =
-      (fun table path rows ->
+    Blas_rel.Executor.through =
+      (fun table path ~cols ~fetch ->
         match scan_signature table path with
+        | None -> (cols, fetch cols)
         | Some interval ->
-          Qcache.put_scan qc interval
-            ~benefit:(Cost.pages_for (List.length rows) ~page_rows)
-            rows
-        | None -> ());
+          Qcache.scan qc interval
+            ~table_cols:(Blas_rel.Schema.columns (Blas_rel.Table.schema table))
+            ~cols
+            ~benefit:(fun rows -> Cost.pages_for (List.length rows) ~page_rows)
+            ~fetch);
   }
 
 (* The P-intervals every item of a decomposition scans — the whole-query
@@ -549,7 +569,7 @@ let union reports =
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
   {
     starts =
-      List.sort_uniq Stdlib.compare (List.concat_map (fun r -> r.starts) reports);
+      List.sort_uniq Int.compare (List.concat_map (fun r -> r.starts) reports);
     visited = sum (fun r -> r.visited);
     page_reads = sum (fun r -> r.page_reads);
     plan_djoins = sum (fun r -> r.plan_djoins);

@@ -23,15 +23,16 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(** [load ?rw ?cache_pages path] — the storage for [path] (XML or
-    database file).  [rw] (default false) opens database files
+(** [load ?rw ?cache_pages ?stripes path] — the storage for [path] (XML
+    or database file).  [rw] (default false) opens database files
     read-write so updates reach the file; [cache_pages] bounds their
-    page cache. *)
-let load ?(rw = false) ?cache_pages path =
+    page cache and [stripes] (default 1) splits it into independently
+    locked stripes. *)
+let load ?(rw = false) ?cache_pages ?stripes path =
   try
     if Database.looks_like_db path then
       Ok
-        (Database.open_ ?cache_pages
+        (Database.open_ ?cache_pages ?stripes
            ~mode:(if rw then Database.Rw else Database.Ro)
            ~path ())
     else Ok (Storage.of_string (read_file path))
@@ -47,12 +48,12 @@ let load ?(rw = false) ?cache_pages path =
 
 let doc_name path = Filename.remove_extension (Filename.basename path)
 
-(** [load_dir ?rw ?cache_pages ?keep dir] — every [*.xml] / [*.blasdb]
+(** [load_dir ?rw ?cache_pages ?stripes ?keep dir] — every [*.xml] / [*.blasdb]
     file of [dir] as a named document list, sorted by name;
     errors name the failing file.  [keep] filters by document name
     BEFORE loading — a sharded server must not even open (and lock)
     files it does not host. *)
-let load_dir ?rw ?cache_pages ?(keep = fun _ -> true) dir =
+let load_dir ?rw ?cache_pages ?stripes ?(keep = fun _ -> true) dir =
   match Sys.readdir dir with
   | exception Sys_error msg -> Error msg
   | entries ->
@@ -67,7 +68,7 @@ let load_dir ?rw ?cache_pages ?(keep = fun _ -> true) dir =
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | f :: rest -> (
-        match load ?rw ?cache_pages (Filename.concat dir f) with
+        match load ?rw ?cache_pages ?stripes (Filename.concat dir f) with
         | Error msg -> Error msg
         | Ok storage -> go ((doc_name f, storage) :: acc) rest)
     in

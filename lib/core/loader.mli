@@ -3,14 +3,19 @@
     through the same sniff-and-parse helper.  Every call builds or
     opens a fresh storage, which the caller owns. *)
 
-(** [load ?rw ?cache_pages path] — the storage for [path]: a database
-    file when it starts with the "BLASDB1" magic (opened read-only
-    unless [rw]; [cache_pages] bounds its page cache), parsed XML
+(** [load ?rw ?cache_pages ?stripes path] — the storage for [path]: a
+    database file when it starts with the "BLASDB1" magic (opened
+    read-only unless [rw]; [cache_pages] bounds its page cache, split
+    into [stripes] independently locked stripes, default 1), parsed XML
     otherwise. *)
 val load :
-  ?rw:bool -> ?cache_pages:int -> string -> (Storage.t, string) result
+  ?rw:bool ->
+  ?cache_pages:int ->
+  ?stripes:int ->
+  string ->
+  (Storage.t, string) result
 
-(** [load_dir ?rw ?cache_pages ?keep dir] — every [*.xml] / [*.blasdb]
+(** [load_dir ?rw ?cache_pages ?stripes ?keep dir] — every [*.xml] / [*.blasdb]
     file of [dir] as a named document list (basename without
     extension), sorted by name.  [keep] filters by document name before
     the file is opened (sharded servers must not lock files they do
@@ -18,6 +23,7 @@ val load :
 val load_dir :
   ?rw:bool ->
   ?cache_pages:int ->
+  ?stripes:int ->
   ?keep:(string -> bool) ->
   string ->
   ((string * Storage.t) list, string) result

@@ -12,9 +12,13 @@ type result_entry = {
   r_footprint : Blas_label.Interval.t list;
 }
 
+(* A scan entry: the columns its access read (table order) and the
+   rows it fetched, before any value predicate. *)
+type scan_entry = { s_cols : string list; s_rows : Blas_rel.Tuple.t list }
+
 type t = {
   results : (string, result_entry) Lru.t;
-  scans : (Interval.t, Blas_rel.Tuple.t list) Lru.t;
+  scans : (Interval.t, scan_entry) Lru.t;
   enabled : bool Atomic.t;
   (* Epoch bumps happen only inside update application, which is
      single-writer; queries read it racily, which at worst misses a
@@ -32,9 +36,11 @@ type t = {
 let result_weight e =
   128 + (16 * List.length e.r_starts) + (48 * List.length e.r_footprint)
 
-(* A scan entry: a fixed overhead plus a flat per-tuple estimate (five
-   boxed values and the list cell). *)
-let scan_weight rows = 128 + (120 * List.length rows)
+(* A scan entry: a fixed overhead plus, per row, the list cell and the
+   tuple header (32 bytes) and per column a slot and a boxed value
+   (24 bytes; strings and P-labels run longer). *)
+let scan_weight e =
+  128 + (List.length e.s_rows * (32 + (24 * List.length e.s_cols)))
 
 let create ?stripes ?capacity_bytes () =
   {
@@ -65,9 +71,27 @@ let find_result t key = Lru.find t.results key
 
 let put_result t key ~benefit entry = Lru.put t.results ~benefit key entry
 
-let find_scan t interval = Lru.find t.scans interval
+let find_scan t interval ~cols =
+  let covers e = List.for_all (fun c -> List.mem c e.s_cols) cols in
+  Option.map
+    (fun e -> (e.s_cols, e.s_rows))
+    (Lru.find ~accept:covers t.scans interval)
 
-let put_scan t interval ~benefit rows = Lru.put t.scans ~benefit interval rows
+let put_scan t interval ~benefit ~cols rows =
+  Lru.put t.scans ~benefit interval { s_cols = cols; s_rows = rows }
+
+(* No generated plan reads the P-label, so an entry holds it only when
+   the filling access asked for it, and every other column always. *)
+let scan t interval ~table_cols ~cols ~benefit ~fetch =
+  match find_scan t interval ~cols with
+  | Some entry -> entry
+  | None ->
+    let wide =
+      List.filter (fun c -> List.mem c cols || not (String.equal c "plabel")) table_cols
+    in
+    let rows = fetch wide in
+    put_scan t interval ~benefit:(benefit rows) ~cols:wide rows;
+    (wide, rows)
 
 let touched ~plabels interval =
   List.exists (fun p -> Interval.mem p interval) plabels

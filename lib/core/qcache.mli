@@ -7,8 +7,16 @@
       P-label {e footprint} of the decomposition's items;
     - a {b scan cache} keyed by the P-interval of an SP access (a point
       for an absolute path), holding the rows the access fetched before
-      any value predicate.  Both engines share it, so one suffix path is
-      one entry; hits are exact.
+      any value predicate: every column but the P-label, which it holds
+      only when the filling access asked for it (no generated plan
+      does).  A probe is served when the entry's columns cover its
+      own, and gets the entry's rows as they are, wider columns
+      included; a probe for a column the entry lacks misses, and its
+      fetch replaces the entry.  So every probe of a generated plan,
+      from either engine, is served by the entry of its interval, as
+      when entries held whole rows; a miss decodes [start], [end],
+      [level] and [data] whatever its plan reads.  Interval hits are
+      exact.
 
     One invalidation rule serves both layers: an entry dies when an
     edit touches a P-label inside its footprint (result) or its
@@ -71,14 +79,41 @@ val put_result : t -> string -> benefit:int -> result_entry -> unit
 
 (* Scan cache *)
 
-(** [find_scan t interval] — the rows an earlier SP access on exactly
-    [interval] fetched, before any value predicate. *)
-val find_scan : t -> Blas_label.Interval.t -> Blas_rel.Tuple.t list option
+(** [find_scan t interval ~cols] — the columns (table order) and rows
+    an earlier SP access on exactly [interval] fetched, before any
+    value predicate; [None] when there is no entry or it lacks one of
+    [cols]. *)
+val find_scan :
+  t ->
+  Blas_label.Interval.t ->
+  cols:string list ->
+  (string list * Blas_rel.Tuple.t list) option
 
-(** [put_scan t interval ~benefit rows] admits a completed access;
-    [benefit] is the pages a hit saves. *)
+(** [put_scan t interval ~benefit ~cols rows] admits a completed access
+    whose rows hold the columns [cols], replacing any entry for
+    [interval]; [benefit] is the pages a hit saves. *)
 val put_scan :
-  t -> Blas_label.Interval.t -> benefit:int -> Blas_rel.Tuple.t list -> unit
+  t ->
+  Blas_label.Interval.t ->
+  benefit:int ->
+  cols:string list ->
+  Blas_rel.Tuple.t list ->
+  unit
+
+(** [scan t interval ~table_cols ~cols ~benefit ~fetch] — the columns
+    and rows of an SP access on [interval] reading at least [cols]: the
+    entry's when it covers them; otherwise [fetch wide] reads every
+    column of [table_cols] but an unrequested [plabel] ([wide] in
+    [table_cols] order), and those rows replace the entry, admitted
+    with [benefit rows]. *)
+val scan :
+  t ->
+  Blas_label.Interval.t ->
+  table_cols:string list ->
+  cols:string list ->
+  benefit:(Blas_rel.Tuple.t list -> int) ->
+  fetch:(string list -> Blas_rel.Tuple.t list) ->
+  string list * Blas_rel.Tuple.t list
 
 (** [invalidate t ~full ~schema_changed ~plabels] — the update
     protocol.  [full] flushes everything (labels were recomputed);

@@ -8,7 +8,13 @@
     The D-join is its own operator (rather than a theta join with an
     interval predicate) because the paper's engines execute it with a
     dedicated merge algorithm and because the join count per translator —
-    the headline of Section 4.2 — is a property of the plan. *)
+    the headline of Section 4.2 — is a property of the plan.
+
+    Late materialization: {!prune} gives every [Access] the table
+    columns the operators above it read, and every [Djoin] the columns
+    the operators above it keep, so a plan decodes and carries only
+    those (the paper's plans read [start], [end] and [level] to join,
+    [data] under a value predicate, and return only [start]). *)
 
 type cmp = Eq | Ne | Lt | Le | Gt | Ge
 
@@ -50,10 +56,20 @@ type djoin = {
   desc_start : string;
   desc_end : string;
   gap : level_gap;
+  out : string list option;
+      (** the columns the join emits, in input order (ancestor side
+          first); [None]: every column of both sides *)
 }
 
 type plan =
-  | Access of { table : Table.t; alias : string; path : access_path; residual : pred }
+  | Access of {
+      table : Table.t;
+      alias : string;
+      path : access_path;
+      residual : pred;
+      cols : string list option;
+          (** the table columns read, in table order; [None]: all *)
+    }
   | Select of pred * plan
   | Project of string list * plan
   | Theta_join of pred * plan * plan
@@ -98,6 +114,74 @@ let conj a b =
   match a, b with True, p | p, True -> p | a, b -> And (a, b)
 
 let rec conj_list = function [] -> True | [ p ] -> p | p :: rest -> conj p (conj_list rest)
+
+(* ------------------------------------------------------------------ *)
+(* Required columns (late materialization)                            *)
+
+let rec pred_columns = function
+  | True -> []
+  | Cmp (_, a, b) ->
+    List.filter_map (function Col c -> Some c | Const _ -> None) [ a; b ]
+  | And (a, b) | Or (a, b) -> pred_columns a @ pred_columns b
+  | Not a -> pred_columns a
+
+(** The columns [plan] produces, in order. *)
+let rec columns = function
+  | Access { table; alias; cols; _ } ->
+    List.map
+      (fun c -> alias ^ "." ^ c)
+      (match cols with Some cols -> cols | None -> Schema.columns (Table.schema table))
+  | Select (_, p) | Distinct p -> columns p
+  | Project (cols, _) -> cols
+  | Theta_join (_, a, b) -> columns a @ columns b
+  | Djoin ({ out = Some out; _ }, _, _) -> out
+  | Djoin ({ out = None; _ }, a, b) -> columns a @ columns b
+  | Union [] -> []
+  | Union (p :: _) -> columns p
+
+let gap_columns = function
+  | Any_gap -> []
+  | Exact_gap { anc_level; desc_level; _ } | Min_gap { anc_level; desc_level; _ } ->
+    [ anc_level; desc_level ]
+
+(** [prune plan] — the required-columns pass.  Walking down from the
+    root, each operator asks its inputs for the columns it reads or
+    passes up: a [Project] its list, a [Select] and a [Theta_join] their
+    predicate's columns besides, a [Djoin] the ancestor's interval, the
+    descendant's [start] and the level-gap columns, and [Union] and
+    [Distinct] every column (branches line up by position, and
+    duplicates are judged on whole rows).  Each [Access] then reads the
+    requested columns of its alias plus its residual's, and each
+    [Djoin] emits only the requested ones.  The plan's own output
+    columns are kept. *)
+let prune plan =
+  let rec go need plan =
+    let wanted c = List.mem c need in
+    match plan with
+    | Access a ->
+      let need = need @ pred_columns a.residual in
+      let cols =
+        List.filter
+          (fun c -> List.mem (a.alias ^ "." ^ c) need)
+          (Schema.columns (Table.schema a.table))
+      in
+      Access { a with cols = Some cols }
+    | Select (p, sub) -> Select (p, go (need @ pred_columns p) sub)
+    | Project (cols, sub) -> Project (cols, go cols sub)
+    | Theta_join (p, a, b) ->
+      let need = need @ pred_columns p in
+      Theta_join (p, go need a, go need b)
+    | Djoin (d, a, b) ->
+      (* The merge join never reads a descendant's [end]: intervals
+         nest or are disjoint, so an ancestor open at the descendant's
+         start contains it. *)
+      let inner = need @ [ d.anc_start; d.anc_end; d.desc_start ] @ gap_columns d.gap in
+      let a = go inner a and b = go inner b in
+      Djoin ({ d with out = Some (List.filter wanted (columns a @ columns b)) }, a, b)
+    | Union ps -> Union (List.map (fun p -> go (columns p) p) ps)
+    | Distinct p -> Distinct (go (columns p) p)
+  in
+  go (columns plan) plan
 
 (* ------------------------------------------------------------------ *)
 (* Plan inspection (Section 4.2's claims are stated on these counts)  *)
@@ -171,7 +255,7 @@ let pp_path ppf = function
     Format.fprintf ppf "σ[%s <= %s <= %s]" (bound lo) column (bound hi)
 
 let rec pp ppf = function
-  | Access { table; alias; path; residual } ->
+  | Access { table; alias; path; residual; _ } ->
     Format.fprintf ppf "ρ(%s, %a" alias pp_path path;
     (match residual with
     | True -> ()
@@ -217,7 +301,7 @@ let node_kind = function
     (children are not rendered; an analyze tree shows them as child
     nodes). *)
 let describe = function
-  | Access { table; alias; path; residual } ->
+  | Access { table; alias; path; residual; _ } ->
     Format.asprintf "%s %a(%s)%s" alias pp_path path (Table.name table)
       (match residual with
       | True -> ""

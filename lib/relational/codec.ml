@@ -42,11 +42,12 @@
     (numeric, since the payload is the canonical decimal), strings by
     bytes.  A dict+RLE block tests each dictionary entry once and walks
     the runs, int-delta keeps an unboxed running sum, raw reads values
-    in place.  The other columns are then read only at the passing
-    rows: int-delta boxes only the hits, a dictionary converts only the
-    entries the hits reference, raw skips the failing values without
-    allocating.  {!decode_page} is {!select} without bounds; v1 decodes
-    and then filters.
+    in place.  Only the columns the caller asks for are then read, and
+    only at the passing rows: int-delta boxes only the hits, a
+    dictionary converts only the entries the hits reference, raw skips
+    the failing values without allocating.  v1 tests the key in place
+    the same way and skips every value it does not return.
+    {!decode_page} is {!select} without bounds, every column.
 
     Both formats decode to exactly the tuples that were encoded —
     queries cannot tell the codecs apart except through the page
@@ -197,12 +198,6 @@ let encode_page_v1 tuples =
   let memo = big_memo () in
   List.iter (add_tuple ~memo buf) tuples;
   Buffer.contents buf
-
-let decode_page_v1 payload =
-  let r = Wire.reader payload in
-  let n = Wire.read_varint r in
-  let memo = big_memo () in
-  List.init n (fun _ -> read_tuple ~memo r)
 
 (* ------------------------------------------------------------------ *)
 (* v2 pages: columnar                                                  *)
@@ -617,9 +612,9 @@ let iter_runs r n f =
   if !go && !pos <> n then failwith "Codec: dictionary runs short of row count"
 
 (* The rows (ascending) whose column [c] lies in [lo, hi], decided on
-   the encoded block: dict+RLE tests each entry once and walks the
+   the encoded block — dict+RLE tests each entry once and walks the
    runs, int-delta keeps an unboxed running sum, raw reads values in
-   place. *)
+   place — as an array whose first [nh] slots hold them, and [nh]. *)
 let select_rows v c ~lo ~hi =
   let n = v.nrows in
   let hits = Array.make n 0 and nh = ref 0 in
@@ -652,89 +647,98 @@ let select_rows v c ~lo ~hi =
         incr nh
       end
     done;
-  Array.sub hits 0 !nh
+  (hits, !nh)
 
-(* Column [c]'s values at the rows [hits] (ascending, non-empty).
+(* Calls [put k x] with column [c]'s value [x] at each of the first
+   [nh] rows of [hits] (ascending, [nh > 0]), [k] counting from 0.
    Int-delta boxes only the hits, a dictionary converts only the
    entries the hits reference (each once), raw skips the other values
    without allocating. *)
-let column_at v c hits =
-  let nh = Array.length hits in
-  let out = ref [||] in
-  let put k x = if k = 0 then out := Array.make nh x else !out.(k) <- x in
+let column_at v c hits nh ~put =
   let st, r = block v c in
-  (if st = st_int_delta then begin
-     let prev = ref 0 and i = ref 0 and k = ref 0 in
-     while !k < nh do
-       prev := !prev + unzigzag (Wire.read_varint r);
-       if hits.(!k) = !i then begin
-         put !k (Value.Int !prev);
-         incr k
-       end;
-       incr i
-     done
-   end
-   else if st = st_dict then begin
-     let tags, payloads = read_dict r in
-     let made = Array.make (Array.length tags) None in
-     let k = ref 0 in
-     iter_runs r v.nrows (fun idx first len ->
-         while !k < nh && hits.(!k) < first + len do
-           let x =
-             match made.(idx) with
-             | Some x -> x
-             | None ->
-                 let x = value_of_tag_payload tags.(idx) payloads.(idx) in
-                 made.(idx) <- Some x;
-                 x
-           in
-           put !k x;
-           incr k
-         done;
-         !k < nh)
-   end
-   else begin
-     let i = ref 0 and k = ref 0 in
-     while !k < nh do
-       if hits.(!k) <> !i then skip_value r
-       else begin
-         (match Wire.read_u8 r with
-         | 1 -> put !k (Value.Int (Wire.read_varint r))
-         | 2 -> put !k (Value.Int (-Wire.read_varint r - 1))
-         | tag ->
-             put !k
-               (value_of_tag_payload tag
-                  (if tag = 0 then "" else Wire.read_string r)));
-         incr k
-       end;
-       incr i
-     done
-   end);
-  !out
+  if st = st_int_delta then begin
+    let prev = ref 0 and i = ref 0 and k = ref 0 in
+    while !k < nh do
+      prev := !prev + unzigzag (Wire.read_varint r);
+      if hits.(!k) = !i then begin
+        put !k (Value.Int !prev);
+        incr k
+      end;
+      incr i
+    done
+  end
+  else if st = st_dict then begin
+    let tags, payloads = read_dict r in
+    let made = Array.make (Array.length tags) None in
+    let k = ref 0 in
+    iter_runs r v.nrows (fun idx first len ->
+        while !k < nh && hits.(!k) < first + len do
+          let x =
+            match made.(idx) with
+            | Some x -> x
+            | None ->
+                let x = value_of_tag_payload tags.(idx) payloads.(idx) in
+                made.(idx) <- Some x;
+                x
+          in
+          put !k x;
+          incr k
+        done;
+        !k < nh)
+  end
+  else begin
+    let i = ref 0 and k = ref 0 in
+    while !k < nh do
+      if hits.(!k) <> !i then skip_value r
+      else begin
+        (match Wire.read_u8 r with
+        | 1 -> put !k (Value.Int (Wire.read_varint r))
+        | 2 -> put !k (Value.Int (-Wire.read_varint r - 1))
+        | tag ->
+            put !k
+              (value_of_tag_payload tag
+                 (if tag = 0 then "" else Wire.read_string r)));
+        incr k
+      end;
+      incr i
+    done
+  end
 
-(* The rows selected on column [col] ([None, None]: every row). *)
+(* The rows selected on column [col] by the key bounds [lo, hi]
+   ([None, None]: every row), as {!select_rows} returns them. *)
 let hits_of v ~col ~lo ~hi =
   match (lo, hi) with
-  | None, None -> Array.init v.nrows Fun.id
+  | None, None -> (Array.init v.nrows Fun.id, v.nrows)
   | _ ->
       if col < 0 || col >= Array.length v.blocks then
         invalid_arg "Codec.select: no such column";
-      select_rows v col
-        ~lo:(Option.map key_of_value lo)
-        ~hi:(Option.map key_of_value hi)
+      select_rows v col ~lo ~hi
 
-let select_v2 payload ~col ~lo ~hi =
+(* v2: the hits are decided on the key block, then each requested
+   column block is read once, straight into the rows' tuples. *)
+let select_v2 ~cols ~col ~lo ~hi onto payload =
   let v = view payload in
-  if v.nrows = 0 then []
+  if v.nrows = 0 then onto
   else
-    match hits_of v ~col ~lo ~hi with
-    | [||] -> []
-    | hits ->
-        let cols =
-          Array.init (Array.length v.blocks) (fun c -> column_at v c hits)
-        in
-        List.init (Array.length hits) (fun k ->
-            Tuple.init (Array.length cols) (fun c -> cols.(c).(k)))
+    let hits, nh = hits_of v ~col ~lo ~hi in
+    if nh = 0 then onto
+    else begin
+      let cols =
+        match cols with
+        | Some cols -> cols
+        | None -> Array.init (Array.length v.blocks) Fun.id
+      in
+      let m = Array.length cols in
+      let rows = Array.init nh (fun _ -> Array.make m Value.Null) in
+      Array.iteri
+        (fun j c -> column_at v c hits nh ~put:(fun k x -> rows.(k).(j) <- x))
+        cols;
+      let acc = ref onto in
+      for k = nh - 1 downto 0 do
+        acc := Tuple.of_array rows.(k) :: !acc
+      done;
+      !acc
+    end
 
 (* ------------------------------------------------------------------ *)
 (* v2 page sizing                                                      *)
@@ -778,24 +782,109 @@ let in_range ~lo ~hi v =
   (match lo with None -> true | Some l -> Value.compare l v <= 0)
   && match hi with None -> true | Some h -> Value.compare v h <= 0
 
-(** [filter_rows ~col ~lo ~hi rows] — {!select} over rows already
-    decoded (the in-memory store's pages). *)
-let filter_rows ~col ~lo ~hi rows =
-  match (lo, hi) with
-  | None, None -> rows
-  | _ -> List.filter (fun t -> in_range ~lo ~hi (Tuple.get t col)) rows
+(** [filter_rows ?cols ?onto ~col ~lo ~hi rows] — {!select} over rows
+    already decoded (the in-memory store's pages).  A row is shared,
+    not copied, when [cols] keeps every column in place. *)
+let filter_rows ?cols ?(onto = []) ~col ~lo ~hi rows =
+  let bounded = lo <> None || hi <> None in
+  let proj =
+    match (cols, rows) with
+    | Some cols, first :: _ when not (Tuple.is_identity cols (Tuple.arity first))
+      ->
+        Some (Tuple.project cols)
+    | _ -> None
+  in
+  match (onto, proj) with
+  | [], None when not bounded -> rows
+  | _ ->
+      List.fold_right
+        (fun t acc ->
+          if bounded && not (in_range ~lo ~hi (Tuple.get t col)) then acc
+          else (match proj with None -> t | Some p -> p t) :: acc)
+        rows onto
 
-(** [select ~format payload ~col ~lo ~hi] — the rows of a page whose
-    column [col] lies in [lo, hi] ([None] bounds are open), in page
-    order.  v2 decides on the encoded key column and then reads the
-    other columns only at the passing rows, so it builds values and
-    tuples only for the rows it returns; v1 decodes, then filters. *)
-let select ?(format = V1) payload ~col ~lo ~hi =
-  match format with
-  | V1 -> filter_rows ~col ~lo ~hi (decode_page_v1 payload)
-  | V2 -> select_v2 payload ~col ~lo ~hi
+(* v1: the key is tested in place ({!raw_within}) and a failing row is
+   skipped without building a value; a passing row is re-read, building
+   only the values of [cols] and skipping the others. *)
+let select_v1 ~cols ~col ~lo ~hi =
+  (* Page column -> output position ([-1]: not read). *)
+  let slot =
+    match cols with
+    | None -> [||]
+    | Some cols ->
+        let slot = Array.make (Array.fold_left max (-1) cols + 1) (-1) in
+        Array.iteri (fun j c -> slot.(c) <- j) cols;
+        slot
+  in
+  fun onto payload ->
+  let r = Wire.reader payload in
+  let n = Wire.read_varint r in
+  let memo = Some (big_memo ()) in
+  let read_row arity =
+    match cols with
+    | None ->
+        let t = Array.make arity Value.Null in
+        for i = 0 to arity - 1 do
+          t.(i) <- read_value ?memo r
+        done;
+        t
+    | Some cols ->
+        if Array.length slot > arity then
+          invalid_arg "Codec.select: no such column";
+        let t = Array.make (Array.length cols) Value.Null in
+        for i = 0 to arity - 1 do
+          let j = if i < Array.length slot then slot.(i) else -1 in
+          if j >= 0 then t.(j) <- read_value ?memo r else skip_value r
+        done;
+        t
+  in
+  let rev = ref [] in
+  for _ = 1 to n do
+    let arity = Wire.read_varint r in
+    let values = r.pos in
+    let pass =
+      (Option.is_none lo && Option.is_none hi)
+      ||
+      (if col < 0 || col >= arity then
+         invalid_arg "Codec.select: no such column";
+       for _ = 1 to col do
+         skip_value r
+       done;
+       raw_within lo hi r)
+    in
+    if pass then begin
+      r.pos <- values;
+      rev := Tuple.of_array (read_row arity) :: !rev
+    end
+    else
+      for _ = col + 2 to arity do
+        skip_value r
+      done
+  done;
+  List.rev_append !rev onto
 
-(** Every row of a page: {!select} with no bounds. *)
+(** [select ~format ?cols ~col ~lo ~hi ?onto payload] — the rows of a
+    page whose column [col] lies in [lo, hi] ([None] bounds are open),
+    in page order, prepended to [onto] (default empty).  Each row holds
+    the page columns [cols] (distinct positions, in that order; default
+    every column).  Both layouts decide on the encoded key and build
+    values only for the passing rows and the requested columns: v2
+    reads just those column blocks at the hits, v1 tests the key in
+    place and skips the values it does not return, so a P-label becomes
+    a bignum only when it is asked for.  Applied to everything but the
+    page, [select] converts the bounds once, for a caller selecting
+    from many pages. *)
+let select ?(format = V1) ?cols ~col ~lo ~hi =
+  let lo = Option.map key_of_value lo and hi = Option.map key_of_value hi in
+  let select =
+    match format with
+    | V1 -> select_v1 ~cols ~col ~lo ~hi
+    | V2 -> select_v2 ~cols ~col ~lo ~hi
+  in
+  fun ?(onto = []) payload -> select onto payload
+
+(** Every row of a page, every column: {!select} with no bounds (the
+    edit path's view of a page). *)
 let decode_page ?format payload =
   select ?format payload ~col:0 ~lo:None ~hi:None
 

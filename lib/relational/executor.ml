@@ -17,42 +17,47 @@ let find_col schema name =
   | Some i -> i
   | None -> error "unknown column %s in schema %a" name Schema.pp schema
 
-(** External scan memo consulted before indexed base-table accesses.
-    [probe] returns the remembered pre-residual tuple list of an
-    identical access, or [None]; [store] is offered the tuples an
-    actual access fetched.  Full scans are never offered — the memo
-    exists to save index work, and a full scan is the signature of a
-    plan that will touch everything anyway. *)
+(** External scan memo wrapped around indexed base-table accesses.
+    [through table path ~cols ~fetch] returns the pre-residual rows of
+    the access and the columns they hold, at least [cols]: remembered
+    ones, or what [fetch wider] reads for some [wider] covering [cols].
+    Full scans are never offered — the memo exists to save index work,
+    and a full scan is the signature of a plan that will touch
+    everything anyway. *)
 type scan_cache = {
-  probe : Table.t -> Algebra.access_path -> Tuple.t list option;
-  store : Table.t -> Algebra.access_path -> Tuple.t list -> unit;
+  through :
+    Table.t ->
+    Algebra.access_path ->
+    cols:string list ->
+    fetch:(string list -> Tuple.t list) ->
+    string list * Tuple.t list;
 }
 
-(* One base-table access, through [cache] when the path is indexed. *)
-let access ?cache counters table path =
-  let fetch () =
+(* One base-table access reading at least [cols] (default all), through
+   [cache] when the path is indexed; the columns its rows hold and the
+   rows. *)
+let access ?cache ?cols counters table path =
+  let cols =
+    match cols with Some cols -> cols | None -> Schema.columns (Table.schema table)
+  in
+  let fetch cols =
     match path with
-    | Algebra.Full_scan -> Table.scan table counters
+    | Algebra.Full_scan -> Table.scan ~cols table counters
     | Algebra.Index_eq { column; value } -> (
-      match Table.index_eq table counters ~column value with
+      match Table.index_eq ~cols table counters ~column value with
       | rows -> rows
       | exception Not_found ->
         error "%s is not clustered on %s" (Table.name table) column)
     | Algebra.Index_range { column; lo; hi } -> (
-      match Table.index_range table counters ~column ~lo ~hi with
+      match Table.index_range ~cols table counters ~column ~lo ~hi with
       | rows -> rows
       | exception Not_found ->
         error "%s is not clustered on %s" (Table.name table) column)
   in
   match (cache, path) with
-  | Some c, (Algebra.Index_eq _ | Algebra.Index_range _) -> (
-    match c.probe table path with
-    | Some rows -> rows
-    | None ->
-      let rows = fetch () in
-      c.store table path rows;
-      rows)
-  | _ -> fetch ()
+  | Some c, (Algebra.Index_eq _ | Algebra.Index_range _) ->
+    c.through table path ~cols ~fetch
+  | _ -> (cols, fetch cols)
 
 (* Evaluates to (schema, tuple list).  [wrap] intercepts every operator
    evaluation — the identity for plain runs, a collector frame for
@@ -64,9 +69,9 @@ let rec eval_wrapped ~cancel wrap cache counters plan =
   cancel ();
   wrap plan @@ fun () ->
   match plan with
-  | Algebra.Access { table; alias; path; residual } ->
-    let qualified = Schema.qualify alias (Table.schema table) in
-    let tuples = access ?cache counters table path in
+  | Algebra.Access { table; alias; path; residual; cols } ->
+    let cols, tuples = access ?cache ?cols counters table path in
+    let qualified = Schema.qualify alias (Schema.of_list cols) in
     let tuples =
       match residual with
       | Algebra.True -> tuples
@@ -79,7 +84,9 @@ let rec eval_wrapped ~cancel wrap cache counters plan =
   | Algebra.Project (columns, sub) ->
     let schema, tuples = eval_wrapped ~cancel wrap cache counters sub in
     let indices = Array.of_list (List.map (find_col schema) columns) in
-    (Schema.of_list columns, List.map (Tuple.project indices) tuples)
+    ( Schema.of_list columns,
+      if Tuple.is_identity indices (Schema.arity schema) then tuples
+      else List.map (Tuple.project indices) tuples )
   | Algebra.Theta_join (pred, left, right) ->
     let (ls, lt), (rs, rt) = eval_sides ~cancel wrap cache counters left right in
     counters.Counters.theta_joins <- counters.Counters.theta_joins + 1;
@@ -99,32 +106,43 @@ let rec eval_wrapped ~cancel wrap cache counters plan =
   | Algebra.Djoin (spec, left, right) ->
     let (ls, lt), (rs, rt) = eval_sides ~cancel wrap cache counters left right in
     counters.Counters.djoins <- counters.Counters.djoins + 1;
-    let side schema start_col end_col =
-      {
-        Structural_join.start_col = find_col schema start_col;
-        end_col = find_col schema end_col;
-      }
-    in
-    let keep =
+    let gap, anc_level, desc_level =
       match spec.Algebra.gap with
-      | Algebra.Any_gap -> fun _ _ -> true
+      | Algebra.Any_gap -> (Structural_join.Any, None, None)
       | Algebra.Exact_gap { anc_level; desc_level; k } ->
-        let al = find_col ls anc_level and dl = find_col rs desc_level in
-        fun a d ->
-          Value.to_int (Tuple.get d dl) = Value.to_int (Tuple.get a al) + k
+        (Structural_join.Exact k, Some anc_level, Some desc_level)
       | Algebra.Min_gap { anc_level; desc_level; k } ->
-        let al = find_col ls anc_level and dl = find_col rs desc_level in
-        fun a d ->
-          Value.to_int (Tuple.get d dl) >= Value.to_int (Tuple.get a al) + k
+        (Structural_join.Min k, Some anc_level, Some desc_level)
     in
+    let level schema = Option.fold ~none:(-1) ~some:(find_col schema) in
+    (* The emitted columns, ancestor side first. *)
     let out =
-      Structural_join.pairs ~anc:lt ~desc:rt
-        ~anc_side:(side ls spec.Algebra.anc_start spec.anc_end)
-        ~desc_side:(side rs spec.desc_start spec.desc_end)
-        keep
+      match spec.Algebra.out with
+      | Some out -> out
+      | None -> Schema.columns ls @ Schema.columns rs
     in
-    counters.Counters.intermediate <- counters.Counters.intermediate + List.length out;
-    (Schema.concat ls rs, out)
+    let anc_cols = List.filter (Schema.mem ls) out
+    and desc_cols = List.filter (Schema.mem rs) out in
+    let positions schema cols = Array.of_list (List.map (find_col schema) cols) in
+    let tuples =
+      Structural_join.pairs ~anc:lt ~desc:rt
+        ~anc_side:
+          {
+            Structural_join.start_col = find_col ls spec.Algebra.anc_start;
+            end_col = find_col ls spec.anc_end;
+            level_col = level ls anc_level;
+          }
+        ~desc_side:
+          {
+            Structural_join.start_col = find_col rs spec.desc_start;
+            end_col = -1;
+            level_col = level rs desc_level;
+          }
+        ~gap ~anc_out:(positions ls anc_cols) ~desc_out:(positions rs desc_cols)
+    in
+    counters.Counters.intermediate <-
+      counters.Counters.intermediate + List.length tuples;
+    (Schema.of_list (anc_cols @ desc_cols), tuples)
   | Algebra.Union [] -> error "empty union"
   | Algebra.Union (first :: rest) ->
     let schema, tuples = eval_wrapped ~cancel wrap cache counters first in

@@ -1,32 +1,44 @@
 (** Plan execution: materialized, operator-at-a-time evaluation of
     {!Algebra.plan}, charging {!Counters} for base-table reads, joins
-    and intermediate results. *)
+    and intermediate results.  Each [Access] reads only its [cols] —
+    through a scan cache it may get more, which the operators above,
+    addressing columns by name, ignore — and each [Djoin] emits only
+    its [out] columns (see {!Algebra.prune}); a [Project] that keeps
+    its input's columns in place shares the input's tuples. *)
 
 exception Error of string
 
-(** External scan memo consulted before indexed base-table accesses
+(** External scan memo wrapped around indexed base-table accesses
     ([Index_eq] / [Index_range]; full scans are never offered).
-    [probe] may return the pre-residual tuple list of an identical
-    earlier access — the executor then charges no read counters for
-    it; [store] is offered what an actual access fetched.  The query
-    cache's scan layer installs its exact-interval probe here, for both
-    engines. *)
+    [through table path ~cols ~fetch] returns the pre-residual rows of
+    the access and the columns they hold (table order), at least
+    [cols]: rows remembered from an earlier access on the same path
+    (the executor then charges no read counters for them), or what
+    [fetch wider] reads — and charges — for some [wider] covering
+    [cols].  The query cache's scan layer installs its exact-interval
+    memo here, for both engines. *)
 type scan_cache = {
-  probe : Table.t -> Algebra.access_path -> Tuple.t list option;
-  store : Table.t -> Algebra.access_path -> Tuple.t list -> unit;
+  through :
+    Table.t ->
+    Algebra.access_path ->
+    cols:string list ->
+    fetch:(string list -> Tuple.t list) ->
+    string list * Tuple.t list;
 }
 
-(** [access ?cache counters table path] — the tuples [path] selects
-    from [table], before any residual: served by [cache] when it holds
-    them, fetched (and offered to [cache]) otherwise.
+(** [access ?cache ?cols counters table path] — the rows [path]
+    selects from [table], before any residual, and the columns they
+    hold: exactly [cols] (table order; default all), or more of them
+    when [cache] serves or widens the access (an indexed path only).
     @raise Error when [path] selects on a column that does not lead the
     table's cluster key. *)
 val access :
   ?cache:scan_cache ->
+  ?cols:string list ->
   Counters.t ->
   Table.t ->
   Algebra.access_path ->
-  Tuple.t list
+  string list * Tuple.t list
 
 (** [run ?counters ?collector plan] executes [plan], one operator at a
     time in plan order, and materializes the result.

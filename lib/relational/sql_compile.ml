@@ -11,7 +11,11 @@
     - {b D-join recognition}: a pair of cross-table comparisons
       [A.s < B.s and A.e > B.e] (optionally with a level-gap equality)
       becomes a structural-join operator executed by the stack-tree merge
-      instead of a nested-loop theta join. *)
+      instead of a nested-loop theta join.
+
+    The finished plan then goes through the required-columns pass
+    ({!Algebra.prune}), so its accesses decode only the columns the
+    SELECT list, the joins and the predicates read. *)
 
 exception Error of string
 
@@ -237,6 +241,7 @@ let match_djoin a b conds =
             desc_start = desc ^ "." ^ desc_start;
             desc_end = desc ^ "." ^ desc_end;
             gap = gap_constraint;
+            out = None;
           },
           anc,
           List.rev !rest )
@@ -284,7 +289,13 @@ let compile_select ~catalog (s : Sql_ast.select) =
              aliases = [ alias ];
              plan =
                Algebra.Access
-                 { table; alias; path; residual = Algebra.conj_list residual_preds };
+                 {
+                   table;
+                   alias;
+                   path;
+                   residual = Algebra.conj_list residual_preds;
+                   cols = None;
+                 };
            })
          s.from)
   in
@@ -358,10 +369,13 @@ let compile_select ~catalog (s : Sql_ast.select) =
   | Sql_ast.Star -> plan
   | Sql_ast.Columns cols -> Algebra.Project (cols, plan)
 
-(** [compile ~catalog query] plans a SQL query against the tables
-    resolved by [catalog].
-    @raise Error on unsupported shapes or unknown tables/columns. *)
-let rec compile ~catalog = function
+let rec compile_query ~catalog = function
   | Sql_ast.Select s -> compile_select ~catalog s
   | Sql_ast.Union [] -> error "empty union"
-  | Sql_ast.Union qs -> Algebra.Union (List.map (compile ~catalog) qs)
+  | Sql_ast.Union qs -> Algebra.Union (List.map (compile_query ~catalog) qs)
+
+(** [compile ~catalog query] plans a SQL query against the tables
+    resolved by [catalog], then runs the required-columns pass
+    ({!Algebra.prune}) over the plan.
+    @raise Error on unsupported shapes or unknown tables/columns. *)
+let compile ~catalog query = Algebra.prune (compile_query ~catalog query)

@@ -8,7 +8,9 @@
     [A.start < B.start and A.end > B.end], optionally with a level-gap
     equality or lower bound, becomes a structural-join operator).
     Unrecognized join shapes fall back to theta joins, which are slower
-    but always correct. *)
+    but always correct.  Finally the required-columns pass
+    ({!Algebra.prune}) narrows every access to the columns the plan
+    reads above it. *)
 
 exception Error of string
 

@@ -8,60 +8,85 @@
     O(|anc| + |desc| + |output|), instead of the nested-loop join a naive
     engine would run.
 
+    The ancestor side's [start], [end] and (under a level gap) [level]
+    columns are gathered into int arrays once; the sweep reads an
+    ancestor's [end] and [level] many times, and now reads them from
+    those arrays, never from boxed values.  A descendant's [start] and
+    [level] are read once each, so that side is walked in place.
     Inputs coming out of a clustered index scan are already in [start]
-    order, so the join first verifies sortedness in O(n) and only sorts
-    (stably, preserving tie order) when the check fails.  The sweep
-    itself runs over arrays: the ancestor stack is an array with a top
-    index — open intervals are nested, so their [end]s strictly decrease
-    bottom-to-top and closing an interval is a pop from the top, not a
-    list rebuild — and output tuples accumulate in a preallocated,
-    doubling buffer instead of a consed list. *)
+    order, so the join verifies sortedness in O(n) and only sorts
+    (stably, preserving tie order) when the check fails.  The ancestor stack is an array of
+    indices with a top — open intervals are nested, so their [end]s
+    strictly decrease bottom-to-top and closing an interval is a pop —
+    and output tuples accumulate in a preallocated, doubling buffer.
+    An output tuple holds only the columns the plan keeps; it is the
+    input tuple itself when those are exactly one side's columns. *)
 
-type side = { start_col : int; end_col : int }
+type side = { start_col : int; end_col : int; level_col : int }
+
+type gap = Any | Exact of int | Min of int
 
 let int_at tuple col = Value.to_int (Tuple.get tuple col)
 
+(* The ancestor side in [start] order: its tuples and their interval
+   columns. *)
+type arrays = {
+  tuples : Tuple.t array;
+  starts : int array;
+  ends : int array;
+  levels : int array;  (** empty unless a level gap reads them *)
+}
+
 (* O(n) sortedness check on [start]; the common case after a clustered
    index scan. *)
-let sorted_on side arr =
-  let n = Array.length arr in
-  let ok = ref true in
-  if n > 1 then begin
-    let prev = ref (int_at arr.(0) side.start_col) in
-    let i = ref 1 in
-    while !ok && !i < n do
-      let s = int_at arr.(!i) side.start_col in
-      if s < !prev then ok := false
-      else begin
-        prev := s;
-        incr i
-      end
-    done
-  end;
-  !ok
+let rec ascending col prev = function
+  | [] -> true
+  | t :: rest ->
+    let s = int_at t col in
+    prev <= s && ascending col s rest
 
-let to_sorted_array side tuples =
-  let arr = Array.of_list tuples in
-  if not (sorted_on side arr) then
-    (* Stable, so tuples tied on [start] keep their input order — the
-       order the sorting path has always produced. *)
-    Array.stable_sort
-      (fun a b -> Stdlib.compare (int_at a side.start_col) (int_at b side.start_col))
-      arr;
-  arr
+(* [tuples] in [start] order.  Stable, so tuples tied on [start] keep
+   their input order — the order the sorting path has always
+   produced. *)
+let in_start_order col tuples =
+  if ascending col min_int tuples then tuples
+  else List.stable_sort (fun a b -> Int.compare (int_at a col) (int_at b col)) tuples
 
-(* Sweeps [desc] against [anc] (both sorted by start).  The stack
-   holds ancestors whose interval contains the sweep point; with
+let gather side ~levels tuples =
+  let tuples = Array.of_list (in_start_order side.start_col tuples) in
+  let column c = Array.map (fun t -> int_at t c) tuples in
+  {
+    tuples;
+    starts = column side.start_col;
+    ends = column side.end_col;
+    levels = (if levels then column side.level_col else [||]);
+  }
+
+(* Builds an output tuple from an (ancestor, descendant) pair: the
+   columns [anc_out] of the first, then [desc_out] of the second. *)
+let emitter ~anc_out ~desc_out ~anc_arity ~desc_arity =
+  if Array.length anc_out = 0 && Tuple.is_identity desc_out desc_arity then
+    fun _ d -> d
+  else if Array.length desc_out = 0 && Tuple.is_identity anc_out anc_arity then
+    fun a _ -> a
+  else fun a d -> Tuple.concat_project anc_out a desc_out d
+
+(* Sweeps the descendants [desc] (in start order) against [a].  The
+   stack holds ancestors whose interval contains the sweep point; with
    nested-or-disjoint intervals every stack survivor at a descendant's
    start strictly contains that descendant, and closed intervals sit on
-   top (ends decrease bottom-to-top), so expiring them is a pop. *)
-let sweep ~anc ~desc ~anc_side ~desc_side ~keep =
-  let na = Array.length anc and nd = Array.length desc in
-  if na = 0 || nd = 0 then []
-  else begin
-    let stack = Array.make na anc.(0) in
+   top (ends decrease bottom-to-top), so expiring them is a pop.  A
+   descendant's [start] and [level] are read once each, so that side is
+   walked in place rather than gathered. *)
+let sweep a desc desc_side ~gap ~emit =
+  let na = Array.length a.tuples in
+  match desc with
+  | [] -> []
+  | _ when na = 0 -> []
+  | d0 :: _ ->
+    let stack = Array.make na 0 in
     let top = ref 0 in
-    let out = ref (Array.make (max 16 nd) anc.(0)) in
+    let out = ref (Array.make 16 d0) in
     let out_len = ref 0 in
     let push v =
       if !out_len = Array.length !out then begin
@@ -72,41 +97,52 @@ let sweep ~anc ~desc ~anc_side ~desc_side ~keep =
       !out.(!out_len) <- v;
       incr out_len
     in
-    let ai = ref 0 and di = ref 0 in
-    while !di < nd do
-      let d = desc.(!di) in
-      let dstart = int_at d desc_side.start_col in
-      if !ai < na && int_at anc.(!ai) anc_side.start_col < dstart then begin
-        let a = anc.(!ai) in
-        let astart = int_at a anc_side.start_col in
-        while !top > 0 && int_at stack.(!top - 1) anc_side.end_col <= astart do
+    let ai = ref 0 in
+    List.iter
+      (fun d ->
+        let dstart = int_at d desc_side.start_col in
+        while !ai < na && a.starts.(!ai) < dstart do
+          let astart = a.starts.(!ai) in
+          while !top > 0 && a.ends.(stack.(!top - 1)) <= astart do
+            decr top
+          done;
+          stack.(!top) <- !ai;
+          incr top;
+          incr ai
+        done;
+        while !top > 0 && a.ends.(stack.(!top - 1)) <= dstart do
           decr top
         done;
-        stack.(!top) <- a;
-        incr top;
-        incr ai
-      end
-      else begin
-        while !top > 0 && int_at stack.(!top - 1) anc_side.end_col <= dstart do
-          decr top
-        done;
-        (* Innermost ancestor first. *)
-        for i = !top - 1 downto 0 do
-          let a = stack.(i) in
-          if keep a d then push (Tuple.concat a d)
-        done;
-        incr di
-      end
-    done;
+        if !top > 0 then begin
+          let dlevel = if gap = Any then 0 else int_at d desc_side.level_col in
+          (* Innermost ancestor first. *)
+          for i = !top - 1 downto 0 do
+            let k = stack.(i) in
+            let keep =
+              match gap with
+              | Any -> true
+              | Exact g -> dlevel = a.levels.(k) + g
+              | Min g -> dlevel >= a.levels.(k) + g
+            in
+            if keep then push (emit a.tuples.(k) d)
+          done
+        end)
+      desc;
     List.init !out_len (fun i -> !out.(i))
-  end
 
-(** [pairs ~anc ~desc ~anc_side ~desc_side keep] returns all
-    concatenated tuples [a @ d] where the interval of [a] strictly
-    contains the interval of [d] and [keep a d] holds (the level-gap
-    filter).  Inputs need not be sorted. *)
-let pairs ~anc ~desc ~anc_side ~desc_side keep =
-  sweep
-    ~anc:(to_sorted_array anc_side anc)
-    ~desc:(to_sorted_array desc_side desc)
-    ~anc_side ~desc_side ~keep
+(** [pairs ~anc ~desc ~anc_side ~desc_side ~gap ~anc_out ~desc_out]
+    returns, for every pair where the interval of [a] in [anc] strictly
+    contains that of [d] in [desc] and the level gap holds, the tuple of
+    [a]'s columns [anc_out] followed by [d]'s columns [desc_out].
+    Inputs need not be sorted. *)
+let pairs ~anc ~desc ~anc_side ~desc_side ~gap ~anc_out ~desc_out =
+  match (anc, desc) with
+  | [], _ | _, [] -> []
+  | a0 :: _, d0 :: _ ->
+    sweep
+      (gather anc_side ~levels:(gap <> Any) anc)
+      (in_start_order desc_side.start_col desc)
+      desc_side ~gap
+      ~emit:
+        (emitter ~anc_out ~desc_out ~anc_arity:(Tuple.arity a0)
+           ~desc_arity:(Tuple.arity d0))

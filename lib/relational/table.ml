@@ -85,13 +85,17 @@ let load ?(fill = default_fill) store ~name ~schema ~cluster_key tuples =
              })
       |> Array.of_list)
 
-(* A page's rows whose column [col] lies in [lo, hi]: filtered from a
-   store of rows, selected on the encoded columns from a store of
-   bytes, so only the rows that pass are built. *)
-let select_page t ~col ~lo ~hi = function
-  | Buffer_pool.Rows rows -> Codec.filter_rows ~col ~lo ~hi rows
-  | Buffer_pool.Bytes payload ->
-      Codec.select ~format:(codec t) payload ~col ~lo ~hi
+(* The rows of a page whose column [col] lies in [lo, hi], holding the
+   columns at [cols] (default all), prepended to [onto]: filtered and
+   projected from a store of rows, selected on the encoded columns from
+   a store of bytes, so only the rows that pass and the columns asked
+   for are built.  Apply it to everything but [onto] and the page once
+   per access. *)
+let select_page ?cols t ~col ~lo ~hi =
+  let select = Codec.select ~format:(codec t) ?cols ~col ~lo ~hi in
+  fun ?onto -> function
+    | Buffer_pool.Rows rows -> Codec.filter_rows ?cols ?onto ~col ~lo ~hi rows
+    | Buffer_pool.Bytes payload -> select ?onto payload
 
 (* All of a page's rows. *)
 let rows_of t = select_page t ~col:0 ~lo:None ~hi:None
@@ -120,18 +124,27 @@ let relation t =
 
 (* Fetches the given data pages (dir order) and keeps the rows whose
    column [col] lies in [lo, hi]; matching rows are the "visited
-   elements" charged to the cost vector. *)
-let fetch_pages t counters pages ~col ~lo ~hi =
-  List.concat_map
-    (fun page ->
-      let rows =
-        select_page t ~col ~lo ~hi
-          (Page_store.read t.store counters ~table:t.name ~page)
-      in
-      counters.Counters.tuples_read <-
-        counters.Counters.tuples_read + List.length rows;
-      rows)
-    pages
+   elements" charged to the cost vector.  The pages are requested in
+   directory order; their rows are then built last page first onto one
+   list, so no page's rows are copied to concatenate them. *)
+let fetch_pages ?cols t counters pages ~col ~lo ~hi =
+  let payloads =
+    List.rev_map
+      (fun page -> Page_store.read t.store counters ~table:t.name ~page)
+      pages
+  in
+  let select = select_page ?cols t ~col ~lo ~hi in
+  let rows =
+    List.fold_left (fun onto payload -> select ~onto payload) [] payloads
+  in
+  counters.Counters.tuples_read <-
+    counters.Counters.tuples_read + List.length rows;
+  rows
+
+(* The page positions of the named columns. *)
+let positions t =
+  Option.map (fun names ->
+      Array.of_list (List.map (Schema.index_of t.schema) names))
 
 (* First directory slot whose first tuple fails [before] (a predicate
    that holds on a prefix of the directory); [Array.length] when none. *)
@@ -146,9 +159,10 @@ let first_slot t before =
 (* ------------------------------------------------------------------ *)
 (* Access methods                                                      *)
 
-(** Full scan: reads every tuple (and every page). *)
-let scan t counters =
-  fetch_pages t counters
+(** Full scan: reads every tuple (and every page), holding the columns
+    [cols] (default all). *)
+let scan ?cols t counters =
+  fetch_pages ?cols:(positions t cols) t counters
     (Array.to_list t.dir |> List.map (fun e -> e.de_page))
     ~col:0 ~lo:None ~hi:None
 
@@ -156,9 +170,10 @@ let scan t counters =
     leading cluster-key column, through the directory: the pages from
     one before the first whose first row is [>= lo] (it may end with
     such rows) through the last whose first row is [<= hi].  Rows come
-    back in clustered order; one directory descent is one index seek.
+    back in clustered order, holding the columns [cols] (default all);
+    one directory descent is one index seek.
     @raise Not_found if [column] does not lead the cluster key. *)
-let index_range t counters ~column ~lo ~hi =
+let index_range ?cols t counters ~column ~lo ~hi =
   let col =
     match t.cluster_key with
     | lead :: _ when String.equal lead column -> Schema.index_of t.schema lead
@@ -176,12 +191,12 @@ let index_range t counters ~column ~lo ~hi =
     | Some v -> first_slot t (fun first -> cmp_lead v first <= 0) - 1
   in
   let pages = List.init (max 0 (e - s + 1)) (fun i -> t.dir.(s + i).de_page) in
-  fetch_pages t counters pages ~col ~lo ~hi
+  fetch_pages ?cols:(positions t cols) t counters pages ~col ~lo ~hi
 
 (** Equality lookup: {!index_range} with [lo = hi = value].
     @raise Not_found if [column] does not lead the cluster key. *)
-let index_eq t counters ~column value =
-  index_range t counters ~column ~lo:(Some value) ~hi:(Some value)
+let index_eq ?cols t counters ~column value =
+  index_range ?cols t counters ~column ~lo:(Some value) ~hi:(Some value)
 
 (* ------------------------------------------------------------------ *)
 (* In-place edits (the update subsystem)                               *)

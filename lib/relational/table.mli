@@ -79,15 +79,23 @@ val cardinality : t -> int
 
 val cluster_key : t -> string list
 
+(** The access methods below return rows holding only the columns
+    named in [cols] (in that order; default every column).  Under a
+    store of bytes only those columns are decoded, and only at the rows
+    that pass the selection; the in-memory store projects its rows, and
+    shares a row whose projection is the identity.  Counters charge
+    the rows and pages fetched, whatever the columns. *)
+
 (** Full scan: reads every tuple, in clustered order. *)
-val scan : t -> Counters.t -> Tuple.t list
+val scan : ?cols:string list -> t -> Counters.t -> Tuple.t list
 
 (** Equality lookup on the leading cluster-key [column], through the
     page directory: one index seek, then only the pages of the selected
     run (and at most one page before it, whose tail may hold the first
     matching rows).  Rows come back in clustered order.
     @raise Not_found if [column] does not lead the cluster key. *)
-val index_eq : t -> Counters.t -> column:string -> Value.t -> Tuple.t list
+val index_eq :
+  ?cols:string list -> t -> Counters.t -> column:string -> Value.t -> Tuple.t list
 
 (** In-place edits (the update subsystem): [apply_edits t counters
     ~deletes ~inserts] removes each tuple of [deletes] (matched by
@@ -104,6 +112,7 @@ val apply_edits :
     leading cluster-key [column], read like {!index_eq}.
     @raise Not_found if [column] does not lead the cluster key. *)
 val index_range :
+  ?cols:string list ->
   t ->
   Counters.t ->
   column:string ->

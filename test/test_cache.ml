@@ -86,29 +86,64 @@ let sp_tuple ~plabel ~start ~fin =
       Blas_rel.Value.Null;
     ]
 
+let sp_cols = [ "plabel"; "start"; "end"; "level"; "data" ]
+
 let iv lo hi = Interval.make (Bignum.of_int lo) (Bignum.of_int hi)
 
 let scan_stats qc = (Cache.stats qc).Cache.streams
 
 let test_semantic_exact_hit () =
   let qc = Cache.create () in
-  Cache.put_scan qc (iv 0 10) ~benefit:3 [ sp_tuple ~plabel:5 ~start:1 ~fin:2 ];
-  (match Cache.find_scan qc (iv 0 10) with
-  | Some r -> check_int "exact rows returned" 1 (List.length r)
+  Cache.put_scan qc (iv 0 10) ~benefit:3 ~cols:sp_cols [ sp_tuple ~plabel:5 ~start:1 ~fin:2 ];
+  (match Cache.find_scan qc (iv 0 10) ~cols:sp_cols with
+  | Some (_, r) -> check_int "exact rows returned" 1 (List.length r)
   | None -> Alcotest.fail "expected exact hit");
   check_bool "a contained interval misses" true
-    (Cache.find_scan qc (iv 4 9) = None);
+    (Cache.find_scan qc (iv 4 9) ~cols:sp_cols = None);
   check_bool "a covering interval misses" true
-    (Cache.find_scan qc (iv 0 11) = None);
+    (Cache.find_scan qc (iv 0 11) ~cols:sp_cols = None);
   let s = scan_stats qc in
   check_int "one hit" 1 s.Stats.hits;
   check_int "two misses" 2 s.Stats.misses
 
+(* An entry serves a probe for a subset of its columns, as it is, and
+   misses one for a column it lacks; the fetch that follows the miss
+   replaces it. *)
+let test_scan_columns_cover () =
+  let qc = Cache.create () in
+  let cols = [ "start"; "end"; "level" ] in
+  let row = Blas_rel.Tuple.of_list Blas_rel.Value.[ Int 1; Int 2; Int 3 ] in
+  Cache.put_scan qc (iv 0 10) ~benefit:3 ~cols [ row ];
+  (match Cache.find_scan qc (iv 0 10) ~cols:[ "start"; "level" ] with
+  | Some (held, [ t ]) ->
+    check_bool "the entry's columns" true (held = cols);
+    check_bool "the entry's row, shared" true (t == row)
+  | _ -> Alcotest.fail "expected a covered hit");
+  check_bool "a missing column misses" true
+    (Cache.find_scan qc (iv 0 10) ~cols:[ "start"; "data" ] = None);
+  let s = scan_stats qc in
+  check_int "one hit" 1 s.Stats.hits;
+  check_int "one miss" 1 s.Stats.misses;
+  let fetched = ref [] in
+  let held, _ =
+    Cache.scan qc (iv 0 10)
+      ~table_cols:[ "plabel"; "start"; "end"; "level"; "data" ]
+      ~cols:[ "start"; "data" ] ~benefit:(fun _ -> 3)
+      ~fetch:(fun wide ->
+        fetched := wide;
+        [ Blas_rel.Tuple.of_list Blas_rel.Value.[ Int 1; Int 2; Int 3; Str "x" ] ])
+  in
+  check_bool "a miss reads every column but the P-label" true
+    (!fetched = [ "start"; "end"; "level"; "data" ] && held = !fetched);
+  check_int "replaced, not added" 1 (scan_stats qc).Stats.entries;
+  check_bool "the replacement serves the narrower probe" true
+    (Cache.find_scan qc (iv 0 10) ~cols:[ "level" ] <> None)
+
 let test_semantic_invalidate () =
   let qc = Cache.create () in
-  Cache.put_scan qc (iv 0 10) ~benefit:3
+  Cache.put_scan qc (iv 0 10) ~benefit:3 ~cols:sp_cols
     [ sp_tuple ~plabel:5 ~start:10 ~fin:20 ];
-  Cache.put_scan qc (iv 20 30) ~benefit:3
+  Cache.put_scan qc (iv 20 30) ~benefit:3 ~cols:sp_cols
     [ sp_tuple ~plabel:25 ~start:50 ~fin:60 ];
   let edit plabels =
     Cache.invalidate qc ~full:false ~schema_changed:false
@@ -119,7 +154,7 @@ let test_semantic_invalidate () =
   check_int "one entry died by plabel" 1 (scan_stats qc).Stats.invalidations;
   check_int "one survives" 1 (scan_stats qc).Stats.entries;
   check_bool "the other interval's entry survives" true
-    (Cache.find_scan qc (iv 20 30) <> None);
+    (Cache.find_scan qc (iv 20 30) ~cols:sp_cols <> None);
   (* An edit inside the survivor's D-window (say 55..58) whose P-label
      lies outside its interval kills nothing. *)
   edit [ 40 ];
@@ -430,6 +465,8 @@ let suite =
     Alcotest.test_case "semantic exact hit" `Quick test_semantic_exact_hit;
     Alcotest.test_case "semantic invalidation" `Quick test_semantic_invalidate;
     Alcotest.test_case "warm answers equal cold" `Quick test_warm_equals_cold;
+    Alcotest.test_case "scan entries serve the columns they cover" `Quick
+      test_scan_columns_cover;
     Alcotest.test_case "rdbms scans serve twig exactly" `Quick
       test_rdbms_scans_serve_twig;
     Alcotest.test_case "memo hit has zero I/O" `Quick test_memo_hit_zero_io;

@@ -338,6 +338,37 @@ let select_law format (rows, col, lo, hi) =
   List.length got = List.length expect
   && List.for_all2 (fun a b -> Tuple.compare a b = 0) got expect
 
+(* A subset of the positions [0, arity), in random order: empty, all
+   and everything between. *)
+let cols_gen arity =
+  let open QCheck2.Gen in
+  let* keep = list_repeat arity bool in
+  let kept = List.filteri (fun i _ -> List.nth keep i) (List.init arity Fun.id) in
+  map Array.of_list (shuffle_l kept)
+
+(* Reading a column subset equals projecting the full read, for a store
+   of bytes ({!Codec.select}) and a store of rows
+   ({!Codec.filter_rows}), under random bounds. *)
+let select_cols_law format ((rows, col, lo, hi), cols) =
+  let enc = Codec.encode_page ~format rows in
+  let same a b =
+    List.length a = List.length b
+    && List.for_all2 (fun x y -> Tuple.compare x y = 0) a b
+  in
+  same
+    (Codec.select ~format ~cols enc ~col ~lo ~hi)
+    (List.map (Tuple.project cols) (Codec.select ~format enc ~col ~lo ~hi))
+  && same
+       (Codec.filter_rows ~cols ~col ~lo ~hi rows)
+       (List.map (Tuple.project cols) (Codec.filter_rows ~col ~lo ~hi rows))
+
+let select_cols_gen =
+  let open QCheck2.Gen in
+  let* ((rows, _, _, _) as sel) = select_gen in
+  let arity = match rows with [] -> 1 | t :: _ -> Tuple.arity t in
+  let+ cols = cols_gen arity in
+  (sel, cols)
+
 (* ------------------------------------------------------------------ *)
 (* The page directory as the index: lookups after random edits         *)
 
@@ -514,6 +545,45 @@ let directory_law (format, file, init, batches, probes) =
              in
              ignore (Table.apply_edits t c ~deletes ~inserts);
              List.for_all (probe_ok store log t) probes)
+           batches)
+
+(* [Table] reads of a column subset equal the projected full reads,
+   under both codecs, from a store of rows and a store of bytes, before
+   and after edit batches that split pages and empty them. *)
+let table_cols_law ((format, file, init, batches, probes), cols) =
+  with_logged_store ~format ~file (fun store _ ->
+      let t =
+        Table.load store ~name:"x" ~schema:dir_schema ~cluster_key:[ "k"; "s" ]
+          init
+      in
+      let c = Blas_rel.Counters.create () in
+      let names =
+        List.map (List.nth (Blas_rel.Schema.columns dir_schema)) (Array.to_list cols)
+      in
+      let same a b =
+        List.length a = List.length b
+        && List.for_all2 (fun x y -> Tuple.compare x y = 0) a b
+      in
+      let reads_agree () =
+        same (Table.scan ~cols:names t c) (List.map (Tuple.project cols) (Table.scan t c))
+        && List.for_all
+             (fun (lo, hi) ->
+               same
+                 (Table.index_range ~cols:names t c ~column:"k" ~lo ~hi)
+                 (List.map (Tuple.project cols)
+                    (Table.index_range t c ~column:"k" ~lo ~hi)))
+             probes
+      in
+      reads_agree ()
+      && List.for_all
+           (fun ((first, len), _, inserts) ->
+             let rows = Array.of_list (Table.scan t c) in
+             let n = Array.length rows in
+             let deletes =
+               List.init (min len n) (fun i -> rows.((first + i) mod n))
+             in
+             ignore (Table.apply_edits t c ~deletes ~inserts);
+             reads_agree ())
            batches)
 
 (* The directory with each entry's decoded page rows. *)
@@ -742,6 +812,13 @@ let suite =
       (select_law Codec.V1);
     qtest ~count:300 "v2 select equals filtered decode" select_gen
       (select_law Codec.V2);
+    qtest ~count:300 "v1 select of columns equals projected select"
+      select_cols_gen (select_cols_law Codec.V1);
+    qtest ~count:300 "v2 select of columns equals projected select"
+      select_cols_gen (select_cols_law Codec.V2);
+    qtest ~count:100 "table reads of columns equal projected reads"
+      QCheck2.Gen.(pair directory_gen (cols_gen 3))
+      table_cols_law;
     qtest ~count:150 "directory lookups read only their run" directory_gen
       directory_law;
     qtest ~count:150 "index maintenance matches a sorted model" directory_gen

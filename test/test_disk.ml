@@ -285,7 +285,10 @@ let test_codec_v2_byte_identical () =
   with_db (fun path ->
       let v1_path = path ^ ".v1" in
       Fun.protect
-        ~finally:(fun () -> try Sys.remove v1_path with Sys_error _ -> ())
+        ~finally:(fun () ->
+          List.iter
+            (fun p -> try Sys.remove p with Sys_error _ -> ())
+            [ v1_path; v1_path ^ ".wal" ])
         (fun () ->
           Database.create ~page_size:1024 ~codec:Blas_rel.Codec.V1
             ~path:v1_path mem;

@@ -135,6 +135,57 @@ let storage_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Late materialization: the plan shapes of QS1 and QS3                *)
+
+(* The columns each access of [plan] reads, by alias, and the columns
+   its outermost D-join emits. *)
+let rec access_cols = function
+  | Blas_rel.Algebra.Access { alias; cols; _ } -> [ (alias, cols) ]
+  | Select (_, p) | Project (_, p) | Distinct p -> access_cols p
+  | Theta_join (_, a, b) | Djoin (_, a, b) -> access_cols a @ access_cols b
+  | Union ps -> List.concat_map access_cols ps
+
+let rec top_djoin_out = function
+  | Blas_rel.Algebra.Djoin (d, _, _) -> d.Blas_rel.Algebra.out
+  | Select (_, p) | Project (_, p) | Distinct p -> top_djoin_out p
+  | _ -> None
+
+(* A regression to whole-row reads fails here: QS1's one access reads
+   only [start]; in QS3 the LINE access reads [start] (and [level]
+   where a level gap joins it), SCENE the interval and level, TITLE
+   what its join and value predicate read, and only the answer column
+   leaves the last join. *)
+let test_plan_columns () =
+  let storage = Blas.index_of_tree (Blas_datagen.Shakespeare.generate ~plays:1 ()) in
+  let plan translator qs =
+    match Blas.plan_for storage translator (Blas.query qs) with
+    | Some p -> p
+    | None -> Alcotest.fail ("no plan for " ^ qs)
+  in
+  let cols = Alcotest.(list (pair string (option (list string)))) in
+  let some l = Some l in
+  List.iter
+    (fun translator ->
+      let name = Blas.translator_name translator in
+      Alcotest.check cols (name ^ " QS1")
+        [ ("T1", some [ "start" ]) ]
+        (access_cols (plan translator "/PLAYS/PLAY/ACT/SCENE/SPEECH/LINE"));
+      let qs3 =
+        plan translator
+          "/PLAYS/PLAY/ACT/SCENE[TITLE = \"SCENE III. A public place.\"]//LINE"
+      in
+      Alcotest.check cols (name ^ " QS3")
+        [
+          ("T1", some [ "start"; "end"; "level" ]);
+          ("T2", some [ "start"; "level"; "data" ]);
+          ( "T3",
+            some (if translator = Blas.Unfold then [ "start"; "level" ] else [ "start" ])
+          );
+        ]
+        (access_cols qs3);
+      Alcotest.(check (option (list string)))
+        (name ^ " QS3 last join") (Some [ "T3.start" ]) (top_djoin_out qs3))
+    [ Blas.Split; Blas.Pushup; Blas.Unfold ]
 
 let random_props =
   [
@@ -176,4 +227,8 @@ let random_props =
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f) storage_tests
+  @ [
+      Alcotest.test_case "plans read only the columns they use" `Quick
+        test_plan_columns;
+    ]
   @ random_props

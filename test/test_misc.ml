@@ -34,7 +34,7 @@ let unit_tests =
             ~schema:(Schema.of_list [ "start"; "end"; "level" ])
             ~cluster_key:[ "start" ] []
         in
-        let access path = Algebra.Access { table = t; alias = "T"; path; residual = Algebra.True } in
+        let access path = Algebra.Access { table = t; alias = "T"; path; residual = Algebra.True; cols = None } in
         let spec =
           {
             Algebra.anc_start = "T.start";
@@ -43,6 +43,7 @@ let unit_tests =
             desc_end = "U.end";
             gap =
               Algebra.Exact_gap { anc_level = "T.level"; desc_level = "U.level"; k = 1 };
+            out = None;
           }
         in
         let plan =

@@ -102,7 +102,7 @@ let unit_tests =
               Algebra.Select
                 ( Algebra.Cmp (Algebra.Ge, Algebra.Col "T.k", Algebra.Const (v_int 2)),
                   Algebra.Access
-                    { table = t; alias = "T"; path = Algebra.Full_scan; residual = Algebra.True } ) )
+                    { table = t; alias = "T"; path = Algebra.Full_scan; residual = Algebra.True; cols = None } ) )
         in
         let r = Executor.run plan in
         Test_util.check_bool "value" true (Relation.column r "T.v" = [ v_str "b" ]) );
@@ -111,7 +111,7 @@ let unit_tests =
         let t1 = mk_table ~name:"t1" [ "k"; "v" ] [ [ v_int 1; v_str "a" ]; [ v_int 2; v_str "b" ] ] in
         let t2 = mk_table ~name:"t2" [ "k"; "w" ] [ [ v_int 1; v_str "x" ]; [ v_int 3; v_str "y" ] ] in
         let access t alias =
-          Algebra.Access { table = t; alias; path = Algebra.Full_scan; residual = Algebra.True }
+          Algebra.Access { table = t; alias; path = Algebra.Full_scan; residual = Algebra.True; cols = None }
         in
         let plan =
           Algebra.Theta_join
@@ -126,7 +126,7 @@ let unit_tests =
       fun () ->
         let t = mk_table [ "k" ] [ [ v_int 1 ]; [ v_int 2 ] ] in
         let access =
-          Algebra.Access { table = t; alias = "T"; path = Algebra.Full_scan; residual = Algebra.True }
+          Algebra.Access { table = t; alias = "T"; path = Algebra.Full_scan; residual = Algebra.True; cols = None }
         in
         let r = Executor.run (Algebra.Union [ access; access ]) in
         Test_util.check_int "duplicates kept" 4 (Relation.cardinality r);
@@ -139,7 +139,7 @@ let unit_tests =
           Algebra.Select
             ( Algebra.Cmp (Algebra.Eq, Algebra.Col "T.v", Algebra.Const (v_str "a")),
               Algebra.Access
-                { table = t; alias = "T"; path = Algebra.Full_scan; residual = Algebra.True } )
+                { table = t; alias = "T"; path = Algebra.Full_scan; residual = Algebra.True; cols = None } )
         in
         Test_util.check_int "no rows" 0 (Relation.cardinality (Executor.run plan)) );
     ( "executor: unknown column fails",
@@ -149,7 +149,7 @@ let unit_tests =
           Algebra.Project
             ( [ "T.zzz" ],
               Algebra.Access
-                { table = t; alias = "T"; path = Algebra.Full_scan; residual = Algebra.True } )
+                { table = t; alias = "T"; path = Algebra.Full_scan; residual = Algebra.True; cols = None } )
         in
         match Executor.run plan with
         | exception Executor.Error _ -> ()
@@ -157,7 +157,7 @@ let unit_tests =
     ( "plan inspection counts joins and selections",
       fun () ->
         let t = mk_table [ "k" ] [ [ v_int 1 ] ] in
-        let acc path = Algebra.Access { table = t; alias = "T"; path; residual = Algebra.True } in
+        let acc path = Algebra.Access { table = t; alias = "T"; path; residual = Algebra.True; cols = None } in
         let spec =
           {
             Algebra.anc_start = "a";
@@ -165,6 +165,7 @@ let unit_tests =
             desc_start = "c";
             desc_end = "d";
             gap = Algebra.Any_gap;
+            out = None;
           }
         in
         let plan =
@@ -192,20 +193,36 @@ let intervals_of_tree tree =
       Tuple.of_list [ v_int l.start; v_int l.fin; v_int l.level ])
     (Blas_label.Dlabel.label_tree tree)
 
-let side = { Structural_join.start_col = 0; end_col = 1 }
+let side = { Structural_join.start_col = 0; end_col = 1; level_col = 2 }
+
+let all_cols = [| 0; 1; 2 |]
 
 let int_at t i = Value.to_int (Tuple.get t i)
 
-let naive_pairs anc desc keep =
+let gap_holds gap a d =
+  match gap with
+  | Structural_join.Any -> true
+  | Structural_join.Exact k -> int_at d 2 = int_at a 2 + k
+  | Structural_join.Min k -> int_at d 2 >= int_at a 2 + k
+
+(* The nested-loop oracle: every containing pair passing the gap, with
+   the requested columns of each side. *)
+let naive_pairs ?(anc_out = all_cols) ?(desc_out = all_cols) anc desc gap =
   List.concat_map
     (fun a ->
       List.filter_map
         (fun d ->
-          if int_at a 0 < int_at d 0 && int_at a 1 > int_at d 1 && keep a d then
-            Some (Tuple.concat a d)
+          if int_at a 0 < int_at d 0 && int_at a 1 > int_at d 1 && gap_holds gap a d
+          then Some (Tuple.concat (Tuple.project anc_out a) (Tuple.project desc_out d))
           else None)
         desc)
     anc
+
+let fast_pairs ?(anc_out = all_cols) ?(desc_out = all_cols) anc desc gap =
+  Structural_join.pairs ~anc ~desc ~anc_side:side ~desc_side:side ~gap ~anc_out
+    ~desc_out
+
+let same_bag a b = List.sort Tuple.compare a = List.sort Tuple.compare b
 
 let random_subset =
   let open Gen in
@@ -223,10 +240,8 @@ let structural_join_prop =
     return (anc, desc)
   in
   Test_util.qtest "structural join matches nested loop" gen (fun (anc, desc) ->
-      let keep _ _ = true in
-      let fast = Structural_join.pairs ~anc ~desc ~anc_side:side ~desc_side:side keep in
-      let slow = naive_pairs anc desc keep in
-      List.sort Tuple.compare fast = List.sort Tuple.compare slow)
+      same_bag (fast_pairs anc desc Structural_join.Any)
+        (naive_pairs anc desc Structural_join.Any))
 
 let structural_join_gap_prop =
   let gen =
@@ -238,14 +253,42 @@ let structural_join_gap_prop =
   in
   Test_util.qtest "structural join with level filter matches nested loop" gen
     (fun (intervals, k) ->
-      let keep a d = int_at d 2 = int_at a 2 + k in
-      let fast =
-        Structural_join.pairs ~anc:intervals ~desc:intervals ~anc_side:side
-          ~desc_side:side keep
-      in
-      let slow = naive_pairs intervals intervals keep in
-      List.sort Tuple.compare fast = List.sort Tuple.compare slow)
+      let gap = Structural_join.Exact k in
+      same_bag (fast_pairs intervals intervals gap) (naive_pairs intervals intervals gap))
+
+(* Random nested intervals in any order (the sort path), an Any, Exact
+   or Min gap, and random output columns of each side — empty, all, or
+   a reordered subset — against the nested-loop oracle. *)
+let structural_join_projection_prop =
+  let gen =
+    let open Gen in
+    let* tree = Test_util.doc_gen in
+    let intervals = intervals_of_tree tree in
+    let* anc = random_subset intervals >>= shuffle_l in
+    let* desc = random_subset intervals >>= shuffle_l in
+    let* gap =
+      oneof
+        [
+          return Structural_join.Any;
+          map (fun k -> Structural_join.Exact k) (int_range 1 3);
+          map (fun k -> Structural_join.Min k) (int_range 1 3);
+        ]
+    in
+    let cols = map Array.of_list (random_subset [ 0; 1; 2 ] >>= shuffle_l) in
+    let* anc_out = cols in
+    let+ desc_out = cols in
+    (anc, desc, gap, anc_out, desc_out)
+  in
+  Test_util.qtest "structural join with gaps and projections matches nested loop"
+    gen (fun (anc, desc, gap, anc_out, desc_out) ->
+      same_bag
+        (fast_pairs ~anc_out ~desc_out anc desc gap)
+        (naive_pairs ~anc_out ~desc_out anc desc gap))
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f) unit_tests
-  @ [ structural_join_prop; structural_join_gap_prop ]
+  @ [
+      structural_join_prop;
+      structural_join_gap_prop;
+      structural_join_projection_prop;
+    ]
