@@ -5,21 +5,27 @@
     indexed in memory, and each edit kind runs [samples] times on
     targets spread evenly over the document: RETEXT replaces an
     author's text, INSERT appends an [<author>] to an [authors] list,
-    DELETE removes one of the inserted authors again.  Each cell is
-    the fastest single edit in milliseconds: an edit touches a few
-    pages and a few nodes whatever the document size, so the minimum is
-    the cost of the edit itself, clear of collector pauses and of the
-    optimizer's occasional resample.
+    DELETE removes the author that round inserted.  An edit touches a
+    few pages and a few nodes whatever the document size, so its cost
+    should not grow with the document.
+
+    One edit takes 0.05-0.3 ms, so a single preempted sample on a small
+    shared machine can double a cell.  The two documents are therefore
+    edited in paired rounds: each round runs one edit of each kind on
+    both documents, back to back in random order, and takes the ratio
+    of the two times; a cell is the median over the rounds (as
+    {!Overhead} pairs its runs).
 
     The same edits then run on each document saved as a [.blasdb]
     (default page size and codec), where every edit commits one WAL
-    transaction; those cells add the median WAL bytes each edit kind
-    logs.  The WAL is checkpointed (emptied) before each edit, outside
-    the timing, so one edit's log is the WAL size after it.
+    transaction; those cells are the fastest edit and the median WAL
+    bytes each edit kind logs.  The WAL is checkpointed (emptied)
+    before each edit, outside the timing, so one edit's log is the WAL
+    size after it.
 
     With [--check] (the CI gate, sharing {!Overhead.check_mode}) the
-    run fails when the 4x document costs more than 2x per edit for any
-    edit kind in memory — an edit that pays for the whole document
+    run fails when the median paired ratio of any edit kind in memory
+    exceeds {!max_ratio} — an edit that pays for the whole document
     scales with it — or when a RETEXT on the 4x database logs more than
     {!max_wal_ratio} times the WAL bytes it logs on the 1x one.  The
     byte count is deterministic: a commit that logs the whole catalog
@@ -53,53 +59,67 @@ let median xs =
   Array.sort compare a;
   a.(Array.length a / 2)
 
-(* Runs [samples] retexts, inserts and deletes on Protein at [entries]
-   through [edit] (which wraps one edit and returns its measurement)
-   and summarizes each kind's measurements with [summary]. *)
-let edits storage ~edit ~summary =
+(* The edit kinds, each as [prepare storage k]: find the [k]-th
+   round's target (untimed) and return the edit.  Inserts can renumber,
+   so targets are looked up afresh each time; a round's delete removes
+   the author its insert added. *)
+let kinds =
   let is tag (n : Blas_xpath.Doc.node) = n.tag = tag in
-  let authors = nodes storage (fun n -> is "author" n && n.data <> None) in
-  let retext =
-    List.init samples (fun k ->
-        let n = spread authors k in
-        edit (fun () ->
-            Blas.Update.replace_text storage ~start:n.start (Some (marker k))))
-  in
-  (* Inserts can renumber, so targets are looked up afresh each time. *)
-  let insert =
-    List.init samples (fun k ->
+  [
+    ( "retext",
+      fun storage k ->
+        let n = spread (nodes storage (fun n -> is "author" n && n.data <> None)) k in
+        fun () -> Blas.Update.replace_text storage ~start:n.start (Some (marker k)) );
+    ( "insert",
+      fun storage k ->
         let p = spread (nodes storage (is "authors")) k in
         let sub = Blas_xml.Types.(Element ("author", [ Content (marker (-k - 1)) ])) in
-        edit (fun () ->
-            Blas.Update.insert_subtree storage ~parent:p.start
-              ~pos:(List.length p.children) sub))
-  in
-  let delete =
-    List.init samples (fun k ->
-        let n =
-          (nodes storage (fun n -> n.data = Some (marker (-k - 1)))).(0)
-        in
-        edit (fun () -> Blas.Update.delete_subtree storage ~start:n.start))
-  in
-  [
-    ("retext", summary retext);
-    ("insert", summary insert);
-    ("delete", summary delete);
+        fun () ->
+          Blas.Update.insert_subtree storage ~parent:p.start
+            ~pos:(List.length p.children) sub );
+    ( "delete",
+      fun storage k ->
+        let n = (nodes storage (fun n -> n.data = Some (marker (-k - 1)))).(0) in
+        fun () -> Blas.Update.delete_subtree storage ~start:n.start );
   ]
 
 let protein entries =
   Blas.index_of_tree (Blas_datagen.Protein.generate ~seed:1 ~entries ())
 
-(* Fastest retext, insert and delete (ms) on in-memory Protein at
-   [entries]. *)
-let measure entries =
-  let storage = protein entries in
-  (* The index build leaves the collector a heap of garbage to get
+(* Paired rounds on in-memory Protein at both sizes: per edit kind,
+   the median ms on each and the median of the rounds' large/small
+   ratios; and each document's node count. *)
+let measure_paired () =
+  let small = protein (List.nth sizes 0) and large = protein (List.nth sizes 1) in
+  (* The index builds leave the collector a heap of garbage to get
      through; the edits should not pay for it. *)
   Gc.full_major ();
-  let cells = edits storage ~edit:timed_ms ~summary:min_of in
-  let count = Blas_xpath.Doc.node_count (Blas.Storage.doc storage) in
-  (count, cells)
+  let rng = Random.State.make [| samples |] in
+  let rounds =
+    List.init samples (fun k ->
+        List.map
+          (fun (op, prepare) ->
+            let s = prepare small k and l = prepare large k in
+            if Random.State.bool rng then
+              let s_ms = timed_ms s in
+              (op, (s_ms, timed_ms l))
+            else
+              let l_ms = timed_ms l in
+              (op, (timed_ms s, l_ms)))
+          kinds)
+  in
+  let cells =
+    List.map
+      (fun (op, _) ->
+        let pairs = List.map (List.assoc op) rounds in
+        ( op,
+          ( median (List.map fst pairs),
+            median (List.map snd pairs),
+            median (List.map (fun (s, l) -> l /. s) pairs) ) ))
+      kinds
+  in
+  let count s = Blas_xpath.Doc.node_count (Blas.Storage.doc s) in
+  (cells, [ count small; count large ])
 
 (* Fastest edit (ms) and median WAL bytes per edit, for each kind, on
    Protein at [entries] saved as a database file. *)
@@ -124,11 +144,19 @@ let measure_disk entries =
             let ms = timed_ms f in
             (ms, disk.dk_wal_bytes ())
           in
-          edits storage ~edit ~summary:(fun cells ->
-              (min_of (List.map fst cells), median (List.map snd cells)))))
+          let rounds =
+            List.init samples (fun k ->
+                List.map (fun (op, prepare) -> (op, edit (prepare storage k))) kinds)
+          in
+          List.map
+            (fun (op, _) ->
+              let cells = List.map (List.assoc op) rounds in
+              (op, (min_of (List.map fst cells), median (List.map snd cells))))
+            kinds))
 
 let run () =
-  Bench_util.heading "Per-edit cost (Protein; fastest of 21 edits)";
+  Bench_util.heading
+    (Printf.sprintf "Per-edit cost (Protein; %d paired rounds)" samples);
   let gate ok fmt =
     Printf.ksprintf
       (fun msg ->
@@ -138,31 +166,25 @@ let run () =
         end)
       fmt
   in
-  let results = List.map (fun entries -> (entries, measure entries)) sizes in
-  let small, large =
-    match results with
-    | [ (_, (_, s)); (_, (_, l)) ] -> (s, l)
-    | _ -> assert false
-  in
+  let cells, counts = measure_paired () in
   let rows =
     List.map
-      (fun (op, s) ->
-        let l = List.assoc op large in
-        let ratio = l /. s in
+      (fun (op, (s, l, ratio)) ->
         gate (ratio <= max_ratio)
-          "%s costs %.2fx per edit on the 4x document (max %.1fx)" op ratio
-          max_ratio;
+          "%s costs %.2fx per edit on the 4x document (median of %d paired \
+           rounds; max %.1fx)"
+          op ratio samples max_ratio;
         [ op; Printf.sprintf "%.3f" s; Printf.sprintf "%.3f" l; Printf.sprintf "%.2f" ratio ])
-      small
+      cells
   in
   let header =
     "edit"
-    :: List.map
-         (fun (entries, (count, _)) -> Printf.sprintf "%d entries (%d nodes) ms" entries count)
-         results
-    @ [ "ratio" ]
+    :: List.map2
+         (fun entries count -> Printf.sprintf "%d entries (%d nodes) ms" entries count)
+         sizes counts
+    @ [ "paired ratio" ]
   in
-  Bench_util.print_table ~title:"in memory" { Bench_util.header; rows };
+  Bench_util.print_table ~title:"in memory (medians)" { Bench_util.header; rows };
   let small, large =
     match List.map measure_disk sizes with
     | [ s; l ] -> (s, l)

@@ -223,7 +223,6 @@ let generate_cmd =
 let stats_json storage =
   let doc = Blas.Storage.doc storage in
   let guide = Blas.Storage.guide storage in
-  let table = storage.Blas.Storage.table in
   let free, span = Blas.Update.gap_budget storage in
   let pool = Blas.Storage.pool storage in
   let open Blas_obs.Json in
@@ -238,9 +237,8 @@ let stats_json storage =
            [
              ("free_positions", Int free);
              ("span", Int span);
-             ("tag_count", Int (Blas_label.Tag_table.tag_count table));
-             ("height", Int (Blas_label.Tag_table.height table));
-             ("m", Str (Blas_label.Bignum.to_string (Blas_label.Tag_table.m table)));
+             ("paths", Int (Blas_xml.Dataguide.path_count guide));
+             ("min_label_gap", Int (Blas_xml.Dataguide.min_gap guide));
            ] );
        ( "pool",
          Obj
@@ -332,18 +330,14 @@ let stats () ?cache_pages ?stats_seed ~json path =
       (Blas_xml.Dataguide.max_depth guide)
       (List.length (Blas_xml.Dataguide.all_paths guide));
     (* Index mutability: how much room updates have before a localized
-       renumbering, and what the P-label inventory can still absorb. *)
-    let table = storage.Blas.Storage.table in
+       renumbering, and how tight the P-label gaps have become. *)
     let free, span = Blas.Update.gap_budget storage in
     Printf.printf "update headroom:\n";
     Printf.printf "  free D-label positions: %d of %d (%.1f%%)\n" free span
       (100.0 *. float_of_int free /. float_of_int (max span 1));
-    Printf.printf "  tag inventory: %d tags, height %d, m = %s\n"
-      (Blas_label.Tag_table.tag_count table)
-      (Blas_label.Tag_table.height table)
-      (Blas_label.Bignum.to_string (Blas_label.Tag_table.m table));
-    Printf.printf "  P-label intervals allocated: %d\n"
-      (List.length (Blas_xml.Dataguide.all_paths guide));
+    Printf.printf "  P-labels: %d paths, smallest label gap %d\n"
+      (Blas_xml.Dataguide.path_count guide)
+      (Blas_xml.Dataguide.min_gap guide);
     (match Blas.Storage.disk storage with
     | None -> ()
     | Some d ->

@@ -57,7 +57,7 @@ let () =
         List.iter
           (fun (item : Blas.Suffix_query.item) ->
             Printf.printf "    %s\n"
-              (Format.asprintf "%a" Blas_label.Plabel.pp_suffix_path item.path))
+              (Format.asprintf "%a" Blas.Suffix_query.pp_path item.path))
           branch.Blas.Suffix_query.items)
     branches;
   let unfolded = Blas.run storage ~engine:Blas.Rdbms ~translator:Blas.Unfold q in

@@ -8,39 +8,34 @@
 let () =
   let tree = Blas_datagen.Shakespeare.generate ~plays:10 () in
   let storage = Blas.index_of_tree tree in
-  let table = storage.Blas.Storage.table in
+  let guide = Blas.Storage.guide storage in
 
   (* P-label intervals for deeper and deeper suffixes of the same path,
      mirroring the paper's Figure 5. *)
   print_endline "P-label intervals (Figure 5 style):";
   let paths =
     [
-      { Blas_label.Plabel.absolute = false; tags = [ "LINE" ] };
-      { Blas_label.Plabel.absolute = false; tags = [ "SPEECH"; "LINE" ] };
-      { Blas_label.Plabel.absolute = false; tags = [ "SCENE"; "SPEECH"; "LINE" ] };
+      { Blas.Suffix_query.absolute = false; tags = [ "LINE" ] };
+      { Blas.Suffix_query.absolute = false; tags = [ "SPEECH"; "LINE" ] };
+      { Blas.Suffix_query.absolute = false; tags = [ "SCENE"; "SPEECH"; "LINE" ] };
       {
-        Blas_label.Plabel.absolute = true;
+        Blas.Suffix_query.absolute = true;
         tags = [ "PLAYS"; "PLAY"; "ACT"; "SCENE"; "SPEECH"; "LINE" ];
       };
     ]
   in
-  List.iter
-    (fun path ->
-      match Blas_label.Plabel.suffix_path_interval table path with
-      | Some interval ->
-        Printf.printf "  %-45s %s\n"
-          (Format.asprintf "%a" Blas_label.Plabel.pp_suffix_path path)
-          (Format.asprintf "%a" Blas_label.Interval.pp interval)
-      | None -> ())
-    paths;
+  let intervals = List.filter_map (Blas.Suffix_query.interval guide) paths in
+  List.iter2
+    (fun path (lo, hi) ->
+      Printf.printf "  %-45s <%d, %d>\n"
+        (Format.asprintf "%a" Blas.Suffix_query.pp_path path)
+        lo hi)
+    paths intervals;
 
   (* Each interval is nested in the previous one (Definition 3.2). *)
-  let intervals =
-    List.filter_map (Blas_label.Plabel.suffix_path_interval table) paths
-  in
   let rec check = function
-    | outer :: (inner :: _ as rest) ->
-      assert (Blas_label.Interval.contains ~outer ~inner);
+    | (olo, ohi) :: ((ilo, ihi) :: _ as rest) ->
+      assert (olo <= ilo && ihi <= ohi);
       check rest
     | _ -> ()
   in

@@ -42,7 +42,7 @@ let add_estimate a b =
   }
 
 let item_leaf_tag (item : Suffix_query.item) =
-  match List.rev item.path.Blas_label.Plabel.tags with
+  match List.rev item.path.tags with
   | leaf :: _ -> leaf
   | [] -> ""
 
@@ -54,8 +54,8 @@ let estimate_item stats (item : Suffix_query.item) =
     float_of_int
       (Blas_xml.Dataguide.suffix_count
          (Blas_optimizer.Stats.guide stats)
-         ~absolute:item.path.Blas_label.Plabel.absolute
-         ~tags:item.path.Blas_label.Plabel.tags)
+         ~absolute:item.path.absolute
+         ~tags:item.path.tags)
   in
   let sel =
     match item.value with

@@ -5,11 +5,11 @@
     File layout (see DESIGN.md §13): page zero is the {!Blas_disk.Pager}
     superblock whose root blob points at the catalog chain; every other
     page is either an SP/SD data page (a {!Blas_rel.Codec} tuple run), a
-    catalog chain page, or free.  The catalog — tag inventory, dataguide
-    paths with their node counts, free list, clustered page directories
-    and the optimizer's statistics blob — is small and fully resident, so
-    opening a database reads only the superblock and the chain;
-    everything else is paged in on demand through the
+    catalog chain page, or free.  The catalog — dataguide paths with
+    their node counts and P-labels, free list, clustered page
+    directories and the optimizer's statistics blob — is small and fully
+    resident, so opening a database reads only the superblock and the
+    chain; everything else is paged in on demand through the
     {!Blas_rel.Buffer_pool}.
 
     Transactions are no-steal/force-to-WAL: table edits accumulate as
@@ -29,7 +29,6 @@ module Table = Blas_rel.Table
 module Codec = Blas_rel.Codec
 module Value = Blas_rel.Value
 module Tuple = Blas_rel.Tuple
-module Tag_table = Blas_label.Tag_table
 module Dataguide = Blas_xml.Dataguide
 module Layout = Blas_update.Layout
 module Page_store = Blas_rel.Page_store
@@ -54,23 +53,28 @@ let looks_like_db = Pager.looks_like_db
    id after it; v4 stores each dataguide path's node count beside the
    path, always writes the codec id, and carries the slimmer statistics
    blob (reservoirs only — the counts are the guide's); v5 drops the
-   secondary-index leaf directories after each page directory.  Every
-   file writes v5.  Decode accepts all five: a catalog older than v4
-   has no counts, so its guide and statistics are rebuilt from the
-   document model at open (see [install]), and its statistics blob is
-   skipped unread; the index leaves of a catalog older than v5 are
-   read only to hand their pages to the free list. *)
+   secondary-index leaf directories after each page directory; v6
+   drops the tag inventory and stores each path's P-label beside its
+   count, the native-int labels SP carries.  Every file writes v6.
+   Decode accepts all six: a catalog older than v4 has no counts, so
+   its guide and statistics are rebuilt from the document model at
+   open (see [install]), and its statistics blob is skipped unread; the
+   index leaves of a catalog older than v5 are read only to hand their
+   pages to the free list.  SP pages older than v6 hold the paper's
+   decimal P-labels: a read-write open relabels them in one
+   transaction ([relabel]), a read-only one refuses. *)
 let cat_version_stats = 2
 let cat_version_codec = 3
 let cat_version_counts = 4
 let cat_version_no_indexes = 5
+let cat_version_labels = 6
 
 type cat = {
-  c_height : int;
-  c_tags : string list;
+  c_version : int;
   c_guide : Dataguide.t option;
-      (** the counted dataguide (v4+); [None] for an older catalog, whose
-          paths carry no counts *)
+      (** the counted dataguide (v4+), with the stored labels (v6+) or
+          fresh ones; [None] for an older catalog, whose paths carry no
+          counts *)
   c_free : int list;  (** recorded before chain placement; see below *)
   c_sp : Table.dir_entry array;
   c_sd : Table.dir_entry array;
@@ -90,11 +94,30 @@ let encode_dir buf dir =
       Codec.add_tuple buf de.de_first)
     dir
 
-let read_dir r =
+(* Past one value of a catalog older than v6, which may be a decimal
+   P-label (value tag 3, no longer decoded). *)
+let skip_old_value r =
+  match Wire.read_u8 r with
+  | 0 -> ()
+  | 1 | 2 -> ignore (Wire.read_varint r)
+  | _ -> ignore (Wire.read_string r)
+
+(* [old] skips each entry's first tuple: before v6 an SP tuple leads
+   with a decimal P-label, and those pages are relabeled before
+   anything reads them. *)
+let read_dir ?(old = false) r =
   Array.init (Wire.read_varint r) (fun _ ->
       let de_page = Wire.read_varint r in
       let de_nrows = Wire.read_varint r in
-      let de_first = Codec.read_tuple r in
+      let de_first =
+        if old then begin
+          for _ = 1 to Wire.read_varint r do
+            skip_old_value r
+          done;
+          Tuple.of_list []
+        end
+        else Codec.read_tuple r
+      in
       { Table.de_page; de_nrows; de_first })
 
 (* The leaf pages of the index directories a catalog older than v5
@@ -108,23 +131,20 @@ let read_old_leaves r =
              let page = Wire.read_varint r in
              ignore (Wire.read_varint r);
              ignore (Wire.read_varint r);
-             ignore (Codec.read_value r);
+             skip_old_value r;
              page)))
 
-let encode_catalog ~table ~guide ~free ~sp ~sd ~stats ~codec =
+let encode_catalog ~guide ~free ~sp ~sd ~stats ~codec =
   let buf = Buffer.create 4096 in
-  Wire.write_u8 buf cat_version_no_indexes;
-  Wire.write_varint buf (Tag_table.height table);
-  let tags = Tag_table.tags table in
-  Wire.write_varint buf (List.length tags);
-  List.iter (Wire.write_string buf) tags;
-  let paths = Dataguide.path_counts guide in
+  Wire.write_u8 buf cat_version_labels;
+  let paths = Dataguide.entries guide in
   Wire.write_varint buf (List.length paths);
   List.iter
-    (fun (path, n) ->
+    (fun (path, n, label) ->
       Wire.write_varint buf (List.length path);
       List.iter (Wire.write_string buf) path;
-      Wire.write_varint buf n)
+      Wire.write_varint buf n;
+      Wire.write_varint buf label)
     paths;
   Wire.write_varint buf (List.length free);
   List.iter (Wire.write_varint buf) free;
@@ -137,22 +157,37 @@ let encode_catalog ~table ~guide ~free ~sp ~sd ~stats ~codec =
 let decode_catalog body =
   let r = Wire.reader body in
   let v = Wire.read_u8 r in
-  if v < 1 || v > cat_version_no_indexes then
+  if v < 1 || v > cat_version_labels then
     corrupt "unsupported catalog version %d" v;
-  let c_height = Wire.read_varint r in
-  let c_tags = List.init (Wire.read_varint r) (fun _ -> Wire.read_string r) in
+  let labeled = v >= cat_version_labels in
+  if not labeled then begin
+    (* the paper's tag inventory: height, then the tags *)
+    ignore (Wire.read_varint r);
+    for _ = 1 to Wire.read_varint r do
+      ignore (Wire.read_string r)
+    done
+  end;
   let counted = v >= cat_version_counts in
   let paths =
     List.init (Wire.read_varint r) (fun _ ->
         let path = List.init (Wire.read_varint r) (fun _ -> Wire.read_string r) in
-        (path, if counted then Wire.read_varint r else 0))
+        let n = if counted then Wire.read_varint r else 0 in
+        (path, n, if labeled then Wire.read_varint r else 0))
   in
-  let c_guide = if counted then Some (Dataguide.of_path_counts paths) else None in
+  let c_guide =
+    if labeled then
+      match Dataguide.of_entries paths with
+      | g -> Some g
+      | exception Invalid_argument msg -> raise (Corrupt msg)
+    else if counted then
+      Some (Dataguide.of_path_counts (List.map (fun (p, n, _) -> (p, n)) paths))
+    else None
+  in
   let c_free = List.init (Wire.read_varint r) (fun _ -> Wire.read_varint r) in
   let old_leaves () =
     if v < cat_version_no_indexes then read_old_leaves r else []
   in
-  let c_sp = read_dir r in
+  let c_sp = read_dir ~old:(not labeled) r in
   let sp_leaves = old_leaves () in
   let c_sd = read_dir r in
   let c_old_leaves = sp_leaves @ old_leaves () in
@@ -172,8 +207,7 @@ let decode_catalog body =
       | exception Failure msg -> raise (Corrupt msg)
   in
   {
-    c_height;
-    c_tags;
+    c_version = v;
     c_guide;
     c_free;
     c_sp;
@@ -258,6 +292,103 @@ let file_backing store =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Rebuilding the labeled document model from stored rows.  Rows come
+   in document order; the (start, end) intervals nest, so a stack of
+   open nodes recovers parenthood, source paths and children. *)
+
+type builder = {
+  btag : string;
+  bdata : string option;
+  bstart : int;
+  bfin : int;
+  blevel : int;
+  bpath : string list;  (* reversed source path *)
+  mutable bkids : Blas_xpath.Doc.node list;  (* reversed *)
+}
+
+let freeze b : Blas_xpath.Doc.node =
+  {
+    tag = b.btag;
+    data = b.bdata;
+    start = b.bstart;
+    fin = b.bfin;
+    level = b.blevel;
+    source_path = List.rev b.bpath;
+    children = List.rev b.bkids;
+  }
+
+(** [rebuild_doc ?guide rows] — the document model behind a
+    disk-backed storage, from its SD rows in start order, around
+    [guide] (the catalog's, with the labels SP carries) or a fresh
+    one.
+    @raise Corrupt on rows that do not nest into one document. *)
+let rebuild_doc ?guide rows : Blas_xpath.Doc.t =
+  let attach stack node =
+    match stack with
+    | parent :: _ -> parent.bkids <- node :: parent.bkids
+    | [] -> corrupt "multiple roots"
+  in
+  let rec close stack start =
+    match stack with
+    | top :: rest when top.bfin < start ->
+      attach rest (freeze top);
+      close rest start
+    | _ -> stack
+  in
+  let final =
+    List.fold_left
+      (fun stack (tag, start, fin, level, data) ->
+        let stack = close stack start in
+        let parent_path = match stack with top :: _ -> top.bpath | [] -> [] in
+        let expected_level = List.length parent_path + 1 in
+        if level <> expected_level then
+          corrupt "level %d does not match nesting depth %d" level
+            expected_level;
+        {
+          btag = tag;
+          bdata = data;
+          bstart = start;
+          bfin = fin;
+          blevel = level;
+          bpath = tag :: parent_path;
+          bkids = [];
+        }
+        :: stack)
+      [] rows
+  in
+  let rec collapse = function
+    | [ root ] -> freeze root
+    | top :: rest ->
+      attach rest (freeze top);
+      collapse rest
+    | [] -> corrupt "empty document"
+  in
+  Blas_xpath.Doc.of_root ?guide (collapse final)
+
+let data_of_value = function
+  | Value.Null -> None
+  | Value.Str s -> Some s
+  | v ->
+    corrupt "unexpected data value %s" (Format.asprintf "%a" Value.pp v)
+
+let row_of_sd_tuple t =
+  match
+    ( Tuple.get t 0, Tuple.get t 1, Tuple.get t 2, Tuple.get t 3, Tuple.get t 4 )
+  with
+  | Value.Str tag, Value.Int s, Value.Int e, Value.Int l, d ->
+    (tag, s, e, l, data_of_value d)
+  | _ -> raise (Corrupt "malformed SD row")
+
+(* The document model from a scan of [storage]'s SD. *)
+let sd_doc ?guide (storage : Storage.t) =
+  let rows =
+    List.map row_of_sd_tuple
+      (Table.scan storage.Storage.sd (Blas_rel.Counters.create ()))
+  in
+  rebuild_doc ?guide
+    (List.sort (fun (_, s1, _, _, _) (_, s2, _, _, _) -> compare s1 s2) rows)
+
+(* ------------------------------------------------------------------ *)
 (* The open database handle                                           *)
 
 type db = {
@@ -303,8 +434,6 @@ let install db (storage : Storage.t) (cat, chain) =
     List.filter
       (fun p -> not (Array.mem p chain.pages))
       (cat.c_free @ cat.c_old_leaves);
-  storage.Storage.table <-
-    Tag_table.create ~tags:cat.c_tags ~height:cat.c_height;
   storage.Storage.sp <- Layout.of_layout (page_store db) Layout.sp ~dir:cat.c_sp;
   storage.Storage.sd <- Layout.of_layout (page_store db) Layout.sd ~dir:cat.c_sd;
   match cat.c_guide with
@@ -321,7 +450,7 @@ let install db (storage : Storage.t) (cat, chain) =
     (* A catalog older than v4 keeps no counts: build the document model
        once (an SD scan), which counts every path, and collect fresh
        statistics from it.  The next commit writes both down. *)
-    let doc = Storage.doc storage in
+    let doc = sd_doc storage in
     Storage.set_doc storage doc;
     Storage.set_ostats storage (Some (Storage.collect_ostats doc))
 
@@ -329,7 +458,7 @@ let install db (storage : Storage.t) (cat, chain) =
 (* Catalog writer (inside a transaction)                              *)
 
 let catalog_body db (storage : Storage.t) ~free =
-  encode_catalog ~table:storage.Storage.table ~guide:storage.Storage.guide
+  encode_catalog ~guide:storage.Storage.guide
     ~free ~sp:(Table.directory storage.Storage.sp)
     ~sd:(Table.directory storage.Storage.sd)
     ~codec:db.codec
@@ -429,6 +558,33 @@ let with_tx db f =
         (try Store.abort db.store with _ -> ());
         (try reload db with _ -> ());
         raise e)
+
+(* Relabels the SP rows of a catalog older than v6 with the guide's
+   native-int P-labels, in one transaction.  The new labels follow the
+   paper's order, so the rows keep their order and go back onto the
+   pages they came from, in directory order (fewer of them: the labels
+   are shorter); the pages left over are freed. *)
+let relabel db (storage : Storage.t) =
+  with_tx db (fun () ->
+      let doc = Storage.doc storage in
+      let old =
+        ref
+          (Array.to_list
+             (Array.map
+                (fun (de : Table.dir_entry) -> de.de_page)
+                (Table.directory storage.Storage.sp)))
+      in
+      let alloc () =
+        match !old with
+        | page :: rest ->
+          old := rest;
+          page
+        | [] -> db_alloc db ()
+      in
+      storage.Storage.sp <-
+        Layout.load { (page_store db) with alloc } Layout.sp
+          (Layout.sp_rows storage.Storage.guide doc);
+      List.iter (fun page -> Page_store.drop (page_store db) ~table:"sp" ~page) !old)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
@@ -542,8 +698,7 @@ let create ?(page_size = 4096) ?(fill = Table.default_fill)
           let sp = load Layout.sp storage.Storage.sp in
           let sd = load Layout.sd storage.Storage.sd in
           let body =
-            encode_catalog ~table:storage.Storage.table
-              ~guide:(Storage.guide storage) ~free:[] ~sp ~sd ~codec
+            encode_catalog ~guide:(Storage.guide storage) ~free:[] ~sp ~sd ~codec
               ~stats:
                 (Option.map Blas_optimizer.Stats.to_string
                    (Storage.ostats storage))
@@ -555,95 +710,6 @@ let create ?(page_size = 4096) ?(fill = Table.default_fill)
           Array.iter2 (Store.write_page store) chain
             (chain_payloads ~chunk_cap chain body);
           Store.set_root store (encode_root ~body ~first:chain.(0))))
-
-(* ------------------------------------------------------------------ *)
-(* Rebuilding the labeled document model from stored rows.  Rows come
-   in document order; the (start, end) intervals nest, so a stack of
-   open nodes recovers parenthood, source paths and children. *)
-
-type builder = {
-  btag : string;
-  bdata : string option;
-  bstart : int;
-  bfin : int;
-  blevel : int;
-  bpath : string list;  (* reversed source path *)
-  mutable bkids : Blas_xpath.Doc.node list;  (* reversed *)
-}
-
-let freeze b : Blas_xpath.Doc.node =
-  {
-    tag = b.btag;
-    data = b.bdata;
-    start = b.bstart;
-    fin = b.bfin;
-    level = b.blevel;
-    source_path = List.rev b.bpath;
-    children = List.rev b.bkids;
-  }
-
-(** [rebuild_doc rows] — the document model behind a disk-backed
-    storage, from its SD rows in start order.
-    @raise Corrupt on rows that do not nest into one document. *)
-let rebuild_doc rows : Blas_xpath.Doc.t =
-  let attach stack node =
-    match stack with
-    | parent :: _ -> parent.bkids <- node :: parent.bkids
-    | [] -> corrupt "multiple roots"
-  in
-  let rec close stack start =
-    match stack with
-    | top :: rest when top.bfin < start ->
-      attach rest (freeze top);
-      close rest start
-    | _ -> stack
-  in
-  let final =
-    List.fold_left
-      (fun stack (tag, start, fin, level, data) ->
-        let stack = close stack start in
-        let parent_path = match stack with top :: _ -> top.bpath | [] -> [] in
-        let expected_level = List.length parent_path + 1 in
-        if level <> expected_level then
-          corrupt "level %d does not match nesting depth %d" level
-            expected_level;
-        {
-          btag = tag;
-          bdata = data;
-          bstart = start;
-          bfin = fin;
-          blevel = level;
-          bpath = tag :: parent_path;
-          bkids = [];
-        }
-        :: stack)
-      [] rows
-  in
-  let rec collapse = function
-    | [ root ] -> freeze root
-    | top :: rest ->
-      attach rest (freeze top);
-      collapse rest
-    | [] -> corrupt "empty document"
-  in
-  Blas_xpath.Doc.of_root (collapse final)
-
-(* ------------------------------------------------------------------ *)
-(* Open                                                               *)
-
-let data_of_value = function
-  | Value.Null -> None
-  | Value.Str s -> Some s
-  | v ->
-    corrupt "unexpected data value %s" (Format.asprintf "%a" Value.pp v)
-
-let row_of_sd_tuple t =
-  match
-    ( Tuple.get t 0, Tuple.get t 1, Tuple.get t 2, Tuple.get t 3, Tuple.get t 4 )
-  with
-  | Value.Str tag, Value.Int s, Value.Int e, Value.Int l, d ->
-    (tag, s, e, l, data_of_value d)
-  | _ -> raise (Corrupt "malformed SD row")
 
 (** [open_ ?cache_pages ?stripes ~mode ~path ()] opens a database file:
     read-write opens replay any committed WAL tail first (crash
@@ -657,7 +723,14 @@ let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
   | exception e ->
     Store.close store;
     raise e
-  | cat_chain ->
+  | cat, _ when cat.c_version < cat_version_labels && mode = Ro ->
+    Store.close store;
+    corrupt
+      "catalog version %d holds the paper's decimal P-labels; open the \
+       file read-write once to relabel it in place (any edit does, e.g. \
+       blas update --replace-text), or rebuild it with blas index"
+      cat.c_version
+  | (cat, _) as cat_chain ->
     let pool =
       Buffer_pool.create_striped ~stripes ~capacity:cache_pages (file_backing store)
     in
@@ -678,27 +751,26 @@ let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
       let storage =
         match !storage_cell with Some s -> s | None -> assert false
       in
-      let rows =
-        List.map row_of_sd_tuple
-          (Table.scan storage.Storage.sd (Blas_rel.Counters.create ()))
-      in
-      let rows =
-        List.sort (fun (_, s1, _, _, _) (_, s2, _, _, _) -> compare s1 s2) rows
-      in
-      rebuild_doc rows
+      sd_doc ~guide:storage.Storage.guide storage
     in
     (* Placeholder components; [install] swaps in the real ones. *)
     let storage =
       Storage.assemble ~build_doc
         ~guide:Dataguide.empty
-        ~table:(Tag_table.create ~tags:[ "?" ] ~height:1)
         ~sp:(Layout.of_layout (page_store db) Layout.sp ~dir:[||])
         ~sd:(Layout.of_layout (page_store db) Layout.sd ~dir:[||])
         ~pool ()
     in
     storage_cell := Some storage;
     db.storage <- Some storage;
-    install db storage cat_chain;
+    (match
+       install db storage cat_chain;
+       if cat.c_version < cat_version_labels then relabel db storage
+     with
+    | () -> ()
+    | exception e ->
+      Store.close store;
+      raise e);
     Storage.set_disk storage
       {
         Storage.dk_path = path;

@@ -18,7 +18,7 @@ val looks_like_db : string -> bool
     (default {!Blas_rel.Codec.default_format}: v1, or v2 when
     [BLAS_TEST_COMPACT] is set); the choice is recorded in the catalog
     and v1 files keep their historical byte layout.  It bulk-loads into a
-    fresh database file: data pages and index leaves in cluster order
+    fresh database file: data pages in cluster order
     at [fill] occupancy (default 0.9, leaving per-page headroom for
     in-place edits), then the catalog and superblock, then one fsync.
     Replaces any existing file at [path]; the file lock is taken before
@@ -43,7 +43,10 @@ val same_file : string -> string -> bool
     [cache_pages] pages (default 256).  Read-write opens replay any
     committed WAL tail first (crash recovery) and truncate the WAL;
     read-only opens never write to either file.  Only the catalog
-    becomes resident; the document model stays lazy.
+    becomes resident; the document model stays lazy.  A file older
+    than catalog v6 holds the paper's decimal P-labels: a read-write
+    open relabels its SP rows in one transaction first, a read-only
+    open raises {!Corrupt} naming that upgrade.
     The returned storage answers queries, serves updates (each wrapped
     in one WAL transaction via [Storage.disk]), and must be released
     with {!Storage.close}.
@@ -53,9 +56,12 @@ val open_ :
   ?cache_pages:int -> ?stripes:int -> mode:mode -> path:string -> unit ->
   Storage.t
 
-(** [rebuild_doc rows] reconstructs the labeled document model from
-    [(tag, start, end, level, data)] rows in start order — how a
-    disk-backed storage materializes its document lazily.
+(** [rebuild_doc ?guide rows] reconstructs the labeled document model
+    from [(tag, start, end, level, data)] rows in start order — how a
+    disk-backed storage materializes its document lazily, around its
+    catalog's [guide] (default: a fresh one).
     @raise Corrupt on rows that do not nest into one document. *)
 val rebuild_doc :
-  (string * int * int * int * string option) list -> Blas_xpath.Doc.t
+  ?guide:Blas_xml.Dataguide.t ->
+  (string * int * int * int * string option) list ->
+  Blas_xpath.Doc.t

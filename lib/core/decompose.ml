@@ -73,14 +73,14 @@ let rec component mode builder ~prefix q =
   let segment = List.rev rev_tags in
   let path =
     {
-      Blas_label.Plabel.absolute = prefix.Blas_label.Plabel.absolute;
+      Suffix_query.absolute = prefix.Suffix_query.absolute;
       tags = prefix.tags @ segment;
     }
   in
   let item = new_item builder ~path ~value:last.value ~is_output:last.is_output in
   let child_prefix =
     match mode with
-    | Split -> { Blas_label.Plabel.absolute = false; tags = [] }
+    | Split -> { Suffix_query.absolute = false; tags = [] }
     | Pushup -> path
   in
   List.iter
@@ -98,7 +98,7 @@ let rec component mode builder ~prefix q =
            root sits at least one level below, so its leaf sits at least
            [depth] levels below (Section 3.1's D-join, strengthened with
            the lower bound needed when the cut segment has length > 1). *)
-        let fresh = { Blas_label.Plabel.absolute = false; tags = [] } in
+        let fresh = { Suffix_query.absolute = false; tags = [] } in
         let sub, depth = component mode builder ~prefix:fresh c in
         builder.joins <-
           { Suffix_query.anc = item; desc = sub; gap = Suffix_query.At_least depth }
@@ -115,8 +115,8 @@ let decompose mode (query : Blas_xpath.Ast.t) =
   let builder = { items = []; joins = []; output = None; next_id = 1 } in
   let prefix =
     match query.axis with
-    | Blas_xpath.Ast.Child -> { Blas_label.Plabel.absolute = true; tags = [] }
-    | Blas_xpath.Ast.Descendant -> { Blas_label.Plabel.absolute = false; tags = [] }
+    | Blas_xpath.Ast.Child -> { Suffix_query.absolute = true; tags = [] }
+    | Blas_xpath.Ast.Descendant -> { Suffix_query.absolute = false; tags = [] }
   in
   let _root, _depth = component mode builder ~prefix query in
   match builder.output with
@@ -246,7 +246,7 @@ let expand ~all guide (query : Blas_xpath.Ast.t) =
         List.sort_uniq Stdlib.compare alts
     end
   in
-  alternatives guide query
+  alternatives (Guide.top guide) query
 
 (** [expand_wildcards guide query] substitutes only wildcard steps,
     leaving descendant axes in place (used by Split and Push-up when the
@@ -293,7 +293,7 @@ let count_unfoldings ~cap guide (query : Blas_xpath.Ast.t) =
           min cap (acc + product))
       pos 0
   in
-  count guide query
+  count (Guide.top guide) query
 
 (** [unfold_opt guide query] is the Unfold translation: full expansion,
     then Push-up decomposition of each expanded query, so only equality

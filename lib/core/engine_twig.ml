@@ -53,10 +53,10 @@ let entries ?(keep_level = fun _ -> true) value (cols, rows) =
    so the two engines share entries. *)
 let item_stream ?cache (storage : Storage.t) counters
     (item : Suffix_query.item) =
-  match Blas_label.Plabel.suffix_path_interval storage.table item.path with
+  match Suffix_query.interval storage.guide item.path with
   | None -> []
-  | Some interval ->
-    let lo = Value.Big (Blas_label.Interval.lo interval) in
+  | Some (lo, hi) ->
+    let lo = Value.Int lo in
     let path =
       if item.path.absolute then
         Algebra.Index_eq { column = "plabel"; value = lo }
@@ -65,7 +65,7 @@ let item_stream ?cache (storage : Storage.t) counters
           {
             column = "plabel";
             lo = Some lo;
-            hi = Some (Value.Big (Blas_label.Interval.hi interval));
+            hi = Some (Value.Int hi);
           }
     in
     entries item.value
@@ -92,7 +92,7 @@ let pattern_of_branch ?(wrap = no_wrap) ?(cancel = ignore) ?cache
     (* Cooperative cancellation point: one check per pattern node, i.e.
        before each item's stream is materialized. *)
     cancel ();
-    let label = Format.asprintf "%a" Blas_label.Plabel.pp_suffix_path item.path in
+    let label = Format.asprintf "%a" Suffix_query.pp_path item.path in
     wrap ~label @@ fun () ->
     let children =
       List.map
@@ -116,7 +116,7 @@ type join = {
 }
 
 let branch_label (branch : Suffix_query.t) =
-  Format.asprintf "twig join %a" Blas_label.Plabel.pp_suffix_path
+  Format.asprintf "twig join %a" Suffix_query.pp_path
     (Suffix_query.find_item branch branch.output).path
 
 (** [branch_joins storage branches] — one join per union branch of a

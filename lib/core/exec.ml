@@ -195,21 +195,19 @@ let qcache_for ?cache storage =
    cache and the footprint: a point interval for equality probes
    (absolute paths match exactly the interval's left endpoint), the
    fetched range otherwise. *)
-let point v = Blas_label.Interval.make v v
-
 let scan_signature table path =
   if String.equal (Blas_rel.Table.name table) "sp" then
     match path with
     | Blas_rel.Algebra.Index_eq
-        { column = "plabel"; value = Blas_rel.Value.Big v } ->
-      Some (point v)
+        { column = "plabel"; value = Blas_rel.Value.Int v } ->
+      Some (v, v)
     | Blas_rel.Algebra.Index_range
         {
           column = "plabel";
-          lo = Some (Blas_rel.Value.Big lo);
-          hi = Some (Blas_rel.Value.Big hi);
+          lo = Some (Blas_rel.Value.Int lo);
+          hi = Some (Blas_rel.Value.Int hi);
         } ->
-      Some (Blas_label.Interval.make lo hi)
+      Some (lo, hi)
     | _ -> None
   else None
 
@@ -242,13 +240,7 @@ let footprint (storage : Storage.t) branches =
     (fun (b : Suffix_query.t) ->
       List.filter_map
         (fun (it : Suffix_query.item) ->
-          Option.map
-            (fun iv ->
-              if it.path.Blas_label.Plabel.absolute then
-                point (Blas_label.Interval.lo iv)
-              else iv)
-            (Blas_label.Plabel.suffix_path_interval storage.Storage.table
-               it.path))
+          Suffix_query.interval storage.Storage.guide it.path)
         b.Suffix_query.items)
     branches
 

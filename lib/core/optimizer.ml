@@ -101,7 +101,7 @@ let note_update storage (r : Blas_update.Update_engine.report) =
   match Storage.ostats storage with
   | None -> ()
   | Some stats ->
-    if r.table_rebuilt || r.invalidation.inv_full then refresh storage
+    if r.invalidation.inv_full then refresh storage
     else begin
       (* Relabelings move D-labels but change no path or value
          population, so only structural/text churn ages the statistics'

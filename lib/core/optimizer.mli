@@ -11,7 +11,7 @@
     persisted in the [.blasdb] catalog, and kept coherent by the update
     protocol: {!note_update} accumulates a staleness counter, and once
     the stale fraction crosses {!Blas_optimizer.Stats.stale_threshold}
-    (or an edit rebuilds the tag inventory) the stats are resampled and
+    (or an edit moves labels wholesale) the stats are resampled and
     the cache's stats epoch advances, orphaning memoized picks. *)
 
 module Stats = Blas_optimizer.Stats
@@ -58,6 +58,6 @@ val refresh : ?seed:int -> Storage.t -> unit
 (** The update-protocol hook, called inside {!Update.apply} (and hence
     inside the WAL transaction of a disk-backed storage, so a triggered
     resample is persisted with the edit): accumulates the staleness
-    counter and resamples when the edit rebuilt the tag inventory or
-    pushed the stale fraction over the threshold. *)
+    counter and resamples when the edit moved labels wholesale (a full
+    invalidation) or pushed the stale fraction over the threshold. *)
 val note_update : Storage.t -> Blas_update.Update_engine.report -> unit

@@ -3,13 +3,12 @@
 
 module Lru = Blas_cache.Lru
 module Stats = Blas_cache.Stats
-module Interval = Blas_label.Interval
 
 type result_entry = {
   r_starts : int list;
   r_plan_djoins : int;
   r_sql : Blas_rel.Sql_ast.t option;
-  r_footprint : Blas_label.Interval.t list;
+  r_footprint : (int * int) list;
 }
 
 (* A scan entry: the columns its access read (table order) and the
@@ -18,7 +17,7 @@ type scan_entry = { s_cols : string list; s_rows : Blas_rel.Tuple.t list }
 
 type t = {
   results : (string, result_entry) Lru.t;
-  scans : (Interval.t, scan_entry) Lru.t;
+  scans : (int * int, scan_entry) Lru.t;
   enabled : bool Atomic.t;
   (* Epoch bumps happen only inside update application, which is
      single-writer; queries read it racily, which at worst misses a
@@ -38,7 +37,7 @@ let result_weight e =
 
 (* A scan entry: a fixed overhead plus, per row, the list cell and the
    tuple header (32 bytes) and per column a slot and a boxed value
-   (24 bytes; strings and P-labels run longer). *)
+   (24 bytes; strings run longer). *)
 let scan_weight e =
   128 + (List.length e.s_rows * (32 + (24 * List.length e.s_cols)))
 
@@ -93,8 +92,7 @@ let scan t interval ~table_cols ~cols ~benefit ~fetch =
     put_scan t interval ~benefit:(benefit rows) ~cols:wide rows;
     (wide, rows)
 
-let touched ~plabels interval =
-  List.exists (fun p -> Interval.mem p interval) plabels
+let touched ~plabels (lo, hi) = List.exists (fun p -> lo <= p && p <= hi) plabels
 
 let invalidate t ~full ~schema_changed ~plabels =
   if full then clear t

@@ -34,11 +34,12 @@
     perfbench workloads.
 
     Epochs: the schema epoch advances whenever the translation inputs
-    change — a tag-inventory rebuild or any edit that changes the
-    DataGuide's path set — which orphans (and flushes) result entries
-    wholesale; scan entries survive schema changes (their keys depend
-    only on the tag inventory) and die individually through
-    {!invalidate}. *)
+    change — any edit that changes the DataGuide's path set — which
+    orphans (and flushes) result entries wholesale.  Scan entries
+    survive schema changes and die individually through {!invalidate}:
+    an entry holds exactly the rows whose P-label lies in its interval,
+    and a new path's nodes carry labels that were free before, which
+    the edit reports.  A P-label respread flushes both layers. *)
 
 type t
 
@@ -47,7 +48,7 @@ type result_entry = {
   r_starts : int list;
   r_plan_djoins : int;
   r_sql : Blas_rel.Sql_ast.t option;
-  r_footprint : Blas_label.Interval.t list;
+  r_footprint : (int * int) list;
       (** the P-intervals of every item the decomposition scans *)
 }
 
@@ -85,7 +86,7 @@ val put_result : t -> string -> benefit:int -> result_entry -> unit
     [cols]. *)
 val find_scan :
   t ->
-  Blas_label.Interval.t ->
+  int * int ->
   cols:string list ->
   (string list * Blas_rel.Tuple.t list) option
 
@@ -94,7 +95,7 @@ val find_scan :
     [interval]; [benefit] is the pages a hit saves. *)
 val put_scan :
   t ->
-  Blas_label.Interval.t ->
+  int * int ->
   benefit:int ->
   cols:string list ->
   Blas_rel.Tuple.t list ->
@@ -108,7 +109,7 @@ val put_scan :
     with [benefit rows]. *)
 val scan :
   t ->
-  Blas_label.Interval.t ->
+  int * int ->
   table_cols:string list ->
   cols:string list ->
   benefit:(Blas_rel.Tuple.t list -> int) ->
@@ -125,7 +126,7 @@ val invalidate :
   t ->
   full:bool ->
   schema_changed:bool ->
-  plabels:Blas_label.Bignum.t list ->
+  plabels:int list ->
   unit
 
 (* Reporting *)

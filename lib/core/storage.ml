@@ -107,9 +107,9 @@ type disk = {
 type t = {
   doc_slot : doc_slot;
   mutable guide : Blas_xml.Dataguide.t;
-      (* resident copy of the dataguide: the planner must not force the
-         document of a disk-backed storage just to read path structure *)
-  mutable table : Blas_label.Tag_table.t;
+      (* resident copy of the dataguide and so of the P-labels: the
+         planner must not force the document of a disk-backed storage
+         just to read path structure *)
   mutable sp : Blas_rel.Table.t;
   mutable sd : Blas_rel.Table.t;
   pool : Blas_rel.Buffer_pool.t;
@@ -174,21 +174,18 @@ let collect_ostats ?seed ?epoch (doc : Blas_xpath.Doc.t) =
 
 (** [of_doc doc] builds both relations on an in-memory page store —
     the same 4 KiB pages at 0.9 fill and page directories that a
-    database file of [doc] holds.  P-labels come from the node's
-    source path (Definition 3.3), which the test suite checks against
-    the streaming Algorithm 2. *)
+    database file of [doc] holds.  P-labels are the labels of the
+    nodes' source paths in the document's guide (Definition 3.3). *)
 let of_doc ?(pool_capacity = default_pool_capacity) ?(collect_stats = true)
     ?(codec = Blas_rel.Codec.default_format) (doc : Blas_xpath.Doc.t) =
-  let table = Blas_label.Tag_table.of_dataguide doc.guide in
   let store = Blas_rel.Page_store.memory ~pool_capacity ~codec () in
-  let sp, sd = Blas_update.Layout.tables store table doc in
+  let sp, sd = Blas_update.Layout.tables store doc in
   let pool = store.Blas_rel.Page_store.pool in
   (* the bulk load's writes are not this storage's traffic *)
   Blas_rel.Buffer_pool.reset_stats pool;
   {
     doc_slot = { dv = Some doc; dbuild = None };
     guide = doc.guide;
-    table;
     sp;
     sd;
     pool;
@@ -201,12 +198,11 @@ let of_doc ?(pool_capacity = default_pool_capacity) ?(collect_stats = true)
 (** [assemble] wires a storage from already-built components — the
     disk-open path ({!Database}): the document model stays lazy behind
     [build_doc]. *)
-let assemble ?(codec = Blas_rel.Codec.V1) ~build_doc ~guide ~table ~sp ~sd
+let assemble ?(codec = Blas_rel.Codec.V1) ~build_doc ~guide ~sp ~sd
     ~pool () =
   {
     doc_slot = { dv = None; dbuild = Some build_doc };
     guide;
-    table;
     sp;
     sd;
     pool;

@@ -90,8 +90,8 @@ type disk = {
 type t = {
   doc_slot : doc_slot;  (** lazy document model — read via {!doc} *)
   mutable guide : Blas_xml.Dataguide.t;
-      (** resident dataguide (planning must not force the document) *)
-  mutable table : Blas_label.Tag_table.t;
+      (** resident dataguide, the P-labels SP carries with it (planning
+          and translation must not force the document) *)
   mutable sp : Blas_rel.Table.t;
   mutable sd : Blas_rel.Table.t;
   pool : Blas_rel.Buffer_pool.t;  (** page cache shared by SP and SD *)
@@ -141,7 +141,6 @@ val assemble :
   ?codec:Blas_rel.Codec.format ->
   build_doc:(unit -> Blas_xpath.Doc.t) ->
   guide:Blas_xml.Dataguide.t ->
-  table:Blas_label.Tag_table.t ->
   sp:Blas_rel.Table.t ->
   sd:Blas_rel.Table.t ->
   pool:Blas_rel.Buffer_pool.t ->

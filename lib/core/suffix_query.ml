@@ -10,9 +10,17 @@
     difference), [At_least k] when the chain started with a descendant
     axis. *)
 
+(** A suffix path expression (Definition 2.3). *)
+type path = {
+  absolute : bool;
+      (** [true] for a simple path (leading "/"), [false] for a leading
+          descendant step "//" *)
+  tags : string list;  (** outermost tag first *)
+}
+
 type item = {
   id : int;
-  path : Blas_label.Plabel.suffix_path;
+  path : path;
   value : Blas_xpath.Ast.value_constraint option;
       (** data constraint on the item's leaf *)
 }
@@ -48,8 +56,14 @@ let pp_gap ppf = function
   | Exact k -> Format.fprintf ppf "=%d" k
   | At_least k -> Format.fprintf ppf ">=%d" k
 
+let pp_path ppf { absolute; tags } =
+  Format.fprintf ppf "%s%s" (if absolute then "/" else "//") (String.concat "/" tags)
+
+let interval guide { absolute; tags } =
+  Blas_xml.Dataguide.suffix_interval guide ~absolute ~tags
+
 let pp_item ppf { id; path; value } =
-  Format.fprintf ppf "%s: %a" (alias id) Blas_label.Plabel.pp_suffix_path path;
+  Format.fprintf ppf "%s: %a" (alias id) pp_path path;
   match value with
   | Some (Blas_xpath.Ast.Equals v) -> Format.fprintf ppf " = %S" v
   | Some (Blas_xpath.Ast.Differs v) -> Format.fprintf ppf " != %S" v

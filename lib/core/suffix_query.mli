@@ -9,9 +9,17 @@
     of [k] child axes (Section 4.1.1 records this level difference),
     [At_least k] when the chain started with a descendant axis. *)
 
+(** A suffix path expression (Definition 2.3). *)
+type path = {
+  absolute : bool;
+      (** [true] for a simple path (leading "/"), [false] for a leading
+          descendant step "//" *)
+  tags : string list;  (** outermost tag first *)
+}
+
 type item = {
   id : int;  (** 1-based, dense *)
-  path : Blas_label.Plabel.suffix_path;
+  path : path;
   value : Blas_xpath.Ast.value_constraint option;
       (** data constraint on the item's leaf *)
 }
@@ -42,6 +50,13 @@ val children_of : t -> int -> join list
 
 (** SQL alias for an item id ("T1", "T2", ...). *)
 val alias : int -> string
+
+val pp_path : Format.formatter -> path -> unit
+
+(** [interval guide path] — the P-label interval [(lo, hi)] of [path] on
+    the document [guide] describes ({!Blas_xml.Dataguide.suffix_interval});
+    [None] when [path] is provably empty there. *)
+val interval : Blas_xml.Dataguide.t -> path -> (int * int) option
 
 val pp_item : Format.formatter -> item -> unit
 

@@ -14,10 +14,10 @@ let col id column = Blas_rel.Sql_ast.Col (Suffix_query.alias id ^ "." ^ column)
 
 (* P-label and data conditions for one item; None if the item's path
    mentions a tag absent from the document (empty answer). *)
-let item_conditions table (item : Suffix_query.item) =
-  match Blas_label.Plabel.suffix_path_interval table item.path with
+let item_conditions guide (item : Suffix_query.item) =
+  match Suffix_query.interval guide item.path with
   | None -> None
-  | Some interval ->
+  | Some (lo, hi) ->
     let plabel = col item.id "plabel" in
     let structural =
       if item.path.absolute then
@@ -25,7 +25,7 @@ let item_conditions table (item : Suffix_query.item) =
           {
             Blas_rel.Sql_ast.lhs = plabel;
             cmp = Blas_rel.Sql_ast.Eq;
-            rhs = Blas_rel.Sql_ast.Big (Blas_label.Interval.lo interval);
+            rhs = Blas_rel.Sql_ast.Int lo;
           };
         ]
       else
@@ -33,12 +33,12 @@ let item_conditions table (item : Suffix_query.item) =
           {
             Blas_rel.Sql_ast.lhs = plabel;
             cmp = Blas_rel.Sql_ast.Ge;
-            rhs = Blas_rel.Sql_ast.Big (Blas_label.Interval.lo interval);
+            rhs = Blas_rel.Sql_ast.Int lo;
           };
           {
             Blas_rel.Sql_ast.lhs = plabel;
             cmp = Blas_rel.Sql_ast.Le;
-            rhs = Blas_rel.Sql_ast.Big (Blas_label.Interval.hi interval);
+            rhs = Blas_rel.Sql_ast.Int hi;
           };
         ]
     in
@@ -83,11 +83,11 @@ let join_conditions (j : Suffix_query.join) =
 
 (** One SELECT block for one decomposition; [None] when some item is
     provably empty. *)
-let branch_to_select table (d : Suffix_query.t) =
+let branch_to_select guide (d : Suffix_query.t) =
   let rec conditions acc = function
     | [] -> Some (List.concat (List.rev acc))
     | item :: rest -> (
-      match item_conditions table item with
+      match item_conditions guide item with
       | None -> None
       | Some conds -> conditions (conds :: acc) rest)
   in
@@ -105,7 +105,7 @@ let branch_to_select table (d : Suffix_query.t) =
 (** [to_sql storage branches] composes the full SQL query plan; [None]
     when every branch is empty. *)
 let to_sql (storage : Storage.t) (branches : Suffix_query.t list) =
-  match List.filter_map (branch_to_select storage.table) branches with
+  match List.filter_map (branch_to_select storage.guide) branches with
   | [] -> None
   | [ s ] -> Some (Blas_rel.Sql_ast.Select s)
   | ss -> Some (Blas_rel.Sql_ast.Union (List.map (fun s -> Blas_rel.Sql_ast.Select s) ss))

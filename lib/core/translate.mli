@@ -9,7 +9,7 @@
 (** One SELECT block for one decomposition; [None] when some item is
     provably empty on this document. *)
 val branch_to_select :
-  Blas_label.Tag_table.t -> Suffix_query.t -> Blas_rel.Sql_ast.select option
+  Blas_xml.Dataguide.t -> Suffix_query.t -> Blas_rel.Sql_ast.select option
 
 (** [to_sql storage branches] composes the full SQL query plan; [None]
     when every branch is empty. *)

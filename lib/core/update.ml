@@ -19,7 +19,7 @@ module Engine = Blas_update.Update_engine
 type invalidation = Engine.invalidation = {
   inv_full : bool;
   inv_schema_changed : bool;
-  inv_plabels : Blas_label.Bignum.t list;
+  inv_plabels : int list;
 }
 
 type report = Engine.report = {
@@ -28,8 +28,6 @@ type report = Engine.report = {
   nodes_relabeled : int;  (** existing nodes whose D-label moved *)
   plabels_allocated : int;  (** P-labels computed for this edit *)
   pages_written : int;  (** pages written through the buffer pool *)
-  table_rebuilt : bool;
-      (** the tag inventory changed, so every P-label was recomputed *)
   invalidation : invalidation;  (** what the query cache dropped *)
 }
 
@@ -38,7 +36,6 @@ let pp_report = Engine.pp_report
 let target_of (storage : Storage.t) : Engine.target =
   {
     doc = Storage.doc storage;
-    table = storage.table;
     sp = storage.sp;
     sd = storage.sd;
     pool = storage.pool;
@@ -49,7 +46,6 @@ let apply storage op =
     let target = target_of storage in
     let report = op target in
     Storage.set_doc storage target.Engine.doc;
-    storage.Storage.table <- target.Engine.table;
     storage.Storage.sp <- target.Engine.sp;
     storage.Storage.sd <- target.Engine.sd;
     (* Fine-grained cache invalidation: drop exactly the entries whose

@@ -1,7 +1,8 @@
 (** Incremental updates on a built storage — insert/delete subtrees and
     replace text values in place, maintaining both labelings (D-labels
     by gap allocation with localized renumbering as fallback, P-labels
-    by interval subdivision), the document model and DataGuide, and the
+    by gaps in the guide's reversed-path order), the document model and
+    DataGuide, and the
     clustered SP/SD relations and their page directories through the
     buffer pool.  See {!Blas_update.Update_engine} for the mechanics. *)
 
@@ -10,7 +11,7 @@
 type invalidation = Blas_update.Update_engine.invalidation = {
   inv_full : bool;
   inv_schema_changed : bool;
-  inv_plabels : Blas_label.Bignum.t list;
+  inv_plabels : int list;
 }
 
 type report = Blas_update.Update_engine.report = {
@@ -19,8 +20,6 @@ type report = Blas_update.Update_engine.report = {
   nodes_relabeled : int;  (** existing nodes whose D-label moved *)
   plabels_allocated : int;  (** P-labels computed for this edit *)
   pages_written : int;  (** pages written through the buffer pool *)
-  table_rebuilt : bool;
-      (** the tag inventory changed, so every P-label was recomputed *)
   invalidation : invalidation;  (** what the query cache dropped *)
 }
 

@@ -8,8 +8,10 @@
     - [0] NULL — nothing
     - [1] non-negative int — varint
     - [2] negative int — varint of [-n-1]
-    - [3] big integer — length-prefixed decimal string
     - [4] string — length-prefixed bytes
+
+    (Tag [3] held the decimal P-labels of catalogs before v6; SP pages
+    of such a file are relabeled, never read.)
 
     A tuple is its arity (varint) followed by its values; a data page
     payload is a row count (varint) followed by that many tuples.
@@ -38,11 +40,9 @@
     lies in an inclusive range.  Under v2 it decides on the encoded key
     block without building a value: each bound is compared against the
     encoded form [(tag, payload)] in {!Value.compare}'s order — Null <
-    Int < Big < Str; ints by value, Bigs by length and then bytes
-    (numeric, since the payload is the canonical decimal), strings by
-    bytes.  A dict+RLE block tests each dictionary entry once and walks
-    the runs, int-delta keeps an unboxed running sum, raw reads values
-    in place.  Only the columns the caller asks for are then read, and
+    Int < Str; ints by value, strings by bytes.  A dict+RLE block tests
+    each dictionary entry once and walks the runs, int-delta keeps an
+    unboxed running sum, raw reads values in place.  Only the columns the caller asks for are then read, and
     only at the passing rows: int-delta boxes only the hits, a
     dictionary converts only the entries the hits reference, raw skips
     the failing values without allocating.  v1 tests the key in place
@@ -86,34 +86,7 @@ let default_format =
   | None | Some "" | Some "0" -> V1
   | Some _ -> V2
 
-(* The decimal text of the last big value a page codec converted: a
-   page clusters its rows by P-label, so runs of rows share one label
-   and each run is converted once. *)
-type big_memo = { mutable mb : Blas_label.Bignum.t; mutable ms : string }
-
-let big_memo () = { mb = Blas_label.Bignum.zero; ms = "0" }
-
-let big_text memo b =
-  match memo with
-  | None -> Blas_label.Bignum.to_string b
-  | Some m ->
-      if not (b == m.mb || Blas_label.Bignum.equal b m.mb) then begin
-        m.mb <- b;
-        m.ms <- Blas_label.Bignum.to_string b
-      end;
-      m.ms
-
-let big_of_text memo s =
-  match memo with
-  | None -> Blas_label.Bignum.of_string s
-  | Some m ->
-      if not (String.equal s m.ms) then begin
-        m.ms <- s;
-        m.mb <- Blas_label.Bignum.of_string s
-      end;
-      m.mb
-
-let add_value ?memo buf v =
+let add_value buf v =
   match (v : Value.t) with
   | Null -> Wire.write_u8 buf 0
   | Int n when n >= 0 ->
@@ -122,32 +95,28 @@ let add_value ?memo buf v =
   | Int n ->
       Wire.write_u8 buf 2;
       Wire.write_varint buf (-n - 1)
-  | Big b ->
-      Wire.write_u8 buf 3;
-      Wire.write_string buf (big_text memo b)
   | Str s ->
       Wire.write_u8 buf 4;
       Wire.write_string buf s
 
-let read_value ?memo r : Value.t =
+let read_value r : Value.t =
   match Wire.read_u8 r with
   | 0 -> Null
   | 1 -> Int (Wire.read_varint r)
   | 2 -> Int (-Wire.read_varint r - 1)
-  | 3 -> Big (big_of_text memo (Wire.read_string r))
   | 4 -> Str (Wire.read_string r)
   | tag -> failwith (Printf.sprintf "Codec.read_value: unknown tag %d" tag)
 
-let add_tuple ?memo buf t =
+let add_tuple buf t =
   let n = Tuple.arity t in
   Wire.write_varint buf n;
   for i = 0 to n - 1 do
-    add_value ?memo buf (Tuple.get t i)
+    add_value buf (Tuple.get t i)
   done
 
-let read_tuple ?memo r =
+let read_tuple r =
   let n = Wire.read_varint r in
-  Tuple.of_list (List.init n (fun _ -> read_value ?memo r))
+  Tuple.of_list (List.init n (fun _ -> read_value r))
 
 let encode_value v =
   let buf = Buffer.create 16 in
@@ -174,9 +143,6 @@ let value_bytes (v : Value.t) =
   | Null -> 0
   | Int n when n >= 0 -> varint_bytes n
   | Int n -> varint_bytes (-n - 1)
-  | Big b ->
-      let n = Blas_label.Bignum.decimal_length b in
-      varint_bytes n + n
   | Str s -> string_bytes s
 
 (** Encoded v1 size of one tuple in bytes (the v1 packer's
@@ -195,8 +161,7 @@ let tuple_bytes t =
 let encode_page_v1 tuples =
   let buf = Buffer.create 512 in
   Wire.write_varint buf (List.length tuples);
-  let memo = big_memo () in
-  List.iter (add_tuple ~memo buf) tuples;
+  List.iter (add_tuple buf) tuples;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -235,7 +200,6 @@ let value_tag = function
   | Value.Null -> 0
   | Value.Int n when n >= 0 -> 1
   | Value.Int _ -> 2
-  | Value.Big _ -> 3
   | Value.Str _ -> 4
 
 let value_payload v =
@@ -249,7 +213,6 @@ let value_payload v =
       let buf = Buffer.create 8 in
       Wire.write_varint buf (-n - 1);
       Buffer.contents buf
-  | Big b -> Blas_label.Bignum.to_string b
   | Str s -> s
 
 let value_of_tag_payload tag payload : Value.t =
@@ -257,7 +220,6 @@ let value_of_tag_payload tag payload : Value.t =
   | 0 -> Null
   | 1 -> Int (Wire.read_varint (Wire.reader payload))
   | 2 -> Int (-Wire.read_varint (Wire.reader payload) - 1)
-  | 3 -> Big (Blas_label.Bignum.of_string payload)
   | 4 -> Str payload
   | _ -> failwith (Printf.sprintf "Codec: unknown dictionary tag %d" tag)
 
@@ -446,23 +408,21 @@ let encode_page_v2 tuples =
 (* The encoded order                                                   *)
 
 (* A select bound as the encoded values see it: its rank in
-   {!Value.compare}'s cross-type order (Null < Int < Big < Str) and the
-   key it is ordered by within that rank — the int, or the bytes of the
-   canonical decimal (Big) or of the string (Str). *)
+   {!Value.compare}'s cross-type order (Null < Int < Str) and the key
+   it is ordered by within that rank — the int, or the bytes of the
+   string. *)
 type key = { rank : int; k_int : int; k_str : string }
 
 let key_of_value (v : Value.t) =
   match v with
   | Null -> { rank = 0; k_int = 0; k_str = "" }
   | Int n -> { rank = 1; k_int = n; k_str = "" }
-  | Big b -> { rank = 2; k_int = 0; k_str = Blas_label.Bignum.to_string b }
-  | Str s -> { rank = 3; k_int = 0; k_str = s }
+  | Str s -> { rank = 2; k_int = 0; k_str = s }
 
 (* [k] against an encoded value of rank [rank]: the int [n] (rank 1) or
-   the bytes [src.[pos .. pos + len - 1]] (ranks 2 and 3).  Within a
-   rank, ints compare as ints, Bigs by length and then bytes — numeric
-   order, since the payload is the canonical {!Blas_label.Bignum.to_string}
-   — and strings by bytes, as [String.compare] does. *)
+   the bytes [src.[pos .. pos + len - 1]] (rank 2).  Within a rank,
+   ints compare as ints and strings by bytes, as [String.compare]
+   does. *)
 let cmp_key k rank n src pos len =
   if k.rank <> rank then Int.compare k.rank rank
   else if rank = 0 then 0
@@ -470,16 +430,12 @@ let cmp_key k rank n src pos len =
   else begin
     let s = k.k_str in
     let ls = String.length s in
-    if rank = 2 && ls <> len then Int.compare ls len
-    else begin
-      let m = min ls len in
-      let i = ref 0 in
-      while !i < m && s.[!i] = src.[pos + !i] do
-        incr i
-      done;
-      if !i < m then Char.compare s.[!i] src.[pos + !i]
-      else Int.compare ls len
-    end
+    let m = min ls len in
+    let i = ref 0 in
+    while !i < m && s.[!i] = src.[pos + !i] do
+      incr i
+    done;
+    if !i < m then Char.compare s.[!i] src.[pos + !i] else Int.compare ls len
   end
 
 (* Whether an encoded value (as for {!cmp_key}) lies in [lo, hi]. *)
@@ -490,8 +446,7 @@ let within lo hi rank n src pos len =
 let tag_rank = function
   | 0 -> 0
   | 1 | 2 -> 1
-  | 3 -> 2
-  | 4 -> 3
+  | 4 -> 2
   | tag -> failwith (Printf.sprintf "Codec: unknown value tag %d" tag)
 
 (* The int a tag-1 or tag-2 payload (a varint) stands for. *)
@@ -521,7 +476,7 @@ let skip_value (r : Wire.reader) =
   match Wire.read_u8 r with
   | 0 -> ()
   | 1 | 2 -> ignore (Wire.read_varint r)
-  | 3 | 4 ->
+  | 4 ->
       let len = Wire.read_varint r in
       if len > Wire.remaining r then raise Wire.Truncated;
       r.pos <- r.pos + len
@@ -534,12 +489,12 @@ let raw_within lo hi (r : Wire.reader) =
   | 0 -> within lo hi 0 0 "" 0 0
   | 1 -> within lo hi 1 (Wire.read_varint r) "" 0 0
   | 2 -> within lo hi 1 (-Wire.read_varint r - 1) "" 0 0
-  | (3 | 4) as tag ->
+  | 4 ->
       let len = Wire.read_varint r in
       if len > Wire.remaining r then raise Wire.Truncated;
       let pos = r.pos in
       r.pos <- pos + len;
-      within lo hi (tag_rank tag) 0 r.src pos len
+      within lo hi 2 0 r.src pos len
   | tag -> failwith (Printf.sprintf "Codec.read_value: unknown tag %d" tag)
 
 (* ------------------------------------------------------------------ *)
@@ -819,13 +774,12 @@ let select_v1 ~cols ~col ~lo ~hi =
   fun onto payload ->
   let r = Wire.reader payload in
   let n = Wire.read_varint r in
-  let memo = Some (big_memo ()) in
   let read_row arity =
     match cols with
     | None ->
         let t = Array.make arity Value.Null in
         for i = 0 to arity - 1 do
-          t.(i) <- read_value ?memo r
+          t.(i) <- read_value r
         done;
         t
     | Some cols ->
@@ -834,7 +788,7 @@ let select_v1 ~cols ~col ~lo ~hi =
         let t = Array.make (Array.length cols) Value.Null in
         for i = 0 to arity - 1 do
           let j = if i < Array.length slot then slot.(i) else -1 in
-          if j >= 0 then t.(j) <- read_value ?memo r else skip_value r
+          if j >= 0 then t.(j) <- read_value r else skip_value r
         done;
         t
   in
@@ -870,8 +824,7 @@ let select_v1 ~cols ~col ~lo ~hi =
     every column).  Both layouts decide on the encoded key and build
     values only for the passing rows and the requested columns: v2
     reads just those column blocks at the hits, v1 tests the key in
-    place and skips the values it does not return, so a P-label becomes
-    a bignum only when it is asked for.  Applied to everything but the
+    place and skips the values it does not return.  Applied to everything but the
     page, [select] converts the bounds once, for a caller selecting
     from many pages. *)
 let select ?(format = V1) ?cols ~col ~lo ~hi =

@@ -1,13 +1,12 @@
 (** Abstract syntax for the SQL subset the BLAS translators emit:
     conjunctive select-project-join blocks over aliased tables, combined
     with UNION (Unfold needs it).  Expressions cover column references,
-    integer / big-integer / string literals, and the [col + k] arithmetic
+    integer and string literals, and the [col + k] arithmetic
     used by level-gap predicates. *)
 
 type expr =
   | Col of string  (** possibly qualified, e.g. "T1.start" *)
   | Int of int
-  | Big of Blas_label.Bignum.t
   | Str of string
   | Add of expr * expr
   | Sub of expr * expr

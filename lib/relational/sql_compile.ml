@@ -31,7 +31,6 @@ let split_qualified name =
 
 let const_of_expr = function
   | Sql_ast.Int i -> Some (Value.Int i)
-  | Sql_ast.Big b -> Some (Value.Big b)
   | Sql_ast.Str s -> Some (Value.Str s)
   | Sql_ast.Col _ | Sql_ast.Add _ | Sql_ast.Sub _ -> None
 
@@ -65,7 +64,7 @@ let rec col_plus_offset = function
     match col_plus_offset e with Some (c, o) -> Some (c, o + k) | None -> None)
   | Sql_ast.Sub (e, Sql_ast.Int k) -> (
     match col_plus_offset e with Some (c, o) -> Some (c, o - k) | None -> None)
-  | Sql_ast.Int _ | Sql_ast.Big _ | Sql_ast.Str _ | Sql_ast.Sub _ | Sql_ast.Add _ ->
+  | Sql_ast.Int _ | Sql_ast.Str _ | Sql_ast.Sub _ | Sql_ast.Add _ ->
     None
 
 let classify ~default_alias { Sql_ast.lhs; cmp; rhs } =

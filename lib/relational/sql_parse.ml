@@ -1,8 +1,7 @@
 (** A recursive-descent parser for the SQL subset printed by
     {!Sql_print}: select-from-where blocks with conjunctive WHERE clauses,
     combined by UNION, with parenthesized blocks.  Keywords are
-    case-insensitive.  Numeric literals of any size parse to big integers
-    when they exceed the native range. *)
+    case-insensitive.  Numeric literals parse to native integers. *)
 
 exception Error of string
 
@@ -115,7 +114,7 @@ let expect_keyword st kw =
 let parse_number text =
   match int_of_string_opt text with
   | Some i -> Sql_ast.Int i
-  | None -> Sql_ast.Big (Blas_label.Bignum.of_string text)
+  | None -> raise (Error (Printf.sprintf "number out of range: %s" text))
 
 let parse_atom st =
   match peek st with

@@ -6,7 +6,6 @@ open Sql_ast
 let rec pp_expr ppf = function
   | Col c -> Format.pp_print_string ppf c
   | Int i -> Format.pp_print_int ppf i
-  | Big b -> Blas_label.Bignum.pp ppf b
   | Str s ->
     Format.fprintf ppf "'%s'" (String.concat "''" (String.split_on_char '\'' s))
   | Add (a, b) -> Format.fprintf ppf "%a + %a" pp_expr a pp_expr b

@@ -1,12 +1,11 @@
 (** Attribute values of the relational substrate: NULL, native integers
-    (D-label components), big integers (P-labels) and strings (tags and
-    PCDATA).  Values are ordered within a type; the cross-type order
-    exists only to make {!compare} total. *)
+    (D-label components and P-labels) and strings (tags and PCDATA).
+    Values are ordered within a type; the cross-type order exists only
+    to make {!compare} total. *)
 
 type t =
   | Null
   | Int of int
-  | Big of Blas_label.Bignum.t
   | Str of string
 
 val compare : t -> t -> int

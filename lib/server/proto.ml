@@ -299,15 +299,15 @@ let command_to_line = function
 (* Invalidation records on the wire                                    *)
 
 (** [invalidation_to_string inv] — one space-free-field line:
-    [full=<0|1> schema=<0|1> plabels=<p,p,...|->].  P-labels are
-    decimal bignums, so the encoding is exact. *)
+    [full=<0|1> schema=<0|1> plabels=<p,p,...|->], P-labels in
+    decimal. *)
 let invalidation_to_string (inv : Blas.Update.invalidation) =
   Printf.sprintf "full=%d schema=%d plabels=%s"
     (if inv.Blas.Update.inv_full then 1 else 0)
     (if inv.Blas.Update.inv_schema_changed then 1 else 0)
     (match inv.Blas.Update.inv_plabels with
     | [] -> "-"
-    | ps -> String.concat "," (List.map Blas_label.Bignum.to_string ps))
+    | ps -> String.concat "," (List.map string_of_int ps))
 
 (** Inverse of {!invalidation_to_string}; [None] on malformed input. *)
 let invalidation_of_string s =
@@ -327,14 +327,20 @@ let invalidation_of_string s =
         | "1" -> Some true
         | _ -> None
       in
+      let label_of s =
+        if s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s then
+          int_of_string_opt s
+        else None
+      in
       let plabels_of = function
         | "-" -> Some []
-        | s -> (
-          try
-            Some
-              (List.map Blas_label.Bignum.of_string
-                 (String.split_on_char ',' s))
-          with Invalid_argument _ -> None)
+        | s ->
+          List.fold_right
+            (fun tok acc ->
+              match (label_of tok, acc) with
+              | Some p, Some ps -> Some (p :: ps)
+              | _ -> None)
+            (String.split_on_char ',' s) (Some [])
       in
       match (bool_of f, bool_of sc, plabels_of pl) with
       | Some inv_full, Some inv_schema_changed, Some inv_plabels ->

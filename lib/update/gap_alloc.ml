@@ -12,8 +12,8 @@
     Fraigniaud & Korman.
 
     Positions are native ints throughout the relational layer; the
-    scaling product below goes through {!Blas_label.Bignum} so that a
-    huge gap times a slot index cannot overflow. *)
+    scaling below splits the gap into whole strides and a remainder so
+    that a huge gap times a slot index cannot overflow. *)
 
 (* Spacing used when a full renumbering is unavoidable: each slot gets
    four positions of room, so the next insert at the same spot finds a
@@ -31,14 +31,11 @@ let spread ~lo ~hi ~slots =
   if gap < slots then invalid_arg "Gap_alloc.spread: gap too small";
   if slots = 0 then [||]
   else
-    let g = Blas_label.Bignum.of_int gap in
-    Array.init slots (fun i ->
-        let scaled =
-          Blas_label.Bignum.div_int (Blas_label.Bignum.mul_int g i) slots
-        in
-        match Blas_label.Bignum.to_int_opt scaled with
-        | Some offset -> lo + 1 + offset
-        | None -> assert false (* scaled < gap <= max_int *))
+    (* gap * i / slots = q * i + r * i / slots exactly, and r * i <
+       slots^2 stays far below max_int for any slot count an insert
+       asks for. *)
+    let q = gap / slots and r = gap mod slots in
+    Array.init slots (fun i -> lo + 1 + (q * i) + (r * i / slots))
 
 (** [fresh ~slots] — positions for a full renumbering: slot [i] sits at
     [1 + headroom * i], leaving [headroom - 1] free positions after

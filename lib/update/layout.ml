@@ -4,8 +4,8 @@
     {tag, start} for the D-labeling baseline.  The clustering is the
     index: each table's page directory serves the selections on its
     leading column, and there are no secondary indexes.  The index
-    build, the database bulk load and the update engine's rebuild all
-    load tables through {!load}. *)
+    build, the database bulk load and the relabeling of an old catalog
+    all load tables through {!load}. *)
 
 module Doc = Blas_xpath.Doc
 module Rel = Blas_rel
@@ -33,10 +33,16 @@ let row lead (n : Doc.node) ~start ~fin ~data =
   Rel.Tuple.of_list
     [ lead; Rel.Value.Int start; Rel.Value.Int fin; Rel.Value.Int n.level; data_value data ]
 
-(** The SP row of [n] at the given labels and text; its P-label comes
-    from [table] and the node's source path (Definition 3.3). *)
-let sp_row table (n : Doc.node) =
-  row (Rel.Value.Big (Blas_label.Plabel.node_label table n.source_path)) n
+(** The P-label of a node: its source path's label in [guide]
+    (Definition 3.3). *)
+let plabel guide (n : Doc.node) =
+  match Blas_xml.Dataguide.label guide n.source_path with
+  | Some l -> l
+  | None -> invalid_arg "Layout.plabel: source path missing from the guide"
+
+(** The SP row of [n] at the given labels and text, its P-label from
+    [guide]. *)
+let sp_row guide (n : Doc.node) = row (Rel.Value.Int (plabel guide n)) n
 
 (** The SD row of [n] at the given labels and text. *)
 let sd_row (n : Doc.node) = row (Rel.Value.Str n.tag) n
@@ -52,10 +58,17 @@ let of_layout store spec ~dir =
   Rel.Table.of_layout store ~name:spec.name ~schema:spec.schema
     ~cluster_key:spec.cluster_key ~dir
 
-(** [tables store table doc] bulk-loads [doc]'s SP and SD into [store],
-    P-labels from [table]. *)
-let tables store table (doc : Doc.t) =
-  let rows f =
-    List.map (fun (n : Doc.node) -> f n ~start:n.start ~fin:n.fin ~data:n.data) doc.all
-  in
-  (load store sp (rows (sp_row table)), load store sd (rows sd_row))
+(** The SP rows of [doc], P-labels from [guide], in document order. *)
+let sp_rows guide (doc : Doc.t) =
+  List.map
+    (fun (n : Doc.node) -> sp_row guide n ~start:n.start ~fin:n.fin ~data:n.data)
+    doc.all
+
+(** [tables store doc] bulk-loads [doc]'s SP and SD into [store],
+    P-labels from the document's guide. *)
+let tables store (doc : Doc.t) =
+  ( load store sp (sp_rows doc.guide doc),
+    load store sd
+      (List.map
+         (fun (n : Doc.node) -> sd_row n ~start:n.start ~fin:n.fin ~data:n.data)
+         doc.all) )

@@ -10,25 +10,23 @@
       when one is exhausted the smallest enclosing ancestor interval
       with enough capacity is renumbered with even spacing (a localized
       relabel — the number of labels moved is reported).
-    - P-labels (Definition 3.3) are the left endpoints of intervals
-      obtained by pure subdivision from the fixed tag inventory, so a
-      newly materialized source path gets its label carved out without
-      moving any existing label ({!Blas_label.Plabel.alloc_path}).
-      Only a tag outside the inventory, or a path deeper than the
-      table's height, forces the inventory — and hence every P-label —
-      to be rebuilt.
+    - P-labels (Definition 3.3) are the labels of source paths in the
+      document's guide, gapped ints in reversed-path order: a newly
+      materialized path takes the midpoint of the gap where it sorts
+      and moves no existing label, whatever its tags or depth.  When
+      that gap has no room, the guide respreads the labels of a small
+      window of neighbouring paths ({!Blas_xml.Dataguide.edit}), and
+      exactly the SP rows of those paths are rewritten.
 
     The relational layer is updated in place: affected rows are deleted
     and inserted at their clustered positions in SP and SD, the page
     directories are spliced to match, and every touched page goes
     through the buffer pool, so updates are paged and counted like reads
-    ({!Blas_rel.Table.apply_edits}).  A tag-inventory change reloads
-    both relations into the same page store ({!Layout.tables}). *)
+    ({!Blas_rel.Table.apply_edits}). *)
 
 module Doc = Blas_xpath.Doc
 module Types = Blas_xml.Types
-module Tag_table = Blas_label.Tag_table
-module Plabel = Blas_label.Plabel
+module Dataguide = Blas_xml.Dataguide
 module Rel_table = Blas_rel.Table
 module Pool = Blas_rel.Buffer_pool
 
@@ -37,7 +35,6 @@ module Pool = Blas_rel.Buffer_pool
     library lets it be tested and reused without the query machinery. *)
 type target = {
   mutable doc : Doc.t;
-  mutable table : Tag_table.t;
   mutable sp : Rel_table.t;
   mutable sd : Rel_table.t;
   pool : Pool.t;
@@ -49,10 +46,12 @@ type target = {
     are the P-labels of every node the edit created, removed, moved or
     re-valued — every SP/SD row the edit changed carries one of them. *)
 type invalidation = {
-  inv_full : bool;  (** labels were recomputed wholesale — flush everything *)
+  inv_full : bool;
+      (** labels moved wholesale (a whole-document renumbering or a
+          P-label respread) — flush everything *)
   inv_schema_changed : bool;
       (** the DataGuide's path set changed, so decompositions may differ *)
-  inv_plabels : Blas_label.Bignum.t list;
+  inv_plabels : int list;
 }
 
 type report = {
@@ -61,17 +60,14 @@ type report = {
   nodes_relabeled : int;  (** existing nodes whose D-label moved *)
   plabels_allocated : int;  (** P-labels computed for this edit *)
   pages_written : int;  (** pages written through the buffer pool *)
-  table_rebuilt : bool;
-      (** the tag inventory changed, so every P-label was recomputed *)
   invalidation : invalidation;  (** what the query cache must drop *)
 }
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "+%d -%d nodes, %d relabeled, %d plabels, %d pages written%s"
+    "+%d -%d nodes, %d relabeled, %d plabels, %d pages written"
     r.nodes_inserted r.nodes_deleted r.nodes_relabeled r.plabels_allocated
     r.pages_written
-    (if r.table_rebuilt then " (tag table rebuilt)" else "")
 
 (* ------------------------------------------------------------------ *)
 (* Metrics sink                                                       *)
@@ -83,13 +79,14 @@ let metrics_sink : Blas_obs.Metrics.t option ref = ref None
     per-edit metrics: [blas.update.ops] and [blas.update.latency_ns]
     (labelled by op), [blas.update.pages_written],
     [blas.update.nodes_relabeled], [blas.update.relabel_escalations]
-    (labelled localized/whole) and [blas.update.table_rebuilds]. *)
+    (labelled localized/whole) and [blas.update.plabel_respreads]. *)
 let set_metrics registry = metrics_sink := registry
 
 (* Finishes an edit: logs its report and, with a sink installed, charges
    the update metrics.  [escalation] says how far the D-label
-   renumbering had to reach (None: the gap sufficed). *)
-let record ~op ?escalation t0 (report : report) =
+   renumbering had to reach (None: the gap sufficed); [respread], that
+   a new path's gap had no room and P-labels were respread. *)
+let record ~op ?escalation ?(respread = false) t0 (report : report) =
   Update_log.Log.debug (fun m -> m "%s: %a" op pp_report report);
   (match !metrics_sink with
   | None -> ()
@@ -107,12 +104,11 @@ let record ~op ?escalation t0 (report : report) =
       incr
         (counter registry ~labels:[ ("scope", scope) ]
            "blas.update.relabel_escalations"));
-    if report.table_rebuilt then
-      incr (counter registry "blas.update.table_rebuilds"));
+    if respread then incr (counter registry "blas.update.plabel_respreads"));
   report
 
-let sp_row table (n : Doc.node) =
-  Layout.sp_row table n ~start:n.start ~fin:n.fin ~data:n.data
+let sp_row guide (n : Doc.node) =
+  Layout.sp_row guide n ~start:n.start ~fin:n.fin ~data:n.data
 
 let sd_row (n : Doc.node) = Layout.sd_row n ~start:n.start ~fin:n.fin ~data:n.data
 
@@ -165,8 +161,6 @@ let crosses_zero (guide : Blas_xml.Dataguide.t) nodes =
     (fun (n : Doc.node) -> Blas_xml.Dataguide.count guide n.source_path = 0)
     nodes
 
-let node_plabel table (n : Doc.node) = Plabel.node_label table n.source_path
-
 (* ------------------------------------------------------------------ *)
 (* Inserted-fragment skeletons                                         *)
 
@@ -194,11 +188,6 @@ let rec skel_of_tree = function
     }
 
 let rec skel_size sk = 1 + List.fold_left (fun a k -> a + skel_size k) 0 sk.skids
-
-let rec skel_depth sk =
-  1 + List.fold_left (fun a k -> max a (skel_depth k)) 0 sk.skids
-
-let rec skel_tags acc sk = List.fold_left skel_tags (sk.stag :: acc) sk.skids
 
 (* ------------------------------------------------------------------ *)
 (* Label assignment                                                    *)
@@ -312,20 +301,6 @@ let rebuild_tree ~relabel ~parent_start ~pos ~new_sub (root : Doc.node) =
   go root
 
 (* ------------------------------------------------------------------ *)
-(* Full rebuild of the relational layer (tag inventory changed)        *)
-
-(* Every P-label moved: the relations are bulk-loaded afresh into the
-   same page store, in place of the old pages (each page written counts
-   in the pool). *)
-let rebuild_tables t (doc : Doc.t) =
-  let store = Rel_table.store t.sp in
-  Rel_table.drop t.sp;
-  Rel_table.drop t.sd;
-  let sp, sd = Layout.tables store t.table doc in
-  t.sp <- sp;
-  t.sd <- sd
-
-(* ------------------------------------------------------------------ *)
 (* insert_subtree                                                      *)
 
 let insert_subtree t ~parent ~pos tree =
@@ -381,25 +356,21 @@ let insert_subtree t ~parent ~pos tree =
       let positions = Gap_alloc.fresh ~slots:(2 * (Doc.node_count doc + k)) in
       assign_whole ~positions ~parent:parent_node ~pos ~sk doc.root
   in
-  (* P-labels: a new source path is labeled by interval subdivision and
-     disturbs nothing; a new tag or excess depth forces an inventory
-     rebuild and with it a recomputation of every P-label. *)
-  let depth_needed = parent_node.level + skel_depth sk in
-  let new_tags =
-    List.filter
-      (fun tag -> Tag_table.index t.table tag = None)
-      (List.sort_uniq String.compare (skel_tags [] sk))
-  in
-  let table_rebuilt =
-    new_tags <> [] || depth_needed > Tag_table.height t.table
-  in
+  let fresh_nodes = new_sub :: Doc.descendants new_sub in
   (* Only a whole renumbering rebuilds the model; otherwise the parent
      (gap) or the renumbered ancestor gets a new record over a changed
-     range of starts, and only its ancestors are copied. *)
+     range of starts, and only its ancestors are copied.  Either way
+     the guide counts the new nodes and labels their new paths. *)
   let rebuild = rebuild_tree ~relabel ~parent_start:parent_node.start ~pos ~new_sub in
   let new_doc =
     match alloc with
-    | Whole -> Doc.of_root (rebuild doc.root)
+    | Whole ->
+      Doc.of_root
+        ~guide:
+          (Dataguide.edit doc.guide
+             ~add:(List.map (fun (n : Doc.node) -> n.source_path) fresh_nodes)
+             ~remove:[])
+        (rebuild doc.root)
     | From_gap ->
       Doc.replace doc ~at:parent_node
         ~by:{ parent_node with children = splice parent_node.children pos new_sub }
@@ -408,48 +379,54 @@ let insert_subtree t ~parent ~pos tree =
       Doc.replace doc ~at:anchor ~by:(rebuild anchor)
         ~changed:(anchor.start + 1, anchor.fin - 1) ()
   in
+  let before = doc.guide and after = new_doc.guide in
   (* The nodes the renumbering moved, in document order. *)
   let moved =
     Hashtbl.fold (fun start _ acc -> start :: acc) relabel []
     |> List.sort Int.compare |> List.map (find_node doc)
   in
-  let fresh_nodes = new_sub :: Doc.descendants new_sub in
+  let new_path = crosses_zero before fresh_nodes in
+  (* P-labels a new path's gap could not hold: the nodes on the
+     respread paths, found through their old labels in SP, get their SP
+     rows rewritten with the new ones in place (the order is
+     unchanged).  A moved node is rewritten with the others below. *)
+  let respread = if new_path then Dataguide.relabeled ~before ~after else [] in
   let writes0 = Pool.writes t.pool in
   let counters = Blas_rel.Counters.create () in
-  if table_rebuilt then begin
-    (* Grow the inventory monotonically: keep retired tags and the old
-       height so that later edits do not flip-flop the table (every
-       rebuild reprices the whole SP relation). *)
-    t.table <-
-      Tag_table.create
-        ~tags:(Tag_table.tags t.table @ new_tags)
-        ~height:(max (Tag_table.height t.table) depth_needed);
-    rebuild_tables t new_doc
-  end
-  else begin
-    let moved_sp_ins =
-      List.map
-        (fun (n : Doc.node) ->
-          let start, fin = Hashtbl.find relabel n.start in
-          Layout.sp_row t.table n ~start ~fin ~data:n.data)
-        moved
-    in
-    let moved_sd_ins =
-      List.map
-        (fun (n : Doc.node) ->
-          let start, fin = Hashtbl.find relabel n.start in
-          Layout.sd_row n ~start ~fin ~data:n.data)
-        moved
-    in
-    ignore
-      (Rel_table.apply_edits t.sp counters
-         ~deletes:(List.map (sp_row t.table) moved)
-         ~inserts:(moved_sp_ins @ List.map (sp_row t.table) fresh_nodes));
-    ignore
-      (Rel_table.apply_edits t.sd counters
-         ~deletes:(List.map sd_row moved)
-         ~inserts:(moved_sd_ins @ List.map sd_row fresh_nodes))
-  end;
+  let respread_nodes =
+    List.concat_map
+      (fun (old_label, _) ->
+        List.filter_map
+          (fun row ->
+            let start = Blas_rel.Value.to_int (Blas_rel.Tuple.get row 0) in
+            if Hashtbl.mem relabel start then None else Some (find_node doc start))
+          (Rel_table.index_eq ~cols:[ "start" ] t.sp counters ~column:"plabel"
+             (Blas_rel.Value.Int old_label)))
+      respread
+  in
+  let moved_sp_ins =
+    List.map
+      (fun (n : Doc.node) ->
+        let start, fin = Hashtbl.find relabel n.start in
+        Layout.sp_row after n ~start ~fin ~data:n.data)
+      moved
+  in
+  let moved_sd_ins =
+    List.map
+      (fun (n : Doc.node) ->
+        let start, fin = Hashtbl.find relabel n.start in
+        Layout.sd_row n ~start ~fin ~data:n.data)
+      moved
+  in
+  ignore
+    (Rel_table.apply_edits t.sp counters
+       ~deletes:(List.map (sp_row before) (moved @ respread_nodes))
+       ~inserts:
+         (moved_sp_ins @ List.map (sp_row after) (fresh_nodes @ respread_nodes)));
+  ignore
+    (Rel_table.apply_edits t.sd counters
+       ~deletes:(List.map sd_row moved)
+       ~inserts:(moved_sd_ins @ List.map sd_row fresh_nodes));
   t.doc <- new_doc;
   let escalation =
     match alloc with
@@ -458,32 +435,27 @@ let insert_subtree t ~parent ~pos tree =
     | Whole -> Some "whole"
   in
   let invalidation =
-    (* A tag-inventory rebuild moves every P-label and a whole-document
-       renumbering moves every D-label: both leave nothing for a cache
+    (* A whole-document renumbering moves every D-label and a respread
+       the P-labels of a window of paths: neither leaves a cache much
        to stand on.  Otherwise only the spliced subtree and the nodes
        the renumbering moved are touched: a localized renumbering keeps
        its ancestor's endpoints, so no other row changes. *)
-    if table_rebuilt || (match alloc with Whole -> true | _ -> false) then
-      {
-        inv_full = true;
-        inv_schema_changed = true;
-        inv_plabels = [];
-      }
+    if respread <> [] || (match alloc with Whole -> true | _ -> false) then
+      { inv_full = true; inv_schema_changed = true; inv_plabels = [] }
     else
       {
         inv_full = false;
-        inv_schema_changed = crosses_zero doc.guide fresh_nodes;
-        inv_plabels = List.map (node_plabel t.table) (fresh_nodes @ moved);
+        inv_schema_changed = new_path;
+        inv_plabels = List.map (Layout.plabel after) (fresh_nodes @ moved);
       }
   in
-  record ~op:"insert" ?escalation t0
+  record ~op:"insert" ?escalation ~respread:(respread <> []) t0
     {
       nodes_inserted = k;
       nodes_deleted = 0;
       nodes_relabeled = Hashtbl.length relabel;
-      plabels_allocated = (if table_rebuilt then Doc.node_count new_doc else k);
+      plabels_allocated = k + List.length respread_nodes;
       pages_written = Pool.writes t.pool - writes0;
-      table_rebuilt;
       invalidation;
     }
 
@@ -501,16 +473,15 @@ let delete_subtree t ~start =
   let counters = Blas_rel.Counters.create () in
   ignore
     (Rel_table.apply_edits t.sp counters
-       ~deletes:(List.map (sp_row t.table) removed)
+       ~deletes:(List.map (sp_row doc.guide) removed)
        ~inserts:[]);
   ignore
     (Rel_table.apply_edits t.sd counters
        ~deletes:(List.map sd_row removed)
        ~inserts:[]);
   (* Deletion never relabels: the subtree's positions simply become a
-     gap for future inserts.  The tag inventory is kept even if the
-     last node of some tag disappears — shrinking it would move every
-     P-label for no benefit. *)
+     gap for future inserts, and a path that loses its last node
+     leaves the guide, its label gap with it. *)
   let parent = List.hd (ancestors doc node) in
   let new_doc =
     Doc.replace doc ~at:parent
@@ -529,12 +500,11 @@ let delete_subtree t ~start =
       nodes_relabeled = 0;
       plabels_allocated = 0;
       pages_written = Pool.writes t.pool - writes0;
-      table_rebuilt = false;
       invalidation =
         {
           inv_full = false;
           inv_schema_changed = crosses_zero new_doc.guide removed;
-          inv_plabels = List.map (node_plabel t.table) removed;
+          inv_plabels = List.map (Layout.plabel doc.guide) removed;
         };
     }
 
@@ -549,8 +519,8 @@ let replace_text t ~start data =
   let counters = Blas_rel.Counters.create () in
   ignore
     (Rel_table.apply_edits t.sp counters
-       ~deletes:[ sp_row t.table node ]
-       ~inserts:[ Layout.sp_row t.table node ~start:node.start ~fin:node.fin ~data ]);
+       ~deletes:[ sp_row doc.guide node ]
+       ~inserts:[ Layout.sp_row doc.guide node ~start:node.start ~fin:node.fin ~data ]);
   ignore
     (Rel_table.apply_edits t.sd counters
        ~deletes:[ sd_row node ]
@@ -563,12 +533,11 @@ let replace_text t ~start data =
       nodes_relabeled = 0;
       plabels_allocated = 0;
       pages_written = Pool.writes t.pool - writes0;
-      table_rebuilt = false;
       invalidation =
         {
           inv_full = false;
           inv_schema_changed = false;
-          inv_plabels = [ node_plabel t.table node ];
+          inv_plabels = [ Layout.plabel doc.guide node ];
         };
     }
 

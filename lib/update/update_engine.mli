@@ -1,16 +1,16 @@
 (** The incremental update engine: insert/delete subtrees and replace
     text values on a built bi-labeled index, maintaining D-labels (gap
     allocation with localized renumbering as the fallback), P-labels
-    (interval subdivision; inventory rebuild only for new tags or
-    excess depth), the labeled document model with its DataGuide, and
+    (a new path takes a gap in the guide's reversed-path order; a full
+    gap respreads a small window of paths), the labeled document model
+    with its DataGuide, and
     the clustered SP/SD relations and their page directories through
     the buffer pool. *)
 
 (** The mutable components of one storage instance ({!Blas.Update}
     binds them to [Storage.t]). *)
 type target = {
-  mutable doc : Blas_xpath.Doc.t;
-  mutable table : Blas_label.Tag_table.t;
+  mutable doc : Blas_xpath.Doc.t;  (** its guide holds the P-labels *)
   mutable sp : Blas_rel.Table.t;
   mutable sd : Blas_rel.Table.t;
   pool : Blas_rel.Buffer_pool.t;
@@ -22,10 +22,12 @@ type target = {
     removed, moved or re-valued — every SP/SD row the edit changed
     carries one of them. *)
 type invalidation = {
-  inv_full : bool;  (** labels were recomputed wholesale — flush everything *)
+  inv_full : bool;
+      (** labels moved wholesale (a whole-document renumbering or a
+          P-label respread) — flush everything *)
   inv_schema_changed : bool;
       (** the DataGuide's path set changed, so decompositions may differ *)
-  inv_plabels : Blas_label.Bignum.t list;
+  inv_plabels : int list;
 }
 
 type report = {
@@ -34,8 +36,6 @@ type report = {
   nodes_relabeled : int;  (** existing nodes whose D-label moved *)
   plabels_allocated : int;  (** P-labels computed for this edit *)
   pages_written : int;  (** pages written through the buffer pool *)
-  table_rebuilt : bool;
-      (** the tag inventory changed, so every P-label was recomputed *)
   invalidation : invalidation;  (** what the query cache must drop *)
 }
 
@@ -45,7 +45,7 @@ val pp_report : Format.formatter -> report -> unit
     per-edit metrics: [blas.update.ops] and [blas.update.latency_ns]
     (labelled by op), [blas.update.pages_written],
     [blas.update.nodes_relabeled], [blas.update.relabel_escalations]
-    (labelled localized/whole) and [blas.update.table_rebuilds];
+    (labelled localized/whole) and [blas.update.plabel_respreads];
     [set_metrics None] (the default) disables recording. *)
 val set_metrics : Blas_obs.Metrics.t option -> unit
 

@@ -24,6 +24,10 @@ type t = {
       (** the same nodes cut into runs, for binary search: an edit
           copies the run directory and the runs it touches *)
   guide : Blas_xml.Dataguide.t;
+  tails : node list array;
+      (** for each run of [by_start], the suffix of [all] from its first
+          node: an edit shares the list after the runs it rebuilt
+          without walking to it *)
 }
 
 (* Nodes per run of [by_start]; a rebuilt run may hold from half as
@@ -46,17 +50,31 @@ let preorder root =
   let rec go acc n = List.fold_left go (n :: acc) n.children in
   List.rev (go [] root)
 
+(* For each run, the suffix of [all] from its first node. *)
+let tails_of runs all =
+  let l = ref all in
+  Array.map
+    (fun run ->
+      let tail = !l in
+      for _ = 1 to Array.length run do
+        l := List.tl !l
+      done;
+      tail)
+    runs
+
 (** [of_root root] — the document model around an already labeled
     root: every node in start order and the DataGuide of their source
     paths. *)
-let of_root root =
+let of_root ?guide root =
   let all = preorder root in
   let guide =
-    List.fold_left
-      (fun g n -> Blas_xml.Dataguide.add_path g n.source_path)
-      Blas_xml.Dataguide.empty all
+    match guide with
+    | Some g -> g
+    | None ->
+      Blas_xml.Dataguide.of_path_counts (List.map (fun n -> (n.source_path, 1)) all)
   in
-  { root; all; by_start = split (Array.of_list all); guide }
+  let by_start = split (Array.of_list all) in
+  { root; all; by_start; guide; tails = tails_of by_start all }
 
 (** [of_tree tree] labels positions exactly like {!Blas_label.Dlabel}:
     every start tag, end tag and text unit occupies one position,
@@ -134,8 +152,6 @@ let find_by_start t start =
   let run = t.by_start.(r) in
   if i < Array.length run && run.(i).start = start then Some run.(i) else None
 
-let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l)
-
 (** [replace t ~at ~by ?changed ()] — the model after an edit that gives
     node [at] the new record [by] (same start) and, if [changed] is
     [(lo, hi)], replaces the nodes starting in [lo..hi] — a range inside
@@ -144,9 +160,9 @@ let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l)
     Only [at]'s ancestors get new records: every other node, the old
     model and its runs stay as they were.  [by_start] gets a new run
     directory, rebuilt runs around the changed range and copies of the
-    runs holding an ancestor; [all] is rebuilt up to the changed range
-    and shared after it; the guide recounts just the nodes that left or
-    arrived. *)
+    runs holding an ancestor; [all] is rebuilt up to the end of the
+    rebuilt runs and shared after them; the guide recounts just the
+    nodes that left or arrived and labels the paths they bring. *)
 let replace t ~at ~by ?changed () =
   if by.start <> at.start then invalid_arg "Doc.replace: start moved";
   let spine = ref [] in
@@ -205,41 +221,28 @@ let replace t ~at ~by ?changed () =
       end;
       runs.(r).(i) <- n)
     (by :: !spine);
-  (* In start order, the nodes up to the end of [fresh] ([cut] of them)
-     are read from the new runs; after them the old list goes on
-     unchanged and is shared. *)
-  let before = ref 0 in
-  for r = 0 to ra - 1 do
-    before := !before + Array.length old.(r)
+  (* In start order, the nodes of the runs up to the end of [mid] are
+     read from the new runs; after them the old list goes on unchanged
+     from the next old run's tail, shared, as are the later runs'
+     tails. *)
+  let nmid = ra + Array.length mid in
+  let tails = Array.make (Array.length runs) [] in
+  Array.blit t.tails (rb + 1) tails nmid (nruns - rb - 1);
+  let all = ref (if rb + 1 < nruns then t.tails.(rb + 1) else []) in
+  for r = nmid - 1 downto 0 do
+    let run = runs.(r) in
+    for i = Array.length run - 1 downto 0 do
+      all := run.(i) :: !all
+    done;
+    tails.(r) <- !all
   done;
-  let cut = !before + ia + Array.length fresh in
-  let rec prefix r left acc =
-    if left <= 0 then acc
-    else
-      let run = runs.(r) in
-      prefix (r + 1) (left - Array.length run) ((run, min left (Array.length run)) :: acc)
-  in
-  let all =
-    List.fold_left
-      (fun tail (run, k) ->
-        let l = ref tail in
-        for i = k - 1 downto 0 do
-          l := run.(i) :: !l
-        done;
-        !l)
-      (drop (!before + ia + List.length gone) t.all)
-      (prefix 0 cut [])
-  in
   (* Arrivals first: a path that a renumbering keeps never empties. *)
   let guide =
-    Array.fold_left
-      (fun g n -> Blas_xml.Dataguide.add_path g n.source_path)
-      t.guide fresh
+    Blas_xml.Dataguide.edit t.guide
+      ~add:(Array.fold_right (fun n acc -> n.source_path :: acc) fresh [])
+      ~remove:(List.map (fun n -> n.source_path) gone)
   in
-  let guide =
-    List.fold_left (fun g n -> Blas_xml.Dataguide.remove_path g n.source_path) guide gone
-  in
-  { root; all; by_start = runs; guide }
+  { root; all = !all; by_start = runs; guide; tails }
 
 (** [subtree node] rebuilds an XML tree for [node].  The node's text
     units are emitted as one leading text child: the labeled model

@@ -22,12 +22,17 @@ type t = private {
           binary search; an edit copies only the run directory and the
           runs it touches *)
   guide : Blas_xml.Dataguide.t;
+  tails : node list array;
+      (** for each run of [by_start], the suffix of [all] from its
+          first node *)
 }
 
 (** [of_root root] assembles the model around an already labeled root:
     every node in start order (its preorder, so no sort) and the
-    DataGuide of their source paths, with per-path node counts. *)
-val of_root : node -> t
+    DataGuide of their source paths, with per-path node counts and
+    fresh P-labels — or [guide], which must count the same paths (a
+    stored guide keeps the labels its SP rows carry). *)
+val of_root : ?guide:Blas_xml.Dataguide.t -> node -> t
 
 (** [of_tree tree] labels positions exactly like
     {!Blas_label.Dlabel.label_tree}: every start tag, end tag and text
@@ -56,8 +61,10 @@ val find_by_start : t -> int -> node option
     The cost is what the edit touches: [at]'s ancestors get new records
     (every other node stays physically the same), [by_start] gets a new
     run directory and rebuilds only the runs around the change, [all]
-    is rebuilt only up to the changed range, and the guide recounts the
-    nodes that left or arrived, so a path leaves it with its last node.
+    is rebuilt only up to the end of those runs (its list cells before
+    the change must be new, since the root's record is), and the guide
+    recounts the nodes that left or arrived, so a path leaves it with
+    its last node and a new path gets a P-label.
     [t] itself stays valid.
     @raise Invalid_argument if [by] starts elsewhere than [at] or [at]
     is not in [t]. *)

@@ -1,7 +1,10 @@
 (** P-labeling (Section 3.2): interval labels for suffix path expressions
     (Algorithm 1) and integer labels for XML nodes (Algorithm 2 /
     Definition 3.3), such that a node matches a suffix path query exactly
-    when its label falls inside the query's interval (Proposition 3.2). *)
+    when its label falls inside the query's interval (Proposition 3.2).
+
+    The paper's construction over {!Bignum}, kept as the reference the
+    DataGuide's native-int labels are checked against ([test_label]). *)
 
 type suffix_path = {
   absolute : bool;

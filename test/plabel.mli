@@ -2,7 +2,10 @@
     expressions (Algorithm 1) and integer labels for XML nodes
     (Algorithm 2 / Definition 3.3), such that a node matches a suffix
     path query exactly when its label falls inside the query's interval
-    (Proposition 3.2). *)
+    (Proposition 3.2).
+
+    The paper's construction over {!Bignum}, kept as the reference the
+    DataGuide's native-int labels are checked against ([test_label]). *)
 
 (** A suffix path expression (Definition 2.3). *)
 type suffix_path = {

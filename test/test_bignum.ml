@@ -1,6 +1,8 @@
-(** Unit and property tests for {!Blas_label.Bignum}. *)
+(** Unit and property tests for {!Bignum}, the arbitrary-precision
+    naturals behind the paper's P-labels in the test reference
+    ({!Plabel}). *)
 
-module B = Blas_label.Bignum
+module B = Bignum
 
 let b = B.of_int
 

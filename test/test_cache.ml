@@ -14,8 +14,6 @@ open Test_util
 module Cache = Blas.Cache
 module Stats = Blas_cache.Stats
 module Lru = Blas_cache.Lru
-module Interval = Blas_label.Interval
-module Bignum = Blas_label.Bignum
 
 let suffix_translators = Blas.[ Split; Pushup; Unfold ]
 
@@ -79,7 +77,7 @@ let test_lru_filter_in_place () =
 let sp_tuple ~plabel ~start ~fin =
   Blas_rel.Tuple.of_list
     [
-      Blas_rel.Value.Big (Bignum.of_int plabel);
+      Blas_rel.Value.Int plabel;
       Blas_rel.Value.Int start;
       Blas_rel.Value.Int fin;
       Blas_rel.Value.Int 1;
@@ -88,7 +86,7 @@ let sp_tuple ~plabel ~start ~fin =
 
 let sp_cols = [ "plabel"; "start"; "end"; "level"; "data" ]
 
-let iv lo hi = Interval.make (Bignum.of_int lo) (Bignum.of_int hi)
+let iv lo hi = (lo, hi)
 
 let scan_stats qc = (Cache.stats qc).Cache.streams
 
@@ -147,7 +145,7 @@ let test_semantic_invalidate () =
     [ sp_tuple ~plabel:25 ~start:50 ~fin:60 ];
   let edit plabels =
     Cache.invalidate qc ~full:false ~schema_changed:false
-      ~plabels:(List.map Bignum.of_int plabels)
+      ~plabels
   in
   (* A P-label inside the first interval kills only the first entry. *)
   edit [ 7 ];
@@ -297,31 +295,41 @@ let test_invalidation_on_edit () =
   oracle_check storage qa;
   oracle_check storage qc
 
-let test_full_flush_on_new_tag () =
+let test_new_tag_schema_epoch () =
   let storage = storage_of doc_xml in
   let q = Blas.query "//b" in
+  (* Room in the D-labels under the root, so the insert below moves no
+     existing label of either kind. *)
+  ignore
+    (Blas.Update.delete_subtree storage ~start:(first_start_of_tag storage "c"));
   ignore
     (Blas.run ~cache:true storage ~engine:Blas.Rdbms ~translator:Blas.Pushup q);
-  (* A new tag rebuilds the inventory: every P-label moves, so the
-     whole cache must flush and warm answers must match the oracle. *)
+  (* A new tag is one more path: its nodes take free P-labels and no
+     other label moves, so the edit invalidates through the schema
+     epoch (results) and the new labels (scans), not a flush. *)
+  let before = Blas.Storage.guide storage in
   let report =
-    Blas.Update.insert_subtree storage ~parent:1 ~pos:0
+    Blas.Update.insert_subtree storage ~parent:1 ~pos:2
       (Blas_xml.Types.Element
          ("zz", [ Blas_xml.Types.Element ("b", [ Blas_xml.Types.Content "n" ]) ]))
   in
-  check_bool "inventory rebuilt" true report.Blas.Update.table_rebuilt;
-  check_bool "full invalidation" true
+  check_bool "no P-label moved" true
+    (Blas_xml.Dataguide.relabeled ~before ~after:(Blas.Storage.guide storage)
+    = []);
+  check_int "no D-label moved" 0 report.Blas.Update.nodes_relabeled;
+  check_bool "no full invalidation" false
     report.Blas.Update.invalidation.Blas.Update.inv_full;
-  check_int "cache emptied" 0
-    (Cache.totals (Blas.Storage.cache_stats storage)).Stats.entries;
+  check_bool "schema changed" true
+    report.Blas.Update.invalidation.Blas.Update.inv_schema_changed;
+  check_int "result memo dropped" 0
+    (Cache.stats (Blas.Storage.cache storage)).Cache.results.Stats.entries;
   oracle_check storage q;
   oracle_check storage (Blas.query "//zz/b")
 
 let test_unfold_survives_guide_change () =
   (* Unfold decompositions depend on the DataGuide: an insert that
-     materializes a previously-absent path (existing tags only — no
-     inventory rebuild) must flush the result memo, whose footprint
-     covers only the old decomposition's branches. *)
+     materializes a previously-absent path must flush the result memo,
+     whose footprint covers only the old decomposition's branches. *)
   let storage = storage_of "<r><a><b>x</b></a><c>w</c></r>" in
   let q = Blas.query "//b" in
   ignore
@@ -331,7 +339,6 @@ let test_unfold_survives_guide_change () =
       ~parent:(first_start_of_tag storage "c") ~pos:0
       (Blas_xml.Types.Element ("b", [ Blas_xml.Types.Content "fresh" ]))
   in
-  check_bool "no inventory rebuild" false report.Blas.Update.table_rebuilt;
   check_bool "guide change detected" true
     report.Blas.Update.invalidation.Blas.Update.inv_schema_changed;
   oracle_check storage q
@@ -474,8 +481,8 @@ let suite =
       test_cache_disabled_by_default;
     Alcotest.test_case "edits invalidate precisely" `Quick
       test_invalidation_on_edit;
-    Alcotest.test_case "new tag flushes everything" `Quick
-      test_full_flush_on_new_tag;
+    Alcotest.test_case "new tag bumps the schema epoch" `Quick
+      test_new_tag_schema_epoch;
     Alcotest.test_case "unfold survives guide change" `Quick
       test_unfold_survives_guide_change;
     Alcotest.test_case "delete invalidates" `Quick test_delete_invalidates;

@@ -11,7 +11,7 @@ let split q = Blas.Decompose.decompose Blas.Decompose.Split (parse q)
 let pushup q = Blas.Decompose.decompose Blas.Decompose.Pushup (parse q)
 
 let path_string (i : SQ.item) =
-  Format.asprintf "%a" Blas_label.Plabel.pp_suffix_path i.path
+  Format.asprintf "%a" Blas.Suffix_query.pp_path i.path
 
 let item_paths d = List.map path_string d.SQ.items
 

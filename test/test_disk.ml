@@ -407,18 +407,39 @@ let test_escalation_persists () =
       let mem = Blas.Storage.of_string "<r><a>x</a><b>y</b></r>" in
       Database.create ~page_size:512 ~path mem;
       let disk = Database.open_ ~cache_pages:32 ~mode:Database.Rw ~path () in
-      (* A brand-new tag forces a tag-inventory rebuild: the engine
-         reloads both tables into the file's free and fresh pages inside
-         the same transaction. *)
-      let report =
-        Blas.Update.insert_subtree disk ~parent:1 ~pos:2
-          (Blas_xml.Dom.parse "<zz>fresh</zz>")
+      (* A brand-new tag is one more path: it takes a free P-label and
+         moves none. *)
+      let before = Blas.Storage.guide disk in
+      ignore
+        (Blas.Update.insert_subtree disk ~parent:1 ~pos:2
+           (Blas_xml.Dom.parse "<zz>fresh</zz>"));
+      check_bool "no P-label moved" true
+        (Blas_xml.Dataguide.relabeled ~before ~after:(Blas.Storage.guide disk)
+        = []);
+      (* New paths into one gap until it runs out: the respread
+         rewrites its window's SP rows inside the edit's transaction. *)
+      let rec respread k =
+        if k > 40 then Alcotest.fail "no respread after 40 new paths";
+        let before = Blas.Storage.guide disk in
+        ignore (Test_util.respread_edit disk k);
+        if
+          Blas_xml.Dataguide.relabeled ~before ~after:(Blas.Storage.guide disk)
+          = []
+        then respread (k + 1)
       in
-      check_bool "inventory rebuilt" true report.Blas.Update.table_rebuilt;
-      let rows = doc_rows disk in
+      respread 1;
+      let rows = doc_rows disk and labels = Blas_xml.Dataguide.entries (Blas.Storage.guide disk) in
       Blas.Storage.close disk;
       let disk = Database.open_ ~cache_pages:32 ~mode:Database.Rw ~path () in
       check_bool "reloaded file reopens equal" true (rows = doc_rows disk);
+      check_bool "labels persist" true
+        (labels = Blas_xml.Dataguide.entries (Blas.Storage.guide disk));
+      List.iter
+        (fun q ->
+          let q = Blas.query q in
+          check_int_list "respread rows answer" (Blas.oracle disk q)
+            (Blas.answers disk ~engine:Blas.Rdbms ~translator:Blas.Pushup q))
+        [ "/r/*"; "//mmm"; "//b" ];
       check_int "new tag queryable" 1
         (List.length (Blas.answers disk ~engine:Blas.Twig
              ~translator:Blas.D_labeling (Blas.query "//zz")));
@@ -891,6 +912,56 @@ let test_older_catalogs_give_leaves_back () =
               ignore (d.Blas.Storage.dk_check_catalog ()))))
     [ "catalog_v2.blasdb"; "catalog_v3.blasdb"; "catalog_v4.blasdb" ]
 
+(* catalog_v5: the last version with the paper's decimal P-labels
+   (v2 codec, 512-byte pages, the document of the v4 fixture).  A
+   read-only open refuses and names the upgrade; a read-write open
+   relabels SP in one transaction, after which the file answers as the
+   oracle does, its catalog checks, and every page is live or free. *)
+let test_catalog_v5_relabels () =
+  with_db (fun path ->
+      copy_fixture "catalog_v5.blasdb" path;
+      (match Database.open_ ~mode:Database.Ro ~path () with
+      | s ->
+        Blas.Storage.close s;
+        Alcotest.fail "a read-only open of a v5 catalog succeeded"
+      | exception Database.Corrupt msg ->
+        check_bool ("upgrade named: " ^ msg) true
+          (Test_util.contains msg "read-write" && Test_util.contains msg "blas index"));
+      let disk = Database.open_ ~mode:Database.Rw ~path () in
+      Blas.Storage.close disk;
+      let reopened = Database.open_ ~mode:Database.Ro ~path () in
+      Fun.protect
+        ~finally:(fun () -> Blas.Storage.close reopened)
+        (fun () ->
+          let d = Option.get (Blas.Storage.disk reopened) in
+          let s = d.Blas.Storage.dk_stats () in
+          check_int "every page live or free" s.Blas.Storage.dstat_page_count
+            (s.Blas.Storage.dstat_live_pages + s.Blas.Storage.dstat_free_pages);
+          check_int "no page added" 3 s.Blas.Storage.dstat_page_count;
+          check_bool "opens without the model" false
+            (Blas.Storage.doc_resident reopened);
+          List.iter
+            (fun qs ->
+              let q = Blas.query qs in
+              List.iter
+                (fun (engine, translator) ->
+                  check_int_list qs (Blas.oracle reopened q)
+                    (Blas.answers reopened ~engine ~translator q))
+                [
+                  (Blas.Rdbms, Blas.Auto2);
+                  (Blas.Rdbms, Blas.D_labeling);
+                  (Blas.Rdbms, Blas.Unfold);
+                  (Blas.Twig, Blas.Split);
+                ])
+            [ "//b/a"; "/r/a"; "//a[. = \"x\"]"; "//*[. = \"y\"]"; "/r/*" ]);
+      let disk = Database.open_ ~mode:Database.Rw ~path () in
+      Fun.protect
+        ~finally:(fun () -> Blas.Storage.close disk)
+        (fun () ->
+          ignore ((Option.get (Blas.Storage.disk disk)).Blas.Storage.dk_check_catalog ());
+          ignore (Blas.Update.replace_text disk ~start:1 (Some "t"));
+          ignore ((Option.get (Blas.Storage.disk disk)).Blas.Storage.dk_check_catalog ())))
+
 (* Saving a database over itself would truncate the file it reads from:
    POSIX locks never conflict within one process, so [create] compares
    device and inode instead — under any spelling of the path. *)
@@ -989,6 +1060,8 @@ let suite =
     Alcotest.test_case "retext logs only changed chain pages" `Quick
       test_retext_logs_changed_chain_pages;
     Alcotest.test_case "disk stats" `Quick test_stats;
+    Alcotest.test_case "catalog v5 relabels on a read-write open" `Quick
+      test_catalog_v5_relabels;
     Alcotest.test_case "older catalogs open and give their leaves back"
       `Quick test_older_catalogs_give_leaves_back;
     Alcotest.test_case "create refuses its own source file" `Quick

@@ -1,6 +1,9 @@
 (** Tests for the labeling schemes: D-labels (Definition 3.1 and the
-    position-based implementation) and P-labels (Definition 3.2,
-    Algorithms 1 and 2, Proposition 3.2). *)
+    position-based implementation) and P-labels — the paper's
+    construction (Definition 3.2, Algorithms 1 and 2, Proposition 3.2),
+    kept here over {!Bignum} as the reference, and the native-int
+    labels the DataGuide gives source paths in reversed-path order,
+    checked against it. *)
 
 open Blas_label
 
@@ -142,6 +145,72 @@ let doc_and_table =
   let* tree = Test_util.doc_gen in
   return (tree, Tag_table.of_tree tree)
 
+(* Every suffix path worth asking of a document: the suffixes of its
+   source paths, each extended by one tag at either end (absent tags
+   included), absolute and relative, up to one step past the deepest
+   path.  [tree_gen] documents have a random root tag that recurs below
+   it, so some suffixes have source paths that are their own proper
+   prefixes read leaf first. *)
+let probe_paths guide =
+  let module S = Set.Make (struct
+    type t = string list
+
+    let compare = compare
+  end) in
+  let rec suffixes = function [] -> [] | _ :: rest as p -> p :: suffixes rest in
+  let present = List.concat_map suffixes (Blas_xml.Dataguide.all_paths guide) in
+  let alphabet = "zz" :: Array.to_list Test_util.tags in
+  let grown =
+    List.concat_map
+      (fun s -> List.concat_map (fun t -> [ t :: s; s @ [ t ] ]) alphabet)
+      ([] :: present)
+  in
+  let depth = Blas_xml.Dataguide.max_depth guide in
+  S.elements (S.of_list (present @ grown))
+  |> List.filter (fun tags -> tags <> [] && List.length tags <= depth + 1)
+  |> List.concat_map (fun tags ->
+         [ { Plabel.absolute = true; tags }; { Plabel.absolute = false; tags } ])
+
+let int_labels_agree tree =
+  let table = Tag_table.of_tree tree in
+  let guide = Blas_xml.Dataguide.of_tree tree in
+  let nodes =
+    List.map
+      (fun (big, path, _) ->
+        (big, Option.get (Blas_xml.Dataguide.label guide path)))
+      (Plabel.label_tree table tree)
+  in
+  let selects q =
+    let by_ref =
+      match Plabel.suffix_path_interval table q with
+      | None -> None
+      | Some i -> Some (List.filter (fun (b, _) -> Interval.mem b i) nodes)
+    in
+    let by_int =
+      match
+        Blas_xml.Dataguide.suffix_interval guide ~absolute:q.Plabel.absolute
+          ~tags:q.Plabel.tags
+      with
+      | None -> None
+      | Some (lo, hi) -> Some (List.filter (fun (_, l) -> lo <= l && l <= hi) nodes)
+    in
+    let count = function None -> 0 | Some l -> List.length l in
+    by_ref = by_int
+    && count by_int
+       = Blas_xml.Dataguide.suffix_count guide ~absolute:q.Plabel.absolute
+           ~tags:q.Plabel.tags
+  in
+  (* One order: sorted by the paper's labels, the int labels never
+     decrease, and two nodes share one label exactly when they share
+     the other. *)
+  let sorted = List.sort (fun (a, _) (b, _) -> Bignum.compare a b) nodes in
+  let rec same_order = function
+    | (b1, l1) :: ((b2, l2) :: _ as rest) ->
+      l1 <= l2 && Bignum.equal b1 b2 = (l1 = l2) && same_order rest
+    | _ -> true
+  in
+  same_order sorted && List.for_all selects (probe_paths guide)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f) dlabel_unit_tests
   @ List.map (fun (n, f) -> Alcotest.test_case n `Quick f) plabel_unit_tests
@@ -220,6 +289,9 @@ let suite =
             in
             contained = Interval.overlaps ip iq
           | _ -> true);
+      Test_util.qtest ~count:150
+        "int P-labels select and order nodes as the paper's" Test_util.tree_gen
+        int_labels_agree;
       Test_util.qtest "node labels are unique per source path"
         Test_util.doc_gen (fun tree ->
           let table = Tag_table.of_tree tree in

@@ -4,11 +4,7 @@
 
 open Blas_rel
 
-(* Substring containment, avoiding a Str dependency. *)
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  n = 0 || go 0
+let contains = Test_util.contains
 
 let unit_tests =
   [
@@ -110,22 +106,22 @@ let unit_tests =
         Test_util.check_bool "shows inequality" true (contains printed "!=") );
     ( "interval width and point checks",
       fun () ->
-        let b = Blas_label.Bignum.of_int in
-        let i = Blas_label.Interval.make (b 5) (b 9) in
+        let b = Bignum.of_int in
+        let i = Interval.make (b 5) (b 9) in
         Test_util.check_string "width" "5"
-          (Blas_label.Bignum.to_string (Blas_label.Interval.width i));
-        Test_util.check_bool "not a point" false (Blas_label.Interval.is_point i);
+          (Bignum.to_string (Interval.width i));
+        Test_util.check_bool "not a point" false (Interval.is_point i);
         Test_util.check_bool "point" true
-          (Blas_label.Interval.is_point (Blas_label.Interval.make (b 3) (b 3))) );
+          (Interval.is_point (Interval.make (b 3) (b 3))) );
     ( "tag table lookups",
       fun () ->
-        let t = Blas_label.Tag_table.create ~tags:[ "b"; "a"; "b" ] ~height:2 in
-        Test_util.check_int "deduplicated" 2 (Blas_label.Tag_table.tag_count t);
+        let t = Tag_table.create ~tags:[ "b"; "a"; "b" ] ~height:2 in
+        Test_util.check_int "deduplicated" 2 (Tag_table.tag_count t);
         Test_util.check_bool "sorted order" true
-          (Blas_label.Tag_table.tags t = [ "a"; "b" ]);
+          (Tag_table.tags t = [ "a"; "b" ]);
         Test_util.check_string "index round trip" "a"
-          (Blas_label.Tag_table.tag_of_index t (Option.get (Blas_label.Tag_table.index t "a")));
-        Test_util.check_bool "unknown" true (Blas_label.Tag_table.index t "z" = None) );
+          (Tag_table.tag_of_index t (Option.get (Tag_table.index t "a")));
+        Test_util.check_bool "unknown" true (Tag_table.index t "z" = None) );
   ]
 
 let suite = List.map (fun (n, f) -> Alcotest.test_case n `Quick f) unit_tests

@@ -71,7 +71,7 @@ let test_insert_into_gap () =
   in
   check_int "inserted" 1 ins.nodes_inserted;
   check_int "gap insert relabels nothing" 0 ins.nodes_relabeled;
-  check_bool "no inventory rebuild" false ins.table_rebuilt;
+  check_int "one P-label computed" 1 ins.plabels_allocated;
   let after = List.map (fun (n : Blas_xpath.Doc.node) -> (n.tag, n.start)) (all_nodes storage) in
   List.iter
     (fun (tag, start) ->
@@ -93,7 +93,7 @@ let test_localized_relabel () =
       (Blas_xml.Types.Element ("a", []))
   in
   check_int "one node relabeled" 1 report.nodes_relabeled;
-  check_bool "no inventory rebuild" false report.table_rebuilt;
+  check_int "one P-label computed" 1 report.plabels_allocated;
   let root_after = (List.hd (all_nodes storage)).Blas_xpath.Doc.start in
   check_int "root label untouched" root_before root_after;
   check_int "two a nodes now" 2
@@ -117,27 +117,43 @@ let test_whole_document_relabel () =
   in
   check_int "second insert uses the headroom" 0 again.nodes_relabeled
 
-let test_new_tag_rebuilds_inventory () =
-  let storage = storage_of "<r><a/></r>" in
-  let report =
-    Blas.Update.insert_subtree storage ~parent:1 ~pos:1
-      (Blas_xml.Types.Element ("zzz", []))
-  in
-  check_bool "new tag forces inventory rebuild" true report.table_rebuilt;
-  check_bool "every plabel recomputed" true
-    (report.plabels_allocated >= Blas.Storage.node_count storage);
-  check_int "query finds the new tag" 1
-    (List.length (Blas.oracle storage (Blas.query "/r/zzz")))
+(* A new path takes a free label of the guide's order whatever its tags
+   or depth: no existing P-label moves, and only the new nodes get
+   one. *)
+let check_no_plabel_moved storage edit =
+  let before = Blas.Storage.guide storage in
+  let report = edit () in
+  check_bool "no P-label moved" true
+    (Blas_xml.Dataguide.relabeled ~before ~after:(Blas.Storage.guide storage)
+    = []);
+  check_int "P-labels only for the new nodes" report.Blas.Update.nodes_inserted
+    report.plabels_allocated;
+  check_bool "a new path changes the schema" true
+    report.invalidation.inv_schema_changed
 
-let test_depth_growth_rebuilds_inventory () =
+let test_new_tag_relabels_nothing () =
+  let storage = storage_of "<r><a/></r>" in
+  check_no_plabel_moved storage (fun () ->
+      Blas.Update.insert_subtree storage ~parent:1 ~pos:1
+        (Blas_xml.Types.Element ("zzz", [])));
+  check_int "query finds the new tag" 1
+    (List.length (Blas.oracle storage (Blas.query "/r/zzz")));
+  check_int_list "Push-up agrees" (Blas.oracle storage (Blas.query "//zzz"))
+    (Blas.answers storage ~engine:Blas.Rdbms ~translator:Blas.Pushup
+       (Blas.query "//zzz"))
+
+let test_depth_growth_relabels_nothing () =
   let storage = storage_of "<r><a/></r>" in
   let deep =
     Blas_xml.Types.(Element ("a", [ Element ("b", [ Element ("a", []) ]) ]))
   in
-  let report = Blas.Update.insert_subtree storage ~parent:1 ~pos:0 deep in
-  check_bool "depth growth forces inventory rebuild" true report.table_rebuilt;
+  check_no_plabel_moved storage (fun () ->
+      Blas.Update.insert_subtree storage ~parent:1 ~pos:0 deep);
   check_int "deep path reachable" 1
-    (List.length (Blas.oracle storage (Blas.query "/r/a/b/a")))
+    (List.length (Blas.oracle storage (Blas.query "/r/a/b/a")));
+  check_int_list "Split agrees" (Blas.oracle storage (Blas.query "//b/a"))
+    (Blas.answers storage ~engine:Blas.Twig ~translator:Blas.Split
+       (Blas.query "//b/a"))
 
 let test_delete_subtree () =
   let storage = storage_of "<r><a><b/><b/></a><b/></r>" in
@@ -183,15 +199,10 @@ let test_errors () =
     (raises_invalid (fun () ->
          Blas.Update.replace_text storage ~start:999 (Some "x")))
 
-let same_inventory (a : Blas.Storage.t) (b : Blas.Storage.t) =
-  Blas_label.Tag_table.tags a.table = Blas_label.Tag_table.tags b.table
-  && Blas_label.Tag_table.height a.table = Blas_label.Tag_table.height b.table
-
-(* Edits keep retired tags, so the stored inventory may list tags the
-   instance no longer has. *)
-let inventory_exceeds_instance (s : Blas.Storage.t) =
-  List.length (Blas_label.Tag_table.tags s.table)
-  > List.length (Blas_xml.Dataguide.distinct_tags (Blas.Storage.guide s))
+(* The stored guide keeps the labels the edits gave each path. *)
+let same_labels (a : Blas.Storage.t) (b : Blas.Storage.t) =
+  Blas_xml.Dataguide.entries (Blas.Storage.guide a)
+  = Blas_xml.Dataguide.entries (Blas.Storage.guide b)
 
 let test_persist_round_trip () =
   let storage = storage_of "<r><a>x</a><b/></r>" in
@@ -201,12 +212,13 @@ let test_persist_round_trip () =
   let b = start_of_tag storage "b" 0 in
   ignore (Blas.Update.delete_subtree storage ~start:b);
   Test_util.with_db_copy storage (fun reloaded ->
-      (* A database preserves positions exactly, so answers match on raw
-         starts; the reloaded inventory must honour the updated one,
-         which still lists the deleted b. *)
-      check_bool "inventory kept" true (same_inventory storage reloaded);
-      check_bool "strictly contains the instance's" true
-        (inventory_exceeds_instance reloaded);
+      (* A database preserves positions and P-labels exactly, so
+         answers match on raw starts; the deleted b's path left the
+         guide with its label. *)
+      check_bool "labels kept" true (same_labels storage reloaded);
+      check_bool "the deleted path is gone" true
+        (Blas_xml.Dataguide.label (Blas.Storage.guide reloaded) [ "r"; "b" ]
+        = None);
       List.iter
         (fun q ->
           let query = Blas.query q in
@@ -293,7 +305,7 @@ let prop_persist_survives_edits =
       let storage = Blas.index_of_tree doc in
       List.iter (apply_edit storage) edits;
       Test_util.with_db_copy storage (fun reloaded ->
-          same_inventory storage reloaded
+          same_labels storage reloaded
           && List.for_all
                (fun query ->
                  Blas.oracle reloaded query = Blas.oracle storage query)
@@ -301,7 +313,8 @@ let prop_persist_survives_edits =
 
 (* The incremental document model: after every edit, the model an edit
    produced equals the one [Doc.of_root] rebuilds from its root — runs
-   flattened, every start found, the same DataGuide paths and counts —
+   flattened, every start found, each run's tail a cell of [all], the
+   same DataGuide paths and counts —
    and the model from before the edit still equals its own rebuild.
    Copies of the random document under one root make models of several
    [by_start] runs. *)
@@ -310,8 +323,22 @@ let model_matches_rebuild (d : Blas_xpath.Doc.t) =
   let r = Doc.of_root d.root in
   let flat (m : Doc.t) = Array.concat (Array.to_list m.by_start) in
   let guide_counts (m : Doc.t) = Blas_xml.Dataguide.path_counts m.guide in
+  (* each run's tail is the very list cell of [all] at its first node *)
+  let tails_in_all () =
+    let rest = ref d.all in
+    Array.for_all2
+      (fun tail run ->
+        let ok = tail == !rest in
+        for _ = 1 to Array.length run do
+          rest := List.tl !rest
+        done;
+        ok)
+      d.tails d.by_start
+  in
   Array.for_all (fun run -> Array.length run > 0) d.by_start
   && flat d = flat r && d.all = r.all
+  && Array.length d.tails = Array.length d.by_start
+  && tails_in_all ()
   && List.for_all (fun (n : Doc.node) -> Doc.find_by_start d n.start = Some n) r.all
   && Doc.node_count d = List.length r.all
   && guide_counts d = guide_counts r
@@ -384,10 +411,7 @@ let test_retext_copies_only_the_spine () =
 (* One representation: an in-memory storage and a database file of the
    same document, page size and codec cut the same data pages, so the
    same edit script leaves them with the same page counts (escalations
-   included: deeper paths in [tree_gen] rebuild the inventory).  Index
-   leaves are not compared: their entries carry page ids, which the
-   file numbers differently (it reuses its free list and catalog
-   pages), and v2 leaves compress those ids. *)
+   included). *)
 let page_counts (s : Blas.Storage.t) =
   List.map Blas_rel.Table.page_count [ s.Blas.Storage.sp; s.Blas.Storage.sd ]
 
@@ -411,10 +435,9 @@ let prop_memory_matches_database =
       let mem =
         let doc = doc () in
         let store = Blas_rel.Page_store.memory ~page_size:512 ~codec () in
-        let table = Blas_label.Tag_table.of_dataguide doc.guide in
-        let sp, sd = Blas_update.Layout.tables store table doc in
+        let sp, sd = Blas_update.Layout.tables store doc in
         Blas.Storage.assemble ~codec ~build_doc:(fun () -> doc) ~guide:doc.guide
-          ~table ~sp ~sd ~pool:store.Blas_rel.Page_store.pool ()
+          ~sp ~sd ~pool:store.Blas_rel.Page_store.pool ()
       in
       let path = Filename.temp_file "blas_twin_" ".blasdb" in
       Fun.protect
@@ -453,35 +476,179 @@ let prop_memory_matches_database =
                        [ mem; disk ])
                    queries)))
 
-(* A tag-inventory rebuild reloads SP and SD with the bulk loader, so
-   the edited tables are cut exactly like a fresh index of the edited
-   document. *)
-let test_rebuild_page_counts () =
+(* A brand-new tag is one more path: its rows go in place, so the edit
+   writes a page or two per table instead of reloading both (the
+   parent's tag-inventory rebuild rewrote every page), and the edited
+   tables answer like a fresh index of the edited document. *)
+let test_new_tag_writes_in_place () =
   List.iter
     (fun codec ->
       let storage =
         Blas.Storage.of_doc ~codec
           (Blas_xpath.Doc.of_tree (Blas_datagen.Protein.generate ~entries:40 ()))
       in
+      let pages = Blas_rel.Table.page_count storage.Blas.Storage.sp in
+      (* D-label room at the front, so no renumbering muddies the
+         page count *)
+      ignore
+        (Blas.Update.delete_subtree storage
+           ~start:(start_of_tag storage "ProteinEntry" 0));
       let report =
         Blas.Update.insert_subtree storage ~parent:1 ~pos:0
           (Blas_xml.Types.Element ("brand-new", [ Blas_xml.Types.Content "x" ]))
       in
-      check_bool "inventory rebuilt" true report.table_rebuilt;
+      check_int "no D-label moved" 0 report.nodes_relabeled;
+      check_int "one P-label computed" 1 report.plabels_allocated;
+      check_bool
+        (Printf.sprintf "%s: a few of %d SP pages written"
+           (Blas_rel.Codec.format_name codec) pages)
+        true
+        (report.pages_written <= 4 && pages > 4);
       let fresh = Blas.Storage.of_doc ~codec (Blas.Storage.doc storage) in
       List.iter
-        (fun (name, edited, fresh) ->
-          check_int
-            (Printf.sprintf "%s %s pages" (Blas_rel.Codec.format_name codec) name)
-            (Blas_rel.Table.page_count fresh)
-            (Blas_rel.Table.page_count edited))
-        [
-          ("sp", storage.Blas.Storage.sp, fresh.Blas.Storage.sp);
-          ("sd", storage.Blas.Storage.sd, fresh.Blas.Storage.sd);
-        ])
+        (fun q ->
+          let q = Blas.query q in
+          check_int_list "answers like a fresh index" (Blas.oracle fresh q)
+            (Blas.answers storage ~engine:Blas.Rdbms ~translator:Blas.Pushup q))
+        [ "//brand-new"; "/ProteinDatabase/*"; "//protein//name" ])
     Blas_rel.Codec.[ V1; V2 ]
 
 (* ------------------------------------------------------------------ *)
+(* P-label gap exhaustion                                              *)
+
+(* New paths into one P-label gap (see [Test_util.respread_edit]) on
+   three storages given the same script — two in memory, one database
+   file — until the gap runs out.  After every edit each answers like
+   the oracle under every translator x engine; the three carry the
+   same labels and report the same invalidation record; and the edit
+   that respreads moves the labels of one run of consecutive paths
+   only, with every SP row on its path's label. *)
+let sp_rows_on_their_labels (s : Blas.Storage.t) =
+  let guide = Blas.Storage.guide s in
+  let path_of = Hashtbl.create 64 in
+  List.iter
+    (fun (n : Blas_xpath.Doc.node) -> Hashtbl.replace path_of n.start n.source_path)
+    (all_nodes s);
+  List.for_all
+    (fun row ->
+      let label = Blas_rel.Value.to_int (Blas_rel.Tuple.get row 0) in
+      let start = Blas_rel.Value.to_int (Blas_rel.Tuple.get row 1) in
+      Blas_xml.Dataguide.label guide (Hashtbl.find path_of start) = Some label)
+    (Blas_rel.Table.scan s.Blas.Storage.sp (Blas_rel.Counters.create ()))
+
+(* The paths whose label moved form one run of the reversed-path order:
+   between the first and the last of them, no path kept its label. *)
+let moved_one_run ~before ~after =
+  let moved = Blas_xml.Dataguide.relabeled ~before ~after in
+  let kept =
+    List.filter_map
+      (fun (path, _, label) ->
+        match Blas_xml.Dataguide.label after path with
+        | Some l when l = label -> Some label
+        | _ -> None)
+      (Blas_xml.Dataguide.entries before)
+  in
+  match moved with
+  | [] -> false
+  | (first, _) :: _ ->
+    let last = fst (List.nth moved (List.length moved - 1)) in
+    List.for_all (fun l -> l < first || l > last) kept
+
+let test_plabel_respread () =
+  let xml = "<r><a>x</a><z>y</z></r>" in
+  let mem = storage_of xml and twin = storage_of xml in
+  Test_util.with_temp_db (fun path ->
+      Blas.Database.create ~page_size:512 ~path (storage_of xml);
+      let disk = Blas.Database.open_ ~cache_pages:16 ~mode:Blas.Database.Rw ~path () in
+      let queries = [ "/r/*"; "//z"; "//mm"; "/r/mmm"; "//a" ] in
+      let rec go k respreads =
+        if k > 40 || respreads > 1 then respreads
+        else begin
+          let before = Blas.Storage.guide mem in
+          let records =
+            List.map
+              (fun s ->
+                Blas_server.Proto.invalidation_to_string
+                  (Test_util.respread_edit s k).Blas.Update.invalidation)
+              [ mem; twin; disk ]
+          in
+          let after = Blas.Storage.guide mem in
+          check_bool "one invalidation record" true
+            (List.for_all (String.equal (List.hd records)) records);
+          check_bool "one labeling" true
+            (List.for_all
+               (fun s ->
+                 Blas_xml.Dataguide.entries (Blas.Storage.guide s)
+                 = Blas_xml.Dataguide.entries after)
+               [ twin; disk ]);
+          let respread = Blas_xml.Dataguide.relabeled ~before ~after <> [] in
+          if respread then begin
+            check_bool "the respread moves one run of paths" true
+              (moved_one_run ~before ~after);
+            check_bool "a respread flushes the caches" true
+              (String.starts_with ~prefix:"full=1" (List.hd records))
+          end;
+          List.iter
+            (fun s ->
+              check_bool "every SP row on its path's label" true
+                (sp_rows_on_their_labels s);
+              List.iter
+                (fun q ->
+                  let q = Blas.query q in
+                  let expected = Blas.oracle s q in
+                  List.iter
+                    (fun translator ->
+                      List.iter
+                        (fun engine ->
+                          check_int_list
+                            (Printf.sprintf "edit %d, %s/%s" k
+                               (Blas.translator_name translator)
+                               (Blas.engine_name engine))
+                            expected
+                            (Blas.answers s ~engine ~translator q))
+                        engines)
+                    translators)
+                queries)
+            [ mem; disk ];
+          go (k + 1) (if respread then respreads + 1 else respreads)
+        end
+      in
+      check_bool "the gap ran out" true (go 1 0 > 0);
+      let labels = Blas_xml.Dataguide.entries (Blas.Storage.guide disk) in
+      Blas.Storage.close disk;
+      let reopened = Blas.Database.open_ ~mode:Blas.Database.Ro ~path () in
+      Fun.protect
+        ~finally:(fun () -> Blas.Storage.close reopened)
+        (fun () ->
+          check_bool "labels survive a reopen" true
+            (labels = Blas_xml.Dataguide.entries (Blas.Storage.guide reopened));
+          List.iter
+            (fun q ->
+              let q = Blas.query q in
+              check_int_list "reopened answers" (Blas.oracle mem q)
+                (Blas.answers reopened ~engine:Blas.Rdbms ~translator:Blas.Auto2 q))
+            queries))
+
+(* D-label spreading in native ints against the exact product. *)
+let prop_spread_exact =
+  let gen =
+    QCheck2.Gen.(
+      let* slots = int_range 1 5000 in
+      let* lo = int_range (-1000) 1000 in
+      let* gap = oneof [ int_range slots (slots * 8); int_range slots (max_int - 2000) ] in
+      return (lo, gap, slots))
+  in
+  qtest ~count:300 "spread matches the exact gap * i / slots" gen
+    (fun (lo, gap, slots) ->
+      let exact i =
+        match
+          Bignum.to_int_opt (Bignum.div_int (Bignum.mul_int (Bignum.of_int gap) i) slots)
+        with
+        | Some offset -> lo + 1 + offset
+        | None -> assert false
+      in
+      Blas_update.Gap_alloc.spread ~lo ~hi:(lo + gap + 1) ~slots
+      = Array.init slots exact)
 
 (* ------------------------------------------------------------------ *)
 (* The expansion bound                                                 *)
@@ -547,10 +714,10 @@ let suite =
       test_localized_relabel;
     Alcotest.test_case "gap exhaustion: whole-document relabel" `Quick
       test_whole_document_relabel;
-    Alcotest.test_case "new tag rebuilds inventory" `Quick
-      test_new_tag_rebuilds_inventory;
-    Alcotest.test_case "depth growth rebuilds inventory" `Quick
-      test_depth_growth_rebuilds_inventory;
+    Alcotest.test_case "new tag relabels nothing" `Quick
+      test_new_tag_relabels_nothing;
+    Alcotest.test_case "depth growth relabels nothing" `Quick
+      test_depth_growth_relabels_nothing;
     Alcotest.test_case "delete subtree" `Quick test_delete_subtree;
     Alcotest.test_case "replace text" `Quick test_replace_text;
     Alcotest.test_case "replace text copies only the spine" `Quick
@@ -560,8 +727,11 @@ let suite =
     Alcotest.test_case "invalid arguments" `Quick test_errors;
     Alcotest.test_case "persist round-trip after edits" `Quick
       test_persist_round_trip;
-    Alcotest.test_case "rebuild pages match a fresh index" `Quick
-      test_rebuild_page_counts;
+    Alcotest.test_case "new tag writes pages in place" `Quick
+      test_new_tag_writes_in_place;
+    Alcotest.test_case "gap exhaustion: P-label respread" `Quick
+      test_plabel_respread;
+    prop_spread_exact;
     prop_edits_consistent;
     prop_incremental_model;
     prop_persist_survives_edits;

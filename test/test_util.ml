@@ -113,6 +113,12 @@ let pp_tree tree = Blas_xml.Printer.compact tree
 
 let pp_query q = Blas_xpath.Pretty.to_string q
 
+(* Substring containment, avoiding a Str dependency. *)
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  n = 0 || go 0
+
 let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
@@ -157,3 +163,14 @@ let with_db_copy storage f =
       Fun.protect
         ~finally:(fun () -> Blas.Storage.close reopened)
         (fun () -> f reopened))
+
+(** [respread_edit storage k] inserts a root child tagged [k] m's just
+    before the root's last child.  Called with k = 1, 2, 3, ... every
+    new path [/root/mmm...] sorts right after the previous one in
+    reversed-path order, so each takes half of the same P-label gap
+    until it runs out and the guide respreads. *)
+let respread_edit storage k =
+  let root = (Blas.Storage.doc storage).Blas_xpath.Doc.root in
+  Blas.Update.insert_subtree storage ~parent:root.Blas_xpath.Doc.start
+    ~pos:(List.length root.Blas_xpath.Doc.children - 1)
+    (Blas_xml.Types.Element (String.make k 'm', [ Blas_xml.Types.Content "t" ]))
