@@ -18,6 +18,8 @@ let accuracy_slack = 1.5
 
 let accuracy_floor = 0.8
 
+let repetitions = 5
+
 (* Ratios below timer/scheduler resolution say nothing about the pick:
    a 10us-vs-20us "2x miss" is noise.  A pick also counts as accurate
    when it is within this absolute distance of the best. *)
@@ -38,21 +40,27 @@ let candidate_name (translator, engine) =
     (Blas.translator_name translator)
     (match engine with Blas.Rdbms -> "rdbms" | Blas.Twig -> "twig")
 
-(* One warm-up run (plan construction, buffer-pool population), then
-   the minimum over the repetitions: pick quality is judged on each
-   candidate's steady-state latency, and the minimum is the standard
-   noise-robust estimator for that (means drag in GC pauses). *)
-let time_candidate storage (translator, engine) query =
-  ignore (Blas.run ~cache:false storage ~engine ~translator query);
-  List.fold_left
-    (fun best () ->
-      let _, t =
-        Bench_util.time_once (fun () ->
-            Blas.run ~cache:false storage ~engine ~translator query)
-      in
-      Float.min best t)
-    infinity
-    (List.init 5 (fun _ -> ()))
+(* One warm-up run of every candidate (plan construction, buffer-pool
+   population), then the minimum over the repetitions: pick quality is
+   judged on each candidate's steady-state latency, and the minimum is
+   the standard noise-robust estimator for that (means drag in GC
+   pauses).  The repetitions go round-robin over the candidates, so a
+   host stall lands on one repetition of several candidates rather than
+   on every repetition of one. *)
+let time_candidates storage query =
+  let run (translator, engine) () =
+    Blas.run ~cache:false storage ~engine ~translator query
+  in
+  List.iter (fun c -> ignore (run c ())) candidates;
+  let best = Array.make (List.length candidates) infinity in
+  for _ = 1 to repetitions do
+    List.iteri
+      (fun i c ->
+        let _, t = Bench_util.time_once (run c) in
+        best.(i) <- Float.min best.(i) t)
+      candidates
+  done;
+  List.mapi (fun i c -> (c, best.(i))) candidates
 
 (* The pick's (translator, engine) as measured-candidate coordinates. *)
 let pick_of_choice (c : Blas.Optimizer.choice) =
@@ -81,9 +89,7 @@ type outcome = {
 
 let sweep_one storage (id, qs) =
   let query = Blas.query qs in
-  let timed =
-    List.map (fun c -> (c, time_candidate storage c query)) candidates
-  in
+  let timed = time_candidates storage query in
   let auto2 =
     Blas.run ~cache:false storage ~engine:Blas.Rdbms ~translator:Blas.Auto2
       query

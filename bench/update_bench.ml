@@ -23,13 +23,23 @@
     before each edit, outside the timing, so one edit's log is the WAL
     size after it.
 
+    Last, the labels an INSERT moves: [samples] untimed inserts each on
+    in-memory Protein (an [<author>] appended to [authors]) and Auction
+    at scale 16 (a [<bidder><date/><increase/></bidder>] appended to an
+    [open_auction], which has no free position at its end), with the
+    medians of the nodes each relabels and the pages each writes.  Both
+    counts are deterministic.
+
     With [--check] (the CI gate, sharing {!Overhead.check_mode}) the
     run fails when the median paired ratio of any edit kind in memory
     exceeds {!max_ratio} — an edit that pays for the whole document
     scales with it — or when a RETEXT on the 4x database logs more than
-    {!max_wal_ratio} times the WAL bytes it logs on the 1x one.  The
+    {!max_wal_ratio} times the WAL bytes it logs on the 1x one (the
     byte count is deterministic: a commit that logs the whole catalog
-    grows with the document's page directories. *)
+    grows with the document's page directories), or when the Auction
+    INSERT's median relabels more than {!max_auction_relabeled} nodes:
+    renumbering the enclosing subtree instead of the narrowest label
+    window that fits moves 19-42. *)
 
 let sizes = [ 160; 640 ]
 
@@ -38,6 +48,8 @@ let samples = 21
 let max_ratio = 2.0
 
 let max_wal_ratio = 1.25
+
+let max_auction_relabeled = 16
 
 let marker i = Printf.sprintf "bench-update-%d" i
 
@@ -85,6 +97,19 @@ let kinds =
 
 let protein entries =
   Blas.index_of_tree (Blas_datagen.Protein.generate ~seed:1 ~entries ())
+
+(* [samples] inserts of [sub k], the [k]-th appended to the [k]-th of
+   [samples] nodes matching [parent] spread over [storage]: the medians
+   of the nodes each relabeled and of the pages each wrote. *)
+let insert_counts storage ~parent sub =
+  let reports =
+    List.init samples (fun k ->
+        let p = spread (nodes storage parent) k in
+        Blas.Update.insert_subtree storage ~parent:p.start
+          ~pos:(List.length p.children) (sub k))
+  in
+  ( median (List.map (fun (r : Blas.Update.report) -> r.nodes_relabeled) reports),
+    median (List.map (fun (r : Blas.Update.report) -> r.pages_written) reports) )
 
 (* Paired rounds on in-memory Protein at both sizes: per edit kind,
    the median ms on each and the median of the rounds' large/small
@@ -218,4 +243,31 @@ let run () =
     @ [ "WAL ratio" ]
   in
   Bench_util.print_table ~title:".blasdb (fastest ms, median WAL bytes per edit)"
-    { Bench_util.header; rows }
+    { Bench_util.header; rows };
+  let is tag (n : Blas_xpath.Doc.node) = n.tag = tag in
+  let author k = Blas_xml.Types.(Element ("author", [ Content (marker k) ])) in
+  let bidder _ = Blas_xml.Dom.parse "<bidder><date/><increase/></bidder>" in
+  let counts =
+    [
+      ( Printf.sprintf "Protein %d entries: <author>" (List.nth sizes 0),
+        insert_counts (protein (List.nth sizes 0)) ~parent:(is "authors") author );
+      ( "Auction scale 16: <bidder>",
+        insert_counts
+          (Blas.index_of_tree (Blas_datagen.Auction.generate ~scale:16 ()))
+          ~parent:(is "open_auction") bidder );
+    ]
+  in
+  let _, (auction_relabeled, _) = List.nth counts 1 in
+  gate (auction_relabeled <= max_auction_relabeled)
+    "an Auction INSERT relabels %d nodes (median of %d; max %d)" auction_relabeled
+    samples max_auction_relabeled;
+  Bench_util.print_table
+    ~title:(Printf.sprintf "INSERT label moves (medians of %d inserts, in memory)" samples)
+    {
+      Bench_util.header = [ "insert"; "nodes relabeled"; "pages written" ];
+      rows =
+        List.map
+          (fun (name, (relabeled, pages)) ->
+            [ name; string_of_int relabeled; string_of_int pages ])
+          counts;
+    }

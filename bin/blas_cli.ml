@@ -329,8 +329,8 @@ let stats () ?cache_pages ?stats_seed ~json path =
       (List.length (Blas_xml.Dataguide.distinct_tags guide))
       (Blas_xml.Dataguide.max_depth guide)
       (List.length (Blas_xml.Dataguide.all_paths guide));
-    (* Index mutability: how much room updates have before a localized
-       renumbering, and how tight the P-label gaps have become. *)
+    (* Index mutability: how much room updates have before labels must
+       be respread, and how tight the P-label gaps have become. *)
     let free, span = Blas.Update.gap_budget storage in
     Printf.printf "update headroom:\n";
     Printf.printf "  free D-label positions: %d of %d (%.1f%%)\n" free span

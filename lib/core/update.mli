@@ -1,6 +1,6 @@
 (** Incremental updates on a built storage — insert/delete subtrees and
     replace text values in place, maintaining both labelings (D-labels
-    by gap allocation with localized renumbering as fallback, P-labels
+    by gap allocation with a narrowest-window renumber as fallback, P-labels
     by gaps in the guide's reversed-path order), the document model and
     DataGuide, and the
     clustered SP/SD relations and their page directories through the

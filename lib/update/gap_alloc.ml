@@ -6,7 +6,8 @@
     one position), but deletions leave their positions behind and text
     units own positions that no relation row ever references, so gaps
     accumulate and inserts can be labeled without touching any existing
-    label.  When a gap is exhausted, the enclosing range is renumbered
+    label.  When a gap is exhausted, the narrowest run of neighbouring
+    labels whose bounding gap holds them and the new ones is respread
     with even spacing (see {!Update_engine}), in the spirit of the
     gapped/extensible ancestry labelings of Dahlgaard et al. and
     Fraigniaud & Korman.

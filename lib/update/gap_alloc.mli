@@ -1,6 +1,7 @@
 (** D-label allocation for the update subsystem: carve positions for an
     inserted subtree out of the gap between its neighbours' labels, or
-    renumber a range with even spacing when the gap is exhausted.
+    respread a window of labels with even spacing when the gap is
+    exhausted.
     Definition 3.1 only compares positions, so sparse labels are as
     good as dense ones. *)
 

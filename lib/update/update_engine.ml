@@ -6,10 +6,13 @@
     - D-labels (Definition 3.1) compare positions, so any unused
       positions between two labels can be handed to an inserted subtree
       ({!Gap_alloc}).  Text units own positions that no relation row
-      references, and deletions abandon theirs, so gaps are plentiful;
-      when one is exhausted the smallest enclosing ancestor interval
-      with enough capacity is renumbered with even spacing (a localized
-      relabel — the number of labels moved is reported).
+      references, and deletions abandon theirs, so gaps are plentiful.
+      When one is exhausted, only enough neighbouring labels move to
+      open one: the narrowest contiguous run of the label sequence
+      around the insertion point whose bounding gap holds it plus the
+      new subtree is respread with even spacing (list labeling, after
+      Itai, Konheim and Rodeh and Bender et al.); every label outside
+      the run stays, and the number of nodes moved is reported.
     - P-labels (Definition 3.3) are the labels of source paths in the
       document's guide, gapped ints in reversed-path order: a newly
       materialized path takes the midpoint of the gap where it sorts
@@ -79,7 +82,8 @@ let metrics_sink : Blas_obs.Metrics.t option ref = ref None
     per-edit metrics: [blas.update.ops] and [blas.update.latency_ns]
     (labelled by op), [blas.update.pages_written],
     [blas.update.nodes_relabeled], [blas.update.relabel_escalations]
-    (labelled localized/whole) and [blas.update.plabel_respreads]. *)
+    (labelled [localized] when a window of labels moved, [whole] when
+    the document was renumbered) and [blas.update.plabel_respreads]. *)
 let set_metrics registry = metrics_sink := registry
 
 (* Finishes an edit: logs its report and, with a sink installed, charges
@@ -190,37 +194,104 @@ let rec skel_of_tree = function
 let rec skel_size sk = 1 + List.fold_left (fun a k -> a + skel_size k) 0 sk.skids
 
 (* ------------------------------------------------------------------ *)
-(* Label assignment                                                    *)
+(* Label windows                                                       *)
 
-(** How the D-labels of an insert are found. *)
-type allocation =
-  | From_gap  (** the gap between the neighbours holds the subtree *)
-  | Inside of Doc.node
-      (** renumber everything strictly inside this ancestor's interval *)
-  | Whole  (** renumber the entire document with fresh headroom *)
+(* A run of the document's labels — every start and fin, in document
+   order — with the node each belongs to.  The insert goes into the gap
+   after [labels.(p)]; gap [i] lies between [labels.(i)] and
+   [labels.(i + 1)].  The window is the run of gaps [s..e] around [p]:
+   the labels [labels.(s + 1) .. labels.(e)] inside it move, its bounds
+   [labels.(s)] and [labels.(e + 1)] and every label outside stay. *)
+type window = {
+  labels : int array;
+  owners : Doc.node array;
+  p : int;
+  s : int;
+  e : int;
+}
 
-(* One DFS that hands out the positions of [positions] in order: old
-   elements in the renumbered range get entries in the returned relabel
-   table (old start -> new (start, fin)); the inserted skeleton is
-   materialized into Doc.nodes at its spliced place inside [parent]. *)
-let assign ~positions ~(parent : Doc.node) ~pos ~sk alloc =
-  let idx = ref 0 in
-  let next () =
-    let p = positions.(!idx) in
-    incr idx;
-    p
+(* [n]'s labels and their owners in document order: [n.start] first,
+   [n.fin] last. *)
+let label_run (n : Doc.node) =
+  let labels = ref [] and owners = ref [] in
+  let push l o =
+    labels := l :: !labels;
+    owners := o :: !owners
   in
-  let relabel : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let new_sub = ref None in
+  let rec go (n : Doc.node) =
+    push n.start n;
+    List.iter go n.children;
+    push n.fin n
+  in
+  go n;
+  (Array.of_list (List.rev !labels), Array.of_list (List.rev !owners))
+
+let index_of labels l =
+  let rec find i = if labels.(i) = l then i else find (i + 1) in
+  find 0
+
+(* The narrowest run of gaps [s..e] with [s <= p <= e] whose free
+   positions hold [slots]: the labels it moves, [e - s], are the fewest.
+   For each left end [s], from [p] leftwards, the least right end that
+   fits only moves left as [s] does (gaps are never negative), so one
+   sweep finds it.  Ties go to the window furthest right.  The whole run
+   must fit. *)
+let narrowest labels ~p ~slots =
+  let gap i = labels.(i + 1) - labels.(i) - 1 in
+  let last = Array.length labels - 2 in
+  let rec grow e sum =
+    if sum >= slots || e = last then (e, sum) else grow (e + 1) (sum + gap (e + 1))
+  in
+  let rec shrink e sum =
+    if e > p && sum - gap e >= slots then shrink (e - 1) (sum - gap e) else (e, sum)
+  in
+  (* [best] is the width and the bounds of the narrowest fit so far. *)
+  let rec sweep s e sum best =
+    let best = if sum >= slots && e - s < fst best then (e - s, (s, e)) else best in
+    if s = 0 || p - s + 1 >= fst best then snd best
+    else
+      let e, sum = shrink e (sum + gap (s - 1)) in
+      sweep (s - 1) e sum best
+  in
+  let e, sum = grow p (gap p) in
+  sweep p e sum (max_int, (0, last))
+
+(* Hands out [positions] along the window: its labels in order, with
+   the inserted skeleton's slots at the insertion gap.  Returns the
+   nodes with a label that moved (old start -> node, new start, new
+   fin) and the skeleton materialized into Doc.nodes as a child of
+   [parent]. *)
+let assign w ~positions ~(parent : Doc.node) ~sk =
+  let moved = Hashtbl.create 16 in
+  let width = w.e - w.s in
+  let slots = Array.length positions - width in
+  for i = w.s + 1 to w.e do
+    let n = w.owners.(i) in
+    let q = positions.(if i <= w.p then i - w.s - 1 else i - w.s - 1 + slots) in
+    let _, start, fin =
+      Option.value (Hashtbl.find_opt moved n.start) ~default:(n, n.start, n.fin)
+    in
+    Hashtbl.replace moved n.start
+      (if w.labels.(i) = n.start then (n, q, fin) else (n, start, q))
+  done;
+  (* A label the spread puts back where it was has not moved. *)
+  Hashtbl.filter_map_inplace
+    (fun _ ((n : Doc.node), start, fin as m) ->
+      if start = n.start && fin = n.fin then None else Some m)
+    moved;
+  let idx = ref (w.p - w.s) in
+  let next () =
+    let q = positions.(!idx) in
+    incr idx;
+    q
+  in
   (* [rpath] is the reversed source path of the node being built. *)
-  let rec build_skel rpath level sk : Doc.node =
+  let rec build rpath level sk : Doc.node =
     let rpath = sk.stag :: rpath in
     let start = next () in
     let children =
       List.rev
-        (List.fold_left
-           (fun acc k -> build_skel rpath (level + 1) k :: acc)
-           [] sk.skids)
+        (List.fold_left (fun acc k -> build rpath (level + 1) k :: acc) [] sk.skids)
     in
     let fin = next () in
     {
@@ -233,72 +304,31 @@ let assign ~positions ~(parent : Doc.node) ~pos ~sk alloc =
       children;
     }
   in
-  let build_new () =
-    new_sub :=
-      Some (build_skel (List.rev parent.source_path) (parent.level + 1) sk)
-  in
-  let rec visit_old (n : Doc.node) =
-    let start = next () in
-    visit_children n;
-    let fin = next () in
-    Hashtbl.replace relabel n.start (start, fin)
-  and visit_children (n : Doc.node) =
-    if n.start = parent.start then begin
-      let rec go i = function
-        | rest when i = pos ->
-          build_new ();
-          List.iter visit_old rest
-        | [] -> ()
-        | c :: rest ->
-          visit_old c;
-          go (i + 1) rest
-      in
-      go 0 n.children
-    end
-    else List.iter visit_old n.children
-  in
-  (match alloc with
-  | From_gap -> build_new ()
-  | Inside anchor -> visit_children anchor
-  | Whole -> assert false (* rewritten to [Inside super] by assign_whole *));
-  assert (!idx = Array.length positions);
-  (relabel, Option.get !new_sub)
+  let new_sub = build (List.rev parent.source_path) (parent.level + 1) sk in
+  assert (!idx = w.p - w.s + slots);
+  (moved, new_sub)
 
-(* The [Whole] case needs to relabel the root itself, which [assign]'s
-   [visit_children] entry point cannot; share the walk by treating the
-   whole document as the child list of a virtual super-root. *)
-let assign_whole ~positions ~(parent : Doc.node) ~pos ~sk (root : Doc.node) =
-  let super : Doc.node =
-    {
-      tag = "";
-      data = None;
-      start = min_int;
-      fin = max_int;
-      level = 0;
-      source_path = [];
-      children = [ root ];
-    }
-  in
-  assign ~positions ~parent ~pos ~sk (Inside super)
-
-(* Rewrites the tree under [root] (the renumbered ancestor, or the
-   document root for a whole renumbering): apply new labels from
-   [relabel] and splice [new_sub] into [parent_start]'s children at
-   [pos]. *)
-let rebuild_tree ~relabel ~parent_start ~pos ~new_sub (root : Doc.node) =
+(* Rewrites what the window reaches under [top]: a node with a label
+   strictly between [lo] and [hi] (the window's bounds) takes its moved
+   labels, [parent_start]'s node gets [new_sub] spliced into its
+   children at [pos], and the records above them are copied; every
+   other subtree is shared. *)
+let rebuild_tree ~moved ~lo ~hi ~parent_start ~pos ~new_sub (top : Doc.node) =
   let rec go (n : Doc.node) : Doc.node =
-    let start, fin =
-      match Hashtbl.find_opt relabel n.start with
-      | Some moved -> moved
-      | None -> (n.start, n.fin)
-    in
-    let children = rev_map_children go n in
-    let children =
-      if n.start = parent_start then splice children pos new_sub else children
-    in
-    { n with start; fin; children }
+    if n.fin <= lo || n.start >= hi then n
+    else
+      let start, fin =
+        match Hashtbl.find_opt moved n.start with
+        | Some (_, start, fin) -> (start, fin)
+        | None -> (n.start, n.fin)
+      in
+      let children = rev_map_children go n in
+      let children =
+        if n.start = parent_start then splice children pos new_sub else children
+      in
+      { n with start; fin; children }
   in
-  go root
+  go top
 
 (* ------------------------------------------------------------------ *)
 (* insert_subtree                                                      *)
@@ -315,9 +345,8 @@ let insert_subtree t ~parent ~pos tree =
   let sk = skel_of_tree tree in
   let k = skel_size sk in
   let slots = 2 * k in
-  (* The label window between the insert's neighbours.  Its interior
-     holds no element label (only abandoned text/deletion positions),
-     so anything in it is free. *)
+  (* The labels on either side of the insert.  Between them lie only
+     abandoned text/deletion positions, so anything there is free. *)
   let lo =
     if pos = 0 then parent_node.start
     else (List.nth parent_node.children (pos - 1)).fin
@@ -326,65 +355,93 @@ let insert_subtree t ~parent ~pos tree =
     if pos = nkids then parent_node.fin
     else (List.nth parent_node.children pos).start
   in
-  let alloc =
-    if hi - lo - 1 >= slots then From_gap
+  (* The window and the node [top] whose subtree holds it ([None]: the
+     whole document is renumbered, root included). *)
+  let w, top =
+    if hi - lo - 1 >= slots then
+      (* The gap holds the subtree: an empty window, nothing moves. *)
+      ({ labels = [| lo; hi |]; owners = [| parent_node; parent_node |]; p = 0; s = 0; e = 0 },
+       Some parent_node)
     else
-      (* Gap exhausted: renumber inside the smallest enclosing ancestor
-         interval with enough capacity for its elements plus the new
-         subtree.  Escalates to a full renumbering in the worst case. *)
-      let rec first_fitting = function
-        | [] -> Whole
-        | (anc : Doc.node) :: rest ->
-          let required = 2 * (subtree_count anc - 1 + k) in
-          if anc.fin - anc.start - 1 >= required then Inside anc
-          else first_fitting rest
-      in
-      first_fitting (parent_node :: ancestors doc parent_node)
+      (* Gap exhausted: search the smallest enclosing ancestor interval
+         with room for its elements plus the new subtree, and move only
+         the narrowest window of labels there that fits them.  The
+         window's bounds stay, so the deepest ancestor holding both is
+         the only record above it that changes. *)
+      let chain = parent_node :: ancestors doc parent_node in
+      match
+        List.find_opt
+          (fun (anc : Doc.node) ->
+            anc.fin - anc.start - 1 >= 2 * (subtree_count anc - 1 + k))
+          chain
+      with
+      | Some anchor ->
+        let labels, owners = label_run anchor in
+        let p = index_of labels lo in
+        let s, e = narrowest labels ~p ~slots in
+        let top =
+          List.find
+            (fun (a : Doc.node) -> a.start <= labels.(s) && a.fin >= labels.(e + 1))
+            chain
+        in
+        ({ labels; owners; p; s; e }, Some top)
+      | None ->
+        (* No room even under the root: renumber everything, root
+           included, between sentinel bounds. *)
+        let labels, owners = label_run doc.root in
+        ( {
+            labels = Array.concat [ [| min_int |]; labels; [| max_int |] ];
+            owners = Array.concat [ [| doc.root |]; owners; [| doc.root |] ];
+            p = index_of labels lo + 1;
+            s = 0;
+            e = Array.length labels;
+          },
+          None )
   in
-  let relabel, new_sub =
-    match alloc with
-    | From_gap ->
-      let positions = Gap_alloc.spread ~lo ~hi ~slots in
-      assign ~positions ~parent:parent_node ~pos ~sk From_gap
-    | Inside anchor ->
-      let required = 2 * (subtree_count anchor - 1 + k) in
-      let positions =
-        Gap_alloc.spread ~lo:anchor.start ~hi:anchor.fin ~slots:required
-      in
-      assign ~positions ~parent:parent_node ~pos ~sk (Inside anchor)
-    | Whole ->
-      let positions = Gap_alloc.fresh ~slots:(2 * (Doc.node_count doc + k)) in
-      assign_whole ~positions ~parent:parent_node ~pos ~sk doc.root
+  let wlo = w.labels.(w.s) and whi = w.labels.(w.e + 1) in
+  let positions =
+    match top with
+    | Some _ -> Gap_alloc.spread ~lo:wlo ~hi:whi ~slots:(w.e - w.s + slots)
+    | None -> Gap_alloc.fresh ~slots:(w.e - w.s + slots)
   in
+  let moved, new_sub = assign w ~positions ~parent:parent_node ~sk in
   let fresh_nodes = new_sub :: Doc.descendants new_sub in
-  (* Only a whole renumbering rebuilds the model; otherwise the parent
-     (gap) or the renumbered ancestor gets a new record over a changed
-     range of starts, and only its ancestors are copied.  Either way
-     the guide counts the new nodes and labels their new paths. *)
-  let rebuild = rebuild_tree ~relabel ~parent_start:parent_node.start ~pos ~new_sub in
+  (* Only a whole renumbering rebuilds the model.  Otherwise [top] gets
+     a new record over the range of starts the window reaches — from
+     the first node with a label in it (whose start precedes the window
+     when only its fin is inside) to the window's upper bound — and
+     only its ancestors are copied.  Either way the guide counts the
+     new nodes and labels their new paths. *)
+  let rebuild =
+    rebuild_tree ~moved ~lo:wlo ~hi:whi ~parent_start:parent_node.start ~pos ~new_sub
+  in
   let new_doc =
-    match alloc with
-    | Whole ->
+    match top with
+    | None ->
       Doc.of_root
         ~guide:
           (Dataguide.edit doc.guide
              ~add:(List.map (fun (n : Doc.node) -> n.source_path) fresh_nodes)
              ~remove:[])
         (rebuild doc.root)
-    | From_gap ->
-      Doc.replace doc ~at:parent_node
-        ~by:{ parent_node with children = splice parent_node.children pos new_sub }
-        ~changed:(new_sub.start, new_sub.fin) ()
-    | Inside anchor ->
-      Doc.replace doc ~at:anchor ~by:(rebuild anchor)
-        ~changed:(anchor.start + 1, anchor.fin - 1) ()
+    | Some top ->
+      let first =
+        Array.fold_left
+          (fun acc (n : Doc.node) -> min acc n.start)
+          (wlo + 1)
+          (Array.sub w.owners (w.s + 1) (w.e - w.s))
+      in
+      Doc.replace doc ~at:top ~by:(rebuild top) ~changed:(first, whi - 1) ()
   in
   let before = doc.guide and after = new_doc.guide in
-  (* The nodes the renumbering moved, in document order. *)
-  let moved =
-    Hashtbl.fold (fun start _ acc -> start :: acc) relabel []
-    |> List.sort Int.compare |> List.map (find_node doc)
+  (* The nodes the window moved, in document order, with their new
+     labels. *)
+  let moved_nodes =
+    Hashtbl.fold (fun _ m acc -> m :: acc) moved []
+    |> List.sort (fun ((a : Doc.node), _, _) ((b : Doc.node), _, _) ->
+           Int.compare a.start b.start)
   in
+  let moved_olds = List.map (fun (n, _, _) -> n) moved_nodes in
   let new_path = crosses_zero before fresh_nodes in
   (* P-labels a new path's gap could not hold: the nodes on the
      respread paths, found through their old labels in SP, get their SP
@@ -399,61 +456,57 @@ let insert_subtree t ~parent ~pos tree =
         List.filter_map
           (fun row ->
             let start = Blas_rel.Value.to_int (Blas_rel.Tuple.get row 0) in
-            if Hashtbl.mem relabel start then None else Some (find_node doc start))
+            if Hashtbl.mem moved start then None else Some (find_node doc start))
           (Rel_table.index_eq ~cols:[ "start" ] t.sp counters ~column:"plabel"
              (Blas_rel.Value.Int old_label)))
       respread
   in
   let moved_sp_ins =
     List.map
-      (fun (n : Doc.node) ->
-        let start, fin = Hashtbl.find relabel n.start in
-        Layout.sp_row after n ~start ~fin ~data:n.data)
-      moved
+      (fun ((n : Doc.node), start, fin) -> Layout.sp_row after n ~start ~fin ~data:n.data)
+      moved_nodes
   in
   let moved_sd_ins =
     List.map
-      (fun (n : Doc.node) ->
-        let start, fin = Hashtbl.find relabel n.start in
-        Layout.sd_row n ~start ~fin ~data:n.data)
-      moved
+      (fun ((n : Doc.node), start, fin) -> Layout.sd_row n ~start ~fin ~data:n.data)
+      moved_nodes
   in
   ignore
     (Rel_table.apply_edits t.sp counters
-       ~deletes:(List.map (sp_row before) (moved @ respread_nodes))
+       ~deletes:(List.map (sp_row before) (moved_olds @ respread_nodes))
        ~inserts:
          (moved_sp_ins @ List.map (sp_row after) (fresh_nodes @ respread_nodes)));
   ignore
     (Rel_table.apply_edits t.sd counters
-       ~deletes:(List.map sd_row moved)
+       ~deletes:(List.map sd_row moved_olds)
        ~inserts:(moved_sd_ins @ List.map sd_row fresh_nodes));
   t.doc <- new_doc;
   let escalation =
-    match alloc with
-    | From_gap -> None
-    | Inside _ -> Some "localized"
-    | Whole -> Some "whole"
+    match top with
+    | None -> Some "whole"
+    | Some _ when w.s = w.e -> None
+    | Some _ -> Some "localized"
   in
   let invalidation =
     (* A whole-document renumbering moves every D-label and a respread
        the P-labels of a window of paths: neither leaves a cache much
        to stand on.  Otherwise only the spliced subtree and the nodes
-       the renumbering moved are touched: a localized renumbering keeps
-       its ancestor's endpoints, so no other row changes. *)
-    if respread <> [] || (match alloc with Whole -> true | _ -> false) then
+       with a label in the window are touched: every label outside it
+       stays, so no other row changes. *)
+    if respread <> [] || Option.is_none top then
       { inv_full = true; inv_schema_changed = true; inv_plabels = [] }
     else
       {
         inv_full = false;
         inv_schema_changed = new_path;
-        inv_plabels = List.map (Layout.plabel after) (fresh_nodes @ moved);
+        inv_plabels = List.map (Layout.plabel after) (fresh_nodes @ moved_olds);
       }
   in
   record ~op:"insert" ?escalation ~respread:(respread <> []) t0
     {
       nodes_inserted = k;
       nodes_deleted = 0;
-      nodes_relabeled = Hashtbl.length relabel;
+      nodes_relabeled = Hashtbl.length moved;
       plabels_allocated = k + List.length respread_nodes;
       pages_written = Pool.writes t.pool - writes0;
       invalidation;

@@ -1,6 +1,7 @@
 (** The incremental update engine: insert/delete subtrees and replace
     text values on a built bi-labeled index, maintaining D-labels (gap
-    allocation with localized renumbering as the fallback), P-labels
+    allocation; when the gap is too small, the narrowest window of
+    neighbouring labels that fits is respread), P-labels
     (a new path takes a gap in the guide's reversed-path order; a full
     gap respreads a small window of paths), the labeled document model
     with its DataGuide, and
@@ -45,16 +46,20 @@ val pp_report : Format.formatter -> report -> unit
     per-edit metrics: [blas.update.ops] and [blas.update.latency_ns]
     (labelled by op), [blas.update.pages_written],
     [blas.update.nodes_relabeled], [blas.update.relabel_escalations]
-    (labelled localized/whole) and [blas.update.plabel_respreads];
+    (labelled [localized] when a window of labels moved, [whole] when
+    the document was renumbered) and [blas.update.plabel_respreads];
     [set_metrics None] (the default) disables recording. *)
 val set_metrics : Blas_obs.Metrics.t option -> unit
 
 (** [insert_subtree t ~parent ~pos tree] inserts [tree] as the [pos]-th
     element child of the node whose start position is [parent].
     D-labels come from the gap between the new subtree's neighbours
-    when it is wide enough; otherwise the smallest enclosing ancestor
-    interval with enough capacity is renumbered (worst case: the whole
-    document, four positions per slot; see {!Gap_alloc.fresh}).
+    when it is wide enough.  Otherwise, inside the smallest enclosing
+    ancestor interval with enough capacity, the narrowest run of labels
+    around the insertion point whose bounding gap holds them and the
+    new subtree is respread; its bounds and every label outside it
+    stay.  Worst case (no room under the root): the whole document is
+    renumbered, four positions per slot; see {!Gap_alloc.fresh}.
     @raise Invalid_argument on an unknown parent, an out-of-range
     [pos], or a text-node root. *)
 val insert_subtree :

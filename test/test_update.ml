@@ -117,6 +117,42 @@ let test_whole_document_relabel () =
   in
   check_int "second insert uses the headroom" 0 again.nodes_relabeled
 
+let test_window_relabel () =
+  (* A dense parent of ten text leaves: each child owns one free
+     position (its text), and there is none at the parent's end.  The
+     parent has room for a 3-element subtree, but appending one moves
+     only the narrowest window of labels that holds its 6 slots: the
+     last six children's, whose six free positions it takes over.  The
+     parent, the root and the first four children keep their labels. *)
+  let storage =
+    storage_of
+      ("<r><p>" ^ String.concat "" (List.init 10 (fun _ -> "<c>t</c>")) ^ "</p></r>")
+  in
+  let labels () =
+    List.map (fun (n : Blas_xpath.Doc.node) -> (n.tag, n.start, n.fin)) (all_nodes storage)
+  in
+  let before = labels () in
+  let p = start_of_tag storage "p" 0 in
+  let report =
+    Blas.Update.insert_subtree storage ~parent:p ~pos:10
+      (Blas_xml.Dom.parse "<b><c/><c/></b>")
+  in
+  check_int "the window's nodes relabeled" 6 report.nodes_relabeled;
+  check_bool "fewer than the parent's descendants" true (report.nodes_relabeled < 10);
+  (* The subtree is appended, so the old nodes come first. *)
+  let after = List.filteri (fun i _ -> i < List.length before) (labels ()) in
+  List.iteri
+    (fun i (b, a) ->
+      if i < 6 then check_bool "outside the window: label kept" true (b = a)
+      else check_bool "inside the window: label moved" true (b <> a))
+    (List.combine before after);
+  List.iter
+    (fun q ->
+      let q = Blas.query q in
+      check_int_list "answers" (Blas.oracle storage q)
+        (Blas.answers storage ~engine:Blas.Rdbms ~translator:Blas.Pushup q))
+    [ "//c"; "/r/p/b/c"; "//p/c" ]
+
 (* A new path takes a free label of the guide's order whatever its tags
    or depth: no existing P-label moves, and only the new nodes get
    one. *)
@@ -277,27 +313,176 @@ let script_gen =
   let* queries = list_size (return 3) (query_gen ~wildcards:true ()) in
   return (doc, edits, queries)
 
+(* Every translator x engine answers [queries] on the edited [storage]
+   like the oracle, and the oracle agrees with an index rebuilt from
+   scratch. *)
+let agrees_with_oracle_and_rebuild storage queries =
+  let scratch = rebuilt_from_scratch storage in
+  List.for_all
+    (fun query ->
+      let expected = Blas.oracle storage query in
+      (* Incremental labels are sparse, so compare the from-scratch
+         rebuild by document-order rank. *)
+      ranks_of storage expected
+      = ranks_of scratch (Blas.oracle scratch query)
+      && List.for_all
+           (fun translator ->
+             List.for_all
+               (fun engine ->
+                 Blas.answers storage ~engine ~translator query = expected)
+               engines)
+           translators)
+    queries
+
 let prop_edits_consistent =
   qtest ~count:120 "edited index agrees with oracle and rebuild" script_gen
     (fun (doc, edits, queries) ->
       let storage = Blas.index_of_tree doc in
       List.iter (apply_edit storage) edits;
-      let scratch = rebuilt_from_scratch storage in
+      agrees_with_oracle_and_rebuild storage queries)
+
+(* ------------------------------------------------------------------ *)
+(* Property: an insert moves one narrowest window of labels            *)
+
+module Doc = Blas_xpath.Doc
+
+let rec descendant_count (n : Doc.node) =
+  List.fold_left (fun acc c -> acc + 1 + descendant_count c) 0 n.children
+
+let rec element_count = function
+  | Blas_xml.Types.Content _ -> 0
+  | Blas_xml.Types.Element (_, kids) ->
+    List.fold_left (fun acc k -> acc + element_count k) 1 kids
+
+(* [target]'s ancestors-or-self, innermost first. *)
+let chain_to (root : Doc.node) (target : Doc.node) =
+  let rec go acc (n : Doc.node) =
+    if n.start = target.start then n :: acc
+    else
+      go (n :: acc)
+        (List.find
+           (fun (c : Doc.node) -> c.start <= target.start && target.fin <= c.fin)
+           n.children)
+  in
+  go [] root
+
+(* Every label of [nodes] in label order, with its owner's index. *)
+let label_sequence nodes =
+  Array.to_list nodes
+  |> List.mapi (fun i (n : Doc.node) -> [ (n.start, i); (n.fin, i) ])
+  |> List.concat |> List.sort compare |> Array.of_list
+
+(* The fewest labels any run of [labels] around the gap after
+   [labels.(p)] can move and still fit [slots] more between its
+   bounds, by brute force. *)
+let narrowest_width labels ~p ~slots =
+  let best = ref max_int in
+  for s = 0 to p do
+    for e = p to Array.length labels - 2 do
+      if labels.(e + 1) - labels.(s) - 1 >= e - s + slots then best := min !best (e - s)
+    done
+  done;
+  !best
+
+(* Inserts [tree] at [(parent, pos)] (resolved as by [apply_edit]) and
+   checks what moved against the pre-edit labels: the report counts
+   the old nodes whose labels differ; the labels that changed form one
+   run of the pre-edit sequence, at the insertion gap, inside the
+   first ancestor with room, no longer than the narrowest run there
+   that fits the subtree; and no more nodes moved than that ancestor's
+   descendants (what renumbering the whole ancestor moved). *)
+let insert_moves_one_window storage (parent, pos, tree) =
+  let doc = Blas.Storage.doc storage in
+  let old_nodes = Array.of_list doc.all in
+  let parent = old_nodes.(parent mod Array.length old_nodes) in
+  let nkids = List.length parent.children in
+  let pos = pos mod (nkids + 1) in
+  let k = element_count tree in
+  let lo = if pos = 0 then parent.start else (List.nth parent.children (pos - 1)).fin in
+  let anchor =
+    List.find_opt
+      (fun (a : Doc.node) -> a.fin - a.start - 1 >= 2 * (descendant_count a + k))
+      (chain_to doc.root parent)
+  in
+  let report = Blas.Update.insert_subtree storage ~parent:parent.start ~pos tree in
+  let doc' = Blas.Storage.doc storage in
+  (* The parent keeps its document-order rank, and the new subtree is
+     its [pos]-th child: the other nodes pair up with the old ones. *)
+  let rank =
+    let rec find i = if old_nodes.(i).start = parent.start then i else find (i + 1) in
+    find 0
+  in
+  let sub = List.nth (List.nth doc'.all rank).children pos in
+  let fresh = List.map (fun (n : Doc.node) -> n.start) (sub :: Doc.descendants sub) in
+  let new_nodes =
+    Array.of_list (List.filter (fun (n : Doc.node) -> not (List.mem n.start fresh)) doc'.all)
+  in
+  let same_tags =
+    Array.length new_nodes = Array.length old_nodes
+    && Array.for_all2 (fun (a : Doc.node) (b : Doc.node) -> a.tag = b.tag) old_nodes new_nodes
+  in
+  let moved =
+    List.filter
+      (fun i ->
+        old_nodes.(i).start <> new_nodes.(i).start || old_nodes.(i).fin <> new_nodes.(i).fin)
+      (List.init (Array.length old_nodes) Fun.id)
+  in
+  let seq = label_sequence old_nodes in
+  let new_label i =
+    let l, owner = seq.(i) in
+    if l = old_nodes.(owner).start then new_nodes.(owner).start else new_nodes.(owner).fin
+  in
+  let changed = List.filter (fun i -> new_label i <> fst seq.(i)) (List.init (Array.length seq) Fun.id) in
+  let window_ok =
+    match (changed, anchor) with
+    | [], _ -> true
+    | _, None -> true (* the whole document was renumbered *)
+    | _, Some anchor ->
+      let a = List.hd changed and b = List.nth changed (List.length changed - 1) in
+      let p =
+        let rec find i = if fst seq.(i) = lo then i else find (i + 1) in
+        find 0
+      in
+      let inside =
+        Array.of_list
+          (List.filter
+             (fun l -> anchor.start <= l && l <= anchor.fin)
+             (Array.to_list (Array.map fst seq)))
+      in
+      let p_inside =
+        let rec find i = if inside.(i) = lo then i else find (i + 1) in
+        find 0
+      in
+      a - 1 <= p && p <= b
+      && anchor.start < fst seq.(a)
+      && fst seq.(b) < anchor.fin
+      && b - a + 1 <= narrowest_width inside ~p:p_inside ~slots:(2 * k)
+      && report.nodes_relabeled <= descendant_count anchor
+  in
+  same_tags && report.nodes_relabeled = List.length moved && window_ok
+
+let window_script_gen =
+  let open QCheck2.Gen in
+  let* doc = doc_gen in
+  let* edits = list_size (int_range 0 4) edit_gen in
+  let* inserts =
+    list_size (int_range 1 3)
+      (let* parent = nat and* pos = nat and* tree = tree_gen in
+       return (parent, pos, tree))
+  in
+  let* queries = list_size (return 2) (query_gen ~wildcards:true ()) in
+  return (doc, edits, inserts, queries)
+
+let prop_insert_moves_one_window =
+  qtest ~count:100 "an insert moves one narrowest window of labels" window_script_gen
+    (fun (doc, edits, inserts, queries) ->
+      let storage = Blas.index_of_tree doc in
+      List.iter (apply_edit storage) edits;
       List.for_all
-        (fun query ->
-          let expected = Blas.oracle storage query in
-          (* Incremental labels are sparse, so compare the from-scratch
-             rebuild by document-order rank. *)
-          ranks_of storage expected
-          = ranks_of scratch (Blas.oracle scratch query)
-          && List.for_all
-               (fun translator ->
-                 List.for_all
-                   (fun engine ->
-                     Blas.answers storage ~engine ~translator query = expected)
-                   engines)
-               translators)
-        queries)
+        (fun ins ->
+          insert_moves_one_window storage ins
+          && agrees_with_oracle_and_rebuild storage queries)
+        inserts)
 
 let prop_persist_survives_edits =
   qtest ~count:60 "updated index survives save/load" script_gen
@@ -714,6 +899,8 @@ let suite =
       test_localized_relabel;
     Alcotest.test_case "gap exhaustion: whole-document relabel" `Quick
       test_whole_document_relabel;
+    Alcotest.test_case "gap exhaustion: narrowest window relabel" `Quick
+      test_window_relabel;
     Alcotest.test_case "new tag relabels nothing" `Quick
       test_new_tag_relabels_nothing;
     Alcotest.test_case "depth growth relabels nothing" `Quick
@@ -733,6 +920,7 @@ let suite =
       test_plabel_respread;
     prop_spread_exact;
     prop_edits_consistent;
+    prop_insert_moves_one_window;
     prop_incremental_model;
     prop_persist_survives_edits;
     prop_memory_matches_database;
