@@ -14,8 +14,7 @@
     - {e Reads} prefer the primary and fail over to replicas; with
       hedging enabled, a second attempt fires once the first has been
       outstanding longer than the shard's p99 (or a fixed delay) and
-      the first reply wins — the loser drains in the background and
-      retires its connection to the pool.
+      the first real reply wins — the loser's connection is closed.
     - {e Writes} go to the primary through UPDATEX, which surfaces the
       §11 precise invalidation record; the router then re-applies the
       same edit on every replica (deterministic, so replicas converge),
@@ -34,6 +33,13 @@
       failures open it; after a cooldown one half-open probe may pass).
       Admission is shard-aware: a request whose required shard has no
       admissible endpoint answers [BUSY] immediately.
+
+    Every fan-out — a single read, the chunks of a scattered read, the
+    replica re-applies, the INVAL pushes — is one {!exchange} on the
+    worker thread that runs the request: it sends each job's request,
+    then waits on the outstanding sockets with [Unix.select], the
+    nearest hedge deadline as the timeout.  The router starts no thread
+    of its own.
 
     Traced requests thread their id through the fan-out: each shard hop
     runs under [TRACE BG <id>-s<k>] (record-only on the shard, so the
@@ -129,13 +135,15 @@ type ep = {
   mutable e_idle : Client.t list;  (** pooled idle connections *)
   mutable e_failures : int;  (** consecutive transport failures *)
   mutable e_open_since : int64 option;  (** breaker open stamp *)
-  e_latency : Metrics.histogram;  (** successful QUERY round trips, ns *)
+  e_latency : Metrics.histogram;
+      (** QUERY round trips, ns (a closed hedge loser: its time so far) *)
 }
 
 type route =
   | Single of int  (** the shard owning the whole document *)
-  | Chunks of (string * int) list
-      (** a range partition: (chunk doc, label offset) in chunk order *)
+  | Chunks of (string * int * int) list
+      (** a range partition: (chunk doc, label offset, owning shard) in
+          chunk order *)
 
 type t = {
   config : config;
@@ -232,32 +240,212 @@ let drain_idle ep =
   Mutex.unlock ep.e_lock;
   List.iter Client.close idle
 
+(* ------------------------------------------------------------------ *)
+(* The exchange: every fan-out waits on its sockets in one loop       *)
+
 (** A back-end exchange outcome: [Done] is a protocol-level reply (even
     ERR / BUSY / TIMEOUT — those are final answers, identical on any
     replica); [Failed] is a transport failure, which feeds the breaker
     and is eligible for failover. *)
-type 'a outcome = Done of 'a | Failed of string
+type outcome = Done of Proto.reply | Failed of string
 
-let attempt t ep f =
-  match
-    let c = take_conn ep in
-    match f c with
-    | r ->
-      give_conn ep c;
-      r
-    | exception e ->
-      Client.close c;
-      raise e
-  with
-  | r ->
-    on_success ep;
-    Done r
-  | exception e ->
+(** One job of an {!exchange}: a command, the endpoints to try it on in
+    order, and the hedge delay after which the next endpoint starts
+    while the current leg is still out. *)
+type job = {
+  j_cmd : Proto.command;
+  j_headers : Proto.command list;
+  j_deadline_ns : int64 option;  (** sent as the remaining DEADLINE *)
+  j_eps : ep list;
+  j_delay : float option;  (** seconds *)
+}
+
+(* A job for one endpoint with no hedge: UPDATEX, INVAL. *)
+let single ?deadline_ns cmd ep =
+  {
+    j_cmd = cmd;
+    j_headers = [];
+    j_deadline_ns = deadline_ns;
+    j_eps = [ ep ];
+    j_delay = None;
+  }
+
+(** A settled job: its outcome, when its first leg started, and how long
+    it took to settle. *)
+type settled = { outcome : outcome; start_ns : int64; duration_ns : int64 }
+
+type leg = {
+  l_job : int;
+  l_ep : ep;
+  l_conn : Client.t;
+  l_start_ns : int64;
+  l_hedge : bool;  (** started by the hedge timer *)
+}
+
+(* Remaining budget of an absolute deadline, as the DEADLINE header
+   milliseconds for the shard hop. *)
+let remaining_ms deadline_ns =
+  Option.map
+    (fun d ->
+      max 1 (Int64.to_int (Int64.div (Int64.sub d (now_ns ())) 1_000_000L)))
+    deadline_ns
+
+(* [exchange t jobs] — run every job on the calling thread: send each
+   to its first endpoint, then wait with [Unix.select] on the legs still
+   out, the nearest hedge deadline as the timeout.  A transport failure,
+   a BUSY reply or an expired hedge delay (only this last counts
+   [router.hedge.fired]) starts the job's next endpoint.  The first real
+   answer settles the job; its other legs are closed, never pooled, so
+   a late reply cannot reach a later request.  With no real answer the
+   first BUSY (a soft reply: it fails over like a transport failure but
+   beats one in the final pick), else the first failure, settles it; a
+   job with no endpoint at all answers BUSY.
+
+   [select] refuses a descriptor >= FD_SETSIZE with EINVAL; a leg on
+   such a descriptor is read with a plain blocking read instead, and no
+   hedge fires while the loop waits on it. *)
+let exchange t jobs =
+  let n = Array.length jobs in
+  let rest = Array.map (fun j -> j.j_eps) jobs in
+  let hedge_at = Array.make n None and started = Array.make n 0L in
+  let soft = Array.make n None and failure = Array.make n None in
+  let settled = Array.make n None in
+  let legs = ref [] in
+  (* QUERY legs feed the endpoint's latency histogram; a closed loser
+     contributes its time so far, a lower bound, so that [Hedge_auto]'s
+     p99 still sees the slow legs it hedged. *)
+  let observe l =
+    match jobs.(l.l_job).j_cmd with
+    | Proto.Query _ ->
+      Metrics.observe l.l_ep.e_latency
+        (Int64.to_float (Blas_obs.Clock.elapsed_ns l.l_start_ns))
+    | _ -> ()
+  in
+  let settle i outcome =
+    settled.(i) <-
+      Some
+        {
+          outcome;
+          start_ns = started.(i);
+          duration_ns = Blas_obs.Clock.elapsed_ns started.(i);
+        };
+    hedge_at.(i) <- None;
+    let mine, others = List.partition (fun l -> l.l_job = i) !legs in
+    List.iter
+      (fun l ->
+        observe l;
+        Client.close l.l_conn)
+      mine;
+    legs := others
+  in
+  let rec launch ~hedge i =
+    match rest.(i) with
+    | [] ->
+      if not (List.exists (fun l -> l.l_job = i) !legs) then
+        settle i
+          (match (soft.(i), failure.(i)) with
+          | None, Some e -> Failed e
+          | r, _ -> Done (Option.value r ~default:Proto.Busy))
+    | ep :: more -> (
+      let j = jobs.(i) and t0 = now_ns () in
+      rest.(i) <- more;
+      hedge_at.(i) <-
+        (match (j.j_delay, more) with
+        | Some d, _ :: _ -> Some (Int64.add t0 (Int64.of_float (d *. 1e9)))
+        | _ -> None);
+      if hedge then Metrics.incr t.m_hedge_fired;
+      match take_conn ep with
+      | exception e -> failed i ep e
+      | c -> (
+        match
+          Client.send ?deadline_ms:(remaining_ms j.j_deadline_ns)
+            ~headers:j.j_headers c j.j_cmd
+        with
+        | exception e ->
+          Client.close c;
+          failed i ep e
+        | () ->
+          legs :=
+            {
+              l_job = i;
+              l_ep = ep;
+              l_conn = c;
+              l_start_ns = t0;
+              l_hedge = hedge;
+            }
+            :: !legs))
+  and failed i ep e =
     on_failure t ep;
-    Failed (Printexc.to_string e)
+    if failure.(i) = None then failure.(i) <- Some (Printexc.to_string e);
+    launch ~hedge:false i
+  in
+  let receive l =
+    legs := List.filter (fun l' -> l' != l) !legs;
+    let i = l.l_job in
+    match Client.recv l.l_conn with
+    | exception e ->
+      Client.close l.l_conn;
+      failed i l.l_ep e
+    | r -> (
+      on_success l.l_ep;
+      give_conn l.l_ep l.l_conn;
+      observe l;
+      match r with
+      | Proto.Busy ->
+        if soft.(i) = None then soft.(i) <- Some r;
+        launch ~hedge:false i
+      | _ ->
+        if l.l_hedge then Metrics.incr t.m_hedge_won;
+        settle i (Done r))
+  in
+  Array.iteri
+    (fun i _ ->
+      started.(i) <- now_ns ();
+      launch ~hedge:false i)
+    jobs;
+  while !legs <> [] do
+    let now = now_ns () in
+    Array.iteri
+      (fun i at ->
+        match at with
+        | Some at when at <= now -> launch ~hedge:true i
+        | _ -> ())
+      hedge_at;
+    let timeout =
+      Array.fold_left
+        (fun acc at ->
+          match at with
+          | None -> acc
+          | Some at ->
+            let s = Float.max 0. (Int64.to_float (Int64.sub at now) /. 1e9) in
+            if acc < 0. then s else Float.min acc s)
+        (-1.) hedge_at
+    in
+    let fds = List.map (fun l -> Client.fd l.l_conn) !legs in
+    match Unix.select fds [] [] timeout with
+    | ready, _, _ ->
+      (* A leg settled away by an earlier one in this pass is closed:
+         read only the legs still out. *)
+      List.iter
+        (fun l ->
+          if List.memq l !legs && List.mem (Client.fd l.l_conn) ready then
+            receive l)
+        (List.rev !legs)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception (Unix.Unix_error (Unix.EINVAL, _, _) as e) -> (
+      let unselectable l =
+        match Unix.select [ Client.fd l.l_conn ] [] [] 0. with
+        | _ -> false
+        | exception Unix.Unix_error (Unix.EINVAL, _, _) -> true
+      in
+      match List.find_opt unselectable (List.rev !legs) with
+      | Some l -> receive l
+      | None -> raise e)
+  done;
+  Array.map Option.get settled
 
 (* ------------------------------------------------------------------ *)
-(* Hedged / failover execution                                        *)
+(* Hedged / failover reads                                            *)
 
 let hedge_delay_s t ep =
   match t.config.hedge with
@@ -270,141 +458,32 @@ let hedge_delay_s t ep =
       if Float.is_nan p99_ns then None
       else Some (Float.max 0.0005 (Float.min 1.0 (p99_ns /. 1e9)))
 
-(* [race t ~delay ~first ~second] — run [first]; start [second] when
-   [first] fails (failover) or has been outstanding for [delay]
-   (a hedge, counted).  The first [Done] wins; when both fail, the
-   first failure is reported.  The losing attempt keeps running on its
-   own thread and retires its connection when its reply lands.
-
-   [soft r] marks a reply that is well-formed but worth failing over
-   anyway (a BUSY from an overloaded endpoint): it triggers the second
-   attempt like a failure does, beats a transport failure in the final
-   pick, but never wins over a real answer. *)
-let race ?(soft = fun _ -> false) t ~delay ~first ~second =
-  match second with
-  | None -> first ()
-  | Some second ->
-    let mu = Mutex.create () and cv = Condition.create () in
-    let results = ref [] in
-    let launched = ref 1 and timer_fired = ref false and hedged = ref false in
-    let post i r =
-      Mutex.lock mu;
-      results := (i, r) :: !results;
-      Condition.broadcast cv;
-      Mutex.unlock mu
-    in
-    ignore (Thread.create (fun () -> post 0 (first ())) ());
-    (match delay with
-    | Some d ->
-      ignore
-        (Thread.create
-           (fun () ->
-             Unix.sleepf d;
-             Mutex.lock mu;
-             timer_fired := true;
-             Condition.broadcast cv;
-             Mutex.unlock mu)
-           ())
-    | None -> ());
-    let launch_second ~hedge =
-      launched := 2;
-      if hedge then begin
-        hedged := true;
-        Metrics.incr t.m_hedge_fired
-      end;
-      ignore (Thread.create (fun () -> post 1 (second ())) ())
-    in
-    Mutex.lock mu;
-    let result = ref None in
-    while !result = None do
-      match
-        List.find_opt
-          (fun (_, r) -> match r with Done v -> not (soft v) | _ -> false)
-          !results
-      with
-      | Some won -> result := Some won
-      | None ->
-        if List.length !results >= !launched then
-          if !launched = 2 then
-            (* No real answer: prefer a soft reply (BUSY) over a
-               transport failure, else report the earliest failure. *)
-            result :=
-              Some
-                (match
-                   List.find_opt
-                     (fun (_, r) ->
-                       match r with Done _ -> true | _ -> false)
-                     !results
-                 with
-                | Some r -> r
-                | None -> List.nth !results (List.length !results - 1))
-          else launch_second ~hedge:false
-        else if !timer_fired && !launched = 1 && delay <> None then
-          launch_second ~hedge:true
-        else Condition.wait cv mu
-    done;
-    let i, r = Option.get !result in
-    Mutex.unlock mu;
-    (match r with
-    | Done _ when !hedged && i = 1 -> Metrics.incr t.m_hedge_won
-    | _ -> ());
-    r
-
-(* Remaining budget of an absolute deadline, as the DEADLINE header
-   milliseconds for the shard hop. *)
-let remaining_ms deadline_ns =
-  Option.map
-    (fun d ->
-      max 1 (Int64.to_int (Int64.div (Int64.sub d (now_ns ())) 1_000_000L)))
-    deadline_ns
-
-(** One read against shard [shard]: primary-first among admissible
-    endpoints, replica failover on transport failure or BUSY, and an
-    optional hedged second attempt.  [Done Busy] when the whole shard
-    is breaker-open. *)
-let shard_query t ~shard ?deadline_ns ?trace_bg ~doc ~translator ~engine xpath
-    =
-  let targets =
-    Array.to_list t.groups.(shard) |> List.filter (fun ep -> admits t ep)
+(** The job of one read against shard [shard]: primary first among the
+    admissible endpoints, then the replicas, hedging after the primary's
+    delay.  A lone endpoint hedges against a second connection to itself
+    (helps when one connection is stuck); a breaker-open shard has no
+    endpoint and answers BUSY. *)
+let read_job t ~shard ~deadline_ns ~trace_bg ~doc ~translator ~engine xpath =
+  let targets = Array.to_list t.groups.(shard) |> List.filter (admits t) in
+  let delay =
+    match targets with first :: _ -> hedge_delay_s t first | [] -> None
   in
-  match targets with
-  | [] -> Done Proto.Busy
-  | first_ep :: rest ->
-    let deadline_ms = remaining_ms deadline_ns in
-    let run ep () =
-      let t0 = now_ns () in
-      match
-        attempt t ep (fun c ->
-            Client.query ?deadline_ms ?trace_bg c ~doc ~translator ~engine
-              xpath)
-      with
-      | Done r ->
-        Metrics.observe ep.e_latency
-          (Int64.to_float (Blas_obs.Clock.elapsed_ns t0));
-        Done r
-      | Failed e -> Failed e
-    in
-    let delay = hedge_delay_s t first_ep in
-    let second =
-      match rest with
-      | ep :: _ -> Some (run ep)
-      | [] ->
-        (* No replica: a hedge can still race a second connection to
-           the same endpoint (helps when one connection is stuck). *)
-        if delay <> None then Some (run first_ep) else None
-    in
-    race t
-      ~soft:(function Proto.Busy -> true | _ -> false)
-      ~delay ~first:(run first_ep) ~second
+  {
+    j_cmd = Proto.Query { doc; translator; engine; xpath };
+    j_headers =
+      Option.to_list (Option.map (fun id -> Proto.Trace_bg id) trace_bg);
+    j_deadline_ns = deadline_ns;
+    j_eps =
+      (match targets with
+      | [ ep ] when delay <> None -> [ ep; ep ]
+      | _ -> targets);
+    j_delay = delay;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Routing                                                            *)
 
 let route t doc = Hashtbl.find_opt t.table doc
-
-(* The shard that owns a (possibly chunk-) document, per the table. *)
-let owner t doc =
-  match route t doc with Some (Single k) -> Some k | _ -> None
 
 (** Shard-aware admission: [Some Busy] when a required shard has no
     admissible endpoint — checked before the job is queued, so an
@@ -418,12 +497,7 @@ let admission_reject t ~write doc =
   | None -> None (* unknown doc answers ERR from the job body *)
   | Some (Single k) -> if shard_ok k then None else Some Proto.Busy
   | Some (Chunks chunks) ->
-    if
-      List.for_all
-        (fun (cdoc, _) ->
-          match owner t cdoc with Some k -> shard_ok k | None -> false)
-        chunks
-    then None
+    if List.for_all (fun (_, _, k) -> shard_ok k) chunks then None
     else Some Proto.Busy
 
 (* ------------------------------------------------------------------ *)
@@ -431,171 +505,102 @@ let admission_reject t ~write doc =
 
 type subresult = {
   sr_shard : int;
-  sr_doc : string;
   sr_offset : int;
-  sr_reply : Proto.reply outcome;
-  sr_start_ns : int64;
-  sr_duration_ns : int64;
+  sr_reply : outcome;
 }
 
-(* Scatter one sub-query per chunk (each hop hedged independently),
-   join, and record one span per hop on the caller's tracer. *)
+(* Scatter one sub-query per chunk (each hop hedged independently) in
+   one exchange, and record one span per hop on the caller's tracer. *)
 let scatter t ~tracer ~trace_id ~deadline_ns ~translator ~engine ~xpath chunks
     =
-  let sub i (cdoc, offset) =
-    let shard = match owner t cdoc with Some k -> k | None -> -1 in
-    let trace_bg =
-      if trace_id = "" then None
-      else Some (Printf.sprintf "%s-s%d" trace_id i)
-    in
-    let t0 = now_ns () in
-    let reply =
-      if shard < 0 then Failed (Printf.sprintf "chunk %S has no shard" cdoc)
-      else
-        shard_query t ~shard ?deadline_ns ?trace_bg ~doc:cdoc ~translator
-          ~engine xpath
-    in
-    {
-      sr_shard = shard;
-      sr_doc = cdoc;
-      sr_offset = offset;
-      sr_reply = reply;
-      sr_start_ns = t0;
-      sr_duration_ns = Blas_obs.Clock.elapsed_ns t0;
-    }
+  let chunks = Array.of_list chunks in
+  let settled =
+    exchange t
+      (Array.mapi
+         (fun i (cdoc, _, shard) ->
+           let trace_bg =
+             if trace_id = "" then None
+             else Some (Printf.sprintf "%s-s%d" trace_id i)
+           in
+           read_job t ~shard ~deadline_ns ~trace_bg ~doc:cdoc ~translator
+             ~engine xpath)
+         chunks)
   in
-  let results =
-    match chunks with
-    | [ one ] -> [| sub 0 one |] (* no fan-out, no extra thread *)
-    | _ ->
-      let cells = Array.of_list (List.mapi (fun i c -> (i, c)) chunks) in
-      let out = Array.map (fun (i, c) -> (i, c, ref None)) cells in
-      let threads =
-        Array.map
-          (fun (i, c, cell) -> Thread.create (fun () -> cell := Some (sub i c)) ())
-          out
-      in
-      Array.iter Thread.join threads;
-      Array.map (fun (_, _, cell) -> Option.get !cell) out
-  in
-  Array.iter
-    (fun sr ->
+  Array.mapi
+    (fun i (cdoc, offset, shard) ->
+      let s = settled.(i) in
       let outcome =
-        match sr.sr_reply with
+        match s.outcome with
         | Done (Proto.Ok_payload _) -> "ok"
         | Done r -> String.lowercase_ascii (Proto.reply_to_string r)
         | Failed e -> "failed: " ^ e
       in
       Blas_obs.Trace.record tracer
-        ~attrs:[ ("shard", string_of_int sr.sr_shard); ("doc", sr.sr_doc);
-                 ("outcome", outcome) ]
-        ~name:(Printf.sprintf "fanout-s%d" sr.sr_shard)
-        ~start_ns:sr.sr_start_ns ~duration_ns:sr.sr_duration_ns ())
-    results;
-  results
+        ~attrs:
+          [
+            ("shard", string_of_int shard); ("doc", cdoc); ("outcome", outcome);
+          ]
+        ~name:(Printf.sprintf "fanout-s%d" shard)
+        ~start_ns:s.start_ns ~duration_ns:s.duration_ns ();
+      { sr_shard = shard; sr_offset = offset; sr_reply = s.outcome })
+    chunks
+
+let reply_of sr =
+  match sr.sr_reply with
+  | Done r -> r
+  | Failed e ->
+    Proto.Err (Printf.sprintf "shard %d unreachable: %s" sr.sr_shard e)
 
 let query_job t ~tracer ~trace_id ~deadline_ns ~doc ~translator ~engine xpath
     =
   match route t doc with
   | None -> Proto.Err (Printf.sprintf "unknown document %S" doc)
-  | Some (Single _) -> (
+  | Some (Single k) ->
     (* Whole document: a single (possibly hedged) hop forwarding the
        shard's payload bytes untouched. *)
-    match
-      scatter t ~tracer ~trace_id ~deadline_ns ~translator ~engine ~xpath
-        [ (doc, 0) ]
-    with
-    | [| { sr_reply = Done r; _ } |] -> r
-    | [| { sr_reply = Failed e; sr_shard; _ } |] ->
-      Proto.Err (Printf.sprintf "shard %d unreachable: %s" sr_shard e)
-    | _ -> assert false)
-  | Some (Chunks chunks) -> (
+    reply_of
+      (scatter t ~tracer ~trace_id ~deadline_ns ~translator ~engine ~xpath
+         [ (doc, 0, k) ]).(0)
+  | Some (Chunks chunks) ->
     let results =
       scatter t ~tracer ~trace_id ~deadline_ns ~translator ~engine ~xpath
         chunks
     in
     (* All chunks must answer: a partial union would silently drop
        answers.  Failure priority: transport error > TIMEOUT > BUSY >
-       ERR (any ERR is the same semantic error on every chunk). *)
-    let failed =
-      Array.fold_left
-        (fun acc sr ->
-          match (acc, sr.sr_reply) with
-          | Some _, _ -> acc
-          | None, Failed e ->
-            Some
-              (Proto.Err
-                 (Printf.sprintf "shard %d unreachable: %s" sr.sr_shard e))
-          | None, _ -> None)
-        None results
+       ERR (any ERR is the same semantic error on every chunk); the
+       first chunk of the highest rank answers. *)
+    let rank sr =
+      match sr.sr_reply with
+      | Failed _ -> 0
+      | Done Proto.Timeout -> 1
+      | Done Proto.Busy -> 2
+      | Done (Proto.Err _) -> 3
+      | Done _ -> 4
     in
-    let first_non_ok pick =
+    let worst =
       Array.fold_left
-        (fun acc sr ->
-          match (acc, sr.sr_reply) with
-          | Some _, _ -> acc
-          | None, Done r when pick r -> Some r
-          | None, _ -> None)
-        None results
+        (fun a sr -> if rank sr < rank a then sr else a)
+        results.(0) results
     in
-    match failed with
-    | Some e -> e
-    | None -> (
-      match
-        ( first_non_ok (function Proto.Timeout -> true | _ -> false),
-          first_non_ok (function Proto.Busy -> true | _ -> false),
-          first_non_ok (function Proto.Err _ -> true | _ -> false) )
-      with
-      | Some r, _, _ | None, Some r, _ | None, None, Some r -> r
-      | None, None, None -> (
-        let parsed =
-          Array.map
-            (fun sr ->
-              match sr.sr_reply with
-              | Done (Proto.Ok_payload p) ->
-                Option.map (fun starts -> (sr.sr_offset, starts))
-                  (Merge.parse_answers p)
-              | _ -> None)
-            results
-        in
-        if Array.exists Option.is_none parsed then
-          Proto.Err "unmergeable shard reply (not an answer payload)"
-        else
-          Proto.Ok_payload
-            (Merge.render_answers
-               (Merge.merge
-                  (Array.to_list parsed |> List.map Option.get))))))
-
-(* Replica fan-out of one applied edit: deterministic re-apply via
-   UPDATEX, invalidation cross-check, INVAL push as the stale-cache
-   stopgap when the re-apply fails.  Returns the ack stamp on
-   success. *)
-let fan_replica t ~doc ~edit ~primary_inv rep =
-  let mismatch a b =
-    match (a, b) with
-    | Some a, Some b ->
-      Proto.invalidation_to_string a <> Proto.invalidation_to_string b
-    | None, None -> false
-    | _ -> true
-  in
-  match attempt t rep (fun c -> Client.updatex c ~doc edit) with
-  | Done (Proto.Ok_payload _, rinv) ->
-    if mismatch primary_inv rinv then begin
-      Metrics.incr t.m_repl_mismatch;
-      Log.warn (fun m ->
-          m "replica %s diverged on %s (invalidation mismatch)"
-            (endpoint_to_string rep.e_endpoint)
-            doc)
-    end;
-    Some (now_ns ())
-  | Done _ | Failed _ ->
-    (match primary_inv with
-    | Some inv -> (
-      match attempt t rep (fun c -> Client.inval c ~doc inv) with
-      | Done _ -> Metrics.incr t.m_repl_pushed
-      | Failed _ -> ())
-    | None -> ());
-    None
+    if rank worst < 4 then reply_of worst
+    else
+      let parsed =
+        Array.map
+          (fun sr ->
+            match sr.sr_reply with
+            | Done (Proto.Ok_payload p) ->
+              Option.map (fun starts -> (sr.sr_offset, starts))
+                (Merge.parse_answers p)
+            | _ -> None)
+          results
+      in
+      if Array.exists Option.is_none parsed then
+        Proto.Err "unmergeable shard reply (not an answer payload)"
+      else
+        Proto.Ok_payload
+          (Merge.render_answers
+             (Merge.merge (Array.to_list parsed |> List.map Option.get)))
 
 (* The per-document update lock.  Held from before the primary UPDATEX
    until the replica fan-out completes, so that the order in which
@@ -616,6 +621,45 @@ let doc_update_lock t doc =
   Mutex.unlock t.doc_locks_lock;
   m
 
+(* Replica fan-out of one applied edit: deterministic re-apply via
+   UPDATEX on every replica in one exchange, invalidation cross-check,
+   INVAL push as the stale-cache stopgap to each replica whose re-apply
+   failed, and the slowest re-apply's lag behind the primary's ack. *)
+let fan_replicas t ~doc ~updatex ~primary_inv ~acked_ns replicas =
+  let inv_string = Option.map Proto.invalidation_to_string in
+  let lag = ref 0. and lagging = ref [] in
+  Array.iteri
+    (fun i s ->
+      match s.outcome with
+      | Done (Proto.Ok_payload _ as r) ->
+        if inv_string (snd (Client.updatex_reply r)) <> inv_string primary_inv
+        then begin
+          Metrics.incr t.m_repl_mismatch;
+          Log.warn (fun m ->
+              m "replica %s diverged on %s (invalidation mismatch)"
+                (endpoint_to_string replicas.(i).e_endpoint)
+                doc)
+        end;
+        lag :=
+          Float.max !lag
+            (Int64.to_float
+               (Int64.sub (Int64.add s.start_ns s.duration_ns) acked_ns))
+      | Done _ | Failed _ -> lagging := replicas.(i) :: !lagging)
+    (exchange t (Array.map (single updatex) replicas));
+  (match primary_inv with
+  | Some inv when !lagging <> [] ->
+    let push =
+      single (Proto.Inval { doc; payload = Proto.invalidation_to_string inv })
+    in
+    Array.iter
+      (fun s ->
+        match s.outcome with
+        | Done _ -> Metrics.incr t.m_repl_pushed
+        | Failed _ -> ())
+      (exchange t (Array.of_list (List.rev_map push !lagging)))
+  | _ -> ());
+  Metrics.set t.m_repl_lag !lag
+
 let update_job t ~want_invalidation ~deadline_ns ~doc edit =
   match route t doc with
   | None -> Proto.Err (Printf.sprintf "unknown document %S" doc)
@@ -632,42 +676,19 @@ let update_job t ~want_invalidation ~deadline_ns ~doc edit =
       Mutex.lock dlock;
       Fun.protect ~finally:(fun () -> Mutex.unlock dlock)
       @@ fun () ->
-      let deadline_ms = remaining_ms deadline_ns in
+      let updatex = Proto.Updatex { doc; edit } in
       match
-        attempt t primary (fun c -> Client.updatex ?deadline_ms c ~doc edit)
+        (exchange t [| single ?deadline_ns updatex primary |]).(0).outcome
       with
       | Failed e ->
         Proto.Err (Printf.sprintf "shard %d primary unreachable: %s" shard e)
-      | Done (reply, inv) -> (
-        match reply with
-        | Proto.Ok_payload payload ->
+      | Done reply -> (
+        match Client.updatex_reply reply with
+        | Proto.Ok_payload payload, inv ->
           let acked_ns = now_ns () in
           let replicas = Array.sub group 1 (Array.length group - 1) in
-          if Array.length replicas > 0 then begin
-            let acks = Array.map (fun _ -> ref None) replicas in
-            let threads =
-              Array.mapi
-                (fun i rep ->
-                  Thread.create
-                    (fun () ->
-                      acks.(i) :=
-                        fan_replica t ~doc ~edit ~primary_inv:inv rep)
-                    ())
-                replicas
-            in
-            Array.iter Thread.join threads;
-            let lag =
-              Array.fold_left
-                (fun acc ack ->
-                  match !ack with
-                  | Some stamp ->
-                    Float.max acc
-                      (Int64.to_float (Int64.sub stamp acked_ns))
-                  | None -> acc)
-                0. acks
-            in
-            Metrics.set t.m_repl_lag lag
-          end;
+          if Array.length replicas > 0 then
+            fan_replicas t ~doc ~updatex ~primary_inv:inv ~acked_ns replicas;
           if want_invalidation then
             match inv with
             | Some inv ->
@@ -675,7 +696,7 @@ let update_job t ~want_invalidation ~deadline_ns ~doc edit =
                 (Proto.invalidation_to_string inv ^ "\n" ^ payload)
             | None -> Proto.Ok_payload payload
           else Proto.Ok_payload payload
-        | other -> other))
+        | other, _ -> other))
 
 (* INVAL through the router: push to every endpoint of the owning
    shard.  (A chunk name routes like any other document.) *)
@@ -686,23 +707,16 @@ let inval_job t ~doc payload =
     Proto.Err
       (Printf.sprintf "%S is range-partitioned; INVAL must target a chunk" doc)
   | Some (Single shard) ->
-    let replies =
-      Array.map
-        (fun ep ->
-          attempt t ep (fun c ->
-              Client.raw c
-                (Proto.command_to_line (Proto.Inval { doc; payload }))))
-        t.groups.(shard)
-    in
     Array.fold_left
-      (fun acc r ->
-        match (acc, r) with
+      (fun acc s ->
+        match (acc, s.outcome) with
         | (Proto.Err _ | Proto.Busy | Proto.Timeout), _ -> acc
         | _, Done ((Proto.Err _ | Proto.Busy | Proto.Timeout) as bad) -> bad
         | _, Done _ -> acc
         | _, Failed e -> Proto.Err ("endpoint unreachable: " ^ e))
       (Proto.Ok_payload "invalidated")
-      replies
+      (exchange t
+         (Array.map (single (Proto.Inval { doc; payload })) t.groups.(shard)))
 
 (* ------------------------------------------------------------------ *)
 (* STATS / METRICS                                                    *)
@@ -766,7 +780,7 @@ let docs_json t =
           | Single k -> Blas_obs.Json.Str (Printf.sprintf "shard %d" k)
           | Chunks chunks ->
             Blas_obs.Json.List
-              (List.map (fun (c, _) -> Blas_obs.Json.Str c) chunks) )
+              (List.map (fun (c, _, _) -> Blas_obs.Json.Str c) chunks) )
         :: acc)
       t.table []
   in
@@ -902,7 +916,7 @@ let discover ~name (eps : ep array array) =
                  doc other k)
           | _ ->
             Hashtbl.replace table doc (Single k);
-            all_names := doc :: !all_names)
+            all_names := (doc, k) :: !all_names)
         docs;
       Array.iteri
         (fun i ep ->
@@ -924,14 +938,16 @@ let discover ~name (eps : ep array array) =
                     k (Printexc.to_string e)))
         group)
     eps;
-  let partitions, _plain = Shard_map.assemble !all_names in
+  let partitions, _plain = Shard_map.assemble (List.map fst !all_names) in
   List.iter
     (fun (p : Shard_map.partition) ->
       Hashtbl.replace table p.Shard_map.pt_doc
         (Chunks
            (List.map
               (fun (c : Shard_map.chunk) ->
-                (c.Shard_map.ck_doc, c.Shard_map.ck_offset))
+                ( c.Shard_map.ck_doc,
+                  c.Shard_map.ck_offset,
+                  List.assoc c.Shard_map.ck_doc !all_names ))
               p.Shard_map.pt_chunks)))
     partitions;
   table

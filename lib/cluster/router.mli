@@ -6,7 +6,9 @@
     document order, byte-identical to a single-server run.  Endpoints
     carry circuit breakers; reads fail over to replicas and may hedge a
     second attempt after a p99-derived delay; writes fan the applied
-    edit and its §11 invalidation out to replicas.  See the
+    edit and its §11 invalidation out to replicas.  Every fan-out runs
+    on the requesting worker thread as one [select] loop over its
+    back-end sockets; a hedge's losing connection is closed.  See the
     implementation header and DESIGN.md §17. *)
 
 type endpoint = { host : string; port : int }

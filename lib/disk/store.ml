@@ -121,6 +121,33 @@ let recover_rw pager wal =
   Wal.reset wal;
   applied
 
+(* A freshly opened store over [pager]: no transaction, no group-commit
+   window, zeroed counters, [overlay] as its committed snapshot. *)
+let make ~checkpoint_bytes ~wal pager overlay =
+  {
+    pager;
+    wal;
+    overlay = Atomic.make overlay;
+    tx = None;
+    bulk = false;
+    checkpoint_bytes;
+    closed = false;
+    group_window_ns = 0;
+    glock = Mutex.create ();
+    gcond = Condition.create ();
+    g_seq = 0;
+    g_synced = 0;
+    g_leader = false;
+    st_group_commits = 0;
+    st_group_saved = 0;
+    st_page_reads = Atomic.make 0;
+    st_page_read_ns = Atomic.make 0;
+    st_commits = 0;
+    st_checkpoints = 0;
+    st_checkpoint_ns = 0;
+    st_obs = None;
+  }
+
 let open_path ?(checkpoint_bytes = default_checkpoint_bytes) ~path ~mode () =
   let pager =
     try Pager.open_path ~path ~mode
@@ -142,29 +169,7 @@ let open_path ?(checkpoint_bytes = default_checkpoint_bytes) ~path ~mode () =
   | Rw ->
       let wal = Wal.open_rw ~db_path:path ~page_size:(Pager.page_size pager) in
       ignore (recover_rw pager wal);
-      {
-        pager;
-        wal = Some wal;
-        overlay = Atomic.make (empty_snapshot ());
-        tx = None;
-        bulk = false;
-        checkpoint_bytes;
-        closed = false;
-        group_window_ns = 0;
-        glock = Mutex.create ();
-        gcond = Condition.create ();
-        g_seq = 0;
-        g_synced = 0;
-        g_leader = false;
-        st_group_commits = 0;
-        st_group_saved = 0;
-        st_page_reads = Atomic.make 0;
-        st_page_read_ns = Atomic.make 0;
-        st_commits = 0;
-        st_checkpoints = 0;
-        st_checkpoint_ns = 0;
-        st_obs = None;
-      }
+      make ~checkpoint_bytes ~wal:(Some wal) pager (empty_snapshot ())
   | Ro ->
       let snap = empty_snapshot () in
       (match Wal.open_ro_opt ~db_path:path with
@@ -182,29 +187,7 @@ let open_path ?(checkpoint_bytes = default_checkpoint_bytes) ~path ~mode () =
             Disk_log.Log.info (fun m ->
                 m "%s: read-only open overlaying %d WAL transaction(s)" path n);
           Wal.close wal);
-      {
-        pager;
-        wal = None;
-        overlay = Atomic.make snap;
-        tx = None;
-        bulk = false;
-        checkpoint_bytes;
-        closed = false;
-        group_window_ns = 0;
-        glock = Mutex.create ();
-        gcond = Condition.create ();
-        g_seq = 0;
-        g_synced = 0;
-        g_leader = false;
-        st_group_commits = 0;
-        st_group_saved = 0;
-        st_page_reads = Atomic.make 0;
-        st_page_read_ns = Atomic.make 0;
-        st_commits = 0;
-        st_checkpoints = 0;
-        st_checkpoint_ns = 0;
-        st_obs = None;
-      }
+      make ~checkpoint_bytes ~wal:None pager snap
 
 let create ?(checkpoint_bytes = default_checkpoint_bytes) ~path ~page_size () =
   (* The pager takes the file lock first, so a database another
@@ -214,29 +197,7 @@ let create ?(checkpoint_bytes = default_checkpoint_bytes) ~path ~page_size () =
   Wal.remove_for ~db_path:path;
   let wal = Wal.open_rw ~db_path:path ~page_size in
   Wal.reset wal;
-  {
-    pager;
-    wal = Some wal;
-    overlay = Atomic.make (empty_snapshot ());
-    tx = None;
-    bulk = false;
-    checkpoint_bytes;
-    closed = false;
-    group_window_ns = 0;
-    glock = Mutex.create ();
-    gcond = Condition.create ();
-    g_seq = 0;
-    g_synced = 0;
-    g_leader = false;
-    st_group_commits = 0;
-    st_group_saved = 0;
-    st_page_reads = Atomic.make 0;
-    st_page_read_ns = Atomic.make 0;
-    st_commits = 0;
-    st_checkpoints = 0;
-    st_checkpoint_ns = 0;
-    st_obs = None;
-  }
+  make ~checkpoint_bytes ~wal:(Some wal) pager (empty_snapshot ())
 
 let mode t = Pager.mode t.pager
 let path t = Pager.path t.pager

@@ -15,7 +15,12 @@ let default_source () =
 
 let source = ref default_source
 
-let set_source f = source := f
+(* A new source need not share the old one's epoch: the clamp restarts
+   from its first reading, or a source behind the old one would read as
+   a stopped clock until it caught up. *)
+let set_source f =
+  source := f;
+  Atomic.set last 0L
 
 (** [now_ns ()] — current time in nanoseconds, monotone non-decreasing. *)
 let rec now_ns () =

@@ -9,7 +9,8 @@ val now_ns : unit -> int64
 val elapsed_ns : int64 -> int64
 
 (** [set_source f] replaces the clock source ([f] returns nanoseconds).
-    Monotonicity is still enforced by clamping. *)
+    Monotonicity is still enforced by clamping, from [f]'s first reading
+    on: times taken before the switch do not compare with later ones. *)
 val set_source : (unit -> int64) -> unit
 
 (** Human-readable duration: picks ns/us/ms/s by magnitude. *)

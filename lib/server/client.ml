@@ -1,7 +1,9 @@
 (** The OCaml client for the wire protocol: one blocking connection,
-    one request/reply exchange at a time.  The typed wrappers cover
-    every verb; {!request} sends an already-formed command (the REPL
-    path sends raw lines with {!raw}). *)
+    one request/reply exchange at a time.  The typed wrappers cover the
+    client verbs; {!request} sends an already-formed command (the REPL
+    path sends raw lines with {!raw}).  {!send} and {!recv} are the two
+    halves of {!request}, for callers that wait on several connections
+    at once (the router selects on {!fd} between them). *)
 
 type t = { fd : Unix.file_descr; io : Proto.Io.t }
 
@@ -40,27 +42,42 @@ let with_client ?host port f =
 
 exception Closed
 
+let fd t = t.fd
+
 (** [send_line t line] — send one raw line without awaiting a reply
     (header lines like [DEADLINE] carry no reply frame). *)
 let send_line t line = Proto.Io.write t.io (line ^ "\n")
 
-(** [raw t line] — send one raw request line, read one reply frame.
+(** [send ?deadline_ms ?headers t cmd] — write the header lines
+    ([headers], then a DEADLINE when [deadline_ms] is given) and the
+    command in one write, without awaiting the reply. *)
+let send ?deadline_ms ?(headers = []) t cmd =
+  let deadline = Option.map (fun ms -> Proto.Deadline ms) deadline_ms in
+  Proto.Io.write t.io
+    (String.concat ""
+       (List.map
+          (fun c -> Proto.command_to_line c ^ "\n")
+          (headers @ Option.to_list deadline @ [ cmd ])))
+
+(** [recv t] — read one reply frame.
     @raise Closed when the server hung up. *)
-let raw t line =
-  send_line t line;
+let recv t =
   match Proto.read_reply t.io with
   | Ok reply -> reply
   | Error msg when String.starts_with ~prefix:"connection closed" msg ->
     raise Closed
   | Error msg -> failwith ("bad reply frame: " ^ msg)
 
-(** [request ?deadline_ms t cmd] — one exchange; [deadline_ms] sends a
-    DEADLINE header first (headers carry no reply frame). *)
+(** [raw t line] — send one raw request line, read one reply frame.
+    @raise Closed when the server hung up. *)
+let raw t line =
+  send_line t line;
+  recv t
+
+(** [request ?deadline_ms t cmd] — one exchange: {!send}, then {!recv}. *)
 let request ?deadline_ms t cmd =
-  (match deadline_ms with
-  | Some ms -> Proto.Io.write t.io (Proto.command_to_line (Proto.Deadline ms) ^ "\n")
-  | None -> ());
-  raw t (Proto.command_to_line cmd)
+  send ?deadline_ms t cmd;
+  recv t
 
 let ping t =
   match request t Proto.Ping with
@@ -107,29 +124,29 @@ let hello t name =
 (* Optional trace headers shared by the request wrappers: [?trace]
    arms an inline trace; [?trace_id]/[?trace_bg] arm the id-carrying
    forms the router uses on its shard hops. *)
-let send_trace_headers t ~trace ~trace_id ~trace_bg =
-  if trace then send_line t (Proto.command_to_line Proto.Trace_hdr);
-  (match trace_id with
-  | Some id -> send_line t (Proto.command_to_line (Proto.Trace_id id))
-  | None -> ());
-  match trace_bg with
-  | Some id -> send_line t (Proto.command_to_line (Proto.Trace_bg id))
-  | None -> ()
+let trace_headers ~trace ~trace_id ~trace_bg =
+  (if trace then [ Proto.Trace_hdr ] else [])
+  @ Option.to_list (Option.map (fun id -> Proto.Trace_id id) trace_id)
+  @ Option.to_list (Option.map (fun id -> Proto.Trace_bg id) trace_bg)
 
 let query ?deadline_ms ?(trace = false) ?trace_id ?trace_bg t ~doc ~translator
     ~engine xpath =
-  send_trace_headers t ~trace ~trace_id ~trace_bg;
-  request ?deadline_ms t (Proto.Query { doc; translator; engine; xpath })
+  send ?deadline_ms
+    ~headers:(trace_headers ~trace ~trace_id ~trace_bg)
+    t
+    (Proto.Query { doc; translator; engine; xpath });
+  recv t
 
 let update ?deadline_ms ?(trace = false) ?trace_id ?trace_bg t ~doc edit =
-  send_trace_headers t ~trace ~trace_id ~trace_bg;
-  request ?deadline_ms t (Proto.Update { doc; edit })
+  send ?deadline_ms
+    ~headers:(trace_headers ~trace ~trace_id ~trace_bg)
+    t
+    (Proto.Update { doc; edit });
+  recv t
 
-(** [updatex t ~doc edit] — UPDATE returning the invalidation record
-    alongside the ordinary payload (see [Proto.Updatex]). *)
-let updatex ?deadline_ms ?trace_bg t ~doc edit =
-  send_trace_headers t ~trace:false ~trace_id:None ~trace_bg;
-  match request ?deadline_ms t (Proto.Updatex { doc; edit }) with
+(** [updatex_reply reply] — split an [UPDATEX] reply into the ordinary
+    UPDATE payload and the invalidation record the server prefixed. *)
+let updatex_reply = function
   | Proto.Ok_payload p -> (
     match String.index_opt p '\n' with
     | None -> (Proto.Ok_payload p, None)
@@ -138,10 +155,6 @@ let updatex ?deadline_ms ?trace_bg t ~doc edit =
       let rest = String.sub p (i + 1) (String.length p - i - 1) in
       (Proto.Ok_payload rest, inv))
   | reply -> (reply, None)
-
-let inval ?deadline_ms t ~doc inv =
-  request ?deadline_ms t
-    (Proto.Inval { doc; payload = Proto.invalidation_to_string inv })
 
 let sleep ?deadline_ms t ms = request ?deadline_ms t (Proto.Sleep ms)
 

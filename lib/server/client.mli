@@ -1,5 +1,7 @@
 (** The OCaml client for the wire protocol: one blocking connection,
-    one request/reply exchange at a time. *)
+    one request/reply exchange at a time.  {!send} and {!recv} are the
+    two halves of an exchange, for a caller that waits on several
+    connections at once (the router selects on their {!fd}s). *)
 
 type t
 
@@ -22,12 +24,25 @@ exception Closed
     (header lines like [DEADLINE] carry no reply frame). *)
 val send_line : t -> string -> unit
 
+(** The connection's socket, to wait on before {!recv}. *)
+val fd : t -> Unix.file_descr
+
+(** [send ?deadline_ms ?headers t cmd] — write the [headers] lines, a
+    [DEADLINE] header when [deadline_ms] is given, and [cmd], in one
+    write; the reply is left for {!recv}. *)
+val send :
+  ?deadline_ms:int -> ?headers:Proto.command list -> t -> Proto.command -> unit
+
+(** [recv t] — read the next reply frame.
+    @raise Closed when the server hung up. *)
+val recv : t -> Proto.reply
+
 (** [raw t line] — send one raw request line, read one reply frame
     (the REPL path). *)
 val raw : t -> string -> Proto.reply
 
-(** [request ?deadline_ms t cmd] — one exchange; [deadline_ms] sends a
-    [DEADLINE] header first. *)
+(** [request ?deadline_ms t cmd] — one exchange ({!send}, then
+    {!recv}); [deadline_ms] sends a [DEADLINE] header first. *)
 val request : ?deadline_ms:int -> t -> Proto.command -> Proto.reply
 
 val ping : t -> unit
@@ -80,22 +95,12 @@ val update :
   Proto.edit ->
   Proto.reply
 
-(** [updatex t ~doc edit] — UPDATE through the [UPDATEX] verb: on
-    success the returned reply carries the ordinary UPDATE payload and
-    the snd component the parsed §11 invalidation record the server
-    prefixed (router → replica fan-out material). *)
-val updatex :
-  ?deadline_ms:int ->
-  ?trace_bg:string ->
-  t ->
-  doc:string ->
-  Proto.edit ->
-  Proto.reply * Blas.Update.invalidation option
-
-(** [inval t ~doc inv] — push an invalidation into [doc]'s query cache
-    on the peer (the INVAL verb). *)
-val inval :
-  ?deadline_ms:int -> t -> doc:string -> Blas.Update.invalidation -> Proto.reply
+(** [updatex_reply reply] — an [UPDATEX] reply (see [Proto.Updatex])
+    split into the ordinary UPDATE payload and the parsed §11
+    invalidation record the server prefixed (router → replica fan-out
+    material). *)
+val updatex_reply :
+  Proto.reply -> Proto.reply * Blas.Update.invalidation option
 
 (** Debug servers only (see [allow_sleep]). *)
 val sleep : ?deadline_ms:int -> t -> int -> Proto.reply

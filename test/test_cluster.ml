@@ -3,8 +3,10 @@
     document-order merge, and a live in-process cluster — scatter-gather
     byte-identity against single-server runs (fixed fig10 queries and a
     qcheck property over random documents), replica update fan-out,
-    hedged requests against a slow primary, and breaker-driven BUSY
-    degradation when a shard dies.
+    hedged requests against a slow primary (and the loser's connection
+    never serving a later read), per-chunk failover of a scattered read,
+    BUSY failover with hedging off, back-end sockets above FD_SETSIZE,
+    and breaker-driven BUSY degradation when a shard dies.
 
     Every cluster binds ephemeral loopback ports, so the suite runs in
     parallel with anything. *)
@@ -509,6 +511,216 @@ let hedged_request_beats_slow_primary () =
         (counter_value reg "router.hedge.won" >= 1);
       Thread.join flooder)
 
+(* The hedge's losing leg is closed, never pooled: its reply lands after
+   the nap, and a pooled loser would hand that stale frame to the next
+   read on the primary — a different query shows it. *)
+let hedge_loser_never_reused () =
+  let plays = small_plays () in
+  let local = Blas.index_of_tree plays in
+  let server_config =
+    { Srv.default_config with Srv.allow_sleep = true; max_inflight = 1 }
+  in
+  let router_config =
+    { Router.default_config with Router.hedge = Router.Hedge_ms 2.0 }
+  in
+  Local.with_cluster ~shards:1 ~replicas:1 ~server_config ~router_config
+    ~docs:[ ("plays", fun () -> Blas.index_of_tree plays) ]
+    (fun t ->
+      let expected q =
+        expected_payload local ~translator:Blas.Pushup ~engine:Blas.Rdbms q
+      in
+      let routed c q =
+        expect_ok q
+          (C.query c ~doc:"plays" ~translator:Blas.Pushup ~engine:Blas.Rdbms q)
+      in
+      let primary_port = Local.endpoint_port t 0 0 in
+      let flooder =
+        Thread.create
+          (fun () ->
+            try C.with_client primary_port (fun c -> ignore (C.sleep c 300))
+            with _ -> ())
+          ()
+      in
+      Thread.delay 0.05;
+      C.with_client (Local.port t) (fun c ->
+          let q = "//SPEECH[SPEAKER]/LINE" in
+          Test_util.check_string "hedged answer" (expected q) (routed c q);
+          let reg = Router.registry (Local.router t) in
+          Test_util.check_bool "hedge won" true
+            (counter_value reg "router.hedge.won" >= 1);
+          (* Wait out the nap: the primary now answers the loser's
+             query onto a closed socket. *)
+          Thread.join flooder;
+          Thread.delay 0.1;
+          let other = "/PLAYS/PLAY/ACT/SCENE/SPEECH/SPEAKER" in
+          for i = 1 to 20 do
+            Test_util.check_string
+              (Printf.sprintf "read %d after the nap" i)
+              (expected other) (routed c other)
+          done))
+
+(* A scattered read fails over per chunk: with one shard's primary
+   stopped, the chunks it held answer from its replica and the merged
+   answer stays byte-identical. *)
+let scatter_fails_over_per_chunk () =
+  let plays = small_plays () and auction = small_auction () in
+  let local_auction = Blas.index_of_tree auction in
+  Local.with_cluster ~shards:2 ~replicas:1
+    ~partition:("auction", auction, 4)
+    ~docs:[ ("plays", fun () -> Blas.index_of_tree plays) ]
+    (fun t ->
+      let victim =
+        match
+          List.find_opt
+            (fun k ->
+              List.exists
+                (fun d -> String.starts_with ~prefix:"auction#" d)
+                (Local.shard_docs t k))
+            [ 0; 1 ]
+        with
+        | Some k -> k
+        | None -> Alcotest.fail "no shard holds an auction chunk"
+      in
+      C.with_client (Local.port t) (fun c ->
+          let check_all label =
+            List.iter
+              (fun translator ->
+                List.iter
+                  (fun engine ->
+                    List.iter
+                      (fun q ->
+                        Test_util.check_string
+                          (Printf.sprintf "%s: %s (%s on %s)" label q
+                             (Blas.translator_name translator)
+                             (Blas.engine_name engine))
+                          (expected_payload local_auction ~translator ~engine q)
+                          (expect_ok q
+                             (C.query c ~doc:"auction" ~translator ~engine q)))
+                      auction_queries)
+                  engines)
+              translators
+          in
+          (* Warm the pools first, so that both a pooled connection to
+             the stopped primary and a refused connect fail over. *)
+          check_all "both primaries up";
+          Local.stop_primary t victim;
+          check_all "one primary stopped"))
+
+(* BUSY is a soft reply: with hedging off, an overloaded primary's BUSY
+   still fails over to the idle replica, which answers. *)
+let busy_fails_over_without_hedging () =
+  let plays = small_plays () in
+  let local = Blas.index_of_tree plays in
+  let server_config =
+    {
+      Srv.default_config with
+      Srv.allow_sleep = true;
+      max_inflight = 1;
+      queue_depth = 0;
+    }
+  in
+  let router_config =
+    { Router.default_config with Router.hedge = Router.Hedge_off }
+  in
+  Local.with_cluster ~shards:1 ~replicas:1 ~server_config ~router_config
+    ~docs:[ ("plays", fun () -> Blas.index_of_tree plays) ]
+    (fun t ->
+      let q = "//SPEECH[SPEAKER]/LINE" in
+      let primary_port = Local.endpoint_port t 0 0 in
+      let flooder =
+        Thread.create
+          (fun () ->
+            try C.with_client primary_port (fun c -> ignore (C.sleep c 300))
+            with _ -> ())
+          ()
+      in
+      Thread.delay 0.05;
+      (* The pinned primary has no queue slot: it answers BUSY at once. *)
+      (match
+         C.with_client primary_port (fun c ->
+             C.query c ~doc:"plays" ~translator:Blas.Pushup ~engine:Blas.Rdbms
+               q)
+       with
+      | P.Busy -> ()
+      | reply ->
+        Alcotest.failf "pinned primary answered %s" (P.reply_to_string reply));
+      let t0 = Unix.gettimeofday () in
+      let got =
+        C.with_client (Local.port t) (fun c ->
+            expect_ok "routed read"
+              (C.query c ~doc:"plays" ~translator:Blas.Pushup
+                 ~engine:Blas.Rdbms q))
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Test_util.check_string "replica's answer is byte-identical"
+        (expected_payload local ~translator:Blas.Pushup ~engine:Blas.Rdbms q)
+        got;
+      Test_util.check_bool
+        (Printf.sprintf "answered before the nap ends (%.0f ms)"
+           (elapsed *. 1000.))
+        true (elapsed < 0.25);
+      Test_util.check_int "no hedge fired" 0
+        (counter_value (Router.registry (Local.router t)) "router.hedge.fired");
+      Thread.join flooder)
+
+(* [select] cannot wait on a descriptor >= FD_SETSIZE (1024): with the
+   low descriptors held, every back-end leg lands above it and the
+   router reads each with a blocking read instead.  Scattered reads and
+   the replica fan-out stay exact. *)
+let legs_past_fd_setsize () =
+  let hog = ref [] in
+  let release () =
+    List.iter Unix.close !hog;
+    hog := []
+  in
+  Fun.protect ~finally:release @@ fun () ->
+  match
+    for _ = 1 to 1100 do
+      hog := Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 :: !hog
+    done
+  with
+  | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
+    (* A descriptor limit this low cannot reach FD_SETSIZE. *)
+    ()
+  | () ->
+    let plays = small_plays () and auction = small_auction () in
+    let local_auction = Blas.index_of_tree auction in
+    Local.with_cluster ~shards:2 ~replicas:1
+      ~partition:("auction", auction, 4)
+      ~docs:[ ("plays", fun () -> Blas.index_of_tree plays) ]
+      (fun t ->
+        C.with_client (Local.port t) (fun c ->
+            List.iter
+              (fun q ->
+                Test_util.check_string ("scattered " ^ q)
+                  (expected_payload local_auction ~translator:Blas.Pushup
+                     ~engine:Blas.Rdbms q)
+                  (expect_ok q
+                     (C.query c ~doc:"auction" ~translator:Blas.Pushup
+                        ~engine:Blas.Rdbms q)))
+              auction_queries;
+            (* A routed update reaches the replica through the same
+               blocking reads. *)
+            let marker cc =
+              expect_ok "//MARKER"
+                (C.query cc ~doc:"plays" ~translator:Blas.Pushup
+                   ~engine:Blas.Rdbms "//MARKER")
+            in
+            let before = marker c in
+            ignore
+              (expect_ok "routed update"
+                 (C.update c ~doc:"plays"
+                    (P.Insert
+                       { parent = 1; pos = 0; xml = "<MARKER>x</MARKER>" })));
+            let after = marker c in
+            Test_util.check_bool "the router sees the marker" true
+              (after <> before);
+            let shard =
+              if List.mem "plays" (Local.shard_docs t 0) then 0 else 1
+            in
+            Test_util.check_string "replica converged" after
+              (C.with_client (Local.endpoint_port t shard 1) marker)))
+
 (* ------------------------------------------------------------------ *)
 (* Breaker: a dead shard answers BUSY, live shards stay exact          *)
 
@@ -579,5 +791,9 @@ let suite =
         replica_ordering_under_concurrency );
       ("live: hedged request beats a slow primary", hedged_request_beats_slow_primary);
       ("live: dead shard degrades to BUSY, survivors exact", dead_shard_degrades_to_busy);
+      ("live: a hedge loser's connection is never reused", hedge_loser_never_reused);
+      ("live: a scattered read fails over per chunk", scatter_fails_over_per_chunk);
+      ("live: BUSY fails over to the replica with hedging off", busy_fails_over_without_hedging);
+      ("live: legs past FD_SETSIZE are read blocking", legs_past_fd_setsize);
     ]
   @ [ scatter_gather_property ]
