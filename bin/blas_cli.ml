@@ -221,14 +221,13 @@ let generate_cmd =
 (* The machine-readable form of [stats]: same numbers as the text
    output (plus the cumulative I/O totals), one JSON object. *)
 let stats_json storage =
-  let doc = Blas.Storage.doc storage in
   let guide = Blas.Storage.guide storage in
   let free, span = Blas.Update.gap_budget storage in
   let pool = Blas.Storage.pool storage in
   let open Blas_obs.Json in
   Obj
     ([
-       ("nodes", Int (Blas_xpath.Doc.node_count doc));
+       ("nodes", Int (Blas.Storage.node_count storage));
        ("tags", Int (List.length (Blas_xml.Dataguide.distinct_tags guide)));
        ("depth", Int (Blas_xml.Dataguide.max_depth guide));
        ("paths", Int (List.length (Blas_xml.Dataguide.all_paths guide)));
@@ -322,10 +321,9 @@ let stats () ?cache_pages ?stats_seed ~json path =
     print_endline (Blas_obs.Json.to_string_pretty (stats_json storage));
     `Ok ()
   | Ok storage ->
-    let doc = Blas.Storage.doc storage in
     let guide = Blas.Storage.guide storage in
     Printf.printf "nodes:  %d\ntags:   %d\ndepth:  %d\npaths:  %d\n"
-      (Blas_xpath.Doc.node_count doc)
+      (Blas.Storage.node_count storage)
       (List.length (Blas_xml.Dataguide.distinct_tags guide))
       (Blas_xml.Dataguide.max_depth guide)
       (List.length (Blas_xml.Dataguide.all_paths guide));

@@ -292,103 +292,6 @@ let file_backing store =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rebuilding the labeled document model from stored rows.  Rows come
-   in document order; the (start, end) intervals nest, so a stack of
-   open nodes recovers parenthood, source paths and children. *)
-
-type builder = {
-  btag : string;
-  bdata : string option;
-  bstart : int;
-  bfin : int;
-  blevel : int;
-  bpath : string list;  (* reversed source path *)
-  mutable bkids : Blas_xpath.Doc.node list;  (* reversed *)
-}
-
-let freeze b : Blas_xpath.Doc.node =
-  {
-    tag = b.btag;
-    data = b.bdata;
-    start = b.bstart;
-    fin = b.bfin;
-    level = b.blevel;
-    source_path = List.rev b.bpath;
-    children = List.rev b.bkids;
-  }
-
-(** [rebuild_doc ?guide rows] — the document model behind a
-    disk-backed storage, from its SD rows in start order, around
-    [guide] (the catalog's, with the labels SP carries) or a fresh
-    one.
-    @raise Corrupt on rows that do not nest into one document. *)
-let rebuild_doc ?guide rows : Blas_xpath.Doc.t =
-  let attach stack node =
-    match stack with
-    | parent :: _ -> parent.bkids <- node :: parent.bkids
-    | [] -> corrupt "multiple roots"
-  in
-  let rec close stack start =
-    match stack with
-    | top :: rest when top.bfin < start ->
-      attach rest (freeze top);
-      close rest start
-    | _ -> stack
-  in
-  let final =
-    List.fold_left
-      (fun stack (tag, start, fin, level, data) ->
-        let stack = close stack start in
-        let parent_path = match stack with top :: _ -> top.bpath | [] -> [] in
-        let expected_level = List.length parent_path + 1 in
-        if level <> expected_level then
-          corrupt "level %d does not match nesting depth %d" level
-            expected_level;
-        {
-          btag = tag;
-          bdata = data;
-          bstart = start;
-          bfin = fin;
-          blevel = level;
-          bpath = tag :: parent_path;
-          bkids = [];
-        }
-        :: stack)
-      [] rows
-  in
-  let rec collapse = function
-    | [ root ] -> freeze root
-    | top :: rest ->
-      attach rest (freeze top);
-      collapse rest
-    | [] -> corrupt "empty document"
-  in
-  Blas_xpath.Doc.of_root ?guide (collapse final)
-
-let data_of_value = function
-  | Value.Null -> None
-  | Value.Str s -> Some s
-  | v ->
-    corrupt "unexpected data value %s" (Format.asprintf "%a" Value.pp v)
-
-let row_of_sd_tuple t =
-  match
-    ( Tuple.get t 0, Tuple.get t 1, Tuple.get t 2, Tuple.get t 3, Tuple.get t 4 )
-  with
-  | Value.Str tag, Value.Int s, Value.Int e, Value.Int l, d ->
-    (tag, s, e, l, data_of_value d)
-  | _ -> raise (Corrupt "malformed SD row")
-
-(* The document model from a scan of [storage]'s SD. *)
-let sd_doc ?guide (storage : Storage.t) =
-  let rows =
-    List.map row_of_sd_tuple
-      (Table.scan storage.Storage.sd (Blas_rel.Counters.create ()))
-  in
-  rebuild_doc ?guide
-    (List.sort (fun (_, s1, _, _, _) (_, s2, _, _, _) -> compare s1 s2) rows)
-
-(* ------------------------------------------------------------------ *)
 (* The open database handle                                           *)
 
 type db = {
@@ -436,6 +339,9 @@ let install db (storage : Storage.t) (cat, chain) =
       (cat.c_free @ cat.c_old_leaves);
   storage.Storage.sp <- Layout.of_layout (page_store db) Layout.sp ~dir:cat.c_sp;
   storage.Storage.sd <- Layout.of_layout (page_store db) Layout.sd ~dir:cat.c_sd;
+  (* What was derived from the old tables goes with them. *)
+  Storage.drop_doc storage;
+  Storage.drop_columns storage;
   match cat.c_guide with
   | Some guide ->
     storage.Storage.guide <- guide;
@@ -450,9 +356,12 @@ let install db (storage : Storage.t) (cat, chain) =
     (* A catalog older than v4 keeps no counts: build the document model
        once (an SD scan), which counts every path, and collect fresh
        statistics from it.  The next commit writes both down. *)
-    let doc = sd_doc storage in
-    Storage.set_doc storage doc;
-    Storage.set_ostats storage (Some (Storage.collect_ostats doc))
+    let doc = Storage.sd_doc storage in
+    storage.Storage.guide <- doc.guide;
+    Storage.set_ostats storage
+      (Some
+         (Storage.collect_ostats ~guide:doc.guide
+            (List.map (fun (n : Blas_xpath.Doc.node) -> (n.tag, n.data)) doc.all)))
 
 (* ------------------------------------------------------------------ *)
 (* Catalog writer (inside a transaction)                              *)
@@ -522,7 +431,6 @@ let reload db =
   | None -> ()
   | Some storage ->
     Buffer_pool.flush db.pool;
-    Storage.drop_doc storage;
     install db storage (read_catalog db.store);
     Qcache.invalidate (Storage.cache storage) ~full:true ~schema_changed:true
       ~plabels:[]
@@ -746,22 +654,13 @@ let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
         tx_lock = Mutex.create ();
       }
     in
-    let storage_cell = ref None in
-    let build_doc () =
-      let storage =
-        match !storage_cell with Some s -> s | None -> assert false
-      in
-      sd_doc ~guide:storage.Storage.guide storage
-    in
     (* Placeholder components; [install] swaps in the real ones. *)
     let storage =
-      Storage.assemble ~build_doc
-        ~guide:Dataguide.empty
+      Storage.assemble ~guide:Dataguide.empty
         ~sp:(Layout.of_layout (page_store db) Layout.sp ~dir:[||])
         ~sd:(Layout.of_layout (page_store db) Layout.sd ~dir:[||])
         ~pool ()
     in
-    storage_cell := Some storage;
     db.storage <- Some storage;
     (match
        install db storage cat_chain;

@@ -55,13 +55,3 @@ val same_file : string -> string -> bool
 val open_ :
   ?cache_pages:int -> ?stripes:int -> mode:mode -> path:string -> unit ->
   Storage.t
-
-(** [rebuild_doc ?guide rows] reconstructs the labeled document model
-    from [(tag, start, end, level, data)] rows in start order — how a
-    disk-backed storage materializes its document lazily, around its
-    catalog's [guide] (default: a fresh one).
-    @raise Corrupt on rows that do not nest into one document. *)
-val rebuild_doc :
-  ?guide:Blas_xml.Dataguide.t ->
-  (string * int * int * int * string option) list ->
-  Blas_xpath.Doc.t

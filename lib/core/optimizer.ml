@@ -93,7 +93,10 @@ let refresh ?seed storage =
     | None, None -> Stats.default_seed ()
   in
   let epoch = match prev with Some p -> Stats.epoch p + 1 | None -> 0 in
-  let stats = Storage.collect_ostats ~seed ~epoch (Storage.doc storage) in
+  let stats =
+    Storage.collect_ostats ~seed ~epoch ~guide:(Storage.guide storage)
+      (Blas_update.Columns.values (Storage.columns storage))
+  in
   Storage.set_ostats storage (Some stats);
   Qcache.bump_stats_epoch (Storage.cache storage)
 

@@ -51,8 +51,8 @@ val stats_of : Storage.t -> Stats.t option
 
 (** [refresh ?seed storage] — re-collect statistics from the current
     document (epoch advances, seed is kept unless overridden) and bump
-    the cache's stats epoch so memoized [Auto2] picks die.  Forces the
-    document model of a disk-backed storage. *)
+    the cache's stats epoch so memoized [Auto2] picks die.  Reads the
+    label columns ({!Storage.columns}), not the document model. *)
 val refresh : ?seed:int -> Storage.t -> unit
 
 (** The update-protocol hook, called inside {!Update.apply} (and hence

@@ -29,9 +29,9 @@
     parallel determinism suite depends on that).  The CLI and the
     repeated-workload bench opt in per storage with {!set_enabled}.
 
-    Translations are not memoized: translating and compiling a query
-    costs about 0.01 ms, against 0.5–1.4 ms to execute it on the
-    perfbench workloads.
+    Translations are not memoized: on the perfbench local-cold
+    workload (traced, 2-vCPU VM), translating a query and choosing its
+    plan cost about 0.013 + 0.013 ms, against 0.16 ms to execute it.
 
     Epochs: the schema epoch advances whenever the translation inputs
     change — any edit that changes the DataGuide's path set — which

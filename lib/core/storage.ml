@@ -19,18 +19,26 @@
     A storage is either memory-resident (built from a document, its
     pages in an in-memory page store) or disk-backed (opened from a
     database file by {!Database}); the tables are the same pages in
-    both.  For a disk-backed storage the labeled document model is
-    {e lazy}: queries run entirely from the paged tables and the
-    resident catalog, and the [Doc.t] is only materialized — by
-    scanning SD — when something genuinely needs the tree
-    (naive-oracle verification, XML output, navigation).  Use {!doc} to read it; never assume it is resident. *)
+    both, and they are the one copy of the document.  Two things are
+    derived from them on demand and dropped when they go stale:
 
-(* The document slot: either a resident model or a thunk that rebuilds
-   it on demand (disk-backed storages scan SD).  Guarded by a global
-   mutex so concurrent query domains materialize it once. *)
-type doc_slot = {
-  mutable dv : Blas_xpath.Doc.t option;
-  mutable dbuild : (unit -> Blas_xpath.Doc.t) option;
+    - the labeled document model, a read-only [Doc.t] that {!doc}
+      builds from a scan of SD for whatever genuinely needs the tree
+      (naive-oracle verification, XML output, navigation) and every
+      edit drops (a storage built from a document starts with that
+      document);
+    - the label columns edits run over ({!Blas_update.Columns}), which
+      {!columns} builds from a scan of SP on the first edit and edits
+      keep current.
+
+    Queries read neither: they run entirely from the paged tables and
+    the resident guide. *)
+
+(* The derived copies, each built on first use.  Guarded by a global
+   mutex so concurrent query domains build a view once. *)
+type derived = {
+  mutable view : Blas_xpath.Doc.t option;
+  mutable cols : Blas_update.Columns.t option;
 }
 
 (** Per-table layout economics of a disk-backed storage: how the
@@ -105,7 +113,7 @@ type disk = {
    ({!Update}) can edit a storage in place; queries always read the
    current components. *)
 type t = {
-  doc_slot : doc_slot;
+  derived : derived;
   mutable guide : Blas_xml.Dataguide.t;
       (* resident copy of the dataguide and so of the P-labels: the
          planner must not force the document of a disk-backed storage
@@ -123,54 +131,152 @@ type t = {
          sets it from the catalog *)
 }
 
-let doc_lock = Mutex.create ()
+(* ------------------------------------------------------------------ *)
+(* The document model from stored rows                                *)
 
-(** The labeled document model, materializing it on first use for
-    disk-backed storages (a full SD scan — avoid on the query path). *)
-let doc t =
-  match t.doc_slot.dv with
-  | Some d -> d
+let corrupt fmt = Printf.ksprintf (fun msg -> raise (Blas_disk.Pager.Corrupt msg)) fmt
+
+(* Rows come in document order; the (start, end) intervals nest, so a
+   stack of open nodes recovers parenthood, source paths and
+   children. *)
+type builder = {
+  btag : string;
+  bdata : string option;
+  bstart : int;
+  bfin : int;
+  blevel : int;
+  bpath : string list;  (* reversed source path *)
+  mutable bkids : Blas_xpath.Doc.node list;  (* reversed *)
+}
+
+let freeze b : Blas_xpath.Doc.node =
+  {
+    tag = b.btag;
+    data = b.bdata;
+    start = b.bstart;
+    fin = b.bfin;
+    level = b.blevel;
+    source_path = List.rev b.bpath;
+    children = List.rev b.bkids;
+  }
+
+(** [rebuild_doc ?guide rows] — the document model of SD rows in start
+    order, around [guide] (a storage's, with the labels SP carries) or
+    a fresh one.
+    @raise Blas_disk.Pager.Corrupt on rows that do not nest into one
+    document. *)
+let rebuild_doc ?guide rows : Blas_xpath.Doc.t =
+  let attach stack node =
+    match stack with
+    | parent :: _ -> parent.bkids <- node :: parent.bkids
+    | [] -> corrupt "multiple roots"
+  in
+  let rec close stack start =
+    match stack with
+    | top :: rest when top.bfin < start ->
+      attach rest (freeze top);
+      close rest start
+    | _ -> stack
+  in
+  let final =
+    List.fold_left
+      (fun stack (tag, start, fin, level, data) ->
+        let stack = close stack start in
+        let parent_path = match stack with top :: _ -> top.bpath | [] -> [] in
+        let expected_level = List.length parent_path + 1 in
+        if level <> expected_level then
+          corrupt "level %d does not match nesting depth %d" level
+            expected_level;
+        {
+          btag = tag;
+          bdata = data;
+          bstart = start;
+          bfin = fin;
+          blevel = level;
+          bpath = tag :: parent_path;
+          bkids = [];
+        }
+        :: stack)
+      [] rows
+  in
+  let rec collapse = function
+    | [ root ] -> freeze root
+    | top :: rest ->
+      attach rest (freeze top);
+      collapse rest
+    | [] -> corrupt "empty document"
+  in
+  Blas_xpath.Doc.of_root ?guide (collapse final)
+
+let row_of_sd_tuple t =
+  let module V = Blas_rel.Value in
+  let get = Blas_rel.Tuple.get t in
+  match (get 0, get 1, get 2, get 3, get 4) with
+  | V.Str tag, V.Int s, V.Int e, V.Int l, V.Null -> (tag, s, e, l, None)
+  | V.Str tag, V.Int s, V.Int e, V.Int l, V.Str d -> (tag, s, e, l, Some d)
+  | _ -> corrupt "malformed SD row"
+
+(** [sd_doc ?guide t] — the document model from a scan of [t]'s SD. *)
+let sd_doc ?guide t =
+  let rows =
+    List.map row_of_sd_tuple (Blas_rel.Table.scan t.sd (Blas_rel.Counters.create ()))
+  in
+  rebuild_doc ?guide
+    (List.sort (fun (_, s1, _, _, _) (_, s2, _, _, _) -> compare s1 s2) rows)
+
+(* ------------------------------------------------------------------ *)
+(* The derived copies                                                  *)
+
+let derived_lock = Mutex.create ()
+
+let memo get set build =
+  match get () with
+  | Some v -> v
   | None ->
-    Mutex.lock doc_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock doc_lock)
-      (fun () ->
-        match t.doc_slot.dv with
-        | Some d -> d
+    Mutex.protect derived_lock (fun () ->
+        match get () with
+        | Some v -> v
         | None ->
-          let build =
-            match t.doc_slot.dbuild with
-            | Some b -> b
-            | None -> assert false (* a slot always has a value or a builder *)
-          in
-          let d = build () in
-          t.doc_slot.dv <- Some d;
-          d)
+          let v = build () in
+          set v;
+          v)
 
-let set_doc t d =
-  t.doc_slot.dv <- Some d;
-  t.guide <- d.Blas_xpath.Doc.guide
+(** The labeled document model, built from SD on first use after an
+    edit or an open (a full scan — avoid on the query path). *)
+let doc t =
+  memo
+    (fun () -> t.derived.view)
+    (fun d -> t.derived.view <- Some d)
+    (fun () -> sd_doc ~guide:t.guide t)
 
-(** Whether the document model is currently materialized. *)
-let doc_resident t = t.doc_slot.dv <> None
+(** Whether the document model is currently built. *)
+let doc_resident t = t.derived.view <> None
 
-(** Drop a lazily rebuilt document model (disk-backed storages only; a
-    memory-resident storage has no builder to fall back on). *)
-let drop_doc t =
-  if t.doc_slot.dbuild <> None then t.doc_slot.dv <- None
+(** Drop the document model (every edit does; the next {!doc}
+    rebuilds it). *)
+let drop_doc t = t.derived.view <- None
+
+(** The label columns edits run over, built from SP on first use. *)
+let columns t =
+  memo
+    (fun () -> t.derived.cols)
+    (fun c -> t.derived.cols <- Some c)
+    (fun () -> Blas_update.Columns.of_sp t.guide t.sp)
+
+(** Drop the label columns (when the tables are reloaded). *)
+let drop_columns t = t.derived.cols <- None
 
 (* Default buffer pool: 1024 pages — small enough that the evaluation
    data sets do not fit entirely, as on the paper's machine. *)
 let default_pool_capacity = 1024
 
-(** One-pass optimizer statistics over the labeled nodes: value
-    reservoirs beside the document's counted DataGuide. *)
-let collect_ostats ?seed ?epoch (doc : Blas_xpath.Doc.t) =
-  Blas_optimizer.Stats.collect ?seed ?epoch ~guide:doc.guide
+(** One-pass optimizer statistics over the nodes' tags and texts in
+    document order: value reservoirs beside the counted [guide]. *)
+let collect_ostats ?seed ?epoch ~guide nodes =
+  Blas_optimizer.Stats.collect ?seed ?epoch ~guide
     (List.map
-       (fun (n : Blas_xpath.Doc.node) ->
-         { Blas_optimizer.Stats.nv_tag = n.tag; nv_data = n.data })
-       doc.all)
+       (fun (tag, data) -> { Blas_optimizer.Stats.nv_tag = tag; nv_data = data })
+       nodes)
 
 (** [of_doc doc] builds both relations on an in-memory page store —
     the same 4 KiB pages at 0.9 fill and page directories that a
@@ -184,24 +290,27 @@ let of_doc ?(pool_capacity = default_pool_capacity) ?(collect_stats = true)
   (* the bulk load's writes are not this storage's traffic *)
   Blas_rel.Buffer_pool.reset_stats pool;
   {
-    doc_slot = { dv = Some doc; dbuild = None };
+    derived = { view = Some doc; cols = None };
     guide = doc.guide;
     sp;
     sd;
     pool;
     cache = Qcache.create ();
     disk = None;
-    ostats = (if collect_stats then Some (collect_ostats doc) else None);
+    ostats =
+      (if collect_stats then
+         Some
+           (collect_ostats ~guide:doc.guide
+              (List.map (fun (n : Blas_xpath.Doc.node) -> (n.tag, n.data)) doc.all))
+       else None);
     codec;
   }
 
 (** [assemble] wires a storage from already-built components — the
-    disk-open path ({!Database}): the document model stays lazy behind
-    [build_doc]. *)
-let assemble ?(codec = Blas_rel.Codec.V1) ~build_doc ~guide ~sp ~sd
-    ~pool () =
+    disk-open path ({!Database}). *)
+let assemble ?(codec = Blas_rel.Codec.V1) ~guide ~sp ~sd ~pool () =
   {
-    doc_slot = { dv = None; dbuild = Some build_doc };
+    derived = { view = None; cols = None };
     guide;
     sp;
     sd;

@@ -8,14 +8,17 @@
 
     A storage is either memory-resident (its pages in an in-memory page
     store) or disk-backed (opened from a database file by
-    [Blas.Database]); both hold the same paged tables.  For disk-backed storages the
-    labeled document model is lazy — read it through {!doc}, never
-    assume it is materialized.
+    [Blas.Database]); both hold the same paged tables, the one copy of
+    the document.  The labeled document model is a read-only view of
+    SD that {!doc} builds on demand and every edit drops; edits run
+    over label columns that {!columns} builds from SP.  Never assume
+    either is built.
 
     The record is deliberately transparent: benches and ablations swap
     out tables to measure storage variants. *)
 
-type doc_slot
+(** The document model and the label columns, each built on demand. *)
+type derived
 
 (** Per-table layout economics of a disk-backed storage: how the
     active codec is spending the bytes. *)
@@ -88,7 +91,7 @@ type disk = {
 (** The index components are mutable so that {!Update} can edit a built
     index in place; queries read the current fields on every run. *)
 type t = {
-  doc_slot : doc_slot;  (** lazy document model — read via {!doc} *)
+  derived : derived;  (** read via {!doc} and {!columns} *)
   mutable guide : Blas_xml.Dataguide.t;
       (** resident dataguide, the P-labels SP carries with it (planning
           and translation must not force the document) *)
@@ -103,19 +106,36 @@ type t = {
       (** the active page codec — read via {!codec} *)
 }
 
-(** The labeled document model, materializing it on first use for
-    disk-backed storages (a full SD scan — avoid on the query path). *)
+(** The labeled document model: a read-only view built from a scan of
+    SD on first use after an open or an edit (avoid on the query
+    path). *)
 val doc : t -> Blas_xpath.Doc.t
 
-(** Install an updated document model (and its dataguide). *)
-val set_doc : t -> Blas_xpath.Doc.t -> unit
-
-(** Whether the document model is currently materialized. *)
+(** Whether the document model is currently built. *)
 val doc_resident : t -> bool
 
-(** Drop a lazily rebuilt document model to free memory (no-op on
-    memory-resident storages). *)
+(** Drop the document model; the next {!doc} rebuilds it. *)
 val drop_doc : t -> unit
+
+(** The label columns edits run over, built from a scan of SP on first
+    use; edits keep them current. *)
+val columns : t -> Blas_update.Columns.t
+
+(** Drop the label columns (the tables were reloaded). *)
+val drop_columns : t -> unit
+
+(** [rebuild_doc ?guide rows] reconstructs the labeled document model
+    from [(tag, start, end, level, data)] rows in start order — how
+    {!doc} builds it from SD — around [guide] (default: a fresh one).
+    @raise Blas_disk.Pager.Corrupt on rows that do not nest into one
+    document. *)
+val rebuild_doc :
+  ?guide:Blas_xml.Dataguide.t ->
+  (string * int * int * int * string option) list ->
+  Blas_xpath.Doc.t
+
+(** [sd_doc ?guide t] — {!rebuild_doc} over a scan of [t]'s SD. *)
+val sd_doc : ?guide:Blas_xml.Dataguide.t -> t -> Blas_xpath.Doc.t
 
 (** [of_doc doc] builds SP and SD on an in-memory page store: the same
     4 KiB pages at 0.9 fill under [codec] (default
@@ -136,10 +156,9 @@ val of_tree : ?pool_capacity:int -> Blas_xml.Types.tree -> t
 val of_string : ?pool_capacity:int -> string -> t
 
 (** [assemble] wires a storage from already-built components — the
-    disk-open path: the document model stays lazy behind [build_doc]. *)
+    disk-open path. *)
 val assemble :
   ?codec:Blas_rel.Codec.format ->
-  build_doc:(unit -> Blas_xpath.Doc.t) ->
   guide:Blas_xml.Dataguide.t ->
   sp:Blas_rel.Table.t ->
   sd:Blas_rel.Table.t ->
@@ -195,7 +214,12 @@ val codec : t -> Blas_rel.Codec.format
 
 val set_codec : t -> Blas_rel.Codec.format -> unit
 
-(** One-pass statistics collection over a labeled document (used by
-    index build and by [Blas.Optimizer.refresh]). *)
+(** One-pass statistics collection over the nodes' tags and texts in
+    document order, counted in [guide]: from the document at index
+    build, from the label columns in [Blas.Optimizer.refresh]. *)
 val collect_ostats :
-  ?seed:int -> ?epoch:int -> Blas_xpath.Doc.t -> Blas_optimizer.Stats.t
+  ?seed:int ->
+  ?epoch:int ->
+  guide:Blas_xml.Dataguide.t ->
+  (string * string option) list ->
+  Blas_optimizer.Stats.t

@@ -3,7 +3,9 @@
     The heavy lifting lives in {!Blas_update.Update_engine}; this
     module binds the engine's mutable target to {!Storage.t} so edits
     apply in place and every subsequent {!Blas.run} (any translator,
-    any engine) sees the updated document, labels and relations.
+    any engine) sees the updated labels and relations.  An edit drops
+    the storage's document model; the next {!Storage.doc} rebuilds it
+    from SD.
 
     {[
       let storage = Blas.index "<r><a>x</a></r>" in
@@ -33,21 +35,20 @@ type report = Engine.report = {
 
 let pp_report = Engine.pp_report
 
-let target_of (storage : Storage.t) : Engine.target =
-  {
-    doc = Storage.doc storage;
-    sp = storage.sp;
-    sd = storage.sd;
-    pool = storage.pool;
-  }
-
 let apply storage op =
   let run () =
-    let target = target_of storage in
+    let target =
+      {
+        Engine.cols = Storage.columns storage;
+        guide = Storage.guide storage;
+        sp = storage.Storage.sp;
+        sd = storage.Storage.sd;
+        pool = storage.Storage.pool;
+      }
+    in
     let report = op target in
-    Storage.set_doc storage target.Engine.doc;
-    storage.Storage.sp <- target.Engine.sp;
-    storage.Storage.sd <- target.Engine.sd;
+    storage.Storage.guide <- target.Engine.guide;
+    Storage.drop_doc storage;
     (* Fine-grained cache invalidation: drop exactly the entries whose
        P-interval contains a touched P-label, keeping the rest warm.
        Every row the edit changed carries one of those P-labels.  Runs
@@ -90,5 +91,6 @@ let replace_text storage ~start data =
 
 (** [gap_budget storage] — [(free, span)]: unlabeled positions inside
     the root's interval vs. the interval size — the insert headroom
-    before any renumbering. *)
-let gap_budget (storage : Storage.t) = Engine.gap_budget (Storage.doc storage)
+    before any renumbering.  Reads the label columns, not the document
+    model. *)
+let gap_budget storage = Engine.gap_budget (Storage.columns storage)

@@ -1,10 +1,9 @@
 (** Incremental updates on a built storage — insert/delete subtrees and
     replace text values in place, maintaining both labelings (D-labels
     by gap allocation with a narrowest-window renumber as fallback, P-labels
-    by gaps in the guide's reversed-path order), the document model and
-    DataGuide, and the
-    clustered SP/SD relations and their page directories through the
-    buffer pool.  See {!Blas_update.Update_engine} for the mechanics. *)
+    by gaps in the guide's reversed-path order), the DataGuide, the
+    label columns, and the clustered SP/SD relations and their page
+    directories through the buffer pool.  See {!Blas_update.Update_engine} for the mechanics. *)
 
 (** What the edit invalidated in the storage's query cache (see
     {!Blas_update.Update_engine.invalidation}). *)
@@ -44,5 +43,5 @@ val replace_text : Storage.t -> start:int -> string option -> report
 
 (** [gap_budget storage] — [(free, span)]: unlabeled positions inside
     the root's interval vs. the interval's size — the insert headroom
-    before any renumbering. *)
+    before any renumbering (read from the label columns). *)
 val gap_budget : Storage.t -> int * int

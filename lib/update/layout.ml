@@ -29,23 +29,25 @@ let sd = spec "sd" "tag"
 
 let data_value = function None -> Rel.Value.Null | Some d -> Rel.Value.Str d
 
-let row lead (n : Doc.node) ~start ~fin ~data =
+let row lead ~start ~fin ~level ~data =
   Rel.Tuple.of_list
-    [ lead; Rel.Value.Int start; Rel.Value.Int fin; Rel.Value.Int n.level; data_value data ]
+    [ lead; Rel.Value.Int start; Rel.Value.Int fin; Rel.Value.Int level; data_value data ]
 
-(** The P-label of a node: its source path's label in [guide]
+(** The P-label of a source path (root tag first): its label in [guide]
     (Definition 3.3). *)
-let plabel guide (n : Doc.node) =
-  match Blas_xml.Dataguide.label guide n.source_path with
+let plabel guide path =
+  match Blas_xml.Dataguide.label guide path with
   | Some l -> l
   | None -> invalid_arg "Layout.plabel: source path missing from the guide"
 
-(** The SP row of [n] at the given labels and text, its P-label from
-    [guide]. *)
-let sp_row guide (n : Doc.node) = row (Rel.Value.Int (plabel guide n)) n
+(** A source path's tag: its last. *)
+let tag path = List.nth path (List.length path - 1)
 
-(** The SD row of [n] at the given labels and text. *)
-let sd_row (n : Doc.node) = row (Rel.Value.Str n.tag) n
+(** The SP row of a node on [path], its P-label from [guide]. *)
+let sp_row guide ~path = row (Rel.Value.Int (plabel guide path))
+
+(** The SD row of a node tagged [tag]. *)
+let sd_row ~tag = row (Rel.Value.Str tag)
 
 (** [load ?fill store spec rows] bulk-loads one relation into [store]. *)
 let load ?fill store spec rows =
@@ -61,7 +63,9 @@ let of_layout store spec ~dir =
 (** The SP rows of [doc], P-labels from [guide], in document order. *)
 let sp_rows guide (doc : Doc.t) =
   List.map
-    (fun (n : Doc.node) -> sp_row guide n ~start:n.start ~fin:n.fin ~data:n.data)
+    (fun (n : Doc.node) ->
+      sp_row guide ~path:n.source_path ~start:n.start ~fin:n.fin ~level:n.level
+        ~data:n.data)
     doc.all
 
 (** [tables store doc] bulk-loads [doc]'s SP and SD into [store],
@@ -70,5 +74,6 @@ let tables store (doc : Doc.t) =
   ( load store sp (sp_rows doc.guide doc),
     load store sd
       (List.map
-         (fun (n : Doc.node) -> sd_row n ~start:n.start ~fin:n.fin ~data:n.data)
+         (fun (n : Doc.node) ->
+           sd_row ~tag:n.tag ~start:n.start ~fin:n.fin ~level:n.level ~data:n.data)
          doc.all) )

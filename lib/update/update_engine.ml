@@ -25,9 +25,10 @@
     and inserted at their clustered positions in SP and SD, the page
     directories are spliced to match, and every touched page goes
     through the buffer pool, so updates are paged and counted like reads
-    ({!Blas_rel.Table.apply_edits}). *)
+    ({!Blas_rel.Table.apply_edits}).  The engine finds the rows an edit
+    touches in the document's label columns ({!Columns}), which it then
+    edits in place; it builds no tree. *)
 
-module Doc = Blas_xpath.Doc
 module Types = Blas_xml.Types
 module Dataguide = Blas_xml.Dataguide
 module Rel_table = Blas_rel.Table
@@ -37,9 +38,10 @@ module Pool = Blas_rel.Buffer_pool
     binds these to [Storage.t]; keeping the engine below the core
     library lets it be tested and reused without the query machinery. *)
 type target = {
-  mutable doc : Doc.t;
-  mutable sp : Rel_table.t;
-  mutable sd : Rel_table.t;
+  cols : Columns.t;
+  mutable guide : Dataguide.t;
+  sp : Rel_table.t;
+  sd : Rel_table.t;
   pool : Pool.t;
 }
 
@@ -111,59 +113,34 @@ let record ~op ?escalation ?(respread = false) t0 (report : report) =
     if respread then incr (counter registry "blas.update.plabel_respreads"));
   report
 
-let sp_row guide (n : Doc.node) =
-  Layout.sp_row guide n ~start:n.start ~fin:n.fin ~data:n.data
+(* The SP and SD rows of a node at the given labels and text, and as it
+   stands. *)
+let sp_row guide (r : Columns.row) ~start ~fin ~data =
+  Layout.sp_row guide ~path:r.path ~start ~fin ~level:r.level ~data
 
-let sd_row (n : Doc.node) = Layout.sd_row n ~start:n.start ~fin:n.fin ~data:n.data
+let sd_row (r : Columns.row) ~start ~fin ~data =
+  Layout.sd_row ~tag:(Layout.tag r.path) ~start ~fin ~level:r.level ~data
+
+let sp_of guide (r : Columns.row) = sp_row guide r ~start:r.start ~fin:r.fin ~data:r.data
+
+let sd_of (r : Columns.row) = sd_row r ~start:r.start ~fin:r.fin ~data:r.data
 
 (* ------------------------------------------------------------------ *)
-(* Document-model helpers                                              *)
+(* Column helpers                                                      *)
 
-let find_node (doc : Doc.t) start =
-  match Doc.find_by_start doc start with
-  | Some n -> n
+let find_row (c : Columns.t) start =
+  match Columns.find c start with
+  | Some i -> i
   | None ->
     invalid_arg (Printf.sprintf "Update: no element starts at position %d" start)
 
-(* Proper ancestors of [node], innermost first (empty for the root). *)
-let ancestors (doc : Doc.t) (node : Doc.node) =
-  let rec go acc (n : Doc.node) =
-    if n.start = node.start then acc
-    else
-      match
-        List.find_opt
-          (fun (c : Doc.node) -> c.start <= node.start && c.fin >= node.fin)
-          n.children
-      with
-      | Some child -> go (n :: acc) child
-      | None -> assert false (* doc intervals nest *)
-  in
-  go [] doc.root
-
-let rec subtree_count (n : Doc.node) =
-  1 + List.fold_left (fun acc c -> acc + subtree_count c) 0 n.children
-
-(* [splice lst pos x] inserts [x] before position [pos]. *)
-let splice lst pos x =
-  let rec go i = function
-    | rest when i = pos -> x :: rest
-    | [] -> invalid_arg "Update.splice: position out of range"
-    | y :: rest -> y :: go (i + 1) rest
-  in
-  go 0 lst
-
-let rev_map_children f (n : Doc.node) =
-  List.rev (List.fold_left (fun acc c -> f c :: acc) [] n.children)
-
-(* Whether some node of [nodes] has a source path on which [guide]
-   counts no node — asked of the guide before an insert (the path is
-   new) or after a delete (its last node went).  The guide's path set
-   changed exactly when a count crossed zero: the signal that memoized
-   decompositions, which consult the guide, may have gone stale. *)
-let crosses_zero (guide : Blas_xml.Dataguide.t) nodes =
-  List.exists
-    (fun (n : Doc.node) -> Blas_xml.Dataguide.count guide n.source_path = 0)
-    nodes
+(* Whether some path of [paths] has no node counted in [guide] — asked
+   of the guide before an insert (the path is new) or after a delete
+   (its last node went).  The guide's path set changed exactly when a
+   count crossed zero: the signal that memoized decompositions, which
+   consult the guide, may have gone stale. *)
+let crosses_zero guide paths =
+  List.exists (fun path -> Dataguide.count guide path = 0) paths
 
 (* ------------------------------------------------------------------ *)
 (* Inserted-fragment skeletons                                         *)
@@ -197,34 +174,47 @@ let rec skel_size sk = 1 + List.fold_left (fun a k -> a + skel_size k) 0 sk.skid
 (* Label windows                                                       *)
 
 (* A run of the document's labels — every start and fin, in document
-   order — with the node each belongs to.  The insert goes into the gap
+   order — with the row each belongs to.  The insert goes into the gap
    after [labels.(p)]; gap [i] lies between [labels.(i)] and
    [labels.(i + 1)].  The window is the run of gaps [s..e] around [p]:
    the labels [labels.(s + 1) .. labels.(e)] inside it move, its bounds
    [labels.(s)] and [labels.(e + 1)] and every label outside stay. *)
 type window = {
   labels : int array;
-  owners : Doc.node array;
+  owners : int array;
   p : int;
   s : int;
   e : int;
 }
 
-(* [n]'s labels and their owners in document order: [n.start] first,
-   [n.fin] last. *)
-let label_run (n : Doc.node) =
-  let labels = ref [] and owners = ref [] in
-  let push l o =
-    labels := l :: !labels;
-    owners := o :: !owners
+(* Row [a]'s subtree's labels and their rows in document order: its
+   start first, its fin last.  A row's fin comes once every row
+   starting before it has closed. *)
+let label_run (c : Columns.t) a =
+  let last = Columns.subtree_end c a in
+  let labels = Array.make (2 * (last - a)) 0 in
+  let owners = Array.make (2 * (last - a)) 0 in
+  let k = ref 0 in
+  let push l r =
+    labels.(!k) <- l;
+    owners.(!k) <- r;
+    incr k
   in
-  let rec go (n : Doc.node) =
-    push n.start n;
-    List.iter go n.children;
-    push n.fin n
+  let rec close open_ bound =
+    match open_ with
+    | r :: rest when c.fin.{r} < bound ->
+      push c.fin.{r} r;
+      close rest bound
+    | _ -> open_
   in
-  go n;
-  (Array.of_list (List.rev !labels), Array.of_list (List.rev !owners))
+  let open_ = ref [] in
+  for r = a to last - 1 do
+    open_ := close !open_ c.start.{r};
+    push c.start.{r} r;
+    open_ := r :: !open_
+  done;
+  ignore (close !open_ max_int);
+  (labels, owners)
 
 let index_of labels l =
   let rec find i = if labels.(i) = l then i else find (i + 1) in
@@ -258,26 +248,25 @@ let narrowest labels ~p ~slots =
 
 (* Hands out [positions] along the window: its labels in order, with
    the inserted skeleton's slots at the insertion gap.  Returns the
-   nodes with a label that moved (old start -> node, new start, new
-   fin) and the skeleton materialized into Doc.nodes as a child of
+   rows with a label that moved (row -> new start, new fin) and the
+   skeleton's rows, in document order, as descendants of row
    [parent]. *)
-let assign w ~positions ~(parent : Doc.node) ~sk =
+let assign (c : Columns.t) w ~positions ~parent ~sk =
   let moved = Hashtbl.create 16 in
   let width = w.e - w.s in
   let slots = Array.length positions - width in
   for i = w.s + 1 to w.e do
-    let n = w.owners.(i) in
+    let r = w.owners.(i) in
     let q = positions.(if i <= w.p then i - w.s - 1 else i - w.s - 1 + slots) in
-    let _, start, fin =
-      Option.value (Hashtbl.find_opt moved n.start) ~default:(n, n.start, n.fin)
+    let start, fin =
+      Option.value (Hashtbl.find_opt moved r) ~default:(c.start.{r}, c.fin.{r})
     in
-    Hashtbl.replace moved n.start
-      (if w.labels.(i) = n.start then (n, q, fin) else (n, start, q))
+    Hashtbl.replace moved r (if w.labels.(i) = c.start.{r} then (q, fin) else (start, q))
   done;
   (* A label the spread puts back where it was has not moved. *)
   Hashtbl.filter_map_inplace
-    (fun _ ((n : Doc.node), start, fin as m) ->
-      if start = n.start && fin = n.fin then None else Some m)
+    (fun r ((start, fin) as m) ->
+      if start = c.start.{r} && fin = c.fin.{r} then None else Some m)
     moved;
   let idx = ref (w.p - w.s) in
   let next () =
@@ -286,58 +275,30 @@ let assign w ~positions ~(parent : Doc.node) ~sk =
     q
   in
   (* [rpath] is the reversed source path of the node being built. *)
-  let rec build rpath level sk : Doc.node =
+  let rec build rpath level sk : Columns.row list =
     let rpath = sk.stag :: rpath in
     let start = next () in
-    let children =
-      List.rev
-        (List.fold_left (fun acc k -> build rpath (level + 1) k :: acc) [] sk.skids)
+    let kids =
+      List.fold_left
+        (fun acc k -> List.rev_append (build rpath (level + 1) k) acc)
+        [] sk.skids
     in
     let fin = next () in
-    {
-      tag = sk.stag;
-      data = sk.sdata;
-      start;
-      fin;
-      level;
-      source_path = List.rev rpath;
-      children;
-    }
+    { start; fin; level; path = List.rev rpath; data = sk.sdata } :: List.rev kids
   in
-  let new_sub = build (List.rev parent.source_path) (parent.level + 1) sk in
+  let fresh = build (List.rev c.paths.(c.path.{parent})) (c.level.{parent} + 1) sk in
   assert (!idx = w.p - w.s + slots);
-  (moved, new_sub)
-
-(* Rewrites what the window reaches under [top]: a node with a label
-   strictly between [lo] and [hi] (the window's bounds) takes its moved
-   labels, [parent_start]'s node gets [new_sub] spliced into its
-   children at [pos], and the records above them are copied; every
-   other subtree is shared. *)
-let rebuild_tree ~moved ~lo ~hi ~parent_start ~pos ~new_sub (top : Doc.node) =
-  let rec go (n : Doc.node) : Doc.node =
-    if n.fin <= lo || n.start >= hi then n
-    else
-      let start, fin =
-        match Hashtbl.find_opt moved n.start with
-        | Some (_, start, fin) -> (start, fin)
-        | None -> (n.start, n.fin)
-      in
-      let children = rev_map_children go n in
-      let children =
-        if n.start = parent_start then splice children pos new_sub else children
-      in
-      { n with start; fin; children }
-  in
-  go top
+  (moved, fresh)
 
 (* ------------------------------------------------------------------ *)
 (* insert_subtree                                                      *)
 
 let insert_subtree t ~parent ~pos tree =
   let t0 = Blas_obs.Clock.now_ns () in
-  let doc = t.doc in
-  let parent_node = find_node doc parent in
-  let nkids = List.length parent_node.children in
+  let c = t.cols in
+  let pi = find_row c parent in
+  let kids = Columns.children c pi in
+  let nkids = List.length kids in
   if pos < 0 || pos > nkids then
     invalid_arg
       (Printf.sprintf "Update.insert_subtree: pos %d out of range 0..%d" pos
@@ -347,102 +308,59 @@ let insert_subtree t ~parent ~pos tree =
   let slots = 2 * k in
   (* The labels on either side of the insert.  Between them lie only
      abandoned text/deletion positions, so anything there is free. *)
-  let lo =
-    if pos = 0 then parent_node.start
-    else (List.nth parent_node.children (pos - 1)).fin
-  in
-  let hi =
-    if pos = nkids then parent_node.fin
-    else (List.nth parent_node.children pos).start
-  in
-  (* The window and the node [top] whose subtree holds it ([None]: the
-     whole document is renumbered, root included). *)
-  let w, top =
+  let lo = if pos = 0 then c.start.{pi} else c.fin.{List.nth kids (pos - 1)} in
+  let hi = if pos = nkids then c.fin.{pi} else c.start.{List.nth kids pos} in
+  (* The window, and whether it renumbers the whole document, root
+     included. *)
+  let w, whole =
     if hi - lo - 1 >= slots then
       (* The gap holds the subtree: an empty window, nothing moves. *)
-      ({ labels = [| lo; hi |]; owners = [| parent_node; parent_node |]; p = 0; s = 0; e = 0 },
-       Some parent_node)
+      ({ labels = [| lo; hi |]; owners = [| pi; pi |]; p = 0; s = 0; e = 0 }, false)
     else
       (* Gap exhausted: search the smallest enclosing ancestor interval
          with room for its elements plus the new subtree, and move only
-         the narrowest window of labels there that fits them.  The
-         window's bounds stay, so the deepest ancestor holding both is
-         the only record above it that changes. *)
-      let chain = parent_node :: ancestors doc parent_node in
-      match
-        List.find_opt
-          (fun (anc : Doc.node) ->
-            anc.fin - anc.start - 1 >= 2 * (subtree_count anc - 1 + k))
-          chain
-      with
-      | Some anchor ->
-        let labels, owners = label_run anchor in
+         the narrowest window of labels there that fits them. *)
+      let fits a =
+        c.fin.{a} - c.start.{a} - 1 >= 2 * (Columns.subtree_end c a - a - 1 + k)
+      in
+      let rec anchor a =
+        if fits a then Some a else if a = 0 then None else anchor (Columns.parent c a)
+      in
+      match anchor pi with
+      | Some a ->
+        let labels, owners = label_run c a in
         let p = index_of labels lo in
         let s, e = narrowest labels ~p ~slots in
-        let top =
-          List.find
-            (fun (a : Doc.node) -> a.start <= labels.(s) && a.fin >= labels.(e + 1))
-            chain
-        in
-        ({ labels; owners; p; s; e }, Some top)
+        ({ labels; owners; p; s; e }, false)
       | None ->
         (* No room even under the root: renumber everything, root
            included, between sentinel bounds. *)
-        let labels, owners = label_run doc.root in
+        let labels, owners = label_run c 0 in
         ( {
             labels = Array.concat [ [| min_int |]; labels; [| max_int |] ];
-            owners = Array.concat [ [| doc.root |]; owners; [| doc.root |] ];
+            owners = Array.concat [ [| 0 |]; owners; [| 0 |] ];
             p = index_of labels lo + 1;
             s = 0;
             e = Array.length labels;
           },
-          None )
+          true )
   in
-  let wlo = w.labels.(w.s) and whi = w.labels.(w.e + 1) in
   let positions =
-    match top with
-    | Some _ -> Gap_alloc.spread ~lo:wlo ~hi:whi ~slots:(w.e - w.s + slots)
-    | None -> Gap_alloc.fresh ~slots:(w.e - w.s + slots)
+    if whole then Gap_alloc.fresh ~slots:(w.e - w.s + slots)
+    else
+      Gap_alloc.spread ~lo:w.labels.(w.s) ~hi:w.labels.(w.e + 1)
+        ~slots:(w.e - w.s + slots)
   in
-  let moved, new_sub = assign w ~positions ~parent:parent_node ~sk in
-  let fresh_nodes = new_sub :: Doc.descendants new_sub in
-  (* Only a whole renumbering rebuilds the model.  Otherwise [top] gets
-     a new record over the range of starts the window reaches — from
-     the first node with a label in it (whose start precedes the window
-     when only its fin is inside) to the window's upper bound — and
-     only its ancestors are copied.  Either way the guide counts the
-     new nodes and labels their new paths. *)
-  let rebuild =
-    rebuild_tree ~moved ~lo:wlo ~hi:whi ~parent_start:parent_node.start ~pos ~new_sub
+  let moved, fresh = assign c w ~positions ~parent:pi ~sk in
+  let fresh_paths = List.map (fun (r : Columns.row) -> r.path) fresh in
+  (* The guide counts the new nodes and labels their new paths. *)
+  let before = t.guide in
+  let after = Dataguide.edit before ~add:fresh_paths ~remove:[] in
+  (* The rows the window moved, in document order. *)
+  let moved_rows =
+    List.sort Int.compare (Hashtbl.fold (fun r _ acc -> r :: acc) moved [])
   in
-  let new_doc =
-    match top with
-    | None ->
-      Doc.of_root
-        ~guide:
-          (Dataguide.edit doc.guide
-             ~add:(List.map (fun (n : Doc.node) -> n.source_path) fresh_nodes)
-             ~remove:[])
-        (rebuild doc.root)
-    | Some top ->
-      let first =
-        Array.fold_left
-          (fun acc (n : Doc.node) -> min acc n.start)
-          (wlo + 1)
-          (Array.sub w.owners (w.s + 1) (w.e - w.s))
-      in
-      Doc.replace doc ~at:top ~by:(rebuild top) ~changed:(first, whi - 1) ()
-  in
-  let before = doc.guide and after = new_doc.guide in
-  (* The nodes the window moved, in document order, with their new
-     labels. *)
-  let moved_nodes =
-    Hashtbl.fold (fun _ m acc -> m :: acc) moved []
-    |> List.sort (fun ((a : Doc.node), _, _) ((b : Doc.node), _, _) ->
-           Int.compare a.start b.start)
-  in
-  let moved_olds = List.map (fun (n, _, _) -> n) moved_nodes in
-  let new_path = crosses_zero before fresh_nodes in
+  let new_path = crosses_zero before fresh_paths in
   (* P-labels a new path's gap could not hold: the nodes on the
      respread paths, found through their old labels in SP, get their SP
      rows rewritten with the new ones in place (the order is
@@ -450,42 +368,40 @@ let insert_subtree t ~parent ~pos tree =
   let respread = if new_path then Dataguide.relabeled ~before ~after else [] in
   let writes0 = Pool.writes t.pool in
   let counters = Blas_rel.Counters.create () in
-  let respread_nodes =
+  let respread_rows =
     List.concat_map
       (fun (old_label, _) ->
         List.filter_map
           (fun row ->
-            let start = Blas_rel.Value.to_int (Blas_rel.Tuple.get row 0) in
-            if Hashtbl.mem moved start then None else Some (find_node doc start))
+            let r = find_row c (Blas_rel.Value.to_int (Blas_rel.Tuple.get row 0)) in
+            if Hashtbl.mem moved r then None else Some (Columns.row c r))
           (Rel_table.index_eq ~cols:[ "start" ] t.sp counters ~column:"plabel"
              (Blas_rel.Value.Int old_label)))
       respread
   in
-  let moved_sp_ins =
-    List.map
-      (fun ((n : Doc.node), start, fin) -> Layout.sp_row after n ~start ~fin ~data:n.data)
-      moved_nodes
-  in
-  let moved_sd_ins =
-    List.map
-      (fun ((n : Doc.node), start, fin) -> Layout.sd_row n ~start ~fin ~data:n.data)
-      moved_nodes
+  let olds = List.map (Columns.row c) moved_rows in
+  let moved_to f =
+    List.map2
+      (fun i (r : Columns.row) ->
+        let start, fin = Hashtbl.find moved i in
+        f r ~start ~fin ~data:r.data)
+      moved_rows olds
   in
   ignore
     (Rel_table.apply_edits t.sp counters
-       ~deletes:(List.map (sp_row before) (moved_olds @ respread_nodes))
-       ~inserts:
-         (moved_sp_ins @ List.map (sp_row after) (fresh_nodes @ respread_nodes)));
+       ~deletes:(List.map (sp_of before) (olds @ respread_rows))
+       ~inserts:(moved_to (sp_row after) @ List.map (sp_of after) (fresh @ respread_rows)));
   ignore
     (Rel_table.apply_edits t.sd counters
-       ~deletes:(List.map sd_row moved_olds)
-       ~inserts:(moved_sd_ins @ List.map sd_row fresh_nodes));
-  t.doc <- new_doc;
+       ~deletes:(List.map sd_of olds)
+       ~inserts:(moved_to sd_row @ List.map sd_of fresh));
+  (* The columns follow: the moved labels keep their order, and the new
+     rows go where their start sorts. *)
+  Hashtbl.iter (fun r (start, fin) -> Columns.relabel c r ~start ~fin) moved;
+  Columns.insert c fresh;
+  t.guide <- after;
   let escalation =
-    match top with
-    | None -> Some "whole"
-    | Some _ when w.s = w.e -> None
-    | Some _ -> Some "localized"
+    if whole then Some "whole" else if w.s = w.e then None else Some "localized"
   in
   let invalidation =
     (* A whole-document renumbering moves every D-label and a respread
@@ -493,13 +409,14 @@ let insert_subtree t ~parent ~pos tree =
        to stand on.  Otherwise only the spliced subtree and the nodes
        with a label in the window are touched: every label outside it
        stays, so no other row changes. *)
-    if respread <> [] || Option.is_none top then
+    if respread <> [] || whole then
       { inv_full = true; inv_schema_changed = true; inv_plabels = [] }
     else
       {
         inv_full = false;
         inv_schema_changed = new_path;
-        inv_plabels = List.map (Layout.plabel after) (fresh_nodes @ moved_olds);
+        inv_plabels =
+          List.map (fun (r : Columns.row) -> Layout.plabel after r.path) (fresh @ olds);
       }
   in
   record ~op:"insert" ?escalation ~respread:(respread <> []) t0
@@ -507,7 +424,7 @@ let insert_subtree t ~parent ~pos tree =
       nodes_inserted = k;
       nodes_deleted = 0;
       nodes_relabeled = Hashtbl.length moved;
-      plabels_allocated = k + List.length respread_nodes;
+      plabels_allocated = k + List.length respread_rows;
       pages_written = Pool.writes t.pool - writes0;
       invalidation;
     }
@@ -517,47 +434,37 @@ let insert_subtree t ~parent ~pos tree =
 
 let delete_subtree t ~start =
   let t0 = Blas_obs.Clock.now_ns () in
-  let doc = t.doc in
-  let node = find_node doc start in
-  if node.start = doc.root.start then
-    invalid_arg "Update.delete_subtree: cannot delete the document root";
-  let removed = node :: Doc.descendants node in
+  let c = t.cols in
+  let i = find_row c start in
+  if i = 0 then invalid_arg "Update.delete_subtree: cannot delete the document root";
+  let j = Columns.subtree_end c i in
+  let removed = List.init (j - i) (fun d -> Columns.row c (i + d)) in
   let writes0 = Pool.writes t.pool in
   let counters = Blas_rel.Counters.create () in
   ignore
     (Rel_table.apply_edits t.sp counters
-       ~deletes:(List.map (sp_row doc.guide) removed)
+       ~deletes:(List.map (sp_of t.guide) removed)
        ~inserts:[]);
-  ignore
-    (Rel_table.apply_edits t.sd counters
-       ~deletes:(List.map sd_row removed)
-       ~inserts:[]);
+  ignore (Rel_table.apply_edits t.sd counters ~deletes:(List.map sd_of removed) ~inserts:[]);
   (* Deletion never relabels: the subtree's positions simply become a
      gap for future inserts, and a path that loses its last node
      leaves the guide, its label gap with it. *)
-  let parent = List.hd (ancestors doc node) in
-  let new_doc =
-    Doc.replace doc ~at:parent
-      ~by:
-        {
-          parent with
-          children = List.filter (fun (c : Doc.node) -> c.start <> start) parent.children;
-        }
-      ~changed:(node.start, node.fin) ()
-  in
-  t.doc <- new_doc;
+  let paths = List.map (fun (r : Columns.row) -> r.path) removed in
+  let before = t.guide in
+  t.guide <- Dataguide.edit before ~add:[] ~remove:paths;
+  Columns.remove c i j;
   record ~op:"delete" t0
     {
       nodes_inserted = 0;
-      nodes_deleted = List.length removed;
+      nodes_deleted = j - i;
       nodes_relabeled = 0;
       plabels_allocated = 0;
       pages_written = Pool.writes t.pool - writes0;
       invalidation =
         {
           inv_full = false;
-          inv_schema_changed = crosses_zero new_doc.guide removed;
-          inv_plabels = List.map (Layout.plabel doc.guide) removed;
+          inv_schema_changed = crosses_zero t.guide paths;
+          inv_plabels = List.map (Layout.plabel before) paths;
         };
     }
 
@@ -566,19 +473,20 @@ let delete_subtree t ~start =
 
 let replace_text t ~start data =
   let t0 = Blas_obs.Clock.now_ns () in
-  let doc = t.doc in
-  let node = find_node doc start in
+  let c = t.cols in
+  let i = find_row c start in
+  let node = Columns.row c i in
   let writes0 = Pool.writes t.pool in
   let counters = Blas_rel.Counters.create () in
   ignore
     (Rel_table.apply_edits t.sp counters
-       ~deletes:[ sp_row doc.guide node ]
-       ~inserts:[ Layout.sp_row doc.guide node ~start:node.start ~fin:node.fin ~data ]);
+       ~deletes:[ sp_of t.guide node ]
+       ~inserts:[ sp_row t.guide node ~start:node.start ~fin:node.fin ~data ]);
   ignore
     (Rel_table.apply_edits t.sd counters
-       ~deletes:[ sd_row node ]
-       ~inserts:[ Layout.sd_row node ~start:node.start ~fin:node.fin ~data ]);
-  t.doc <- Doc.replace doc ~at:node ~by:{ node with data } ();
+       ~deletes:[ sd_of node ]
+       ~inserts:[ sd_row node ~start:node.start ~fin:node.fin ~data ]);
+  Columns.set_data c i data;
   record ~op:"replace_text" t0
     {
       nodes_inserted = 0;
@@ -590,17 +498,17 @@ let replace_text t ~start data =
         {
           inv_full = false;
           inv_schema_changed = false;
-          inv_plabels = [ Layout.plabel doc.guide node ];
+          inv_plabels = [ Layout.plabel t.guide node.path ];
         };
     }
 
 (* ------------------------------------------------------------------ *)
 (* Headroom observability (the CLI's stats view)                       *)
 
-(** [gap_budget doc] — [(free, span)]: how many positions inside the
-    root's interval carry no element label, out of the interval's total
-    size.  Free positions are exactly what inserts can consume before a
-    renumbering. *)
-let gap_budget (doc : Doc.t) =
-  let span = doc.root.fin - doc.root.start + 1 in
-  (span - (2 * Doc.node_count doc), span)
+(** [gap_budget cols] — [(free, span)]: how many positions inside the
+    root's interval (row 0) carry no element label, out of the
+    interval's total size.  Free positions are exactly what inserts can
+    consume before a renumbering. *)
+let gap_budget (c : Columns.t) =
+  let span = c.fin.{0} - c.start.{0} + 1 in
+  (span - (2 * Columns.length c), span)

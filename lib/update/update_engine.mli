@@ -3,17 +3,17 @@
     allocation; when the gap is too small, the narrowest window of
     neighbouring labels that fits is respread), P-labels
     (a new path takes a gap in the guide's reversed-path order; a full
-    gap respreads a small window of paths), the labeled document model
-    with its DataGuide, and
-    the clustered SP/SD relations and their page directories through
-    the buffer pool. *)
+    gap respreads a small window of paths), the DataGuide, the
+    document's label columns ({!Columns}) and the clustered SP/SD
+    relations and their page directories through the buffer pool. *)
 
 (** The mutable components of one storage instance ({!Blas.Update}
-    binds them to [Storage.t]). *)
+    binds them to [Storage.t]).  An edit rewrites [cols] in place. *)
 type target = {
-  mutable doc : Blas_xpath.Doc.t;  (** its guide holds the P-labels *)
-  mutable sp : Blas_rel.Table.t;
-  mutable sd : Blas_rel.Table.t;
+  cols : Columns.t;  (** the nodes, in start order *)
+  mutable guide : Blas_xml.Dataguide.t;  (** holds the P-labels *)
+  sp : Blas_rel.Table.t;
+  sd : Blas_rel.Table.t;
   pool : Blas_rel.Buffer_pool.t;
 }
 
@@ -76,7 +76,7 @@ val delete_subtree : target -> start:int -> report
     @raise Invalid_argument on an unknown position. *)
 val replace_text : target -> start:int -> string option -> report
 
-(** [gap_budget doc] — [(free, span)]: positions inside the root's
+(** [gap_budget cols] — [(free, span)]: positions inside the root's
     interval carrying no element label vs. the interval's size; free
     positions are what inserts can consume before any renumbering. *)
-val gap_budget : Blas_xpath.Doc.t -> int * int
+val gap_budget : Columns.t -> int * int

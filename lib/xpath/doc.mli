@@ -1,6 +1,7 @@
 (** The labeled document model shared by the naive evaluator, the index
     generator and the query engines: every element node annotated with
-    its D-label, source path and text value. *)
+    its D-label, source path and text value.  A model is immutable; a
+    storage rebuilds its own from SD after an edit. *)
 
 type node = {
   tag : string;
@@ -17,14 +18,8 @@ type node = {
 type t = private {
   root : node;
   all : node list;  (** every element node in document order *)
-  by_start : node array array;
-      (** the same nodes cut into runs of consecutive starts, for
-          binary search; an edit copies only the run directory and the
-          runs it touches *)
+  by_start : node array;  (** the same nodes, for binary search *)
   guide : Blas_xml.Dataguide.t;
-  tails : node list array;
-      (** for each run of [by_start], the suffix of [all] from its
-          first node *)
 }
 
 (** [of_root root] assembles the model around an already labeled root:
@@ -51,24 +46,6 @@ val data_or_empty : node -> string
 
 (** The element node whose start tag sits at the given position. *)
 val find_by_start : t -> int -> node option
-
-(** [replace t ~at ~by ?changed ()] — the model after an edit that
-    gives node [at] the new record [by] (same start) and, if [changed]
-    is [(lo, hi)], replaces the nodes starting in [lo..hi] — a range
-    inside [at]'s interval, say a deleted, inserted or renumbered
-    subtree — by [by]'s nodes starting there.
-
-    The cost is what the edit touches: [at]'s ancestors get new records
-    (every other node stays physically the same), [by_start] gets a new
-    run directory and rebuilds only the runs around the change, [all]
-    is rebuilt only up to the end of those runs (its list cells before
-    the change must be new, since the root's record is), and the guide
-    recounts the nodes that left or arrived, so a path leaves it with
-    its last node and a new path gets a P-label.
-    [t] itself stays valid.
-    @raise Invalid_argument if [by] starts elsewhere than [at] or [at]
-    is not in [t]. *)
-val replace : t -> at:node -> by:node -> ?changed:int * int -> unit -> t
 
 (** [subtree node] rebuilds an XML tree for [node].  Direct text units
     come out as one leading text child (the labeled model concatenates

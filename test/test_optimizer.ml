@@ -30,16 +30,21 @@ let stats_exn storage =
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 
+(* Statistics over a document model's nodes, as at index build. *)
+let collect_over ?seed ?epoch (doc : Blas_xpath.Doc.t) =
+  Blas.Storage.collect_ostats ?seed ?epoch ~guide:doc.guide
+    (List.map (fun (n : Blas_xpath.Doc.node) -> (n.tag, n.data)) doc.all)
+
 let test_deterministic_sampling () =
   let doc = Blas.Storage.doc (Lazy.force protein) in
-  let a = Blas.Storage.collect_ostats ~seed:42 doc in
-  let b = Blas.Storage.collect_ostats ~seed:42 doc in
+  let a = collect_over ~seed:42 doc in
+  let b = collect_over ~seed:42 doc in
   check_bool "same seed, same statistics" true (Stats.equal a b);
   check_int "seed recorded" 42 (Stats.seed a);
   (* The process-wide default seed is fixed, so two plain collects are
      identical too (--stats-seed reproducibility). *)
-  let c = Blas.Storage.collect_ostats doc in
-  let d = Blas.Storage.collect_ostats doc in
+  let c = collect_over doc in
+  let d = collect_over doc in
   check_bool "default seed is fixed" true (Stats.equal c d)
 
 let test_exact_cardinalities () =
@@ -139,19 +144,38 @@ let test_opened_guide_is_exact () =
           in
           ignore (Blas.Update.delete_subtree disk ~start:victim.start);
           check_guide_exact "after edits" disk;
-          (* An aborted transaction that had already installed a new
-             model: the reload must bring back the committed counts. *)
+          (* A transaction that aborts after a real INSERT edited the
+             tables, the label columns and the guide: the reload must
+             bring back the committed counts and drop what the edit
+             touched. *)
+          let committed = path_counts (Blas.Storage.guide disk) in
           let d = Option.get (Blas.Storage.disk disk) in
           (match
              d.Blas.Storage.dk_with_tx (fun () ->
-                 Blas.Storage.set_doc disk
-                   (Blas_xpath.Doc.of_tree (Blas_xml.Dom.parse "<z><z/></z>"));
+                 let target =
+                   {
+                     Blas_update.Update_engine.cols = Blas.Storage.columns disk;
+                     guide = Blas.Storage.guide disk;
+                     sp = disk.Blas.Storage.sp;
+                     sd = disk.Blas.Storage.sd;
+                     pool = Blas.Storage.pool disk;
+                   }
+                 in
+                 ignore
+                   (Blas_update.Update_engine.insert_subtree target ~parent:1 ~pos:0
+                      (Blas_xml.Dom.parse "<z><z/></z>"));
+                 disk.Blas.Storage.guide <- target.guide;
                  failwith "abort")
            with
           | _ -> Alcotest.fail "the transaction should have aborted"
           | exception Failure _ -> ());
+          check_bool "the committed counts are back" true
+            (path_counts (Blas.Storage.guide disk) = committed);
           check_bool "the abort dropped the model" false
             (Blas.Storage.doc_resident disk);
+          check_bool "the abort dropped the edited columns" true
+            (Blas_update.Columns.equal (Blas.Storage.columns disk)
+               (Blas_update.Columns.of_sp (Blas.Storage.guide disk) disk.Blas.Storage.sp));
           check_guide_exact "after an aborted transaction" disk);
       let reopened = Blas.Database.open_ ~mode:Blas.Database.Ro ~path () in
       Fun.protect
@@ -193,6 +217,33 @@ let test_older_catalogs_open () =
                 (Blas.Optimizer.stats_of reopened <> None);
               check_guide_exact (name ^ " rewritten") reopened)))
     [ "catalog_v2.blasdb"; "catalog_v3.blasdb" ]
+
+(* A P-label respread flushes everything and resamples the statistics
+   inside the edit's transaction.  The resample reads the label
+   columns: the edit leaves no document model built, and the statistics
+   equal a collection over a model built afterwards. *)
+let test_respread_resamples_without_the_model () =
+  with_temp_db (fun path ->
+      Blas.Database.create ~page_size:512 ~path (Blas.index "<r><a>x</a><z>y</z></r>");
+      let disk = Blas.Database.open_ ~mode:Blas.Database.Rw ~path () in
+      Fun.protect
+        ~finally:(fun () -> Blas.Storage.close disk)
+        (fun () ->
+          let rec respread k =
+            let before = Blas.Storage.guide disk in
+            ignore (respread_edit disk k);
+            if Dataguide.relabeled ~before ~after:(Blas.Storage.guide disk) = [] then
+              if k < 40 then respread (k + 1) else Alcotest.fail "the gap never ran out"
+          in
+          respread 1;
+          check_bool "the respread built no document model" false
+            (Blas.Storage.doc_resident disk);
+          let s = stats_exn disk in
+          check_bool "the statistics were resampled" true (Stats.epoch s > 0);
+          check_bool "they equal a collection over a fresh model" true
+            (Stats.equal s
+               (collect_over ~seed:(Stats.seed s) ~epoch:(Stats.epoch s)
+                  (Blas.Storage.doc disk)))))
 
 (* ------------------------------------------------------------------ *)
 (* The pick                                                            *)
@@ -401,10 +452,7 @@ let prop_stats_coherent_under_edits =
         | Some s -> s
         | None -> QCheck2.Test.fail_report "stats lost across edits"
       in
-      let scratch =
-        Blas.Storage.collect_ostats ~seed:(Stats.seed s) ~epoch:(Stats.epoch s)
-          live
-      in
+      let scratch = collect_over ~seed:(Stats.seed s) ~epoch:(Stats.epoch s) live in
       guide_exact
       && path_counts (Stats.guide s) = oracle
       && Stats.equal s scratch
@@ -433,6 +481,8 @@ let suite =
       test_opened_guide_is_exact;
     Alcotest.test_case "older catalogs open with exact counts" `Quick
       test_older_catalogs_open;
+    Alcotest.test_case "a respread resamples without the model" `Quick
+      test_respread_resamples_without_the_model;
     Alcotest.test_case "choose never probes data" `Quick
       test_choose_probes_no_data;
     Alcotest.test_case "choice is the cheapest candidate" `Quick

@@ -114,7 +114,7 @@ let unit_tests =
             done;
             (* Rows that do not nest into one document. *)
             let raises rows =
-              match Database.rebuild_doc rows with
+              match Blas.Storage.rebuild_doc rows with
               | exception Database.Corrupt _ -> true
               | _ -> false
             in

@@ -269,6 +269,35 @@ let service_matches_inprocess () =
   | P.Err _ -> ()
   | reply -> Alcotest.failf "bad query: %s" (P.reply_to_string reply)
 
+(* An UPDATE reply reports the gap budget from the label columns: no
+   serving write path builds the document model, in memory or on a
+   database file. *)
+let update_builds_no_model () =
+  let xml = "<r><a>x</a><b>y</b></r>" in
+  Test_util.with_temp_db (fun path ->
+      Blas.Database.create ~path (Blas.index xml);
+      let disk = Blas.Database.open_ ~mode:Blas.Database.Rw ~path () in
+      Fun.protect
+        ~finally:(fun () -> Blas.Storage.close disk)
+        (fun () ->
+          let docs = [ ("mem", Blas.index xml); ("disk", disk) ] in
+          let service = Svc.create docs in
+          List.iter
+            (fun (doc, storage) ->
+              List.iter
+                (fun edit ->
+                  (match Svc.update service ~doc edit with
+                  | P.Ok_payload _ -> ()
+                  | reply -> Alcotest.failf "%s: %s" doc (P.reply_to_string reply));
+                  Test_util.check_bool (doc ^ ": no document model") false
+                    (Blas.Storage.doc_resident storage))
+                [
+                  P.Retext { start = 2; data = Some "z" };
+                  P.Delete { start = 5 };
+                  P.Insert { parent = 1; pos = 0; xml = "<c/>" };
+                ])
+            docs))
+
 (* ------------------------------------------------------------------ *)
 (* Group commit                                                        *)
 
@@ -1323,4 +1352,5 @@ let suite =
         live_headers_one_shot router_leak_fixture );
       ( "live (router): accept survives EMFILE",
         live_accept_survives_emfile router_role );
+      ("service updates build no document model", update_builds_no_model);
     ]

@@ -496,38 +496,11 @@ let prop_persist_survives_edits =
                  Blas.oracle reloaded query = Blas.oracle storage query)
                queries))
 
-(* The incremental document model: after every edit, the model an edit
-   produced equals the one [Doc.of_root] rebuilds from its root — runs
-   flattened, every start found, each run's tail a cell of [all], the
-   same DataGuide paths and counts —
-   and the model from before the edit still equals its own rebuild.
-   Copies of the random document under one root make models of several
-   [by_start] runs. *)
-let model_matches_rebuild (d : Blas_xpath.Doc.t) =
-  let module Doc = Blas_xpath.Doc in
-  let r = Doc.of_root d.root in
-  let flat (m : Doc.t) = Array.concat (Array.to_list m.by_start) in
-  let guide_counts (m : Doc.t) = Blas_xml.Dataguide.path_counts m.guide in
-  (* each run's tail is the very list cell of [all] at its first node *)
-  let tails_in_all () =
-    let rest = ref d.all in
-    Array.for_all2
-      (fun tail run ->
-        let ok = tail == !rest in
-        for _ = 1 to Array.length run do
-          rest := List.tl !rest
-        done;
-        ok)
-      d.tails d.by_start
-  in
-  Array.for_all (fun run -> Array.length run > 0) d.by_start
-  && flat d = flat r && d.all = r.all
-  && Array.length d.tails = Array.length d.by_start
-  && tails_in_all ()
-  && List.for_all (fun (n : Doc.node) -> Doc.find_by_start d n.start = Some n) r.all
-  && Doc.node_count d = List.length r.all
-  && guide_counts d = guide_counts r
-
+(* One copy of the document: after every edit, the label columns the
+   edits keep equal columns built from a fresh scan of SP, and the
+   document model rebuilt from SD equals [Doc.of_root] of its own root
+   (its node array, node list and guide counts).  Copies of the random
+   document under one root make wide documents. *)
 let wide_script_gen =
   let open QCheck2.Gen in
   let* doc = doc_gen and* copies = int_range 1 12 in
@@ -536,62 +509,22 @@ let wide_script_gen =
   let* edits = list_size (int_range 1 8) edit_gen in
   return (doc, edits)
 
-let prop_incremental_model =
-  qtest ~count:80 "incremental document model equals a rebuild" wide_script_gen
+let view_matches_its_root (d : Blas_xpath.Doc.t) =
+  let r = Blas_xpath.Doc.of_root d.root in
+  d.by_start = r.by_start && d.all = r.all
+  && Blas_xml.Dataguide.path_counts d.guide = Blas_xml.Dataguide.path_counts r.guide
+
+let prop_columns_follow_edits =
+  qtest ~count:80 "edited columns equal a scan of SP" wide_script_gen
     (fun (doc, edits) ->
       let storage = Blas.index_of_tree doc in
       List.for_all
         (fun edit ->
-          let before = Blas.Storage.doc storage in
           apply_edit storage edit;
-          model_matches_rebuild (Blas.Storage.doc storage) && model_matches_rebuild before)
+          Blas_update.Columns.equal (Blas.Storage.columns storage)
+            (Blas_update.Columns.of_sp (Blas.Storage.guide storage) storage.Blas.Storage.sp)
+          && view_matches_its_root (Blas.Storage.doc storage))
         edits)
-
-(* A big insert, then a run of deletes: rebuilt [by_start] runs split
-   when they outgrow a run and fold in their neighbour when a delete
-   leaves them short. *)
-let test_model_runs () =
-  let item i = Printf.sprintf "<a>%s</a>" (String.concat "" (List.init 30 (fun j -> Printf.sprintf "<b>%d</b>" (i + j)))) in
-  let storage = storage_of ("<r>" ^ String.concat "" (List.init 20 item) ^ "</r>") in
-  let check () =
-    check_bool "model equals its rebuild" true
-      (model_matches_rebuild (Blas.Storage.doc storage))
-  in
-  let big = Blas_xml.Dom.parse ("<c>" ^ String.concat "" (List.init 300 (fun _ -> "<d/>")) ^ "</c>") in
-  ignore (Blas.Update.insert_subtree storage ~parent:1 ~pos:20 big);
-  check ();
-  for _ = 1 to 18 do
-    ignore (Blas.Update.delete_subtree storage ~start:(start_of_tag storage "a" 0));
-    check ()
-  done;
-  ignore (Blas.Update.delete_subtree storage ~start:(start_of_tag storage "c" 0));
-  check ()
-
-(* A text edit copies only its node and that node's ancestors: every
-   other node of the new model is the old record itself. *)
-let test_retext_copies_only_the_spine () =
-  let module Doc = Blas_xpath.Doc in
-  let storage =
-    storage_of "<r><a><b>1</b><c><d>2</d><d>3</d></c></a><a><b>4</b></a><e>5</e></r>"
-  in
-  let old = Blas.Storage.doc storage in
-  let target = start_of_tag storage "d" 1 in
-  ignore (Blas.Update.replace_text storage ~start:target (Some "x"));
-  let fresh = Blas.Storage.doc storage in
-  let on_spine (n : Doc.node) =
-    let t = Option.get (Doc.find_by_start old target) in
-    n.start <= t.start && t.fin <= n.fin
-  in
-  check_int "same node count" (Doc.node_count old) (Doc.node_count fresh);
-  List.iter2
-    (fun (o : Doc.node) (n : Doc.node) ->
-      if on_spine o then check_bool "spine node is a new record" false (o == n)
-      else check_bool "off-spine node is shared" true (o == n))
-    old.all fresh.all;
-  check_bool "old model unchanged" true
-    ((Option.get (Doc.find_by_start old target)).data = Some "3");
-  check_bool "new model edited" true
-    ((Option.get (Doc.find_by_start fresh target)).data = Some "x")
 
 (* One representation: an in-memory storage and a database file of the
    same document, page size and codec cut the same data pages, so the
@@ -621,7 +554,7 @@ let prop_memory_matches_database =
         let doc = doc () in
         let store = Blas_rel.Page_store.memory ~page_size:512 ~codec () in
         let sp, sd = Blas_update.Layout.tables store doc in
-        Blas.Storage.assemble ~codec ~build_doc:(fun () -> doc) ~guide:doc.guide
+        Blas.Storage.assemble ~codec ~guide:doc.guide
           ~sp ~sd ~pool:store.Blas_rel.Page_store.pool ()
       in
       let path = Filename.temp_file "blas_twin_" ".blasdb" in
@@ -907,10 +840,6 @@ let suite =
       test_depth_growth_relabels_nothing;
     Alcotest.test_case "delete subtree" `Quick test_delete_subtree;
     Alcotest.test_case "replace text" `Quick test_replace_text;
-    Alcotest.test_case "replace text copies only the spine" `Quick
-      test_retext_copies_only_the_spine;
-    Alcotest.test_case "document model runs split and merge" `Quick
-      test_model_runs;
     Alcotest.test_case "invalid arguments" `Quick test_errors;
     Alcotest.test_case "persist round-trip after edits" `Quick
       test_persist_round_trip;
@@ -921,7 +850,7 @@ let suite =
     prop_spread_exact;
     prop_edits_consistent;
     prop_insert_moves_one_window;
-    prop_incremental_model;
+    prop_columns_follow_edits;
     prop_persist_survives_edits;
     prop_memory_matches_database;
   ]
