@@ -150,41 +150,43 @@ let remove (t : t) i j =
 (** [of_sp guide sp] — the columns of the nodes in [sp], each path
     found through its P-label in [guide]. *)
 let of_sp guide sp =
-  let path_of = Hashtbl.create 64 in
-  List.iter
-    (fun (path, _, label) -> Hashtbl.replace path_of label path)
-    (Blas_xml.Dataguide.entries guide);
-  let int_at k r = Blas_rel.Value.to_int (Blas_rel.Tuple.get r k) in
-  let rows =
-    List.map
-      (fun r ->
-        {
-          start = int_at 1 r;
-          fin = int_at 2 r;
-          level = int_at 3 r;
-          path = Hashtbl.find path_of (int_at 0 r);
-          data =
-            (match Blas_rel.Tuple.get r 4 with Blas_rel.Value.Str s -> Some s | _ -> None);
-        })
-      (Blas_rel.Table.scan sp (Blas_rel.Counters.create ()))
-  in
+  let rows = Array.of_list (Blas_rel.Table.scan sp (Blas_rel.Counters.create ())) in
+  let n = Array.length rows in
   let t =
     {
-      n = 0;
-      start = ints 0;
-      fin = ints 0;
-      level = ints 0;
-      path = ints 0;
-      key = ints 0;
-      texts = Hashtbl.create 1024;
-      next_key = 0;
+      n;
+      start = ints n;
+      fin = ints n;
+      level = ints n;
+      path = ints n;
+      key = ints n;
+      texts = Hashtbl.create n;
+      next_key = n;
       paths = [||];
       ids = Hashtbl.create 64;
     }
   in
+  let id_of = Hashtbl.create 64 in
+  List.iter
+    (fun (path, _, label) -> Hashtbl.replace id_of label (path_id t path))
+    (Blas_xml.Dataguide.entries guide);
+  let int_at k i = Blas_rel.Value.to_int (Blas_rel.Tuple.get rows.(i) k) in
   (* SP is clustered on (plabel, start): one sort puts it in start
      order. *)
-  insert t (List.sort (fun (a : row) b -> Int.compare a.start b.start) rows);
+  let starts = Array.init n (int_at 1) in
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> Int.compare starts.(a) starts.(b)) order;
+  Array.iteri
+    (fun i k ->
+      t.start.{i} <- starts.(k);
+      t.fin.{i} <- int_at 2 k;
+      t.level.{i} <- int_at 3 k;
+      t.path.{i} <- Hashtbl.find id_of (int_at 0 k);
+      t.key.{i} <- i;
+      match Blas_rel.Tuple.get rows.(k) 4 with
+      | Blas_rel.Value.Str s -> Hashtbl.replace t.texts i s
+      | _ -> ())
+    order;
   t
 
 (** Every node's tag and text, in document order. *)
