@@ -82,8 +82,6 @@ let of_tree tree =
   | None -> invalid_arg "Doc.of_tree: root must be an element"
   | Some root -> of_root root
 
-let node_count t = Array.length t.by_start
-
 (** All strict descendants of [node], in document order. *)
 let descendants node =
   let rec go acc n = List.fold_left (fun acc c -> go (c :: acc) c) acc n.children in

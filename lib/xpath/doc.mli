@@ -35,9 +35,6 @@ val of_root : ?guide:Blas_xml.Dataguide.t -> node -> t
     @raise Invalid_argument if the root is a text node. *)
 val of_tree : Blas_xml.Types.tree -> t
 
-(** The number of element nodes. *)
-val node_count : t -> int
-
 (** Strict descendants, in document order. *)
 val descendants : node -> node list
 
