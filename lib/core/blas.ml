@@ -135,7 +135,7 @@ let oracle_union storage queries =
 (* Answer materialization                                             *)
 
 (** [node_at storage start] — the document node behind an answer.
-    Forces the (lazy) document model of a disk-backed storage. *)
+    Builds the document model if no view is current (an SD scan). *)
 let node_at (storage : Storage.t) start =
   Blas_xpath.Doc.find_by_start (Storage.doc storage) start
 

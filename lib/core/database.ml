@@ -623,7 +623,7 @@ let create ?(page_size = 4096) ?(fill = Table.default_fill)
     read-write opens replay any committed WAL tail first (crash
     recovery); read-only opens never write and overlay the WAL in
     memory.  Only the catalog becomes resident — the document model is
-    materialized lazily (a full SD scan) if something forces it.
+    built (a full SD scan) only if a reader asks for it.
     [cache_pages] bounds the buffer pool (default 256 pages). *)
 let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
   let store = Store.open_path ~path ~mode () in

@@ -43,10 +43,10 @@ val same_file : string -> string -> bool
     [cache_pages] pages (default 256).  Read-write opens replay any
     committed WAL tail first (crash recovery) and truncate the WAL;
     read-only opens never write to either file.  Only the catalog
-    becomes resident; the document model stays lazy.  A file older
-    than catalog v6 holds the paper's decimal P-labels: a read-write
-    open relabels its SP rows in one transaction first, a read-only
-    open raises {!Corrupt} naming that upgrade.
+    becomes resident; the document model is built only on demand.  A
+    file older than catalog v6 holds the paper's decimal P-labels: a
+    read-write open relabels its SP rows in one transaction first, a
+    read-only open raises {!Corrupt} naming that upgrade.
     The returned storage answers queries, serves updates (each wrapped
     in one WAL transaction via [Storage.disk]), and must be released
     with {!Storage.close}.
