@@ -61,9 +61,10 @@ type translator = Exec.translator =
   | Split  (** Section 4.1.1 *)
   | Pushup  (** Section 4.1.2 — the paper's default without schema *)
   | Unfold
-      (** Section 4.1.3 — the paper's default with schema; past
-          {!Decompose.expansion_bound} union branches it keeps the [//]
-          edges, as Push-up does *)
+      (** Section 4.1.3 — the paper's default with schema, and the one
+          translator that expands [//] and [*] against it; past
+          {!Decompose.expansion_bound} union branches it is the Push-up
+          translation *)
   | Auto2
       (** the adaptive optimizer: picks translator {e and} engine by
           estimated cost from collected statistics — no data probes;

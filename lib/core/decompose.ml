@@ -1,32 +1,32 @@
 (** Query decomposition: the Split and Push-up translation algorithms of
-    Sections 4.1.1-4.1.2, plus the schema-driven wildcard/descendant
-    expansion that powers Unfold (Section 4.1.3).
+    Sections 4.1.1-4.1.2, plus the schema-driven expansion that powers
+    Unfold (Section 4.1.3).
 
     Both algorithms interleave descendant-axis elimination (cut at every
     [//] edge) with branch elimination (cut at every branching point),
     walking the query tree once:
 
     - a {e segment} is a maximal chain of child-axis steps with concrete
-      tags ending at a branching point, a valued node, or a cut — each
-      segment becomes one suffix path {!Suffix_query.item};
+      tags ending at a branching point, a valued node, a cut, or before a
+      wildcard — each segment becomes one suffix path
+      {!Suffix_query.item};
+    - a wildcard [*] is a segment of its own: the relative suffix path
+      with no tags, whose P-label interval holds every element; it joins
+      its parent and children like any cut;
     - {b Split} gives every cut subquery a fresh leading [//]
       (Algorithms 3 and 4);
     - {b Push-up} prefixes branch-eliminated subqueries with the full
       path of their branching point (Algorithm 5), making the
-      subqueries more specific; descendant cuts still reset to [//],
-      which is why descendant elimination must conceptually run first
-      (Section 4.1.2) — the single walk below respects that order.
+      subqueries more specific; descendant cuts and the children of a
+      wildcard still reset to [//], which is why descendant elimination
+      must conceptually run first (Section 4.1.2) — the single walk
+      below respects that order.
 
-    Wildcard node tests must be expanded against a schema first (the
-    paper evaluates wildcards over the schema graph); {!expand} performs
-    that expansion for wildcards and, for Unfold, for descendant axes
-    too. *)
+    Neither reads the schema, except that a leading absolute [/*] is
+    the document's root tag.  Only Unfold expands the query against the
+    schema ({!expand}), within {!expansion_bound}. *)
 
 type mode = Split | Pushup
-
-exception Unsupported of string
-
-let unsupported fmt = Printf.ksprintf (fun msg -> raise (Unsupported msg)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Split / Push-up                                                    *)
@@ -38,6 +38,9 @@ type builder = {
   mutable next_id : int;
 }
 
+(* The relative suffix path with no tags: every element. *)
+let relative = { Suffix_query.absolute = false; tags = [] }
+
 let new_item builder ~path ~value ~is_output =
   let id = builder.next_id in
   builder.next_id <- id + 1;
@@ -48,41 +51,35 @@ let new_item builder ~path ~value ~is_output =
   end;
   id
 
-let tag_of (q : Blas_xpath.Ast.node) =
-  match q.test with
-  | Blas_xpath.Ast.Tag t -> t
-  | Blas_xpath.Ast.Any ->
-    unsupported "wildcard steps require schema expansion (see Decompose.expand)"
-
 (* Walks one component: collects the segment starting at [q] (whose
    incoming edge the caller already accounted for), emits its item, then
    recurses into cuts.  Returns the item id and the segment length
    (depth of the item's leaf below the segment root, >= 1). *)
-let rec component mode builder ~prefix q =
-  let rec walk acc (q : Blas_xpath.Ast.node) =
-    let tags = tag_of q :: acc in
+let rec component mode builder ~prefix (q : Blas_xpath.Ast.node) =
+  let rec walk acc tag (q : Blas_xpath.Ast.node) =
+    let tags = tag :: acc in
     match q.children with
-    | [ c ]
-      when c.axis = Blas_xpath.Ast.Child
-           && q.value = None
-           && not q.is_output ->
-      walk tags c
+    | [ ({ axis = Blas_xpath.Ast.Child; test = Blas_xpath.Ast.Tag t; _ } as c) ]
+      when q.value = None && not q.is_output ->
+      walk tags t c
     | children -> (tags, q, children)
   in
-  let rev_tags, last, children = walk [] q in
-  let segment = List.rev rev_tags in
-  let path =
-    {
-      Suffix_query.absolute = prefix.Suffix_query.absolute;
-      tags = prefix.tags @ segment;
-    }
+  let path, last, children, length =
+    match q.test with
+    | Blas_xpath.Ast.Any -> (relative, q, q.children, 1)
+    | Blas_xpath.Ast.Tag t ->
+      let rev_tags, last, children = walk [] t q in
+      let segment = List.rev rev_tags in
+      ( {
+          Suffix_query.absolute = prefix.Suffix_query.absolute;
+          tags = prefix.tags @ segment;
+        },
+        last,
+        children,
+        List.length segment )
   in
   let item = new_item builder ~path ~value:last.value ~is_output:last.is_output in
-  let child_prefix =
-    match mode with
-    | Split -> { Suffix_query.absolute = false; tags = [] }
-    | Pushup -> path
-  in
+  let child_prefix = match mode with Split -> relative | Pushup -> path in
   List.iter
     (fun (c : Blas_xpath.Ast.node) ->
       match c.axis with
@@ -98,25 +95,28 @@ let rec component mode builder ~prefix q =
            root sits at least one level below, so its leaf sits at least
            [depth] levels below (Section 3.1's D-join, strengthened with
            the lower bound needed when the cut segment has length > 1). *)
-        let fresh = { Suffix_query.absolute = false; tags = [] } in
-        let sub, depth = component mode builder ~prefix:fresh c in
+        let sub, depth = component mode builder ~prefix:relative c in
         builder.joins <-
           { Suffix_query.anc = item; desc = sub; gap = Suffix_query.At_least depth }
           :: builder.joins)
     children;
-  (item, List.length segment)
+  (item, length)
 
-(** [decompose mode query] splits a wildcard-free query tree into suffix
-    path subqueries connected by D-joins.
-    @raise Unsupported on wildcard node tests. *)
+(** [decompose mode query] splits a query tree into suffix path
+    subqueries connected by D-joins.
+    @raise Invalid_argument without exactly one return node, or on a
+    leading absolute [/*] (see {!translate}). *)
 let decompose mode (query : Blas_xpath.Ast.t) =
   if not (Blas_xpath.Ast.is_well_formed query) then
     invalid_arg "Decompose.decompose: query must have exactly one return node";
   let builder = { items = []; joins = []; output = None; next_id = 1 } in
   let prefix =
-    match query.axis with
-    | Blas_xpath.Ast.Child -> { Suffix_query.absolute = true; tags = [] }
-    | Blas_xpath.Ast.Descendant -> { Suffix_query.absolute = false; tags = [] }
+    match (query.axis, query.test) with
+    | Blas_xpath.Ast.Child, Blas_xpath.Ast.Any ->
+      invalid_arg "Decompose.decompose: a leading /* names the root tag"
+    | Blas_xpath.Ast.Child, Blas_xpath.Ast.Tag _ ->
+      { Suffix_query.absolute = true; tags = [] }
+    | Blas_xpath.Ast.Descendant, _ -> relative
   in
   let _root, _depth = component mode builder ~prefix query in
   match builder.output with
@@ -129,7 +129,7 @@ let decompose mode (query : Blas_xpath.Ast.t) =
     }
 
 (* ------------------------------------------------------------------ *)
-(* Schema expansion (wildcards, and full expansion for Unfold)        *)
+(* Schema expansion (Unfold)                                         *)
 
 module Guide = Blas_xml.Dataguide
 
@@ -186,85 +186,37 @@ let chain_to_node rev_chain inner =
         })
       inner above
 
-(** [expand ~all guide query] enumerates the concrete instantiations of
-    [query] against the schema: wildcards are always substituted by
-    actual tags; with [~all:true] (the Unfold pipeline) descendant axes
-    are also replaced by every concrete child-axis chain, so the result
-    contains only child axes and concrete tags.  Queries are returned in
-    schema order; an empty list means the query matches nothing in any
-    document described by [guide]. *)
-let expand ~all guide (query : Blas_xpath.Ast.t) =
-  let expand_edge test =
-    all || match test with Blas_xpath.Ast.Any -> true | Blas_xpath.Ast.Tag _ -> false
-  in
+(** [expand guide query] enumerates the concrete instantiations of
+    [query] against the schema: wildcards are substituted by actual
+    tags and descendant axes by every concrete child-axis chain, so the
+    result contains only child axes and concrete tags (the Unfold
+    pipeline).  Queries are returned in schema order; an empty list
+    means the query matches nothing in any document described by
+    [guide]. *)
+let expand guide (query : Blas_xpath.Ast.t) =
   (* For each query node: alternatives of (rewritten node). *)
   let rec alternatives pos (q : Blas_xpath.Ast.node) =
-    if expand_edge q.test then
-      List.concat_map
-        (fun (rev_chain, target_pos) ->
-          let kids = cross_product (List.map (alternatives target_pos) q.children) in
-          List.map
-            (fun children ->
-              chain_to_node rev_chain
-                { q with axis = Blas_xpath.Ast.Child; children })
-            kids)
-        (edge_targets ~axis:q.axis ~test:q.test pos)
-    else begin
-      (* Keep the edge; the guide position becomes ambiguous for a kept
-         descendant axis, so track every possible position. *)
-      let positions =
-        match q.axis with
-        | Blas_xpath.Ast.Child -> (
-          match q.test with
-          | Blas_xpath.Ast.Tag t -> (
-            match Guide.find_child pos t with Some p -> [ p ] | None -> [])
-          | Blas_xpath.Ast.Any -> assert false)
-        | Blas_xpath.Ast.Descendant ->
-          List.map snd (edge_targets ~axis:q.axis ~test:q.test pos)
-      in
-      match q.axis with
-      | Blas_xpath.Ast.Child ->
-        List.concat_map
-          (fun p ->
-            List.map
-              (fun children -> { q with children })
-              (cross_product (List.map (alternatives p) q.children)))
-          positions
-      | Blas_xpath.Ast.Descendant ->
-        (* A kept // edge: children alternatives depend on the position,
-           but the rewritten query must be position-independent.  Take
-           the union of alternatives over all positions and deduplicate
-           structurally. *)
-        let alts =
-          List.concat_map
-            (fun p ->
-              List.map
-                (fun children -> { q with children })
-                (cross_product (List.map (alternatives p) q.children)))
-            positions
-        in
-        List.sort_uniq Stdlib.compare alts
-    end
+    List.concat_map
+      (fun (rev_chain, target_pos) ->
+        let kids = cross_product (List.map (alternatives target_pos) q.children) in
+        List.map
+          (fun children ->
+            chain_to_node rev_chain { q with axis = Blas_xpath.Ast.Child; children })
+          kids)
+      (edge_targets ~axis:q.axis ~test:q.test pos)
   in
   alternatives (Guide.top guide) query
 
-(** [expand_wildcards guide query] substitutes only wildcard steps,
-    leaving descendant axes in place (used by Split and Push-up when the
-    query contains [*]). *)
-let expand_wildcards guide query = expand ~all:false guide query
-
-(** [translate mode guide query] is the full pipeline for one translator:
-    a union of decompositions (singleton for Split/Push-up on
-    wildcard-free queries). *)
-let translate mode ?guide (query : Blas_xpath.Ast.t) =
-  let rec mentions_wildcard (q : Blas_xpath.Ast.node) =
-    q.test = Blas_xpath.Ast.Any || List.exists mentions_wildcard q.children
-  in
-  if mentions_wildcard query then
-    match guide with
-    | None -> unsupported "wildcards require schema information"
-    | Some g -> List.map (decompose mode) (expand_wildcards g query)
-  else [ decompose mode query ]
+(** [translate mode ~guide query] is the full pipeline for Split or
+    Push-up: one decomposition, or none when a leading absolute [/*]
+    finds no root tag in [guide] (an empty document). *)
+let translate mode ~guide (query : Blas_xpath.Ast.t) =
+  match (query.axis, query.test) with
+  | Blas_xpath.Ast.Child, Blas_xpath.Ast.Any ->
+    Guide.fold_children
+      (fun tag _ acc -> decompose mode { query with test = Blas_xpath.Ast.Tag tag } :: acc)
+      (Guide.top guide) []
+  | _ -> [ decompose mode query ]
 
 (* ------------------------------------------------------------------ *)
 (* Unfold, within the expansion bound                                 *)
@@ -275,7 +227,7 @@ let translate mode ?guide (query : Blas_xpath.Ast.t) =
     82-node document). *)
 let expansion_bound = 64
 
-(* The length of [expand ~all:true guide query], saturated at [cap]:
+(* The length of [expand guide query], saturated at [cap]:
    the same sum over edge targets of products over children, counted
    without building a query.  A full expansion never deduplicates, so
    below [cap] the count is exact. *)
@@ -303,11 +255,11 @@ let count_unfoldings ~cap guide (query : Blas_xpath.Ast.t) =
 let unfold_opt guide query =
   if count_unfoldings ~cap:(expansion_bound + 1) guide query > expansion_bound
   then None
-  else Some (List.map (decompose Pushup) (expand ~all:true guide query))
+  else Some (List.map (decompose Pushup) (expand guide query))
 
 (** [unfold guide query] — {!unfold_opt}, or past the bound the Push-up
-    translation: the [//] edges stay unexpanded, so the answers are
-    the same. *)
+    translation: the [//] edges and [*] steps stay unexpanded, so the
+    answers are the same. *)
 let unfold guide query =
   match unfold_opt guide query with
   | Some branches -> branches

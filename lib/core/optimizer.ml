@@ -29,9 +29,11 @@ let shape_of tk estimate =
     sh_branches = estimate.Cost.e_branches;
   }
 
-(* The candidate translations.  Decomposition reads only the resident
-   DataGuide (never the tables), so pricing them is probe-free by
-   construction; Unfold drops out past {!Decompose.expansion_bound}. *)
+(* The candidate translations.  Split and Push-up grow with the query
+   alone (a [*] is one all-elements item); only Unfold expands against
+   the resident DataGuide, and it drops out past
+   {!Decompose.expansion_bound}.  None reads the tables, so pricing is
+   probe-free by construction. *)
 let decompositions storage q =
   let guide = Storage.guide storage in
   (Planner.Split, Decompose.translate Decompose.Split ~guide q)

@@ -57,7 +57,10 @@ let pp_gap ppf = function
   | At_least k -> Format.fprintf ppf ">=%d" k
 
 let pp_path ppf { absolute; tags } =
-  Format.fprintf ppf "%s%s" (if absolute then "/" else "//") (String.concat "/" tags)
+  match tags with
+  | [] when not absolute -> Format.pp_print_string ppf "//*"
+  | _ ->
+    Format.fprintf ppf "%s%s" (if absolute then "/" else "//") (String.concat "/" tags)
 
 let interval guide { absolute; tags } =
   Blas_xml.Dataguide.suffix_interval guide ~absolute ~tags

@@ -51,6 +51,8 @@ val children_of : t -> int -> join list
 (** SQL alias for an item id ("T1", "T2", ...). *)
 val alias : int -> string
 
+(** Prints the path as XPath; the relative path with no tags, which
+    matches every element, reads [//*]. *)
 val pp_path : Format.formatter -> path -> unit
 
 (** [interval guide path] — the P-label interval [(lo, hi)] of [path] on

@@ -388,7 +388,7 @@ let test_scan_survives_edit_outside_interval () =
 let prop_coherence =
   qtest ~count:40 "cache coherent across random edit scripts"
     Test_update.script_gen (fun (doc, edits, queries) ->
-      let storage = Blas.index_of_tree doc in
+      Test_util.with_storage (Blas.index_of_tree doc) @@ fun storage ->
       List.for_all
         (fun edit ->
           Test_update.apply_edit storage edit;

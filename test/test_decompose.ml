@@ -103,11 +103,43 @@ let unit_tests =
       fun () ->
         let d = split q in
         Test_util.check_int "root" 1 (SQ.root_item d).SQ.id );
-    ( "wildcards rejected without schema",
+    ( "a wildcard decomposes to an all-elements item",
       fun () ->
-        match Blas.Decompose.decompose Blas.Decompose.Split (parse "/a/*/b") with
-        | exception Blas.Decompose.Unsupported _ -> ()
-        | _ -> Alcotest.fail "expected Unsupported" );
+        let gaps d =
+          List.sort compare
+            (List.map (fun (j : SQ.join) -> (j.anc, j.desc, j.gap)) d.SQ.joins)
+        in
+        List.iter
+          (fun d ->
+            Test_util.check_bool "items" true
+              (item_paths d = [ "/a"; "//*"; "//b/c" ]);
+            Test_util.check_bool "child edges" true
+              (gaps d = [ (1, 2, SQ.Exact 1); (2, 3, SQ.Exact 2) ]))
+          [ split "/a/*/b/c"; pushup "/a/*/b/c" ];
+        (* Push-up prefixes a branch below the wildcard no more. *)
+        let d = pushup "/a//*[c]/b" in
+        Test_util.check_bool "pushup resets below *" true
+          (item_paths d = [ "/a"; "//*"; "//c"; "//b" ]);
+        Test_util.check_bool "descendant edge" true
+          (gaps d = [ (1, 2, SQ.At_least 1); (2, 3, SQ.Exact 1); (2, 4, SQ.Exact 1) ]);
+        (* The item's interval is every element's P-label. *)
+        let guide = Blas_xml.Dataguide.of_tree (Blas_xml.Dom.parse "<r><a><b/></a><c/></r>") in
+        let any = List.nth d.SQ.items 1 in
+        Test_util.check_int "all elements" 4
+          (Blas_xml.Dataguide.suffix_count guide ~absolute:false ~tags:any.path.tags);
+        let labels = List.map (fun (_, _, l) -> l) (Blas_xml.Dataguide.entries guide) in
+        Test_util.check_bool "interval spans every path" true
+          (SQ.interval guide any.path
+          = Some (List.fold_left min max_int labels, List.fold_left max 0 labels));
+        (* A leading /* is the root tag, the one use of the schema. *)
+        Test_util.check_bool "leading /*" true
+          (List.map item_paths
+             (Blas.Decompose.translate Blas.Decompose.Split ~guide (parse "/*/a//b"))
+          = [ [ "/r/a"; "//b" ] ]);
+        Test_util.check_int "no root, no branch" 0
+          (List.length
+             (Blas.Decompose.translate Blas.Decompose.Split
+                ~guide:Blas_xml.Dataguide.empty (parse "/*/a"))) );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -120,7 +152,7 @@ let expansion_tests =
     ( "wildcard expansion enumerates concrete tags",
       fun () ->
         let guide = guide_of "<r><a><x/></a><b><x/></b></r>" in
-        let qs = Blas.Decompose.expand_wildcards guide (parse "/r/*/x") in
+        let qs = Blas.Decompose.expand guide (parse "/r/*/x") in
         Test_util.check_int "two expansions" 2 (List.length qs);
         let printed = List.map Blas_xpath.Pretty.to_string qs in
         Test_util.check_bool "both paths" true
@@ -128,18 +160,18 @@ let expansion_tests =
     ( "full expansion removes descendant axes",
       fun () ->
         let guide = guide_of "<r><a><x/></a><b><c><x/></c></b></r>" in
-        let qs = Blas.Decompose.expand ~all:true guide (parse "/r//x") in
+        let qs = Blas.Decompose.expand guide (parse "/r//x") in
         let printed = List.sort compare (List.map Blas_xpath.Pretty.to_string qs) in
         Test_util.check_bool "paths" true (printed = [ "/r/a/x"; "/r/b/c/x" ]) );
     ( "expansion of an unmatched path is empty",
       fun () ->
         let guide = guide_of "<r><a/></r>" in
         Test_util.check_int "empty" 0
-          (List.length (Blas.Decompose.expand ~all:true guide (parse "/r/zzz"))) );
+          (List.length (Blas.Decompose.expand guide (parse "/r/zzz"))) );
     ( "unfold on a recursive shape enumerates every depth",
       fun () ->
         let guide = guide_of "<r><l><l><l/></l></l></r>" in
-        let qs = Blas.Decompose.expand ~all:true guide (parse "/r//l") in
+        let qs = Blas.Decompose.expand guide (parse "/r//l") in
         Test_util.check_int "three depths" 3 (List.length qs) );
     ( "unfold decompositions are all-equality (Section 4.2: b joins)",
       fun () ->

@@ -89,7 +89,8 @@ let storage_tests =
       fun () ->
         let s = Lazy.force recursive in
         check_query s "/site/*/asia/item/description";
-        check_query s "//item/*" );
+        check_query s "//item/*";
+        check_query s "/*/regions//item/*" );
     ( "query root anchored with // can bind anywhere",
       fun () ->
         let s = Lazy.force recursive in
@@ -187,24 +188,84 @@ let test_plan_columns () =
         (name ^ " QS3 last join") (Some [ "T3.start" ]) (top_djoin_out qs3))
     [ Blas.Split; Blas.Pushup; Blas.Unfold ]
 
+(* Wildcard queries that used to blow up Split and Push-up: with [*] an
+   item of its own, they decompose into one item per query node, so
+   their plans hold at most one D-join per query edge whatever the
+   schema; Unfold's counted expansion stops past its bound. *)
+let check_wildcard_bounded storage s =
+  check_query storage s;
+  let query = Blas.query s in
+  let edges = Blas_xpath.Ast.step_count query - 1 in
+  List.iter
+    (fun translator ->
+      List.iter
+        (fun engine ->
+          let r = Blas.run ~cache:false storage ~engine ~translator query in
+          Test_util.check_bool
+            (Printf.sprintf "%s/%s: %d D-joins <= %d edges"
+               (Blas.translator_name translator) (Blas.engine_name engine)
+               r.Blas.plan_djoins edges)
+            true (r.Blas.plan_djoins <= edges))
+        engines)
+    [ Blas.Split; Blas.Pushup ]
+
+(* The edited document (41 elements) on which QCheck seed 516249810
+   first ran its slowest query, when Split and Push-up still expanded
+   [*] against the schema. *)
+let slow_seed_xml =
+  "<r><b>x<d>x<b>y<c>x</c></b><c>x<c>y</c><b>y</b><b>x</b></c><a>y<d>x</d><d>y</d></a></d>\
+   <a>y<c>x<d>x</d><a/><d/></c><b>x<b/><a/><b>y</b></b></a><c>x<c>y<d>y<d>x<a>y<d>x<a>x\
+   <c>x</c><d>x</d><c>x</c></a><d>y<c>x</c><c>y</c></d></d></a></d></d><c>y</c></c><a>x\
+   <a>x</a></a><d><b>x</b><b/><c>x</c></d></c></b></r>"
+
+(* A random document whose tags nest in every order: its DataGuide has
+   a path for most tag sequences, the schema on which expanding [*]
+   explodes. *)
+let recursive_random_tree () =
+  let rng = Random.State.make [| 20 |] in
+  let rec node depth =
+    let tag = Test_util.tags.(Random.State.int rng (Array.length Test_util.tags)) in
+    let kids =
+      if depth = 0 then [] else List.init (1 + Random.State.int rng 2) (fun _ -> node (depth - 1))
+    in
+    Blas_xml.Types.Element (tag, kids)
+  in
+  Blas_xml.Types.Element ("r", List.init 3 (fun _ -> node 6))
+
+let wildcard_tests =
+  [
+    ( "pinned wildcard query of a slow seed",
+      fun () ->
+        Test_util.with_storage (Blas.index slow_seed_xml) @@ fun storage ->
+        check_wildcard_bounded storage {|/r[//c//b]//*[//*]/a[*][//*]//* = "x"|} );
+    ( "explosive //*[//*]//* over a recursive document",
+      fun () ->
+        Test_util.with_storage (Blas.index_of_tree (recursive_random_tree ()))
+        @@ fun storage ->
+        let q = "//*[//*]//*" in
+        Test_util.check_bool "past the Unfold bound" true
+          (Blas.Decompose.unfold_opt (Blas.Storage.guide storage) (Blas.query q) = None);
+        check_wildcard_bounded storage q );
+  ]
+
 let random_props =
   [
     Test_util.qtest ~count:300 "all translators x engines match the oracle"
       (QCheck2.Gen.pair Test_util.doc_gen (Test_util.query_gen ()))
       (fun (tree, query) ->
-        let storage = Blas.index_of_tree tree in
+        Test_util.with_storage (Blas.index_of_tree tree) @@ fun storage ->
         agree_with_oracle storage query);
     Test_util.qtest ~count:100
       "wildcard queries match the oracle after schema expansion"
       (QCheck2.Gen.pair Test_util.doc_gen (Test_util.query_gen ~wildcards:true ()))
       (fun (tree, query) ->
-        let storage = Blas.index_of_tree tree in
+        Test_util.with_storage (Blas.index_of_tree tree) @@ fun storage ->
         agree_with_oracle storage query);
     Test_util.qtest ~count:100 "random unions agree with the union oracle"
       (QCheck2.Gen.pair Test_util.doc_gen
          (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 3) (Test_util.query_gen ())))
       (fun (tree, queries) ->
-        let storage = Blas.index_of_tree tree in
+        Test_util.with_storage (Blas.index_of_tree tree) @@ fun storage ->
         let expected = Blas.oracle_union storage queries in
         List.for_all
           (fun translator ->
@@ -221,7 +282,8 @@ let random_props =
            result cardinality scales by the factor (queries anchored at
            the root are per-copy; // roots too since copies are disjoint
            subtrees under the same root). *)
-        let storage3 = Blas.index_of_tree (Blas_xml.Replicate.by_factor 3 tree) in
+        Test_util.with_storage (Blas.index_of_tree (Blas_xml.Replicate.by_factor 3 tree))
+        @@ fun storage3 ->
         agree_with_oracle storage3 query);
   ]
 
@@ -231,4 +293,5 @@ let suite =
       Alcotest.test_case "plans read only the columns they use" `Quick
         test_plan_columns;
     ]
+  @ List.map (fun (n, f) -> Alcotest.test_case n `Quick f) wildcard_tests
   @ random_props

@@ -438,7 +438,7 @@ let script_gen =
 let prop_stats_coherent_under_edits =
   qtest ~count:100 "stats stay coherent across random edit scripts" script_gen
     (fun (doc, edits) ->
-      let storage = Blas.index_of_tree doc in
+      Test_util.with_storage (Blas.index_of_tree doc) @@ fun storage ->
       List.iter (apply_edit storage) edits;
       let live = Blas.Storage.doc storage in
       let oracle =
@@ -461,7 +461,7 @@ let prop_stats_coherent_under_edits =
 let prop_auto2_matches_oracle_under_edits =
   qtest ~count:80 "Auto2 agrees with the oracle after random edits" script_gen
     (fun (doc, edits) ->
-      let storage = Blas.index_of_tree doc in
+      Test_util.with_storage (Blas.index_of_tree doc) @@ fun storage ->
       List.iter (apply_edit storage) edits;
       let query = Blas.query "//a[b]" in
       Blas.answers storage ~engine:Blas.Rdbms ~translator:Blas.Auto2 query

@@ -167,7 +167,7 @@ let parallel_equals_sequential_prop =
   let gen = QCheck2.Gen.pair Test_util.doc_gen (Test_util.query_gen ()) in
   Test_util.qtest ~count:60 "parallel run equals sequential run" gen
     (fun (tree, q) ->
-      let storage = Blas.index_of_tree tree in
+      Test_util.with_storage (Blas.index_of_tree tree) @@ fun storage ->
       let cases =
         List.concat_map
           (fun engine ->

@@ -127,7 +127,7 @@ let unit_tests =
 
 let property =
   Test_util.qtest ~count:150 "round trip on random documents" Test_util.doc_gen
-    (fun tree -> round_trips (Blas.index_of_tree tree))
+    (fun tree -> Test_util.with_storage (Blas.index_of_tree tree) round_trips)
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f) unit_tests @ [ property ]

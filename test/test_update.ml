@@ -317,7 +317,7 @@ let script_gen =
    like the oracle, and the oracle agrees with an index rebuilt from
    scratch. *)
 let agrees_with_oracle_and_rebuild storage queries =
-  let scratch = rebuilt_from_scratch storage in
+  Test_util.with_storage (rebuilt_from_scratch storage) @@ fun scratch ->
   List.for_all
     (fun query ->
       let expected = Blas.oracle storage query in
@@ -337,7 +337,7 @@ let agrees_with_oracle_and_rebuild storage queries =
 let prop_edits_consistent =
   qtest ~count:120 "edited index agrees with oracle and rebuild" script_gen
     (fun (doc, edits, queries) ->
-      let storage = Blas.index_of_tree doc in
+      Test_util.with_storage (Blas.index_of_tree doc) @@ fun storage ->
       List.iter (apply_edit storage) edits;
       agrees_with_oracle_and_rebuild storage queries)
 
@@ -476,7 +476,7 @@ let window_script_gen =
 let prop_insert_moves_one_window =
   qtest ~count:100 "an insert moves one narrowest window of labels" window_script_gen
     (fun (doc, edits, inserts, queries) ->
-      let storage = Blas.index_of_tree doc in
+      Test_util.with_storage (Blas.index_of_tree doc) @@ fun storage ->
       List.iter (apply_edit storage) edits;
       List.for_all
         (fun ins ->
@@ -487,7 +487,7 @@ let prop_insert_moves_one_window =
 let prop_persist_survives_edits =
   qtest ~count:60 "updated index survives save/load" script_gen
     (fun (doc, edits, queries) ->
-      let storage = Blas.index_of_tree doc in
+      Test_util.with_storage (Blas.index_of_tree doc) @@ fun storage ->
       List.iter (apply_edit storage) edits;
       Test_util.with_db_copy storage (fun reloaded ->
           same_labels storage reloaded
@@ -517,7 +517,7 @@ let view_matches_its_root (d : Blas_xpath.Doc.t) =
 let prop_columns_follow_edits =
   qtest ~count:80 "edited columns equal a scan of SP" wide_script_gen
     (fun (doc, edits) ->
-      let storage = Blas.index_of_tree doc in
+      Test_util.with_storage (Blas.index_of_tree doc) @@ fun storage ->
       List.for_all
         (fun edit ->
           apply_edit storage edit;
@@ -538,10 +538,7 @@ let twin_gen =
   let* codec = oneofl Blas_rel.Codec.[ V1; V2 ] in
   let* doc = doc_gen in
   let* edits = list_size (int_range 1 6) edit_gen in
-  (* no wildcards: Unfold's expansion of [*] steps over a recursive
-     schema can reach thousands of branches, which a 16-page pool of
-     512-byte pages turns into seconds per query *)
-  let* queries = list_size (return 3) (query_gen ()) in
+  let* queries = list_size (return 3) (query_gen ~wildcards:true ()) in
   return (codec, (doc, edits, queries))
 
 let prop_memory_matches_database =

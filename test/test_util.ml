@@ -19,6 +19,13 @@ let empty_backing =
 let on_domains n f =
   List.map Domain.join (List.init n (fun i -> Domain.spawn (fun () -> f i)))
 
+(** [with_storage storage f] applies [f] to [storage], then closes it.
+    Under BLAS_TEST_DISK every [Blas.index] holds a database file open;
+    a suite that leaks them pushes later descriptors (the router's
+    sockets) past FD_SETSIZE. *)
+let with_storage storage f =
+  Fun.protect ~finally:(fun () -> Blas.Storage.close storage) (fun () -> f storage)
+
 let qtest ?(count = 200) name gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen law)
 
