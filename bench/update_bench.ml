@@ -56,8 +56,25 @@ let marker i = Printf.sprintf "bench-update-%d" i
 (* The [k]-th of [samples] picks spread evenly over [arr]. *)
 let spread arr k = arr.(k * Array.length arr / samples)
 
-let nodes storage pred =
-  Array.of_list (List.filter pred (Blas.Storage.doc storage).Blas_xpath.Doc.all)
+module Columns = Blas_update.Columns
+
+(* The nodes tagged [tag] whose text satisfies [pred], in document
+   order, each as its start and its count of element children.  They
+   are read from the label columns the edits keep current, allocating
+   little beyond the hits, so each timed edit finds the caches much as
+   the edit before it left them. *)
+let nodes storage ~tag pred =
+  let c = Blas.Storage.columns storage in
+  let tags =
+    Array.init (Hashtbl.length c.ids) (fun id -> Blas_update.Layout.tag c.paths.(id))
+  in
+  let hits = ref [] in
+  for i = Columns.length c - 1 downto 0 do
+    if tags.(c.path.{i}) = tag && pred (Hashtbl.find_opt c.texts c.key.{i}) then
+      hits := i :: !hits
+  done;
+  Array.of_list
+    (List.map (fun i -> (c.start.{i}, List.length (Columns.children c i))) !hits)
 
 let timed_ms f =
   let t0 = Bench_util.now_ns () in
@@ -76,37 +93,35 @@ let median xs =
    so targets are looked up afresh each time; a round's delete removes
    the author its insert added. *)
 let kinds =
-  let is tag (n : Blas_xpath.Doc.node) = n.tag = tag in
   [
     ( "retext",
       fun storage k ->
-        let n = spread (nodes storage (fun n -> is "author" n && n.data <> None)) k in
-        fun () -> Blas.Update.replace_text storage ~start:n.start (Some (marker k)) );
+        let start, _ = spread (nodes storage ~tag:"author" (fun d -> d <> None)) k in
+        fun () -> Blas.Update.replace_text storage ~start (Some (marker k)) );
     ( "insert",
       fun storage k ->
-        let p = spread (nodes storage (is "authors")) k in
+        let parent, pos = spread (nodes storage ~tag:"authors" (fun _ -> true)) k in
         let sub = Blas_xml.Types.(Element ("author", [ Content (marker (-k - 1)) ])) in
-        fun () ->
-          Blas.Update.insert_subtree storage ~parent:p.start
-            ~pos:(List.length p.children) sub );
+        fun () -> Blas.Update.insert_subtree storage ~parent ~pos sub );
     ( "delete",
       fun storage k ->
-        let n = (nodes storage (fun n -> n.data = Some (marker (-k - 1)))).(0) in
-        fun () -> Blas.Update.delete_subtree storage ~start:n.start );
+        let start, _ =
+          (nodes storage ~tag:"author" (fun d -> d = Some (marker (-k - 1)))).(0)
+        in
+        fun () -> Blas.Update.delete_subtree storage ~start );
   ]
 
 let protein entries =
   Blas.index_of_tree (Blas_datagen.Protein.generate ~seed:1 ~entries ())
 
 (* [samples] inserts of [sub k], the [k]-th appended to the [k]-th of
-   [samples] nodes matching [parent] spread over [storage]: the medians
+   [samples] nodes tagged [parent] spread over [storage]: the medians
    of the nodes each relabeled and of the pages each wrote. *)
 let insert_counts storage ~parent sub =
   let reports =
     List.init samples (fun k ->
-        let p = spread (nodes storage parent) k in
-        Blas.Update.insert_subtree storage ~parent:p.start
-          ~pos:(List.length p.children) (sub k))
+        let start, pos = spread (nodes storage ~tag:parent (fun _ -> true)) k in
+        Blas.Update.insert_subtree storage ~parent:start ~pos (sub k))
   in
   ( median (List.map (fun (r : Blas.Update.report) -> r.nodes_relabeled) reports),
     median (List.map (fun (r : Blas.Update.report) -> r.pages_written) reports) )
@@ -244,17 +259,16 @@ let run () =
   in
   Bench_util.print_table ~title:".blasdb (fastest ms, median WAL bytes per edit)"
     { Bench_util.header; rows };
-  let is tag (n : Blas_xpath.Doc.node) = n.tag = tag in
   let author k = Blas_xml.Types.(Element ("author", [ Content (marker k) ])) in
   let bidder _ = Blas_xml.Dom.parse "<bidder><date/><increase/></bidder>" in
   let counts =
     [
       ( Printf.sprintf "Protein %d entries: <author>" (List.nth sizes 0),
-        insert_counts (protein (List.nth sizes 0)) ~parent:(is "authors") author );
+        insert_counts (protein (List.nth sizes 0)) ~parent:"authors" author );
       ( "Auction scale 16: <bidder>",
         insert_counts
           (Blas.index_of_tree (Blas_datagen.Auction.generate ~scale:16 ()))
-          ~parent:(is "open_auction") bidder );
+          ~parent:"open_auction" bidder );
     ]
   in
   let _, (auction_relabeled, _) = List.nth counts 1 in

@@ -501,9 +501,10 @@ let run () query_string translator engine verify show_limit as_xml explain
       dt plan_desc report.visited report.plan_djoins;
     if show_stats then
       Format.printf "counters: %a@." Blas_rel.Counters.pp report.counters;
-    (* Only the shown answers are looked up: on a database the first
-       lookup builds the document model (a full SD scan), so a run that
-       shows nothing never builds it. *)
+    (* Only the shown answers are looked up, each as its own subtree
+       built from the label columns: on a database the first lookup
+       builds the columns (a full SD scan), so a run that shows nothing
+       never builds them. *)
     List.iteri
       (fun i start ->
         if i < show_limit then

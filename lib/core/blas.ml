@@ -134,10 +134,12 @@ let oracle_union storage queries =
 (* ------------------------------------------------------------------ *)
 (* Answer materialization                                             *)
 
-(** [node_at storage start] — the document node behind an answer.
-    Builds the document model if no view is current (an SD scan). *)
+(** [node_at storage start] — the document node behind an answer,
+    built from the label columns with its subtree only (O(subtree)
+    once the columns exist; building them is one SD scan). *)
 let node_at (storage : Storage.t) start =
-  Blas_xpath.Doc.find_by_start (Storage.doc storage) start
+  let c = Storage.columns storage in
+  Option.map (Blas_update.Columns.node c) (Blas_update.Columns.find c start)
 
 (** [materialize storage starts] rebuilds the answer subtrees in
     document order (the output-generation step the paper's measurements

@@ -215,8 +215,9 @@ val union_report : report list -> report
 
 val oracle_union : Storage.t -> Blas_xpath.Ast.t list -> int list
 
-(** The document node behind an answer position.  The first call after
-    an open or an edit builds the document model (a full SD scan). *)
+(** The document node behind an answer position, built from the label
+    columns with its subtree only: O(subtree) once the columns exist
+    (the first call after an open builds them, one SD scan). *)
 val node_at : Storage.t -> int -> Blas_xpath.Doc.node option
 
 (** [materialize storage starts] rebuilds the answer subtrees in

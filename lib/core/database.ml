@@ -31,6 +31,7 @@ module Value = Blas_rel.Value
 module Tuple = Blas_rel.Tuple
 module Dataguide = Blas_xml.Dataguide
 module Layout = Blas_update.Layout
+module Columns = Blas_update.Columns
 module Page_store = Blas_rel.Page_store
 
 type mode = Store.mode = Ro | Rw
@@ -57,7 +58,7 @@ let looks_like_db = Pager.looks_like_db
    drops the tag inventory and stores each path's P-label beside its
    count, the native-int labels SP carries.  Every file writes v6.
    Decode accepts all six: a catalog older than v4 has no counts, so
-   its guide and statistics are rebuilt from the document model at
+   its guide and statistics are rebuilt from the label columns at
    open (see [install]), and its statistics blob is skipped unread; the
    index leaves of a catalog older than v5 are read only to hand their
    pages to the free list.  SP pages older than v6 hold the paper's
@@ -340,7 +341,6 @@ let install db (storage : Storage.t) (cat, chain) =
   storage.Storage.sp <- Layout.of_layout (page_store db) Layout.sp ~dir:cat.c_sp;
   storage.Storage.sd <- Layout.of_layout (page_store db) Layout.sd ~dir:cat.c_sd;
   (* What was derived from the old tables goes with them. *)
-  Storage.drop_doc storage;
   Storage.drop_columns storage;
   match cat.c_guide with
   | Some guide ->
@@ -353,15 +353,17 @@ let install db (storage : Storage.t) (cat, chain) =
            | stats -> Some stats
            | exception Invalid_argument _ -> None))
   | None ->
-    (* A catalog older than v4 keeps no counts: build the document model
-       once (an SD scan), which counts every path, and collect fresh
-       statistics from it.  The next commit writes both down. *)
-    let doc = Storage.sd_doc storage in
-    storage.Storage.guide <- doc.guide;
+    (* A catalog older than v4 keeps no counts: build the label columns
+       (an SD scan), count every path in them and collect fresh
+       statistics from them.  The next commit writes both down. *)
+    let cols = Storage.columns storage in
+    let guide =
+      Dataguide.of_path_counts
+        (List.init (Columns.length cols) (fun i -> ((Columns.row cols i).path, 1)))
+    in
+    storage.Storage.guide <- guide;
     Storage.set_ostats storage
-      (Some
-         (Storage.collect_ostats ~guide:doc.guide
-            (List.map (fun (n : Blas_xpath.Doc.node) -> (n.tag, n.data)) doc.all)))
+      (Some (Storage.collect_ostats ~guide (Columns.values cols)))
 
 (* ------------------------------------------------------------------ *)
 (* Catalog writer (inside a transaction)                              *)
@@ -468,13 +470,14 @@ let with_tx db f =
         raise e)
 
 (* Relabels the SP rows of a catalog older than v6 with the guide's
-   native-int P-labels, in one transaction.  The new labels follow the
-   paper's order, so the rows keep their order and go back onto the
-   pages they came from, in directory order (fewer of them: the labels
-   are shorter); the pages left over are freed. *)
+   native-int P-labels, in one transaction, taking the rows from the
+   label columns (built from SD, which carries no P-label).  The new
+   labels follow the paper's order, so the rows keep their order and go
+   back onto the pages they came from, in directory order (fewer of
+   them: the labels are shorter); the pages left over are freed. *)
 let relabel db (storage : Storage.t) =
   with_tx db (fun () ->
-      let doc = Storage.doc storage in
+      let cols = Storage.columns storage in
       let old =
         ref
           (Array.to_list
@@ -491,7 +494,7 @@ let relabel db (storage : Storage.t) =
       in
       storage.Storage.sp <-
         Layout.load { (page_store db) with alloc } Layout.sp
-          (Layout.sp_rows storage.Storage.guide doc);
+          (Columns.sp_rows storage.Storage.guide cols);
       List.iter (fun page -> Page_store.drop (page_store db) ~table:"sp" ~page) !old)
 
 (* ------------------------------------------------------------------ *)
@@ -622,8 +625,8 @@ let create ?(page_size = 4096) ?(fill = Table.default_fill)
 (** [open_ ?cache_pages ?stripes ~mode ~path ()] opens a database file:
     read-write opens replay any committed WAL tail first (crash
     recovery); read-only opens never write and overlay the WAL in
-    memory.  Only the catalog becomes resident — the document model is
-    built (a full SD scan) only if a reader asks for it.
+    memory.  Only the catalog becomes resident — the label columns are
+    built (a full SD scan) only if an edit or a reader asks for them.
     [cache_pages] bounds the buffer pool (default 256 pages). *)
 let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
   let store = Store.open_path ~path ~mode () in

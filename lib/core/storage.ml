@@ -19,27 +19,20 @@
     A storage is either memory-resident (built from a document, its
     pages in an in-memory page store) or disk-backed (opened from a
     database file by {!Database}); the tables are the same pages in
-    both, and they are the one copy of the document.  Two things are
-    derived from them on demand and dropped when they go stale:
+    both, and they are the one copy of the document.  One thing is
+    derived from them: the label columns ({!Blas_update.Columns}),
+    which {!columns} builds from a scan of SD on first use, edits keep
+    current, and a reload of the tables drops.  The labeled document
+    model ({!doc}) is a view of the columns, built on each call, for
+    whatever genuinely needs the tree (naive-oracle verification, XML
+    output, navigation).
 
-    - the labeled document model, a read-only [Doc.t] that {!doc}
-      builds from a scan of SD for whatever genuinely needs the tree
-      (naive-oracle verification, XML output, navigation) and every
-      edit drops (a storage built from a document starts with that
-      document);
-    - the label columns edits run over ({!Blas_update.Columns}), which
-      {!columns} builds from a scan of SP on the first edit and edits
-      keep current.
+    Queries read neither the columns nor a view: they run entirely from
+    the paged tables and the resident guide. *)
 
-    Queries read neither: they run entirely from the paged tables and
-    the resident guide. *)
-
-(* The derived copies, each built on first use.  Guarded by a global
-   mutex so concurrent query domains build a view once. *)
-type derived = {
-  mutable view : Blas_xpath.Doc.t option;
-  mutable cols : Blas_update.Columns.t option;
-}
+(* The label columns, the one copy derived from the tables, built on
+   first use. *)
+type derived = { mutable cols : Blas_update.Columns.t option }
 
 (** Per-table layout economics of a disk-backed storage: how the
     active codec is spending the bytes. *)
@@ -132,139 +125,40 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* The document model from stored rows                                *)
+(* The derived copy                                                    *)
 
-let corrupt fmt = Printf.ksprintf (fun msg -> raise (Blas_disk.Pager.Corrupt msg)) fmt
-
-(* Rows come in document order; the (start, end) intervals nest, so a
-   stack of open nodes recovers parenthood, source paths and
-   children. *)
-type builder = {
-  btag : string;
-  bdata : string option;
-  bstart : int;
-  bfin : int;
-  blevel : int;
-  bpath : string list;  (* reversed source path *)
-  mutable bkids : Blas_xpath.Doc.node list;  (* reversed *)
-}
-
-let freeze b : Blas_xpath.Doc.node =
-  {
-    tag = b.btag;
-    data = b.bdata;
-    start = b.bstart;
-    fin = b.bfin;
-    level = b.blevel;
-    source_path = List.rev b.bpath;
-    children = List.rev b.bkids;
-  }
-
-(** [rebuild_doc ?guide rows] — the document model of SD rows in start
-    order, around [guide] (a storage's, with the labels SP carries) or
-    a fresh one.
-    @raise Blas_disk.Pager.Corrupt on rows that do not nest into one
-    document. *)
-let rebuild_doc ?guide rows : Blas_xpath.Doc.t =
-  let attach stack node =
-    match stack with
-    | parent :: _ -> parent.bkids <- node :: parent.bkids
-    | [] -> corrupt "multiple roots"
-  in
-  let rec close stack start =
-    match stack with
-    | top :: rest when top.bfin < start ->
-      attach rest (freeze top);
-      close rest start
-    | _ -> stack
-  in
-  let final =
-    List.fold_left
-      (fun stack (tag, start, fin, level, data) ->
-        let stack = close stack start in
-        let parent_path = match stack with top :: _ -> top.bpath | [] -> [] in
-        let expected_level = List.length parent_path + 1 in
-        if level <> expected_level then
-          corrupt "level %d does not match nesting depth %d" level
-            expected_level;
-        {
-          btag = tag;
-          bdata = data;
-          bstart = start;
-          bfin = fin;
-          blevel = level;
-          bpath = tag :: parent_path;
-          bkids = [];
-        }
-        :: stack)
-      [] rows
-  in
-  let rec collapse = function
-    | [ root ] -> freeze root
-    | top :: rest ->
-      attach rest (freeze top);
-      collapse rest
-    | [] -> corrupt "empty document"
-  in
-  Blas_xpath.Doc.of_root ?guide (collapse final)
-
-let row_of_sd_tuple t =
-  let module V = Blas_rel.Value in
-  let get = Blas_rel.Tuple.get t in
-  match (get 0, get 1, get 2, get 3, get 4) with
-  | V.Str tag, V.Int s, V.Int e, V.Int l, V.Null -> (tag, s, e, l, None)
-  | V.Str tag, V.Int s, V.Int e, V.Int l, V.Str d -> (tag, s, e, l, Some d)
-  | _ -> corrupt "malformed SD row"
-
-(** [sd_doc ?guide t] — the document model from a scan of [t]'s SD. *)
-let sd_doc ?guide t =
-  let rows =
-    List.map row_of_sd_tuple (Blas_rel.Table.scan t.sd (Blas_rel.Counters.create ()))
-  in
-  rebuild_doc ?guide
-    (List.sort (fun (_, s1, _, _, _) (_, s2, _, _, _) -> compare s1 s2) rows)
-
-(* ------------------------------------------------------------------ *)
-(* The derived copies                                                  *)
-
+(* Guards the first build, so concurrent query domains build the
+   columns once. *)
 let derived_lock = Mutex.create ()
 
-let memo get set build =
-  match get () with
-  | Some v -> v
+(** The label columns, built from a scan of SD on first use; edits
+    keep them current. *)
+let columns t =
+  match t.derived.cols with
+  | Some c -> c
   | None ->
     Mutex.protect derived_lock (fun () ->
-        match get () with
-        | Some v -> v
+        match t.derived.cols with
+        | Some c -> c
         | None ->
-          let v = build () in
-          set v;
-          v)
+          let c =
+            Blas_update.Columns.of_sd
+              (Blas_rel.Table.scan t.sd (Blas_rel.Counters.create ()))
+          in
+          t.derived.cols <- Some c;
+          c)
 
-(** The labeled document model, built from SD on first use after an
-    edit or an open (a full scan — avoid on the query path). *)
-let doc t =
-  memo
-    (fun () -> t.derived.view)
-    (fun d -> t.derived.view <- Some d)
-    (fun () -> sd_doc ~guide:t.guide t)
-
-(** Whether the document model is currently built. *)
-let doc_resident t = t.derived.view <> None
-
-(** Drop the document model (every edit does; the next {!doc}
-    rebuilds it). *)
-let drop_doc t = t.derived.view <- None
-
-(** The label columns edits run over, built from SP on first use. *)
-let columns t =
-  memo
-    (fun () -> t.derived.cols)
-    (fun c -> t.derived.cols <- Some c)
-    (fun () -> Blas_update.Columns.of_sp t.guide t.sp)
+(** Whether the label columns are currently built. *)
+let columns_resident t = t.derived.cols <> None
 
 (** Drop the label columns (when the tables are reloaded). *)
 let drop_columns t = t.derived.cols <- None
+
+(** The labeled document model: a view of the label columns, built on
+    each call (O(document)).  The caller holds the document's read
+    lock: edits change the columns in place. *)
+let doc t =
+  Blas_xpath.Doc.of_root ~guide:t.guide (Blas_update.Columns.node (columns t) 0)
 
 (* Default buffer pool: 1024 pages — small enough that the evaluation
    data sets do not fit entirely, as on the paper's machine. *)
@@ -290,7 +184,7 @@ let of_doc ?(pool_capacity = default_pool_capacity) ?(collect_stats = true)
   (* the bulk load's writes are not this storage's traffic *)
   Blas_rel.Buffer_pool.reset_stats pool;
   {
-    derived = { view = Some doc; cols = None };
+    derived = { cols = None };
     guide = doc.guide;
     sp;
     sd;
@@ -310,7 +204,7 @@ let of_doc ?(pool_capacity = default_pool_capacity) ?(collect_stats = true)
     disk-open path ({!Database}). *)
 let assemble ?(codec = Blas_rel.Codec.V1) ~guide ~sp ~sd ~pool () =
   {
-    derived = { view = None; cols = None };
+    derived = { cols = None };
     guide;
     sp;
     sd;

@@ -9,15 +9,15 @@
     A storage is either memory-resident (its pages in an in-memory page
     store) or disk-backed (opened from a database file by
     [Blas.Database]); both hold the same paged tables, the one copy of
-    the document.  The labeled document model is a read-only view of
-    SD that {!doc} builds on demand and every edit drops; edits run
-    over label columns that {!columns} builds from SP.  Never assume
-    either is built.
+    the document.  The one thing derived from them is the label
+    columns ({!columns}), built from SD on first use and kept current
+    by edits; the labeled document model ({!doc}) is a view of the
+    columns, built on each call.  Never assume the columns are built.
 
     The record is deliberately transparent: benches and ablations swap
     out tables to measure storage variants. *)
 
-(** The document model and the label columns, each built on demand. *)
+(** The label columns, built on demand. *)
 type derived
 
 (** Per-table layout economics of a disk-backed storage: how the
@@ -91,7 +91,7 @@ type disk = {
 (** The index components are mutable so that {!Update} can edit a built
     index in place; queries read the current fields on every run. *)
 type t = {
-  derived : derived;  (** read via {!doc} and {!columns} *)
+  derived : derived;  (** read via {!columns} *)
   mutable guide : Blas_xml.Dataguide.t;
       (** resident dataguide, the P-labels SP carries with it (planning
           and translation must not force the document) *)
@@ -106,36 +106,22 @@ type t = {
       (** the active page codec — read via {!codec} *)
 }
 
-(** The labeled document model: a read-only view built from a scan of
-    SD on first use after an open or an edit (avoid on the query
-    path). *)
-val doc : t -> Blas_xpath.Doc.t
-
-(** Whether the document model is currently built. *)
-val doc_resident : t -> bool
-
-(** Drop the document model; the next {!doc} rebuilds it. *)
-val drop_doc : t -> unit
-
-(** The label columns edits run over, built from a scan of SP on first
-    use; edits keep them current. *)
+(** The label columns edits run over, built from a scan of SD on first
+    use ({!Blas_update.Columns.of_sd}); edits keep them current.
+    @raise Blas_disk.Pager.Corrupt on SD rows that do not nest into
+    one document. *)
 val columns : t -> Blas_update.Columns.t
+
+(** Whether the label columns are currently built. *)
+val columns_resident : t -> bool
 
 (** Drop the label columns (the tables were reloaded). *)
 val drop_columns : t -> unit
 
-(** [rebuild_doc ?guide rows] reconstructs the labeled document model
-    from [(tag, start, end, level, data)] rows in start order — how
-    {!doc} builds it from SD — around [guide] (default: a fresh one).
-    @raise Blas_disk.Pager.Corrupt on rows that do not nest into one
-    document. *)
-val rebuild_doc :
-  ?guide:Blas_xml.Dataguide.t ->
-  (string * int * int * int * string option) list ->
-  Blas_xpath.Doc.t
-
-(** [sd_doc ?guide t] — {!rebuild_doc} over a scan of [t]'s SD. *)
-val sd_doc : ?guide:Blas_xml.Dataguide.t -> t -> Blas_xpath.Doc.t
+(** The labeled document model: a view of the label columns, built on
+    each call (O(document); avoid on the query path).  The caller holds
+    the document's read lock: edits change the columns in place. *)
+val doc : t -> Blas_xpath.Doc.t
 
 (** [of_doc doc] builds SP and SD on an in-memory page store: the same
     4 KiB pages at 0.9 fill under [codec] (default

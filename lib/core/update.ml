@@ -3,9 +3,9 @@
     The heavy lifting lives in {!Blas_update.Update_engine}; this
     module binds the engine's mutable target to {!Storage.t} so edits
     apply in place and every subsequent {!Blas.run} (any translator,
-    any engine) sees the updated labels and relations.  An edit drops
-    the storage's document model; the next {!Storage.doc} rebuilds it
-    from SD.
+    any engine) sees the updated labels and relations.  An edit runs
+    over the storage's label columns and keeps them current, so the
+    next {!Storage.doc} (a view of them) shows it.
 
     {[
       let storage = Blas.index "<r><a>x</a></r>" in
@@ -48,7 +48,6 @@ let apply storage op =
     in
     let report = op target in
     storage.Storage.guide <- target.Engine.guide;
-    Storage.drop_doc storage;
     (* Fine-grained cache invalidation: drop exactly the entries whose
        P-interval contains a touched P-label, keeping the rest warm.
        Every row the edit changed carries one of those P-labels.  Runs

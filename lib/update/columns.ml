@@ -1,6 +1,7 @@
-(** The document as flat label columns in start order: the one
-    structure edits run over ({!Update_engine}), built from one scan of
-    SP.
+(** The document as flat label columns in start order: the one copy
+    a storage derives from its tables, built from one scan of SD
+    ({!of_sd}).  Edits run over it ({!Update_engine}), and the labeled
+    document model is a view of it ({!node}).
 
     Row [i] is the [i]-th element node in document order.  Finding a
     node is a binary search; its subtree is the rows from [i] up to the
@@ -147,11 +148,30 @@ let remove (t : t) i j =
   List.iter (fun a -> move a ~src:j ~dst:i (t.n - j)) [ t.start; t.fin; t.level; t.path; t.key ];
   t.n <- t.n - (j - i)
 
-(** [of_sp guide sp] — the columns of the nodes in [sp], each path
-    found through its P-label in [guide]. *)
-let of_sp guide sp =
-  let rows = Array.of_list (Blas_rel.Table.scan sp (Blas_rel.Counters.create ())) in
+let corrupt fmt = Printf.ksprintf (fun msg -> raise (Blas_disk.Pager.Corrupt msg)) fmt
+
+(** [of_sd rows] — the columns of SD's rows (in any order), each
+    row's path worked out from how the rows nest: sorted by start, a
+    row's parent is the nearest earlier row whose interval is still
+    open.  Reads no P-label, so it serves every catalog version.
+    @raise Blas_disk.Pager.Corrupt on rows that do not nest into one
+    document (no rows, two roots, a level that skips). *)
+let of_sd rows =
+  let module V = Blas_rel.Value in
+  let rows =
+    Array.of_list
+      (List.map
+         (fun tu ->
+           let get = Blas_rel.Tuple.get tu in
+           match (get 0, get 1, get 2, get 3, get 4) with
+           | V.Str tag, V.Int s, V.Int e, V.Int l, V.Null -> (tag, s, e, l, None)
+           | V.Str tag, V.Int s, V.Int e, V.Int l, V.Str d -> (tag, s, e, l, Some d)
+           | _ -> corrupt "malformed SD row")
+         rows)
+  in
   let n = Array.length rows in
+  if n = 0 then corrupt "empty document";
+  Array.stable_sort (fun (_, s1, _, _, _) (_, s2, _, _, _) -> Int.compare s1 s2) rows;
   let t =
     {
       n;
@@ -166,28 +186,78 @@ let of_sp guide sp =
       ids = Hashtbl.create 64;
     }
   in
-  let id_of = Hashtbl.create 64 in
-  List.iter
-    (fun (path, _, label) -> Hashtbl.replace id_of label (path_id t path))
-    (Blas_xml.Dataguide.entries guide);
-  let int_at k i = Blas_rel.Value.to_int (Blas_rel.Tuple.get rows.(i) k) in
-  (* SP is clustered on (plabel, start): one sort puts it in start
-     order. *)
-  let starts = Array.init n (int_at 1) in
-  let order = Array.init n Fun.id in
-  Array.sort (fun a b -> Int.compare starts.(a) starts.(b)) order;
-  Array.iteri
-    (fun i k ->
-      t.start.{i} <- starts.(k);
-      t.fin.{i} <- int_at 2 k;
-      t.level.{i} <- int_at 3 k;
-      t.path.{i} <- Hashtbl.find id_of (int_at 0 k);
-      t.key.{i} <- i;
-      match Blas_rel.Tuple.get rows.(k) 4 with
-      | Blas_rel.Value.Str s -> Hashtbl.replace t.texts i s
-      | _ -> ())
-    order;
+  (* the path id of a tag under a parent path id (-1: the root) *)
+  let child = Hashtbl.create 64 in
+  let child_id parent tag =
+    match Hashtbl.find_opt child (parent, tag) with
+    | Some id -> id
+    | None ->
+      let prefix = if parent < 0 then [] else t.paths.(parent) in
+      let id = path_id t (prefix @ [ tag ]) in
+      Hashtbl.add child (parent, tag) id;
+      id
+  in
+  (* [open_]: the rows whose intervals are still open, innermost
+     first *)
+  let rec close open_ start =
+    match open_ with
+    | j :: rest when t.fin.{j} < start -> close rest start
+    | _ -> open_
+  in
+  ignore
+    (Array.fold_left
+       (fun (i, open_) (tag, start, fin, level, data) ->
+         let open_ = close open_ start in
+         let parent, depth =
+           match open_ with
+           | j :: _ -> (t.path.{j}, t.level.{j})
+           | [] when i = 0 -> (-1, 0)
+           | [] -> corrupt "multiple roots"
+         in
+         if level <> depth + 1 then
+           corrupt "level %d does not match nesting depth %d" level (depth + 1);
+         t.start.{i} <- start;
+         t.fin.{i} <- fin;
+         t.level.{i} <- level;
+         t.path.{i} <- child_id parent tag;
+         t.key.{i} <- i;
+         Option.iter (Hashtbl.replace t.texts i) data;
+         (i + 1, i :: open_))
+       (0, []) rows);
   t
+
+(** [node t i] — the document node of row [i], with its subtree: the
+    rows after [i] that start inside its interval.  O(subtree). *)
+let node (t : t) i =
+  (* row [j]'s node and the first row after its subtree *)
+  let rec build j : Blas_xpath.Doc.node * int =
+    let rec kids acc k =
+      if k < t.n && t.start.{k} < t.fin.{j} then
+        let kid, k = build k in
+        kids (kid :: acc) k
+      else (List.rev acc, k)
+    in
+    let children, next = kids [] (j + 1) in
+    let path = t.paths.(t.path.{j}) in
+    ( {
+        tag = Layout.tag path;
+        data = Hashtbl.find_opt t.texts t.key.{j};
+        start = t.start.{j};
+        fin = t.fin.{j};
+        level = t.level.{j};
+        source_path = path;
+        children;
+      },
+      next )
+  in
+  fst (build i)
+
+(** Every node's SP row, P-labels from [guide], in document order. *)
+let sp_rows guide (t : t) =
+  List.init t.n (fun i ->
+      let r = row t i in
+      Layout.sp_row guide ~path:r.path ~start:r.start ~fin:r.fin ~level:r.level
+        ~data:r.data)
 
 (** Every node's tag and text, in document order. *)
 let values (t : t) =

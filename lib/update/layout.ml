@@ -60,20 +60,13 @@ let of_layout store spec ~dir =
   Rel.Table.of_layout store ~name:spec.name ~schema:spec.schema
     ~cluster_key:spec.cluster_key ~dir
 
-(** The SP rows of [doc], P-labels from [guide], in document order. *)
-let sp_rows guide (doc : Doc.t) =
-  List.map
-    (fun (n : Doc.node) ->
-      sp_row guide ~path:n.source_path ~start:n.start ~fin:n.fin ~level:n.level
-        ~data:n.data)
-    doc.all
-
 (** [tables store doc] bulk-loads [doc]'s SP and SD into [store],
     P-labels from the document's guide. *)
 let tables store (doc : Doc.t) =
-  ( load store sp (sp_rows doc.guide doc),
-    load store sd
-      (List.map
-         (fun (n : Doc.node) ->
-           sd_row ~tag:n.tag ~start:n.start ~fin:n.fin ~level:n.level ~data:n.data)
-         doc.all) )
+  let rows row =
+    List.map
+      (fun (n : Doc.node) -> row n ~start:n.start ~fin:n.fin ~level:n.level ~data:n.data)
+      doc.all
+  in
+  ( load store sp (rows (fun n -> sp_row doc.guide ~path:n.source_path)),
+    load store sd (rows (fun n -> sd_row ~tag:n.tag)) )

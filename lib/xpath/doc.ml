@@ -1,7 +1,8 @@
 (** The labeled document model shared by the naive evaluator, the index
     generator and the query engines: every element node annotated with
     its D-label, source path and text value.  A model is immutable; a
-    storage rebuilds its own from SD after an edit.
+    storage's is a view of its label columns (built from SD), built
+    afresh on each call.
 
     [data] is the concatenation of the text units directly under the
     node ([None] when there are none) — the "data" attribute the paper's

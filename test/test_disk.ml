@@ -273,7 +273,7 @@ let test_fig10_byte_identical () =
           check_bool
             (dataset ^ ": queries never forced the document")
             false
-            (Blas.Storage.doc_resident disk);
+            (Blas.Storage.columns_resident disk);
           Blas.Storage.close disk))
     fig10
 
@@ -939,7 +939,7 @@ let test_catalog_v5_relabels () =
             (s.Blas.Storage.dstat_live_pages + s.Blas.Storage.dstat_free_pages);
           check_int "no page added" 3 s.Blas.Storage.dstat_page_count;
           check_bool "opens without the model" false
-            (Blas.Storage.doc_resident reopened);
+            (Blas.Storage.columns_resident reopened);
           List.iter
             (fun qs ->
               let q = Blas.query qs in

@@ -132,7 +132,7 @@ let test_opened_guide_is_exact () =
           check_int "a path counted past one" 2
             (Dataguide.count (Blas.Storage.guide disk) [ "r"; "a" ]);
           check_bool "open builds no document model" false
-            (Blas.Storage.doc_resident disk);
+            (Blas.Storage.columns_resident disk);
           check_guide_exact "after open" disk;
           ignore
             (Blas.Update.insert_subtree disk ~parent:1 ~pos:0
@@ -171,11 +171,10 @@ let test_opened_guide_is_exact () =
           | exception Failure _ -> ());
           check_bool "the committed counts are back" true
             (path_counts (Blas.Storage.guide disk) = committed);
-          check_bool "the abort dropped the model" false
-            (Blas.Storage.doc_resident disk);
           check_bool "the abort dropped the edited columns" true
             (Blas_update.Columns.equal (Blas.Storage.columns disk)
-               (Blas_update.Columns.of_sp (Blas.Storage.guide disk) disk.Blas.Storage.sp));
+               (Blas_update.Columns.of_sd
+                  (Blas_rel.Table.scan disk.Blas.Storage.sd (Blas_rel.Counters.create ()))));
           check_guide_exact "after an aborted transaction" disk);
       let reopened = Blas.Database.open_ ~mode:Blas.Database.Ro ~path () in
       Fun.protect
@@ -184,7 +183,7 @@ let test_opened_guide_is_exact () =
 
 (* Databases written before the catalog kept per-path counts (catalog
    versions 2 and 3, by the v1 and v2 codecs): the open builds the
-   document model once, counts from it and collects fresh statistics;
+   label columns once, counts from them and collects fresh statistics;
    the first commit writes the counts down. *)
 let test_older_catalogs_open () =
   List.iter
@@ -212,7 +211,7 @@ let test_older_catalogs_open () =
             (fun () ->
               check_bool (name ^ ": rewritten catalog opens without the model")
                 false
-                (Blas.Storage.doc_resident reopened);
+                (Blas.Storage.columns_resident reopened);
               check_bool (name ^ ": rewritten catalog keeps statistics") true
                 (Blas.Optimizer.stats_of reopened <> None);
               check_guide_exact (name ^ " rewritten") reopened)))
@@ -220,8 +219,8 @@ let test_older_catalogs_open () =
 
 (* A P-label respread flushes everything and resamples the statistics
    inside the edit's transaction.  The resample reads the label
-   columns: the edit leaves no document model built, and the statistics
-   equal a collection over a model built afterwards. *)
+   columns, and the statistics equal a collection over a model built
+   afterwards. *)
 let test_respread_resamples_without_the_model () =
   with_temp_db (fun path ->
       Blas.Database.create ~page_size:512 ~path (Blas.index "<r><a>x</a><z>y</z></r>");
@@ -236,8 +235,6 @@ let test_respread_resamples_without_the_model () =
               if k < 40 then respread (k + 1) else Alcotest.fail "the gap never ran out"
           in
           respread 1;
-          check_bool "the respread built no document model" false
-            (Blas.Storage.doc_resident disk);
           let s = stats_exn disk in
           check_bool "the statistics were resampled" true (Stats.epoch s > 0);
           check_bool "they equal a collection over a fresh model" true

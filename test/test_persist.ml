@@ -14,8 +14,9 @@ let round_trips storage = Test_util.with_db_copy storage (same_storage storage)
 
 (* A damaged file must be refused with [Corrupt], either at open or when
    every live page is read back (the disk stats walk data pages, index
-   leaves and the catalog chain; the document model rebuilds from SD) —
-   never answered from. *)
+   leaves and the catalog chain; the label columns, and the document
+   model viewed through them, are built from SD) — never answered
+   from. *)
 let rejected path =
   match Database.open_ ~mode:Database.Ro ~path () with
   | exception Database.Corrupt _ -> true
@@ -112,9 +113,15 @@ let unit_tests =
               Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff));
               bad (Printf.sprintf "flipped page %d" p) (Bytes.to_string b)
             done;
-            (* Rows that do not nest into one document. *)
+            (* SD rows that do not nest into one document. *)
             let raises rows =
-              match Blas.Storage.rebuild_doc rows with
+              match
+                Blas_update.Columns.of_sd
+                  (List.map
+                     (fun (tag, start, fin, level, data) ->
+                       Blas_update.Layout.sd_row ~tag ~start ~fin ~level ~data)
+                     rows)
+              with
               | exception Database.Corrupt _ -> true
               | _ -> false
             in

@@ -497,10 +497,11 @@ let prop_persist_survives_edits =
                queries))
 
 (* One copy of the document: after every edit, the label columns the
-   edits keep equal columns built from a fresh scan of SP, and the
-   document model rebuilt from SD equals [Doc.of_root] of its own root
-   (its node array, node list and guide counts).  Copies of the random
-   document under one root make wide documents. *)
+   edits keep equal columns built from a fresh scan of SD, every SP row
+   matches them (see [sp_matches_columns]), and the document model, a
+   view of the columns, equals [Doc.of_root] of its own root (its node
+   array, node list and guide counts).  Copies of the random document
+   under one root make wide documents. *)
 let wide_script_gen =
   let open QCheck2.Gen in
   let* doc = doc_gen and* copies = int_range 1 12 in
@@ -514,6 +515,26 @@ let view_matches_its_root (d : Blas_xpath.Doc.t) =
   d.by_start = r.by_start && d.all = r.all
   && Blas_xml.Dataguide.path_counts d.guide = Blas_xml.Dataguide.path_counts r.guide
 
+(* SP holds one row per row of the columns, each on its path's P-label
+   in the guide, with the node's D-label and text. *)
+let sp_matches_columns (s : Blas.Storage.t) =
+  let c = Blas.Storage.columns s and guide = Blas.Storage.guide s in
+  let sp = Blas_rel.Table.scan s.Blas.Storage.sp (Blas_rel.Counters.create ()) in
+  let int tu k = Blas_rel.Value.to_int (Blas_rel.Tuple.get tu k) in
+  List.length (List.sort_uniq compare (List.map (fun tu -> int tu 1) sp))
+  = Blas_update.Columns.length c
+  && List.length sp = Blas_update.Columns.length c
+  && List.for_all
+       (fun tu ->
+         match Blas_update.Columns.find c (int tu 1) with
+         | None -> false
+         | Some i ->
+           let r = Blas_update.Columns.row c i in
+           Blas_xml.Dataguide.label guide r.path = Some (int tu 0)
+           && r.fin = int tu 2 && r.level = int tu 3
+           && Blas_rel.Tuple.get tu 4 = Blas_update.Layout.data_value r.data)
+       sp
+
 let prop_columns_follow_edits =
   qtest ~count:80 "edited columns equal a scan of SP" wide_script_gen
     (fun (doc, edits) ->
@@ -522,9 +543,46 @@ let prop_columns_follow_edits =
         (fun edit ->
           apply_edit storage edit;
           Blas_update.Columns.equal (Blas.Storage.columns storage)
-            (Blas_update.Columns.of_sp (Blas.Storage.guide storage) storage.Blas.Storage.sp)
+            (Blas_update.Columns.of_sd
+               (Blas_rel.Table.scan storage.Blas.Storage.sd (Blas_rel.Counters.create ())))
+          && sp_matches_columns storage
           && view_matches_its_root (Blas.Storage.doc storage))
         edits)
+
+(* Answers materialize from the label columns: on a database file, before
+   and after an edit script, [node_at] and [materialize] give the
+   in-memory storage's node and subtree for every start, each the node
+   of a reference model (the parsed document's, then the whole view's
+   after the edits), and [None] for a position no node starts at. *)
+let prop_node_at_on_disk =
+  qtest ~count:40 "node_at and materialize on a database file match memory" script_gen
+    (fun (doc, edits, _) ->
+      Test_util.with_storage (Blas.index_of_tree doc) @@ fun mem ->
+      Test_util.with_temp_db @@ fun path ->
+      Blas.Database.create ~path mem;
+      Test_util.with_storage (Blas.Database.open_ ~mode:Blas.Database.Rw ~path ())
+      @@ fun disk ->
+      let agree (view : Blas_xpath.Doc.t) =
+        let starts = List.map (fun (n : Blas_xpath.Doc.node) -> n.start) view.all in
+        List.for_all
+          (fun s ->
+            let node = Blas.node_at disk s in
+            node = Blas.node_at mem s && node = Blas_xpath.Doc.find_by_start view s)
+          starts
+        && Blas.materialize disk starts = Blas.materialize mem starts
+        && List.for_all
+             (fun s -> Blas.node_at disk s = None && Blas.node_at mem s = None)
+             [ 0; view.root.fin ]
+      in
+      agree (Blas_xpath.Doc.of_tree doc)
+      && begin
+        List.iter
+          (fun edit ->
+            apply_edit mem edit;
+            apply_edit disk edit)
+          edits;
+        agree (Blas.Storage.doc mem)
+      end)
 
 (* One representation: an in-memory storage and a database file of the
    same document, page size and codec cut the same data pages, so the
@@ -848,6 +906,7 @@ let suite =
     prop_edits_consistent;
     prop_insert_moves_one_window;
     prop_columns_follow_edits;
+    prop_node_at_on_disk;
     prop_persist_survives_edits;
     prop_memory_matches_database;
   ]
