@@ -162,7 +162,7 @@ let join_algorithm () =
           in
           let run p =
             Bench_util.measure ~repetitions:5 (fun () ->
-                Blas_rel.Relation.cardinality (Blas_rel.Executor.run p))
+                List.length (snd (Blas_rel.Executor.run p)))
           in
           let n1, t_merge = run plan in
           let n2, t_nested = run (denature plan) in

@@ -84,14 +84,12 @@ let instrumentation_check () =
   let bare () =
     Option.map
       (fun sql ->
-        let relation =
+        let _, rows =
           Blas_rel.Executor.run
             (Blas_rel.Sql_compile.compile
                ~catalog:(Blas.Storage.catalog storage) sql)
         in
-        Blas_rel.Relation.column relation
-          (List.hd (Blas_rel.Schema.columns (Blas_rel.Relation.schema relation)))
-        |> List.map Blas_rel.Value.to_int
+        List.map (fun t -> Blas_rel.Value.to_int (Blas_rel.Tuple.get t 0)) rows
         |> List.sort_uniq Stdlib.compare)
       (Blas.sql_for storage translator query)
   in

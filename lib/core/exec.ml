@@ -152,12 +152,12 @@ let sorted_unique ints =
   end
   else Array.to_list ints
 
-(* The answer column of an executed plan, as ints: the only projected
-   column, or the first one named "<alias>.start" when the SQL projects
-   more (a user-written star projection). *)
-let starts_of_relation relation =
+(* The answer column of an executed plan's rows, as ints: the only
+   projected column, or the first one named "<alias>.start" when the
+   SQL projects more (a user-written star projection).  Read straight
+   from the row list into an int array, which holds no pointers. *)
+let starts_of_rows (schema, rows) =
   let open Blas_rel in
-  let schema = Relation.schema relation in
   let columns = Schema.columns schema in
   let answer_column =
     match columns with
@@ -173,8 +173,9 @@ let starts_of_relation relation =
   match answer_column with
   | Some column ->
     let i = Schema.index_of schema column in
-    sorted_unique
-      (Array.map (fun t -> Value.to_int (Tuple.get t i)) (Relation.tuples relation))
+    let ints = Array.make (List.length rows) 0 in
+    List.iteri (fun k t -> ints.(k) <- Value.to_int (Tuple.get t i)) rows;
+    sorted_unique ints
   | None -> invalid_arg "Blas.run: no answer column (project a start column)"
 
 let twig_plan_djoins branches =
@@ -423,12 +424,12 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?cache ?analysis
                   Blas_rel.Sql_compile.compile ~catalog:(Storage.catalog storage) s)
             in
             cancel ();
-            let relation =
+            let result =
               span "execute" (fun () ->
                   Blas_rel.Executor.run ~counters ~cancel ?cache:scan_cache
                     ?collector plan)
             in
-            let starts = span "materialize" (fun () -> starts_of_relation relation) in
+            let starts = span "materialize" (fun () -> starts_of_rows result) in
             (starts, Blas_rel.Algebra.count_djoins plan, sql, branches))
         | Twig ->
           let joins, plan_djoins, branches =

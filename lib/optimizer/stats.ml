@@ -2,11 +2,17 @@ module Dataguide = Blas_xml.Dataguide
 
 type node_view = { nv_tag : string; nv_data : string option }
 
-type reservoir = {
+(* A tag's reservoir while [collect] or [of_string] fills it. *)
+type draft = {
   mutable values : string array;  (* at most capacity entries *)
   mutable filled : int;
   mutable seen : int;  (* values offered, >= filled *)
 }
+
+(* A tag's reservoir once the statistics exist: its [kept] values sit
+   in the samples blob from offset [at], each a varint length and its
+   bytes. *)
+type reservoir = { seen : int; kept : int; at : int }
 
 type t = {
   st_seed : int;
@@ -15,114 +21,12 @@ type t = {
   st_nodes : int;  (* its total count *)
   st_sample_size : int;
   st_samples : (string, reservoir) Hashtbl.t;
+  st_blob : string;
+      (* the reservoirs' part of {!to_string}, encoded once (they never
+         change after [collect] or [of_string]); the only copy of the
+         sampled values *)
   st_edits : int Atomic.t;  (* nodes touched by edits since collection *)
 }
-
-let global_seed = Atomic.make 0x5eed
-let default_seed () = Atomic.get global_seed
-let set_default_seed s = Atomic.set global_seed s
-
-(* splitmix64: a tiny deterministic generator so sampling never depends
-   on global Random state. *)
-let splitmix state =
-  let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-(* uniform draw in [0, bound) *)
-let draw state bound =
-  Int64.to_int (Int64.rem (Int64.logand (splitmix state) Int64.max_int)
-                  (Int64.of_int bound))
-
-let default_sample_size = 64
-
-(* [tags = []]: the suffix every source path ends in. *)
-let total guide = Dataguide.suffix_count guide ~absolute:false ~tags:[]
-
-let collect ?seed ?(epoch = 0) ?(sample_size = default_sample_size) ~guide
-    nodes =
-  let seed = match seed with Some s -> s | None -> default_seed () in
-  let rng = ref (Int64.of_int seed) in
-  let samples = Hashtbl.create 64 in
-  List.iter
-    (fun nv ->
-      match nv.nv_data with
-      | None -> ()
-      | Some v ->
-          let r =
-            match Hashtbl.find_opt samples nv.nv_tag with
-            | Some r -> r
-            | None ->
-                let r = { values = Array.make sample_size ""; filled = 0; seen = 0 } in
-                Hashtbl.add samples nv.nv_tag r;
-                r
-          in
-          r.seen <- r.seen + 1;
-          if r.filled < sample_size then begin
-            r.values.(r.filled) <- v;
-            r.filled <- r.filled + 1
-          end
-          else
-            (* classic reservoir: replace slot j with probability k/seen *)
-            let j = draw rng r.seen in
-            if j < sample_size then r.values.(j) <- v)
-    nodes;
-  {
-    st_seed = seed;
-    st_epoch = epoch;
-    st_guide = guide;
-    st_nodes = total guide;
-    st_sample_size = sample_size;
-    st_samples = samples;
-    st_edits = Atomic.make 0;
-  }
-
-let seed t = t.st_seed
-let epoch t = t.st_epoch
-let node_count t = t.st_nodes
-let sample_size t = t.st_sample_size
-
-let guide t = t.st_guide
-
-let equals_floor = 0.005
-
-let selectivity t ~tag c =
-  match Hashtbl.find_opt t.st_samples tag with
-  | None -> ( match c with `Equals _ -> equals_floor | `Differs _ -> 1.0)
-  | Some r ->
-      let hits = ref 0 in
-      let v = match c with `Equals v | `Differs v -> v in
-      for i = 0 to r.filled - 1 do
-        if String.equal r.values.(i) v then incr hits
-      done;
-      (* Laplace smoothing so a miss in the sample never prices to zero *)
-      let eq = (float_of_int !hits +. 1.) /. (float_of_int r.filled +. 2.) in
-      let s = match c with `Equals _ -> eq | `Differs _ -> 1. -. eq in
-      Float.max equals_floor (Float.min 1.0 s)
-
-let sample t ~tag =
-  match Hashtbl.find_opt t.st_samples tag with
-  | None -> []
-  | Some r -> Array.to_list (Array.sub r.values 0 r.filled)
-
-let sample_seen t ~tag =
-  match Hashtbl.find_opt t.st_samples tag with None -> 0 | Some r -> r.seen
-
-let sampled_tags t =
-  Hashtbl.fold (fun tag _ acc -> tag :: acc) t.st_samples []
-  |> List.sort compare
-
-let stale_threshold = 0.2
-let note_edits t n = if n > 0 then ignore (Atomic.fetch_and_add t.st_edits n)
-let edits t = Atomic.get t.st_edits
-
-let stale_fraction t =
-  float_of_int (edits t) /. float_of_int (max 1 t.st_nodes)
-
-let is_stale t = stale_fraction t >= stale_threshold
 
 (* --- binary codec ------------------------------------------------------ *)
 (* Self-contained varint wire format (independent of the pager's codec so
@@ -165,31 +69,173 @@ let get_string cur =
   cur.pos <- cur.pos + n;
   s
 
+(* Encodes the drafts as {!to_string} ends — their count, then each
+   tag in order with its seen and kept counts and the kept values — and
+   indexes each tag's values in that encoding. *)
+let freeze drafts =
+  let b = Buffer.create 1024 in
+  let sorted =
+    Hashtbl.fold (fun tag d acc -> (tag, d) :: acc) drafts []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let samples = Hashtbl.create (max 16 (List.length sorted)) in
+  put_varint b (List.length sorted);
+  List.iter
+    (fun (tag, (d : draft)) ->
+      put_string b tag;
+      put_varint b d.seen;
+      put_varint b d.filled;
+      Hashtbl.add samples tag
+        { seen = d.seen; kept = d.filled; at = Buffer.length b };
+      for i = 0 to d.filled - 1 do
+        put_string b d.values.(i)
+      done)
+    sorted;
+  (samples, Buffer.contents b)
+
+(* Whether [blob] holds the bytes of [v] at [pos]. *)
+let holds_at blob pos v =
+  let n = String.length v and i = ref 0 in
+  while !i < n && blob.[pos + !i] = v.[!i] do
+    incr i
+  done;
+  !i = n
+
+(* Calls [f pos len] on each of [r]'s values, the bytes of [blob] at
+   [pos, pos + len). *)
+let iter_kept blob r f =
+  let cur = { src = blob; pos = r.at } in
+  for _ = 1 to r.kept do
+    let len = get_varint cur in
+    f cur.pos len;
+    cur.pos <- cur.pos + len
+  done
+
+let global_seed = Atomic.make 0x5eed
+let default_seed () = Atomic.get global_seed
+let set_default_seed s = Atomic.set global_seed s
+
+(* splitmix64: a tiny deterministic generator so sampling never depends
+   on global Random state. *)
+let splitmix state =
+  let open Int64 in
+  state := add !state 0x9E3779B97F4A7C15L;
+  let z = !state in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
+
+(* uniform draw in [0, bound) *)
+let draw state bound =
+  Int64.to_int (Int64.rem (Int64.logand (splitmix state) Int64.max_int)
+                  (Int64.of_int bound))
+
+let default_sample_size = 64
+
+(* [tags = []]: the suffix every source path ends in. *)
+let total guide = Dataguide.suffix_count guide ~absolute:false ~tags:[]
+
+let collect ?seed ?(epoch = 0) ?(sample_size = default_sample_size) ~guide
+    nodes =
+  let seed = match seed with Some s -> s | None -> default_seed () in
+  let rng = ref (Int64.of_int seed) in
+  let drafts = Hashtbl.create 64 in
+  List.iter
+    (fun nv ->
+      match nv.nv_data with
+      | None -> ()
+      | Some v ->
+          let r : draft =
+            match Hashtbl.find_opt drafts nv.nv_tag with
+            | Some r -> r
+            | None ->
+                let r = { values = Array.make sample_size ""; filled = 0; seen = 0 } in
+                Hashtbl.add drafts nv.nv_tag r;
+                r
+          in
+          r.seen <- r.seen + 1;
+          if r.filled < sample_size then begin
+            r.values.(r.filled) <- v;
+            r.filled <- r.filled + 1
+          end
+          else
+            (* classic reservoir: replace slot j with probability k/seen *)
+            let j = draw rng r.seen in
+            if j < sample_size then r.values.(j) <- v)
+    nodes;
+  let samples, blob = freeze drafts in
+  {
+    st_seed = seed;
+    st_epoch = epoch;
+    st_guide = guide;
+    st_nodes = total guide;
+    st_sample_size = sample_size;
+    st_samples = samples;
+    st_blob = blob;
+    st_edits = Atomic.make 0;
+  }
+
+let seed t = t.st_seed
+let epoch t = t.st_epoch
+let node_count t = t.st_nodes
+let sample_size t = t.st_sample_size
+
+let guide t = t.st_guide
+
+let equals_floor = 0.005
+
+let selectivity t ~tag c =
+  match Hashtbl.find_opt t.st_samples tag with
+  | None -> ( match c with `Equals _ -> equals_floor | `Differs _ -> 1.0)
+  | Some r ->
+      let hits = ref 0 in
+      let v = match c with `Equals v | `Differs v -> v in
+      iter_kept t.st_blob r (fun pos len ->
+          if len = String.length v && holds_at t.st_blob pos v then incr hits);
+      (* Laplace smoothing so a miss in the sample never prices to zero *)
+      let eq = (float_of_int !hits +. 1.) /. (float_of_int r.kept +. 2.) in
+      let s = match c with `Equals _ -> eq | `Differs _ -> 1. -. eq in
+      Float.max equals_floor (Float.min 1.0 s)
+
+let sample t ~tag =
+  match Hashtbl.find_opt t.st_samples tag with
+  | None -> []
+  | Some r ->
+      let values = ref [] in
+      iter_kept t.st_blob r (fun pos len ->
+          values := String.sub t.st_blob pos len :: !values);
+      List.rev !values
+
+let sample_seen t ~tag =
+  match Hashtbl.find_opt t.st_samples tag with None -> 0 | Some r -> r.seen
+
+let sampled_tags t =
+  Hashtbl.fold (fun tag _ acc -> tag :: acc) t.st_samples []
+  |> List.sort compare
+
+let stale_threshold = 0.2
+let note_edits t n = if n > 0 then ignore (Atomic.fetch_and_add t.st_edits n)
+let edits t = Atomic.get t.st_edits
+
+let stale_fraction t =
+  float_of_int (edits t) /. float_of_int (max 1 t.st_nodes)
+
+let is_stale t = stale_fraction t >= stale_threshold
+
 (* BSTAT2: the blob keeps what the catalog's guide does not — seed,
    epoch, sample size, staleness and the reservoirs. *)
 let magic = "BSTAT2"
 
+(* Only the header is encoded per call; the edit count moves with
+   every commit. *)
 let to_string t =
-  let b = Buffer.create 1024 in
+  let b = Buffer.create (32 + String.length t.st_blob) in
   Buffer.add_string b magic;
   put_varint b t.st_seed;
   put_varint b t.st_epoch;
   put_varint b t.st_sample_size;
   put_varint b (edits t);
-  let samples =
-    Hashtbl.fold (fun tag r acc -> (tag, r) :: acc) t.st_samples []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  put_varint b (List.length samples);
-  List.iter
-    (fun (tag, r) ->
-      put_string b tag;
-      put_varint b r.seen;
-      put_varint b r.filled;
-      for i = 0 to r.filled - 1 do
-        put_string b r.values.(i)
-      done)
-    samples;
+  Buffer.add_string b t.st_blob;
   Buffer.contents b
 
 let of_string ~guide s =
@@ -202,17 +248,17 @@ let of_string ~guide s =
   let st_sample_size = get_varint cur in
   let edits = get_varint cur in
   let nsamples = get_varint cur in
-  let samples = Hashtbl.create (max 16 nsamples) in
+  let drafts = Hashtbl.create (max 16 nsamples) in
   for _ = 1 to nsamples do
     let tag = get_string cur in
     let seen = get_varint cur in
     let filled = get_varint cur in
-    let values = Array.make (max 1 st_sample_size) "" in
-    for i = 0 to filled - 1 do
-      values.(i) <- get_string cur
-    done;
-    Hashtbl.add samples tag { values; filled; seen }
+    if filled > max 1 st_sample_size then
+      invalid_arg "Stats.of_string: reservoir overflow";
+    let values = Array.init filled (fun _ -> get_string cur) in
+    Hashtbl.add drafts tag { values; filled; seen }
   done;
+  let samples, blob = freeze drafts in
   {
     st_seed;
     st_epoch;
@@ -220,6 +266,7 @@ let of_string ~guide s =
     st_nodes = total guide;
     st_sample_size;
     st_samples = samples;
+    st_blob = blob;
     st_edits = Atomic.make edits;
   }
 

@@ -89,7 +89,11 @@ val is_stale : t -> bool
 val equal : t -> t -> bool
 
 (** The blob: seed, epoch, sample size, staleness and reservoirs.  The
-    guide is not in it — a database catalog stores it beside. *)
+    guide is not in it — a database catalog stores it beside.  The
+    reservoirs never change once the statistics exist, so their part is
+    encoded once, by {!collect} or {!of_string}; a call writes only the
+    seed, epoch, sample size and edit count fresh (every commit calls
+    it). *)
 val to_string : t -> string
 
 (** [of_string ~guide blob] — the statistics of [blob] over [guide].

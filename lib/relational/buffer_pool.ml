@@ -14,9 +14,22 @@
     encoded key column and builds tuples only for the rows that pass,
     see {!Codec.select}), the in-memory page store hands out decoded
     rows.  {!store} installs
-    a dirty payload; eviction is real: when a stripe is full the least
-    recently used page is dropped, and if it is dirty its payload is
-    first written back through the backing store.
+    a dirty payload; eviction is real: when a stripe is full the page
+    at its cold (least recently used) end is dropped, and if it is
+    dirty its payload is first written back through the backing store.
+
+    Replacement is LRU with one exception, for the case where LRU is
+    known to fail: a request that is part of a run of more pages than
+    the whole pool holds (a clustered scan longer than the pool, as
+    {!Table} knows before it reads) inserts the page it misses at the
+    cold end instead of the hot end — LRU insertion (Qureshi et al.,
+    ISCA 2007).  Plain LRU would let every repeat of such a run evict
+    the run's own next pages (sequential flooding) and read all of them
+    again; inserted cold, each page pushes out only the page the run
+    read just before it, so a repeat finds all but the run's last pages
+    resident and the run evicts at most one page outside itself per
+    stripe.  Hits still move to the hot end, and single-page requests
+    (edits, lookups, every run that fits) are plain LRU.
 
     Domain safety: the pool is lock-striped.  Each stripe owns a
     disjoint hash partition of the page keys with its own LRU list,
@@ -58,7 +71,7 @@ type stripe = {
   mutable dirty_evictions : int;
 }
 
-type t = { stripes : stripe array; backing : backing }
+type t = { stripes : stripe array; capacity : int; backing : backing }
 
 let make_stripe capacity =
   {
@@ -85,6 +98,7 @@ let create_striped ~stripes ~capacity backing =
     stripes =
       Array.init stripes (fun i ->
           make_stripe (base + if i < extra then 1 else 0));
+    capacity;
     backing;
   }
 
@@ -113,7 +127,7 @@ let locked stripe f =
 
 let sum_over t f = Array.fold_left (fun acc s -> acc + locked s f) 0 t.stripes
 
-let capacity t = Array.fold_left (fun acc s -> acc + s.s_capacity) 0 t.stripes
+let capacity t = t.capacity
 
 let resident t = sum_over t (fun s -> Hashtbl.length s.table)
 
@@ -135,6 +149,13 @@ let push_front s node =
   (match s.head with Some h -> h.prev <- Some node | None -> s.tail <- Some node);
   s.head <- Some node
 
+(* Pushes [node] to the least-recently-used end. *)
+let push_back s node =
+  node.prev <- s.tail;
+  node.next <- None;
+  (match s.tail with Some l -> l.next <- Some node | None -> s.head <- Some node);
+  s.tail <- Some node
+
 (* Write a dirty node's payload back through the backing store.  Called
    with the stripe lock held; the backing store must not re-enter the
    pool (it never does — it writes into the transaction buffer). *)
@@ -154,12 +175,15 @@ let evict_lru t s =
     unlink s node;
     Hashtbl.remove s.table node.key
 
-(** [get t ~table ~page] returns the page payload, reading it through
-    the backing store on a miss (and evicting — with write-back for
-    dirty pages — when the stripe is full). *)
-let get t ~table ~page =
+(** [get ?run t ~table ~page] returns the page payload, reading it
+    through the backing store on a miss (and evicting — with write-back
+    for dirty pages — when the stripe is full).  [run] (default 1) is
+    the length of the page run this request belongs to: when it exceeds
+    the pool's capacity, a missed page enters at the cold end. *)
+let get ?(run = 1) t ~table ~page =
   let key = (table, page) in
   let stripe = stripe_of t key in
+  let insert = if run > t.capacity then push_back else push_front in
   locked stripe (fun s ->
       s.requests <- s.requests + 1;
       match Hashtbl.find_opt s.table key with
@@ -173,7 +197,7 @@ let get t ~table ~page =
         let data = t.backing.back_read ~table ~page in
         let node = { key; data; dirty = false; prev = None; next = None } in
         Hashtbl.replace s.table key node;
-        push_front s node;
+        insert s node;
         (data, `Miss))
 
 (** [peek t ~table ~page] — the current payload without touching the

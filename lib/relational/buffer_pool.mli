@@ -8,7 +8,11 @@
     bytes from a database file, which readers select on without
     decoding ({!Codec.select}), or decoded rows from the in-memory page
     store ({!Page_store.memory}).  {!store} installs dirty payloads,
-    and a full stripe really evicts, writing dirty pages back first.
+    and a full stripe really evicts from its cold end, writing dirty
+    pages back first.  Replacement is LRU, except that a page missed by
+    a run longer than the whole pool enters at the cold end (see
+    {!get}), so a repeated over-long scan keeps most of its pages
+    instead of flushing them all.
 
     The pool is lock-striped and safe to share across query domains:
     each stripe owns a disjoint hash partition of the page keys with
@@ -53,10 +57,17 @@ val resident : t -> int
 (** Whether the backing store holds decoded rows rather than bytes. *)
 val holds_rows : t -> bool
 
-(** [get t ~table ~page] returns the page payload, reading it through
-    the backing store on a miss (evicting, with write-back for dirty
-    pages, when the stripe is full). *)
-val get : t -> table:string -> page:int -> payload * [ `Hit | `Miss ]
+(** [get ?run t ~table ~page] returns the page payload, reading it
+    through the backing store on a miss (evicting, with write-back for
+    dirty pages, when the stripe is full).  A hit moves the page to the
+    hot end.  [run] (default 1) is the number of pages in the run this
+    request belongs to; when it exceeds {!capacity}, a missed page is
+    inserted at the cold end rather than the hot end, so it is the
+    next victim (LRU insertion).  A repeat of a run of [capacity + 1]
+    pages then misses 2 pages instead of all of them, and the run
+    evicts at most one page outside itself per stripe. *)
+val get :
+  ?run:int -> t -> table:string -> page:int -> payload * [ `Hit | `Miss ]
 
 (** [peek t ~table ~page] — the current payload without touching the
     LRU order or the statistics: the resident copy if any, else an

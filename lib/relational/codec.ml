@@ -670,7 +670,11 @@ let hits_of v ~col ~lo ~hi =
       select_rows v col ~lo ~hi
 
 (* v2: the hits are decided on the key block, then each requested
-   column block is read once, straight into the rows' tuples. *)
+   column block is read once, straight into the rows' tuples.  The
+   rows are consed onto [onto] first and filled through a second list
+   of the same value arrays: a page can hit more than 256 rows, and an
+   array of them would be allocated in the major heap and promote
+   every one. *)
 let select_v2 ~cols ~col ~lo ~hi onto payload =
   let v = view payload in
   if v.nrows = 0 then onto
@@ -684,15 +688,23 @@ let select_v2 ~cols ~col ~lo ~hi onto payload =
         | None -> Array.init (Array.length v.blocks) Fun.id
       in
       let m = Array.length cols in
-      let rows = Array.init nh (fun _ -> Array.make m Value.Null) in
-      Array.iteri
-        (fun j c -> column_at v c hits nh ~put:(fun k x -> rows.(k).(j) <- x))
-        cols;
-      let acc = ref onto in
-      for k = nh - 1 downto 0 do
-        acc := Tuple.of_array rows.(k) :: !acc
+      let values = ref [] and rows = ref onto in
+      for _ = 1 to nh do
+        let row = Array.make m Value.Null in
+        values := row :: !values;
+        rows := Tuple.of_array row :: !rows
       done;
-      !acc
+      Array.iteri
+        (fun j c ->
+          let next = ref !values in
+          column_at v c hits nh ~put:(fun _ x ->
+              match !next with
+              | row :: rest ->
+                  row.(j) <- x;
+                  next := rest
+              | [] -> assert false))
+        cols;
+      !rows
     end
 
 (* ------------------------------------------------------------------ *)

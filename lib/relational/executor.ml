@@ -59,7 +59,9 @@ let access ?cache ?cols counters table path =
     c.through table path ~cols ~fetch
   | _ -> (cols, fetch cols)
 
-(* Evaluates to (schema, tuple list).  [wrap] intercepts every operator
+(* Evaluates to (schema, tuple list).  Rows stay in lists from the
+   base-table access to the result: no operator builds an array of
+   them (see {!run}).  [wrap] intercepts every operator
    evaluation — the identity for plain runs, a collector frame for
    EXPLAIN ANALYZE. *)
 let rec eval_wrapped ~cancel wrap cache counters plan =
@@ -158,8 +160,7 @@ let rec eval_wrapped ~cancel wrap cache counters plan =
     (schema, List.concat (tuples :: rest))
   | Algebra.Distinct sub ->
     let schema, tuples = eval_wrapped ~cancel wrap cache counters sub in
-    let relation = Relation.distinct (Relation.make schema (Array.of_list tuples)) in
-    (schema, Array.to_list (Relation.tuples relation))
+    (schema, List.sort_uniq Tuple.compare tuples)
 
 (* Evaluates the two sides of a join, left then right. *)
 and eval_sides ~cancel wrap cache counters left right =
@@ -169,8 +170,8 @@ and eval_sides ~cancel wrap cache counters left right =
 
 let no_wrap _plan f = f ()
 
-(** [run ?counters ?collector plan] executes [plan] and materializes
-    the result.  A [collector] records every operator (EXPLAIN
+(** [run ?counters ?collector plan] executes [plan]; the result's
+    schema and rows.  A [collector] records every operator (EXPLAIN
     ANALYZE). *)
 let run ?(counters = Counters.create ()) ?(cancel = ignore) ?cache ?collector plan =
   let schema, tuples =
@@ -187,4 +188,4 @@ let run ?(counters = Counters.create ()) ?(cancel = ignore) ?cache ?collector pl
   in
   Rel_log.Log.debug (fun m ->
       m "executed plan: %d rows, %a" (List.length tuples) Counters.pp counters);
-  Relation.make schema (Array.of_list tuples)
+  (schema, tuples)

@@ -41,7 +41,15 @@ val access :
   string list * Tuple.t list
 
 (** [run ?counters ?collector plan] executes [plan], one operator at a
-    time in plan order, and materializes the result.
+    time in plan order, and materializes the result: its schema and its
+    rows, in the order the plan produced them ([Distinct] sorts).
+
+    The rows stay a list from the base-table pages to the caller, and
+    no operator gathers them into an array: on OCaml 5 an array longer
+    than 256 pointers ([Max_young_wosize]) is allocated in the major
+    heap, and every young tuple it points to is then promoted at the
+    next minor collection, even once the array is dead.  A caller that
+    wants a {!Relation.t} builds it from the pair.
 
     With a [collector] (EXPLAIN ANALYZE), every executed operator
     becomes one {!Blas_obs.Analyze.node} with actual rows, elapsed
@@ -60,4 +68,4 @@ val run :
   ?cache:scan_cache ->
   ?collector:Blas_obs.Analyze.Collector.t ->
   Algebra.plan ->
-  Relation.t
+  Schema.t * Tuple.t list

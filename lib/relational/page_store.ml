@@ -47,11 +47,13 @@ let memory ?(page_size = default_page_size) ?(pool_capacity = 1024)
     free = (fun page -> with_lock (fun () -> Hashtbl.remove pages page));
   }
 
-(** [read t counters ~table ~page] requests one page through the pool,
-    charging the request (and, on a miss, the read) to [counters]. *)
-let read t counters ~table ~page =
+(** [read ?run t counters ~table ~page] requests one page through the
+    pool, charging the request (and, on a miss, the read) to
+    [counters].  [run] is the length of the page run the request
+    belongs to (see {!Buffer_pool.get}). *)
+let read ?run t counters ~table ~page =
   counters.Counters.page_requests <- counters.Counters.page_requests + 1;
-  let payload, result = Buffer_pool.get t.pool ~table ~page in
+  let payload, result = Buffer_pool.get ?run t.pool ~table ~page in
   if result = `Miss then
     counters.Counters.page_reads <- counters.Counters.page_reads + 1;
   payload

@@ -1,6 +1,7 @@
-(** Materialized relations: a schema plus a tuple array.  Intermediate
-    results of the executor are relations; base tables add clustered pages
-    and a page directory on top (see {!Table}). *)
+(** Materialized relations: a schema plus a tuple array, for export
+    ({!Table.relation}) and tests.  The executor keeps its results as
+    row lists instead (see {!Executor.run}); base tables add clustered
+    pages and a page directory on top (see {!Table}). *)
 
 type t
 

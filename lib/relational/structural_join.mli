@@ -3,11 +3,13 @@
     O(|anc| + |desc| + |output|).  Inputs are interval lists over the
     same document, so any two intervals are nested or disjoint.
 
-    Each side's [start], [end] and (under a level gap) [level] are
-    gathered into int arrays once, and the sweep and the level-gap test
-    run on those.  Already-sorted inputs (the clustered-index common
-    case) are detected in O(n) and not re-sorted.  Output tuples carry
-    only the columns asked for. *)
+    An ancestor's [end] and (under a level gap) [level] are read once,
+    into its stack frame, and the sweep and the level-gap test run on
+    those.  Already-sorted inputs (the clustered-index common case) are
+    detected in O(n) and not re-sorted.  Output tuples carry only the
+    columns asked for and come back as a list; the join builds no array
+    of tuples (one longer than 256 pointers lives in the major heap and
+    promotes every fresh tuple it holds). *)
 
 (** Column positions of the interval endpoints and the level within
     each side's tuples.  [end_col] is read on the ancestor side only —

@@ -125,12 +125,15 @@ let relation t =
 (* Fetches the given data pages (dir order) and keeps the rows whose
    column [col] lies in [lo, hi]; matching rows are the "visited
    elements" charged to the cost vector.  The pages are requested in
-   directory order; their rows are then built last page first onto one
-   list, so no page's rows are copied to concatenate them. *)
+   directory order as one run, so a run longer than the pool enters it
+   at the cold end (see {!Buffer_pool.get}); their rows are then built
+   last page first onto one list, so no page's rows are copied to
+   concatenate them. *)
 let fetch_pages ?cols t counters pages ~col ~lo ~hi =
+  let run = List.length pages in
   let payloads =
     List.rev_map
-      (fun page -> Page_store.read t.store counters ~table:t.name ~page)
+      (fun page -> Page_store.read ~run t.store counters ~table:t.name ~page)
       pages
   in
   let select = select_page ?cols t ~col ~lo ~hi in

@@ -6,6 +6,21 @@ let backing = Test_util.empty_backing
 
 let get pool ~table ~page = snd (Buffer_pool.get pool ~table ~page)
 
+(* Requests [pages] as one run, as a clustered fetch does; the number
+   of misses. *)
+let run_misses pool pages =
+  let run = List.length pages in
+  List.fold_left
+    (fun n page ->
+      match snd (Buffer_pool.get ~run pool ~table:"t" ~page) with
+      | `Miss -> n + 1
+      | `Hit -> n)
+    0 pages
+
+(* The misses of each of [repeats] passes of [pages] as one run. *)
+let repeat_misses pool pages repeats =
+  List.init repeats (fun _ -> run_misses pool pages)
+
 let unit_tests =
   [
     ( "hits and misses",
@@ -106,6 +121,70 @@ let unit_tests =
           (blas.Blas.page_reads < base.Blas.page_reads) );
   ]
 
+let run_unit_tests =
+  [
+    ( "a repeated run one page longer than the pool misses 2 pages",
+      fun () ->
+        let capacity = 8 in
+        let pool = Buffer_pool.create ~capacity backing in
+        let pages = List.init (capacity + 1) Fun.id in
+        match repeat_misses pool pages 5 with
+        | first :: repeats ->
+          Test_util.check_int "first pass misses every page" (capacity + 1) first;
+          List.iter (Test_util.check_int "a repeat misses 2 pages" 2) repeats
+        | [] -> assert false );
+    ( "a run that fits stays plain LRU",
+      fun () ->
+        let pool = Buffer_pool.create ~capacity:8 backing in
+        let pages = List.init 8 Fun.id in
+        Test_util.check_bool "only the first pass misses" true
+          (repeat_misses pool pages 3 = [ 8; 0; 0 ]) );
+    ( "a hot single page survives an oversized run",
+      fun () ->
+        let pool = Buffer_pool.create ~capacity:4 backing in
+        ignore (get pool ~table:"t" ~page:100);
+        ignore (run_misses pool (List.init 10 Fun.id));
+        Test_util.check_bool "hot page still resident" true
+          (get pool ~table:"t" ~page:100 = `Hit) );
+    ( "a dirty page evicted from the cold end is written back once",
+      fun () ->
+        let writes = ref [] in
+        let backing =
+          {
+            backing with
+            Buffer_pool.back_write =
+              (fun ~table:_ ~page _ -> writes := page :: !writes);
+          }
+        in
+        let pool = Buffer_pool.create ~capacity:4 backing in
+        Buffer_pool.store pool ~table:"t" ~page:100 (Buffer_pool.Rows []);
+        (* Three hotter pages leave the dirty one at the cold end. *)
+        List.iter (fun page -> ignore (get pool ~table:"t" ~page)) [ 101; 102; 103 ];
+        ignore (run_misses pool (List.init 6 Fun.id));
+        ignore (run_misses pool (List.init 6 Fun.id));
+        Buffer_pool.flush pool;
+        Test_util.check_bool "written back exactly once" true (!writes = [ 100 ]);
+        Test_util.check_int "one dirty eviction" 1 (Buffer_pool.dirty_evictions pool) );
+    ( "a striped pool keeps the cold-end rule",
+      fun () ->
+        (* Two stripes of 4 pages: 5 pages of the run land in stripe 0
+           and 4 in stripe 1 (the pool partitions keys by
+           [Hashtbl.hash key mod stripes]), 9 pages in all. *)
+        let pool = Buffer_pool.create_striped ~stripes:2 ~capacity:8 backing in
+        let in_stripe i n =
+          Seq.ints 0
+          |> Seq.filter (fun page -> Hashtbl.hash ("t", page) mod 2 = i)
+          |> Seq.take n |> List.of_seq
+        in
+        let pages = List.sort Int.compare (in_stripe 0 5 @ in_stripe 1 4) in
+        match repeat_misses pool pages 4 with
+        | first :: repeats ->
+          Test_util.check_int "first pass misses every page" 9 first;
+          (* Plain LRU would miss all 5 of stripe 0's pages each time. *)
+          List.iter (Test_util.check_int "a repeat misses 2 pages" 2) repeats
+        | [] -> assert false );
+  ]
+
 (* LRU model check: the pool must behave like a naive LRU list. *)
 module Gen = QCheck2.Gen
 
@@ -126,6 +205,46 @@ let lru_model_prop =
           got = (if expected_hit then `Hit else `Miss))
         accesses)
 
+(* The same model with page runs mixed in: a run of more pages than
+   the pool holds inserts each page it misses at the cold end (the
+   model list's tail); every other request, and every hit, is LRU. *)
+type request = Single of int | Run of int * int  (** first page, length *)
+
+let run_model_prop =
+  let gen =
+    Gen.(
+      int_range 1 8 >>= fun capacity ->
+      let request =
+        oneof
+          [
+            map (fun p -> Single p) (int_range 0 12);
+            map2 (fun p n -> Run (p, n)) (int_range 0 12) (int_range 1 (2 * capacity));
+          ]
+      in
+      pair (return capacity) (list_size (int_range 0 60) request))
+  in
+  Test_util.qtest "pool with runs behaves like a model cold-insertion LRU" gen
+    (fun (capacity, requests) ->
+      let pool = Buffer_pool.create ~capacity backing in
+      let model = ref [] in
+      let access ~run page =
+        let expected_hit = List.mem page !model in
+        let rest = List.filter (fun p -> p <> page) !model in
+        (* A miss in a full pool drops the tail first. *)
+        let rest = List.filteri (fun i _ -> i < capacity - 1) rest in
+        model :=
+          (if expected_hit || run <= capacity then page :: rest
+           else rest @ [ page ]);
+        snd (Buffer_pool.get ~run pool ~table:"t" ~page)
+        = if expected_hit then `Hit else `Miss
+      in
+      List.for_all
+        (function
+          | Single page -> access ~run:1 page
+          | Run (first, n) ->
+            List.for_all (access ~run:n) (List.init n (fun i -> first + i)))
+        requests)
+
 let suite =
-  List.map (fun (n, f) -> Alcotest.test_case n `Quick f) unit_tests
-  @ [ lru_model_prop ]
+  List.map (fun (n, f) -> Alcotest.test_case n `Quick f) (unit_tests @ run_unit_tests)
+  @ [ lru_model_prop; run_model_prop ]

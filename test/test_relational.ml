@@ -14,6 +14,11 @@ let mk_table ?(name = "t") ?(cluster = [ "k" ]) columns rows =
     ~cluster_key:cluster
     (List.map (fun r -> Tuple.of_list r) rows)
 
+(* Executes [plan] into a relation. *)
+let relation ?counters plan =
+  let schema, rows = Executor.run ?counters plan in
+  Relation.make schema (Array.of_list rows)
+
 let unit_tests =
   [
     ( "deleting a page's first row rewrites only that page",
@@ -104,7 +109,7 @@ let unit_tests =
                   Algebra.Access
                     { table = t; alias = "T"; path = Algebra.Full_scan; residual = Algebra.True; cols = None } ) )
         in
-        let r = Executor.run plan in
+        let r = relation plan in
         Test_util.check_bool "value" true (Relation.column r "T.v" = [ v_str "b" ]) );
     ( "executor: theta join",
       fun () ->
@@ -119,7 +124,7 @@ let unit_tests =
               access t1 "A", access t2 "B" )
         in
         let c = Counters.create () in
-        let r = Executor.run ~counters:c plan in
+        let r = relation ~counters:c plan in
         Test_util.check_int "one match" 1 (Relation.cardinality r);
         Test_util.check_int "join counted" 1 c.Counters.theta_joins );
     ( "executor: union and distinct",
@@ -128,9 +133,9 @@ let unit_tests =
         let access =
           Algebra.Access { table = t; alias = "T"; path = Algebra.Full_scan; residual = Algebra.True; cols = None }
         in
-        let r = Executor.run (Algebra.Union [ access; access ]) in
+        let r = relation (Algebra.Union [ access; access ]) in
         Test_util.check_int "duplicates kept" 4 (Relation.cardinality r);
-        let r = Executor.run (Algebra.Distinct (Algebra.Union [ access; access ])) in
+        let r = relation (Algebra.Distinct (Algebra.Union [ access; access ])) in
         Test_util.check_int "distinct" 2 (Relation.cardinality r) );
     ( "executor: NULL comparisons are false",
       fun () ->
@@ -141,7 +146,7 @@ let unit_tests =
               Algebra.Access
                 { table = t; alias = "T"; path = Algebra.Full_scan; residual = Algebra.True; cols = None } )
         in
-        Test_util.check_int "no rows" 0 (Relation.cardinality (Executor.run plan)) );
+        Test_util.check_int "no rows" 0 (Relation.cardinality (relation plan)) );
     ( "executor: unknown column fails",
       fun () ->
         let t = mk_table [ "k" ] [ [ v_int 1 ] ] in

@@ -123,7 +123,9 @@ let catalog name = if name = "sp" then Some sample else None
 
 let compile s = Sql_compile.compile ~catalog (parse s)
 
-let run s = Executor.run (compile s)
+let run s =
+  let schema, rows = Executor.run (compile s) in
+  Relation.make schema (Array.of_list rows)
 
 let compiler_unit_tests =
   [
