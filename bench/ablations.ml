@@ -16,7 +16,9 @@ let storage_without_plabel_index (storage : Blas.Storage.t) =
       ~cluster_key:[ "start" ]
       rows
   in
-  { storage with Blas.Storage.sp = sp_noindex }
+  (* A cache of its own: the plan memo's compiled plans hold the
+     original SP. *)
+  { storage with Blas.Storage.sp = sp_noindex; cache = Blas.Cache.create () }
 
 let clustering () =
   Bench_util.heading

@@ -77,21 +77,18 @@ let instrumentation_check () =
   let storage = Datasets.shakespeare_full () in
   let query = Blas.query Bench_queries.qs3 in
   let translator = Blas.Pushup in
-  (* The bare path: translate, compile and execute with no tracer, no
-     metrics dereference, no phase spans — the pre-instrumentation
-     pipeline — ending, like [Blas.run], in the sorted, unique answer
-     starts of the relation's one projected column. *)
+  (* The bare path: the storage's memoized plan (as [Blas.run] gets
+     it) executed with no tracer, no metrics dereference, no phase
+     spans — the pre-instrumentation pipeline — ending, like
+     [Blas.run], in the sorted, unique answer starts of the relation's
+     one projected column. *)
   let bare () =
     Option.map
-      (fun sql ->
-        let _, rows =
-          Blas_rel.Executor.run
-            (Blas_rel.Sql_compile.compile
-               ~catalog:(Blas.Storage.catalog storage) sql)
-        in
+      (fun plan ->
+        let _, rows = Blas_rel.Executor.run plan in
         List.map (fun t -> Blas_rel.Value.to_int (Blas_rel.Tuple.get t 0)) rows
         |> List.sort_uniq Stdlib.compare)
-      (Blas.sql_for storage translator query)
+      (Blas.plan_for storage translator query)
   in
   (* The instrumented path with everything off (the library default). *)
   let disabled () = Blas.run storage ~engine:Blas.Rdbms ~translator query in
@@ -190,21 +187,32 @@ let instrumentation_check () =
 (* The optimizer's statistics pass makes the same kind of claim: it
    rides the bulk load's existing pass over the nodes, so collecting it
    must add at most {!stats_threshold_percent} to index-build wall
-   time.  Measured on the Shakespeare full-scale document, a few whole
-   builds a round (a build is far too long for bechamel's quota). *)
+   time.  Measured on the Shakespeare full-scale document (a build is
+   far too long for bechamel's quota) as the fastest of {!stats_rounds}
+   builds each way, one of each a round, alternating which goes first.
+   A build is timed in process CPU time, which host steal does not
+   inflate, and starts after a full major collection, so that no build
+   pays the collector's debt of the one before.  A median of a few
+   builds moved by more than the bound between runs of the same code
+   on a 2-vCPU VM; the fastest build is the one the scheduler
+   disturbed least, so the two fastest differ by what collection
+   adds. *)
 let stats_threshold_percent = 10.0
+
+let stats_rounds = 41
 
 let stats_collection_check () =
   Bench_util.heading "Statistics collection overhead (bulk load, Shakespeare)";
   let doc = Blas_xpath.Doc.of_tree (Datasets.shakespeare_tree ()) in
   let time_build collect_stats =
-    snd
-      (Bench_util.measure ~repetitions:3 (fun () ->
-           Blas.Storage.of_doc ~collect_stats doc))
+    Gc.full_major ();
+    let t0 = Sys.time () in
+    ignore (Blas.Storage.of_doc ~collect_stats doc);
+    Sys.time () -. t0
   in
   (* (without, with) seconds per round, the order alternating. *)
   let per_round =
-    List.init rounds (fun r ->
+    List.init stats_rounds (fun r ->
         if r mod 2 = 0 then
           let bare = time_build false in
           (bare, time_build true)
@@ -212,17 +220,16 @@ let stats_collection_check () =
           let stats = time_build true in
           (time_build false, stats))
   in
-  let bare_s = median (List.map fst per_round) in
-  let stats_s = median (List.map snd per_round) in
-  let overhead =
-    median (List.map (fun (b, s) -> (s -. b) /. b *. 100.0) per_round)
-  in
+  let fastest xs = List.fold_left Float.min Float.infinity xs in
+  let bare_s = fastest (List.map fst per_round) in
+  let stats_s = fastest (List.map snd per_round) in
+  let overhead = (stats_s -. bare_s) /. bare_s *. 100.0 in
   Bench_util.print_table
     ~title:
       (Printf.sprintf
-         "index build with and without statistics collection (median of %d \
-          rounds)"
-         rounds)
+         "index build with and without statistics collection (fastest CPU \
+          time of %d alternating rounds)"
+         stats_rounds)
     {
       Bench_util.header = [ "variant"; "build s"; "overhead" ];
       rows =

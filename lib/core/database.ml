@@ -328,12 +328,14 @@ let page_store db =
   }
 
 (* Installs the components described by the (committed) catalog into
-   [db] and its storage: the abort/reload path and the tail of open. *)
+   [db] and its storage: the abort/reload path and the tail of open.
+   Every component is replaced, so the plan memo goes last: its
+   compiled plans hold the old tables. *)
 let install db (storage : Storage.t) (cat, chain) =
   db.chain <- chain.pages;
   db.committed <- (if Store.mode db.store = Rw then chain.payloads else [||]);
   db.codec <- cat.c_codec;
-  Storage.set_codec storage cat.c_codec;
+  storage.Storage.codec <- cat.c_codec;
   db.free <-
     List.filter
       (fun p -> not (Array.mem p chain.pages))
@@ -342,16 +344,16 @@ let install db (storage : Storage.t) (cat, chain) =
   storage.Storage.sd <- Layout.of_layout (page_store db) Layout.sd ~dir:cat.c_sd;
   (* What was derived from the old tables goes with them. *)
   Storage.drop_columns storage;
-  match cat.c_guide with
+  (match cat.c_guide with
   | Some guide ->
     storage.Storage.guide <- guide;
     (* A blob that fails to decode costs only the optimizer its
        statistics — never the open. *)
-    Storage.set_ostats storage
-      (Option.bind cat.c_stats (fun s ->
-           match Blas_optimizer.Stats.of_string ~guide s with
-           | stats -> Some stats
-           | exception Invalid_argument _ -> None))
+    storage.Storage.ostats <-
+      Option.bind cat.c_stats (fun s ->
+          match Blas_optimizer.Stats.of_string ~guide s with
+          | stats -> Some stats
+          | exception Invalid_argument _ -> None)
   | None ->
     (* A catalog older than v4 keeps no counts: build the label columns
        (an SD scan), count every path in them and collect fresh
@@ -362,8 +364,9 @@ let install db (storage : Storage.t) (cat, chain) =
         (List.init (Columns.length cols) (fun i -> ((Columns.row cols i).path, 1)))
     in
     storage.Storage.guide <- guide;
-    Storage.set_ostats storage
-      (Some (Storage.collect_ostats ~guide (Columns.values cols)))
+    storage.Storage.ostats <-
+      Some (Storage.collect_ostats ~guide (Columns.values cols)));
+  Qcache.flush_plans storage.Storage.cache
 
 (* ------------------------------------------------------------------ *)
 (* Catalog writer (inside a transaction)                              *)
@@ -474,7 +477,8 @@ let with_tx db f =
    label columns (built from SD, which carries no P-label).  The new
    labels follow the paper's order, so the rows keep their order and go
    back onto the pages they came from, in directory order (fewer of
-   them: the labels are shorter); the pages left over are freed. *)
+   them: the labels are shorter); the pages left over are freed.  Runs
+   inside open, before anything can plan against the old SP. *)
 let relabel db (storage : Storage.t) =
   with_tx db (fun () ->
       let cols = Storage.columns storage in

@@ -101,34 +101,130 @@ let record_metrics ~engine ~translator ~elapsed_ns
       counters.Blas_rel.Counters.page_reads
 
 (* ------------------------------------------------------------------ *)
-(* Translation                                                        *)
+(* Planning                                                           *)
+
+(* The plan-choice span's candidate table: one attr per priced
+   candidate, plus the pick itself. *)
+let choice_attrs (c : Optimizer.choice) =
+  ("chosen", Optimizer.label c)
+  :: ("est_cost", Printf.sprintf "%.0f" c.Optimizer.ch_est_cost)
+  :: ("from_stats", string_of_bool c.Optimizer.ch_from_stats)
+  :: List.map
+       (fun cd ->
+         ( Blas_optimizer.Planner.label cd,
+           Printf.sprintf "%.0f" cd.Blas_optimizer.Planner.cd_cost ))
+       c.Optimizer.ch_candidates
+
+(* The translator and engine a plan runs on: the Auto2 pick when there
+   is one, else the ones asked for. *)
+let effective ~engine ~translator = function
+  | Some (c : Optimizer.choice) ->
+    (translator_of_kind c.Optimizer.ch_translator, engine_of_kind c.Optimizer.ch_engine)
+  | None -> (translator, engine)
+
+(* The plan-choice span of an Auto2 pick; [memo] says whether it was
+   made for this run ("miss") or reused ("hit"). *)
+let record_choice tracer ~memo ~start_ns c =
+  if Blas_obs.Trace.enabled tracer then
+    Blas_obs.Trace.record tracer
+      ~attrs:(choice_attrs c @ [ ("memo", memo) ])
+      ~name:"plan-choice" ~start_ns
+      ~duration_ns:(Blas_obs.Clock.elapsed_ns start_ns) ()
+
+(* The one planning step: Auto2's choice, the decomposition, and — for
+   a plan that runs on or was asked for on the RDBMS engine — the SQL
+   and its compiled plan, memoized per storage state in the storage's
+   plan memo ({!Qcache.find_plan}; {!Qcache.flush_plans} empties it
+   whenever an input changes).  A miss records the plan-choice,
+   translate, compile or decompose spans of the work it does; a hit
+   records only the plan-choice span of an Auto2 pick, marked
+   [memo=hit], so a trace still says which plan ran and why. *)
+let plan ?(tracer = Blas_obs.Trace.disabled) storage ~engine ~translator q =
+  let qc = Storage.cache storage in
+  let translator_key = translator_name translator
+  and engine_key = engine_name engine in
+  let t0 = Blas_obs.Clock.now_ns () in
+  match Qcache.find_plan qc ~translator:translator_key ~engine:engine_key q with
+  | Some p ->
+    Option.iter (record_choice tracer ~memo:"hit" ~start_ns:t0) p.Qcache.p_choice;
+    p
+  | None ->
+    let span name f = Blas_obs.Trace.with_span tracer name f in
+    (* Auto2 prices the plan space first (statistics-only) and rebinds
+       the effective translator and engine. *)
+    let choice =
+      match translator with
+      | Auto2 ->
+        let t0c = Blas_obs.Clock.now_ns () in
+        let c = Optimizer.choose storage q in
+        record_choice tracer ~memo:"miss" ~start_ns:t0c c;
+        Some c
+      | _ -> None
+    in
+    let exec_translator, exec_engine = effective ~engine ~translator choice in
+    (* Auto2 runs the decomposition it priced. *)
+    let branches () =
+      let guide = Storage.guide storage in
+      match (choice, exec_translator) with
+      | Some c, _ -> c.Optimizer.ch_branches
+      | None, Split -> Decompose.translate Decompose.Split ~guide q
+      | None, Pushup -> Decompose.translate Decompose.Pushup ~guide q
+      | None, Unfold -> Decompose.unfold guide q
+      | None, (D_labeling | Auto2) ->
+        invalid_arg "Blas.decompose: D-labeling does not decompose"
+    in
+    let p =
+      if exec_engine = Rdbms || engine = Rdbms then begin
+        let branches, sql =
+          span "translate" (fun () ->
+              match exec_translator with
+              | D_labeling -> (None, Some (Baseline.to_sql q))
+              | _ ->
+                let b = branches () in
+                (Some b, Translate.to_sql storage b))
+        in
+        let compiled =
+          Option.map
+            (fun s ->
+              span "compile" (fun () ->
+                  Blas_rel.Sql_compile.compile ~catalog:(Storage.catalog storage) s))
+            sql
+        in
+        { Qcache.p_choice = choice; p_branches = branches; p_sql = sql; p_compiled = compiled }
+      end
+      else
+        {
+          Qcache.p_choice = choice;
+          p_branches =
+            (match exec_translator with
+            | D_labeling -> None
+            | _ -> Some (span "decompose" branches));
+          p_sql = None;
+          p_compiled = None;
+        }
+    in
+    Qcache.put_plan qc ~translator:translator_key ~engine:engine_key q p;
+    p
+
+(* The planning entry points below ask for the RDBMS engine, so they
+   share the memo entries of [run ~engine:Rdbms]. *)
+let plan_rdbms storage translator q =
+  plan storage ~engine:Rdbms ~translator q
 
 (** [decompose storage translator q] — the suffix-path decomposition
     (union branches) a BLAS translator produces.
     @raise Invalid_argument for [D_labeling], which does not decompose. *)
-let decompose (storage : Storage.t) translator q =
+let decompose storage translator q =
   match translator with
   | D_labeling -> invalid_arg "Blas.decompose: D-labeling does not decompose"
-  | Split -> Decompose.translate Decompose.Split ~guide:(Storage.guide storage) q
-  | Pushup -> Decompose.translate Decompose.Pushup ~guide:(Storage.guide storage) q
-  | Unfold -> Decompose.unfold (Storage.guide storage) q
-  | Auto2 ->
-    (* The adaptive pick, statistics-only (see {!Optimizer}). *)
-    (Optimizer.choose storage q).Optimizer.ch_branches
+  | _ -> Option.get (plan_rdbms storage translator q).Qcache.p_branches
 
 (** [sql_for storage translator q] — the SQL query plan each translator
     generates (Figure 11 shows these for QS3). *)
-let sql_for storage translator q =
-  match translator with
-  | D_labeling -> Some (Baseline.to_sql q)
-  | Split | Pushup | Unfold | Auto2 ->
-    Translate.to_sql storage (decompose storage translator q)
+let sql_for storage translator q = (plan_rdbms storage translator q).Qcache.p_sql
 
 (** [plan_for storage translator q] — the compiled physical plan. *)
-let plan_for storage translator q =
-  Option.map
-    (Blas_rel.Sql_compile.compile ~catalog:(Storage.catalog storage))
-    (sql_for storage translator q)
+let plan_for storage translator q = (plan_rdbms storage translator q).Qcache.p_compiled
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)
@@ -245,18 +341,6 @@ let footprint (storage : Storage.t) branches =
         b.Suffix_query.items)
     branches
 
-(* The plan-choice span's candidate table: one attr per priced
-   candidate, plus the pick itself. *)
-let choice_attrs (c : Optimizer.choice) =
-  ("chosen", Optimizer.label c)
-  :: ("est_cost", Printf.sprintf "%.0f" c.Optimizer.ch_est_cost)
-  :: ("from_stats", string_of_bool c.Optimizer.ch_from_stats)
-  :: List.map
-       (fun cd ->
-         ( Blas_optimizer.Planner.label cd,
-           Printf.sprintf "%.0f" cd.Blas_optimizer.Planner.cd_cost ))
-       c.Optimizer.ch_candidates
-
 let report_of_result_entry (e : Qcache.result_entry) =
   {
     starts = e.Qcache.r_starts;
@@ -266,7 +350,7 @@ let report_of_result_entry (e : Qcache.result_entry) =
     memo_hits = 1;
     sql = e.Qcache.r_sql;
     counters = Blas_rel.Counters.create ();
-    choice = None;
+    choice = e.Qcache.r_choice;
   }
 
 (* Re-publishes the cache's own atomics into the installed registry
@@ -295,11 +379,13 @@ type analysis = {
 }
 
 (** [run ?tracer ?cache storage ~engine ~translator q] —
-    translate and execute.  With an enabled [tracer], the run is
-    recorded as a [query] span over [translate] / [compile] / [execute]
-    / [materialize] (RDBMS) or [decompose] / [execute] (twig engine;
-    the D-labeling baseline builds its streams in a [build-streams]
-    span inside [execute]) child spans.
+    plan (once per storage state: {!plan}) and execute.  With an
+    enabled [tracer], the run is recorded as a [query] span over
+    [translate] / [compile] / [execute] / [materialize] (RDBMS) or
+    [decompose] / [execute] (twig engine; the D-labeling baseline
+    builds its streams in a [build-streams] span inside [execute])
+    child spans; a memoized plan records no [translate], [compile] or
+    [decompose] span.
 
     [?cache] overrides the storage's cache switch for this run only
     ([Some false] is a guaranteed-cold reference run; the default
@@ -317,53 +403,36 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?cache ?analysis
       m "run %s on %s: %s" (translator_name translator) (engine_name engine)
         (Blas_xpath.Pretty.to_string q));
   let qc = qcache_for ?cache storage in
-  let qstr = Blas_xpath.Pretty.to_string q in
+  (* The query text is needed only by a trace and the result memo. *)
+  let qstr = lazy (Blas_xpath.Pretty.to_string q) in
   let span name f = Blas_obs.Trace.with_span tracer name f in
   let t0 = Blas_obs.Clock.now_ns () in
   let report =
     Blas_obs.Trace.with_span tracer "query"
       ~attrs:
-        ([
-           ("engine", engine_name engine);
-           ("translator", translator_name translator);
-           ("query", qstr);
-         ]
-        @ (if Option.is_some analysis then [ ("mode", "analyze") ] else [])
-        @ [ ("cache", match qc with Some _ -> "on" | None -> "off") ])
+        (if not (Blas_obs.Trace.enabled tracer) then []
+         else
+           [
+             ("engine", engine_name engine);
+             ("translator", translator_name translator);
+             ("query", Lazy.force qstr);
+           ]
+           @ (if Option.is_some analysis then [ ("mode", "analyze") ] else [])
+           @ [ ("cache", match qc with Some _ -> "on" | None -> "off") ])
     @@ fun () ->
-    (* Auto2 prices the plan space first (statistics-only; recorded as
-       a [plan-choice] span) and rebinds the effective translator and
-       engine before anything executes. *)
-    let choice =
-      match translator with
-      | Auto2 ->
-        let t0c = Blas_obs.Clock.now_ns () in
-        let c = Optimizer.choose storage q in
-        if Blas_obs.Trace.enabled tracer then
-          Blas_obs.Trace.record tracer ~attrs:(choice_attrs c)
-            ~name:"plan-choice" ~start_ns:t0c
-            ~duration_ns:(Blas_obs.Clock.elapsed_ns t0c) ();
-        Some c
-      | _ -> None
-    in
-    let exec_translator, engine =
-      match choice with
-      | Some c ->
-        ( translator_of_kind c.Optimizer.ch_translator,
-          engine_of_kind c.Optimizer.ch_engine )
-      | None -> (translator, engine)
-    in
     (* The whole-query memo applies to the suffix-path translators only:
        D-labeling answers carry no P-interval footprint to invalidate
-       against.  Auto2 memoizes under its own name — the stats epoch in
-       the key retires entries when a resample changes the pick. *)
+       against.  Auto2 memoizes under its own name and the engine asked
+       for; an entry keeps the pick that produced it, so a hit plans
+       nothing, and the stats epoch in the key retires entries when a
+       resample may change the pick. *)
     let memo =
       match (qc, translator, analysis) with
       | Some qcv, (Split | Pushup | Unfold | Auto2), None ->
         Some
           ( qcv,
             Qcache.result_key qcv ~engine:(engine_name engine)
-              ~translator:(translator_name translator) ~query:qstr )
+              ~translator:(translator_name translator) ~query:(Lazy.force qstr) )
       | _ -> None
     in
     let probe () = Option.bind memo (fun (qcv, key) -> Qcache.find_result qcv key) in
@@ -388,8 +457,15 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?cache ?analysis
       else probe ()
     in
     match memo_hit with
-    | Some entry -> { (report_of_result_entry entry) with choice }
+    | Some entry ->
+      Option.iter
+        (record_choice tracer ~memo:"hit" ~start_ns:(Blas_obs.Clock.now_ns ()))
+        entry.Qcache.r_choice;
+      report_of_result_entry entry
     | None ->
+      let p = plan ~tracer storage ~engine ~translator q in
+      let choice = p.Qcache.p_choice in
+      let _, engine = effective ~engine ~translator choice in
       (* Phase-boundary cancellation checks; the engines add one per
          operator / stream below. *)
       cancel ();
@@ -399,42 +475,23 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?cache ?analysis
         | None -> (Blas_rel.Counters.create (), None)
       in
       let scan_cache = Option.map (fun qc -> scan_cache_of qc storage) qc in
-      (* Auto2 executes the decomposition it priced. *)
-      let branches () =
-        match choice with
-        | Some c -> c.Optimizer.ch_branches
-        | None -> decompose storage exec_translator q
-      in
-      let starts, plan_djoins, sql, branches =
+      let starts, plan_djoins, sql =
         match engine with
         | Rdbms -> (
-          let branches, sql =
-            span "translate" (fun () ->
-                match exec_translator with
-                | D_labeling -> (None, Some (Baseline.to_sql q))
-                | _ ->
-                  let b = branches () in
-                  (Some b, Translate.to_sql storage b))
-          in
-          match sql with
-          | None -> ([], 0, None, branches)
-          | Some s ->
-            let plan =
-              span "compile" (fun () ->
-                  Blas_rel.Sql_compile.compile ~catalog:(Storage.catalog storage) s)
-            in
-            cancel ();
+          match p.Qcache.p_compiled with
+          | None -> ([], 0, None)
+          | Some compiled ->
             let result =
               span "execute" (fun () ->
                   Blas_rel.Executor.run ~counters ~cancel ?cache:scan_cache
-                    ?collector plan)
+                    ?collector compiled)
             in
             let starts = span "materialize" (fun () -> starts_of_rows result) in
-            (starts, Blas_rel.Algebra.count_djoins plan, sql, branches))
+            (starts, Blas_rel.Algebra.count_djoins compiled, p.Qcache.p_sql))
         | Twig ->
-          let joins, plan_djoins, branches =
-            match exec_translator with
-            | D_labeling ->
+          let joins, plan_djoins =
+            match p.Qcache.p_branches with
+            | None ->
               ( [
                   {
                     Engine_twig.label = "twig join (D-labeling)";
@@ -444,20 +501,16 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?cache ?analysis
                             Baseline.to_pattern ~wrap storage counters q));
                   };
                 ],
-                Blas_xpath.Ast.step_count q - 1,
-                None )
-            | _ ->
-              let b = span "decompose" branches in
-              ( Engine_twig.branch_joins ~cancel ?cache:scan_cache
-                  storage b,
-                twig_plan_djoins b,
-                Some b )
+                Blas_xpath.Ast.step_count q - 1 )
+            | Some b ->
+              ( Engine_twig.branch_joins ~cancel ?cache:scan_cache storage b,
+                twig_plan_djoins b )
           in
           let starts =
             span "execute" (fun () ->
                 Engine_twig.run ~cancel ?collector counters joins)
           in
-          (starts, plan_djoins, None, branches)
+          (starts, plan_djoins, None)
       in
       let report =
         {
@@ -471,7 +524,7 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?cache ?analysis
           choice;
         }
       in
-      (match (memo, branches) with
+      (match (memo, p.Qcache.p_branches) with
       | Some (qcv, key), Some branches ->
         Qcache.put_result qcv key
           ~benefit:
@@ -482,6 +535,7 @@ let run ?(tracer = Blas_obs.Trace.disabled) ?(cancel = ignore) ?cache ?analysis
             Qcache.r_starts = report.starts;
             r_plan_djoins = report.plan_djoins;
             r_sql = report.sql;
+            r_choice = choice;
             r_footprint = footprint storage branches;
           }
       | _ -> ());

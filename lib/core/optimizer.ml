@@ -3,7 +3,7 @@
 module Stats = Blas_optimizer.Stats
 module Planner = Blas_optimizer.Planner
 
-type choice = {
+type choice = Qcache.choice = {
   ch_translator : Planner.translator_kind;
   ch_engine : Planner.engine_kind;
   ch_est_cost : float;

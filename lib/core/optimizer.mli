@@ -12,7 +12,8 @@
     protocol: {!note_update} accumulates a staleness counter, and once
     the stale fraction crosses {!Blas_optimizer.Stats.stale_threshold}
     (or an edit moves labels wholesale) the stats are resampled and
-    the cache's stats epoch advances, orphaning memoized picks. *)
+    the cache's stats epoch advances (orphaning answers memoized
+    under the old picks) and the plan memo is flushed. *)
 
 module Stats = Blas_optimizer.Stats
 module Planner = Blas_optimizer.Planner
@@ -21,8 +22,8 @@ module Planner = Blas_optimizer.Planner
     cheapest-first) for EXPLAIN ANALYZE, the slow-query log and trace
     spans.  [ch_from_stats] is false when the storage has no statistics
     and the choice fell back to the static default (Push-up ×
-    RDBMS). *)
-type choice = {
+    RDBMS).  Defined in {!Qcache}, whose plan memo holds it. *)
+type choice = Qcache.choice = {
   ch_translator : Planner.translator_kind;
   ch_engine : Planner.engine_kind;
   ch_est_cost : float;
@@ -39,7 +40,8 @@ val label : choice -> string
 
 (** [choose storage q] — price every candidate from statistics and
     return the cheapest.  Statistics-only: no table or document
-    access. *)
+    access.  Not memoized: [Blas.run] and the other planning entry
+    points reach it through the storage's plan memo. *)
 val choose : Storage.t -> Blas_xpath.Ast.t -> choice
 
 (** Measured cost of an executed plan in the planner's unit, from the
@@ -51,7 +53,9 @@ val stats_of : Storage.t -> Stats.t option
 
 (** [refresh ?seed storage] — re-collect statistics from the current
     document (epoch advances, seed is kept unless overridden) and bump
-    the cache's stats epoch so memoized [Auto2] picks die.  Reads the
+    the cache's stats epoch so answers memoized under [Auto2] picks
+    die; installing them flushes the plan memo
+    ({!Storage.set_ostats}).  Reads the
     label columns ({!Storage.columns}), not the document model. *)
 val refresh : ?seed:int -> Storage.t -> unit
 

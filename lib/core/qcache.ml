@@ -3,12 +3,30 @@
 
 module Lru = Blas_cache.Lru
 module Stats = Blas_cache.Stats
+module Planner = Blas_optimizer.Planner
+
+type choice = {
+  ch_translator : Planner.translator_kind;
+  ch_engine : Planner.engine_kind;
+  ch_est_cost : float;
+  ch_candidates : Planner.candidate list;
+  ch_from_stats : bool;
+  ch_branches : Suffix_query.t list;
+}
 
 type result_entry = {
   r_starts : int list;
   r_plan_djoins : int;
   r_sql : Blas_rel.Sql_ast.t option;
+  r_choice : choice option;
   r_footprint : (int * int) list;
+}
+
+type plan = {
+  p_choice : choice option;
+  p_branches : Suffix_query.t list option;
+  p_sql : Blas_rel.Sql_ast.t option;
+  p_compiled : Blas_rel.Algebra.plan option;
 }
 
 (* A scan entry: the columns its access read (table order) and the
@@ -18,6 +36,9 @@ type scan_entry = { s_cols : string list; s_rows : Blas_rel.Tuple.t list }
 type t = {
   results : (string, result_entry) Lru.t;
   scans : (int * int, scan_entry) Lru.t;
+  (* Keyed by (hash, translator, engine, query); flushed whole by
+     {!flush_plans}, never by the result and scan rules. *)
+  plans : (int * string * string * Blas_xpath.Ast.t, plan) Lru.t;
   enabled : bool Atomic.t;
   (* Epoch bumps happen only inside update application, which is
      single-writer; queries read it racily, which at worst misses a
@@ -41,10 +62,30 @@ let result_weight e =
 let scan_weight e =
   128 + (List.length e.s_rows * (32 + (24 * List.length e.s_cols)))
 
+(* A plan: a fixed overhead plus about 1 KiB per suffix-path item
+   (its path, the SQL block that selects it, the access that runs it)
+   and per SQL table reference (the D-labeling baseline has no items). *)
+let plan_weight p =
+  let items =
+    match p.p_branches with
+    | Some bs -> List.fold_left (fun acc b -> acc + Suffix_query.item_count b) 0 bs
+    | None -> 0
+  in
+  let tables =
+    match p.p_sql with
+    | Some sql ->
+      List.fold_left
+        (fun acc (s : Blas_rel.Sql_ast.select) -> acc + List.length s.from)
+        0 (Blas_rel.Sql_ast.selects sql)
+    | None -> 0
+  in
+  512 + (1024 * (items + tables))
+
 let create ?stripes ?capacity_bytes () =
   {
     results = Lru.create ?stripes ?capacity_bytes ~weight:result_weight ();
     scans = Lru.create ?stripes ?capacity_bytes ~weight:scan_weight ();
+    plans = Lru.create ?stripes ?capacity_bytes ~weight:plan_weight ();
     enabled = Atomic.make false;
     epoch = 0;
     stats_epoch = 0;
@@ -69,6 +110,21 @@ let result_key t ~engine ~translator ~query =
 let find_result t key = Lru.find t.results key
 
 let put_result t key ~benefit entry = Lru.put t.results ~benefit key entry
+
+(* [Hashtbl.hash] reads only the first ten leaves of a key, which on a
+   query tree stops within its first two steps: every [/PLAYS/PLAY/...]
+   query would share one bucket.  The key leads with a hash of the
+   whole tree instead. *)
+let plan_key ~translator ~engine query =
+  (Hashtbl.hash_param 256 256 query, translator, engine, query)
+
+let find_plan t ~translator ~engine query =
+  Lru.find t.plans (plan_key ~translator ~engine query)
+
+let put_plan t ~translator ~engine query plan =
+  Lru.put t.plans (plan_key ~translator ~engine query) plan
+
+let flush_plans t = Lru.clear t.plans
 
 let find_scan t interval ~cols =
   let covers e = List.for_all (fun c -> List.mem c e.s_cols) cols in
@@ -138,4 +194,5 @@ let pp_stats ppf s =
 
 let validate (t : t) =
   Lru.validate t.results;
-  Lru.validate t.scans
+  Lru.validate t.scans;
+  Lru.validate t.plans

@@ -257,10 +257,10 @@ let cache_stats t = Qcache.stats t.cache
 (** Optimizer statistics, if collected (or installed from the catalog). *)
 let ostats t = t.ostats
 
-let set_ostats t s = t.ostats <- s
+let set_ostats t s =
+  t.ostats <- s;
+  Qcache.flush_plans t.cache
 
 (** The active page codec (v1 row-major or v2 compact columnar).  It
     shapes the page cuts, hence page counts and plan pricing. *)
 let codec t = t.codec
-
-let set_codec t c = t.codec <- c

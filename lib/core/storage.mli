@@ -98,7 +98,9 @@ type t = {
   mutable sp : Blas_rel.Table.t;
   mutable sd : Blas_rel.Table.t;
   pool : Blas_rel.Buffer_pool.t;  (** page cache shared by SP and SD *)
-  cache : Qcache.t;  (** the query cache (disabled by default) *)
+  cache : Qcache.t;
+      (** the query cache (result and scan layers disabled by default)
+          and the plan memo *)
   mutable disk : disk option;  (** present on disk-backed storages *)
   mutable ostats : Blas_optimizer.Stats.t option;
       (** optimizer statistics — read via {!ostats} *)
@@ -192,13 +194,13 @@ val guide : t -> Blas_xml.Dataguide.t
     a database catalog). *)
 val ostats : t -> Blas_optimizer.Stats.t option
 
+(** Installs statistics and flushes the plan memo
+    ({!Qcache.flush_plans}): [Auto2]'s picks are priced from them. *)
 val set_ostats : t -> Blas_optimizer.Stats.t option -> unit
 
 (** The active page codec (v1 row-major or v2 compact columnar).  It
     shapes the page cuts, hence page counts and plan pricing. *)
 val codec : t -> Blas_rel.Codec.format
-
-val set_codec : t -> Blas_rel.Codec.format -> unit
 
 (** One-pass statistics collection over the nodes' tags and texts in
     document order, counted in [guide]: from the document at index

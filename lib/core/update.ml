@@ -36,6 +36,7 @@ type report = Engine.report = {
 let pp_report = Engine.pp_report
 
 let apply storage op =
+  let page_rows = Cost.model_page_rows storage in
   let run () =
     let target =
       {
@@ -56,6 +57,14 @@ let apply storage op =
     let inv = report.invalidation in
     Qcache.invalidate (Storage.cache storage) ~full:inv.inv_full
       ~schema_changed:inv.inv_schema_changed ~plabels:inv.inv_plabels;
+    (* The plan memo goes when the edit moved what a plan reads: the
+       guide's paths or P-labels, or SP's rows per page, which [Auto2]
+       prices with.  A resample below flushes it too
+       ({!Storage.set_ostats}). *)
+    if
+      inv.inv_full || inv.inv_schema_changed
+      || Cost.model_page_rows storage <> page_rows
+    then Qcache.flush_plans (Storage.cache storage);
     (* Optimizer staleness accounting (and, past the threshold, a
        resample).  Inside the WAL transaction of a disk-backed storage,
        so the refreshed statistics commit with the edit's catalog. *)
@@ -64,10 +73,16 @@ let apply storage op =
   in
   (* Disk-backed storages wrap the whole edit — table writes, catalog,
      superblock — in one WAL transaction: fsync on commit, recovery to
-     the committed state if the process dies mid-edit. *)
-  match Storage.disk storage with
-  | None -> run ()
-  | Some d -> d.Storage.dk_with_tx run
+     the committed state if the process dies mid-edit.  An edit that
+     raises may have moved anything, so every plan goes. *)
+  try
+    match Storage.disk storage with
+    | None -> run ()
+    | Some d -> d.Storage.dk_with_tx run
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Qcache.flush_plans (Storage.cache storage);
+    Printexc.raise_with_backtrace e bt
 
 (** [insert_subtree storage ~parent ~pos tree] inserts [tree] as the
     [pos]-th element child of the node starting at position [parent].

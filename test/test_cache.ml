@@ -8,7 +8,10 @@
     including the coherence property that interleaves random edit
     scripts with repeated queries across every suffix-path translator
     and both engines, and a stress run that hammers one cache from
-    several domains and then checks its internal accounting. *)
+    several domains and then checks its internal accounting.  The plan
+    memo is covered by a property that compares every memoized plan
+    with a fresh one across random edit scripts, in memory and on disk,
+    and by a check that a repeated run plans nothing. *)
 
 open Test_util
 module Cache = Blas.Cache
@@ -418,6 +421,267 @@ let prop_coherence =
         edits)
 
 (* ------------------------------------------------------------------ *)
+(* Plan memo: one plan per storage state                               *)
+
+(* Every change to a plan's inputs a script can make: an edit through
+   {!Blas.Update}, a new path, the removal of a path's last node, a
+   P-label respread, a statistics resample and — on a database — a
+   transaction that edits and then aborts. *)
+type plan_step =
+  | Edit of Test_update.edit
+  | New_path of int * string * string
+  | Delete_last of int
+  | Respread
+  | Resample of int
+  | Abort of int
+
+let pp_plan_step = function
+  | Edit _ -> "edit"
+  | New_path (i, a, b) -> Printf.sprintf "new path <%s><%s/></%s> under #%d" a b a i
+  | Delete_last i -> Printf.sprintf "delete last of a path #%d" i
+  | Respread -> "respread"
+  | Resample seed -> Printf.sprintf "resample %d" seed
+  | Abort i -> Printf.sprintf "abort under #%d" i
+
+let plan_script_gen =
+  let open QCheck2.Gen in
+  let step =
+    frequency
+      [
+        (3, map (fun e -> Edit e) Test_update.edit_gen);
+        ( 2,
+          let* i = nat and* a = tag and* b = tag in
+          return (New_path (i, a, b)) );
+        (2, map (fun i -> Delete_last i) nat);
+        (1, return Respread);
+        (2, map (fun seed -> Resample seed) (int_range 1 1_000_000));
+        (2, map (fun i -> Abort i) nat);
+      ]
+  in
+  let* doc = doc_gen in
+  let* steps = list_size (int_range 1 5) step in
+  let* queries = list_size (return 3) (query_gen ~wildcards:true ()) in
+  return (doc, steps, queries)
+
+let nth_node storage i =
+  let nodes = Array.of_list (Blas.Storage.doc storage).Blas_xpath.Doc.all in
+  nodes.(i mod Array.length nodes)
+
+let apply_plan_step storage = function
+  | Edit e -> Test_update.apply_edit storage e
+  | New_path (i, a, b) ->
+    ignore
+      (Blas.Update.insert_subtree storage ~parent:(nth_node storage i).Blas_xpath.Doc.start
+         ~pos:0
+         Blas_xml.Types.(Element (a, [ Element (b, [ Content "x" ]) ])))
+  | Delete_last i -> (
+    let all = (Blas.Storage.doc storage).Blas_xpath.Doc.all in
+    let alone (n : Blas_xpath.Doc.node) =
+      n.level > 1
+      && List.length
+           (List.filter
+              (fun (m : Blas_xpath.Doc.node) -> m.source_path = n.source_path)
+              all)
+         = 1
+    in
+    match List.filter alone all with
+    | [] -> ()
+    | lone ->
+      let n = List.nth lone (i mod List.length lone) in
+      ignore (Blas.Update.delete_subtree storage ~start:n.Blas_xpath.Doc.start))
+  | Respread ->
+    let rec go k =
+      let before = Blas.Storage.guide storage in
+      ignore (respread_edit storage k);
+      if
+        k < 40
+        && Blas_xml.Dataguide.relabeled ~before ~after:(Blas.Storage.guide storage) = []
+      then go (k + 1)
+    in
+    go 1
+  | Resample seed -> Blas.Optimizer.refresh ~seed storage
+  | Abort i -> (
+    match Blas.Storage.disk storage with
+    | None -> ()
+    | Some d -> (
+      let parent = (nth_node storage i).Blas_xpath.Doc.start in
+      match
+        d.Blas.Storage.dk_with_tx (fun () ->
+            let target =
+              {
+                Blas_update.Update_engine.cols = Blas.Storage.columns storage;
+                guide = Blas.Storage.guide storage;
+                sp = storage.Blas.Storage.sp;
+                sd = storage.Blas.Storage.sd;
+                pool = Blas.Storage.pool storage;
+              }
+            in
+            ignore
+              (Blas_update.Update_engine.insert_subtree target ~parent ~pos:0
+                 Blas_xml.Types.(
+                   Element
+                     ( "z",
+                       [ Element ("a", [ Content "x" ]); Element ("b", [ Content "y" ]) ] )));
+            storage.Blas.Storage.guide <- target.guide;
+            failwith "abort")
+      with
+      | _ -> Alcotest.fail "the transaction should have aborted"
+      | exception Failure _ -> ()))
+
+let rec accessed_tables = function
+  | Blas_rel.Algebra.Access { table; _ } -> [ table ]
+  | Select (_, p) | Project (_, p) | Distinct p -> accessed_tables p
+  | Theta_join (_, a, b) | Djoin (_, a, b) -> accessed_tables a @ accessed_tables b
+  | Union ps -> List.concat_map accessed_tables ps
+
+(* What a plan decides, as the planning entry points expose it: the
+   Auto2 pick and its priced candidates, the SQL and D-joins of the run
+   and of [sql_for]/[plan_for], and the answers. *)
+let observe_plan storage ~translator ~engine q =
+  let r = Blas.run ~cache:false storage ~engine ~translator q in
+  let compiled = Blas.plan_for storage translator q in
+  ( ( Option.map
+        (fun c -> (Blas.Optimizer.label c, c.Blas.Optimizer.ch_candidates))
+        r.Blas.choice,
+      r.Blas.sql,
+      r.Blas.plan_djoins,
+      Blas.sql_for storage translator q,
+      Option.map Blas_rel.Algebra.count_djoins compiled ),
+    r.Blas.starts,
+    compiled )
+
+let plan_cells =
+  Blas.
+    [
+      (Auto2, Rdbms);
+      (Auto2, Twig);
+      (Split, Rdbms);
+      (Pushup, Rdbms);
+      (Unfold, Twig);
+      (D_labeling, Rdbms);
+    ]
+
+(* After a step, the memoized plan of every cell equals one planned
+   from scratch, reads the storage's current tables and answers like
+   the oracle; the fresh plans then warm the memo for the next step.
+   Every memoized plan is read before the one flush. *)
+let plans_agree storage queries =
+  let cells =
+    List.concat_map
+      (fun q ->
+        let expected = Blas.oracle storage q in
+        List.map (fun (translator, engine) -> (q, expected, translator, engine)) plan_cells)
+      queries
+  in
+  let observe () =
+    List.map
+      (fun (q, _, translator, engine) -> observe_plan storage ~translator ~engine q)
+      cells
+  in
+  let memo = observe () in
+  Cache.flush_plans (Blas.Storage.cache storage);
+  let fresh = observe () in
+  let current t = t == storage.Blas.Storage.sp || t == storage.Blas.Storage.sd in
+  List.for_all2
+    (fun (_, expected, _, _) ((memo, starts, compiled), (fresh, _, _)) ->
+      memo = fresh && starts = expected
+      && List.for_all current (Option.fold ~none:[] ~some:accessed_tables compiled))
+    cells (List.combine memo fresh)
+
+(* The script runs on [tree] padded with 150 [f] leaves, in memory and
+   on a database of 512-byte pages: one edit then ages the statistics
+   by well under their 20% resample threshold, so an edit's own flush
+   is what the script tests, not the resample it would trigger on a
+   tiny document. *)
+let with_plan_twins tree f =
+  let tree =
+    match tree with
+    | Blas_xml.Types.Element (root, kids) ->
+      Blas_xml.Types.Element
+        (root, kids @ [ Element ("f", List.init 150 (fun _ -> Blas_xml.Types.Element ("f", []))) ])
+    | Content _ -> tree
+  in
+  let mem = Blas.Storage.of_tree tree in
+  with_temp_db (fun path ->
+      Blas.Database.create ~page_size:512 ~path (Blas.Storage.of_tree tree);
+      with_storage
+        (Blas.Database.open_ ~cache_pages:16 ~mode:Blas.Database.Rw ~path ())
+        (fun disk -> f [ mem; disk ]))
+
+let prop_plan_memo =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"plan memo equals a fresh plan across edit scripts"
+       ~print:(fun (tree, steps, queries) ->
+         Printf.sprintf "%s\nsteps: %s\nqueries: %s" (pp_tree tree)
+           (String.concat "; " (List.map pp_plan_step steps))
+           (String.concat ", " (List.map pp_query queries)))
+       plan_script_gen
+       (fun (tree, steps, queries) ->
+         with_plan_twins tree (fun storages ->
+             List.for_all
+               (fun storage ->
+                 plans_agree storage queries
+                 && List.for_all
+                      (fun step ->
+                        apply_plan_step storage step;
+                        plans_agree storage queries)
+                      steps)
+               storages)))
+
+(* Spans by name, depth first. *)
+let span_list tracer =
+  let rec go (s : Blas_obs.Trace.span) = s :: List.concat_map go (Blas_obs.Trace.children s) in
+  List.concat_map go (Blas_obs.Trace.roots tracer)
+
+let test_second_run_reuses_plan () =
+  List.iter
+    (fun (tree, queries) ->
+      with_temp_db (fun path ->
+          Blas.Database.create ~codec:Blas_rel.Codec.V2 ~path (Blas.Storage.of_tree tree);
+          with_storage
+            (Blas.Database.open_ ~cache_pages:16 ~mode:Blas.Database.Ro ~path ())
+          @@ fun storage ->
+          List.iter
+            (fun (id, qs) ->
+              let q = Blas.query qs in
+              let traced () =
+                Blas.Storage.cold_cache storage;
+                let tracer = Blas_obs.Trace.create ~enabled:true () in
+                let r = Blas.run ~tracer storage ~engine:Blas.Rdbms ~translator:Blas.Auto2 q in
+                (r, span_list tracer)
+              in
+              let first, first_spans = traced () in
+              let second, second_spans = traced () in
+              let named name spans =
+                List.filter (fun (s : Blas_obs.Trace.span) -> s.name = name) spans
+              in
+              let memo_of spans =
+                List.map
+                  (fun (s : Blas_obs.Trace.span) -> List.assoc_opt "memo" s.attrs)
+                  (named "plan-choice" spans)
+              in
+              check_int_list (id ^ " answers") first.Blas.starts second.Blas.starts;
+              check_bool (id ^ " counters") true (first.Blas.counters = second.Blas.counters);
+              check_bool (id ^ " one choice, memoized") true
+                (memo_of first_spans = [ Some "miss" ] && memo_of second_spans = [ Some "hit" ]);
+              check_bool (id ^ " the first run plans") true
+                (named "translate" first_spans <> []);
+              List.iter
+                (fun name ->
+                  check_int (id ^ " no " ^ name ^ " on the second run") 0
+                    (List.length (named name second_spans)))
+                [ "translate"; "compile"; "decompose" ];
+              let attrs spans =
+                List.filter
+                  (fun (k, _) -> k <> "memo")
+                  (List.hd (named "plan-choice" spans)).Blas_obs.Trace.attrs
+              in
+              check_bool (id ^ " the hit carries the pick and its candidates") true
+                (attrs first_spans = attrs second_spans))
+            queries))
+    (Golden.Currencies.docs ())
+
+(* ------------------------------------------------------------------ *)
 (* Stress: one cache hammered from several domains at once            *)
 
 let test_parallel_stress () =
@@ -489,5 +753,8 @@ let suite =
     Alcotest.test_case "scan survives edit outside its interval" `Quick
       test_scan_survives_edit_outside_interval;
     prop_coherence;
+    prop_plan_memo;
+    Alcotest.test_case "second run reuses its plan" `Quick
+      test_second_run_reuses_plan;
     Alcotest.test_case "parallel stress" `Quick test_parallel_stress;
   ]
