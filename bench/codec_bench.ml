@@ -20,9 +20,15 @@
       the columns their plan reads), and promotes at most
       {!max_promoted_per_row} words per visited row to the major heap
       (no query builds a major-heap array of fresh tuples: one longer
-      than 256 pointers promotes every tuple it holds).  Both counts
-      are deterministic for a given build, so these gates cannot
-      flap. *)
+      than 256 pointers promotes every tuple it holds);
+    - a v2 [Database.create] of base-scale Shakespeare allocates at
+      most {!max_create_words_per_row} minor words per SP/SD row it
+      loads (each page priced once, clustered rows never re-sorted),
+      and an index build's statistics collection at most
+      {!max_collect_words_per_node} per node (collected once, with no
+      intermediate list of the nodes).
+    These counts are deterministic for a given build, so these gates
+    cannot flap. *)
 
 module Codec = Blas_rel.Codec
 module Pool = Blas_rel.Buffer_pool
@@ -209,9 +215,81 @@ let alloc_gate () =
               rows;
             }))
 
+(* The setup count gates' bounds: minor words a v2 [Database.create]
+   allocates per SP/SD row it loads, and [Stats.collect] per node.  See
+   [setup_gate] for why these values. *)
+let max_create_words_per_row = 34.
+let max_collect_words_per_node = 0.6
+
+(* Minor words [f ()] allocates, counted between two minor
+   collections. *)
+let minor_words f =
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let words = Gc.minor_words () -. w0 in
+  Gc.minor ();
+  words
+
+(* Setup allocation on base-scale Shakespeare: a v2 bulk load prices
+   each page once and sorts nothing (the rows come clustered), and the
+   index build collects statistics once, straight from the nodes (the
+   words a build with statistics allocates beyond one without).  Both
+   counts are deterministic for a given build. *)
+let setup_gate () =
+  let tree = Datasets.shakespeare_base () in
+  let storage = Blas.Storage.of_tree tree in
+  let rows =
+    Blas_rel.Table.cardinality storage.Blas.Storage.sp
+    + Blas_rel.Table.cardinality storage.Blas.Storage.sd
+  in
+  let path = Filename.temp_file "blas_bench_setup" ".blasdb" in
+  let create_words =
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun p -> try Sys.remove p with Sys_error _ -> ())
+          [ path; path ^ ".wal" ])
+      (fun () ->
+        minor_words (fun () -> Blas.Database.create ~codec:Codec.V2 ~path storage))
+  in
+  let doc = Blas_xpath.Doc.of_tree tree in
+  let nodes = List.length doc.all in
+  let build collect_stats =
+    minor_words (fun () -> Blas.Storage.of_doc ~collect_stats doc)
+  in
+  let collect_words = build true -. build false in
+  let per_row = create_words /. float_of_int rows in
+  let per_node = collect_words /. float_of_int nodes in
+  gate
+    (Printf.sprintf "v2 Database.create: %.2f minor words per row <= %.0f" per_row
+       max_create_words_per_row)
+    (per_row <= max_create_words_per_row);
+  gate
+    (Printf.sprintf "Stats.collect: %.3f minor words per node <= %.1f" per_node
+       max_collect_words_per_node)
+    (per_node <= max_collect_words_per_node);
+  Bench_util.print_table
+    ~title:"setup allocation (base-scale Shakespeare)"
+    {
+      Bench_util.header = [ "step"; "units"; "minor words"; "words/unit" ];
+      rows =
+        [
+          [
+            "v2 Database.create"; Printf.sprintf "%d rows" rows;
+            Printf.sprintf "%.0f" create_words; Printf.sprintf "%.2f" per_row;
+          ];
+          [
+            "Stats.collect"; Printf.sprintf "%d nodes" nodes;
+            Printf.sprintf "%.0f" collect_words; Printf.sprintf "%.3f" per_node;
+          ];
+        ];
+    }
+
 let run () =
   Bench_util.heading "Page codecs: v1 row-major vs v2 compact columnar";
   alloc_gate ();
+  setup_gate ();
   let create_s = ref (0., 0.) in
   let rows =
     List.concat_map

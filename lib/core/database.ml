@@ -365,7 +365,7 @@ let install db (storage : Storage.t) (cat, chain) =
     in
     storage.Storage.guide <- guide;
     storage.Storage.ostats <-
-      Some (Storage.collect_ostats ~guide (Columns.values cols)));
+      Some (Blas_optimizer.Stats.collect ~guide (Columns.iter_values cols)));
   Qcache.flush_plans storage.Storage.cache
 
 (* ------------------------------------------------------------------ *)
@@ -604,11 +604,10 @@ let create ?(page_size = 4096) ?(fill = Table.default_fill)
               free = ignore;
             }
           in
-          let load spec (table : Table.t) =
-            let rows =
-              Array.to_list (Blas_rel.Relation.tuples (Table.relation table))
-            in
-            Table.directory (Layout.load ~fill pages spec rows)
+          (* The source rows are clustered already: the load cuts and
+             writes them in one pass. *)
+          let load spec table =
+            Table.directory (Layout.load ~fill pages spec (Table.rows table))
           in
           let sp = load Layout.sp storage.Storage.sp in
           let sd = load Layout.sd storage.Storage.sd in

@@ -96,8 +96,8 @@ let refresh ?seed storage =
   in
   let epoch = match prev with Some p -> Stats.epoch p + 1 | None -> 0 in
   let stats =
-    Storage.collect_ostats ~seed ~epoch ~guide:(Storage.guide storage)
-      (Blas_update.Columns.values (Storage.columns storage))
+    Stats.collect ~seed ~epoch ~guide:(Storage.guide storage)
+      (Blas_update.Columns.iter_values (Storage.columns storage))
   in
   Storage.set_ostats storage (Some stats);
   Qcache.bump_stats_epoch (Storage.cache storage)

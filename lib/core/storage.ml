@@ -164,14 +164,6 @@ let doc t =
    data sets do not fit entirely, as on the paper's machine. *)
 let default_pool_capacity = 1024
 
-(** One-pass optimizer statistics over the nodes' tags and texts in
-    document order: value reservoirs beside the counted [guide]. *)
-let collect_ostats ?seed ?epoch ~guide nodes =
-  Blas_optimizer.Stats.collect ?seed ?epoch ~guide
-    (List.map
-       (fun (tag, data) -> { Blas_optimizer.Stats.nv_tag = tag; nv_data = data })
-       nodes)
-
 (** [of_doc doc] builds both relations on an in-memory page store —
     the same 4 KiB pages at 0.9 fill and page directories that a
     database file of [doc] holds.  P-labels are the labels of the
@@ -194,8 +186,8 @@ let of_doc ?(pool_capacity = default_pool_capacity) ?(collect_stats = true)
     ostats =
       (if collect_stats then
          Some
-           (collect_ostats ~guide:doc.guide
-              (List.map (fun (n : Blas_xpath.Doc.node) -> (n.tag, n.data)) doc.all))
+           (Blas_optimizer.Stats.collect ~guide:doc.guide (fun f ->
+                List.iter (fun (n : Blas_xpath.Doc.node) -> f n.tag n.data) doc.all))
        else None);
     codec;
   }

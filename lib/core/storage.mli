@@ -201,13 +201,3 @@ val set_ostats : t -> Blas_optimizer.Stats.t option -> unit
 (** The active page codec (v1 row-major or v2 compact columnar).  It
     shapes the page cuts, hence page counts and plan pricing. *)
 val codec : t -> Blas_rel.Codec.format
-
-(** One-pass statistics collection over the nodes' tags and texts in
-    document order, counted in [guide]: from the document at index
-    build, from the label columns in [Blas.Optimizer.refresh]. *)
-val collect_ostats :
-  ?seed:int ->
-  ?epoch:int ->
-  guide:Blas_xml.Dataguide.t ->
-  (string * string option) list ->
-  Blas_optimizer.Stats.t

@@ -1,7 +1,5 @@
 module Dataguide = Blas_xml.Dataguide
 
-type node_view = { nv_tag : string; nv_data : string option }
-
 (* A tag's reservoir while [collect] or [of_string] fills it. *)
 type draft = {
   mutable values : string array;  (* at most capacity entries *)
@@ -116,11 +114,12 @@ let default_seed () = Atomic.get global_seed
 let set_default_seed s = Atomic.set global_seed s
 
 (* splitmix64: a tiny deterministic generator so sampling never depends
-   on global Random state. *)
-let splitmix state =
+   on global Random state.  The state lives in 8 bytes and the step is
+   inlined into [draw], so a draw allocates no boxed [int64]. *)
+let[@inline] splitmix state =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
+  let z = add (Bytes.get_int64_ne state 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne state 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
@@ -136,21 +135,21 @@ let default_sample_size = 64
 let total guide = Dataguide.suffix_count guide ~absolute:false ~tags:[]
 
 let collect ?seed ?(epoch = 0) ?(sample_size = default_sample_size) ~guide
-    nodes =
+    iter =
   let seed = match seed with Some s -> s | None -> default_seed () in
-  let rng = ref (Int64.of_int seed) in
+  let rng = Bytes.create 8 in
+  Bytes.set_int64_ne rng 0 (Int64.of_int seed);
   let drafts = Hashtbl.create 64 in
-  List.iter
-    (fun nv ->
-      match nv.nv_data with
+  iter (fun tag data ->
+      match data with
       | None -> ()
       | Some v ->
           let r : draft =
-            match Hashtbl.find_opt drafts nv.nv_tag with
-            | Some r -> r
-            | None ->
+            match Hashtbl.find drafts tag with
+            | r -> r
+            | exception Not_found ->
                 let r = { values = Array.make sample_size ""; filled = 0; seen = 0 } in
-                Hashtbl.add drafts nv.nv_tag r;
+                Hashtbl.add drafts tag r;
                 r
           in
           r.seen <- r.seen + 1;
@@ -161,8 +160,7 @@ let collect ?seed ?(epoch = 0) ?(sample_size = default_sample_size) ~guide
           else
             (* classic reservoir: replace slot j with probability k/seen *)
             let j = draw rng r.seen in
-            if j < sample_size then r.values.(j) <- v)
-    nodes;
+            if j < sample_size then r.values.(j) <- v);
   let samples, blob = freeze drafts in
   {
     st_seed = seed;

@@ -16,24 +16,23 @@
 
 type t
 
-(** What {!collect} reads per element node. *)
-type node_view = { nv_tag : string; nv_data : string option }
-
 (** The process-wide default reservoir seed ([--stats-seed]); fixed so
     stats-dependent tests and benches are reproducible by default. *)
 val default_seed : unit -> int
 
 val set_default_seed : int -> unit
 
-(** [collect ?seed ?epoch ?sample_size ~guide nodes] — one pass over
-    the nodes counted in [guide].  [seed] defaults to {!default_seed};
-    [sample_size] is the per-tag reservoir capacity (default 64). *)
+(** [collect ?seed ?epoch ?sample_size ~guide iter] — one pass over
+    the nodes counted in [guide]: [iter f] calls [f tag data] on every
+    element node in document order, straight from wherever the nodes
+    live.  [seed] defaults to {!default_seed}; [sample_size] is the
+    per-tag reservoir capacity (default 64). *)
 val collect :
   ?seed:int ->
   ?epoch:int ->
   ?sample_size:int ->
   guide:Blas_xml.Dataguide.t ->
-  node_view list ->
+  ((string -> string option -> unit) -> unit) ->
   t
 
 val seed : t -> int

@@ -1,8 +1,9 @@
 (** Binary codecs for values, tuples and data pages.
 
     Disk-backed tables store their clustered tuple runs as page
-    payloads; this module defines the two representations and the
-    packers the bulk loader and page splits share.
+    payloads; this module defines the two representations and the one
+    packer per representation that the bulk loader and page splits
+    share ({!pack_pages}).
 
     {b v1 — row-major.}  Value encoding (one tag byte, then):
     - [0] NULL — nothing
@@ -35,6 +36,15 @@
       columns (e.g. distinct PCDATA).
     The encoder prices every applicable strategy and keeps the
     smallest, so the choice is deterministic and self-describing.
+
+    {b One pricing per row.}  A v2 page is built by one {!v2} builder
+    as rows append: each row is priced once under every strategy of
+    every column (int values without building their payload or boxing
+    a dictionary key), the page is cut at the first row that would
+    overflow, and its blocks are written from the same running state —
+    the dictionary's entries and runs, or a pass over the rows for
+    int-delta and raw.  {!pack_pages}, {!encode_page} and {!page_bytes}
+    all run that builder; nothing prices a v2 page a second time.
 
     {b Reads.}  {!select} returns the rows of a page whose key column
     lies in an inclusive range.  Under v2 it decides on the encoded key
@@ -128,10 +138,15 @@ let encode_tuple t =
   add_tuple buf t;
   Buffer.contents buf
 
-(* Bytes of a LEB128 varint. *)
-let varint_bytes n =
-  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
-  go n 1
+(* Bytes of a LEB128 varint (1 for a negative [n]). *)
+let[@inline] varint_bytes n =
+  if n < 0x80 then 1
+  else if n < 0x4000 then 2
+  else if n < 0x20_0000 then 3
+  else if n < 0x1000_0000 then 4
+  else
+    let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
+    go (n lsr 28) 5
 
 let string_bytes s = varint_bytes (String.length s) + String.length s
 
@@ -165,7 +180,7 @@ let encode_page_v1 tuples =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* v2 pages: columnar                                                  *)
+(* v2 pages: the one-pass builder                                      *)
 
 (* Strategy tags. *)
 let st_int_delta = 0
@@ -181,39 +196,31 @@ let zigzag n = if n >= 0 then n lsl 1 else (((-n) - 1) lsl 1) lor 1
 
 let unzigzag z = if z land 1 = 0 then z lsr 1 else -(z lsr 1) - 1
 
-let encode_int_delta values =
-  let buf = Buffer.create 128 in
-  Wire.write_u8 buf st_int_delta;
-  let prev = ref 0 in
-  Array.iter
-    (fun v ->
-      let n = match (v : Value.t) with Int n -> n | _ -> assert false in
-      Wire.write_varint buf (zigzag (n - !prev));
-      prev := n)
-    values;
-  Buffer.contents buf
-
-(* The canonical byte string a value front-codes through: dictionary
-   entries are (tag, shared-prefix length, suffix) against the previous
-   entry's payload. *)
+(* A dictionary entry is its value's tag and {e payload}, the value's
+   v1 body: nothing for Null, the varint of [n] (tag 1) or [-n-1]
+   (tag 2) for an int, the bytes of a string (tag 4).  Entries are
+   front-coded against the previous entry's payload, which the builder
+   reads in place, byte by byte, without building it. *)
 let value_tag = function
   | Value.Null -> 0
   | Value.Int n when n >= 0 -> 1
   | Value.Int _ -> 2
   | Value.Str _ -> 4
 
-let value_payload v =
-  match (v : Value.t) with
-  | Null -> ""
-  | Int n when n >= 0 ->
-      let buf = Buffer.create 8 in
-      Wire.write_varint buf n;
-      Buffer.contents buf
+let payload_len (v : Value.t) =
+  match v with
+  | Null -> 0
+  | Int n -> varint_bytes (if n >= 0 then n else -n - 1)
+  | Str s -> String.length s
+
+(* Byte [k] of the payload ([k < payload_len v]). *)
+let payload_byte (v : Value.t) k =
+  match v with
   | Int n ->
-      let buf = Buffer.create 8 in
-      Wire.write_varint buf (-n - 1);
-      Buffer.contents buf
-  | Str s -> s
+      let rest = (if n >= 0 then n else -n - 1) lsr (7 * k) in
+      if rest >= 0x80 then 0x80 lor (rest land 0x7f) else rest
+  | Str s -> Char.code (String.unsafe_get s k)
+  | Null -> invalid_arg "Codec.payload_byte: empty payload"
 
 let value_of_tag_payload tag payload : Value.t =
   match tag with
@@ -231,178 +238,331 @@ let shared_prefix a b =
   done;
   !i
 
-module VH = Hashtbl.Make (struct
-  type t = Value.t
+(* The length of the prefix two entries' payloads share. *)
+let payload_shared (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Str x, Str y -> shared_prefix x y
+  | _ ->
+      let n = min (payload_len a) (payload_len b) in
+      let i = ref 0 in
+      while !i < n && payload_byte a !i = payload_byte b !i do
+        incr i
+      done;
+      !i
 
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-let encode_dict values =
-  let buf = Buffer.create 128 in
-  Wire.write_u8 buf st_dict;
-  (* Dictionary in first-occurrence order (= sorted for cluster
-     columns, which is what makes the front coding bite) and the rows
-     as (index, run-length) pairs. *)
-  let seen = VH.create 16 in
-  let dict = ref [] and ndict = ref 0 in
-  let runs = ref [] in
-  Array.iter
-    (fun v ->
-      let idx =
-        match VH.find_opt seen v with
-        | Some i -> i
-        | None ->
-            let i = !ndict in
-            VH.replace seen v i;
-            dict := v :: !dict;
-            incr ndict;
-            i
-      in
-      match !runs with
-      | (i, len) :: rest when i = idx -> runs := (i, len + 1) :: rest
-      | _ -> runs := (idx, 1) :: !runs)
-    values;
-  let dict = List.rev !dict and runs = List.rev !runs in
-  Wire.write_varint buf !ndict;
-  let prev = ref "" in
-  List.iter
-    (fun v ->
-      let payload = value_payload v in
-      let shared = shared_prefix !prev payload in
-      Wire.write_u8 buf (value_tag v);
-      Wire.write_varint buf shared;
-      Wire.write_string buf
-        (String.sub payload shared (String.length payload - shared));
-      prev := payload)
-    dict;
-  Wire.write_varint buf (List.length runs);
-  List.iter
-    (fun (idx, len) ->
-      Wire.write_varint buf idx;
-      Wire.write_varint buf len)
-    runs;
-  Buffer.contents buf
-
-let encode_raw values =
-  let buf = Buffer.create 128 in
-  Wire.write_u8 buf st_raw;
-  Array.iter (add_value buf) values;
-  Buffer.contents buf
-
-(* One column block's running size under each strategy, without the
-   strategy byte: the bytes [encode_int_delta], [encode_dict] and
-   [encode_raw] would write for the values added so far. *)
-type col_size = {
-  mutable delta : int;  (** int-delta bytes; [-1] once it cannot apply *)
-  mutable prev : int;
-  seen : (int * int) VH.t;  (** value -> dictionary index, v1 bytes *)
-  mutable entries : int;  (** front-coded dictionary entry bytes *)
-  mutable last : string;  (** the last entry's payload *)
-  mutable nruns : int;
-  mutable runs : int;  (** (index, run-length) pair bytes *)
-  mutable run_value : Value.t;
-  mutable run_len : int;
-  mutable run_raw : int;  (** v1 bytes of [run_value] *)
-  mutable raw : int;
+(* One page's int values -> dictionary index: open addressing over
+   unboxed arrays, emptied in O(1) by moving to a new generation, so an
+   int dictionary neither boxes nor hashes a [Value.t]. *)
+type int_index = {
+  mutable keys : int array;
+  mutable at : int array;  (** the key's dictionary index *)
+  mutable gens : int array;  (** a slot is live when it holds [gen] *)
+  mutable gen : int;
+  mutable live : int;
 }
 
-let col_size () =
+let int_index () =
+  { keys = Array.make 64 0; at = Array.make 64 0; gens = Array.make 64 0; gen = 1; live = 0 }
+
+(* [k]'s slot, or the empty slot its probe ends on. *)
+let int_slot t k =
+  let mask = Array.length t.keys - 1 in
+  let h = k * 0x2545F4914F6CDD1D in
+  let i = ref ((h lxor (h lsr 29)) land mask) in
+  while t.gens.(!i) = t.gen && t.keys.(!i) <> k do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let int_put t i k at =
+  t.gens.(i) <- t.gen;
+  t.keys.(i) <- k;
+  t.at.(i) <- at;
+  t.live <- t.live + 1
+
+(* [k]'s index, or [next] once recorded as [k]'s. *)
+let int_index_of t k next =
+  if 2 * (t.live + 1) > Array.length t.keys then begin
+    let { keys; at; gens; gen; _ } = t in
+    let n = 2 * Array.length keys in
+    t.keys <- Array.make n 0;
+    t.at <- Array.make n 0;
+    t.gens <- Array.make n 0;
+    t.live <- 0;
+    Array.iteri
+      (fun i g -> if g = gen then int_put t (int_slot t keys.(i)) keys.(i) at.(i))
+      gens
+  end;
+  let i = int_slot t k in
+  if t.gens.(i) = t.gen then t.at.(i)
+  else begin
+    int_put t i k next;
+    next
+  end
+
+(* [a] with room for an element at [n]. *)
+let room a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+(* One column block as the page's rows append: each strategy's running
+   size without the strategy byte, and what the dictionary strategy
+   writes from — its entries in first-occurrence order (sorted for the
+   cluster columns, which is what makes the front coding bite) and its
+   (index, run-length) pairs.  [k_*] hold the same at the page's last
+   committed row: a page is written from them. *)
+type col = {
+  mutable delta : int;  (** int-delta bytes; [-1] once it cannot apply *)
+  mutable prev : int;
+  ints : int_index;
+  strs : (string, int) Hashtbl.t;
+  mutable null_at : int;  (** Null's dictionary index, [-1] if absent *)
+  mutable dict : Value.t array;  (** the first [ndict] are the entries *)
+  mutable ndict : int;
+  mutable entries : int;  (** front-coded dictionary entry bytes *)
+  mutable run_at : int array;  (** each run's dictionary index *)
+  mutable run_len : int array;  (** each closed run's length *)
+  mutable nruns : int;
+  mutable len : int;  (** the open (last) run's length *)
+  mutable runs : int;  (** (index, run-length) pair bytes *)
+  mutable raw : int;
+  mutable st : int;  (** the strategy {!col_pick} chose, and its size *)
+  mutable size : int;
+  mutable k_ndict : int;
+  mutable k_nruns : int;
+  mutable k_len : int;
+  mutable k_st : int;
+  mutable k_size : int;
+}
+
+let col () =
   {
     delta = 0;
     prev = 0;
-    seen = VH.create 16;
+    ints = int_index ();
+    strs = Hashtbl.create 16;
+    null_at = -1;
+    dict = Array.make 16 Value.Null;
+    ndict = 0;
     entries = 0;
-    last = "";
+    run_at = Array.make 16 0;
+    run_len = Array.make 16 0;
     nruns = 0;
+    len = 0;
     runs = 0;
-    run_value = Value.Null;
-    run_len = 0;
-    run_raw = 0;
     raw = 0;
+    st = st_raw;
+    size = 0;
+    k_ndict = 0;
+    k_nruns = 0;
+    k_len = 0;
+    k_st = st_raw;
+    k_size = 0;
   }
 
-let col_add c v =
+let col_reset c =
+  c.delta <- 0;
+  c.prev <- 0;
+  c.ints.gen <- c.ints.gen + 1;
+  c.ints.live <- 0;
+  if Hashtbl.length c.strs > 0 then Hashtbl.clear c.strs;
+  c.null_at <- -1;
+  c.ndict <- 0;
+  c.entries <- 0;
+  c.nruns <- 0;
+  c.len <- 0;
+  c.runs <- 0;
+  c.raw <- 0
+
+(* [v]'s dictionary index, adding (and pricing) an entry for a value
+   not seen on this page. *)
+let dict_index c (v : Value.t) =
+  let next = c.ndict in
+  let idx =
+    match v with
+    | Int n -> int_index_of c.ints n next
+    | Str s -> (
+        match Hashtbl.find c.strs s with
+        | i -> i
+        | exception Not_found ->
+            Hashtbl.add c.strs s next;
+            next)
+    | Null ->
+        if c.null_at < 0 then c.null_at <- next;
+        c.null_at
+  in
+  if idx = next then begin
+    let shared = if next = 0 then 0 else payload_shared c.dict.(next - 1) v in
+    let suffix = payload_len v - shared in
+    c.entries <- c.entries + 1 + varint_bytes shared + varint_bytes suffix + suffix;
+    c.dict <- room c.dict next Value.Null;
+    c.dict.(next) <- v;
+    c.ndict <- next + 1
+  end;
+  idx
+
+let col_add c (v : Value.t) =
   (if c.delta >= 0 then
-     match (v : Value.t) with
+     match v with
      | Int n when n > -zz_bound && n < zz_bound ->
          c.delta <- c.delta + varint_bytes (zigzag (n - c.prev));
          c.prev <- n
      | _ -> c.delta <- -1);
-  if c.nruns > 0 && Value.equal v c.run_value then begin
-    c.runs <- c.runs + varint_bytes (c.run_len + 1) - varint_bytes c.run_len;
-    c.run_len <- c.run_len + 1
+  let r = c.nruns - 1 in
+  if r >= 0 && Value.equal v c.dict.(c.run_at.(r)) then begin
+    c.runs <- c.runs + varint_bytes (c.len + 1) - varint_bytes c.len;
+    c.len <- c.len + 1
   end
   else begin
-    let idx, bytes =
-      match VH.find_opt c.seen v with
-      | Some e -> e
-      | None ->
-          let e = (VH.length c.seen, value_bytes v) in
-          VH.replace c.seen v e;
-          let payload = value_payload v in
-          let shared = shared_prefix c.last payload in
-          let suffix = String.length payload - shared in
-          c.entries <-
-            c.entries + 1 + varint_bytes shared + varint_bytes suffix + suffix;
-          c.last <- payload;
-          e
-    in
+    let idx = dict_index c v in
+    if r >= 0 then c.run_len.(r) <- c.len;
+    c.run_at <- room c.run_at (r + 1) 0;
+    c.run_len <- room c.run_len (r + 1) 0;
+    c.run_at.(r + 1) <- idx;
+    c.nruns <- r + 2;
     c.runs <- c.runs + varint_bytes idx + 1;
-    c.nruns <- c.nruns + 1;
-    c.run_value <- v;
-    c.run_len <- 1;
-    c.run_raw <- bytes
+    c.len <- 1
   end;
-  c.raw <- c.raw + c.run_raw
+  c.raw <- c.raw + value_bytes v
 
 (* The smallest applicable strategy and its size; ties break toward
    int-delta, then dict, so the choice is deterministic. *)
 let col_pick c =
-  let dict =
-    varint_bytes (VH.length c.seen) + c.entries + varint_bytes c.nruns + c.runs
-  in
-  if c.delta >= 0 && c.delta <= dict && c.delta <= c.raw then
-    (st_int_delta, c.delta)
-  else if dict <= c.raw then (st_dict, dict)
-  else (st_raw, c.raw)
-
-(* Writes only the strategy {!col_pick} prices smallest. *)
-let encode_column values =
-  let c = col_size () in
-  Array.iter (col_add c) values;
-  match fst (col_pick c) with
-  | s when s = st_int_delta -> encode_int_delta values
-  | s when s = st_dict -> encode_dict values
-  | _ -> encode_raw values
-
-let encode_page_v2 tuples =
-  let nrows = List.length tuples in
-  let buf = Buffer.create 512 in
-  Wire.write_varint buf nrows;
-  if nrows = 0 then begin
-    Wire.write_varint buf 0;
-    Buffer.contents buf
+  let dict = varint_bytes c.ndict + c.entries + varint_bytes c.nruns + c.runs in
+  if c.delta >= 0 && c.delta <= dict && c.delta <= c.raw then begin
+    c.st <- st_int_delta;
+    c.size <- c.delta
+  end
+  else if dict <= c.raw then begin
+    c.st <- st_dict;
+    c.size <- dict
   end
   else begin
-    let rows = Array.of_list tuples in
-    let ncols = Tuple.arity rows.(0) in
-    Array.iter
-      (fun t ->
-        if Tuple.arity t <> ncols then
-          invalid_arg "Codec.encode_page: ragged tuple arities")
-      rows;
-    Wire.write_varint buf ncols;
-    let blocks =
-      List.init ncols (fun c ->
-          encode_column (Array.map (fun t -> Tuple.get t c) rows))
-    in
-    (* The per-page directory: block lengths up front, so one column is
-       addressable without decoding the others. *)
-    List.iter (fun b -> Wire.write_varint buf (String.length b)) blocks;
-    List.iter (Buffer.add_string buf) blocks;
-    Buffer.contents buf
+    c.st <- st_raw;
+    c.size <- c.raw
   end
+
+let col_commit c =
+  c.k_ndict <- c.ndict;
+  c.k_nruns <- c.nruns;
+  c.k_len <- c.len;
+  c.k_st <- c.st;
+  c.k_size <- c.size
+
+(* Column [i]'s block of the committed [rows], in the strategy priced
+   smallest: the rows' deltas or v1 values, or the dictionary and runs
+   as priced. *)
+let write_block buf c i rows =
+  Wire.write_u8 buf c.k_st;
+  if c.k_st = st_int_delta then begin
+    let prev = ref 0 in
+    List.iter
+      (fun t ->
+        let n = Value.to_int (Tuple.get t i) in
+        Wire.write_varint buf (zigzag (n - !prev));
+        prev := n)
+      rows
+  end
+  else if c.k_st = st_dict then begin
+    Wire.write_varint buf c.k_ndict;
+    for e = 0 to c.k_ndict - 1 do
+      let v = c.dict.(e) in
+      let shared = if e = 0 then 0 else payload_shared c.dict.(e - 1) v in
+      let suffix = payload_len v - shared in
+      Wire.write_u8 buf (value_tag v);
+      Wire.write_varint buf shared;
+      Wire.write_varint buf suffix;
+      match v with
+      | Str s -> Buffer.add_substring buf s shared suffix
+      | _ ->
+          for k = shared to shared + suffix - 1 do
+            Buffer.add_char buf (Char.unsafe_chr (payload_byte v k))
+          done
+    done;
+    Wire.write_varint buf c.k_nruns;
+    for r = 0 to c.k_nruns - 1 do
+      Wire.write_varint buf c.run_at.(r);
+      Wire.write_varint buf (if r = c.k_nruns - 1 then c.k_len else c.run_len.(r))
+    done
+  end
+  else List.iter (fun t -> add_value buf (Tuple.get t i)) rows
+
+(** The v2 page builder: one page's columns as its rows append, every
+    strategy of every column priced once per row ({!v2_add}, which
+    returns the page's exact size), and the page is written from the
+    same state ({!v2_write}), so no row is priced twice.  Every
+    strategy's size grows with each row and int-delta can only drop
+    out, so the page size is monotone in the row count. *)
+type v2 = {
+  cols : col array;
+  mutable rows : Tuple.t list;  (** the committed rows, last first *)
+  mutable nrows : int;
+  mutable bytes : int;  (** the committed rows' encoded size *)
+}
+
+let v2 ncols = { cols = Array.init ncols (fun _ -> col ()); rows = []; nrows = 0; bytes = 0 }
+
+let v2_reset b =
+  Array.iter col_reset b.cols;
+  b.rows <- [];
+  b.nrows <- 0;
+  b.bytes <- 0
+
+(** Prices one more row onto the committed ones: the size of the page
+    with it.  The row is not committed ({!v2_commit}); until it is, the
+    page is still written without it.
+    @raise Invalid_argument on an arity other than the page's. *)
+let v2_add b t =
+  let ncols = Array.length b.cols in
+  if Tuple.arity t <> ncols then
+    invalid_arg "Codec.encode_page: ragged tuple arities";
+  let bytes = ref (varint_bytes (b.nrows + 1) + varint_bytes ncols) in
+  for i = 0 to ncols - 1 do
+    let c = b.cols.(i) in
+    col_add c (Tuple.get t i);
+    col_pick c;
+    let block = 1 + c.size in
+    bytes := !bytes + varint_bytes block + block
+  done;
+  !bytes
+
+(** Commits the row {!v2_add} last priced, at the size it returned. *)
+let v2_commit b t bytes =
+  Array.iter col_commit b.cols;
+  b.rows <- t :: b.rows;
+  b.nrows <- b.nrows + 1;
+  b.bytes <- bytes
+
+(** The committed rows in order, and their page payload: the per-page
+    directory of block lengths, then the blocks. *)
+let v2_write b =
+  let rows = List.rev b.rows in
+  ( rows,
+    fun () ->
+      let buf = Buffer.create b.bytes in
+      Wire.write_varint buf b.nrows;
+      if b.nrows > 0 then begin
+        Wire.write_varint buf (Array.length b.cols);
+        Array.iter (fun c -> Wire.write_varint buf (1 + c.k_size)) b.cols;
+        Array.iteri (fun i c -> write_block buf c i rows) b.cols
+      end
+      else Wire.write_varint buf 0;
+      assert (b.nrows = 0 || Buffer.length buf = b.bytes);
+      Buffer.contents buf )
+
+(* One page of every row, uncut. *)
+let v2_of_rows = function
+  | [] -> v2 0
+  | first :: _ as rows ->
+      let b = v2 (Tuple.arity first) in
+      List.iter (fun t -> v2_commit b t (v2_add b t)) rows;
+      b
+
+let encode_page_v2 rows = (snd (v2_write (v2_of_rows rows))) ()
 
 (* ------------------------------------------------------------------ *)
 (* The encoded order                                                   *)
@@ -463,8 +623,8 @@ let entry_within lo hi tag payload =
   | _ -> within lo hi (tag_rank tag) 0 payload 0 (String.length payload)
 
 (** [cmp_enc v tag payload] orders [v] against the value encoded as
-    [(tag, payload)] (a dictionary entry: {!value_tag}, {!value_payload})
-    without decoding it; its sign is that of [Value.compare v]. *)
+    [(tag, payload)] (a dictionary entry: {!value_tag} and the value's
+    v1 body) without decoding it; its sign is that of [Value.compare v]. *)
 let cmp_enc v tag payload =
   let k = key_of_value v in
   match tag with
@@ -708,35 +868,6 @@ let select_v2 ~cols ~col ~lo ~hi onto payload =
     end
 
 (* ------------------------------------------------------------------ *)
-(* v2 page sizing                                                      *)
-
-(** The exact size of a v2 page as rows append ({!v2_add}), read by
-    {!v2_bytes}.  Every strategy's size grows with each row and
-    int-delta can only drop out, so the page size is monotone in the
-    row count. *)
-type v2_size = { mutable nrows : int; cols : col_size array }
-
-let v2_size ncols = { nrows = 0; cols = Array.init ncols (fun _ -> col_size ()) }
-
-(** Appends one row.
-    @raise Invalid_argument on an arity other than the page's. *)
-let v2_add s t =
-  if Tuple.arity t <> Array.length s.cols then
-    invalid_arg "Codec.encode_page: ragged tuple arities";
-  Array.iteri (fun i c -> col_add c (Tuple.get t i)) s.cols;
-  s.nrows <- s.nrows + 1
-
-(** [String.length (encode_page_v2 rows)] for the rows added so far
-    (at least one). *)
-let v2_bytes s =
-  Array.fold_left
-    (fun acc c ->
-      let b = 1 + snd (col_pick c) in
-      acc + varint_bytes b + b)
-    (varint_bytes s.nrows + varint_bytes (Array.length s.cols))
-    s.cols
-
-(* ------------------------------------------------------------------ *)
 (* Format dispatch                                                     *)
 
 (** A data page payload for [tuples] under [format] (default v1). *)
@@ -854,8 +985,8 @@ let decode_page ?format payload =
   select ?format payload ~col:0 ~lo:None ~hi:None
 
 (** [page_bytes ~format tuples] — the size of [encode_page ~format
-    tuples], without encoding it: v1 adds up {!tuple_bytes}, v2 runs
-    {!v2_size} over the rows. *)
+    tuples], without encoding it: v1 adds up {!tuple_bytes}, v2 prices
+    the rows onto one {!v2} page. *)
 let page_bytes ?(format = V1) tuples =
   match format with
   | V1 ->
@@ -866,10 +997,7 @@ let page_bytes ?(format = V1) tuples =
   | V2 -> (
       match tuples with
       | [] -> String.length (encode_page_v2 [])
-      | first :: _ ->
-          let size = v2_size (Tuple.arity first) in
-          List.iter (v2_add size) tuples;
-          v2_bytes size)
+      | _ -> (v2_of_rows tuples).bytes)
 
 (** Row count of a page payload without decoding it (both layouts lead
     with it). *)
@@ -879,19 +1007,20 @@ let page_nrows payload = Wire.read_varint (Wire.reader payload)
 let page_overhead = 5
 
 (* Greedy chunking by v1 tuple size: the v1 packer. *)
-let chunk_rows ~capacity ~fill tuples =
+let chunk_rows ~capacity ~fill ~page tuples =
   let target =
     max 1 (min (capacity - page_overhead)
              (int_of_float (float_of_int capacity *. fill) - page_overhead))
   in
-  let chunks = ref [] in
+  let pages = ref [] in
   let cur = ref [] in
   let cur_bytes = ref 0 in
   let flush () =
     match !cur with
     | [] -> ()
     | rev ->
-        chunks := List.rev rev :: !chunks;
+        let rows = List.rev rev in
+        pages := page rows (fun () -> encode_page_v1 rows) :: !pages;
         cur := [];
         cur_bytes := 0
   in
@@ -907,60 +1036,64 @@ let chunk_rows ~capacity ~fill tuples =
       cur_bytes := !cur_bytes + sz)
     tuples;
   flush ();
-  List.rev !chunks
+  List.rev !pages
 
-(* v2 packing: one pass over the rows with a running {!v2_size}.  A
-   page closes at the first row that would push its encoding past the
-   fill target, so each page is the largest prefix whose real encoding
-   fits (the size is monotone in the row count), and it is encoded
-   once, by the caller.  At least one row per page regardless,
+(* The v2 packer: one {!v2} builder over the rows.  A page closes at
+   the first row that would push its encoding past the fill target, so
+   each page is the largest prefix whose real encoding fits (the size
+   is monotone in the row count), and it is written from the state that
+   priced it, without that row.  At least one row per page regardless,
    matching the v1 greedy. *)
-let pack_rows_v2 ~capacity ~fill tuples =
+let pack_rows_v2 ~capacity ~fill ~page tuples =
   let lim =
     max 1 (min capacity (int_of_float (float_of_int capacity *. fill)))
   in
   match tuples with
   | [] -> []
   | first :: _ ->
-      let ncols = Tuple.arity first in
-      let size = ref (v2_size ncols) in
-      let pages = ref [] and cur = ref [] in
+      let b = v2 (Tuple.arity first) in
+      let pages = ref [] in
+      let close () =
+        let rows, encode = v2_write b in
+        pages := page rows encode :: !pages;
+        v2_reset b
+      in
       let open_page t =
-        size := v2_size ncols;
-        v2_add !size t;
-        let b = v2_bytes !size in
-        if b > capacity then
+        let bytes = v2_add b t in
+        if bytes > capacity then
           invalid_arg
             (Printf.sprintf
                "Codec.pack_pages: tuple run of %d bytes exceeds page capacity %d (v2)"
-               b capacity);
-        cur := [ t ]
+               bytes capacity);
+        v2_commit b t bytes
       in
       List.iter
         (fun t ->
-          match !cur with
-          | [] -> open_page t
-          | rows ->
-              v2_add !size t;
-              if v2_bytes !size <= lim then cur := t :: rows
-              else begin
-                pages := List.rev rows :: !pages;
-                open_page t
-              end)
+          if b.nrows = 0 then open_page t
+          else
+            let bytes = v2_add b t in
+            if bytes <= lim then v2_commit b t bytes
+            else begin
+              close ();
+              open_page t
+            end)
         tuples;
-      List.rev (List.rev !cur :: !pages)
+      close ();
+      List.rev !pages
 
-(** [pack_pages ~format ~capacity ~fill tuples] cuts the (already
+(** [pack_pages ~format ~capacity ~fill ~page tuples] cuts the (already
     clustered) tuples into pages whose payloads take at most [capacity
     * fill] bytes — at least one tuple per page regardless, so an
-    oversized fill target cannot stall.  Returns each page's rows in
-    order.  v1 cuts greedily by {!tuple_bytes}; v2 cuts greedily by the
-    exact compressed page size, kept as rows append, so pages fill to
-    the target no matter how small the rows compress.  Neither encodes
-    a page.
+    oversized fill target cannot stall — and returns [page rows encode]
+    for each page in order: its rows, and a function that writes its
+    payload, valid only during that call.  v1 cuts greedily by
+    {!tuple_bytes}; v2 cuts greedily by the exact compressed page size,
+    kept as rows append, so pages fill to the target no matter how
+    small the rows compress, and it writes a page from the state that
+    priced it.  Neither encodes a page unless [encode] is called.
     @raise Invalid_argument if a single tuple exceeds [capacity], or
     (v2) if the tuples' arities differ. *)
-let pack_pages ?(format = V1) ~capacity ~fill tuples =
+let pack_pages ?(format = V1) ~capacity ~fill ~page tuples =
   match format with
-  | V1 -> chunk_rows ~capacity ~fill tuples
-  | V2 -> pack_rows_v2 ~capacity ~fill tuples
+  | V1 -> chunk_rows ~capacity ~fill ~page tuples
+  | V2 -> pack_rows_v2 ~capacity ~fill ~page tuples

@@ -59,10 +59,10 @@ let read ?run t counters ~table ~page =
   payload
 
 (** The payload to hand the store for a page of [rows]: the rows
-    themselves, or [encode rows] for a store of bytes. *)
+    themselves, or [encode ()] (their encoding) for a store of bytes. *)
 let payload t rows ~encode =
   if Buffer_pool.holds_rows t.pool then Buffer_pool.Rows rows
-  else Buffer_pool.Bytes (encode rows)
+  else Buffer_pool.Bytes (encode ())
 
 (** [write t counters ~table ~page rows ~encode] installs a rewritten
     page as dirty in the pool, charging one page write. *)

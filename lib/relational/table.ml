@@ -44,8 +44,6 @@ let store t = t.store
 
 let codec t = t.store.Page_store.codec
 
-let encode t rows = Codec.encode_page ~format:(codec t) rows
-
 (** [of_layout store ~name ~schema ~cluster_key ~dir] assembles a
     table from its clustered page directory (the database open path).
     Pages are read through the store's pool on demand. *)
@@ -54,35 +52,43 @@ let of_layout store ~name ~schema ~cluster_key ~dir =
 
 (* Lexicographic comparison on the cluster-key columns. *)
 let cluster_cmp schema cluster_key =
-  let idx = List.map (Schema.index_of schema) cluster_key in
+  let idx = Array.of_list (List.map (Schema.index_of schema) cluster_key) in
   fun a b ->
-    let rec go = function
-      | [] -> 0
-      | i :: rest ->
-        let c = Value.compare (Tuple.get a i) (Tuple.get b i) in
-        if c <> 0 then c else go rest
-    in
-    go idx
+    let c = ref 0 and k = ref 0 in
+    while !c = 0 && !k < Array.length idx do
+      let i = idx.(!k) in
+      c := Value.compare (Tuple.get a i) (Tuple.get b i);
+      incr k
+    done;
+    !c
+
+(* Cuts clustered [rows] into pages with the store's codec (see
+   {!Codec.pack_pages}), calling [page rows encode] for each. *)
+let pack ~fill (store : Page_store.t) ~page rows =
+  Codec.pack_pages ~format:store.codec ~capacity:store.capacity ~fill ~page rows
 
 (** [load ?fill store ~name ~schema ~cluster_key tuples] — the bulk
-    loader: sorts [tuples] by [cluster_key] (stably), cuts them into
+    loader: checks in one pass that [tuples] come in [cluster_key]
+    order and sorts them (stably) only if they do not, cuts them into
     pages of at most [fill] (default 0.9) of the store's capacity under
-    its codec and writes the pages straight to the page store, in
-    cluster order. *)
+    its codec and writes each page straight to the page store as it is
+    cut, in cluster order.  A v2 page is priced once and written from
+    the same pricing. *)
 let load ?(fill = default_fill) store ~name ~schema ~cluster_key tuples =
-  let format = store.Page_store.codec in
-  let rows = List.stable_sort (cluster_cmp schema cluster_key) tuples in
+  let cmp = cluster_cmp schema cluster_key in
+  let rec clustered = function
+    | a :: (b :: _ as rest) -> cmp a b <= 0 && clustered rest
+    | _ -> true
+  in
+  let rows = if clustered tuples then tuples else List.stable_sort cmp tuples in
   of_layout store ~name ~schema ~cluster_key
     ~dir:
-      (Codec.pack_pages ~format ~capacity:store.Page_store.capacity ~fill rows
-      |> List.map (fun rows ->
-             {
-               de_page =
-                 Page_store.fresh store ~table:name rows
-                   ~encode:(Codec.encode_page ~format);
-               de_nrows = List.length rows;
-               de_first = List.hd rows;
-             })
+      (pack ~fill store rows ~page:(fun rows encode ->
+           {
+             de_page = Page_store.fresh store ~table:name rows ~encode;
+             de_nrows = List.length rows;
+             de_first = List.hd rows;
+           })
       |> Array.of_list)
 
 (* The rows of a page whose column [col] lies in [lo, hi], holding the
@@ -106,18 +112,18 @@ let read_page t counters page =
 
 let cardinality t = Array.fold_left (fun acc e -> acc + e.de_nrows) 0 t.dir
 
-(** The clustered tuples as a relation, read page by page without
-    charging anyone or disturbing the pool — an export/debug path, not
-    an access method. *)
-let relation t =
-  let rows =
-    Array.to_list t.dir
-    |> List.concat_map (fun e ->
-           rows_of t
-             (Buffer_pool.peek t.store.Page_store.pool ~table:t.name
-                ~page:e.de_page))
-  in
-  Relation.make t.schema (Array.of_list rows)
+(** The clustered tuples in order, read page by page without charging
+    anyone or disturbing the pool — the export path (a database bulk
+    load of the table, {!relation}), not an access method. *)
+let rows t =
+  Array.fold_right
+    (fun e onto ->
+      rows_of t ~onto
+        (Buffer_pool.peek t.store.Page_store.pool ~table:t.name ~page:e.de_page))
+    t.dir []
+
+(** {!rows} as a relation. *)
+let relation t = Relation.make t.schema (Array.of_list (rows t))
 
 (* ------------------------------------------------------------------ *)
 (* Access paths                                                        *)
@@ -293,22 +299,30 @@ let apply_edits t counters ~deletes ~inserts =
   (* Pass 3: rewrite the affected pages. *)
   let writes = ref 0 in
   (* Writes one page of [rows]; its directory entry. *)
-  let write_page page rows =
+  let write_page page rows encode =
     incr writes;
-    Page_store.write store counters ~table:t.name ~page rows ~encode:(encode t);
+    Page_store.write store counters ~table:t.name ~page rows ~encode;
     { de_page = page; de_nrows = List.length rows; de_first = List.hd rows }
   in
-  (* Cuts [rows] into full pages, the first on [first] if given. *)
+  (* Cuts [rows] into full pages, the first on [first] if given.  A v1
+     run that fits one page whole stays whole; a v2 run does so by
+     itself, its page size being monotone in the rows. *)
   let write_pages ?first rows =
-    Codec.pack_pages ~format:store.codec ~capacity:store.capacity ~fill:1.0
-      rows
-    |> List.mapi (fun k rows ->
-           let page =
-             match first with
-             | Some page when k = 0 -> page
-             | _ -> store.alloc ()
-           in
-           write_page page rows)
+    let first = ref first in
+    let page rows encode =
+      let page =
+        match !first with
+        | Some page ->
+          first := None;
+          page
+        | None -> store.alloc ()
+      in
+      write_page page rows encode
+    in
+    match store.codec with
+    | Codec.V1 when Codec.page_bytes rows <= store.capacity ->
+      [ page rows (fun () -> Codec.encode_page rows) ]
+    | _ -> pack ~fill:1.0 store ~page rows
   in
   let affected =
     let keys = Hashtbl.create 16 in
@@ -352,12 +366,9 @@ let apply_edits t counters ~deletes ~inserts =
         | [] ->
           Page_store.drop store ~table:t.name ~page;
           []
-        | rows when Codec.page_bytes ~format:store.codec rows <= store.capacity
-          ->
-          [ write_page page rows ]
         | rows ->
-          (* Page split: the first chunk keeps the page id, the rest go
-             to fresh pages. *)
+          (* The page rewritten, split on overflow: the first chunk
+             keeps the page id, the rest go to fresh pages. *)
           write_pages ~first:page rows))
     affected;
   (* Fresh pages when the table was empty. *)

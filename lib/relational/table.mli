@@ -25,10 +25,12 @@ type dir_entry = {
 val default_fill : float
 
 (** [load ?fill store ~name ~schema ~cluster_key tuples] — the one bulk
-    loader: sorts the tuples by [cluster_key] (stably), cuts them into
-    pages filled to [fill] of the store's capacity under its codec, and
-    writes them straight to [store] in cluster order.  Page writes are
-    counted in the store's pool. *)
+    loader: checks in one linear pass that the tuples come in
+    [cluster_key] order, sorts them (stably) only if they do not, cuts
+    them into pages filled to [fill] of the store's capacity under its
+    codec, and writes each page straight to [store] as it is cut, in
+    cluster order; a v2 page is priced once and written from that
+    pricing.  Page writes are counted in the store's pool. *)
 val load :
   ?fill:float ->
   Page_store.t ->
@@ -73,6 +75,11 @@ val name : t -> string
 
 val schema : t -> Schema.t
 
+(** The clustered tuples in order, read without charging anyone or
+    disturbing the pool (an export path, not an access method). *)
+val rows : t -> Tuple.t list
+
+(** {!rows} as a relation. *)
 val relation : t -> Relation.t
 
 val cardinality : t -> int

@@ -20,7 +20,12 @@ let compare a b =
   | Str x, Str y -> String.compare x y
   | _ -> Stdlib.compare (rank a) (rank b)
 
-let equal a b = compare a b = 0
+let equal a b =
+  match a, b with
+  | Int x, Int y -> x = y
+  | Str x, Str y -> String.equal x y
+  | Null, Null -> true
+  | _ -> false
 
 let to_int = function
   | Int i -> i

@@ -259,10 +259,12 @@ let sp_rows guide (t : t) =
       Layout.sp_row guide ~path:r.path ~start:r.start ~fin:r.fin ~level:r.level
         ~data:r.data)
 
-(** Every node's tag and text, in document order. *)
-let values (t : t) =
-  List.init t.n (fun i ->
-      (Layout.tag t.paths.(t.path.{i}), Hashtbl.find_opt t.texts t.key.{i}))
+(** [iter_values t f] calls [f tag text] on every node, in document
+    order (what {!Blas_optimizer.Stats.collect} reads). *)
+let iter_values (t : t) f =
+  for i = 0 to t.n - 1 do
+    f (Layout.tag t.paths.(t.path.{i})) (Hashtbl.find_opt t.texts t.key.{i})
+  done
 
 (** Whether both hold the same rows. *)
 let equal (a : t) (b : t) =

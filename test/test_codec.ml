@@ -148,9 +148,8 @@ let pack_law format (tuples, capacity) =
       capacity tuples
   in
   let pages =
-    List.map
-      (fun rows -> (rows, Codec.encode_page ~format rows))
-      (Codec.pack_pages ~format ~capacity ~fill:0.9 tuples)
+    Codec.pack_pages ~format ~capacity ~fill:0.9 tuples ~page:(fun rows encode ->
+        (rows, encode ()))
   in
   let decoded =
     List.concat_map (fun (_, enc) -> Codec.decode_page ~format enc) pages
@@ -170,6 +169,7 @@ let pack_law format (tuples, capacity) =
     (fun (rows, enc) ->
       String.length enc <= capacity
       && Codec.page_bytes ~format rows = String.length enc
+      && Codec.encode_page ~format rows = enc
       && Codec.page_nrows enc = List.length rows
       && rows <> [])
     pages
@@ -205,13 +205,17 @@ let clustered_gen =
 let pack_gen =
   QCheck2.Gen.(pair (oneof [ page_gen; clustered_gen ]) (int_range 64 2048))
 
-(* The v2 encoder writes the smallest of its applicable strategies,
-   ties toward int-delta, then dict; a wrong running size would pick
-   another and change the bytes. *)
+(* The v2 builder writes each column in the smallest of its applicable
+   strategies, ties toward int-delta, then dict (each strategy written
+   by the reference encoder); a wrong running size would pick another
+   and change the bytes. *)
 let column_law tuples =
   match tuples with
   | [] -> true
   | first :: _ ->
+      let page = Codec.encode_page ~format:Codec.V2 tuples in
+      let v = Codec.view page in
+      let ncols = Tuple.arity first in
       List.for_all
         (fun c ->
           let col = Array.of_list (List.map (fun t -> Tuple.get t c) tuples) in
@@ -223,16 +227,122 @@ let column_law tuples =
               col
           in
           let candidates =
-            (if ints then [ Codec.encode_int_delta col ] else [])
-            @ [ Codec.encode_dict col; Codec.encode_raw col ]
+            (if ints then [ V2_reference.encode_int_delta col ] else [])
+            @ [ V2_reference.encode_dict col; V2_reference.encode_raw col ]
           in
           let best =
             List.fold_left
               (fun b x -> if String.length x < String.length b then x else b)
               (List.hd candidates) (List.tl candidates)
           in
-          Codec.encode_column col = best)
-        (List.init (Tuple.arity first) Fun.id)
+          let stop =
+            if c + 1 < ncols then v.blocks.(c + 1) else String.length page
+          in
+          String.sub page v.blocks.(c) (stop - v.blocks.(c)) = best)
+        (List.init ncols Fun.id)
+
+(* ------------------------------------------------------------------ *)
+(* The one-pass v2 builder against the two-pass reference              *)
+
+(* Rows where the builder's shortcuts could part from the reference:
+   ints at the int-delta bound and past it, negative ints (whose
+   payloads share bytes with positive ones), Nulls and long runs of one
+   value, strings sharing long prefixes (also with an int's payload
+   bytes), capacities small enough for one-row pages and for a row too
+   large to page at all, and now and then a ragged row. *)
+let builder_value_gen =
+  let open QCheck2.Gen in
+  let prefix = String.make 40 'p' in
+  frequency
+    [
+      (2, return Value.Null);
+      (3, map (fun n -> Value.Int n) (int_range (-300) 300));
+      ( 2,
+        map
+          (fun (neg, d) ->
+            Value.Int ((if neg then -Codec.zz_bound else Codec.zz_bound) + d))
+          (pair bool (int_range (-2) 2)) );
+      (1, oneofl [ Value.Int min_int; Value.Int max_int; Value.Int (-1) ]);
+      (1, map (fun n -> Value.Int n) int);
+      ( 3,
+        map
+          (fun (n, s) -> Value.Str (String.sub prefix 0 n ^ s))
+          (pair (int_range 0 40)
+             (string_size ~gen:(oneofa [| 'p'; 'q'; '\x05' |]) (int_range 0 3))) );
+      (1, map (fun s -> Value.Str s) (string_size (int_range 0 12)));
+    ]
+
+let builder_gen =
+  let open QCheck2.Gen in
+  let* arity = int_range 1 4 in
+  let row = map Tuple.of_list (list_repeat arity builder_value_gen) in
+  let* runs =
+    list_size (int_range 0 40)
+      (pair row (frequency [ (3, return 1); (1, int_range 2 300) ]))
+  in
+  let* ragged =
+    frequency [ (12, return None); (1, map Option.some (pair nat row)) ]
+  in
+  let* huge = frequency [ (12, return None); (1, map Option.some nat) ] in
+  let rows = List.concat_map (fun (r, n) -> List.init n (fun _ -> r)) runs in
+  let insert at x rows =
+    let at = if rows = [] then 0 else at mod (List.length rows + 1) in
+    List.filteri (fun i _ -> i < at) rows
+    @ (x :: List.filteri (fun i _ -> i >= at) rows)
+  in
+  let rows =
+    match ragged with
+    | Some (at, r) ->
+        let longer = Value.Null :: List.init arity (fun i -> Tuple.get r i) in
+        insert at (Tuple.of_list longer) rows
+    | None -> rows
+  in
+  let rows =
+    match huge with
+    | Some at ->
+        let big = Value.Str (String.make 3000 'h') in
+        insert at (Tuple.of_list (List.init arity (fun _ -> big))) rows
+    | None -> rows
+  in
+  let* capacity = oneof [ int_range 24 120; int_range 120 4096 ] in
+  let+ fill = oneofl [ 0.5; 0.9; 1.0 ] in
+  (rows, capacity, fill)
+
+let outcome f = match f () with x -> Ok x | exception Invalid_argument m -> Error m
+
+let same_pages a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (r1, e1) (r2, e2) ->
+         String.equal e1 e2
+         && List.length r1 = List.length r2
+         && List.for_all2 (fun x y -> Tuple.compare x y = 0) r1 r2)
+       a b
+
+(* The builder's page cuts and bytes are the reference's: its packer's
+   cuts, each encoded afresh — or the same [Invalid_argument]. *)
+let builder_law (rows, capacity, fill) =
+  let ours =
+    outcome (fun () ->
+        Codec.pack_pages ~format:Codec.V2 ~capacity ~fill rows ~page:(fun rows encode ->
+            (rows, encode ())))
+  and theirs =
+    outcome (fun () ->
+        List.map
+          (fun rows -> (rows, V2_reference.encode_page rows))
+          (V2_reference.pack ~capacity ~fill rows))
+  in
+  let whole = outcome (fun () -> Codec.encode_page ~format:Codec.V2 rows)
+  and whole_ref = outcome (fun () -> V2_reference.encode_page rows) in
+  (match (ours, theirs) with
+  | Ok a, Ok b -> same_pages a b
+  | Error a, Error b -> String.equal a b
+  | _ -> false)
+  && whole = whole_ref
+  &&
+  match whole with
+  | Ok enc -> Codec.page_bytes ~format:Codec.V2 rows = String.length enc
+  | Error _ -> true
 
 (* The v2 packer refuses what it cannot page: a row larger than a page
    and rows of different arities. *)
@@ -242,14 +352,16 @@ let test_v2_pack_rejects () =
       (match f () with _ -> false | exception Invalid_argument _ -> true)
   in
   let row s = Tuple.of_list [ Value.Int 1; Value.Str s ] in
+  let pack ~capacity rows =
+    Codec.pack_pages ~format:Codec.V2 ~capacity ~fill:0.9 rows
+      ~page:(fun rows _ -> rows)
+  in
   raises "oversized row" (fun () ->
-      Codec.pack_pages ~format:Codec.V2 ~capacity:64 ~fill:0.9
-        [ row "a"; row (String.make 100 'x'); row "b" ]);
+      pack ~capacity:64 [ row "a"; row (String.make 100 'x'); row "b" ]);
   raises "ragged arities" (fun () ->
-      Codec.pack_pages ~format:Codec.V2 ~capacity:4096 ~fill:0.9
-        [ row "a"; Tuple.of_list [ Value.Int 2 ]; row "b" ]);
+      pack ~capacity:4096 [ row "a"; Tuple.of_list [ Value.Int 2 ]; row "b" ]);
   raises "ragged arities across pages" (fun () ->
-      Codec.pack_pages ~format:Codec.V2 ~capacity:64 ~fill:0.9
+      pack ~capacity:64
         (List.init 40 (fun i -> row (string_of_int i))
         @ [ Tuple.of_list [ Value.Int 2 ] ]))
 
@@ -281,7 +393,7 @@ let edge_value_gen =
 let sign n = compare n 0
 
 let cmp_enc_law (a, b) =
-  sign (Codec.cmp_enc a (Codec.value_tag b) (Codec.value_payload b))
+  sign (Codec.cmp_enc a (Codec.value_tag b) (V2_reference.value_payload b))
   = sign (Value.compare a b)
 
 (* Pages where every strategy shows up: random (mostly raw), clustered
@@ -673,6 +785,161 @@ let maintenance_law (format, file, init, batches, _) =
         && directory_pages store t = before
         && directory_matches store t model)
 
+(* [t]'s directory as runs of pages, each run led by a page the
+   directory held before an edit ([old]) and followed by the fresh
+   pages a split of it added: every run must be the reference's cuts of
+   its rows at fill 1.0 (the edit path's), each page the reference's
+   bytes. *)
+let edited_pages_match store t old =
+  let pool = store.Blas_rel.Page_store.pool in
+  let page_of (de : Table.dir_entry) =
+    match Buffer_pool.peek pool ~table:"x" ~page:de.de_page with
+    | Buffer_pool.Bytes b -> (Codec.decode_page ~format:Codec.V2 b, b)
+    | Buffer_pool.Rows _ -> failwith "expected a store of bytes"
+  in
+  let runs =
+    Array.fold_left
+      (fun runs (de : Table.dir_entry) ->
+        match runs with
+        | run :: rest when not (List.mem de.de_page old) -> (page_of de :: run) :: rest
+        | _ -> [ page_of de ] :: runs)
+      [] (Table.directory t)
+    |> List.rev_map List.rev
+  in
+  List.for_all
+    (fun run ->
+      let rows = List.concat_map fst run in
+      same_pages run
+        (List.map
+           (fun rows -> (rows, V2_reference.encode_page rows))
+           (V2_reference.pack ~capacity:store.capacity ~fill:1.0 rows)))
+    runs
+
+(* Edit batches on a v2 table in a file store rewrite pages — merged in
+   place or split — to exactly the reference's cuts and bytes. *)
+let edited_builder_law (_, _, init, batches, _) =
+  with_logged_store ~format:Codec.V2 ~file:true (fun store _ ->
+      let t =
+        Table.load store ~name:"x" ~schema:dir_schema ~cluster_key:[ "k"; "s" ]
+          init
+      in
+      let c = Blas_rel.Counters.create () in
+      List.for_all
+        (fun ((first, len), picks, inserts) ->
+          let rows = Array.of_list (Table.rows t) in
+          let n = Array.length rows in
+          let deletes =
+            if n = 0 then []
+            else
+              List.sort_uniq compare
+                (List.init (min len n) (fun i -> (first + i) mod n)
+                @ List.map (fun i -> i mod n) picks)
+              |> List.map (fun i -> rows.(i))
+          in
+          let old =
+            Array.to_list
+              (Array.map (fun (de : Table.dir_entry) -> de.de_page) (Table.directory t))
+          in
+          ignore (Table.apply_edits t c ~deletes ~inserts);
+          edited_pages_match store t old)
+        batches)
+
+(* ------------------------------------------------------------------ *)
+(* Bulk loads in cluster order without a sort                          *)
+
+(* A table's pages: each directory entry with the page's rows. *)
+let table_pages t =
+  let pool = (Table.store t).Blas_rel.Page_store.pool in
+  Array.to_list (Table.directory t)
+  |> List.map (fun (de : Table.dir_entry) ->
+         let rows =
+           match Buffer_pool.peek pool ~table:(Table.name t) ~page:de.de_page with
+           | Buffer_pool.Rows rows -> rows
+           | Buffer_pool.Bytes b -> Codec.decode_page ~format:(Table.codec t) b
+         in
+         (de.de_nrows, de.de_first, rows))
+
+let same_table a b =
+  let pa = table_pages a and pb = table_pages b in
+  let same_rows x y =
+    List.length x = List.length y
+    && List.for_all2 (fun u v -> Tuple.compare u v = 0) x y
+  in
+  List.length pa = List.length pb
+  && List.for_all2
+       (fun (n1, f1, r1) (n2, f2, r2) ->
+         n1 = n2 && Tuple.compare f1 f2 = 0 && same_rows r1 r2)
+       pa pb
+
+(* Stable sort on the (lead, start) cluster key. *)
+let cluster_sort rows =
+  let key t = (Tuple.get t 0, Tuple.get t 1) in
+  List.stable_sort
+    (fun a b ->
+      let (l1, s1), (l2, s2) = (key a, key b) in
+      match Value.compare l1 l2 with 0 -> Value.compare s1 s2 | c -> c)
+    rows
+
+(* [Layout.tables] buckets the start-ordered nodes by P-label (SP) and
+   by tag (SD): its rows are the stably sorted rows, and its tables
+   equal loads of them, page for page, under both codecs. *)
+let layout_order_law (format, tree) =
+  let module Layout = Blas_update.Layout in
+  let doc = Blas_xpath.Doc.of_tree tree in
+  let store () = Blas_rel.Page_store.memory ~page_size:256 ~codec:format () in
+  let rows row =
+    cluster_sort
+      (List.map
+         (fun (n : Blas_xpath.Doc.node) ->
+           row n ~start:n.start ~fin:n.fin ~level:n.level ~data:n.data)
+         doc.all)
+  in
+  let sp_rows = rows (fun n -> Layout.sp_row doc.guide ~path:n.source_path)
+  and sd_rows = rows (fun n -> Layout.sd_row ~tag:n.tag) in
+  let same_rows a b =
+    List.length a = List.length b
+    && List.for_all2 (fun x y -> Tuple.compare x y = 0) a b
+  in
+  let bucketed_sp, bucketed_sd = Layout.clustered_rows doc in
+  let sp, sd = Layout.tables (store ()) doc in
+  same_rows bucketed_sp sp_rows
+  && same_rows bucketed_sd sd_rows
+  && same_table sp (Layout.load (store ()) Layout.sp sp_rows)
+  && same_table sd (Layout.load (store ()) Layout.sd sd_rows)
+
+(* Out-of-order input is still sorted: a shuffled load equals the
+   sorted one, under both codecs. *)
+let test_load_shuffled () =
+  let rows =
+    List.init 400 (fun i ->
+        Tuple.of_list
+          [
+            Value.Int (i * 7919 mod 13);
+            Value.Int i;
+            Value.Str (String.make (i mod 9) 'p');
+          ])
+  in
+  let shuffled =
+    List.map snd
+      (List.sort compare (List.mapi (fun i r -> ((i * 7907) mod 401, r)) rows))
+  in
+  List.iter
+    (fun (format, fname) ->
+      let load rows =
+        Table.load
+          (Blas_rel.Page_store.memory ~page_size:256 ~codec:format ())
+          ~name:"x" ~schema:dir_schema ~cluster_key:[ "k"; "s" ] rows
+      in
+      let t = load shuffled in
+      Alcotest.(check bool)
+        (Printf.sprintf "shuffled load is clustered (%s)" fname)
+        true
+        (same_table t (load (cluster_sort rows))
+        && List.for_all2
+             (fun a b -> Tuple.compare a b = 0)
+             (Table.rows t) (cluster_sort rows)))
+    formats
+
 (* ------------------------------------------------------------------ *)
 (* v2 database coherence vs the in-memory shadow under random edits    *)
 
@@ -793,6 +1060,14 @@ let suite =
       (pack_law Codec.V1);
     qtest ~count:150 "v2 pack_pages partitions losslessly" pack_gen
       (pack_law Codec.V2);
+    qtest ~count:300 "v2 builder pages equal the two-pass reference"
+      builder_gen builder_law;
+    qtest ~count:100 "v2 edited pages equal the two-pass reference"
+      directory_gen edited_builder_law;
+    qtest ~count:150 "layout tables equal stably sorted loads"
+      QCheck2.Gen.(pair (oneofl [ Codec.V1; Codec.V2 ]) Test_util.doc_gen)
+      layout_order_law;
+    Alcotest.test_case "load sorts shuffled input" `Quick test_load_shuffled;
     qtest ~count:500 "cmp_enc agrees with Value.compare"
       QCheck2.Gen.(pair edge_value_gen edge_value_gen)
       cmp_enc_law;

@@ -32,8 +32,8 @@ let stats_exn storage =
 
 (* Statistics over a document model's nodes, as at index build. *)
 let collect_over ?seed ?epoch (doc : Blas_xpath.Doc.t) =
-  Blas.Storage.collect_ostats ?seed ?epoch ~guide:doc.guide
-    (List.map (fun (n : Blas_xpath.Doc.node) -> (n.tag, n.data)) doc.all)
+  Stats.collect ?seed ?epoch ~guide:doc.guide (fun f ->
+      List.iter (fun (n : Blas_xpath.Doc.node) -> f n.tag n.data) doc.all)
 
 let test_deterministic_sampling () =
   let doc = Blas.Storage.doc (Lazy.force protein) in
