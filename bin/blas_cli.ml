@@ -274,6 +274,8 @@ let stats_json storage =
               ("wal_bytes", Int s.Blas.Storage.dstat_wal_bytes);
               ("cache_pages", Int s.Blas.Storage.dstat_cache_pages);
               ("cache_resident", Int s.Blas.Storage.dstat_cache_resident);
+              ("catalog_pages", Int s.Blas.Storage.dstat_catalog_pages);
+              ("catalog_writes", Int s.Blas.Storage.dstat_catalog_writes);
               ( "tables",
                 List
                   (List.map
@@ -367,6 +369,8 @@ let stats () ?cache_pages ?stats_seed ~json path =
         s.dstat_live_bytes
         (pct s.dstat_live_bytes s.dstat_file_bytes);
       Printf.printf "  wal: %d bytes pending checkpoint\n" s.dstat_wal_bytes;
+      Printf.printf "  catalog: %d chain pages, %d written by commits since open\n"
+        s.dstat_catalog_pages s.dstat_catalog_writes;
       Printf.printf "  page cache: %d/%d pages resident (%.1f%%)\n"
         s.dstat_cache_resident s.dstat_cache_pages
         (pct s.dstat_cache_resident s.dstat_cache_pages);

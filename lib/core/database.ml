@@ -6,20 +6,24 @@
     superblock whose root blob points at the catalog chain; every other
     page is either an SP/SD data page (a {!Blas_rel.Codec} tuple run), a
     catalog chain page, or free.  The catalog — dataguide paths with
-    their node counts and P-labels, free list, clustered page
-    directories and the optimizer's statistics blob — is small and fully
-    resident, so opening a database reads only the superblock and the
-    chain; everything else is paged in on demand through the
+    their P-labels and node counts, clustered page directories, free
+    list and the optimizer's statistics — is small and fully resident,
+    so opening a database reads only the superblock and the chain;
+    everything else is paged in on demand through the
     {!Blas_rel.Buffer_pool}.
 
     Transactions are no-steal/force-to-WAL: table edits accumulate as
     dirty pages in the pool, commit pushes them into the store's
-    transaction buffer ({!Blas_rel.Buffer_pool.flush_dirty}), re-encodes
-    the catalog onto the same chain pages — writing only the pages
-    whose bytes changed — and hands the whole write set to
+    transaction buffer ({!Blas_rel.Buffer_pool.flush_dirty}), writes the
+    catalog onto the same chain pages and hands the whole write set to
     {!Blas_disk.Store.commit} (WAL append + fsync, then in-place
-    apply).  A crash at any byte boundary recovers to the last
-    committed state on the next open. *)
+    apply).  The catalog body orders its parts from least to most often
+    changed, and the handle remembers the value and byte range of each
+    part it last committed: a commit encodes only the parts whose value
+    changed, copies the rest from the committed chain, and leaves the
+    chain pages before the first changed part alone, so its catalog
+    work follows the edit, not the catalog's size.  A crash at any byte
+    boundary recovers to the last committed state on the next open. *)
 
 module Store = Blas_disk.Store
 module Pager = Blas_disk.Pager
@@ -33,6 +37,7 @@ module Dataguide = Blas_xml.Dataguide
 module Layout = Blas_update.Layout
 module Columns = Blas_update.Columns
 module Page_store = Blas_rel.Page_store
+module Stats = Blas_optimizer.Stats
 
 type mode = Store.mode = Ro | Rw
 
@@ -56,19 +61,25 @@ let looks_like_db = Pager.looks_like_db
    blob (reservoirs only — the counts are the guide's); v5 drops the
    secondary-index leaf directories after each page directory; v6
    drops the tag inventory and stores each path's P-label beside its
-   count, the native-int labels SP carries.  Every file writes v6.
-   Decode accepts all six: a catalog older than v4 has no counts, so
-   its guide and statistics are rebuilt from the label columns at
-   open (see [install]), and its statistics blob is skipped unread; the
-   index leaves of a catalog older than v5 are read only to hand their
-   pages to the free list.  SP pages older than v6 hold the paper's
-   decimal P-labels: a read-write open relabels them in one
-   transaction ([relabel]), a read-only one refuses. *)
+   count, the native-int labels SP carries; v7 holds v6's components
+   as parts ordered from least to most often changed (see [parts]).
+   Every file writes v7.  Decode accepts all seven: a catalog older
+   than v4 has no counts, so its guide and statistics are rebuilt from
+   the label columns at open (see [install]), and its statistics blob
+   is skipped unread; the index leaves of a catalog older than v5 are
+   read only to hand their pages to the free list.  SP pages older
+   than v6 hold the paper's decimal P-labels: a read-write open
+   relabels them in one transaction ([relabel]), a read-only one
+   refuses. *)
 let cat_version_stats = 2
 let cat_version_codec = 3
 let cat_version_counts = 4
 let cat_version_no_indexes = 5
 let cat_version_labels = 6
+let cat_version_parts = 7
+
+(* The number of parts in a v7 body; see [encode_part]. *)
+let part_count = 10
 
 type cat = {
   c_version : int;
@@ -82,18 +93,13 @@ type cat = {
   c_old_leaves : int list;
       (** the secondary-index leaf pages of a catalog older than v5;
           nothing references them any more *)
-  c_stats : string option;  (** optimizer statistics blob (v4+) *)
+  c_stats : (Dataguide.t -> Stats.t) option;
+      (** the optimizer statistics over a guide (v4+)
+          @raise Invalid_argument on a malformed blob *)
   c_codec : Codec.format;  (** page codec for data pages (v3+) *)
+  c_ends : int array;
+      (** where each part of a v7 body ends; [[||]] for an older one *)
 }
-
-let encode_dir buf dir =
-  Wire.write_varint buf (Array.length dir);
-  Array.iter
-    (fun (de : Table.dir_entry) ->
-      Wire.write_varint buf de.de_page;
-      Wire.write_varint buf de.de_nrows;
-      Codec.add_tuple buf de.de_first)
-    dir
 
 (* Past one value of a catalog older than v6, which may be a decimal
    P-label (value tag 3, no longer decoded). *)
@@ -135,31 +141,181 @@ let read_old_leaves r =
              skip_old_value r;
              page)))
 
-let encode_catalog ~guide ~free ~sp ~sd ~stats ~codec =
-  let buf = Buffer.create 4096 in
-  Wire.write_u8 buf cat_version_labels;
-  let paths = Dataguide.entries guide in
-  Wire.write_varint buf (List.length paths);
-  List.iter
-    (fun (path, n, label) ->
-      Wire.write_varint buf (List.length path);
-      List.iter (Wire.write_string buf) path;
-      Wire.write_varint buf n;
-      Wire.write_varint buf label)
-    paths;
-  Wire.write_varint buf (List.length free);
-  List.iter (Wire.write_varint buf) free;
-  encode_dir buf sp;
-  encode_dir buf sd;
-  Wire.write_string buf (Option.value ~default:"" stats);
-  Wire.write_u8 buf (Codec.format_id codec);
-  Buffer.contents buf
+(* The resident components a v7 body encodes. *)
+type parts = {
+  p_codec : Codec.format;
+  p_stats : Stats.t option;
+  p_guide : Dataguide.t;
+  p_sp : Table.dir_entry array;
+  p_sd : Table.dir_entry array;
+  p_free : int list;
+}
 
-let decode_catalog body =
-  let r = Wire.reader body in
-  let v = Wire.read_u8 r in
-  if v < 1 || v > cat_version_labels then
-    corrupt "unsupported catalog version %d" v;
+(* Part [k] of a v7 body, in order from least to most often changed:
+   paths and labels move only with a new path or a respread, a
+   directory's pages and first tuples with a split, a freed page or a
+   new first row, counts and rows per page with every insert and
+   delete, the statistics header (its edit count) with every commit.
+   - 0: version and page codec;
+   - 1: the statistics reservoirs ("" without statistics), fixed until
+     a resample;
+   - 2: the paths in reversed-path order, each leaf tag first with its
+     P-label;
+   - 3, 4: the SP and SD page directories without their row counts:
+     the entries, then each entry's page and first tuple;
+   - 5: the free list;
+   - 6: each path's count, in part 2's order;
+   - 7, 8: each SP and SD directory entry's row count;
+   - 9: the statistics header, up to the end of the body (nothing
+     without statistics).
+   An insert or delete thus changes bytes in parts 6-9 only, unless it
+   splits or frees a page: the tail of the body, not one spot in each
+   directory. *)
+let encode_part buf p = function
+  | 0 ->
+    Wire.write_u8 buf cat_version_parts;
+    Wire.write_u8 buf (Codec.format_id p.p_codec)
+  | 1 -> Wire.write_string buf (match p.p_stats with Some s -> Stats.reservoirs s | None -> "")
+  | 2 ->
+    Wire.write_varint buf (Dataguide.path_count p.p_guide);
+    Dataguide.iter_order
+      (fun rpath _ label ->
+        Wire.write_varint buf (List.length rpath);
+        List.iter (Wire.write_string buf) rpath;
+        Wire.write_varint buf label)
+      p.p_guide
+  | (3 | 4) as k ->
+    let dir = if k = 3 then p.p_sp else p.p_sd in
+    Wire.write_varint buf (Array.length dir);
+    Array.iter
+      (fun (de : Table.dir_entry) ->
+        Wire.write_varint buf de.de_page;
+        Codec.add_tuple buf de.de_first)
+      dir
+  | 5 ->
+    Wire.write_varint buf (List.length p.p_free);
+    List.iter (Wire.write_varint buf) p.p_free
+  | 6 -> Dataguide.iter_order (fun _ count _ -> Wire.write_varint buf count) p.p_guide
+  | (7 | 8) as k ->
+    Array.iter
+      (fun (de : Table.dir_entry) -> Wire.write_varint buf de.de_nrows)
+      (if k = 7 then p.p_sp else p.p_sd)
+  | _ -> Option.iter (Stats.add_header buf) p.p_stats
+
+(* Whether two directories agree entry by entry on [same]: far cheaper
+   than encoding either.  An edit builds a new directory array, but
+   the entries of the pages it did not touch are the old records. *)
+let same_entries same a b =
+  a == b || (Array.length a = Array.length b && Array.for_all2 same a b)
+
+let same_layout (a : Table.dir_entry) (b : Table.dir_entry) =
+  a.de_page = b.de_page && (a.de_first == b.de_first || Tuple.equal a.de_first b.de_first)
+
+let same_nrows (a : Table.dir_entry) (b : Table.dir_entry) = a.de_nrows = b.de_nrows
+
+(* Whether part [k] of [was] and [now] encodes to the same bytes,
+   without encoding it: a physically unchanged value (the guide's
+   arrays, the reservoirs' string), directories that agree entry by
+   entry on the part's fields, or an equal free list or codec.  The
+   header always counts as changed unless there are no statistics. *)
+let same_part was now = function
+  | 0 -> was.p_codec = now.p_codec
+  | 1 -> (
+    match (was.p_stats, now.p_stats) with
+    | None, None -> true
+    | Some a, Some b -> Stats.reservoirs a == Stats.reservoirs b
+    | _ -> false)
+  | 2 -> Dataguide.same_paths was.p_guide now.p_guide
+  | 3 -> same_entries same_layout was.p_sp now.p_sp
+  | 4 -> same_entries same_layout was.p_sd now.p_sd
+  | 5 -> was.p_free = now.p_free
+  | 6 -> was.p_guide == now.p_guide
+  | 7 -> same_entries same_nrows was.p_sp now.p_sp
+  | 8 -> same_entries same_nrows was.p_sd now.p_sd
+  | _ -> Option.is_none was.p_stats && Option.is_none now.p_stats
+
+(* The whole v7 body from scratch, and where each part ends. *)
+let encode_catalog p =
+  let buf = Buffer.create 4096 in
+  let ends =
+    Array.init part_count (fun k ->
+        encode_part buf p k;
+        Buffer.length buf)
+  in
+  (Buffer.contents buf, ends)
+
+(* A v7 body past its version byte. *)
+let decode_parts r =
+  let ends = Array.make part_count 0 in
+  let mark k = ends.(k) <- r.Wire.pos in
+  let c_codec =
+    match Codec.format_of_id (Wire.read_u8 r) with
+    | f -> f
+    | exception Failure msg -> raise (Corrupt msg)
+  in
+  mark 0;
+  let reservoirs = Wire.read_string r in
+  mark 1;
+  let paths =
+    List.init (Wire.read_varint r) (fun _ ->
+        let rpath = List.init (Wire.read_varint r) (fun _ -> Wire.read_string r) in
+        let label = Wire.read_varint r in
+        (List.rev rpath, label))
+  in
+  mark 2;
+  let layout () =
+    Array.init (Wire.read_varint r) (fun _ ->
+        let page = Wire.read_varint r in
+        (page, Codec.read_tuple r))
+  in
+  let sp = layout () in
+  mark 3;
+  let sd = layout () in
+  mark 4;
+  let c_free = List.init (Wire.read_varint r) (fun _ -> Wire.read_varint r) in
+  mark 5;
+  let entries =
+    List.map
+      (fun (path, label) ->
+        let count = Wire.read_varint r in
+        (path, count, label))
+      paths
+  in
+  mark 6;
+  let c_guide =
+    match Dataguide.of_entries entries with
+    | g -> Some g
+    | exception Invalid_argument msg -> raise (Corrupt msg)
+  in
+  let dir layout =
+    Array.map
+      (fun (de_page, de_first) -> { Table.de_page; de_nrows = Wire.read_varint r; de_first })
+      layout
+  in
+  let c_sp = dir sp in
+  mark 7;
+  let c_sd = dir sd in
+  mark 8;
+  let header = Wire.read_bytes r (Wire.remaining r) in
+  mark 9;
+  let c_stats =
+    if reservoirs = "" then None
+    else Some (fun guide -> Stats.of_parts ~guide ~header ~reservoirs)
+  in
+  {
+    c_version = cat_version_parts;
+    c_guide;
+    c_free;
+    c_sp;
+    c_sd;
+    c_old_leaves = [];
+    c_stats;
+    c_codec;
+    c_ends = ends;
+  }
+
+(* A body older than v7, past its version byte [v]. *)
+let decode_older v r =
   let labeled = v >= cat_version_labels in
   if not labeled then begin
     (* the paper's tag inventory: height, then the tags *)
@@ -198,7 +354,7 @@ let decode_catalog body =
       match Wire.read_string r with
       | "" -> None
       | _ when not counted -> None
-      | s -> Some s
+      | s -> Some (fun guide -> Stats.of_string ~guide s)
   in
   let c_codec =
     if v < cat_version_codec then Codec.V1
@@ -216,7 +372,15 @@ let decode_catalog body =
     c_old_leaves;
     c_stats;
     c_codec;
+    c_ends = [||];
   }
+
+let decode_catalog body =
+  let r = Wire.reader body in
+  let v = Wire.read_u8 r in
+  if v < 1 || v > cat_version_parts then
+    corrupt "unsupported catalog version %d" v;
+  if v = cat_version_parts then decode_parts r else decode_older v r
 
 (* ------------------------------------------------------------------ *)
 (* Catalog chain: the body split over linked pages.  Each chain page
@@ -231,20 +395,27 @@ let chain_chunk_capacity store =
    payload (next pointer plus chunk). *)
 type chain = { pages : int array; payloads : string array }
 
-(* Pages needed for [body]: at least one, even for an empty body. *)
-let chain_length ~chunk_cap body =
-  max 1 ((String.length body + chunk_cap - 1) / chunk_cap)
+(* Pages needed for a body of [len] bytes: at least one, even for an
+   empty body. *)
+let chain_length ~chunk_cap len = max 1 ((len + chunk_cap - 1) / chunk_cap)
 
-(* The payloads that lay [body] over [pages], one chunk per page. *)
-let chain_payloads ~chunk_cap pages body =
-  let len = String.length body and n = Array.length pages in
-  Array.init n (fun i ->
-      let off = min len (i * chunk_cap) in
-      let chunk = String.sub body off (min chunk_cap (len - off)) in
-      let buf = Buffer.create (String.length chunk + 5) in
-      Wire.write_varint buf (if i + 1 < n then pages.(i + 1) else 0);
-      Buffer.add_string buf chunk;
-      Buffer.contents buf)
+(* The payload of page [i] of a chain over [pages] that holds a body of
+   [len] bytes: the next pointer, then chunk [i], which [add buf lo hi]
+   appends as the body's bytes [lo, hi). *)
+let chain_payload ~chunk_cap pages ~len ~add i =
+  let lo = min len (i * chunk_cap) in
+  let hi = min len (lo + chunk_cap) in
+  let buf = Buffer.create (hi - lo + 5) in
+  Wire.write_varint buf
+    (if i + 1 < Array.length pages then pages.(i + 1) else 0);
+  add buf lo hi;
+  Buffer.contents buf
+
+(* Where the chunk starts in a chain page's payload. *)
+let chunk_start payload =
+  let r = Wire.reader payload in
+  ignore (Wire.read_varint r);
+  r.Wire.pos
 
 (* The committed catalog body and the chain it was read from. *)
 let read_chain store =
@@ -274,9 +445,9 @@ let read_catalog store =
   let body, chain = read_chain store in
   (decode_catalog body, chain)
 
-let encode_root ~body ~first =
+let encode_root ~len ~first =
   let buf = Buffer.create 10 in
-  Wire.write_varint buf (String.length body);
+  Wire.write_varint buf len;
   Wire.write_varint buf first;
   Buffer.contents buf
 
@@ -295,6 +466,10 @@ let file_backing store =
 (* ------------------------------------------------------------------ *)
 (* The open database handle                                           *)
 
+(* What the committed v7 body encodes: the resident values it was
+   encoded from, and where each part ends in it. *)
+type memo = { m_parts : parts; m_ends : int array }
+
 type db = {
   store : Store.t;
   pool : Buffer_pool.t;
@@ -303,7 +478,13 @@ type db = {
   mutable chain : int array;  (** committed catalog chain pages *)
   mutable committed : string array;
       (** the committed payload of each chain page, which a commit diffs
-          against; read-write handles only ([[||]] on read-only ones) *)
+          against and copies unchanged parts from; read-write handles
+          only ([[||]] on read-only ones) *)
+  mutable memo : memo option;
+      (** the parts of the committed body; [None] when a commit must
+          encode every part (a read-only handle, or a committed catalog
+          older than v7) *)
+  mutable chain_writes : int;  (** chain pages committed since open *)
   mutable storage : Storage.t option;  (** back-reference, set at open *)
   tx_lock : Mutex.t;
 }
@@ -326,6 +507,38 @@ let page_store db =
     alloc = db_alloc db;
     free = db_free db;
   }
+
+(* The resident components a commit encodes. *)
+let resident_parts db (storage : Storage.t) ~free =
+  {
+    p_codec = db.codec;
+    p_stats = Storage.ostats storage;
+    p_guide = storage.Storage.guide;
+    p_sp = Table.directory storage.Storage.sp;
+    p_sd = Table.directory storage.Storage.sd;
+    p_free = free;
+  }
+
+(* The memo of a freshly installed catalog: the resident values are
+   what it decoded to.  Only a v7 body laid out as [write_catalog] lays
+   it (every chunk but the last full) can lend a commit its bytes, and
+   only if its statistics decoded: a commit would otherwise keep bytes
+   that no longer match the resident components. *)
+let committed_memo db storage cat =
+  let chunk_cap = chain_chunk_capacity db.store in
+  let n = Array.length db.committed in
+  let rec regular i =
+    i >= n - 1
+    || String.length db.committed.(i) - chunk_start db.committed.(i) = chunk_cap
+       && regular (i + 1)
+  in
+  if
+    cat.c_version = cat_version_parts
+    && n > 0
+    && regular 0
+    && (Option.is_none cat.c_stats || Option.is_some (Storage.ostats storage))
+  then Some { m_parts = resident_parts db storage ~free:cat.c_free; m_ends = cat.c_ends }
+  else None
 
 (* Installs the components described by the (committed) catalog into
    [db] and its storage: the abort/reload path and the tail of open.
@@ -350,8 +563,8 @@ let install db (storage : Storage.t) (cat, chain) =
     (* A blob that fails to decode costs only the optimizer its
        statistics — never the open. *)
     storage.Storage.ostats <-
-      Option.bind cat.c_stats (fun s ->
-          match Blas_optimizer.Stats.of_string ~guide s with
+      Option.bind cat.c_stats (fun stats_of ->
+          match stats_of guide with
           | stats -> Some stats
           | exception Invalid_argument _ -> None)
   | None ->
@@ -365,36 +578,78 @@ let install db (storage : Storage.t) (cat, chain) =
     in
     storage.Storage.guide <- guide;
     storage.Storage.ostats <-
-      Some (Blas_optimizer.Stats.collect ~guide (Columns.iter_values cols)));
+      Some (Stats.collect ~guide (Columns.iter_values cols)));
+  db.memo <- committed_memo db storage cat;
   Qcache.flush_plans storage.Storage.cache
 
 (* ------------------------------------------------------------------ *)
 (* Catalog writer (inside a transaction)                              *)
 
-let catalog_body db (storage : Storage.t) ~free =
-  encode_catalog ~guide:storage.Storage.guide
-    ~free ~sp:(Table.directory storage.Storage.sp)
-    ~sd:(Table.directory storage.Storage.sd)
-    ~codec:db.codec
-    ~stats:(Option.map Blas_optimizer.Stats.to_string (Storage.ostats storage))
+(* Appends the committed body's bytes [off, off + len) from the chain
+   pages that hold them. *)
+let add_committed db buf off len =
+  let chunk_cap = chain_chunk_capacity db.store in
+  let off = ref off and left = ref len in
+  while !left > 0 do
+    let p = db.committed.(!off / chunk_cap) and at = !off mod chunk_cap in
+    let k = min !left (chunk_cap - at) in
+    Buffer.add_substring buf p (chunk_start p + at) k;
+    off := !off + k;
+    left := !left - k
+  done
 
-(* Writes the catalog into the open transaction and returns the new
-   chain with the free list that goes with it; the caller adopts both
-   once [Store.commit] has taken the transaction, so a transaction that
-   fails never becomes the baseline.  The recorded free list is taken
-   BEFORE chain placement (open subtracts the walked chain), avoiding a
-   free-list/chain fixpoint.  Chunk i stays on the committed chain's
-   page i: a longer chain takes its extra pages from the free list, a
-   shorter one leaves its tail pages there, and only the pages whose
-   bytes differ from the committed ones are logged. *)
+(* Writes the catalog into the open transaction.  Returns the new
+   chain, the free list that goes with it, the new memo and the chain
+   pages written; the caller adopts them once [Store.commit] has taken
+   the transaction, so a transaction that fails never becomes the
+   baseline.
+
+   The recorded free list is taken BEFORE chain placement (open
+   subtracts the walked chain), avoiding a free-list/chain fixpoint.
+   With a memo, the parts up to the first one whose value changed are
+   the committed body's; from there each part is encoded if its value
+   changed and copied from the committed chain if not.  Chunk i stays
+   on the committed chain's page i: a longer chain takes its extra
+   pages from the free list, a shorter one leaves its tail pages there.
+   A page wholly before the first changed part (and not the last of
+   either chain, whose next pointer may move) keeps its committed
+   payload untouched; of the others only those whose bytes differ from
+   the committed ones are logged. *)
 let write_catalog db storage =
   let recorded = List.sort_uniq compare (Array.to_list db.chain @ db.free) in
-  let body = catalog_body db storage ~free:recorded in
+  let parts = resident_parts db storage ~free:recorded in
+  let first, start =
+    match db.memo with
+    | None -> (0, fun _ -> 0)
+    | Some m ->
+      let k = ref 0 in
+      while !k < part_count && same_part m.m_parts parts !k do
+        incr k
+      done;
+      (!k, fun k -> if k = 0 then 0 else m.m_ends.(k - 1))
+  in
+  let off = start first in
+  let ends = Array.make part_count off in
+  let tail = Buffer.create 1024 in
+  for k = first to part_count - 1 do
+    (match db.memo with
+    | Some m when k > first && same_part m.m_parts parts k ->
+      add_committed db tail (start k) (m.m_ends.(k) - start k)
+    | _ -> encode_part tail parts k);
+    ends.(k) <- off + Buffer.length tail
+  done;
+  for k = 0 to first - 1 do
+    ends.(k) <- start (k + 1)
+  done;
+  let tail = Buffer.contents tail in
+  let len = off + String.length tail in
   let chunk_cap = chain_chunk_capacity db.store in
+  let n = chain_length ~chunk_cap len and old_n = Array.length db.chain in
+  let kept = if Option.is_none db.memo then 0 else min (off / chunk_cap) (min n old_n - 1) in
   let spare = ref (List.sort_uniq compare db.free) in
   let pages =
-    Array.init (chain_length ~chunk_cap body) (fun i ->
-        if i < Array.length db.chain then db.chain.(i)
+    Array.init n (fun i ->
+        if i < old_n then db.chain.(i)
         else
           match !spare with
           | p :: rest ->
@@ -402,25 +657,43 @@ let write_catalog db storage =
             p
           | [] -> Store.alloc_page db.store)
   in
-  let payloads = chain_payloads ~chunk_cap pages body in
-  Array.iteri
-    (fun i page ->
-      if i >= Array.length db.committed || payloads.(i) <> db.committed.(i)
-      then Store.write_page db.store page payloads.(i))
-    pages;
-  Store.set_root db.store (encode_root ~body ~first:pages.(0));
+  let add buf lo hi =
+    if lo < off then add_committed db buf lo (min hi off - lo);
+    let lo = max lo off in
+    if hi > lo then Buffer.add_substring buf tail (lo - off) (hi - lo)
+  in
+  let written = ref 0 in
+  let payloads =
+    Array.init n (fun i ->
+        if i < kept then db.committed.(i)
+        else
+          let payload = chain_payload ~chunk_cap pages ~len ~add i in
+          if i >= Array.length db.committed || payload <> db.committed.(i) then begin
+            Store.write_page db.store pages.(i) payload;
+            incr written
+          end;
+          payload)
+  in
+  Store.set_root db.store (encode_root ~len ~first:pages.(0));
   ( { pages; payloads },
-    List.filter (fun p -> not (Array.mem p pages)) recorded )
+    List.filter (fun p -> not (Array.mem p pages)) recorded,
+    { m_parts = parts; m_ends = ends },
+    !written )
 
 (* Re-reads the committed catalog and checks it against the resident
-   components: the body byte for byte against a fresh encoding (free
-   list as recorded), and the chain and free list against the handle's.
-   Returns the chain's page ids. *)
+   components: the body byte for byte against an encoding of every
+   part from scratch (free list as recorded), never from the memo, so
+   a part the memo wrongly kept shows; the memo's part ends against the
+   body's; and the chain and free list against the handle's.  Returns
+   the chain's page ids. *)
 let check_catalog db storage =
   let body, chain = read_chain db.store in
   let cat = decode_catalog body in
-  if catalog_body db storage ~free:cat.c_free <> body then
+  if fst (encode_catalog (resident_parts db storage ~free:cat.c_free)) <> body then
     corrupt "catalog on file differs from the resident components";
+  (match db.memo with
+  | Some m when m.m_ends <> cat.c_ends -> corrupt "catalog memo holds stale part ends"
+  | _ -> ());
   if chain.pages <> db.chain then corrupt "catalog chain moved";
   if Store.mode db.store = Rw && chain.payloads <> db.committed then
     corrupt "catalog chain differs from the committed payloads";
@@ -453,12 +726,14 @@ let with_tx db f =
       Store.begin_tx db.store;
       match f () with
       | result ->
-        let chain, free = write_catalog db storage in
+        let chain, free, memo, written = write_catalog db storage in
         Buffer_pool.flush_dirty db.pool;
         Store.commit db.store;
         db.chain <- chain.pages;
         db.committed <- chain.payloads;
         db.free <- free;
+        db.memo <- Some memo;
+        db.chain_writes <- db.chain_writes + written;
         result
       | exception e ->
         (* Roll back: dirty pages vanish, the store forgets the
@@ -559,6 +834,8 @@ let stats db () =
     dstat_cache_pages = Buffer_pool.capacity db.pool;
     dstat_cache_resident = Buffer_pool.resident db.pool;
     dstat_codec = Codec.format_name db.codec;
+    dstat_catalog_pages = Array.length db.chain;
+    dstat_catalog_writes = db.chain_writes;
     dstat_tables =
       List.map (table_stats db) [ storage.Storage.sp; storage.Storage.sd ];
   }
@@ -611,19 +888,35 @@ let create ?(page_size = 4096) ?(fill = Table.default_fill)
           in
           let sp = load Layout.sp storage.Storage.sp in
           let sd = load Layout.sd storage.Storage.sd in
-          let body =
-            encode_catalog ~guide:(Storage.guide storage) ~free:[] ~sp ~sd ~codec
-              ~stats:
-                (Option.map Blas_optimizer.Stats.to_string
-                   (Storage.ostats storage))
-          in
+          (* The catalog records its own chain pages as free, as every
+             commit does (open subtracts the chain), so the first
+             commit finds the free list it writes.  A longer free list
+             may need a longer chain: allocate until the body fits. *)
           let chunk_cap = chain_chunk_capacity store in
-          let chain =
-            Array.init (chain_length ~chunk_cap body) (fun _ -> alloc ())
+          let rec place chain =
+            let body, _ =
+              encode_catalog
+                {
+                  p_codec = codec;
+                  p_stats = Storage.ostats storage;
+                  p_guide = Storage.guide storage;
+                  p_sp = sp;
+                  p_sd = sd;
+                  p_free = Array.to_list chain;
+                }
+            in
+            let more = chain_length ~chunk_cap (String.length body) - Array.length chain in
+            if more <= 0 then (chain, body)
+            else place (Array.append chain (Array.init more (fun _ -> alloc ())))
           in
-          Array.iter2 (Store.write_page store) chain
-            (chain_payloads ~chunk_cap chain body);
-          Store.set_root store (encode_root ~body ~first:chain.(0))))
+          let chain, body = place [||] in
+          let len = String.length body in
+          let add buf lo hi = Buffer.add_substring buf body lo (hi - lo) in
+          Array.iteri
+            (fun i page ->
+              Store.write_page store page (chain_payload ~chunk_cap chain ~len ~add i))
+            chain;
+          Store.set_root store (encode_root ~len ~first:chain.(0))))
 
 (** [open_ ?cache_pages ?stripes ~mode ~path ()] opens a database file:
     read-write opens replay any committed WAL tail first (crash
@@ -656,6 +949,8 @@ let open_ ?(cache_pages = default_cache_pages) ?(stripes = 1) ~mode ~path () =
         free = [];
         chain = [||];
         committed = [||];
+        memo = None;
+        chain_writes = 0;
         storage = None;
         tx_lock = Mutex.create ();
       }

@@ -46,6 +46,10 @@ type disk_stats = {
   dstat_cache_pages : int;  (** buffer pool capacity *)
   dstat_cache_resident : int;  (** resident pages carrying payloads *)
   dstat_codec : string;  (** page codec name ("v1" / "v2") *)
+  dstat_catalog_pages : int;  (** pages in the catalog chain *)
+  dstat_catalog_writes : int;
+      (** catalog chain pages commits have written since open: with the
+          commit count, the catalog's write amplification *)
   dstat_tables : table_stats list;
 }
 

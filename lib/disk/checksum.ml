@@ -30,19 +30,21 @@ let tables =
 (* Indices below are [row * 256 + byte] with [byte < 256], always in
    bounds. *)
 let tb i = Array.unsafe_get tables i
-let byte s i = Char.code (String.unsafe_get s i)
+let byte s i = Char.code (Bytes.unsafe_get s i)
 
-(** [update crc s] folds the bytes of [s] into a running CRC (start
-    from {!empty}). *)
-let update crc s =
-  let len = String.length s in
+(** [update_bytes crc s off len] folds the bytes [off, off + len) of
+    [s] into a running CRC (start from {!empty}). *)
+let update_bytes crc s off len =
+  if off < 0 || len < 0 || off > Bytes.length s - len then
+    invalid_arg "Checksum.update_bytes";
+  let stop = off + len in
   let c = ref (crc lxor 0xFFFFFFFF) in
-  let i = ref 0 in
-  while !i + 8 <= len do
+  let i = ref off in
+  while !i + 8 <= stop do
     let p = !i in
     (* Bytes p..p+6 of the little-endian word; [Int64.to_int] drops its
        top bit, so byte p+7 is read on its own. *)
-    let w = Int64.to_int (String.get_int64_le s p) in
+    let w = Int64.to_int (Bytes.get_int64_le s p) in
     let x = !c lxor (w land 0xFFFFFFFF) in
     c :=
       tb (0x700 + (x land 0xFF))
@@ -55,10 +57,17 @@ let update crc s =
       lxor tb (byte s (p + 7));
     i := p + 8
   done;
-  for p = !i to len - 1 do
+  for p = !i to stop - 1 do
     c := tb ((!c lxor byte s p) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
+
+(** [update_sub crc s off len]: {!update_bytes} over a string (only
+    read, never written). *)
+let update_sub crc s off len = update_bytes crc (Bytes.unsafe_of_string s) off len
+
+(** [update crc s] folds the bytes of [s] into a running CRC. *)
+let update crc s = update_sub crc s 0 (String.length s)
 
 let empty = 0
 

@@ -43,32 +43,47 @@ type t = {
   mutable fsync_ns : int;
 }
 
-type record =
-  | Page of int * string
-  | Root of string
-  | Commit of int  (** new page count *)
+(* Record framing: [u32 crc][u32 len][u8 kind], then the payload. *)
+let frame_len = 9
 
-let kind_byte = function Page _ -> 1 | Root _ -> 2 | Commit _ -> 3
-
-let encode_payload = function
-  | Page (id, payload) ->
-      let buf = Buffer.create (String.length payload + 4) in
-      Wire.write_varint buf id;
-      Buffer.add_string buf payload;
-      Buffer.contents buf
-  | Root root -> root
-  | Commit count -> Wire.u32_to_string count
-
-let add_record buf record =
-  let payload = encode_payload record in
-  let kind = kind_byte record in
-  let crc =
-    Checksum.update (Checksum.digest (String.make 1 (Char.chr kind))) payload
+(** [frame_tx ~pages ~root ~count] — a transaction's records as the log
+    holds them: each page image, the root if any, then the commit
+    marker.  Every record is framed in place in one buffer of the exact
+    size, its CRC taken over the kind byte and the payload where they
+    lie. *)
+let frame_tx ~pages ~root ~count =
+  let root_len = match root with None -> 0 | Some r -> frame_len + String.length r in
+  let total =
+    List.fold_left
+      (fun acc (id, payload) ->
+        acc + frame_len + Wire.varint_size id + String.length payload)
+      (root_len + frame_len + 4) pages
   in
-  Wire.write_u32 buf crc;
-  Wire.write_u32 buf (String.length payload);
-  Wire.write_u8 buf kind;
-  Buffer.add_string buf payload
+  let b = Bytes.create total in
+  (* Frames the record of [kind] at [at] whose payload [fill] writes
+     from its first byte, returning the byte after it. *)
+  let record at kind fill =
+    Bytes.set_uint8 b (at + 8) kind;
+    let stop = fill (at + frame_len) in
+    Wire.set_u32 b (at + 4) (stop - at - frame_len);
+    Wire.set_u32 b at (Checksum.update_bytes Checksum.empty b (at + 8) (stop - at - 8));
+    stop
+  in
+  let blit s at =
+    Bytes.blit_string s 0 b at (String.length s);
+    at + String.length s
+  in
+  let at =
+    List.fold_left
+      (fun at (id, payload) -> record at 1 (fun at -> blit payload (Wire.set_varint b at id)))
+      0 pages
+  in
+  let at = match root with None -> at | Some r -> record at 2 (blit r) in
+  ignore
+    (record at 3 (fun at ->
+         Wire.set_u32 b at count;
+         at + 4));
+  Bytes.unsafe_to_string b
 
 let wal_path db_path = db_path ^ ".wal"
 let header_magic = "BLASWAL1"
@@ -159,11 +174,7 @@ let fsync t =
     commit until that fsync has run. *)
 let append_tx ?(sync = true) t ~pages ~root ~count =
   if not t.writable then invalid_arg "Wal.append_tx: read-only";
-  let buf = Buffer.create 4096 in
-  List.iter (fun (id, payload) -> add_record buf (Page (id, payload))) pages;
-  (match root with None -> () | Some r -> add_record buf (Root r));
-  add_record buf (Commit count);
-  let s = Buffer.contents buf in
+  let s = frame_tx ~pages ~root ~count in
   Io.pwrite t.fd ~off:t.pos s;
   if sync then timed_fsync t;
   t.pos <- t.pos + String.length s
@@ -197,12 +208,9 @@ and replay_body t src ~apply =
        let plen = Wire.read_u32 r in
        let kind = Wire.read_u8 r in
        let payload = Wire.read_bytes r plen in
-       let expect =
-         Checksum.update
-           (Checksum.digest (String.make 1 (Char.chr kind)))
-           payload
-       in
-       if crc <> expect then raise Exit;
+       (* kind and payload lie side by side in [src] *)
+       if crc <> Checksum.update_sub Checksum.empty src (r.Wire.pos - plen - 1) (plen + 1)
+       then raise Exit;
        (match kind with
        | 1 ->
            let pr = Wire.reader payload in

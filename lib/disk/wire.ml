@@ -30,6 +30,32 @@ let write_varint buf n =
   in
   go n
 
+(** Bytes of [n]'s varint. *)
+let varint_size n =
+  if n < 0 then invalid_arg "Wire.varint_size: negative";
+  let rec go n k = if n < 0x80 then k else go (n lsr 7) (k + 1) in
+  go n 1
+
+(** [set_varint b at n] writes [n]'s varint at [at]; the byte after
+    it. *)
+let set_varint b at n =
+  if n < 0 then invalid_arg "Wire.set_varint: negative";
+  let rec go at n =
+    if n < 0x80 then begin
+      Bytes.set_uint8 b at n;
+      at + 1
+    end
+    else begin
+      Bytes.set_uint8 b at (0x80 lor (n land 0x7F));
+      go (at + 1) (n lsr 7)
+    end
+  in
+  go at n
+
+(** [set_u32 b at n] writes [n]'s low 32 bits at [at], as {!write_u32}
+    does. *)
+let set_u32 b at n = Bytes.set_int32_le b at (Int32.of_int n)
+
 let write_string buf s =
   write_varint buf (String.length s);
   Buffer.add_string buf s

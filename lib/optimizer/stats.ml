@@ -20,8 +20,8 @@ type t = {
   st_sample_size : int;
   st_samples : (string, reservoir) Hashtbl.t;
   st_blob : string;
-      (* the reservoirs' part of {!to_string}, encoded once (they never
-         change after [collect] or [of_string]); the only copy of the
+      (* the reservoirs, encoded once (they never change after
+         [collect], [of_string] or [of_parts]); the only copy of the
          sampled values *)
   st_edits : int Atomic.t;  (* nodes touched by edits since collection *)
 }
@@ -67,7 +67,7 @@ let get_string cur =
   cur.pos <- cur.pos + n;
   s
 
-(* Encodes the drafts as {!to_string} ends — their count, then each
+(* Encodes the drafts as the reservoirs part — their count, then each
    tag in order with its seen and kept counts and the kept values — and
    indexes each tag's values in that encoding. *)
 let freeze drafts =
@@ -221,30 +221,44 @@ let stale_fraction t =
 let is_stale t = stale_fraction t >= stale_threshold
 
 (* BSTAT2: the blob keeps what the catalog's guide does not — seed,
-   epoch, sample size, staleness and the reservoirs. *)
+   epoch, sample size, staleness and the reservoirs.  It is two parts:
+   the header (magic, seed, epoch, sample size, edit count), which
+   moves with every commit, and the reservoirs ([st_blob]), which move
+   only with a resample.  A v7 catalog stores them apart, at opposite
+   ends of its body; {!to_string} is the header followed by the
+   reservoirs, the one blob an older catalog holds. *)
 let magic = "BSTAT2"
 
-(* Only the header is encoded per call; the edit count moves with
-   every commit. *)
-let to_string t =
-  let b = Buffer.create (32 + String.length t.st_blob) in
+let add_header b t =
   Buffer.add_string b magic;
   put_varint b t.st_seed;
   put_varint b t.st_epoch;
   put_varint b t.st_sample_size;
-  put_varint b (edits t);
+  put_varint b (edits t)
+
+let reservoirs t = t.st_blob
+
+let to_string t =
+  let b = Buffer.create (32 + String.length t.st_blob) in
+  add_header b t;
   Buffer.add_string b t.st_blob;
   Buffer.contents b
 
-let of_string ~guide s =
+(* The header's fields, from the start of [cur]. *)
+let read_header cur =
+  let s = cur.src in
   if String.length s < String.length magic
      || String.sub s 0 (String.length magic) <> magic
   then invalid_arg "Stats.of_string: bad magic";
-  let cur = { src = s; pos = String.length magic } in
-  let st_seed = get_varint cur in
-  let st_epoch = get_varint cur in
-  let st_sample_size = get_varint cur in
+  cur.pos <- String.length magic;
+  let seed = get_varint cur in
+  let epoch = get_varint cur in
+  let sample_size = get_varint cur in
   let edits = get_varint cur in
+  (seed, epoch, sample_size, edits)
+
+(* The statistics of a header's fields over the reservoirs at [cur]. *)
+let of_header ~guide (st_seed, st_epoch, st_sample_size, edits) cur =
   let nsamples = get_varint cur in
   let drafts = Hashtbl.create (max 16 nsamples) in
   for _ = 1 to nsamples do
@@ -267,6 +281,15 @@ let of_string ~guide s =
     st_blob = blob;
     st_edits = Atomic.make edits;
   }
+
+let of_string ~guide s =
+  let cur = { src = s; pos = 0 } in
+  let header = read_header cur in
+  of_header ~guide header cur
+
+let of_parts ~guide ~header ~reservoirs =
+  let fields = read_header { src = header; pos = 0 } in
+  of_header ~guide fields { src = reservoirs; pos = 0 }
 
 let equal a b =
   String.equal (to_string a) (to_string b)

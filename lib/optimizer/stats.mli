@@ -87,17 +87,32 @@ val is_stale : t -> bool
 (** Same blob and same guide paths and counts. *)
 val equal : t -> t -> bool
 
-(** The blob: seed, epoch, sample size, staleness and reservoirs.  The
-    guide is not in it — a database catalog stores it beside.  The
-    reservoirs never change once the statistics exist, so their part is
-    encoded once, by {!collect} or {!of_string}; a call writes only the
-    seed, epoch, sample size and edit count fresh (every commit calls
-    it). *)
+(** The statistics as one blob: the header (seed, epoch, sample size,
+    edit count) followed by the reservoirs.  The guide is not in it — a
+    database catalog stores it beside.  A catalog older than v7 holds
+    this blob; v7 stores the two parts apart ({!add_header},
+    {!reservoirs}). *)
 val to_string : t -> string
 
 (** [of_string ~guide blob] — the statistics of [blob] over [guide].
     @raise Invalid_argument on a malformed or unsupported blob. *)
 val of_string : guide:Blas_xml.Dataguide.t -> string -> t
+
+(** Appends the header: seed, epoch, sample size and edit count, the
+    part that moves with every commit. *)
+val add_header : Buffer.t -> t -> unit
+
+(** The reservoirs' encoding, made once by {!collect}, {!of_string} or
+    {!of_parts}: the same string until a resample builds new
+    statistics, so a catalog writer can tell by physical equality that
+    it has not changed. *)
+val reservoirs : t -> string
+
+(** [of_parts ~guide ~header ~reservoirs] — the statistics whose
+    {!add_header} and {!reservoirs} are these.
+    @raise Invalid_argument on a malformed part. *)
+val of_parts :
+  guide:Blas_xml.Dataguide.t -> header:string -> reservoirs:string -> t
 
 val pp : Format.formatter -> t -> unit
 

@@ -317,7 +317,9 @@ let pool_json storage =
     ]
 
 (* The disk block (disk-backed storages only): cumulative I/O totals
-   plus the current WAL backlog. *)
+   plus the current WAL backlog, and the catalog chain's length with
+   the chain pages commits have written since open (the catalog's
+   write amplification, against [commits]). *)
 let disk_json storage =
   match Blas.Storage.disk storage with
   | None -> []
@@ -345,6 +347,10 @@ let disk_json storage =
               Blas_obs.Json.Int io.Blas_disk.Store.io_group_saved_fsyncs );
             ( "wal_backlog_bytes",
               Blas_obs.Json.Int st.Blas.Storage.dstat_wal_bytes );
+            ( "catalog_pages",
+              Blas_obs.Json.Int st.Blas.Storage.dstat_catalog_pages );
+            ( "catalog_writes",
+              Blas_obs.Json.Int st.Blas.Storage.dstat_catalog_writes );
           ] );
     ]
 

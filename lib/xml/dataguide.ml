@@ -96,6 +96,16 @@ let all_paths guide = List.map fst (nodes guide.root)
 
 let entries guide = List.map (fun (p, n) -> (p, n.count, n.label)) (nodes guide.root)
 
+let iter_order f guide =
+  Array.iteri
+    (fun i rp -> f rp (guide.sums.(i + 1) - guide.sums.(i)) guide.labels.(i))
+    guide.rpaths
+
+(* [edit] builds new path and label arrays exactly when it adds or
+   drops a path or moves a label, and never writes into a guide's
+   arrays after building it. *)
+let same_paths a b = a.rpaths == b.rpaths && a.labels == b.labels
+
 (* Reversed-path order: leaf tag first, a path before its extensions. *)
 let compare_rpath = List.compare String.compare
 

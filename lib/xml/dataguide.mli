@@ -69,6 +69,16 @@ val entries : t -> (string list * int * int) list
     order. *)
 val of_entries : (string list * int * int) list -> t
 
+(** [iter_order f guide] calls [f rpath count label] on every source
+    path in reversed-path order, [rpath] leaf tag first. *)
+val iter_order : (string list -> int -> int -> unit) -> t -> unit
+
+(** [same_paths a b] — whether [a] and [b] share their paths and
+    labels physically (an {!edit} that neither adds nor drops a path
+    keeps them), so that they hold the same paths with the same labels.
+    [false] says nothing. *)
+val same_paths : t -> t -> bool
+
 (** [mem_path guide path] — does [path] (root tag first) occur? *)
 val mem_path : t -> string list -> bool
 

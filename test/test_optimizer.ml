@@ -87,6 +87,15 @@ let test_codec_roundtrip () =
   let blob = Stats.to_string s in
   let guide = Stats.guide s in
   check_bool "round-trip" true (Stats.equal s (Stats.of_string ~guide blob));
+  (* A v7 catalog keeps the header and the reservoirs apart. *)
+  let header =
+    let b = Buffer.create 32 in
+    Stats.add_header b s;
+    Buffer.contents b
+  in
+  check_string "the blob is header then reservoirs" blob (header ^ Stats.reservoirs s);
+  check_bool "split round-trip" true
+    (Stats.equal s (Stats.of_parts ~guide ~header ~reservoirs:(Stats.reservoirs s)));
   let raises b =
     match Stats.of_string ~guide b with
     | exception Invalid_argument _ -> true

@@ -294,7 +294,21 @@ let update_builds_no_model () =
                   P.Delete { start = 5 };
                   P.Insert { parent = 1; pos = 0; xml = "<c/>" };
                 ])
-            docs))
+            docs;
+          (* STATS shows what the commits wrote of the catalog chain. *)
+          let stats = Blas_obs.Json.to_string (Svc.docs_json service) in
+          let d = Option.get (Blas.Storage.disk disk) in
+          let s = d.Blas.Storage.dk_stats () in
+          Test_util.check_bool "three commits wrote chain pages" true
+            (s.Blas.Storage.dstat_catalog_writes >= 3);
+          List.iter
+            (fun (key, v) ->
+              Test_util.check_bool key true
+                (Test_util.contains stats (Printf.sprintf "\"%s\":%d" key v)))
+            [
+              ("catalog_pages", s.Blas.Storage.dstat_catalog_pages);
+              ("catalog_writes", s.Blas.Storage.dstat_catalog_writes);
+            ]))
 
 (* ------------------------------------------------------------------ *)
 (* Group commit                                                        *)
