@@ -216,10 +216,12 @@ let alloc_gate () =
             }))
 
 (* The setup count gates' bounds: minor words a v2 [Database.create]
-   allocates per SP/SD row it loads, and [Stats.collect] per node.  See
-   [setup_gate] for why these values. *)
+   allocates per SP/SD row it loads, [Stats.collect] per node, and an
+   index build from a parsed tree per node.  See [setup_gate] for why
+   these values. *)
 let max_create_words_per_row = 34.
 let max_collect_words_per_node = 0.6
+let max_index_words_per_node = 100.
 
 (* Minor words [f ()] allocates, counted between two minor
    collections. *)
@@ -232,10 +234,13 @@ let minor_words f =
   words
 
 (* Setup allocation on base-scale Shakespeare: a v2 bulk load prices
-   each page once and sorts nothing (the rows come clustered), and the
-   index build collects statistics once, straight from the nodes (the
-   words a build with statistics allocates beyond one without).  Both
-   counts are deterministic for a given build. *)
+   each page once and sorts nothing (the rows come clustered); the
+   index build collects statistics once, straight from the label
+   columns (the words a build with statistics allocates beyond one
+   without); and the whole build replays the tree's events into the
+   columns and takes both tables' rows from them, with no labeled
+   document model on the way.  The counts are deterministic for a given
+   build. *)
 let setup_gate () =
   let tree = Datasets.shakespeare_base () in
   let storage = Blas.Storage.of_tree tree in
@@ -253,14 +258,15 @@ let setup_gate () =
       (fun () ->
         minor_words (fun () -> Blas.Database.create ~codec:Codec.V2 ~path storage))
   in
-  let doc = Blas_xpath.Doc.of_tree tree in
-  let nodes = List.length doc.all in
+  let nodes = Blas.Storage.node_count storage in
   let build collect_stats =
-    minor_words (fun () -> Blas.Storage.of_doc ~collect_stats doc)
+    minor_words (fun () -> Blas.Storage.of_tree ~collect_stats tree)
   in
   let collect_words = build true -. build false in
+  let index_words = minor_words (fun () -> Blas.index_of_tree tree) in
   let per_row = create_words /. float_of_int rows in
   let per_node = collect_words /. float_of_int nodes in
+  let index_per_node = index_words /. float_of_int nodes in
   gate
     (Printf.sprintf "v2 Database.create: %.2f minor words per row <= %.0f" per_row
        max_create_words_per_row)
@@ -269,6 +275,10 @@ let setup_gate () =
     (Printf.sprintf "Stats.collect: %.3f minor words per node <= %.1f" per_node
        max_collect_words_per_node)
     (per_node <= max_collect_words_per_node);
+  gate
+    (Printf.sprintf "Blas.index_of_tree: %.1f minor words per node <= %.0f"
+       index_per_node max_index_words_per_node)
+    (index_per_node <= max_index_words_per_node);
   Bench_util.print_table
     ~title:"setup allocation (base-scale Shakespeare)"
     {
@@ -282,6 +292,10 @@ let setup_gate () =
           [
             "Stats.collect"; Printf.sprintf "%d nodes" nodes;
             Printf.sprintf "%.0f" collect_words; Printf.sprintf "%.3f" per_node;
+          ];
+          [
+            "Blas.index_of_tree"; Printf.sprintf "%d nodes" nodes;
+            Printf.sprintf "%.0f" index_words; Printf.sprintf "%.1f" index_per_node;
           ];
         ];
     }

@@ -71,7 +71,7 @@ let nodes storage ~tag pred =
   in
   let hits = ref [] in
   for i = Columns.length c - 1 downto 0 do
-    if tags.(c.path.{i}) = tag && pred (Hashtbl.find_opt c.texts c.key.{i}) then
+    if tags.(c.path.{i}) = tag && pred (Columns.Texts.find_opt c.texts c.key.{i}) then
       hits := i :: !hits
   done;
   Array.of_list

@@ -251,7 +251,8 @@ let stats_json storage =
        ( "optimizer",
          match Blas.Storage.ostats storage with
          | None -> Null
-         | Some st -> Blas.Optimizer.Stats.to_json st );
+         | Some st ->
+           Blas.Optimizer.Stats.to_json ~guide:(Blas.Storage.guide storage) st );
      ]
     @
     match Blas.Storage.disk storage with
@@ -386,7 +387,8 @@ let stats () ?cache_pages ?stats_seed ~json path =
         (float_of_int io.Blas_disk.Store.io_checkpoint_ns /. 1e6));
     (match Blas.Storage.ostats storage with
     | None -> print_endline "optimizer statistics: (none collected)"
-    | Some st -> Format.printf "%a@." Blas.Optimizer.Stats.pp st);
+    | Some st ->
+      Format.printf "%a@." (Blas.Optimizer.Stats.pp ~guide:(Blas.Storage.guide storage)) st);
     `Ok ()
 
 let stats_cmd =
@@ -451,7 +453,7 @@ let plan () query_string translator path =
     (match Blas.Storage.ostats storage with
     | Some stats when translator <> Blas.D_labeling ->
       let estimate =
-        Blas.Cost.estimate_decomposition stats
+        Blas.Cost.estimate_decomposition ~guide:(Blas.Storage.guide storage) stats
           (Blas.decompose storage translator query)
       in
       Format.printf "estimated cost: %a@." Blas.Cost.pp_estimate estimate

@@ -51,7 +51,7 @@ let translator_name = Exec.translator_name
 let engine_name = Exec.engine_name
 
 (* BLAS_TEST_COMPACT=1 flips Codec.default_format to V2, which
-   Storage.of_doc and Database.create pick up below — whole suites then
+   Storage.of_tree and Database.create pick up below — whole suites then
    run on the compact columnar layout with no code changes here.
 
    BLAS_TEST_DISK=1 reroutes every [index] through a temporary database

@@ -47,14 +47,11 @@ let item_leaf_tag (item : Suffix_query.item) =
   | [] -> ""
 
 (* (scanned, selected) for one item: the P-interval population from the
-   statistics' counted DataGuide, scaled by the predicate's sampled
-   selectivity. *)
-let estimate_item stats (item : Suffix_query.item) =
+   counted DataGuide, scaled by the predicate's sampled selectivity. *)
+let estimate_item ~guide stats (item : Suffix_query.item) =
   let card =
     float_of_int
-      (Blas_xml.Dataguide.suffix_count
-         (Blas_optimizer.Stats.guide stats)
-         ~absolute:item.path.absolute
+      (Blas_xml.Dataguide.suffix_count guide ~absolute:item.path.absolute
          ~tags:item.path.tags)
   in
   let sel =
@@ -69,11 +66,11 @@ let estimate_item stats (item : Suffix_query.item) =
   in
   (card, card *. sel)
 
-(** [estimate_branch stats branch] — one decomposition branch, from
-    statistics alone. *)
-let estimate_branch stats (branch : Suffix_query.t) =
+(** [estimate_branch ~guide stats branch] — one decomposition branch,
+    from statistics alone. *)
+let estimate_branch ~guide stats (branch : Suffix_query.t) =
   let per_item =
-    List.map (fun i -> (i.Suffix_query.id, estimate_item stats i)) branch.items
+    List.map (fun i -> (i.Suffix_query.id, estimate_item ~guide stats i)) branch.items
   in
   let selected_of id =
     match List.assoc_opt id per_item with Some (_, s) -> s | None -> 0.
@@ -94,10 +91,11 @@ let estimate_branch stats (branch : Suffix_query.t) =
     e_branches = 1;
   }
 
-(** [estimate_decomposition stats branches] — a whole translation. *)
-let estimate_decomposition stats branches =
+(** [estimate_decomposition ~guide stats branches] — a whole
+    translation. *)
+let estimate_decomposition ~guide stats branches =
   List.fold_left
-    (fun acc b -> add_estimate acc (estimate_branch stats b))
+    (fun acc b -> add_estimate acc (estimate_branch ~guide stats b))
     zero_estimate branches
 
 let pp_estimate ppf e =

@@ -29,11 +29,14 @@ val zero_estimate : estimate
 
 val add_estimate : estimate -> estimate -> estimate
 
-(** One decomposition branch, from statistics alone. *)
-val estimate_branch : Blas_optimizer.Stats.t -> Suffix_query.t -> estimate
+(** One decomposition branch, from statistics alone: populations from
+    [guide], the storage's counted guide, and selectivities from the
+    sampled statistics. *)
+val estimate_branch :
+  guide:Blas_xml.Dataguide.t -> Blas_optimizer.Stats.t -> Suffix_query.t -> estimate
 
 (** A whole translation (union of branches), from statistics alone. *)
 val estimate_decomposition :
-  Blas_optimizer.Stats.t -> Suffix_query.t list -> estimate
+  guide:Blas_xml.Dataguide.t -> Blas_optimizer.Stats.t -> Suffix_query.t list -> estimate
 
 val pp_estimate : Format.formatter -> estimate -> unit

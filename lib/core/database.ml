@@ -93,12 +93,15 @@ type cat = {
   c_old_leaves : int list;
       (** the secondary-index leaf pages of a catalog older than v5;
           nothing references them any more *)
-  c_stats : (Dataguide.t -> Stats.t) option;
-      (** the optimizer statistics over a guide (v4+)
-          @raise Invalid_argument on a malformed blob *)
+  c_stats : Stats.t option;
+      (** the optimizer statistics (v4+); [None] also when the blob does
+          not decode, which costs the optimizer its statistics, never
+          the open *)
   c_codec : Codec.format;  (** page codec for data pages (v3+) *)
   c_ends : int array;
-      (** where each part of a v7 body ends; [[||]] for an older one *)
+      (** where each part of a v7 body ends; [[||]] for an older one,
+          and for one whose statistics do not decode: its resident
+          components then differ from its bytes *)
 }
 
 (* Past one value of a catalog older than v6, which may be a decimal
@@ -298,9 +301,12 @@ let decode_parts r =
   mark 8;
   let header = Wire.read_bytes r (Wire.remaining r) in
   mark 9;
-  let c_stats =
-    if reservoirs = "" then None
-    else Some (fun guide -> Stats.of_parts ~guide ~header ~reservoirs)
+  let c_stats, c_ends =
+    if reservoirs = "" then (None, ends)
+    else
+      match Stats.of_parts ~header ~reservoirs with
+      | stats -> (Some stats, ends)
+      | exception Invalid_argument _ -> (None, [||])
   in
   {
     c_version = cat_version_parts;
@@ -311,7 +317,7 @@ let decode_parts r =
     c_old_leaves = [];
     c_stats;
     c_codec;
-    c_ends = ends;
+    c_ends;
   }
 
 (* A body older than v7, past its version byte [v]. *)
@@ -354,7 +360,10 @@ let decode_older v r =
       match Wire.read_string r with
       | "" -> None
       | _ when not counted -> None
-      | s -> Some (fun guide -> Stats.of_string ~guide s)
+      | s -> (
+        match Stats.of_string s with
+        | stats -> Some stats
+        | exception Invalid_argument _ -> None)
   in
   let c_codec =
     if v < cat_version_codec then Codec.V1
@@ -522,8 +531,9 @@ let resident_parts db (storage : Storage.t) ~free =
 (* The memo of a freshly installed catalog: the resident values are
    what it decoded to.  Only a v7 body laid out as [write_catalog] lays
    it (every chunk but the last full) can lend a commit its bytes, and
-   only if its statistics decoded: a commit would otherwise keep bytes
-   that no longer match the resident components. *)
+   only if its statistics decoded (else it has no [c_ends]): a commit
+   would otherwise keep bytes that no longer match the resident
+   components. *)
 let committed_memo db storage cat =
   let chunk_cap = chain_chunk_capacity db.store in
   let n = Array.length db.committed in
@@ -532,12 +542,8 @@ let committed_memo db storage cat =
     || String.length db.committed.(i) - chunk_start db.committed.(i) = chunk_cap
        && regular (i + 1)
   in
-  if
-    cat.c_version = cat_version_parts
-    && n > 0
-    && regular 0
-    && (Option.is_none cat.c_stats || Option.is_some (Storage.ostats storage))
-  then Some { m_parts = resident_parts db storage ~free:cat.c_free; m_ends = cat.c_ends }
+  if cat.c_ends <> [||] && n > 0 && regular 0 then
+    Some { m_parts = resident_parts db storage ~free:cat.c_free; m_ends = cat.c_ends }
   else None
 
 (* Installs the components described by the (committed) catalog into
@@ -560,25 +566,15 @@ let install db (storage : Storage.t) (cat, chain) =
   (match cat.c_guide with
   | Some guide ->
     storage.Storage.guide <- guide;
-    (* A blob that fails to decode costs only the optimizer its
-       statistics — never the open. *)
-    storage.Storage.ostats <-
-      Option.bind cat.c_stats (fun stats_of ->
-          match stats_of guide with
-          | stats -> Some stats
-          | exception Invalid_argument _ -> None)
+    storage.Storage.ostats <- cat.c_stats
   | None ->
     (* A catalog older than v4 keeps no counts: build the label columns
-       (an SD scan), count every path in them and collect fresh
-       statistics from them.  The next commit writes both down. *)
-    let cols = Storage.columns storage in
-    let guide =
-      Dataguide.of_path_counts
-        (List.init (Columns.length cols) (fun i -> ((Columns.row cols i).path, 1)))
-    in
+       (an SD scan), take the counted guide the build comes with and
+       collect fresh statistics from the columns.  The next commit
+       writes both down. *)
+    let cols, guide = Storage.scan_columns storage in
     storage.Storage.guide <- guide;
-    storage.Storage.ostats <-
-      Some (Stats.collect ~guide (Columns.iter_values cols)));
+    storage.Storage.ostats <- Some (Stats.collect (Columns.iter_values cols)));
   db.memo <- committed_memo db storage cat;
   Qcache.flush_plans storage.Storage.cache
 

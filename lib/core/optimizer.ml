@@ -64,7 +64,9 @@ let choose storage q =
         ~page_rows:(Cost.model_page_rows storage)
         (List.map
            (fun (tk, branches) ->
-             shape_of tk (Cost.estimate_decomposition stats branches))
+             shape_of tk
+               (Cost.estimate_decomposition ~guide:(Storage.guide storage) stats
+                  branches))
            decomps)
     with
     | [] -> default_choice storage q
@@ -96,7 +98,7 @@ let refresh ?seed storage =
   in
   let epoch = match prev with Some p -> Stats.epoch p + 1 | None -> 0 in
   let stats =
-    Stats.collect ~seed ~epoch ~guide:(Storage.guide storage)
+    Stats.collect ~seed ~epoch
       (Blas_update.Columns.iter_values (Storage.columns storage))
   in
   Storage.set_ostats storage (Some stats);
@@ -112,5 +114,5 @@ let note_update storage (r : Blas_update.Update_engine.report) =
          population, so only structural/text churn ages the statistics'
          guide and sample; every edit touches at least one node. *)
       Stats.note_edits stats (max 1 (r.nodes_inserted + r.nodes_deleted));
-      if Stats.is_stale stats then refresh storage
+      if Stats.is_stale stats ~guide:(Storage.guide storage) then refresh storage
     end

@@ -5,9 +5,11 @@
     Push-up, Unfold} × {RDBMS, twig} — from the storage's collected
     statistics alone (no data probes; translations read only the
     resident DataGuide) and returns the cheapest candidate, which the
-    [Auto2] translator then executes as one sequential plan.
+    [Auto2] translator then executes as one sequential plan.  Path
+    populations come from the storage's live counted guide, the same
+    counts a reopen of its file reads.
 
-    Statistics are collected at index time ({!Storage.of_doc}),
+    Statistics are collected at index time ({!Storage.of_tree}),
     persisted in the [.blasdb] catalog, and kept coherent by the update
     protocol: {!note_update} accumulates a staleness counter, and once
     the stale fraction crosses {!Blas_optimizer.Stats.stale_threshold}

@@ -1,6 +1,7 @@
 (** The BLAS index generator (Section 4, "Index Generator" box of Figure
-    6): consumes a parsed document and produces both storage layouts of
-    the experimental setup (Section 5.2.1):
+    6): turns a document's parse events into its label columns
+    ({!Blas_update.Columns.of_events}) and the columns into both
+    storage layouts of the experimental setup (Section 5.2.1):
 
     - [SP(plabel, start, end, level, data)], clustered by
       {plabel, start} — the BLAS relation;
@@ -21,17 +22,18 @@
     database file by {!Database}); the tables are the same pages in
     both, and they are the one copy of the document.  One thing is
     derived from them: the label columns ({!Blas_update.Columns}),
-    which {!columns} builds from a scan of SD on first use, edits keep
-    current, and a reload of the tables drops.  The labeled document
-    model ({!doc}) is a view of the columns, built on each call, for
-    whatever genuinely needs the tree (naive-oracle verification, XML
-    output, navigation).
+    which an index build makes first and keeps, {!columns} builds from
+    a scan of SD on first use after an open, edits keep current, and a
+    reload of the tables drops.  The labeled document model ({!doc}) is
+    a view of the columns, built on each call, for whatever genuinely
+    needs the tree (naive-oracle verification, XML output,
+    navigation).
 
     Queries read neither the columns nor a view: they run entirely from
     the paged tables and the resident guide. *)
 
-(* The label columns, the one copy derived from the tables, built on
-   first use. *)
+(* The label columns, the one copy derived from the tables: kept from
+   an index build, or built on first use after an open. *)
 type derived = { mutable cols : Blas_update.Columns.t option }
 
 (** Per-table layout economics of a disk-backed storage: how the
@@ -135,22 +137,23 @@ type t = {
    columns once. *)
 let derived_lock = Mutex.create ()
 
-(** The label columns, built from a scan of SD on first use; edits
-    keep them current. *)
+(** Builds the label columns from a scan of SD and installs them;
+    returns them with the counted guide of their paths. *)
+let scan_columns t =
+  let cols, guide =
+    Blas_update.Columns.of_sd (Blas_rel.Table.scan t.sd (Blas_rel.Counters.create ()))
+  in
+  t.derived.cols <- Some cols;
+  (cols, guide)
+
+(** The label columns: built with the storage, or from a scan of SD on
+    first use after an open; edits keep them current. *)
 let columns t =
   match t.derived.cols with
   | Some c -> c
   | None ->
     Mutex.protect derived_lock (fun () ->
-        match t.derived.cols with
-        | Some c -> c
-        | None ->
-          let c =
-            Blas_update.Columns.of_sd
-              (Blas_rel.Table.scan t.sd (Blas_rel.Counters.create ()))
-          in
-          t.derived.cols <- Some c;
-          c)
+        match t.derived.cols with Some c -> c | None -> fst (scan_columns t))
 
 (** Whether the label columns are currently built. *)
 let columns_resident t = t.derived.cols <> None
@@ -168,34 +171,6 @@ let doc t =
    data sets do not fit entirely, as on the paper's machine. *)
 let default_pool_capacity = 1024
 
-(** [of_doc doc] builds both relations on an in-memory page store —
-    the same 4 KiB pages at 0.9 fill and page directories that a
-    database file of [doc] holds.  P-labels are the labels of the
-    nodes' source paths in the document's guide (Definition 3.3). *)
-let of_doc ?(pool_capacity = default_pool_capacity) ?(collect_stats = true)
-    ?(codec = Blas_rel.Codec.default_format) (doc : Blas_xpath.Doc.t) =
-  let store = Blas_rel.Page_store.memory ~pool_capacity ~codec () in
-  let sp, sd = Blas_update.Layout.tables store doc in
-  let pool = store.Blas_rel.Page_store.pool in
-  (* the bulk load's writes are not this storage's traffic *)
-  Blas_rel.Buffer_pool.reset_stats pool;
-  {
-    derived = { cols = None };
-    guide = doc.guide;
-    sp;
-    sd;
-    pool;
-    cache = Qcache.create ();
-    disk = None;
-    ostats =
-      (if collect_stats then
-         Some
-           (Blas_optimizer.Stats.collect ~guide:doc.guide (fun f ->
-                List.iter (fun (n : Blas_xpath.Doc.node) -> f n.tag n.data) doc.all))
-       else None);
-    codec;
-  }
-
 (** [assemble] wires a storage from already-built components — the
     disk-open path ({!Database}). *)
 let assemble ?(codec = Blas_rel.Codec.V1) ~guide ~sp ~sd ~pool () =
@@ -211,11 +186,37 @@ let assemble ?(codec = Blas_rel.Codec.V1) ~guide ~sp ~sd ~pool () =
     codec;
   }
 
-(** [of_tree tree] parses nothing; it labels the already-built tree. *)
-let of_tree ?pool_capacity tree = of_doc ?pool_capacity (Blas_xpath.Doc.of_tree tree)
+(* The storage of a document's label columns and counted guide: SP
+   and SD bulk-loaded from the columns ({!Blas_update.Columns.tables})
+   onto an in-memory page store, the columns kept resident and the
+   statistics collected from them. *)
+let of_columns ?(pool_capacity = default_pool_capacity) ?(collect_stats = true)
+    ?(codec = Blas_rel.Codec.default_format) (cols, guide) =
+  let store = Blas_rel.Page_store.memory ~pool_capacity ~codec () in
+  let sp, sd = Blas_update.Columns.tables store ~guide cols in
+  let pool = store.Blas_rel.Page_store.pool in
+  (* the bulk load's writes are not this storage's traffic *)
+  Blas_rel.Buffer_pool.reset_stats pool;
+  let t = assemble ~codec ~guide ~sp ~sd ~pool () in
+  t.derived.cols <- Some cols;
+  if collect_stats then
+    t.ostats <- Some (Blas_optimizer.Stats.collect (Blas_update.Columns.iter_values cols));
+  t
 
-(** [of_string input] builds the index from XML text. *)
-let of_string ?pool_capacity input = of_tree ?pool_capacity (Blas_xml.Dom.parse input)
+(** [of_tree tree] labels the already-built tree: its events replayed
+    into the label columns. *)
+let of_tree ?pool_capacity ?collect_stats ?codec tree =
+  (match tree with
+  | Blas_xml.Types.Content _ -> invalid_arg "Doc.of_tree: root must be an element"
+  | Element _ -> ());
+  of_columns ?pool_capacity ?collect_stats ?codec
+    (Blas_update.Columns.of_events (fun f -> Blas_xml.Dom.iter_events tree ~on_event:f))
+
+(** [of_string input] builds the index from XML text: the parser's
+    events go straight into the label columns. *)
+let of_string ?pool_capacity input =
+  of_columns ?pool_capacity
+    (Blas_update.Columns.of_events (fun f -> Blas_xml.Sax.parse ~on_event:f input))
 
 (** The catalog the SQL planner resolves table names against. *)
 let catalog t name =

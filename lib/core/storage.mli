@@ -10,14 +10,16 @@
     store) or disk-backed (opened from a database file by
     [Blas.Database]); both hold the same paged tables, the one copy of
     the document.  The one thing derived from them is the label
-    columns ({!columns}), built from SD on first use and kept current
-    by edits; the labeled document model ({!doc}) is a view of the
-    columns, built on each call.  Never assume the columns are built.
+    columns ({!columns}): the index build fills them from the
+    document's parse events and keeps them, an open builds them from SD
+    on first use, and edits keep them current; the labeled document
+    model ({!doc}) is a view of the columns, built on each call.  Never
+    assume the columns are built.
 
     The record is deliberately transparent: benches and ablations swap
     out tables to measure storage variants. *)
 
-(** The label columns, built on demand. *)
+(** The label columns, kept from the build or built on demand. *)
 type derived
 
 (** Per-table layout economics of a disk-backed storage: how the
@@ -112,11 +114,19 @@ type t = {
       (** the active page codec — read via {!codec} *)
 }
 
-(** The label columns edits run over, built from a scan of SD on first
-    use ({!Blas_update.Columns.of_sd}); edits keep them current.
+(** The label columns edits run over: built with an in-memory storage,
+    or from a scan of SD on first use after a database open
+    ({!Blas_update.Columns.of_sd}); edits keep them current.
     @raise Blas_disk.Pager.Corrupt on SD rows that do not nest into
     one document. *)
 val columns : t -> Blas_update.Columns.t
+
+(** [scan_columns t] builds the label columns from a scan of SD and
+    installs them, returning them with the counted guide of their
+    paths (fresh labels) — what an open of a catalog that keeps no
+    counts rebuilds its guide from.
+    @raise Blas_disk.Pager.Corrupt as {!columns}. *)
+val scan_columns : t -> Blas_update.Columns.t * Blas_xml.Dataguide.t
 
 (** Whether the label columns are currently built. *)
 val columns_resident : t -> bool
@@ -129,22 +139,29 @@ val drop_columns : t -> unit
     the document's read lock: edits change the columns in place. *)
 val doc : t -> Blas_xpath.Doc.t
 
-(** [of_doc doc] builds SP and SD on an in-memory page store: the same
-    4 KiB pages at 0.9 fill under [codec] (default
-    {!Blas_rel.Codec.default_format}) and page directories as a
-    database file of [doc] with that codec.  [pool_capacity] is the buffer pool size in
-    pages (default 1024).  [collect_stats] (default true) also gathers
-    optimizer statistics in the same pass over the nodes. *)
-val of_doc :
+(** [of_tree tree] builds SP and SD of [tree] on an in-memory page
+    store: the tree's events ({!Blas_xml.Dom.iter_events}) go into the
+    label columns ({!Blas_update.Columns.of_events}), which give the
+    counted guide and both tables' rows by bucket passes, and stay
+    resident.  The pages are the same 4 KiB pages at 0.9 fill under
+    [codec] (default {!Blas_rel.Codec.default_format}) and the page
+    directories as a database file of the tree with that codec.
+    [pool_capacity] is the buffer pool size in pages (default 1024).
+    [collect_stats] (default true) also gathers optimizer statistics
+    from the columns.
+    @raise Invalid_argument if the root is a text node. *)
+val of_tree :
   ?pool_capacity:int ->
   ?collect_stats:bool ->
   ?codec:Blas_rel.Codec.format ->
-  Blas_xpath.Doc.t ->
+  Blas_xml.Types.tree ->
   t
 
-val of_tree : ?pool_capacity:int -> Blas_xml.Types.tree -> t
-
-(** @raise Blas_xml.Types.Parse_error on malformed XML. *)
+(** [of_string input] is {!of_tree} of the parsed [input], built
+    straight from the parser's events with no tree in between.
+    @raise Blas_xml.Types.Parse_error on malformed XML.
+    @raise Failure as {!Blas_xml.Dom.of_events} does on a document with
+    no root element or two. *)
 val of_string : ?pool_capacity:int -> string -> t
 
 (** [assemble] wires a storage from already-built components — the

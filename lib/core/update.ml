@@ -57,12 +57,13 @@ let apply storage op =
     let inv = report.invalidation in
     Qcache.invalidate (Storage.cache storage) ~full:inv.inv_full
       ~schema_changed:inv.inv_schema_changed ~plabels:inv.inv_plabels;
-    (* The plan memo goes when the edit moved what a plan reads: the
-       guide's paths or P-labels, or SP's rows per page, which [Auto2]
-       prices with.  A resample below flushes it too
+    (* The plan memo goes when the edit moved what a plan reads or
+       [Auto2] prices with: the guide's paths, P-labels or counts, or
+       SP's rows per page.  A resample below flushes it too
        ({!Storage.set_ostats}). *)
     if
       inv.inv_full || inv.inv_schema_changed
+      || report.nodes_inserted + report.nodes_deleted > 0
       || Cost.model_page_rows storage <> page_rows
     then Qcache.flush_plans (Storage.cache storage);
     (* Optimizer staleness accounting (and, past the threshold, a

@@ -15,8 +15,6 @@ type reservoir = { seen : int; kept : int; at : int }
 type t = {
   st_seed : int;
   st_epoch : int;
-  st_guide : Dataguide.t;  (* the counted guide collected against *)
-  st_nodes : int;  (* its total count *)
   st_sample_size : int;
   st_samples : (string, reservoir) Hashtbl.t;
   st_blob : string;
@@ -134,39 +132,33 @@ let default_sample_size = 64
 (* [tags = []]: the suffix every source path ends in. *)
 let total guide = Dataguide.suffix_count guide ~absolute:false ~tags:[]
 
-let collect ?seed ?(epoch = 0) ?(sample_size = default_sample_size) ~guide
-    iter =
+let collect ?seed ?(epoch = 0) ?(sample_size = default_sample_size) iter =
   let seed = match seed with Some s -> s | None -> default_seed () in
   let rng = Bytes.create 8 in
   Bytes.set_int64_ne rng 0 (Int64.of_int seed);
   let drafts = Hashtbl.create 64 in
-  iter (fun tag data ->
-      match data with
-      | None -> ()
-      | Some v ->
-          let r : draft =
-            match Hashtbl.find drafts tag with
-            | r -> r
-            | exception Not_found ->
-                let r = { values = Array.make sample_size ""; filled = 0; seen = 0 } in
-                Hashtbl.add drafts tag r;
-                r
-          in
-          r.seen <- r.seen + 1;
-          if r.filled < sample_size then begin
-            r.values.(r.filled) <- v;
-            r.filled <- r.filled + 1
-          end
-          else
-            (* classic reservoir: replace slot j with probability k/seen *)
-            let j = draw rng r.seen in
-            if j < sample_size then r.values.(j) <- v);
+  iter (fun tag v ->
+      let r : draft =
+        match Hashtbl.find drafts tag with
+        | r -> r
+        | exception Not_found ->
+            let r = { values = Array.make sample_size ""; filled = 0; seen = 0 } in
+            Hashtbl.add drafts tag r;
+            r
+      in
+      r.seen <- r.seen + 1;
+      if r.filled < sample_size then begin
+        r.values.(r.filled) <- v;
+        r.filled <- r.filled + 1
+      end
+      else
+        (* classic reservoir: replace slot j with probability k/seen *)
+        let j = draw rng r.seen in
+        if j < sample_size then r.values.(j) <- v);
   let samples, blob = freeze drafts in
   {
     st_seed = seed;
     st_epoch = epoch;
-    st_guide = guide;
-    st_nodes = total guide;
     st_sample_size = sample_size;
     st_samples = samples;
     st_blob = blob;
@@ -175,10 +167,7 @@ let collect ?seed ?(epoch = 0) ?(sample_size = default_sample_size) ~guide
 
 let seed t = t.st_seed
 let epoch t = t.st_epoch
-let node_count t = t.st_nodes
 let sample_size t = t.st_sample_size
-
-let guide t = t.st_guide
 
 let equals_floor = 0.005
 
@@ -215,10 +204,10 @@ let stale_threshold = 0.2
 let note_edits t n = if n > 0 then ignore (Atomic.fetch_and_add t.st_edits n)
 let edits t = Atomic.get t.st_edits
 
-let stale_fraction t =
-  float_of_int (edits t) /. float_of_int (max 1 t.st_nodes)
+let stale_fraction t ~guide =
+  float_of_int (edits t) /. float_of_int (max 1 (total guide))
 
-let is_stale t = stale_fraction t >= stale_threshold
+let is_stale t ~guide = stale_fraction t ~guide >= stale_threshold
 
 (* BSTAT2: the blob keeps what the catalog's guide does not — seed,
    epoch, sample size, staleness and the reservoirs.  It is two parts:
@@ -258,7 +247,7 @@ let read_header cur =
   (seed, epoch, sample_size, edits)
 
 (* The statistics of a header's fields over the reservoirs at [cur]. *)
-let of_header ~guide (st_seed, st_epoch, st_sample_size, edits) cur =
+let of_header (st_seed, st_epoch, st_sample_size, edits) cur =
   let nsamples = get_varint cur in
   let drafts = Hashtbl.create (max 16 nsamples) in
   for _ = 1 to nsamples do
@@ -274,35 +263,31 @@ let of_header ~guide (st_seed, st_epoch, st_sample_size, edits) cur =
   {
     st_seed;
     st_epoch;
-    st_guide = guide;
-    st_nodes = total guide;
     st_sample_size;
     st_samples = samples;
     st_blob = blob;
     st_edits = Atomic.make edits;
   }
 
-let of_string ~guide s =
+let of_string s =
   let cur = { src = s; pos = 0 } in
   let header = read_header cur in
-  of_header ~guide header cur
+  of_header header cur
 
-let of_parts ~guide ~header ~reservoirs =
+let of_parts ~header ~reservoirs =
   let fields = read_header { src = header; pos = 0 } in
-  of_header ~guide fields { src = reservoirs; pos = 0 }
+  of_header fields { src = reservoirs; pos = 0 }
 
-let equal a b =
-  String.equal (to_string a) (to_string b)
-  && Dataguide.path_counts a.st_guide = Dataguide.path_counts b.st_guide
+let equal a b = String.equal (to_string a) (to_string b)
 
-let pp ppf t =
+let pp ~guide ppf t =
   Fmt.pf ppf "@[<v>stats: %d nodes, %d tags, %d paths (seed %#x, epoch %d)@,"
-    t.st_nodes
-    (List.length (Dataguide.distinct_tags t.st_guide))
-    (List.length (Dataguide.all_paths t.st_guide))
+    (total guide)
+    (List.length (Dataguide.distinct_tags guide))
+    (Dataguide.path_count guide)
     t.st_seed t.st_epoch;
   Fmt.pf ppf "staleness: %d edits (%.1f%% of nodes, threshold %.0f%%)@,"
-    (edits t) (100. *. stale_fraction t) (100. *. stale_threshold);
+    (edits t) (100. *. stale_fraction t ~guide) (100. *. stale_threshold);
   Fmt.pf ppf "sampled tags:@,";
   List.iter
     (fun tag ->
@@ -312,17 +297,17 @@ let pp ppf t =
     (sampled_tags t);
   Fmt.pf ppf "@]"
 
-let to_json t =
+let to_json ~guide t =
   let open Blas_obs.Json in
   Obj
     [
       ("seed", Int t.st_seed);
       ("epoch", Int t.st_epoch);
-      ("nodes", Int t.st_nodes);
+      ("nodes", Int (total guide));
       ("sample_size", Int t.st_sample_size);
       ("edits", Int (edits t));
-      ("stale_fraction", Float (stale_fraction t));
-      ("stale", Bool (is_stale t));
+      ("stale_fraction", Float (stale_fraction t ~guide));
+      ("stale", Bool (is_stale t ~guide));
       ( "paths",
         List
           (List.map
@@ -331,7 +316,7 @@ let to_json t =
                  [
                    ("path", Str ("/" ^ String.concat "/" path)); ("card", Int c);
                  ])
-             (Dataguide.path_counts t.st_guide)) );
+             (Dataguide.path_counts guide)) );
       ( "samples",
         Obj
           (List.map

@@ -1,13 +1,14 @@
 (** Sampled document statistics for the cost-based optimizer.
 
-    Cardinalities have one home: the counted DataGuide
+    Cardinalities have one home: the storage's counted DataGuide
     ({!Blas_xml.Dataguide}), which holds the exact node count of every
     source path — each P-interval's population — and stays exact under
-    every edit.  Statistics keep the guide they were collected against
-    (the guide is persistent, so this snapshot costs nothing) and add
-    what the guide does not know: a deterministic per-tag reservoir
-    sample of SD text values, from which value-predicate selectivities
-    are estimated.  The pick itself therefore never probes the data.
+    every edit.  Statistics keep no guide: the planner prices on the
+    live one, so a read-write storage and a reopen of its file price
+    alike.  They hold what the guide does not know: a deterministic
+    per-tag reservoir sample of SD text values, from which
+    value-predicate selectivities are estimated.  The pick itself
+    therefore never probes the data.
 
     Statistics are immutable after collection except for the staleness
     counter: the update subsystem reports how many nodes each edit
@@ -22,17 +23,16 @@ val default_seed : unit -> int
 
 val set_default_seed : int -> unit
 
-(** [collect ?seed ?epoch ?sample_size ~guide iter] — one pass over
-    the nodes counted in [guide]: [iter f] calls [f tag data] on every
-    element node in document order, straight from wherever the nodes
-    live.  [seed] defaults to {!default_seed}; [sample_size] is the
-    per-tag reservoir capacity (default 64). *)
+(** [collect ?seed ?epoch ?sample_size iter] — one pass over the
+    nodes: [iter f] calls [f tag text] on every element node that has
+    text, in document order, straight from wherever the nodes live.
+    [seed] defaults to {!default_seed}; [sample_size] is the per-tag
+    reservoir capacity (default 64). *)
 val collect :
   ?seed:int ->
   ?epoch:int ->
   ?sample_size:int ->
-  guide:Blas_xml.Dataguide.t ->
-  ((string -> string option -> unit) -> unit) ->
+  ((string -> string -> unit) -> unit) ->
   t
 
 val seed : t -> int
@@ -41,15 +41,7 @@ val seed : t -> int
     plans keyed by it die when the statistics change. *)
 val epoch : t -> int
 
-(** The guide's total count: every element node. *)
-val node_count : t -> int
-
 val sample_size : t -> int
-
-(** The counted guide the statistics were collected against (or
-    installed with); the planner prices suffix paths with
-    {!Blas_xml.Dataguide.suffix_count} on it. *)
-val guide : t -> Blas_xml.Dataguide.t
 
 (* Value-predicate selectivity *)
 
@@ -78,13 +70,14 @@ val note_edits : t -> int -> unit
 
 val edits : t -> int
 
-val stale_fraction : t -> float
+(** Edits over the nodes of [guide], the storage's live guide. *)
+val stale_fraction : t -> guide:Blas_xml.Dataguide.t -> float
 
-val is_stale : t -> bool
+val is_stale : t -> guide:Blas_xml.Dataguide.t -> bool
 
 (* Serialization and reporting *)
 
-(** Same blob and same guide paths and counts. *)
+(** Same blob ({!to_string}). *)
 val equal : t -> t -> bool
 
 (** The statistics as one blob: the header (seed, epoch, sample size,
@@ -94,9 +87,9 @@ val equal : t -> t -> bool
     {!reservoirs}). *)
 val to_string : t -> string
 
-(** [of_string ~guide blob] — the statistics of [blob] over [guide].
+(** [of_string blob] — the statistics of [blob].
     @raise Invalid_argument on a malformed or unsupported blob. *)
-val of_string : guide:Blas_xml.Dataguide.t -> string -> t
+val of_string : string -> t
 
 (** Appends the header: seed, epoch, sample size and edit count, the
     part that moves with every commit. *)
@@ -108,12 +101,13 @@ val add_header : Buffer.t -> t -> unit
     it has not changed. *)
 val reservoirs : t -> string
 
-(** [of_parts ~guide ~header ~reservoirs] — the statistics whose
+(** [of_parts ~header ~reservoirs] — the statistics whose
     {!add_header} and {!reservoirs} are these.
     @raise Invalid_argument on a malformed part. *)
-val of_parts :
-  guide:Blas_xml.Dataguide.t -> header:string -> reservoirs:string -> t
+val of_parts : header:string -> reservoirs:string -> t
 
-val pp : Format.formatter -> t -> unit
+(** The statistics with [guide]'s paths and counts, the storage's live
+    guide. *)
+val pp : guide:Blas_xml.Dataguide.t -> Format.formatter -> t -> unit
 
-val to_json : t -> Blas_obs.Json.t
+val to_json : guide:Blas_xml.Dataguide.t -> t -> Blas_obs.Json.t

@@ -1,7 +1,12 @@
-(** The document as flat label columns in start order: the one copy
-    a storage derives from its tables, built from one scan of SD
-    ({!of_sd}).  Edits run over it ({!Update_engine}), and the labeled
-    document model is a view of it ({!node}).
+(** The document as flat label columns in start order: the one
+    structure a storage is built from, and the one copy it derives from
+    its tables.  One builder fills them, a row per node in start order,
+    each interning its path, and counts the paths into the guide; two
+    drivers feed it: a document's parse
+    events ({!of_events}, the index build) and SD's rows nested by
+    interval ({!of_sd}, after an open or for a labeled model).  SP's and SD's rows come from the columns by
+    bucket passes ({!tables}).  Edits run over them ({!Update_engine}),
+    and the labeled document model is a view of them ({!node}).
 
     Row [i] is the [i]-th element node in document order.  Finding a
     node is a binary search; its subtree is the rows from [i] up to the
@@ -15,6 +20,15 @@
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+(* Text slots: a table keyed by a row's [key], which rows take in
+   sequence, so the key is its own hash. *)
+module Texts = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 type t = {
   mutable n : int;  (** rows in use; the columns may be longer *)
   mutable start : ints;
@@ -22,7 +36,7 @@ type t = {
   mutable level : ints;
   mutable path : ints;
   mutable key : ints;
-  texts : (int, string) Hashtbl.t;
+  texts : string Texts.t;
   mutable next_key : int;
   mutable paths : string list array;
   ids : (string list, int) Hashtbl.t;  (** the inverse of [paths] *)
@@ -85,7 +99,7 @@ let row (t : t) i =
     fin = t.fin.{i};
     level = t.level.{i};
     path = t.paths.(t.path.{i});
-    data = Hashtbl.find_opt t.texts t.key.{i};
+    data = Texts.find_opt t.texts t.key.{i};
   }
 
 (** The first row after row [i]'s subtree. *)
@@ -107,8 +121,8 @@ let relabel (t : t) i ~start ~fin =
   t.fin.{i} <- fin
 
 let set_data (t : t) i = function
-  | Some s -> Hashtbl.replace t.texts t.key.{i} s
-  | None -> Hashtbl.remove t.texts t.key.{i}
+  | Some s -> Texts.replace t.texts t.key.{i} s
+  | None -> Texts.remove t.texts t.key.{i}
 
 (** [insert t rows] adds a subtree's rows, in document order, where its
     first row's start sorts. *)
@@ -150,55 +164,139 @@ let remove (t : t) i j =
 
 let corrupt fmt = Printf.ksprintf (fun msg -> raise (Blas_disk.Pager.Corrupt msg)) fmt
 
-(** [of_sd rows] — the columns of SD's rows (in any order), each
-    row's path worked out from how the rows nest: sorted by start, a
-    row's parent is the nearest earlier row whose interval is still
-    open.  Reads no P-label, so it serves every catalog version.
+(* ------------------------------------------------------------------ *)
+(* The builder                                                         *)
+
+(* Empty columns with room for [capacity] rows, for the builder. *)
+let empty capacity =
+  let col () = ints (max 16 capacity) in
+  {
+    n = 0;
+    start = col ();
+    fin = col ();
+    level = col ();
+    path = col ();
+    key = col ();
+    texts = Texts.create 256;
+    next_key = 0;
+    paths = [||];
+    ids = Hashtbl.create 64;
+  }
+
+(* The builder: appends a row tagged [tag] under row [parent] (-1: a
+   root), its end not yet known, to columns built in start order; the
+   row.  The row's path is its parent's plus its tag, interned through
+   [child]: (parent's path id, or -1 above the root; tag) -> path id. *)
+let add (t : t) child ~parent ~tag ~start =
+  let i = t.n in
+  if i = Bigarray.Array1.dim t.start then begin
+    let g a = grow a (i + 1) ~used:i in
+    t.start <- g t.start;
+    t.fin <- g t.fin;
+    t.level <- g t.level;
+    t.path <- g t.path;
+    t.key <- g t.key
+  end;
+  let up = if parent < 0 then -1 else t.path.{parent} in
+  let id =
+    match Hashtbl.find child (up, tag) with
+    | id -> id
+    | exception Not_found ->
+      let id = path_id t ((if up < 0 then [] else t.paths.(up)) @ [ tag ]) in
+      Hashtbl.add child (up, tag) id;
+      id
+  in
+  t.start.{i} <- start;
+  t.fin.{i} <- start;
+  t.level.{i} <- (if parent < 0 then 1 else t.level.{parent} + 1);
+  t.path.{i} <- id;
+  t.key.{i} <- i;
+  t.n <- i + 1;
+  t.next_key <- i + 1;
+  i
+
+(* The columns and the counted guide of their paths, labels fresh. *)
+let finish (t : t) =
+  let counts = Array.make (Hashtbl.length t.ids) 0 in
+  for i = 0 to t.n - 1 do
+    counts.(t.path.{i}) <- counts.(t.path.{i}) + 1
+  done;
+  ( t,
+    Blas_xml.Dataguide.of_path_counts
+      (List.init (Hashtbl.length t.ids) (fun id -> (t.paths.(id), counts.(id)))) )
+
+(** [of_events iter] — the columns of the document whose events [iter f]
+    passes to [f] in document order ({!Blas_xml.Sax.parse} over XML text,
+    {!Blas_xml.Dom.iter_events} over a tree), with the counted guide of
+    their paths.  Every start tag, end tag and text unit takes one
+    position, 1-based, and the root sits at level 1; an attribute is a
+    child tagged ["@name"] holding one text unit; a node's data is its
+    direct text units, concatenated.  Labels, rows and guide are those
+    of [Blas_xpath.Doc.of_tree (Blas_xml.Dom.of_events events)].
+    @raise Failure as {!Blas_xml.Dom.of_events} does: at a stray end
+    element, and once the events end on an unclosed element, no root or
+    two roots. *)
+let of_events iter =
+  let t = empty 1024 and child = Hashtbl.create 64 in
+  (* the open elements' rows, innermost first; the last position taken *)
+  let stack = ref [] and pos = ref 0 and roots = ref 0 in
+  let open_ tag =
+    let parent = match !stack with i :: _ -> i | [] -> -1 in
+    if parent < 0 then incr roots;
+    incr pos;
+    stack := add t child ~parent ~tag ~start:!pos :: !stack
+  in
+  let close () =
+    match !stack with
+    | i :: up ->
+      incr pos;
+      t.fin.{i} <- !pos;
+      stack := up
+    | [] -> failwith "Dom.of_events: stray end element"
+  in
+  let text s =
+    match !stack with
+    | i :: _ ->
+      incr pos;
+      Texts.replace t.texts i
+        (match Texts.find t.texts i with d -> d ^ s | exception Not_found -> s)
+    | [] -> ()
+  in
+  iter (function
+    | Blas_xml.Types.Start_element (tag, attrs) ->
+      open_ tag;
+      List.iter
+        (fun (name, value) ->
+          open_ ("@" ^ name);
+          text value;
+          close ())
+        attrs
+    | End_element _ -> close ()
+    | Text s -> text s);
+  (match !stack with
+  | i :: _ ->
+    failwith ("Dom.of_events: unclosed <" ^ Layout.tag t.paths.(t.path.{i}) ^ ">")
+  | [] -> ());
+  if !roots = 0 then failwith "Dom.of_events: no root element";
+  if !roots > 1 then failwith "Dom.of_events: multiple root elements";
+  finish t
+
+(** [of_sd rows] — the columns of SD's rows (in any order), sorted by
+    start and each nested under the nearest earlier row whose interval
+    is still open, with the counted guide of their paths (labels
+    fresh).  Reads no P-label, so it serves every catalog version; a
+    labeled model's SD rows give its columns with its labels kept.
     @raise Blas_disk.Pager.Corrupt on rows that do not nest into one
     document (no rows, two roots, a level that skips). *)
 let of_sd rows =
   let module V = Blas_rel.Value in
-  let rows =
-    Array.of_list
-      (List.map
-         (fun tu ->
-           let get = Blas_rel.Tuple.get tu in
-           match (get 0, get 1, get 2, get 3, get 4) with
-           | V.Str tag, V.Int s, V.Int e, V.Int l, V.Null -> (tag, s, e, l, None)
-           | V.Str tag, V.Int s, V.Int e, V.Int l, V.Str d -> (tag, s, e, l, Some d)
-           | _ -> corrupt "malformed SD row")
-         rows)
-  in
-  let n = Array.length rows in
-  if n = 0 then corrupt "empty document";
-  Array.stable_sort (fun (_, s1, _, _, _) (_, s2, _, _, _) -> Int.compare s1 s2) rows;
-  let t =
-    {
-      n;
-      start = ints n;
-      fin = ints n;
-      level = ints n;
-      path = ints n;
-      key = ints n;
-      texts = Hashtbl.create n;
-      next_key = n;
-      paths = [||];
-      ids = Hashtbl.create 64;
-    }
-  in
-  (* the path id of a tag under a parent path id (-1: the root) *)
-  let child = Hashtbl.create 64 in
-  let child_id parent tag =
-    match Hashtbl.find_opt child (parent, tag) with
-    | Some id -> id
-    | None ->
-      let prefix = if parent < 0 then [] else t.paths.(parent) in
-      let id = path_id t (prefix @ [ tag ]) in
-      Hashtbl.add child (parent, tag) id;
-      id
-  in
-  (* [open_]: the rows whose intervals are still open, innermost
-     first *)
+  let rows = Array.of_list rows in
+  if rows = [||] then corrupt "empty document";
+  Array.stable_sort
+    (fun a b -> V.compare (Blas_rel.Tuple.get a 1) (Blas_rel.Tuple.get b 1))
+    rows;
+  let t = empty (Array.length rows) and child = Hashtbl.create 64 in
+  (* [open_]: the rows whose intervals are still open, innermost first *)
   let rec close open_ start =
     match open_ with
     | j :: rest when t.fin.{j} < start -> close rest start
@@ -206,25 +304,28 @@ let of_sd rows =
   in
   ignore
     (Array.fold_left
-       (fun (i, open_) (tag, start, fin, level, data) ->
+       (fun open_ tu ->
+         let get = Blas_rel.Tuple.get tu in
+         let tag, start, fin, level =
+           match (get 0, get 1, get 2, get 3, get 4) with
+           | V.Str tag, V.Int s, V.Int e, V.Int l, (V.Null | V.Str _) -> (tag, s, e, l)
+           | _ -> corrupt "malformed SD row"
+         in
          let open_ = close open_ start in
          let parent, depth =
            match open_ with
-           | j :: _ -> (t.path.{j}, t.level.{j})
-           | [] when i = 0 -> (-1, 0)
+           | j :: _ -> (j, t.level.{j})
+           | [] when t.n = 0 -> (-1, 0)
            | [] -> corrupt "multiple roots"
          in
          if level <> depth + 1 then
            corrupt "level %d does not match nesting depth %d" level (depth + 1);
-         t.start.{i} <- start;
+         let i = add t child ~parent ~tag ~start in
          t.fin.{i} <- fin;
-         t.level.{i} <- level;
-         t.path.{i} <- child_id parent tag;
-         t.key.{i} <- i;
-         Option.iter (Hashtbl.replace t.texts i) data;
-         (i + 1, i :: open_))
-       (0, []) rows);
-  t
+         (match get 4 with V.Str d -> Texts.replace t.texts i d | _ -> ());
+         i :: open_)
+       [] rows);
+  finish t
 
 (** [node t i] — the document node of row [i], with its subtree: the
     rows after [i] that start inside its interval.  O(subtree). *)
@@ -241,7 +342,7 @@ let node (t : t) i =
     let path = t.paths.(t.path.{j}) in
     ( {
         tag = Layout.tag path;
-        data = Hashtbl.find_opt t.texts t.key.{j};
+        data = Texts.find_opt t.texts t.key.{j};
         start = t.start.{j};
         fin = t.fin.{j};
         level = t.level.{j};
@@ -252,18 +353,64 @@ let node (t : t) i =
   in
   fst (build i)
 
-(** Every node's SP row, P-labels from [guide], in document order. *)
-let sp_rows guide (t : t) =
-  List.init t.n (fun i ->
-      let r = row t i in
-      Layout.sp_row guide ~path:r.path ~start:r.start ~fin:r.fin ~level:r.level
-        ~data:r.data)
+(* The rows of one table keyed (lead, start), in its cluster order:
+   grouped by [lead path] — groups in {!Blas_rel.Value.compare} order,
+   each group's rows in start order — by one stable bucket pass over
+   the rows, which are in start order.  A lead is computed once per
+   path, and a group's rows share one copy of it. *)
+let clustered (t : t) lead =
+  let module V = Blas_rel.Value in
+  (* a group per distinct lead: the lead and its rows; a path's group *)
+  let groups = Hashtbl.create 64 and of_path = Array.make (Hashtbl.length t.ids) None in
+  for i = t.n - 1 downto 0 do
+    let p = t.path.{i} in
+    let lead, rows =
+      match of_path.(p) with
+      | Some group -> group
+      | None ->
+        let v = lead t.paths.(p) in
+        let group =
+          match Hashtbl.find_opt groups v with Some g -> g | None -> (v, ref [])
+        in
+        Hashtbl.replace groups v group;
+        of_path.(p) <- Some group;
+        group
+    in
+    let data =
+      match Texts.find t.texts t.key.{i} with d -> V.Str d | exception Not_found -> V.Null
+    in
+    rows :=
+      Blas_rel.Tuple.of_array
+        [| lead; V.Int t.start.{i}; V.Int t.fin.{i}; V.Int t.level.{i}; data |]
+      :: !rows
+  done;
+  Hashtbl.fold (fun _ group acc -> group :: acc) groups []
+  |> List.sort (fun (a, _) (b, _) -> V.compare a b)
+  |> List.concat_map (fun (_, rows) -> !rows)
 
-(** [iter_values t f] calls [f tag text] on every node, in document
-    order (what {!Blas_optimizer.Stats.collect} reads). *)
+(** Every node's SP row, P-labels from [guide], in SP's cluster order
+    (P-label, start). *)
+let sp_rows guide (t : t) =
+  clustered t (fun path -> Blas_rel.Value.Int (Layout.plabel guide path))
+
+(** Every node's SD row, in SD's cluster order (tag, start). *)
+let sd_rows (t : t) = clustered t (fun path -> Blas_rel.Value.Str (Layout.tag path))
+
+(** [tables store ~guide t] bulk-loads [t]'s SP (P-labels from [guide])
+    and SD into [store]; the rows reach {!Layout.load} clustered, so
+    nothing sorts them. *)
+let tables store ~guide (t : t) =
+  let sp = Layout.load store Layout.sp (sp_rows guide t) in
+  (sp, Layout.load store Layout.sd (sd_rows t))
+
+(** [iter_values t f] calls [f tag text] on every node that has text,
+    in document order (what {!Blas_optimizer.Stats.collect} reads). *)
 let iter_values (t : t) f =
+  let tags = Array.init (Hashtbl.length t.ids) (fun id -> Layout.tag t.paths.(id)) in
   for i = 0 to t.n - 1 do
-    f (Layout.tag t.paths.(t.path.{i})) (Hashtbl.find_opt t.texts t.key.{i})
+    match Texts.find t.texts t.key.{i} with
+    | text -> f tags.(t.path.{i}) text
+    | exception Not_found -> ()
   done
 
 (** Whether both hold the same rows. *)

@@ -5,11 +5,9 @@
     index: each table's page directory serves the selections on its
     leading column, and there are no secondary indexes.  The index
     build, the database bulk load and the relabeling of an old catalog
-    all load tables through {!load}; the index build hands it rows
-    already in cluster order ({!clustered_rows}), so nothing sorts
-    them. *)
+    all load tables through {!load}, and each hands it rows already in
+    cluster order, so nothing sorts them. *)
 
-module Doc = Blas_xpath.Doc
 module Rel = Blas_rel
 
 type spec = {
@@ -32,8 +30,8 @@ let sd = spec "sd" "tag"
 let data_value = function None -> Rel.Value.Null | Some d -> Rel.Value.Str d
 
 let row lead ~start ~fin ~level ~data =
-  Rel.Tuple.of_list
-    [ lead; Rel.Value.Int start; Rel.Value.Int fin; Rel.Value.Int level; data_value data ]
+  Rel.Tuple.of_array
+    [| lead; Rel.Value.Int start; Rel.Value.Int fin; Rel.Value.Int level; data_value data |]
 
 (** The P-label of a source path (root tag first): its label in [guide]
     (Definition 3.3). *)
@@ -61,43 +59,3 @@ let load ?fill store spec rows =
 let of_layout store spec ~dir =
   Rel.Table.of_layout store ~name:spec.name ~schema:spec.schema
     ~cluster_key:spec.cluster_key ~dir
-
-(* The rows of [nodes] (in start order) grouped by their leading
-   value [key], groups in key order, each in start order: the clustered
-   order of a table keyed (lead, start), by one stable bucket pass
-   instead of a comparison sort over the rows.  A group's rows share
-   one copy of their leading value. *)
-let clustered ~key row nodes =
-  let buckets = Hashtbl.create 64 in
-  List.iter
-    (fun (n : Doc.node) ->
-      let k = key n in
-      let add lead rows =
-        rows := row lead ~start:n.start ~fin:n.fin ~level:n.level ~data:n.data :: !rows
-      in
-      match Hashtbl.find_opt buckets k with
-      | Some (lead, rows) -> add lead rows
-      | None ->
-        let rows = ref [] in
-        add k rows;
-        Hashtbl.add buckets k (k, rows))
-    nodes;
-  Hashtbl.fold (fun _ group acc -> group :: acc) buckets []
-  |> List.sort (fun (a, _) (b, _) -> Rel.Value.compare b a)
-  |> List.fold_left (fun acc (_, rows) -> List.rev_append !rows acc) []
-
-(** [doc]'s SP and SD rows, each already in its cluster order:
-    bucketed by P-label (from the document's guide) and by tag over the
-    nodes in start order. *)
-let clustered_rows (doc : Doc.t) =
-  ( clustered
-      ~key:(fun n -> Rel.Value.Int (plabel doc.guide n.source_path))
-      row doc.all,
-    clustered ~key:(fun n -> Rel.Value.Str n.tag) row doc.all )
-
-(** [tables store doc] bulk-loads [doc]'s SP and SD into [store]; the
-    rows reach {!load} clustered ({!clustered_rows}), so nothing sorts
-    them. *)
-let tables store doc =
-  let sp_rows, sd_rows = clustered_rows doc in
-  (load store sp sp_rows, load store sd sd_rows)

@@ -46,7 +46,8 @@ let of_root ?guide root =
   in
   { root; all; by_start = Array.of_list all; guide }
 
-(** [of_tree tree] labels positions exactly like {!Blas_label.Dlabel}:
+(** [of_tree tree] labels positions exactly like the tests' reference
+    [Dlabel]:
     every start tag, end tag and text unit occupies one position,
     1-based; the root is at level 1. *)
 let of_tree tree =

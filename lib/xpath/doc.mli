@@ -30,8 +30,8 @@ type t = private {
     stored guide keeps the labels its SP rows carry). *)
 val of_root : ?guide:Blas_xml.Dataguide.t -> node -> t
 
-(** [of_tree tree] labels positions exactly like
-    {!Blas_label.Dlabel.label_tree}: every start tag, end tag and text
+(** [of_tree tree] labels positions exactly like the reference
+    [Dlabel.label_tree] kept with the tests: every start tag, end tag and text
     unit occupies one position (1-based); the root is at level 1.
     @raise Invalid_argument if the root is a text node. *)
 val of_tree : Blas_xml.Types.tree -> t

@@ -2,7 +2,11 @@
     3.1.  [start] and [end] are the positions of a node's start and end
     tags, where every start tag, end tag and text unit occupies one
     position (1-based); [level] is the length of the path from the root
-    (the root has level 1). *)
+    (the root has level 1).
+
+    The definition written out on its own, kept as the reference the
+    label columns' positions ({!Blas_xpath.Doc.of_tree}, the index
+    build) are checked against ([test_label], [test_xpath]). *)
 
 type t = { start : int; fin : int; level : int }
 

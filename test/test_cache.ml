@@ -588,11 +588,35 @@ let plans_agree storage queries =
       && List.for_all current (Option.fold ~none:[] ~some:accessed_tables compiled))
     cells (List.combine memo fresh)
 
+(* A fixed query set, [//*] among it: every insert and delete moves a
+   count it is priced on. *)
+let reopen_queries =
+  List.map Blas.query [ "//*"; "//a"; "//b/c"; "//a[b = \"x\"]"; "//c[d]//a" ]
+
+(* After a commit, a read-only reopen of the database at [path] holds
+   the statistics of the read-write [storage] and prices the fixed
+   query set alike: the same Auto2 pick, estimate and priced
+   candidates.  Both price on their live guide's counts. *)
+let reopen_agrees storage path =
+  let reopened = Blas.Database.open_ ~mode:Blas.Database.Ro ~path () in
+  Fun.protect
+    ~finally:(fun () -> Blas.Storage.close reopened)
+    (fun () ->
+      let pick s q =
+        let c = Blas.Optimizer.choose s q in
+        (Blas.Optimizer.label c, c.Blas.Optimizer.ch_est_cost, c.Blas.Optimizer.ch_candidates)
+      in
+      (match (Blas.Storage.ostats storage, Blas.Storage.ostats reopened) with
+      | Some a, Some b -> Blas.Optimizer.Stats.equal a b
+      | None, None -> true
+      | _ -> false)
+      && List.for_all (fun q -> pick storage q = pick reopened q) reopen_queries)
+
 (* The script runs on [tree] padded with 150 [f] leaves, in memory and
    on a database of 512-byte pages: one edit then ages the statistics
    by well under their 20% resample threshold, so an edit's own flush
    is what the script tests, not the resample it would trigger on a
-   tiny document. *)
+   tiny document.  [f] gets both storages and the database's path. *)
 let with_plan_twins tree f =
   let tree =
     match tree with
@@ -606,7 +630,7 @@ let with_plan_twins tree f =
       Blas.Database.create ~page_size:512 ~path (Blas.Storage.of_tree tree);
       with_storage
         (Blas.Database.open_ ~cache_pages:16 ~mode:Blas.Database.Rw ~path ())
-        (fun disk -> f [ mem; disk ]))
+        (fun disk -> f [ mem; disk ] path))
 
 let prop_plan_memo =
   QCheck_alcotest.to_alcotest
@@ -617,14 +641,21 @@ let prop_plan_memo =
            (String.concat ", " (List.map pp_query queries)))
        plan_script_gen
        (fun (tree, steps, queries) ->
-         with_plan_twins tree (fun storages ->
+         with_plan_twins tree (fun storages path ->
              List.for_all
                (fun storage ->
+                 (* every step but a resample (held in memory until the
+                    next commit) leaves the database committed *)
+                 let committed step =
+                   match (Blas.Storage.disk storage, step) with
+                   | None, _ | _, Resample _ -> true
+                   | Some _, _ -> reopen_agrees storage path
+                 in
                  plans_agree storage queries
                  && List.for_all
                       (fun step ->
                         apply_plan_step storage step;
-                        plans_agree storage queries)
+                        plans_agree storage queries && committed step)
                       steps)
                storages)))
 

@@ -880,12 +880,17 @@ let cluster_sort rows =
       match Value.compare l1 l2 with 0 -> Value.compare s1 s2 | c -> c)
     rows
 
-(* [Layout.tables] buckets the start-ordered nodes by P-label (SP) and
-   by tag (SD): its rows are the stably sorted rows, and its tables
-   equal loads of them, page for page, under both codecs. *)
+(* [Columns.tables] buckets the label columns' start-ordered rows by
+   P-label (SP) and by tag (SD): its rows are the stably sorted rows of
+   the document model, and its tables equal loads of them, page for
+   page, under both codecs. *)
 let layout_order_law (format, tree) =
   let module Layout = Blas_update.Layout in
+  let module Columns = Blas_update.Columns in
   let doc = Blas_xpath.Doc.of_tree tree in
+  let cols, guide =
+    Columns.of_events (fun f -> Blas_xml.Dom.iter_events tree ~on_event:f)
+  in
   let store () = Blas_rel.Page_store.memory ~page_size:256 ~codec:format () in
   let rows row =
     cluster_sort
@@ -900,8 +905,8 @@ let layout_order_law (format, tree) =
     List.length a = List.length b
     && List.for_all2 (fun x y -> Tuple.compare x y = 0) a b
   in
-  let bucketed_sp, bucketed_sd = Layout.clustered_rows doc in
-  let sp, sd = Layout.tables (store ()) doc in
+  let bucketed_sp = Columns.sp_rows guide cols and bucketed_sd = Columns.sd_rows cols in
+  let sp, sd = Columns.tables (store ()) ~guide cols in
   same_rows bucketed_sp sp_rows
   && same_rows bucketed_sd sd_rows
   && same_table sp (Layout.load (store ()) Layout.sp sp_rows)

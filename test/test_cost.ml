@@ -10,7 +10,7 @@ let stats storage =
   | None -> Alcotest.fail "storage has no optimizer statistics"
 
 let estimate storage translator qs =
-  Blas.Cost.estimate_decomposition (stats storage)
+  Blas.Cost.estimate_decomposition ~guide:(Blas.Storage.guide storage) (stats storage)
     (Blas.decompose storage translator (Blas.query qs))
 
 (* Pages of one translation priced item by item, each item a clustered
@@ -22,7 +22,7 @@ let estimated_pages storage translator qs =
       List.fold_left
         (fun acc (item : Blas.Suffix_query.item) ->
           let e =
-            Blas.Cost.estimate_branch (stats storage)
+            Blas.Cost.estimate_branch ~guide:(Blas.Storage.guide storage) (stats storage)
               { Blas.Suffix_query.items = [ item ]; joins = []; output = item.id }
           in
           acc + Blas.Cost.pages_for (int_of_float e.Blas.Cost.e_visited) ~page_rows)

@@ -5,8 +5,6 @@
     labels the DataGuide gives source paths in reversed-path order,
     checked against it. *)
 
-open Blas_label
-
 let parse = Blas_xml.Dom.parse
 
 (* The paper's Figure 1 fragment, used to check the worked example of

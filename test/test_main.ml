@@ -17,6 +17,7 @@ let () =
       ("optimizer", Test_optimizer.suite);
       ("persist", Test_persist.suite);
       ("update", Test_update.suite);
+      ("build", Test_build.suite);
       ("robustness", Test_robustness.suite);
       ("observability", Test_obs.suite);
       ("parallel", Test_par.suite);

@@ -194,9 +194,9 @@ module Gen = QCheck2.Gen
 (* Random interval sets come from real documents so intervals nest. *)
 let intervals_of_tree tree =
   List.map
-    (fun ((l : Blas_label.Dlabel.t), _, _) ->
+    (fun ((l : Dlabel.t), _, _) ->
       Tuple.of_list [ v_int l.start; v_int l.fin; v_int l.level ])
-    (Blas_label.Dlabel.label_tree tree)
+    (Dlabel.label_tree tree)
 
 let side = { Structural_join.start_col = 0; end_col = 1; level_col = 2 }
 

@@ -126,10 +126,10 @@ module Gen = QCheck2.Gen
 
 (* Build streams from a random document's labels, one per tag. *)
 let doc_streams tree =
-  let labeled = Blas_label.Dlabel.label_tree tree in
+  let labeled = Dlabel.label_tree tree in
   fun tag ->
     List.filter_map
-      (fun ((l : Blas_label.Dlabel.t), path, _) ->
+      (fun ((l : Dlabel.t), path, _) ->
         match List.rev path with
         | leaf :: _ when String.equal leaf tag ->
           Some (entry l.start l.fin l.level)

@@ -543,8 +543,9 @@ let prop_columns_follow_edits =
         (fun edit ->
           apply_edit storage edit;
           Blas_update.Columns.equal (Blas.Storage.columns storage)
-            (Blas_update.Columns.of_sd
-               (Blas_rel.Table.scan storage.Blas.Storage.sd (Blas_rel.Counters.create ())))
+            (fst
+               (Blas_update.Columns.of_sd
+                  (Blas_rel.Table.scan storage.Blas.Storage.sd (Blas_rel.Counters.create ()))))
           && sp_matches_columns storage
           && view_matches_its_root (Blas.Storage.doc storage))
         edits)
@@ -603,14 +604,10 @@ let prop_memory_matches_database =
   qtest ~count:40 "memory storage and database file stay page-identical"
     twin_gen
     (fun (codec, (tree, edits, queries)) ->
-      let doc () = Blas_xpath.Doc.of_tree tree in
-      (* [Storage.of_doc] over 512-byte pages, so edits split pages *)
+      (* the index build's tables over 512-byte pages, so edits split
+         pages *)
       let mem =
-        let doc = doc () in
-        let store = Blas_rel.Page_store.memory ~page_size:512 ~codec () in
-        let sp, sd = Blas_update.Layout.tables store doc in
-        Blas.Storage.assemble ~codec ~guide:doc.guide
-          ~sp ~sd ~pool:store.Blas_rel.Page_store.pool ()
+        Test_util.storage_of_columns ~page_size:512 ~codec (Test_util.columns_of_tree tree)
       in
       let path = Filename.temp_file "blas_twin_" ".blasdb" in
       Fun.protect
@@ -620,7 +617,7 @@ let prop_memory_matches_database =
             [ path; path ^ ".wal" ])
         (fun () ->
           Blas.Database.create ~page_size:512 ~codec ~path
-            (Blas.Storage.of_doc ~codec (doc ()));
+            (Blas.Storage.of_tree ~codec tree);
           let disk =
             Blas.Database.open_ ~cache_pages:16 ~mode:Blas.Database.Rw ~path ()
           in
@@ -657,8 +654,7 @@ let test_new_tag_writes_in_place () =
   List.iter
     (fun codec ->
       let storage =
-        Blas.Storage.of_doc ~codec
-          (Blas_xpath.Doc.of_tree (Blas_datagen.Protein.generate ~entries:40 ()))
+        Blas.Storage.of_tree ~codec (Blas_datagen.Protein.generate ~entries:40 ())
       in
       let pages = Blas_rel.Table.page_count storage.Blas.Storage.sp in
       (* D-label room at the front, so no renumbering muddies the
@@ -677,7 +673,10 @@ let test_new_tag_writes_in_place () =
            (Blas_rel.Codec.format_name codec) pages)
         true
         (report.pages_written <= 4 && pages > 4);
-      let fresh = Blas.Storage.of_doc ~codec (Blas.Storage.doc storage) in
+      let fresh =
+        let doc = Blas.Storage.doc storage in
+        Test_util.storage_of_columns ~codec (Test_util.columns_of_doc doc)
+      in
       List.iter
         (fun q ->
           let q = Blas.query q in

@@ -26,6 +26,36 @@ let on_domains n f =
 let with_storage storage f =
   Fun.protect ~finally:(fun () -> Blas.Storage.close storage) (fun () -> f storage)
 
+(** [storage_of_columns ?page_size ~codec (cols, guide)] — a storage
+    whose SP and SD are bulk-loaded from label columns
+    ({!Blas_update.Columns.tables}) onto an in-memory page store of
+    [page_size]-byte pages: from the builder's columns
+    ({!Blas_update.Columns.of_events}) at a page size other than the
+    default, or from a labeled model's ({!columns_of_doc})
+    to index a view of edited columns with its labels kept.  Its label
+    columns are built from SD on first use. *)
+let storage_of_columns ?page_size ~codec (cols, guide) =
+  let store = Blas_rel.Page_store.memory ?page_size ~codec () in
+  let sp, sd = Blas_update.Columns.tables store ~guide cols in
+  Blas.Storage.assemble ~codec ~guide ~sp ~sd ~pool:store.Blas_rel.Page_store.pool ()
+
+(** [columns_of_doc doc] — the columns of a labeled document model,
+    its labels kept (a view of edited columns rebuilds them), from its
+    SD rows, and [doc]'s guide. *)
+let columns_of_doc (doc : Blas_xpath.Doc.t) =
+  ( fst
+      (Blas_update.Columns.of_sd
+         (List.map
+            (fun (n : Blas_xpath.Doc.node) ->
+              Blas_update.Layout.sd_row ~tag:n.tag ~start:n.start ~fin:n.fin ~level:n.level
+                ~data:n.data)
+            doc.all)),
+    doc.guide )
+
+(** The builder's columns and guide of [tree]'s events. *)
+let columns_of_tree tree =
+  Blas_update.Columns.of_events (fun f -> Blas_xml.Dom.iter_events tree ~on_event:f)
+
 let qtest ?(count = 200) name gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen law)
 

@@ -216,12 +216,12 @@ let doc_unit_tests =
 
 let doc_positions_agree_with_dlabel tree =
   let doc = Doc.of_tree tree in
-  let labels = Blas_label.Dlabel.label_tree tree in
+  let labels = Dlabel.label_tree tree in
   let doc_by_start =
     List.map (fun (n : Doc.node) -> (n.start, (n.fin, n.level, n.source_path))) doc.Doc.all
   in
   List.for_all
-    (fun ((l : Blas_label.Dlabel.t), path, _) ->
+    (fun ((l : Dlabel.t), path, _) ->
       match List.assoc_opt l.start doc_by_start with
       | Some (fin, level, spath) -> fin = l.fin && level = l.level && spath = path
       | None -> false)
